@@ -309,46 +309,99 @@ type buildEntry struct {
 	src *geo.Polygon
 }
 
-// cover computes one polygon's covering with the pipeline's configuration.
-func (pl *pipeline) cover(p *geo.Polygon) (*cover.Covering, error) {
-	if pl.adaptive {
-		return pl.coverer.CoverAdaptive(p, pl.sample, pl.maxCells)
+// cover projects one polygon onto the grid, once, and computes its covering
+// with the pipeline's configuration. A pipeline that keeps geometry also
+// returns the projection, which is the polygon's exact geometry; otherwise
+// the geometry is nil.
+func (pl *pipeline) cover(p *geo.Polygon) (*cover.Covering, *geom.Polygon, error) {
+	face, poly, err := grid.ProjectPolygon(pl.grid, p)
+	if err != nil {
+		return nil, nil, err
 	}
-	return pl.coverer.Cover(p)
+	var cov *cover.Covering
+	if pl.adaptive {
+		cov, err = pl.coverer.CoverAdaptive(face, poly, pl.sample, pl.maxCells)
+	} else {
+		cov, err = pl.coverer.CoverProjected(face, poly)
+	}
+	if !pl.hasGeom {
+		poly = nil
+	}
+	return cov, poly, err
+}
+
+// each calls one(i) for every i in [0, n) from up to pl.workers goroutines —
+// inline when one worker suffices. It stops handing out work at the first
+// error and once ctx is done, which it checks before every call, and
+// returns that error.
+func (pl *pipeline) each(ctx context.Context, n int, one func(i int) error) error {
+	var next atomic.Int64
+	work := func() error {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return nil
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := one(i); err != nil {
+				return err
+			}
+		}
+	}
+	workers := min(pl.workers, n)
+	if workers <= 1 {
+		return work()
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if errs[w] = work(); errs[w] != nil {
+				next.Store(int64(n)) // the others stop at their next index
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // run executes the full build pipeline over the entries: parallel
 // per-polygon coverings, the serial super-covering merge, trie
 // construction, and (when the pipeline keeps geometry) a sparse geometry
-// store with idSpace slots. The context is checked between phases, so a
-// cancelled compaction stops without publishing anything.
+// store with idSpace slots. The context is checked before every covering
+// and between phases, so a cancelled compaction stops within one covering
+// without publishing anything.
 func (pl *pipeline) run(ctx context.Context, entries []buildEntry, idSpace int) (*core.Trie, *geostore.Store, BuildStats, error) {
 	var stats BuildStats
 	stats.NumPolygons = len(entries)
 
-	// Phase 1: individual coverings, parallelized over entries.
+	// Phase 1: individual coverings, parallelized over entries. The exact
+	// geometry is id-indexed over the whole id space; entries not present
+	// (removed ids) stay nil.
 	start := time.Now()
 	covs := make([]*cover.Covering, len(entries))
-	errs := make([]error, len(entries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, pl.workers)
-	for i := range entries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			covs[i], errs[i] = pl.cover(entries[i].src)
-		}(i)
+	projected := make([]*geom.Polygon, idSpace)
+	err := pl.each(ctx, len(entries), func(i int) (err error) {
+		e := entries[i]
+		if covs[i], projected[e.id], err = pl.cover(e.src); err != nil {
+			return fmt.Errorf("act: covering polygon %d: %w", e.id, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, stats, err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, stats, fmt.Errorf("act: covering polygon %d: %w", entries[i].id, err)
-		}
-		if covs[i].AchievedPrecisionMeters > stats.AchievedPrecisionMeters {
-			stats.AchievedPrecisionMeters = covs[i].AchievedPrecisionMeters
-		}
+	for _, cov := range covs {
+		stats.AchievedPrecisionMeters = max(stats.AchievedPrecisionMeters, cov.AchievedPrecisionMeters)
 	}
 	stats.CoverDuration = time.Since(start)
 	if err := ctx.Err(); err != nil {
@@ -379,18 +432,9 @@ func (pl *pipeline) run(ctx context.Context, entries []buildEntry, idSpace int) 
 	stats.InsertDuration = time.Since(start)
 
 	// Exact geometry for candidate refinement, unless the caller opted
-	// out. The store is id-indexed over the whole id space; entries not
-	// present (removed ids) stay nil.
+	// out.
 	var store *geostore.Store
 	if pl.hasGeom {
-		projected := make([]*geom.Polygon, idSpace)
-		for _, e := range entries {
-			_, pp, err := grid.ProjectPolygon(pl.grid, e.src)
-			if err != nil {
-				return nil, nil, stats, fmt.Errorf("act: projecting polygon %d: %w", e.id, err)
-			}
-			projected[e.id] = pp
-		}
 		store = geostore.NewSparse(projected)
 	}
 

@@ -130,14 +130,13 @@ var benchDatasets = []string{"boroughs", "neighborhoods", "census"}
 // --- Table I -------------------------------------------------------------
 
 // benchmarkBuild measures one full index build (coverings + merge + trie)
-// and reports the Table I metrics of the result.
-func benchmarkBuild(b *testing.B, dsName string, eps float64) {
-	set, _ := state.dataset(b, dsName)
+// and reports the Table I metrics of the result and the time of each phase.
+func benchmarkBuild(b *testing.B, polygons []*act.Polygon, eps float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var st act.BuildStats
 	for i := 0; i < b.N; i++ {
-		idx, err := act.BuildIndex(set.Polygons, act.Options{PrecisionMeters: eps})
+		idx, err := act.New(polygons, act.WithPrecision(eps))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,16 +147,29 @@ func benchmarkBuild(b *testing.B, dsName string, eps float64) {
 	b.ReportMetric(float64(st.TableBytes)/1e6, "table-MB")
 	b.ReportMetric(st.CoverDuration.Seconds(), "cover-s")
 	b.ReportMetric(st.MergeDuration.Seconds(), "merge-s")
+	b.ReportMetric(st.InsertDuration.Seconds(), "insert-s")
 }
 
 func BenchmarkTableIBuild(b *testing.B) {
 	for _, ds := range benchDatasets {
 		for _, eps := range bench.Precisions {
 			b.Run(ds+"/"+formatEps(eps), func(b *testing.B) {
-				benchmarkBuild(b, ds, eps)
+				set, _ := state.dataset(b, ds)
+				benchmarkBuild(b, set.Polygons, eps)
 			})
 		}
 	}
+}
+
+// BenchmarkBuild is the build pipeline at the repository benchmark's
+// configuration (census blocks, ε = 60 m) and a size that builds in a
+// fraction of a second, for CI's bench-smoke and for profiling a phase.
+func BenchmarkBuild(b *testing.B) {
+	set, err := data.CensusBlocks(1, 600)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkBuild(b, set.Polygons, 60)
 }
 
 // --- Figure 3 ------------------------------------------------------------

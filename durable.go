@@ -33,8 +33,6 @@ import (
 	"github.com/actindex/act/internal/delta"
 	"github.com/actindex/act/internal/fault"
 	"github.com/actindex/act/internal/geojson"
-	"github.com/actindex/act/internal/geom"
-	"github.com/actindex/act/internal/grid"
 	"github.com/actindex/act/internal/wal"
 )
 
@@ -336,15 +334,9 @@ func (ix *Index) replayRecords(records []wal.Record) error {
 				return fmt.Errorf("record %d (insert %d): record carries %d polygons, want 1", i, rec.ID, len(ps))
 			}
 			p := ps[0]
-			cov, err := ix.pl.cover(p)
+			cov, gp, err := ix.pl.cover(p)
 			if err != nil {
 				return fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
-			}
-			var gp *geom.Polygon
-			if ix.pl.hasGeom {
-				if _, gp, err = grid.ProjectPolygon(ix.grid, p); err != nil {
-					return fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
-				}
 			}
 			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
 			alive = append(alive, true)

@@ -49,16 +49,13 @@ func (q *QuerySample) CountIn(cell cellid.ID) int {
 // (interior cells exact, boundary cells cover the rest); only the
 // effective precision varies spatially.
 //
-// maxCells bounds the covering size. The returned covering reports the
-// worst-case AchievedPrecisionMeters across all boundary cells; use
-// (*Covering).NumCells to see the budget consumption.
-func (c *Coverer) CoverAdaptive(p *geo.Polygon, sample *QuerySample, maxCells int) (*Covering, error) {
+// The polygon comes projected onto a face of the coverer's grid, as for
+// CoverProjected. maxCells bounds the covering size. The returned covering
+// reports the worst-case AchievedPrecisionMeters across all boundary cells;
+// use (*Covering).NumCells to see the budget consumption.
+func (c *Coverer) CoverAdaptive(face int, poly *geom.Polygon, sample *QuerySample, maxCells int) (*Covering, error) {
 	if maxCells <= 0 {
-		return c.Cover(p)
-	}
-	face, poly, err := grid.ProjectPolygon(c.g, p)
-	if err != nil {
-		return nil, err
+		return c.CoverProjected(face, poly)
 	}
 	start := c.startCell(face, poly)
 

@@ -60,7 +60,11 @@ func TestCoverAdaptiveFocusesBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := c.CoverAdaptive(p, sample, budget)
+	face, poly, err := grid.ProjectPolygon(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := c.CoverAdaptive(face, poly, sample, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +105,6 @@ func TestCoverAdaptiveFocusesBudget(t *testing.T) {
 	}
 
 	// Soundness still holds: interior cells only contain inside points.
-	face, poly, err := grid.ProjectPolygon(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bound := p.Bound()
 	for n := 0; n < 2000; n++ {
 		ll := geo.LatLng{
@@ -135,7 +135,11 @@ func TestCoverAdaptiveNoBudgetFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sample := NewQuerySample(g, nil)
-	cov, err := c.CoverAdaptive(testPolygon(), sample, 0)
+	face, poly, err := grid.ProjectPolygon(g, testPolygon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov, err := c.CoverAdaptive(face, poly, sample, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,6 +108,13 @@ func (c *Coverer) Cover(p *geo.Polygon) (*Covering, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.CoverProjected(face, poly)
+}
+
+// CoverProjected computes the covering of a polygon already projected onto
+// a face of the coverer's grid (grid.ProjectPolygon), for callers that keep
+// the projection.
+func (c *Coverer) CoverProjected(face int, poly *geom.Polygon) (*Covering, error) {
 	start := c.startCell(face, poly)
 	if c.maxCells > 0 {
 		return c.coverBudgeted(start, poly)

@@ -26,6 +26,14 @@ import (
 //     certified (geom.OrientSign), the code falls back to the exact
 //     point-in-polygon test, so results are identical to the slow path.
 //
+//  3. Level rules: whether a boundary cell is small enough is decided per
+//     level, not per cell. The cells of one level under a polygon's
+//     bounding box have nearly the same diagonal, so one bound on it
+//     (grid.CellDiagonalBand) settles the comparison with ε for all of them;
+//     the haversine runs only for the cells of a level the bound leaves
+//     open, and for the few cells that can hold the largest diagonal, which
+//     AchievedPrecisionMeters reports.
+//
 // The parity argument treats the polygon boundary as one even-odd edge
 // set, which matches Polygon.ContainsPoint only when holes are disjoint
 // and inside the outer ring; canParity checks that (conservatively, via
@@ -37,6 +45,17 @@ type edgeRec struct {
 	bbox geom.Rect
 }
 
+// levelRule says how boundary cells of one level compare with ε.
+type levelRule struct {
+	// fits: every cell's diagonal is at most ε; otherwise, unless exact is
+	// set, every cell's diagonal exceeds ε and the cell must split.
+	fits bool
+	// exact: the level's diagonals straddle ε; each cell is measured.
+	exact bool
+	// peak is where the largest diagonals of a level that fits lie.
+	peak geom.Rect
+}
+
 // fastCover is the per-Cover state of the fast path.
 type fastCover struct {
 	c      *Coverer
@@ -45,6 +64,23 @@ type fastCover struct {
 	stack  []int32 // active edge indices, stack-allocated per depth
 	cov    *Covering
 	parity bool // whether the parity shortcut is sound for this polygon
+	// rules is indexed by level, from the start cell's down to the first
+	// that fits — below which nothing is visited — or the level cap.
+	rules [cellid.MaxLevel + 1]levelRule
+}
+
+// levelRules compares ε with the diagonals of each level from the start
+// cell's down to the first level whose cells all fit.
+func (c *Coverer) levelRules(start cellid.ID, bound geom.Rect) (rules [cellid.MaxLevel + 1]levelRule) {
+	for level := start.Level(); level <= c.maxLevel; level++ {
+		lo, hi, peak := grid.CellDiagonalBand(c.g, start.Face(), bound, level)
+		if hi <= c.precision {
+			rules[level] = levelRule{fits: true, peak: peak}
+			break
+		}
+		rules[level].exact = lo <= c.precision
+	}
+	return rules
 }
 
 // polygonEdges flattens all rings into edge records.
@@ -96,6 +132,7 @@ func (c *Coverer) coverFast(start cellid.ID, poly *geom.Polygon) (*Covering, err
 		edges:  polygonEdges(poly),
 		cov:    &Covering{},
 		parity: canParity(poly),
+		rules:  c.levelRules(start, poly.Bound()),
 	}
 	all := make([]int32, len(f.edges))
 	for i := range all {
@@ -104,17 +141,18 @@ func (c *Coverer) coverFast(start cellid.ID, poly *geom.Polygon) (*Covering, err
 	f.stack = all
 	startRect := grid.CellRect(start)
 	refPt := startRect.Center()
+	// The descent appends cells in id order: children are visited in Morton
+	// order and only cells that stop the descent are kept.
 	if err := f.visit(start, 0, len(all), refPt, poly.ContainsPoint(refPt)); err != nil {
 		return nil, err
 	}
-	sortCells(f.cov.Boundary)
-	sortCells(f.cov.Interior)
 	return f.cov, nil
 }
 
 // visit classifies cell, whose candidate edges are f.stack[lo:hi]. refPt is
 // a point in the cell's parent (or the cell itself at the root) with known
-// containment status refInside.
+// containment status refInside. The cell's own candidate edges are left on
+// the stack above hi for the caller to drop.
 func (f *fastCover) visit(cell cellid.ID, lo, hi int, refPt geom.Point, refInside bool) error {
 	rect := grid.CellRect(cell)
 	// Narrow the active edge set and detect boundary contact.
@@ -131,54 +169,60 @@ func (f *fastCover) visit(cell cellid.ID, lo, hi int, refPt geom.Point, refInsid
 		}
 	}
 	subHi := len(f.stack)
-	defer func() { f.stack = f.stack[:subLo] }()
 
+	// The center's status follows from the parent reference by crossing
+	// parity over the parent's active edges (any edge crossing the segment
+	// refPt→center lies in the parent cell, hence in f.stack[lo:hi]).
+	center := rect.Center()
 	if !crossing {
 		// Uniform cell: decide its status once.
-		center := rect.Center()
-		inside, ok := false, false
-		if f.parity {
-			inside, ok = f.parityInside(refPt, refInside, center, lo, hi)
-		}
-		if !ok {
-			inside = f.poly.ContainsPoint(center)
-		}
-		if inside {
+		if f.inside(refPt, refInside, center, lo, hi) {
 			f.cov.Interior = append(f.cov.Interior, cell)
 		}
 		return nil
 	}
 
-	diag := grid.CellDiagonalMeters(f.c.g, cell)
-	if diag <= f.c.precision {
-		f.cov.Boundary = append(f.cov.Boundary, cell)
-		if diag > f.cov.AchievedPrecisionMeters {
+	level := cell.Level()
+	rule := &f.rules[level]
+	fits := rule.fits
+	if rule.exact || fits && rect.Intersects(rule.peak) {
+		diag := grid.CellDiagonalMeters(f.c.g, cell)
+		if rule.exact {
+			fits = diag <= f.c.precision
+		}
+		if fits && diag > f.cov.AchievedPrecisionMeters {
 			f.cov.AchievedPrecisionMeters = diag
 		}
+	}
+	if fits {
+		f.cov.Boundary = append(f.cov.Boundary, cell)
 		return nil
 	}
-	if cell.Level() >= f.c.maxLevel {
+	if level >= f.c.maxLevel {
 		return fmt.Errorf("%w: cell %v at level cap %d has diagonal %.3f m > %.3f m",
-			ErrPrecision, cell, f.c.maxLevel, diag, f.c.precision)
+			ErrPrecision, cell, f.c.maxLevel, grid.CellDiagonalMeters(f.c.g, cell), f.c.precision)
 	}
-	// Establish a reference point for the children: the cell center, whose
-	// status follows from the parent reference by crossing parity over the
-	// parent's active edges (any edge crossing the segment refPt→center
-	// lies in the parent cell, hence in f.stack[lo:hi]).
-	center := rect.Center()
-	centerInside, ok := false, false
-	if f.parity {
-		centerInside, ok = f.parityInside(refPt, refInside, center, lo, hi)
-	}
-	if !ok {
-		centerInside = f.poly.ContainsPoint(center)
-	}
+	// The center is the children's reference point.
+	centerInside := f.inside(refPt, refInside, center, lo, hi)
 	for _, child := range cell.Children() {
+		f.stack = f.stack[:subHi] // drop the previous child's edges
 		if err := f.visit(child, subLo, subHi, center, centerInside); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// inside decides whether target is inside the polygon: by crossing parity
+// from the reference point where that is sound and certain, exactly
+// otherwise.
+func (f *fastCover) inside(refPt geom.Point, refInside bool, target geom.Point, lo, hi int) bool {
+	if f.parity {
+		if inside, ok := f.parityInside(refPt, refInside, target, lo, hi); ok {
+			return inside
+		}
+	}
+	return f.poly.ContainsPoint(target)
 }
 
 // parityInside decides whether target is inside the polygon given a
@@ -189,9 +233,14 @@ func (f *fastCover) parityInside(refPt geom.Point, refInside bool, target geom.P
 	if refPt == target {
 		return refInside, true
 	}
+	// An edge whose box the segment's box misses cannot cross it.
+	seg := geom.RectFromPoints(refPt, target)
 	crossings := 0
 	for _, ei := range f.stack[lo:hi] {
 		e := &f.edges[ei]
+		if !e.bbox.Intersects(seg) {
+			continue
+		}
 		cross, certain := geom.SegmentsCrossCertified(refPt, target, e.a, e.b)
 		if !certain {
 			// Ambiguity is rare; rather than reasoning about endpoint

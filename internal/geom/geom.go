@@ -105,10 +105,10 @@ func RectFromPoints(pts ...Point) Rect {
 	}
 	r := Rect{Min: pts[0], Max: pts[0]}
 	for _, p := range pts[1:] {
-		r.Min.X = math.Min(r.Min.X, p.X)
-		r.Min.Y = math.Min(r.Min.Y, p.Y)
-		r.Max.X = math.Max(r.Max.X, p.X)
-		r.Max.Y = math.Max(r.Max.Y, p.Y)
+		r.Min.X = min(r.Min.X, p.X)
+		r.Min.Y = min(r.Min.Y, p.Y)
+		r.Max.X = max(r.Max.X, p.X)
+		r.Max.Y = max(r.Max.Y, p.Y)
 	}
 	return r
 }
@@ -182,8 +182,8 @@ func SegmentIntersectsRect(a, b Point, r Rect) bool {
 		return true
 	}
 	// Quick rejection: segment bounding box vs rect.
-	if math.Max(a.X, b.X) < r.Min.X || math.Min(a.X, b.X) > r.Max.X ||
-		math.Max(a.Y, b.Y) < r.Min.Y || math.Min(a.Y, b.Y) > r.Max.Y {
+	if max(a.X, b.X) < r.Min.X || min(a.X, b.X) > r.Max.X ||
+		max(a.Y, b.Y) < r.Min.Y || min(a.Y, b.Y) > r.Max.Y {
 		return false
 	}
 	v := r.Vertices()

@@ -24,6 +24,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/geo"
@@ -100,6 +101,52 @@ func CellDiagonalMeters(g Grid, id cellid.ID) float64 {
 	a := g.Unproject(face, r.Min)
 	b := g.Unproject(face, r.Max)
 	return geo.DistanceMeters(a, b)
+}
+
+// diagonalNoise bounds, relatively, how far CellDiagonalMeters strays from the
+// exact diagonal: the haversine subtracts corner coordinates that agree in
+// all but their last bits, which leaves an error of a few nanometers, 1e-7
+// of a leaf cell's two centimeters.
+const diagonalNoise = 1e-6
+
+// CellDiagonalBand bounds CellDiagonalMeters over the cells of one level
+// that touch the rectangle r of a face, so that a caller descending over r
+// can decide "diagonal ≤ ε" for a whole level with one comparison: every
+// such cell's diagonal lies in [lo, hi], and those with the largest diagonal
+// touch peak, a part of r.
+//
+// Only Planar has a band narrower than (0, +Inf): its cells are lat/lng
+// rectangles of one size per level, whose diagonal depends on the row alone
+// and shrinks with the row's distance from the equator. When rows are so
+// close to the equator, or so thin, that the diagonals of neighbours differ
+// by less than the noise of computing them, the largest computed diagonal
+// may lie just outside peak, and is then within that noise of the largest
+// inside.
+func CellDiagonalBand(g Grid, face int, r geom.Rect, level int) (lo, hi float64, peak geom.Rect) {
+	if _, ok := g.(Planar); !ok || level == 0 {
+		return 0, math.Inf(1), r
+	}
+	rows := 1 << uint(level)
+	// One row of slack on either side: a cell that touches r's edge from
+	// outside touches r.
+	first := max(stToIJ(r.Min.Y)>>uint(cellid.MaxLevel-level)-1, 0)
+	last := min(stToIJ(r.Max.Y)>>uint(cellid.MaxLevel-level)+1, rows-1)
+	// The equator is the edge between rows rows/2-1 and rows/2, which
+	// mirror each other.
+	near := min(max(rows/2, first), last)
+	far := first
+	if last-rows/2 > rows/2-1-first {
+		far = last
+	}
+	column := stToIJ(r.Min.X)
+	diagonal := func(row int) float64 {
+		leaf := cellid.FromFaceIJ(face, column, row<<uint(cellid.MaxLevel-level))
+		return CellDiagonalMeters(g, leaf.Parent(level))
+	}
+	peak = r
+	peak.Min.Y = max(r.Min.Y, float64(near-1)/float64(rows))
+	peak.Max.Y = min(r.Max.Y, float64(near+2)/float64(rows))
+	return diagonal(far) * (1 - diagonalNoise), diagonal(near) * (1 + diagonalNoise), peak
 }
 
 // ProjectPolygon projects a geographic polygon onto a single face of the

@@ -343,3 +343,55 @@ func TestProjectAllMatchesSingle(t *testing.T) {
 		}
 	}
 }
+
+// TestCellDiagonalBand holds the band against the cells it speaks for: every
+// cell of the level that touches the rectangle has its diagonal inside
+// [lo, hi], and the cells with the largest diagonal touch peak.
+func TestCellDiagonalBand(t *testing.T) {
+	g := NewPlanar()
+	rng := rand.New(rand.NewSource(1404))
+	for trial := 0; trial < 300; trial++ {
+		level := 1 + rng.Intn(24)
+		size := 1.0 / float64(uint64(1)<<uint(level))
+		// A few cells wide and tall, anywhere — on the equator one time in four.
+		y := rng.Float64()
+		if trial%4 == 0 {
+			y = 0.5 - 2*size*rng.Float64()
+		}
+		r := geom.Rect{Min: geom.Point{X: rng.Float64(), Y: y}}
+		r.Max = geom.Point{X: math.Min(r.Min.X+6*size*rng.Float64(), 1), Y: math.Min(y+6*size*rng.Float64(), 1)}
+		lo, hi, peak := CellDiagonalBand(g, 0, r, level)
+		if !r.ContainsRect(peak) {
+			t.Fatalf("level %d %v: peak %v outside the rectangle", level, r, peak)
+		}
+
+		// Enumerate the cells touching r, a margin of one included.
+		n := 1 << uint(level)
+		best, bestTouches := 0.0, false
+		for i := max(int(r.Min.X/size)-1, 0); i <= min(int(r.Max.X/size)+1, n-1); i++ {
+			for j := max(int(r.Min.Y/size)-1, 0); j <= min(int(r.Max.Y/size)+1, n-1); j++ {
+				shift := uint(cellid.MaxLevel - level)
+				cell := cellid.FromFaceIJ(0, i<<shift, j<<shift).Parent(level)
+				if !CellRect(cell).Intersects(r) {
+					continue
+				}
+				d := CellDiagonalMeters(g, cell)
+				if d < lo || d > hi {
+					t.Fatalf("level %d %v: cell %v has diagonal %v outside [%v, %v]", level, r, cell, d, lo, hi)
+				}
+				if touches := CellRect(cell).Intersects(peak); d > best || d == best && touches {
+					best, bestTouches = d, touches
+				}
+			}
+		}
+		if !bestTouches {
+			t.Fatalf("level %d %v: the largest diagonal %v lies outside peak %v", level, r, best, peak)
+		}
+	}
+
+	// A grid without a band measures every cell.
+	r := geom.Rect{Min: geom.Point{X: 0.2, Y: 0.2}, Max: geom.Point{X: 0.3, Y: 0.3}}
+	if lo, hi, peak := CellDiagonalBand(NewCubeFace(), 2, r, 12); lo != 0 || !math.IsInf(hi, 1) || peak != r {
+		t.Errorf("cube-face band = [%v, %v] %v, want [0, +Inf] and the whole rectangle", lo, hi, peak)
+	}
+}

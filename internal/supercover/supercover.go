@@ -14,6 +14,8 @@ package supercover
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/actindex/act/internal/cellid"
@@ -73,26 +75,64 @@ func (s *SuperCovering) Lookup(leaf cellid.ID) (refs []Ref, ok bool) {
 
 // Builder accumulates per-polygon coverings and merges them.
 type Builder struct {
-	pairs []pair
+	// coverings are Add's arguments, which Build expands into pairs — in
+	// one allocation, their sizes being known by then.
+	coverings []polygonCovering
+	pairs     []pair // AddCell's arguments
 }
 
-type pair struct {
-	cell cellid.ID
-	ref  Ref
+type polygonCovering struct {
+	id  uint32
+	cov *cover.Covering
 }
+
+// pair is one (cell, reference) input of the merge, stored as its sort key,
+// least significant word first:
+//
+//	pair[aux] = level<<32 | polygonID<<1 | interior
+//	pair[pos] = index of the cell's first leaf, face in the top bits (RangeMin >> 1)
+//
+// Sorting by (pos, aux) yields "interval order": by first leaf, shallower
+// (larger) cells before the cells they contain, then by polygon id with a
+// candidate reference ahead of an interior one. A plain id sort would put an
+// ancestor between its descendants (a cell's id is the midpoint of its leaf
+// range); interval order puts it ahead of them, which is what lets Build
+// push references down in one forward pass.
+type pair [2]uint64
+
+const (
+	aux = 0
+	pos = 1
+)
+
+func makePair(cell cellid.ID, ref Ref) pair {
+	p := pair{aux: uint64(cell.Level())<<32 | uint64(ref.PolygonID)<<1, pos: uint64(cell.RangeMin()) >> 1}
+	if ref.Interior {
+		p[aux] |= 1
+	}
+	return p
+}
+
+// level returns the level of the pair's cell.
+func (p pair) level() uint { return uint(p[aux] >> 32) }
+
+// leaves returns the number of leaf cells the pair's cell spans.
+func (p pair) leaves() uint64 { return 1 << (2 * (cellid.MaxLevel - p.level())) }
+
+// polygonID returns the referenced polygon.
+func (p pair) polygonID() uint32 { return uint32(p[aux]) >> 1 }
+
+// cellAt returns the cell spanning leaves [first, first+leaves).
+func cellAt(first, leaves uint64) cellid.ID { return cellid.ID(first<<1 + leaves) }
 
 // Add registers the covering of one polygon. Boundary cells become
-// candidate references and interior cells true-hit references.
+// candidate references and interior cells true-hit references. The covering
+// is read by Build and must not change until then.
 func (b *Builder) Add(polygonID uint32, cov *cover.Covering) error {
 	if polygonID > MaxPolygonID {
 		return fmt.Errorf("supercover: polygon id %d exceeds the 30-bit limit", polygonID)
 	}
-	for _, c := range cov.Boundary {
-		b.pairs = append(b.pairs, pair{cell: c, ref: Ref{PolygonID: polygonID}})
-	}
-	for _, c := range cov.Interior {
-		b.pairs = append(b.pairs, pair{cell: c, ref: Ref{PolygonID: polygonID, Interior: true}})
-	}
+	b.coverings = append(b.coverings, polygonCovering{polygonID, cov})
 	return nil
 }
 
@@ -107,89 +147,147 @@ func (b *Builder) AddCell(cell cellid.ID, refs []Ref) error {
 		if r.PolygonID > MaxPolygonID {
 			return fmt.Errorf("supercover: polygon id %d exceeds the 30-bit limit", r.PolygonID)
 		}
-		b.pairs = append(b.pairs, pair{cell: cell, ref: r})
+		b.pairs = append(b.pairs, makePair(cell, r))
 	}
 	return nil
 }
 
+// radixBits is the digit width of sortPairs.
+const radixBits = 8
+
+// sortPairs sorts a by (pos, aux) with a least-significant-digit radix sort
+// whose digits start at bits on which the keys differ, so the bits they all
+// share cost nothing — for a city's polygons that is the face, the upper
+// position bits, the position bits below the deepest level and the upper id
+// bits, more than half the key. It returns the sorted pairs, in a or in a
+// scratch buffer of the same size.
+func sortPairs(a []pair) []pair {
+	if len(a) < 2 {
+		return a
+	}
+	and, or := a[0], a[0]
+	for _, p := range a[1:] {
+		and[aux] &= p[aux]
+		and[pos] &= p[pos]
+		or[aux] |= p[aux]
+		or[pos] |= p[pos]
+	}
+	const digit = 1<<radixBits - 1
+	src, dst := a, make([]pair, len(a))
+	for word := range and {
+		for varies := and[word] ^ or[word]; varies != 0; {
+			shift := uint(bits.TrailingZeros64(varies))
+			varies &^= digit << shift
+			var next [digit + 1]int
+			for i := range src {
+				next[src[i][word]>>shift&digit]++
+			}
+			sum := 0
+			for d, n := range next {
+				next[d] = sum
+				sum += n
+			}
+			for i := range src {
+				d := src[i][word] >> shift & digit
+				dst[next[d]] = src[i]
+				next[d]++
+			}
+			src, dst = dst, src
+		}
+	}
+	return src
+}
+
+// ancestor is an input cell that contains further input cells and therefore
+// cannot be emitted itself: its references are pushed down onto the input
+// cells under it and onto "gap" cells filling the rest of its area.
+type ancestor struct {
+	next, end uint64 // leaves [next, end) of the cell are not yet covered by output
+	refs      int    // its merged references start here in the pending list
+}
+
 // Build merges everything added so far into a prefix-free super covering.
 func (b *Builder) Build() *SuperCovering {
-	// Sort in "interval order": by first leaf, then shallower (larger)
-	// cells first. A plain id sort would interleave ancestors between
-	// their descendants (a cell's id is the midpoint of its leaf range),
-	// breaking the top-down recursion in emit.
-	sort.Slice(b.pairs, func(i, j int) bool {
-		a, c := b.pairs[i].cell, b.pairs[j].cell
-		if am, cm := a.RangeMin(), c.RangeMin(); am != cm {
-			return am < cm
+	cells := 0
+	for _, c := range b.coverings {
+		cells += c.cov.NumCells()
+	}
+	pairs := slices.Grow(b.pairs, cells)
+	for _, c := range b.coverings {
+		for _, cell := range c.cov.Boundary {
+			pairs = append(pairs, makePair(cell, Ref{PolygonID: c.id}))
 		}
-		if a != c {
-			return a.Level() < c.Level()
+		for _, cell := range c.cov.Interior {
+			pairs = append(pairs, makePair(cell, Ref{PolygonID: c.id, Interior: true}))
 		}
-		return b.pairs[i].ref.PolygonID < b.pairs[j].ref.PolygonID
-	})
-	s := &SuperCovering{}
-	// Group the sorted pairs by face and push references down until the
-	// cell set is prefix-free.
-	lo := 0
-	for face := 0; face < cellid.NumFaces; face++ {
-		faceCell := cellid.FromFace(face)
-		hi := lo
-		for hi < len(b.pairs) && b.pairs[hi].cell.Face() == face {
-			hi++
+	}
+	// Release the builder's working memory.
+	*b = Builder{}
+	pairs = sortPairs(pairs)
+	// Sized for the common case — cells shared between neighbours merge,
+	// pushdown adds a few; append grows them if pushdown adds many.
+	s := &SuperCovering{
+		cells:  make([]cellid.ID, 0, len(pairs)),
+		refOff: make([]uint32, 0, len(pairs)+1),
+		refs:   make([]Ref, 0, len(pairs)),
+	}
+	// One forward pass in interval order. open holds the ancestors of the
+	// current position, outermost first; pending their merged reference
+	// lists back to back, so the innermost ancestor's list is its tail.
+	var open []ancestor
+	var pending []Ref
+	closeTop := func() {
+		top := open[len(open)-1]
+		s.fill(top.next, top.end, pending[top.refs:])
+		pending = pending[:top.refs]
+		open = open[:len(open)-1]
+	}
+	for i := 0; i < len(pairs); {
+		first, leaves := pairs[i][pos], pairs[i].leaves()
+		j := i + 1
+		for j < len(pairs) && pairs[j][pos] == first && pairs[j].level() == pairs[i].level() {
+			j++
 		}
-		if hi > lo {
-			b.emit(s, faceCell, lo, hi, nil)
+		for len(open) > 0 && open[len(open)-1].end <= first {
+			closeTop()
 		}
-		lo = hi
+		var inherited []Ref
+		if len(open) > 0 {
+			top := &open[len(open)-1]
+			inherited = pending[top.refs:]
+			s.fill(top.next, first, inherited)
+			top.next = first + leaves
+		}
+		if j < len(pairs) && pairs[j][pos] < first+leaves {
+			// The next cell lies inside this one, which must split.
+			open = append(open, ancestor{next: first, end: first + leaves, refs: len(pending)})
+			pending = appendMerged(pending, inherited, pairs[i:j])
+		} else {
+			s.cells = append(s.cells, cellAt(first, leaves))
+			s.refOff = append(s.refOff, uint32(len(s.refs)))
+			s.refs = appendMerged(s.refs, inherited, pairs[i:j])
+		}
+		i = j
+	}
+	for len(open) > 0 {
+		closeTop()
 	}
 	s.refOff = append(s.refOff, uint32(len(s.refs)))
-	// Release the builder's working memory.
-	b.pairs = nil
 	return s
 }
 
-// emit recursively outputs the prefix-free covering of node. pairs[lo:hi]
-// holds, in interval order, every (cell, ref) pair whose cell is node or a
-// descendant of node; inherited carries references of ancestors that must
-// be replicated across node. Interval order guarantees node's own pairs (if
-// any) sit at the front of the range.
-func (b *Builder) emit(s *SuperCovering, node cellid.ID, lo, hi int, inherited []Ref) {
-	own := lo
-	for own < hi && b.pairs[own].cell == node {
-		own++
-	}
-	merged := inherited
-	if own > lo {
-		merged = mergeRefs(inherited, b.pairs[lo:own])
-	}
-	if own == hi {
-		// No strict descendants: node survives as-is.
-		if len(merged) > 0 {
-			s.append(node, merged)
+// fill covers the leaves [lo, hi) — an area of an ancestor under which no
+// input cell lies — with the fewest cells, each carrying the ancestor's
+// references: the siblings of the cells on the way down to its descendants.
+func (s *SuperCovering) fill(lo, hi uint64, refs []Ref) {
+	for lo < hi {
+		// The largest cell that starts at lo and ends by hi.
+		shift := min(uint(bits.TrailingZeros64(lo))&^1, 2*cellid.MaxLevel)
+		for 1<<shift > hi-lo {
+			shift -= 2
 		}
-		return
-	}
-	// Strict descendants exist: node must split. Children of node cover
-	// contiguous, disjoint id ranges, so binary search partitions the
-	// remaining pairs.
-	start := own
-	for _, child := range node.Children() {
-		max := child.RangeMax()
-		end := start
-		for end < hi && b.pairs[end].cell.RangeMin() <= max {
-			end++
-		}
-		if end == start {
-			// Gap: no stored cell under this child. Ancestor references
-			// still apply to the whole child area.
-			if len(merged) > 0 {
-				s.append(child, merged)
-			}
-		} else {
-			b.emit(s, child, start, end, merged)
-		}
-		start = end
+		s.append(cellAt(lo, 1<<shift), refs)
+		lo += 1 << shift
 	}
 }
 
@@ -200,30 +298,29 @@ func (s *SuperCovering) append(cell cellid.ID, refs []Ref) {
 	s.refs = append(s.refs, refs...)
 }
 
-// mergeRefs combines inherited ancestor references with a cell's own sorted
-// pairs, deduplicating by polygon id. When the same polygon appears with
-// both flags the candidate (non-interior) flag wins: reporting a sure hit
-// as a candidate is safe, the reverse would break the true-hit guarantee.
-func mergeRefs(inherited []Ref, own []pair) []Ref {
-	out := make([]Ref, 0, len(inherited)+len(own))
-	out = append(out, inherited...)
-	for _, p := range own {
-		out = append(out, p.ref)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PolygonID != out[j].PolygonID {
-			return out[i].PolygonID < out[j].PolygonID
+// appendMerged appends to dst the references of a cell: those inherited from
+// its ancestors (ascending ids, no duplicates; must not overlap dst's spare
+// capacity) merged with its own pairs (ascending ids, candidate first),
+// one per polygon id. When a polygon appears with both flags the candidate
+// (non-interior) flag wins: reporting a sure hit as a candidate is safe, the
+// reverse would break the true-hit guarantee.
+func appendMerged(dst, inherited []Ref, own []pair) []Ref {
+	for k := 0; k < len(own); {
+		id := own[k].polygonID()
+		interior := own[k][aux]&1 != 0
+		for k++; k < len(own) && own[k].polygonID() == id; k++ {
 		}
-		return !out[i].Interior && out[j].Interior // candidate first
-	})
-	dedup := out[:0]
-	for i, r := range out {
-		if i > 0 && r.PolygonID == dedup[len(dedup)-1].PolygonID {
-			continue // keep the first (candidate wins over interior)
+		for len(inherited) > 0 && inherited[0].PolygonID < id {
+			dst = append(dst, inherited[0])
+			inherited = inherited[1:]
 		}
-		dedup = append(dedup, r)
+		if len(inherited) > 0 && inherited[0].PolygonID == id {
+			interior = interior && inherited[0].Interior
+			inherited = inherited[1:]
+		}
+		dst = append(dst, Ref{PolygonID: id, Interior: interior})
 	}
-	return dedup
+	return append(dst, inherited...)
 }
 
 // Stats summarizes a super covering for Table I style reporting.

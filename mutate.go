@@ -14,7 +14,6 @@ import (
 	"github.com/actindex/act/internal/geojson"
 	"github.com/actindex/act/internal/geom"
 	"github.com/actindex/act/internal/geostore"
-	"github.com/actindex/act/internal/grid"
 	"github.com/actindex/act/internal/supercover"
 	"github.com/actindex/act/internal/wal"
 )
@@ -133,15 +132,9 @@ func (ix *Index) Insert(ctx context.Context, p *Polygon) (uint32, error) {
 	if len(ix.alive) > supercover.MaxPolygonID {
 		return 0, fmt.Errorf("act: insert: the 2^30 polygon id space is exhausted")
 	}
-	cov, err := ix.pl.cover(p)
+	cov, gp, err := ix.pl.cover(p)
 	if err != nil {
 		return 0, fmt.Errorf("act: insert: %w", err)
-	}
-	var gp *geom.Polygon
-	if ix.pl.hasGeom {
-		if _, gp, err = grid.ProjectPolygon(ix.grid, p); err != nil {
-			return 0, fmt.Errorf("act: insert: %w", err)
-		}
 	}
 	id := uint32(len(ix.alive))
 	ep := ix.live.Load()
@@ -378,11 +371,11 @@ func (ix *Index) compactLocked(ctx context.Context) (err error) {
 	// Past the no-op checks: this run will rebuild the base, so it counts
 	// for the observer (duration covers rebuild + swap + checkpoint).
 	compactStart := time.Now()
-	defer func() { ix.observeCompaction(time.Since(compactStart), err) }()
+	var stats BuildStats
+	defer func() { ix.observeCompaction(time.Since(compactStart), stats, err) }()
 
 	var trie *core.Trie
 	var store *geostore.Store
-	var stats BuildStats
 	if srcComplete {
 		entries := make([]buildEntry, 0, len(srcs))
 		ids = make([]uint32, 0, len(srcs))

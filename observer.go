@@ -48,8 +48,9 @@ func (o *Observer) logger() *slog.Logger {
 }
 
 // observeCompaction reports one real compaction run to the observer's hook
-// and logger. Safe on a nil receiver index observer.
-func (ix *Index) observeCompaction(d time.Duration, err error) {
+// and logger; the log line splits the rebuild into its phases, the hook gets
+// the total. Safe on a nil receiver index observer.
+func (ix *Index) observeCompaction(d time.Duration, rebuilt BuildStats, err error) {
 	o := ix.obs
 	if o == nil {
 		return
@@ -65,8 +66,12 @@ func (ix *Index) observeCompaction(d time.Duration, err error) {
 			return
 		}
 		ds := ix.DeltaStats()
+		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 		l.Info("compaction",
 			slog.Duration("duration", d),
+			slog.Float64("cover_ms", ms(rebuilt.CoverDuration)),
+			slog.Float64("merge_ms", ms(rebuilt.MergeDuration)),
+			slog.Float64("trie_ms", ms(rebuilt.InsertDuration)),
 			slog.Int("live_polygons", ds.LivePolygons),
 			slog.Int("residual_pending", ds.Pending),
 			slog.Uint64("compactions", ds.Compactions))

@@ -24,8 +24,6 @@ import (
 
 	"github.com/actindex/act/internal/delta"
 	"github.com/actindex/act/internal/geojson"
-	"github.com/actindex/act/internal/geom"
-	"github.com/actindex/act/internal/grid"
 	"github.com/actindex/act/internal/supercover"
 	"github.com/actindex/act/internal/wal"
 )
@@ -145,15 +143,9 @@ func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) erro
 			if len(ps) != 1 {
 				return fmt.Errorf("act: replicated record %d (insert %d): record carries %d polygons, want 1", i, rec.ID, len(ps))
 			}
-			cov, err := ix.pl.cover(ps[0])
+			cov, gp, err := ix.pl.cover(ps[0])
 			if err != nil {
 				return fmt.Errorf("act: replicated record %d (insert %d): %w", i, rec.ID, err)
-			}
-			var gp *geom.Polygon
-			if ix.pl.hasGeom {
-				if _, gp, err = grid.ProjectPolygon(ix.grid, ps[0]); err != nil {
-					return fmt.Errorf("act: replicated record %d (insert %d): %w", i, rec.ID, err)
-				}
 			}
 			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
 			alive = append(alive, true)
