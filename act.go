@@ -64,8 +64,8 @@ type LatLng = geo.LatLng
 type Polygon = geo.Polygon
 
 // Result receives the polygon ids matched by a lookup. Polygon ids are the
-// indices into the slice passed to BuildIndex (ids assigned by Insert
-// continue the sequence). Reuse one Result across lookups to avoid
+// indices into the slice passed to New (ids assigned by Insert continue the
+// sequence). Reuse one Result across lookups to avoid
 // allocation.
 type Result = core.Result
 
@@ -100,8 +100,8 @@ func (k GridKind) String() string {
 	}
 }
 
-// Options configures BuildIndex.
-type Options struct {
+// options is the build configuration the Option functions fill in.
+type options struct {
 	// PrecisionMeters is the precision bound ε: the maximum distance
 	// between the partners of a false-positive join pair. Required.
 	PrecisionMeters float64
@@ -129,9 +129,8 @@ type Options struct {
 	BuildWorkers int
 	// SkipGeometryStore drops the exact polygon geometry after the covering
 	// is built, halving memory for approximate-only deployments. The index
-	// then cannot refine candidates: exact context-aware joins report
-	// ErrNoGeometry, and LookupExact plus the error-less join wrappers
-	// panic with it.
+	// then cannot refine candidates: exact joins report ErrNoGeometry, and
+	// LookupExact panics with it.
 	SkipGeometryStore bool
 	// Interleave is the number of concurrent trie walks the batch probe
 	// paths keep in flight (0 = auto: 1 for L2-resident tries, 8 otherwise;
@@ -230,10 +229,11 @@ type Index struct {
 	// replication handlers can check it without ix.mu.
 	fencedAt atomic.Uint64
 	// srcComplete reports that sources holds every live polygon, so
-	// compaction can rebuild the base. True for indexes built in-process;
-	// false for indexes resurrected by Recover, whose base polygons exist
-	// only in serialized form — they mutate (delta layer + WAL) but
-	// cannot compact. Guarded by mu alongside sources.
+	// compaction reruns the build pipeline over them. True for indexes
+	// built in-process; false for indexes resurrected by Recover and for
+	// followers, whose base polygons exist only in serialized form —
+	// their compactions rebuild from the live epoch (compactEpoch).
+	// Guarded by mu alongside sources.
 	srcComplete bool
 	// alive tracks which assigned ids are currently live — the canonical
 	// alive set for every mutable index, maintained even when sources is
@@ -282,7 +282,7 @@ type Index struct {
 	loadedIDs []uint32
 }
 
-// ErrNoPolygons is returned when BuildIndex is called with no polygons.
+// ErrNoPolygons is returned when New is called with no polygons.
 var ErrNoPolygons = errors.New("act: no polygons")
 
 // pipeline is the reusable build configuration: everything needed to turn
@@ -449,19 +449,23 @@ func (pl *pipeline) run(ctx context.Context, entries []buildEntry, idSpace int) 
 // background compaction when WithDeltaThreshold was not given.
 const defaultDeltaThreshold = 128
 
-// BuildIndex computes polygon coverings with the requested precision,
-// merges them, and loads them into an Adaptive Cell Trie. Polygon ids in
-// lookup results are indices into polygons.
+// New builds an index over the polygon set, configured by functional
+// options: it computes polygon coverings with the requested precision,
+// merges them, and loads them into an Adaptive Cell Trie.
 //
-// BuildIndex is the v1 constructor, kept as a thin compatibility wrapper;
-// new code should prefer [New] with functional options. Like New, it
-// retains the polygons as the live-mutation source set.
-func BuildIndex(polygons []*Polygon, opts Options) (*Index, error) {
-	return buildIndex(polygons, opts)
-}
-
-// buildIndex is the shared build pipeline behind New and BuildIndex.
-func buildIndex(polygons []*Polygon, opts Options) (*Index, error) {
+//	idx, err := act.New(polygons,
+//		act.WithPrecision(4),
+//		act.WithGrid(act.CubeFaceGrid),
+//		act.WithFanout(256))
+//
+// Polygon ids in lookup results are indices into polygons.
+//
+// The index retains the polygons (the pointers, not copies) as the source
+// set live mutation rebuilds from — see [Index.Insert] and [Index.Compact];
+// callers should not modify them after the build. Indexes loaded with
+// ReadIndex carry no sources and are immutable.
+func New(polygons []*Polygon, opts ...Option) (*Index, error) {
+	o := applyOptions(opts)
 	if len(polygons) == 0 {
 		return nil, ErrNoPolygons
 	}
@@ -469,32 +473,32 @@ func buildIndex(polygons []*Polygon, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("act: %d polygons exceed the 2^30 id space", len(polygons))
 	}
 	var g grid.Grid
-	switch opts.Grid {
+	switch o.Grid {
 	case PlanarGrid:
 		g = grid.NewPlanar()
 	case CubeFaceGrid:
 		g = grid.NewCubeFace()
 	default:
-		return nil, fmt.Errorf("act: unknown grid kind %v", opts.Grid)
+		return nil, fmt.Errorf("act: unknown grid kind %v", o.Grid)
 	}
-	fanout := opts.Fanout
+	fanout := o.Fanout
 	if fanout == 0 {
 		fanout = 256
 	}
-	adaptive := opts.MaxCellsPerPolygon > 0 && len(opts.QuerySamplePoints) > 0
+	adaptive := o.MaxCellsPerPolygon > 0 && len(o.QuerySamplePoints) > 0
 	var coverOpts []cover.Option
-	if opts.MaxCellsPerPolygon > 0 && !adaptive {
-		coverOpts = append(coverOpts, cover.WithMaxCells(opts.MaxCellsPerPolygon))
+	if o.MaxCellsPerPolygon > 0 && !adaptive {
+		coverOpts = append(coverOpts, cover.WithMaxCells(o.MaxCellsPerPolygon))
 	}
-	coverer, err := cover.NewCoverer(g, opts.PrecisionMeters, coverOpts...)
+	coverer, err := cover.NewCoverer(g, o.PrecisionMeters, coverOpts...)
 	if err != nil {
 		return nil, err
 	}
 	var sample *cover.QuerySample
 	if adaptive {
-		sample = cover.NewQuerySample(g, opts.QuerySamplePoints)
+		sample = cover.NewQuerySample(g, o.QuerySamplePoints)
 	}
-	workers := opts.BuildWorkers
+	workers := o.BuildWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -503,10 +507,10 @@ func buildIndex(polygons []*Polygon, opts Options) (*Index, error) {
 		coverer:  coverer,
 		sample:   sample,
 		adaptive: adaptive,
-		maxCells: opts.MaxCellsPerPolygon,
+		maxCells: o.MaxCellsPerPolygon,
 		fanout:   fanout,
 		workers:  workers,
-		hasGeom:  !opts.SkipGeometryStore,
+		hasGeom:  !o.SkipGeometryStore,
 	}
 
 	entries := make([]buildEntry, len(polygons))
@@ -518,20 +522,20 @@ func buildIndex(polygons []*Polygon, opts Options) (*Index, error) {
 		return nil, err
 	}
 
-	threshold := opts.DeltaThreshold
+	threshold := o.DeltaThreshold
 	if threshold == 0 {
 		threshold = defaultDeltaThreshold
 	}
 	ix := &Index{
 		grid:           g,
-		kind:           opts.Grid,
-		precision:      opts.PrecisionMeters,
-		interleave:     opts.Interleave,
+		kind:           o.Grid,
+		precision:      o.PrecisionMeters,
+		interleave:     o.Interleave,
 		pl:             pl,
 		mutable:        true,
 		srcComplete:    true,
 		deltaThreshold: threshold,
-		obs:            opts.Observer,
+		obs:            o.Observer,
 	}
 	// Retain the caller's polygons (pointers, not copies) as the source of
 	// truth compaction rebuilds from; the slice itself is cloned so a
@@ -545,8 +549,8 @@ func buildIndex(polygons []*Polygon, opts Options) (*Index, error) {
 	ix.liveCount.Store(int64(len(polygons)))
 	ix.idSpace.Store(int64(len(polygons)))
 	ix.live.Swap(&epoch{trie: trie, store: store, stats: stats})
-	if opts.WAL != nil {
-		if err := ix.attachWAL(*opts.WAL); err != nil {
+	if o.WAL != nil {
+		if err := ix.attachWAL(*o.WAL); err != nil {
 			return nil, err
 		}
 	}
@@ -601,43 +605,10 @@ func (ix *Index) LookupExact(ll LatLng, res *Result) bool {
 	return len(res.True) > 0
 }
 
-// Find returns the ids of all polygons matching the point approximately
-// (true hits and candidates). It allocates; use Lookup with a reused Result
-// in hot paths.
-func (ix *Index) Find(ll LatLng) []uint32 {
-	var res Result
-	if !ix.Lookup(ll, &res) {
-		return nil
-	}
-	out := make([]uint32, 0, res.Total())
-	out = append(out, res.True...)
-	out = append(out, res.Candidates...)
-	return out
-}
-
-// AppendMatches appends the ids of all polygons matching the point
-// approximately (true hits and candidates alike) to dst and returns the
-// extended slice. It is the zero-allocation variant of Find: reusing dst
-// across calls makes the per-point cost pure trie work. The two hit classes
-// are deliberately conflated; callers that need the distinction use
-// AppendRefs at the same cost.
-func (ix *Index) AppendMatches(ll LatLng, dst []uint32) []uint32 {
-	defer ix.keepMapped()
-	ep := ix.live.Load()
-	leaf := grid.LeafCell(ix.grid, ll)
-	n := len(dst)
-	dst = ep.trie.AppendMatches(leaf, dst)
-	if ep.ov != nil {
-		dst = ep.ov.MergeMatches(leaf, dst, n)
-	}
-	return dst
-}
-
 // AppendRefs appends every polygon reference matching the point to dst —
 // true hits with Match.Exact set, candidates without — and returns the
-// extended slice. Like AppendMatches it allocates nothing with a reused dst,
-// so hot paths can keep the true-hit/candidate distinction without paying
-// for a Result.
+// extended slice. It allocates nothing with a reused dst, so hot paths can
+// keep the true-hit/candidate distinction without paying for a Result.
 func (ix *Index) AppendRefs(ll LatLng, dst []Match) []Match {
 	defer ix.keepMapped()
 	ep := ix.live.Load()

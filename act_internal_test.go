@@ -1,8 +1,10 @@
 package act
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/actindex/act/internal/data"
@@ -67,7 +69,7 @@ func TestPrecisionGuarantee(t *testing.T) {
 	}
 	for _, gk := range []GridKind{PlanarGrid, CubeFaceGrid} {
 		for _, eps := range []float64{60, 15, 4} {
-			idx, err := BuildIndex(set.Polygons, Options{PrecisionMeters: eps, Grid: gk})
+			idx, err := New(set.Polygons, WithPrecision(eps), WithGrid(gk))
 			if err != nil {
 				t.Fatalf("%v/%v: %v", gk, eps, err)
 			}
@@ -139,7 +141,7 @@ func TestLookupExactMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 30})
+	idx, err := New(set.Polygons, WithPrecision(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +181,11 @@ func TestCubeFaceAndPlanarAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 15, Grid: PlanarGrid})
+	p, err := New(set.Polygons, WithPrecision(15), WithGrid(PlanarGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 15, Grid: CubeFaceGrid})
+	c, err := New(set.Polygons, WithPrecision(15), WithGrid(CubeFaceGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func TestBuildStatsShape(t *testing.T) {
 	}
 	var prevCells int
 	for _, eps := range []float64{120, 30, 8} {
-		idx, err := BuildIndex(set.Polygons, Options{PrecisionMeters: eps})
+		idx, err := New(set.Polygons, WithPrecision(eps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,27 +255,30 @@ func TestBuildStatsShape(t *testing.T) {
 	}
 }
 
-func TestBuildIndexValidation(t *testing.T) {
+func TestNewValidation(t *testing.T) {
 	set, err := data.GeneratePolygons(data.PolygonConfig{
 		Name: "v", NumRegions: 5, Lattice: 32, Seed: 61,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildIndex(nil, Options{PrecisionMeters: 10}); err == nil {
+	if _, err := New(nil, WithPrecision(10)); err == nil {
 		t.Error("no polygons should error")
 	}
-	if _, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 0}); err == nil {
+	if _, err := New(set.Polygons); err == nil {
+		t.Error("missing precision should error")
+	}
+	if _, err := New(set.Polygons, WithPrecision(0)); err == nil {
 		t.Error("zero precision should error")
 	}
-	if _, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 10, Fanout: 7}); err == nil {
+	if _, err := New(set.Polygons, WithPrecision(10), WithFanout(7)); err == nil {
 		t.Error("bad fanout should error")
 	}
-	if _, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 10, Grid: GridKind(9)}); err == nil {
+	if _, err := New(set.Polygons, WithPrecision(10), WithGrid(GridKind(9))); err == nil {
 		t.Error("bad grid should error")
 	}
 	bad := &Polygon{Outer: []geo.LatLng{{Lat: 0, Lng: 0}, {Lat: 1, Lng: 1}}}
-	if _, err := BuildIndex([]*Polygon{bad}, Options{PrecisionMeters: 10}); err == nil {
+	if _, err := New([]*Polygon{bad}, WithPrecision(10)); err == nil {
 		t.Error("invalid polygon should error")
 	}
 }
@@ -285,11 +290,11 @@ func TestMemoryBudgetMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 4})
+	full, err := New(set.Polygons, WithPrecision(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 4, MaxCellsPerPolygon: 200})
+	tight, err := New(set.Polygons, WithPrecision(4), WithMaxCellsPerPolygon(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,28 +328,23 @@ func TestFindAndContains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 20})
+	idx, err := New(set.Polygons, WithPrecision(20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The centroid-ish point of each polygon's bound that is inside it
 	// must be found.
 	found := 0
+	var res Result
 	for id, p := range set.Polygons {
 		c := p.Bound().Center()
 		if !idx.Contains(c, uint32(id)) {
 			continue // center may fall outside an irregular polygon
 		}
 		found++
-		ids := idx.Find(c)
-		ok := false
-		for _, got := range ids {
-			if got == uint32(id) {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Errorf("Find(%v) = %v missing polygon %d", c, ids, id)
+		idx.Lookup(c, &res)
+		if !slices.Contains(res.True, uint32(id)) && !slices.Contains(res.Candidates, uint32(id)) {
+			t.Errorf("Lookup(%v) = %v/%v missing polygon %d", c, res.True, res.Candidates, id)
 		}
 	}
 	if found == 0 {
@@ -368,7 +368,7 @@ func TestCellLevelForPrecision(t *testing.T) {
 	set, _ := data.GeneratePolygons(data.PolygonConfig{
 		Name: "lvl", NumRegions: 4, Lattice: 32, Seed: 91,
 	})
-	idx, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 50})
+	idx, err := New(set.Polygons, WithPrecision(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestCellLevelForPrecision(t *testing.T) {
 	if lvl := idx.CellLevelForPrecision(1, 40.7); lvl != 26 {
 		t.Errorf("planar 1 m precision needs level %d; expected 26", lvl)
 	}
-	cf, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 50, Grid: CubeFaceGrid})
+	cf, err := New(set.Polygons, WithPrecision(50), WithGrid(CubeFaceGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestJoinModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 15})
+	idx, err := New(set.Polygons, WithPrecision(15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,8 +410,8 @@ func TestJoinModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, sa := idx.Join(pts, Approximate, 1)
-	ce, se := idx.Join(pts, Exact, 2)
+	ca, sa := joinCounts(t, idx, pts, Approximate, 1)
+	ce, se := joinCounts(t, idx, pts, Exact, 2)
 	if len(ca) != idx.NumPolygons() || len(ce) != idx.NumPolygons() {
 		t.Fatal("count vector sized wrong")
 	}
@@ -431,10 +431,30 @@ func TestJoinModes(t *testing.T) {
 	}
 }
 
+// joinCounts and joinPairs run JoinContext and PairsContext to completion,
+// failing the test on an error.
+func joinCounts(t testing.TB, idx *Index, pts []LatLng, mode JoinMode, threads int) ([]uint64, JoinStats) {
+	t.Helper()
+	counts, st, err := idx.JoinContext(context.Background(), pts, mode, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return counts, st
+}
+
+func joinPairs(t testing.TB, idx *Index, pts []LatLng, mode JoinMode, threads int) ([]Pair, JoinStats) {
+	t.Helper()
+	pairs, st, err := idx.PairsContext(context.Background(), pts, mode, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pairs, st
+}
+
 // TestJoinStreamAndPairs pins the streaming engine API to per-point Lookup
-// ground truth: Pairs must enumerate exactly the (point, polygon) matches
-// Lookup reports, JoinStream must deliver the same multiset serialized, and
-// Join must equal the aggregation of either.
+// ground truth: PairsContext must enumerate exactly the (point, polygon)
+// matches Lookup reports, JoinStreamContext must deliver the same multiset
+// serialized, and JoinContext must equal the aggregation of either.
 func TestJoinStreamAndPairs(t *testing.T) {
 	set, err := data.GeneratePolygons(data.PolygonConfig{
 		Name: "stream", NumRegions: 12, Lattice: 64, Seed: 97, BoundaryJitter: 0.5,
@@ -442,7 +462,7 @@ func TestJoinStreamAndPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 15})
+	idx, err := New(set.Polygons, WithPrecision(15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +471,7 @@ func TestJoinStreamAndPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []JoinMode{Approximate, Exact} {
-		pairs, pst := idx.Pairs(pts, mode, 4)
+		pairs, pst := joinPairs(t, idx, pts, mode, 4)
 		if int64(len(pairs)) != pst.Pairs() {
 			t.Fatalf("%v: %d pairs, stats say %d", mode, len(pairs), pst.Pairs())
 		}
@@ -502,12 +522,15 @@ func TestJoinStreamAndPairs(t *testing.T) {
 		}
 		// JoinStream delivers the same multiset.
 		var streamed []Pair
-		sst := idx.JoinStream(pts, mode, 4, func(p Pair) { streamed = append(streamed, p) })
+		sst, err := idx.JoinStreamContext(context.Background(), pts, mode, 4, func(p Pair) { streamed = append(streamed, p) })
+		if err != nil {
+			t.Fatal(err)
+		}
 		if int64(len(streamed)) != sst.Pairs() || len(streamed) != len(pairs) {
 			t.Fatalf("%v: streamed %d pairs, want %d", mode, len(streamed), len(pairs))
 		}
 		// Join equals the aggregation of the pair list.
-		counts, _ := idx.Join(pts, mode, 2)
+		counts, _ := joinCounts(t, idx, pts, mode, 2)
 		agg := make([]uint64, idx.NumPolygons())
 		for _, p := range pairs {
 			agg[p.Polygon]++
@@ -540,15 +563,11 @@ func TestAdaptiveIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 400
-	adaptive, err := BuildIndex(set.Polygons, Options{
-		PrecisionMeters: 4, MaxCellsPerPolygon: budget, QuerySamplePoints: hot,
-	})
+	adaptive, err := New(set.Polygons, WithPrecision(4), WithMaxCellsPerPolygon(budget), WithQuerySample(hot))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oblivious, err := BuildIndex(set.Polygons, Options{
-		PrecisionMeters: 4, MaxCellsPerPolygon: budget,
-	})
+	oblivious, err := New(set.Polygons, WithPrecision(4), WithMaxCellsPerPolygon(budget))
 	if err != nil {
 		t.Fatal(err)
 	}

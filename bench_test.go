@@ -14,6 +14,7 @@
 package act_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -89,7 +90,7 @@ func (s *benchState) index(tb testing.TB, dsName string, eps float64) *act.Index
 	if idx, ok := s.indexes[key]; ok {
 		return idx
 	}
-	idx, err := act.BuildIndex(set.Polygons, act.Options{PrecisionMeters: eps})
+	idx, err := act.New(set.Polygons, act.WithPrecision(eps))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -216,7 +217,10 @@ func benchmarkIndexJoin(b *testing.B, idx *act.Index, pts []geo.LatLng, threads 
 	b.ResetTimer()
 	var best float64
 	for i := 0; i < b.N; i++ {
-		_, st := idx.Join(pts, act.Approximate, threads)
+		_, st, err := idx.JoinContext(context.Background(), pts, act.Approximate, threads)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if st.ThroughputMPts > best {
 			best = st.ThroughputMPts
 		}
@@ -315,9 +319,7 @@ func BenchmarkAblationGrid(b *testing.B) {
 	set, pts := state.dataset(b, "neighborhoods")
 	for _, gk := range []act.GridKind{act.PlanarGrid, act.CubeFaceGrid} {
 		b.Run(gk.String(), func(b *testing.B) {
-			idx, err := act.BuildIndex(set.Polygons, act.Options{
-				PrecisionMeters: benchPrecision, Grid: gk,
-			})
+			idx, err := act.New(set.Polygons, act.WithPrecision(benchPrecision), act.WithGrid(gk))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,23 +6,12 @@
 //	actbench -experiment scale            # Fig. 4: thread scalability 1→NumCPU,
 //	                                      # heap-loaded vs mmap-served
 //	                                      # ("fig4" is an alias)
-//	actbench -experiment exact            # approximate vs exact joins:
-//	                                      # true-hit ratio + refinement cost
-//	actbench -experiment interleave       # K-way interleaved batch probes
-//	                                      # vs the scalar walk, per fanout
-//	actbench -experiment delta            # live-mutation overhead: merged
-//	                                      # base+delta lookups vs pure base
-//	actbench -experiment wal              # durability: mutation throughput
-//	                                      # per fsync policy + replay cost
-//	actbench -experiment replica          # replication: follower catch-up
-//	                                      # throughput + steady-state lag
-//	                                      # vs primary mutation rate
-//	actbench -experiment serve            # HTTP serving: per-endpoint
-//	                                      # p50/p95/p99 latency + throughput
-//	                                      # at stepped client concurrency,
-//	                                      # cross-checked against /metrics
 //	actbench -experiment ablation         # design-choice ablations
 //	actbench -experiment all              # everything
+//
+// These are the paper's own figures. Performance claims about this
+// repository are made by the benchmark in benchmark/ (see BENCHMARK.json),
+// not here.
 //
 // Scale knobs:
 //
@@ -55,7 +44,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "table1 | fig3 | scale (alias fig4) | exact | interleave | delta | wal | replica | serve | ablation | all")
+	experiment := flag.String("experiment", "all", "table1 | fig3 | scale (alias fig4) | ablation | all")
 	census := flag.Int("census", 4000, "census-blocks polygon count (paper: 39184)")
 	points := flag.Int("points", 2_000_000, "join points per measurement (paper: 1e9)")
 	seed := flag.Int64("seed", 42, "dataset generation seed")
@@ -130,9 +119,9 @@ func main() {
 		}
 	}
 	// measured experiments additionally dump their records as
-	// BENCH_<file>.json so the throughput trajectory is diffable across
-	// changes without scraping the human-readable tables.
-	measured := func(name, file string, f func() ([]bench.Record, error)) {
+	// BENCH_<name>.json, so a figure can be plotted without scraping the
+	// human-readable tables.
+	measured := func(name string, f func() ([]bench.Record, error)) {
 		run(name, func() error {
 			records, err := f()
 			if err != nil {
@@ -141,46 +130,16 @@ func main() {
 			if *jsonOut == "" {
 				return nil
 			}
-			return writeRecords(*jsonOut, file, cfg, records)
+			return writeRecords(*jsonOut, name, cfg, records)
 		})
 	}
 	run("table1", func() error { return bench.RunTableI(w, cfg) })
-	measured("fig3", "fig3", func() ([]bench.Record, error) { return bench.RunFig3(w, cfg) })
-	// The scale experiment's records land in BENCH_6.json: the zero-copy
-	// serving and multicore scale-out's tracked artefact (thread-scaling
-	// curve 1→NumCPU over heap-loaded and mmap-served indexes, with load
-	// latencies and the per-mode speedup over one thread).
-	measured("scale", "6", func() ([]bench.Record, error) { return bench.RunScale(w, cfg, threads) })
-	// The exact experiment's records land in BENCH_3.json: the refinement
-	// subsystem's tracked artefact (true-hit ratio and refinement overhead
-	// per precision).
-	measured("exact", "3", func() ([]bench.Record, error) { return bench.RunExact(w, cfg) })
-	// The interleave sweep lands in BENCH_4.json: the interleaved probe
-	// engine's tracked artefact (width × fanout throughput and the speedup
-	// over the scalar batch walk).
-	measured("interleave", "4", func() ([]bench.Record, error) { return bench.RunInterleave(w, cfg) })
-	// The delta experiment's records land in BENCH_5.json: the live-
-	// mutation subsystem's tracked artefact (merged-lookup overhead per
-	// delta fraction, and the post-compaction recovery).
-	measured("delta", "5", func() ([]bench.Record, error) { return bench.RunDelta(w, cfg) })
-	// The wal experiment's records land in BENCH_7.json: the durability
-	// subsystem's tracked artefact (mutation throughput per fsync policy,
-	// and recovery time versus replayed log length).
-	measured("wal", "7", func() ([]bench.Record, error) { return bench.RunWAL(w, cfg) })
-	// The replica experiment's records land in BENCH_8.json: the
-	// replication subsystem's tracked artefact (follower catch-up
-	// throughput per backlog length, and mean sequence lag per primary
-	// mutation rate).
-	measured("replica", "8", func() ([]bench.Record, error) { return bench.RunReplica(w, cfg) })
-	// The serve experiment's records land in BENCH_10.json: the
-	// observability layer's tracked artefact (per-endpoint latency
-	// percentiles and throughput through the fully instrumented HTTP
-	// stack, with a /metrics self-consistency check over the driven load).
-	measured("serve", "10", func() ([]bench.Record, error) { return bench.RunServe(w, cfg) })
+	measured("fig3", func() ([]bench.Record, error) { return bench.RunFig3(w, cfg) })
+	measured("scale", func() ([]bench.Record, error) { return bench.RunScale(w, cfg, threads) })
 	run("ablation", func() error { return bench.RunAblations(w, cfg) })
 
 	switch *experiment {
-	case "table1", "fig3", "scale", "exact", "interleave", "delta", "wal", "replica", "serve", "ablation", "all":
+	case "table1", "fig3", "scale", "ablation", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "actbench: unknown experiment %q\n", *experiment)
 		os.Exit(2)

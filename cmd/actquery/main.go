@@ -166,7 +166,10 @@ func main() {
 		fmt.Fprintf(out, "%.6f %.6f -> true=%s candidates=%s\n", lat, lng, fmtIDs(trues), fmtIDs(cands))
 	}
 	if err := in.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "actquery: stdin: %v\n", err)
+		// os.Exit skips the deferred flush: write out the answers for the
+		// lines before the failing one first.
+		out.Flush()
+		fmt.Fprintf(os.Stderr, "actquery: stdin: line %d: %v\n", lineNo+1, err)
 		os.Exit(1)
 	}
 }

@@ -99,9 +99,6 @@ func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.
 			t.Fatalf("step %d point %d: AppendRefs %v/%v disagrees with Lookup %v/%v",
 				step, i, trues, cands, res.True, res.Candidates)
 		}
-		if got, want := len(idx.AppendMatches(ll, nil)), res.Total(); got != want {
-			t.Fatalf("step %d point %d: AppendMatches returned %d ids, Lookup %d", step, i, got, want)
-		}
 		// Exact refinement across the base store / delta geometry split.
 		idx.LookupExact(ll, &res)
 		ref.LookupExact(ll, &refRes)
@@ -129,11 +126,11 @@ func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.
 	}
 
 	// Exact join counts over the engine (chunking, workers, refinement).
-	counts, _, err := idx.JoinExact(ctx, pts, 2)
+	counts, _, err := idx.JoinContext(ctx, pts, act.Exact, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCounts, _, err := ref.JoinExact(ctx, pts, 2)
+	refCounts, _, err := ref.JoinContext(ctx, pts, act.Exact, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +341,7 @@ func TestMutationAPIContract(t *testing.T) {
 		t.Fatalf("Compact on deserialized index: %v", err)
 	}
 
-	// Remove errors, and a sparse id space serializes as v4 (it used to be
-	// the permanent ErrSparseIDSpace gate).
+	// Remove errors, and a sparse id space serializes as v4.
 	if err := idx.Remove(ctx, 99); !errors.Is(err, act.ErrUnknownPolygon) {
 		t.Fatalf("Remove unknown id: %v", err)
 	}

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -32,7 +33,9 @@ import (
 	"github.com/actindex/act/internal/cover"
 	"github.com/actindex/act/internal/delta"
 	"github.com/actindex/act/internal/fault"
+	"github.com/actindex/act/internal/geo"
 	"github.com/actindex/act/internal/geojson"
+	"github.com/actindex/act/internal/supercover"
 	"github.com/actindex/act/internal/wal"
 )
 
@@ -193,10 +196,7 @@ func (ix *Index) WALUpdates() <-chan struct{} {
 // ignored here); build-shape options like WithPrecision are ignored, since
 // the snapshot fixes them.
 func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOptions(opts)
 	ix, err := OpenIndex(indexPath)
 	if err != nil {
 		return nil, fmt.Errorf("act: recover: loading snapshot: %w", err)
@@ -221,10 +221,10 @@ func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 // promoteMutable turns a freshly deserialized (immutable) index into a
 // mutable one: the build pipeline is reconstructed from the persisted
 // precision, grid, and fanout, and the alive set from the id column (dense
-// for v1–v3 files, the explicit column for v4). sources stays nil — the
-// original polygons are not recoverable from a snapshot — so the index
-// mutates but cannot compact.
-func (ix *Index) promoteMutable(o *Options) error {
+// for v3 files, the explicit column for v4). sources stays nil — the
+// original polygons are not recoverable from a snapshot — so compaction
+// rebuilds from the live epoch instead (compactEpoch).
+func (ix *Index) promoteMutable(o *options) error {
 	ep := ix.live.Load()
 	coverer, err := cover.NewCoverer(ix.grid, ix.precision)
 	if err != nil {
@@ -286,7 +286,10 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 	if err != nil {
 		return fmt.Errorf("act: opening WAL %s: %w", cfg.Path, err)
 	}
-	if err := ix.replayRecords(rep.Records); err != nil {
+	ix.mu.Lock()
+	_, err = ix.applyRecords(rep.Records)
+	ix.mu.Unlock()
+	if err != nil {
 		log.Close()
 		return fmt.Errorf("act: replaying WAL %s: %w", cfg.Path, err)
 	}
@@ -302,59 +305,84 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 	return nil
 }
 
-// replayRecords applies recovered log records to a just-constructed index:
-// inserts are re-covered through the index's own pipeline and batched into
-// one delta overlay (built once — per-record overlay rebuilds would be
-// quadratic), removes tombstone. Replay is idempotent against the base:
-// records the base already contains are skipped, so the same log replays
-// correctly over a fresh build, the previous checkpoint snapshot, or a
-// snapshot that was published moments before the log was rotated.
-func (ix *Index) replayRecords(records []wal.Record) error {
-	if len(records) == 0 {
-		return nil
+// applyRecords applies one batch of log records to the index — the records
+// WAL replay recovered at attach time, or a batch streamed from the primary
+// (ApplyReplicated): the one decoder of the log's mutation semantics, so a
+// recovered index and a follower converge on the same state from the same
+// records. Inserts are re-covered through the index's own pipeline, removes
+// tombstone, checkpoint records are rotation markers and carry no mutation.
+//
+// Application is idempotent against the current state, keyed on the fact
+// that polygon ids are never reused: an insert whose id already exists and
+// a remove of an id that is not alive are skipped, so the same records
+// apply correctly over a fresh build, the previous checkpoint snapshot, a
+// snapshot published moments before the log was rotated, or a stream that
+// overlaps after a reconnect. An insert that would leave an id gap, a
+// payload that is not exactly one polygon, an unknown record type, and an
+// exhausted id space all fail the batch.
+//
+// The batch works on copies (the overlay readers may still hold is
+// immutable, and a batch failing mid-way must leave no trace — a remove
+// re-applied later would otherwise be skipped as already-dead and its
+// tombstone lost) and lands as one overlay build and one epoch swing, or
+// not at all; per-record overlay rebuilds would be quadratic. It returns
+// the overlay it published, nil when the batch changed nothing. The caller
+// holds ix.mu.
+func (ix *Index) applyRecords(records []wal.Record) (*delta.Overlay, error) {
+	ep := ix.live.Load()
+	polys := append(make([]delta.Poly, 0, len(ep.ov.Polys())+len(records)), ep.ov.Polys()...)
+	tombs := maps.Clone(ep.ov.Tombstones())
+	alive := append(make([]bool, 0, len(ix.alive)+len(records)), ix.alive...)
+	var sources []*geo.Polygon
+	if ix.srcComplete {
+		sources = append(make([]*geo.Polygon, 0, len(ix.sources)+len(records)), ix.sources...)
 	}
-	alive := ix.alive
 	live := ix.liveCount.Load()
-	var polys []delta.Poly
-	var tombs map[uint32]uint64
+	applied := ix.seq
+	changed := false
 	for i, rec := range records {
 		switch rec.Type {
+		case wal.TypeCheckpoint:
+			continue // rotation marker: its mutations precede it in the log
 		case wal.TypeInsert:
 			if int(rec.ID) < len(alive) {
-				continue // already in the base: snapshot newer than the floor
+				continue // already present: the base is newer than this record
 			}
 			if int(rec.ID) != len(alive) {
-				return fmt.Errorf("record %d: insert id %d would leave a gap (id space is %d)", i, rec.ID, len(alive))
+				return nil, fmt.Errorf("record %d: insert id %d would leave a gap (id space is %d)", i, rec.ID, len(alive))
+			}
+			if len(alive) > supercover.MaxPolygonID {
+				return nil, fmt.Errorf("record %d: the 2^30 polygon id space is exhausted", i)
 			}
 			ps, err := geojson.ReadPolygons(bytes.NewReader(rec.Data))
 			if err != nil {
-				return fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
+				return nil, fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
 			}
 			if len(ps) != 1 {
-				return fmt.Errorf("record %d (insert %d): record carries %d polygons, want 1", i, rec.ID, len(ps))
+				return nil, fmt.Errorf("record %d (insert %d): record carries %d polygons, want 1", i, rec.ID, len(ps))
 			}
-			p := ps[0]
-			cov, gp, err := ix.pl.cover(p)
+			cov, gp, err := ix.pl.cover(ps[0])
 			if err != nil {
-				return fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
+				return nil, fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
 			}
 			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
 			alive = append(alive, true)
 			if ix.srcComplete {
-				ix.sources = append(ix.sources, p)
+				sources = append(sources, ps[0])
 			}
 			live++
+			changed = true
 		case wal.TypeRemove:
 			if int(rec.ID) >= len(alive) || !alive[rec.ID] {
-				continue // already gone: removal predates the snapshot
+				continue // already gone: the removal predates the base
 			}
 			alive[rec.ID] = false
 			if ix.srcComplete {
-				ix.sources[rec.ID] = nil
+				sources[rec.ID] = nil
 			}
 			live--
-			// Mirror Overlay.WithRemove: a removed delta polygon is
-			// dropped from the delta set, the tombstone kept either way.
+			// As Overlay.WithRemove does: a removed delta polygon is dropped
+			// from the delta set, the tombstone kept either way.
 			for j, dp := range polys {
 				if dp.ID == rec.ID {
 					polys = append(polys[:j], polys[j+1:]...)
@@ -365,25 +393,29 @@ func (ix *Index) replayRecords(records []wal.Record) error {
 				tombs = make(map[uint32]uint64)
 			}
 			tombs[rec.ID] = rec.Seq
+			changed = true
 		default:
-			return fmt.Errorf("record %d: unexpected record type %d", i, rec.Type)
+			return nil, fmt.Errorf("record %d: unexpected record type %d", i, rec.Type)
 		}
-		if rec.Seq > ix.seq {
-			ix.seq = rec.Seq
-		}
+		applied = max(applied, rec.Seq)
+	}
+	if !changed {
+		ix.seq = applied // pure overlap: just advance the position
+		return nil, nil
 	}
 	ov, err := delta.New(ix.pl.fanout, polys, tombs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ix.alive = alive
+	if ix.srcComplete {
+		ix.sources = sources
+	}
+	ix.seq = applied
 	ix.idSpace.Store(int64(len(alive)))
 	ix.liveCount.Store(live)
-	if ov != nil {
-		ep := ix.live.Load()
-		ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
-	}
-	return nil
+	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
+	return ov, nil
 }
 
 // stageSnapshot writes a checkpoint snapshot of ep to a temp file next to

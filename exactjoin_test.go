@@ -245,7 +245,7 @@ func TestJoinExactCountsMatchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := randPoints(rng, polys, 5000)
-	counts, stats, err := idx.JoinExact(context.Background(), pts, 4)
+	counts, stats, err := idx.JoinContext(context.Background(), pts, act.Exact, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +344,8 @@ func TestExactWithoutGeometry(t *testing.T) {
 		t.Fatal("WithGeometryStore(false) index reports HasGeometry")
 	}
 	pts := randPoints(rng, polys, 100)
-	if _, _, err := idx.JoinExact(context.Background(), pts, 1); err != act.ErrNoGeometry {
-		t.Fatalf("JoinExact error = %v, want ErrNoGeometry", err)
+	if _, err := idx.JoinStreamContext(context.Background(), pts, act.Exact, 1, func(act.Pair) {}); err != act.ErrNoGeometry {
+		t.Fatalf("JoinStreamContext(Exact) error = %v, want ErrNoGeometry", err)
 	}
 	if _, _, err := idx.PairsContext(context.Background(), pts, act.Exact, 1); err != act.ErrNoGeometry {
 		t.Fatalf("PairsContext(Exact) error = %v, want ErrNoGeometry", err)
@@ -359,21 +359,18 @@ func TestExactWithoutGeometry(t *testing.T) {
 	if idx.Contains(pts[0], 0) {
 		t.Fatal("Contains reported true without geometry")
 	}
-	// The error-less entry points cannot report ErrNoGeometry, and
-	// unrefined or empty results would silently break the exactness
-	// postcondition — they must panic instead.
-	mustPanicNoGeometry := func(name string, f func()) {
+	// LookupExact cannot report ErrNoGeometry, and an unrefined or empty
+	// result would silently break its exactness postcondition — it must
+	// panic instead.
+	var res act.Result
+	func() {
 		defer func() {
 			if r := recover(); r != act.ErrNoGeometry {
-				t.Fatalf("%s panic = %v, want ErrNoGeometry", name, r)
+				t.Fatalf("LookupExact panic = %v, want ErrNoGeometry", r)
 			}
 		}()
-		f()
-	}
-	var res act.Result
-	mustPanicNoGeometry("Join(Exact)", func() { idx.Join(pts, act.Exact, 1) })
-	mustPanicNoGeometry("Pairs(Exact)", func() { idx.Pairs(pts, act.Exact, 1) })
-	mustPanicNoGeometry("LookupExact", func() { idx.LookupExact(pts[0], &res) })
+		idx.LookupExact(pts[0], &res)
+	}()
 	// The approximate lookup surface keeps working.
 	hits := 0
 	for _, ll := range pts {

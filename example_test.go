@@ -53,10 +53,11 @@ func ExampleSwappable() {
 
 	indexes := act.NewSwappable(manhattan)
 	ll := act.LatLng{Lat: 40.73, Lng: -73.99} // in the Manhattan zone
-	fmt.Printf("gen %d: matched=%v\n", indexes.Generation(), len(indexes.Load().Find(ll)) > 0)
+	var res act.Result
+	fmt.Printf("gen %d: matched=%v\n", indexes.Generation(), indexes.Load().Lookup(ll, &res))
 
 	indexes.Swap(newark) // zero-downtime polygon-set update
-	fmt.Printf("gen %d: matched=%v\n", indexes.Generation(), len(indexes.Load().Find(ll)) > 0)
+	fmt.Printf("gen %d: matched=%v\n", indexes.Generation(), indexes.Load().Lookup(ll, &res))
 	// Output:
 	// gen 1: matched=true
 	// gen 2: matched=false
@@ -85,17 +86,18 @@ func ExampleIndex_Insert() {
 		log.Fatal(err)
 	}
 	inNewark := act.LatLng{Lat: 40.73, Lng: -74.17}
-	fmt.Printf("id %d: matched=%v delta=%v\n", id, len(idx.Find(inNewark)) > 0, idx.IsDelta(id))
+	var res act.Result
+	fmt.Printf("id %d: matched=%v delta=%v\n", id, idx.Lookup(inNewark, &res), idx.IsDelta(id))
 
 	if err := idx.Compact(ctx); err != nil { // fold the delta into the base
 		log.Fatal(err)
 	}
-	fmt.Printf("compacted: matched=%v delta=%v\n", len(idx.Find(inNewark)) > 0, idx.IsDelta(id))
+	fmt.Printf("compacted: matched=%v delta=%v\n", idx.Lookup(inNewark, &res), idx.IsDelta(id))
 
 	if err := idx.Remove(ctx, id); err != nil { // tombstone the zone again
 		log.Fatal(err)
 	}
-	fmt.Printf("removed: matched=%v live=%d\n", len(idx.Find(inNewark)) > 0, idx.NumPolygons())
+	fmt.Printf("removed: matched=%v live=%d\n", idx.Lookup(inNewark, &res), idx.NumPolygons())
 	// Output:
 	// id 1: matched=true delta=true
 	// compacted: matched=true delta=false
@@ -150,8 +152,9 @@ func ExampleRecover() {
 	defer rec.Close()
 	inManhattan := act.LatLng{Lat: 40.73, Lng: -73.99}
 	inNewark := act.LatLng{Lat: 40.73, Lng: -74.17}
+	var res act.Result
 	fmt.Printf("replayed %d record(s), live=%d\n", rec.WALStats().RecoveredRecords, rec.NumPolygons())
-	fmt.Printf("manhattan=%v newark=%v\n", len(rec.Find(inManhattan)) > 0, len(rec.Find(inNewark)) > 0)
+	fmt.Printf("manhattan=%v newark=%v\n", rec.Lookup(inManhattan, &res), rec.Lookup(inNewark, &res))
 	// Output:
 	// replayed 1 record(s), live=1
 	// manhattan=false newark=true

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -72,11 +73,14 @@ func main() {
 	// conservative business rule and needs no exact refinement — the whole
 	// point of the approximate join.
 	surgeByRequest := make([]float64, len(requests))
-	stats := idx.JoinStream(requests, act.Approximate, 0, func(p act.Pair) {
+	stats, err := idx.JoinStreamContext(context.Background(), requests, act.Approximate, 0, func(p act.Pair) {
 		if z := zones[p.Polygon]; z.surge > surgeByRequest[p.Point] {
 			surgeByRequest[p.Point] = z.surge
 		}
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var matched, surged int
 	for _, surge := range surgeByRequest {
 		if surge > 0 {

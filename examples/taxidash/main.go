@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -41,7 +42,11 @@ func main() {
 
 	// The approximate join counts candidates as hits; with ε = 4 m the
 	// error is below GPS noise. Use all cores.
-	counts, stats := idx.Join(pickups, act.Approximate, 0)
+	ctx := context.Background()
+	counts, stats, err := idx.JoinContext(ctx, pickups, act.Approximate, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("joined %d pickups in %v: %.1f M points/s (%d true, %d candidate, %d unmatched)\n\n",
 		stats.Points, stats.Elapsed.Round(time.Millisecond), stats.ThroughputMPts,
 		stats.TrueHits, stats.CandidateHits, stats.Misses)
@@ -67,8 +72,14 @@ func main() {
 	// approximate and exact counts should agree to within the boundary
 	// sliver fraction.
 	sample := pickups[:200_000]
-	approx, _ := idx.Join(sample, act.Approximate, 0)
-	exact, _ := idx.Join(sample, act.Exact, 0)
+	approx, _, err := idx.JoinContext(ctx, sample, act.Approximate, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	exact, _, err := idx.JoinContext(ctx, sample, act.Exact, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	top := rows[0].id
 	diff := float64(approx[top]-exact[top]) / float64(exact[top])
 	fmt.Printf("\nsample check on %s: approximate=%d exact=%d (+%.3f%% boundary slivers)\n",

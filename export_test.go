@@ -5,12 +5,6 @@ package act
 // tests that used to clone-and-nil the store field go through
 // stripGeometry instead.
 
-import (
-	"io"
-
-	"github.com/actindex/act/internal/geostore"
-)
-
 // stripGeometry returns a read-only view of ix serving the same base trie
 // without a geometry store, for exercising approximate-only serialization
 // without rebuilding the index.
@@ -27,21 +21,4 @@ func stripGeometry(ix *Index) *Index {
 	clone.idSpace.Store(ix.idSpace.Load())
 	clone.live.Swap(&epoch{trie: ep.trie, ov: ep.ov, stats: ep.stats})
 	return clone
-}
-
-// geoStore exposes the serving epoch's geometry store.
-func geoStore(ix *Index) *geostore.Store { return ix.live.Load().store }
-
-// indexStats exposes the serving epoch's build stats struct (the exported
-// Stats method returns a copy; tests forging v1 headers read it the same
-// way).
-func indexStats(ix *Index) BuildStats { return ix.live.Load().stats }
-
-// writeTrieBlob serializes the serving epoch's core trie in the legacy
-// blob format ("ACTT" magic, own CRC) — the section v1 and v2 files embed.
-// The public WriteTo emits the v3 flat layout, so legacy-compat tests
-// forge old files from this blob instead of carving WriteTo's output.
-func writeTrieBlob(ix *Index, w io.Writer) error {
-	_, err := ix.live.Load().trie.WriteTo(w)
-	return err
 }

@@ -2,6 +2,7 @@ package act
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,9 +12,9 @@ import (
 
 // fuzzSeedIndexes builds tiny deterministic indexes (three hand-made
 // polygons, coarse precision, a few kilobytes serialized) whose byte
-// streams seed the deserialization fuzzer: version 3 with geometry,
-// version 3 approximate-only, plus synthesized version-2 and version-1
-// legacy files.
+// streams seed the deserialization fuzzer: per grid kind, version 3 with
+// geometry and approximate-only, and — one polygon removed and compacted
+// away — version 4 with its id column, with geometry and approximate-only.
 func fuzzSeedIndexes(t testing.TB) [][]byte {
 	t.Helper()
 	polys := []*Polygon{
@@ -22,24 +23,31 @@ func fuzzSeedIndexes(t testing.TB) [][]byte {
 			Holes: [][]LatLng{{{Lat: 40.72, Lng: -73.97}, {Lat: 40.72, Lng: -73.96}, {Lat: 40.73, Lng: -73.96}}}},
 		{Outer: []LatLng{{Lat: 40.80, Lng: -73.96}, {Lat: 40.80, Lng: -73.93}, {Lat: 40.82, Lng: -73.95}}},
 	}
+	serialize := func(idx *Index) []byte {
+		var buf bytes.Buffer
+		if _, err := idx.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ctx := context.Background()
 	var seeds [][]byte
 	for _, gk := range []GridKind{PlanarGrid, CubeFaceGrid} {
-		idx, err := New(polys, WithPrecision(2000), WithGrid(gk), WithFanout(16))
-		if err != nil {
-			t.Fatal(err)
+		for _, geometry := range []bool{true, false} {
+			idx, err := New(polys, WithPrecision(2000), WithGrid(gk), WithFanout(16),
+				WithGeometryStore(geometry), WithDeltaThreshold(-1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds = append(seeds, serialize(idx))
+			if err := idx.Remove(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := idx.Compact(ctx); err != nil {
+				t.Fatal(err)
+			}
+			seeds = append(seeds, serialize(idx))
 		}
-		var withGeo bytes.Buffer
-		if _, err := idx.WriteTo(&withGeo); err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, withGeo.Bytes())
-		var approx bytes.Buffer
-		if _, err := stripGeometry(idx).WriteTo(&approx); err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, approx.Bytes())
-		seeds = append(seeds, buildV2Bytes(t, idx, true))
-		seeds = append(seeds, buildV1Bytes(t, idx))
 	}
 	return seeds
 }

@@ -116,7 +116,8 @@ func BuildBaseline(set *data.PolygonSet) (*Baseline, error) {
 
 // Record is one machine-readable measurement row: the throughput of one
 // joiner on one dataset at one thread count. cmd/actbench serializes these
-// to BENCH_*.json so the performance trajectory is tracked across changes.
+// to BENCH_<experiment>.json for the experiments that regenerate a paper
+// figure (fig3, scale).
 type Record struct {
 	Experiment string  `json:"experiment"`
 	Dataset    string  `json:"dataset"`
@@ -126,36 +127,6 @@ type Record struct {
 	Points     int     `json:"points"`
 	Pairs      int64   `json:"pairs"`
 	MPtsPerSec float64 `json:"throughputMPts"`
-	// Refinement accounting, filled only by the exact experiment (nil
-	// otherwise, so fig3/fig4 records stay unchanged): TrueHits is the
-	// number of pairs resolved from interior cells without touching
-	// geometry, CandidateHits the pairs that went through point-in-polygon
-	// refinement, TrueHitRatio their share of all emitted pairs, and
-	// RefineOverheadX how many times slower the exact join ran than the
-	// approximate join on the same index and points (1.0 = free). Pointers
-	// rather than omitempty scalars: a measured zero (e.g. every pair
-	// needed refinement ⇒ trueHits 0) must stay distinguishable from "not
-	// measured" in the diffable BENCH_3.json trajectory.
-	TrueHits        *int64   `json:"trueHits,omitempty"`
-	CandidateHits   *int64   `json:"candidateHits,omitempty"`
-	TrueHitRatio    *float64 `json:"trueHitRatio,omitempty"`
-	RefineOverheadX *float64 `json:"refineOverheadX,omitempty"`
-	// Interleave accounting, filled only by the interleave experiment: the
-	// trie fanout, the lane count of the measurement (1 = the scalar
-	// LookupBatch baseline), and the speedup over that baseline on the same
-	// probes (scalar rows carry 1.0). The Joiner name also encodes both, so
-	// rows stay self-describing under omitempty.
-	Fanout     int      `json:"fanout,omitempty"`
-	Interleave int      `json:"interleave,omitempty"`
-	SpeedupX   *float64 `json:"speedupX,omitempty"`
-	// Mutation accounting, filled only by the delta experiment:
-	// DeltaPolygons is how many polygons were served from the delta layer
-	// during the measurement, and DeltaOverheadX how many times slower the
-	// merged (base+delta) join ran than the pure-base join over the same
-	// final polygon set (1.0 = free; the act-compacted row documents that
-	// compaction restores it).
-	DeltaPolygons  int      `json:"deltaPolygons,omitempty"`
-	DeltaOverheadX *float64 `json:"deltaOverheadX,omitempty"`
 	// Scale accounting, filled only by the scale experiment: LoadMode names
 	// the serving path the index was loaded through ("heap" = copying
 	// deserializer, "mmap" = zero-copy mapped file, "mmap-fallback" = mmap
@@ -163,43 +134,12 @@ type Record struct {
 	// load latency of that path, NumCPU the machine's CPU count (so a
 	// flat curve on a small machine is distinguishable from a scaling
 	// failure), and ScaleX the speedup over the same path's first
-	// thread-count row (pointer: the 1.0 baseline row must survive
-	// serialization).
+	// thread-count row (pointers: a measured zero and the 1.0 baseline row
+	// must survive serialization).
 	LoadMode   string   `json:"loadMode,omitempty"`
 	LoadMillis *float64 `json:"loadMillis,omitempty"`
 	NumCPU     int      `json:"numCPU,omitempty"`
 	ScaleX     *float64 `json:"scaleX,omitempty"`
-	// Durability accounting, filled only by the wal experiment: WALPolicy
-	// is the fsync policy of the row ("none" = the log-free baseline),
-	// WALRecords the log length the row exercised (mutations applied, or
-	// records replayed), MutationsPerSec the acknowledged-mutation rate,
-	// and RecoverMillis the restart cost (build + replay) of a log that
-	// long. Pointers for the same reason as the refinement fields: a
-	// measured zero must survive serialization.
-	WALPolicy       string   `json:"walPolicy,omitempty"`
-	WALRecords      int      `json:"walRecords,omitempty"`
-	MutationsPerSec *float64 `json:"mutationsPerSec,omitempty"`
-	RecoverMillis   *float64 `json:"recoverMillis,omitempty"`
-	// Replication accounting, filled only by the replica experiment:
-	// CatchUpPerSec is the record rate at which a bootstrapping follower
-	// drained a WALRecords-long primary log (snapshot fetch + stream +
-	// apply, end to end), and ReplicaLagSeqs the mean sequence-number lag a
-	// steady follower showed while the primary mutated at MutationsPerSec.
-	// Pointers again: a measured zero lag is the headline result, not an
-	// absent field.
-	CatchUpPerSec  *float64 `json:"catchUpPerSec,omitempty"`
-	ReplicaLagSeqs *float64 `json:"replicaLagSeqs,omitempty"`
-	// HTTP serving accounting, filled only by the serve experiment: the
-	// Joiner field names the endpoint ("lookup", "join", "insert"), Threads
-	// the client concurrency of the row, Points the requests driven, and
-	// these the end-to-end request rate and latency percentiles through the
-	// full instrumented stack (mux, middleware, handler, network loopback).
-	// Pointers: a sub-measurable p50 rounds to a real zero that must
-	// survive serialization.
-	RequestsPerSec *float64 `json:"requestsPerSec,omitempty"`
-	P50Ms          *float64 `json:"p50Ms,omitempty"`
-	P95Ms          *float64 `json:"p95Ms,omitempty"`
-	P99Ms          *float64 `json:"p99Ms,omitempty"`
 }
 
 // record converts join stats into a Record.
@@ -233,8 +173,8 @@ func MeasureJoin(j join.Joiner, points []geo.LatLng, numPolygons, threads, reps 
 	return best
 }
 
-// BuildIndexes builds one act.Index per precision for the dataset.
-func BuildIndexes(set *data.PolygonSet, precisions []float64, gk act.GridKind) (map[float64]*act.Index, error) {
+// IndexPerPrecision builds one act.Index per precision for the dataset.
+func IndexPerPrecision(set *data.PolygonSet, precisions []float64, gk act.GridKind) (map[float64]*act.Index, error) {
 	out := make(map[float64]*act.Index, len(precisions))
 	for _, eps := range precisions {
 		idx, err := act.New(set.Polygons, act.WithPrecision(eps), act.WithGrid(gk))

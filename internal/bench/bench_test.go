@@ -183,141 +183,6 @@ func TestExperimentRunnersSmoke(t *testing.T) {
 	if modes["heap"] != 6 || modes["mmap"]+modes["mmap-fallback"] != 6 {
 		t.Errorf("scale load modes = %v, want 6 heap + 6 mmap", modes)
 	}
-	sb.Reset()
-	del, err := RunDelta(&sb, cfg)
-	if err != nil {
-		t.Fatalf("delta: %v", err)
-	}
-	if !strings.Contains(sb.String(), "Live mutation") {
-		t.Error("delta output incomplete")
-	}
-	// Per precision: one base row, one row per delta fraction, one
-	// compacted row. RunDelta itself asserts pair-count equivalence.
-	want := len(Precisions) * (2 + len(deltaFractions))
-	if len(del) != want {
-		t.Errorf("delta produced %d records, want %d", len(del), want)
-	}
-	for _, r := range del {
-		if r.Experiment != "delta" || r.MPtsPerSec <= 0 {
-			t.Errorf("bad delta record %+v", r)
-		}
-		if r.Joiner == "act-delta" && (r.DeltaPolygons < 1 || r.DeltaOverheadX == nil) {
-			t.Errorf("delta row missing mutation accounting: %+v", r)
-		}
-	}
-
-	// The wal experiment, shrunk to smoke size: RunWAL itself asserts the
-	// replayed-record counts, so the smoke checks shape and accounting.
-	savedMut, savedLens := walMutations, walReplayLengths
-	walMutations, walReplayLengths = 8, []int{0, 8}
-	defer func() { walMutations, walReplayLengths = savedMut, savedLens }()
-	sb.Reset()
-	wrec, err := RunWAL(&sb, cfg)
-	if err != nil {
-		t.Fatalf("wal: %v", err)
-	}
-	if !strings.Contains(sb.String(), "Durability") {
-		t.Error("wal output incomplete")
-	}
-	if want := len(walPolicies) + len(walReplayLengths); len(wrec) != want {
-		t.Errorf("wal produced %d records, want %d", len(wrec), want)
-	}
-	for _, r := range wrec {
-		if r.Experiment != "wal" || r.WALPolicy == "" {
-			t.Errorf("bad wal record %+v", r)
-		}
-		switch r.Joiner {
-		case "wal-replay":
-			if r.RecoverMillis == nil || *r.RecoverMillis <= 0 {
-				t.Errorf("wal replay row missing recovery accounting: %+v", r)
-			}
-		default:
-			if r.MutationsPerSec == nil || *r.MutationsPerSec <= 0 || r.WALRecords != walMutations {
-				t.Errorf("wal insert row missing mutation accounting: %+v", r)
-			}
-		}
-	}
-}
-
-// The replica experiment gets its own smoke run (it spins up real HTTP
-// servers and a streaming follower, so it doesn't belong in the shared
-// measured-experiments pass above). Shrunk to a backlog and a single rate
-// small enough for CI; RunReplica itself asserts the follower converged on
-// the primary's polygon count.
-func TestRunReplicaSmoke(t *testing.T) {
-	savedLens, savedRates, savedMuts, savedBase :=
-		replicaCatchUpLengths, replicaLagRates, replicaLagMutations, replicaBase
-	replicaCatchUpLengths, replicaLagRates, replicaLagMutations, replicaBase =
-		[]int{12}, []int{200}, 6, 16
-	defer func() {
-		replicaCatchUpLengths, replicaLagRates, replicaLagMutations, replicaBase =
-			savedLens, savedRates, savedMuts, savedBase
-	}()
-	var sb strings.Builder
-	recs, err := RunReplica(&sb, tinyConfig())
-	if err != nil {
-		t.Fatalf("replica: %v", err)
-	}
-	if !strings.Contains(sb.String(), "Replication") {
-		t.Error("replica output incomplete")
-	}
-	if want := len(replicaCatchUpLengths) + len(replicaLagRates); len(recs) != want {
-		t.Fatalf("replica produced %d records, want %d", len(recs), want)
-	}
-	for _, r := range recs {
-		if r.Experiment != "replica" {
-			t.Errorf("bad replica record %+v", r)
-		}
-		switch r.Joiner {
-		case "replica-catchup":
-			if r.CatchUpPerSec == nil || *r.CatchUpPerSec <= 0 || r.WALRecords != replicaCatchUpLengths[0] {
-				t.Errorf("catch-up row missing accounting: %+v", r)
-			}
-		default:
-			if r.MutationsPerSec == nil || *r.MutationsPerSec <= 0 ||
-				r.ReplicaLagSeqs == nil || *r.ReplicaLagSeqs < 0 {
-				t.Errorf("lag row missing accounting: %+v", r)
-			}
-		}
-	}
-}
-
-func TestRunServeSmoke(t *testing.T) {
-	savedConc, savedReqs, savedBatch := serveConcurrency, serveRequests, serveJoinBatch
-	serveConcurrency, serveRequests, serveJoinBatch = []int{2}, 20, 8
-	defer func() {
-		serveConcurrency, serveRequests, serveJoinBatch = savedConc, savedReqs, savedBatch
-	}()
-	var sb strings.Builder
-	recs, err := RunServe(&sb, tinyConfig())
-	if err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	if !strings.Contains(sb.String(), "self-consistency") {
-		t.Error("serve output incomplete (no /metrics cross-check report)")
-	}
-	endpoints := map[string]bool{}
-	if want := 3 * len(serveConcurrency); len(recs) != want {
-		t.Fatalf("serve produced %d records, want %d", len(recs), want)
-	}
-	for _, r := range recs {
-		endpoints[r.Joiner] = true
-		if r.Experiment != "serve" || r.Points != serveRequests {
-			t.Errorf("bad serve record %+v", r)
-		}
-		if r.RequestsPerSec == nil || *r.RequestsPerSec <= 0 {
-			t.Errorf("serve row missing throughput: %+v", r)
-		}
-		if r.P50Ms == nil || r.P95Ms == nil || r.P99Ms == nil ||
-			*r.P50Ms < 0 || *r.P95Ms < *r.P50Ms || *r.P99Ms < *r.P95Ms {
-			t.Errorf("serve row has inconsistent percentiles: %+v", r)
-		}
-	}
-	for _, ep := range []string{"lookup", "join", "insert"} {
-		if !endpoints[ep] {
-			t.Errorf("no records for endpoint %q", ep)
-		}
-	}
 }
 
 func TestMeasureIndexJoin(t *testing.T) {
@@ -327,13 +192,13 @@ func TestMeasureIndexJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := act.BuildIndex(set.Polygons, act.Options{PrecisionMeters: 30})
+	idx, err := act.New(set.Polygons, act.WithPrecision(30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts, _ := data.GeneratePoints(data.PointConfig{N: 3000, Seed: 10})
-	st := MeasureIndexJoin(idx, pts, 1, 2)
-	if st.ThroughputMPts <= 0 || st.Points != len(pts) {
-		t.Errorf("stats = %+v", st)
+	st, err := MeasureIndexJoin(idx, pts, act.Approximate, 1, 2)
+	if err != nil || st.ThroughputMPts <= 0 || st.Points != len(pts) {
+		t.Errorf("stats = %+v, err = %v", st, err)
 	}
 }

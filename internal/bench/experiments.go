@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -30,7 +31,7 @@ func RunTableI(w io.Writer, cfg Config) error {
 	}
 	for _, ds := range sets {
 		for _, eps := range Precisions {
-			idx, err := act.BuildIndex(ds.Set.Polygons, act.Options{PrecisionMeters: eps})
+			idx, err := act.New(ds.Set.Polygons, act.WithPrecision(eps))
 			if err != nil {
 				return err
 			}
@@ -65,7 +66,7 @@ func RunFig3(w io.Writer, cfg Config) ([]Record, error) {
 	}
 	var records []Record
 	for _, ds := range sets {
-		idxs, err := BuildIndexes(ds.Set, Precisions, act.PlanarGrid)
+		idxs, err := IndexPerPrecision(ds.Set, Precisions, act.PlanarGrid)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +76,10 @@ func RunFig3(w io.Writer, cfg Config) ([]Record, error) {
 		}
 		tp := make(map[float64]float64, len(Precisions))
 		for _, eps := range Precisions {
-			st := MeasureIndexJoin(idxs[eps], ds.Points, 1, 3)
+			st, err := MeasureIndexJoin(idxs[eps], ds.Points, act.Approximate, 1, 3)
+			if err != nil {
+				return nil, err
+			}
 			tp[eps] = st.ThroughputMPts
 			records = append(records, record("fig3", ds.Set.Name, eps, st))
 		}
@@ -90,17 +94,20 @@ func RunFig3(w io.Writer, cfg Config) ([]Record, error) {
 	return records, nil
 }
 
-// MeasureIndexJoin measures the approximate join through the public index,
-// best of reps.
-func MeasureIndexJoin(idx *act.Index, points []act.LatLng, threads, reps int) act.JoinStats {
+// MeasureIndexJoin measures the join through the public index, best of
+// reps.
+func MeasureIndexJoin(idx *act.Index, points []act.LatLng, mode act.JoinMode, threads, reps int) (act.JoinStats, error) {
 	var best act.JoinStats
 	for r := 0; r < reps; r++ {
-		_, st := idx.Join(points, act.Approximate, threads)
+		_, st, err := idx.JoinContext(context.Background(), points, mode, threads)
+		if err != nil {
+			return act.JoinStats{}, err
+		}
 		if r == 0 || st.ThroughputMPts > best.ThroughputMPts {
 			best = st
 		}
 	}
-	return best
+	return best, nil
 }
 
 // RawOptions parameterizes RawBuild for ablation studies.
@@ -266,22 +273,16 @@ func RunAblations(w io.Writer, cfg Config) error {
 	section(w, "Ablation E: memory budget / adaptive refinement (neighborhoods)")
 	fmt.Fprintf(w, "%-12s %12s %22s %20s\n", "cells/poly", "cells [M]", "achieved prec [m]", "exact join [M pts/s]")
 	for _, budget := range []int{0, 20000, 2000, 200} {
-		idx, err := act.BuildIndex(set.Polygons, act.Options{PrecisionMeters: 4, MaxCellsPerPolygon: budget})
+		idx, err := act.New(set.Polygons, act.WithPrecision(4), act.WithMaxCellsPerPolygon(budget))
 		if err != nil {
 			return err
 		}
 		st := idx.Stats()
-		var tput float64
-		{
-			var best act.JoinStats
-			for r := 0; r < 3; r++ {
-				_, s := idx.Join(pts, act.Exact, 1)
-				if r == 0 || s.ThroughputMPts > best.ThroughputMPts {
-					best = s
-				}
-			}
-			tput = best.ThroughputMPts
+		best, err := MeasureIndexJoin(idx, pts, act.Exact, 1, 3)
+		if err != nil {
+			return err
 		}
+		tput := best.ThroughputMPts
 		label := "unlimited"
 		if budget > 0 {
 			label = fmt.Sprintf("%d", budget)

@@ -33,7 +33,7 @@ func ScaleThreads() []int {
 // ("heap") and through the zero-copy mapped reader ("mmap") and sweeps the
 // thread counts over each. Every record carries the load path, the one-time
 // load latency of that path, the machine's CPU count, and the speedup over
-// the same path's single-thread row — so BENCH_6.json holds the full
+// the same path's single-thread row — so BENCH_scale.json holds the full
 // thread-scaling curve and the mmap-vs-heap comparison in one artefact.
 //
 // The two paths must be more than comparable — they must be identical:
@@ -67,7 +67,7 @@ func RunScale(w io.Writer, cfg Config, threads []int) ([]Record, error) {
 	}
 	var records []Record
 	for _, ds := range sets {
-		built, err := act.BuildIndex(ds.Set.Polygons, act.Options{PrecisionMeters: 4})
+		built, err := act.New(ds.Set.Polygons, act.WithPrecision(4))
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +102,10 @@ func RunScale(w io.Writer, cfg Config, threads []int) ([]Record, error) {
 			fmt.Fprintf(w, "%-14s %-6s %10.2f", ds.Set.Name, label, loadMillis)
 			var base float64
 			for _, th := range threads {
-				st := MeasureIndexJoin(idx, ds.Points, th, 2)
+				st, err := MeasureIndexJoin(idx, ds.Points, act.Approximate, th, 2)
+				if err != nil {
+					return nil, err
+				}
 				if base == 0 {
 					base = st.ThroughputMPts
 				}
@@ -135,7 +138,7 @@ func RunScale(w io.Writer, cfg Config, threads []int) ([]Record, error) {
 	fmt.Fprintln(w, "\nPaper shape: near-linear scaling over physical cores and further gains")
 	fmt.Fprintln(w, "from hyperthreads (memory-latency bound); the mmap rows match the heap")
 	fmt.Fprintln(w, "rows pair-for-pair while opening orders of magnitude faster. On a")
-	fmt.Fprintln(w, "single-core host the curve is necessarily flat; see EXPERIMENTS.md.")
+	fmt.Fprintln(w, "single-core host the curve is necessarily flat.")
 	return records, nil
 }
 

@@ -9,10 +9,9 @@ import (
 	"github.com/actindex/act/internal/cellid"
 )
 
-// Plausibility bounds shared by every reader of flat trie data. They match
-// the caps ReadTrie enforces on the v1 blob format: arenas beyond 128 GiB
-// are corruption, and table offsets beyond the 31-bit entry payload could
-// never be addressed by a lookup anyway.
+// Plausibility bounds shared by every reader of flat trie data: arenas
+// beyond 128 GiB are corruption, and table offsets beyond the 31-bit entry
+// payload could never be addressed by a lookup anyway.
 const (
 	MaxArenaWords = 1 << 34
 	MaxTableWords = payloadMax
@@ -129,8 +128,11 @@ func TrieFromFlat(f Flat) (*Trie, error) {
 		return nil, fmt.Errorf("core: implausible flat trie size (%d node words, %d table words)", len(f.Nodes), len(f.Table))
 	}
 	numNodes := uint64(len(f.Nodes)) / uint64(f.Fanout)
+	if numNodes == 0 {
+		return nil, fmt.Errorf("core: arena lacks the sentinel node")
+	}
 	for _, root := range t.roots {
-		if root >= numNodes && numNodes > 0 || (numNodes == 0 && root != 0) {
+		if root >= numNodes {
 			return nil, fmt.Errorf("core: root index %d out of range", root)
 		}
 	}

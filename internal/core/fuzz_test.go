@@ -1,12 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -15,10 +14,10 @@ import (
 	"github.com/actindex/act/internal/supercover"
 )
 
-// fuzzTrieBytes serializes a small deterministic trie — inlined payloads,
-// a 3-reference lookup-table run, and multiple depths — as the fuzzer's
-// well-formed seed.
-func fuzzTrieBytes(tb testing.TB, fanout int) []byte {
+// fuzzFlat builds a small deterministic trie — inlined payloads, a
+// 3-reference lookup-table run, and multiple depths — whose flat form is the
+// fuzzer's well-formed seed.
+func fuzzFlat(tb testing.TB, fanout int) Flat {
 	tb.Helper()
 	base := cellid.FromFace(0)
 	c1 := base.Child(0).Child(1).Child(2)
@@ -40,43 +39,153 @@ func fuzzTrieBytes(tb testing.TB, fanout int) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := trie.WriteTo(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	return trie.Flat()
 }
 
-// FuzzReadTrie feeds arbitrary bytes to ReadTrie: corruption must surface
-// as an error — never a panic or an absurd allocation — and accepted tries
-// must round-trip byte-identically through WriteTo.
-func FuzzReadTrie(f *testing.F) {
-	for _, fanout := range []int{4, 64, 256} {
-		seed := fuzzTrieBytes(f, fanout)
-		f.Add(seed)
-		f.Add(seed[:len(seed)/2])
+// flatHeadSize is the wire size of the fuzzed per-face root metadata: root
+// index, skip and prefix as three uint64 per face.
+const flatHeadSize = cellid.NumFaces * 3 * 8
+
+// encodeFlatFuzz lays a Flat out as the fuzz target's arguments; decode
+// inverts it, padding short inputs with zeros and dropping the words of a
+// trailing partial node so mutations spend their time on the structure
+// rather than on the length check.
+func encodeFlatFuzz(f Flat) (fanoutSel uint8, head, nodes, table []byte) {
+	head = make([]byte, flatHeadSize)
+	for i := 0; i < cellid.NumFaces; i++ {
+		binary.LittleEndian.PutUint64(head[24*i:], f.Roots[i])
+		binary.LittleEndian.PutUint64(head[24*i+8:], f.Skips[i])
+		binary.LittleEndian.PutUint64(head[24*i+16:], f.Prefixes[i])
 	}
-	f.Add([]byte("ACTT"))
-	f.Add([]byte("junk"))
-	f.Fuzz(func(t *testing.T, input []byte) {
-		trie, err := ReadTrie(bytes.NewReader(input))
+	for _, w := range f.Nodes {
+		nodes = binary.LittleEndian.AppendUint64(nodes, w)
+	}
+	for _, w := range f.Table {
+		table = binary.LittleEndian.AppendUint32(table, w)
+	}
+	return uint8(bits.TrailingZeros32(f.Fanout)/2 - 1), head, nodes, table
+}
+
+func decodeFlatFuzz(fanoutSel uint8, head, nodes, table []byte) Flat {
+	f := Flat{Fanout: 4 << (2 * (fanoutSel & 3))}
+	var h [flatHeadSize]byte
+	copy(h[:], head)
+	for i := 0; i < cellid.NumFaces; i++ {
+		f.Roots[i] = binary.LittleEndian.Uint64(h[24*i:])
+		f.Skips[i] = binary.LittleEndian.Uint64(h[24*i+8:])
+		f.Prefixes[i] = binary.LittleEndian.Uint64(h[24*i+16:])
+	}
+	words := len(nodes) / 8
+	words -= words % int(f.Fanout)
+	f.Nodes = make([]uint64, words)
+	for i := range f.Nodes {
+		f.Nodes[i] = binary.LittleEndian.Uint64(nodes[8*i:])
+	}
+	f.Table = make([]uint32, len(table)/4)
+	for i := range f.Table {
+		f.Table[i] = binary.LittleEndian.Uint32(table[4*i:])
+	}
+	return f
+}
+
+// flatFuzzSeed is one argument tuple of FuzzTrieFromFlat.
+type flatFuzzSeed struct {
+	fanoutSel          uint8
+	head, nodes, table []byte
+}
+
+// flatFuzzSeeds are the target's seeds: a well-formed trie per fanout, then
+// an arena with its root node cut out, a table cut mid-run, an empty trie
+// and junk.
+func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
+	var seeds []flatFuzzSeed
+	for _, fanout := range []int{4, 16, 64, 256} {
+		sel, head, nodes, table := encodeFlatFuzz(fuzzFlat(tb, fanout))
+		seeds = append(seeds, flatFuzzSeed{sel, head, nodes, table})
+	}
+	s := seeds[0]
+	return append(seeds,
+		flatFuzzSeed{s.fanoutSel, s.head, append(append([]byte{}, s.nodes[:32]...), s.nodes[64:]...), s.table},
+		flatFuzzSeed{s.fanoutSel, s.head, s.nodes, s.table[:len(s.table)/2]},
+		flatFuzzSeed{3, []byte{}, []byte{}, []byte{}},
+		flatFuzzSeed{1, []byte("junk"), []byte("junkjunkjunkjunk"), []byte("junk")})
+}
+
+// FuzzTrieFromFlat assembles Flat words straight from fuzz bytes — no
+// checksum stands between the mutator and the validator, unlike a file —
+// and demands that TrieFromFlat either rejects them or returns a trie on
+// which everything a served index runs terminates inside the two slices:
+// lookups on every face, the interleaved batch walk, Cells and
+// ComputeStats. No reference may exceed MaxPolygonRef, which is what the
+// enclosing index sizes its per-polygon outputs from.
+func FuzzTrieFromFlat(f *testing.F) {
+	for _, s := range flatFuzzSeeds(f) {
+		f.Add(s.fanoutSel, s.head, s.nodes, s.table)
+	}
+	f.Fuzz(func(t *testing.T, fanoutSel uint8, head, nodes, table []byte) {
+		in := decodeFlatFuzz(fanoutSel, head, nodes, table)
+		trie, err := TrieFromFlat(in)
 		if err != nil {
 			return
 		}
-		var b1 bytes.Buffer
-		if _, err := trie.WriteTo(&b1); err != nil {
-			t.Fatalf("accepted trie fails to serialize: %v", err)
+		maxRef, hasRefs := trie.MaxPolygonRef()
+		checkID := func(id uint32) {
+			if !hasRefs || id > maxRef {
+				t.Fatalf("reference %d beyond MaxPolygonRef (%d, %v)", id, maxRef, hasRefs)
+			}
 		}
-		trie2, err := ReadTrie(bytes.NewReader(b1.Bytes()))
-		if err != nil {
-			t.Fatalf("own serialization rejected: %v", err)
+		// Probes: per face the two extreme leaves, plus leaves steered by
+		// the input's own bytes so deep paths the mutator builds get walked.
+		var leaves []cellid.ID
+		for face := 0; face < cellid.NumFaces; face++ {
+			leaves = append(leaves,
+				cellid.FromFaceIJ(face, 0, 0),
+				cellid.FromFaceIJ(face, cellid.MaxSize-1, cellid.MaxSize-1))
 		}
-		var b2 bytes.Buffer
-		if _, err := trie2.WriteTo(&b2); err != nil {
-			t.Fatal(err)
+		for i := 0; i+leafRecordSize <= len(nodes) && len(leaves) < 64; i += leafRecordSize {
+			leaves = append(leaves, cellid.FromFaceIJ(int(nodes[i])%cellid.NumFaces,
+				int(binary.LittleEndian.Uint32(nodes[i+1:]))%cellid.MaxSize,
+				int(binary.LittleEndian.Uint32(nodes[i+5:]))%cellid.MaxSize))
 		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Fatal("serialize → deserialize → serialize is not byte-identical")
+		var res, want Result
+		for _, leaf := range leaves {
+			res.Reset()
+			if hit := trie.Lookup(leaf, &res); hit != (res.Total() > 0) {
+				t.Fatalf("leaf %v: hit=%v with %d references", leaf, hit, res.Total())
+			}
+			for _, id := range res.True {
+				checkID(id)
+			}
+			for _, id := range res.Candidates {
+				checkID(id)
+			}
+		}
+		var bs BatchScratch
+		trie.LookupBatchInterleaved(leaves, 8, &bs, &res, func(i int, hit bool) {
+			want.Reset()
+			if wantHit := trie.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
+				t.Fatalf("leaf %v: interleaved walk diverges from Lookup", leaves[i])
+			}
+		})
+		// Cells may refuse a path deeper than the cell space; it must not
+		// run away or hand out references lookups could not.
+		cells := 0
+		_ = trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
+			if cells++; cells > len(in.Nodes) {
+				t.Fatalf("Cells visited more cells than the arena has entries (%d)", len(in.Nodes))
+			}
+			for _, r := range refs {
+				checkID(r.PolygonID)
+			}
+			return nil
+		})
+		st := trie.ComputeStats()
+		if numNodes := len(in.Nodes) / int(in.Fanout); st.NumNodes != numNodes-1 || st.MaxDepth > numNodes {
+			t.Fatalf("stats %+v for an arena of %d nodes", st, numNodes)
+		}
+		// Accepted means canonical: the flat form is a fixed point.
+		if _, err := TrieFromFlat(trie.Flat()); err != nil {
+			t.Fatalf("own flat form rejected: %v", err)
 		}
 	})
 }
@@ -171,25 +280,21 @@ func FuzzLookupBatchInterleaved(f *testing.F) {
 }
 
 // TestWriteFuzzCorpus regenerates the checked-in seed corpus under
-// testdata/fuzz/FuzzReadTrie when ACT_WRITE_FUZZ_CORPUS=1 is set.
+// testdata/fuzz/FuzzTrieFromFlat when ACT_WRITE_FUZZ_CORPUS=1 is set.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("ACT_WRITE_FUZZ_CORPUS") != "1" {
 		t.Skip("set ACT_WRITE_FUZZ_CORPUS=1 to regenerate the fuzz seed corpus")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzReadTrie")
+	dir := filepath.Join("testdata", "fuzz", "FuzzTrieFromFlat")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	seeds := [][]byte{
-		fuzzTrieBytes(t, 4), fuzzTrieBytes(t, 64), fuzzTrieBytes(t, 256),
-		fuzzTrieBytes(t, 256)[:40], []byte("ACTT"), []byte("junk"),
-	}
-	for i, seed := range seeds {
+	for i, s := range flatFuzzSeeds(t) {
+		body := fmt.Sprintf("go test fuzz v1\nbyte(%q)\n[]byte(%q)\n[]byte(%q)\n[]byte(%q)\n", rune(s.fanoutSel), s.head, s.nodes, s.table)
 		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed)) + ")\n"
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("wrote %d corpus entries to %s", len(seeds), dir)
+	t.Logf("wrote corpus entries to %s", dir)
 }

@@ -14,8 +14,7 @@ package core
 //
 // Nodes unreachable from any face root are dropped. It returns the number of
 // nodes in the resulting arena, including the sentinel — Build-produced
-// tries are fully reachable, so ReadTrie uses a count shortfall to reject
-// files carrying unreachable nodes.
+// tries are fully reachable.
 func (t *Trie) Relayout() int {
 	fanout := uint64(t.fanout)
 	numNodes := uint64(len(t.nodes)) / fanout
@@ -42,22 +41,6 @@ func (t *Trie) Relayout() int {
 					order = append(order, child)
 				}
 			}
-		}
-	}
-	// Already canonical? Every file written after this pass exists — and
-	// every second relayout of anything — walks in here with remap equal to
-	// the identity; skip the arena rebuild so loading a canonical file
-	// never duplicates a census-scale arena under live traffic.
-	if uint64(len(order))+1 == numNodes {
-		identity := true
-		for qi, old := range order {
-			if old != uint64(qi)+1 {
-				identity = false
-				break
-			}
-		}
-		if identity {
-			return len(order) + 1
 		}
 	}
 	arena := make([]uint64, (uint64(len(order))+1)*fanout)

@@ -1,24 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/crc64"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/actindex/act/internal/cellid"
 )
-
-// trieBytes serializes a trie to a fresh buffer.
-func trieBytes(t *testing.T, trie *Trie) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := trie.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // TestRelayoutPreservesLookupsAndIsIdempotent relays out a build-order trie
 // and demands identical lookups before and after, then proves a second
@@ -70,12 +58,11 @@ func slicesEqualU64(a, b []uint64) bool {
 	return true
 }
 
-// TestRelayoutCanonicalizesOnLoad serializes a build-order (pre-relayout)
-// trie — the layout every file written before the relayout pass carries —
-// and demands that loading it yields byte-for-byte the serialization of a
-// freshly built (relaid) trie: old files relayout on load, and the
-// breadth-first form is the canonical serialization of a given covering.
-func TestRelayoutCanonicalizesOnLoad(t *testing.T) {
+// TestRelayoutYieldsCanonicalFlat: the breadth-first form is the canonical
+// flat form of a covering. A build-order (pre-relayout) arena is refused by
+// TrieFromFlat — a mapped arena cannot be renumbered in place — and relaying
+// it out yields word for word the arena Build produces, which loads.
+func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sc := randomPrefixFreeCovering(t, rng, []int{1, 3, 4}, 130)
 	for _, fanout := range fanouts {
@@ -87,97 +74,173 @@ func TestRelayoutCanonicalizesOnLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fanout %d: %v", fanout, err)
 		}
-		canonical := trieBytes(t, built)
-		loaded, err := ReadTrie(bytes.NewReader(trieBytes(t, raw)))
-		if err != nil {
-			t.Fatalf("fanout %d: load of build-order file: %v", fanout, err)
+		if slices.Equal(raw.nodes, built.nodes) {
+			t.Fatalf("fanout %d: build order is already breadth-first; the covering exercises nothing", fanout)
 		}
-		if !bytes.Equal(trieBytes(t, loaded), canonical) {
-			t.Fatalf("fanout %d: build-order file did not canonicalize to the relaid form on load", fanout)
+		if _, err := TrieFromFlat(raw.Flat()); err == nil {
+			t.Fatalf("fanout %d: build-order arena accepted as canonical", fanout)
 		}
-	}
-}
-
-// synthTrieBytes hand-assembles a trie file (same wire layout as WriteTo,
-// valid checksum) so structural validation can be probed with arenas the
-// builder would never produce.
-func synthTrieBytes(t *testing.T, fanout uint32, roots [cellid.NumFaces]uint64, nodes []uint64, table []uint32) []byte {
-	t.Helper()
-	var payload bytes.Buffer
-	payload.WriteString(trieMagic)
-	w := func(v any) {
-		if err := binary.Write(&payload, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
+		raw.Relayout()
+		if raw.roots != built.roots || !slices.Equal(raw.nodes, built.nodes) || !slices.Equal(raw.table, built.table) {
+			t.Fatalf("fanout %d: relayout of the build-order arena differs from Build's", fanout)
+		}
+		if _, err := TrieFromFlat(raw.Flat()); err != nil {
+			t.Fatalf("fanout %d: canonical arena rejected: %v", fanout, err)
 		}
 	}
-	w(uint32(trieVersion))
-	w(fanout)
-	w(roots)
-	w([cellid.NumFaces]uint64{}) // skips
-	w([cellid.NumFaces]uint64{}) // prefixes
-	w(uint64(len(nodes)))
-	w(nodes)
-	w(uint64(len(table)))
-	w(table)
-	crc := crc64.Checksum(payload.Bytes(), crcTable)
-	w(crc)
-	return payload.Bytes()
 }
 
-// TestReadTrieRejectsUnreachableNodes: an arena node no walk can reach is
-// smuggled content the relayout pass would silently drop; ReadTrie must
-// reject the file instead.
-func TestReadTrieRejectsUnreachableNodes(t *testing.T) {
-	nodes := make([]uint64, 3*4) // fanout 4: sentinel, root, unreachable
-	nodes[4] = uint64(7)<<3 | 0<<2 | tagOne
-	var roots [cellid.NumFaces]uint64
-	roots[0] = 1
-	if _, err := ReadTrie(bytes.NewReader(synthTrieBytes(t, 4, roots, nodes, nil))); err == nil {
-		t.Fatal("file with an unreachable node was accepted")
+// TestTrieFromFlatRejects probes structural validation with hand-assembled
+// arenas the builder would never produce (fanout 4; node 0 is the sentinel).
+// Every case is one edit away from a control that must load, so each
+// rejection is for its own defect.
+func TestTrieFromFlatRejects(t *testing.T) {
+	one := func(id uint64) uint64 { return id<<3 | tagOne }
+	child := func(n uint64) uint64 { return n << 2 }
+	flat := func(roots [cellid.NumFaces]uint64, nodes []uint64, table []uint32) Flat {
+		return Flat{Fanout: 4, Roots: roots, Nodes: nodes, Table: table}
 	}
-	// Control: the same file without the unreachable node loads fine.
-	if _, err := ReadTrie(bytes.NewReader(synthTrieBytes(t, 4, roots, nodes[:2*4], nil))); err != nil {
-		t.Fatalf("control file rejected: %v", err)
-	}
-}
+	var face0, face01 [cellid.NumFaces]uint64
+	face0[0] = 1
+	face01[0], face01[1] = 1, 2
 
-// TestReadTrieRejectsChildPointerToRoot: an entry referencing a face root is
-// forward and unshared — invisible to the basic checks — but relayout moves
-// roots to the front of the arena, which would leave the entry pointing
-// backward and make the trie's own serialization unreadable. Roots are
-// pre-marked as referenced, so the file must be rejected.
-func TestReadTrieRejectsChildPointerToRoot(t *testing.T) {
-	nodes := make([]uint64, 3*4) // sentinel, root of face 0, root of face 1
-	nodes[4] = 2 << 2            // face-0 root entry 0 -> node 2 == face-1 root
-	nodes[2*4] = uint64(5)<<3 | tagOne
-	var roots [cellid.NumFaces]uint64
-	roots[0], roots[1] = 1, 2
-	if _, err := ReadTrie(bytes.NewReader(synthTrieBytes(t, 4, roots, nodes, nil))); err == nil {
-		t.Fatal("file with an entry referencing a face root was accepted")
-	}
-	// Control: without the root registration node 2 is a plain child.
-	roots[1] = 0
-	if _, err := ReadTrie(bytes.NewReader(synthTrieBytes(t, 4, roots, nodes, nil))); err != nil {
-		t.Fatalf("control file rejected: %v", err)
-	}
-}
-
-// TestReadTrieRejectsSharedChild: two entries referencing one child make the
-// arena a DAG; breadth-first renumbering would leave the deeper reference
-// pointing backward, so validation rejects sharing outright (the builder
-// never produces it).
-func TestReadTrieRejectsSharedChild(t *testing.T) {
-	nodes := make([]uint64, 3*4)
-	nodes[4] = 2 << 2 // root entry 0 -> node 2
-	nodes[5] = 2 << 2 // root entry 1 -> node 2 again
-	nodes[2*4] = uint64(3)<<3 | tagOne
-	var roots [cellid.NumFaces]uint64
-	roots[0] = 1
-	if _, err := ReadTrie(bytes.NewReader(synthTrieBytes(t, 4, roots, nodes, nil))); err == nil {
-		t.Fatal("file sharing a child between two entries was accepted")
-	}
-	nodes[5] = 0 // drop the second reference: must load
-	if _, err := ReadTrie(bytes.NewReader(synthTrieBytes(t, 4, roots, nodes, nil))); err != nil {
-		t.Fatalf("control file rejected: %v", err)
+	for _, tc := range []struct {
+		name      string
+		bad, good func() Flat
+	}{
+		{
+			// Misses and parked interleaved lanes read node 0 as "no entry".
+			name: "missing-sentinel",
+			bad:  func() Flat { return flat([cellid.NumFaces]uint64{}, nil, nil) },
+			good: func() Flat { return flat([cellid.NumFaces]uint64{}, make([]uint64, 4), nil) },
+		},
+		{
+			name: "sentinel-not-empty",
+			bad: func() Flat {
+				nodes := make([]uint64, 2*4)
+				nodes[0], nodes[4] = one(7), one(7)
+				return flat(face0, nodes, nil)
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 2*4)
+				nodes[4] = one(7)
+				return flat(face0, nodes, nil)
+			},
+		},
+		{
+			// An arena node no walk can reach is smuggled content.
+			name: "unreachable-node",
+			bad: func() Flat {
+				nodes := make([]uint64, 3*4) // sentinel, root, unreachable
+				nodes[4] = one(7)
+				return flat(face0, nodes, nil)
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 2*4)
+				nodes[4] = one(7)
+				return flat(face0, nodes, nil)
+			},
+		},
+		{
+			// An entry referencing a face root is forward and unshared, yet
+			// breadth-first numbering puts roots first and would leave the
+			// entry pointing backward; roots count as referenced from the
+			// start.
+			name: "child-pointer-to-root",
+			bad: func() Flat {
+				nodes := make([]uint64, 3*4) // sentinel, face-0 root, face-1 root
+				nodes[4] = child(2)
+				nodes[2*4] = one(5)
+				return flat(face01, nodes, nil)
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 3*4)
+				nodes[4] = child(2) // node 2 is a plain child
+				nodes[2*4] = one(5)
+				return flat(face0, nodes, nil)
+			},
+		},
+		{
+			// Two entries referencing one child make the arena a DAG.
+			name: "shared-child",
+			bad: func() Flat {
+				nodes := make([]uint64, 3*4)
+				nodes[4], nodes[5] = child(2), child(2)
+				nodes[2*4] = one(3)
+				return flat(face0, nodes, nil)
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 3*4)
+				nodes[4] = child(2)
+				nodes[2*4] = one(3)
+				return flat(face0, nodes, nil)
+			},
+		},
+		{
+			// Children are allocated after their parents: a pointer at or
+			// before its own node would let a walk loop.
+			name: "backward-pointer",
+			bad: func() Flat {
+				nodes := make([]uint64, 3*4)
+				nodes[4] = child(2)
+				nodes[2*4] = child(1)
+				return flat(face0, nodes, nil)
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 3*4)
+				nodes[4] = child(2)
+				nodes[2*4] = one(1)
+				return flat(face0, nodes, nil)
+			},
+		},
+		{
+			name: "child-out-of-range",
+			bad: func() Flat {
+				nodes := make([]uint64, 2*4)
+				nodes[4] = child(2)
+				return flat(face0, nodes, nil)
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 2*4)
+				nodes[4] = one(2)
+				return flat(face0, nodes, nil)
+			},
+		},
+		{
+			name: "table-offset-out-of-range",
+			bad: func() Flat {
+				nodes := make([]uint64, 2*4)
+				nodes[4] = 4<<2 | tagOffset
+				return flat(face0, nodes, []uint32{1, 8, 1, 9})
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 2*4)
+				nodes[4] = 0<<2 | tagOffset
+				return flat(face0, nodes, []uint32{1, 8, 1, 9})
+			},
+		},
+		{
+			// The run's true-hit count walks past the end of the table.
+			name: "table-run-overflow",
+			bad: func() Flat {
+				nodes := make([]uint64, 2*4)
+				nodes[4] = 0<<2 | tagOffset
+				return flat(face0, nodes, []uint32{3, 8, 1, 9})
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 2*4)
+				nodes[4] = 0<<2 | tagOffset
+				return flat(face0, nodes, []uint32{2, 8, 1, 0})
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := TrieFromFlat(tc.bad()); err == nil {
+				t.Error("malformed arena was accepted")
+			}
+			if _, err := TrieFromFlat(tc.good()); err != nil {
+				t.Errorf("control arena rejected: %v", err)
+			}
+		})
 	}
 }

@@ -1,92 +1,16 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc64"
 	"io"
-	"math/bits"
-
-	"github.com/actindex/act/internal/cellid"
 )
 
-// Serialization format (little endian):
-//
-//	magic   "ACTT"            4 bytes
-//	version uint32            currently 1
-//	fanout  uint32
-//	roots   6 × uint64
-//	skips   6 × uint64        root path-compression bit counts
-//	prefixes 6 × uint64       root path-compression prefixes
-//	nodesLen uint64           number of uint64 words in the node arena
-//	nodes   nodesLen × uint64
-//	tableLen uint64           number of uint32 words in the lookup table
-//	table   tableLen × uint32
-//	crc     uint64            CRC-64/ECMA of everything above
-//
-// The trie is immutable after Build, so a byte-exact dump round-trips.
-
-const (
-	trieMagic   = "ACTT"
-	trieVersion = 1
-)
-
-// WriteTo serializes the trie. It implements io.WriterTo.
-func (t *Trie) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w, crc: crc64.New(crcTable)}
-	bw := bufio.NewWriterSize(cw, 1<<20)
-
-	write := func(v any) error { return binary.Write(bw, binary.LittleEndian, v) }
-	if _, err := bw.WriteString(trieMagic); err != nil {
-		return cw.n, err
-	}
-	for _, v := range []any{
-		uint32(trieVersion),
-		uint32(t.fanout),
-		t.roots,
-		skipsToU64(t.rootSkip),
-		t.rootPrefix,
-		uint64(len(t.nodes)),
-	} {
-		if err := write(v); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := writeU64s(bw, t.nodes); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint64(len(t.table))); err != nil {
-		return cw.n, err
-	}
-	if err := writeU32s(bw, t.table); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	// The CRC covers everything flushed so far; it is not itself summed.
-	if err := binary.Write(cw.w, binary.LittleEndian, cw.crc.Sum64()); err != nil {
-		return cw.n, err
-	}
-	return cw.n + 8, nil
-}
+// Word-level I/O and structural validation shared by every reader and
+// writer of flat trie data (see flat.go for the format itself).
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
-
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	crc hash.Hash64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.crc.Write(p[:n])
-	return n, err
-}
 
 // writeU64s streams a large word slice through a fixed scratch buffer,
 // avoiding binary.Write's full-size temporary allocation.
@@ -168,29 +92,6 @@ func readU32s(r io.Reader, count uint64) ([]uint32, error) {
 	return words, nil
 }
 
-func skipsToU64(s [cellid.NumFaces]uint) [cellid.NumFaces]uint64 {
-	var out [cellid.NumFaces]uint64
-	for i, v := range s {
-		out[i] = uint64(v)
-	}
-	return out
-}
-
-// hashingReader folds exactly the bytes consumed by the parser into the
-// checksum, independent of any buffering below it.
-type hashingReader struct {
-	r   io.Reader
-	crc io.Writer
-}
-
-func (h *hashingReader) Read(p []byte) (int, error) {
-	n, err := h.r.Read(p)
-	if n > 0 {
-		h.crc.Write(p[:n])
-	}
-	return n, err
-}
-
 // validateStructure checks the node arena's referential integrity so that a
 // deserialized trie can never walk out of bounds or loop: the builder
 // allocates children strictly after their parents, so every child pointer
@@ -212,6 +113,13 @@ func (t *Trie) validateStructure(numNodes uint64) error {
 			t.maxRef = id
 		}
 		t.hasRefs = true
+	}
+	// Node 0 is the sentinel every miss and every parked interleaved lane
+	// lands on; the walks read it as "no entry", so it must hold none.
+	for k, e := range t.nodes[:t.fanout] {
+		if e != 0 {
+			return fmt.Errorf("core: sentinel node entry %d is not empty", k)
+		}
 	}
 	referenced := make([]bool, numNodes)
 	// Face roots count as referenced from the start: an interior entry
@@ -273,123 +181,6 @@ func (t *Trie) validateStructure(numNodes uint64) error {
 
 // MaxPolygonRef returns the largest polygon id a lookup on this trie can
 // return, and whether the trie holds any references at all. It is computed
-// by ReadTrie's structural validation, so it is only meaningful on
+// by TrieFromFlat's structural validation, so it is only meaningful on
 // deserialized tries.
 func (t *Trie) MaxPolygonRef() (uint32, bool) { return t.maxRef, t.hasRefs }
-
-// ReadTrie deserializes a trie written by WriteTo, verifying the checksum.
-func ReadTrie(r io.Reader) (*Trie, error) {
-	crc := crc64.New(crcTable)
-	// When r is already a *bufio.Reader with a buffer at least this big
-	// (act.ReadIndex passes one), NewReaderSize returns it unchanged — the
-	// trie blob consumes exactly its own bytes and the enclosing stream
-	// (e.g. a trailing geometry section) can continue after it. Keep the
-	// size in sync with act.ReadIndex.
-	raw := bufio.NewReaderSize(r, 1<<20)
-	br := &hashingReader{r: raw, crc: crc}
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: read magic: %w", err)
-	}
-	if string(magic) != trieMagic {
-		return nil, fmt.Errorf("core: bad magic %q", magic)
-	}
-	var version, fanout uint32
-	if err := read(&version); err != nil {
-		return nil, err
-	}
-	if version != trieVersion {
-		return nil, fmt.Errorf("core: unsupported trie version %d", version)
-	}
-	if err := read(&fanout); err != nil {
-		return nil, err
-	}
-	switch fanout {
-	case 4, 16, 64, 256:
-	default:
-		return nil, fmt.Errorf("%w: got %d", ErrBadFanout, fanout)
-	}
-	t := &Trie{fanout: int(fanout), bits: uint(bits.TrailingZeros32(fanout))}
-	t.levels = int(t.bits) / 2
-	t.maxDepth = (2*cellid.MaxLevel - 1) / int(t.bits)
-
-	var skips [cellid.NumFaces]uint64
-	if err := read(&t.roots); err != nil {
-		return nil, err
-	}
-	if err := read(&skips); err != nil {
-		return nil, err
-	}
-	for i, v := range skips {
-		if v > 60 || v%uint64(t.bits) != 0 {
-			return nil, fmt.Errorf("core: invalid root skip %d", v)
-		}
-		t.rootSkip[i] = uint(v)
-	}
-	if err := read(&t.rootPrefix); err != nil {
-		return nil, err
-	}
-	var nodesLen uint64
-	if err := read(&nodesLen); err != nil {
-		return nil, err
-	}
-	if nodesLen%uint64(fanout) != 0 || nodesLen > 1<<34 {
-		return nil, fmt.Errorf("core: implausible node arena length %d", nodesLen)
-	}
-	nodes, err := readU64s(br, nodesLen)
-	if err != nil {
-		return nil, err
-	}
-	t.nodes = nodes
-	numNodes := nodesLen / uint64(fanout)
-	for _, root := range t.roots {
-		if root >= numNodes && numNodes > 0 || (numNodes == 0 && root != 0) {
-			return nil, fmt.Errorf("core: root index %d out of range", root)
-		}
-	}
-	var tableLen uint64
-	if err := read(&tableLen); err != nil {
-		return nil, err
-	}
-	// The builder caps the table at payloadMax words (ErrTableLimit) so
-	// every offset fits the entry's 31-bit payload; accepting more here
-	// would let a forged file hide table runs above 2^32 that the lookup
-	// paths — which truncate offsets to uint32 — would never see, reading
-	// (and potentially overrunning) a different cell than the one
-	// validateStructure checked.
-	if tableLen > payloadMax {
-		return nil, fmt.Errorf("core: implausible table length %d", tableLen)
-	}
-	table, err := readU32s(br, tableLen)
-	if err != nil {
-		return nil, err
-	}
-	t.table = table
-	if err := t.validateStructure(numNodes); err != nil {
-		return nil, err
-	}
-	// Relayout the arena breadth-first so files written before the hot
-	// layout existed (and build-order v1 index blobs) serve lookups with
-	// the same cache behaviour as freshly built tries. On an already-relaid
-	// file this is the identity, which keeps serialize → deserialize →
-	// serialize a byte-identical fixed point. Build only allocates
-	// reachable nodes, so a reachability shortfall means the file smuggled
-	// in arena content no walk can reach — reject it rather than silently
-	// dropping bytes the checksum vouched for.
-	if reached := t.Relayout(); uint64(reached) != numNodes {
-		return nil, fmt.Errorf("core: %d of %d nodes unreachable from any root", numNodes-uint64(reached), numNodes)
-	}
-	want := crc.Sum64()
-	// The checksum trailer is read from the raw buffered reader so it is
-	// not folded into the hash.
-	var got uint64
-	if err := binary.Read(raw, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("core: read checksum: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("core: checksum mismatch: file %016x, computed %016x", got, want)
-	}
-	return t, nil
-}

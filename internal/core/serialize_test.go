@@ -32,6 +32,20 @@ func buildRandomTrie(t *testing.T, cfg Config, seed int64) *Trie {
 	return trie
 }
 
+// flatSection returns the bytes WriteSection produces for the trie.
+func flatSection(t *testing.T, f Flat) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.WriteSection(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTrieSerializationRoundTrip streams a trie's flat section out, reads
+// the words back, and reassembles it with TrieFromFlat: structure, section
+// checksum and lookups must survive, and a second WriteSection must be
+// byte-identical.
 func TestTrieSerializationRoundTrip(t *testing.T) {
 	for _, cfg := range []Config{
 		{Fanout: 256},
@@ -39,15 +53,18 @@ func TestTrieSerializationRoundTrip(t *testing.T) {
 		{Fanout: 4, DisableInlining: true},
 	} {
 		trie := buildRandomTrie(t, cfg, int64(cfg.Fanout))
-		var buf bytes.Buffer
-		n, err := trie.WriteTo(&buf)
+		f := trie.Flat()
+		section := flatSection(t, f)
+		if want := 8*len(f.Nodes) + 4*len(f.Table); len(section) != want {
+			t.Fatalf("fanout %d: section is %d bytes, want %d", cfg.Fanout, len(section), want)
+		}
+		nodes, table, err := ReadFlatWords(bytes.NewReader(section), uint64(len(f.Nodes)), uint64(len(f.Table)))
 		if err != nil {
 			t.Fatalf("fanout %d: %v", cfg.Fanout, err)
 		}
-		if n != int64(buf.Len()) {
-			t.Errorf("fanout %d: WriteTo reported %d, wrote %d", cfg.Fanout, n, buf.Len())
-		}
-		back, err := ReadTrie(&buf)
+		g := f
+		g.Nodes, g.Table = nodes, table
+		back, err := TrieFromFlat(g)
 		if err != nil {
 			t.Fatalf("fanout %d: %v", cfg.Fanout, err)
 		}
@@ -56,6 +73,9 @@ func TestTrieSerializationRoundTrip(t *testing.T) {
 			len(back.table) != len(trie.table) || back.roots != trie.roots ||
 			back.rootSkip != trie.rootSkip || back.rootPrefix != trie.rootPrefix {
 			t.Fatalf("fanout %d: structure mismatch after round trip", cfg.Fanout)
+		}
+		if back.Flat().SectionCRC() != f.SectionCRC() || !bytes.Equal(flatSection(t, back.Flat()), section) {
+			t.Fatalf("fanout %d: section is not byte-stable through a round trip", cfg.Fanout)
 		}
 		// Behavioural equality on random probes.
 		rng := rand.New(rand.NewSource(9))
@@ -66,35 +86,53 @@ func TestTrieSerializationRoundTrip(t *testing.T) {
 			r2.Reset()
 			h1 := trie.Lookup(leaf, &r1)
 			h2 := back.Lookup(leaf, &r2)
-			if h1 != h2 || len(r1.True) != len(r2.True) || len(r1.Candidates) != len(r2.Candidates) {
+			if h1 != h2 || !r1.Equal(&r2) {
 				t.Fatalf("fanout %d: lookup diverges at %v", cfg.Fanout, leaf)
 			}
 		}
 	}
 }
 
+// TestTrieSerializationErrors: a section stream cut short fails in
+// ReadFlatWords, a flipped bit moves the section checksum, and TrieFromFlat
+// refuses header fields no builder produces.
 func TestTrieSerializationErrors(t *testing.T) {
 	trie := buildRandomTrie(t, DefaultConfig(), 1)
-	var buf bytes.Buffer
-	if _, err := trie.WriteTo(&buf); err != nil {
+	good := trie.Flat()
+	section := flatSection(t, good)
+	nw, tw := uint64(len(good.Nodes)), uint64(len(good.Table))
+
+	for _, cut := range []int{0, 10, len(section) / 2, len(section) - 1} {
+		if _, _, err := ReadFlatWords(bytes.NewReader(section[:cut]), nw, tw); err == nil {
+			t.Errorf("section truncated to %d bytes should fail", cut)
+		}
+	}
+	flip := append([]byte(nil), section...)
+	flip[len(flip)/2] ^= 0x01
+	nodes, table, err := ReadFlatWords(bytes.NewReader(flip), nw, tw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
+	bad := good
+	bad.Nodes, bad.Table = nodes, table
+	if bad.SectionCRC() == good.SectionCRC() {
+		t.Error("bit flip left the section checksum unchanged")
+	}
 
-	if _, err := ReadTrie(bytes.NewReader(good[:10])); err == nil {
-		t.Error("truncated header should fail")
+	for name, mutate := range map[string]func(*Flat){
+		"fanout":            func(f *Flat) { f.Fanout = 7 },
+		"root-skip-range":   func(f *Flat) { f.Skips[0] = 64 },
+		"root-skip-align":   func(f *Flat) { f.Skips[0] = 3 },
+		"arena-not-whole":   func(f *Flat) { f.Nodes = f.Nodes[:len(f.Nodes)-1] },
+		"root-out-of-range": func(f *Flat) { f.Roots[5] = nw },
+	} {
+		f := good
+		mutate(&f)
+		if _, err := TrieFromFlat(f); err == nil {
+			t.Errorf("%s: forged flat header accepted", name)
+		}
 	}
-	if _, err := ReadTrie(bytes.NewReader(good[:len(good)-4])); err == nil {
-		t.Error("truncated checksum should fail")
-	}
-	bad := append([]byte(nil), good...)
-	bad[0] = 'X'
-	if _, err := ReadTrie(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic should fail")
-	}
-	flip := append([]byte(nil), good...)
-	flip[len(flip)/2] ^= 0x01
-	if _, err := ReadTrie(bytes.NewReader(flip)); err == nil {
-		t.Error("bit flip should fail the checksum or validation")
+	if _, err := TrieFromFlat(good); err != nil {
+		t.Fatalf("pristine flat form rejected: %v", err)
 	}
 }

@@ -90,7 +90,7 @@ type Trie struct {
 	// polygons, encoded as [numTrue, true…, numCand, cand…] runs.
 	table []uint32
 	// maxRef and hasRefs record the largest polygon id any entry can emit;
-	// computed by ReadTrie's structural validation (see MaxPolygonRef).
+	// computed by TrieFromFlat's structural validation (see MaxPolygonRef).
 	maxRef  uint32
 	hasRefs bool
 }
@@ -446,35 +446,6 @@ func (t *Trie) Lookup(leaf cellid.ID, res *Result) bool {
 	return true
 }
 
-// AppendMatches appends the ids of every polygon referenced by the covering
-// cell containing leaf (true hits and candidates alike, in entry order) to
-// dst and returns the extended slice. It is the allocation-free variant of
-// Lookup for callers that deliberately do not need the hit-class split —
-// with a reused dst, the walk touches only the node arena and the lookup
-// table. Callers that must distinguish true hits from candidates (anything
-// feeding exact refinement, precision accounting, or user-facing class
-// labels) use AppendRefs, which carries the class bit at the same cost.
-func (t *Trie) AppendMatches(leaf cellid.ID, dst []uint32) []uint32 {
-	entry := t.walk(leaf)
-	switch entry & tagMask {
-	case tagChild: // only the sentinel carries this tag here
-		return dst
-	case tagOne:
-		return append(dst, uint32(entry>>2)>>1)
-	case tagTwo:
-		return append(dst, uint32(entry>>2&payloadMax)>>1, uint32(entry>>33)>>1)
-	default: // tagOffset
-		off := uint32(entry >> 2)
-		nTrue := t.table[off]
-		off++
-		dst = append(dst, t.table[off:off+nTrue]...)
-		off += nTrue
-		nCand := t.table[off]
-		off++
-		return append(dst, t.table[off:off+nCand]...)
-	}
-}
-
 // Match is one polygon reference of a lookup with its hit class: Exact
 // reports whether the reference came from an interior cell (a true hit —
 // the point is certainly inside) as opposed to a boundary cell (a candidate
@@ -486,9 +457,9 @@ type Match struct {
 
 // AppendRefs appends every polygon reference of the covering cell containing
 // leaf to dst — true hits with Exact set, candidates without — and returns
-// the extended slice. Like AppendMatches it is allocation-free with a reused
-// dst; unlike AppendMatches it preserves the true-hit/candidate distinction,
-// so callers never have to conflate the two classes to stay off the heap.
+// the extended slice. It is the allocation-free variant of Lookup: with a
+// reused dst the walk touches only the node arena and the lookup table, and
+// the true-hit/candidate distinction is carried per reference.
 func (t *Trie) AppendRefs(leaf cellid.ID, dst []Match) []Match {
 	entry := t.walk(leaf)
 	switch entry & tagMask {
@@ -716,7 +687,7 @@ func (t *Trie) ComputeStats() Stats {
 // depthBelow returns the node depth of the subtree rooted at node index n.
 // The traversal keeps an explicit heap stack instead of recursing: a
 // deserialized trie is only validated for in-range forward child pointers,
-// so an adversarial v2 file can chain thousands of single-child nodes, and
+// so an adversarial file can chain thousands of single-child nodes, and
 // one goroutine stack frame per level would let ComputeStats overflow on
 // input that lookups themselves handle fine.
 func (t *Trie) depthBelow(n uint64) int {

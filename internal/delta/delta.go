@@ -255,29 +255,6 @@ func (o *Overlay) Merge(leaf cellid.ID, res *core.Result) bool {
 	return res.Total() > 0
 }
 
-// MergeMatches is Merge for the conflated AppendMatches path: dst[from:] is
-// the base trie's freshly appended matches (earlier entries belong to the
-// caller and are left untouched); tombstoned ids are filtered out of that
-// suffix and the delta matches for leaf are appended.
-func (o *Overlay) MergeMatches(leaf cellid.ID, dst []uint32, from int) []uint32 {
-	if o == nil {
-		return dst
-	}
-	if len(o.tombs) > 0 {
-		kept := dst[:from]
-		for _, id := range dst[from:] {
-			if !o.Tombstoned(id) {
-				kept = append(kept, id)
-			}
-		}
-		dst = kept
-	}
-	if o.trie != nil {
-		dst = o.trie.AppendMatches(leaf, dst)
-	}
-	return dst
-}
-
 // MergeRefs is Merge for the class-carrying AppendRefs path: the base's
 // freshly appended dst[from:] suffix is tombstone-filtered and the delta
 // references for leaf are appended with their own class bits.

@@ -145,21 +145,10 @@ func TestOverlayMergeSuffixDiscipline(t *testing.T) {
 	}
 	// Entries before `from` belong to the caller — even when they carry a
 	// tombstoned id, they must survive.
-	dst := []uint32{1, 9}
-	dst = o.MergeMatches(f.leaves[0], append(dst, 1, 2), 2)
-	want := []uint32{1, 9, 2, 5}
-	if len(dst) != len(want) {
-		t.Fatalf("MergeMatches = %v, want %v", dst, want)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("MergeMatches = %v, want %v", dst, want)
-		}
-	}
-	refs := []core.Match{{ID: 1}}
-	refs = o.MergeRefs(f.leaves[0], append(refs, core.Match{ID: 1, Exact: true}), 1)
-	if len(refs) < 2 || refs[0].ID != 1 || refs[1].ID != 5 {
-		t.Fatalf("MergeRefs = %v", refs)
+	refs := []core.Match{{ID: 1}, {ID: 9}}
+	refs = o.MergeRefs(f.leaves[0], append(refs, core.Match{ID: 1, Exact: true}, core.Match{ID: 2}), 2)
+	if len(refs) != 4 || refs[0].ID != 1 || refs[1].ID != 9 || refs[2].ID != 2 || refs[3].ID != 5 {
+		t.Fatalf("MergeRefs = %v, want ids [1 9 2 5]", refs)
 	}
 }
 

@@ -44,8 +44,11 @@ func hasAny(idx *act.Index, ll act.LatLng) bool {
 func assertJoinEqual(t *testing.T, phase string, a, b *act.Index, pts []act.LatLng) {
 	t.Helper()
 	for _, mode := range []act.JoinMode{act.Approximate, act.Exact} {
-		ac, _ := a.Join(pts, mode, 1)
-		bc, _ := b.Join(pts, mode, 1)
+		ac, _, aerr := a.JoinContext(context.Background(), pts, mode, 1)
+		bc, _, berr := b.JoinContext(context.Background(), pts, mode, 1)
+		if aerr != nil || berr != nil {
+			t.Fatalf("%s: %v join failed: %v / %v", phase, mode, aerr, berr)
+		}
 		if !slices.Equal(ac, bc) {
 			t.Fatalf("%s: %v join counts diverge:\na: %v\nb: %v", phase, mode, ac, bc)
 		}

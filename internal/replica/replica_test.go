@@ -370,14 +370,7 @@ func TestFollowerStreamCutProperty(t *testing.T) {
 	for _, c := range centers {
 		pts = append(pts, c, act.LatLng{Lat: c.Lat + 0.25, Lng: c.Lng - 0.25})
 	}
-	fidx := fol.Index()
-	for _, mode := range []act.JoinMode{act.Approximate, act.Exact} {
-		pc, _ := idx.Join(pts, mode, 1)
-		fc, _ := fidx.Join(pts, mode, 1)
-		if !slices.Equal(pc, fc) {
-			t.Fatalf("%v join counts diverge:\nprimary:  %v\nfollower: %v", mode, pc, fc)
-		}
-	}
+	assertJoinEqual(t, "after catch-up", idx, fol.Index(), pts)
 	if lag := fol.Status().Lag(); lag != 0 {
 		t.Fatalf("follower lag %d after catch-up, want 0", lag)
 	}

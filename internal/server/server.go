@@ -379,11 +379,10 @@ func BuildFromGeoJSON(path string, precision float64, gk act.GridKind, extra ...
 	return act.New(polys, opts...)
 }
 
-// LoadIndexFile opens an index written with Index.WriteTo for serving.
-// Current-format files are memory-mapped and served zero-copy — startup and
-// /reload cost a header read plus validation, not an arena-sized copy — and
-// legacy or unmappable files fall back to the copying deserializer inside
-// OpenIndex. Swapped-out mapped indexes are unmapped by the runtime once
+// LoadIndexFile opens an index written with Index.WriteTo for serving. The
+// file is memory-mapped and served zero-copy — startup and /reload cost a
+// header read plus validation, not an arena-sized copy — and unmappable
+// files fall back to the copying deserializer inside OpenIndex. Swapped-out mapped indexes are unmapped by the runtime once
 // the last in-flight request on them retires; nothing here needs to Close.
 func LoadIndexFile(path string) (*act.Index, error) {
 	return act.OpenIndex(path)

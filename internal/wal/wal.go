@@ -45,9 +45,7 @@
 // follower is promoted to primary, so at most one log lineage is ever
 // mutable per epoch. Rotation writes both into the new header and
 // additionally emits a checkpoint record, so a log inspected with
-// standalone tooling is self-describing. Version-1 logs (16-byte header,
-// no epoch) are still read — they carry epoch 0 and upgrade to the v2
-// header on their next rotation.
+// standalone tooling is self-describing.
 package wal
 
 import (
@@ -192,10 +190,9 @@ type Stats struct {
 }
 
 const (
-	logMagic     = "ACTW"
-	logVersion   = 2
-	headerSizeV1 = 16
-	headerSize   = 24
+	logMagic   = "ACTW"
+	logVersion = 2
+	headerSize = 24
 	// recordOverhead is the fixed per-record framing: length + crc
 	// prefixes and the type/seq/id payload head.
 	recordOverhead = 8 + 13
@@ -241,7 +238,6 @@ type Log struct {
 	seq         uint64
 	baseSeq     uint64
 	epoch       uint64
-	hdrLen      int64
 	bytes       int64
 	dirty       bool
 	lastSync    time.Time
@@ -314,7 +310,6 @@ func (l *Log) recover() (*Replay, error) {
 		if err := l.syncLocked(); err != nil {
 			return nil, err
 		}
-		l.hdrLen = headerSize
 		l.bytes = headerSize
 		l.epoch = l.opts.Epoch
 		l.seq, l.baseSeq = l.opts.BaseSeq, l.opts.BaseSeq
@@ -328,7 +323,6 @@ func (l *Log) recover() (*Replay, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.hdrLen = hdr.Len
 	l.epoch = hdr.Epoch
 
 	records, good, err := scanRecords(br, hdr.Len)
@@ -362,7 +356,7 @@ func (l *Log) recover() (*Replay, error) {
 	return rep, nil
 }
 
-// encodeHeader lays out a current-version (v2) log file header.
+// encodeHeader lays out a log file header.
 func encodeHeader(baseSeq, epoch uint64) [headerSize]byte {
 	var hdr [headerSize]byte
 	copy(hdr[:], logMagic)
@@ -374,12 +368,11 @@ func encodeHeader(baseSeq, epoch uint64) [headerSize]byte {
 
 // Header is a decoded log file header.
 type Header struct {
-	// Version is the format version (1 or 2).
+	// Version is the format version (always 2: ReadHeader refuses others).
 	Version uint32
 	// BaseSeq is the checkpoint floor the paired snapshot covers.
 	BaseSeq uint64
-	// Epoch is the replication fencing epoch (0 for version-1 logs, which
-	// predate fencing).
+	// Epoch is the replication fencing epoch.
 	Epoch uint64
 	// Len is the header's on-disk length; records start at this offset.
 	Len int64
@@ -387,33 +380,28 @@ type Header struct {
 
 // ReadHeader reads and validates a log file header. Replication serves the
 // log through an independent read handle; this is that reader's entry
-// point. Version-1 (16-byte, epoch-less) and version-2 (24-byte) headers
-// are both accepted; Header.Len tells the caller where records start.
+// point. Any version other than the current one is refused before the rest
+// of the header is read; Header.Len tells the caller where records start.
 func ReadHeader(r io.Reader) (Header, error) {
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:headerSizeV1]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
 		return Header{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if string(hdr[:4]) != logMagic {
 		return Header{}, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:4])
 	}
-	h := Header{
-		Version: binary.LittleEndian.Uint32(hdr[4:]),
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != logVersion {
+		return Header{}, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+	}
+	if _, err := io.ReadFull(r, hdr[8:]); err != nil {
+		return Header{}, fmt.Errorf("%w: truncated header: %v", ErrCorrupt, err)
+	}
+	return Header{
+		Version: logVersion,
 		BaseSeq: binary.LittleEndian.Uint64(hdr[8:]),
-		Len:     headerSizeV1,
-	}
-	switch h.Version {
-	case 1:
-	case logVersion:
-		if _, err := io.ReadFull(r, hdr[headerSizeV1:]); err != nil {
-			return Header{}, fmt.Errorf("%w: truncated v2 header: %v", ErrCorrupt, err)
-		}
-		h.Epoch = binary.LittleEndian.Uint64(hdr[16:])
-		h.Len = headerSize
-	default:
-		return Header{}, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, h.Version)
-	}
-	return h, nil
+		Epoch:   binary.LittleEndian.Uint64(hdr[16:]),
+		Len:     headerSize,
+	}, nil
 }
 
 // ReadFrame reads one record frame from r, verifying its CRC. It returns
@@ -667,10 +655,10 @@ func (l *Log) Checkpoint(snapSeq uint64) (err error) {
 	if err := l.syncLocked(); err != nil {
 		return l.failLocked("fsync", err)
 	}
-	if _, err := l.f.Seek(l.hdrLen, io.SeekStart); err != nil {
+	if _, err := l.f.Seek(headerSize, io.SeekStart); err != nil {
 		return l.failLocked("checkpoint seek", err)
 	}
-	records, _, err := scanRecords(bufio.NewReaderSize(l.f, 1<<20), l.hdrLen)
+	records, _, err := scanRecords(bufio.NewReaderSize(l.f, 1<<20), headerSize)
 	// Restore the append position immediately: the harvest's buffered
 	// reader read ahead of what it consumed, and any failure below must
 	// leave the old log appendable at its true end.
@@ -742,7 +730,6 @@ func (l *Log) Checkpoint(snapSeq uint64) (err error) {
 	_ = old.Close()
 	l.baseSeq = snapSeq
 	l.seq = newSeq
-	l.hdrLen = headerSize // a v1 log upgrades to the v2 header on rotation
 	l.bytes = fi.Size()
 	l.dirty = false
 	l.lastSync = time.Now()

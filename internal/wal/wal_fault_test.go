@@ -217,47 +217,3 @@ func TestEpochRoundTrip(t *testing.T) {
 		t.Fatalf("on-disk header: %+v", hdr)
 	}
 }
-
-// TestV1HeaderCompat: a version-1 (16-byte, epoch-less) log opens, replays,
-// and upgrades to the v2 header on its first rotation.
-func TestV1HeaderCompat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	// Hand-build a v1 log: 16-byte header (baseSeq 0) plus two records.
-	var blob []byte
-	hdr := make([]byte, headerSizeV1)
-	copy(hdr, logMagic)
-	hdr[4] = 1 // version
-	blob = append(blob, hdr...)
-	blob = append(blob, encode(Record{Type: TypeInsert, Seq: 1, ID: 0, Data: []byte("{}")})...)
-	blob = append(blob, encode(Record{Type: TypeRemove, Seq: 2, ID: 0})...)
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l, rep := openT(t, path, Options{})
-	if len(rep.Records) != 2 || rep.TruncatedBytes != 0 {
-		t.Fatalf("v1 replay: %d records, %d truncated", len(rep.Records), rep.TruncatedBytes)
-	}
-	if l.Epoch() != 0 {
-		t.Fatalf("v1 epoch %d, want 0", l.Epoch())
-	}
-	// Appends and rotation work; rotation rewrites the header as v2.
-	appendT(t, l, Record{Type: TypeInsert, Seq: 3, ID: 1, Data: []byte("{}")})
-	if err := l.Checkpoint(3); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	hdr2, err := ReadHeader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr2.Version != 2 || hdr2.BaseSeq != 3 || hdr2.Epoch != 0 {
-		t.Fatalf("post-rotation header: %+v, want v2 baseSeq 3 epoch 0", hdr2)
-	}
-}

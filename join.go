@@ -79,39 +79,29 @@ func (ix *Index) checkMode(mode JoinMode) error {
 	return nil
 }
 
-// mustMode is checkMode for the error-less v1 wrappers: requesting an exact
-// join from an index that cannot refine is a programming error, and
-// returning empty results would be indistinguishable from "no matches" — so
-// it panics instead. Error-aware callers use the Context variants (or
-// JoinExact), which report ErrNoGeometry.
-func (ix *Index) mustMode(mode JoinMode) {
-	if err := ix.checkMode(mode); err != nil {
-		panic(err)
-	}
-}
-
-// Join counts, for every polygon, the points matching it — the aggregation
-// the paper's evaluation performs. threads ≤ 0 uses GOMAXPROCS. The
-// returned slice is indexed by polygon id and spans every id ever
+// JoinContext counts, for every polygon, the points matching it — the
+// aggregation the paper's evaluation performs. threads ≤ 0 uses GOMAXPROCS.
+// The returned slice is indexed by polygon id and spans every id ever
 // assigned, so on a mutated index the slots of removed polygons are
-// present and zero. It is a thin wrapper over the
-// streaming engine with a counting sink. Exact mode on an index without a
-// geometry store panics (use JoinContext or JoinExact to get ErrNoGeometry
-// as an error instead).
-func (ix *Index) Join(points []LatLng, mode JoinMode, threads int) ([]uint64, JoinStats) {
-	ix.mustMode(mode)
-	counts, stats, _ := ix.JoinContext(context.Background(), points, mode, threads)
-	return counts, stats
-}
-
-// JoinContext is Join with cancellation: the engine's workers check ctx
-// before claiming each chunk of points, so a cancelled context (a
-// disconnected client, a deadline) aborts the join within one chunk per
-// worker instead of running a census-scale input to completion. On
-// cancellation the counts cover only the chunks joined so far, stats.Points
-// reports how many points those were, and the error is ctx.Err(). A
-// cancellation landing after the last chunk was already joined is not an
-// error: the join is complete, so the error is nil.
+// present and zero. It is a thin wrapper over the streaming engine with a
+// counting sink.
+//
+// In Exact mode, trie lookups deliver true hits directly and only the
+// candidate matches are refined against the geometry store with robust
+// point-in-polygon tests (bbox pre-filtered, boundary points inside): in
+// the returned stats, TrueHits counts pairs resolved without touching
+// geometry and CandidateHits pairs that needed — and survived —
+// refinement; their ratio is the refinement cost the precision bound buys
+// off. Exact mode on an index without a geometry store reports
+// ErrNoGeometry.
+//
+// The engine's workers check ctx before claiming each chunk of points, so a
+// cancelled context (a disconnected client, a deadline) aborts the join
+// within one chunk per worker instead of running a census-scale input to
+// completion. On cancellation the counts cover only the chunks joined so
+// far, stats.Points reports how many points those were, and the error is
+// ctx.Err(). A cancellation landing after the last chunk was already
+// joined is not an error: the join is complete, so the error is nil.
 func (ix *Index) JoinContext(ctx context.Context, points []LatLng, mode JoinMode, threads int) ([]uint64, JoinStats, error) {
 	if err := ix.checkMode(mode); err != nil {
 		return nil, JoinStats{}, err
@@ -128,35 +118,17 @@ func (ix *Index) JoinContext(ctx context.Context, points []LatLng, mode JoinMode
 	return sink.Counts, stats, err
 }
 
-// JoinExact counts, for every polygon, the points exactly inside it: trie
-// lookups deliver true hits directly, and only the candidate matches are
-// refined against the geometry store with robust point-in-polygon tests
-// (bbox pre-filtered, boundary points inside). In the returned stats,
-// TrueHits counts pairs resolved without touching geometry and
-// CandidateHits pairs that needed — and survived — refinement; their ratio
-// is the refinement cost the precision bound buys off. threads ≤ 0 uses
-// GOMAXPROCS. Reports ErrNoGeometry when the index has no geometry store.
-func (ix *Index) JoinExact(ctx context.Context, points []LatLng, threads int) ([]uint64, JoinStats, error) {
-	return ix.JoinContext(ctx, points, Exact, threads)
-}
-
-// JoinStream runs the join and streams every pair to fn as it is produced.
-// Delivery is serialized — fn is never invoked concurrently, so it may
-// write to an encoder, socket, or other unsynchronized state. With
+// JoinStreamContext runs the join and streams every pair to fn as it is
+// produced. Delivery is serialized — fn is never invoked concurrently, so
+// it may write to an encoder, socket, or other unsynchronized state. With
 // threads == 1 pairs arrive in nondecreasing Point order; with more
 // workers, order is nondecreasing within each engine chunk but interleaved
 // across chunks. threads ≤ 0 uses GOMAXPROCS. Exact mode on an index
-// without a geometry store panics (use JoinStreamContext for the error).
-func (ix *Index) JoinStream(points []LatLng, mode JoinMode, threads int, fn func(Pair)) JoinStats {
-	ix.mustMode(mode)
-	stats, _ := ix.JoinStreamContext(context.Background(), points, mode, threads, fn)
-	return stats
-}
-
-// JoinStreamContext is JoinStream with cancellation, for serving streamed
-// joins to clients that may disconnect: cancel ctx and the workers stop
-// claiming chunks, fn stops receiving pairs after at most one chunk per
-// worker, and the call returns ctx.Err().
+// without a geometry store reports ErrNoGeometry.
+//
+// The context serves streamed joins to clients that may disconnect: cancel
+// ctx and the workers stop claiming chunks, fn stops receiving pairs after
+// at most one chunk per worker, and the call returns ctx.Err().
 func (ix *Index) JoinStreamContext(ctx context.Context, points []LatLng, mode JoinMode, threads int, fn func(Pair)) (JoinStats, error) {
 	if err := ix.checkMode(mode); err != nil {
 		return JoinStats{}, err
@@ -166,19 +138,13 @@ func (ix *Index) JoinStreamContext(ctx context.Context, points []LatLng, mode Jo
 	return stats, err
 }
 
-// Pairs materializes the join: every (point, polygon, class) tuple, sorted
-// by point index (ties by polygon id), deterministic regardless of the
-// thread count. threads ≤ 0 uses GOMAXPROCS. Exact mode on an index
-// without a geometry store panics (use PairsContext for the error).
-func (ix *Index) Pairs(points []LatLng, mode JoinMode, threads int) ([]Pair, JoinStats) {
-	ix.mustMode(mode)
-	pairs, stats, _ := ix.PairsContext(context.Background(), points, mode, threads)
-	return pairs, stats
-}
-
-// PairsContext is Pairs with cancellation. On cancellation the returned
-// pairs cover only the chunks joined before the context fired (still sorted
-// and deterministic for a given cut) and the error is ctx.Err().
+// PairsContext materializes the join: every (point, polygon, class) tuple,
+// sorted by point index (ties by polygon id), deterministic regardless of
+// the thread count. threads ≤ 0 uses GOMAXPROCS. Exact mode on an index
+// without a geometry store reports ErrNoGeometry. On cancellation the
+// returned pairs cover only the chunks joined before the context fired
+// (still sorted and deterministic for a given cut) and the error is
+// ctx.Err().
 func (ix *Index) PairsContext(ctx context.Context, points []LatLng, mode JoinMode, threads int) ([]Pair, JoinStats, error) {
 	if err := ix.checkMode(mode); err != nil {
 		return nil, JoinStats{}, err

@@ -15,7 +15,7 @@ import (
 // Unlike a loop over Lookup, the batch is probed through the engine's
 // cell-sorted fast path: points are sorted by leaf cell id in chunks, so
 // consecutive probes share trie path prefixes and resume deep in the trie —
-// the same technique that accelerates Join. On tries too large to stay
+// the same technique that accelerates the joins. On tries too large to stay
 // cache-resident the chunks additionally run through the interleaved probe
 // engine (see WithInterleave), overlapping the walks' cache misses. Use it
 // for request-scoped serving workloads that score point batches against a

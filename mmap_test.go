@@ -112,24 +112,24 @@ func TestOpenIndexMappedParity(t *testing.T) {
 		built.interleave, mapped.interleave = 0, 0
 
 		// Joins: exact counts and materialized pairs, across thread counts.
-		c1, _, err := built.JoinExact(context.Background(), pts, 1)
+		c1, _, err := built.JoinContext(context.Background(), pts, Exact, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c2, _, err := mapped.JoinExact(context.Background(), pts, 4)
+		c2, _, err := mapped.JoinContext(context.Background(), pts, Exact, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(c1) != len(c2) {
-			t.Fatalf("%v: JoinExact count lengths %d vs %d", gk, len(c1), len(c2))
+			t.Fatalf("%v: exact join count lengths %d vs %d", gk, len(c1), len(c2))
 		}
 		for i := range c1 {
 			if c1[i] != c2[i] {
-				t.Fatalf("%v: JoinExact polygon %d: %d vs %d", gk, i, c1[i], c2[i])
+				t.Fatalf("%v: exact join polygon %d: %d vs %d", gk, i, c1[i], c2[i])
 			}
 		}
-		p1, _ := built.Pairs(pts, Approximate, 2)
-		p2, _ := mapped.Pairs(pts, Approximate, 2)
+		p1, _ := joinPairs(t, built, pts, Approximate, 2)
+		p2, _ := joinPairs(t, mapped, pts, Approximate, 2)
 		if len(p1) != len(p2) {
 			t.Fatalf("%v: Pairs lengths %d vs %d", gk, len(p1), len(p2))
 		}
@@ -219,40 +219,4 @@ func TestOpenIndexRejectsCorruptV3(t *testing.T) {
 		t.Fatalf("pristine file rejected: %v", err)
 	}
 	ix.Close()
-}
-
-// TestOpenIndexLegacyFallback feeds OpenIndex version-1 and version-2
-// files: both must load through the copying path (Mapped() == false) and
-// serve lookups identical to the original index.
-func TestOpenIndexLegacyFallback(t *testing.T) {
-	built, set := buildTestIndex(t, PlanarGrid)
-	dir := t.TempDir()
-	files := map[string][]byte{
-		"v1.actx": buildV1Bytes(t, built),
-		"v2.actx": buildV2Bytes(t, built, true),
-	}
-	for name, b := range files {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ix, err := OpenIndex(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if ix.Mapped() {
-			t.Errorf("%s: legacy file claims to be mapped", name)
-		}
-		var r1, r2 Result
-		for _, p := range samplePoints(set, 2000, 305) {
-			h1 := built.Lookup(p, &r1)
-			h2 := ix.Lookup(p, &r2)
-			if h1 != h2 || !r1.Equal(&r2) {
-				t.Fatalf("%s: lookup diverges at %v", name, p)
-			}
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", name, err)
-		}
-	}
 }

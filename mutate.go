@@ -37,8 +37,7 @@ import (
 var (
 	// ErrImmutable is reported by Insert, Remove, and Compact on an index
 	// that was loaded with ReadIndex or OpenIndex. Build the index
-	// in-process (New/BuildIndex) or resurrect it with [Recover] to
-	// mutate it.
+	// in-process with [New] or resurrect it with [Recover] to mutate it.
 	ErrImmutable = errors.New("act: index was deserialized without source polygons and cannot be mutated")
 	// ErrUnknownPolygon is reported by Remove for an id that was never
 	// assigned or has already been removed.

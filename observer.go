@@ -36,7 +36,7 @@ type Observer struct {
 // recovered): its WAL callbacks are wired into the log at open time, so
 // even the replay-on-open fsyncs are observed.
 func WithObserver(o *Observer) Option {
-	return func(opts *Options) { opts.Observer = o }
+	return func(opts *options) { opts.Observer = o }
 }
 
 // logger returns the observer's logger, or a nil-safe discard.

@@ -1,8 +1,8 @@
 package act
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -25,7 +25,7 @@ func (m *mapping) close() error {
 	return m.err
 }
 
-// hostLittleEndian reports whether this machine stores integers in the v3
+// hostLittleEndian reports whether this machine stores integers in the flat
 // file byte order. Big-endian hosts read flat files through the copying
 // path, which decodes word by word.
 func hostLittleEndian() bool {
@@ -33,20 +33,20 @@ func hostLittleEndian() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
-// OpenIndex opens an index file for serving without deserializing it:
-// version-3 files (the WriteTo layout) are memory-mapped read-only and the
-// trie arena and lookup table are served in place, aliased straight over
-// the page-cache-backed mapping. No arena-sized heap allocation happens and
+// OpenIndex opens an index file for serving without deserializing it: the
+// file (the WriteTo layout) is memory-mapped read-only and the trie arena
+// and lookup table are served in place, aliased straight over the
+// page-cache-backed mapping. No arena-sized heap allocation happens and
 // no byte of the trie is copied — the open cost is the header read plus one
 // structural validation pass, and the kernel pages the arena in on demand,
 // so a warm page cache makes open and reload near-instant even at
 // census scale. The geometry section (when present) is still copied: exact
 // refinement mutates R-tree state, which cannot live in a read-only map.
 //
-// Fallbacks keep OpenIndex total: version-1/2 files, platforms without
-// mmap, and big-endian hosts all load via the copying ReadIndex path —
-// the result serves identically, it just pays the copy. Check
-// [Index.Mapped] to see which path was taken.
+// Fallbacks keep OpenIndex total: platforms without mmap, filesystems that
+// refuse the mapping, and big-endian hosts all load via the copying
+// ReadIndex path — the result serves identically, it just pays the copy.
+// Check [Index.Mapped] to see which path was taken.
 //
 // A mapped index is immutable (Insert, Remove, and Compact report
 // ErrImmutable, as for any deserialized index) and holds the mapping until
@@ -68,26 +68,12 @@ func OpenIndex(path string) (*Index, error) {
 	// reading before this deferred close runs.
 	defer f.Close()
 
-	var head [flatHeaderSize]byte
-	if _, err := io.ReadFull(f, head[:8]); err != nil {
-		return nil, fmt.Errorf("act: read magic: %w", err)
-	}
-	if string(head[:4]) != indexMagic {
-		return nil, fmt.Errorf("act: bad index magic %q", head[:4])
-	}
-	version := binary.LittleEndian.Uint32(head[4:])
-	if version < 1 || version > indexVersionSparse {
-		return nil, fmt.Errorf("act: unsupported index version %d", version)
-	}
-	if version < 3 || !mmapSupported || !hostLittleEndian() {
-		return readIndexFrom(f)
-	}
-	if _, err := io.ReadFull(f, head[8:]); err != nil {
-		return nil, fmt.Errorf("act: read flat header: %w", err)
-	}
-	h, err := decodeFlatHeader(&head)
+	h, err := readFlatHeader(f)
 	if err != nil {
 		return nil, err
+	}
+	if !mmapSupported || !hostLittleEndian() {
+		return readIndexFlat(bufio.NewReaderSize(f, 1<<20), h)
 	}
 	fi, err := f.Stat()
 	if err != nil {
@@ -102,8 +88,9 @@ func OpenIndex(path string) (*Index, error) {
 	data, err := mmapFile(f, int64(h.fileSize))
 	if err != nil {
 		// A filesystem without mmap support (or an exotic size limit) still
-		// holds a perfectly good index; serve it through the copy path.
-		return readIndexFrom(f)
+		// holds a perfectly good index; serve it through the copy path. The
+		// descriptor still sits just past the header.
+		return readIndexFlat(bufio.NewReaderSize(f, 1<<20), h)
 	}
 	m := &mapping{data: data}
 	ix, err := assembleMapped(h, m)
@@ -152,15 +139,6 @@ func assembleMapped(h *flatHeader, m *mapping) (*Index, error) {
 	// reachable until the last instruction that touches mapped memory.
 	ix.cleanup = runtime.AddCleanup(ix, func(mp *mapping) { mp.close() }, m)
 	return ix, nil
-}
-
-// readIndexFrom rewinds the file and loads it through the streaming copy
-// path — OpenIndex's fallback for legacy versions and unmappable files.
-func readIndexFrom(f *os.File) (*Index, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return ReadIndex(f)
 }
 
 // Mapped reports whether the index serves its trie from a file mapping

@@ -2,49 +2,49 @@ package act
 
 // Option configures New. Options are applied in order, so later options
 // override earlier ones.
-type Option func(*Options)
+type Option func(*options)
 
 // WithPrecision sets the precision bound ε in meters: the maximum distance
 // between the partners of a false-positive join pair. Every index needs a
 // precision; New fails without one.
 func WithPrecision(meters float64) Option {
-	return func(o *Options) { o.PrecisionMeters = meters }
+	return func(o *options) { o.PrecisionMeters = meters }
 }
 
 // WithGrid selects the hierarchical grid underlying the index (default
 // PlanarGrid).
 func WithGrid(k GridKind) Option {
-	return func(o *Options) { o.Grid = k }
+	return func(o *options) { o.Grid = k }
 }
 
 // WithFanout sets the trie fanout: 4, 16, 64, or 256 (default 256, the
 // paper's choice and the best lookup latency).
 func WithFanout(n int) Option {
-	return func(o *Options) { o.Fanout = n }
+	return func(o *options) { o.Fanout = n }
 }
 
 // WithMaxCellsPerPolygon bounds each polygon's covering size. Refinement
 // then happens best-first and the index may deliver only
 // Stats().AchievedPrecisionMeters instead of ε (memory-constrained mode).
 func WithMaxCellsPerPolygon(n int) Option {
-	return func(o *Options) { o.MaxCellsPerPolygon = n }
+	return func(o *options) { o.MaxCellsPerPolygon = n }
 }
 
 // WithQuerySample supplies a sample of observed query points. Combined with
 // WithMaxCellsPerPolygon it enables adaptive refinement: the cell budget
 // concentrates where queries actually land. Ignored without a cell budget.
 func WithQuerySample(points []LatLng) Option {
-	return func(o *Options) { o.QuerySamplePoints = points }
+	return func(o *options) { o.QuerySamplePoints = points }
 }
 
 // WithBuildWorkers bounds the goroutines used to compute per-polygon
 // coverings (default GOMAXPROCS).
 func WithBuildWorkers(n int) Option {
-	return func(o *Options) { o.BuildWorkers = n }
+	return func(o *options) { o.BuildWorkers = n }
 }
 
 // WithInterleave sets the number of concurrent trie walks (lanes) the
-// batch probe paths — Join and its variants, LookupBatch — keep in flight.
+// batch probe paths — the joins and LookupBatch — keep in flight.
 // A single walk is a chain of dependent node loads, one cache miss per trie
 // level that the CPU cannot overlap; k lanes advance k independent walks one
 // node per round, so their misses overlap and batch throughput approaches
@@ -57,18 +57,18 @@ func WithBuildWorkers(n int) Option {
 // batches, where lane bookkeeping is pure overhead against already-cached
 // loads. Single-point Lookup is unaffected; interleaving needs a batch.
 func WithInterleave(k int) Option {
-	return func(o *Options) { o.Interleave = k }
+	return func(o *options) { o.Interleave = k }
 }
 
 // WithGeometryStore controls whether the index keeps the exact polygon
 // geometry (default true). The geometry store backs candidate refinement —
-// LookupExact, JoinExact, Contains — at the cost of holding every ring in
-// memory alongside the trie. Passing false builds an approximate-only
-// index: lookups still honour the precision bound, but candidates can never
-// be resolved — exact context-aware joins report ErrNoGeometry, and
-// LookupExact plus the error-less join wrappers panic with it.
+// LookupExact, Exact-mode joins, Contains — at the cost of holding every
+// ring in memory alongside the trie. Passing false builds an
+// approximate-only index: lookups still honour the precision bound, but
+// candidates can never be resolved — exact joins report ErrNoGeometry, and
+// LookupExact panics with it.
 func WithGeometryStore(on bool) Option {
-	return func(o *Options) { o.SkipGeometryStore = !on }
+	return func(o *options) { o.SkipGeometryStore = !on }
 }
 
 // WithDeltaThreshold sets the pending-mutation count (delta polygons plus
@@ -85,7 +85,7 @@ func WithGeometryStore(on bool) Option {
 // the delta then grows until an explicit [Index.Compact] call, which is
 // what deterministic tests and bulk-load-then-compact pipelines want.
 func WithDeltaThreshold(n int) Option {
-	return func(o *Options) { o.DeltaThreshold = n }
+	return func(o *options) { o.DeltaThreshold = n }
 }
 
 // WithWAL attaches a write-ahead delta log to the index: every Insert and
@@ -104,28 +104,14 @@ func WithDeltaThreshold(n int) Option {
 // WALConfig for the knobs and the "Durability & crash recovery" section of
 // the README for the full model.
 func WithWAL(cfg WALConfig) Option {
-	return func(o *Options) { o.WAL = &cfg }
+	return func(o *options) { o.WAL = &cfg }
 }
 
-// New builds an index over the polygon set, configured by functional
-// options. It is the primary constructor of the v2 API; BuildIndex remains
-// as a compatibility wrapper over the same build pipeline.
-//
-//	idx, err := act.New(polygons,
-//		act.WithPrecision(4),
-//		act.WithGrid(act.CubeFaceGrid),
-//		act.WithFanout(256))
-//
-// Polygon ids in lookup results are indices into polygons.
-//
-// The index retains the polygons (the pointers, not copies) as the source
-// set live mutation rebuilds from — see [Index.Insert] and [Index.Compact];
-// callers should not modify them after the build. Indexes loaded with
-// ReadIndex carry no sources and are immutable.
-func New(polygons []*Polygon, opts ...Option) (*Index, error) {
-	var o Options
+// applyOptions folds opts, in order, into a fresh options value.
+func applyOptions(opts []Option) options {
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return buildIndex(polygons, o)
+	return o
 }

@@ -17,14 +17,10 @@ package act
 // machinery it drives.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 
-	"github.com/actindex/act/internal/delta"
-	"github.com/actindex/act/internal/geojson"
-	"github.com/actindex/act/internal/supercover"
 	"github.com/actindex/act/internal/wal"
 )
 
@@ -45,10 +41,7 @@ var ErrFollower = errors.New("act: index is a replication follower and serves re
 // Options are honored as for Recover (WithInterleave, WithDeltaThreshold,
 // WithBuildWorkers); build-shape options are fixed by the snapshot.
 func OpenFollower(indexPath string, opts ...Option) (*Index, error) {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOptions(opts)
 	ix, err := OpenIndex(indexPath)
 	if err != nil {
 		return nil, fmt.Errorf("act: follower: loading snapshot: %w", err)
@@ -100,96 +93,10 @@ func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) erro
 	if ix.promoting {
 		return errors.New("act: index is being promoted; stream application is closed")
 	}
-
-	// Merge the batch into a copy of the overlay's contents; the overlay
-	// itself is an immutable snapshot readers may still hold.
-	ep := ix.live.Load()
-	base := ep.ov.Polys()
-	polys := make([]delta.Poly, len(base), len(base)+len(records))
-	copy(polys, base)
-	var tombs map[uint32]uint64
-	if old := ep.ov.Tombstones(); len(old) > 0 {
-		tombs = make(map[uint32]uint64, len(old))
-		for id, seq := range old {
-			tombs[id] = seq
-		}
-	}
-	// Work on a copy of the liveness column too: a batch that fails
-	// mid-way must leave no trace, or the re-streamed remove would be
-	// skipped as already-dead and its tombstone lost.
-	alive := make([]bool, len(ix.alive), len(ix.alive)+len(records))
-	copy(alive, ix.alive)
-	live := ix.liveCount.Load()
-	applied := ix.seq
-	changed := false
-	for i, rec := range records {
-		switch rec.Type {
-		case wal.TypeCheckpoint:
-			continue // rotation marker: its mutations were already streamed
-		case wal.TypeInsert:
-			if int(rec.ID) < len(alive) {
-				continue // already present: replay overlap after a re-sync
-			}
-			if int(rec.ID) != len(alive) {
-				return fmt.Errorf("act: replicated record %d: insert id %d would leave a gap (id space is %d)", i, rec.ID, len(alive))
-			}
-			if len(alive) > supercover.MaxPolygonID {
-				return fmt.Errorf("act: replicated record %d: the 2^30 polygon id space is exhausted", i)
-			}
-			ps, err := geojson.ReadPolygons(bytes.NewReader(rec.Data))
-			if err != nil {
-				return fmt.Errorf("act: replicated record %d (insert %d): %w", i, rec.ID, err)
-			}
-			if len(ps) != 1 {
-				return fmt.Errorf("act: replicated record %d (insert %d): record carries %d polygons, want 1", i, rec.ID, len(ps))
-			}
-			cov, gp, err := ix.pl.cover(ps[0])
-			if err != nil {
-				return fmt.Errorf("act: replicated record %d (insert %d): %w", i, rec.ID, err)
-			}
-			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
-			alive = append(alive, true)
-			live++
-			changed = true
-		case wal.TypeRemove:
-			if int(rec.ID) >= len(alive) || !alive[rec.ID] {
-				continue // already gone: removal predates the bootstrap snapshot
-			}
-			alive[rec.ID] = false
-			live--
-			// Mirror Overlay.WithRemove: a removed delta polygon is dropped
-			// from the delta set, the tombstone kept either way.
-			for j, dp := range polys {
-				if dp.ID == rec.ID {
-					polys = append(polys[:j], polys[j+1:]...)
-					break
-				}
-			}
-			if tombs == nil {
-				tombs = make(map[uint32]uint64)
-			}
-			tombs[rec.ID] = rec.Seq
-			changed = true
-		default:
-			return fmt.Errorf("act: replicated record %d: unexpected record type %d", i, rec.Type)
-		}
-		if rec.Seq > applied {
-			applied = rec.Seq
-		}
-	}
-	if !changed {
-		ix.seq = applied // pure overlap: just advance the position
-		return nil
-	}
-	ov, err := delta.New(ix.pl.fanout, polys, tombs)
+	ov, err := ix.applyRecords(records)
 	if err != nil {
-		return err
+		return fmt.Errorf("act: replicated %w", err)
 	}
-	ix.alive = alive
-	ix.seq = applied
-	ix.idSpace.Store(int64(len(alive)))
-	ix.liveCount.Store(live)
-	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
 	ix.maybeCompact(ov)
 	return nil
 }

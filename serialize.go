@@ -69,11 +69,9 @@ import (
 //
 // The geometry section is versioned and checksummed independently of the
 // header, so the exact-refinement geometry can evolve without breaking the
-// trie format. Version-1 files (which inlined raw projected rings between
-// the header and the trie) and version-2 files (header + core trie blob +
-// geometry section) still load via their original copying readers; flat
-// files written with WithGeometryStore(false) load in approximate-only
-// mode.
+// trie format; files written with WithGeometryStore(false) load in
+// approximate-only mode. Versions 1 and 2 (the pre-flat layouts) are no
+// longer read: both loaders refuse them as unsupported.
 
 const (
 	indexMagic = "ACTX"
@@ -83,7 +81,7 @@ const (
 	indexVersion       = 3
 	indexVersionSparse = 4
 
-	// flatHeaderSize is the full v3 header including headerCRC;
+	// flatHeaderSize is the full flat header including headerCRC;
 	// flatHeaderCRCBytes the prefix that checksum covers.
 	flatHeaderSize     = 264
 	flatHeaderCRCBytes = 256
@@ -105,20 +103,9 @@ func (b *byteCounter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Serialization errors for mutated indexes.
-var (
-	// ErrPendingMutations is returned by WriteTo while the delta layer is
-	// non-empty. Call Compact first: a compacted index serializes normally.
-	ErrPendingMutations = errors.New("act: index has uncompacted mutations; Compact before WriteTo")
-	// ErrSparseIDSpace was returned by WriteTo when removals had left
-	// permanent holes in the id space, which the dense v3 format could not
-	// represent.
-	//
-	// Deprecated: the v4 format serializes sparse id spaces, so WriteTo no
-	// longer returns this error. The variable remains for callers that
-	// matched it with errors.Is.
-	ErrSparseIDSpace = errors.New("act: removals left holes in the polygon id space; serializing such an index is not supported")
-)
+// ErrPendingMutations is returned by WriteTo while the delta layer is
+// non-empty. Call Compact first: a compacted index serializes normally.
+var ErrPendingMutations = errors.New("act: index has uncompacted mutations; Compact before WriteTo")
 
 var flatCRCTable = crc64.MakeTable(crc64.ECMA)
 
@@ -201,6 +188,28 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 	le.PutUint64(buf[248:], h.arenaCRC)
 	le.PutUint64(buf[flatHeaderCRCBytes:], crc64.Checksum(buf[:flatHeaderCRCBytes], flatCRCTable))
 	return buf
+}
+
+// readFlatHeader is the header prologue both loaders share: it reads the
+// magic and version first — so anything but a flat v3/v4 file is refused
+// before a single further byte is interpreted — then the rest of the
+// header, and hands it to decodeFlatHeader. On success exactly
+// flatHeaderSize bytes of r are consumed.
+func readFlatHeader(r io.Reader) (*flatHeader, error) {
+	var buf [flatHeaderSize]byte
+	if _, err := io.ReadFull(r, buf[:8]); err != nil {
+		return nil, fmt.Errorf("act: read magic: %w", err)
+	}
+	if string(buf[:4]) != indexMagic {
+		return nil, fmt.Errorf("act: bad index magic %q", buf[:4])
+	}
+	if v := binary.LittleEndian.Uint32(buf[4:]); v != indexVersion && v != indexVersionSparse {
+		return nil, fmt.Errorf("act: unsupported index version %d", v)
+	}
+	if _, err := io.ReadFull(r, buf[8:]); err != nil {
+		return nil, fmt.Errorf("act: read flat header: %w", err)
+	}
+	return decodeFlatHeader(&buf)
 }
 
 // decodeFlatHeader parses and cross-validates a flat header (v3 or v4)
@@ -466,164 +475,29 @@ func writeFlat(w io.Writer, ep *epoch, kind GridKind, precision float64, ids []u
 }
 
 // ReadIndex loads an index serialized with WriteTo, copying it onto the
-// heap — the streaming counterpart to OpenIndex, which serves flat files
-// zero-copy from a mapping. All four format versions load: version-1
-// files with their inline geometry lifted into a geometry store, version-2
-// files via the blob reader, version-3 and version-4 files via a streaming
-// copy of the flat sections with the arena checksum verified. Files
-// without a geometry section load in approximate-only mode (HasGeometry
-// reports false and exact joins report ErrNoGeometry).
+// heap — the streaming counterpart to OpenIndex, which serves the same
+// files zero-copy from a mapping. It reads the flat sections into fresh
+// heap slices and verifies the arena checksum, the two costs OpenIndex
+// exists to avoid. Files without a geometry section load in
+// approximate-only mode (HasGeometry reports false and exact joins report
+// ErrNoGeometry).
 func ReadIndex(r io.Reader) (*Index, error) {
-	// core.ReadTrie and geostore.Read each wrap their reader in
-	// bufio.NewReaderSize(r, 1<<20); passing an equally-sized *bufio.Reader
-	// makes those wraps alias THIS reader, so no bytes are read ahead into
-	// a private buffer and lost between the trie and geometry sections.
-	// Keep the three buffer sizes in sync.
+	// geostore.Read wraps its reader in bufio.NewReaderSize(r, 1<<20);
+	// passing an equally-sized *bufio.Reader makes that wrap alias THIS
+	// reader instead of stacking a second megabyte buffer on top of it.
+	// Keep the two buffer sizes in sync.
 	br := bufio.NewReaderSize(r, 1<<20)
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("act: read magic: %w", err)
-	}
-	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("act: bad index magic %q", magic)
-	}
-	var version, gk uint32
-	if err := read(&version); err != nil {
-		return nil, err
-	}
-	if version < 1 || version > indexVersionSparse {
-		return nil, fmt.Errorf("act: unsupported index version %d", version)
-	}
-	if version >= 3 {
-		return readIndexFlat(br, version)
-	}
-	if err := read(&gk); err != nil {
-		return nil, err
-	}
-	var g grid.Grid
-	switch GridKind(gk) {
-	case PlanarGrid:
-		g = grid.NewPlanar()
-	case CubeFaceGrid:
-		g = grid.NewCubeFace()
-	default:
-		return nil, fmt.Errorf("act: unknown grid kind %d", gk)
-	}
-	ix := &Index{grid: g, kind: GridKind(gk)}
-	var stats BuildStats
-	var store *geostore.Store
-	var cells, numPolys uint64
-	if err := read(&ix.precision); err != nil {
-		return nil, err
-	}
-	if err := read(&stats.AchievedPrecisionMeters); err != nil {
-		return nil, err
-	}
-	if err := read(&cells); err != nil {
-		return nil, err
-	}
-	if err := read(&numPolys); err != nil {
-		return nil, err
-	}
-	if numPolys > 1<<30 {
-		// Polygon ids are 30-bit (the trie payload format), so any larger
-		// count is corruption — and would otherwise size Join's per-polygon
-		// count slices.
-		return nil, fmt.Errorf("act: implausible polygon count %d", numPolys)
-	}
-	stats.IndexedCells = int(cells)
-	stats.NumPolygons = int(numPolys)
-
-	hasGeom := uint32(1)
-	if version >= 2 {
-		if err := read(&hasGeom); err != nil {
-			return nil, err
-		}
-		if hasGeom > 1 {
-			return nil, fmt.Errorf("act: bad geometry flag %d", hasGeom)
-		}
-	} else {
-		// Version 1 inlined the projected rings between header and trie.
-		projected := make([]*geom.Polygon, 0, min(numPolys, 1<<16))
-		for i := uint64(0); i < numPolys; i++ {
-			p, err := readProjectedV1(read)
-			if err != nil {
-				return nil, fmt.Errorf("act: polygon %d: %w", i, err)
-			}
-			projected = append(projected, p)
-		}
-		st, err := geostore.New(projected)
-		if err != nil {
-			return nil, err
-		}
-		store = st
-	}
-
-	trie, err := core.ReadTrie(br)
+	h, err := readFlatHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	// Lookups return polygon ids straight out of the trie, and Join sizes
-	// its per-polygon count slices from the header — an id at or beyond
-	// numPolys would make counts[polygon]++ panic later, so reject the
-	// mismatch at load time (the header is not covered by the blob
-	// checksums).
-	maxRef, hasRefs := trie.MaxPolygonRef()
-	if hasRefs && uint64(maxRef) >= numPolys {
-		return nil, fmt.Errorf("act: trie references polygon %d, header says %d polygons", maxRef, numPolys)
-	}
-	if version >= 2 && hasGeom == 0 && numPolys > 0 {
-		// Approximate-only files have no geometry section to cross-check
-		// the header count against, and Join allocates count slices from
-		// it. Honest builds give every polygon at least one covering cell,
-		// so an inflated count (beyond maxRef+1) is corruption, not data.
-		if !hasRefs || numPolys > uint64(maxRef)+1 {
-			return nil, fmt.Errorf("act: header claims %d polygons but the trie references at most %d", numPolys, maxRef)
-		}
-	}
-	if version >= 2 && hasGeom == 1 {
-		st, err := geostore.Read(br)
-		if err != nil {
-			return nil, err
-		}
-		if st.NumPolygons() != int(numPolys) {
-			return nil, fmt.Errorf("act: geometry section has %d polygons, header says %d",
-				st.NumPolygons(), numPolys)
-		}
-		store = st
-	}
-
-	ts := trie.ComputeStats()
-	stats.TrieBytes = ts.TrieBytes
-	stats.TableBytes = ts.TableBytes
-	stats.TrieNodes = ts.NumNodes
-	// A deserialized index carries no source polygons, so it serves but
-	// cannot be mutated (Insert/Remove/Compact report ErrImmutable).
-	ix.deltaThreshold = defaultDeltaThreshold
-	ix.liveCount.Store(int64(numPolys))
-	ix.idSpace.Store(int64(numPolys))
-	ix.live.Swap(&epoch{trie: trie, store: store, stats: stats})
-	return ix, nil
+	return readIndexFlat(br, h)
 }
 
-// readIndexFlat loads a flat file (v3 or v4) from a stream: the copying
-// path, used for piped input and as the fallback when mapping is
-// unavailable. It reads the flat sections into fresh heap slices and
-// verifies the arena checksum — the two costs OpenIndex exists to avoid.
-func readIndexFlat(br *bufio.Reader, version uint32) (*Index, error) {
-	var buf [flatHeaderSize]byte
-	// The caller consumed magic and version; reconstitute them so the
-	// header checksum can be computed over the full on-disk prefix.
-	copy(buf[0:], indexMagic)
-	binary.LittleEndian.PutUint32(buf[4:], version)
-	if _, err := io.ReadFull(br, buf[8:]); err != nil {
-		return nil, fmt.Errorf("act: read flat header: %w", err)
-	}
-	h, err := decodeFlatHeader(&buf)
-	if err != nil {
-		return nil, err
-	}
+// readIndexFlat loads the sections of a flat file (v3 or v4) whose header
+// was already read off br: the copying path, used for streamed input and as
+// OpenIndex's fallback when mapping is unavailable.
+func readIndexFlat(br *bufio.Reader, h *flatHeader) (*Index, error) {
 	if _, err := io.CopyN(io.Discard, br, int64(h.arenaOff)-flatHeaderSize); err != nil {
 		return nil, fmt.Errorf("act: skip header padding: %w", err)
 	}
@@ -758,38 +632,4 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	ix.idSpace.Store(int64(h.idSpace))
 	ix.live.Swap(&epoch{trie: trie, store: store, stats: stats})
 	return ix, nil
-}
-
-// readProjectedV1 parses one version-1 inline polygon record.
-func readProjectedV1(read func(any) error) (*geom.Polygon, error) {
-	var numRings uint32
-	if err := read(&numRings); err != nil {
-		return nil, err
-	}
-	if numRings == 0 || numRings > 1<<20 {
-		return nil, fmt.Errorf("implausible ring count %d", numRings)
-	}
-	rings := make([]geom.Ring, 0, min(uint64(numRings), 1<<10))
-	for ri := uint32(0); ri < numRings; ri++ {
-		var n uint32
-		if err := read(&n); err != nil {
-			return nil, err
-		}
-		if n < 3 || n > 1<<26 {
-			return nil, fmt.Errorf("implausible ring size %d", n)
-		}
-		ring := make(geom.Ring, 0, min(uint64(n), 1<<16))
-		for vi := uint32(0); vi < n; vi++ {
-			var p geom.Point
-			if err := read(&p.X); err != nil {
-				return nil, err
-			}
-			if err := read(&p.Y); err != nil {
-				return nil, err
-			}
-			ring = append(ring, p)
-		}
-		rings = append(rings, ring)
-	}
-	return geom.NewPolygon(rings[0], rings[1:]...)
 }

@@ -21,7 +21,7 @@ func buildTestIndex(t *testing.T, gk GridKind) (*Index, *data.PolygonSet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := BuildIndex(set.Polygons, Options{PrecisionMeters: 20, Grid: gk})
+	idx, err := New(set.Polygons, WithPrecision(20), WithGrid(gk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 // TestJoinEngineAfterRoundTrip runs the streaming join engine through a
 // deserialized index and demands results identical to the original — for
 // both grids, closing the CubeFaceGrid gap: the engine's cell-sorted batch
-// path walks root skips and prefixes reconstructed by ReadTrie, and exact
+// path walks root skips and prefixes reconstructed by TrieFromFlat, and exact
 // mode exercises the deserialized projected polygons.
 func TestJoinEngineAfterRoundTrip(t *testing.T) {
 	for _, gk := range []GridKind{PlanarGrid, CubeFaceGrid} {
@@ -102,8 +102,8 @@ func TestJoinEngineAfterRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []JoinMode{Approximate, Exact} {
-			origPairs, ost := idx.Pairs(pts, mode, 2)
-			loadPairs, lst := loaded.Pairs(pts, mode, 2)
+			origPairs, ost := joinPairs(t, idx, pts, mode, 2)
+			loadPairs, lst := joinPairs(t, loaded, pts, mode, 2)
 			if ost.Pairs() != lst.Pairs() || ost.Misses != lst.Misses {
 				t.Fatalf("%v/%v: stats diverge: %+v vs %+v", gk, mode, ost, lst)
 			}
@@ -115,8 +115,8 @@ func TestJoinEngineAfterRoundTrip(t *testing.T) {
 					t.Fatalf("%v/%v: pair %d diverges: %+v vs %+v", gk, mode, i, origPairs[i], loadPairs[i])
 				}
 			}
-			origCounts, _ := idx.Join(pts, mode, 1)
-			loadCounts, _ := loaded.Join(pts, mode, 4)
+			origCounts, _ := joinCounts(t, idx, pts, mode, 1)
+			loadCounts, _ := joinCounts(t, loaded, pts, mode, 4)
 			for i := range origCounts {
 				if origCounts[i] != loadCounts[i] {
 					t.Fatalf("%v/%v: polygon %d count %d vs %d", gk, mode, i, origCounts[i], loadCounts[i])

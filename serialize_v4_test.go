@@ -22,7 +22,7 @@ import (
 
 // buildSparseIndex builds a mutable index and removes every third polygon,
 // compacting the holes into the base so the id space is permanently sparse.
-func buildSparseIndex(t *testing.T, opts Options) (*Index, *data.PolygonSet, []uint32) {
+func buildSparseIndex(t *testing.T, opts ...Option) (*Index, *data.PolygonSet, []uint32) {
 	t.Helper()
 	set, err := data.GeneratePolygons(data.PolygonConfig{
 		Name: "v4", NumRegions: 12, Lattice: 64, Seed: 401,
@@ -31,9 +31,7 @@ func buildSparseIndex(t *testing.T, opts Options) (*Index, *data.PolygonSet, []u
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.PrecisionMeters = 20
-	opts.DeltaThreshold = -1
-	idx, err := BuildIndex(set.Polygons, opts)
+	idx, err := New(set.Polygons, append(opts, WithPrecision(20), WithDeltaThreshold(-1))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +93,7 @@ func checkLookupParity(t *testing.T, tag string, a, b *Index, set *data.PolygonS
 
 func TestV4SparseRoundTrip(t *testing.T) {
 	for _, gk := range []GridKind{PlanarGrid, CubeFaceGrid} {
-		idx, set, removed := buildSparseIndex(t, Options{Grid: gk})
+		idx, set, removed := buildSparseIndex(t, WithGrid(gk))
 		var buf bytes.Buffer
 		n, err := idx.WriteTo(&buf)
 		if err != nil {
@@ -166,7 +164,7 @@ func TestV4SparseRoundTrip(t *testing.T) {
 // TestV4ApproximateOnly round-trips a sparse index without a geometry
 // section.
 func TestV4ApproximateOnly(t *testing.T) {
-	idx, set, _ := buildSparseIndex(t, Options{SkipGeometryStore: true})
+	idx, set, _ := buildSparseIndex(t, WithGeometryStore(false))
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatalf("sparse no-geom WriteTo: %v", err)
@@ -202,7 +200,7 @@ func TestDenseStaysV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	midx, err := BuildIndex(set.Polygons[:5], Options{PrecisionMeters: 20, DeltaThreshold: -1})
+	midx, err := New(set.Polygons[:5], WithPrecision(20), WithDeltaThreshold(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +225,7 @@ func TestDenseStaysV3(t *testing.T) {
 // non-ascending column is rejected by the column validator (the check the
 // mmap path relies on, since it skips the arena CRC by design).
 func TestV4CorruptIDColumn(t *testing.T) {
-	idx, _, _ := buildSparseIndex(t, Options{})
+	idx, _, _ := buildSparseIndex(t)
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)

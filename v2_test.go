@@ -10,7 +10,7 @@ import (
 )
 
 // v2TestIndex builds a small polygon set and point batch shared by the
-// v2-surface tests.
+// API-surface tests.
 func v2TestIndex(t *testing.T, numPoints int, opts ...Option) (*Index, []LatLng) {
 	t.Helper()
 	set, err := data.GeneratePolygons(data.PolygonConfig{
@@ -28,54 +28,6 @@ func v2TestIndex(t *testing.T, numPoints int, opts ...Option) (*Index, []LatLng)
 		t.Fatal(err)
 	}
 	return idx, pts
-}
-
-// TestNewMatchesBuildIndex pins the functional-option constructor to the
-// compatibility wrapper: the same parameters must yield the same index.
-func TestNewMatchesBuildIndex(t *testing.T) {
-	set, err := data.GeneratePolygons(data.PolygonConfig{
-		Name: "newopts", NumRegions: 8, Lattice: 64, Seed: 303, BoundaryJitter: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := New(set.Polygons,
-		WithPrecision(20), WithGrid(CubeFaceGrid), WithFanout(64), WithBuildWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := BuildIndex(set.Polygons, Options{
-		PrecisionMeters: 20, Grid: CubeFaceGrid, Fanout: 64, BuildWorkers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.Stats().IndexedCells != v1.Stats().IndexedCells ||
-		v2.Stats().TrieNodes != v1.Stats().TrieNodes ||
-		v2.GridKind() != CubeFaceGrid {
-		t.Errorf("New stats %+v != BuildIndex stats %+v", v2.Stats(), v1.Stats())
-	}
-	pts, err := data.GeneratePoints(data.PointConfig{N: 5000, Seed: 304})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r1, r2 Result
-	for _, ll := range pts {
-		h1, h2 := v1.Lookup(ll, &r1), v2.Lookup(ll, &r2)
-		if h1 != h2 || !slices.Equal(r1.True, r2.True) || !slices.Equal(r1.Candidates, r2.Candidates) {
-			t.Fatalf("lookup diverges at %v: %v/%v vs %v/%v", ll, r1.True, r1.Candidates, r2.True, r2.Candidates)
-		}
-	}
-	// Missing precision and bad options still fail through New.
-	if _, err := New(set.Polygons); err == nil {
-		t.Error("New without WithPrecision should fail")
-	}
-	if _, err := New(set.Polygons, WithPrecision(10), WithFanout(7)); err == nil {
-		t.Error("New with invalid fanout should fail")
-	}
-	if _, err := New(set.Polygons, WithPrecision(10), WithGrid(GridKind(9))); err == nil {
-		t.Error("New with unknown grid should fail")
-	}
 }
 
 // TestGridKindRoundTrip checks the satellite fix: the grid kind is carried
@@ -196,49 +148,21 @@ func TestJoinContextCancellation(t *testing.T) {
 	}
 }
 
-// TestJoinContextComplete checks the uncancelled context path is identical
-// to the v1 API.
+// TestJoinContextComplete checks the uncancelled context path: every point
+// is joined, no error is reported, and the counts do not depend on the
+// thread count.
 func TestJoinContextComplete(t *testing.T) {
 	idx, pts := v2TestIndex(t, 20000)
-	c1, s1 := idx.Join(pts, Approximate, 2)
+	c1, s1, err := idx.JoinContext(context.Background(), pts, Approximate, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c2, s2, err := idx.JoinContext(context.Background(), pts, Approximate, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(c1, c2) || s1.Pairs() != s2.Pairs() || s2.Points != len(pts) {
-		t.Errorf("JoinContext diverges from Join: %v vs %v", s1, s2)
-	}
-}
-
-// TestAppendMatches pins the zero-allocation variant to Find.
-func TestAppendMatches(t *testing.T) {
-	idx, pts := v2TestIndex(t, 10000)
-	var dst []uint32
-	matched := 0
-	for _, ll := range pts {
-		dst = idx.AppendMatches(ll, dst[:0])
-		want := idx.Find(ll)
-		got := slices.Clone(dst)
-		slices.Sort(got)
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("AppendMatches %v != Find %v at %v", got, want, ll)
-		}
-		if len(dst) > 0 {
-			matched++
-		}
-	}
-	if matched == 0 {
-		t.Fatal("test batch never matched; pick different seeds")
-	}
-	// Zero allocations once dst has warmed up.
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, ll := range pts[:256] {
-			dst = idx.AppendMatches(ll, dst[:0])
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("AppendMatches allocates %.1f per 256-point run", allocs)
+	if !slices.Equal(c1, c2) || s1.Pairs() != s2.Pairs() || s1.Points != len(pts) || s2.Points != len(pts) {
+		t.Errorf("JoinContext at 1 and 2 threads diverges: %v vs %v", s1, s2)
 	}
 }
 
