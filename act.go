@@ -133,7 +133,7 @@ type options struct {
 	// LookupExact panics with it.
 	SkipGeometryStore bool
 	// Interleave is the number of concurrent trie walks the batch probe
-	// paths keep in flight (0 = auto: 1 for L2-resident tries, 8 otherwise;
+	// paths keep in flight (0 = auto: 1 for tries up to 48 MiB, 8 beyond;
 	// 1 = scalar walks). See WithInterleave.
 	Interleave int
 	// DeltaThreshold is the pending-mutation count (delta polygons plus

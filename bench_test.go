@@ -16,6 +16,7 @@ package act_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -165,13 +166,29 @@ func BenchmarkTableIBuild(b *testing.B) {
 // BenchmarkBuild is the build pipeline at the repository benchmark's
 // configuration (census blocks, ε = 60 m) and a size that builds in a
 // fraction of a second, for CI's bench-smoke and for profiling a phase.
+//
+// It is also the allocation guard of the trie builder: nodes leave the
+// builder run-compressed, so no build may allocate the dense arena — one
+// 2 KB array per node, 16 MB here — let alone allocate it, grow it and copy
+// it breadth-first as builds used to (99 MB a build then, 51 MB now).
 func BenchmarkBuild(b *testing.B) {
 	set, err := data.CensusBlocks(1, 600)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	benchmarkBuild(b, set.Polygons, 60)
+	runtime.ReadMemStats(&after)
+	if perBuild := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perBuild > buildAllocBudget {
+		b.Fatalf("one build allocates %d bytes, budget %d: is a dense node arena back?", perBuild, buildAllocBudget)
+	}
 }
+
+// buildAllocBudget bounds the bytes one BenchmarkBuild build may allocate:
+// a quarter above the 51 MB measured, well below the 99 MB of a build that
+// materializes dense nodes.
+const buildAllocBudget = 64 << 20
 
 // --- Figure 3 ------------------------------------------------------------
 

@@ -1,0 +1,307 @@
+package core
+
+import (
+	"fmt"
+
+	"github.com/actindex/act/internal/cellid"
+	"github.com/actindex/act/internal/supercover"
+)
+
+// Build constructs a trie from a prefix-free super covering, whose cells
+// arrive in ascending id order — for disjoint cells, the order of their key
+// paths. A node is therefore complete the moment a cell's path leaves its
+// key prefix: the builder keeps one open node per depth as a dense scratch
+// of `fanout` slots, run-encodes it into the arena when the path moves on,
+// and writes the arena offset it landed at into its parent's slot. Nodes
+// land children-first; Relayout then renumbers the arena breadth-first, so
+// the hot top levels of every walk occupy a compact arena prefix. No dense
+// node outlives its own construction.
+func Build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
+	t, err := build(sc, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.Relayout()
+	return t, nil
+}
+
+// build runs the insertion pipeline, leaving nodes in completion order
+// (children before parents).
+func build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
+	b, err := newBuilder(cfg, sc.NumCells())
+	if err != nil {
+		return nil, err
+	}
+	b.t.computeRootSkips(sc)
+	for i := 0; i < sc.NumCells(); i++ {
+		if err := b.add(sc.Cell(i), sc.Refs(i)); err != nil {
+			return nil, err
+		}
+	}
+	b.closeFace()
+	return b.t, nil
+}
+
+// computeRootSkips derives, per face, the longest node-aligned key prefix
+// shared by every indexed cell. The super covering is sorted by id, so the
+// common prefix of a face equals the common prefix of its first and last
+// cells. Prefix-freeness guarantees every cell's path is strictly longer
+// than the common prefix (an equal-length path would make that cell an
+// ancestor of the rest), so at least one key chunk always remains.
+func (t *Trie) computeRootSkips(sc *supercover.SuperCovering) {
+	n := sc.NumCells()
+	for lo := 0; lo < n; {
+		face := sc.Cell(lo).Face()
+		hi := lo
+		for hi < n && sc.Cell(hi).Face() == face {
+			hi++
+		}
+		first, last := sc.Cell(lo), sc.Cell(hi-1)
+		var commonLevels int
+		if anc, ok := cellid.CommonAncestor(first, last); ok {
+			commonLevels = anc.Level()
+		}
+		skipBits := uint(2*commonLevels) / t.bits * t.bits
+		// Keep at least one chunk of every cell's path below the skip;
+		// the shallowest constraint comes from the shallower of the two
+		// extreme cells (a level-0 cell never occurs in non-degenerate
+		// input, but guard anyway).
+		minLevel := first.Level()
+		if l := last.Level(); l < minLevel {
+			minLevel = l
+		}
+		for skipBits > 0 && int(skipBits) >= 2*minLevel {
+			skipBits -= t.bits
+		}
+		t.rootSkip[face] = skipBits
+		if skipBits > 0 {
+			t.rootPrefix[face] = first.PathBits() << 4 >> (64 - skipBits) << (64 - skipBits)
+		}
+		lo = hi
+	}
+}
+
+// builder holds build-only state: the lookup-table dedup map and the open
+// path of dense scratch nodes.
+type builder struct {
+	t          *Trie
+	tableIndex map[string]uint32
+	keyBuf     []byte
+	noInline   bool
+
+	// open[d] is the scratch of the node under construction at depth d and
+	// via[d] the slot of open[d] that open[d+1] hangs from; depth is the
+	// deepest open node, -1 while no face is open.
+	open  [][]uint64
+	via   []uint64
+	depth int
+	face  int
+	// last is the largest leaf id any added cell covers; an arriving cell
+	// reaching back to it overlaps an earlier one or is out of order.
+	last cellid.ID
+}
+
+// newBuilder returns a builder over an arena holding just the sentinel,
+// pre-sized for a covering of the given number of cells.
+func newBuilder(cfg Config, cells int) (*builder, error) {
+	t, err := newTrie(cfg.Fanout)
+	if err != nil {
+		return nil, err
+	}
+	// One run per cell at most, plus the gaps between cells and a header per
+	// node: on census-scale coverings the arena comes to ~1.4 words a cell,
+	// and append's geometric growth covers the rest.
+	t.nodes = make([]uint64, 0, cells+cells/2+int(t.words)+2)
+	b := &builder{t: t, tableIndex: make(map[string]uint32), noInline: cfg.DisableInlining, depth: -1}
+	b.emit(make([]uint64, t.fanout)) // offset 0: the sentinel
+	return b, nil
+}
+
+// add stores the reference set of one covering cell. Cells must arrive in
+// ascending id order and be pairwise disjoint.
+func (b *builder) add(cell cellid.ID, refs []supercover.Ref) error {
+	if len(refs) == 0 {
+		return fmt.Errorf("%w: cell %v", ErrEmptyRefs, cell)
+	}
+	level := cell.Level()
+	if level == 0 {
+		// A face cell has no key bits to index; denormalize to its four
+		// children (possible only for degenerate world-spanning input).
+		for _, child := range cell.Children() {
+			if err := b.add(child, refs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if cell.RangeMin() <= b.last {
+		return fmt.Errorf("%w: cell %v reaches back to leaf %v", ErrOverlap, cell, b.last)
+	}
+	value, err := b.encodeRefs(refs)
+	if err != nil {
+		return fmt.Errorf("cell %v: %w", cell, err)
+	}
+
+	t := b.t
+	face := cell.Face()
+	key := cell.PathBits() << 4 // top-align the 60-bit path in 64 bits
+	totalBits := 2 * level
+	// Strip the face's compressed root prefix.
+	if skip := t.rootSkip[face]; skip > 0 {
+		if key>>(64-skip)<<(64-skip) != t.rootPrefix[face] {
+			return fmt.Errorf("core: cell %v outside the face's common prefix", cell)
+		}
+		key <<= skip
+		totalBits -= int(skip)
+	}
+	depth := (totalBits - 1) / int(t.bits)
+
+	// Keep the open nodes the cell's path shares, close the rest, then open
+	// the path down to the node holding the cell's slots.
+	d := 0
+	if face != b.face {
+		b.closeFace()
+	}
+	if b.depth < 0 {
+		b.face = face
+		b.openNode(0)
+	} else {
+		for d < b.depth && d < depth && key<<(uint(d)*t.bits)>>(64-t.bits) == b.via[d] {
+			d++
+		}
+		b.closeTo(d)
+	}
+	for ; d < depth; d++ {
+		b.via[d] = key << (uint(d) * t.bits) >> (64 - t.bits)
+		b.openNode(d + 1)
+	}
+
+	// Fill the contiguous slot range the remaining bits select
+	// (denormalization; emit stores the range as one run).
+	rb := uint(totalBits - depth*int(t.bits))
+	base := key << (uint(depth) * t.bits) >> (64 - t.bits) &^ (1<<(t.bits-rb) - 1)
+	slots := b.open[depth][base : base+1<<(t.bits-rb)]
+	for i := range slots {
+		slots[i] = value
+	}
+	b.last = cell.RangeMax()
+	return nil
+}
+
+// openNode starts an empty node at depth d, now the deepest open one.
+func (b *builder) openNode(d int) {
+	if d == len(b.open) {
+		b.open = append(b.open, make([]uint64, b.t.fanout))
+		b.via = append(b.via, 0)
+	}
+	clear(b.open[d])
+	b.depth = d
+}
+
+// closeTo completes every open node deeper than d, deepest first, handing
+// each one's arena offset to its parent's slot.
+func (b *builder) closeTo(d int) {
+	for ; b.depth > d; b.depth-- {
+		b.open[b.depth-1][b.via[b.depth-1]] = b.emit(b.open[b.depth]) << 2 // tagChild
+	}
+}
+
+// closeFace completes the open face, if any, and records its root.
+func (b *builder) closeFace() {
+	if b.depth < 0 {
+		return
+	}
+	b.closeTo(0)
+	b.t.roots[b.face] = b.emit(b.open[0])
+	b.depth = -1
+}
+
+// emit appends the run-compressed form of a dense node to the arena and
+// returns the offset it starts at.
+func (b *builder) emit(slots []uint64) uint64 {
+	off := uint64(len(b.t.nodes))
+	b.t.nodes = appendNode(b.t.nodes, slots)
+	return off
+}
+
+// appendNode run-encodes a dense node — one entry per slot — onto arena:
+// bitmap words, rank word, then one entry per run of equal slots.
+func appendNode(arena, slots []uint64) []uint64 {
+	words := (len(slots) + 63) / 64
+	off := len(arena)
+	arena = append(arena, make([]uint64, words+1)...)
+	for i, e := range slots {
+		if i == 0 || e != slots[i-1] {
+			arena[off+i>>6] |= 1 << (i & 63)
+			arena = append(arena, e)
+		}
+	}
+	arena[off+words] = rankWord(arena[off : off+words])
+	return arena
+}
+
+// encodeRefs produces the tagged entry value for a reference set: inlined
+// payloads for one or two references, a lookup-table offset otherwise.
+func (b *builder) encodeRefs(refs []supercover.Ref) (uint64, error) {
+	for _, r := range refs {
+		if r.PolygonID > supercover.MaxPolygonID {
+			return 0, fmt.Errorf("%w: id %d", ErrPolygonID, r.PolygonID)
+		}
+	}
+	if !b.noInline {
+		switch len(refs) {
+		case 1:
+			return uint64(payload(refs[0]))<<2 | tagOne, nil
+		case 2:
+			return uint64(payload(refs[1]))<<33 | uint64(payload(refs[0]))<<2 | tagTwo, nil
+		}
+	}
+	off, err := b.internRefs(refs)
+	if err != nil {
+		return 0, err
+	}
+	return uint64(off)<<2 | tagOffset, nil
+}
+
+// payload encodes one reference as a 31-bit value: polygonID<<1 | trueHit.
+func payload(r supercover.Ref) uint32 {
+	p := r.PolygonID << 1
+	if r.Interior {
+		p |= 1
+	}
+	return p
+}
+
+// internRefs appends the reference set to the lookup table, reusing an
+// existing run when an identical set was stored before ("cells often
+// reference the same set of polygons", paper §II).
+func (b *builder) internRefs(refs []supercover.Ref) (uint32, error) {
+	b.keyBuf = b.keyBuf[:0]
+	for _, r := range refs {
+		p := payload(r)
+		b.keyBuf = append(b.keyBuf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+	}
+	if off, ok := b.tableIndex[string(b.keyBuf)]; ok {
+		return off, nil
+	}
+	t := b.t
+	off := uint64(len(t.table))
+	// The encoded run is numTrue + trues + numCand + cands.
+	var trues, cands []uint32
+	for _, r := range refs {
+		if r.Interior {
+			trues = append(trues, r.PolygonID)
+		} else {
+			cands = append(cands, r.PolygonID)
+		}
+	}
+	t.table = append(t.table, uint32(len(trues)))
+	t.table = append(t.table, trues...)
+	t.table = append(t.table, uint32(len(cands)))
+	t.table = append(t.table, cands...)
+	if uint64(len(t.table)) > payloadMax {
+		return 0, ErrTableLimit
+	}
+	b.tableIndex[string(b.keyBuf)] = uint32(off)
+	return uint32(off), nil
+}

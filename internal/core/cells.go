@@ -1,9 +1,9 @@
 package core
 
 // Cell re-enumeration: the inverse of the insertion pipeline. A built trie
-// is a lossless encoding of its prefix-free super covering — every terminal
-// entry (or denormalized run of identical terminal entries) is one covering
-// cell with a decodable reference set. Cells walks the arena and hands that
+// is a lossless encoding of its prefix-free super covering — every aligned
+// block of a terminal run is one covering cell with a decodable reference
+// set. Cells walks the arena and hands that
 // covering back, which is what lets an index compact without its source
 // polygons: the current base's cells re-enter the super-covering merge
 // directly, no geometry or re-covering required.
@@ -47,61 +47,60 @@ type cellWalker struct {
 	scratch []supercover.Ref
 }
 
-// node enumerates the subtree rooted at the given node. key holds the path
-// bits consumed so far, top-aligned in 64 bits; consumed counts them.
+// node enumerates the subtree rooted at the node at the given arena offset.
+// key holds the path bits consumed so far, top-aligned in 64 bits; consumed
+// counts them. Each run of the node is an uncovered gap, a child to recurse
+// into, or a terminal value; a terminal run splits into the aligned blocks
+// of 4^k slots it is made of, largest first at every position, and each such
+// block is one covering cell — the shallowest cell whose denormalization
+// fills exactly those slots.
 func (w *cellWalker) node(node, key uint64, consumed uint) error {
 	if consumed >= 2*cellid.MaxLevel {
 		return fmt.Errorf("core: trie path at %d bits exceeds the %d-bit cell space", consumed, 2*cellid.MaxLevel)
 	}
-	return w.block(node, 0, uint64(w.t.fanout), key, consumed)
-}
-
-// block enumerates the aligned entry range [base, base+size) of node. When
-// every entry in the block holds the same terminal value it is one covering
-// cell (the denormalization of insert replicated a shallow cell across
-// exactly such a block); otherwise the block splits into its four aligned
-// quarters, down to single entries, which recurse into child nodes.
-func (w *cellWalker) block(node, base, size, key uint64, consumed uint) error {
 	t := w.t
-	slot := node*uint64(t.fanout) + base
-	entries := t.nodes[slot : slot+size]
-	first := entries[0]
-	uniform := true
-	for _, e := range entries[1:] {
-		if e != first {
-			uniform = false
-			break
-		}
-	}
-	if uniform && (first == 0 || first&tagMask != tagChild) {
-		if first == 0 {
-			return nil // uncovered gap
-		}
-		// One cell: the block's shared path is key plus the top bits of the
-		// block's base index (its low log2(size) bits are zero by alignment).
-		totalBits := consumed + t.bits - uint(bits.TrailingZeros64(size))
-		if totalBits > 2*cellid.MaxLevel {
-			return fmt.Errorf("core: trie cell at %d path bits is deeper than level %d", totalBits, cellid.MaxLevel)
-		}
-		cellKey := key | base<<(64-consumed-t.bits)
-		pos := cellKey>>4<<1 | 1 // any leaf under the cell; Parent trims it
-		cell := cellid.FromFacePosLevel(w.face, pos, int(totalBits)/2)
-		w.scratch = t.appendEntryRefs(first, w.scratch[:0])
-		return w.visit(cell, w.scratch)
-	}
-	if size == 1 {
-		// A lone non-uniform slot is a child pointer (terminals and empties
-		// were handled above).
-		childKey := key | base<<(64-consumed-t.bits)
-		return w.node(first>>2, childKey, consumed+t.bits)
-	}
-	quarter := size / 4
-	for i := uint64(0); i < 4; i++ {
-		if err := w.block(node, base+i*quarter, quarter, key, consumed); err != nil {
-			return err
+	var starts [maxFanout + 1]uint16
+	runs := t.runStarts(node, &starts)
+	for r, e := range t.nodes[node+t.words+1 : node+t.words+1+uint64(runs)] {
+		slot, end := uint64(starts[r]), uint64(starts[r+1])
+		switch {
+		case e == 0: // uncovered gap
+		case e&tagMask == tagChild:
+			if err := w.node(e>>2, key|slot<<(64-consumed-t.bits), consumed+t.bits); err != nil {
+				return err
+			}
+		default:
+			for slot < end {
+				// The block at slot: as large as slot's alignment and the
+				// rest of the run allow, a power of four.
+				size := uint64(t.fanout)
+				for slot&(size-1) != 0 || slot+size > end {
+					size /= 4
+				}
+				if err := w.cell(e, slot, size, key, consumed); err != nil {
+					return err
+				}
+				slot += size
+			}
 		}
 	}
 	return nil
+}
+
+// cell reports the covering cell stored as the aligned block of size slots
+// at base: its path is key plus the top bits of base (the low log2(size)
+// bits are zero by alignment).
+func (w *cellWalker) cell(entry, base, size, key uint64, consumed uint) error {
+	t := w.t
+	totalBits := consumed + t.bits - uint(bits.TrailingZeros64(size))
+	if totalBits > 2*cellid.MaxLevel {
+		return fmt.Errorf("core: trie cell at %d path bits is deeper than level %d", totalBits, cellid.MaxLevel)
+	}
+	cellKey := key | base<<(64-consumed-t.bits)
+	pos := cellKey>>4<<1 | 1 // any leaf under the cell; Parent trims it
+	cell := cellid.FromFacePosLevel(w.face, pos, int(totalBits)/2)
+	w.scratch = t.appendEntryRefs(entry, w.scratch[:0])
+	return w.visit(cell, w.scratch)
 }
 
 // appendEntryRefs decodes a terminal entry's reference set into dst.

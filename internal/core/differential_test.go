@@ -1,0 +1,195 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/actindex/act/internal/cellid"
+	"github.com/actindex/act/internal/cover"
+	"github.com/actindex/act/internal/supercover"
+)
+
+// differentialCoverings are the inputs of TestBuildMatchesDenseReference:
+// seeded random prefix-free coverings (one face for a deep root skip,
+// several for none; all three entry encodings), a world-spanning covering
+// whose level-0 cell denormalizes into a whole root, and the covering
+// FuzzLookupBatchInterleaved probes.
+func differentialCoverings(t *testing.T) map[string]*supercover.SuperCovering {
+	out := map[string]*supercover.SuperCovering{}
+	for seed, faces := range [][]int{{3}, {0, 2, 5}, {1, 3, 4}, {0, 1, 2, 3, 4, 5}} {
+		rng := rand.New(rand.NewSource(int64(41 + seed)))
+		out[fmt.Sprintf("random-%d", seed)] = randomPrefixFreeCovering(t, rng, faces, 90+40*seed)
+	}
+	// One polygon's cells huddle under a single level-12 cell: the face's
+	// common prefix — and with it the root skip — runs deep.
+	deep := cellid.FromFaceIJ(4, 123456789, 987654321).Parent(12)
+	var huddle supercover.Builder
+	for id, cell := range []cellid.ID{deep.Child(0).Child(3), deep.Child(1), deep.Child(2).Child(2).Child(1).Child(0).Child(3), deep.Child(3).Child(0)} {
+		cov := &cover.Covering{Interior: []cellid.ID{cell}}
+		for p := 0; p <= id; p++ {
+			if err := huddle.Add(uint32(p), cov); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	out["root-skip"] = huddle.Build()
+	// Faces 1 and 2 whole, a three-reference cell nested in face 2.
+	var world supercover.Builder
+	for id, cov := range []*cover.Covering{
+		{Interior: []cellid.ID{cellid.FromFace(1), cellid.FromFace(2)}},
+		{Boundary: []cellid.ID{cellid.FromFace(2).Child(1).Child(1)}},
+		{Boundary: []cellid.ID{cellid.FromFace(2).Child(1).Child(1).Child(0)}, Interior: []cellid.ID{cellid.FromFace(5).Child(3)}},
+	} {
+		if err := world.Add(uint32(id), cov); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out["face-cells"] = world.Build()
+	out["interleave-fuzz"], _ = interleaveFuzzTrie()
+	return out
+}
+
+// slotLeaves returns, for every slot of every node of the reference trie
+// that a leaf cell can reach, one leaf whose walk reads that slot — so a
+// comparison over them covers every run of every compressed node, every
+// position within a run, and every empty slot.
+func slotLeaves(d *denseTrie) []cellid.ID {
+	t := d.enc.t
+	var leaves []cellid.ID
+	var node func(face int, n, key uint64, consumed uint)
+	node = func(face int, n, key uint64, consumed uint) {
+		for slot, e := range d.node(n) {
+			k := key | uint64(slot)<<(64-consumed-d.bits)
+			if k&0xf != 0 {
+				continue // the deepest node's slots past the 60 path bits
+			}
+			leaves = append(leaves, cellid.FromFacePosLevel(face, k>>4<<1|1, cellid.MaxLevel))
+			if isChild(e) {
+				node(face, e>>2, k, consumed+d.bits)
+			}
+		}
+	}
+	for face, root := range d.roots {
+		if root != 0 {
+			node(face, root, t.rootPrefix[face], t.rootSkip[face])
+		}
+	}
+	return leaves
+}
+
+// TestBuildMatchesDenseReference builds every covering with the streaming
+// run-compressed builder and with the dense reference builder, at every
+// fanout with inlining on and off, and demands that the two agree on
+// everything observable: the arena (the reference's, run-encoded, word for
+// word), roots and lookup table; Lookup, AppendRefs and LookupCounting's
+// access count for a leaf in every slot of every node plus misses of every
+// kind; LookupBatch and LookupBatchInterleaved (widths 1, 8, 64) over the
+// same leaves in slot order and shuffled; and the Cells enumeration, in
+// order.
+func TestBuildMatchesDenseReference(t *testing.T) {
+	fuzzStream := interleaveFuzzSeedLeaves()
+	for name, sc := range differentialCoverings(t) {
+		for _, fanout := range fanouts {
+			for _, noInline := range []bool{false, true} {
+				cfg := Config{Fanout: fanout, DisableInlining: noInline}
+				t.Run(fmt.Sprintf("%s/fanout-%d/noinline-%v", name, fanout, noInline), func(t *testing.T) {
+					ref, err := buildDense(sc, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					trie, err := Build(sc, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := ref.flat()
+					if got := trie.Flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots ||
+						!slices.Equal(got.Table, want.Table) || got.Skips != want.Skips || got.Prefixes != want.Prefixes {
+						t.Fatalf("flat form differs from the run-encoded reference (%d vs %d arena words)", len(got.Nodes), len(want.Nodes))
+					}
+					if got, want := trie.ComputeStats().NumNodes, len(ref.nodes)/fanout-1; got != want {
+						t.Errorf("NumNodes = %d, reference has %d", got, want)
+					}
+
+					leaves := slotLeaves(ref)
+					rng := rand.New(rand.NewSource(int64(len(leaves))))
+					leaves = append(leaves, probeMix(rng, sc)[2*sc.NumCells():]...) // random leaves: misses, prefix mismatches, empty faces
+					leaves = append(leaves, fuzzStream...)
+
+					wantRes := make([]Result, len(leaves))
+					wantHit := make([]bool, len(leaves))
+					var res Result
+					for i, leaf := range leaves {
+						matches, hit, accesses := ref.lookup(leaf, &wantRes[i])
+						wantHit[i] = hit
+						res.Reset()
+						if got := trie.Lookup(leaf, &res); got != hit || !res.Equal(&wantRes[i]) {
+							t.Fatalf("leaf %v: Lookup = %v %+v, reference %v %+v", leaf, got, res, hit, wantRes[i])
+						}
+						if got := trie.AppendRefs(leaf, nil); !slices.Equal(got, matches) {
+							t.Fatalf("leaf %v: AppendRefs = %v, reference %v", leaf, got, matches)
+						}
+						res.Reset()
+						if got, n := trie.LookupCounting(leaf, &res); got != hit || n != accesses || !res.Equal(&wantRes[i]) {
+							t.Fatalf("leaf %v: LookupCounting = %v after %d accesses, reference %v after %d", leaf, got, n, hit, accesses)
+						}
+					}
+
+					order := make([]int, len(leaves))
+					for i := range order {
+						order[i] = i
+					}
+					for pass := 0; pass < 2; pass++ {
+						batch := make([]cellid.ID, len(order))
+						for i, j := range order {
+							batch[i] = leaves[j]
+						}
+						check := func(engine string) func(i int, hit bool) {
+							calls := 0
+							return func(i int, hit bool) {
+								if i != calls {
+									t.Fatalf("%s: emit %d out of order, want %d", engine, i, calls)
+								}
+								calls++
+								if j := order[i]; hit != wantHit[j] || !res.Equal(&wantRes[j]) {
+									t.Fatalf("%s leaf %v: %v %+v, reference %v %+v", engine, batch[i], hit, res, wantHit[j], wantRes[j])
+								}
+							}
+						}
+						trie.LookupBatch(batch, &res, check("LookupBatch"))
+						var bs BatchScratch
+						for _, width := range []int{1, 8, 64} {
+							trie.LookupBatchInterleaved(batch, width, &bs, &res, check(fmt.Sprintf("LookupBatchInterleaved(%d)", width)))
+						}
+						rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+					}
+
+					wantCells := ref.cells()
+					n := 0
+					err = trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
+						if n >= len(wantCells) || cell != wantCells[n].cell || !slices.Equal(refs, wantCells[n].refs) {
+							t.Fatalf("Cells[%d] = %v %v, reference enumerates %d cells and has %+v there", n, cell, refs, len(wantCells), wantCells[min(n, len(wantCells)-1)])
+						}
+						n++
+						return nil
+					})
+					if err != nil || n != len(wantCells) {
+						t.Fatalf("Cells visited %d of the reference's %d cells: %v", n, len(wantCells), err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// interleaveFuzzSeedLeaves are the probes FuzzLookupBatchInterleaved seeds
+// its corpus with: the first leaf of every cell of its covering.
+func interleaveFuzzSeedLeaves() []cellid.ID {
+	sc, _ := interleaveFuzzTrie()
+	var leaves []cellid.ID
+	for i := 0; i < sc.NumCells(); i++ {
+		leaves = append(leaves, sc.Cell(i).RangeMin())
+	}
+	return leaves
+}

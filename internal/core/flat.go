@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"math/bits"
 
 	"github.com/actindex/act/internal/cellid"
 )
@@ -18,8 +17,8 @@ const (
 )
 
 // Flat is the zero-copy wire form of a trie: the node arena and lookup table
-// as raw word slices plus the per-face root metadata. It is what the v3 index
-// layout persists — the arena is written exactly as it lives in memory
+// as raw word slices plus the per-face root metadata. It is what the index
+// file layout persists — the arena is written exactly as it lives in memory
 // (canonical breadth-first order, little-endian words), so a reader can
 // either copy the words off a stream or alias them straight out of a
 // memory-mapped file.
@@ -28,8 +27,8 @@ type Flat struct {
 	Roots    [cellid.NumFaces]uint64
 	Skips    [cellid.NumFaces]uint64
 	Prefixes [cellid.NumFaces]uint64
-	// Nodes is the node arena (NumNodes × Fanout words, sentinel included);
-	// Table the lookup table.
+	// Nodes is the node arena (run-compressed nodes back to back, sentinel
+	// first); Table the lookup table.
 	Nodes []uint64
 	Table []uint32
 }
@@ -51,7 +50,7 @@ func (t *Trie) Flat() Flat {
 }
 
 // WriteSection streams the arena and table as raw little-endian words —
-// the exact bytes a v3 index file carries between arenaOff and the end of
+// the exact bytes an index file carries between arenaOff and the end of
 // the table, and the bytes SectionCRC sums.
 func (f Flat) WriteSection(w io.Writer) error {
 	if err := writeU64s(w, f.Nodes); err != nil {
@@ -90,101 +89,30 @@ func ReadFlatWords(r io.Reader, nodeWords, tableWords uint64) ([]uint64, []uint3
 // TrieFromFlat reconstructs a servable trie from its flat form without
 // copying the arena or table: the returned trie aliases f.Nodes and f.Table,
 // which may live in read-only memory (a file mapping). Everything a walk
-// depends on is validated up front — fanout, root indices, skip alignment,
-// the full structural scan of validateStructure — and, because a mapped
-// arena cannot be rewritten, the arena must already be in canonical
-// breadth-first order: TrieFromFlat verifies that with a read-only BFS
-// instead of calling Relayout, and rejects non-canonical or partially
-// unreachable arenas (Build and the serializers only ever produce canonical,
-// fully reachable ones). After a successful return, lookups never branch on
-// anything unvalidated, so even a hostile file cannot make them read outside
-// the two slices.
+// depends on is validated up front — fanout, skip alignment, and the full
+// structural scan of validateStructure, which also demands the one arena
+// Build produces for a covering: canonical breadth-first order, every node
+// reachable, every run maximal. After a successful return, lookups never
+// branch on anything unvalidated, so even a hostile file cannot make them
+// read outside the two slices.
 func TrieFromFlat(f Flat) (*Trie, error) {
-	switch f.Fanout {
-	case 4, 16, 64, 256:
-	default:
-		return nil, fmt.Errorf("%w: got %d", ErrBadFanout, f.Fanout)
+	t, err := newTrie(int(f.Fanout))
+	if err != nil {
+		return nil, err
 	}
-	t := &Trie{
-		fanout: int(f.Fanout),
-		bits:   uint(bits.TrailingZeros32(f.Fanout)),
-		nodes:  f.Nodes,
-		table:  f.Table,
-		roots:  f.Roots,
-	}
-	t.levels = int(t.bits) / 2
-	t.maxDepth = (2*cellid.MaxLevel - 1) / int(t.bits)
-	t.rootPrefix = f.Prefixes
+	t.nodes, t.table = f.Nodes, f.Table
+	t.roots, t.rootPrefix = f.Roots, f.Prefixes
 	for i, v := range f.Skips {
 		if v > 60 || v%uint64(t.bits) != 0 {
 			return nil, fmt.Errorf("core: invalid root skip %d", v)
 		}
 		t.rootSkip[i] = uint(v)
 	}
-	if len(f.Nodes)%int(f.Fanout) != 0 {
-		return nil, fmt.Errorf("core: arena length %d not a multiple of fanout %d", len(f.Nodes), f.Fanout)
-	}
 	if uint64(len(f.Nodes)) > MaxArenaWords || uint64(len(f.Table)) > MaxTableWords {
 		return nil, fmt.Errorf("core: implausible flat trie size (%d node words, %d table words)", len(f.Nodes), len(f.Table))
 	}
-	numNodes := uint64(len(f.Nodes)) / uint64(f.Fanout)
-	if numNodes == 0 {
-		return nil, fmt.Errorf("core: arena lacks the sentinel node")
-	}
-	for _, root := range t.roots {
-		if root >= numNodes {
-			return nil, fmt.Errorf("core: root index %d out of range", root)
-		}
-	}
-	if err := t.validateStructure(numNodes); err != nil {
+	if err := t.validateStructure(); err != nil {
 		return nil, err
 	}
-	reached, canonical := t.canonicalOrder()
-	if uint64(reached) != numNodes {
-		return nil, fmt.Errorf("core: %d of %d nodes unreachable from any root", numNodes-uint64(reached), numNodes)
-	}
-	if !canonical {
-		return nil, fmt.Errorf("core: arena is not in canonical breadth-first order")
-	}
 	return t, nil
-}
-
-// canonicalOrder walks the arena breadth-first from the face roots — the
-// exact traversal Relayout uses to renumber — and reports how many nodes are
-// reachable (sentinel included) and whether their existing indices already
-// equal the breadth-first numbering. Unlike Relayout it never writes, so it
-// is safe on arenas backed by read-only mappings.
-func (t *Trie) canonicalOrder() (reached int, canonical bool) {
-	fanout := uint64(t.fanout)
-	numNodes := uint64(len(t.nodes)) / fanout
-	if numNodes == 0 {
-		return 0, true
-	}
-	seen := make([]bool, numNodes)
-	order := make([]uint64, 0, numNodes-1)
-	canonical = true
-	for _, root := range t.roots {
-		if root != 0 && !seen[root] {
-			seen[root] = true
-			if root != uint64(len(order))+1 {
-				canonical = false
-			}
-			order = append(order, root)
-		}
-	}
-	for qi := 0; qi < len(order); qi++ {
-		base := order[qi] * fanout
-		for _, e := range t.nodes[base : base+fanout] {
-			if e != 0 && e&tagMask == tagChild {
-				if child := e >> 2; !seen[child] {
-					seen[child] = true
-					if child != uint64(len(order))+1 {
-						canonical = false
-					}
-					order = append(order, child)
-				}
-			}
-		}
-	}
-	return len(order) + 1, canonical
 }

@@ -47,9 +47,8 @@ func fuzzFlat(tb testing.TB, fanout int) Flat {
 const flatHeadSize = cellid.NumFaces * 3 * 8
 
 // encodeFlatFuzz lays a Flat out as the fuzz target's arguments; decode
-// inverts it, padding short inputs with zeros and dropping the words of a
-// trailing partial node so mutations spend their time on the structure
-// rather than on the length check.
+// inverts it, padding a short head with zeros and dropping the bytes of a
+// trailing partial word.
 func encodeFlatFuzz(f Flat) (fanoutSel uint8, head, nodes, table []byte) {
 	head = make([]byte, flatHeadSize)
 	for i := 0; i < cellid.NumFaces; i++ {
@@ -75,9 +74,7 @@ func decodeFlatFuzz(fanoutSel uint8, head, nodes, table []byte) Flat {
 		f.Skips[i] = binary.LittleEndian.Uint64(h[24*i+8:])
 		f.Prefixes[i] = binary.LittleEndian.Uint64(h[24*i+16:])
 	}
-	words := len(nodes) / 8
-	words -= words % int(f.Fanout)
-	f.Nodes = make([]uint64, words)
+	f.Nodes = make([]uint64, len(nodes)/8)
 	for i := range f.Nodes {
 		f.Nodes[i] = binary.LittleEndian.Uint64(nodes[8*i:])
 	}
@@ -95,8 +92,8 @@ type flatFuzzSeed struct {
 }
 
 // flatFuzzSeeds are the target's seeds: a well-formed trie per fanout, then
-// an arena with its root node cut out, a table cut mid-run, an empty trie
-// and junk.
+// an arena with the root node's header cut out, a table cut mid-run, an
+// empty trie and junk.
 func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
 	var seeds []flatFuzzSeed
 	for _, fanout := range []int{4, 16, 64, 256} {
@@ -105,7 +102,7 @@ func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
 	}
 	s := seeds[0]
 	return append(seeds,
-		flatFuzzSeed{s.fanoutSel, s.head, append(append([]byte{}, s.nodes[:32]...), s.nodes[64:]...), s.table},
+		flatFuzzSeed{s.fanoutSel, s.head, append(append([]byte{}, s.nodes[:24]...), s.nodes[40:]...), s.table},
 		flatFuzzSeed{s.fanoutSel, s.head, s.nodes, s.table[:len(s.table)/2]},
 		flatFuzzSeed{3, []byte{}, []byte{}, []byte{}},
 		flatFuzzSeed{1, []byte("junk"), []byte("junkjunkjunkjunk"), []byte("junk")})
@@ -115,8 +112,7 @@ func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
 // checksum stands between the mutator and the validator, unlike a file —
 // and demands that TrieFromFlat either rejects them or returns a trie on
 // which everything a served index runs terminates inside the two slices:
-// lookups on every face, the interleaved batch walk, Cells and
-// ComputeStats. No reference may exceed MaxPolygonRef, which is what the
+// lookups on every face, both batch walks, Cells and ComputeStats. No reference may exceed MaxPolygonRef, which is what the
 // enclosing index sizes its per-polygon outputs from.
 func FuzzTrieFromFlat(f *testing.F) {
 	for _, s := range flatFuzzSeeds(f) {
@@ -161,18 +157,20 @@ func FuzzTrieFromFlat(f *testing.F) {
 			}
 		}
 		var bs BatchScratch
-		trie.LookupBatchInterleaved(leaves, 8, &bs, &res, func(i int, hit bool) {
-			want.Reset()
-			if wantHit := trie.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
-				t.Fatalf("leaf %v: interleaved walk diverges from Lookup", leaves[i])
-			}
-		})
+		for _, width := range []int{1, 8} { // the resuming scalar walk, the lanes
+			trie.LookupBatchInterleaved(leaves, width, &bs, &res, func(i int, hit bool) {
+				want.Reset()
+				if wantHit := trie.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
+					t.Fatalf("leaf %v: batch walk of width %d diverges from Lookup", leaves[i], width)
+				}
+			})
+		}
 		// Cells may refuse a path deeper than the cell space; it must not
 		// run away or hand out references lookups could not.
 		cells := 0
 		_ = trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
-			if cells++; cells > len(in.Nodes) {
-				t.Fatalf("Cells visited more cells than the arena has entries (%d)", len(in.Nodes))
+			if cells++; cells > len(in.Nodes)*int(in.Fanout) {
+				t.Fatalf("Cells visited more cells than the arena can have slots (%d)", len(in.Nodes)*int(in.Fanout))
 			}
 			for _, r := range refs {
 				checkID(r.PolygonID)
@@ -180,8 +178,9 @@ func FuzzTrieFromFlat(f *testing.F) {
 			return nil
 		})
 		st := trie.ComputeStats()
-		if numNodes := len(in.Nodes) / int(in.Fanout); st.NumNodes != numNodes-1 || st.MaxDepth > numNodes {
-			t.Fatalf("stats %+v for an arena of %d nodes", st, numNodes)
+		// Every node but the sentinel hangs from a root or a child pointer.
+		if st.NumNodes > cellid.NumFaces+st.ChildPointers || st.MaxDepth > st.NumNodes || st.TrieBytes != int64(8*len(in.Nodes)) {
+			t.Fatalf("stats %+v for an arena of %d words", st, len(in.Nodes))
 		}
 		// Accepted means canonical: the flat form is a fixed point.
 		if _, err := TrieFromFlat(trie.Flat()); err != nil {

@@ -20,7 +20,7 @@ import "github.com/actindex/act/internal/cellid"
 // misprediction flushes the speculated loads of the lanes behind it, capping
 // the very memory-level parallelism the lanes exist to create. Instead, each
 // round classifies the loaded entry with mask arithmetic: a child advances
-// the lane, a terminal parks the lane on the sentinel node (index 0, key 0)
+// the lane, a terminal parks the lane on the sentinel node (offset 0, key 0)
 // and ORs the entry into the lane's result. Parked lanes keep issuing
 // sentinel loads — L1 hits, a few cycles — and the sentinel's zero entry ORs
 // nothing, so the result accumulates the terminal entry exactly once. Probes
@@ -38,13 +38,27 @@ const (
 	// cores holds roughly this many rounds' worth of walk instructions;
 	// lanes beyond it cannot add outstanding misses, only lane state.
 	MaxInterleave = 64
-	// interleaveL2Bytes approximates a per-core L2 cache. A trie at most
-	// this large is effectively always cache-resident after a few probes;
-	// its walks never miss, so interleaving cannot overlap anything and
-	// the scalar path wins on bookkeeping.
-	interleaveL2Bytes = 1 << 20
+	// interleaveMinBytes is the footprint above which auto interleaves. The
+	// engine probes cell-sorted chunks, and on a run-compressed trie the
+	// sorted scalar walk — which resumes at the deepest node shared with the
+	// previous probe — touches so few new lines that lanes mostly add
+	// bookkeeping. Measured on the reference host (2 M uniform points over
+	// census blocks, ns/point, scalar vs 8 lanes): the benchmark's own
+	// join workloads, core.probe_sorted_ns_per_point vs
+	// core.probe_interleaved_ns_per_point, 22.0 vs 35.7 at 1.6 MB
+	// (join_boundary_exact) and 23.6 vs 34.3 at 5.0 MB (join_uniform); at
+	// 27 MB (ε = 30 m) 51 vs 53 in 64 Ki chunks and 61 vs 64 in 4 Ki
+	// chunks; at 37 MB (ε = 15 m) 40 vs 52 and 65 vs 66; at 64 MB (12 000
+	// blocks, ε = 15 m) 56 vs 65 in 64 Ki chunks but 90 vs 85 in 4 Ki and
+	// 84 vs 80 in 16 Ki chunks — the first size at which lanes won
+	// anything. The threshold sits between the last two. (Unsorted probes
+	// favour lanes from 5 MB up, 69 vs 48, but no caller sends any; so does
+	// a sorted 256-point batch on evicted caches, 324 vs 251 at 5 MB — 19 µs
+	// of a 700 µs /join request, and serve_read's join_req_p50_us did not
+	// tell the two settings apart.)
+	interleaveMinBytes = 48 << 20
 	// interleaveAutoWidth is the lane count auto selects for tries beyond
-	// L2: wide enough to cover a round's misses on cores with ~10–16 line
+	// interleaveMinBytes: wide enough to cover a round's misses on cores with ~10–16 line
 	// fill buffers, small enough that a round always fits the reorder
 	// window.
 	interleaveAutoWidth = 8
@@ -57,8 +71,8 @@ func (t *Trie) MemoryBytes() int64 {
 }
 
 // InterleaveWidth resolves a requested interleave width: positive widths are
-// clamped to MaxInterleave, and InterleaveAuto (0) selects 1 for tries small
-// enough to live in L2 — where dependent loads all hit cache and lane
+// clamped to MaxInterleave, and InterleaveAuto (0) selects 1 for tries up to
+// interleaveMinBytes — where the sorted scalar walk rarely misses and lane
 // bookkeeping is pure overhead — and interleaveAutoWidth lanes otherwise.
 func (t *Trie) InterleaveWidth(requested int) int {
 	switch {
@@ -66,7 +80,7 @@ func (t *Trie) InterleaveWidth(requested int) int {
 		return MaxInterleave
 	case requested > 0:
 		return requested
-	case t.MemoryBytes() <= interleaveL2Bytes:
+	case t.MemoryBytes() <= interleaveMinBytes:
 		return 1
 	default:
 		return interleaveAutoWidth
@@ -102,14 +116,14 @@ func (t *Trie) LookupBatchInterleaved(leaves []cellid.ID, width int, bs *BatchSc
 	if width > MaxInterleave {
 		width = MaxInterleave
 	}
-	nodes, fanout, kbits := t.nodes, uint64(t.fanout), t.bits
+	nodes, words, kbits := t.nodes, t.words, t.bits
 	roots, rootSkip, rootPrefix := t.roots, t.rootSkip, t.rootPrefix
 
 	// Lane state in fixed stack arrays, indexed with a masked lane number
 	// so every touch is bounds-check-free.
 	const lmask = MaxInterleave - 1
 	var (
-		cur  [MaxInterleave]uint64 // current node index; 0 = parked
+		cur  [MaxInterleave]uint64 // current node offset; 0 = parked
 		key  [MaxInterleave]uint64 // remaining key bits, top-aligned
 		term [MaxInterleave]uint64 // accumulated terminal entry
 	)
@@ -140,7 +154,7 @@ func (t *Trie) LookupBatchInterleaved(leaves []cellid.ID, width int, bs *BatchSc
 			for j := 0; j < group; j++ {
 				m := j & lmask
 				k := key[m]
-				entry := nodes[cur[m]*fanout+k>>(64-kbits)]
+				entry := entryAt(nodes, words, cur[m], k>>(64-kbits))
 				child := -(isNonZero(entry) &^ isNonZero(entry&tagMask))
 				cur[m] = (entry >> 2) & child
 				key[m] = (k << kbits) & child

@@ -146,11 +146,11 @@ func TestLookupBatchInterleavedScratchReuse(t *testing.T) {
 }
 
 // TestInterleaveWidth pins the width resolution policy: explicit widths pass
-// through (clamped to MaxInterleave), auto selects scalar for L2-resident
-// tries and 8 lanes beyond.
+// through (clamped to MaxInterleave), auto selects scalar for tries up to
+// interleaveMinBytes and 8 lanes beyond.
 func TestInterleaveWidth(t *testing.T) {
 	small := &Trie{fanout: 256, nodes: make([]uint64, 4*256)}
-	big := &Trie{fanout: 256, nodes: make([]uint64, (interleaveL2Bytes/8)+256)}
+	big := &Trie{fanout: 256, nodes: make([]uint64, (interleaveMinBytes/8)+256)}
 	cases := []struct {
 		trie      *Trie
 		requested int

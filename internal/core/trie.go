@@ -5,7 +5,7 @@
 //
 // Structure (paper §II, Figure 2):
 //
-//   - every node is a fixed array of `fanout` tagged 8-byte entries; the
+//   - every node has `fanout` logical slots, each a tagged 8-byte entry; the
 //     default fanout of 256 makes one trie level consume 8 key bits = 4 grid
 //     levels, bounding a lookup over 30 grid levels to ⌈60/8⌉ = 8 node
 //     accesses;
@@ -17,12 +17,33 @@
 //     indexed and true hits are distinguished from candidate hits without
 //     touching the lookup table;
 //   - cells whose level is not a multiple of the node granularity are
-//     denormalized on insertion: their value is replicated across the
-//     contiguous range of entries their quadrant prefix selects.
+//     denormalized: their value fills the contiguous range of slots their
+//     quadrant prefix selects.
 //
-// Child references are indices into a flat node arena rather than raw
-// pointers — the same 8-byte entry layout and cache behaviour as the paper's
-// implementation, minus unsafe pointer arithmetic.
+// Denormalization is run-encoded, not materialized. On real maps nearly
+// every slot is filled but equal neighbours dominate (about seven slots per
+// distinct entry at 60 m, thirty at 15 m), so a node stores each run of equal
+// slots once:
+//
+//	node+0 … node+W-1   run-start bitmap, W = ⌈fanout/64⌉ words: bit i is set
+//	                    where slot i's entry differs from slot i-1's (bit 0
+//	                    always)
+//	node+W              rank word: 16-bit field k holds the number of bits set
+//	                    in bitmap words 0 … k-1
+//	node+W+1 …          one entry per run, in slot order
+//
+// and the entry of slot i is
+//
+//	arena[node + W + rank[i>>6] + popcount(bitmap[i>>6] << (63 - i&63))]
+//
+// (the popcount includes slot i's own run, hence W rather than W+1): two
+// header loads and the entry load from one or two adjacent cache lines, no
+// branch, no comparison.
+//
+// Child references are word offsets into one flat node arena rather than raw
+// pointers — the same 8-byte entries as the paper's implementation, minus
+// unsafe pointer arithmetic. Offset 0 is the sentinel, a one-run node whose
+// entry is 0.
 package core
 
 import (
@@ -32,7 +53,6 @@ import (
 	"slices"
 
 	"github.com/actindex/act/internal/cellid"
-	"github.com/actindex/act/internal/supercover"
 )
 
 // Entry tags (the two least-significant bits of a tagged entry).
@@ -66,16 +86,17 @@ func DefaultConfig() Config { return Config{Fanout: 256} }
 // Trie is the Adaptive Cell Trie. Build one with Build; a built trie is
 // immutable and safe for concurrent lookups.
 type Trie struct {
-	fanout   int
-	bits     uint // log2(fanout): key bits consumed per node
-	levels   int  // grid levels consumed per node (bits/2)
-	maxDepth int  // deepest node depth reachable by valid cells
+	fanout int
+	bits   uint // log2(fanout): key bits consumed per node
+	// words is the number of bitmap words per node, ⌈fanout/64⌉; a node's
+	// rank word sits at node+words and its entries follow it.
+	words uint64
 
-	// nodes is the node arena: node i occupies
-	// nodes[i*fanout:(i+1)*fanout]. Node 0 is the sentinel ("false hit");
-	// its entries are never read.
+	// nodes is the node arena, a sequence of run-compressed nodes (see the
+	// package comment) addressed by word offset. The node at offset 0 is the
+	// sentinel ("false hit"): one run whose entry is 0.
 	nodes []uint64
-	// roots holds the node index of each face's root, 0 when the face is
+	// roots holds the arena offset of each face's root, 0 when the face is
 	// empty.
 	roots [cellid.NumFaces]uint64
 	// rootSkip and rootPrefix implement path compression at the root:
@@ -94,6 +115,62 @@ type Trie struct {
 	maxRef  uint32
 	hasRefs bool
 }
+
+// newTrie returns an empty trie of the given fanout, arena unset.
+func newTrie(fanout int) (*Trie, error) {
+	switch fanout {
+	case 4, 16, 64, 256:
+	default:
+		return nil, fmt.Errorf("%w: got %d", ErrBadFanout, fanout)
+	}
+	return &Trie{
+		fanout: fanout,
+		bits:   uint(bits.TrailingZeros(uint(fanout))),
+		words:  uint64(fanout+63) / 64,
+	}, nil
+}
+
+// entryAt returns the entry of slot idx of the node at offset node of an
+// arena whose nodes have `words` bitmap words: the run containing idx is the
+// rank of idx among the node's run starts. (A function of the hoisted fields
+// rather than a method so the interleaved round loop shares it.)
+func entryAt(nodes []uint64, words, node, idx uint64) uint64 {
+	w := idx >> 6
+	rank := nodes[node+words] >> (w << 4) & 0xffff
+	return nodes[node+words+rank+uint64(bits.OnesCount64(nodes[node+w]<<(63-idx&63)))]
+}
+
+// rankWord returns the rank word of a node with the given bitmap: 16-bit
+// field k holds the number of bits set in words 0 … k-1.
+func rankWord(bitmap []uint64) uint64 {
+	rank, runs := uint64(0), 0
+	for w, word := range bitmap {
+		rank |= uint64(runs) << (16 * w)
+		runs += bits.OnesCount64(word)
+	}
+	return rank
+}
+
+// nodeRuns returns the number of runs — stored entries — of the node at
+// arena offset node, whose bitmap words must lie inside the arena.
+func (t *Trie) nodeRuns(node uint64) uint64 {
+	n := 0
+	for _, bm := range t.nodes[node : node+t.words] {
+		n += bits.OnesCount64(bm)
+	}
+	return uint64(n)
+}
+
+// entries returns the stored entries of the node at arena offset node, one
+// per run in slot order.
+func (t *Trie) entries(node uint64) []uint64 {
+	first := node + t.words + 1
+	return t.nodes[first : first+t.nodeRuns(node)]
+}
+
+// isChild reports whether e references a child node (as opposed to being
+// empty or a terminal value).
+func isChild(e uint64) bool { return e != 0 && e&tagMask == tagChild }
 
 // Result receives the polygon references of a lookup. Reuse one Result
 // across lookups to keep the hot path allocation-free.
@@ -149,250 +226,6 @@ var (
 	ErrTableLimit = errors.New("core: lookup table exceeds 31-bit offset space")
 )
 
-// Build constructs a trie from a prefix-free super covering. The node arena
-// is relaid breadth-first before the trie is returned (see Relayout), so the
-// hot top levels of every walk occupy a compact arena prefix.
-func Build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
-	t, err := build(sc, cfg)
-	if err != nil {
-		return nil, err
-	}
-	t.Relayout()
-	return t, nil
-}
-
-// build runs the insertion pipeline, leaving nodes in allocation order.
-func build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
-	switch cfg.Fanout {
-	case 4, 16, 64, 256:
-	default:
-		return nil, fmt.Errorf("%w: got %d", ErrBadFanout, cfg.Fanout)
-	}
-	t := &Trie{
-		fanout: cfg.Fanout,
-		bits:   uint(bits.TrailingZeros(uint(cfg.Fanout))),
-	}
-	t.levels = int(t.bits) / 2
-	t.maxDepth = (2*cellid.MaxLevel - 1) / int(t.bits)
-	// Pre-size the arena from the covering: every interior node holds at
-	// least one child pointer or terminal entry, and cells dominate the
-	// entry population, so NumCells bounds the node count at fanout 4 and
-	// overshoots it by roughly fanout/4 at higher fanouts. Seeding the
-	// capacity at cells/(fanout/4) lands within a doubling or two of the
-	// final size on census-scale inputs, and allocNode grows geometrically
-	// from there, so arena growth never degenerates into repeated
-	// full-arena copies.
-	hint := uint64(sc.NumCells())/(uint64(cfg.Fanout)/4) + 2
-	t.nodes = make([]uint64, t.fanout, hint*uint64(t.fanout)) // node 0: sentinel
-	t.computeRootSkips(sc)
-	b := builder{t: t, tableIndex: make(map[string]uint32), noInline: cfg.DisableInlining}
-	for i := 0; i < sc.NumCells(); i++ {
-		if err := b.insert(sc.Cell(i), sc.Refs(i)); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// computeRootSkips derives, per face, the longest node-aligned key prefix
-// shared by every indexed cell. The super covering is sorted by id, so the
-// common prefix of a face equals the common prefix of its first and last
-// cells. Prefix-freeness guarantees every cell's path is strictly longer
-// than the common prefix (an equal-length path would make that cell an
-// ancestor of the rest), so at least one key chunk always remains.
-func (t *Trie) computeRootSkips(sc *supercover.SuperCovering) {
-	n := sc.NumCells()
-	for lo := 0; lo < n; {
-		face := sc.Cell(lo).Face()
-		hi := lo
-		for hi < n && sc.Cell(hi).Face() == face {
-			hi++
-		}
-		first, last := sc.Cell(lo), sc.Cell(hi-1)
-		var commonLevels int
-		if anc, ok := cellid.CommonAncestor(first, last); ok {
-			commonLevels = anc.Level()
-		}
-		skipBits := uint(2*commonLevels) / t.bits * t.bits
-		// Keep at least one chunk of every cell's path below the skip;
-		// the shallowest constraint comes from the shallower of the two
-		// extreme cells (a level-0 cell never occurs in non-degenerate
-		// input, but guard anyway).
-		minLevel := first.Level()
-		if l := last.Level(); l < minLevel {
-			minLevel = l
-		}
-		for skipBits > 0 && int(skipBits) >= 2*minLevel {
-			skipBits -= t.bits
-		}
-		t.rootSkip[face] = skipBits
-		if skipBits > 0 {
-			t.rootPrefix[face] = first.PathBits() << 4 >> (64 - skipBits) << (64 - skipBits)
-		}
-		lo = hi
-	}
-}
-
-// builder holds build-only state (the lookup-table dedup map).
-type builder struct {
-	t          *Trie
-	tableIndex map[string]uint32
-	keyBuf     []byte
-	noInline   bool
-}
-
-// insert stores the reference set of one covering cell.
-func (b *builder) insert(cell cellid.ID, refs []supercover.Ref) error {
-	if len(refs) == 0 {
-		return fmt.Errorf("%w: cell %v", ErrEmptyRefs, cell)
-	}
-	level := cell.Level()
-	if level == 0 {
-		// A face cell has no key bits to index; denormalize to its four
-		// children (possible only for degenerate world-spanning input).
-		for _, child := range cell.Children() {
-			if err := b.insert(child, refs); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	value, err := b.encodeRefs(refs)
-	if err != nil {
-		return fmt.Errorf("cell %v: %w", cell, err)
-	}
-
-	t := b.t
-	face := cell.Face()
-	if t.roots[face] == 0 {
-		t.roots[face] = t.allocNode()
-	}
-	cur := t.roots[face]
-
-	key := cell.PathBits() << 4 // top-align the 60-bit path in 64 bits
-	totalBits := 2 * level
-	// Strip the face's compressed root prefix.
-	if skip := t.rootSkip[face]; skip > 0 {
-		if key>>(64-skip)<<(64-skip) != t.rootPrefix[face] {
-			return fmt.Errorf("core: cell %v outside the face's common prefix", cell)
-		}
-		key <<= skip
-		totalBits -= int(skip)
-	}
-	depth := (totalBits - 1) / int(t.bits)
-	for d := 0; d < depth; d++ {
-		idx := key >> (64 - t.bits)
-		key <<= t.bits
-		slot := cur*uint64(t.fanout) + idx
-		entry := t.nodes[slot]
-		switch {
-		case entry == 0:
-			child := t.allocNode()
-			t.nodes[slot] = child << 2 // tagChild
-			cur = child
-		case entry&tagMask == tagChild:
-			cur = entry >> 2
-		default:
-			return fmt.Errorf("%w: cell %v descends through an occupied entry", ErrOverlap, cell)
-		}
-	}
-
-	// Write the value into the contiguous entry range the remaining bits
-	// select (denormalization: one write per replicated slot).
-	rb := uint(totalBits - depth*int(t.bits))
-	base := (key >> (64 - t.bits)) &^ (1<<(t.bits-rb) - 1)
-	count := uint64(1) << (t.bits - rb)
-	for i := uint64(0); i < count; i++ {
-		slot := cur*uint64(t.fanout) + base + i
-		if t.nodes[slot] != 0 {
-			return fmt.Errorf("%w: cell %v collides at entry %d", ErrOverlap, cell, base+i)
-		}
-		t.nodes[slot] = value
-	}
-	return nil
-}
-
-// allocNode appends a zeroed node to the arena and returns its index. The
-// arena grows geometrically (doubling) when the pre-sized capacity from
-// Build runs out; extending within capacity reuses memory that has never
-// been written past len, so the new node needs no explicit clearing.
-func (t *Trie) allocNode() uint64 {
-	idx := uint64(len(t.nodes) / t.fanout)
-	if cap(t.nodes)-len(t.nodes) < t.fanout {
-		grown := make([]uint64, len(t.nodes), max(2*cap(t.nodes), len(t.nodes)+t.fanout))
-		copy(grown, t.nodes)
-		t.nodes = grown
-	}
-	t.nodes = t.nodes[:len(t.nodes)+t.fanout]
-	return idx
-}
-
-// encodeRefs produces the tagged entry value for a reference set: inlined
-// payloads for one or two references, a lookup-table offset otherwise.
-func (b *builder) encodeRefs(refs []supercover.Ref) (uint64, error) {
-	for _, r := range refs {
-		if r.PolygonID > supercover.MaxPolygonID {
-			return 0, fmt.Errorf("%w: id %d", ErrPolygonID, r.PolygonID)
-		}
-	}
-	if !b.noInline {
-		switch len(refs) {
-		case 1:
-			return uint64(payload(refs[0]))<<2 | tagOne, nil
-		case 2:
-			return uint64(payload(refs[1]))<<33 | uint64(payload(refs[0]))<<2 | tagTwo, nil
-		}
-	}
-	off, err := b.internRefs(refs)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(off)<<2 | tagOffset, nil
-}
-
-// payload encodes one reference as a 31-bit value: polygonID<<1 | trueHit.
-func payload(r supercover.Ref) uint32 {
-	p := r.PolygonID << 1
-	if r.Interior {
-		p |= 1
-	}
-	return p
-}
-
-// internRefs appends the reference set to the lookup table, reusing an
-// existing run when an identical set was stored before ("cells often
-// reference the same set of polygons", paper §II).
-func (b *builder) internRefs(refs []supercover.Ref) (uint32, error) {
-	b.keyBuf = b.keyBuf[:0]
-	for _, r := range refs {
-		p := payload(r)
-		b.keyBuf = append(b.keyBuf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
-	}
-	if off, ok := b.tableIndex[string(b.keyBuf)]; ok {
-		return off, nil
-	}
-	t := b.t
-	off := uint64(len(t.table))
-	// The encoded run is numTrue + trues + numCand + cands.
-	var trues, cands []uint32
-	for _, r := range refs {
-		if r.Interior {
-			trues = append(trues, r.PolygonID)
-		} else {
-			cands = append(cands, r.PolygonID)
-		}
-	}
-	t.table = append(t.table, uint32(len(trues)))
-	t.table = append(t.table, trues...)
-	t.table = append(t.table, uint32(len(cands)))
-	t.table = append(t.table, cands...)
-	if uint64(len(t.table)) > payloadMax {
-		return 0, ErrTableLimit
-	}
-	b.tableIndex[string(b.keyBuf)] = uint32(off)
-	return uint32(off), nil
-}
-
 // walk descends from leaf's face root to the terminal entry covering it.
 // It returns 0 — the sentinel, never a terminal entry's value since all
 // terminal tags are nonzero — when no covering cell matches (false hit).
@@ -416,7 +249,7 @@ func (t *Trie) walk(leaf cellid.ID) uint64 {
 	for {
 		idx := key >> (64 - t.bits)
 		key <<= t.bits
-		entry := t.nodes[cur*uint64(t.fanout)+idx]
+		entry := entryAt(t.nodes, t.words, cur, idx)
 		if entry&tagMask != tagChild {
 			return entry
 		}
@@ -523,7 +356,8 @@ func (t *Trie) readTable(off uint32, res *Result) {
 func (t *Trie) LookupBatch(leaves []cellid.ID, res *Result, emit func(i int, hit bool)) {
 	// stack[d] is the node whose entries the walk reads after consuming d
 	// key chunks; stack[0] is the face root. 32 covers the deepest possible
-	// path (fanout 4: 30 chunks of 2 bits).
+	// path (fanout 4: 30 chunks of 2 bits; validateStructure holds loaded
+	// arenas to maxKeyChunks).
 	var stack [32]uint64
 	prevFace := -1     // face of the last walked leaf, -1 before any walk
 	var prevKey uint64 // post-skip key of the last walked leaf
@@ -561,7 +395,7 @@ func (t *Trie) LookupBatch(leaves []cellid.ID, res *Result, emit func(i int, hit
 		for {
 			idx := k >> (64 - t.bits)
 			k <<= t.bits
-			entry := t.nodes[cur*uint64(t.fanout)+idx]
+			entry := entryAt(t.nodes, t.words, cur, idx)
 			switch entry & tagMask {
 			case tagChild:
 				if entry == 0 {
@@ -609,7 +443,7 @@ func (t *Trie) LookupCounting(leaf cellid.ID, res *Result) (hit bool, nodeAccess
 		nodeAccesses++
 		idx := key >> (64 - t.bits)
 		key <<= t.bits
-		entry := t.nodes[cur*uint64(t.fanout)+idx]
+		entry := entryAt(t.nodes, t.words, cur, idx)
 		switch entry & tagMask {
 		case tagChild:
 			if entry == 0 {
@@ -634,81 +468,62 @@ func (t *Trie) LookupCounting(leaf cellid.ID, res *Result) (hit bool, nodeAccess
 func (t *Trie) Fanout() int { return t.fanout }
 
 // Stats describes the memory footprint and shape of a trie, the quantities
-// Table I of the paper reports.
+// Table I of the paper reports. The three value counts count runs — stored
+// entries — not slots: a cell denormalized over 64 slots is one value.
 type Stats struct {
 	Fanout         int
 	NumNodes       int   // allocated nodes, excluding the sentinel
-	TrieBytes      int64 // node arena size
+	TrieBytes      int64 // node arena size: arena words × 8
 	TableBytes     int64 // lookup table size
 	TableEntries   int   // uint32 words in the lookup table
-	InlinedValues  int   // entries holding 1–2 inlined payloads
-	OffsetValues   int   // entries referencing the lookup table
-	ChildPointers  int   // entries referencing child nodes
+	InlinedValues  int   // runs holding 1–2 inlined payloads
+	OffsetValues   int   // runs referencing the lookup table
+	ChildPointers  int   // runs referencing child nodes
 	MaxDepth       int   // deepest node depth observed (root = 1)
 	RootSkipLevels int   // grid levels compressed at the root (max across faces)
 	TotalBytes     int64 // TrieBytes + TableBytes
 }
 
-// ComputeStats scans the arena and summarizes the trie.
+// ComputeStats scans the arena and summarizes the trie. The arena is in
+// breadth-first order (Build and TrieFromFlat hand out nothing else), so the
+// nodes of one depth are contiguous and the child pointers among them count
+// the nodes of the next: one sequential pass, no traversal state.
 func (t *Trie) ComputeStats() Stats {
 	s := Stats{
-		Fanout:     t.fanout,
-		NumNodes:   len(t.nodes)/t.fanout - 1,
-		TrieBytes:  int64(len(t.nodes)) * 8,
-		TableBytes: int64(len(t.table)) * 4,
+		Fanout:       t.fanout,
+		TrieBytes:    int64(len(t.nodes)) * 8,
+		TableBytes:   int64(len(t.table)) * 4,
+		TableEntries: len(t.table),
 	}
-	s.TableEntries = len(t.table)
 	s.TotalBytes = s.TrieBytes + s.TableBytes
-	for i := t.fanout; i < len(t.nodes); i++ { // skip sentinel node
-		switch t.nodes[i] & tagMask {
-		case tagChild:
-			if t.nodes[i] != 0 {
-				s.ChildPointers++
-			}
-		case tagOne, tagTwo:
-			s.InlinedValues++
-		default:
-			s.OffsetValues++
+	level := 0 // nodes at the depth being scanned; starts as the roots
+	for face, root := range t.roots {
+		if root != 0 {
+			level++
+			s.RootSkipLevels = max(s.RootSkipLevels, int(t.rootSkip[face])/2)
 		}
 	}
-	for face := 0; face < cellid.NumFaces; face++ {
-		if t.roots[face] != 0 {
-			if d := t.depthBelow(t.roots[face]); d > s.MaxDepth {
-				s.MaxDepth = d
+	node := t.words + 2 // first node past the sentinel
+	for ; level > 0; s.MaxDepth++ {
+		s.NumNodes += level
+		children := s.ChildPointers
+		for ; level > 0; level-- {
+			entries := t.entries(node)
+			for _, e := range entries {
+				switch e & tagMask {
+				case tagChild:
+					if e != 0 {
+						s.ChildPointers++
+					}
+				case tagOne, tagTwo:
+					s.InlinedValues++
+				default:
+					s.OffsetValues++
+				}
 			}
-			if l := int(t.rootSkip[face]) / 2; l > s.RootSkipLevels {
-				s.RootSkipLevels = l
-			}
+			node += t.words + 1 + uint64(len(entries))
 		}
+		level = s.ChildPointers - children
 	}
 	return s
-}
-
-// depthBelow returns the node depth of the subtree rooted at node index n.
-// The traversal keeps an explicit heap stack instead of recursing: a
-// deserialized trie is only validated for in-range forward child pointers,
-// so an adversarial file can chain thousands of single-child nodes, and
-// one goroutine stack frame per level would let ComputeStats overflow on
-// input that lookups themselves handle fine.
-func (t *Trie) depthBelow(n uint64) int {
-	type frame struct {
-		node  uint64
-		depth int
-	}
-	stack := []frame{{n, 1}}
-	maxDepth := 1
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if f.depth > maxDepth {
-			maxDepth = f.depth
-		}
-		base := f.node * uint64(t.fanout)
-		for _, e := range t.nodes[base : base+uint64(t.fanout)] {
-			if e != 0 && e&tagMask == tagChild {
-				stack = append(stack, frame{e >> 2, f.depth + 1})
-			}
-		}
-	}
-	return maxDepth
 }

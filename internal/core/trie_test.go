@@ -193,40 +193,42 @@ func TestFaceCellDenormalizes(t *testing.T) {
 }
 
 func TestOverlapRejected(t *testing.T) {
-	// Hand-build overlapping cells (bypassing supercover's conflict
-	// resolution) to verify the trie's own defense.
+	// Hand-feed the builder overlapping cells (bypassing supercover's
+	// conflict resolution) to verify the trie's own defense.
 	parent := cellid.FromFace(0).Child(1)
 	child := parent.Child(2)
-	var b supercover.Builder
-	if err := b.Add(1, &cover.Covering{Interior: []cellid.ID{parent}}); err != nil {
-		t.Fatal(err)
-	}
-	sc := b.Build()
-	// Graft an overlapping insert by building a second covering set whose
-	// merge would be fine, then inserting raw overlapping cells directly.
-	trie, err := Build(sc, DefaultConfig())
+	bb, err := newBuilder(DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := builder{t: trie, tableIndex: make(map[string]uint32)}
-	if err := bb.insert(child, []supercover.Ref{{PolygonID: 2}}); !errors.Is(err, ErrOverlap) {
+	if err := bb.add(parent, []supercover.Ref{{PolygonID: 1, Interior: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bb.add(child, []supercover.Ref{{PolygonID: 2}}); !errors.Is(err, ErrOverlap) {
 		t.Errorf("descending through value: got %v, want ErrOverlap", err)
 	}
-	if err := bb.insert(parent, []supercover.Ref{{PolygonID: 3}}); !errors.Is(err, ErrOverlap) {
+	if err := bb.add(parent, []supercover.Ref{{PolygonID: 3}}); !errors.Is(err, ErrOverlap) {
 		t.Errorf("writing onto value: got %v, want ErrOverlap", err)
+	}
+	// A disjoint cell that arrives after a later one has closed its node
+	// would be lost; the builder refuses the order instead.
+	if err := bb.add(cellid.FromFace(0).Child(0), []supercover.Ref{{PolygonID: 4}}); !errors.Is(err, ErrOverlap) {
+		t.Errorf("out-of-order cell: got %v, want ErrOverlap", err)
+	}
+	if err := bb.add(cellid.FromFace(0).Child(2), []supercover.Ref{{PolygonID: 5}}); err != nil {
+		t.Errorf("next disjoint cell: %v", err)
 	}
 }
 
 func TestInsertErrors(t *testing.T) {
-	trie, err := Build(buildSC(t, nil), DefaultConfig())
+	bb, err := newBuilder(DefaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := builder{t: trie, tableIndex: make(map[string]uint32)}
-	if err := bb.insert(cellid.FromFace(0).Child(1), nil); !errors.Is(err, ErrEmptyRefs) {
+	if err := bb.add(cellid.FromFace(0).Child(1), nil); !errors.Is(err, ErrEmptyRefs) {
 		t.Errorf("empty refs: got %v", err)
 	}
-	if err := bb.insert(cellid.FromFace(0).Child(1),
+	if err := bb.add(cellid.FromFace(0).Child(1),
 		[]supercover.Ref{{PolygonID: 1 << 30}}); !errors.Is(err, ErrPolygonID) {
 		t.Errorf("oversized polygon id: got %v", err)
 	}
@@ -342,8 +344,14 @@ func TestStatsAccounting(t *testing.T) {
 	if st.NumNodes < 1 {
 		t.Errorf("NumNodes = %d", st.NumNodes)
 	}
-	if st.TrieBytes != int64(st.NumNodes+1)*256*8 {
-		t.Errorf("TrieBytes = %d inconsistent with %d nodes", st.TrieBytes, st.NumNodes)
+	// Per node a 4-word bitmap and a rank word; the sentinel stores one
+	// run, every other node its child pointer or value between two gaps
+	// (the cell sits in neither slot 0 nor the last slot of any node).
+	if want := int64(st.NumNodes+1)*5*8 + 8 + int64(st.NumNodes)*3*8; st.TrieBytes != want {
+		t.Errorf("TrieBytes = %d, want %d for %d nodes", st.TrieBytes, want, st.NumNodes)
+	}
+	if st.ChildPointers != st.NumNodes-1 || st.InlinedValues != 1 {
+		t.Errorf("%d child pointers and %d inlined values for a %d-node path to one cell", st.ChildPointers, st.InlinedValues, st.NumNodes)
 	}
 	if st.TableBytes != 0 {
 		t.Errorf("TableBytes = %d, want 0 (all inlined)", st.TableBytes)

@@ -101,13 +101,12 @@ func OpenIndex(path string) (*Index, error) {
 	return ix, nil
 }
 
-// assembleMapped aliases the flat sections of a mapped flat file (v3 or
-// v4) and builds the serving index around them.
+// assembleMapped aliases the flat sections of a mapped flat file (v5 or
+// v6) and builds the serving index around them.
 func assembleMapped(h *flatHeader, m *mapping) (*Index, error) {
-	arenaWords := h.numNodes * uint64(h.fanout)
 	var nodes []uint64
-	if arenaWords > 0 {
-		nodes = unsafe.Slice((*uint64)(unsafe.Pointer(&m.data[h.arenaOff])), arenaWords)
+	if h.arenaWords() > 0 {
+		nodes = unsafe.Slice((*uint64)(unsafe.Pointer(&m.data[h.arenaOff])), h.arenaWords())
 	}
 	var table []uint32
 	if h.tableLen > 0 {

@@ -50,9 +50,11 @@ func WithBuildWorkers(n int) Option {
 // node per round, so their misses overlap and batch throughput approaches
 // the memory subsystem's parallel bandwidth instead of its serial latency.
 //
-// k = 0 (the default) selects automatically: 1 for tries small enough to
-// stay resident in a per-core L2 cache, 8 otherwise. Width 1 — the plain
-// cell-sorted scalar walk — wins whenever walks do not miss: small tries,
+// k = 0 (the default) selects automatically: 1 for tries up to 48 MiB —
+// every size at which the cell-sorted scalar walk measured faster — and 8
+// beyond. Width 1 — the plain cell-sorted scalar walk, which resumes at the
+// deepest node shared with the previous probe — wins whenever walks rarely
+// miss: tries of that size,
 // heavily skewed probe streams that revisit the same few cells, or tiny
 // batches, where lane bookkeeping is pure overhead against already-cached
 // loads. Single-point Lookup is unaffected; interleaving needs a batch.

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"maps"
 	"os"
 	"path/filepath"
@@ -256,8 +257,8 @@ func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatsRefused: version-1 and version-2 index files and
-// version-1 write-ahead logs are no longer read. Every loader must say so —
+// TestLegacyFormatsRefused: index files of versions 1 to 4 and version-1
+// write-ahead logs are no longer read. Every loader must say so —
 // an "unsupported version" error, before interpreting another byte — and
 // must leave the file as it found it.
 func TestLegacyFormatsRefused(t *testing.T) {
@@ -274,11 +275,22 @@ func TestLegacyFormatsRefused(t *testing.T) {
 		le.PutUint64(b[36:], 3)                  // polygon count
 		return b
 	}
+	// A v3/v4 file has today's header layout, checksummed, over an arena of
+	// dense nodes: re-stamp a dense-id and a sparse-id file of today.
+	seeds := fuzzSeedIndexes(t)
+	flatFile := func(version uint32, current []byte) []byte {
+		b := bytes.Clone(current)
+		le.PutUint32(b[4:], version)
+		le.PutUint64(b[flatHeaderCRCBytes:], crc64.Checksum(b[:flatHeaderCRCBytes], flatCRCTable))
+		return b
+	}
 	for name, file := range map[string][]byte{
 		"index-v1":       indexFile(1),
 		"index-v2":       indexFile(2),
 		"index-v2-short": indexFile(2)[:44],
-		"index-v5":       indexFile(5),
+		"index-v3":       flatFile(3, seeds[0]),
+		"index-v4":       flatFile(4, seeds[1]),
+		"index-v7":       indexFile(7),
 	} {
 		if _, err := ReadIndex(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), "unsupported index version") {
 			t.Errorf("%s: ReadIndex error = %v, want unsupported index version", name, err)

@@ -56,8 +56,12 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 		base = append(base, square(lat, lat, 0.1))
 		centers[uint32(i)] = act.LatLng{Lat: lat, Lng: lat}
 	}
+	// No background compaction: with four polygons the second mutation
+	// would start one, and its checkpoint — when it wins the race with the
+	// reads below — rotates the mutations out of the log under test.
 	idx, err := act.New(base,
 		act.WithPrecision(250),
+		act.WithDeltaThreshold(-1),
 		act.WithWAL(act.WALConfig{Path: walPath, SnapshotPath: snapPath}))
 	if err != nil {
 		t.Fatal(err)

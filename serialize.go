@@ -16,23 +16,24 @@ import (
 	"github.com/actindex/act/internal/grid"
 )
 
-// Index serialization, versions 3 and 4 — the flat, mmap-servable layout
+// Index serialization, versions 5 and 6 — the flat, mmap-servable layout
 // (little endian throughout):
 //
 //	offset 0:    header, 264 bytes
 //	  magic     "ACTX"          4 bytes
-//	  version   uint32          3 (dense ids) or 4 (sparse ids)
+//	  version   uint32          5 (dense ids) or 6 (sparse ids)
 //	  gridKind  uint32
 //	  flags     uint32          bit 0: a geometry section follows the table
 //	  fanout    uint32
-//	  idSpace   uint32          v4: ids ever assigned; v3: zero padding
+//	  idSpace   uint32          v6: ids ever assigned; v5: zero padding
 //	  precision, achieved       2 × float64
 //	  cells     uint64          indexed covering cells (stats)
 //	  numPolys  uint64          live (stored) polygon count
 //	  numNodes  uint64          trie nodes, sentinel included
 //	  tableLen  uint64          lookup-table words (uint32 each)
 //	  arenaOff  uint64          = flatPageSize (4096): arena start
-//	  tableOff  uint64          = arenaOff + numNodes·fanout·8
+//	  tableOff  uint64          = arenaOff + arena words·8; the arena's size
+//	                            is read from here, nodes vary in size
 //	  geomOff   uint64          8-aligned geometry start; 0 without geometry
 //	  fileSize  uint64          total file length in bytes
 //	  roots     6 × uint64      per-face trie roots
@@ -41,22 +42,23 @@ import (
 //	  arenaCRC  uint64          CRC-64/ECMA of arena + table (+ id column)
 //	  headerCRC uint64          CRC-64/ECMA of header bytes [0, 256)
 //	zero padding to arenaOff
-//	arenaOff:  node arena       numNodes·fanout × uint64, canonical BFS order
+//	arenaOff:  node arena       run-compressed nodes back to back (see
+//	                            internal/core), canonical BFS order
 //	tableOff:  lookup table     tableLen × uint32
-//	idsOff:    id column        v4 only: numPolys × uint32, strictly
+//	idsOff:    id column        v6 only: numPolys × uint32, strictly
 //	                            ascending live polygon ids, 8-aligned after
 //	                            the table ((tableEnd+7)&^7)
 //	geomOff:   geometry section geostore.Store.WriteTo blob (own magic,
 //	                            version, CRC) — present only when flag set
 //
-// Version 3 describes a dense id space: numPolys polygons with implicit
-// ids 0..numPolys-1. Version 4 adds sparse id spaces — the id column names
+// Version 5 describes a dense id space: numPolys polygons with implicit
+// ids 0..numPolys-1. Version 6 adds sparse id spaces — the id column names
 // the live ids explicitly, idSpace records how many ids were ever assigned
 // — so a compacted index whose removals left permanent holes serializes.
-// WriteTo picks the lowest version that can represent the index (v3 when
-// dense, v4 when sparse); the geometry section stays dense either way,
+// WriteTo picks the lowest version that can represent the index (v5 when
+// dense, v6 when sparse); the geometry section stays dense either way,
 // storing the live polygons in id-column order and remapped to their
-// sparse ids at load. The arenaCRC of a v4 file also covers the id column
+// sparse ids at load. The arenaCRC of a v6 file also covers the id column
 // (not the alignment padding around it).
 //
 // The arena starts on a page boundary and its words are stored exactly as
@@ -70,16 +72,18 @@ import (
 // The geometry section is versioned and checksummed independently of the
 // header, so the exact-refinement geometry can evolve without breaking the
 // trie format; files written with WithGeometryStore(false) load in
-// approximate-only mode. Versions 1 and 2 (the pre-flat layouts) are no
-// longer read: both loaders refuse them as unsupported.
+// approximate-only mode. Versions 1 and 2 (the pre-flat layouts) and 3 and
+// 4 (this layout over dense nodes of fanout words each, every denormalized
+// cell stored once per slot) are no longer read: both loaders refuse them as
+// unsupported.
 
 const (
 	indexMagic = "ACTX"
 	// indexVersion is the dense flat format; indexVersionSparse the flat
 	// format with an explicit id column. WriteTo emits the lowest version
 	// that represents the index.
-	indexVersion       = 3
-	indexVersionSparse = 4
+	indexVersion       = 5
+	indexVersionSparse = 6
 
 	// flatHeaderSize is the full flat header including headerCRC;
 	// flatHeaderCRCBytes the prefix that checksum covers.
@@ -109,10 +113,10 @@ var ErrPendingMutations = errors.New("act: index has uncompacted mutations; Comp
 
 var flatCRCTable = crc64.MakeTable(crc64.ECMA)
 
-// flatHeader is the parsed 264-byte flat header (versions 3 and 4).
+// flatHeader is the parsed 264-byte flat header (versions 5 and 6).
 type flatHeader struct {
 	version   uint32
-	idSpace   uint64 // ids ever assigned; == numPolys for v3
+	idSpace   uint64 // ids ever assigned; == numPolys for v5
 	gridKind  uint32
 	hasGeom   bool
 	fanout    uint32
@@ -132,11 +136,15 @@ type flatHeader struct {
 	arenaCRC  uint64
 }
 
+// arenaWords returns the number of 8-byte words between arenaOff and
+// tableOff: the node arena.
+func (h *flatHeader) arenaWords() uint64 { return (h.tableOff - h.arenaOff) / 8 }
+
 // tableEnd returns the byte offset one past the lookup table.
 func (h *flatHeader) tableEnd() uint64 { return h.tableOff + h.tableLen*4 }
 
-// idsOff returns the byte offset of the v4 id column (8-aligned past the
-// table). A v3 header has no column; idsOff and idsEnd collapse to
+// idsOff returns the byte offset of the v6 id column (8-aligned past the
+// table). A v5 header has no column; idsOff and idsEnd collapse to
 // tableEnd so size arithmetic works uniformly across versions.
 func (h *flatHeader) idsOff() uint64 {
 	if h.version < indexVersionSparse {
@@ -169,7 +177,7 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 	if h.version >= indexVersionSparse {
 		le.PutUint32(buf[20:], uint32(h.idSpace))
 	}
-	// For v3, buf[20:24] is reserved padding, zero.
+	// For v5, buf[20:24] is reserved padding, zero.
 	le.PutUint64(buf[24:], math.Float64bits(h.precision))
 	le.PutUint64(buf[32:], math.Float64bits(h.achieved))
 	le.PutUint64(buf[40:], h.cells)
@@ -191,7 +199,7 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 }
 
 // readFlatHeader is the header prologue both loaders share: it reads the
-// magic and version first — so anything but a flat v3/v4 file is refused
+// magic and version first — so anything but a flat v5/v6 file is refused
 // before a single further byte is interpreted — then the rest of the
 // header, and hands it to decodeFlatHeader. On success exactly
 // flatHeaderSize bytes of r are consumed.
@@ -212,7 +220,7 @@ func readFlatHeader(r io.Reader) (*flatHeader, error) {
 	return decodeFlatHeader(&buf)
 }
 
-// decodeFlatHeader parses and cross-validates a flat header (v3 or v4)
+// decodeFlatHeader parses and cross-validates a flat header (v5 or v6)
 // whose magic and version bytes are already verified. Every offset
 // relationship the layout promises is checked here, so both readers
 // (copying and mmap) can trust the header's geometry of the file
@@ -253,8 +261,8 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 	default:
 		return nil, fmt.Errorf("act: bad trie fanout %d", h.fanout)
 	}
-	if h.numNodes > core.MaxArenaWords/uint64(h.fanout) || h.tableLen > core.MaxTableWords {
-		return nil, fmt.Errorf("act: implausible trie size (%d nodes, %d table words)", h.numNodes, h.tableLen)
+	if h.tableLen > core.MaxTableWords {
+		return nil, fmt.Errorf("act: implausible lookup table of %d words", h.tableLen)
 	}
 	if h.numPolys > 1<<30 {
 		// Polygon ids are 30-bit (the trie payload format), so any larger
@@ -280,8 +288,10 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 	if h.arenaOff != flatPageSize {
 		return nil, fmt.Errorf("act: arena offset %d is not the page boundary %d", h.arenaOff, flatPageSize)
 	}
-	if h.tableOff != h.arenaOff+h.numNodes*uint64(h.fanout)*8 {
-		return nil, fmt.Errorf("act: table offset %d inconsistent with arena size", h.tableOff)
+	// Nodes vary in size, so the arena is as long as the offsets say;
+	// assembleFlat checks numNodes against what the arena holds.
+	if h.tableOff < h.arenaOff || (h.tableOff-h.arenaOff)%8 != 0 || h.arenaWords() > core.MaxArenaWords {
+		return nil, fmt.Errorf("act: table offset %d does not end a plausible arena", h.tableOff)
 	}
 	end := h.idsEnd()
 	if h.hasGeom {
@@ -294,7 +304,7 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 	return h, nil
 }
 
-// writeZeros writes n zero bytes — the padding between v3 sections.
+// writeZeros writes n zero bytes — the padding between sections.
 func writeZeros(w io.Writer, n int64) error {
 	var zeros [4096]byte
 	for n > 0 {
@@ -318,9 +328,9 @@ func writeZeros(w io.Writer, n int64) error {
 //
 // Only compacted indexes serialize: WriteTo reports ErrPendingMutations
 // while uncompacted mutations exist. A dense index (no removals, or none
-// that left holes) writes the v3 format; an index whose removals left
+// that left holes) writes the v5 format; an index whose removals left
 // permanent holes in the id space (ids are stable forever, so holes never
-// close) writes v4, which carries an explicit id column.
+// close) writes v6, which carries an explicit id column.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	ep, ids, idSpace, err := ix.serializableState()
 	if err != nil {
@@ -375,10 +385,10 @@ func (ix *Index) serializableState() (*epoch, []uint32, int64, error) {
 	return ep, ids, int64(idSpace), nil
 }
 
-// writeFlat serializes one compacted epoch in the flat layout: v3 when ids
-// is nil (dense id space), v4 otherwise — ids is then the strictly
+// writeFlat serializes one compacted epoch in the flat layout: v5 when ids
+// is nil (dense id space), v6 otherwise — ids is then the strictly
 // ascending column of live polygon ids and idSpace the number of ids ever
-// assigned. The v4 geometry section stays a dense geostore blob holding
+// assigned. The v6 geometry section stays a dense geostore blob holding
 // the live polygons in id-column order; the loader remaps them to their
 // sparse ids.
 func writeFlat(w io.Writer, ep *epoch, kind GridKind, precision float64, ids []uint32, idSpace int64) (int64, error) {
@@ -393,7 +403,7 @@ func writeFlat(w io.Writer, ep *epoch, kind GridKind, precision float64, ids []u
 		achieved:  ep.stats.AchievedPrecisionMeters,
 		cells:     uint64(ep.stats.IndexedCells),
 		numPolys:  uint64(ep.stats.NumPolygons),
-		numNodes:  arenaWords / uint64(f.Fanout),
+		numNodes:  uint64(ep.stats.TrieNodes) + 1,
 		tableLen:  uint64(len(f.Table)),
 		arenaOff:  flatPageSize,
 		roots:     f.Roots,
@@ -414,7 +424,7 @@ func writeFlat(w io.Writer, ep *epoch, kind GridKind, precision float64, ids []u
 		for i, id := range ids {
 			binary.LittleEndian.PutUint32(idBytes[4*i:], id)
 		}
-		// The arena checksum of a v4 file also covers the id column (not
+		// The arena checksum of a v6 file also covers the id column (not
 		// the alignment padding around it).
 		h.arenaCRC = crc64.Update(h.arenaCRC, flatCRCTable, idBytes)
 		if h.hasGeom {
@@ -494,7 +504,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	return readIndexFlat(br, h)
 }
 
-// readIndexFlat loads the sections of a flat file (v3 or v4) whose header
+// readIndexFlat loads the sections of a flat file (v5 or v6) whose header
 // was already read off br: the copying path, used for streamed input and as
 // OpenIndex's fallback when mapping is unavailable.
 func readIndexFlat(br *bufio.Reader, h *flatHeader) (*Index, error) {
@@ -502,7 +512,7 @@ func readIndexFlat(br *bufio.Reader, h *flatHeader) (*Index, error) {
 		return nil, fmt.Errorf("act: skip header padding: %w", err)
 	}
 	crc := crc64.New(flatCRCTable)
-	nodes, table, err := core.ReadFlatWords(io.TeeReader(br, crc), h.numNodes*uint64(h.fanout), h.tableLen)
+	nodes, table, err := core.ReadFlatWords(io.TeeReader(br, crc), h.arenaWords(), h.tableLen)
 	if err != nil {
 		return nil, err
 	}
@@ -531,7 +541,7 @@ func readIndexFlat(br *bufio.Reader, h *flatHeader) (*Index, error) {
 	return assembleFlat(h, nodes, table, ids, br)
 }
 
-// decodeIDColumn parses and validates a v4 id column: strictly ascending
+// decodeIDColumn parses and validates a v6 id column: strictly ascending
 // polygon ids below idSpace.
 func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 	ids := make([]uint32, len(b)/4)
@@ -549,7 +559,7 @@ func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 
 // assembleFlat builds a servable Index from a validated flat header and
 // its flat trie words — heap copies from readIndexFlat or mapping-backed
-// aliases from OpenIndex; ids is the decoded v4 id column (nil for v3) and
+// aliases from OpenIndex; ids is the decoded v6 id column (nil for v5) and
 // geomSrc must be positioned at the geometry section when the header
 // declares one. All cross-section consistency checks (trie structure,
 // polygon-id ranges, geometry count) live here so both load paths enforce
@@ -578,7 +588,7 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	// Lookups return polygon ids straight out of the trie, and Join sizes
 	// its per-polygon count slices from the id space — an id at or beyond
 	// it would make counts[polygon]++ panic later, so reject the mismatch
-	// at load time. (For v3, idSpace == numPolys.)
+	// at load time. (For v5, idSpace == numPolys.)
 	maxRef, hasRefs := trie.MaxPolygonRef()
 	if hasRefs && uint64(maxRef) >= h.idSpace {
 		return nil, fmt.Errorf("act: trie references polygon %d, header id space is %d", maxRef, h.idSpace)
@@ -594,7 +604,7 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 				st.NumPolygons(), h.numPolys)
 		}
 		if ids != nil {
-			// v4: the section stores the live polygons densely in id-column
+			// v6: the section stores the live polygons densely in id-column
 			// order; remap each to its sparse id so trie refs index the
 			// store directly.
 			slots := make([]*geom.Polygon, h.idSpace)
@@ -614,6 +624,9 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 		}
 	}
 	ts := trie.ComputeStats()
+	if uint64(ts.NumNodes)+1 != h.numNodes {
+		return nil, fmt.Errorf("act: arena holds %d nodes, header says %d", ts.NumNodes+1, h.numNodes)
+	}
 	stats := BuildStats{
 		NumPolygons:             int(h.numPolys),
 		IndexedCells:            int(h.cells),
