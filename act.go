@@ -36,7 +36,6 @@
 package act
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -100,57 +99,20 @@ func (k GridKind) String() string {
 	}
 }
 
-// options is the build configuration the Option functions fill in.
+// options is the build configuration the Option functions fill in; each
+// field is documented once, on the With function that sets it (options.go).
 type options struct {
-	// PrecisionMeters is the precision bound ε: the maximum distance
-	// between the partners of a false-positive join pair. Required.
-	PrecisionMeters float64
-	// Grid selects the hierarchical grid (default PlanarGrid).
-	Grid GridKind
-	// Fanout is the trie fanout: 4, 16, 64, or 256 (default 256, the
-	// paper's choice).
-	Fanout int
-	// MaxCellsPerPolygon, when positive, bounds each polygon's covering
-	// size. Refinement then happens best-first and the index may deliver
-	// only Stats().AchievedPrecisionMeters instead of ε (memory-
-	// constrained mode).
-	MaxCellsPerPolygon int
-	// QuerySamplePoints optionally supplies a sample of observed query
-	// points. Combined with MaxCellsPerPolygon it enables adaptive
-	// refinement (the paper's §I sketch): the cell budget concentrates
-	// where queries actually land, so hot boundary regions reach the
-	// precision bound while unqueried regions stay coarse. Ignored
-	// without a cell budget.
-	QuerySamplePoints []LatLng
-	// BuildWorkers bounds the goroutines used to compute per-polygon
-	// coverings (default GOMAXPROCS). The covering computation is
-	// parallelized over polygons; the super-covering merge is serial,
-	// matching the paper's build pipeline.
-	BuildWorkers int
-	// SkipGeometryStore drops the exact polygon geometry after the covering
-	// is built, halving memory for approximate-only deployments. The index
-	// then cannot refine candidates: exact joins report ErrNoGeometry, and
-	// LookupExact panics with it.
-	SkipGeometryStore bool
-	// Interleave is the number of concurrent trie walks the batch probe
-	// paths keep in flight (0 = auto: 1 for tries up to 48 MiB, 8 beyond;
-	// 1 = scalar walks). See WithInterleave.
-	Interleave int
-	// DeltaThreshold is the pending-mutation count (delta polygons plus
-	// tombstones) at which Insert and Remove trigger a background
-	// compaction (0 selects the default of 128; negative disables
-	// auto-compaction, leaving compaction to explicit Compact calls). See
-	// WithDeltaThreshold.
-	DeltaThreshold int
-	// WAL, when non-nil, attaches a write-ahead delta log: mutations are
-	// logged durably before they are acknowledged, and any records left in
-	// the log by a previous process are replayed onto the fresh build. See
-	// WithWAL.
-	WAL *WALConfig
-	// Observer, when non-nil, receives the index's observability events —
-	// WAL append/fsync/rotation callbacks, compaction runs, and structured
-	// log lines. See WithObserver.
-	Observer *Observer
+	PrecisionMeters    float64 // ε; required
+	Grid               GridKind
+	Fanout             int // 0 = 256
+	MaxCellsPerPolygon int // 0 = no cell budget
+	QuerySamplePoints  []LatLng
+	BuildWorkers       int // 0 = GOMAXPROCS
+	SkipGeometryStore  bool
+	Interleave         int // 0 = auto
+	DeltaThreshold     int // 0 = defaultDeltaThreshold, negative = never
+	WAL                *WALConfig
+	Observer           *Observer
 }
 
 // BuildStats reports the cost and shape of a built index — the quantities
@@ -164,10 +126,13 @@ type BuildStats struct {
 	TrieNodes    int
 	// AchievedPrecisionMeters is the worst-case false-positive distance
 	// actually delivered; ≤ PrecisionMeters unless a cell budget was set.
+	// After a compaction it is an upper bound: the worst polygon may have
+	// been removed since.
 	AchievedPrecisionMeters float64
 	// CoverDuration is the time to build all individual coverings
-	// (parallel); MergeDuration the serial super-covering merge;
-	// InsertDuration the trie construction.
+	// (parallel) — the initial build only, a compaction covers nothing;
+	// MergeDuration the serial super-covering merge; InsertDuration the
+	// trie construction.
 	CoverDuration  time.Duration
 	MergeDuration  time.Duration
 	InsertDuration time.Duration
@@ -200,7 +165,7 @@ type Index struct {
 	kind       GridKind
 	precision  float64
 	interleave int
-	pl         pipeline // retained build pipeline, reused by Insert/Compact
+	pl         pipeline // retained build pipeline: covers inserts, builds compacted tries
 
 	// live is the serving epoch, swung atomically by mutations and
 	// compaction; its generation counts epoch publications.
@@ -209,10 +174,8 @@ type Index struct {
 	// mu serializes mutations (Insert, Remove, and the bracketing phases
 	// of a compaction); readers never take it.
 	mu sync.Mutex
-	// sources holds the original polygon of every id ever assigned (nil =
-	// removed), the input compaction rebuilds from. Nil sources slice =
-	// the index carries no rebuild inputs (deserialized or recovered).
-	sources []*geo.Polygon
+	// mutable marks an index that keeps an alive set and a build pipeline
+	// (New, Recover, OpenFollower); ReadIndex and OpenIndex leave it false.
 	mutable bool
 	// follower marks a replication follower (OpenFollower): internally
 	// mutable — ApplyReplicated lands primary records in the overlay and
@@ -228,21 +191,13 @@ type Index struct {
 	// mutations are rejected with ErrFenced from then on. Atomic so the
 	// replication handlers can check it without ix.mu.
 	fencedAt atomic.Uint64
-	// srcComplete reports that sources holds every live polygon, so
-	// compaction reruns the build pipeline over them. True for indexes
-	// built in-process; false for indexes resurrected by Recover and for
-	// followers, whose base polygons exist only in serialized form —
-	// their compactions rebuild from the live epoch (compactEpoch).
-	// Guarded by mu alongside sources.
-	srcComplete bool
-	// alive tracks which assigned ids are currently live — the canonical
-	// alive set for every mutable index, maintained even when sources is
-	// absent (recovered indexes). len(alive) is the id space. Guarded by
-	// mu.
+	// alive tracks which assigned ids are currently live; len(alive) is the
+	// id space. seq numbers mutations; compaction snapshots it to split the
+	// overlay into the baked-in part and the residual. Both are guarded by
+	// mu and, like idSpace, liveCount and the overlay of the live epoch,
+	// assigned by publish alone once the index is constructed.
 	alive []bool
-	// seq numbers mutations; compaction snapshots it to split the overlay
-	// into the baked-in part and the residual.
-	seq uint64
+	seq   uint64
 	// deltaThreshold is the pending-mutation count that triggers
 	// background compaction (negative: auto-compaction disabled).
 	deltaThreshold int
@@ -251,7 +206,7 @@ type Index struct {
 	compactMu   sync.Mutex
 	compactions atomic.Uint64
 	// liveCount is the number of currently live polygons; idSpace the
-	// number of ids ever assigned (= len(sources) for mutable indexes).
+	// number of ids ever assigned (= len(alive) for mutable indexes).
 	// Atomics so the read paths can size join outputs without ix.mu.
 	liveCount atomic.Int64
 	idSpace   atomic.Int64
@@ -267,7 +222,7 @@ type Index struct {
 	// stable storage) before the epoch swings. walRecovered counts the
 	// records replayed when the log was attached; snapshotPath is where
 	// compactions checkpoint the fresh base (empty: the log is never
-	// truncated). All three are set at construction and never mutated.
+	// truncated). All three are set at construction, or by Promote.
 	wal          *wal.Log
 	walRecovered int
 	snapshotPath string
@@ -276,7 +231,7 @@ type Index struct {
 	// + structured logging). Set at construction, never mutated.
 	obs *Observer
 
-	// loadedIDs is the sorted live-id column of the v4 file this index
+	// loadedIDs is the sorted live-id column of the v6 file this index
 	// was loaded from (nil for dense files and built indexes); WriteTo
 	// re-emits it when an immutable sparse index is re-serialized.
 	loadedIDs []uint32
@@ -287,9 +242,9 @@ var ErrNoPolygons = errors.New("act: no polygons")
 
 // pipeline is the reusable build configuration: everything needed to turn
 // polygons into coverings, a trie, and a geometry store. It is built once
-// per Index and reused by Insert (one covering) and compaction (a full
-// rebuild), so mutated state is always produced by exactly the machinery
-// that built the base — the equivalence guarantee rests on that.
+// per Index and reused by Insert and record application (one covering
+// each), so delta coverings are produced by exactly the machinery that
+// built the base — the equivalence guarantee rests on that.
 type pipeline struct {
 	grid     grid.Grid
 	coverer  *cover.Coverer
@@ -299,14 +254,6 @@ type pipeline struct {
 	fanout   int
 	workers  int
 	hasGeom  bool
-}
-
-// buildEntry pairs a polygon with its stable id for the shared pipeline.
-// Initial builds use dense ids 0..n-1; compactions pass the surviving ids,
-// which may have holes.
-type buildEntry struct {
-	id  uint32
-	src *geo.Polygon
 }
 
 // cover projects one polygon onto the grid, once, and computes its covering
@@ -332,18 +279,14 @@ func (pl *pipeline) cover(p *geo.Polygon) (*cover.Covering, *geom.Polygon, error
 
 // each calls one(i) for every i in [0, n) from up to pl.workers goroutines —
 // inline when one worker suffices. It stops handing out work at the first
-// error and once ctx is done, which it checks before every call, and
-// returns that error.
-func (pl *pipeline) each(ctx context.Context, n int, one func(i int) error) error {
+// error and returns it.
+func (pl *pipeline) each(n int, one func(i int) error) error {
 	var next atomic.Int64
 	work := func() error {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return nil
-			}
-			if err := ctx.Err(); err != nil {
-				return err
 			}
 			if err := one(i); err != nil {
 				return err
@@ -374,75 +317,69 @@ func (pl *pipeline) each(ctx context.Context, n int, one func(i int) error) erro
 	return nil
 }
 
-// run executes the full build pipeline over the entries: parallel
-// per-polygon coverings, the serial super-covering merge, trie
-// construction, and (when the pipeline keeps geometry) a sparse geometry
-// store with idSpace slots. The context is checked before every covering
-// and between phases, so a cancelled compaction stops within one covering
-// without publishing anything.
-func (pl *pipeline) run(ctx context.Context, entries []buildEntry, idSpace int) (*core.Trie, *geostore.Store, BuildStats, error) {
-	var stats BuildStats
-	stats.NumPolygons = len(entries)
+// run executes the full build pipeline over the polygons, whose ids are
+// their indices: parallel per-polygon coverings, the serial super-covering
+// merge, trie construction, and (when the pipeline keeps geometry) the
+// geometry store.
+func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
+	stats := BuildStats{NumPolygons: len(polygons)}
 
-	// Phase 1: individual coverings, parallelized over entries. The exact
-	// geometry is id-indexed over the whole id space; entries not present
-	// (removed ids) stay nil.
+	// Phase 1: individual coverings, parallelized over polygons.
 	start := time.Now()
-	covs := make([]*cover.Covering, len(entries))
-	projected := make([]*geom.Polygon, idSpace)
-	err := pl.each(ctx, len(entries), func(i int) (err error) {
-		e := entries[i]
-		if covs[i], projected[e.id], err = pl.cover(e.src); err != nil {
-			return fmt.Errorf("act: covering polygon %d: %w", e.id, err)
+	covs := make([]*cover.Covering, len(polygons))
+	projected := make([]*geom.Polygon, len(polygons))
+	err := pl.each(len(polygons), func(i int) (err error) {
+		if covs[i], projected[i], err = pl.cover(polygons[i]); err != nil {
+			return fmt.Errorf("act: covering polygon %d: %w", i, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, err
 	}
 	for _, cov := range covs {
 		stats.AchievedPrecisionMeters = max(stats.AchievedPrecisionMeters, cov.AchievedPrecisionMeters)
 	}
 	stats.CoverDuration = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, stats, err
-	}
 
 	// Phase 2: serial super-covering merge.
 	start = time.Now()
 	var scb supercover.Builder
 	for i, cov := range covs {
-		if err := scb.Add(entries[i].id, cov); err != nil {
-			return nil, nil, stats, fmt.Errorf("act: merging polygon %d: %w", entries[i].id, err)
+		if err := scb.Add(uint32(i), cov); err != nil {
+			return nil, fmt.Errorf("act: merging polygon %d: %w", i, err)
 		}
 	}
 	sc := scb.Build()
 	stats.MergeDuration = time.Since(start)
-	stats.IndexedCells = sc.NumCells()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, stats, err
-	}
 
-	// Phase 3: trie construction.
-	start = time.Now()
-	trie, err := core.Build(sc, core.Config{Fanout: pl.fanout})
+	// Phase 3: trie construction, and the exact geometry for candidate
+	// refinement unless the caller opted out.
+	trie, err := pl.trie(sc, &stats)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, err
 	}
-	stats.InsertDuration = time.Since(start)
-
-	// Exact geometry for candidate refinement, unless the caller opted
-	// out.
 	var store *geostore.Store
 	if pl.hasGeom {
 		store = geostore.NewSparse(projected)
 	}
+	return &epoch{trie: trie, store: store, stats: stats}, nil
+}
 
+// trie builds the Adaptive Cell Trie over a merged super covering and
+// records its cost and shape in stats — the last phase of the initial build
+// and of every compaction.
+func (pl *pipeline) trie(sc *supercover.SuperCovering, stats *BuildStats) (*core.Trie, error) {
+	stats.IndexedCells = sc.NumCells()
+	start := time.Now()
+	trie, err := core.Build(sc, core.Config{Fanout: pl.fanout})
+	if err != nil {
+		return nil, err
+	}
+	stats.InsertDuration = time.Since(start)
 	ts := trie.ComputeStats()
-	stats.TrieBytes = ts.TrieBytes
-	stats.TableBytes = ts.TableBytes
-	stats.TrieNodes = ts.NumNodes
-	return trie, store, stats, nil
+	stats.TrieBytes, stats.TableBytes, stats.TrieNodes = ts.TrieBytes, ts.TableBytes, ts.NumNodes
+	return trie, nil
 }
 
 // defaultDeltaThreshold is the pending-mutation count that triggers
@@ -458,12 +395,10 @@ const defaultDeltaThreshold = 128
 //		act.WithGrid(act.CubeFaceGrid),
 //		act.WithFanout(256))
 //
-// Polygon ids in lookup results are indices into polygons.
-//
-// The index retains the polygons (the pointers, not copies) as the source
-// set live mutation rebuilds from — see [Index.Insert] and [Index.Compact];
-// callers should not modify them after the build. Indexes loaded with
-// ReadIndex carry no sources and are immutable.
+// Polygon ids in lookup results are indices into polygons. The index keeps
+// the coverings' cells and the projected geometry, not the polygons: the
+// caller's slice is free once New returns, and live mutation compacts from
+// the served cells — see [Index.Insert] and [Index.Compact].
 func New(polygons []*Polygon, opts ...Option) (*Index, error) {
 	o := applyOptions(opts)
 	if len(polygons) == 0 {
@@ -513,11 +448,7 @@ func New(polygons []*Polygon, opts ...Option) (*Index, error) {
 		hasGeom:  !o.SkipGeometryStore,
 	}
 
-	entries := make([]buildEntry, len(polygons))
-	for i, p := range polygons {
-		entries[i] = buildEntry{id: uint32(i), src: p}
-	}
-	trie, store, stats, err := pl.run(context.Background(), entries, len(polygons))
+	ep, err := pl.run(polygons)
 	if err != nil {
 		return nil, err
 	}
@@ -533,22 +464,16 @@ func New(polygons []*Polygon, opts ...Option) (*Index, error) {
 		interleave:     o.Interleave,
 		pl:             pl,
 		mutable:        true,
-		srcComplete:    true,
 		deltaThreshold: threshold,
 		obs:            o.Observer,
 	}
-	// Retain the caller's polygons (pointers, not copies) as the source of
-	// truth compaction rebuilds from; the slice itself is cloned so a
-	// caller appending to theirs cannot race the mutation layer.
-	ix.sources = make([]*geo.Polygon, len(polygons))
-	copy(ix.sources, polygons)
 	ix.alive = make([]bool, len(polygons))
 	for i := range ix.alive {
 		ix.alive[i] = true
 	}
 	ix.liveCount.Store(int64(len(polygons)))
 	ix.idSpace.Store(int64(len(polygons)))
-	ix.live.Swap(&epoch{trie: trie, store: store, stats: stats})
+	ix.live.Swap(ep)
 	if o.WAL != nil {
 		if err := ix.attachWAL(*o.WAL); err != nil {
 			return nil, err

@@ -12,30 +12,21 @@ package act
 // compaction atomically writes the fresh base to it and rotates the log,
 // so the log length is bounded by the churn between compactions.
 //
-// Replay is idempotent, keyed on the fact that polygon ids are never
-// reused: an insert record whose id already exists in the base is skipped
-// (the snapshot is newer than the log's checkpoint floor — the legal crash
-// window between snapshot publication and log rotation), an insert that
-// would leave an id gap is corruption, and a remove of an id that is not
-// alive is skipped. A torn final record — the expected shape of a crash
-// mid-append — is detected by its CRC and truncated away.
+// Replay is idempotent (see stage): a snapshot newer than the log's
+// checkpoint floor — the legal crash window between snapshot publication and
+// log rotation — makes the overlap a no-op. A torn final record — the
+// expected shape of a crash mid-append — is detected by its CRC and
+// truncated away.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"github.com/actindex/act/internal/cover"
-	"github.com/actindex/act/internal/delta"
 	"github.com/actindex/act/internal/fault"
-	"github.com/actindex/act/internal/geo"
-	"github.com/actindex/act/internal/geojson"
-	"github.com/actindex/act/internal/supercover"
 	"github.com/actindex/act/internal/wal"
 )
 
@@ -182,19 +173,16 @@ func (ix *Index) WALUpdates() <-chan struct{} {
 //
 // The recovered index is mutable: Insert and Remove work (and keep
 // appending to the same log, so repeated crash/recover cycles compose),
-// and indexPath doubles as the checkpoint snapshot target. The original
-// polygon set is not recoverable from a snapshot, so compaction rebuilds
-// from the live epoch instead (base cells + delta coverings, see Compact) —
-// recovered indexes checkpoint and keep their logs bounded like built ones.
-// Replay uses the index's persisted precision, grid, and fanout with
-// standard refinement; adaptive-refinement settings (query sample, cell
-// budget) are not persisted and do not apply to replayed inserts.
+// and indexPath doubles as the checkpoint snapshot target, so compactions
+// keep the log bounded. Replay uses the index's persisted precision, grid,
+// and fanout with standard refinement; adaptive-refinement settings (query
+// sample, cell budget) are not persisted and do not apply to replayed
+// inserts.
 //
-// Options are honored where they apply (WithInterleave,
-// WithDeltaThreshold, WithBuildWorkers, and a WithWAL carrying the fsync
-// policy for the reattached log — its Path and SnapshotPath fields are
-// ignored here); build-shape options like WithPrecision are ignored, since
-// the snapshot fixes them.
+// Options are honored where they apply (WithInterleave, WithDeltaThreshold,
+// WithObserver, and a WithWAL carrying the fsync policy for the reattached
+// log — its Path and SnapshotPath fields are ignored here); build options
+// like WithPrecision are ignored, since the snapshot fixes them.
 func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 	o := applyOptions(opts)
 	ix, err := OpenIndex(indexPath)
@@ -221,24 +209,17 @@ func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 // promoteMutable turns a freshly deserialized (immutable) index into a
 // mutable one: the build pipeline is reconstructed from the persisted
 // precision, grid, and fanout, and the alive set from the id column (dense
-// for v3 files, the explicit column for v4). sources stays nil — the
-// original polygons are not recoverable from a snapshot — so compaction
-// rebuilds from the live epoch instead (compactEpoch).
+// for v5 files, the explicit column for v6).
 func (ix *Index) promoteMutable(o *options) error {
 	ep := ix.live.Load()
 	coverer, err := cover.NewCoverer(ix.grid, ix.precision)
 	if err != nil {
 		return fmt.Errorf("reconstructing coverer: %w", err)
 	}
-	workers := o.BuildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ix.pl = pipeline{
 		grid:    ix.grid,
 		coverer: coverer,
 		fanout:  ep.trie.Fanout(),
-		workers: workers,
 		hasGeom: ep.store != nil,
 	}
 	ix.interleave = o.Interleave
@@ -287,7 +268,8 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 		return fmt.Errorf("act: opening WAL %s: %w", cfg.Path, err)
 	}
 	ix.mu.Lock()
-	_, err = ix.applyRecords(rep.Records)
+	st, err := ix.stage(rep.Records, nil)
+	ix.publish(st)
 	ix.mu.Unlock()
 	if err != nil {
 		log.Close()
@@ -305,140 +287,22 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 	return nil
 }
 
-// applyRecords applies one batch of log records to the index — the records
-// WAL replay recovered at attach time, or a batch streamed from the primary
-// (ApplyReplicated): the one decoder of the log's mutation semantics, so a
-// recovered index and a follower converge on the same state from the same
-// records. Inserts are re-covered through the index's own pipeline, removes
-// tombstone, checkpoint records are rotation markers and carry no mutation.
-//
-// Application is idempotent against the current state, keyed on the fact
-// that polygon ids are never reused: an insert whose id already exists and
-// a remove of an id that is not alive are skipped, so the same records
-// apply correctly over a fresh build, the previous checkpoint snapshot, a
-// snapshot published moments before the log was rotated, or a stream that
-// overlaps after a reconnect. An insert that would leave an id gap, a
-// payload that is not exactly one polygon, an unknown record type, and an
-// exhausted id space all fail the batch.
-//
-// The batch works on copies (the overlay readers may still hold is
-// immutable, and a batch failing mid-way must leave no trace — a remove
-// re-applied later would otherwise be skipped as already-dead and its
-// tombstone lost) and lands as one overlay build and one epoch swing, or
-// not at all; per-record overlay rebuilds would be quadratic. It returns
-// the overlay it published, nil when the batch changed nothing. The caller
-// holds ix.mu.
-func (ix *Index) applyRecords(records []wal.Record) (*delta.Overlay, error) {
-	ep := ix.live.Load()
-	polys := append(make([]delta.Poly, 0, len(ep.ov.Polys())+len(records)), ep.ov.Polys()...)
-	tombs := maps.Clone(ep.ov.Tombstones())
-	alive := append(make([]bool, 0, len(ix.alive)+len(records)), ix.alive...)
-	var sources []*geo.Polygon
-	if ix.srcComplete {
-		sources = append(make([]*geo.Polygon, 0, len(ix.sources)+len(records)), ix.sources...)
-	}
-	live := ix.liveCount.Load()
-	applied := ix.seq
-	changed := false
-	for i, rec := range records {
-		switch rec.Type {
-		case wal.TypeCheckpoint:
-			continue // rotation marker: its mutations precede it in the log
-		case wal.TypeInsert:
-			if int(rec.ID) < len(alive) {
-				continue // already present: the base is newer than this record
-			}
-			if int(rec.ID) != len(alive) {
-				return nil, fmt.Errorf("record %d: insert id %d would leave a gap (id space is %d)", i, rec.ID, len(alive))
-			}
-			if len(alive) > supercover.MaxPolygonID {
-				return nil, fmt.Errorf("record %d: the 2^30 polygon id space is exhausted", i)
-			}
-			ps, err := geojson.ReadPolygons(bytes.NewReader(rec.Data))
-			if err != nil {
-				return nil, fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
-			}
-			if len(ps) != 1 {
-				return nil, fmt.Errorf("record %d (insert %d): record carries %d polygons, want 1", i, rec.ID, len(ps))
-			}
-			cov, gp, err := ix.pl.cover(ps[0])
-			if err != nil {
-				return nil, fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
-			}
-			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
-			alive = append(alive, true)
-			if ix.srcComplete {
-				sources = append(sources, ps[0])
-			}
-			live++
-			changed = true
-		case wal.TypeRemove:
-			if int(rec.ID) >= len(alive) || !alive[rec.ID] {
-				continue // already gone: the removal predates the base
-			}
-			alive[rec.ID] = false
-			if ix.srcComplete {
-				sources[rec.ID] = nil
-			}
-			live--
-			// As Overlay.WithRemove does: a removed delta polygon is dropped
-			// from the delta set, the tombstone kept either way.
-			for j, dp := range polys {
-				if dp.ID == rec.ID {
-					polys = append(polys[:j], polys[j+1:]...)
-					break
-				}
-			}
-			if tombs == nil {
-				tombs = make(map[uint32]uint64)
-			}
-			tombs[rec.ID] = rec.Seq
-			changed = true
-		default:
-			return nil, fmt.Errorf("record %d: unexpected record type %d", i, rec.Type)
-		}
-		applied = max(applied, rec.Seq)
-	}
-	if !changed {
-		ix.seq = applied // pure overlap: just advance the position
-		return nil, nil
-	}
-	ov, err := delta.New(ix.pl.fanout, polys, tombs)
-	if err != nil {
-		return nil, err
-	}
-	ix.alive = alive
-	if ix.srcComplete {
-		ix.sources = sources
-	}
-	ix.seq = applied
-	ix.idSpace.Store(int64(len(alive)))
-	ix.liveCount.Store(live)
-	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
-	return ov, nil
-}
-
 // stageSnapshot writes a checkpoint snapshot of ep to a temp file next to
 // path, fsyncs it, and returns the temp name; commitSnapshot publishes it.
 // Splitting the two lets the expensive write run outside the mutation lock
 // while the cheap rename + log rotation run inside it.
 func stageSnapshot(path string, ep *epoch, kind GridKind, precision float64, ids []uint32, idSpace int64) (string, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return "", err
 	}
-	if _, err := writeFlat(tmp, ep, kind, precision, ids, idSpace); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", err
+	if _, err = writeFlat(tmp, ep, kind, precision, ids, idSpace); err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return "", err
 	}

@@ -58,9 +58,9 @@ type Poly struct {
 	Seq uint64
 }
 
-// Overlay is an immutable snapshot of the delta layer. Mutating methods
-// (WithInsert, WithRemove, Rebase) return a new snapshot; lookup methods
-// never write to the receiver and are safe for concurrent use. The nil
+// Overlay is an immutable snapshot of the delta layer. New builds one;
+// WithInsert and Rebase derive a successor without touching the receiver;
+// lookup methods never write to it and are safe for concurrent use. The nil
 // *Overlay is the empty overlay.
 type Overlay struct {
 	fanout int
@@ -69,7 +69,7 @@ type Overlay struct {
 	polys []Poly
 	trie  *core.Trie
 	// tombs maps every removed id — base or delta — to the sequence number
-	// of its removal. Delta removals also drop the polygon from polys; the
+	// of its removal. A removed delta polygon is also absent from polys; the
 	// tombstone still matters after a compaction that baked the polygon
 	// into the new base before observing the removal.
 	tombs map[uint32]uint64
@@ -78,10 +78,16 @@ type Overlay struct {
 	geoms map[uint32]*geom.Polygon
 }
 
-// build assembles an overlay snapshot from its parts, constructing the
-// delta trie over the polygons' coverings. It returns nil for the empty
-// overlay so callers' nil fast paths stay accurate.
-func build(fanout int, polys []Poly, tombs map[uint32]uint64) (*Overlay, error) {
+// New assembles an overlay snapshot from delta polygons and tombstones,
+// constructing the delta trie over the polygons' coverings once — the index
+// stages every batch of mutations (one Insert, one Remove, a replayed or
+// replicated run of records) on copies and builds its overlay here; a
+// rebuild per record of a batch would be quadratic. polys must be in
+// insertion (ascending id) order and must not contain polygons whose id is
+// tombstoned: a removed delta polygon leaves only its tombstone. Both
+// arguments are retained, not copied. Returns nil for the empty overlay, so
+// callers' nil fast paths stay accurate.
+func New(fanout int, polys []Poly, tombs map[uint32]uint64) (*Overlay, error) {
 	if len(polys) == 0 && len(tombs) == 0 {
 		return nil, nil
 	}
@@ -104,18 +110,6 @@ func build(fanout int, polys []Poly, tombs map[uint32]uint64) (*Overlay, error) 
 	return o, nil
 }
 
-// New assembles an overlay snapshot from a batch of delta polygons and
-// tombstones in one shot — the bulk counterpart to chaining WithInsert and
-// WithRemove, used by write-ahead-log replay, where rebuilding the delta
-// trie once per replayed record would be quadratic. polys must be in
-// insertion (ascending id) order and must not contain polygons whose id is
-// tombstoned (mirroring what the incremental path maintains: WithRemove
-// drops a removed delta polygon and keeps only its tombstone). Both
-// arguments are retained, not copied. Returns nil for an empty batch.
-func New(fanout int, polys []Poly, tombs map[uint32]uint64) (*Overlay, error) {
-	return build(fanout, polys, tombs)
-}
-
 // WithInsert returns a new overlay with p added to the delta layer. The
 // receiver may be nil (inserting into a clean index); fanout then sizes
 // the new delta trie's nodes and must match the base trie's fanout.
@@ -128,32 +122,7 @@ func (o *Overlay) WithInsert(fanout int, p Poly) (*Overlay, error) {
 		tombs = o.tombs
 	}
 	polys = append(polys, p)
-	return build(fanout, polys, tombs)
-}
-
-// WithRemove returns a new overlay recording the removal of id at sequence
-// seq: the id is tombstoned (filtering it from base results and from any
-// compaction snapshot that predates the removal), and if it was a delta
-// polygon it is dropped from the delta trie. The receiver may be nil.
-func (o *Overlay) WithRemove(fanout int, id uint32, seq uint64) (*Overlay, error) {
-	var polys []Poly
-	var tombs map[uint32]uint64
-	if o != nil {
-		fanout = o.fanout
-		tombs = make(map[uint32]uint64, len(o.tombs)+1)
-		for k, v := range o.tombs {
-			tombs[k] = v
-		}
-		for _, p := range o.polys {
-			if p.ID != id {
-				polys = append(polys, p)
-			}
-		}
-	} else {
-		tombs = make(map[uint32]uint64, 1)
-	}
-	tombs[id] = seq
-	return build(fanout, polys, tombs)
+	return New(fanout, polys, tombs)
 }
 
 // Rebase returns the residual overlay after a compaction that snapshotted
@@ -180,7 +149,7 @@ func (o *Overlay) Rebase(snapSeq uint64) (*Overlay, error) {
 			tombs[id] = seq
 		}
 	}
-	return build(o.fanout, polys, tombs)
+	return New(o.fanout, polys, tombs)
 }
 
 // NumPolygons returns the number of polygons served from the delta layer.

@@ -1,7 +1,7 @@
 package delta
 
 // Overlay-level unit tests on real coverings: snapshot immutability, the
-// tombstone/trie split of WithRemove, Rebase residuals, and the merge
+// tombstone/trie split of a removed delta polygon, Rebase residuals, and the merge
 // helpers' suffix discipline.
 
 import (
@@ -92,7 +92,7 @@ func TestOverlayInsertRemoveRebase(t *testing.T) {
 	}
 
 	// Removing a delta polygon drops it from the trie AND tombstones it.
-	o3, err := o2.WithRemove(16, 10, 3)
+	o3, err := New(16, []Poly{f.polys[1]}, map[uint32]uint64{10: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestOverlayInsertRemoveRebase(t *testing.T) {
 		t.Fatalf("counts: %d polys, %d tombs", o3.NumPolygons(), o3.NumTombstones())
 	}
 	// Removing a base id only tombstones.
-	o4, err := o3.WithRemove(16, 2, 4)
+	o4, err := New(16, o3.Polys(), map[uint32]uint64{10: 3, 2: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,7 @@ func TestOverlayInsertRemoveRebase(t *testing.T) {
 
 func TestOverlayMergeSuffixDiscipline(t *testing.T) {
 	f := newFixture(t, 5)
-	o, err := (*Overlay)(nil).WithInsert(16, f.polys[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err = o.WithRemove(16, 1, 2)
+	o, err := New(16, []Poly{f.polys[0]}, map[uint32]uint64{1: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +175,7 @@ func TestOverlayResolveRouting(t *testing.T) {
 		t.Fatal("Contains misroutes between base store and delta geometry")
 	}
 	// Tombstoned base ids resolve to nothing even if handed in.
-	o2, err := o.WithRemove(16, 0, 2)
+	o2, err := New(16, o.Polys(), map[uint32]uint64{0: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

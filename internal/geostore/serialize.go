@@ -111,7 +111,7 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 
 // SerializedSize returns the exact number of bytes WriteTo will produce.
 // The format has no compression or padding, so the size is a pure function
-// of the ring shapes — which lets an enclosing container (the v3 index
+// of the ring shapes — which lets an enclosing container (the flat index
 // layout) place the section at a precomputed offset and record the total
 // file size in a header written before the section itself.
 func (s *Store) SerializedSize() int64 {

@@ -629,8 +629,8 @@ type insertResponse struct {
 // currently served: a concurrent /reload that swaps in a fresh index
 // discards mutations exactly like it discards the rest of the old index.
 //
-// On an index loaded from a serialized file (no source polygons to
-// compact from) the endpoint responds 409.
+// On an immutable index (loaded with ReadIndex or OpenIndex: no alive set,
+// no coverer) the endpoint responds 409.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return

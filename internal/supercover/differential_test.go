@@ -260,4 +260,25 @@ func TestBuildAllocations(t *testing.T) {
 		t.Errorf("Add + Build allocate %v times for %d cells, want at most 64", allocs, out.NumCells())
 	}
 	t.Logf("%d input cells, %d output cells, %v allocations", cells, out.NumCells(), allocs)
+
+	// Compaction's shape: one covering through Add, the merged cells back in
+	// through AddCell. After Grow the pair list is allocated once — neither
+	// AddCell nor Build's expansion of the covering regrows it.
+	b = Builder{}
+	if err := b.Add(100, covs[0]); err != nil {
+		t.Fatal(err)
+	}
+	b.Grow(out.NumRefs())
+	list := &b.pairs[:1][0]
+	for i := 0; i < out.NumCells(); i++ {
+		if err := b.AddCell(out.Cell(i), out.Refs(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &b.pairs[0] != list || cap(b.pairs) < len(b.pairs)+covs[0].NumCells() {
+		t.Errorf("pair list regrown after Grow(%d): %d of %d used, %d more to come", out.NumRefs(), len(b.pairs), cap(b.pairs), covs[0].NumCells())
+	}
+	if again := b.Build(); again.NumCells() < out.NumCells() {
+		t.Errorf("re-ingested merge has %d cells, fewer than the %d put in", again.NumCells(), out.NumCells())
+	}
 }

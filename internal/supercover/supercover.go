@@ -152,6 +152,17 @@ func (b *Builder) AddCell(cell cellid.ID, refs []Ref) error {
 	return nil
 }
 
+// Grow makes room for n more AddCell references beside the cells of the
+// coverings added so far, so that Build expands everything in the one
+// allocation. Worth calling when n is large: append grows a big slice by a
+// quarter at a time and allocates the list four times over on the way.
+func (b *Builder) Grow(n int) {
+	for _, c := range b.coverings {
+		n += c.cov.NumCells()
+	}
+	b.pairs = slices.Grow(b.pairs, n)
+}
+
 // radixBits is the digit width of sortPairs.
 const radixBits = 8
 

@@ -5,11 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/actindex/act/internal/cellid"
-	"github.com/actindex/act/internal/core"
 	"github.com/actindex/act/internal/delta"
 	"github.com/actindex/act/internal/geojson"
 	"github.com/actindex/act/internal/geom"
@@ -26,19 +27,25 @@ import (
 // lookup — scalar, batch, and interleaved — merges base and delta:
 // tombstoned ids are filtered from the base trie's result, delta references
 // appended after it. When the pending-mutation count crosses the
-// compaction threshold, a background compactor reruns the full build
-// pipeline over the surviving polygon set (original ids kept, removed ids
-// left as holes) and swings the fresh base in atomically through the
-// index's epoch Holder — readers never block, and an in-flight join keeps
-// the epoch it loaded for its whole run. Mutations that land while the
-// compactor runs survive as a residual overlay on the new base.
+// compaction threshold, a background compactor merges the base trie's
+// surviving cells with the delta coverings into a fresh base (original ids
+// kept, removed ids left as holes; nothing is re-covered) and swings it in
+// atomically through the index's epoch Holder — readers never block, and an
+// in-flight join keeps the epoch it loaded for its whole run. Mutations that
+// land while the compactor runs survive as a residual overlay on the new
+// base.
+//
+// Every state change goes through one of three functions: publish (the
+// staged result of Insert, Remove, WAL replay or a replicated batch),
+// compactLocked (the compacted base, with its checkpoint), and Promote.
 
 // Mutation errors.
 var (
-	// ErrImmutable is reported by Insert, Remove, and Compact on an index
-	// that was loaded with ReadIndex or OpenIndex. Build the index
-	// in-process with [New] or resurrect it with [Recover] to mutate it.
-	ErrImmutable = errors.New("act: index was deserialized without source polygons and cannot be mutated")
+	// ErrImmutable is reported by Insert, Remove, Compact, and Checkpoint on
+	// an index that was loaded with ReadIndex or OpenIndex, which keep no
+	// alive set and no coverer. Build the index in-process with [New] or
+	// resurrect a file with [Recover] to mutate it.
+	ErrImmutable = errors.New("act: index was loaded read-only (ReadIndex/OpenIndex) and cannot be mutated")
 	// ErrUnknownPolygon is reported by Remove for an id that was never
 	// assigned or has already been removed.
 	ErrUnknownPolygon = errors.New("act: unknown or already-removed polygon id")
@@ -119,54 +126,26 @@ func (ix *Index) Insert(ctx context.Context, p *Polygon) (uint32, error) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if !ix.mutable {
-		return 0, ErrImmutable
-	}
-	if ix.follower {
-		return 0, ErrFollower
-	}
 	if err := ix.writableLocked(); err != nil {
 		return 0, err
 	}
-	if len(ix.alive) > supercover.MaxPolygonID {
-		return 0, fmt.Errorf("act: insert: the 2^30 polygon id space is exhausted")
-	}
-	cov, gp, err := ix.pl.cover(p)
+	rec := wal.Record{Type: wal.TypeInsert, Seq: ix.seq + 1, ID: uint32(len(ix.alive))}
+	st, err := ix.stage([]wal.Record{rec}, p)
 	if err != nil {
 		return 0, fmt.Errorf("act: insert: %w", err)
 	}
-	id := uint32(len(ix.alive))
-	ep := ix.live.Load()
-	ov, err := ep.ov.WithInsert(ix.pl.fanout, delta.Poly{ID: id, Cov: cov, Geom: gp, Seq: ix.seq + 1})
-	if err != nil {
-		return 0, err
-	}
-	// Write-ahead: the record must be durably logged (per the fsync
-	// policy) before the mutation is acknowledged or served. On append
-	// failure nothing below commits, so log and index stay consistent.
 	if ix.wal != nil {
 		var buf bytes.Buffer
 		if err := geojson.WritePolygons(&buf, []*Polygon{p}); err != nil {
 			return 0, fmt.Errorf("act: insert: encoding WAL record: %w", err)
 		}
-		rec := wal.Record{Type: wal.TypeInsert, Seq: ix.seq + 1, ID: id, Data: buf.Bytes()}
-		if err := ix.wal.Append(rec); err != nil {
-			if ix.wal.Err() != nil {
-				err = fmt.Errorf("%w: %w", ErrWALFailed, err)
-			}
-			return 0, fmt.Errorf("act: insert: %w", err)
-		}
+		rec.Data = buf.Bytes()
 	}
-	ix.seq++
-	ix.alive = append(ix.alive, true)
-	if ix.srcComplete {
-		ix.sources = append(ix.sources, p)
+	if err := ix.logRecord(rec); err != nil {
+		return 0, fmt.Errorf("act: insert: %w", err)
 	}
-	ix.idSpace.Store(int64(len(ix.alive)))
-	ix.liveCount.Add(1)
-	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
-	ix.maybeCompact(ov)
-	return id, nil
+	ix.maybeCompact(ix.publish(st))
+	return rec.ID, nil
 }
 
 // Remove deletes the polygon with the given id from the live index. The id
@@ -182,41 +161,155 @@ func (ix *Index) Remove(ctx context.Context, id uint32) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if !ix.mutable {
-		return ErrImmutable
-	}
-	if ix.follower {
-		return ErrFollower
-	}
 	if err := ix.writableLocked(); err != nil {
 		return err
 	}
 	if int(id) >= len(ix.alive) || !ix.alive[id] {
 		return fmt.Errorf("%w: %d", ErrUnknownPolygon, id)
 	}
-	ep := ix.live.Load()
-	ov, err := ep.ov.WithRemove(ix.pl.fanout, id, ix.seq+1)
+	rec := wal.Record{Type: wal.TypeRemove, Seq: ix.seq + 1, ID: id}
+	st, err := ix.stage([]wal.Record{rec}, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("act: remove: %w", err)
 	}
-	if ix.wal != nil {
-		rec := wal.Record{Type: wal.TypeRemove, Seq: ix.seq + 1, ID: id}
-		if err := ix.wal.Append(rec); err != nil {
-			if ix.wal.Err() != nil {
-				err = fmt.Errorf("%w: %w", ErrWALFailed, err)
-			}
-			return fmt.Errorf("act: remove: %w", err)
-		}
+	if err := ix.logRecord(rec); err != nil {
+		return fmt.Errorf("act: remove: %w", err)
 	}
-	ix.seq++
-	ix.alive[id] = false
-	if ix.srcComplete {
-		ix.sources[id] = nil
-	}
-	ix.liveCount.Add(-1)
-	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: ov, stats: ep.stats})
-	ix.maybeCompact(ov)
+	ix.maybeCompact(ix.publish(st))
 	return nil
+}
+
+// logRecord is the write-ahead step between stage and publish: the record
+// must be durably logged (per the fsync policy) before the mutation is
+// acknowledged or served. On failure the caller publishes nothing, so log
+// and index stay consistent. A no-op without a WAL.
+func (ix *Index) logRecord(rec wal.Record) error {
+	if ix.wal == nil {
+		return nil
+	}
+	err := ix.wal.Append(rec)
+	if err != nil && ix.wal.Err() != nil {
+		err = fmt.Errorf("%w: %w", ErrWALFailed, err)
+	}
+	return err
+}
+
+// staged is the state a batch of mutations leads to, built on copies and not
+// yet visible to anyone; publish makes it the index's.
+type staged struct {
+	ov    *delta.Overlay
+	alive []bool
+	live  int64
+	seq   uint64
+}
+
+// stage works out the state a batch of log records leads to — the one decoder
+// of the log's mutation semantics. Insert and Remove stage the record they
+// are about to log, WAL replay the records it recovered, a follower the batch
+// streamed from its primary, so all converge on the same state from the same
+// records. Inserts are covered through the index's own pipeline (poly, when
+// non-nil, is the batch's insert already decoded: Insert has the polygon in
+// hand and encodes it only once the overlay has built), removes tombstone,
+// checkpoint records are rotation markers and carry no mutation.
+//
+// Application is idempotent, keyed on the fact that polygon ids are never
+// reused: an insert whose id already exists and a remove of an id that is not
+// alive are skipped, so the same records apply correctly over a fresh build,
+// a checkpoint snapshot older or newer than the log's floor, or a stream that
+// overlaps after a reconnect. An id gap, a payload that is not exactly one
+// polygon, an unknown record type, and an exhausted id space fail the batch.
+//
+// stage has no side effects. It works on copies — readers may hold the
+// overlay, and a batch failing mid-way must leave no trace (a remove
+// re-applied later would be skipped as already-dead and its tombstone lost) —
+// and builds one overlay per batch, not per record. It returns nil when every
+// record was skipped: pure overlap changes nothing, the sequence position
+// included. The caller holds ix.mu and keeps it until it has published.
+func (ix *Index) stage(records []wal.Record, poly *Polygon) (*staged, error) {
+	ov := ix.live.Load().ov
+	polys := append(make([]delta.Poly, 0, len(ov.Polys())+len(records)), ov.Polys()...)
+	tombs := make(map[uint32]uint64, ov.NumTombstones()+len(records))
+	maps.Copy(tombs, ov.Tombstones())
+	st := &staged{
+		alive: append(make([]bool, 0, len(ix.alive)+len(records)), ix.alive...),
+		live:  ix.liveCount.Load(),
+		seq:   ix.seq,
+	}
+	changed := false
+	for i, rec := range records {
+		switch rec.Type {
+		case wal.TypeCheckpoint:
+			continue // rotation marker: its mutations precede it in the log
+		case wal.TypeInsert:
+			if int(rec.ID) < len(st.alive) {
+				continue // already present: the base is newer than this record
+			}
+			if int(rec.ID) != len(st.alive) {
+				return nil, fmt.Errorf("record %d: insert id %d would leave a gap (id space is %d)", i, rec.ID, len(st.alive))
+			}
+			if len(st.alive) > supercover.MaxPolygonID {
+				return nil, fmt.Errorf("record %d: the 2^30 polygon id space is exhausted", i)
+			}
+			p := poly
+			if p == nil {
+				ps, err := geojson.ReadPolygons(bytes.NewReader(rec.Data))
+				if err != nil {
+					return nil, fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
+				}
+				if len(ps) != 1 {
+					return nil, fmt.Errorf("record %d (insert %d): record carries %d polygons, want 1", i, rec.ID, len(ps))
+				}
+				p = ps[0]
+			}
+			cov, gp, err := ix.pl.cover(p)
+			if err != nil {
+				return nil, fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
+			}
+			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
+			st.alive = append(st.alive, true)
+			st.live++
+		case wal.TypeRemove:
+			if int(rec.ID) >= len(st.alive) || !st.alive[rec.ID] {
+				continue // already gone: the removal predates the base
+			}
+			st.alive[rec.ID] = false
+			st.live--
+			// A removed delta polygon is dropped from the delta set; the
+			// tombstone is kept either way (see delta.Overlay).
+			polys = slices.DeleteFunc(polys, func(dp delta.Poly) bool { return dp.ID == rec.ID })
+			tombs[rec.ID] = rec.Seq
+		default:
+			return nil, fmt.Errorf("record %d: unexpected record type %d", i, rec.Type)
+		}
+		st.seq = max(st.seq, rec.Seq)
+		changed = true
+	}
+	if !changed {
+		return nil, nil
+	}
+	var err error
+	if st.ov, err = delta.New(ix.pl.fanout, polys, tombs); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// publish makes a staged batch the index's state: the only place a mutation
+// assigns the alive set, the sequence position, the id-space and live
+// counters, and swings the epoch to a new overlay. It returns that overlay
+// for maybeCompact; a nil batch (nothing staged) publishes nothing and
+// returns nil. The caller has held ix.mu since it staged st.
+func (ix *Index) publish(st *staged) *delta.Overlay {
+	if st == nil {
+		return nil
+	}
+	ix.alive = st.alive
+	ix.seq = st.seq
+	ix.idSpace.Store(int64(len(st.alive)))
+	ix.liveCount.Store(st.live)
+	ep := ix.live.Load()
+	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: st.ov, stats: ep.stats})
+	return st.ov
 }
 
 // maybeCompact, called under ix.mu after a mutation published ov, starts a
@@ -224,8 +317,7 @@ func (ix *Index) Remove(ctx context.Context, id uint32) error {
 // absolute threshold or a quarter of the live polygon count (the ratio
 // trigger keeps small indexes from carrying proportionally huge deltas).
 // At most one compaction runs at a time; a trigger that fires while one is
-// running is simply dropped — the running compaction's residual check will
-// re-trigger on the next mutation if needed.
+// running is simply dropped — the next mutation fires it again if needed.
 func (ix *Index) maybeCompact(ov *delta.Overlay) {
 	if ix.deltaThreshold < 0 || ov == nil {
 		return
@@ -239,34 +331,29 @@ func (ix *Index) maybeCompact(ov *delta.Overlay) {
 	}
 	go func() {
 		defer ix.compactMu.Unlock()
-		// Background compaction failing (an unprojectable polygon cannot
-		// happen here: every source already passed Insert or the build)
-		// leaves the delta serving correctly; nothing to surface beyond
-		// the stats not moving.
-		_ = ix.compactLocked(context.Background())
+		// A failed background compaction leaves the delta serving
+		// correctly; the observer hears of it, the next mutation retries.
+		_ = ix.compactLocked(context.Background(), false)
 	}()
 }
 
 // Compact synchronously folds the delta layer into a fresh base and swings
-// the result in atomically. Indexes that carry their source polygons (built
-// in-process) rerun the full build pipeline over the surviving set (original
-// ids kept; removed ids become permanent holes). Indexes without sources —
-// resurrected by [Recover] or serving as replication followers — rebuild
-// from the live epoch instead: the base trie's cells are re-enumerated with
-// tombstoned references dropped, the delta coverings merged on top, and the
-// geometry store reassembled from the existing stores. Either way lookups
-// and joins keep serving the old epoch until the swap and are never blocked;
-// mutations stay possible while the rebuild runs and survive it as a
-// residual delta. If a background compaction is already running, Compact
-// waits for it and then compacts any residual. On a clean index it is a
-// no-op.
+// the result in atomically. The rebuild reads the live epoch, not polygons:
+// the base trie's cells are re-enumerated with tombstoned references
+// dropped, the delta coverings merged on top, and the geometry store
+// reassembled from the existing geometry (original ids kept; removed ids
+// become permanent holes). Lookups and joins keep serving the old epoch
+// until the swap and are never blocked; mutations stay possible while the
+// rebuild runs and survive it as a residual delta. If a background
+// compaction is already running, Compact waits for it and then compacts any
+// residual. On a clean index it is a no-op.
 //
 // Reports ErrImmutable on a deserialized index; on context cancellation
 // the rebuild is abandoned and the live state left untouched.
 func (ix *Index) Compact(ctx context.Context) error {
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
-	return ix.compactLocked(ctx)
+	return ix.compactLocked(ctx, false)
 }
 
 // Checkpoint forces the durability pair current: it writes a checkpoint
@@ -281,51 +368,55 @@ func (ix *Index) Compact(ctx context.Context) error {
 func (ix *Index) Checkpoint(ctx context.Context) error {
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
-
-	ix.mu.Lock()
 	if !ix.mutable {
-		ix.mu.Unlock()
 		return ErrImmutable
 	}
 	if ix.wal == nil || ix.snapshotPath == "" {
-		ix.mu.Unlock()
 		return ErrNoCheckpoint
 	}
-	ep := ix.live.Load()
-	if ep.ov != nil {
-		ix.mu.Unlock()
-		return ix.compactLocked(ctx) // compaction checkpoints as it lands
-	}
-	snapSeq := ix.seq
-	ids := aliveIDs(ix.alive)
-	idSpace := len(ix.alive)
-	ix.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	return ix.compactLocked(ctx, true)
+}
 
-	// The clean epoch is immutable: serialize it outside the mutation lock.
-	var idCol []uint32
-	if len(ids) != idSpace {
-		idCol = ids
-	}
-	snapTmp, err := stageSnapshot(ix.snapshotPath, ep, ix.kind, ix.precision, idCol, int64(idSpace))
-	if err != nil {
-		return fmt.Errorf("act: checkpoint: staging snapshot: %w", err)
-	}
-	defer os.Remove(snapTmp) // no-op once renamed into place
+// checkpoint is one point of the mutation history, pinned for a compaction
+// or a snapshot file: the epoch served there, the sequence position, and the
+// alive set.
+type checkpoint struct {
+	ep  *epoch
+	seq uint64
+	// ids holds the live ids, ascending — on an immutable index, which has
+	// no alive set, the id column it was loaded with (nil when dense).
+	ids     []uint32
+	idSpace int
+}
 
+// pin captures the index's present state under ix.mu, so the alive set is
+// consistent with the epoch it describes.
+func (ix *Index) pin() checkpoint {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if err := commitSnapshot(snapTmp, ix.snapshotPath); err != nil {
-		return fmt.Errorf("act: checkpoint: publishing snapshot: %w", err)
+	cp := checkpoint{ep: ix.live.Load(), seq: ix.seq, ids: ix.loadedIDs, idSpace: ix.idSpaceSize()}
+	if ix.mutable {
+		cp.ids = aliveIDs(ix.alive)
 	}
-	// Mutations may have landed between the snapshot of snapSeq and here;
-	// rotation keeps every record above the floor, so they survive.
-	if err := ix.wal.Checkpoint(snapSeq); err != nil {
-		return fmt.Errorf("act: checkpoint: rotating WAL: %w", err)
+	return cp
+}
+
+// idColumn returns the id column a snapshot file of cp carries: none while
+// the id space is dense, the live ids once removals have left holes.
+func (cp checkpoint) idColumn() []uint32 {
+	if len(cp.ids) == cp.idSpace {
+		return nil
 	}
-	return nil
+	return cp.ids
+}
+
+// stageCheckpoint writes the snapshot file of a pinned state to a temp file
+// next to path and returns its name. ep is the clean epoch serving exactly
+// that state: cp's own, or the base compacted from it. Epochs are immutable,
+// so the expensive write needs no lock; the caller then takes ix.mu for the
+// cheap part — commitSnapshot, and rotating (or opening) the log at cp.seq.
+func (ix *Index) stageCheckpoint(cp checkpoint, ep *epoch, path string) (string, error) {
+	return stageSnapshot(path, ep, ix.kind, ix.precision, cp.idColumn(), int64(cp.idSpace))
 }
 
 // aliveIDs collects the live polygon ids, ascending.
@@ -339,72 +430,37 @@ func aliveIDs(alive []bool) []uint32 {
 	return ids
 }
 
-// compactLocked runs one compaction; the caller holds compactMu.
-func (ix *Index) compactLocked(ctx context.Context) (err error) {
-	// Snapshot the mutation state: the overlay publication point and the
-	// inputs it corresponds to. Mutations after this point are not baked
-	// into the rebuild; Rebase re-applies them on top.
-	ix.mu.Lock()
+// compactLocked runs one compaction; the caller holds compactMu. A clean
+// index has nothing to fold and is left alone, unless evenClean asks for the
+// checkpoint a compaction ends with anyway (Checkpoint).
+func (ix *Index) compactLocked(ctx context.Context, evenClean bool) (err error) {
 	if !ix.mutable {
-		ix.mu.Unlock()
 		return ErrImmutable
 	}
-	ep := ix.live.Load()
-	if ep.ov == nil {
-		ix.mu.Unlock()
+	// Mutations after this point are not baked into the rebuild; Rebase
+	// re-applies them on top.
+	cp := ix.pin()
+	fresh := cp.ep
+	if cp.ep.ov != nil {
+		// This run rebuilds the base, so it counts for the observer
+		// (duration covers rebuild + swap + checkpoint).
+		start := time.Now()
+		var rebuilt BuildStats
+		defer func() { ix.observeCompaction(time.Since(start), rebuilt, err) }()
+		if fresh, err = ix.compactEpoch(ctx, cp); err != nil {
+			return err
+		}
+		rebuilt = fresh.stats
+	} else if !evenClean {
 		return nil
 	}
-	snapSeq := ix.seq
-	srcComplete := ix.srcComplete
-	idSpace := len(ix.alive)
-	var srcs []*Polygon
-	var ids []uint32
-	if srcComplete {
-		srcs = make([]*Polygon, len(ix.sources))
-		copy(srcs, ix.sources)
-	} else {
-		ids = aliveIDs(ix.alive)
-	}
-	ix.mu.Unlock()
-
-	// Past the no-op checks: this run will rebuild the base, so it counts
-	// for the observer (duration covers rebuild + swap + checkpoint).
-	compactStart := time.Now()
-	var stats BuildStats
-	defer func() { ix.observeCompaction(time.Since(compactStart), stats, err) }()
-
-	var trie *core.Trie
-	var store *geostore.Store
-	if srcComplete {
-		entries := make([]buildEntry, 0, len(srcs))
-		ids = make([]uint32, 0, len(srcs))
-		for id, src := range srcs {
-			if src != nil {
-				entries = append(entries, buildEntry{id: uint32(id), src: src})
-				ids = append(ids, uint32(id))
-			}
-		}
-		trie, store, stats, err = ix.pl.run(ctx, entries, idSpace)
-	} else {
-		// No sources (recovered index or replication follower): rebuild
-		// from the epoch itself — base cells plus delta coverings.
-		trie, store, stats, err = ix.compactEpoch(ctx, ep, ids, idSpace)
-	}
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 
-	// Stage the checkpoint snapshot before taking the mutation lock: the
-	// compacted epoch is immutable, so the expensive file write needs no
-	// exclusion — only the rename + log rotation below does.
-	fresh := &epoch{trie: trie, store: store, stats: stats}
 	var snapTmp string
 	if ix.wal != nil && ix.snapshotPath != "" {
-		var idCol []uint32
-		if len(ids) != idSpace {
-			idCol = ids // sparse: the snapshot needs the v4 id column
-		}
-		snapTmp, err = stageSnapshot(ix.snapshotPath, fresh, ix.kind, ix.precision, idCol, int64(idSpace))
+		snapTmp, err = ix.stageCheckpoint(cp, fresh, ix.snapshotPath)
 		if err != nil {
 			return fmt.Errorf("act: compact: staging checkpoint snapshot: %w", err)
 		}
@@ -413,53 +469,73 @@ func (ix *Index) compactLocked(ctx context.Context) (err error) {
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	cur := ix.live.Load()
-	residual, err := cur.ov.Rebase(snapSeq)
-	if err != nil {
-		return err
+	if fresh != cp.ep {
+		residual, err := ix.live.Load().ov.Rebase(cp.seq)
+		if err != nil {
+			return err
+		}
+		ix.live.Swap(&epoch{trie: fresh.trie, store: fresh.store, ov: residual, stats: fresh.stats})
+		ix.compactions.Add(1)
 	}
-	ix.live.Swap(&epoch{trie: trie, store: store, ov: residual, stats: stats})
-	ix.compactions.Add(1)
 	// Checkpoint: publish the staged snapshot, then truncate the log down
-	// to the records the snapshot does not cover. Order matters — the
-	// snapshot must be durably linked before any log record is dropped; a
-	// crash between the two leaves snapshot + full log, which replays
-	// idempotently. An error here does not undo the in-memory compaction
-	// (the epoch already swung); the log simply keeps its full history.
+	// to the records it does not cover (mutations since cp are above that
+	// floor and survive). Order matters — a crash between the two leaves
+	// snapshot + full log, which replays idempotently. An error here does
+	// not undo the in-memory compaction (the epoch already swung); the log
+	// simply keeps its full history.
 	if snapTmp != "" {
 		if err := commitSnapshot(snapTmp, ix.snapshotPath); err != nil {
 			return fmt.Errorf("act: compact: publishing checkpoint snapshot: %w", err)
 		}
-		if err := ix.wal.Checkpoint(snapSeq); err != nil {
+		if err := ix.wal.Checkpoint(cp.seq); err != nil {
 			return fmt.Errorf("act: compact: rotating WAL: %w", err)
 		}
 	}
 	return nil
 }
 
-// compactEpoch rebuilds a fresh base from the serving epoch itself, for
-// indexes that carry no source polygons: the base trie's covering cells are
-// re-enumerated with tombstoned references filtered out and fed straight
-// into the super-covering merge (supercover.Builder.AddCell), the delta
-// polygons' retained coverings are merged on top through the normal Add
-// path, and the geometry store is reassembled by id from the base store and
-// the delta geometry. No covering is recomputed, so the result preserves
-// each polygon's cells exactly as the process that originally covered it
-// built them. ids is the live id set the rebuild must serve.
-func (ix *Index) compactEpoch(ctx context.Context, ep *epoch, ids []uint32, idSpace int) (*core.Trie, *geostore.Store, BuildStats, error) {
+// compactEpoch asks its context once per cancelCheckEvery base cells.
+const cancelCheckEvery = 4096
+
+// compactEpoch rebuilds a fresh base from the pinned epoch itself (see
+// Compact): surviving base cells go straight into the super-covering merge
+// (supercover.Builder.AddCell), delta coverings through the normal Add path,
+// and the geometry is reassembled by id. No covering is recomputed, so each
+// polygon keeps its cells exactly as the process that covered it built
+// them. The context is asked every cancelCheckEvery cells of the enumeration
+// and between the phases.
+func (ix *Index) compactEpoch(ctx context.Context, cp checkpoint) (*epoch, error) {
 	defer ix.keepMapped() // the walk may read a file-mapped arena
-	var stats BuildStats
-	stats.NumPolygons = len(ids)
+	ep := cp.ep
 	// The epoch's recorded precision covers the base polygons; delta
 	// coverings can only have been built at the index's own bound, so the
 	// max below stays a faithful worst case (an upper bound when the worst
 	// polygon has since been removed).
-	stats.AchievedPrecisionMeters = ep.stats.AchievedPrecisionMeters
+	stats := BuildStats{NumPolygons: len(cp.ids), AchievedPrecisionMeters: ep.stats.AchievedPrecisionMeters}
 
 	start := time.Now()
 	var scb supercover.Builder
+	for _, p := range ep.ov.Polys() {
+		if err := scb.Add(p.ID, p.Cov); err != nil {
+			return nil, fmt.Errorf("act: compact: merging delta polygon %d: %w", p.ID, err)
+		}
+		stats.AchievedPrecisionMeters = max(stats.AchievedPrecisionMeters, p.Cov.AchievedPrecisionMeters)
+	}
+	// A first walk only counts the base's references (tombstoned ones too:
+	// an upper bound), so the builder holds everything in one allocation.
+	// The walk costs a twentieth of the merge; a list regrown by append
+	// costs four times its size in allocations, all of it fresh memory.
+	refs := 0
+	_ = ep.trie.Cells(func(_ cellid.ID, r []supercover.Ref) error { refs += len(r); return nil })
+	scb.Grow(refs)
 	var keep []supercover.Ref
+	visited := 0
 	err := ep.trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
+		if visited++; visited%cancelCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		keep = keep[:0]
 		for _, r := range refs {
 			if !ep.ov.Tombstoned(r.PolygonID) {
@@ -472,34 +548,26 @@ func (ix *Index) compactEpoch(ctx context.Context, ep *epoch, ids []uint32, idSp
 		return scb.AddCell(cell, keep)
 	})
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("act: compact: enumerating base cells: %w", err)
-	}
-	for _, p := range ep.ov.Polys() {
-		if err := scb.Add(p.ID, p.Cov); err != nil {
-			return nil, nil, stats, fmt.Errorf("act: compact: merging delta polygon %d: %w", p.ID, err)
-		}
-		if p.Cov.AchievedPrecisionMeters > stats.AchievedPrecisionMeters {
-			stats.AchievedPrecisionMeters = p.Cov.AchievedPrecisionMeters
-		}
+		return nil, fmt.Errorf("act: compact: enumerating base cells: %w", err)
 	}
 	sc := scb.Build()
 	stats.MergeDuration = time.Since(start)
-	stats.IndexedCells = sc.NumCells()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, stats, err
+		return nil, err
 	}
 
-	start = time.Now()
-	trie, err := core.Build(sc, core.Config{Fanout: ix.pl.fanout})
+	trie, err := ix.pl.trie(sc, &stats)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, err
 	}
-	stats.InsertDuration = time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	var store *geostore.Store
 	if ix.pl.hasGeom {
-		projected := make([]*geom.Polygon, idSpace)
-		for _, id := range ids {
+		projected := make([]*geom.Polygon, cp.idSpace)
+		for _, id := range cp.ids {
 			projected[id] = ep.store.Polygon(id) // nil for delta ids
 		}
 		for _, p := range ep.ov.Polys() {
@@ -507,10 +575,5 @@ func (ix *Index) compactEpoch(ctx context.Context, ep *epoch, ids []uint32, idSp
 		}
 		store = geostore.NewSparse(projected)
 	}
-
-	ts := trie.ComputeStats()
-	stats.TrieBytes = ts.TrieBytes
-	stats.TableBytes = ts.TableBytes
-	stats.TrieNodes = ts.NumNodes
-	return trie, store, stats, nil
+	return &epoch{trie: trie, store: store, stats: stats}, nil
 }

@@ -69,7 +69,6 @@ func (ix *Index) observeCompaction(d time.Duration, rebuilt BuildStats, err erro
 		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 		l.Info("compaction",
 			slog.Duration("duration", d),
-			slog.Float64("cover_ms", ms(rebuilt.CoverDuration)),
 			slog.Float64("merge_ms", ms(rebuilt.MergeDuration)),
 			slog.Float64("trie_ms", ms(rebuilt.InsertDuration)),
 			slog.Int("live_polygons", ds.LivePolygons),

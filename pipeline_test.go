@@ -14,7 +14,7 @@ import (
 )
 
 // countdownCtx is done once its Err has been asked a number of times: a
-// compaction cancelled in the middle of its cover phase, reproducibly.
+// compaction cancelled in the middle of its enumeration, reproducibly.
 type countdownCtx struct {
 	context.Context
 	left, asked atomic.Int64
@@ -28,36 +28,64 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestCompactCancelledMidCover cancels a compaction a few polygons into its
-// cover phase: the phase must stop within one covering per worker — not run
-// to its end and only then look — and nothing may be published.
-func TestCompactCancelledMidCover(t *testing.T) {
+// TestCompactCancelledMidEnumeration cancels a compaction part-way through
+// its walk over the base trie's cells — the only compaction there is, on a
+// built index and on a recovered one alike. The walk must stop at the ask
+// that reports the cancellation, not run to its end (nor on into the merge
+// and the trie build) and only then look, and nothing may be published.
+func TestCompactCancelledMidEnumeration(t *testing.T) {
 	set, err := data.CensusBlocks(1, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		ix, err := New(set.Polygons, WithPrecision(60), WithBuildWorkers(workers), WithDeltaThreshold(-1))
-		if err != nil {
+	built, err := New(set.Polygons, WithPrecision(60), WithDeltaThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := built.Stats().IndexedCells
+	if cells < 4*cancelCheckEvery {
+		t.Fatalf("the base has %d cells: too few to cancel in the middle of, at one ask per %d", cells, cancelCheckEvery)
+	}
+	snap := writeIndexFile(t, built)
+	recovered, err := Recover(snap, snap+".wal", WithDeltaThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+
+	for name, ix := range map[string]*Index{"built": built, "recovered": recovered} {
+		if _, err := ix.Insert(context.Background(), set.Polygons[0]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ix.Insert(context.Background(), set.Polygons[0]); err != nil {
+		if err := ix.Remove(context.Background(), 3); err != nil {
 			t.Fatal(err)
 		}
 		epoch := ix.Epoch()
 
-		const coveredBeforeCancel = 10
+		const asksBeforeCancel = 2
 		ctx := &countdownCtx{Context: context.Background()}
-		ctx.left.Store(coveredBeforeCancel)
+		ctx.left.Store(asksBeforeCancel)
 		if err := ix.Compact(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%d workers: Compact = %v, want context.Canceled", workers, err)
+			t.Fatalf("%s: Compact = %v, want context.Canceled", name, err)
 		}
-		if asked := ctx.asked.Load(); asked > coveredBeforeCancel+int64(workers) {
-			t.Errorf("%d workers: the context was asked %d times for %d polygons; the phase ran on after cancellation",
-				workers, asked, len(set.Polygons)+1)
+		if asked := ctx.asked.Load(); asked != asksBeforeCancel+1 {
+			t.Errorf("%s: the context was asked %d times over %d cells, want %d: the walk ran on after cancellation",
+				name, asked, cells, asksBeforeCancel+1)
 		}
-		if ds := ix.DeltaStats(); ix.Epoch() != epoch || ds.Compactions != 0 || ds.Pending != 1 {
-			t.Errorf("%d workers: cancelled compaction published: epoch %d → %d, %+v", workers, epoch, ix.Epoch(), ds)
+		if ds := ix.DeltaStats(); ix.Epoch() != epoch || ds.Compactions != 0 || ds.Pending != 2 {
+			t.Errorf("%s: cancelled compaction published: epoch %d → %d, %+v", name, epoch, ix.Epoch(), ds)
+		}
+
+		// A context that lasts through the walk (one ask per
+		// cancelCheckEvery cells) is asked again after the merge, after the
+		// trie build and after the store reassembly.
+		ctx = &countdownCtx{Context: context.Background()}
+		ctx.left.Store(int64(cells/cancelCheckEvery) + 1)
+		if err := ix.Compact(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Compact cancelled past the walk = %v, want context.Canceled", name, err)
+		}
+		if ds := ix.DeltaStats(); ix.Epoch() != epoch || ds.Compactions != 0 || ds.Pending != 2 {
+			t.Errorf("%s: compaction cancelled past the walk published: epoch %d → %d, %+v", name, epoch, ix.Epoch(), ds)
 		}
 
 		// The index is none the worse for it.
@@ -65,13 +93,15 @@ func TestCompactCancelledMidCover(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ds := ix.DeltaStats(); ds.Compactions != 1 || ds.Pending != 0 {
-			t.Errorf("%d workers: after a full compaction: %+v", workers, ds)
+			t.Errorf("%s: after a full compaction: %+v", name, ds)
 		}
 	}
 }
 
 // TestCompactionLogsPhases: the compaction log line says where the rebuild
-// spent its time, and the phases fit inside the duration the hook is given.
+// spent its time — merge and trie build; a compaction covers nothing, so
+// there is no cover_ms — and the phases fit inside the duration the hook is
+// given.
 func TestCompactionLogsPhases(t *testing.T) {
 	set, err := data.CensusBlocks(1, 60)
 	if err != nil {
@@ -106,8 +136,11 @@ func TestCompactionLogsPhases(t *testing.T) {
 	if line == nil {
 		t.Fatalf("no compaction line in the log:\n%s", log.String())
 	}
+	if v, ok := line["cover_ms"]; ok {
+		t.Errorf("compaction line still carries cover_ms = %v", v)
+	}
 	sum := 0.0
-	for _, key := range []string{"cover_ms", "merge_ms", "trie_ms"} {
+	for _, key := range []string{"merge_ms", "trie_ms"} {
 		ms, ok := line[key].(float64)
 		if !ok || ms <= 0 {
 			t.Errorf("compaction line has %s = %v, want a positive number", key, line[key])

@@ -43,10 +43,16 @@ var (
 	ErrFenced = errors.New("act: index is fenced by a newer replication epoch")
 )
 
-// writableLocked reports why the index cannot accept a mutation (nil when
-// it can): a fence always wins, then the log's sticky failure. Caller
-// holds ix.mu.
+// writableLocked reports why the index cannot accept a client mutation (nil
+// when it can): what kind of index it is, then a fence, then the log's
+// sticky failure. Caller holds ix.mu.
 func (ix *Index) writableLocked() error {
+	if !ix.mutable {
+		return ErrImmutable
+	}
+	if ix.follower {
+		return ErrFollower
+	}
 	if e := ix.fencedAt.Load(); e != 0 {
 		return fmt.Errorf("%w (fenced at epoch %d)", ErrFenced, e)
 	}
@@ -116,6 +122,12 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
 
+	if cfg.Path == "" || cfg.SnapshotPath == "" {
+		return errors.New("act: promote: WAL config needs Path and SnapshotPath")
+	}
+	if epoch == 0 {
+		return errors.New("act: promote: epoch must be at least 1")
+	}
 	ix.mu.Lock()
 	if !ix.follower {
 		ix.mu.Unlock()
@@ -124,14 +136,6 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 	if ix.wal != nil {
 		ix.mu.Unlock()
 		return errors.New("act: promote: index already has a write-ahead log")
-	}
-	if cfg.Path == "" || cfg.SnapshotPath == "" {
-		ix.mu.Unlock()
-		return errors.New("act: promote: WAL config needs Path and SnapshotPath")
-	}
-	if epoch == 0 {
-		ix.mu.Unlock()
-		return errors.New("act: promote: epoch must be at least 1")
 	}
 	ix.promoting = true
 	ix.mu.Unlock()
@@ -144,29 +148,17 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 	// Fold the overlay into a clean base: the snapshot writer serializes
 	// one epoch, not epoch + delta. No-op when the follower is already
 	// clean; nothing new can land while promoting is set.
-	if err := ix.compactLocked(ctx); err != nil {
+	if err := ix.compactLocked(ctx, false); err != nil {
 		return fmt.Errorf("act: promote: compacting overlay: %w", err)
 	}
-
-	ix.mu.Lock()
-	ep := ix.live.Load()
-	if ep.ov != nil && ep.ov.Pending() > 0 {
-		ix.mu.Unlock()
+	cp := ix.pin()
+	if cp.ep.ov != nil {
 		return errors.New("act: promote: overlay still dirty after compaction")
 	}
-	snapSeq := ix.seq
-	ids := aliveIDs(ix.alive)
-	idSpace := len(ix.alive)
-	ix.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-
-	var idCol []uint32
-	if len(ids) != idSpace {
-		idCol = ids
-	}
-	snapTmp, err := stageSnapshot(cfg.SnapshotPath, ep, ix.kind, ix.precision, idCol, int64(idSpace))
+	snapTmp, err := ix.stageCheckpoint(cp, cp.ep, cfg.SnapshotPath)
 	if err != nil {
 		return fmt.Errorf("act: promote: staging snapshot: %w", err)
 	}
@@ -193,7 +185,7 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 	}
 	log, rep, err := wal.Open(cfg.Path, wal.Options{
 		Policy: pol, Interval: cfg.Interval, FS: cfg.FS,
-		BaseSeq: snapSeq, Epoch: epoch,
+		BaseSeq: cp.seq, Epoch: epoch,
 	})
 	if err != nil {
 		return fmt.Errorf("act: promote: opening log: %w", err)

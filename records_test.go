@@ -1,6 +1,6 @@
 package act
 
-// Tests for the one record-application loop (applyRecords) behind its two
+// Tests for the one record-application loop (stage, then publish) behind its two
 // entry points — WAL replay at attach time and ApplyReplicated — and for
 // the refusal of the format versions neither loader reads any more.
 
@@ -58,7 +58,7 @@ func writeLog(t *testing.T, path string, records []wal.Record) {
 	}
 }
 
-// mutationState is everything applyRecords may change, in comparable form.
+// mutationState is everything publish may change, in comparable form.
 type mutationState struct {
 	alive   []bool
 	seq     uint64
@@ -93,7 +93,7 @@ func (a mutationState) equal(b mutationState) bool {
 }
 
 // TestReplayMatchesApplyReplicated drives one record batch through both
-// entry points of applyRecords — Recover's log replay and a follower's
+// entry points of stage and publish — Recover's log replay and a follower's
 // ApplyReplicated — over copies of the same snapshot, and demands the same
 // liveness column, sequence, overlay and join output from both. The batch
 // mixes everything the loop distinguishes: fresh inserts, a base removal, a
@@ -219,7 +219,8 @@ func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 			if name == "unknown-type" {
 				ix.mu.Lock()
 				defer ix.mu.Unlock()
-				_, err := ix.applyRecords(records)
+				st, err := ix.stage(records, nil)
+				ix.publish(st)
 				return err
 			}
 			path := filepath.Join(dir, "replay.wal")

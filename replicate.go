@@ -39,7 +39,7 @@ var ErrFollower = errors.New("act: index is a replication follower and serves re
 // bootstraps from the primary's current snapshot again.
 //
 // Options are honored as for Recover (WithInterleave, WithDeltaThreshold,
-// WithBuildWorkers); build-shape options are fixed by the snapshot.
+// WithObserver); build options are fixed by the snapshot.
 func OpenFollower(indexPath string, opts ...Option) (*Index, error) {
 	o := applyOptions(opts)
 	ix, err := OpenIndex(indexPath)
@@ -66,18 +66,14 @@ func (ix *Index) AppliedSeq() uint64 {
 	return ix.seq
 }
 
-// ApplyReplicated applies one batch of primary log records to a follower.
-// The records are decoded and covered by the same rules as WAL replay, and
-// the whole batch lands as a single overlay rebuild and epoch swing — a
-// reader sees either none or all of it, and batch size amortizes the delta
-// trie construction during catch-up. Application is idempotent against the
-// follower's state (an insert whose id already exists and a remove of a
-// dead id are skipped; checkpoint records are rotation markers and carry
-// no mutation), so a replay overlap after a reconnect or re-bootstrap is
-// absorbed, while an insert that would leave an id gap — a hole in the
-// stream — is corruption and fails the batch. On error nothing is
-// published: the follower keeps its last consistent state and the caller
-// re-syncs from it.
+// ApplyReplicated applies one batch of primary log records to a follower,
+// by the rules WAL replay decodes them with (see stage): the whole batch
+// lands as a single overlay build and epoch swing — a reader sees either
+// none or all of it, and batch size amortizes the delta trie construction
+// during catch-up. A replay overlap after a reconnect or re-bootstrap is
+// absorbed; an insert that would leave an id gap — a hole in the stream — is
+// corruption and fails the batch. On error nothing is published: the
+// follower keeps its last consistent state and the caller re-syncs from it.
 func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -93,10 +89,10 @@ func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) erro
 	if ix.promoting {
 		return errors.New("act: index is being promoted; stream application is closed")
 	}
-	ov, err := ix.applyRecords(records)
+	st, err := ix.stage(records, nil)
 	if err != nil {
 		return fmt.Errorf("act: replicated %w", err)
 	}
-	ix.maybeCompact(ov)
+	ix.maybeCompact(ix.publish(st))
 	return nil
 }

@@ -332,57 +332,17 @@ func writeZeros(w io.Writer, n int64) error {
 // permanent holes in the id space (ids are stable forever, so holes never
 // close) writes v6, which carries an explicit id column.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	ep, ids, idSpace, err := ix.serializableState()
-	if err != nil {
-		return 0, err
+	cp := ix.pin()
+	if cp.ep.ov != nil {
+		return 0, ErrPendingMutations
 	}
 	// The grid kind is carried on the Index since build (or load) time;
 	// persist it directly instead of reverse-inferring it from the grid's
 	// name string.
-	switch ix.kind {
-	case PlanarGrid, CubeFaceGrid:
-	default:
+	if ix.kind != PlanarGrid && ix.kind != CubeFaceGrid {
 		return 0, fmt.Errorf("act: cannot serialize unknown grid kind %v", ix.kind)
 	}
-	return writeFlat(w, ep, ix.kind, ix.precision, ids, idSpace)
-}
-
-// serializableState snapshots the epoch plus, when the id space is sparse,
-// the sorted live-id column. Mutable indexes are snapshotted under the
-// mutation lock so the column is consistent with the epoch it describes;
-// immutable (loaded) indexes are frozen, their column (if any) came off
-// disk.
-func (ix *Index) serializableState() (*epoch, []uint32, int64, error) {
-	if !ix.mutable {
-		ep := ix.live.Load()
-		if ep.ov != nil {
-			return nil, nil, 0, ErrPendingMutations
-		}
-		return ep, ix.loadedIDs, ix.idSpace.Load(), nil
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ep := ix.live.Load()
-	if ep.ov != nil {
-		return nil, nil, 0, ErrPendingMutations
-	}
-	idSpace := len(ix.alive)
-	live := 0
-	for _, ok := range ix.alive {
-		if ok {
-			live++
-		}
-	}
-	if live == idSpace {
-		return ep, nil, int64(idSpace), nil
-	}
-	ids := make([]uint32, 0, live)
-	for id, ok := range ix.alive {
-		if ok {
-			ids = append(ids, uint32(id))
-		}
-	}
-	return ep, ids, int64(idSpace), nil
+	return writeFlat(w, cp.ep, ix.kind, ix.precision, cp.idColumn(), int64(cp.idSpace))
 }
 
 // writeFlat serializes one compacted epoch in the flat layout: v5 when ids
@@ -635,9 +595,9 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 		TrieNodes:               ts.NumNodes,
 		AchievedPrecisionMeters: h.achieved,
 	}
-	// A deserialized index carries no source polygons, so it serves but
-	// cannot be mutated (Insert/Remove/Compact report ErrImmutable);
-	// Recover promotes it when a write-ahead log accompanies the file.
+	// A deserialized index has no alive set and no coverer, so it serves
+	// but cannot be mutated (Insert/Remove/Compact report ErrImmutable);
+	// Recover and OpenFollower add both (promoteMutable).
 	ix := &Index{grid: g, kind: GridKind(h.gridKind), precision: h.precision}
 	ix.deltaThreshold = defaultDeltaThreshold
 	ix.loadedIDs = ids
