@@ -109,7 +109,6 @@ type options struct {
 	QuerySamplePoints  []LatLng
 	BuildWorkers       int // 0 = GOMAXPROCS
 	SkipGeometryStore  bool
-	Interleave         int // 0 = auto
 	DeltaThreshold     int // 0 = defaultDeltaThreshold, negative = never
 	WAL                *WALConfig
 	Observer           *Observer
@@ -161,11 +160,10 @@ type epoch struct {
 // compaction (see Compact). For replacing the whole index at once, hold it
 // in a [Swappable].
 type Index struct {
-	grid       grid.Grid
-	kind       GridKind
-	precision  float64
-	interleave int
-	pl         pipeline // retained build pipeline: covers inserts, builds compacted tries
+	grid      grid.Grid
+	kind      GridKind
+	precision float64
+	pl        pipeline // retained build pipeline: covers inserts, builds compacted tries
 
 	// live is the serving epoch, swung atomically by mutations and
 	// compaction; its generation counts epoch publications.
@@ -461,7 +459,6 @@ func New(polygons []*Polygon, opts ...Option) (*Index, error) {
 		grid:           g,
 		kind:           o.Grid,
 		precision:      o.PrecisionMeters,
-		interleave:     o.Interleave,
 		pl:             pl,
 		mutable:        true,
 		deltaThreshold: threshold,
@@ -490,6 +487,15 @@ func New(polygons []*Polygon, opts ...Option) (*Index, error) {
 // are filtered out and inserted polygons' references appended.
 func (ix *Index) Lookup(ll LatLng, res *Result) bool {
 	defer ix.keepMapped()
+	_, hit := ix.lookup(ll, res)
+	return hit
+}
+
+// lookup is the scalar probe under Lookup and LookupExact: it loads the
+// serving epoch, resets res and fills it with the references of the point's
+// leaf cell in the epoch's base trie merged with its delta overlay. The
+// epoch is returned so the caller refines against the state it probed.
+func (ix *Index) lookup(ll LatLng, res *Result) (*epoch, bool) {
 	res.Reset()
 	ep := ix.live.Load()
 	leaf := grid.LeafCell(ix.grid, ll)
@@ -497,7 +503,7 @@ func (ix *Index) Lookup(ll LatLng, res *Result) bool {
 	if ep.ov != nil {
 		hit = ep.ov.Merge(leaf, res)
 	}
-	return hit
+	return ep, hit
 }
 
 // LookupExact behaves like Lookup but refines every candidate with a robust
@@ -511,15 +517,9 @@ func (ix *Index) Lookup(ll LatLng, res *Result) bool {
 // Check HasGeometry first when the index's provenance is uncertain.
 func (ix *Index) LookupExact(ll LatLng, res *Result) bool {
 	defer ix.keepMapped()
-	res.Reset()
-	ep := ix.live.Load()
+	ep, hit := ix.lookup(ll, res)
 	if ep.store == nil {
 		panic(ErrNoGeometry)
-	}
-	leaf := grid.LeafCell(ix.grid, ll)
-	hit := ep.trie.Lookup(leaf, res)
-	if ep.ov != nil {
-		hit = ep.ov.Merge(leaf, res)
 	}
 	if !hit {
 		return false

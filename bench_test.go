@@ -15,7 +15,6 @@ package act_test
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -368,25 +367,5 @@ func BenchmarkLookupExact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.LookupExact(pts[i%len(pts)], &res)
-	}
-}
-
-// BenchmarkLookupBatchInterleaved measures the interleaved batch-probe
-// engine through the approximate joiner at each lane count; width 1 is the
-// scalar cell-sorted baseline. cmd/actbench's interleave experiment runs
-// the full width × fanout sweep on census-scale data; this testing.B
-// variant keeps the engine wired into standard Go tooling (and the CI
-// bench smoke job).
-func BenchmarkLookupBatchInterleaved(b *testing.B) {
-	set, pts := state.dataset(b, "neighborhoods")
-	p, err := bench.RawBuild(set, bench.RawOptions{Precision: benchPrecision})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, width := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("K%d", width), func(b *testing.B) {
-			j := &join.ACT{Grid: p.Grid, Trie: p.Trie, Interleave: width}
-			benchmarkJoin(b, j, pts, len(set.Polygons))
-		})
 	}
 }

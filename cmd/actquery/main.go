@@ -5,9 +5,8 @@
 //	echo "40.7580 -73.9855" | actquery -polygons n.geojson -precision 4
 //
 // Output per point: the matching polygon ids split by hit class (true hits
-// are certainly inside, candidates are within the precision bound ε — the
-// zero-allocation AppendRefs fast path), or the candidates resolved against
-// real geometry with -exact.
+// are certainly inside, candidates are within the precision bound ε), or
+// the candidates resolved against real geometry with -exact.
 //
 // With -mutate f.geojson, the polygons of f are inserted into the live
 // index after the build (exercising the delta layer instead of a combined
@@ -118,12 +117,11 @@ func main() {
 		sb.WriteByte(']')
 		return sb.String()
 	}
-	var res act.Result
-	// Reused across lines: AppendRefs never allocates, and the true/
-	// candidate split is carried per reference so the two classes are never
-	// conflated in the output.
-	var refs []act.Match
-	var trues, cands []uint32
+	lookup := idx.Lookup
+	if *exact {
+		lookup = idx.LookupExact
+	}
+	var res act.Result // reused across lines
 	lineNo := 0
 	for in.Scan() {
 		lineNo++
@@ -141,29 +139,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "actquery: line %d: bad coordinates\n", lineNo)
 			continue
 		}
-		ll := act.LatLng{Lat: lat, Lng: lng}
-		if *exact {
-			if !idx.LookupExact(ll, &res) {
-				fmt.Fprintf(out, "%.6f %.6f -> no match\n", lat, lng)
-				continue
-			}
-			fmt.Fprintf(out, "%.6f %.6f -> true=%s candidates=%s\n", lat, lng, fmtIDs(res.True), fmtIDs(res.Candidates))
-			continue
-		}
-		refs = idx.AppendRefs(ll, refs[:0])
-		if len(refs) == 0 {
+		if !lookup(act.LatLng{Lat: lat, Lng: lng}, &res) {
 			fmt.Fprintf(out, "%.6f %.6f -> no match\n", lat, lng)
 			continue
 		}
-		trues, cands = trues[:0], cands[:0]
-		for _, m := range refs {
-			if m.Exact {
-				trues = append(trues, m.ID)
-			} else {
-				cands = append(cands, m.ID)
-			}
-		}
-		fmt.Fprintf(out, "%.6f %.6f -> true=%s candidates=%s\n", lat, lng, fmtIDs(trues), fmtIDs(cands))
+		fmt.Fprintf(out, "%.6f %.6f -> true=%s candidates=%s\n", lat, lng, fmtIDs(res.True), fmtIDs(res.Candidates))
 	}
 	if err := in.Err(); err != nil {
 		// os.Exit skips the deferred flush: write out the answers for the

@@ -205,7 +205,7 @@ func main() {
 			}),
 			act.WithObserver(observer))
 	case *indexFile != "":
-		idx, err = server.LoadIndexFile(*indexFile)
+		idx, err = act.OpenIndex(*indexFile)
 	default:
 		idx, err = server.BuildFromGeoJSON(*polyFile, *precision, gk, act.WithObserver(observer))
 	}
@@ -260,10 +260,19 @@ func main() {
 		handler.EnablePprof()
 		logger.Info("pprof enabled", slog.String("prefix", "/debug/pprof/"))
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// Closing the startup index lets an attached WAL flush its tail, so a
+	// reopened log sees a clean shutdown (zero records to replay).
+	serve(ctx, stop, logger, *addr, handler, *drain, idx.Close)
+}
+
+// serve listens on addr until ctx is done (SIGINT/SIGTERM; stop then
+// restores the default signal behaviour, so a second signal kills), stops
+// accepting connections, drains in-flight requests for at most drain, and
+// closes the index.
+func serve(ctx context.Context, stop context.CancelFunc, logger *slog.Logger, addr string, handler http.Handler, drain time.Duration, closeIndex func() error) {
+	srv := &http.Server{Addr: addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
@@ -272,8 +281,8 @@ func main() {
 	case <-ctx.Done():
 	}
 	stop()
-	logger.Info("draining", slog.Duration("max", *drain))
-	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	logger.Info("draining", slog.Duration("max", drain))
+	shCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {
 		logger.Error("shutdown failed", slog.String("error", err.Error()))
@@ -282,9 +291,7 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("listener error", slog.String("error", err.Error()))
 	}
-	// Close the startup index so an attached WAL flushes its tail and a
-	// reopened log sees a clean shutdown (zero records to replay).
-	if err := idx.Close(); err != nil {
+	if err := closeIndex(); err != nil {
 		logger.Error("closing index failed", slog.String("error", err.Error()))
 	}
 	logger.Info("drained, exiting")
@@ -385,30 +392,10 @@ func runFollower(logger *slog.Logger, primaryURL, dir, addr, reloadToken, replic
 		handler.EnablePprof()
 		logger.Info("pprof enabled", slog.String("prefix", "/debug/pprof/"))
 	}
-	srv := &http.Server{Addr: addr, Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		fatal(logger, "serve failed", slog.String("error", err.Error()))
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("draining", slog.Duration("max", drain))
-	shCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		logger.Error("shutdown failed", slog.String("error", err.Error()))
-		os.Exit(1)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Error("listener error", slog.String("error", err.Error()))
-	}
-	// The replication loop has quit (its context is done); now the serving
-	// index can close without racing an apply.
-	<-runDone
-	if err := fol.Index().Close(); err != nil {
-		logger.Error("closing index failed", slog.String("error", err.Error()))
-	}
-	logger.Info("drained, exiting")
+	serve(ctx, stop, logger, addr, handler, drain, func() error {
+		// Once the replication loop has quit (its context is done) the
+		// serving index can close without racing an apply.
+		<-runDone
+		return fol.Index().Close()
+	})
 }

@@ -4,8 +4,8 @@ package act_test
 // insert/remove/compact schedules, the mutated index — base trie + delta
 // overlay, or the freshly compacted base — must be result-identical to an
 // index rebuilt from scratch over the surviving polygon set, for every
-// lookup path (scalar, batch at widths 1 and 8, exact refinement, and the
-// join engine's counts).
+// lookup path (scalar, batch, exact refinement, and the join engine's
+// counts).
 
 import (
 	"bytes"
@@ -36,14 +36,14 @@ func (ls *liveSet) ids() []uint32 {
 
 // rebuild constructs the reference index over the surviving polygons (dense
 // ids) and the mapping from its dense ids back to the live index's ids.
-func (ls *liveSet) rebuild(t *testing.T, eps float64, width int) (*act.Index, []uint32) {
+func (ls *liveSet) rebuild(t *testing.T, eps float64) (*act.Index, []uint32) {
 	t.Helper()
 	ids := ls.ids()
 	polys := make([]*act.Polygon, len(ids))
 	for i, id := range ids {
 		polys[i] = ls.polys[id]
 	}
-	ref, err := act.New(polys, act.WithPrecision(eps), act.WithInterleave(width))
+	ref, err := act.New(polys, act.WithPrecision(eps))
 	if err != nil {
 		t.Fatalf("reference rebuild: %v", err)
 	}
@@ -68,9 +68,9 @@ func sorted(ids []uint32) []uint32 {
 
 // checkDeltaEquivalence compares every lookup path of the mutated index
 // against a from-scratch rebuild over the surviving set.
-func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.LatLng, eps float64, width int, step int) {
+func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.LatLng, eps float64, step int) {
 	t.Helper()
-	ref, idMap := ls.rebuild(t, eps, width)
+	ref, idMap := ls.rebuild(t, eps)
 	ctx := context.Background()
 
 	var res, refRes act.Result
@@ -81,8 +81,8 @@ func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.
 		ref.Lookup(ll, &refRes)
 		if !slices.Equal(sorted(res.True), translate(refRes.True, idMap)) ||
 			!slices.Equal(sorted(res.Candidates), translate(refRes.Candidates, idMap)) {
-			t.Fatalf("step %d width %d point %d: merged lookup %v/%v, rebuild %v/%v",
-				step, width, i, res.True, res.Candidates, translate(refRes.True, idMap), translate(refRes.Candidates, idMap))
+			t.Fatalf("step %d point %d: merged lookup %v/%v, rebuild %v/%v",
+				step, i, res.True, res.Candidates, translate(refRes.True, idMap), translate(refRes.Candidates, idMap))
 		}
 		// The class-carrying and conflated append paths must agree with
 		// the merged Result.
@@ -103,12 +103,12 @@ func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.
 		idx.LookupExact(ll, &res)
 		ref.LookupExact(ll, &refRes)
 		if !slices.Equal(sorted(res.True), translate(refRes.True, idMap)) {
-			t.Fatalf("step %d width %d point %d: merged exact %v, rebuild %v",
-				step, width, i, sorted(res.True), translate(refRes.True, idMap))
+			t.Fatalf("step %d point %d: merged exact %v, rebuild %v",
+				step, i, sorted(res.True), translate(refRes.True, idMap))
 		}
 	}
 
-	// Batch path (cell-sorted, interleaved at the configured width).
+	// Batch path (cell-sorted).
 	got, err := idx.LookupBatch(ctx, pts)
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +120,8 @@ func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.
 	for i := range pts {
 		if !slices.Equal(sorted(got[i].True), translate(want[i].True, idMap)) ||
 			!slices.Equal(sorted(got[i].Candidates), translate(want[i].Candidates, idMap)) {
-			t.Fatalf("step %d width %d: LookupBatch[%d] merged %v/%v, rebuild %v/%v",
-				step, width, i, got[i].True, got[i].Candidates, want[i].True, want[i].Candidates)
+			t.Fatalf("step %d: LookupBatch[%d] merged %v/%v, rebuild %v/%v",
+				step, i, got[i].True, got[i].Candidates, want[i].True, want[i].Candidates)
 		}
 	}
 
@@ -136,8 +136,8 @@ func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.
 	}
 	for dense, id := range idMap {
 		if counts[id] != refCounts[dense] {
-			t.Fatalf("step %d width %d: JoinExact count for id %d = %d, rebuild %d",
-				step, width, id, counts[id], refCounts[dense])
+			t.Fatalf("step %d: JoinExact count for id %d = %d, rebuild %d",
+				step, id, counts[id], refCounts[dense])
 		}
 	}
 	var total uint64
@@ -160,77 +160,73 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test builds many indexes")
 	}
-	trials := 6
-	for _, width := range []int{1, 8} {
-		for trial := 0; trial < trials; trial++ {
-			rng := rand.New(rand.NewSource(int64(900*width + trial)))
-			eps := 250.0
-			if trial%2 == 1 {
-				eps = 60
-			}
-			// One clustered pool; the first chunk seeds the base, the rest
-			// arrive as live inserts, so delta coverings overlap base ones.
-			pool := randPolygonSet(rng)
-			for len(pool) < 10 {
-				pool = append(pool, randPolygonSet(rng)...)
-			}
-			nBase := 3 + rng.Intn(3)
-			base, inserts := pool[:nBase], pool[nBase:]
-			idx, err := act.New(base,
-				act.WithPrecision(eps),
-				act.WithInterleave(width),
-				act.WithDeltaThreshold(-1)) // deterministic: compact only on demand
-			if err != nil {
-				t.Fatal(err)
-			}
-			ls := &liveSet{polys: map[uint32]*act.Polygon{}}
-			for i, p := range base {
-				ls.polys[uint32(i)] = p
-			}
-			pts := randPoints(rng, pool, 90)
-			ctx := context.Background()
-
-			steps := 8 + rng.Intn(5)
-			for step := 0; step < steps; step++ {
-				switch op := rng.Intn(10); {
-				case op < 5 && len(inserts) > 0: // insert
-					p := inserts[0]
-					inserts = inserts[1:]
-					id, err := idx.Insert(ctx, p)
-					if err != nil {
-						t.Fatalf("step %d: insert: %v", step, err)
-					}
-					if _, dup := ls.polys[id]; dup {
-						t.Fatalf("step %d: id %d reused", step, id)
-					}
-					ls.polys[id] = p
-				case op < 8 && len(ls.polys) > 1: // remove (keep one survivor)
-					ids := ls.ids()
-					id := ids[rng.Intn(len(ids))]
-					if err := idx.Remove(ctx, id); err != nil {
-						t.Fatalf("step %d: remove %d: %v", step, id, err)
-					}
-					delete(ls.polys, id)
-				default: // compact
-					if err := idx.Compact(ctx); err != nil {
-						t.Fatalf("step %d: compact: %v", step, err)
-					}
-				}
-				if idx.NumPolygons() != len(ls.polys) {
-					t.Fatalf("step %d: NumPolygons %d, live set %d", step, idx.NumPolygons(), len(ls.polys))
-				}
-				checkDeltaEquivalence(t, idx, ls, pts, eps, width, step)
-			}
-			// Final compaction must preserve results too, and must clear
-			// the pending counters.
-			if err := idx.Compact(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if ds := idx.DeltaStats(); ds.Pending != 0 || ds.Compactions == 0 {
-				t.Fatalf("after final compaction: %+v", ds)
-			}
-			checkDeltaEquivalence(t, idx, ls, pts, eps, width, steps)
+	for trial := 0; trial < 12; trial++ {
+		rng := rand.New(rand.NewSource(int64(900 + trial)))
+		eps := 250.0
+		if trial%2 == 1 {
+			eps = 60
 		}
+		// One clustered pool; the first chunk seeds the base, the rest
+		// arrive as live inserts, so delta coverings overlap base ones.
+		pool := randPolygonSet(rng)
+		for len(pool) < 10 {
+			pool = append(pool, randPolygonSet(rng)...)
+		}
+		nBase := 3 + rng.Intn(3)
+		base, inserts := pool[:nBase], pool[nBase:]
+		idx, err := act.New(base,
+			act.WithPrecision(eps),
+			act.WithDeltaThreshold(-1)) // deterministic: compact only on demand
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := &liveSet{polys: map[uint32]*act.Polygon{}}
+		for i, p := range base {
+			ls.polys[uint32(i)] = p
+		}
+		pts := randPoints(rng, pool, 90)
+		ctx := context.Background()
+
+		steps := 8 + rng.Intn(5)
+		for step := 0; step < steps; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5 && len(inserts) > 0: // insert
+				p := inserts[0]
+				inserts = inserts[1:]
+				id, err := idx.Insert(ctx, p)
+				if err != nil {
+					t.Fatalf("step %d: insert: %v", step, err)
+				}
+				if _, dup := ls.polys[id]; dup {
+					t.Fatalf("step %d: id %d reused", step, id)
+				}
+				ls.polys[id] = p
+			case op < 8 && len(ls.polys) > 1: // remove (keep one survivor)
+				ids := ls.ids()
+				id := ids[rng.Intn(len(ids))]
+				if err := idx.Remove(ctx, id); err != nil {
+					t.Fatalf("step %d: remove %d: %v", step, id, err)
+				}
+				delete(ls.polys, id)
+			default: // compact
+				if err := idx.Compact(ctx); err != nil {
+					t.Fatalf("step %d: compact: %v", step, err)
+				}
+			}
+			if idx.NumPolygons() != len(ls.polys) {
+				t.Fatalf("step %d: NumPolygons %d, live set %d", step, idx.NumPolygons(), len(ls.polys))
+			}
+			checkDeltaEquivalence(t, idx, ls, pts, eps, step)
+		}
+		// Final compaction must preserve results too, and must clear
+		// the pending counters.
+		if err := idx.Compact(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if ds := idx.DeltaStats(); ds.Pending != 0 || ds.Compactions == 0 {
+			t.Fatalf("after final compaction: %+v", ds)
+		}
+		checkDeltaEquivalence(t, idx, ls, pts, eps, steps)
 	}
 }
 
@@ -272,7 +268,7 @@ func TestAutoCompaction(t *testing.T) {
 	for i, p := range pool[:8] {
 		ls.polys[uint32(i)] = p
 	}
-	checkDeltaEquivalence(t, idx, ls, randPoints(rng, pool[:8], 60), 250, 1, 0)
+	checkDeltaEquivalence(t, idx, ls, randPoints(rng, pool[:8], 60), 250, 0)
 }
 
 // TestMutationAPIContract pins the mutation API's edges: id stability,

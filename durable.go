@@ -179,10 +179,10 @@ func (ix *Index) WALUpdates() <-chan struct{} {
 // sample, cell budget) are not persisted and do not apply to replayed
 // inserts.
 //
-// Options are honored where they apply (WithInterleave, WithDeltaThreshold,
-// WithObserver, and a WithWAL carrying the fsync policy for the reattached
-// log — its Path and SnapshotPath fields are ignored here); build options
-// like WithPrecision are ignored, since the snapshot fixes them.
+// Options are honored where they apply (WithDeltaThreshold, WithObserver,
+// and a WithWAL carrying the fsync policy for the reattached log — its Path
+// and SnapshotPath fields are ignored here); build options like
+// WithPrecision are ignored, since the snapshot fixes them.
 func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 	o := applyOptions(opts)
 	ix, err := OpenIndex(indexPath)
@@ -222,7 +222,6 @@ func (ix *Index) promoteMutable(o *options) error {
 		fanout:  ep.trie.Fanout(),
 		hasGeom: ep.store != nil,
 	}
-	ix.interleave = o.Interleave
 	if o.DeltaThreshold != 0 {
 		ix.deltaThreshold = o.DeltaThreshold
 	}
@@ -243,6 +242,25 @@ func (ix *Index) promoteMutable(o *options) error {
 	return nil
 }
 
+// walOptions translates a WALConfig into the options every log of this
+// index is opened with (attachWAL, Promote): the fsync policy, interval and
+// filesystem from cfg, and the index's observer as the log's hooks, so
+// appends, fsyncs and rotations are observed from the open onward.
+func (ix *Index) walOptions(cfg WALConfig) (wal.Options, error) {
+	pol, err := cfg.Policy.walPolicy()
+	if err != nil {
+		return wal.Options{}, err
+	}
+	wopts := wal.Options{Policy: pol, Interval: cfg.Interval, FS: cfg.FS}
+	if o := ix.obs; o != nil {
+		wopts.OnAppend = o.OnWALAppend
+		wopts.OnFsync = o.OnWALFsync
+		wopts.OnRotate = o.OnWALRotate
+		wopts.Logger = o.Logger
+	}
+	return wopts, nil
+}
+
 // attachWAL opens (or creates) the configured log, replays any records a
 // previous process left in it, and wires the log into the mutation path.
 // Called at construction, before the index is shared.
@@ -250,18 +268,9 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 	if cfg.Path == "" {
 		return errors.New("act: WAL config needs a Path")
 	}
-	pol, err := cfg.Policy.walPolicy()
+	wopts, err := ix.walOptions(cfg)
 	if err != nil {
 		return err
-	}
-	wopts := wal.Options{Policy: pol, Interval: cfg.Interval, FS: cfg.FS}
-	if o := ix.obs; o != nil {
-		// The observer's callbacks become the log's hooks, so appends and
-		// fsyncs are observed from the very first replayed-open onward.
-		wopts.OnAppend = o.OnWALAppend
-		wopts.OnFsync = o.OnWALFsync
-		wopts.OnRotate = o.OnWALRotate
-		wopts.Logger = o.Logger
 	}
 	log, rep, err := wal.Open(cfg.Path, wopts)
 	if err != nil {

@@ -103,7 +103,7 @@ func TestWALReplayOnNew(t *testing.T) {
 	if idx2.NumPolygons() != len(ls.polys) {
 		t.Fatalf("recovered %d polygons, want %d", idx2.NumPolygons(), len(ls.polys))
 	}
-	checkDeltaEquivalence(t, idx2, ls, pts, 250, 1, 0)
+	checkDeltaEquivalence(t, idx2, ls, pts, 250, 0)
 
 	// The replayed index keeps mutating with non-colliding ids and stays
 	// recoverable across another cycle.
@@ -122,7 +122,7 @@ func TestWALReplayOnNew(t *testing.T) {
 	if idx3.WALStats().RecoveredRecords != 5 {
 		t.Fatalf("second cycle recovered %d records, want 5", idx3.WALStats().RecoveredRecords)
 	}
-	checkDeltaEquivalence(t, idx3, ls, pts, 250, 1, 1)
+	checkDeltaEquivalence(t, idx3, ls, pts, 250, 1)
 }
 
 // TestRecoverCheckpointCycle drives the full checkpoint + log loop: compact
@@ -217,7 +217,7 @@ func TestRecoverCheckpointCycle(t *testing.T) {
 	if rec.NumPolygons() != len(ls.polys) {
 		t.Fatalf("recovered %d polygons, want %d", rec.NumPolygons(), len(ls.polys))
 	}
-	checkDeltaEquivalence(t, rec, ls, pts, 250, 1, 0)
+	checkDeltaEquivalence(t, rec, ls, pts, 250, 0)
 
 	// A recovered index has no sources, but compaction works anyway: the
 	// epoch path rebuilds from base cells + delta coverings, writes a fresh
@@ -237,7 +237,7 @@ func TestRecoverCheckpointCycle(t *testing.T) {
 	if rec.NumPolygons() != len(ls.polys) {
 		t.Fatalf("compacted recovered index has %d polygons, want %d", rec.NumPolygons(), len(ls.polys))
 	}
-	checkDeltaEquivalence(t, rec, ls, pts, 250, 1, 2)
+	checkDeltaEquivalence(t, rec, ls, pts, 250, 2)
 	id2, err := rec.Insert(ctx, pool[8])
 	if err != nil {
 		t.Fatalf("Insert on recovered index: %v", err)
@@ -257,7 +257,7 @@ func TestRecoverCheckpointCycle(t *testing.T) {
 	if rec2.NumPolygons() != len(ls.polys) {
 		t.Fatalf("second recovery: %d polygons, want %d", rec2.NumPolygons(), len(ls.polys))
 	}
-	checkDeltaEquivalence(t, rec2, ls, pts, 250, 1, 1)
+	checkDeltaEquivalence(t, rec2, ls, pts, 250, 1)
 }
 
 // TestRecoverTornFinalRecord cuts the log at every byte boundary of the
@@ -438,7 +438,7 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 		if rec.NumPolygons() != len(ls.polys) {
 			t.Fatalf("trial %d: recovered %d polygons, want %d", trial, rec.NumPolygons(), len(ls.polys))
 		}
-		checkDeltaEquivalence(t, rec, ls, pts, 250, 1, trial)
+		checkDeltaEquivalence(t, rec, ls, pts, 250, trial)
 		rec.Close()
 	}
 }

@@ -11,10 +11,9 @@ package act
 func stripGeometry(ix *Index) *Index {
 	ep := ix.live.Load()
 	clone := &Index{
-		grid:       ix.grid,
-		kind:       ix.kind,
-		precision:  ix.precision,
-		interleave: ix.interleave,
+		grid:      ix.grid,
+		kind:      ix.kind,
+		precision: ix.precision,
 	}
 	clone.deltaThreshold = defaultDeltaThreshold
 	clone.liveCount.Store(ix.liveCount.Load())

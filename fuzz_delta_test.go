@@ -151,32 +151,21 @@ func FuzzDeltaMerge(f *testing.F) {
 		if ref == nil {
 			return
 		}
-		// Batch paths at scalar and interleaved widths.
-		for _, width := range []int{1, 8} {
-			got, err := batchAtWidth(ctx, idx, width, probes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := batchAtWidth(ctx, ref, width, probes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range probes {
-				if !slices.Equal(srt(got[i].True), translate(want[i].True)) ||
-					!slices.Equal(srt(got[i].Candidates), translate(want[i].Candidates)) {
-					t.Fatalf("width %d probe %d: merged batch %v/%v, rebuild %v/%v",
-						width, i, got[i].True, got[i].Candidates, want[i].True, want[i].Candidates)
-				}
+		// Batch path.
+		got, err := idx.LookupBatch(ctx, probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.LookupBatch(ctx, probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range probes {
+			if !slices.Equal(srt(got[i].True), translate(want[i].True)) ||
+				!slices.Equal(srt(got[i].Candidates), translate(want[i].Candidates)) {
+				t.Fatalf("probe %d: merged batch %v/%v, rebuild %v/%v",
+					i, got[i].True, got[i].Candidates, want[i].True, want[i].Candidates)
 			}
 		}
 	})
-}
-
-// batchAtWidth runs LookupBatch with a specific interleave width without
-// rebuilding the index (the width is a runtime knob on the probe engine).
-func batchAtWidth(ctx context.Context, ix *Index, width int, pts []LatLng) ([]Result, error) {
-	saved := ix.interleave
-	ix.interleave = width
-	defer func() { ix.interleave = saved }()
-	return ix.LookupBatch(ctx, pts)
 }

@@ -51,11 +51,11 @@ const (
 	// chunks; at 37 MB (ε = 15 m) 40 vs 52 and 65 vs 66; at 64 MB (12 000
 	// blocks, ε = 15 m) 56 vs 65 in 64 Ki chunks but 90 vs 85 in 4 Ki and
 	// 84 vs 80 in 16 Ki chunks — the first size at which lanes won
-	// anything. The threshold sits between the last two. (Unsorted probes
-	// favour lanes from 5 MB up, 69 vs 48, but no caller sends any; so does
-	// a sorted 256-point batch on evicted caches, 324 vs 251 at 5 MB — 19 µs
-	// of a 700 µs /join request, and serve_read's join_req_p50_us did not
-	// tell the two settings apart.)
+	// anything. The threshold sits between the last two. (Probes in arrival
+	// order favour lanes from 5 MB up, 69 vs 48, but no caller sends any; so
+	// does a sorted 256-point batch on evicted caches, 324 vs 251 at 5 MB —
+	// 19 µs of a 700 µs /join request, and serve_read's join_req_p50_us did
+	// not tell the two settings apart.)
 	interleaveMinBytes = 48 << 20
 	// interleaveAutoWidth is the lane count auto selects for tries beyond
 	// interleaveMinBytes: wide enough to cover a round's misses on cores with ~10–16 line

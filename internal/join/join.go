@@ -9,14 +9,15 @@
 // Sink, so one executor serves per-polygon aggregation (CountSink),
 // materialized joins (PairSink), and streaming consumers (FuncSink).
 //
-// The ACT joiners probe the trie in cell-sorted order: each chunk's points
-// are sorted by leaf cell id (Z-order) so consecutive probes share trie
-// path prefixes, which Trie.LookupBatch exploits by resuming each walk at
-// the deepest shared node. On tries too large to stay cache-resident the
-// sorted batches are additionally probed through the interleaved engine
-// (Trie.LookupBatchInterleaved), which keeps several walks in flight so
-// their cache misses overlap. Emitted pairs carry original stream
-// positions, so the reordering is invisible to sinks.
+// The ACT joiners and LookupBatch share one probe kernel (Scratch.probe):
+// each chunk's points are sorted by leaf cell id (Z-order) so consecutive
+// probes share trie path prefixes and every walk resumes at the deepest
+// node shared with the previous one; on tries too large to stay
+// cache-resident the trie additionally keeps several walks in flight so
+// their cache misses overlap — a width it picks from its own footprint.
+// The live index's delta overlay is merged into every result, and emitted
+// pairs carry original stream positions, so neither the reordering nor the
+// walk that ran is visible to sinks.
 package join
 
 import (
@@ -50,6 +51,7 @@ type Scratch struct {
 	keys   []uint64    // packed (cell, index) sort keys, cell-sorted
 	tmp    []uint64    // radix ping-pong buffer
 	sorted []cellid.ID // the keys' leaves, ready for LookupBatch
+	lo     int         // offset of the run being walked in probe's points
 }
 
 // idxBits is the number of low key bits that carry the chunk-local point
@@ -103,6 +105,36 @@ func (s *Scratch) sortByCell() {
 	}
 }
 
+// probe is the one lookup of the paper run over a batch: map every point to
+// its leaf cell, sort the probes by cell, walk the trie at the width it
+// picks from its own footprint, and merge the live index's delta overlay
+// into each result — tombstoned ids filtered out, delta references
+// appended. fn receives each probe's rank k in cell order and whether
+// anything matched, with s.res holding the merged references until it
+// returns; s.point(k) is the probe's index into points. Handing out ranks
+// keeps a static index (ov == nil) at one indirect call per point — fn is
+// the walk's own callback — where mapping to the index first would cost
+// every point a second one (1.5 ns of 56 on census-3920 at 60 m). The
+// packed sort keys carry idxBits of point index, so larger batches are
+// probed in 1<<idxBits-point runs (the engine's chunks never exceed one).
+func (s *Scratch) probe(g grid.Grid, t *core.Trie, ov *delta.Overlay, points []geo.LatLng, fn func(k int, hit bool)) {
+	emit := fn
+	if ov != nil {
+		emit = func(k int, _ bool) { fn(k, ov.Merge(s.sorted[k], &s.res)) }
+	}
+	width := t.InterleaveWidth(core.InterleaveAuto)
+	for s.lo = 0; s.lo < len(points); s.lo += 1 << idxBits {
+		hi := min(s.lo+1<<idxBits, len(points))
+		s.leaves = grid.LeafCells(g, points[s.lo:hi], s.leaves[:0])
+		s.sortByCell()
+		t.LookupBatchInterleaved(s.sorted, width, &s.batch, &s.res, emit)
+	}
+}
+
+// point undoes the cell sort: the index, into the points probe was given,
+// of the probe at rank k of the run being walked.
+func (s *Scratch) point(k int) int { return s.lo + int(s.keys[k]&(1<<idxBits-1)) }
+
 // ChunkStats aggregates hit counts for a batch of points.
 type ChunkStats struct {
 	TrueHits      int64 // pairs known inside without any geometry test
@@ -145,20 +177,9 @@ func emitResult(em Emitter, point int, res *core.Result, st *ChunkStats) {
 type ACT struct {
 	Grid grid.Grid
 	Trie *core.Trie
-	// Overlay is the live index's delta layer, merged into every probe:
-	// tombstoned ids are filtered out of the base trie's result and the
-	// delta trie's references are appended. Nil for static indexes, which
-	// pay only this nil check.
+	// Overlay is the live index's delta layer, merged into every probe.
+	// Nil for static indexes.
 	Overlay *delta.Overlay
-	// Interleave is the number of concurrent trie walks each batch keeps in
-	// flight (core.InterleaveAuto = pick from the trie size, 1 = scalar).
-	// The width is resolved per chunk, so tiny tail chunks degenerate to
-	// the scalar path on their own.
-	Interleave int
-	// Unsorted disables the cell-sorted batch fast path, probing points in
-	// arrival order. Exists to quantify the benefit of sorting; production
-	// use should leave it false.
-	Unsorted bool
 }
 
 // Name implements Joiner.
@@ -167,44 +188,12 @@ func (j *ACT) Name() string { return "act" }
 // JoinChunk implements Joiner.
 func (j *ACT) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch) ChunkStats {
 	var st ChunkStats
-	if len(points) == 0 {
-		return st
-	}
-	// The packed sort keys carry idxBits of point index; split oversized
-	// batches (the engine's chunks are always far smaller).
-	if len(points) > 1<<idxBits && !j.Unsorted {
-		for lo := 0; lo < len(points); lo += 1 << idxBits {
-			hi := min(lo+1<<idxBits, len(points))
-			st.add(j.JoinChunk(points[lo:hi], base+lo, em, s))
-		}
-		return st
-	}
-	s.leaves = grid.LeafCells(j.Grid, points, s.leaves[:0])
-	if j.Unsorted {
-		for i, leaf := range s.leaves {
-			s.res.Reset()
-			hit := j.Trie.Lookup(leaf, &s.res)
-			if j.Overlay != nil {
-				hit = j.Overlay.Merge(leaf, &s.res)
-			}
-			if !hit {
-				st.Misses++
-				continue
-			}
-			emitResult(em, base+i, &s.res, &st)
-		}
-		return st
-	}
-	s.sortByCell()
-	j.Trie.LookupBatchInterleaved(s.sorted, j.Trie.InterleaveWidth(j.Interleave), &s.batch, &s.res, func(k int, hit bool) {
-		if j.Overlay != nil {
-			hit = j.Overlay.Merge(s.sorted[k], &s.res)
-		}
+	s.probe(j.Grid, j.Trie, j.Overlay, points, func(k int, hit bool) {
 		if !hit {
 			st.Misses++
 			return
 		}
-		emitResult(em, base+int(s.keys[k]&(1<<idxBits-1)), &s.res, &st)
+		emitResult(em, base+s.point(k), &s.res, &st)
 	})
 	return st
 }
@@ -225,11 +214,6 @@ type ACTExact struct {
 	// candidates resolve against the overlay's geometry instead of the
 	// base store. Nil for static indexes.
 	Overlay *delta.Overlay
-	// Interleave is the number of concurrent trie walks per batch round
-	// (core.InterleaveAuto = pick from the trie size, 1 = scalar).
-	Interleave int
-	// Unsorted disables the cell-sorted batch fast path.
-	Unsorted bool
 }
 
 // Name implements Joiner.
@@ -238,30 +222,17 @@ func (j *ACTExact) Name() string { return "act-exact" }
 // JoinChunk implements Joiner.
 func (j *ACTExact) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch) ChunkStats {
 	var st ChunkStats
-	if len(points) == 0 {
-		return st
-	}
-	if len(points) > 1<<idxBits && !j.Unsorted {
-		for lo := 0; lo < len(points); lo += 1 << idxBits {
-			hi := min(lo+1<<idxBits, len(points))
-			st.add(j.JoinChunk(points[lo:hi], base+lo, em, s))
-		}
-		return st
-	}
-	s.leaves = grid.LeafCells(j.Grid, points, s.leaves[:0])
 	s.pts = grid.ProjectAll(j.Grid, points, s.pts[:0])
-	// refine emits chunk-local point i's references: true hits as-is, then
-	// only the candidates that survive the geometry — the base store, or
-	// the overlay's delta geometry for delta ids. The overlay is merged
-	// first, so tombstoned ids never reach refinement.
-	refine := func(i int, hit bool) {
-		if j.Overlay != nil {
-			hit = j.Overlay.Merge(s.leaves[i], &s.res)
-		}
+	// Point i's true hits are emitted as-is, then only the candidates that
+	// survive the geometry — the base store, or the overlay's delta geometry
+	// for delta ids. The probe has already merged the overlay, so tombstoned
+	// ids never reach refinement.
+	s.probe(j.Grid, j.Trie, j.Overlay, points, func(k int, hit bool) {
 		if !hit {
 			st.Misses++
 			return
 		}
+		i := s.point(k)
 		for _, id := range s.res.True {
 			em.Emit(base+i, id, TrueHit)
 		}
@@ -278,17 +249,6 @@ func (j *ACTExact) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scrat
 		if !matched {
 			st.Misses++
 		}
-	}
-	if j.Unsorted {
-		for i, leaf := range s.leaves {
-			s.res.Reset()
-			refine(i, j.Trie.Lookup(leaf, &s.res))
-		}
-		return st
-	}
-	s.sortByCell()
-	j.Trie.LookupBatchInterleaved(s.sorted, j.Trie.InterleaveWidth(j.Interleave), &s.batch, &s.res, func(k int, hit bool) {
-		refine(int(s.keys[k]&(1<<idxBits-1)), hit)
 	})
 	return st
 }
@@ -463,61 +423,52 @@ func RunSinkContext(ctx context.Context, j Joiner, points []geo.LatLng, sink Sin
 		threads = max(nChunks, 1)
 	}
 	start := time.Now()
-	var total ChunkStats
-	joined := 0
-	if threads == 1 {
-		em := sink.NewEmitter()
+	emitters := make([]Emitter, threads)
+	for w := range emitters {
+		emitters[w] = sink.NewEmitter()
+	}
+	// The only shared mutable word is the claim counter; every other
+	// per-chunk update lands in the worker's own padded slot.
+	var next atomic.Int64
+	slots := make([]workerSlot, threads)
+	work := func(slot *workerSlot, em Emitter) {
 		fl, _ := em.(chunkFlusher)
 		s := getScratch()
-		for lo := 0; lo < len(points) && ctx.Err() == nil; lo += chunk {
+		defer putScratch(s)
+		for ctx.Err() == nil {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= len(points) {
+				break
+			}
 			hi := min(lo+chunk, len(points))
-			total.add(j.JoinChunk(points[lo:hi], lo, em, s))
-			joined += hi - lo
+			slot.stats.add(j.JoinChunk(points[lo:hi], lo, em, s))
+			slot.joined += int64(hi - lo)
 			if fl != nil {
 				fl.flushChunk()
 			}
 		}
-		putScratch(s)
-		sink.Merge(em)
+	}
+	if threads == 1 {
+		// A lone worker runs on the caller's goroutine: a request-sized
+		// join pays for no goroutine.
+		work(&slots[0], emitters[0])
 	} else {
-		emitters := make([]Emitter, threads)
-		for w := range emitters {
-			emitters[w] = sink.NewEmitter()
-		}
-		// The only shared mutable word is the claim counter; every other
-		// per-chunk update lands in the worker's own padded slot.
-		var next atomic.Int64
-		slots := make([]workerSlot, threads)
 		var wg sync.WaitGroup
-		for w := 0; w < threads; w++ {
+		for w := range slots {
 			wg.Add(1)
-			go func(slot *workerSlot, em Emitter) {
+			go func() {
 				defer wg.Done()
-				fl, _ := em.(chunkFlusher)
-				s := getScratch()
-				defer putScratch(s)
-				for ctx.Err() == nil {
-					lo := int(next.Add(int64(chunk))) - chunk
-					if lo >= len(points) {
-						break
-					}
-					hi := min(lo+chunk, len(points))
-					slot.stats.add(j.JoinChunk(points[lo:hi], lo, em, s))
-					slot.joined += int64(hi - lo)
-					if fl != nil {
-						fl.flushChunk()
-					}
-				}
-			}(&slots[w], emitters[w])
+				work(&slots[w], emitters[w])
+			}()
 		}
 		wg.Wait()
-		for i := range slots {
-			total.add(slots[i].stats)
-			joined += int(slots[i].joined)
-		}
-		for _, em := range emitters {
-			sink.Merge(em)
-		}
+	}
+	var total ChunkStats
+	joined := 0
+	for i := range slots {
+		total.add(slots[i].stats)
+		joined += int(slots[i].joined)
+		sink.Merge(emitters[i])
 	}
 	sink.Finish()
 	elapsed := time.Since(start)

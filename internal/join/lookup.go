@@ -15,37 +15,25 @@ import (
 // of the packed sort keys.
 const lookupChunk = 4096
 
-// LookupBatch probes every point against the trie using the cell-sorted
-// fast path of the join engine: each chunk's points are sorted by leaf cell
-// id so consecutive probes resume deep in the trie, then fn receives each
-// point's chunk-local result in sorted order. ov, when non-nil, is the live
-// index's delta layer, merged into every result (tombstoned ids filtered,
-// delta references appended) before fn sees it. interleave is the number of
-// concurrent trie walks kept in flight per chunk (core.InterleaveAuto picks
-// from the trie size; 1 forces the scalar walk). i is the index into points;
-// res is reset and reused between invocations, so fn must copy anything it
-// keeps. The context is checked before each chunk; on cancellation the
-// remaining chunks are skipped and the context's error is returned. A
-// cancellation that lands after the last chunk was already probed is not an
-// error: the batch is complete, so LookupBatch returns nil.
-func LookupBatch(ctx context.Context, g grid.Grid, t *core.Trie, ov *delta.Overlay, interleave int, points []geo.LatLng, fn func(i int, hit bool, res *core.Result)) error {
+// LookupBatch probes every point against the trie through the join engine's
+// probe kernel, one lookupChunk of points at a time: fn receives each
+// point's index into points, whether anything matched, and its result — the
+// base trie's references merged with ov, the live index's delta layer, when
+// that is non-nil — in cell-sorted order within each chunk. res is reset and
+// reused between invocations, so fn must copy anything it keeps. The
+// context is checked before each chunk; on cancellation the remaining
+// chunks are skipped and the context's error is returned. A cancellation
+// that lands after the last chunk was already probed is not an error: the
+// batch is complete, so LookupBatch returns nil.
+func LookupBatch(ctx context.Context, g grid.Grid, t *core.Trie, ov *delta.Overlay, points []geo.LatLng, fn func(i int, hit bool, res *core.Result)) error {
 	s := getScratch()
 	defer putScratch(s)
-	width := t.InterleaveWidth(interleave)
 	for lo := 0; lo < len(points); lo += lookupChunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		hi := min(lo+lookupChunk, len(points))
-		s.leaves = grid.LeafCells(g, points[lo:hi], s.leaves[:0])
-		s.sortByCell()
-		base := lo
-		t.LookupBatchInterleaved(s.sorted, width, &s.batch, &s.res, func(k int, hit bool) {
-			if ov != nil {
-				hit = ov.Merge(s.sorted[k], &s.res)
-			}
-			fn(base+int(s.keys[k]&(1<<idxBits-1)), hit, &s.res)
-		})
+		s.probe(g, t, ov, points[lo:hi], func(k int, hit bool) { fn(lo+s.point(k), hit, &s.res) })
 	}
 	return nil
 }

@@ -4,8 +4,44 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/actindex/act/internal/core"
 	"github.com/actindex/act/internal/data"
+	"github.com/actindex/act/internal/geo"
+	"github.com/actindex/act/internal/geostore"
+	"github.com/actindex/act/internal/grid"
 )
+
+// arrivalOrder is the reference the probe kernel is checked against: one
+// Trie.Lookup per point in stream order — no cell sort, no batch walk, no
+// packed index bits to undo. With a store it refines candidates the way
+// ACTExact does; without, it reports them the way ACT does.
+type arrivalOrder struct {
+	g     grid.Grid
+	trie  *core.Trie
+	store *geostore.Store
+}
+
+func (j *arrivalOrder) Name() string { return "arrival-order" }
+
+func (j *arrivalOrder) JoinChunk(points []geo.LatLng, base int, em Emitter, _ *Scratch) ChunkStats {
+	var st ChunkStats
+	var res core.Result
+	for i, ll := range points {
+		res.Reset()
+		hit := j.trie.Lookup(grid.LeafCell(j.g, ll), &res)
+		if hit && j.store != nil {
+			_, pt := j.g.Project(ll)
+			res.Candidates = j.store.Resolve(pt, res.Candidates, nil)
+			hit = res.Total() > 0
+		}
+		if !hit {
+			st.Misses++
+			continue
+		}
+		emitResult(em, base+i, &res, &st)
+	}
+	return st
+}
 
 // countsFromPairs folds a pair list into per-polygon counts.
 func countsFromPairs(pairs []Pair, n int) []uint64 {
@@ -17,16 +53,16 @@ func countsFromPairs(pairs []Pair, n int) []uint64 {
 }
 
 // TestPairSinkMatchesCounts: the pair stream, aggregated, must equal the
-// CountSink output for every joiner, sorted and unsorted, serial and
-// parallel.
+// CountSink output for every joiner and the arrival-order reference, serial
+// and parallel.
 func TestPairSinkMatchesCounts(t *testing.T) {
 	set, pts := testData(t)
 	p := buildPipeline(t, set, 15)
 	joiners := []Joiner{
 		&ACT{Grid: p.g, Trie: p.trie},
-		&ACT{Grid: p.g, Trie: p.trie, Unsorted: true},
+		&arrivalOrder{g: p.g, trie: p.trie},
 		&ACTExact{Grid: p.g, Trie: p.trie, Store: p.store},
-		&ACTExact{Grid: p.g, Trie: p.trie, Store: p.store, Unsorted: true},
+		&arrivalOrder{g: p.g, trie: p.trie, store: p.store},
 		&RTree{Grid: p.g, Tree: p.tree},
 		&RTreeExact{Grid: p.g, Tree: p.tree, Polygons: p.projected},
 	}
@@ -88,11 +124,8 @@ func TestSortedMatchesUnsorted(t *testing.T) {
 	set, pts := testData(t)
 	p := buildPipeline(t, set, 15)
 	for _, pair := range [][2]Joiner{
-		{&ACT{Grid: p.g, Trie: p.trie}, &ACT{Grid: p.g, Trie: p.trie, Unsorted: true}},
-		{
-			&ACTExact{Grid: p.g, Trie: p.trie, Store: p.store},
-			&ACTExact{Grid: p.g, Trie: p.trie, Store: p.store, Unsorted: true},
-		},
+		{&ACT{Grid: p.g, Trie: p.trie}, &arrivalOrder{g: p.g, trie: p.trie}},
+		{&ACTExact{Grid: p.g, Trie: p.trie, Store: p.store}, &arrivalOrder{g: p.g, trie: p.trie, store: p.store}},
 	} {
 		sorted, unsorted := &PairSink{}, &PairSink{}
 		sst := RunSink(pair[0], pts, sorted, 2)
@@ -103,6 +136,44 @@ func TestSortedMatchesUnsorted(t *testing.T) {
 		for i := range sorted.Pairs {
 			if sorted.Pairs[i] != unsorted.Pairs[i] {
 				t.Fatalf("%s pair %d: sorted %+v, unsorted %+v", pair[0].Name(), i, sorted.Pairs[i], unsorted.Pairs[i])
+			}
+		}
+	}
+}
+
+// TestJoinChunkOversize: a chunk beyond the 1<<idxBits capacity of the
+// packed sort keys — which the engine never sends, but JoinChunk accepts —
+// must be split, not probed whole: a missed split ORs index bits into cell
+// bits and silently reports wrong pairs under wrong point indices.
+func TestJoinChunkOversize(t *testing.T) {
+	set, _ := testData(t)
+	p := buildPipeline(t, set, 30)
+	pts, err := data.GeneratePoints(data.PointConfig{N: 1<<idxBits + 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 7
+	for _, pair := range [][2]Joiner{
+		{&ACT{Grid: p.g, Trie: p.trie}, &arrivalOrder{g: p.g, trie: p.trie}},
+		{&ACTExact{Grid: p.g, Trie: p.trie, Store: p.store}, &arrivalOrder{g: p.g, trie: p.trie, store: p.store}},
+	} {
+		got, want := &pairEmitter{}, &pairEmitter{}
+		gst := pair[0].JoinChunk(pts, base, got, &Scratch{})
+		wst := pair[1].JoinChunk(pts, base, want, nil)
+		if gst != wst {
+			t.Fatalf("%s: stats %+v, arrival order %+v", pair[0].Name(), gst, wst)
+		}
+		sortPairs(got.pairs)
+		sortPairs(want.pairs)
+		if last := want.pairs[len(want.pairs)-1].Point; last != base+1<<idxBits {
+			t.Fatalf("fixture: point %d, the one past the first run, must match (last pair at %d)", base+1<<idxBits, last)
+		}
+		if len(got.pairs) != len(want.pairs) {
+			t.Fatalf("%s: %d pairs, arrival order %d", pair[0].Name(), len(got.pairs), len(want.pairs))
+		}
+		for i := range want.pairs {
+			if got.pairs[i] != want.pairs[i] {
+				t.Fatalf("%s pair %d: %+v, arrival order %+v", pair[0].Name(), i, got.pairs[i], want.pairs[i])
 			}
 		}
 	}
@@ -181,49 +252,5 @@ func TestClassString(t *testing.T) {
 	}
 	if Class(9).String() == "" {
 		t.Error("unknown class should still print")
-	}
-}
-
-// BenchmarkChunkSortedVsUnsorted compares the cell-sorted batch probe path
-// against arrival-order probing on the uniform-points workload — the
-// acceptance gate for the batch fast path. The polygon set is census-scale
-// so the trie exceeds the CPU caches, as in the paper's evaluation: the
-// sorted path turns the probe stream's random node accesses into
-// near-sequential ones.
-func BenchmarkChunkSortedVsUnsorted(b *testing.B) {
-	set, err := data.CensusBlocks(11, 2000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := buildPipeline(b, set, 4)
-	b.Logf("trie: %.1f MB", float64(p.trie.ComputeStats().TotalBytes)/1e6)
-	pts, err := data.GeneratePoints(data.PointConfig{N: 400_000, Seed: 12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		j    Joiner
-	}{
-		{"sorted", &ACT{Grid: p.g, Trie: p.trie}},
-		{"unsorted", &ACT{Grid: p.g, Trie: p.trie, Unsorted: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			sink := NewCountSink(p.n)
-			em := sink.NewEmitter()
-			s := &Scratch{}
-			const chunk = 4096
-			b.ReportAllocs()
-			b.ResetTimer()
-			done := 0
-			for done < b.N {
-				lo := done % (len(pts) - chunk)
-				n := min(chunk, b.N-done)
-				bc.j.JoinChunk(pts[lo:lo+n], lo, em, s)
-				done += n
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpts/s")
-		})
 	}
 }

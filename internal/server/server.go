@@ -379,15 +379,6 @@ func BuildFromGeoJSON(path string, precision float64, gk act.GridKind, extra ...
 	return act.New(polys, opts...)
 }
 
-// LoadIndexFile opens an index written with Index.WriteTo for serving. The
-// file is memory-mapped and served zero-copy — startup and /reload cost a
-// header read plus validation, not an arena-sized copy — and unmappable
-// files fall back to the copying deserializer inside OpenIndex. Swapped-out mapped indexes are unmapped by the runtime once
-// the last in-flight request on them retires; nothing here needs to Close.
-func LoadIndexFile(path string) (*act.Index, error) {
-	return act.OpenIndex(path)
-}
-
 // lookupResponse is the JSON shape of a lookup.
 type lookupResponse struct {
 	Lat        float64  `json:"lat"`
@@ -844,7 +835,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		err error
 	)
 	if req.Index != "" {
-		idx, err = LoadIndexFile(req.Index)
+		idx, err = act.OpenIndex(req.Index)
 	} else {
 		idx, err = BuildFromGeoJSON(req.Polygons, precision, gk)
 	}

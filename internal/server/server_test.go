@@ -573,7 +573,7 @@ func TestMutationRejectedOnImmutableIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	loaded, err := LoadIndexFile(path)
+	loaded, err := act.OpenIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,25 +58,27 @@ const (
 	Candidate = join.Candidate
 )
 
-// joiner selects the join executor for the mode, capturing the index's
-// current epoch: the whole join run — every chunk, every worker — probes
-// one consistent base trie + delta overlay pair, no matter how many
-// mutations or compactions land while it streams. All executors probe the
-// trie in cell-sorted batches (the engine's fast path).
-func (ix *Index) joiner(mode JoinMode) join.Joiner {
+// runJoin is the one join runner under JoinContext, JoinStreamContext and
+// PairsContext: it captures the index's current epoch once, so the mode
+// check and the whole run — every chunk, every worker — see one consistent
+// base trie + delta overlay pair, no matter how many mutations or
+// compactions land while it streams. newSink receives the id space size,
+// read after the epoch: Insert publishes the grown id space before it
+// publishes the new epoch, so epoch-then-idSpace ordering guarantees an
+// id-indexed sink spans every id the captured epoch can emit — the reverse
+// order could race a concurrent Insert into an out-of-range counts[id]++.
+func (ix *Index) runJoin(ctx context.Context, points []LatLng, mode JoinMode, threads int, newSink func(idSpace int) join.Sink) (JoinStats, error) {
 	ep := ix.live.Load()
+	var j join.Joiner = &join.ACT{Grid: ix.grid, Trie: ep.trie, Overlay: ep.ov}
 	if mode == Exact {
-		return &join.ACTExact{Grid: ix.grid, Trie: ep.trie, Store: ep.store, Overlay: ep.ov, Interleave: ix.interleave}
+		if ep.store == nil {
+			return JoinStats{}, ErrNoGeometry
+		}
+		j = &join.ACTExact{Grid: ix.grid, Trie: ep.trie, Store: ep.store, Overlay: ep.ov}
 	}
-	return &join.ACT{Grid: ix.grid, Trie: ep.trie, Overlay: ep.ov, Interleave: ix.interleave}
-}
-
-// checkMode rejects exact joins on an index that cannot refine.
-func (ix *Index) checkMode(mode JoinMode) error {
-	if mode == Exact && ix.live.Load().store == nil {
-		return ErrNoGeometry
-	}
-	return nil
+	stats, err := join.RunSinkContext(ctx, j, points, newSink(ix.idSpaceSize()), threads)
+	ix.keepMapped()
+	return stats, err
 }
 
 // JoinContext counts, for every polygon, the points matching it — the
@@ -103,19 +105,13 @@ func (ix *Index) checkMode(mode JoinMode) error {
 // ctx.Err(). A cancellation landing after the last chunk was already
 // joined is not an error: the join is complete, so the error is nil.
 func (ix *Index) JoinContext(ctx context.Context, points []LatLng, mode JoinMode, threads int) ([]uint64, JoinStats, error) {
-	if err := ix.checkMode(mode); err != nil {
-		return nil, JoinStats{}, err
-	}
-	// Capture the epoch (inside joiner) before sizing the sink: Insert
-	// publishes the grown id space before it publishes the new epoch, so
-	// epoch-then-idSpace ordering guarantees the sink spans every id the
-	// captured epoch can emit — the reverse order could race a concurrent
-	// Insert into an out-of-range counts[id]++.
-	j := ix.joiner(mode)
-	sink := join.NewCountSink(ix.idSpaceSize())
-	stats, err := join.RunSinkContext(ctx, j, points, sink, threads)
-	ix.keepMapped()
-	return sink.Counts, stats, err
+	var counts []uint64
+	stats, err := ix.runJoin(ctx, points, mode, threads, func(idSpace int) join.Sink {
+		sink := join.NewCountSink(idSpace)
+		counts = sink.Counts // merged into in place, never regrown
+		return sink
+	})
+	return counts, stats, err
 }
 
 // JoinStreamContext runs the join and streams every pair to fn as it is
@@ -130,12 +126,7 @@ func (ix *Index) JoinContext(ctx context.Context, points []LatLng, mode JoinMode
 // ctx and the workers stop claiming chunks, fn stops receiving pairs after
 // at most one chunk per worker, and the call returns ctx.Err().
 func (ix *Index) JoinStreamContext(ctx context.Context, points []LatLng, mode JoinMode, threads int, fn func(Pair)) (JoinStats, error) {
-	if err := ix.checkMode(mode); err != nil {
-		return JoinStats{}, err
-	}
-	stats, err := join.RunSinkContext(ctx, ix.joiner(mode), points, &join.FuncSink{Fn: fn}, threads)
-	ix.keepMapped()
-	return stats, err
+	return ix.runJoin(ctx, points, mode, threads, func(int) join.Sink { return &join.FuncSink{Fn: fn} })
 }
 
 // PairsContext materializes the join: every (point, polygon, class) tuple,
@@ -146,11 +137,7 @@ func (ix *Index) JoinStreamContext(ctx context.Context, points []LatLng, mode Jo
 // (still sorted and deterministic for a given cut) and the error is
 // ctx.Err().
 func (ix *Index) PairsContext(ctx context.Context, points []LatLng, mode JoinMode, threads int) ([]Pair, JoinStats, error) {
-	if err := ix.checkMode(mode); err != nil {
-		return nil, JoinStats{}, err
-	}
 	sink := &join.PairSink{}
-	stats, err := join.RunSinkContext(ctx, ix.joiner(mode), points, sink, threads)
-	ix.keepMapped()
+	stats, err := ix.runJoin(ctx, points, mode, threads, func(int) join.Sink { return sink })
 	return sink.Pairs, stats, err
 }

@@ -16,10 +16,9 @@ import (
 // cell-sorted fast path: points are sorted by leaf cell id in chunks, so
 // consecutive probes share trie path prefixes and resume deep in the trie —
 // the same technique that accelerates the joins. On tries too large to stay
-// cache-resident the chunks additionally run through the interleaved probe
-// engine (see WithInterleave), overlapping the walks' cache misses. Use it
-// for request-scoped serving workloads that score point batches against a
-// live index.
+// cache-resident the trie additionally keeps several walks in flight,
+// overlapping their cache misses. Use it for request-scoped serving
+// workloads that score point batches against a live index.
 //
 // The context is checked before each chunk: when it is cancelled with
 // chunks still pending, LookupBatch returns ctx.Err() and a nil slice. A
@@ -32,7 +31,7 @@ func (ix *Index) LookupBatch(ctx context.Context, points []LatLng) ([]Result, er
 	// cannot change semantics between chunks.
 	ep := ix.live.Load()
 	results := make([]Result, len(points))
-	err := join.LookupBatch(ctx, ix.grid, ep.trie, ep.ov, ix.interleave, points, func(i int, hit bool, res *core.Result) {
+	err := join.LookupBatch(ctx, ix.grid, ep.trie, ep.ov, points, func(i int, hit bool, res *core.Result) {
 		if !hit {
 			return
 		}

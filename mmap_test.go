@@ -64,8 +64,7 @@ func samplePoints(set *data.PolygonSet, n int, seed int64) []LatLng {
 // TestOpenIndexMappedParity is the zero-copy correctness property: an index
 // served from a file mapping must be result-identical to the heap-built
 // original on every read path — scalar lookups, exact lookups, cell-sorted
-// batches through both the scalar and the interleaved probe engine, the
-// exact join, and materialized pairs.
+// batches, the exact join, and materialized pairs.
 func TestOpenIndexMappedParity(t *testing.T) {
 	for _, gk := range []GridKind{PlanarGrid, CubeFaceGrid} {
 		built, set := buildTestIndex(t, gk)
@@ -89,27 +88,20 @@ func TestOpenIndexMappedParity(t *testing.T) {
 			}
 		}
 
-		// Batch probes through the scalar (width 1) and interleaved
-		// (width 8) engines. The width lives on the index, so both sides
-		// are pinned to the same engine per pass.
-		for _, width := range []int{1, 8} {
-			built.interleave, mapped.interleave = width, width
-			b1, err := built.LookupBatch(context.Background(), pts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b2, err := mapped.LookupBatch(context.Background(), pts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range b1 {
-				if !b1[i].Equal(&b2[i]) {
-					t.Fatalf("%v: LookupBatch width %d diverges at %d: %+v vs %+v",
-						gk, width, i, b1[i], b2[i])
-				}
+		// Cell-sorted batch probes.
+		b1, err := built.LookupBatch(context.Background(), pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2, err := mapped.LookupBatch(context.Background(), pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range b1 {
+			if !b1[i].Equal(&b2[i]) {
+				t.Fatalf("%v: LookupBatch diverges at %d: %+v vs %+v", gk, i, b1[i], b2[i])
 			}
 		}
-		built.interleave, mapped.interleave = 0, 0
 
 		// Joins: exact counts and materialized pairs, across thread counts.
 		c1, _, err := built.JoinContext(context.Background(), pts, Exact, 1)

@@ -43,25 +43,6 @@ func WithBuildWorkers(n int) Option {
 	return func(o *options) { o.BuildWorkers = n }
 }
 
-// WithInterleave sets the number of concurrent trie walks (lanes) the
-// batch probe paths — the joins and LookupBatch — keep in flight.
-// A single walk is a chain of dependent node loads, one cache miss per trie
-// level that the CPU cannot overlap; k lanes advance k independent walks one
-// node per round, so their misses overlap and batch throughput approaches
-// the memory subsystem's parallel bandwidth instead of its serial latency.
-//
-// k = 0 (the default) selects automatically: 1 for tries up to 48 MiB —
-// every size at which the cell-sorted scalar walk measured faster — and 8
-// beyond. Width 1 — the plain cell-sorted scalar walk, which resumes at the
-// deepest node shared with the previous probe — wins whenever walks rarely
-// miss: tries of that size,
-// heavily skewed probe streams that revisit the same few cells, or tiny
-// batches, where lane bookkeeping is pure overhead against already-cached
-// loads. Single-point Lookup is unaffected; interleaving needs a batch.
-func WithInterleave(k int) Option {
-	return func(o *options) { o.Interleave = k }
-}
-
 // WithGeometryStore controls whether the index keeps the exact polygon
 // geometry (default true). The geometry store backs candidate refinement —
 // LookupExact, Exact-mode joins, Contains — at the cost of holding every

@@ -179,14 +179,12 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 	if err := fsys.Remove(cfg.Path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("act: promote: clearing stale log: %w", err)
 	}
-	pol, err := cfg.Policy.walPolicy()
+	wopts, err := ix.walOptions(cfg)
 	if err != nil {
 		return err
 	}
-	log, rep, err := wal.Open(cfg.Path, wal.Options{
-		Policy: pol, Interval: cfg.Interval, FS: cfg.FS,
-		BaseSeq: cp.seq, Epoch: epoch,
-	})
+	wopts.BaseSeq, wopts.Epoch = cp.seq, epoch
+	log, rep, err := wal.Open(cfg.Path, wopts)
 	if err != nil {
 		return fmt.Errorf("act: promote: opening log: %w", err)
 	}

@@ -38,8 +38,8 @@ var ErrFollower = errors.New("act: index is a replication follower and serves re
 // own: durability lives with the primary, and a restarted follower simply
 // bootstraps from the primary's current snapshot again.
 //
-// Options are honored as for Recover (WithInterleave, WithDeltaThreshold,
-// WithObserver); build options are fixed by the snapshot.
+// Options are honored as for Recover (WithDeltaThreshold, WithObserver);
+// build options are fixed by the snapshot.
 func OpenFollower(indexPath string, opts ...Option) (*Index, error) {
 	o := applyOptions(opts)
 	ix, err := OpenIndex(indexPath)

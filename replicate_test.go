@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/actindex/act"
 	"github.com/actindex/act/internal/wal"
@@ -155,5 +156,61 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 	// ApplyReplicated is follower-only.
 	if err := idx.ApplyReplicated(ctx, records[:1]); err == nil {
 		t.Fatal("ApplyReplicated on a primary succeeded")
+	}
+}
+
+// TestPromoteKeepsObserver: the log a promotion opens must carry the
+// index's observer like the log attachWAL opens — a promoted primary whose
+// WAL appends, fsyncs and rotations go unobserved reports a silent, healthy
+// looking log for the rest of its life.
+func TestPromoteKeepsObserver(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	snapPath := filepath.Join(dir, "bootstrap.snapshot")
+	src, err := act.New([]*act.Polygon{square(10, 10, 0.1)}, act.WithPrecision(250))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var appends, fsyncs, rotations int
+	obs := &act.Observer{
+		OnWALAppend: func(error) { appends++ },
+		OnWALFsync:  func(time.Duration, error) { fsyncs++ },
+		OnWALRotate: func(error) { rotations++ },
+	}
+	fol, err := act.OpenFollower(snapPath, act.WithObserver(obs), act.WithDeltaThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	cfg := act.WALConfig{Path: filepath.Join(dir, "promoted.wal"), SnapshotPath: filepath.Join(dir, "promoted.snapshot")}
+	if err := fol.Promote(ctx, cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	appends, fsyncs = 0, 0 // opening the fresh log may sync its header
+	if _, err := fol.Insert(ctx, square(11, 11, 0.1)); err != nil {
+		t.Fatal(err)
+	}
+	if seq := fol.WALStats().Seq; seq != 1 {
+		t.Fatalf("WAL seq after one insert = %d, want 1", seq)
+	}
+	if appends != 1 || fsyncs == 0 {
+		t.Fatalf("after one SyncAlways insert on the promoted primary: %d appends, %d fsyncs observed, want 1 and at least 1", appends, fsyncs)
+	}
+	if err := fol.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rotations != 1 {
+		t.Fatalf("after one checkpoint on the promoted primary: %d rotations observed, want 1", rotations)
 	}
 }
