@@ -229,7 +229,7 @@ type Index struct {
 	// + structured logging). Set at construction, never mutated.
 	obs *Observer
 
-	// loadedIDs is the sorted live-id column of the v6 file this index
+	// loadedIDs is the sorted live-id column of the v8 file this index
 	// was loaded from (nil for dense files and built indexes); WriteTo
 	// re-emits it when an immutable sparse index is re-serialized.
 	loadedIDs []uint32

@@ -167,9 +167,10 @@ func BenchmarkTableIBuild(b *testing.B) {
 // fraction of a second, for CI's bench-smoke and for profiling a phase.
 //
 // It is also the allocation guard of the trie builder: nodes leave the
-// builder run-compressed, so no build may allocate the dense arena — one
+// builder palette-coded, so no build may allocate the dense arena — one
 // 2 KB array per node, 16 MB here — let alone allocate it, grow it and copy
-// it breadth-first as builds used to (99 MB a build then, 51 MB now).
+// it breadth-first as builds used to (99 MB a build then; 51.6 MB with
+// run-compressed nodes, 49.8 MB now).
 func BenchmarkBuild(b *testing.B) {
 	set, err := data.CensusBlocks(1, 600)
 	if err != nil {
@@ -185,7 +186,7 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // buildAllocBudget bounds the bytes one BenchmarkBuild build may allocate:
-// a quarter above the 51 MB measured, well below the 99 MB of a build that
+// a third above the 49.8 MB measured, well below the 99 MB of a build that
 // materializes dense nodes.
 const buildAllocBudget = 64 << 20
 

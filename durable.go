@@ -209,7 +209,7 @@ func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 // promoteMutable turns a freshly deserialized (immutable) index into a
 // mutable one: the build pipeline is reconstructed from the persisted
 // precision, grid, and fanout, and the alive set from the id column (dense
-// for v5 files, the explicit column for v6).
+// for v7 files, the explicit column for v8).
 func (ix *Index) promoteMutable(o *options) error {
 	ep := ix.live.Load()
 	coverer, err := cover.NewCoverer(ix.grid, ix.precision)

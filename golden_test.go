@@ -5,10 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
+	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/data"
+	"github.com/actindex/act/internal/supercover"
 )
 
 // TestBuildGolden pins what the build pipeline produces, byte for byte: the
@@ -16,11 +19,11 @@ import (
 // index, for the two maps the repository benchmark builds, at its ε. The
 // table and geometry hashes were recorded on the commit before the merge
 // became a radix sort and a forward pass and the coverer stopped measuring
-// every cell; the arena hashes when nodes became run-compressed (1 802 872
-// and 1 620 136 bytes, from 13 637 632 and 12 337 152), and they equal the
-// hashes of the earlier dense arenas run-encoded node by node. An
-// optimization of the build leaves all of them alone, a change of what is
-// built re-records them and says why.
+// every cell; the arena hashes when nodes became palette-coded (705 712 and
+// 623 256 bytes, from 1 802 872 and 1 620 136 run-compressed), and they
+// equal the hashes of the run-compressed arenas palette-coded node by node.
+// An optimization of the build leaves all of them alone, a change of what
+// is built re-records them and says why.
 func TestBuildGolden(t *testing.T) {
 	const eps = 60
 	cases := []struct {
@@ -34,7 +37,7 @@ func TestBuildGolden(t *testing.T) {
 		{
 			name:     "census-400",
 			set:      func() (*data.PolygonSet, error) { return data.CensusBlocks(1, 400) },
-			arena:    "47ebec5652a04f3a5f020bcd6dc86352d0617e5f9082b57cb198bbb84f1b70e5",
+			arena:    "93cd78fc26f3f3e6b83f72dbc89812a69caa5c8ac91678928f87ad4d077077e9",
 			table:    "8d158e1f09fa3b471b3b04ccaa560cde29b3e1e754c68399bbf62e20e58f7925",
 			store:    "452071859a1bdb32e7ce3cecc6ffffdd844f319298bcd3d2d70a2404db65f007",
 			achieved: 34.746043777255004,
@@ -42,7 +45,7 @@ func TestBuildGolden(t *testing.T) {
 		{
 			name:     "neighborhoods",
 			set:      func() (*data.PolygonSet, error) { return data.Neighborhoods(1) },
-			arena:    "3067b3f84c4f08f0f190d3c073aa508a5a001bc778113691701497c6ce72904b",
+			arena:    "a6a3ebab174343aa58067b9e063e56ff67449bc5ae3d209c489dad56d2d4d9ea",
 			table:    "08b72f8ac03077d845c8a2d8843d59a3626dc28fa12cdb57bd32eba1b96a78cb",
 			store:    "085e1729dab13862dba4e39342d78e78e2b108778ccdd10c5f1182bee1fba4b4",
 			achieved: 34.746043777255004,
@@ -93,7 +96,8 @@ func TestBuildGolden(t *testing.T) {
 // came from, whichever loader read it — serialize → ReadIndex → serialize
 // and serialize → OpenIndex → serialize both reproduce the file byte for
 // byte, for a dense-id file and for a sparse-id one. It is what the arena
-// validator's canonical-form rules (breadth-first order, maximal runs) buy.
+// validator's canonical-form rules (breadth-first order, one coding per
+// node) buy.
 func TestSerializedFormIsFixedPoint(t *testing.T) {
 	dense, _ := buildTestIndex(t, PlanarGrid)
 	sparse, _, _ := buildSparseIndex(t)
@@ -128,9 +132,11 @@ func TestSerializedFormIsFixedPoint(t *testing.T) {
 }
 
 // TestFinePrecisionTrieStaysSmall builds the benchmark's census map at the
-// finest precision the paper measures. A cell denormalized over up to 64
-// slots is stored once, so the trie follows the covering: 37 MB here, where
-// one 2 KB array per node made every ε from 31 m down to 15 m cost 747 MB.
+// finest precision the paper measures. A node stores each distinct entry
+// once, however many slots select it, so the trie follows the covering:
+// 31 052 824 bytes here (29.6 MiB; 37.5 MB with one entry per run of equal
+// slots), where one 2 KB array per node made every ε from 31 m down to
+// 15 m cost 747 MB.
 func TestFinePrecisionTrieStaysSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 4000-block index at ε = 15 m")
@@ -143,7 +149,45 @@ func TestFinePrecisionTrieStaysSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := ix.Stats(); st.TrieBytes > 64<<20 {
-		t.Errorf("trie of %d nodes takes %d bytes at ε = 15 m, want at most 64 MiB", st.TrieNodes, st.TrieBytes)
+	if st := ix.Stats(); st.TrieBytes > 32<<20 {
+		t.Errorf("trie of %d nodes takes %d bytes at ε = 15 m, want at most 32 MiB", st.TrieNodes, st.TrieBytes)
+	}
+}
+
+// TestCellsAscendingDisjoint: Trie.Cells hands compaction the base covering
+// in ascending id order, every cell starting past the previous one's
+// RangeMax, on both grids and at every fanout — what lets compaction take
+// the base cells as they come instead of sorting them.
+func TestCellsAscendingDisjoint(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		set  func() (*data.PolygonSet, error)
+	}{
+		{"census-400", func() (*data.PolygonSet, error) { return data.CensusBlocks(1, 400) }},
+		{"neighborhoods", func() (*data.PolygonSet, error) { return data.Neighborhoods(1) }},
+	} {
+		set, err := m.set()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gk := range []GridKind{PlanarGrid, CubeFaceGrid} {
+			for _, fanout := range []int{4, 16, 64, 256} {
+				ix, err := New(set.Polygons, WithPrecision(60), WithGrid(gk), WithFanout(fanout), WithGeometryStore(false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, end := 0, cellid.ID(0)
+				err = ix.live.Load().trie.Cells(func(cell cellid.ID, _ []supercover.Ref) error {
+					if n > 0 && cell.RangeMin() <= end {
+						return fmt.Errorf("cell %d, %v, starts at or before %v, where cell %d ends", n, cell, end, n-1)
+					}
+					n, end = n+1, cell.RangeMax()
+					return nil
+				})
+				if err != nil || n == 0 || n > ix.Stats().IndexedCells {
+					t.Errorf("%s/%v/fanout-%d: %d of %d cells in order: %v", m.name, gk, fanout, n, ix.Stats().IndexedCells, err)
+				}
+			}
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // arrive in ascending id order — for disjoint cells, the order of their key
 // paths. A node is therefore complete the moment a cell's path leaves its
 // key prefix: the builder keeps one open node per depth as a dense scratch
-// of `fanout` slots, run-encodes it into the arena when the path moves on,
-// and writes the arena offset it landed at into its parent's slot. Nodes
+// of `fanout` slots, palette-codes it into the arena when the path moves on,
+// and writes the child entry naming it into its parent's slot. Nodes
 // land children-first; Relayout then renumbers the arena breadth-first, so
 // the hot top levels of every walk occupy a compact arena prefix. No dense
 // node outlives its own construction.
@@ -108,12 +108,13 @@ func newBuilder(cfg Config, cells int) (*builder, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One run per cell at most, plus the gaps between cells and a header per
-	// node: on census-scale coverings the arena comes to ~1.4 words a cell,
-	// and append's geometric growth covers the rest.
-	t.nodes = make([]uint64, 0, cells+cells/2+int(t.words)+2)
+	// A node stores each distinct entry once: on the census map the arena
+	// comes to ~0.3 words a cell at ε = 60 m and ~1 word a cell at 15 m,
+	// where growing it by append from a third as much costs 10 % of the
+	// trie build. Append's geometric growth covers coverings that need more.
+	t.nodes = make([]uint64, 0, cells+maxFanout/64+1)
 	b := &builder{t: t, tableIndex: make(map[string]uint32), noInline: cfg.DisableInlining, depth: -1}
-	b.emit(make([]uint64, t.fanout)) // offset 0: the sentinel
+	b.emit(make([]uint64, t.fanout)) // the sentinel, first in the arena
 	return b, nil
 }
 
@@ -177,7 +178,7 @@ func (b *builder) add(cell cellid.ID, refs []supercover.Ref) error {
 	}
 
 	// Fill the contiguous slot range the remaining bits select
-	// (denormalization; emit stores the range as one run).
+	// (denormalization; emit stores the value once, whatever the range).
 	rb := uint(totalBits - depth*int(t.bits))
 	base := key << (uint(depth) * t.bits) >> (64 - t.bits) &^ (1<<(t.bits-rb) - 1)
 	slots := b.open[depth][base : base+1<<(t.bits-rb)]
@@ -199,10 +200,10 @@ func (b *builder) openNode(d int) {
 }
 
 // closeTo completes every open node deeper than d, deepest first, handing
-// each one's arena offset to its parent's slot.
+// each one's child entry to its parent's slot.
 func (b *builder) closeTo(d int) {
 	for ; b.depth > d; b.depth-- {
-		b.open[b.depth-1][b.via[b.depth-1]] = b.emit(b.open[b.depth]) << 2 // tagChild
+		b.open[b.depth-1][b.via[b.depth-1]] = b.emit(b.open[b.depth])
 	}
 }
 
@@ -216,28 +217,45 @@ func (b *builder) closeFace() {
 	b.depth = -1
 }
 
-// emit appends the run-compressed form of a dense node to the arena and
-// returns the offset it starts at.
+// emit appends the palette-coded form of a dense node to the arena and
+// returns the child entry naming it.
 func (b *builder) emit(slots []uint64) uint64 {
-	off := uint64(len(b.t.nodes))
-	b.t.nodes = appendNode(b.t.nodes, slots)
-	return off
+	var e uint64
+	b.t.nodes, e = appendNode(b.t.nodes, slots)
+	return e
 }
 
-// appendNode run-encodes a dense node — one entry per slot — onto arena:
-// bitmap words, rank word, then one entry per run of equal slots.
-func appendNode(arena, slots []uint64) []uint64 {
-	words := (len(slots) + 63) / 64
-	off := len(arena)
-	arena = append(arena, make([]uint64, words+1)...)
+// appendNode palette-codes a dense node — one entry per slot — onto arena:
+// the code words, last first, then the distinct entries in first-use slot
+// order. It returns the extended arena and the child entry naming the node.
+func appendNode(arena, slots []uint64) ([]uint64, uint64) {
+	var palette [maxFanout]uint64
+	var codes [maxFanout]uint8
+	c, d := 0, 0
 	for i, e := range slots {
-		if i == 0 || e != slots[i-1] {
-			arena[off+i>>6] |= 1 << (i & 63)
-			arena = append(arena, e)
+		if i == 0 || e != slots[i-1] { // most slots repeat their left neighbour
+			for c = 0; c < d && palette[c] != e; c++ {
+			}
+			if c == d {
+				palette[d] = e
+				d++
+			}
 		}
+		codes[i] = uint8(c)
 	}
-	arena[off+words] = rankWord(arena[off : off+words])
-	return arena
+	lw := codeWidth(d)
+	w, per := uint64(1)<<lw, min(64>>lw, len(slots)) // code width, codes per word
+	arena = append(arena, make([]uint64, codeWords(len(slots), lw))...)
+	pal := uint64(len(arena))
+	for i, k := 0, pal-1; i < len(slots); i, k = i+per, k-1 {
+		var word uint64
+		for j := i + per - 1; j >= i; j-- {
+			word = word<<(w&63) | uint64(codes[j])
+		}
+		arena[k] = word
+	}
+	arena = append(arena, palette[:d]...)
+	return arena, childEntry(pal, lw)
 }
 
 // encodeRefs produces the tagged entry value for a reference set: inlined

@@ -2,8 +2,8 @@ package core
 
 // Cell re-enumeration: the inverse of the insertion pipeline. A built trie
 // is a lossless encoding of its prefix-free super covering — every aligned
-// block of a terminal run is one covering cell with a decodable reference
-// set. Cells walks the arena and hands that
+// block of a run of slots with one terminal code is one covering cell with
+// a decodable reference set. Cells walks the arena and hands that
 // covering back, which is what lets an index compact without its source
 // polygons: the current base's cells re-enter the super-covering merge
 // directly, no geometry or re-covering required.
@@ -24,7 +24,9 @@ import (
 // the trie was built from — value-identical sibling cells merge, which is
 // lossless for lookups. The refs slice is reused between calls: the callee
 // must not retain it. Cells stops at, and returns, the first error visit
-// reports. Face and block order is deterministic but not cell-id order.
+// reports. Cells arrive in ascending id order, pairwise disjoint: each one
+// starts past the previous one's RangeMax — faces in order, slots in order
+// within a node, a child's cells where its slot is.
 func (t *Trie) Cells(visit func(cell cellid.ID, refs []supercover.Ref) error) error {
 	w := cellWalker{t: t, visit: visit}
 	for face := 0; face < cellid.NumFaces; face++ {
@@ -47,26 +49,26 @@ type cellWalker struct {
 	scratch []supercover.Ref
 }
 
-// node enumerates the subtree rooted at the node at the given arena offset.
+// node enumerates the subtree rooted at the node the child entry node names.
 // key holds the path bits consumed so far, top-aligned in 64 bits; consumed
-// counts them. Each run of the node is an uncovered gap, a child to recurse
-// into, or a terminal value; a terminal run splits into the aligned blocks
-// of 4^k slots it is made of, largest first at every position, and each such
-// block is one covering cell — the shallowest cell whose denormalization
-// fills exactly those slots.
+// counts them. Each run of equal codes in the node is an uncovered gap, a
+// child to recurse into, or a terminal value; a terminal run splits into
+// the aligned blocks of 4^k slots it is made of, largest first at every
+// position, and each such block is one covering cell — the shallowest cell
+// whose denormalization fills exactly those slots.
 func (w *cellWalker) node(node, key uint64, consumed uint) error {
 	if consumed >= 2*cellid.MaxLevel {
 		return fmt.Errorf("core: trie path at %d bits exceeds the %d-bit cell space", consumed, 2*cellid.MaxLevel)
 	}
 	t := w.t
 	var starts [maxFanout + 1]uint16
-	runs := t.runStarts(node, &starts)
-	for r, e := range t.nodes[node+t.words+1 : node+t.words+1+uint64(runs)] {
+	var codes [maxFanout]uint8
+	for r := range t.runs(node, &starts, &codes) {
 		slot, end := uint64(starts[r]), uint64(starts[r+1])
-		switch {
+		switch e := t.nodes[node>>4+uint64(codes[r])]; {
 		case e == 0: // uncovered gap
 		case e&tagMask == tagChild:
-			if err := w.node(e>>2, key|slot<<(64-consumed-t.bits), consumed+t.bits); err != nil {
+			if err := w.node(e, key|slot<<(64-consumed-t.bits), consumed+t.bits); err != nil {
 				return err
 			}
 		default:

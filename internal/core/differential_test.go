@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,8 +15,8 @@ import (
 // differentialCoverings are the inputs of TestBuildMatchesDenseReference:
 // seeded random prefix-free coverings (one face for a deep root skip,
 // several for none; all three entry encodings), a world-spanning covering
-// whose level-0 cell denormalizes into a whole root, and the covering
-// FuzzLookupBatchInterleaved probes.
+// whose level-0 cell denormalizes into a whole root, a node of 8-bit codes,
+// and the covering FuzzLookupBatchInterleaved probes.
 func differentialCoverings(t *testing.T) map[string]*supercover.SuperCovering {
 	out := map[string]*supercover.SuperCovering{}
 	for seed, faces := range [][]int{{3}, {0, 2, 5}, {1, 3, 4}, {0, 1, 2, 3, 4, 5}} {
@@ -47,14 +48,35 @@ func differentialCoverings(t *testing.T) map[string]*supercover.SuperCovering {
 		}
 	}
 	out["face-cells"] = world.Build()
+	// One node's worth of cells under a level-8 cell, 40 reference sets,
+	// gaps and deeper cells among them: 8-bit codes over a palette of values,
+	// the empty entry and child entries at fanout 64 and 256.
+	var wide supercover.Builder
+	under := cellid.FromFaceIJ(3, 987654321, 123456789).Parent(8)
+	for s := 0; s < 256; s++ {
+		if s%7 == 3 {
+			continue
+		}
+		cell := under
+		for k := 3; k >= 0; k-- {
+			cell = cell.Child(s >> (2 * k) & 3)
+		}
+		if s%11 == 5 {
+			cell = cell.Child(2).Child(1)
+		}
+		if err := wide.AddCell(cell, []supercover.Ref{{PolygonID: uint32(s % 40), Interior: s%2 == 0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out["wide-palettes"] = wide.Build()
 	out["interleave-fuzz"], _ = interleaveFuzzTrie()
 	return out
 }
 
 // slotLeaves returns, for every slot of every node of the reference trie
 // that a leaf cell can reach, one leaf whose walk reads that slot — so a
-// comparison over them covers every run of every compressed node, every
-// position within a run, and every empty slot.
+// comparison over them covers every code of every palette-coded node, every
+// slot that selects it, and every empty slot.
 func slotLeaves(d *denseTrie) []cellid.ID {
 	t := d.enc.t
 	var leaves []cellid.ID
@@ -80,10 +102,10 @@ func slotLeaves(d *denseTrie) []cellid.ID {
 }
 
 // TestBuildMatchesDenseReference builds every covering with the streaming
-// run-compressed builder and with the dense reference builder, at every
+// palette-coding builder and with the dense reference builder, at every
 // fanout with inlining on and off, and demands that the two agree on
-// everything observable: the arena (the reference's, run-encoded, word for
-// word), roots and lookup table; Lookup, AppendRefs and LookupCounting's
+// everything observable: the arena (the reference's, palette-coded, word
+// for word), roots and lookup table; Lookup, AppendRefs and LookupCounting's
 // access count for a leaf in every slot of every node plus misses of every
 // kind; LookupBatch and LookupBatchInterleaved (widths 1, 8, 64) over the
 // same leaves in slot order and shuffled; and the Cells enumeration, in
@@ -106,7 +128,7 @@ func TestBuildMatchesDenseReference(t *testing.T) {
 					want := ref.flat()
 					if got := trie.Flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots ||
 						!slices.Equal(got.Table, want.Table) || got.Skips != want.Skips || got.Prefixes != want.Prefixes {
-						t.Fatalf("flat form differs from the run-encoded reference (%d vs %d arena words)", len(got.Nodes), len(want.Nodes))
+						t.Fatalf("flat form differs from the palette-coded reference (%d vs %d arena words)", len(got.Nodes), len(want.Nodes))
 					}
 					if got, want := trie.ComputeStats().NumNodes, len(ref.nodes)/fanout-1; got != want {
 						t.Errorf("NumNodes = %d, reference has %d", got, want)
@@ -192,4 +214,74 @@ func interleaveFuzzSeedLeaves() []cellid.ID {
 		leaves = append(leaves, sc.Cell(i).RangeMin())
 	}
 	return leaves
+}
+
+// TestNodeShapes builds, at every fanout, a root whose slots hold d distinct
+// entries — d = 1, 2, 3, 4, 5, 16, 17 and the fanout itself, where the
+// fanout has that many slots — so that every code width a fanout can reach
+// is built: the width the root's entry carries, the node's size, its
+// palette in first-use order, every slot's lookup and the whole flat form
+// (against the dense reference's palette coding) must come out as the table
+// says.
+func TestNodeShapes(t *testing.T) {
+	wantBits := map[int]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 16: 4, 17: 8, 64: 8, 256: 8}
+	for _, fanout := range fanouts {
+		level := bits.TrailingZeros(uint(fanout)) / 2 // a cell fills one root slot
+		for _, d := range []int{1, 2, 3, 4, 5, 16, 17, 64, 256} {
+			if d > fanout || d > 17 && d != fanout {
+				continue
+			}
+			t.Run(fmt.Sprintf("fanout-%d/d-%d", fanout, d), func(t *testing.T) {
+				// Slot s holds polygon s mod d: first use in slot order is
+				// polygon order.
+				cells := make([]cellid.ID, fanout)
+				var b supercover.Builder
+				for s := range cells {
+					cells[s] = cellid.FromFace(0)
+					for k := level - 1; k >= 0; k-- {
+						cells[s] = cells[s].Child(s >> (2 * k) & 3)
+					}
+					if err := b.AddCell(cells[s], []supercover.Ref{{PolygonID: uint32(s % d), Interior: true}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sc := b.Build()
+				trie, err := Build(sc, Config{Fanout: fanout})
+				if err != nil {
+					t.Fatal(err)
+				}
+				root := trie.roots[0]
+				if got := 1 << (root >> 2 & 3); got != wantBits[d] {
+					t.Errorf("root entry %#x carries %d-bit codes, want %d", root, got, wantBits[d])
+				}
+				palette := trie.palette(root)
+				for c, e := range palette {
+					if e != (uint64(c)<<1|1)<<2|tagOne {
+						t.Fatalf("palette entry %d is %#x, want polygon %d's", c, e, c)
+					}
+				}
+				words := trie.sentinel()>>4 + 1 + codeWords(fanout, root>>2&3) + uint64(d)
+				if len(palette) != d || uint64(len(trie.nodes)) != words {
+					t.Errorf("%d palette entries in a %d-word arena, want %d in %d", len(palette), len(trie.nodes), d, words)
+				}
+				var res Result
+				for s, cell := range cells {
+					res.Reset()
+					if !trie.Lookup(cell.RangeMax(), &res) || len(res.True) != 1 || res.True[0] != uint32(s%d) {
+						t.Fatalf("slot %d: %+v, want polygon %d", s, res, s%d)
+					}
+				}
+				ref, err := buildDense(sc, Config{Fanout: fanout})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := trie.Flat(), ref.flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots {
+					t.Errorf("flat form differs from the reference's palette coding")
+				}
+				if _, err := TrieFromFlat(trie.Flat()); err != nil {
+					t.Errorf("own flat form rejected: %v", err)
+				}
+			})
+		}
+	}
 }

@@ -27,8 +27,9 @@ type Flat struct {
 	Roots    [cellid.NumFaces]uint64
 	Skips    [cellid.NumFaces]uint64
 	Prefixes [cellid.NumFaces]uint64
-	// Nodes is the node arena (run-compressed nodes back to back, sentinel
-	// first); Table the lookup table.
+	// Nodes is the node arena (palette-coded nodes back to back, sentinel
+	// first); Table the lookup table. Roots holds the child entry naming
+	// each face's root, 0 for an empty face.
 	Nodes []uint64
 	Table []uint32
 }
@@ -92,7 +93,7 @@ func ReadFlatWords(r io.Reader, nodeWords, tableWords uint64) ([]uint64, []uint3
 // depends on is validated up front — fanout, skip alignment, and the full
 // structural scan of validateStructure, which also demands the one arena
 // Build produces for a covering: canonical breadth-first order, every node
-// reachable, every run maximal. After a successful return, lookups never
+// reachable, every node coded one way. After a successful return, lookups never
 // branch on anything unvalidated, so even a hostile file cannot make them
 // read outside the two slices.
 func TrieFromFlat(f Flat) (*Trie, error) {

@@ -92,7 +92,7 @@ type flatFuzzSeed struct {
 }
 
 // flatFuzzSeeds are the target's seeds: a well-formed trie per fanout, then
-// an arena with the root node's header cut out, a table cut mid-run, an
+// an arena with the root node's code word cut out, a table cut mid-run, an
 // empty trie and junk.
 func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
 	var seeds []flatFuzzSeed
@@ -102,7 +102,7 @@ func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
 	}
 	s := seeds[0]
 	return append(seeds,
-		flatFuzzSeed{s.fanoutSel, s.head, append(append([]byte{}, s.nodes[:24]...), s.nodes[40:]...), s.table},
+		flatFuzzSeed{s.fanoutSel, s.head, append(append([]byte{}, s.nodes[:16]...), s.nodes[24:]...), s.table},
 		flatFuzzSeed{s.fanoutSel, s.head, s.nodes, s.table[:len(s.table)/2]},
 		flatFuzzSeed{3, []byte{}, []byte{}, []byte{}},
 		flatFuzzSeed{1, []byte("junk"), []byte("junkjunkjunkjunk"), []byte("junk")})
@@ -112,8 +112,9 @@ func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
 // checksum stands between the mutator and the validator, unlike a file —
 // and demands that TrieFromFlat either rejects them or returns a trie on
 // which everything a served index runs terminates inside the two slices:
-// lookups on every face, both batch walks, Cells and ComputeStats. No reference may exceed MaxPolygonRef, which is what the
-// enclosing index sizes its per-polygon outputs from.
+// lookups on every face, both batch walks, Cells and ComputeStats. No
+// reference may exceed MaxPolygonRef, which is what the enclosing index
+// sizes its per-polygon outputs from.
 func FuzzTrieFromFlat(f *testing.F) {
 	for _, s := range flatFuzzSeeds(f) {
 		f.Add(s.fanoutSel, s.head, s.nodes, s.table)

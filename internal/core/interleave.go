@@ -20,10 +20,11 @@ import "github.com/actindex/act/internal/cellid"
 // misprediction flushes the speculated loads of the lanes behind it, capping
 // the very memory-level parallelism the lanes exist to create. Instead, each
 // round classifies the loaded entry with mask arithmetic: a child advances
-// the lane, a terminal parks the lane on the sentinel node (offset 0, key 0)
-// and ORs the entry into the lane's result. Parked lanes keep issuing
-// sentinel loads — L1 hits, a few cycles — and the sentinel's zero entry ORs
-// nothing, so the result accumulates the terminal entry exactly once. Probes
+// the lane, a terminal parks the lane on the sentinel node (the arena's
+// first node, key 0) and ORs the entry into the lane's result. Parked lanes
+// keep issuing sentinel loads — L1 hits, a few cycles — and the sentinel's
+// zero entry ORs nothing, so the result accumulates the terminal entry
+// exactly once. Probes
 // are processed in groups of K; a group ends when every lane is parked (the
 // round loop's only branch, taken a handful of predictable times), then
 // results are decoded and emitted in input order, preserving the engine's
@@ -39,23 +40,26 @@ const (
 	// lanes beyond it cannot add outstanding misses, only lane state.
 	MaxInterleave = 64
 	// interleaveMinBytes is the footprint above which auto interleaves. The
-	// engine probes cell-sorted chunks, and on a run-compressed trie the
-	// sorted scalar walk — which resumes at the deepest node shared with the
+	// engine probes cell-sorted chunks, and on a compressed trie the sorted
+	// scalar walk — which resumes at the deepest node shared with the
 	// previous probe — touches so few new lines that lanes mostly add
-	// bookkeeping. Measured on the reference host (2 M uniform points over
-	// census blocks, ns/point, scalar vs 8 lanes): the benchmark's own
-	// join workloads, core.probe_sorted_ns_per_point vs
-	// core.probe_interleaved_ns_per_point, 22.0 vs 35.7 at 1.6 MB
-	// (join_boundary_exact) and 23.6 vs 34.3 at 5.0 MB (join_uniform); at
-	// 27 MB (ε = 30 m) 51 vs 53 in 64 Ki chunks and 61 vs 64 in 4 Ki
-	// chunks; at 37 MB (ε = 15 m) 40 vs 52 and 65 vs 66; at 64 MB (12 000
-	// blocks, ε = 15 m) 56 vs 65 in 64 Ki chunks but 90 vs 85 in 4 Ki and
-	// 84 vs 80 in 16 Ki chunks — the first size at which lanes won
-	// anything. The threshold sits between the last two. (Probes in arrival
-	// order favour lanes from 5 MB up, 69 vs 48, but no caller sends any; so
-	// does a sorted 256-point batch on evicted caches, 324 vs 251 at 5 MB —
-	// 19 µs of a 700 µs /join request, and serve_read's join_req_p50_us did
-	// not tell the two settings apart.)
+	// bookkeeping. Measured on the reference host over run-compressed nodes
+	// (2 M uniform points over census blocks, ns/point, scalar vs 8 lanes;
+	// footprints then → now, palette-coded): the benchmark's own join
+	// workloads, core.probe_sorted_ns_per_point vs
+	// core.probe_interleaved_ns_per_point, 22.0 vs 35.7 at 1.6 → 0.63 MB
+	// (join_boundary_exact) and 23.6 vs 34.3 at 5.1 → 2.3 MB
+	// (join_uniform); at 27.8 → 23.9 MB (ε = 30 m) 51 vs 53 in 64 Ki chunks
+	// and 61 vs 64 in 4 Ki chunks; at 37.7 → 31.2 MB (ε = 15 m) 40 vs 52 and
+	// 65 vs 66; at 64.1 → 52.9 MB (12 000 blocks, ε = 15 m) 56 vs 65 in
+	// 64 Ki chunks but 90 vs 85 in 4 Ki and 84 vs 80 in 16 Ki chunks — the
+	// first size at which lanes won anything. The threshold sat between the
+	// last two and stays: no tracked workload comes near it either way, and
+	// the 12 000-block map, though smaller now, is still above it (52.9 MB
+	// against 50.3). (Probes in arrival order favour lanes from 5 MB up, 69
+	// vs 48, but no caller sends any; so does a sorted 256-point batch on
+	// evicted caches, 324 vs 251 at 5 MB — 19 µs of a 700 µs /join request,
+	// and serve_read's join_req_p50_us did not tell the two settings apart.)
 	interleaveMinBytes = 48 << 20
 	// interleaveAutoWidth is the lane count auto selects for tries beyond
 	// interleaveMinBytes: wide enough to cover a round's misses on cores with ~10–16 line
@@ -116,14 +120,14 @@ func (t *Trie) LookupBatchInterleaved(leaves []cellid.ID, width int, bs *BatchSc
 	if width > MaxInterleave {
 		width = MaxInterleave
 	}
-	nodes, words, kbits := t.nodes, t.words, t.bits
+	nodes, kbits, sentinel := t.nodes, t.bits, t.sentinel()
 	roots, rootSkip, rootPrefix := t.roots, t.rootSkip, t.rootPrefix
 
 	// Lane state in fixed stack arrays, indexed with a masked lane number
 	// so every touch is bounds-check-free.
 	const lmask = MaxInterleave - 1
 	var (
-		cur  [MaxInterleave]uint64 // current node offset; 0 = parked
+		cur  [MaxInterleave]uint64 // child entry of the current node; sentinel = parked
 		key  [MaxInterleave]uint64 // remaining key bits, top-aligned
 		term [MaxInterleave]uint64 // accumulated terminal entry
 	)
@@ -140,23 +144,23 @@ func (t *Trie) LookupBatchInterleaved(leaves []cellid.ID, width int, bs *BatchSc
 			root := roots[face]
 			k := leaf.PathBits() << 4
 			live := -(isNonZero(root) &^ isNonZero((k^rootPrefix[face])>>(64-rootSkip[face])))
-			cur[m] = root & live
+			cur[m] = root&live | sentinel&^live
 			key[m] = (k << rootSkip[face]) & live
 			term[m] = 0
 		}
 		// Rounds: every lane takes exactly one node access. A child entry
 		// advances the lane; anything else (a value entry, or the parked
-		// sentinel's zero) zeroes it back onto the sentinel and ORs into
-		// the lane's terminal accumulator — which collects the real
-		// terminal exactly once, because parked loads contribute zero.
+		// sentinel's zero) parks it back on the sentinel and ORs into the
+		// lane's terminal accumulator — which collects the real terminal
+		// exactly once, because parked loads contribute zero.
 		for {
 			advancing := uint64(0)
 			for j := 0; j < group; j++ {
 				m := j & lmask
 				k := key[m]
-				entry := entryAt(nodes, words, cur[m], k>>(64-kbits))
+				entry := entryAt(nodes, cur[m], k>>(64-kbits))
 				child := -(isNonZero(entry) &^ isNonZero(entry&tagMask))
-				cur[m] = (entry >> 2) & child
+				cur[m] = entry&child | sentinel&^child
 				key[m] = (k << kbits) & child
 				term[m] |= entry &^ child
 				advancing |= child

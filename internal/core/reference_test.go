@@ -9,7 +9,7 @@ import (
 )
 
 // The reference trie: the dense builder and one-load walk the package
-// shipped before nodes were run-compressed, kept as the oracle of
+// shipped before nodes were compressed, kept as the oracle of
 // differential_test.go. Every node is a plain array of `fanout` entries,
 // node i at nodes[i*fanout:(i+1)*fanout], child references are node
 // indices, node 0 is the sentinel, and a denormalized cell is written once
@@ -235,39 +235,40 @@ func (d *denseTrie) cells() []denseCell {
 	return out
 }
 
-// compactArena run-encodes a dense arena — node i at
+// compactArena palette-codes a dense arena — node i at
 // dense[i*fanout:(i+1)*fanout], node 0 the sentinel, child entries holding
-// node indices — into the production layout, and returns the arena with the
-// word offset each node landed at.
-func compactArena(fanout int, dense []uint64) (arena, offsets []uint64) {
+// node indices — into the production layout, node by node in index order,
+// and returns the arena with the child entry naming each node.
+func compactArena(fanout int, dense []uint64) (arena, entries []uint64) {
 	numNodes := len(dense) / fanout
-	offsets = make([]uint64, numNodes)
-	for pass := 0; pass < 2; pass++ { // sizes first, then the real child offsets
+	entries = make([]uint64, numNodes)
+	for pass := 0; pass < 2; pass++ { // sizes first, then the real child entries
 		arena = arena[:0]
 		slots := make([]uint64, fanout)
 		for n := 0; n < numNodes; n++ {
 			copy(slots, dense[n*fanout:])
 			for i, e := range slots {
-				// The sizing pass keeps node indices: like offsets they are
-				// distinct per child, so the runs come out the same.
+				// The sizing pass keeps node indices: like child entries they
+				// are distinct per child, so the palettes come out as large.
 				if pass == 1 && isChild(e) && e>>2 < uint64(numNodes) {
-					slots[i] = offsets[e>>2] << 2
+					slots[i] = entries[e>>2]
 				}
 			}
-			offsets[n] = uint64(len(arena))
-			arena = appendNode(arena, slots)
+			arena, entries[n] = appendNode(arena, slots)
 		}
 	}
-	return arena, offsets
+	return arena, entries
 }
 
 // flat returns the reference trie in the production flat form.
 func (d *denseTrie) flat() Flat {
-	arena, offsets := compactArena(int(d.fanout), d.nodes)
+	arena, entries := compactArena(int(d.fanout), d.nodes)
 	f := d.enc.t.Flat()
 	f.Nodes = arena
 	for face, root := range d.roots {
-		f.Roots[face] = offsets[root]
+		if root != 0 {
+			f.Roots[face] = entries[root]
+		}
 	}
 	return f
 }

@@ -7,30 +7,36 @@ package core
 // far end of every subtree; after relayout the top of every walk reads from
 // a compact prefix that stays cache-resident under batch probing, so only
 // the deep, sparse levels can miss. The pass copies each node once into a
-// fresh arena of the same size, rewriting only its child offsets (payloads,
-// the lookup table, root skips, and all lookup results are untouched), and
-// it is idempotent: relaying out an already breadth-first arena is the
-// identity, which is what lets relaid tries round-trip through the
-// serializer byte-identically.
+// fresh arena of the same size, rewriting only the child entries in its
+// palette (codes, payloads, the lookup table, root skips, and all lookup
+// results are untouched), and it is idempotent: relaying out an already
+// breadth-first arena is the identity, which is what lets relaid tries
+// round-trip through the serializer byte-identically.
 //
 // Nodes unreachable from any face root are dropped. It returns the number of
 // nodes in the resulting arena, including the sentinel — Build-produced
 // tries are fully reachable.
 func (t *Trie) Relayout() int {
 	src := t.nodes
-	header := t.words + 1
 	arena := make([]uint64, 0, len(src))
-	arena = append(arena, src[:header+1]...) // the sentinel
-	// queue holds the old offsets of the nodes in breadth-first order; the
-	// node at queue[i] lands where the nodes before it end, so a node's new
-	// offset is known — next — the moment it is enqueued.
-	var queue []uint64
+	arena = append(arena, src[:t.sentinel()>>4+1]...)
+	// queue holds the old child entry and palette of each node in
+	// breadth-first order; the node at queue[i] lands where the nodes before
+	// it end, so its new child entry is known — from next — the moment it is
+	// enqueued.
+	type queued struct {
+		old     uint64
+		palette []uint64
+	}
+	var queue []queued
 	next := uint64(len(arena))
 	enqueue := func(old uint64) uint64 {
-		at := next
-		queue = append(queue, old)
-		next += header + t.nodeRuns(old)
-		return at
+		lw := old >> 2 & 3
+		pal := next + codeWords(t.fanout, lw)
+		q := queued{old, t.palette(old)}
+		queue = append(queue, q)
+		next = pal + uint64(len(q.palette))
+		return childEntry(pal, lw)
 	}
 	var roots [len(t.roots)]uint64
 	for f, root := range t.roots {
@@ -39,12 +45,14 @@ func (t *Trie) Relayout() int {
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
-		old := queue[qi]
-		first := uint64(len(arena)) + header
-		arena = append(arena, src[old:old+header+t.nodeRuns(old)]...)
+		q := queue[qi]
+		pal := q.old >> 4
+		arena = append(arena, src[pal-codeWords(t.fanout, q.old>>2&3):pal]...)
+		first := len(arena)
+		arena = append(arena, q.palette...)
 		for i, e := range arena[first:] {
 			if isChild(e) {
-				arena[first+uint64(i)] = enqueue(e>>2) << 2 // tagChild is 0: retag implicitly
+				arena[first+i] = enqueue(e)
 			}
 		}
 	}

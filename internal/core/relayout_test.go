@@ -27,12 +27,9 @@ func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 		for i, leaf := range leaves {
 			wantHit[i] = raw.Lookup(leaf, &want[i])
 		}
-		numNodes := 0 // the arena is a sequence of nodes in any order
-		for off := uint64(0); off < uint64(len(raw.nodes)); off += raw.words + 1 + raw.nodeRuns(off) {
-			numNodes++
-		}
-		if got := raw.Relayout(); got != numNodes {
-			t.Fatalf("fanout %d: relayout of a fully reachable trie kept %d of %d nodes", fanout, got, numNodes)
+		words, numNodes := len(raw.nodes), raw.ComputeStats().NumNodes+1
+		if got := raw.Relayout(); got != numNodes || len(raw.nodes) != words {
+			t.Fatalf("fanout %d: relayout of a fully reachable trie kept %d of %d nodes, %d of %d words", fanout, got, numNodes, len(raw.nodes), words)
 		}
 		var res Result
 		for i, leaf := range leaves {
@@ -95,31 +92,38 @@ func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 }
 
 // TestTrieFromFlatRejects probes structural validation with hand-assembled
-// arenas the builder would never produce (fanout 4: one bitmap word, one
-// rank word, so the sentinel is the three words {1, 0, 0} and the first root
-// sits at offset 3). Every case is one edit away from a control that must
-// load, and names the rule that must refuse it, so each rejection is for its
-// own defect. The dense cases describe nodes slot by slot (node 0 is the
-// sentinel, child entries hold node numbers) and run-encode them with
+// arenas the builder would never produce (fanout 4 unless a case says
+// otherwise: one code word a node at every width, so the sentinel is the two
+// words {0, 0} and the first root keeps its code word at offset 2 and its
+// palette from offset 3). Every case is one edit away from a control that
+// must load, and names the rule that must refuse it, so each rejection is
+// for its own defect. The dense cases describe nodes slot by slot (node 0 is
+// the sentinel, child entries hold node numbers) and palette-code them with
 // compactArena; the raw cases spell out arena words.
 func TestTrieFromFlatRejects(t *testing.T) {
 	one := func(id uint64) uint64 { return id<<3 | tagOne }
 	child := func(n uint64) uint64 { return n << 2 }
-	dense := func(roots [cellid.NumFaces]uint64, nodes []uint64, table []uint32) Flat {
-		arena, offsets := compactArena(4, nodes)
-		f := Flat{Fanout: 4, Nodes: arena, Table: table}
+	denseOf := func(fanout int, roots [cellid.NumFaces]uint64, nodes []uint64, table []uint32) Flat {
+		arena, entries := compactArena(fanout, nodes)
+		f := Flat{Fanout: uint32(fanout), Nodes: arena, Table: table}
 		for face, root := range roots {
-			f.Roots[face] = offsets[root]
+			if root != 0 {
+				f.Roots[face] = entries[root]
+			}
 		}
 		return f
+	}
+	dense := func(roots [cellid.NumFaces]uint64, nodes []uint64, table []uint32) Flat {
+		return denseOf(4, roots, nodes, table)
 	}
 	var face0, face01 [cellid.NumFaces]uint64
 	face0[0] = 1
 	face01[0], face01[1] = 1, 2
-	// raw is a face-0 trie of the given words after the sentinel.
-	raw := func(words ...uint64) Flat {
-		f := Flat{Fanout: 4, Nodes: append([]uint64{1, 0, 0}, words...)}
-		f.Roots[0] = 3
+	// raw is a face-0 trie of the given words after the sentinel, its root
+	// coded in 1<<lw-bit codes.
+	raw := func(lw uint64, words ...uint64) Flat {
+		f := Flat{Fanout: 4, Nodes: append([]uint64{0, 0}, words...)}
+		f.Roots[0] = childEntry(3, lw)
 		return f
 	}
 	// chain is a path of n nodes, each hanging from slot 0 of the one
@@ -133,8 +137,21 @@ func TestTrieFromFlatRejects(t *testing.T) {
 		return dense(face0, nodes, nil)
 	}
 	// gapValueGap is the root {empty, id 7, empty, empty} and the control of
-	// most raw cases: runs start at slots 0, 1 and 2.
-	gapValueGap := func() Flat { return raw(0b0111, 0, 0, one(7), 0) }
+	// most raw cases: palette {empty, id 7}, one-bit codes 0, 1, 0, 0.
+	gapValueGap := func() Flat { return raw(0, 0b0010, 0, one(7)) }
+	// childFirst is the root {child, empty, empty, empty} over a child
+	// {id 3, …}: the root's palette {child, empty} at 3, the child's code
+	// word at 5 and its palette at 6.
+	childFirst := func() Flat { return raw(0, 0b1110, childEntry(6, 0), 0, 0, one(3)) }
+	// longPalette is a fanout-64 root of ids 0 … 19 in slots 0 … 19, the
+	// rest empty.
+	longPalette := func() Flat {
+		nodes := make([]uint64, 2*64)
+		for i := range uint64(20) {
+			nodes[64+i] = one(i)
+		}
+		return denseOf(64, face0, nodes, nil)
+	}
 
 	for _, tc := range []struct {
 		name      string
@@ -168,7 +185,19 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			want: "sentinel node is not empty",
 			bad: func() Flat {
 				f := gapValueGap()
-				f.Nodes[2] = one(7)
+				f.Nodes[1] = one(7)
+				return f
+			},
+			good: gapValueGap,
+		},
+		{
+			// A parked lane reads the sentinel's slot 0; every other code
+			// would select past its one-entry palette.
+			name: "sentinel-codes-not-zero",
+			want: "sentinel node is not empty",
+			bad: func() Flat {
+				f := gapValueGap()
+				f.Nodes[0] = 0b0010
 				return f
 			},
 			good: gapValueGap,
@@ -194,6 +223,18 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			bad: func() Flat {
 				f := gapValueGap()
 				f.Nodes = append(f.Nodes, 0)
+				return f
+			},
+			good: gapValueGap,
+		},
+		{
+			// A root entry carries a node's palette offset and code width;
+			// a value tag on it would be ignored by the walk.
+			name: "root-not-a-child-entry",
+			want: "is not a child entry",
+			bad: func() Flat {
+				f := gapValueGap()
+				f.Roots[0] |= tagOne
 				return f
 			},
 			good: gapValueGap,
@@ -235,19 +276,21 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			},
 		},
 		{
-			// Two entries referencing one child make the arena a DAG.
+			// Two nodes referencing one child make the arena a DAG.
 			name: "shared-child",
 			want: "breadth-first order puts it at",
 			bad: func() Flat {
-				nodes := make([]uint64, 3*4)
-				nodes[4], nodes[6] = child(2), child(2)
-				nodes[2*4] = one(3)
+				nodes := make([]uint64, 5*4)
+				nodes[4], nodes[5] = child(2), child(3)
+				nodes[2*4], nodes[3*4] = child(4), child(4)
+				nodes[4*4] = one(3)
 				return dense(face0, nodes, nil)
 			},
 			good: func() Flat {
-				nodes := make([]uint64, 3*4)
-				nodes[4] = child(2)
-				nodes[2*4] = one(3)
+				nodes := make([]uint64, 5*4)
+				nodes[4], nodes[5] = child(2), child(3)
+				nodes[2*4], nodes[3*4] = child(4), one(5)
+				nodes[4*4] = one(3)
 				return dense(face0, nodes, nil)
 			},
 		},
@@ -270,17 +313,20 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			},
 		},
 		{
+			// The child's code words would sit right past the root, at the
+			// arena's end; its palette lies beyond it.
 			name: "child-out-of-range",
 			want: "starts past the arena",
 			bad: func() Flat {
-				f := raw(0b0011, 0, 0, one(2))
-				f.Nodes[5] = uint64(len(f.Nodes)) << 2
+				f := raw(0, 0b1110, 0, one(2))
+				f.Nodes[3] = childEntry(uint64(len(f.Nodes))+1, 0)
 				return f
 			},
-			good: func() Flat { return raw(0b0011, 0, 0, one(2)) },
+			good: func() Flat { return raw(0, 0b1110, 0, one(2)) },
 		},
 		{
-			// The offset lands inside the child instead of on its header.
+			// The palette offset lands inside the child instead of past its
+			// code words.
 			name: "child-not-a-node-boundary",
 			want: "breadth-first order puts it at",
 			bad: func() Flat {
@@ -288,7 +334,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 				nodes[4] = child(2)
 				nodes[2*4] = one(3)
 				f := dense(face0, nodes, nil)
-				f.Nodes[5] += 1 << 2
+				f.Nodes[3] += 1 << 4
 				return f
 			},
 			good: func() Flat {
@@ -317,41 +363,120 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			},
 		},
 		{
-			// A child reference is one slot: one key chunk, one subtree.
+			// The width bits are the only record of a node's code width: at
+			// fanout 64 one-bit codes take one word, two-bit codes two, so
+			// an entry claiming two-bit codes for the node right past the
+			// root names its palette one word early.
+			name: "width-bits-disagree",
+			want: "says 2-bit codes, the node at offset 5 has 1 code words",
+			bad: func() Flat {
+				nodes := make([]uint64, 3*64)
+				nodes[64] = child(2)
+				nodes[2*64] = one(3)
+				f := denseOf(64, face0, nodes, nil)
+				f.Nodes[3] |= 1 << 2
+				return f
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 3*64)
+				nodes[64] = child(2)
+				nodes[2*64] = one(3)
+				return denseOf(64, face0, nodes, nil)
+			},
+		},
+		{
+			// A child entry is one slot: one key chunk, one subtree.
 			name: "child-run-spans-slots",
-			want: "child reference spans 2 slots",
-			bad:  func() Flat { return raw(0b0101, 0, 7<<2, 0, 0b0001, 0, one(3)) },
-			good: func() Flat { return raw(0b0011, 0, 7<<2, 0, 0b0001, 0, one(3)) },
+			want: "child entry in more than one slot",
+			bad:  func() Flat { return raw(0, 0b1100, childEntry(6, 0), 0, 0, one(3)) },
+			good: childFirst,
 		},
 		{
-			name: "bit-0-clear",
-			want: "slot 0 does not start a run",
-			bad:  func() Flat { return raw(0b0110, 0, one(7), 0) },
+			// Codes need not be adjacent to select one entry: codes 0, 1, 0,
+			// 1 over {empty, child}.
+			name: "child-in-two-slots",
+			want: "child entry in more than one slot",
+			bad:  func() Flat { return raw(0, 0b1010, 0, childEntry(6, 0), 0, one(3)) },
+			good: func() Flat { return raw(0, 0b0010, 0, childEntry(6, 0), 0, one(3)) },
+		},
+		{
+			// Slot 0 uses code 1 before any slot uses code 0: the palette
+			// {empty, id 7} must be {id 7, empty}.
+			name: "palette-not-first-use-order",
+			want: "palette not in first-use order",
+			bad:  func() Flat { return raw(0, 0b0001, 0, one(7)) },
+			good: func() Flat { return raw(0, 0b1110, one(7), 0) },
+		},
+		{
+			// Code 2 in a node of two distinct codes reads past the
+			// palette, here past the arena.
+			name: "code-past-palette",
+			want: "code 2 is past its 2-entry palette",
+			bad:  func() Flat { return raw(1, 0b1000, 0, one(7)) },
 			good: gapValueGap,
 		},
 		{
+			// Two distinct codes fit one bit.
+			name: "width-not-minimal",
+			want: "width not minimal",
+			bad:  func() Flat { return raw(1, 0b0100, 0, one(7)) },
+			good: gapValueGap,
+		},
+		{
+			// A set bit past the four one-bit codes would be a fifth slot.
 			name: "run-start-beyond-fanout",
-			want: "run starts beyond slot 3",
-			bad:  func() Flat { return raw(0b10111, 0, 0, one(7), 0, one(9)) },
-			good: gapValueGap,
-		},
-		{
-			// A wrong rank would send entry fetches outside the node.
-			name: "rank-word-disagrees",
-			want: "rank word",
+			want: "code bits set past slot 3",
 			bad: func() Flat {
 				f := gapValueGap()
-				f.Nodes[4] = 1
+				f.Nodes[2] |= 1 << 4
 				return f
 			},
 			good: gapValueGap,
 		},
 		{
-			// Runs must be maximal, or one covering has two encodings.
+			// Sixteen two-bit codes leave the code word's top half unused.
+			name: "code-bits-past-fanout",
+			want: "code bits set past slot 15",
+			bad: func() Flat {
+				nodes := make([]uint64, 2*16)
+				nodes[16+1], nodes[16+2] = one(7), one(8)
+				f := denseOf(16, face0, nodes, nil)
+				f.Nodes[2] |= 1 << 40
+				return f
+			},
+			good: func() Flat {
+				nodes := make([]uint64, 2*16)
+				nodes[16+1], nodes[16+2] = one(7), one(8)
+				return denseOf(16, face0, nodes, nil)
+			},
+		},
+		{
+			// Distinct entries, or one covering has two encodings: codes
+			// 0, 1, 2, 2 over {id 7, id 7, empty}.
 			name: "adjacent-runs-equal",
-			want: "hold the same entry",
-			bad:  func() Flat { return raw(0b0111, 0, 0, one(7), one(7)) },
-			good: gapValueGap,
+			want: "duplicate palette entries",
+			bad:  func() Flat { return raw(1, 0b10_10_01_00, one(7), one(7), 0) },
+			good: func() Flat { return raw(0, 0b1100, one(7), 0) },
+		},
+		{
+			// Codes 0, 1, 2, 1 over {id 7, empty, id 7}.
+			name: "duplicate-palette-entries",
+			want: "duplicate palette entries",
+			bad:  func() Flat { return raw(1, 0b01_10_01_00, one(7), 0, one(7)) },
+			good: func() Flat { return raw(0, 0b1010, one(7), 0) },
+		},
+		{
+			// Past 16 entries the check sorts a copy: 21 entries at fanout
+			// 64 (8-bit codes: eight code words after the two-word
+			// sentinel, the palette from offset 10), entry 5 made entry 4.
+			name: "duplicate-in-long-palette",
+			want: "duplicate palette entries",
+			bad: func() Flat {
+				f := longPalette()
+				f.Nodes[15] = f.Nodes[14]
+				return f
+			},
+			good: longPalette,
 		},
 		{
 			name: "node-runs-past-arena",

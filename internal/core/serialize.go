@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"math/bits"
+	"slices"
 
 	"github.com/actindex/act/internal/cellid"
 )
@@ -95,27 +95,30 @@ func readU32s(r io.Reader, count uint64) ([]uint32, error) {
 	return words, nil
 }
 
-// validateStructure parses the arena as the sequence of self-describing
-// nodes it must be and checks everything a walk relies on, so that a
-// deserialized trie can never read out of bounds or loop — the arena may be
-// served unchecksummed from a mapping, and this scan is all that stands
-// between a forged file and the lookups. It accepts exactly the arenas
-// Build produces:
+// validateStructure parses the arena as the sequence of nodes it must be and
+// checks everything a walk relies on, so that a deserialized trie can never
+// read out of bounds or loop — the arena may be served unchecksummed from a
+// mapping, and this scan is all that stands between a forged file and the
+// lookups. It accepts exactly the arenas Build produces:
 //
-//   - every node header is well formed: bit 0 of the bitmap set, no bit at or
-//     above fanout, the rank word equal to the bitmap's cumulative popcounts
-//     (entry fetches then stay inside the node), the node inside the arena;
-//   - runs are maximal — no two adjacent runs hold equal entries — so a
-//     covering has one encoding and write∘read∘write is the identity;
-//   - the sentinel at offset 0 is one empty run;
-//   - nodes sit in canonical breadth-first order: scanning nodes in arena
-//     order and runs in slot order, the face roots and then every child
-//     reference must name exactly the next node not yet named. That one rule
-//     makes every reference a node boundary, forward (no cycles) and unique
-//     (a tree, not a DAG), and — with the final check that the named nodes
-//     use up the arena — leaves no node unreachable and no trailing words;
-//   - a child reference occupies a single slot, and no node lies deeper
-//     than a 60-bit key has chunks (the walks keep per-depth state);
+//   - the sentinel comes first: fanout one-bit codes and one palette entry,
+//     all zero;
+//   - nodes sit in canonical breadth-first order: the face roots and then,
+//     scanning nodes in arena order and palettes in order, every child
+//     entry must name exactly the next node — its code words right where
+//     the node before it ends. That one rule makes every reference a node
+//     boundary, forward (no cycles) and unique (a tree, not a DAG), and —
+//     with the final check that the named nodes use up the arena — leaves
+//     no node unreachable and no trailing words;
+//   - every code selects a palette entry (the palette is as long as the node
+//     has distinct codes, and lies inside the arena), so entry fetches stay
+//     inside the node;
+//   - a covering has one encoding, so write∘read∘write is the identity: the
+//     palette is in first-use slot order and pairwise distinct, the code
+//     width is the narrowest that numbers it, and code bits past the last
+//     slot are zero;
+//   - a child entry occupies a single slot, and no node lies deeper than a
+//     60-bit key has chunks (the walks keep per-depth state);
 //   - every lookup-table offset selects a well-formed, non-empty
 //     [numTrue, true…, numCand, cand…] run.
 //
@@ -123,20 +126,8 @@ func readU32s(r io.Reader, count uint64) ([]uint32, error) {
 // (see MaxPolygonRef), so the enclosing index can cross-check its header's
 // polygon count against what lookups will actually return.
 func (t *Trie) validateStructure() error {
-	arena, header := t.nodes, t.words+1
+	arena := t.nodes
 	arenaLen, tableLen := uint64(len(arena)), uint64(len(t.table))
-	// nodeEnd sizes the node at off from its bitmap alone: enough to step
-	// over it, whatever else the scan later finds wrong with it.
-	nodeEnd := func(off uint64) (uint64, error) {
-		if off+header > arenaLen {
-			return 0, fmt.Errorf("core: node at offset %d starts past the arena's %d words", off, arenaLen)
-		}
-		end := off + header + t.nodeRuns(off)
-		if end > arenaLen {
-			return 0, fmt.Errorf("core: node at offset %d runs past the arena's %d words", off, arenaLen)
-		}
-		return end, nil
-	}
 	trackRef := func(id uint32) {
 		if !t.hasRefs || id > t.maxRef {
 			t.maxRef = id
@@ -145,64 +136,95 @@ func (t *Trie) validateStructure() error {
 	}
 
 	// The sentinel is what every miss and every parked interleaved lane
-	// reads as "no entry": a single run whose entry is 0.
-	if arenaLen < header+1 {
+	// reads as "no entry".
+	next := t.sentinel()>>4 + 1 // where the next named node must start
+	if arenaLen < next {
 		return fmt.Errorf("core: arena lacks the sentinel node")
 	}
-	if err := t.checkHeader(0); err != nil {
-		return err
-	}
-	if t.nodeRuns(0) != 1 || arena[header] != 0 {
-		return fmt.Errorf("core: sentinel node is not empty")
+	for _, w := range arena[:next] {
+		if w != 0 {
+			return fmt.Errorf("core: sentinel node is not empty")
+		}
 	}
 
-	// next is the offset the next named node must have.
-	next := header + 1
-	var err error
+	// queue holds the child entries named so far, face roots first; node i
+	// of the scan is the one queue[i] names. Breadth-first order keeps each
+	// depth contiguous: the nodes named while one depth is scanned are the
+	// next depth.
+	var queue []uint64
 	for f, root := range t.roots {
-		if root == 0 {
-			continue
-		}
-		if root != next {
-			return fmt.Errorf("core: face %d root at offset %d, breadth-first order puts it at %d", f, root, next)
-		}
-		if next, err = nodeEnd(next); err != nil {
-			return err
+		switch {
+		case root == 0: // empty face
+		case root&tagMask != tagChild:
+			return fmt.Errorf("core: face %d root %#x is not a child entry", f, root)
+		default:
+			queue = append(queue, root)
 		}
 	}
-	// Breadth-first order keeps each depth contiguous: the nodes named
-	// while one depth is scanned are the next depth.
-	depth, depthEnd := 1, next
-	var starts [maxFanout + 1]uint16
-	for node := header + 1; node < next; {
-		if node == depthEnd {
-			depth, depthEnd = depth+1, next
+	var (
+		starts [maxFanout + 1]uint16
+		codes  [maxFanout]uint8
+		sorted [maxFanout]uint64
+	)
+	depth, depthEnd := 1, len(queue)
+	for i := 0; i < len(queue); i++ {
+		if i == depthEnd {
+			depth, depthEnd = depth+1, len(queue)
 		}
+		node, entry := next, queue[i]
+		pal, lw := entry>>4, entry>>2&3
 		if depth > maxKeyChunks(t.bits) {
 			return fmt.Errorf("core: node %d sits %d nodes deep, beyond the %d-bit key", node, depth, 2*cellid.MaxLevel)
 		}
-		if err := t.checkHeader(node); err != nil {
-			return err
-		}
-		runs := t.runStarts(node, &starts)
-		entries := arena[node+header : node+header+uint64(runs)]
-		for r, e := range entries {
-			if r > 0 && e == entries[r-1] {
-				return fmt.Errorf("core: node %d runs %d and %d hold the same entry", node, r-1, r)
+		if c := codeWords(t.fanout, lw); pal != node+c {
+			// A palette right where the node's code words would end at
+			// another width: the entry's width bits are what is wrong.
+			for l := range uint64(4) {
+				if other := codeWords(t.fanout, l); other != c && pal == node+other {
+					return fmt.Errorf("core: child entry %#x says %d-bit codes, the node at offset %d has %d code words", entry, 1<<lw, node, other)
+				}
 			}
+			return fmt.Errorf("core: child entry %#x names a node at offset %d, breadth-first order puts it at %d", entry, pal-min(pal, c), node)
+		}
+		if pal > arenaLen {
+			return fmt.Errorf("core: node at offset %d starts past the arena's %d words", node, arenaLen)
+		}
+		if n := uint(t.fanout) << lw; n < 64 && arena[pal-1]>>n != 0 {
+			return fmt.Errorf("core: node %d: code bits set past slot %d", node, t.fanout-1)
+		}
+
+		// Codes are numbered in order of first use, so d — the codes used so
+		// far — is the palette's size once every run is read, and a child
+		// entry's code must be new and its run one slot long.
+		runs := t.runs(entry, &starts, &codes)
+		d := 0
+		for r, c := range codes[:runs] {
+			first := int(c) == d
+			switch {
+			case int(c) > d:
+				return misnumbered(node, starts[:runs], codes[:runs])
+			case first:
+				if d++; pal+uint64(d) > arenaLen {
+					return fmt.Errorf("core: node at offset %d runs past the arena's %d words", node, arenaLen)
+				}
+			}
+			if isChild(arena[pal+uint64(c)]) && (!first || starts[r+1]-starts[r] > 1) {
+				return fmt.Errorf("core: node %d code %d: child entry in more than one slot", node, c)
+			}
+		}
+		if want := codeWidth(d); lw != want {
+			return fmt.Errorf("core: node %d: %d-entry palette in %d-bit codes, width not minimal (%d bits)", node, d, 1<<lw, 1<<want)
+		}
+		palette := arena[pal : pal+uint64(d)]
+		if e, dup := duplicate(palette, &sorted); dup {
+			return fmt.Errorf("core: node %d: duplicate palette entries %#x", node, e)
+		}
+
+		for c, e := range palette {
 			switch e & tagMask {
 			case tagChild:
-				if e == 0 {
-					continue // sentinel: false hit
-				}
-				if n := starts[r+1] - starts[r]; n != 1 {
-					return fmt.Errorf("core: node %d slot %d: child reference spans %d slots", node, starts[r], n)
-				}
-				if c := e >> 2; c != next {
-					return fmt.Errorf("core: node %d slot %d: child at offset %d, breadth-first order puts it at %d", node, starts[r], c, next)
-				}
-				if next, err = nodeEnd(next); err != nil {
-					return err
+				if e != 0 { // 0 is empty: false hit
+					queue = append(queue, e)
 				}
 			case tagOne:
 				trackRef(uint32(e>>2) >> 1)
@@ -212,20 +234,20 @@ func (t *Trie) validateStructure() error {
 			case tagOffset:
 				off := e >> 2
 				if off >= tableLen {
-					return fmt.Errorf("core: node %d slot %d: table offset %d out of range", node, starts[r], off)
+					return fmt.Errorf("core: node %d code %d: table offset %d out of range", node, c, off)
 				}
 				nTrue := uint64(t.table[off])
 				if off+1+nTrue >= tableLen {
-					return fmt.Errorf("core: node %d slot %d: true-hit run overflows table", node, starts[r])
+					return fmt.Errorf("core: node %d code %d: true-hit run overflows table", node, c)
 				}
 				nCand := uint64(t.table[off+1+nTrue])
 				if off+2+nTrue+nCand > tableLen {
-					return fmt.Errorf("core: node %d slot %d: candidate run overflows table", node, starts[r])
+					return fmt.Errorf("core: node %d code %d: candidate run overflows table", node, c)
 				}
 				if nTrue+nCand == 0 {
 					// A hit without references: Build refuses such cells, and
 					// Cells would hand compaction one it refuses too.
-					return fmt.Errorf("core: node %d slot %d: table run holds no references", node, starts[r])
+					return fmt.Errorf("core: node %d code %d: table run holds no references", node, c)
 				}
 				for _, id := range t.table[off+1 : off+1+nTrue] {
 					trackRef(id)
@@ -235,7 +257,7 @@ func (t *Trie) validateStructure() error {
 				}
 			}
 		}
-		node += header + uint64(runs)
+		next = pal + uint64(d)
 	}
 	if next != arenaLen {
 		return fmt.Errorf("core: %d arena words lie past the last reachable node", arenaLen-next)
@@ -243,20 +265,57 @@ func (t *Trie) validateStructure() error {
 	return nil
 }
 
-// checkHeader verifies the bitmap and rank word of the node at arena offset
-// node, which nodeEnd found to lie inside the arena.
-func (t *Trie) checkHeader(node uint64) error {
-	bm := t.nodes[node : node+t.words]
-	if bm[0]&1 == 0 {
-		return fmt.Errorf("core: node %d: slot 0 does not start a run", node)
+// duplicate reports an entry palette holds twice: pairwise up to 16 entries,
+// through a sorted copy in scratch beyond (one node in a hundred on the
+// census map, but a few hold 100 to 250, where pairwise dominated the scan).
+func duplicate(palette []uint64, scratch *[maxFanout]uint64) (uint64, bool) {
+	if len(palette) > 16 {
+		palette = scratch[:copy(scratch[:], palette)]
+		slices.Sort(palette)
+		for i := 1; i < len(palette); i++ {
+			if palette[i] == palette[i-1] {
+				return palette[i], true
+			}
+		}
+		return 0, false
 	}
-	if t.fanout < 64 && bm[0]>>t.fanout != 0 {
-		return fmt.Errorf("core: node %d: run starts beyond slot %d", node, t.fanout-1)
+	for i, e := range palette {
+		for _, f := range palette[:i] {
+			if e == f {
+				return e, true
+			}
+		}
 	}
-	if got, rank := t.nodes[node+t.words], rankWord(bm); got != rank {
-		return fmt.Errorf("core: node %d: rank word %#x disagrees with the bitmap (%#x)", node, got, rank)
+	return 0, false
+}
+
+// misnumbered explains why the node at offset node, with the given runs,
+// uses a code before the first use of the one below it: a palette is as long
+// as its node has distinct codes, so either the code lies past the palette,
+// or the palette is not in first-use order.
+func misnumbered(node uint64, starts []uint16, codes []uint8) error {
+	var seen [maxFanout / 64]uint64
+	d, top := 0, uint8(0)
+	for _, c := range codes {
+		if seen[c>>6]>>(c&63)&1 == 0 {
+			seen[c>>6] |= 1 << (c & 63)
+			d++
+		}
+		top = max(top, c)
 	}
-	return nil
+	if int(top) >= d {
+		return fmt.Errorf("core: node %d: code %d is past its %d-entry palette", node, top, d)
+	}
+	want := uint8(0)
+	for r, c := range codes {
+		switch {
+		case c > want:
+			return fmt.Errorf("core: node %d slot %d: code %d comes before the first use of code %d, palette not in first-use order", node, starts[r], c, want)
+		case c == want:
+			want++
+		}
+	}
+	panic("core: misnumbered called on codes in first-use order")
 }
 
 // maxFanout is the largest supported fanout, the bound of per-node scratch.
@@ -265,20 +324,6 @@ const maxFanout = 256
 // maxKeyChunks returns the number of bits-wide chunks in a cell id's path:
 // the deepest a node can sit (root = 1) and still be reached by a key.
 func maxKeyChunks(bits uint) int { return (2*cellid.MaxLevel + int(bits) - 1) / int(bits) }
-
-// runStarts lists the first slot of every run of the node at arena offset
-// node, closes the list with fanout, and returns the number of runs.
-func (t *Trie) runStarts(node uint64, starts *[maxFanout + 1]uint16) int {
-	n := 0
-	for w, bm := range t.nodes[node : node+t.words] {
-		for ; bm != 0; bm &= bm - 1 {
-			starts[n] = uint16(w<<6 + bits.TrailingZeros64(bm))
-			n++
-		}
-	}
-	starts[n] = uint16(t.fanout)
-	return n
-}
 
 // MaxPolygonRef returns the largest polygon id a lookup on this trie can
 // return, and whether the trie holds any references at all. It is computed

@@ -20,30 +20,31 @@
 //     denormalized: their value fills the contiguous range of slots their
 //     quadrant prefix selects.
 //
-// Denormalization is run-encoded, not materialized. On real maps nearly
-// every slot is filled but equal neighbours dominate (about seven slots per
-// distinct entry at 60 m, thirty at 15 m), so a node stores each run of equal
-// slots once:
+// Denormalization is palette-coded, not materialized. On real maps nearly
+// every slot is filled, yet a node holds only a handful of distinct entries
+// (6.2 per node on average at 60 m on the census map, where a node holds 37
+// runs of equal slots; p99 15). So a node stores each distinct entry once,
+// the way the lookup table stores each distinct reference set once, and one
+// w-bit code per slot:
 //
-//	node+0 … node+W-1   run-start bitmap, W = ⌈fanout/64⌉ words: bit i is set
-//	                    where slot i's entry differs from slot i-1's (bit 0
-//	                    always)
-//	node+W              rank word: 16-bit field k holds the number of bits set
-//	                    in bitmap words 0 … k-1
-//	node+W+1 …          one entry per run, in slot order
+//	pal-C … pal-1   code words, C = ⌈fanout·w/64⌉, last word first: slot i's
+//	                code sits in word i·w/64, i.e. at pal-1-(i·w>>6), bits
+//	                i·w&63 and up
+//	pal …           the palette: the node's d distinct entries in first-use
+//	                slot order
 //
-// and the entry of slot i is
+// w is the narrowest of 1, 2, 4, 8 bits with 2^w ≥ d. The node has no header:
+// a child entry (and a face root) carries the palette offset above bit 4 and
+// log2(w) in bits 2–3, so the entry of slot i is
 //
-//	arena[node + W + rank[i>>6] + popcount(bitmap[i>>6] << (63 - i&63))]
+//	arena[pal + (arena[pal-1-(i·w>>6)] >> (i·w&63) & (1<<w - 1))]
 //
-// (the popcount includes slot i's own run, hence W rather than W+1): two
-// header loads and the entry load from one or two adjacent cache lines, no
-// branch, no comparison.
+// — two dependent loads, no branch, no comparison, no count.
 //
 // Child references are word offsets into one flat node arena rather than raw
 // pointers — the same 8-byte entries as the paper's implementation, minus
-// unsafe pointer arithmetic. Offset 0 is the sentinel, a one-run node whose
-// entry is 0.
+// unsafe pointer arithmetic. The arena starts with the sentinel, a one-entry
+// node whose entry is 0 ("no covering cell"); an empty slot holds 0 too.
 package core
 
 import (
@@ -88,16 +89,12 @@ func DefaultConfig() Config { return Config{Fanout: 256} }
 type Trie struct {
 	fanout int
 	bits   uint // log2(fanout): key bits consumed per node
-	// words is the number of bitmap words per node, ⌈fanout/64⌉; a node's
-	// rank word sits at node+words and its entries follow it.
-	words uint64
 
-	// nodes is the node arena, a sequence of run-compressed nodes (see the
-	// package comment) addressed by word offset. The node at offset 0 is the
-	// sentinel ("false hit"): one run whose entry is 0.
+	// nodes is the node arena, a sequence of palette-coded nodes (see the
+	// package comment) addressed by word offset, the sentinel first.
 	nodes []uint64
-	// roots holds the arena offset of each face's root, 0 when the face is
-	// empty.
+	// roots holds the child entry naming each face's root node, 0 when the
+	// face is empty.
 	roots [cellid.NumFaces]uint64
 	// rootSkip and rootPrefix implement path compression at the root:
 	// when all cells of a face share a key prefix (always the case for
@@ -123,49 +120,118 @@ func newTrie(fanout int) (*Trie, error) {
 	default:
 		return nil, fmt.Errorf("%w: got %d", ErrBadFanout, fanout)
 	}
-	return &Trie{
-		fanout: fanout,
-		bits:   uint(bits.TrailingZeros(uint(fanout))),
-		words:  uint64(fanout+63) / 64,
-	}, nil
+	return &Trie{fanout: fanout, bits: uint(bits.TrailingZeros(uint(fanout)))}, nil
 }
 
-// entryAt returns the entry of slot idx of the node at offset node of an
-// arena whose nodes have `words` bitmap words: the run containing idx is the
-// rank of idx among the node's run starts. (A function of the hoisted fields
-// rather than a method so the interleaved round loop shares it.)
-func entryAt(nodes []uint64, words, node, idx uint64) uint64 {
-	w := idx >> 6
-	rank := nodes[node+words] >> (w << 4) & 0xffff
-	return nodes[node+words+rank+uint64(bits.OnesCount64(nodes[node+w]<<(63-idx&63)))]
+// entryAt returns the entry of slot idx of the node the child entry node
+// names: the slot's code, then the palette entry it selects. (A function of
+// the hoisted arena rather than a method so the interleaved round loop
+// shares it.)
+func entryAt(nodes []uint64, node, idx uint64) uint64 {
+	pal, bit := node>>4, idx<<(node>>2&3)
+	// 0xff0f0301 holds the code masks of widths 1, 2, 4, 8 bytewise; node<<1&24
+	// is 8·log2(w).
+	return nodes[pal+nodes[pal-1-bit>>6]>>(bit&63)&(0xff0f0301>>(node<<1&24)&0xff)]
 }
 
-// rankWord returns the rank word of a node with the given bitmap: 16-bit
-// field k holds the number of bits set in words 0 … k-1.
-func rankWord(bitmap []uint64) uint64 {
-	rank, runs := uint64(0), 0
-	for w, word := range bitmap {
-		rank |= uint64(runs) << (16 * w)
-		runs += bits.OnesCount64(word)
+// childEntry is the entry naming the node whose palette starts at word pal
+// and whose codes are 1<<lw bits wide.
+func childEntry(pal, lw uint64) uint64 { return pal<<4 | lw<<2 | tagChild }
+
+// codeWidth returns log2 of the narrowest code width — 1, 2, 4 or 8 bits —
+// that numbers a palette of d entries.
+func codeWidth(d int) uint64 {
+	switch {
+	case d <= 2:
+		return 0
+	case d <= 4:
+		return 1
+	case d <= 16:
+		return 2
+	default:
+		return 3
 	}
-	return rank
 }
 
-// nodeRuns returns the number of runs — stored entries — of the node at
-// arena offset node, whose bitmap words must lie inside the arena.
-func (t *Trie) nodeRuns(node uint64) uint64 {
-	n := 0
-	for _, bm := range t.nodes[node : node+t.words] {
-		n += bits.OnesCount64(bm)
+// codeWords returns the number of code words of a node of fanout slots whose
+// codes are 1<<lw bits wide.
+func codeWords(fanout int, lw uint64) uint64 { return (uint64(fanout)<<lw + 63) >> 6 }
+
+// sentinel returns the child entry naming the sentinel node: fanout one-bit
+// codes, all zero, selecting its one palette entry, 0.
+func (t *Trie) sentinel() uint64 { return childEntry(codeWords(t.fanout, 0), 0) }
+
+// runs lists the runs of equal codes of the node the child entry node names,
+// in slot order: run r covers slots starts[r] up to starts[r+1] and holds
+// code codes[r]. It closes starts with fanout and returns the number of
+// runs. The node's code words must lie inside the arena.
+func (t *Trie) runs(node uint64, starts *[maxFanout + 1]uint16, codes *[maxFanout]uint8) int {
+	pal, lw := node>>4, node>>2&3
+	w, per := uint64(1)<<lw, min(64>>lw, t.fanout) // code width, codes per word
+	low := t.lowBits(lw)
+	n, prev := 0, uint64(0) // prev: the last code of the word before
+	for i, k := 0, pal-1; i < t.fanout; i, k = i+per, k-1 {
+		x := t.nodes[k]
+		// A run starts where a code differs from the one before it: fold
+		// each code's bits of x ^ (x shifted one code up) into its lowest.
+		y := x ^ (x<<w | prev)
+		for s := w >> 1; s > 0; s >>= 1 {
+			y |= y >> s
+		}
+		if y &= low; i == 0 {
+			y |= 1 // slot 0 starts the first run
+		}
+		for ; y != 0; y &= y - 1 {
+			b := uint64(bits.TrailingZeros64(y))
+			starts[n], codes[n] = uint16(i+int(b>>lw)), uint8(x>>b&(1<<w-1))
+			n++
+		}
+		prev = x >> (64 - w)
 	}
-	return uint64(n)
+	starts[n] = uint16(t.fanout)
+	return n
 }
 
-// entries returns the stored entries of the node at arena offset node, one
-// per run in slot order.
-func (t *Trie) entries(node uint64) []uint64 {
-	first := node + t.words + 1
-	return t.nodes[first : first+t.nodeRuns(node)]
+// palette returns the distinct entries of the node the child entry node
+// names — as many as its largest code selects. The node must lie inside the
+// arena.
+func (t *Trie) palette(node uint64) []uint64 {
+	pal, lw := node>>4, node>>2&3
+	w := uint64(1) << lw
+	words := t.nodes[pal-codeWords(t.fanout, lw) : pal]
+	// The largest code, decided one bit plane at a time from the top, all
+	// codes of a word at once: tied holds, per code word, the lowest bit of
+	// every code still tied for the largest.
+	var tied [maxFanout / 8]uint64
+	low := t.lowBits(lw)
+	for k := range words {
+		tied[k] = low
+	}
+	top := uint64(0)
+	for plane := w; plane > 0; plane-- {
+		b := plane - 1
+		var any uint64
+		for k, x := range words {
+			any |= x >> b & tied[k]
+		}
+		if any != 0 {
+			top |= 1 << b
+			for k, x := range words {
+				tied[k] &= x >> b
+			}
+		}
+	}
+	return t.nodes[pal : pal+top+1]
+}
+
+// lowBits returns the lowest bit of every code a code word holds, for this
+// trie's fanout and codes 1<<lw bits wide.
+func (t *Trie) lowBits(lw uint64) uint64 {
+	low := ^uint64(0) / (1<<(1<<lw) - 1)
+	if n := uint64(t.fanout) << lw; n < 64 {
+		low &= 1<<n - 1
+	}
+	return low
 }
 
 // isChild reports whether e references a child node (as opposed to being
@@ -246,17 +312,18 @@ func (t *Trie) walk(leaf cellid.ID) uint64 {
 		return 0
 	}
 	key <<= skip
+	nodes, kbits := t.nodes, t.bits
 	for {
-		idx := key >> (64 - t.bits)
-		key <<= t.bits
-		entry := entryAt(t.nodes, t.words, cur, idx)
+		idx := key >> (64 - kbits)
+		key <<= kbits
+		entry := entryAt(nodes, cur, idx)
 		if entry&tagMask != tagChild {
 			return entry
 		}
 		if entry == 0 {
 			return 0 // sentinel: false hit
 		}
-		cur = entry >> 2
+		cur = entry
 	}
 }
 
@@ -359,6 +426,7 @@ func (t *Trie) LookupBatch(leaves []cellid.ID, res *Result, emit func(i int, hit
 	// path (fanout 4: 30 chunks of 2 bits; validateStructure holds loaded
 	// arenas to maxKeyChunks).
 	var stack [32]uint64
+	nodes, kbits := t.nodes, t.bits
 	prevFace := -1     // face of the last walked leaf, -1 before any walk
 	var prevKey uint64 // post-skip key of the last walked leaf
 	prevDepth := 0     // chunks consumed when that walk ended
@@ -393,15 +461,15 @@ func (t *Trie) LookupBatch(leaves []cellid.ID, res *Result, emit func(i int, hit
 		hit := false
 	walk:
 		for {
-			idx := k >> (64 - t.bits)
-			k <<= t.bits
-			entry := entryAt(t.nodes, t.words, cur, idx)
+			idx := k >> (64 - kbits)
+			k <<= kbits
+			entry := entryAt(nodes, cur, idx)
 			switch entry & tagMask {
 			case tagChild:
 				if entry == 0 {
 					break walk // sentinel: false hit
 				}
-				cur = entry >> 2
+				cur = entry
 				d++
 				stack[d] = cur
 			case tagOne:
@@ -443,13 +511,13 @@ func (t *Trie) LookupCounting(leaf cellid.ID, res *Result) (hit bool, nodeAccess
 		nodeAccesses++
 		idx := key >> (64 - t.bits)
 		key <<= t.bits
-		entry := entryAt(t.nodes, t.words, cur, idx)
+		entry := entryAt(t.nodes, cur, idx)
 		switch entry & tagMask {
 		case tagChild:
 			if entry == 0 {
 				return false, nodeAccesses
 			}
-			cur = entry >> 2
+			cur = entry
 		case tagOne:
 			res.addPayload(uint32(entry >> 2))
 			return true, nodeAccesses
@@ -468,26 +536,24 @@ func (t *Trie) LookupCounting(leaf cellid.ID, res *Result) (hit bool, nodeAccess
 func (t *Trie) Fanout() int { return t.fanout }
 
 // Stats describes the memory footprint and shape of a trie, the quantities
-// Table I of the paper reports. The three value counts count runs — stored
-// entries — not slots: a cell denormalized over 64 slots is one value.
+// Table I of the paper reports. The three value counts count palette entries
+// — stored entries — not slots: a value is counted once per node that holds
+// it, however many slots select it.
 type Stats struct {
 	Fanout         int
 	NumNodes       int   // allocated nodes, excluding the sentinel
 	TrieBytes      int64 // node arena size: arena words × 8
 	TableBytes     int64 // lookup table size
 	TableEntries   int   // uint32 words in the lookup table
-	InlinedValues  int   // runs holding 1–2 inlined payloads
-	OffsetValues   int   // runs referencing the lookup table
-	ChildPointers  int   // runs referencing child nodes
+	InlinedValues  int   // palette entries holding 1–2 inlined payloads
+	OffsetValues   int   // palette entries referencing the lookup table
+	ChildPointers  int   // palette entries referencing child nodes
 	MaxDepth       int   // deepest node depth observed (root = 1)
 	RootSkipLevels int   // grid levels compressed at the root (max across faces)
 	TotalBytes     int64 // TrieBytes + TableBytes
 }
 
-// ComputeStats scans the arena and summarizes the trie. The arena is in
-// breadth-first order (Build and TrieFromFlat hand out nothing else), so the
-// nodes of one depth are contiguous and the child pointers among them count
-// the nodes of the next: one sequential pass, no traversal state.
+// ComputeStats walks the trie one depth at a time and summarizes it.
 func (t *Trie) ComputeStats() Stats {
 	s := Stats{
 		Fanout:       t.fanout,
@@ -496,24 +562,23 @@ func (t *Trie) ComputeStats() Stats {
 		TableEntries: len(t.table),
 	}
 	s.TotalBytes = s.TrieBytes + s.TableBytes
-	level := 0 // nodes at the depth being scanned; starts as the roots
+	var level, next []uint64 // child entries of the nodes of one depth, the next
 	for face, root := range t.roots {
 		if root != 0 {
-			level++
+			level = append(level, root)
 			s.RootSkipLevels = max(s.RootSkipLevels, int(t.rootSkip[face])/2)
 		}
 	}
-	node := t.words + 2 // first node past the sentinel
-	for ; level > 0; s.MaxDepth++ {
-		s.NumNodes += level
-		children := s.ChildPointers
-		for ; level > 0; level-- {
-			entries := t.entries(node)
-			for _, e := range entries {
+	for ; len(level) > 0; s.MaxDepth++ {
+		s.NumNodes += len(level)
+		next = next[:0]
+		for _, node := range level {
+			for _, e := range t.palette(node) {
 				switch e & tagMask {
 				case tagChild:
 					if e != 0 {
 						s.ChildPointers++
+						next = append(next, e)
 					}
 				case tagOne, tagTwo:
 					s.InlinedValues++
@@ -521,9 +586,8 @@ func (t *Trie) ComputeStats() Stats {
 					s.OffsetValues++
 				}
 			}
-			node += t.words + 1 + uint64(len(entries))
 		}
-		level = s.ChildPointers - children
+		level, next = next, level
 	}
 	return s
 }

@@ -344,10 +344,10 @@ func TestStatsAccounting(t *testing.T) {
 	if st.NumNodes < 1 {
 		t.Errorf("NumNodes = %d", st.NumNodes)
 	}
-	// Per node a 4-word bitmap and a rank word; the sentinel stores one
-	// run, every other node its child pointer or value between two gaps
-	// (the cell sits in neither slot 0 nor the last slot of any node).
-	if want := int64(st.NumNodes+1)*5*8 + 8 + int64(st.NumNodes)*3*8; st.TrieBytes != want {
+	// Per node four words of 256 one-bit codes; the sentinel's palette is
+	// its one empty entry, every other node's the empty entry and its child
+	// entry or value (the cell sits in no node's slot 0).
+	if want := int64(st.NumNodes+1)*4*8 + 8 + int64(st.NumNodes)*2*8; st.TrieBytes != want {
 		t.Errorf("TrieBytes = %d, want %d for %d nodes", st.TrieBytes, want, st.NumNodes)
 	}
 	if st.ChildPointers != st.NumNodes-1 || st.InlinedValues != 1 {

@@ -101,8 +101,8 @@ func OpenIndex(path string) (*Index, error) {
 	return ix, nil
 }
 
-// assembleMapped aliases the flat sections of a mapped flat file (v5 or
-// v6) and builds the serving index around them.
+// assembleMapped aliases the flat sections of a mapped flat file (v7 or
+// v8) and builds the serving index around them.
 func assembleMapped(h *flatHeader, m *mapping) (*Index, error) {
 	var nodes []uint64
 	if h.arenaWords() > 0 {

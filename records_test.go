@@ -258,7 +258,8 @@ func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatsRefused: index files of versions 1 to 4 and version-1
+// TestLegacyFormatsRefused: index files of versions 1 to 6 (and a future
+// version 9) and version-1
 // write-ahead logs are no longer read. Every loader must say so —
 // an "unsupported version" error, before interpreting another byte — and
 // must leave the file as it found it.
@@ -276,8 +277,9 @@ func TestLegacyFormatsRefused(t *testing.T) {
 		le.PutUint64(b[36:], 3)                  // polygon count
 		return b
 	}
-	// A v3/v4 file has today's header layout, checksummed, over an arena of
-	// dense nodes: re-stamp a dense-id and a sparse-id file of today.
+	// A v3/v4 file (dense nodes) and a v5/v6 file (run-compressed nodes)
+	// have today's header layout, checksummed, over another arena: re-stamp
+	// a dense-id and a sparse-id file of today. So does a future v9.
 	seeds := fuzzSeedIndexes(t)
 	flatFile := func(version uint32, current []byte) []byte {
 		b := bytes.Clone(current)
@@ -291,7 +293,10 @@ func TestLegacyFormatsRefused(t *testing.T) {
 		"index-v2-short": indexFile(2)[:44],
 		"index-v3":       flatFile(3, seeds[0]),
 		"index-v4":       flatFile(4, seeds[1]),
-		"index-v7":       indexFile(7),
+		"index-v5":       flatFile(5, seeds[0]),
+		"index-v6":       flatFile(6, seeds[1]),
+		"index-v9":       flatFile(9, seeds[0]),
+		"index-v9-short": indexFile(9),
 	} {
 		if _, err := ReadIndex(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), "unsupported index version") {
 			t.Errorf("%s: ReadIndex error = %v, want unsupported index version", name, err)

@@ -16,16 +16,16 @@ import (
 	"github.com/actindex/act/internal/grid"
 )
 
-// Index serialization, versions 5 and 6 — the flat, mmap-servable layout
+// Index serialization, versions 7 and 8 — the flat, mmap-servable layout
 // (little endian throughout):
 //
 //	offset 0:    header, 264 bytes
 //	  magic     "ACTX"          4 bytes
-//	  version   uint32          5 (dense ids) or 6 (sparse ids)
+//	  version   uint32          7 (dense ids) or 8 (sparse ids)
 //	  gridKind  uint32
 //	  flags     uint32          bit 0: a geometry section follows the table
 //	  fanout    uint32
-//	  idSpace   uint32          v6: ids ever assigned; v5: zero padding
+//	  idSpace   uint32          v8: ids ever assigned; v7: zero padding
 //	  precision, achieved       2 × float64
 //	  cells     uint64          indexed covering cells (stats)
 //	  numPolys  uint64          live (stored) polygon count
@@ -36,29 +36,30 @@ import (
 //	                            is read from here, nodes vary in size
 //	  geomOff   uint64          8-aligned geometry start; 0 without geometry
 //	  fileSize  uint64          total file length in bytes
-//	  roots     6 × uint64      per-face trie roots
+//	  roots     6 × uint64      per-face root child entries (palette
+//	                            offset and code width), 0 for an empty face
 //	  skips     6 × uint64      root path-compression bit counts
 //	  prefixes  6 × uint64      root path-compression prefixes
 //	  arenaCRC  uint64          CRC-64/ECMA of arena + table (+ id column)
 //	  headerCRC uint64          CRC-64/ECMA of header bytes [0, 256)
 //	zero padding to arenaOff
-//	arenaOff:  node arena       run-compressed nodes back to back (see
+//	arenaOff:  node arena       palette-coded nodes back to back (see
 //	                            internal/core), canonical BFS order
 //	tableOff:  lookup table     tableLen × uint32
-//	idsOff:    id column        v6 only: numPolys × uint32, strictly
+//	idsOff:    id column        v8 only: numPolys × uint32, strictly
 //	                            ascending live polygon ids, 8-aligned after
 //	                            the table ((tableEnd+7)&^7)
 //	geomOff:   geometry section geostore.Store.WriteTo blob (own magic,
 //	                            version, CRC) — present only when flag set
 //
-// Version 5 describes a dense id space: numPolys polygons with implicit
-// ids 0..numPolys-1. Version 6 adds sparse id spaces — the id column names
+// Version 7 describes a dense id space: numPolys polygons with implicit
+// ids 0..numPolys-1. Version 8 adds sparse id spaces — the id column names
 // the live ids explicitly, idSpace records how many ids were ever assigned
 // — so a compacted index whose removals left permanent holes serializes.
-// WriteTo picks the lowest version that can represent the index (v5 when
-// dense, v6 when sparse); the geometry section stays dense either way,
+// WriteTo picks the lowest version that can represent the index (v7 when
+// dense, v8 when sparse); the geometry section stays dense either way,
 // storing the live polygons in id-column order and remapped to their
-// sparse ids at load. The arenaCRC of a v6 file also covers the id column
+// sparse ids at load. The arenaCRC of a v8 file also covers the id column
 // (not the alignment padding around it).
 //
 // The arena starts on a page boundary and its words are stored exactly as
@@ -72,18 +73,19 @@ import (
 // The geometry section is versioned and checksummed independently of the
 // header, so the exact-refinement geometry can evolve without breaking the
 // trie format; files written with WithGeometryStore(false) load in
-// approximate-only mode. Versions 1 and 2 (the pre-flat layouts) and 3 and
-// 4 (this layout over dense nodes of fanout words each, every denormalized
-// cell stored once per slot) are no longer read: both loaders refuse them as
-// unsupported.
+// approximate-only mode. Versions 1 and 2 (the pre-flat layouts), 3 and 4
+// (this layout over dense nodes of fanout words each, every denormalized
+// cell stored once per slot) and 5 and 6 (run-compressed nodes: a run-start
+// bitmap, a rank word and one entry per run, roots as plain offsets) are no
+// longer read: both loaders refuse them as unsupported.
 
 const (
 	indexMagic = "ACTX"
 	// indexVersion is the dense flat format; indexVersionSparse the flat
 	// format with an explicit id column. WriteTo emits the lowest version
 	// that represents the index.
-	indexVersion       = 5
-	indexVersionSparse = 6
+	indexVersion       = 7
+	indexVersionSparse = 8
 
 	// flatHeaderSize is the full flat header including headerCRC;
 	// flatHeaderCRCBytes the prefix that checksum covers.
@@ -113,10 +115,10 @@ var ErrPendingMutations = errors.New("act: index has uncompacted mutations; Comp
 
 var flatCRCTable = crc64.MakeTable(crc64.ECMA)
 
-// flatHeader is the parsed 264-byte flat header (versions 5 and 6).
+// flatHeader is the parsed 264-byte flat header (versions 7 and 8).
 type flatHeader struct {
 	version   uint32
-	idSpace   uint64 // ids ever assigned; == numPolys for v5
+	idSpace   uint64 // ids ever assigned; == numPolys for v7
 	gridKind  uint32
 	hasGeom   bool
 	fanout    uint32
@@ -143,8 +145,8 @@ func (h *flatHeader) arenaWords() uint64 { return (h.tableOff - h.arenaOff) / 8 
 // tableEnd returns the byte offset one past the lookup table.
 func (h *flatHeader) tableEnd() uint64 { return h.tableOff + h.tableLen*4 }
 
-// idsOff returns the byte offset of the v6 id column (8-aligned past the
-// table). A v5 header has no column; idsOff and idsEnd collapse to
+// idsOff returns the byte offset of the v8 id column (8-aligned past the
+// table). A v7 header has no column; idsOff and idsEnd collapse to
 // tableEnd so size arithmetic works uniformly across versions.
 func (h *flatHeader) idsOff() uint64 {
 	if h.version < indexVersionSparse {
@@ -177,7 +179,7 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 	if h.version >= indexVersionSparse {
 		le.PutUint32(buf[20:], uint32(h.idSpace))
 	}
-	// For v5, buf[20:24] is reserved padding, zero.
+	// For v7, buf[20:24] is reserved padding, zero.
 	le.PutUint64(buf[24:], math.Float64bits(h.precision))
 	le.PutUint64(buf[32:], math.Float64bits(h.achieved))
 	le.PutUint64(buf[40:], h.cells)
@@ -199,7 +201,7 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 }
 
 // readFlatHeader is the header prologue both loaders share: it reads the
-// magic and version first — so anything but a flat v5/v6 file is refused
+// magic and version first — so anything but a flat v7/v8 file is refused
 // before a single further byte is interpreted — then the rest of the
 // header, and hands it to decodeFlatHeader. On success exactly
 // flatHeaderSize bytes of r are consumed.
@@ -220,7 +222,7 @@ func readFlatHeader(r io.Reader) (*flatHeader, error) {
 	return decodeFlatHeader(&buf)
 }
 
-// decodeFlatHeader parses and cross-validates a flat header (v5 or v6)
+// decodeFlatHeader parses and cross-validates a flat header (v7 or v8)
 // whose magic and version bytes are already verified. Every offset
 // relationship the layout promises is checked here, so both readers
 // (copying and mmap) can trust the header's geometry of the file
@@ -328,9 +330,9 @@ func writeZeros(w io.Writer, n int64) error {
 //
 // Only compacted indexes serialize: WriteTo reports ErrPendingMutations
 // while uncompacted mutations exist. A dense index (no removals, or none
-// that left holes) writes the v5 format; an index whose removals left
+// that left holes) writes the v7 format; an index whose removals left
 // permanent holes in the id space (ids are stable forever, so holes never
-// close) writes v6, which carries an explicit id column.
+// close) writes v8, which carries an explicit id column.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	cp := ix.pin()
 	if cp.ep.ov != nil {
@@ -345,10 +347,10 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return writeFlat(w, cp.ep, ix.kind, ix.precision, cp.idColumn(), int64(cp.idSpace))
 }
 
-// writeFlat serializes one compacted epoch in the flat layout: v5 when ids
-// is nil (dense id space), v6 otherwise — ids is then the strictly
+// writeFlat serializes one compacted epoch in the flat layout: v7 when ids
+// is nil (dense id space), v8 otherwise — ids is then the strictly
 // ascending column of live polygon ids and idSpace the number of ids ever
-// assigned. The v6 geometry section stays a dense geostore blob holding
+// assigned. The v8 geometry section stays a dense geostore blob holding
 // the live polygons in id-column order; the loader remaps them to their
 // sparse ids.
 func writeFlat(w io.Writer, ep *epoch, kind GridKind, precision float64, ids []uint32, idSpace int64) (int64, error) {
@@ -384,7 +386,7 @@ func writeFlat(w io.Writer, ep *epoch, kind GridKind, precision float64, ids []u
 		for i, id := range ids {
 			binary.LittleEndian.PutUint32(idBytes[4*i:], id)
 		}
-		// The arena checksum of a v6 file also covers the id column (not
+		// The arena checksum of a v8 file also covers the id column (not
 		// the alignment padding around it).
 		h.arenaCRC = crc64.Update(h.arenaCRC, flatCRCTable, idBytes)
 		if h.hasGeom {
@@ -464,7 +466,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	return readIndexFlat(br, h)
 }
 
-// readIndexFlat loads the sections of a flat file (v5 or v6) whose header
+// readIndexFlat loads the sections of a flat file (v7 or v8) whose header
 // was already read off br: the copying path, used for streamed input and as
 // OpenIndex's fallback when mapping is unavailable.
 func readIndexFlat(br *bufio.Reader, h *flatHeader) (*Index, error) {
@@ -501,7 +503,7 @@ func readIndexFlat(br *bufio.Reader, h *flatHeader) (*Index, error) {
 	return assembleFlat(h, nodes, table, ids, br)
 }
 
-// decodeIDColumn parses and validates a v6 id column: strictly ascending
+// decodeIDColumn parses and validates a v8 id column: strictly ascending
 // polygon ids below idSpace.
 func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 	ids := make([]uint32, len(b)/4)
@@ -519,7 +521,7 @@ func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 
 // assembleFlat builds a servable Index from a validated flat header and
 // its flat trie words — heap copies from readIndexFlat or mapping-backed
-// aliases from OpenIndex; ids is the decoded v6 id column (nil for v5) and
+// aliases from OpenIndex; ids is the decoded v8 id column (nil for v7) and
 // geomSrc must be positioned at the geometry section when the header
 // declares one. All cross-section consistency checks (trie structure,
 // polygon-id ranges, geometry count) live here so both load paths enforce
@@ -548,7 +550,7 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	// Lookups return polygon ids straight out of the trie, and Join sizes
 	// its per-polygon count slices from the id space — an id at or beyond
 	// it would make counts[polygon]++ panic later, so reject the mismatch
-	// at load time. (For v5, idSpace == numPolys.)
+	// at load time. (For v7, idSpace == numPolys.)
 	maxRef, hasRefs := trie.MaxPolygonRef()
 	if hasRefs && uint64(maxRef) >= h.idSpace {
 		return nil, fmt.Errorf("act: trie references polygon %d, header id space is %d", maxRef, h.idSpace)
@@ -564,7 +566,7 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 				st.NumPolygons(), h.numPolys)
 		}
 		if ids != nil {
-			// v6: the section stores the live polygons densely in id-column
+			// v8: the section stores the live polygons densely in id-column
 			// order; remap each to its sparse id so trie refs index the
 			// store directly.
 			slots := make([]*geom.Polygon, h.idSpace)
