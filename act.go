@@ -102,16 +102,13 @@ func (k GridKind) String() string {
 // options is the build configuration the Option functions fill in; each
 // field is documented once, on the With function that sets it (options.go).
 type options struct {
-	PrecisionMeters    float64 // ε; required
-	Grid               GridKind
-	Fanout             int // 0 = 256
-	MaxCellsPerPolygon int // 0 = no cell budget
-	QuerySamplePoints  []LatLng
-	BuildWorkers       int // 0 = GOMAXPROCS
-	SkipGeometryStore  bool
-	DeltaThreshold     int // 0 = defaultDeltaThreshold, negative = never
-	WAL                *WALConfig
-	Observer           *Observer
+	PrecisionMeters   float64 // ε; required
+	Grid              GridKind
+	Fanout            int // 0 = 256
+	SkipGeometryStore bool
+	DeltaThreshold    int // 0 = defaultDeltaThreshold, negative = never
+	WAL               *WALConfig
+	Observer          *Observer
 }
 
 // BuildStats reports the cost and shape of a built index — the quantities
@@ -124,9 +121,8 @@ type BuildStats struct {
 	TableBytes   int64 // lookup table footprint
 	TrieNodes    int
 	// AchievedPrecisionMeters is the worst-case false-positive distance
-	// actually delivered; ≤ PrecisionMeters unless a cell budget was set.
-	// After a compaction it is an upper bound: the worst polygon may have
-	// been removed since.
+	// actually delivered, always ≤ PrecisionMeters. After a compaction it
+	// is an upper bound: the worst polygon may have been removed since.
 	AchievedPrecisionMeters float64
 	// CoverDuration is the time to build all individual coverings
 	// (parallel) — the initial build only, a compaction covers nothing;
@@ -244,14 +240,22 @@ var ErrNoPolygons = errors.New("act: no polygons")
 // each), so delta coverings are produced by exactly the machinery that
 // built the base — the equivalence guarantee rests on that.
 type pipeline struct {
-	grid     grid.Grid
-	coverer  *cover.Coverer
-	sample   *cover.QuerySample
-	adaptive bool
-	maxCells int
-	fanout   int
-	workers  int
-	hasGeom  bool
+	grid    grid.Grid
+	coverer *cover.Coverer
+	fanout  int
+	hasGeom bool
+}
+
+// newPipeline is the one constructor of a pipeline, for New and for every
+// index loaded from a file alike: a covering depends on the grid and ε
+// alone, both persisted with the fanout, so a recovered index or a follower
+// covers an insert exactly as the index that wrote the file would have.
+func newPipeline(g grid.Grid, precision float64, fanout int, hasGeom bool) (pipeline, error) {
+	coverer, err := cover.NewCoverer(g, precision)
+	if err != nil {
+		return pipeline{}, err
+	}
+	return pipeline{grid: g, coverer: coverer, fanout: fanout, hasGeom: hasGeom}, nil
 }
 
 // cover projects one polygon onto the grid, once, and computes its covering
@@ -263,22 +267,17 @@ func (pl *pipeline) cover(p *geo.Polygon) (*cover.Covering, *geom.Polygon, error
 	if err != nil {
 		return nil, nil, err
 	}
-	var cov *cover.Covering
-	if pl.adaptive {
-		cov, err = pl.coverer.CoverAdaptive(face, poly, pl.sample, pl.maxCells)
-	} else {
-		cov, err = pl.coverer.CoverProjected(face, poly)
-	}
+	cov, err := pl.coverer.CoverProjected(face, poly)
 	if !pl.hasGeom {
 		poly = nil
 	}
 	return cov, poly, err
 }
 
-// each calls one(i) for every i in [0, n) from up to pl.workers goroutines —
+// each calls one(i) for every i in [0, n) from up to GOMAXPROCS goroutines —
 // inline when one worker suffices. It stops handing out work at the first
 // error and returns it.
-func (pl *pipeline) each(n int, one func(i int) error) error {
+func each(n int, one func(i int) error) error {
 	var next atomic.Int64
 	work := func() error {
 		for {
@@ -291,7 +290,7 @@ func (pl *pipeline) each(n int, one func(i int) error) error {
 			}
 		}
 	}
-	workers := min(pl.workers, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		return work()
 	}
@@ -326,7 +325,7 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	start := time.Now()
 	covs := make([]*cover.Covering, len(polygons))
 	projected := make([]*geom.Polygon, len(polygons))
-	err := pl.each(len(polygons), func(i int) (err error) {
+	err := each(len(polygons), func(i int) (err error) {
 		if covs[i], projected[i], err = pl.cover(polygons[i]); err != nil {
 			return fmt.Errorf("act: covering polygon %d: %w", i, err)
 		}
@@ -418,32 +417,9 @@ func New(polygons []*Polygon, opts ...Option) (*Index, error) {
 	if fanout == 0 {
 		fanout = 256
 	}
-	adaptive := o.MaxCellsPerPolygon > 0 && len(o.QuerySamplePoints) > 0
-	var coverOpts []cover.Option
-	if o.MaxCellsPerPolygon > 0 && !adaptive {
-		coverOpts = append(coverOpts, cover.WithMaxCells(o.MaxCellsPerPolygon))
-	}
-	coverer, err := cover.NewCoverer(g, o.PrecisionMeters, coverOpts...)
+	pl, err := newPipeline(g, o.PrecisionMeters, fanout, !o.SkipGeometryStore)
 	if err != nil {
 		return nil, err
-	}
-	var sample *cover.QuerySample
-	if adaptive {
-		sample = cover.NewQuerySample(g, o.QuerySamplePoints)
-	}
-	workers := o.BuildWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pl := pipeline{
-		grid:     g,
-		coverer:  coverer,
-		sample:   sample,
-		adaptive: adaptive,
-		maxCells: o.MaxCellsPerPolygon,
-		fanout:   fanout,
-		workers:  workers,
-		hasGeom:  !o.SkipGeometryStore,
 	}
 
 	ep, err := pl.run(polygons)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/actindex/act/internal/data"
@@ -268,8 +269,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(set.Polygons); err == nil {
 		t.Error("missing precision should error")
 	}
-	if _, err := New(set.Polygons, WithPrecision(0)); err == nil {
-		t.Error("zero precision should error")
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := New(set.Polygons, WithPrecision(eps)); err == nil || !strings.Contains(err.Error(), "positive and finite") {
+			t.Errorf("precision %v: got %v, want a positive-and-finite error", eps, err)
+		}
 	}
 	if _, err := New(set.Polygons, WithPrecision(10), WithFanout(7)); err == nil {
 		t.Error("bad fanout should error")
@@ -280,44 +283,6 @@ func TestNewValidation(t *testing.T) {
 	bad := &Polygon{Outer: []geo.LatLng{{Lat: 0, Lng: 0}, {Lat: 1, Lng: 1}}}
 	if _, err := New([]*Polygon{bad}, WithPrecision(10)); err == nil {
 		t.Error("invalid polygon should error")
-	}
-}
-
-func TestMemoryBudgetMode(t *testing.T) {
-	set, err := data.GeneratePolygons(data.PolygonConfig{
-		Name: "budget", NumRegions: 10, Lattice: 64, Seed: 71, BoundaryJitter: 0.6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := New(set.Polygons, WithPrecision(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := New(set.Polygons, WithPrecision(4), WithMaxCellsPerPolygon(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Stats().IndexedCells >= full.Stats().IndexedCells {
-		t.Error("budgeted index should be smaller")
-	}
-	if tight.Stats().AchievedPrecisionMeters <= 4 {
-		t.Error("budgeted index should report degraded precision")
-	}
-	// Exact lookups remain correct under the budget.
-	rng := rand.New(rand.NewSource(72))
-	b := set.Bound
-	var rf, rt Result
-	for n := 0; n < 2000; n++ {
-		ll := geo.LatLng{
-			Lat: b.MinLat + rng.Float64()*(b.MaxLat-b.MinLat),
-			Lng: b.MinLng + rng.Float64()*(b.MaxLng-b.MinLng),
-		}
-		full.LookupExact(ll, &rf)
-		tight.LookupExact(ll, &rt)
-		if len(rf.True) != len(rt.True) {
-			t.Fatalf("budgeted exact lookup diverges at %v: %v vs %v", ll, rf.True, rt.True)
-		}
 	}
 }
 
@@ -539,74 +504,6 @@ func TestJoinStreamAndPairs(t *testing.T) {
 			if counts[i] != agg[i] {
 				t.Fatalf("%v polygon %d: Join %d, Pairs aggregation %d", mode, i, counts[i], agg[i])
 			}
-		}
-	}
-}
-
-// TestAdaptiveIndex exercises the query-driven adaptive build: with a tight
-// budget, sampled query regions see fewer approximate-vs-exact disagreements
-// than unqueried regions, and correctness is unaffected.
-func TestAdaptiveIndex(t *testing.T) {
-	set, err := data.GeneratePolygons(data.PolygonConfig{
-		Name: "adaptive", NumRegions: 20, Lattice: 96, Seed: 101, BoundaryJitter: 0.6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hot queries cluster near the boundaries of the first few polygons.
-	hot, err := data.GeneratePoints(data.PointConfig{
-		N: 4000, Seed: 102, Distribution: data.Adversarial,
-		Polygons:     &data.PolygonSet{Polygons: set.Polygons[:3], Bound: set.Bound},
-		JitterMeters: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const budget = 400
-	adaptive, err := New(set.Polygons, WithPrecision(4), WithMaxCellsPerPolygon(budget), WithQuerySample(hot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oblivious, err := New(set.Polygons, WithPrecision(4), WithMaxCellsPerPolygon(budget))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// On the hot workload the adaptive index should misclassify fewer
-	// candidates (its hot cells are finer).
-	countFalse := func(ix *Index) int {
-		var res Result
-		fp := 0
-		for _, ll := range hot {
-			if !ix.Lookup(ll, &res) {
-				continue
-			}
-			for _, id := range res.Candidates {
-				if !ix.Contains(ll, id) {
-					fp++
-				}
-			}
-		}
-		return fp
-	}
-	fa, fo := countFalse(adaptive), countFalse(oblivious)
-	if fa >= fo {
-		t.Errorf("adaptive index produced %d false positives on the hot workload, oblivious %d", fa, fo)
-	}
-
-	// Exact lookups agree everywhere.
-	rng := rand.New(rand.NewSource(103))
-	b := set.Bound
-	var ra, ro Result
-	for n := 0; n < 1500; n++ {
-		ll := geo.LatLng{
-			Lat: b.MinLat + rng.Float64()*(b.MaxLat-b.MinLat),
-			Lng: b.MinLng + rng.Float64()*(b.MaxLng-b.MinLng),
-		}
-		adaptive.LookupExact(ll, &ra)
-		oblivious.LookupExact(ll, &ro)
-		if len(ra.True) != len(ro.True) {
-			t.Fatalf("exact results diverge at %v: %v vs %v", ll, ra.True, ro.True)
 		}
 	}
 }

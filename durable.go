@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/actindex/act/internal/cover"
 	"github.com/actindex/act/internal/fault"
 	"github.com/actindex/act/internal/wal"
 )
@@ -175,9 +174,7 @@ func (ix *Index) WALUpdates() <-chan struct{} {
 // appending to the same log, so repeated crash/recover cycles compose),
 // and indexPath doubles as the checkpoint snapshot target, so compactions
 // keep the log bounded. Replay uses the index's persisted precision, grid,
-// and fanout with standard refinement; adaptive-refinement settings (query
-// sample, cell budget) are not persisted and do not apply to replayed
-// inserts.
+// and fanout.
 //
 // Options are honored where they apply (WithDeltaThreshold, WithObserver,
 // and a WithWAL carrying the fsync policy for the reattached log — its Path
@@ -212,16 +209,11 @@ func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 // for v7 files, the explicit column for v8).
 func (ix *Index) promoteMutable(o *options) error {
 	ep := ix.live.Load()
-	coverer, err := cover.NewCoverer(ix.grid, ix.precision)
+	pl, err := newPipeline(ix.grid, ix.precision, ep.trie.Fanout(), ep.store != nil)
 	if err != nil {
 		return fmt.Errorf("reconstructing coverer: %w", err)
 	}
-	ix.pl = pipeline{
-		grid:    ix.grid,
-		coverer: coverer,
-		fanout:  ep.trie.Fanout(),
-		hasGeom: ep.store != nil,
-	}
+	ix.pl = pl
 	if o.DeltaThreshold != 0 {
 		ix.deltaThreshold = o.DeltaThreshold
 	}

@@ -269,28 +269,5 @@ func RunAblations(w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintln(w, "Expected: the approach is grid-agnostic (paper §II); cube-face cells are")
 	fmt.Fprintln(w, "smaller at equal level, shifting the cell count at equal precision.")
-
-	section(w, "Ablation E: memory budget / adaptive refinement (neighborhoods)")
-	fmt.Fprintf(w, "%-12s %12s %22s %20s\n", "cells/poly", "cells [M]", "achieved prec [m]", "exact join [M pts/s]")
-	for _, budget := range []int{0, 20000, 2000, 200} {
-		idx, err := act.New(set.Polygons, act.WithPrecision(4), act.WithMaxCellsPerPolygon(budget))
-		if err != nil {
-			return err
-		}
-		st := idx.Stats()
-		best, err := MeasureIndexJoin(idx, pts, act.Exact, 1, 3)
-		if err != nil {
-			return err
-		}
-		tput := best.ThroughputMPts
-		label := "unlimited"
-		if budget > 0 {
-			label = fmt.Sprintf("%d", budget)
-		}
-		fmt.Fprintf(w, "%-12s %12.2f %22.2f %20.1f\n",
-			label, float64(st.IndexedCells)/1e6, st.AchievedPrecisionMeters, tput)
-	}
-	fmt.Fprintln(w, "Expected: tighter budgets shrink the index but degrade the achievable")
-	fmt.Fprintln(w, "precision; the exact join stays correct, spending more time refining.")
 	return nil
 }

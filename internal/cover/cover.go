@@ -19,6 +19,7 @@ package cover
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/actindex/act/internal/cellid"
@@ -37,43 +38,24 @@ type Covering struct {
 	Interior []cellid.ID
 	// AchievedPrecisionMeters is the largest diagonal among boundary
 	// cells — the actual worst-case distance bound for false positives.
-	// It is 0 for polygons with no boundary cells and is always ≤ the
-	// requested precision unless a MaxCells budget cut refinement short.
+	// It is 0 for polygons with no boundary cells and always ≤ the
+	// requested precision.
 	AchievedPrecisionMeters float64
 }
 
 // NumCells returns the total number of cells in the covering.
 func (c *Covering) NumCells() int { return len(c.Boundary) + len(c.Interior) }
 
-// Coverer computes coverings on a particular grid.
+// Coverer computes coverings on a particular grid: every boundary cell is
+// refined until its diagonal is at most the precision bound, down to
+// cellid.MaxLevel. A covering is a function of the polygon, the grid and the
+// bound alone.
 //
 // The zero value is not usable; construct with NewCoverer.
 type Coverer struct {
 	g grid.Grid
 	// precision is the target bound ε in meters.
 	precision float64
-	// maxLevel caps refinement depth (default cellid.MaxLevel).
-	maxLevel int
-	// maxCells, when positive, bounds the number of cells per covering.
-	// Refinement then proceeds best-first (largest boundary cell first),
-	// so the budget is spent where it tightens the bound the most; the
-	// resulting covering remains correct but may only achieve a weaker
-	// precision, reported in AchievedPrecisionMeters.
-	maxCells int
-}
-
-// Option configures a Coverer.
-type Option func(*Coverer)
-
-// WithMaxLevel caps the deepest cell level used.
-func WithMaxLevel(level int) Option {
-	return func(c *Coverer) { c.maxLevel = level }
-}
-
-// WithMaxCells bounds the number of cells per covering (memory-constrained
-// mode). Zero means unlimited.
-func WithMaxCells(n int) Option {
-	return func(c *Coverer) { c.maxCells = n }
 }
 
 // ErrPrecision is returned when the requested precision cannot be achieved
@@ -81,19 +63,12 @@ func WithMaxCells(n int) Option {
 var ErrPrecision = errors.New("cover: requested precision not achievable")
 
 // NewCoverer returns a coverer for the given grid and precision bound in
-// meters. precision must be positive.
-func NewCoverer(g grid.Grid, precisionMeters float64, opts ...Option) (*Coverer, error) {
-	if precisionMeters <= 0 {
-		return nil, fmt.Errorf("cover: precision must be positive, got %v", precisionMeters)
+// meters. precision must be positive and finite.
+func NewCoverer(g grid.Grid, precisionMeters float64) (*Coverer, error) {
+	if !(precisionMeters > 0) || math.IsInf(precisionMeters, 1) {
+		return nil, fmt.Errorf("cover: precision must be positive and finite, got %v", precisionMeters)
 	}
-	c := &Coverer{g: g, precision: precisionMeters, maxLevel: cellid.MaxLevel}
-	for _, o := range opts {
-		o(c)
-	}
-	if c.maxLevel < 0 || c.maxLevel > cellid.MaxLevel {
-		return nil, fmt.Errorf("cover: max level %d out of range [0,%d]", c.maxLevel, cellid.MaxLevel)
-	}
-	return c, nil
+	return &Coverer{g: g, precision: precisionMeters}, nil
 }
 
 // Grid returns the grid the coverer operates on.
@@ -115,14 +90,10 @@ func (c *Coverer) Cover(p *geo.Polygon) (*Covering, error) {
 // a face of the coverer's grid (grid.ProjectPolygon), for callers that keep
 // the projection.
 func (c *Coverer) CoverProjected(face int, poly *geom.Polygon) (*Covering, error) {
-	start := c.startCell(face, poly)
-	if c.maxCells > 0 {
-		return c.coverBudgeted(start, poly)
-	}
 	// The fast path (hierarchical edge filtering) produces output
 	// identical to coverExhaustive at a fraction of the cost on complex
 	// polygons; coverExhaustive remains as the reference implementation.
-	return c.coverFast(start, poly)
+	return c.coverFast(c.startCell(face, poly), poly)
 }
 
 // startCell returns the smallest single cell containing the polygon's
@@ -172,9 +143,9 @@ func (c *Coverer) coverExhaustive(start cellid.ID, poly *geom.Polygon) (*Coverin
 			}
 			return nil
 		}
-		if id.Level() >= c.maxLevel {
+		if id.Level() >= cellid.MaxLevel {
 			return fmt.Errorf("%w: cell %v at level cap %d has diagonal %.3f m > %.3f m",
-				ErrPrecision, id, c.maxLevel, diag, c.precision)
+				ErrPrecision, id, cellid.MaxLevel, diag, c.precision)
 		}
 		for _, child := range id.Children() {
 			if err := visit(child); err != nil {
@@ -185,52 +156,6 @@ func (c *Coverer) coverExhaustive(start cellid.ID, poly *geom.Polygon) (*Coverin
 	}
 	if err := visit(start); err != nil {
 		return nil, err
-	}
-	sortCells(cov.Boundary)
-	sortCells(cov.Interior)
-	return cov, nil
-}
-
-// coverBudgeted refines boundary cells best-first (largest diagonal first)
-// until either every boundary cell meets the precision bound or the cell
-// budget is exhausted.
-func (c *Coverer) coverBudgeted(start cellid.ID, poly *geom.Polygon) (*Covering, error) {
-	cov := &Covering{}
-	pq := &cellHeap{}
-	push := func(id cellid.ID) {
-		switch poly.RelateRect(grid.CellRect(id)) {
-		case geom.Disjoint:
-		case geom.Contained:
-			cov.Interior = append(cov.Interior, id)
-		default:
-			pq.push(cellEntry{id: id, diag: grid.CellDiagonalMeters(c.g, id)})
-		}
-	}
-	push(start)
-	var final []cellEntry // boundary cells that can no longer be refined
-	for pq.Len() > 0 {
-		top := pq.peek()
-		total := len(cov.Interior) + pq.Len() + len(final)
-		if top.diag <= c.precision || total+3 > c.maxCells {
-			break // largest cell already meets ε, or splitting would bust the budget
-		}
-		e := pq.pop()
-		if e.id.Level() >= c.maxLevel {
-			final = append(final, e)
-			continue
-		}
-		for _, child := range e.id.Children() {
-			push(child)
-		}
-	}
-	for pq.Len() > 0 {
-		final = append(final, pq.pop())
-	}
-	for _, e := range final {
-		cov.Boundary = append(cov.Boundary, e.id)
-		if e.diag > cov.AchievedPrecisionMeters {
-			cov.AchievedPrecisionMeters = e.diag
-		}
 	}
 	sortCells(cov.Boundary)
 	sortCells(cov.Interior)

@@ -2,8 +2,10 @@ package cover
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/actindex/act/internal/cellid"
@@ -173,80 +175,24 @@ func TestCoveringFinerPrecisionMoreCells(t *testing.T) {
 
 func TestCovererRejectsBadPrecision(t *testing.T) {
 	g := grid.NewPlanar()
-	if _, err := NewCoverer(g, 0); err == nil {
-		t.Error("zero precision should be rejected")
-	}
-	if _, err := NewCoverer(g, -5); err == nil {
-		t.Error("negative precision should be rejected")
-	}
-	if _, err := NewCoverer(g, 10, WithMaxLevel(99)); err == nil {
-		t.Error("out-of-range max level should be rejected")
+	for _, eps := range []float64{0, -5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewCoverer(g, eps)
+		if err == nil || !strings.Contains(err.Error(), "precision must be positive and finite") {
+			t.Errorf("precision %v: got %v, want a positive-and-finite error", eps, err)
+		}
 	}
 }
 
 func TestCovererPrecisionUnachievable(t *testing.T) {
-	// With the level capped very low, a few-meter bound is unreachable.
-	c, err := NewCoverer(grid.NewPlanar(), 4, WithMaxLevel(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Cover(testPolygon()); !errors.Is(err, ErrPrecision) {
-		t.Errorf("got %v, want ErrPrecision", err)
-	}
-}
-
-func TestCovererBudgeted(t *testing.T) {
-	p := testPolygon()
-	g := grid.NewPlanar()
-
-	exhaustive, _ := NewCoverer(g, 4)
-	full, err := exhaustive.Cover(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := full.NumCells() / 10
-
-	c, err := NewCoverer(g, 4, WithMaxCells(budget))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov, err := c.Cover(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov.NumCells() > budget {
-		t.Fatalf("budgeted covering has %d cells > budget %d", cov.NumCells(), budget)
-	}
-	if cov.AchievedPrecisionMeters <= 4 {
-		t.Errorf("with a tight budget the achieved precision should be worse than requested")
-	}
-
-	// Budgeted covering must still be sound: inside points covered,
-	// interior points truly inside.
-	face, poly, err := grid.ProjectPolygon(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := p.Bound()
-	rng := rand.New(rand.NewSource(5))
-	for n := 0; n < 2000; n++ {
-		ll := geo.LatLng{
-			Lat: bound.MinLat + rng.Float64()*(bound.MaxLat-bound.MinLat),
-			Lng: bound.MinLng + rng.Float64()*(bound.MaxLng-bound.MinLng),
+	// A level-30 cell over New York is 0.034 m across, so 1 mm is
+	// unreachable within the level cap.
+	for _, g := range testGrids {
+		c, err := NewCoverer(g, 0.001)
+		if err != nil {
+			t.Fatal(err)
 		}
-		f, st := g.Project(ll)
-		if f != face {
-			continue
-		}
-		leaf := grid.LeafCell(g, ll)
-		inside := poly.ContainsPoint(st)
-		inInterior := coveringContains(cov.Interior, leaf)
-		covered := inInterior || coveringContains(cov.Boundary, leaf)
-		if inside && !covered {
-			t.Fatalf("inside point %v not covered by budgeted covering", ll)
-		}
-		if inInterior && !inside {
-			t.Fatalf("budgeted interior cell contains outside point %v", ll)
+		if _, err := c.Cover(testPolygon()); !errors.Is(err, ErrPrecision) {
+			t.Errorf("%s: got %v, want ErrPrecision", g.Name(), err)
 		}
 	}
 }
@@ -264,23 +210,5 @@ func TestCoveringHoleExcluded(t *testing.T) {
 	leaf := grid.LeafCell(g, holeCenter)
 	if coveringContains(cov.Interior, leaf) {
 		t.Error("hole center matched an interior cell")
-	}
-}
-
-func TestCellHeap(t *testing.T) {
-	h := &cellHeap{}
-	diags := []float64{3, 1, 4, 1.5, 9, 2.6, 5}
-	for i, d := range diags {
-		h.push(cellEntry{id: cellid.FromFace(i % 6), diag: d})
-	}
-	var got []float64
-	for h.Len() > 0 {
-		if h.peek().diag != h.entries[0].diag {
-			t.Fatal("peek disagrees with heap root")
-		}
-		got = append(got, h.pop().diag)
-	}
-	if !sort.IsSorted(sort.Reverse(sort.Float64Slice(got))) {
-		t.Errorf("heap did not pop in descending order: %v", got)
 	}
 }

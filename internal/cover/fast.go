@@ -72,7 +72,7 @@ type fastCover struct {
 // levelRules compares ε with the diagonals of each level from the start
 // cell's down to the first level whose cells all fit.
 func (c *Coverer) levelRules(start cellid.ID, bound geom.Rect) (rules [cellid.MaxLevel + 1]levelRule) {
-	for level := start.Level(); level <= c.maxLevel; level++ {
+	for level := start.Level(); level <= cellid.MaxLevel; level++ {
 		lo, hi, peak := grid.CellDiagonalBand(c.g, start.Face(), bound, level)
 		if hi <= c.precision {
 			rules[level] = levelRule{fits: true, peak: peak}
@@ -198,9 +198,9 @@ func (f *fastCover) visit(cell cellid.ID, lo, hi int, refPt geom.Point, refInsid
 		f.cov.Boundary = append(f.cov.Boundary, cell)
 		return nil
 	}
-	if level >= f.c.maxLevel {
+	if level >= cellid.MaxLevel {
 		return fmt.Errorf("%w: cell %v at level cap %d has diagonal %.3f m > %.3f m",
-			ErrPrecision, cell, f.c.maxLevel, grid.CellDiagonalMeters(f.c.g, cell), f.c.precision)
+			ErrPrecision, cell, cellid.MaxLevel, grid.CellDiagonalMeters(f.c.g, cell), f.c.precision)
 	}
 	// The center is the children's reference point.
 	centerInside := f.inside(refPt, refInside, center, lo, hi)

@@ -39,23 +39,14 @@ func TestLifecycleDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample, err := data.GeneratePoints(data.PointConfig{N: 400, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
-		name    string
-		polys   []*act.Polygon
-		opts    []act.Option
-		inserts bool
+		name  string
+		polys []*act.Polygon
+		eps   float64
+		opts  []act.Option
 	}{
-		{"neighborhoods-30m", hoods.Polygons, []act.Option{act.WithPrecision(30)}, true},
-		{"blocks-no-geometry", blocks.Polygons, []act.Option{act.WithPrecision(60), act.WithGeometryStore(false)}, true},
-		// The cell budget and the query sample are not persisted, so a
-		// recovered index covers inserts by the standard rule and a built
-		// one adaptively: this schedule only removes.
-		{"blocks-adaptive", blocks.Polygons, []act.Option{act.WithPrecision(60),
-			act.WithMaxCellsPerPolygon(48), act.WithQuerySample(sample)}, false},
+		{"neighborhoods-30m", hoods.Polygons, 30, nil},
+		{"blocks-no-geometry", blocks.Polygons, 60, []act.Option{act.WithGeometryStore(false)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && tc.name == "neighborhoods-30m" {
@@ -63,7 +54,7 @@ func TestLifecycleDifferential(t *testing.T) {
 			}
 			// The tail of the set arrives as live inserts.
 			nBase := len(tc.polys) - 24
-			opts := append([]act.Option{act.WithDeltaThreshold(-1)}, tc.opts...)
+			opts := append([]act.Option{act.WithDeltaThreshold(-1), act.WithPrecision(tc.eps)}, tc.opts...)
 			built, err := act.New(tc.polys[:nBase], opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -92,7 +83,7 @@ func TestLifecycleDifferential(t *testing.T) {
 			}
 			for round := 0; round < 3; round++ {
 				var fresh []uint32
-				for i := 0; tc.inserts && i < 8; i++ {
+				for i := 0; i < 8; i++ {
 					var ids [2]uint32
 					for k, ix := range []*act.Index{built, recovered} {
 						if ids[k], err = ix.Insert(ctx, pending[0]); err != nil {
@@ -113,9 +104,7 @@ func TestLifecycleDifferential(t *testing.T) {
 					doomed = append(doomed, alive[k])
 					alive = append(alive[:k], alive[k+1:]...)
 				}
-				if len(fresh) > 0 {
-					doomed = append(doomed, fresh[1], fresh[6])
-				}
+				doomed = append(doomed, fresh[1], fresh[6])
 				for _, id := range fresh {
 					if !slices.Contains(doomed, id) {
 						alive = append(alive, id)
@@ -134,6 +123,9 @@ func TestLifecycleDifferential(t *testing.T) {
 				for _, ix := range []*act.Index{built, recovered} {
 					if err := ix.Compact(ctx); err != nil {
 						t.Fatalf("round %d: compact: %v", round, err)
+					}
+					if got := ix.Stats().AchievedPrecisionMeters; got > tc.eps {
+						t.Fatalf("round %d: achieved precision %.3f m > ε = %v m", round, got, tc.eps)
 					}
 				}
 				compareIndexes(t, round, built, recovered, pts, len(alive))

@@ -3,9 +3,14 @@ package act
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/crc64"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/actindex/act/internal/data"
@@ -204,8 +209,34 @@ func TestOpenIndexRejectsCorruptV3(t *testing.T) {
 		}
 	}
 
-	// The pristine bytes still open, proving the cases failed for their
-	// damage and not some environmental reason.
+	// Forge ε (bytes 24–32) or the achieved precision (32–40) with the
+	// header CRC recomputed: only the value checks can refuse these, on
+	// both readers.
+	for _, f := range []struct {
+		field string
+		off   int
+		v     float64
+	}{
+		{"precision", 24, math.NaN()}, {"precision", 24, math.Inf(1)}, {"precision", 24, 0}, {"precision", 24, -1},
+		{"achieved", 32, math.NaN()}, {"achieved", 32, math.Inf(1)}, {"achieved", 32, -1},
+	} {
+		forged := append([]byte{}, good...)
+		binary.LittleEndian.PutUint64(forged[f.off:], math.Float64bits(f.v))
+		binary.LittleEndian.PutUint64(forged[flatHeaderCRCBytes:], crc64.Checksum(forged[:flatHeaderCRCBytes], flatCRCTable))
+		name := fmt.Sprintf("forged-%s-%v", f.field, f.v)
+		if _, err := ReadIndex(bytes.NewReader(forged)); err == nil || !strings.Contains(err.Error(), f.field) {
+			t.Errorf("%s: ReadIndex: got %v, want an error naming %s", name, err, f.field)
+		}
+		if _, err := OpenIndex(write(name, forged)); err == nil || !strings.Contains(err.Error(), f.field) {
+			t.Errorf("%s: OpenIndex: got %v, want an error naming %s", name, err, f.field)
+		}
+	}
+
+	// The pristine bytes still load on both readers, proving the cases
+	// failed for their damage and not some environmental reason.
+	if _, err := ReadIndex(bytes.NewReader(good)); err != nil {
+		t.Fatalf("pristine bytes rejected by ReadIndex: %v", err)
+	}
 	ix, err := OpenIndex(write("pristine", good))
 	if err != nil {
 		t.Fatalf("pristine file rejected: %v", err)

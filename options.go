@@ -23,26 +23,6 @@ func WithFanout(n int) Option {
 	return func(o *options) { o.Fanout = n }
 }
 
-// WithMaxCellsPerPolygon bounds each polygon's covering size. Refinement
-// then happens best-first and the index may deliver only
-// Stats().AchievedPrecisionMeters instead of ε (memory-constrained mode).
-func WithMaxCellsPerPolygon(n int) Option {
-	return func(o *options) { o.MaxCellsPerPolygon = n }
-}
-
-// WithQuerySample supplies a sample of observed query points. Combined with
-// WithMaxCellsPerPolygon it enables adaptive refinement: the cell budget
-// concentrates where queries actually land. Ignored without a cell budget.
-func WithQuerySample(points []LatLng) Option {
-	return func(o *options) { o.QuerySamplePoints = points }
-}
-
-// WithBuildWorkers bounds the goroutines used to compute per-polygon
-// coverings (default GOMAXPROCS).
-func WithBuildWorkers(n int) Option {
-	return func(o *options) { o.BuildWorkers = n }
-}
-
 // WithGeometryStore controls whether the index keeps the exact polygon
 // geometry (default true). The geometry store backs candidate refinement —
 // LookupExact, Exact-mode joins, Contains — at the cost of holding every

@@ -253,6 +253,15 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 	if flags := le.Uint32(buf[12:]); flags > 1 {
 		return nil, fmt.Errorf("act: unknown header flags %#x", flags)
 	}
+	// The precision rebuilds the coverer of a mutable index; the achieved
+	// precision is only reported, and files written by earlier versions may
+	// hold one above ε.
+	if !(h.precision > 0) || math.IsInf(h.precision, 1) {
+		return nil, fmt.Errorf("act: header precision %v is not positive and finite", h.precision)
+	}
+	if !(h.achieved >= 0) || math.IsInf(h.achieved, 1) {
+		return nil, fmt.Errorf("act: header achieved precision %v is not finite and non-negative", h.achieved)
+	}
 	for i := 0; i < cellid.NumFaces; i++ {
 		h.roots[i] = le.Uint64(buf[104+8*i:])
 		h.skips[i] = le.Uint64(buf[152+8*i:])
