@@ -136,17 +136,83 @@ type BuildStats struct {
 // TotalBytes returns the index memory footprint.
 func (s BuildStats) TotalBytes() int64 { return s.TrieBytes + s.TableBytes }
 
-// epoch is one immutable serving state of the index: the base trie and
-// geometry with the delta overlay layered on top. Readers load the current
-// epoch once per operation (once per request for joins), so every operation
-// sees one consistent polygon set; mutations and compactions publish a
-// successor epoch through the index's Holder and never touch a published
-// one.
+// epoch is one immutable state of the index: the base trie and geometry with
+// the delta overlay layered on top, and the id set and mutation sequence they
+// serve. Readers and serializers load the current epoch once per operation
+// (once per request for joins), so every operation sees one consistent
+// polygon set without a lock; mutations and compactions publish a successor
+// epoch through the index's Holder and never touch a published one.
 type epoch struct {
 	trie  *core.Trie
 	store *geostore.Store // nil for approximate-only indexes
 	ov    *delta.Overlay  // nil when no mutations are pending
 	stats BuildStats
+	// alive marks the live polygon ids; len(alive) is the id space (ids are
+	// never reused, so removed ids stay as false slots). live counts the
+	// true slots, seq is the last mutation applied, compactions counts the
+	// compactions over the index's lifetime.
+	alive       []bool
+	live        int
+	seq         uint64
+	compactions uint64
+}
+
+// idColumn returns the id column a file of ep carries: none while the id
+// space is dense, the live ids, ascending, once removals have left holes.
+func (ep *epoch) idColumn() []uint32 {
+	if ep.live == len(ep.alive) {
+		return nil
+	}
+	ids := make([]uint32, 0, ep.live)
+	for id, a := range ep.alive {
+		if a {
+			ids = append(ids, uint32(id))
+		}
+	}
+	return ids
+}
+
+// denseAlive returns the alive set of n ids that are all live.
+func denseAlive(n int) []bool {
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	return alive
+}
+
+// role is what an index takes writes from.
+type role uint8
+
+const (
+	// readOnly: loaded with ReadIndex or OpenIndex; nothing mutates it.
+	readOnly role = iota
+	// primary: built by New or resurrected by Recover (or promoted);
+	// Insert and Remove mutate it.
+	primary
+	// follower: OpenFollower; ApplyReplicated lands the primary's records
+	// and compaction folds them down, client mutations report ErrFollower.
+	follower
+	// promoting: a follower inside Promote; it still reports as a follower,
+	// and ApplyReplicated rejects batches so no stale stream record lands
+	// after the promotion point.
+	promoting
+)
+
+// roleState is an index's role together with the log it writes to. It is set
+// at construction and replaced whole, under ix.mu, by Promote; everything
+// else loads it atomically.
+type roleState struct {
+	role role
+	// wal, when non-nil, is the attached write-ahead delta log: every
+	// mutation appends its record (and, per the fsync policy, reaches
+	// stable storage) before the epoch swings. walRecovered counts the
+	// records replayed when it was attached.
+	wal          *wal.Log
+	walRecovered int
+	// snapshotPath is where compactions checkpoint the fresh base (empty:
+	// the log is never truncated).
+	snapshotPath string
 }
 
 // Index is a point-in-polygon-set index. It is safe for concurrent use:
@@ -156,79 +222,59 @@ type epoch struct {
 // compaction (see Compact). For replacing the whole index at once, hold it
 // in a [Swappable].
 type Index struct {
-	grid      grid.Grid
-	kind      GridKind
-	precision float64
-	pl        pipeline // retained build pipeline: covers inserts, builds compacted tries
+	kind GridKind
+	pl   pipeline // the grid and ε: covers inserts, builds compacted tries
 
-	// live is the serving epoch, swung atomically by mutations and
+	// live is the index's state, swung atomically by mutations and
 	// compaction; its generation counts epoch publications.
 	live Holder[*epoch]
+	// rs is the role and its log.
+	rs atomic.Pointer[roleState]
 
 	// mu serializes mutations (Insert, Remove, and the bracketing phases
-	// of a compaction); readers never take it.
+	// of a compaction) and role changes; readers never take it.
 	mu sync.Mutex
-	// mutable marks an index that keeps an alive set and a build pipeline
-	// (New, Recover, OpenFollower); ReadIndex and OpenIndex leave it false.
-	mutable bool
-	// follower marks a replication follower (OpenFollower): internally
-	// mutable — ApplyReplicated lands primary records in the overlay and
-	// compaction folds them down — but closed to client mutations (Insert
-	// and Remove report ErrFollower).
-	follower bool
-	// promoting is set while Promote converts this follower into a
-	// primary; ApplyReplicated rejects batches for the duration so no
-	// stale stream record lands after the promotion point. Guarded by mu.
-	promoting bool
+	// compactMu admits one compaction at a time; maybeCompact TryLocks it
+	// so a running compaction suppresses new triggers.
+	compactMu sync.Mutex
 	// fencedAt is the epoch this index was fenced at (0 = never fenced).
 	// Set once by Fence when a higher replication epoch is observed;
 	// mutations are rejected with ErrFenced from then on. Atomic so the
 	// replication handlers can check it without ix.mu.
 	fencedAt atomic.Uint64
-	// alive tracks which assigned ids are currently live; len(alive) is the
-	// id space. seq numbers mutations; compaction snapshots it to split the
-	// overlay into the baked-in part and the residual. Both are guarded by
-	// mu and, like idSpace, liveCount and the overlay of the live epoch,
-	// assigned by publish alone once the index is constructed.
-	alive []bool
-	seq   uint64
+
 	// deltaThreshold is the pending-mutation count that triggers
-	// background compaction (negative: auto-compaction disabled).
+	// background compaction (negative: auto-compaction disabled); obs, when
+	// non-nil, receives WAL and compaction events. Both are set at
+	// construction, never mutated.
 	deltaThreshold int
-	// compactMu admits one compaction at a time; maybeCompact TryLocks it
-	// so a running compaction suppresses new triggers.
-	compactMu   sync.Mutex
-	compactions atomic.Uint64
-	// liveCount is the number of currently live polygons; idSpace the
-	// number of ids ever assigned (= len(alive) for mutable indexes).
-	// Atomics so the read paths can size join outputs without ix.mu.
-	liveCount atomic.Int64
-	idSpace   atomic.Int64
+	obs            *Observer
 
 	// mapped is non-nil when the trie is served zero-copy from a file
 	// mapping (see OpenIndex); cleanup releases the mapping at GC time if
 	// Close is never called.
 	mapped  *mapping
 	cleanup runtime.Cleanup
+}
 
-	// wal, when non-nil, is the attached write-ahead delta log: every
-	// mutation appends its record (and, per the fsync policy, reaches
-	// stable storage) before the epoch swings. walRecovered counts the
-	// records replayed when the log was attached; snapshotPath is where
-	// compactions checkpoint the fresh base (empty: the log is never
-	// truncated). All three are set at construction, or by Promote.
-	wal          *wal.Log
-	walRecovered int
-	snapshotPath string
+// newIndex is the one constructor of an Index, built or loaded alike: a
+// read-only index serving ep. New, Recover and OpenFollower then give it its
+// options and role (setRole).
+func newIndex(kind GridKind, pl pipeline, ep *epoch) *Index {
+	ix := &Index{kind: kind, pl: pl, deltaThreshold: defaultDeltaThreshold}
+	ix.rs.Store(&roleState{})
+	ix.live.Swap(ep)
+	return ix
+}
 
-	// obs, when non-nil, receives WAL and compaction events (metrics hooks
-	// + structured logging). Set at construction, never mutated.
-	obs *Observer
-
-	// loadedIDs is the sorted live-id column of the v8 file this index
-	// was loaded from (nil for dense files and built indexes); WriteTo
-	// re-emits it when an immutable sparse index is re-serialized.
-	loadedIDs []uint32
+// setRole gives a freshly constructed index its role and the options that
+// apply to every writable one: the compaction threshold and the observer.
+func (ix *Index) setRole(r role, o options) {
+	if o.DeltaThreshold != 0 {
+		ix.deltaThreshold = o.DeltaThreshold
+	}
+	ix.obs = o.Observer
+	ix.rs.Store(&roleState{role: r})
 }
 
 // ErrNoPolygons is returned when New is called with no polygons.
@@ -250,7 +296,16 @@ type pipeline struct {
 // index loaded from a file alike: a covering depends on the grid and ε
 // alone, both persisted with the fanout, so a recovered index or a follower
 // covers an insert exactly as the index that wrote the file would have.
-func newPipeline(g grid.Grid, precision float64, fanout int, hasGeom bool) (pipeline, error) {
+func newPipeline(kind GridKind, precision float64, fanout int, hasGeom bool) (pipeline, error) {
+	var g grid.Grid
+	switch kind {
+	case PlanarGrid:
+		g = grid.NewPlanar()
+	case CubeFaceGrid:
+		g = grid.NewCubeFace()
+	default:
+		return pipeline{}, fmt.Errorf("act: unknown grid kind %v", kind)
+	}
 	coverer, err := cover.NewCoverer(g, precision)
 	if err != nil {
 		return pipeline{}, err
@@ -315,9 +370,9 @@ func each(n int, one func(i int) error) error {
 }
 
 // run executes the full build pipeline over the polygons, whose ids are
-// their indices: parallel per-polygon coverings, the serial super-covering
-// merge, trie construction, and (when the pipeline keeps geometry) the
-// geometry store.
+// their indices (all live): parallel per-polygon coverings, the serial
+// super-covering merge, trie construction, and (when the pipeline keeps
+// geometry) the geometry store.
 func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	stats := BuildStats{NumPolygons: len(polygons)}
 
@@ -360,7 +415,7 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	if pl.hasGeom {
 		store = geostore.NewSparse(projected)
 	}
-	return &epoch{trie: trie, store: store, stats: stats}, nil
+	return &epoch{trie: trie, store: store, stats: stats, alive: denseAlive(len(polygons)), live: len(polygons)}, nil
 }
 
 // trie builds the Adaptive Cell Trie over a merged super covering and
@@ -404,49 +459,20 @@ func New(polygons []*Polygon, opts ...Option) (*Index, error) {
 	if len(polygons) > supercover.MaxPolygonID+1 {
 		return nil, fmt.Errorf("act: %d polygons exceed the 2^30 id space", len(polygons))
 	}
-	var g grid.Grid
-	switch o.Grid {
-	case PlanarGrid:
-		g = grid.NewPlanar()
-	case CubeFaceGrid:
-		g = grid.NewCubeFace()
-	default:
-		return nil, fmt.Errorf("act: unknown grid kind %v", o.Grid)
-	}
 	fanout := o.Fanout
 	if fanout == 0 {
 		fanout = 256
 	}
-	pl, err := newPipeline(g, o.PrecisionMeters, fanout, !o.SkipGeometryStore)
+	pl, err := newPipeline(o.Grid, o.PrecisionMeters, fanout, !o.SkipGeometryStore)
 	if err != nil {
 		return nil, err
 	}
-
 	ep, err := pl.run(polygons)
 	if err != nil {
 		return nil, err
 	}
-
-	threshold := o.DeltaThreshold
-	if threshold == 0 {
-		threshold = defaultDeltaThreshold
-	}
-	ix := &Index{
-		grid:           g,
-		kind:           o.Grid,
-		precision:      o.PrecisionMeters,
-		pl:             pl,
-		mutable:        true,
-		deltaThreshold: threshold,
-		obs:            o.Observer,
-	}
-	ix.alive = make([]bool, len(polygons))
-	for i := range ix.alive {
-		ix.alive[i] = true
-	}
-	ix.liveCount.Store(int64(len(polygons)))
-	ix.idSpace.Store(int64(len(polygons)))
-	ix.live.Swap(ep)
+	ix := newIndex(o.Grid, pl, ep)
+	ix.setRole(primary, o)
 	if o.WAL != nil {
 		if err := ix.attachWAL(*o.WAL); err != nil {
 			return nil, err
@@ -474,7 +500,7 @@ func (ix *Index) Lookup(ll LatLng, res *Result) bool {
 func (ix *Index) lookup(ll LatLng, res *Result) (*epoch, bool) {
 	res.Reset()
 	ep := ix.live.Load()
-	leaf := grid.LeafCell(ix.grid, ll)
+	leaf := grid.LeafCell(ix.pl.grid, ll)
 	hit := ep.trie.Lookup(leaf, res)
 	if ep.ov != nil {
 		hit = ep.ov.Merge(leaf, res)
@@ -500,7 +526,7 @@ func (ix *Index) LookupExact(ll LatLng, res *Result) bool {
 	if !hit {
 		return false
 	}
-	_, pt := ix.grid.Project(ll)
+	_, pt := ix.pl.grid.Project(ll)
 	res.True = ep.ov.Resolve(ep.store, pt, res.Candidates, res.True)
 	res.Candidates = res.Candidates[:0]
 	return len(res.True) > 0
@@ -513,7 +539,7 @@ func (ix *Index) LookupExact(ll LatLng, res *Result) bool {
 func (ix *Index) AppendRefs(ll LatLng, dst []Match) []Match {
 	defer ix.keepMapped()
 	ep := ix.live.Load()
-	leaf := grid.LeafCell(ix.grid, ll)
+	leaf := grid.LeafCell(ix.pl.grid, ll)
 	n := len(dst)
 	dst = ep.trie.AppendRefs(leaf, dst)
 	if ep.ov != nil {
@@ -531,7 +557,7 @@ func (ix *Index) Contains(ll LatLng, polygonID uint32) bool {
 	if ep.store == nil {
 		return false
 	}
-	_, pt := ix.grid.Project(ll)
+	_, pt := ix.pl.grid.Project(ll)
 	return ep.ov.Contains(ep.store, polygonID, pt)
 }
 
@@ -542,23 +568,18 @@ func (ix *Index) Contains(ll LatLng, polygonID uint32) bool {
 func (ix *Index) HasGeometry() bool { return ix.live.Load().store != nil }
 
 // PrecisionMeters returns the configured precision bound ε.
-func (ix *Index) PrecisionMeters() float64 { return ix.precision }
+func (ix *Index) PrecisionMeters() float64 { return ix.pl.coverer.PrecisionMeters() }
 
 // NumPolygons returns the number of live polygons: polygons indexed at
 // build time, plus Inserts, minus Removes.
-func (ix *Index) NumPolygons() int { return int(ix.liveCount.Load()) }
-
-// idSpaceSize returns the number of polygon ids ever assigned — the size
-// joins use for id-indexed outputs. Removed ids stay allocated (and their
-// slots zero) so ids remain stable across mutations and compactions.
-func (ix *Index) idSpaceSize() int { return int(ix.idSpace.Load()) }
+func (ix *Index) NumPolygons() int { return ix.live.Load().live }
 
 // Stats returns build statistics (Table I quantities) for the current base
 // trie — the initial build's, until a compaction replaces the base.
 func (ix *Index) Stats() BuildStats { return ix.live.Load().stats }
 
 // GridName returns the name of the underlying grid.
-func (ix *Index) GridName() string { return ix.grid.Name() }
+func (ix *Index) GridName() string { return ix.pl.grid.Name() }
 
 // GridKind returns the kind of the underlying grid, as selected at build
 // time (and persisted across WriteTo/ReadIndex).
@@ -570,8 +591,8 @@ func (ix *Index) GridKind() GridKind { return ix.kind }
 func (ix *Index) CellLevelForPrecision(meters float64, atLat float64) int {
 	ll := LatLng{Lat: atLat, Lng: 0}
 	for level := 0; level <= cellid.MaxLevel; level++ {
-		c := grid.PointToCell(ix.grid, ll, level)
-		if grid.CellDiagonalMeters(ix.grid, c) <= meters {
+		c := grid.PointToCell(ix.pl.grid, ll, level)
+		if grid.CellDiagonalMeters(ix.pl.grid, c) <= meters {
 			return level
 		}
 	}

@@ -134,10 +134,11 @@ type WALStats struct {
 // WALStats returns the attached write-ahead log's durability counters, or
 // the zero value when the index has none.
 func (ix *Index) WALStats() WALStats {
-	if ix.wal == nil {
+	rs := ix.rs.Load()
+	if rs.wal == nil {
 		return WALStats{}
 	}
-	st := ix.wal.Stats()
+	st := rs.wal.Stats()
 	return WALStats{
 		Enabled:          true,
 		Seq:              st.Seq,
@@ -146,7 +147,7 @@ func (ix *Index) WALStats() WALStats {
 		Bytes:            st.Bytes,
 		LastSync:         st.LastSync,
 		Checkpoints:      st.Checkpoints,
-		RecoveredRecords: ix.walRecovered,
+		RecoveredRecords: rs.walRecovered,
 		Failed:           st.Failed,
 	}
 }
@@ -157,10 +158,10 @@ func (ix *Index) WALStats() WALStats {
 // Nil when the index has no WAL or the log is already closed — the
 // replication stream treats nil as its shutdown signal.
 func (ix *Index) WALUpdates() <-chan struct{} {
-	if ix.wal == nil {
-		return nil
+	if log := ix.rs.Load().wal; log != nil {
+		return log.Updates()
 	}
-	return ix.wal.Updates()
+	return nil
 }
 
 // Recover loads the base snapshot at indexPath, opens the write-ahead log
@@ -170,11 +171,12 @@ func (ix *Index) WALUpdates() <-chan struct{} {
 // policies can lose their documented tail). A torn final record — the
 // normal residue of a crash mid-append — is truncated away.
 //
-// The recovered index is mutable: Insert and Remove work (and keep
+// The recovered index is a primary: Insert and Remove work (and keep
 // appending to the same log, so repeated crash/recover cycles compose),
 // and indexPath doubles as the checkpoint snapshot target, so compactions
-// keep the log bounded. Replay uses the index's persisted precision, grid,
-// and fanout.
+// keep the log bounded. Replay covers inserts with the pipeline every
+// loaded index carries, rebuilt from the persisted precision, grid, and
+// fanout.
 //
 // Options are honored where they apply (WithDeltaThreshold, WithObserver,
 // and a WithWAL carrying the fsync policy for the reattached log — its Path
@@ -186,10 +188,7 @@ func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("act: recover: loading snapshot: %w", err)
 	}
-	if err := ix.promoteMutable(&o); err != nil {
-		ix.Close()
-		return nil, fmt.Errorf("act: recover: %w", err)
-	}
+	ix.setRole(primary, o)
 	cfg := WALConfig{Path: walPath, SnapshotPath: indexPath}
 	if o.WAL != nil {
 		cfg.Policy = o.WAL.Policy
@@ -201,37 +200,6 @@ func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 		return nil, err
 	}
 	return ix, nil
-}
-
-// promoteMutable turns a freshly deserialized (immutable) index into a
-// mutable one: the build pipeline is reconstructed from the persisted
-// precision, grid, and fanout, and the alive set from the id column (dense
-// for v7 files, the explicit column for v8).
-func (ix *Index) promoteMutable(o *options) error {
-	ep := ix.live.Load()
-	pl, err := newPipeline(ix.grid, ix.precision, ep.trie.Fanout(), ep.store != nil)
-	if err != nil {
-		return fmt.Errorf("reconstructing coverer: %w", err)
-	}
-	ix.pl = pl
-	if o.DeltaThreshold != 0 {
-		ix.deltaThreshold = o.DeltaThreshold
-	}
-	ix.mutable = true
-	if o.Observer != nil {
-		ix.obs = o.Observer
-	}
-	ix.alive = make([]bool, ix.idSpace.Load())
-	if ix.loadedIDs != nil {
-		for _, id := range ix.loadedIDs {
-			ix.alive[id] = true
-		}
-	} else {
-		for i := range ix.alive {
-			ix.alive[i] = true
-		}
-	}
-	return nil
 }
 
 // walOptions translates a WALConfig into the options every log of this
@@ -254,7 +222,7 @@ func (ix *Index) walOptions(cfg WALConfig) (wal.Options, error) {
 }
 
 // attachWAL opens (or creates) the configured log, replays any records a
-// previous process left in it, and wires the log into the mutation path.
+// previous process left in it, and attaches the log to the index's role.
 // Called at construction, before the index is shared.
 func (ix *Index) attachWAL(cfg WALConfig) error {
 	if cfg.Path == "" {
@@ -269,9 +237,8 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 		return fmt.Errorf("act: opening WAL %s: %w", cfg.Path, err)
 	}
 	ix.mu.Lock()
-	st, err := ix.stage(rep.Records, nil)
-	ix.publish(st)
-	ix.mu.Unlock()
+	defer ix.mu.Unlock()
+	next, err := ix.stage(rep.Records, nil)
 	if err != nil {
 		log.Close()
 		return fmt.Errorf("act: replaying WAL %s: %w", cfg.Path, err)
@@ -279,12 +246,17 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 	// Resume the mutation sequence past everything the log has seen, so
 	// new records never collide with replayed (or checkpoint-covered)
 	// ones.
-	if st := log.Stats(); st.Seq > ix.seq {
-		ix.seq = st.Seq
+	if seq := log.Stats().Seq; seq > ix.live.Load().seq {
+		if next == nil {
+			cur := *ix.live.Load()
+			next = &cur
+		}
+		next.seq = max(next.seq, seq)
 	}
-	ix.wal = log
-	ix.walRecovered = len(rep.Records)
-	ix.snapshotPath = cfg.SnapshotPath
+	ix.publish(next)
+	rs := *ix.rs.Load()
+	rs.wal, rs.walRecovered, rs.snapshotPath = log, len(rep.Records), cfg.SnapshotPath
+	ix.rs.Store(&rs)
 	return nil
 }
 
@@ -292,12 +264,12 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 // path, fsyncs it, and returns the temp name; commitSnapshot publishes it.
 // Splitting the two lets the expensive write run outside the mutation lock
 // while the cheap rename + log rotation run inside it.
-func stageSnapshot(path string, ep *epoch, kind GridKind, precision float64, ids []uint32, idSpace int64) (string, error) {
+func (ix *Index) stageSnapshot(path string, ep *epoch) (string, error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return "", err
 	}
-	if _, err = writeFlat(tmp, ep, kind, precision, ids, idSpace); err == nil {
+	if _, err = ix.writeFlat(tmp, ep); err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
@@ -310,7 +282,7 @@ func stageSnapshot(path string, ep *epoch, kind GridKind, precision float64, ids
 	return tmp.Name(), nil
 }
 
-// commitSnapshot atomically publishes a staged snapshot: rename over the
+// commitSnapshot atomically publishes stageSnapshot's file: rename over the
 // target, then fsync the directory so the new link is durable. After this
 // returns, a crash at any point leaves a complete snapshot at path.
 func commitSnapshot(tmp, path string) error {

@@ -5,19 +5,13 @@ package act
 // tests that used to clone-and-nil the store field go through
 // stripGeometry instead.
 
-// stripGeometry returns a read-only view of ix serving the same base trie
+// stripGeometry returns a read-only view of ix serving the same state
 // without a geometry store, for exercising approximate-only serialization
 // without rebuilding the index.
 func stripGeometry(ix *Index) *Index {
-	ep := ix.live.Load()
-	clone := &Index{
-		grid:      ix.grid,
-		kind:      ix.kind,
-		precision: ix.precision,
-	}
-	clone.deltaThreshold = defaultDeltaThreshold
-	clone.liveCount.Store(ix.liveCount.Load())
-	clone.idSpace.Store(ix.idSpace.Load())
-	clone.live.Swap(&epoch{trie: ep.trie, ov: ep.ov, stats: ep.stats})
-	return clone
+	ep := *ix.live.Load()
+	ep.store = nil
+	pl := ix.pl
+	pl.hasGeom = false
+	return newIndex(ix.kind, pl, &ep)
 }

@@ -170,6 +170,17 @@ func TestPromoteEndpoint(t *testing.T) {
 	if st.Role != "primary" || st.WALEpoch != 1 || !st.Mutable {
 		t.Fatalf("promoted stats: role=%q walEpoch=%d mutable=%v", st.Role, st.WALEpoch, st.Mutable)
 	}
+	// No follower view survives: /stats drops the replication block, and
+	// /reload answers as on a native primary (a missing file fails the
+	// reload) instead of redirecting to the old primary.
+	if st.Replication != nil {
+		t.Fatalf("promoted stats still carry a replication block: %+v", st.Replication)
+	}
+	missing := filepath.Join(dir, "missing.act")
+	if rec := do(t, fs, http.MethodPost, "/reload", `{"index":"`+missing+`"}`); rec.Code != http.StatusUnprocessableEntity ||
+		!strings.Contains(rec.Body.String(), "reload failed") {
+		t.Fatalf("reload on promoted server: status %d, want 422 reload failed: %s", rec.Code, rec.Body)
+	}
 
 	// A second promotion is refused: the server is a primary now.
 	if rec := do(t, fs, http.MethodPost, "/promote", ""); rec.Code != http.StatusConflict {

@@ -57,16 +57,13 @@ type Server struct {
 	MaxJoinBytes   int64
 	MaxReloadBytes int64
 	mux            *http.ServeMux
-	// stateMu guards the replication role state below: role, follower, and
-	// primary change when EnablePrimary/EnableFollower run and again when
-	// POST /promote flips a live follower into a primary.
+	// stateMu guards the replication role state below: follower and primary
+	// change when EnablePrimary/EnableFollower run and again when POST
+	// /promote flips a live follower into a primary.
 	stateMu sync.Mutex
-	// role is what /stats reports: "standalone" until EnablePrimary or
-	// EnableFollower flips it ("primary" after a successful /promote).
-	role string
-	// follower is set by EnableFollower: the replication client whose
-	// stream position /stats reports, and whose presence turns the
-	// mutating endpoints into write-to-the-primary redirects.
+	// follower is set by EnableFollower and cleared by a promotion: the
+	// replication client whose stream position /stats reports, and whose
+	// presence turns /reload into a write-to-the-primary redirect.
 	follower *replica.Follower
 	// primary is set by EnablePrimary (or by a promotion): the handler
 	// behind the always-registered /replication/* endpoints. Nil on
@@ -103,7 +100,6 @@ func NewServer(indexes *act.Swappable, defaults BuildDefaults, metrics ...*Metri
 		MaxJoinBytes:    maxJoinBody,
 		MaxReloadBytes:  maxReloadBody,
 		mux:             http.NewServeMux(),
-		role:            "standalone",
 		pool: sync.Pool{
 			New: func() any { return &act.Result{} },
 		},
@@ -237,7 +233,6 @@ func (s *Server) EnablePrimary(p *replica.Primary) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	s.primary = p
-	s.role = "primary"
 }
 
 // EnableFollower marks the server as a replication follower: /stats
@@ -247,17 +242,22 @@ func (s *Server) EnablePrimary(p *replica.Primary) {
 // POST /promote flips the server into a primary at runtime.
 func (s *Server) EnableFollower(f *replica.Follower) {
 	s.stateMu.Lock()
-	s.role = "follower"
 	s.follower = f
 	s.stateMu.Unlock()
 	s.metrics.registerFollowerGauges(f)
 }
 
-// replicationState returns the role trio under the state lock.
+// replicationState returns the follower and primary under the state lock,
+// with the role they make: follower, else primary, else standalone.
 func (s *Server) replicationState() (role string, f *replica.Follower, p *replica.Primary) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	return s.role, s.follower, s.primary
+	if role = "standalone"; s.follower != nil {
+		role = "follower"
+	} else if s.primary != nil {
+		role = "primary"
+	}
+	return role, s.follower, s.primary
 }
 
 // handleReplicationSnapshot and handleReplicationStream delegate to the
@@ -310,8 +310,8 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return
 	}
-	role, f, _ := s.replicationState()
-	if role != "follower" || f == nil {
+	_, f, _ := s.replicationState()
+	if f == nil {
 		http.Error(w, "server is not a replication follower", http.StatusConflict)
 		return
 	}
@@ -325,8 +325,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	p := replica.NewPrimary(promo.Index, promo.WALPath, promo.SnapshotPath)
 	s.stateMu.Lock()
-	s.primary = p
-	s.role = "primary"
+	s.primary, s.follower = p, nil
 	s.stateMu.Unlock()
 	s.Logger.LogAttrs(r.Context(), slog.LevelInfo, "promoted to primary",
 		slog.String("request_id", obs.RequestID(r.Context())),

@@ -62,21 +62,18 @@ const (
 // PairsContext: it captures the index's current epoch once, so the mode
 // check and the whole run — every chunk, every worker — see one consistent
 // base trie + delta overlay pair, no matter how many mutations or
-// compactions land while it streams. newSink receives the id space size,
-// read after the epoch: Insert publishes the grown id space before it
-// publishes the new epoch, so epoch-then-idSpace ordering guarantees an
-// id-indexed sink spans every id the captured epoch can emit — the reverse
-// order could race a concurrent Insert into an out-of-range counts[id]++.
+// compactions land while it streams. newSink receives that epoch's id space
+// size, so an id-indexed sink spans every id the run can emit.
 func (ix *Index) runJoin(ctx context.Context, points []LatLng, mode JoinMode, threads int, newSink func(idSpace int) join.Sink) (JoinStats, error) {
 	ep := ix.live.Load()
-	var j join.Joiner = &join.ACT{Grid: ix.grid, Trie: ep.trie, Overlay: ep.ov}
+	var j join.Joiner = &join.ACT{Grid: ix.pl.grid, Trie: ep.trie, Overlay: ep.ov}
 	if mode == Exact {
 		if ep.store == nil {
 			return JoinStats{}, ErrNoGeometry
 		}
-		j = &join.ACTExact{Grid: ix.grid, Trie: ep.trie, Store: ep.store, Overlay: ep.ov}
+		j = &join.ACTExact{Grid: ix.pl.grid, Trie: ep.trie, Store: ep.store, Overlay: ep.ov}
 	}
-	stats, err := join.RunSinkContext(ctx, j, points, newSink(ix.idSpaceSize()), threads)
+	stats, err := join.RunSinkContext(ctx, j, points, newSink(len(ep.alive)), threads)
 	ix.keepMapped()
 	return stats, err
 }

@@ -31,7 +31,7 @@ func (ix *Index) LookupBatch(ctx context.Context, points []LatLng) ([]Result, er
 	// cannot change semantics between chunks.
 	ep := ix.live.Load()
 	results := make([]Result, len(points))
-	err := join.LookupBatch(ctx, ix.grid, ep.trie, ep.ov, points, func(i int, hit bool, res *core.Result) {
+	err := join.LookupBatch(ctx, ix.pl.grid, ep.trie, ep.ov, points, func(i int, hit bool, res *core.Result) {
 		if !hit {
 			return
 		}

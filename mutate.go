@@ -35,16 +35,18 @@ import (
 // land while the compactor runs survive as a residual overlay on the new
 // base.
 //
-// Every state change goes through one of three functions: publish (the
-// staged result of Insert, Remove, WAL replay or a replicated batch),
-// compactLocked (the compacted base, with its checkpoint), and Promote.
+// The index's state — trie, geometry, overlay, id set and sequence — is one
+// epoch, and every state change goes through one of three functions: publish
+// (the epoch stage built from Insert, Remove, WAL replay or a replicated
+// batch), compactLocked (the compacted base, with the checkpoint every
+// compaction ends in, Promote's included), and Promote (the role change).
 
 // Mutation errors.
 var (
 	// ErrImmutable is reported by Insert, Remove, Compact, and Checkpoint on
-	// an index that was loaded with ReadIndex or OpenIndex, which keep no
-	// alive set and no coverer. Build the index in-process with [New] or
-	// resurrect a file with [Recover] to mutate it.
+	// an index that was loaded with ReadIndex or OpenIndex, which are
+	// read-only by role. Build the index in-process with [New] or resurrect
+	// a file with [Recover] to mutate it.
 	ErrImmutable = errors.New("act: index was loaded read-only (ReadIndex/OpenIndex) and cannot be mutated")
 	// ErrUnknownPolygon is reported by Remove for an id that was never
 	// assigned or has already been removed.
@@ -82,8 +84,8 @@ func (ix *Index) DeltaStats() DeltaStats {
 		Tombstones:    ep.ov.NumTombstones(),
 		Pending:       ep.ov.Pending(),
 		Threshold:     ix.deltaThreshold,
-		Compactions:   ix.compactions.Load(),
-		LivePolygons:  ix.NumPolygons(),
+		Compactions:   ep.compactions,
+		LivePolygons:  ep.live,
 	}
 }
 
@@ -91,7 +93,7 @@ func (ix *Index) DeltaStats() DeltaStats {
 // indexes built in-process or resurrected by Recover, false for indexes
 // loaded with ReadIndex/OpenIndex and for replication followers (whose
 // mutations arrive from the primary's log stream, not from clients).
-func (ix *Index) Mutable() bool { return ix.mutable && !ix.follower }
+func (ix *Index) Mutable() bool { return ix.rs.Load().role == primary }
 
 // IsDelta reports whether the polygon id is currently served from the
 // delta layer rather than the base trie. After a compaction folds the
@@ -126,25 +128,27 @@ func (ix *Index) Insert(ctx context.Context, p *Polygon) (uint32, error) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if err := ix.writableLocked(); err != nil {
+	log, err := ix.writableLocked()
+	if err != nil {
 		return 0, err
 	}
-	rec := wal.Record{Type: wal.TypeInsert, Seq: ix.seq + 1, ID: uint32(len(ix.alive))}
-	st, err := ix.stage([]wal.Record{rec}, p)
+	ep := ix.live.Load()
+	rec := wal.Record{Type: wal.TypeInsert, Seq: ep.seq + 1, ID: uint32(len(ep.alive))}
+	next, err := ix.stage([]wal.Record{rec}, p)
 	if err != nil {
 		return 0, fmt.Errorf("act: insert: %w", err)
 	}
-	if ix.wal != nil {
+	if log != nil {
 		var buf bytes.Buffer
 		if err := geojson.WritePolygons(&buf, []*Polygon{p}); err != nil {
 			return 0, fmt.Errorf("act: insert: encoding WAL record: %w", err)
 		}
 		rec.Data = buf.Bytes()
 	}
-	if err := ix.logRecord(rec); err != nil {
+	if err := logRecord(log, rec); err != nil {
 		return 0, fmt.Errorf("act: insert: %w", err)
 	}
-	ix.maybeCompact(ix.publish(st))
+	ix.maybeCompact(ix.publish(next))
 	return rec.ID, nil
 }
 
@@ -161,21 +165,23 @@ func (ix *Index) Remove(ctx context.Context, id uint32) error {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if err := ix.writableLocked(); err != nil {
+	log, err := ix.writableLocked()
+	if err != nil {
 		return err
 	}
-	if int(id) >= len(ix.alive) || !ix.alive[id] {
+	ep := ix.live.Load()
+	if int(id) >= len(ep.alive) || !ep.alive[id] {
 		return fmt.Errorf("%w: %d", ErrUnknownPolygon, id)
 	}
-	rec := wal.Record{Type: wal.TypeRemove, Seq: ix.seq + 1, ID: id}
-	st, err := ix.stage([]wal.Record{rec}, nil)
+	rec := wal.Record{Type: wal.TypeRemove, Seq: ep.seq + 1, ID: id}
+	next, err := ix.stage([]wal.Record{rec}, nil)
 	if err != nil {
 		return fmt.Errorf("act: remove: %w", err)
 	}
-	if err := ix.logRecord(rec); err != nil {
+	if err := logRecord(log, rec); err != nil {
 		return fmt.Errorf("act: remove: %w", err)
 	}
-	ix.maybeCompact(ix.publish(st))
+	ix.maybeCompact(ix.publish(next))
 	return nil
 }
 
@@ -183,27 +189,18 @@ func (ix *Index) Remove(ctx context.Context, id uint32) error {
 // must be durably logged (per the fsync policy) before the mutation is
 // acknowledged or served. On failure the caller publishes nothing, so log
 // and index stay consistent. A no-op without a WAL.
-func (ix *Index) logRecord(rec wal.Record) error {
-	if ix.wal == nil {
+func logRecord(log *wal.Log, rec wal.Record) error {
+	if log == nil {
 		return nil
 	}
-	err := ix.wal.Append(rec)
-	if err != nil && ix.wal.Err() != nil {
+	err := log.Append(rec)
+	if err != nil && log.Err() != nil {
 		err = fmt.Errorf("%w: %w", ErrWALFailed, err)
 	}
 	return err
 }
 
-// staged is the state a batch of mutations leads to, built on copies and not
-// yet visible to anyone; publish makes it the index's.
-type staged struct {
-	ov    *delta.Overlay
-	alive []bool
-	live  int64
-	seq   uint64
-}
-
-// stage works out the state a batch of log records leads to — the one decoder
+// stage works out the epoch a batch of log records leads to — the one decoder
 // of the log's mutation semantics. Insert and Remove stage the record they
 // are about to log, WAL replay the records it recovered, a follower the batch
 // streamed from its primary, so all converge on the same state from the same
@@ -220,34 +217,31 @@ type staged struct {
 // polygon, an unknown record type, and an exhausted id space fail the batch.
 //
 // stage has no side effects. It works on copies — readers may hold the
-// overlay, and a batch failing mid-way must leave no trace (a remove
-// re-applied later would be skipped as already-dead and its tombstone lost) —
-// and builds one overlay per batch, not per record. It returns nil when every
-// record was skipped: pure overlap changes nothing, the sequence position
-// included. The caller holds ix.mu and keeps it until it has published.
-func (ix *Index) stage(records []wal.Record, poly *Polygon) (*staged, error) {
-	ov := ix.live.Load().ov
-	polys := append(make([]delta.Poly, 0, len(ov.Polys())+len(records)), ov.Polys()...)
-	tombs := make(map[uint32]uint64, ov.NumTombstones()+len(records))
-	maps.Copy(tombs, ov.Tombstones())
-	st := &staged{
-		alive: append(make([]bool, 0, len(ix.alive)+len(records)), ix.alive...),
-		live:  ix.liveCount.Load(),
-		seq:   ix.seq,
-	}
+// epoch, and a batch failing mid-way must leave no trace (a remove re-applied
+// later would be skipped as already-dead and its tombstone lost) — and builds
+// one overlay per batch, not per record. It returns nil when every record was
+// skipped: pure overlap changes nothing, the sequence position included. The
+// caller holds ix.mu and keeps it until it has published.
+func (ix *Index) stage(records []wal.Record, poly *Polygon) (*epoch, error) {
+	cur := ix.live.Load()
+	polys := append(make([]delta.Poly, 0, len(cur.ov.Polys())+len(records)), cur.ov.Polys()...)
+	tombs := make(map[uint32]uint64, cur.ov.NumTombstones()+len(records))
+	maps.Copy(tombs, cur.ov.Tombstones())
+	next := *cur
+	next.alive = append(make([]bool, 0, len(cur.alive)+len(records)), cur.alive...)
 	changed := false
 	for i, rec := range records {
 		switch rec.Type {
 		case wal.TypeCheckpoint:
 			continue // rotation marker: its mutations precede it in the log
 		case wal.TypeInsert:
-			if int(rec.ID) < len(st.alive) {
+			if int(rec.ID) < len(next.alive) {
 				continue // already present: the base is newer than this record
 			}
-			if int(rec.ID) != len(st.alive) {
-				return nil, fmt.Errorf("record %d: insert id %d would leave a gap (id space is %d)", i, rec.ID, len(st.alive))
+			if int(rec.ID) != len(next.alive) {
+				return nil, fmt.Errorf("record %d: insert id %d would leave a gap (id space is %d)", i, rec.ID, len(next.alive))
 			}
-			if len(st.alive) > supercover.MaxPolygonID {
+			if len(next.alive) > supercover.MaxPolygonID {
 				return nil, fmt.Errorf("record %d: the 2^30 polygon id space is exhausted", i)
 			}
 			p := poly
@@ -266,14 +260,14 @@ func (ix *Index) stage(records []wal.Record, poly *Polygon) (*staged, error) {
 				return nil, fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
 			}
 			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
-			st.alive = append(st.alive, true)
-			st.live++
+			next.alive = append(next.alive, true)
+			next.live++
 		case wal.TypeRemove:
-			if int(rec.ID) >= len(st.alive) || !st.alive[rec.ID] {
+			if int(rec.ID) >= len(next.alive) || !next.alive[rec.ID] {
 				continue // already gone: the removal predates the base
 			}
-			st.alive[rec.ID] = false
-			st.live--
+			next.alive[rec.ID] = false
+			next.live--
 			// A removed delta polygon is dropped from the delta set; the
 			// tombstone is kept either way (see delta.Overlay).
 			polys = slices.DeleteFunc(polys, func(dp delta.Poly) bool { return dp.ID == rec.ID })
@@ -281,49 +275,42 @@ func (ix *Index) stage(records []wal.Record, poly *Polygon) (*staged, error) {
 		default:
 			return nil, fmt.Errorf("record %d: unexpected record type %d", i, rec.Type)
 		}
-		st.seq = max(st.seq, rec.Seq)
+		next.seq = max(next.seq, rec.Seq)
 		changed = true
 	}
 	if !changed {
 		return nil, nil
 	}
 	var err error
-	if st.ov, err = delta.New(ix.pl.fanout, polys, tombs); err != nil {
+	if next.ov, err = delta.New(ix.pl.fanout, polys, tombs); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return &next, nil
 }
 
-// publish makes a staged batch the index's state: the only place a mutation
-// assigns the alive set, the sequence position, the id-space and live
-// counters, and swings the epoch to a new overlay. It returns that overlay
-// for maybeCompact; a nil batch (nothing staged) publishes nothing and
-// returns nil. The caller has held ix.mu since it staged st.
-func (ix *Index) publish(st *staged) *delta.Overlay {
-	if st == nil {
-		return nil
+// publish makes the epoch stage built the index's state — the only place a
+// mutation swings the epoch — and returns it for maybeCompact; a nil epoch
+// (stage changed nothing) publishes nothing. The caller has held ix.mu since
+// it called stage.
+func (ix *Index) publish(next *epoch) *epoch {
+	if next != nil {
+		ix.live.Swap(next)
 	}
-	ix.alive = st.alive
-	ix.seq = st.seq
-	ix.idSpace.Store(int64(len(st.alive)))
-	ix.liveCount.Store(st.live)
-	ep := ix.live.Load()
-	ix.live.Swap(&epoch{trie: ep.trie, store: ep.store, ov: st.ov, stats: ep.stats})
-	return st.ov
+	return next
 }
 
-// maybeCompact, called under ix.mu after a mutation published ov, starts a
+// maybeCompact, called under ix.mu after a mutation published ep, starts a
 // background compaction when the pending-mutation count crosses the
 // absolute threshold or a quarter of the live polygon count (the ratio
 // trigger keeps small indexes from carrying proportionally huge deltas).
 // At most one compaction runs at a time; a trigger that fires while one is
 // running is simply dropped — the next mutation fires it again if needed.
-func (ix *Index) maybeCompact(ov *delta.Overlay) {
-	if ix.deltaThreshold < 0 || ov == nil {
+func (ix *Index) maybeCompact(ep *epoch) {
+	if ix.deltaThreshold < 0 || ep == nil {
 		return
 	}
-	pending := ov.Pending()
-	if pending < ix.deltaThreshold && int64(pending*4) < ix.liveCount.Load() {
+	pending := ep.ov.Pending()
+	if pending < ix.deltaThreshold && pending*4 < ep.live {
 		return
 	}
 	if !ix.compactMu.TryLock() {
@@ -368,86 +355,37 @@ func (ix *Index) Compact(ctx context.Context) error {
 func (ix *Index) Checkpoint(ctx context.Context) error {
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
-	if !ix.mutable {
+	rs := ix.rs.Load()
+	if rs.role == readOnly {
 		return ErrImmutable
 	}
-	if ix.wal == nil || ix.snapshotPath == "" {
+	if rs.wal == nil || rs.snapshotPath == "" {
 		return ErrNoCheckpoint
 	}
 	return ix.compactLocked(ctx, true)
 }
 
-// checkpoint is one point of the mutation history, pinned for a compaction
-// or a snapshot file: the epoch served there, the sequence position, and the
-// alive set.
-type checkpoint struct {
-	ep  *epoch
-	seq uint64
-	// ids holds the live ids, ascending — on an immutable index, which has
-	// no alive set, the id column it was loaded with (nil when dense).
-	ids     []uint32
-	idSpace int
-}
-
-// pin captures the index's present state under ix.mu, so the alive set is
-// consistent with the epoch it describes.
-func (ix *Index) pin() checkpoint {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	cp := checkpoint{ep: ix.live.Load(), seq: ix.seq, ids: ix.loadedIDs, idSpace: ix.idSpaceSize()}
-	if ix.mutable {
-		cp.ids = aliveIDs(ix.alive)
-	}
-	return cp
-}
-
-// idColumn returns the id column a snapshot file of cp carries: none while
-// the id space is dense, the live ids once removals have left holes.
-func (cp checkpoint) idColumn() []uint32 {
-	if len(cp.ids) == cp.idSpace {
-		return nil
-	}
-	return cp.ids
-}
-
-// stageCheckpoint writes the snapshot file of a pinned state to a temp file
-// next to path and returns its name. ep is the clean epoch serving exactly
-// that state: cp's own, or the base compacted from it. Epochs are immutable,
-// so the expensive write needs no lock; the caller then takes ix.mu for the
-// cheap part — commitSnapshot, and rotating (or opening) the log at cp.seq.
-func (ix *Index) stageCheckpoint(cp checkpoint, ep *epoch, path string) (string, error) {
-	return stageSnapshot(path, ep, ix.kind, ix.precision, cp.idColumn(), int64(cp.idSpace))
-}
-
-// aliveIDs collects the live polygon ids, ascending.
-func aliveIDs(alive []bool) []uint32 {
-	ids := make([]uint32, 0, len(alive))
-	for id, a := range alive {
-		if a {
-			ids = append(ids, uint32(id))
-		}
-	}
-	return ids
-}
-
-// compactLocked runs one compaction; the caller holds compactMu. A clean
-// index has nothing to fold and is left alone, unless evenClean asks for the
-// checkpoint a compaction ends with anyway (Checkpoint).
+// compactLocked runs one compaction; the caller holds compactMu, so the role
+// cannot change underneath. A clean index has nothing to fold and is left
+// alone, unless evenClean asks for the checkpoint a compaction ends with
+// anyway (Checkpoint, Promote). The checkpoint writes a snapshot whenever the
+// role has a snapshot path, and rotates the log when one is attached.
 func (ix *Index) compactLocked(ctx context.Context, evenClean bool) (err error) {
-	if !ix.mutable {
+	rs := ix.rs.Load()
+	if rs.role == readOnly {
 		return ErrImmutable
 	}
 	// Mutations after this point are not baked into the rebuild; Rebase
 	// re-applies them on top.
-	cp := ix.pin()
-	fresh := cp.ep
-	if cp.ep.ov != nil {
+	ep := ix.live.Load()
+	fresh := ep
+	if ep.ov != nil {
 		// This run rebuilds the base, so it counts for the observer
 		// (duration covers rebuild + swap + checkpoint).
 		start := time.Now()
 		var rebuilt BuildStats
 		defer func() { ix.observeCompaction(time.Since(start), rebuilt, err) }()
-		if fresh, err = ix.compactEpoch(ctx, cp); err != nil {
+		if fresh, err = ix.compactEpoch(ctx, ep); err != nil {
 			return err
 		}
 		rebuilt = fresh.stats
@@ -458,10 +396,11 @@ func (ix *Index) compactLocked(ctx context.Context, evenClean bool) (err error) 
 		return err
 	}
 
+	// Epochs are immutable, so the expensive snapshot write needs no lock;
+	// ix.mu covers the cheap part: the swap, the rename and the rotation.
 	var snapTmp string
-	if ix.wal != nil && ix.snapshotPath != "" {
-		snapTmp, err = ix.stageCheckpoint(cp, fresh, ix.snapshotPath)
-		if err != nil {
+	if rs.snapshotPath != "" {
+		if snapTmp, err = ix.stageSnapshot(rs.snapshotPath, fresh); err != nil {
 			return fmt.Errorf("act: compact: staging checkpoint snapshot: %w", err)
 		}
 		defer os.Remove(snapTmp) // no-op once renamed into place
@@ -469,26 +408,31 @@ func (ix *Index) compactLocked(ctx context.Context, evenClean bool) (err error) 
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if fresh != cp.ep {
-		residual, err := ix.live.Load().ov.Rebase(cp.seq)
+	if fresh != ep {
+		cur := ix.live.Load()
+		residual, err := cur.ov.Rebase(ep.seq)
 		if err != nil {
 			return err
 		}
-		ix.live.Swap(&epoch{trie: fresh.trie, store: fresh.store, ov: residual, stats: fresh.stats})
-		ix.compactions.Add(1)
+		next := *cur
+		next.trie, next.store, next.stats, next.ov = fresh.trie, fresh.store, fresh.stats, residual
+		next.compactions++
+		ix.live.Swap(&next)
 	}
-	// Checkpoint: publish the staged snapshot, then truncate the log down
-	// to the records it does not cover (mutations since cp are above that
-	// floor and survive). Order matters — a crash between the two leaves
-	// snapshot + full log, which replays idempotently. An error here does
-	// not undo the in-memory compaction (the epoch already swung); the log
-	// simply keeps its full history.
+	// Checkpoint: publish the snapshot written above, then truncate the log
+	// down to the records it does not cover (mutations since ep are above
+	// that floor and survive). Order matters — a crash between the two
+	// leaves snapshot + full log, which replays idempotently. An error here
+	// does not undo the in-memory compaction (the epoch already swung); the
+	// log simply keeps its full history.
 	if snapTmp != "" {
-		if err := commitSnapshot(snapTmp, ix.snapshotPath); err != nil {
+		if err := commitSnapshot(snapTmp, rs.snapshotPath); err != nil {
 			return fmt.Errorf("act: compact: publishing checkpoint snapshot: %w", err)
 		}
-		if err := ix.wal.Checkpoint(cp.seq); err != nil {
-			return fmt.Errorf("act: compact: rotating WAL: %w", err)
+		if rs.wal != nil {
+			if err := rs.wal.Checkpoint(ep.seq); err != nil {
+				return fmt.Errorf("act: compact: rotating WAL: %w", err)
+			}
 		}
 	}
 	return nil
@@ -497,21 +441,20 @@ func (ix *Index) compactLocked(ctx context.Context, evenClean bool) (err error) 
 // compactEpoch asks its context once per cancelCheckEvery base cells.
 const cancelCheckEvery = 4096
 
-// compactEpoch rebuilds a fresh base from the pinned epoch itself (see
-// Compact): surviving base cells go straight into the super-covering merge
+// compactEpoch rebuilds a clean epoch from ep itself (see Compact): surviving
+// base cells go straight into the super-covering merge
 // (supercover.Builder.AddCell), delta coverings through the normal Add path,
-// and the geometry is reassembled by id. No covering is recomputed, so each
-// polygon keeps its cells exactly as the process that covered it built
-// them. The context is asked every cancelCheckEvery cells of the enumeration
-// and between the phases.
-func (ix *Index) compactEpoch(ctx context.Context, cp checkpoint) (*epoch, error) {
+// and the geometry is reassembled by id; the id set and sequence stay ep's.
+// No covering is recomputed, so each polygon keeps its cells exactly as the
+// process that covered it built them. The context is asked every
+// cancelCheckEvery cells of the enumeration and between the phases.
+func (ix *Index) compactEpoch(ctx context.Context, ep *epoch) (*epoch, error) {
 	defer ix.keepMapped() // the walk may read a file-mapped arena
-	ep := cp.ep
 	// The epoch's recorded precision covers the base polygons; delta
 	// coverings can only have been built at the index's own bound, so the
 	// max below stays a faithful worst case (an upper bound when the worst
 	// polygon has since been removed).
-	stats := BuildStats{NumPolygons: len(cp.ids), AchievedPrecisionMeters: ep.stats.AchievedPrecisionMeters}
+	stats := BuildStats{NumPolygons: ep.live, AchievedPrecisionMeters: ep.stats.AchievedPrecisionMeters}
 
 	start := time.Now()
 	var scb supercover.Builder
@@ -564,16 +507,19 @@ func (ix *Index) compactEpoch(ctx context.Context, cp checkpoint) (*epoch, error
 		return nil, err
 	}
 
-	var store *geostore.Store
+	fresh := *ep
+	fresh.trie, fresh.store, fresh.stats, fresh.ov = trie, nil, stats, nil
 	if ix.pl.hasGeom {
-		projected := make([]*geom.Polygon, cp.idSpace)
-		for _, id := range cp.ids {
-			projected[id] = ep.store.Polygon(id) // nil for delta ids
+		projected := make([]*geom.Polygon, len(ep.alive))
+		for id, a := range ep.alive {
+			if a {
+				projected[id] = ep.store.Polygon(uint32(id)) // nil for delta ids
+			}
 		}
 		for _, p := range ep.ov.Polys() {
 			projected[p.ID] = p.Geom
 		}
-		store = geostore.NewSparse(projected)
+		fresh.store = geostore.NewSparse(projected)
 	}
-	return &epoch{trie: trie, store: store, stats: stats}, nil
+	return &fresh, nil
 }

@@ -161,8 +161,8 @@ func (ix *Index) Close() error {
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
 	var err error
-	if ix.wal != nil {
-		err = ix.wal.Close()
+	if log := ix.rs.Load().wal; log != nil {
+		err = log.Close()
 	}
 	if ix.mapped != nil {
 		ix.cleanup.Stop()

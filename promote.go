@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 
 	"github.com/actindex/act/internal/fault"
 	"github.com/actindex/act/internal/wal"
@@ -44,24 +43,26 @@ var (
 )
 
 // writableLocked reports why the index cannot accept a client mutation (nil
-// when it can): what kind of index it is, then a fence, then the log's
-// sticky failure. Caller holds ix.mu.
-func (ix *Index) writableLocked() error {
-	if !ix.mutable {
-		return ErrImmutable
-	}
-	if ix.follower {
-		return ErrFollower
+// when it can): its role, then a fence, then the log's sticky failure.
+// Otherwise it returns the log the mutation goes to (nil without one).
+// Caller holds ix.mu.
+func (ix *Index) writableLocked() (*wal.Log, error) {
+	rs := ix.rs.Load()
+	switch rs.role {
+	case readOnly:
+		return nil, ErrImmutable
+	case follower, promoting:
+		return nil, ErrFollower
 	}
 	if e := ix.fencedAt.Load(); e != 0 {
-		return fmt.Errorf("%w (fenced at epoch %d)", ErrFenced, e)
+		return nil, fmt.Errorf("%w (fenced at epoch %d)", ErrFenced, e)
 	}
-	if ix.wal != nil {
-		if err := ix.wal.Err(); err != nil {
-			return fmt.Errorf("%w: %w", ErrWALFailed, err)
+	if rs.wal != nil {
+		if err := rs.wal.Err(); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrWALFailed, err)
 		}
 	}
-	return nil
+	return rs.wal, nil
 }
 
 // Fence marks the index as superseded by the given replication epoch:
@@ -92,10 +93,10 @@ func (ix *Index) Fenced() (uint64, bool) {
 // epoch recorded in its write-ahead log's header, or 0 when no log is
 // attached (followers learn the epoch from the wire, not from here).
 func (ix *Index) ReplicationEpoch() uint64 {
-	if ix.wal == nil {
-		return 0
+	if log := ix.rs.Load().wal; log != nil {
+		return log.Epoch()
 	}
-	return ix.wal.Epoch()
+	return 0
 }
 
 // Promote converts a replication follower into a primary under the given
@@ -107,12 +108,12 @@ func (ix *Index) ReplicationEpoch() uint64 {
 // can serve the next generation of followers.
 //
 // The ordering is crash-safe: the snapshot is durably committed before the
-// log is created or the follower flag drops, so a crash mid-promotion
-// leaves a valid bootstrap image and a process that still thinks it is a
-// follower — re-running the promotion (or re-bootstrapping from the new
-// primary, if another candidate won) is always safe. ApplyReplicated is
-// rejected for the duration, so no stale stream record can land after the
-// state that the snapshot captures.
+// log is created or the role changes, so a crash mid-promotion leaves a
+// valid bootstrap image and a process that still thinks it is a follower —
+// re-running the promotion (or re-bootstrapping from the new primary, if
+// another candidate won) is always safe. ApplyReplicated is rejected for
+// the duration, so no stale stream record can land after the state that the
+// snapshot captures.
 //
 // The caller is responsible for the distributed half of the contract:
 // verify the follower has drained the old primary's acknowledged history
@@ -129,49 +130,32 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 		return errors.New("act: promote: epoch must be at least 1")
 	}
 	ix.mu.Lock()
-	if !ix.follower {
+	was := ix.rs.Load()
+	if was.role != follower {
 		ix.mu.Unlock()
 		return errors.New("act: promote: index is not a replication follower")
 	}
-	if ix.wal != nil {
-		ix.mu.Unlock()
-		return errors.New("act: promote: index already has a write-ahead log")
-	}
-	ix.promoting = true
+	ix.rs.Store(&roleState{role: promoting, snapshotPath: cfg.SnapshotPath})
 	ix.mu.Unlock()
-	defer func() {
+	defer func() { // a failed promotion leaves the follower as it was
 		ix.mu.Lock()
-		ix.promoting = false
+		if ix.rs.Load().role == promoting {
+			ix.rs.Store(was)
+		}
 		ix.mu.Unlock()
 	}()
 
-	// Fold the overlay into a clean base: the snapshot writer serializes
-	// one epoch, not epoch + delta. No-op when the follower is already
-	// clean; nothing new can land while promoting is set.
-	if err := ix.compactLocked(ctx, false); err != nil {
-		return fmt.Errorf("act: promote: compacting overlay: %w", err)
-	}
-	cp := ix.pin()
-	if cp.ep.ov != nil {
-		return errors.New("act: promote: overlay still dirty after compaction")
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	snapTmp, err := ix.stageCheckpoint(cp, cp.ep, cfg.SnapshotPath)
-	if err != nil {
-		return fmt.Errorf("act: promote: staging snapshot: %w", err)
-	}
-	defer os.Remove(snapTmp) // no-op once renamed into place
-
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if err := commitSnapshot(snapTmp, cfg.SnapshotPath); err != nil {
-		return fmt.Errorf("act: promote: publishing snapshot: %w", err)
+	// Fold the overlay into a clean base and checkpoint it to the new
+	// snapshot path, as every compaction does; nothing new can land while
+	// promoting.
+	if err := ix.compactLocked(ctx, true); err != nil {
+		return fmt.Errorf("act: promote: %w", err)
 	}
 	// The snapshot is durable; from here a crash leaves a valid bootstrap
 	// image. Clear any stale log at the target path (a leftover from a
 	// previous life as primary) so the fresh log starts at the snapshot.
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	fsys := cfg.FS
 	if fsys == nil {
 		fsys = fault.OS{}
@@ -183,7 +167,7 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 	if err != nil {
 		return err
 	}
-	wopts.BaseSeq, wopts.Epoch = cp.seq, epoch
+	wopts.BaseSeq, wopts.Epoch = ix.live.Load().seq, epoch
 	log, rep, err := wal.Open(cfg.Path, wopts)
 	if err != nil {
 		return fmt.Errorf("act: promote: opening log: %w", err)
@@ -192,9 +176,6 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 		log.Close()
 		return fmt.Errorf("act: promote: fresh log at %s has %d residual records", cfg.Path, len(rep.Records))
 	}
-	ix.wal = log
-	ix.walRecovered = 0
-	ix.snapshotPath = cfg.SnapshotPath
-	ix.follower = false
+	ix.rs.Store(&roleState{role: primary, wal: log, snapshotPath: cfg.SnapshotPath})
 	return nil
 }

@@ -72,15 +72,12 @@ type mutationState struct {
 
 func snapshotState(t *testing.T, ix *Index, pts []LatLng) mutationState {
 	t.Helper()
-	ix.mu.Lock()
-	st := mutationState{alive: slices.Clone(ix.alive), seq: ix.seq}
-	ix.mu.Unlock()
-	st.live, st.idSpace = ix.NumPolygons(), ix.idSpaceSize()
-	ov := ix.live.Load().ov
-	for _, p := range ov.Polys() {
+	ep := ix.live.Load()
+	st := mutationState{alive: slices.Clone(ep.alive), seq: ep.seq, live: ep.live, idSpace: len(ep.alive)}
+	for _, p := range ep.ov.Polys() {
 		st.deltas = append(st.deltas, delta.Poly{ID: p.ID, Seq: p.Seq})
 	}
-	st.tombs = maps.Clone(ov.Tombstones())
+	st.tombs = maps.Clone(ep.ov.Tombstones())
 	st.approx, _ = joinPairs(t, ix, pts, Approximate, 2)
 	st.exact, _ = joinPairs(t, ix, pts, Exact, 2)
 	return st
@@ -241,7 +238,7 @@ func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "record 2") {
 				t.Fatalf("%s/%s: error %v does not name record 2", name, ep.entry, err)
 			}
-			if after := snapshotState(t, ep.ix, pts); !after.equal(before) || ep.ix.Epoch() != epoch || ep.ix.wal != nil {
+			if after := snapshotState(t, ep.ix, pts); !after.equal(before) || ep.ix.Epoch() != epoch || ep.ix.rs.Load().wal != nil {
 				t.Fatalf("%s/%s: failed batch left a trace:\nbefore: %+v\nafter:  %+v", name, ep.entry, before, after)
 			}
 			if err := ep.apply(good); err != nil {
@@ -252,7 +249,7 @@ func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 				t.Fatalf("%s/%s: repaired batch applied as %+v", name, ep.entry, after)
 			}
 		}
-		if built.wal != nil {
+		if built.rs.Load().wal != nil {
 			built.Close()
 		}
 	}

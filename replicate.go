@@ -39,32 +39,27 @@ var ErrFollower = errors.New("act: index is a replication follower and serves re
 // bootstraps from the primary's current snapshot again.
 //
 // Options are honored as for Recover (WithDeltaThreshold, WithObserver);
-// build options are fixed by the snapshot.
+// build options are fixed by the snapshot, whose pipeline covers the
+// replicated inserts.
 func OpenFollower(indexPath string, opts ...Option) (*Index, error) {
-	o := applyOptions(opts)
 	ix, err := OpenIndex(indexPath)
 	if err != nil {
 		return nil, fmt.Errorf("act: follower: loading snapshot: %w", err)
 	}
-	if err := ix.promoteMutable(&o); err != nil {
-		ix.Close()
-		return nil, fmt.Errorf("act: follower: %w", err)
-	}
-	ix.follower = true
+	ix.setRole(follower, applyOptions(opts))
 	return ix, nil
 }
 
 // Follower reports whether the index is a replication follower.
-func (ix *Index) Follower() bool { return ix.follower }
+func (ix *Index) Follower() bool {
+	r := ix.rs.Load().role
+	return r == follower || r == promoting
+}
 
 // AppliedSeq returns the sequence number of the last mutation applied to
 // the index. On a follower this is the replication position; compared with
 // the primary's stream position it yields the replication lag.
-func (ix *Index) AppliedSeq() uint64 {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.seq
-}
+func (ix *Index) AppliedSeq() uint64 { return ix.live.Load().seq }
 
 // ApplyReplicated applies one batch of primary log records to a follower,
 // by the rules WAL replay decodes them with (see stage): the whole batch
@@ -83,16 +78,17 @@ func (ix *Index) ApplyReplicated(ctx context.Context, records []wal.Record) erro
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if !ix.follower {
+	switch ix.rs.Load().role {
+	case follower:
+	case promoting:
+		return errors.New("act: index is being promoted; stream application is closed")
+	default:
 		return errors.New("act: ApplyReplicated on a non-follower index")
 	}
-	if ix.promoting {
-		return errors.New("act: index is being promoted; stream application is closed")
-	}
-	st, err := ix.stage(records, nil)
+	next, err := ix.stage(records, nil)
 	if err != nil {
 		return fmt.Errorf("act: replicated %w", err)
 	}
-	ix.maybeCompact(ix.publish(st))
+	ix.maybeCompact(ix.publish(next))
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -212,5 +213,69 @@ func TestPromoteKeepsObserver(t *testing.T) {
 	}
 	if rotations != 1 {
 		t.Fatalf("after one checkpoint on the promoted primary: %d rotations observed, want 1", rotations)
+	}
+}
+
+// TestPromoteConcurrentReaders: the lock-free accessors a serving layer
+// polls — /metrics and /stats — read the role and its log while Promote
+// replaces them. Under -race this fails if any of them reads a field
+// Promote writes without the two being ordered.
+func TestPromoteConcurrentReaders(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	snapPath := filepath.Join(dir, "bootstrap.snapshot")
+	var polys []*act.Polygon
+	for i := 0; i < 8; i++ {
+		lat := 10 + 0.5*float64(i)
+		polys = append(polys, square(lat, lat, 0.1))
+	}
+	src, err := act.New(polys, act.WithPrecision(250))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fol, err := act.OpenFollower(snapPath, act.WithDeltaThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, _ = fol.Follower(), fol.Mutable()
+				_, _ = fol.WALStats(), fol.ReplicationEpoch()
+				_, _ = fol.DeltaStats(), fol.AppliedSeq()
+			}
+		}()
+	}
+	cfg := act.WALConfig{Path: filepath.Join(dir, "promoted.wal"), SnapshotPath: filepath.Join(dir, "promoted.snapshot")}
+	err = fol.Promote(ctx, cfg, 1)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fol.Mutable() || fol.Follower() || !fol.WALStats().Enabled {
+		t.Fatalf("after Promote: mutable=%v follower=%v wal=%v, want true/false/true",
+			fol.Mutable(), fol.Follower(), fol.WALStats().Enabled)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/actindex/act/internal/core"
 	"github.com/actindex/act/internal/geom"
 	"github.com/actindex/act/internal/geostore"
-	"github.com/actindex/act/internal/grid"
 )
 
 // Index serialization, versions 7 and 8 — the flat, mmap-servable layout
@@ -343,34 +342,33 @@ func writeZeros(w io.Writer, n int64) error {
 // permanent holes in the id space (ids are stable forever, so holes never
 // close) writes v8, which carries an explicit id column.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	cp := ix.pin()
-	if cp.ep.ov != nil {
+	ep := ix.live.Load()
+	if ep.ov != nil {
 		return 0, ErrPendingMutations
 	}
+	return ix.writeFlat(w, ep)
+}
+
+// writeFlat serializes one compacted epoch in the flat layout: v7 while its
+// id space is dense, v8 otherwise — with the strictly ascending column of
+// live polygon ids and the number of ids ever assigned. The v8 geometry
+// section stays a dense geostore blob holding the live polygons in
+// id-column order; the loader remaps them to their sparse ids.
+func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
 	// The grid kind is carried on the Index since build (or load) time;
 	// persist it directly instead of reverse-inferring it from the grid's
 	// name string.
 	if ix.kind != PlanarGrid && ix.kind != CubeFaceGrid {
 		return 0, fmt.Errorf("act: cannot serialize unknown grid kind %v", ix.kind)
 	}
-	return writeFlat(w, cp.ep, ix.kind, ix.precision, cp.idColumn(), int64(cp.idSpace))
-}
-
-// writeFlat serializes one compacted epoch in the flat layout: v7 when ids
-// is nil (dense id space), v8 otherwise — ids is then the strictly
-// ascending column of live polygon ids and idSpace the number of ids ever
-// assigned. The v8 geometry section stays a dense geostore blob holding
-// the live polygons in id-column order; the loader remaps them to their
-// sparse ids.
-func writeFlat(w io.Writer, ep *epoch, kind GridKind, precision float64, ids []uint32, idSpace int64) (int64, error) {
 	f := ep.trie.Flat()
 	arenaWords := uint64(len(f.Nodes))
 	h := flatHeader{
 		version:   indexVersion,
-		gridKind:  uint32(kind),
+		gridKind:  uint32(ix.kind),
 		hasGeom:   ep.store != nil,
 		fanout:    f.Fanout,
-		precision: precision,
+		precision: ix.PrecisionMeters(),
 		achieved:  ep.stats.AchievedPrecisionMeters,
 		cells:     uint64(ep.stats.IndexedCells),
 		numPolys:  uint64(ep.stats.NumPolygons),
@@ -387,9 +385,9 @@ func writeFlat(w io.Writer, ep *epoch, kind GridKind, precision float64, ids []u
 	h.tableOff = h.arenaOff + arenaWords*8
 	var idBytes []byte
 	geomStore := ep.store
-	if ids != nil {
+	if ids := ep.idColumn(); ids != nil {
 		h.version = indexVersionSparse
-		h.idSpace = uint64(idSpace)
+		h.idSpace = uint64(len(ep.alive))
 		h.numPolys = uint64(len(ids))
 		idBytes = make([]byte, 4*len(ids))
 		for i, id := range ids {
@@ -547,14 +545,9 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	if err != nil {
 		return nil, err
 	}
-	var g grid.Grid
-	switch GridKind(h.gridKind) {
-	case PlanarGrid:
-		g = grid.NewPlanar()
-	case CubeFaceGrid:
-		g = grid.NewCubeFace()
-	default:
-		return nil, fmt.Errorf("act: unknown grid kind %d", h.gridKind)
+	pl, err := newPipeline(GridKind(h.gridKind), h.precision, int(h.fanout), h.hasGeom)
+	if err != nil {
+		return nil, err
 	}
 	// Lookups return polygon ids straight out of the trie, and Join sizes
 	// its per-polygon count slices from the id space — an id at or beyond
@@ -598,22 +591,23 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	if uint64(ts.NumNodes)+1 != h.numNodes {
 		return nil, fmt.Errorf("act: arena holds %d nodes, header says %d", ts.NumNodes+1, h.numNodes)
 	}
-	stats := BuildStats{
+	ep := &epoch{trie: trie, store: store, live: int(h.numPolys), stats: BuildStats{
 		NumPolygons:             int(h.numPolys),
 		IndexedCells:            int(h.cells),
 		TrieBytes:               ts.TrieBytes,
 		TableBytes:              ts.TableBytes,
 		TrieNodes:               ts.NumNodes,
 		AchievedPrecisionMeters: h.achieved,
+	}}
+	if ids == nil {
+		ep.alive = denseAlive(int(h.idSpace))
+	} else {
+		ep.alive = make([]bool, h.idSpace)
+		for _, id := range ids {
+			ep.alive[id] = true
+		}
 	}
-	// A deserialized index has no alive set and no coverer, so it serves
-	// but cannot be mutated (Insert/Remove/Compact report ErrImmutable);
-	// Recover and OpenFollower add both (promoteMutable).
-	ix := &Index{grid: g, kind: GridKind(h.gridKind), precision: h.precision}
-	ix.deltaThreshold = defaultDeltaThreshold
-	ix.loadedIDs = ids
-	ix.liveCount.Store(int64(h.numPolys))
-	ix.idSpace.Store(int64(h.idSpace))
-	ix.live.Swap(&epoch{trie: trie, store: store, stats: stats})
-	return ix, nil
+	// A deserialized index is read-only by role (Insert/Remove/Compact
+	// report ErrImmutable); Recover and OpenFollower give it another.
+	return newIndex(GridKind(h.gridKind), pl, ep), nil
 }
