@@ -314,19 +314,19 @@ func newPipeline(kind GridKind, precision float64, fanout int, hasGeom bool) (pi
 }
 
 // cover projects one polygon onto the grid, once, and computes its covering
-// with the pipeline's configuration. A pipeline that keeps geometry also
-// returns the projection, which is the polygon's exact geometry; otherwise
-// the geometry is nil.
-func (pl *pipeline) cover(p *geo.Polygon) (*cover.Covering, *geom.Polygon, error) {
+// with the pipeline's configuration. It also returns the face the polygon
+// was projected onto and, when the pipeline keeps geometry, the projection,
+// which is the polygon's exact geometry; otherwise the geometry is nil.
+func (pl *pipeline) cover(p *geo.Polygon) (*cover.Covering, int, *geom.Polygon, error) {
 	face, poly, err := grid.ProjectPolygon(pl.grid, p)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	cov, err := pl.coverer.CoverProjected(face, poly)
 	if !pl.hasGeom {
 		poly = nil
 	}
-	return cov, poly, err
+	return cov, face, poly, err
 }
 
 // each calls one(i) for every i in [0, n) from up to GOMAXPROCS goroutines —
@@ -380,10 +380,13 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	start := time.Now()
 	covs := make([]*cover.Covering, len(polygons))
 	projected := make([]*geom.Polygon, len(polygons))
-	err := each(len(polygons), func(i int) (err error) {
-		if covs[i], projected[i], err = pl.cover(polygons[i]); err != nil {
+	faces := make([]uint8, len(polygons))
+	err := each(len(polygons), func(i int) error {
+		cov, face, poly, err := pl.cover(polygons[i])
+		if err != nil {
 			return fmt.Errorf("act: covering polygon %d: %w", i, err)
 		}
+		covs[i], faces[i], projected[i] = cov, uint8(face), poly
 		return nil
 	})
 	if err != nil {
@@ -413,7 +416,7 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	}
 	var store *geostore.Store
 	if pl.hasGeom {
-		store = geostore.NewSparse(projected)
+		store = geostore.NewSparse(projected, faces)
 	}
 	return &epoch{trie: trie, store: store, stats: stats, alive: denseAlive(len(polygons)), live: len(polygons)}, nil
 }

@@ -6,30 +6,38 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc64"
 	"math"
 	"testing"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/data"
+	"github.com/actindex/act/internal/geom"
+	"github.com/actindex/act/internal/geostore"
 	"github.com/actindex/act/internal/supercover"
 )
 
 // TestBuildGolden pins what the build pipeline produces, byte for byte: the
 // trie arena, the lookup table and the geometry section of the serialized
 // index, for the two maps the repository benchmark builds, at its ε. The
-// table and geometry hashes were recorded on the commit before the merge
-// became a radix sort and a forward pass and the coverer stopped measuring
-// every cell; the arena hashes when nodes became palette-coded (705 712 and
-// 623 256 bytes, from 1 802 872 and 1 620 136 run-compressed), and they
-// equal the hashes of the run-compressed arenas palette-coded node by node.
-// An optimization of the build leaves all of them alone, a change of what
-// is built re-records them and says why.
+// table hashes were recorded on the commit before the merge became a radix
+// sort and a forward pass and the coverer stopped measuring every cell; the
+// arena hashes when nodes became palette-coded (705 712 and 623 256 bytes,
+// from 1 802 872 and 1 620 136 run-compressed), and they equal the hashes of
+// the run-compressed arenas palette-coded node by node. The geometry hashes
+// were re-recorded when the section became version 2 (delta-coded vertices
+// and a face per polygon: 220 347 and 189 742 bytes, from 498 072 and
+// 427 536 in version 1); v1 pins the version 1 hashes of the same commit,
+// which the decoded vertices, laid out as version 1 again, must still
+// reproduce — the new coding changed no bit of any coordinate. An
+// optimization of the build leaves all of them alone, a change of what is
+// built re-records them and says why.
 func TestBuildGolden(t *testing.T) {
 	const eps = 60
 	cases := []struct {
-		name                string
-		set                 func() (*data.PolygonSet, error)
-		arena, table, store string
+		name                    string
+		set                     func() (*data.PolygonSet, error)
+		arena, table, store, v1 string
 		// achieved is the largest boundary-cell diagonal, measured cell by
 		// cell.
 		achieved float64
@@ -39,7 +47,8 @@ func TestBuildGolden(t *testing.T) {
 			set:      func() (*data.PolygonSet, error) { return data.CensusBlocks(1, 400) },
 			arena:    "93cd78fc26f3f3e6b83f72dbc89812a69caa5c8ac91678928f87ad4d077077e9",
 			table:    "8d158e1f09fa3b471b3b04ccaa560cde29b3e1e754c68399bbf62e20e58f7925",
-			store:    "452071859a1bdb32e7ce3cecc6ffffdd844f319298bcd3d2d70a2404db65f007",
+			store:    "a9a486a0f9947e7bc96bb413630bc0de61032742863ab9e4a6e5bce199897220",
+			v1:       "452071859a1bdb32e7ce3cecc6ffffdd844f319298bcd3d2d70a2404db65f007",
 			achieved: 34.746043777255004,
 		},
 		{
@@ -47,7 +56,8 @@ func TestBuildGolden(t *testing.T) {
 			set:      func() (*data.PolygonSet, error) { return data.Neighborhoods(1) },
 			arena:    "a6a3ebab174343aa58067b9e063e56ff67449bc5ae3d209c489dad56d2d4d9ea",
 			table:    "08b72f8ac03077d845c8a2d8843d59a3626dc28fa12cdb57bd32eba1b96a78cb",
-			store:    "085e1729dab13862dba4e39342d78e78e2b108778ccdd10c5f1182bee1fba4b4",
+			store:    "f36bc0da48c1db4249bb6a9268ac52503bd2c71d01d04295cf9c57ad72e1ec23",
+			v1:       "085e1729dab13862dba4e39342d78e78e2b108778ccdd10c5f1182bee1fba4b4",
 			achieved: 34.746043777255004,
 		},
 	}
@@ -84,12 +94,40 @@ func TestBuildGolden(t *testing.T) {
 					t.Errorf("%s (%d bytes): sha256 %s, want %s", sec.name, sec.to-sec.from, got, sec.want)
 				}
 			}
+			st, err := geostore.Read(file[h.geomOff:h.fileSize])
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1 := sectionV1(st)
+			if sum := sha256.Sum256(v1); hex.EncodeToString(sum[:]) != tc.v1 {
+				t.Errorf("geometry laid out as version 1 (%d bytes): sha256 %x, want %s", len(v1), sum, tc.v1)
+			}
 			got := ix.Stats().AchievedPrecisionMeters
 			if got > eps || math.Abs(got-tc.achieved) > 1e-9*tc.achieved {
 				t.Errorf("achieved precision %.17g m, want %.17g m within 1e-9 and at most ε = %d m", got, tc.achieved, eps)
 			}
 		})
 	}
+}
+
+// sectionV1 lays a store out as version 1 of the geometry section — uint32
+// counts and raw float64 vertices — which only the loaders still read.
+func sectionV1(st *geostore.Store) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte("ACTG"), 1)
+	b = le.AppendUint64(b, uint64(st.NumPolygons()))
+	for id := range uint32(st.NumPolygons()) {
+		p := st.Polygon(id)
+		b = le.AppendUint32(b, uint32(1+len(p.Holes)))
+		for _, ring := range append([]geom.Ring{p.Outer}, p.Holes...) {
+			b = le.AppendUint32(b, uint32(len(ring)))
+			for _, v := range ring {
+				b = le.AppendUint64(b, math.Float64bits(v.X))
+				b = le.AppendUint64(b, math.Float64bits(v.Y))
+			}
+		}
+	}
+	return le.AppendUint64(b, crc64.Checksum(b, flatCRCTable))
 }
 
 // TestSerializedFormIsFixedPoint: a file is a pure function of the index it

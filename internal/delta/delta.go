@@ -49,6 +49,8 @@ type Poly struct {
 	// coverer so true hits and candidates follow the same precision bound
 	// as the base.
 	Cov *cover.Covering
+	// Face is the grid face the polygon was projected onto.
+	Face int
 	// Geom is the grid-projected geometry for exact refinement; nil on
 	// indexes built without a geometry store.
 	Geom *geom.Polygon

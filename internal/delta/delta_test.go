@@ -152,7 +152,7 @@ func TestOverlayResolveRouting(t *testing.T) {
 	f := newFixture(t, 1)
 	// Base store holds polygon 0 = the first square; overlay holds id 1 =
 	// the second square as a delta polygon.
-	base := geostore.NewSparse([]*geom.Polygon{f.polys[0].Geom})
+	base := geostore.NewSparse([]*geom.Polygon{f.polys[0].Geom}, nil)
 	p := f.polys[1]
 	p.ID = 1
 	o, err := (*Overlay)(nil).WithInsert(16, p)

@@ -33,6 +33,9 @@ import (
 // that escaped filtering can never produce a match.
 type Store struct {
 	polys []*geom.Polygon
+	// faces holds the grid face each polygon was projected onto, by id; nil
+	// when unknown (a store built by New, or read from a version 1 section).
+	faces []uint8
 	// tree indexes the polygon bounding boxes for store-wide point stabs.
 	// Candidate resolution never needs it (trie candidates are pre-located,
 	// per-id cached-bound checks win on short lists), so it is built lazily
@@ -57,11 +60,12 @@ func New(polys []*geom.Polygon) (*Store, error) {
 }
 
 // NewSparse builds a store over an id-indexed polygon slice that may
-// contain nil slots (holes left by removed polygons). It backs compacted
-// live indexes, whose id space keeps the original ids stable across
-// compactions instead of renumbering. The slice is retained, not copied.
-func NewSparse(polys []*geom.Polygon) *Store {
-	return &Store{polys: polys}
+// contain nil slots (holes left by removed polygons), and the grid face of
+// each polygon by id (nil: unknown). It backs every index, whose id space
+// keeps the original ids stable across compactions instead of renumbering.
+// Both slices are retained, not copied.
+func NewSparse(polys []*geom.Polygon, faces []uint8) *Store {
+	return &Store{polys: polys, faces: faces}
 }
 
 // rtreeLazy returns the bbox R-tree, building it on first use. Concurrent
@@ -95,6 +99,16 @@ func (s *Store) Polygon(id uint32) *geom.Polygon {
 		return nil
 	}
 	return s.polys[id]
+}
+
+// Face returns the grid face polygon id was projected onto. ok is false
+// when the id is out of range or a hole, or the store does not know its
+// faces.
+func (s *Store) Face(id uint32) (face int, ok bool) {
+	if s.faces == nil || s.Polygon(id) == nil {
+		return 0, false
+	}
+	return int(s.faces[id]), true
 }
 
 // Contains reports whether pt is inside the closed polygon with the given

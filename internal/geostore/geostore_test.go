@@ -2,8 +2,11 @@ package geostore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -32,11 +35,11 @@ func randomStore(t testing.TB, seed int64, n int) *Store {
 	for i := range polys {
 		polys[i] = starPolygon(rng, rng.Float64(), rng.Float64(), 0.05+0.2*rng.Float64(), 4+rng.Intn(12))
 	}
-	s, err := New(polys)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	faces := make([]uint8, n)
+	for i := range faces {
+		faces[i] = uint8(rng.Intn(numFaces))
 	}
-	return s
+	return NewSparse(polys, faces)
 }
 
 // TestResolveMatchesScan: resolving the full id universe must equal the
@@ -89,24 +92,27 @@ func TestScanPointAppends(t *testing.T) {
 
 func TestSerializeRoundTrip(t *testing.T) {
 	s := randomStore(t, 5, 25)
-	var b1 bytes.Buffer
-	n, err := s.WriteTo(&b1)
+	b1, err := s.Encode(nil)
 	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
+		t.Fatalf("Encode: %v", err)
 	}
-	if n != int64(b1.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, b1.Len())
-	}
-	s2, err := Read(bytes.NewReader(b1.Bytes()))
+	s2, err := Read(b1)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	var b2 bytes.Buffer
-	if _, err := s2.WriteTo(&b2); err != nil {
-		t.Fatalf("re-WriteTo: %v", err)
+	b2, err := s2.Encode(nil)
+	if err != nil {
+		t.Fatalf("re-Encode: %v", err)
 	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !bytes.Equal(b1, b2) {
 		t.Fatal("serialize → deserialize → serialize is not byte-identical")
+	}
+	for id := range uint32(s.NumPolygons()) {
+		f1, ok1 := s.Face(id)
+		f2, ok2 := s2.Face(id)
+		if !ok1 || !ok2 || f1 != f2 {
+			t.Fatalf("polygon %d: face %d/%v, reloaded %d/%v", id, f1, ok1, f2, ok2)
+		}
 	}
 	// The reloaded store answers identically.
 	rng := rand.New(rand.NewSource(6))
@@ -123,27 +129,204 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadRejectsCorruption(t *testing.T) {
-	s := randomStore(t, 7, 8)
-	var b bytes.Buffer
-	if _, err := s.WriteTo(&b); err != nil {
+// TestSerializeBitExact: every vertex comes back with the bits it was
+// written with, across sign changes, -0.0, subnormals and the largest
+// finite values, where the deltas wrap around uint64.
+func TestSerializeBitExact(t *testing.T) {
+	odd := geom.Ring{
+		{X: math.Copysign(0, -1), Y: 0},
+		{X: math.MaxFloat64, Y: -math.MaxFloat64},
+		{X: math.SmallestNonzeroFloat64, Y: -math.SmallestNonzeroFloat64},
+		{X: -1e300, Y: 1e-300},
+		{X: 0.5, Y: 0.5},
+	}
+	outer := geom.Ring{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}}
+	hole := geom.Ring{{X: 0.25, Y: 0.25}, {X: 0.5, Y: 0.25}, {X: 0.5, Y: 0.5}}
+	p1, err := geom.NewPolygon(odd)
+	if err != nil {
 		t.Fatal(err)
 	}
-	good := b.Bytes()
-	// Flip one byte in the middle: the checksum must catch it.
-	corrupted := append([]byte(nil), good...)
-	corrupted[len(corrupted)/2] ^= 0xFF
-	if _, err := Read(bytes.NewReader(corrupted)); err == nil {
-		t.Fatal("corrupted store accepted")
+	p2, err := geom.NewPolygon(outer, hole, hole)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Truncations at every eighth byte must error, never panic.
-	for cut := 0; cut < len(good); cut += 8 {
-		if _, err := Read(bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("truncated store (%d bytes) accepted", cut)
+	polys := []*geom.Polygon{p2, p1, nil, p2}
+	s := NewSparse(polys, []uint8{5, 0, 0, 3})
+	ids := []uint32{3, 1, 0}
+	b, err := s.Encode(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		want := s.Polygon(id)
+		g := got.Polygon(uint32(i))
+		if !sameBits(append([]geom.Ring{want.Outer}, want.Holes...), append([]geom.Ring{g.Outer}, g.Holes...)) {
+			t.Fatalf("polygon %d (id %d) changed bits", i, id)
+		}
+		wf, _ := s.Face(id)
+		if gf, ok := got.Face(uint32(i)); !ok || gf != wf {
+			t.Fatalf("polygon %d (id %d): face %d/%v, want %d", i, id, gf, ok, wf)
 		}
 	}
-	if _, err := Read(bytes.NewReader([]byte("NOPE"))); err == nil {
+	if _, err := s.Encode(nil); err == nil {
+		t.Fatal("encoded a store with a hole")
+	}
+	if _, err := NewSparse(polys[:2], nil).Encode(nil); err == nil {
+		t.Fatal("encoded a store without faces")
+	}
+}
+
+func sameBits(a, b []geom.Ring) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for r := range a {
+		if len(a[r]) != len(b[r]) {
+			return false
+		}
+		for v := range a[r] {
+			if math.Float64bits(a[r][v].X) != math.Float64bits(b[r][v].X) ||
+				math.Float64bits(a[r][v].Y) != math.Float64bits(b[r][v].Y) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestReadV1: a version 1 section decodes to the same coordinates as the
+// version 2 section of the same polygons, with its faces unknown.
+func TestReadV1(t *testing.T) {
+	s := randomStore(t, 9, 12)
+	v1, err := Read(encodeV1(s.polys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := Read(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range uint32(s.NumPolygons()) {
+		p1, p2 := v1.Polygon(id), v2.Polygon(id)
+		if !sameBits(append([]geom.Ring{p1.Outer}, p1.Holes...), append([]geom.Ring{p2.Outer}, p2.Holes...)) {
+			t.Fatalf("polygon %d: v1 and v2 decode to different coordinates", id)
+		}
+		if _, ok := v1.Face(id); ok {
+			t.Fatalf("polygon %d: v1 section reports a face", id)
+		}
+	}
+}
+
+func TestReadRejectsCorruption(t *testing.T) {
+	s := randomStore(t, 7, 8)
+	good, err := s.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{good, encodeV1(s.polys)} {
+		// Flip one byte in the middle: the checksum must catch it.
+		corrupted := append([]byte(nil), b...)
+		corrupted[len(corrupted)/2] ^= 0xFF
+		if _, err := Read(corrupted); err == nil {
+			t.Fatal("corrupted store accepted")
+		}
+		// Every truncation must error, never panic.
+		for cut := 0; cut < len(b); cut++ {
+			if _, err := Read(b[:cut]); err == nil {
+				t.Fatalf("truncated store (%d bytes) accepted", cut)
+			}
+		}
+		// So must bytes past the section, checksum recomputed or not.
+		long := append(append([]byte(nil), b[:len(b)-8]...), 0, 0, 0, 0)
+		if _, err := Read(reseal(long)); err == nil {
+			t.Fatal("trailing bytes accepted")
+		}
+	}
+	if _, err := Read([]byte("NOPE")); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// reseal appends the checksum of b, as if b were a whole section body.
+func reseal(b []byte) []byte {
+	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
+}
+
+// v2Section builds a version 2 section around a hand-written payload.
+func v2Section(numPolys int, payload ...byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(storeMagic), storeVersion)
+	b = binary.LittleEndian.AppendUint64(b, uint64(numPolys))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	return reseal(append(b, payload...))
+}
+
+// TestReadRejectsMalformedPayload: sections whose checksum holds but whose
+// content breaks a rule of the format are refused.
+func TestReadRejectsMalformedPayload(t *testing.T) {
+	// A triangle at (1,1), (2,1), (1,2) as raw deltas from zero.
+	one := binary.AppendVarint(nil, int64(math.Float64bits(1)))
+	two := binary.AppendVarint(nil, int64(math.Float64bits(2)-math.Float64bits(1)))
+	back := binary.AppendVarint(nil, int64(math.Float64bits(1)-math.Float64bits(2)))
+	zero := []byte{0}
+	tri := func(face byte, nv byte) []byte {
+		b := []byte{face, 1, nv}
+		b = append(append(b, one...), one...)
+		b = append(append(b, two...), zero...)
+		return append(append(b, back...), two...)
+	}
+	if _, err := Read(v2Section(1, tri(2, 3)...)); err != nil {
+		t.Fatalf("well-formed triangle refused: %v", err)
+	}
+	inf := binary.AppendVarint(nil, int64(math.Float64bits(math.Inf(1))-math.Float64bits(1)))
+	for name, sec := range map[string][]byte{
+		"face 6":              v2Section(1, tri(6, 3)...),
+		"two-vertex ring":     v2Section(1, append([]byte{0, 1, 2}, append(append(one, one...), append(two, zero...)...)...)...),
+		"vertex count lies":   v2Section(1, tri(0, 4)...),
+		"non-finite vertex":   v2Section(1, append(tri(0, 3)[:len(tri(0, 3))-len(two)], inf...)...),
+		"overlong varint":     v2Section(1, append([]byte{0, 0x81, 0x00, 3}, tri(0, 3)[3:]...)...),
+		"polygon count lies":  v2Section(2, tri(0, 3)...),
+		"trailing payload":    v2Section(1, append(tri(0, 3), 0)...),
+		"payload length lies": reseal(append(binary.LittleEndian.AppendUint64(v2Section(1, tri(0, 3)...)[:16], 1), tri(0, 3)...)),
+		"huge polygon count":  v2Section(1<<30, tri(0, 3)...),
+		"huge ring count":     v2Section(1, append([]byte{0, 0xff, 0xff, 0xff, 0x7f}, tri(0, 3)[2:]...)...),
+	} {
+		if _, err := Read(sec); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReadDoesNotTrustCounts: a short section that claims a billion
+// polygons, or rings of a million vertices, is refused before any memory is
+// sized from the claim.
+func TestReadDoesNotTrustCounts(t *testing.T) {
+	payload := append([]byte{0, 1}, binary.AppendUvarint(nil, maxVerts)...)
+	lies := [][]byte{
+		v2Section(maxPolygons, make([]byte, 64)...),
+		v2Section(1, payload...),
+	}
+	v1 := binary.LittleEndian.AppendUint32([]byte(storeMagic), 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 1)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	lies = append(lies, reseal(append(binary.LittleEndian.AppendUint32(v1, maxVerts), make([]byte, 48)...)))
+	for i, b := range lies {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Read(b); err == nil {
+			t.Fatalf("lie %d accepted", i)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("lie %d: %d bytes allocated for a %d-byte section", i, grew, len(b))
+		}
 	}
 }
 

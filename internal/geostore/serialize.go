@@ -1,37 +1,54 @@
 package geostore
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash"
 	"hash/crc64"
-	"io"
 	"math"
 
 	"github.com/actindex/act/internal/geom"
 )
 
-// Serialization format (little endian):
+// Serialization format, version 2 (little endian):
 //
-//	magic    "ACTG"           4 bytes
-//	version  uint32           currently 1
-//	numPolys uint64
-//	per polygon:
-//	  numRings uint32         outer ring first, then holes
+//	magic      "ACTG"         4 bytes
+//	version    uint32         2
+//	numPolys   uint64
+//	payloadLen uint64         bytes between this field and crc
+//	payload, per polygon:
+//	  face     byte           grid face the rings are projected onto, < 6
+//	  numRings uvarint        outer ring first, then holes
 //	  per ring:
-//	    numVerts uint32
-//	    verts    numVerts × (float64 x, float64 y)
-//	crc      uint64           CRC-64/ECMA of everything above
+//	    numVerts uvarint
+//	    verts    numVerts × (dx varint, dy varint)
+//	crc        uint64         CRC-64/ECMA of everything above
+//
+// A coordinate is stored as the zigzag varint of
+// int64(Float64bits(v) − Float64bits(prev)), where prev is the same
+// coordinate of the vertex before it in one stream running across every ring
+// and polygon (zero before the first). Wrapping uint64 arithmetic makes the
+// coding lossless: every decoded float64 is bit-identical to the one
+// written, -0.0 and all. Neighbouring vertices share their sign, exponent
+// and leading mantissa bits, so a delta takes about 3.6 bytes where the raw
+// float64 took 8. Every varint is in its shortest form, so a section is a
+// pure function of the polygons and their faces.
+//
+// Version 1 stored numRings and numVerts as uint32 and each vertex as two
+// raw float64s, and no face; Read still decodes it, with faces unknown.
 //
 // The section carries its own magic, version, and checksum so the enclosing
-// index file can treat it as an opaque, independently evolvable blob: a
-// reader that understands the index header but not this section's version
-// can still skip refinement and serve approximate results.
+// index file can treat it as an opaque, independently evolvable blob.
 
 const (
 	storeMagic   = "ACTG"
-	storeVersion = 1
+	storeVersion = 2
+	// headerLen is the fixed v2 prefix before the payload: magic, version,
+	// numPolys, payloadLen.
+	headerLen = 24
+
+	// numFaces bounds a recorded face: the cube-face grid has six.
+	numFaces = 6
 
 	// maxPolygons matches the system's 30-bit polygon-id space (trie
 	// payloads cannot reference ids beyond it), so a standalone section is
@@ -43,165 +60,248 @@ const (
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	crc hash.Hash64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.crc.Write(p[:n])
-	return n, err
-}
-
-// WriteTo serializes the store. It implements io.WriterTo; the byte stream
-// is a pure function of the ring coordinates, so serialize → Read →
-// serialize round-trips bit-exactly.
-func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w, crc: crc64.New(crcTable)}
-	bw := bufio.NewWriterSize(cw, 1<<20)
-	write := func(v any) error { return binary.Write(bw, binary.LittleEndian, v) }
-	if _, err := bw.WriteString(storeMagic); err != nil {
-		return cw.n, err
+// Encode serializes the polygons at ids, in that order (every slot in id
+// order when ids is nil), as a version 2 section. Each must be present and
+// the store must know their faces. Read of the result reproduces the
+// geometry bit for bit, and Encode of that the same bytes.
+func (s *Store) Encode(ids []uint32) ([]byte, error) {
+	n := len(s.polys)
+	if ids != nil {
+		n = len(ids)
 	}
-	if err := write(uint32(storeVersion)); err != nil {
-		return cw.n, err
+	if s.faces == nil && n > 0 {
+		return nil, errors.New("geostore: the store records no faces")
 	}
-	if err := write(uint64(len(s.polys))); err != nil {
-		return cw.n, err
+	polyAt := func(i int) uint32 {
+		if ids == nil {
+			return uint32(i)
+		}
+		return ids[i]
 	}
-	var buf [16]byte
-	for _, p := range s.polys {
-		if err := write(uint32(1 + len(p.Holes))); err != nil {
-			return cw.n, err
+	verts := 0
+	for i := range n {
+		p := s.Polygon(polyAt(i))
+		if p == nil {
+			return nil, fmt.Errorf("geostore: no polygon with id %d", polyAt(i))
 		}
-		writeRing := func(ring geom.Ring) error {
-			if err := write(uint32(len(ring))); err != nil {
-				return err
-			}
-			for _, v := range ring {
-				binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(v.X))
-				binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(v.Y))
-				if _, err := bw.Write(buf[:]); err != nil {
-					return err
-				}
-			}
-			return nil
+		verts += p.NumVertices()
+	}
+	b := make([]byte, headerLen, headerLen+3*n+8*verts+8)
+	copy(b, storeMagic)
+	binary.LittleEndian.PutUint32(b[4:], storeVersion)
+	binary.LittleEndian.PutUint64(b[8:], uint64(n))
+	var px, py uint64
+	appendRing := func(ring geom.Ring) {
+		b = binary.AppendUvarint(b, uint64(len(ring)))
+		for _, v := range ring {
+			x, y := math.Float64bits(v.X), math.Float64bits(v.Y)
+			b = binary.AppendVarint(b, int64(x-px))
+			b = binary.AppendVarint(b, int64(y-py))
+			px, py = x, y
 		}
-		if err := writeRing(p.Outer); err != nil {
-			return cw.n, err
-		}
+	}
+	for i := range n {
+		id := polyAt(i)
+		p := s.polys[id]
+		b = append(b, s.faces[id])
+		b = binary.AppendUvarint(b, uint64(1+len(p.Holes)))
+		appendRing(p.Outer)
 		for _, h := range p.Holes {
-			if err := writeRing(h); err != nil {
-				return cw.n, err
-			}
+			appendRing(h)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	// The CRC covers everything flushed so far; it is not itself summed.
-	if err := binary.Write(cw.w, binary.LittleEndian, cw.crc.Sum64()); err != nil {
-		return cw.n, err
-	}
-	return cw.n + 8, nil
+	binary.LittleEndian.PutUint64(b[16:], uint64(len(b)-headerLen))
+	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crcTable)), nil
 }
 
-// SerializedSize returns the exact number of bytes WriteTo will produce.
-// The format has no compression or padding, so the size is a pure function
-// of the ring shapes — which lets an enclosing container (the flat index
-// layout) place the section at a precomputed offset and record the total
-// file size in a header written before the section itself.
-func (s *Store) SerializedSize() int64 {
-	n := int64(4 + 4 + 8) // magic, version, numPolys
-	for _, p := range s.polys {
-		n += 4 // numRings
-		n += 4 + 16*int64(len(p.Outer))
-		for _, h := range p.Holes {
-			n += 4 + 16*int64(len(h))
-		}
+// Read deserializes a section written by Encode (version 2) or by an
+// earlier release (version 1), which must span all of b: it verifies the
+// checksum and refuses trailing bytes. Nothing is allocated from a count the
+// bytes cannot back. A version 1 section records no faces, so Face reports
+// them unknown.
+func Read(b []byte) (*Store, error) {
+	if len(b) < 8 {
+		return nil, fmt.Errorf("geostore: section of %d bytes is truncated", len(b))
 	}
-	return n + 8 // crc
-}
-
-// hashingReader folds exactly the bytes consumed by the parser into the
-// checksum, independent of any buffering below it.
-type hashingReader struct {
-	r   io.Reader
-	crc io.Writer
-}
-
-func (h *hashingReader) Read(p []byte) (int, error) {
-	n, err := h.r.Read(p)
-	if n > 0 {
-		h.crc.Write(p[:n])
+	if string(b[:4]) != storeMagic {
+		return nil, fmt.Errorf("geostore: bad magic %q", b[:4])
 	}
-	return n, err
-}
-
-// Read deserializes a store written by WriteTo, verifying the checksum and
-// rebuilding the R-tree (which is derived state, not serialized).
-func Read(r io.Reader) (*Store, error) {
-	crc := crc64.New(crcTable)
-	// When r is already a *bufio.Reader with a buffer at least this big
-	// (act.ReadIndex passes one), NewReaderSize returns it unchanged — the
-	// section consumes exactly its own bytes and the enclosing stream can
-	// continue after it. Keep the size in sync with act.ReadIndex.
-	raw := bufio.NewReaderSize(r, 1<<20)
-	hr := &hashingReader{r: raw, crc: crc}
-	read := func(v any) error { return binary.Read(hr, binary.LittleEndian, v) }
-
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(hr, magic); err != nil {
-		return nil, fmt.Errorf("geostore: read magic: %w", err)
-	}
-	if string(magic) != storeMagic {
-		return nil, fmt.Errorf("geostore: bad magic %q", magic)
-	}
-	var version uint32
-	if err := read(&version); err != nil {
-		return nil, err
-	}
-	if version != storeVersion {
+	version := binary.LittleEndian.Uint32(b[4:])
+	if version != 1 && version != storeVersion {
 		return nil, fmt.Errorf("geostore: unsupported version %d", version)
 	}
-	var numPolys uint64
-	if err := read(&numPolys); err != nil {
-		return nil, err
+	// Both versions put numPolys at 8; v2 adds payloadLen at 16.
+	fixed := 16
+	if version == storeVersion {
+		fixed = headerLen
 	}
+	if len(b) < fixed+8 {
+		return nil, fmt.Errorf("geostore: section of %d bytes is truncated", len(b))
+	}
+	body := b[:len(b)-8]
+	if got, want := binary.LittleEndian.Uint64(b[len(body):]), crc64.Checksum(body, crcTable); got != want {
+		return nil, fmt.Errorf("geostore: checksum mismatch: file %016x, computed %016x", got, want)
+	}
+	numPolys := binary.LittleEndian.Uint64(body[8:])
 	if numPolys > maxPolygons {
 		return nil, fmt.Errorf("geostore: implausible polygon count %d", numPolys)
 	}
-	polys := make([]*geom.Polygon, 0, min(numPolys, 1<<16))
-	var buf [16]byte
-	for i := uint64(0); i < numPolys; i++ {
-		var numRings uint32
-		if err := read(&numRings); err != nil {
-			return nil, fmt.Errorf("geostore: polygon %d: %w", i, err)
+	var (
+		polys []*geom.Polygon
+		faces []uint8
+		err   error
+	)
+	if version == 1 {
+		polys, err = readV1(body[fixed:], numPolys)
+	} else {
+		if n := binary.LittleEndian.Uint64(body[16:]); n != uint64(len(body)-fixed) {
+			return nil, fmt.Errorf("geostore: payload is %d bytes, header says %d", len(body)-fixed, n)
 		}
-		if numRings == 0 || numRings > maxRings {
-			return nil, fmt.Errorf("geostore: polygon %d: implausible ring count %d", i, numRings)
+		polys, faces, err = readV2(body[fixed:], numPolys)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Store{polys: polys, faces: faces}, nil
+}
+
+// cursor reads a payload front to back. A read past the end or a varint
+// that is overlong or not in its shortest form marks it bad and reads as
+// zero, so a decoder checks bad once per loop rather than after every field.
+type cursor struct {
+	b   []byte
+	off int
+	bad bool
+}
+
+func (c *cursor) u8() uint8 {
+	if c.off >= len(c.b) {
+		c.bad = true
+		return 0
+	}
+	c.off++
+	return c.b[c.off-1]
+}
+
+func (c *cursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 || (n > 1 && c.b[c.off+n-1] == 0) {
+		c.bad, c.off = true, len(c.b)
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+// varint reads a zigzag varint as the wrapping difference it codes.
+func (c *cursor) varint() uint64 {
+	u := c.uvarint()
+	return uint64(int64(u>>1) ^ -int64(u&1))
+}
+
+func (c *cursor) uint32() uint32 {
+	if len(c.b)-c.off < 4 {
+		c.bad, c.off = true, len(c.b)
+		return 0
+	}
+	c.off += 4
+	return binary.LittleEndian.Uint32(c.b[c.off-4:])
+}
+
+// readV2 decodes a version 2 payload in two passes: the first checks its
+// shape and counts rings and vertices without allocating, the second
+// decodes into one backing array of each, sized by what the first found.
+func readV2(payload []byte, numPolys uint64) ([]*geom.Polygon, []uint8, error) {
+	// A polygon takes at least a face, two counts and three 2-byte vertices.
+	if numPolys > uint64(len(payload))/9 {
+		return nil, nil, fmt.Errorf("geostore: %d polygons cannot fit in %d payload bytes", numPolys, len(payload))
+	}
+	c := cursor{b: payload}
+	rings, verts := 0, 0
+	for i := range numPolys {
+		if face := c.u8(); face >= numFaces {
+			return nil, nil, fmt.Errorf("geostore: polygon %d: face %d out of range", i, face)
 		}
-		rings := make([]geom.Ring, 0, min(uint64(numRings), 1<<10))
-		for ri := uint32(0); ri < numRings; ri++ {
-			var n uint32
-			if err := read(&n); err != nil {
-				return nil, fmt.Errorf("geostore: polygon %d ring %d: %w", i, ri, err)
+		nr := c.uvarint()
+		if nr == 0 || nr > maxRings {
+			return nil, nil, fmt.Errorf("geostore: polygon %d: implausible ring count %d", i, nr)
+		}
+		for r := range nr {
+			nv := c.uvarint()
+			if nv < 3 || nv > maxVerts {
+				return nil, nil, fmt.Errorf("geostore: polygon %d ring %d: implausible size %d", i, r, nv)
 			}
-			if n < 3 || n > maxVerts {
-				return nil, fmt.Errorf("geostore: polygon %d ring %d: implausible size %d", i, ri, n)
+			for k := uint64(0); k < 2*nv && !c.bad; k++ {
+				c.uvarint()
 			}
-			ring := make(geom.Ring, 0, min(uint64(n), 1<<16))
-			for vi := uint32(0); vi < n; vi++ {
-				if _, err := io.ReadFull(hr, buf[:]); err != nil {
-					return nil, fmt.Errorf("geostore: polygon %d ring %d: %w", i, ri, err)
+			if c.bad {
+				return nil, nil, fmt.Errorf("geostore: polygon %d ring %d: truncated or malformed", i, r)
+			}
+			verts += int(nv)
+		}
+		rings += int(nr)
+	}
+	if c.off != len(payload) {
+		return nil, nil, fmt.Errorf("geostore: %d trailing payload bytes", len(payload)-c.off)
+	}
+
+	pts := make([]geom.Point, verts)
+	ringSlab := make([]geom.Ring, rings)
+	polys := make([]*geom.Polygon, numPolys)
+	faces := make([]uint8, numPolys)
+	c = cursor{b: payload}
+	var px, py uint64
+	for i := range polys {
+		faces[i] = c.u8()
+		nr := int(c.uvarint())
+		rs := ringSlab[:nr:nr]
+		ringSlab = ringSlab[nr:]
+		for r := range rs {
+			nv := int(c.uvarint())
+			ring := pts[:nv:nv]
+			pts = pts[nv:]
+			for v := range ring {
+				px += c.varint()
+				py += c.varint()
+				ring[v] = geom.Point{X: math.Float64frombits(px), Y: math.Float64frombits(py)}
+			}
+			rs[r] = ring
+		}
+		p, err := geom.NewPolygon(rs[0], rs[1:]...)
+		if err != nil {
+			return nil, nil, fmt.Errorf("geostore: polygon %d: %w", i, err)
+		}
+		polys[i] = p
+	}
+	return polys, faces, nil
+}
+
+// readV1 decodes a version 1 payload: uint32 counts and raw float64 pairs.
+func readV1(payload []byte, numPolys uint64) ([]*geom.Polygon, error) {
+	// A polygon takes at least two counts and three 16-byte vertices.
+	if numPolys > uint64(len(payload))/56 {
+		return nil, fmt.Errorf("geostore: %d polygons cannot fit in %d payload bytes", numPolys, len(payload))
+	}
+	c := cursor{b: payload}
+	polys := make([]*geom.Polygon, numPolys)
+	for i := range polys {
+		nr := c.uint32()
+		if nr == 0 || nr > maxRings {
+			return nil, fmt.Errorf("geostore: polygon %d: implausible ring count %d", i, nr)
+		}
+		var rings []geom.Ring
+		for r := range nr {
+			nv := c.uint32()
+			if nv < 3 || nv > maxVerts || uint64(nv)*16 > uint64(len(payload)-c.off) {
+				return nil, fmt.Errorf("geostore: polygon %d ring %d: implausible size %d", i, r, nv)
+			}
+			ring := make(geom.Ring, nv)
+			for v := range ring {
+				ring[v] = geom.Point{
+					X: math.Float64frombits(binary.LittleEndian.Uint64(payload[c.off:])),
+					Y: math.Float64frombits(binary.LittleEndian.Uint64(payload[c.off+8:])),
 				}
-				ring = append(ring, geom.Point{
-					X: math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])),
-					Y: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
-				})
+				c.off += 16
 			}
 			rings = append(rings, ring)
 		}
@@ -209,17 +309,10 @@ func Read(r io.Reader) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("geostore: polygon %d: %w", i, err)
 		}
-		polys = append(polys, p)
+		polys[i] = p
 	}
-	want := crc.Sum64()
-	// The checksum trailer is read from the raw reader so it is not folded
-	// into the hash.
-	var got uint64
-	if err := binary.Read(raw, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("geostore: read checksum: %w", err)
+	if c.off != len(payload) {
+		return nil, fmt.Errorf("geostore: %d trailing payload bytes", len(payload)-c.off)
 	}
-	if got != want {
-		return nil, fmt.Errorf("geostore: checksum mismatch: file %016x, computed %016x", got, want)
-	}
-	return New(polys)
+	return polys, nil
 }

@@ -255,11 +255,11 @@ func (ix *Index) stage(records []wal.Record, poly *Polygon) (*epoch, error) {
 				}
 				p = ps[0]
 			}
-			cov, gp, err := ix.pl.cover(p)
+			cov, face, gp, err := ix.pl.cover(p)
 			if err != nil {
 				return nil, fmt.Errorf("record %d (insert %d): %w", i, rec.ID, err)
 			}
-			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Geom: gp, Seq: rec.Seq})
+			polys = append(polys, delta.Poly{ID: rec.ID, Cov: cov, Face: face, Geom: gp, Seq: rec.Seq})
 			next.alive = append(next.alive, true)
 			next.live++
 		case wal.TypeRemove:
@@ -511,15 +511,18 @@ func (ix *Index) compactEpoch(ctx context.Context, ep *epoch) (*epoch, error) {
 	fresh.trie, fresh.store, fresh.stats, fresh.ov = trie, nil, stats, nil
 	if ix.pl.hasGeom {
 		projected := make([]*geom.Polygon, len(ep.alive))
+		faces := make([]uint8, len(ep.alive))
 		for id, a := range ep.alive {
 			if a {
 				projected[id] = ep.store.Polygon(uint32(id)) // nil for delta ids
+				face, _ := ep.store.Face(uint32(id))
+				faces[id] = uint8(face)
 			}
 		}
 		for _, p := range ep.ov.Polys() {
-			projected[p.ID] = p.Geom
+			projected[p.ID], faces[p.ID] = p.Geom, uint8(p.Face)
 		}
-		fresh.store = geostore.NewSparse(projected)
+		fresh.store = geostore.NewSparse(projected, faces)
 	}
 	return &fresh, nil
 }

@@ -2,9 +2,7 @@ package act
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -40,8 +38,9 @@ func hostLittleEndian() bool {
 // no byte of the trie is copied — the open cost is the header read plus one
 // structural validation pass, and the kernel pages the arena in on demand,
 // so a warm page cache makes open and reload near-instant even at
-// census scale. The geometry section (when present) is still copied: exact
-// refinement mutates R-tree state, which cannot live in a read-only map.
+// census scale. The geometry section (when present) is decoded onto the
+// heap from the mapping: exact refinement mutates R-tree state, which cannot
+// live in a read-only map.
 //
 // Fallbacks keep OpenIndex total: platforms without mmap, filesystems that
 // refuse the mapping, and big-endian hosts all load via the copying
@@ -122,11 +121,11 @@ func assembleMapped(h *flatHeader, m *mapping) (*Index, error) {
 			return nil, err
 		}
 	}
-	var geomSrc io.Reader
+	var geomSec []byte
 	if h.hasGeom {
-		geomSrc = bytes.NewReader(m.data[h.geomOff:])
+		geomSec = m.data[h.geomOff:h.fileSize]
 	}
-	ix, err := assembleFlat(h, nodes, table, ids, geomSrc)
+	ix, err := assembleFlat(h, nodes, table, ids, geomSec)
 	if err != nil {
 		return nil, err
 	}

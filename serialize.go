@@ -13,6 +13,8 @@ import (
 	"github.com/actindex/act/internal/core"
 	"github.com/actindex/act/internal/geom"
 	"github.com/actindex/act/internal/geostore"
+	"github.com/actindex/act/internal/grid"
+	"github.com/actindex/act/internal/supercover"
 )
 
 // Index serialization, versions 7 and 8 — the flat, mmap-servable layout
@@ -48,8 +50,11 @@ import (
 //	idsOff:    id column        v8 only: numPolys × uint32, strictly
 //	                            ascending live polygon ids, 8-aligned after
 //	                            the table ((tableEnd+7)&^7)
-//	geomOff:   geometry section geostore.Store.WriteTo blob (own magic,
-//	                            version, CRC) — present only when flag set
+//	geomOff:   geometry section geostore.Store.Encode blob (own magic,
+//	                            version, CRC; delta-coded vertices and each
+//	                            polygon's grid face since section version 2)
+//	                            filling [geomOff, fileSize) exactly — present
+//	                            only when flag set
 //
 // Version 7 describes a dense id space: numPolys polygons with implicit
 // ids 0..numPolys-1. Version 8 adds sparse id spaces — the id column names
@@ -71,12 +76,16 @@ import (
 //
 // The geometry section is versioned and checksummed independently of the
 // header, so the exact-refinement geometry can evolve without breaking the
-// trie format; files written with WithGeometryStore(false) load in
-// approximate-only mode. Versions 1 and 2 (the pre-flat layouts), 3 and 4
-// (this layout over dense nodes of fanout words each, every denormalized
-// cell stored once per slot) and 5 and 6 (run-compressed nodes: a run-start
-// bitmap, a rank word and one entry per run, roots as plain offsets) are no
-// longer read: both loaders refuse them as unsupported.
+// trie format: WriteTo writes section version 2, and both loaders still read
+// version 1 (raw float64 vertices, no faces), taking each polygon's face
+// from the cells that reference it. Files written with
+// WithGeometryStore(false) load in approximate-only mode.
+//
+// Index versions 1 and 2 (the pre-flat layouts), 3 and 4 (this layout over
+// dense nodes of fanout words each, every denormalized cell stored once per
+// slot) and 5 and 6 (run-compressed nodes: a run-start bitmap, a rank word
+// and one entry per run, roots as plain offsets) are no longer read: both
+// loaders refuse them as unsupported.
 
 const (
 	indexMagic = "ACTX"
@@ -384,8 +393,8 @@ func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
 	}
 	h.tableOff = h.arenaOff + arenaWords*8
 	var idBytes []byte
-	geomStore := ep.store
-	if ids := ep.idColumn(); ids != nil {
+	ids := ep.idColumn()
+	if ids != nil {
 		h.version = indexVersionSparse
 		h.idSpace = uint64(len(ep.alive))
 		h.numPolys = uint64(len(ids))
@@ -396,26 +405,17 @@ func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
 		// The arena checksum of a v8 file also covers the id column (not
 		// the alignment padding around it).
 		h.arenaCRC = crc64.Update(h.arenaCRC, flatCRCTable, idBytes)
-		if h.hasGeom {
-			dense := make([]*geom.Polygon, len(ids))
-			for i, id := range ids {
-				p := ep.store.Polygon(id)
-				if p == nil {
-					return 0, fmt.Errorf("act: live polygon %d has no stored geometry", id)
-				}
-				dense[i] = p
-			}
-			st, err := geostore.New(dense)
-			if err != nil {
-				return 0, fmt.Errorf("act: collecting live geometry: %w", err)
-			}
-			geomStore = st
-		}
 	}
 	h.fileSize = h.idsEnd()
+	var geomSec []byte
 	if h.hasGeom {
+		// The section holds the live polygons densely, in id-column order.
+		var err error
+		if geomSec, err = ep.store.Encode(ids); err != nil {
+			return 0, fmt.Errorf("act: encoding geometry: %w", err)
+		}
 		h.geomOff = (h.fileSize + 7) &^ 7
-		h.fileSize = h.geomOff + uint64(geomStore.SerializedSize())
+		h.fileSize = h.geomOff + uint64(len(geomSec))
 	}
 	bc := &byteCounter{w: w}
 	bw := bufio.NewWriterSize(bc, 1<<20)
@@ -441,16 +441,12 @@ func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
 		if err := writeZeros(bw, int64(h.geomOff-h.idsEnd())); err != nil {
 			return bc.n, err
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return bc.n, err
-	}
-	if h.hasGeom {
-		if _, err := geomStore.WriteTo(bc); err != nil {
+		if _, err := bw.Write(geomSec); err != nil {
 			return bc.n, err
 		}
 	}
-	return bc.n, nil
+	err := bw.Flush()
+	return bc.n, err
 }
 
 // ReadIndex loads an index serialized with WriteTo, copying it onto the
@@ -461,10 +457,6 @@ func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
 // approximate-only mode (HasGeometry reports false and exact joins report
 // ErrNoGeometry).
 func ReadIndex(r io.Reader) (*Index, error) {
-	// geostore.Read wraps its reader in bufio.NewReaderSize(r, 1<<20);
-	// passing an equally-sized *bufio.Reader makes that wrap alias THIS
-	// reader instead of stacking a second megabyte buffer on top of it.
-	// Keep the two buffer sizes in sync.
 	br := bufio.NewReaderSize(r, 1<<20)
 	h, err := readFlatHeader(br)
 	if err != nil {
@@ -502,12 +494,66 @@ func readIndexFlat(br *bufio.Reader, h *flatHeader) (*Index, error) {
 	if got := crc.Sum64(); got != h.arenaCRC {
 		return nil, fmt.Errorf("act: arena checksum mismatch: file %016x, computed %016x", h.arenaCRC, got)
 	}
+	var geomSec []byte
 	if h.hasGeom {
 		if _, err := io.CopyN(io.Discard, br, int64(h.geomOff-h.idsEnd())); err != nil {
 			return nil, fmt.Errorf("act: skip id-column padding: %w", err)
 		}
+		// A bounded read: the buffer grows with the bytes that arrive, not
+		// with what a forged fileSize claims.
+		n := h.fileSize - h.geomOff
+		if geomSec, err = io.ReadAll(io.LimitReader(br, int64(n))); err != nil {
+			return nil, fmt.Errorf("act: read geometry section: %w", err)
+		}
+		if uint64(len(geomSec)) != n {
+			return nil, fmt.Errorf("act: geometry section is %d bytes, header says %d", len(geomSec), n)
+		}
 	}
-	return assembleFlat(h, nodes, table, ids, br)
+	return assembleFlat(h, nodes, table, ids, geomSec)
+}
+
+// readGeometry decodes the geometry section of a flat file and lays it out
+// by polygon id. The section stores the live polygons densely, in id-column
+// order for v8; each is remapped to its id so trie refs index the store
+// directly. A version 1 section records no faces: a polygon is projected
+// onto one face, so every cell referencing it names that face, and the
+// trie's cells supply them.
+func readGeometry(h *flatHeader, trie *core.Trie, g grid.Grid, ids []uint32, sec []byte) (*geostore.Store, error) {
+	st, err := geostore.Read(sec)
+	if err != nil {
+		return nil, err
+	}
+	if st.NumPolygons() != int(h.numPolys) {
+		return nil, fmt.Errorf("act: geometry section has %d polygons, header says %d",
+			st.NumPolygons(), h.numPolys)
+	}
+	slots := make([]*geom.Polygon, h.idSpace)
+	faces := make([]uint8, h.idSpace)
+	haveFaces := true
+	for i := range st.NumPolygons() {
+		id := uint32(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		slots[id] = st.Polygon(uint32(i))
+		face, ok := st.Face(uint32(i))
+		faces[id], haveFaces = uint8(face), ok
+	}
+	if !haveFaces && g.NumFaces() > 1 {
+		seen := make([]bool, h.idSpace)
+		_ = trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
+			for _, r := range refs {
+				faces[r.PolygonID], seen[r.PolygonID] = uint8(cell.Face()), true
+			}
+			return nil
+		})
+		for id, p := range slots {
+			if p != nil && !seen[id] {
+				return nil, fmt.Errorf("act: no cell references polygon %d to give its grid face", id)
+			}
+		}
+	}
+	return geostore.NewSparse(slots, faces), nil
 }
 
 // decodeIDColumn parses and validates a v8 id column: strictly ascending
@@ -529,11 +575,11 @@ func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 // assembleFlat builds a servable Index from a validated flat header and
 // its flat trie words — heap copies from readIndexFlat or mapping-backed
 // aliases from OpenIndex; ids is the decoded v8 id column (nil for v7) and
-// geomSrc must be positioned at the geometry section when the header
-// declares one. All cross-section consistency checks (trie structure,
+// geomSec the bytes [geomOff, fileSize) when the header declares a geometry
+// section. All cross-section consistency checks (trie structure,
 // polygon-id ranges, geometry count) live here so both load paths enforce
 // exactly the same invariants.
-func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, geomSrc io.Reader) (*Index, error) {
+func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, geomSec []byte) (*Index, error) {
 	trie, err := core.TrieFromFlat(core.Flat{
 		Fanout:   h.fanout,
 		Roots:    h.roots,
@@ -559,25 +605,9 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	}
 	var store *geostore.Store
 	if h.hasGeom {
-		st, err := geostore.Read(geomSrc)
-		if err != nil {
+		if store, err = readGeometry(h, trie, pl.grid, ids, geomSec); err != nil {
 			return nil, err
 		}
-		if st.NumPolygons() != int(h.numPolys) {
-			return nil, fmt.Errorf("act: geometry section has %d polygons, header says %d",
-				st.NumPolygons(), h.numPolys)
-		}
-		if ids != nil {
-			// v8: the section stores the live polygons densely in id-column
-			// order; remap each to its sparse id so trie refs index the
-			// store directly.
-			slots := make([]*geom.Polygon, h.idSpace)
-			for i, id := range ids {
-				slots[id] = st.Polygon(uint32(i))
-			}
-			st = geostore.NewSparse(slots)
-		}
-		store = st
 	} else if h.numPolys > 0 {
 		// Approximate-only files have no geometry section to cross-check
 		// the header count against. Honest builds give every live polygon
