@@ -250,9 +250,9 @@ type Index struct {
 	deltaThreshold int
 	obs            *Observer
 
-	// mapped is non-nil when the trie is served zero-copy from a file
-	// mapping (see OpenIndex); cleanup releases the mapping at GC time if
-	// Close is never called.
+	// mapped is the file mapping OpenIndex aliased the loaded trie over,
+	// held until Close even once a compaction has replaced that trie (see
+	// Mapped); cleanup releases it at GC time if Close is never called.
 	mapped  *mapping
 	cleanup runtime.Cleanup
 }

@@ -3,6 +3,7 @@ package act
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -56,7 +57,8 @@ func fuzzSeedIndexes(t testing.TB) [][]byte {
 // corruption with an error — never panic, never over-allocate on lying
 // length fields — and any stream it does accept must re-serialize into a
 // stream it accepts again, byte-identically (serialize → deserialize →
-// serialize is a fixed point).
+// serialize is a fixed point). The image it accepted must decode under the
+// mapped policy too, without the arena checksum, into the same index.
 func FuzzDeserialize(f *testing.F) {
 	for _, seed := range fuzzSeedIndexes(f) {
 		f.Add(seed)
@@ -73,6 +75,15 @@ func FuzzDeserialize(f *testing.F) {
 		var b1 bytes.Buffer
 		if _, err := ix.WriteTo(&b1); err != nil {
 			t.Fatalf("accepted index fails to serialize: %v", err)
+		}
+		// ReadIndex read exactly the header's fileSize bytes of the input.
+		mapped, err := decodeImage(input[:binary.LittleEndian.Uint64(input[96:])], nil, false)
+		if err != nil {
+			t.Fatalf("image refused under the mapped policy: %v", err)
+		}
+		var bm bytes.Buffer
+		if _, err := mapped.WriteTo(&bm); err != nil || !bytes.Equal(bm.Bytes(), b1.Bytes()) {
+			t.Fatalf("mapped policy serializes differently (error %v)", err)
 		}
 		ix2, err := ReadIndex(bytes.NewReader(b1.Bytes()))
 		if err != nil {

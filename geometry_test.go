@@ -251,8 +251,9 @@ func TestGeometryFacesRoundTrip(t *testing.T) {
 
 // TestGeometryTrailingBytesRefused: bytes between the end of the geometry
 // section and the header's fileSize are not part of any file WriteTo
-// produces, so both loaders refuse them even with the header checksum
-// recomputed — for a version 2 section and for a version 1 one.
+// produces, so every loader refuses them — ReadIndex, and OpenIndex mapped
+// and through its heap source — even with the header checksum recomputed,
+// for a version 2 section and for a version 1 one.
 func TestGeometryTrailingBytesRefused(t *testing.T) {
 	var v2 bytes.Buffer
 	if _, err := buildV1Twin(t).WriteTo(&v2); err != nil {
@@ -276,6 +277,10 @@ func TestGeometryTrailingBytesRefused(t *testing.T) {
 		if ix, err := OpenIndex(path); err == nil {
 			ix.Close()
 			t.Errorf("%s: OpenIndex accepted 24 trailing bytes", name)
+		}
+		if ix, err := openHeap(path); err == nil {
+			ix.Close()
+			t.Errorf("%s: OpenIndex's heap source accepted 24 trailing bytes", name)
 		}
 	}
 }

@@ -19,9 +19,8 @@ const (
 // Flat is the zero-copy wire form of a trie: the node arena and lookup table
 // as raw word slices plus the per-face root metadata. It is what the index
 // file layout persists — the arena is written exactly as it lives in memory
-// (canonical breadth-first order, little-endian words), so a reader can
-// either copy the words off a stream or alias them straight out of a
-// memory-mapped file.
+// (canonical breadth-first order, little-endian words), so a loader can
+// alias the words straight out of a file image or decode them from it.
 type Flat struct {
 	Fanout   uint32
 	Roots    [cellid.NumFaces]uint64
@@ -54,37 +53,21 @@ func (t *Trie) Flat() Flat {
 // the exact bytes an index file carries between arenaOff and the end of
 // the table, and the bytes SectionCRC sums.
 func (f Flat) WriteSection(w io.Writer) error {
-	if err := writeU64s(w, f.Nodes); err != nil {
+	if err := writeWords(w, f.Nodes); err != nil {
 		return err
 	}
-	return writeU32s(w, f.Table)
+	return writeWords(w, f.Table)
 }
 
 // SectionCRC returns the CRC-64/ECMA of the bytes WriteSection produces.
-// Computing it requires a full pass over the arena, so the copying reader
-// verifies it while the zero-copy mmap path — whose safety rests on
-// structural validation, not checksums — skips it.
+// Computing it requires a full pass over the arena, so heap loads verify it
+// while mapped ones — whose safety rests on structural validation, not
+// checksums — skip it.
 func (f Flat) SectionCRC() uint64 {
 	h := crc64.New(crcTable)
-	writeU64s(h, f.Nodes) // hash.Hash64 writes never fail
-	writeU32s(h, f.Table)
+	writeWords(h, f.Nodes) // hash.Hash64 writes never fail
+	writeWords(h, f.Table)
 	return h.Sum64()
-}
-
-// ReadFlatWords reads a WriteSection stream back into freshly allocated
-// word slices — the copying counterpart to aliasing a mapping. Growth is
-// paced by bytes actually arriving, so forged lengths fail with EOF rather
-// than huge allocations.
-func ReadFlatWords(r io.Reader, nodeWords, tableWords uint64) ([]uint64, []uint32, error) {
-	nodes, err := readU64s(r, nodeWords)
-	if err != nil {
-		return nil, nil, err
-	}
-	table, err := readU32s(r, tableWords)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nodes, table, nil
 }
 
 // TrieFromFlat reconstructs a servable trie from its flat form without

@@ -10,89 +10,34 @@ import (
 	"github.com/actindex/act/internal/cellid"
 )
 
-// Word-level I/O and structural validation shared by every reader and
-// writer of flat trie data (see flat.go for the format itself).
+// Word-level output and structural validation of flat trie data (see
+// flat.go for the format itself).
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// writeU64s streams a large word slice through a fixed scratch buffer,
-// avoiding binary.Write's full-size temporary allocation.
-func writeU64s(w io.Writer, words []uint64) error {
+// writeWords streams words as little-endian bytes through a fixed scratch
+// buffer, avoiding binary.Write's full-size temporary allocation.
+func writeWords[W uint32 | uint64](w io.Writer, words []W) error {
 	var buf [8 * 8192]byte
 	for len(words) > 0 {
-		n := len(words)
-		if n > 8192 {
-			n = 8192
+		n := min(len(words), 8192)
+		b := buf[:0]
+		switch ws := any(words[:n]).(type) {
+		case []uint64:
+			for _, v := range ws {
+				b = binary.LittleEndian.AppendUint64(b, v)
+			}
+		case []uint32:
+			for _, v := range ws {
+				b = binary.LittleEndian.AppendUint32(b, v)
+			}
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], words[i])
-		}
-		if _, err := w.Write(buf[:n*8]); err != nil {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 		words = words[n:]
 	}
 	return nil
-}
-
-func writeU32s(w io.Writer, words []uint32) error {
-	var buf [4 * 8192]byte
-	for len(words) > 0 {
-		n := len(words)
-		if n > 8192 {
-			n = 8192
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], words[i])
-		}
-		if _, err := w.Write(buf[:n*4]); err != nil {
-			return err
-		}
-		words = words[n:]
-	}
-	return nil
-}
-
-// readU64s reads count words, growing the result as bytes actually arrive
-// rather than trusting count up front: a corrupted length field then fails
-// with an EOF after the real data runs out instead of attempting a
-// multi-gigabyte allocation.
-func readU64s(r io.Reader, count uint64) ([]uint64, error) {
-	var buf [8 * 8192]byte
-	words := make([]uint64, 0, min(count, 8192))
-	for remaining := count; remaining > 0; {
-		n := uint64(8192)
-		if n > remaining {
-			n = remaining
-		}
-		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			words = append(words, binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		remaining -= n
-	}
-	return words, nil
-}
-
-func readU32s(r io.Reader, count uint64) ([]uint32, error) {
-	var buf [4 * 8192]byte
-	words := make([]uint32, 0, min(count, 8192))
-	for remaining := count; remaining > 0; {
-		n := uint64(8192)
-		if n > remaining {
-			n = remaining
-		}
-		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			words = append(words, binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		remaining -= n
-	}
-	return words, nil
 }
 
 // validateStructure parses the arena as the sequence of nodes it must be and

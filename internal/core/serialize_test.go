@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/actindex/act/internal/cellid"
@@ -42,7 +43,7 @@ func flatSection(t *testing.T, f Flat) []byte {
 	return buf.Bytes()
 }
 
-// TestTrieSerializationRoundTrip streams a trie's flat section out, reads
+// TestTrieSerializationRoundTrip streams a trie's flat section out, decodes
 // the words back, and reassembles it with TrieFromFlat: structure, section
 // checksum and lookups must survive, and a second WriteSection must be
 // byte-identical.
@@ -55,16 +56,12 @@ func TestTrieSerializationRoundTrip(t *testing.T) {
 		trie := buildRandomTrie(t, cfg, int64(cfg.Fanout))
 		f := trie.Flat()
 		section := flatSection(t, f)
-		if want := 8*len(f.Nodes) + 4*len(f.Table); len(section) != want {
+		nw := 8 * len(f.Nodes)
+		if want := nw + 4*len(f.Table); len(section) != want {
 			t.Fatalf("fanout %d: section is %d bytes, want %d", cfg.Fanout, len(section), want)
 		}
-		nodes, table, err := ReadFlatWords(bytes.NewReader(section), uint64(len(f.Nodes)), uint64(len(f.Table)))
-		if err != nil {
-			t.Fatalf("fanout %d: %v", cfg.Fanout, err)
-		}
-		g := f
-		g.Nodes, g.Table = nodes, table
-		back, err := TrieFromFlat(g)
+		sel, head, _, _ := encodeFlatFuzz(f)
+		back, err := TrieFromFlat(decodeFlatFuzz(sel, head, section[:nw], section[nw:]))
 		if err != nil {
 			t.Fatalf("fanout %d: %v", cfg.Fanout, err)
 		}
@@ -93,28 +90,18 @@ func TestTrieSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTrieSerializationErrors: a section stream cut short fails in
-// ReadFlatWords, a flipped bit moves the section checksum, and TrieFromFlat
-// refuses header fields no builder produces.
+// TestTrieSerializationErrors: a flipped bit moves the section checksum, and
+// TrieFromFlat refuses header fields no builder produces. (A section cut
+// short is the index file decoder's to refuse; the root package's
+// serialization tests cut files.)
 func TestTrieSerializationErrors(t *testing.T) {
 	trie := buildRandomTrie(t, DefaultConfig(), 1)
 	good := trie.Flat()
-	section := flatSection(t, good)
-	nw, tw := uint64(len(good.Nodes)), uint64(len(good.Table))
+	nw := uint64(len(good.Nodes))
 
-	for _, cut := range []int{0, 10, len(section) / 2, len(section) - 1} {
-		if _, _, err := ReadFlatWords(bytes.NewReader(section[:cut]), nw, tw); err == nil {
-			t.Errorf("section truncated to %d bytes should fail", cut)
-		}
-	}
-	flip := append([]byte(nil), section...)
-	flip[len(flip)/2] ^= 0x01
-	nodes, table, err := ReadFlatWords(bytes.NewReader(flip), nw, tw)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := good
-	bad.Nodes, bad.Table = nodes, table
+	bad.Nodes = slices.Clone(good.Nodes)
+	bad.Nodes[nw/2] ^= 0x01
 	if bad.SectionCRC() == good.SectionCRC() {
 		t.Error("bit flip left the section checksum unchanged")
 	}

@@ -823,6 +823,38 @@ func TestMmapServeAndReloadRace(t *testing.T) {
 	}
 }
 
+// TestStatsMappedAfterCompaction: a recovered primary reports "mapped"
+// while its snapshot's trie serves from the file mapping, and stops once a
+// compaction has replaced that trie with a heap-built one.
+func TestStatsMappedAfterCompaction(t *testing.T) {
+	_, built := mutationServer(t, -1)
+	idx, err := act.Recover(writeIndexFile(t, built), filepath.Join(t.TempDir(), "delta.wal"), act.WithDeltaThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	s := NewServer(act.NewSwappable(idx), BuildDefaults{Precision: 10})
+	stats := func() (st statsResponse) {
+		t.Helper()
+		if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if !stats().Mapped {
+		t.Skip("mmap unavailable on this platform")
+	}
+	if rec := do(t, s, http.MethodPost, "/polygons", churnGeoJSON(0)); rec.Code != http.StatusOK {
+		t.Fatalf("insert status %d: %s", rec.Code, rec.Body)
+	}
+	if err := idx.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := stats(); st.Mapped || st.Compactions != 1 {
+		t.Fatalf("stats after compaction = %+v, want a heap-served trie and one compaction", st)
+	}
+}
+
 // TestInsertBodyCap: a POST /polygons body beyond Server.MaxPolygonBytes is
 // refused with 413 before any polygon is parsed, and a body under the cap
 // still inserts.

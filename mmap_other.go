@@ -7,10 +7,6 @@ import (
 	"os"
 )
 
-// mmapSupported gates OpenIndex's zero-copy path; without a mapping
-// primitive every open degrades to the copying reader.
-const mmapSupported = false
-
 var errNoMmap = errors.New("act: memory mapping is not supported on this platform")
 
 func mmapFile(f *os.File, size int64) ([]byte, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"math"
@@ -34,8 +35,7 @@ func writeIndexFile(t testing.TB, ix *Index) string {
 }
 
 // openMapped opens the file and requires the zero-copy path (skipping the
-// test on platforms without mmap, where the fallback is covered by
-// TestOpenIndexLegacyFallback's parity checks anyway).
+// test on platforms without mmap, where openHeap's cases cover the load).
 func openMapped(t *testing.T, path string) *Index {
 	t.Helper()
 	ix, err := OpenIndex(path)
@@ -47,6 +47,12 @@ func openMapped(t *testing.T, path string) *Index {
 		t.Skip("mmap unavailable on this platform")
 	}
 	return ix
+}
+
+// openHeap opens the file through OpenIndex's heap source, the one a
+// platform without mmap, or a filesystem refusing it, takes.
+func openHeap(path string) (*Index, error) {
+	return openIndex(path, func(*os.File, int64) ([]byte, error) { return nil, errors.New("mmap refused") })
 }
 
 // samplePoints draws points across (and slightly beyond) the set's bounds
@@ -168,9 +174,10 @@ func TestOpenIndexCloseIdle(t *testing.T) {
 	}
 }
 
-// TestOpenIndexRejectsCorruptV3 drives OpenIndex with damaged v3 files:
-// truncation, trailing junk, and header corruption must all be rejected at
-// open time — never deferred to a fault during a lookup.
+// TestOpenIndexRejectsCorruptV3 drives OpenIndex, mapped and through its
+// heap source, with damaged files: truncation, trailing junk, and header
+// corruption must all be rejected at open time — never deferred to a fault
+// during a lookup.
 func TestOpenIndexRejectsCorruptV3(t *testing.T) {
 	built, _ := buildTestIndex(t, PlanarGrid)
 	var buf bytes.Buffer
@@ -204,8 +211,12 @@ func TestOpenIndexRejectsCorruptV3(t *testing.T) {
 	cases["forged-numnodes"] = forged
 
 	for name, b := range cases {
-		if _, err := OpenIndex(write(name, b)); err == nil {
+		path := write(name, b)
+		if _, err := OpenIndex(path); err == nil {
 			t.Errorf("%s: OpenIndex accepted a damaged file", name)
+		}
+		if _, err := openHeap(path); err == nil {
+			t.Errorf("%s: OpenIndex's heap source accepted a damaged file", name)
 		}
 	}
 
@@ -227,19 +238,102 @@ func TestOpenIndexRejectsCorruptV3(t *testing.T) {
 		if _, err := ReadIndex(bytes.NewReader(forged)); err == nil || !strings.Contains(err.Error(), f.field) {
 			t.Errorf("%s: ReadIndex: got %v, want an error naming %s", name, err, f.field)
 		}
-		if _, err := OpenIndex(write(name, forged)); err == nil || !strings.Contains(err.Error(), f.field) {
+		path := write(name, forged)
+		if _, err := OpenIndex(path); err == nil || !strings.Contains(err.Error(), f.field) {
 			t.Errorf("%s: OpenIndex: got %v, want an error naming %s", name, err, f.field)
+		}
+		if _, err := openHeap(path); err == nil || !strings.Contains(err.Error(), f.field) {
+			t.Errorf("%s: heap source: got %v, want an error naming %s", name, err, f.field)
 		}
 	}
 
-	// The pristine bytes still load on both readers, proving the cases
+	// The pristine bytes still load on every source, proving the cases
 	// failed for their damage and not some environmental reason.
 	if _, err := ReadIndex(bytes.NewReader(good)); err != nil {
 		t.Fatalf("pristine bytes rejected by ReadIndex: %v", err)
 	}
-	ix, err := OpenIndex(write("pristine", good))
+	path := write("pristine", good)
+	ix, err := OpenIndex(path)
 	if err != nil {
 		t.Fatalf("pristine file rejected: %v", err)
 	}
 	ix.Close()
+	heap, err := openHeap(path)
+	if err != nil {
+		t.Fatalf("pristine file rejected by the heap source: %v", err)
+	}
+	var again bytes.Buffer
+	if _, err := heap.WriteTo(&again); err != nil || heap.Mapped() || !bytes.Equal(again.Bytes(), good) {
+		t.Fatalf("heap source: Mapped %v, WriteTo error %v, same bytes %v", heap.Mapped(), err, bytes.Equal(again.Bytes(), good))
+	}
+}
+
+// TestDecodeMisalignedImage: a file image one byte off 8-byte alignment
+// takes the decoder's copy branch — the only branch a big-endian host has —
+// under both policies, and serves and re-serializes exactly like the index
+// it was written from; the aligned image is aliased on a little-endian host.
+func TestDecodeMisalignedImage(t *testing.T) {
+	dense, denseSet := buildTestIndex(t, CubeFaceGrid)
+	sparse, sparseSet, _ := buildSparseIndex(t)
+	for _, tc := range []struct {
+		name string
+		ix   *Index
+		set  *data.PolygonSet
+	}{{"dense-ids", dense, denseSet}, {"sparse-ids", sparse, sparseSet}} {
+		var file bytes.Buffer
+		if _, err := tc.ix.WriteTo(&file); err != nil {
+			t.Fatal(err)
+		}
+		for off := range 2 {
+			img := make([]byte, file.Len()+off)[off:]
+			copy(img, file.Bytes())
+			for _, checkCRC := range []bool{true, false} {
+				tag := fmt.Sprintf("%s at offset %d, checkCRC %v", tc.name, off, checkCRC)
+				ix, err := decodeImage(img, nil, checkCRC)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				wantAlias := hostLittleEndian && off == 0
+				if got := (&mapping{data: img}).backs(ix.live.Load().trie); got != wantAlias {
+					t.Fatalf("%s: trie aliases the image: %v, want %v", tag, got, wantAlias)
+				}
+				checkLookupParity(t, tag, tc.ix, ix, tc.set, true)
+				var again bytes.Buffer
+				if _, err := ix.WriteTo(&again); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if !bytes.Equal(again.Bytes(), file.Bytes()) {
+					t.Errorf("%s: re-serialized file differs (%d vs %d bytes)", tag, again.Len(), file.Len())
+				}
+			}
+		}
+	}
+}
+
+// TestMappedAfterCompaction: a recovered index serves its snapshot's trie
+// from the mapping, inserts in its overlay included, and stops reporting
+// Mapped once a compaction has replaced that trie with a heap-built one.
+func TestMappedAfterCompaction(t *testing.T) {
+	built, set := buildTestIndex(t, PlanarGrid)
+	rec, err := Recover(writeIndexFile(t, built), filepath.Join(t.TempDir(), "delta.wal"), WithDeltaThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if !rec.Mapped() {
+		t.Skip("mmap unavailable on this platform")
+	}
+	ctx := context.Background()
+	if _, err := rec.Insert(ctx, set.Polygons[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Mapped() {
+		t.Fatal("an insert unmapped the base trie")
+	}
+	if err := rec.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Mapped() {
+		t.Fatal("Mapped reports true after a compaction replaced the mapped trie")
+	}
 }

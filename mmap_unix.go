@@ -7,11 +7,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported reports whether this build can serve indexes from a file
-// mapping. On unix builds it is true; OpenIndex still falls back to the
-// copying reader per file when the map itself fails.
-const mmapSupported = true
-
 // mmapFile maps the first size bytes of f read-only and shared: the pages
 // alias the kernel page cache, so the bytes are demand-paged straight from
 // the file and never duplicated onto the Go heap.

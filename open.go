@@ -1,12 +1,13 @@
 package act
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"runtime"
 	"sync"
 	"unsafe"
+
+	"github.com/actindex/act/internal/core"
 )
 
 // mapping owns one read-only file mapping. close is idempotent so an
@@ -23,111 +24,66 @@ func (m *mapping) close() error {
 	return m.err
 }
 
-// hostLittleEndian reports whether this machine stores integers in the flat
-// file byte order. Big-endian hosts read flat files through the copying
-// path, which decodes word by word.
-func hostLittleEndian() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
+// backs reports whether t's arena lies inside the mapping.
+func (m *mapping) backs(t *core.Trie) bool {
+	nodes := t.Flat().Nodes
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(m.data)))
+	return len(nodes) > 0 && uintptr(unsafe.Pointer(&nodes[0]))-base < uintptr(len(m.data))
 }
 
-// OpenIndex opens an index file for serving without deserializing it: the
-// file (the WriteTo layout) is memory-mapped read-only and the trie arena
-// and lookup table are served in place, aliased straight over the
-// page-cache-backed mapping. No arena-sized heap allocation happens and
-// no byte of the trie is copied — the open cost is the header read plus one
-// structural validation pass, and the kernel pages the arena in on demand,
-// so a warm page cache makes open and reload near-instant even at
-// census scale. The geometry section (when present) is decoded onto the
-// heap from the mapping: exact refinement mutates R-tree state, which cannot
-// live in a read-only map.
+// OpenIndex opens an index file for serving without deserializing it: it
+// memory-maps the file (the WriteTo layout) read-only and decodes it as
+// ReadIndex does, except that the trie arena and lookup table stay aliased
+// over the page-cache-backed mapping and the arena checksum is not verified:
+// one full-arena pass would defeat lazy paging, and the structural
+// validation every decoded trie gets already keeps even a corrupted or
+// hostile file from driving lookups out of bounds. The open cost is that
+// validation pass; the kernel pages the arena in on demand. The geometry
+// section (when present) is decoded onto the heap: exact refinement mutates
+// R-tree state, which cannot live in a read-only map.
 //
-// Fallbacks keep OpenIndex total: platforms without mmap, filesystems that
-// refuse the mapping, and big-endian hosts all load via the copying
-// ReadIndex path — the result serves identically, it just pays the copy.
-// Check [Index.Mapped] to see which path was taken.
+// Where the file cannot be mapped (no mmap on the platform, or a filesystem
+// that refuses it) OpenIndex reads it onto the heap and decodes it exactly
+// as ReadIndex does; a big-endian host decodes the mapped words onto the
+// heap. [Index.Mapped] tells which happened.
 //
-// A mapped index is immutable (Insert, Remove, and Compact report
-// ErrImmutable, as for any deserialized index) and holds the mapping until
-// [Index.Close] or, if Close is never called, until the index is garbage
-// collected. Close must not race in-flight lookups: swing traffic off the
-// index first (e.g. via [Swappable]), or simply drop the last reference
-// and let the collector release the mapping after the final reader.
-//
-// The copying reader verifies the arena checksum; the mapped path skips
-// that full-file pass by design and relies on the same structural
-// validation every deserialized trie gets, which already guarantees that
-// even a corrupted or hostile file cannot drive lookups out of bounds.
-func OpenIndex(path string) (*Index, error) {
+// The index is read-only; Recover and OpenFollower open their snapshot
+// through OpenIndex and then take writes. It holds the mapping until
+// [Index.Close] or, if Close is never called, until it is garbage collected.
+// Close must not race in-flight lookups: swing traffic off the index first
+// (e.g. via [Swappable]), or simply drop the last reference and let the
+// collector release the mapping after the final reader.
+func OpenIndex(path string) (*Index, error) { return openIndex(path, mmapFile) }
+
+// openIndex is OpenIndex over the given mapping primitive, so that tests
+// can refuse the mapping.
+func openIndex(path string, mmap func(*os.File, int64) ([]byte, error)) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	// The mapping outlives the descriptor; the fallback path finishes
-	// reading before this deferred close runs.
-	defer f.Close()
-
-	h, err := readFlatHeader(f)
-	if err != nil {
-		return nil, err
-	}
-	if !mmapSupported || !hostLittleEndian() {
-		return readIndexFlat(bufio.NewReaderSize(f, 1<<20), h)
-	}
+	defer f.Close() // the mapping outlives the descriptor
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	// The map-time validator is strict about length: a truncated file would
-	// otherwise SIGBUS on first touch of the missing pages, and trailing
-	// bytes mean the file is not what WriteTo produced.
-	if fi.Size() != int64(h.fileSize) {
-		return nil, fmt.Errorf("act: file is %d bytes, header says %d", fi.Size(), h.fileSize)
-	}
-	data, err := mmapFile(f, int64(h.fileSize))
+	data, err := mmap(f, fi.Size())
 	if err != nil {
-		// A filesystem without mmap support (or an exotic size limit) still
-		// holds a perfectly good index; serve it through the copy path. The
-		// descriptor still sits just past the header.
-		return readIndexFlat(bufio.NewReaderSize(f, 1<<20), h)
-	}
-	m := &mapping{data: data}
-	ix, err := assembleMapped(h, m)
-	if err != nil {
-		m.close()
-		return nil, err
-	}
-	return ix, nil
-}
-
-// assembleMapped aliases the flat sections of a mapped flat file (v7 or
-// v8) and builds the serving index around them.
-func assembleMapped(h *flatHeader, m *mapping) (*Index, error) {
-	var nodes []uint64
-	if h.arenaWords() > 0 {
-		nodes = unsafe.Slice((*uint64)(unsafe.Pointer(&m.data[h.arenaOff])), h.arenaWords())
-	}
-	var table []uint32
-	if h.tableLen > 0 {
-		table = unsafe.Slice((*uint32)(unsafe.Pointer(&m.data[h.tableOff])), h.tableLen)
-	}
-	var ids []uint32
-	if h.version >= indexVersionSparse {
-		// The id column is tiny relative to the arena; decode (and
-		// validate) a heap copy rather than aliasing the mapping, so the
-		// index keeps working even after the mapping is closed mid-teardown.
-		var err error
-		if ids, err = decodeIDColumn(m.data[h.idsOff():h.idsEnd()], h.idSpace); err != nil {
+		img, geom, err := readImage(f)
+		if err != nil {
 			return nil, err
 		}
+		// readImage stops at the header's fileSize; bytes past it are junk.
+		if size := int64(len(img) + len(geom)); size != fi.Size() {
+			return nil, fmt.Errorf("act: file is %d bytes, header says %d", fi.Size(), size)
+		}
+		return decodeImage(img, geom, true)
 	}
-	var geomSec []byte
-	if h.hasGeom {
-		geomSec = m.data[h.geomOff:h.fileSize]
-	}
-	ix, err := assembleFlat(h, nodes, table, ids, geomSec)
-	if err != nil {
-		return nil, err
+	m := &mapping{data: data}
+	ix, err := decodeImage(data, nil, false)
+	if err != nil || !m.backs(ix.live.Load().trie) {
+		m.close() // refused, or decoded onto the heap: nothing aliases it
+		return ix, err
 	}
 	ix.mapped = m
 	// GC-driven release: when the last reference to the index goes away —
@@ -140,8 +96,11 @@ func assembleMapped(h *flatHeader, m *mapping) (*Index, error) {
 }
 
 // Mapped reports whether the index serves its trie from a file mapping
-// (OpenIndex's zero-copy path) rather than heap memory.
-func (ix *Index) Mapped() bool { return ix.mapped != nil }
+// (OpenIndex's zero-copy path) rather than heap memory. It turns false when
+// a compaction of a recovered or follower index replaces that trie.
+func (ix *Index) Mapped() bool {
+	return ix.mapped != nil && ix.mapped.backs(ix.live.Load().trie)
+}
 
 // Close releases the resources an index holds beyond heap memory: the
 // file mapping of an index opened with OpenIndex, and the write-ahead log

@@ -8,6 +8,7 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
+	"unsafe"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/core"
@@ -69,14 +70,15 @@ import (
 // The arena starts on a page boundary and its words are stored exactly as
 // the trie serves them in memory, so OpenIndex can map the file and alias
 // the arena and table in place — no deserialize copy, the page cache is the
-// index. The copying ReadIndex path verifies arenaCRC; the mmap path skips
-// it (one full-arena pass would defeat lazy paging) and relies on the same
-// structural validation that guards every deserialized trie, which already
+// index. Every load ends in one decoder, decodeImage. Heap images (ReadIndex,
+// and OpenIndex where it cannot map) have arenaCRC verified; the mapping
+// skips it (one full-arena pass would defeat lazy paging) and relies on the
+// same structural validation that guards every decoded trie, which already
 // makes even a forged file unable to drive lookups out of bounds.
 //
 // The geometry section is versioned and checksummed independently of the
 // header, so the exact-refinement geometry can evolve without breaking the
-// trie format: WriteTo writes section version 2, and both loaders still read
+// trie format: WriteTo writes section version 2, and the decoder still reads
 // version 1 (raw float64 vertices, no faces), taking each polygon's face
 // from the cells that reference it. Files written with
 // WithGeometryStore(false) load in approximate-only mode.
@@ -84,8 +86,8 @@ import (
 // Index versions 1 and 2 (the pre-flat layouts), 3 and 4 (this layout over
 // dense nodes of fanout words each, every denormalized cell stored once per
 // slot) and 5 and 6 (run-compressed nodes: a run-start bitmap, a rank word
-// and one entry per run, roots as plain offsets) are no longer read: both
-// loaders refuse them as unsupported.
+// and one entry per run, roots as plain offsets) are no longer read: the
+// decoder refuses them as unsupported.
 
 const (
 	indexMagic = "ACTX"
@@ -99,9 +101,8 @@ const (
 	// flatHeaderCRCBytes the prefix that checksum covers.
 	flatHeaderSize     = 264
 	flatHeaderCRCBytes = 256
-	// flatPageSize aligns the arena for mmap serving. 4096 is the page size
-	// on every platform the mmap path supports; larger-page systems fall
-	// back to the copying reader.
+	// flatPageSize aligns the arena to a page for mmap serving; the decoder
+	// itself needs only the 8-byte alignment that follows from it.
 	flatPageSize = 4096
 )
 
@@ -145,10 +146,6 @@ type flatHeader struct {
 	prefixes  [cellid.NumFaces]uint64
 	arenaCRC  uint64
 }
-
-// arenaWords returns the number of 8-byte words between arenaOff and
-// tableOff: the node arena.
-func (h *flatHeader) arenaWords() uint64 { return (h.tableOff - h.arenaOff) / 8 }
 
 // tableEnd returns the byte offset one past the lookup table.
 func (h *flatHeader) tableEnd() uint64 { return h.tableOff + h.tableLen*4 }
@@ -208,34 +205,30 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 	return buf
 }
 
-// readFlatHeader is the header prologue both loaders share: it reads the
-// magic and version first — so anything but a flat v7/v8 file is refused
-// before a single further byte is interpreted — then the rest of the
-// header, and hands it to decodeFlatHeader. On success exactly
-// flatHeaderSize bytes of r are consumed.
-func readFlatHeader(r io.Reader) (*flatHeader, error) {
-	var buf [flatHeaderSize]byte
-	if _, err := io.ReadFull(r, buf[:8]); err != nil {
-		return nil, fmt.Errorf("act: read magic: %w", err)
+// parseHeader parses the header at the start of a file image. Magic and
+// version come first, so anything but a flat v7/v8 file is refused before
+// a further byte is interpreted, even one too short to hold a header.
+func parseHeader(b []byte) (*flatHeader, error) {
+	if len(b) < 8 {
+		return nil, fmt.Errorf("act: %d bytes hold no index header", len(b))
 	}
-	if string(buf[:4]) != indexMagic {
-		return nil, fmt.Errorf("act: bad index magic %q", buf[:4])
+	if string(b[:4]) != indexMagic {
+		return nil, fmt.Errorf("act: bad index magic %q", b[:4])
 	}
-	if v := binary.LittleEndian.Uint32(buf[4:]); v != indexVersion && v != indexVersionSparse {
+	if v := binary.LittleEndian.Uint32(b[4:]); v != indexVersion && v != indexVersionSparse {
 		return nil, fmt.Errorf("act: unsupported index version %d", v)
 	}
-	if _, err := io.ReadFull(r, buf[8:]); err != nil {
-		return nil, fmt.Errorf("act: read flat header: %w", err)
+	if len(b) < flatHeaderSize {
+		return nil, fmt.Errorf("act: header truncated at %d of %d bytes", len(b), flatHeaderSize)
 	}
-	return decodeFlatHeader(&buf)
+	return decodeFlatHeader((*[flatHeaderSize]byte)(b))
 }
 
 // decodeFlatHeader parses and cross-validates a flat header (v7 or v8)
 // whose magic and version bytes are already verified. Every offset
-// relationship the layout promises is checked here, so both readers
-// (copying and mmap) can trust the header's geometry of the file
-// afterwards — all that remains is checking it against the actual file
-// length.
+// relationship the layout promises is checked here, so the decoder can
+// trust the header's geometry of the file afterwards — all that remains is
+// checking it against the image's length.
 func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 	le := binary.LittleEndian
 	if got, want := le.Uint64(buf[flatHeaderCRCBytes:]), crc64.Checksum(buf[:flatHeaderCRCBytes], flatCRCTable); got != want {
@@ -309,7 +302,7 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 	}
 	// Nodes vary in size, so the arena is as long as the offsets say;
 	// assembleFlat checks numNodes against what the arena holds.
-	if h.tableOff < h.arenaOff || (h.tableOff-h.arenaOff)%8 != 0 || h.arenaWords() > core.MaxArenaWords {
+	if h.tableOff < h.arenaOff || (h.tableOff-h.arenaOff)%8 != 0 || (h.tableOff-h.arenaOff)/8 > core.MaxArenaWords {
 		return nil, fmt.Errorf("act: table offset %d does not end a plausible arena", h.tableOff)
 	}
 	end := h.idsEnd()
@@ -388,7 +381,7 @@ func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
 		skips:     f.Skips,
 		prefixes:  f.Prefixes,
 		// One extra memory-speed pass over the arena, paid at save time so
-		// the copying reader can verify without buffering.
+		// heap loads can verify the arena.
 		arenaCRC: f.SectionCRC(),
 	}
 	h.tableOff = h.arenaOff + arenaWords*8
@@ -449,67 +442,117 @@ func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
 	return bc.n, err
 }
 
-// ReadIndex loads an index serialized with WriteTo, copying it onto the
-// heap — the streaming counterpart to OpenIndex, which serves the same
-// files zero-copy from a mapping. It reads the flat sections into fresh
-// heap slices and verifies the arena checksum, the two costs OpenIndex
-// exists to avoid. Files without a geometry section load in
-// approximate-only mode (HasGeometry reports false and exact joins report
-// ErrNoGeometry).
+// ReadIndex loads an index serialized with WriteTo from any stream onto the
+// heap: it reads exactly the bytes the header declares and decodes them as
+// OpenIndex decodes a mapping, verifying the arena checksum besides. Files
+// without a geometry section load in approximate-only mode (HasGeometry
+// reports false and exact joins report ErrNoGeometry).
 func ReadIndex(r io.Reader) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	h, err := readFlatHeader(br)
+	img, geom, err := readImage(r)
 	if err != nil {
 		return nil, err
 	}
-	return readIndexFlat(br, h)
+	return decodeImage(img, geom, true)
 }
 
-// readIndexFlat loads the sections of a flat file (v7 or v8) whose header
-// was already read off br: the copying path, used for streamed input and as
-// OpenIndex's fallback when mapping is unavailable.
-func readIndexFlat(br *bufio.Reader, h *flatHeader) (*Index, error) {
-	if _, err := io.CopyN(io.Discard, br, int64(h.arenaOff)-flatHeaderSize); err != nil {
-		return nil, fmt.Errorf("act: skip header padding: %w", err)
+// readImage reads one file image off r onto the heap: the header, then the
+// rest of the fileSize bytes it declares, and not one more. The geometry
+// section lands in a buffer of its own, so that a trie aliasing img does not
+// keep the section's bytes alive once they are decoded.
+func readImage(r io.Reader) (img, geom []byte, err error) {
+	img, err = readBytes(r, nil, flatHeaderSize)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, nil, fmt.Errorf("act: read index header: %w", err)
 	}
-	crc := crc64.New(flatCRCTable)
-	nodes, table, err := core.ReadFlatWords(io.TeeReader(br, crc), h.arenaWords(), h.tableLen)
+	// A short header still shows its magic and version.
+	h, err := parseHeader(img)
+	if err != nil {
+		return nil, nil, err
+	}
+	end := h.fileSize
+	if h.hasGeom {
+		end = h.geomOff
+	}
+	if img, err = readBytes(r, img, end); err == nil && h.hasGeom {
+		geom, err = readBytes(r, nil, h.fileSize-h.geomOff)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("act: read index file: %w", err)
+	}
+	return img, geom, nil
+}
+
+// readBytes reads off r until buf holds n bytes, returning what arrived on
+// error. The buffer doubles only as bytes arrive, so a forged length fails
+// at EOF rather than allocating what it claims, and ends at exactly n.
+func readBytes(r io.Reader, buf []byte, n uint64) ([]byte, error) {
+	for uint64(len(buf)) < n {
+		grown := make([]byte, min(n, uint64(max(2*len(buf), 1<<16))))
+		m, err := io.ReadFull(r, grown[copy(grown, buf):])
+		if buf = grown[:len(buf)+m]; err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// hostLittleEndian reports whether this machine stores words in the file's
+// byte order.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeImage is the one decoder of an index file image. img holds the file
+// from its first byte, all of it when mapped; readImage hands the geometry
+// section over apart, in geom. The arena and table alias img when the host
+// is little-endian and img 8-aligned, and are decoded into fresh slices
+// otherwise: no other reader knows the file's byte order. checkCRC, the
+// policy for heap images, verifies the arena checksum; a mapping relies on
+// TrieFromFlat's structural validation instead.
+func decodeImage(img, geom []byte, checkCRC bool) (*Index, error) {
+	h, err := parseHeader(img)
 	if err != nil {
 		return nil, err
+	}
+	// A short mapping would fault on its first missing page, and trailing
+	// bytes mean the file is not what WriteTo produced.
+	if size := uint64(len(img) + len(geom)); size != h.fileSize {
+		return nil, fmt.Errorf("act: file is %d bytes, header says %d", size, h.fileSize)
+	}
+	if h.hasGeom && geom == nil {
+		img, geom = img[:h.geomOff], img[h.geomOff:]
+	}
+	idBytes := img[h.idsOff():h.idsEnd()] // empty for v7
+	if checkCRC {
+		// A v8 arena checksum also covers the id column.
+		crc := crc64.Update(crc64.Checksum(img[h.arenaOff:h.tableEnd()], flatCRCTable), flatCRCTable, idBytes)
+		if crc != h.arenaCRC {
+			return nil, fmt.Errorf("act: arena checksum mismatch: file %016x, computed %016x", h.arenaCRC, crc)
+		}
 	}
 	var ids []uint32
 	if h.version >= indexVersionSparse {
-		if _, err := io.CopyN(io.Discard, br, int64(h.idsOff()-h.tableEnd())); err != nil {
-			return nil, fmt.Errorf("act: skip table padding: %w", err)
-		}
-		idBytes := make([]byte, h.numPolys*4)
-		if _, err := io.ReadFull(br, idBytes); err != nil {
-			return nil, fmt.Errorf("act: read id column: %w", err)
-		}
-		crc.Write(idBytes)
 		if ids, err = decodeIDColumn(idBytes, h.idSpace); err != nil {
 			return nil, err
 		}
 	}
-	if got := crc.Sum64(); got != h.arenaCRC {
-		return nil, fmt.Errorf("act: arena checksum mismatch: file %016x, computed %016x", h.arenaCRC, got)
+	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(img)))%8 == 0
+	nodes := words[uint64](img[h.arenaOff:h.tableOff], alias)
+	return assembleFlat(h, nodes, words[uint32](img[h.tableOff:h.tableEnd()], alias), ids, geom)
+}
+
+// words returns the little-endian words b holds: aliasing b, or decoded
+// into a fresh slice.
+func words[W uint32 | uint64](b []byte, alias bool) []W {
+	size := int(unsafe.Sizeof(W(0)))
+	if alias && len(b) >= size {
+		return unsafe.Slice((*W)(unsafe.Pointer(&b[0])), len(b)/size)
 	}
-	var geomSec []byte
-	if h.hasGeom {
-		if _, err := io.CopyN(io.Discard, br, int64(h.geomOff-h.idsEnd())); err != nil {
-			return nil, fmt.Errorf("act: skip id-column padding: %w", err)
-		}
-		// A bounded read: the buffer grows with the bytes that arrive, not
-		// with what a forged fileSize claims.
-		n := h.fileSize - h.geomOff
-		if geomSec, err = io.ReadAll(io.LimitReader(br, int64(n))); err != nil {
-			return nil, fmt.Errorf("act: read geometry section: %w", err)
-		}
-		if uint64(len(geomSec)) != n {
-			return nil, fmt.Errorf("act: geometry section is %d bytes, header says %d", len(geomSec), n)
+	w := make([]W, len(b)/size)
+	for i := range w {
+		for k := size - 1; k >= 0; k-- {
+			w[i] = w[i]<<8 | W(b[size*i+k])
 		}
 	}
-	return assembleFlat(h, nodes, table, ids, geomSec)
+	return w
 }
 
 // readGeometry decodes the geometry section of a flat file and lays it out
@@ -559,26 +602,24 @@ func readGeometry(h *flatHeader, trie *core.Trie, g grid.Grid, ids []uint32, sec
 // decodeIDColumn parses and validates a v8 id column: strictly ascending
 // polygon ids below idSpace.
 func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
-	ids := make([]uint32, len(b)/4)
-	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint32(b[4*i:])
-		if uint64(ids[i]) >= idSpace {
-			return nil, fmt.Errorf("act: id column entry %d: id %d outside id space %d", i, ids[i], idSpace)
+	ids := words[uint32](b, false)
+	for i, id := range ids {
+		if uint64(id) >= idSpace {
+			return nil, fmt.Errorf("act: id column entry %d: id %d outside id space %d", i, id, idSpace)
 		}
-		if i > 0 && ids[i] <= ids[i-1] {
+		if i > 0 && id <= ids[i-1] {
 			return nil, fmt.Errorf("act: id column not strictly ascending at entry %d", i)
 		}
 	}
 	return ids, nil
 }
 
-// assembleFlat builds a servable Index from a validated flat header and
-// its flat trie words — heap copies from readIndexFlat or mapping-backed
-// aliases from OpenIndex; ids is the decoded v8 id column (nil for v7) and
-// geomSec the bytes [geomOff, fileSize) when the header declares a geometry
-// section. All cross-section consistency checks (trie structure,
-// polygon-id ranges, geometry count) live here so both load paths enforce
-// exactly the same invariants.
+// assembleFlat builds a servable Index from a validated flat header and the
+// sections decodeImage took from a file image: the trie words, aliasing the
+// image or decoded from it; ids, the decoded v8 id column (nil for v7); and
+// geomSec, the bytes [geomOff, fileSize) when the header declares a
+// geometry section. The cross-section consistency checks (trie structure,
+// polygon-id ranges, geometry count) live here.
 func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, geomSec []byte) (*Index, error) {
 	trie, err := core.TrieFromFlat(core.Flat{
 		Fanout:   h.fanout,

@@ -231,9 +231,7 @@ func TestV4CorruptIDColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
-	var hdr [flatHeaderSize]byte
-	copy(hdr[:], blob[:flatHeaderSize])
-	h, err := decodeFlatHeader(&hdr)
+	h, err := parseHeader(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
