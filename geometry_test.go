@@ -2,13 +2,15 @@ package act
 
 // Tests for the geometry section of an index file: it fills exactly
 // [geomOff, fileSize), records every polygon's grid face, and a file whose
-// section is version 1 (raw float64 vertices, no faces) still loads through
-// every path, decoding to the coordinates a fresh build holds.
+// section is an older version — 1 (raw float64 vertices, no faces) or 2
+// (every vertex delta-coded, none shared) — still loads through every path,
+// decoding to the coordinates a fresh build holds.
 
 import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
 	"math"
 	"os"
@@ -22,13 +24,22 @@ import (
 	"github.com/actindex/act/internal/grid"
 )
 
-// v1File is an index of CensusBlocks(1, 40) on the cube-face grid at
-// ε = 1000 m, written as index version 7 with a version 1 geometry section
-// by the last release that wrote one.
-const v1File = "testdata/census40-geometry-v1.act"
+// compatFiles are indexes of CensusBlocks(1, 40) on the cube-face grid at
+// ε = 1000 m, written as index version 7 by the last release that wrote
+// each older geometry section version.
+var compatFiles = []struct {
+	path    string
+	version uint32
+}{
+	{"testdata/census40-geometry-v1.act", 1},
+	{"testdata/census40-geometry-v2.act", 2},
+}
 
-// buildV1Twin builds the index v1File was written from.
-func buildV1Twin(t *testing.T) *Index {
+// geometryVersion is the geometry section version WriteTo writes.
+const geometryVersion = 3
+
+// buildCompatTwin builds the index the compatFiles were written from.
+func buildCompatTwin(t *testing.T) *Index {
 	t.Helper()
 	ix, err := New(mustCensus40(t).Polygons, WithPrecision(1000), WithGrid(CubeFaceGrid))
 	if err != nil {
@@ -86,39 +97,56 @@ func sameGeometry(t *testing.T, tag string, a, b *geostore.Store) {
 	}
 }
 
-// TestGeometryV1Compat loads a file with a version 1 geometry section
-// through ReadIndex, OpenIndex and, as the checkpoint of a WAL directory,
-// Recover: each decodes the coordinates a fresh build holds, takes the
-// faces from the trie, and writes the section back as version 2.
+// TestGeometryV1Compat loads each file with an older geometry section
+// through ReadIndex, OpenIndex, OpenFollower and, as the checkpoint of a WAL
+// directory, Recover: each decodes the coordinates a fresh build holds,
+// keeps or (version 1) takes from the trie the faces, and writes the file
+// back as the build does, with the current section version.
 func TestGeometryV1Compat(t *testing.T) {
-	raw, err := os.ReadFile(v1File)
+	for _, cf := range compatFiles {
+		t.Run(fmt.Sprintf("v%d", cf.version), func(t *testing.T) {
+			testGeometryCompat(t, cf.path, cf.version)
+		})
+	}
+}
+
+func testGeometryCompat(t *testing.T, path string, version uint32) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := sectionVersion(t, raw); v != 1 {
-		t.Fatalf("%s carries geometry version %d, want 1", v1File, v)
+	if v := sectionVersion(t, raw); v != version {
+		t.Fatalf("%s carries geometry version %d, want %d", path, v, version)
 	}
-	built := buildV1Twin(t)
+	built := buildCompatTwin(t)
 	want := built.live.Load().store
 
 	read, err := ReadIndex(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("ReadIndex: %v", err)
 	}
-	mapped, err := OpenIndex(v1File)
+	mapped, err := OpenIndex(path)
 	if err != nil {
 		t.Fatalf("OpenIndex: %v", err)
 	}
 	defer mapped.Close()
-	var v2 bytes.Buffer
-	if _, err := built.WriteTo(&v2); err != nil {
+	follower, err := OpenFollower(path)
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	defer follower.Close()
+	var cur bytes.Buffer
+	if _, err := built.WriteTo(&cur); err != nil {
 		t.Fatal(err)
 	}
-	fromV2, err := ReadIndex(bytes.NewReader(v2.Bytes()))
+	if v := sectionVersion(t, cur.Bytes()); v != geometryVersion {
+		t.Fatalf("the build writes geometry version %d, want %d", v, geometryVersion)
+	}
+	fromCur, err := ReadIndex(bytes.NewReader(cur.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for loader, ix := range map[string]*Index{"ReadIndex": read, "OpenIndex": mapped, "v2 file": fromV2} {
+	for loader, ix := range map[string]*Index{"ReadIndex": read, "OpenIndex": mapped, "OpenFollower": follower, "the build's file": fromCur} {
 		sameGeometry(t, loader, want, ix.live.Load().store)
 		var again bytes.Buffer
 		if _, err := ix.WriteTo(&again); err != nil {
@@ -126,11 +154,11 @@ func TestGeometryV1Compat(t *testing.T) {
 		}
 		// Only the geometry section changes version: the file is the one
 		// the build writes.
-		if !bytes.Equal(again.Bytes(), v2.Bytes()) {
-			t.Errorf("%s: re-serialized file differs from the build's (%d vs %d bytes)", loader, again.Len(), v2.Len())
+		if !bytes.Equal(again.Bytes(), cur.Bytes()) {
+			t.Errorf("%s: re-serialized file differs from the build's (%d vs %d bytes)", loader, again.Len(), cur.Len())
 		}
 	}
-	checkLookupParity(t, "v1 file", built, read, mustCensus40(t), true)
+	checkLookupParity(t, fmt.Sprintf("v%d file", version), built, read, mustCensus40(t), true)
 
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "index.act")
@@ -171,8 +199,15 @@ func TestGeometryV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := sectionVersion(t, written); v != 2 {
-		t.Fatalf("checkpoint carries geometry version %d, want 2", v)
+	if v := sectionVersion(t, written); v != geometryVersion {
+		t.Fatalf("checkpoint carries geometry version %d, want %d", v, geometryVersion)
+	}
+	var compacted bytes.Buffer
+	if _, err := built.WriteTo(&compacted); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, compacted.Bytes()) {
+		t.Errorf("checkpoint differs from the compacted build's file (%d vs %d bytes)", len(written), compacted.Len())
 	}
 }
 
@@ -253,17 +288,21 @@ func TestGeometryFacesRoundTrip(t *testing.T) {
 // section and the header's fileSize are not part of any file WriteTo
 // produces, so every loader refuses them — ReadIndex, and OpenIndex mapped
 // and through its heap source — even with the header checksum recomputed,
-// for a version 2 section and for a version 1 one.
+// for the current section version and for every older one.
 func TestGeometryTrailingBytesRefused(t *testing.T) {
-	var v2 bytes.Buffer
-	if _, err := buildV1Twin(t).WriteTo(&v2); err != nil {
+	var cur bytes.Buffer
+	if _, err := buildCompatTwin(t).WriteTo(&cur); err != nil {
 		t.Fatal(err)
 	}
-	v1, err := os.ReadFile(v1File)
-	if err != nil {
-		t.Fatal(err)
+	files := map[string][]byte{fmt.Sprintf("v%d section", geometryVersion): cur.Bytes()}
+	for _, cf := range compatFiles {
+		raw, err := os.ReadFile(cf.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[fmt.Sprintf("v%d section", cf.version)] = raw
 	}
-	for name, good := range map[string][]byte{"v2 section": v2.Bytes(), "v1 section": v1} {
+	for name, good := range files {
 		forged := append(append([]byte(nil), good...), make([]byte, 24)...)
 		binary.LittleEndian.PutUint64(forged[96:], uint64(len(forged)))
 		binary.LittleEndian.PutUint64(forged[flatHeaderCRCBytes:], crc64.Checksum(forged[:flatHeaderCRCBytes], flatCRCTable))

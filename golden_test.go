@@ -25,19 +25,19 @@ import (
 // arena hashes when nodes became palette-coded (705 712 and 623 256 bytes,
 // from 1 802 872 and 1 620 136 run-compressed), and they equal the hashes of
 // the run-compressed arenas palette-coded node by node. The geometry hashes
-// were re-recorded when the section became version 2 (delta-coded vertices
-// and a face per polygon: 220 347 and 189 742 bytes, from 498 072 and
-// 427 536 in version 1); v1 pins the version 1 hashes of the same commit,
-// which the decoded vertices, laid out as version 1 again, must still
-// reproduce — the new coding changed no bit of any coordinate. An
-// optimization of the build leaves all of them alone, a change of what is
-// built re-records them and says why.
+// were re-recorded when the section became version 3 (each shared vertex
+// stored once: 133 356 and 117 276 bytes, from 220 347 and 189 742 in
+// version 2 and 498 072 and 427 536 in version 1); v2 and v1 pin the hashes
+// the earlier versions had, which the decoded store, laid out in their
+// layouts again, must still reproduce — no coding changed a bit of any
+// coordinate or face. An optimization of the build leaves all of them alone,
+// a change of what is built re-records them and says why.
 func TestBuildGolden(t *testing.T) {
 	const eps = 60
 	cases := []struct {
-		name                    string
-		set                     func() (*data.PolygonSet, error)
-		arena, table, store, v1 string
+		name                        string
+		set                         func() (*data.PolygonSet, error)
+		arena, table, store, v2, v1 string
 		// achieved is the largest boundary-cell diagonal, measured cell by
 		// cell.
 		achieved float64
@@ -47,7 +47,8 @@ func TestBuildGolden(t *testing.T) {
 			set:      func() (*data.PolygonSet, error) { return data.CensusBlocks(1, 400) },
 			arena:    "93cd78fc26f3f3e6b83f72dbc89812a69caa5c8ac91678928f87ad4d077077e9",
 			table:    "8d158e1f09fa3b471b3b04ccaa560cde29b3e1e754c68399bbf62e20e58f7925",
-			store:    "a9a486a0f9947e7bc96bb413630bc0de61032742863ab9e4a6e5bce199897220",
+			store:    "edd314e1b5eee602be5ebfd2a069fa58f5bd075364adf1030b7a0a7e878cd128",
+			v2:       "a9a486a0f9947e7bc96bb413630bc0de61032742863ab9e4a6e5bce199897220",
 			v1:       "452071859a1bdb32e7ce3cecc6ffffdd844f319298bcd3d2d70a2404db65f007",
 			achieved: 34.746043777255004,
 		},
@@ -56,7 +57,8 @@ func TestBuildGolden(t *testing.T) {
 			set:      func() (*data.PolygonSet, error) { return data.Neighborhoods(1) },
 			arena:    "a6a3ebab174343aa58067b9e063e56ff67449bc5ae3d209c489dad56d2d4d9ea",
 			table:    "08b72f8ac03077d845c8a2d8843d59a3626dc28fa12cdb57bd32eba1b96a78cb",
-			store:    "f36bc0da48c1db4249bb6a9268ac52503bd2c71d01d04295cf9c57ad72e1ec23",
+			store:    "e3669a1fac9436d0dfebd4b19b862d10157ae1e14f0155c5b0f2743858b9e908",
+			v2:       "f36bc0da48c1db4249bb6a9268ac52503bd2c71d01d04295cf9c57ad72e1ec23",
 			v1:       "085e1729dab13862dba4e39342d78e78e2b108778ccdd10c5f1182bee1fba4b4",
 			achieved: 34.746043777255004,
 		},
@@ -98,9 +100,14 @@ func TestBuildGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v1 := sectionV1(st)
-			if sum := sha256.Sum256(v1); hex.EncodeToString(sum[:]) != tc.v1 {
-				t.Errorf("geometry laid out as version 1 (%d bytes): sha256 %x, want %s", len(v1), sum, tc.v1)
+			for _, old := range []struct {
+				version int
+				section []byte
+				want    string
+			}{{2, sectionV2(st), tc.v2}, {1, sectionV1(st), tc.v1}} {
+				if sum := sha256.Sum256(old.section); hex.EncodeToString(sum[:]) != old.want {
+					t.Errorf("geometry laid out as version %d (%d bytes): sha256 %x, want %s", old.version, len(old.section), sum, old.want)
+				}
 			}
 			got := ix.Stats().AchievedPrecisionMeters
 			if got > eps || math.Abs(got-tc.achieved) > 1e-9*tc.achieved {
@@ -108,6 +115,34 @@ func TestBuildGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sectionV2 lays a store out as version 2 of the geometry section — every
+// vertex delta-coded against the one before it, no repeats — which only the
+// loaders still read.
+func sectionV2(st *geostore.Store) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte("ACTG"), 2)
+	b = le.AppendUint64(b, uint64(st.NumPolygons()))
+	b = le.AppendUint64(b, 0) // payload length, set below
+	var px, py uint64
+	for id := range uint32(st.NumPolygons()) {
+		p := st.Polygon(id)
+		face, _ := st.Face(id)
+		b = append(b, byte(face))
+		b = binary.AppendUvarint(b, uint64(1+len(p.Holes)))
+		for _, ring := range append([]geom.Ring{p.Outer}, p.Holes...) {
+			b = binary.AppendUvarint(b, uint64(len(ring)))
+			for _, v := range ring {
+				x, y := math.Float64bits(v.X), math.Float64bits(v.Y)
+				b = binary.AppendVarint(b, int64(x-px))
+				b = binary.AppendVarint(b, int64(y-py))
+				px, py = x, y
+			}
+		}
+	}
+	le.PutUint64(b[16:], uint64(len(b)-24))
+	return le.AppendUint64(b, crc64.Checksum(b, flatCRCTable))
 }
 
 // sectionV1 lays a store out as version 1 of the geometry section — uint32

@@ -199,7 +199,7 @@ func sameBits(a, b []geom.Ring) bool {
 }
 
 // TestReadV1: a version 1 section decodes to the same coordinates as the
-// version 2 section of the same polygons, with its faces unknown.
+// current section of the same polygons, with its faces unknown.
 func TestReadV1(t *testing.T) {
 	s := randomStore(t, 9, 12)
 	v1, err := Read(encodeV1(s.polys))
@@ -210,14 +210,14 @@ func TestReadV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := Read(b)
+	cur, err := Read(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := range uint32(s.NumPolygons()) {
-		p1, p2 := v1.Polygon(id), v2.Polygon(id)
+		p1, p2 := v1.Polygon(id), cur.Polygon(id)
 		if !sameBits(append([]geom.Ring{p1.Outer}, p1.Holes...), append([]geom.Ring{p2.Outer}, p2.Holes...)) {
-			t.Fatalf("polygon %d: v1 and v2 decode to different coordinates", id)
+			t.Fatalf("polygon %d: v1 and v%d decode to different coordinates", id, storeVersion)
 		}
 		if _, ok := v1.Face(id); ok {
 			t.Fatalf("polygon %d: v1 section reports a face", id)
@@ -231,7 +231,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range [][]byte{good, encodeV1(s.polys)} {
+	for _, b := range [][]byte{good, encodeV2(s), encodeV1(s.polys)} {
 		// Flip one byte in the middle: the checksum must catch it.
 		corrupted := append([]byte(nil), b...)
 		corrupted[len(corrupted)/2] ^= 0xFF
@@ -260,13 +260,18 @@ func reseal(b []byte) []byte {
 	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
 }
 
-// v2Section builds a version 2 section around a hand-written payload.
-func v2Section(numPolys int, payload ...byte) []byte {
-	b := binary.LittleEndian.AppendUint32([]byte(storeMagic), storeVersion)
+// section builds a section of the given version (2 or later) around a
+// hand-written payload.
+func section(version uint32, numPolys int, payload ...byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(storeMagic), version)
 	b = binary.LittleEndian.AppendUint64(b, uint64(numPolys))
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
 	return reseal(append(b, payload...))
 }
+
+func v2Section(numPolys int, payload ...byte) []byte { return section(2, numPolys, payload...) }
+
+func v3Section(numPolys int, payload ...byte) []byte { return section(3, numPolys, payload...) }
 
 // TestReadRejectsMalformedPayload: sections whose checksum holds but whose
 // content breaks a rule of the format are refused.
@@ -302,6 +307,37 @@ func TestReadRejectsMalformedPayload(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+
+	// Version 3: the triangle with a zero flag byte after its vertex count,
+	// then (1,2), (2,1), (2,2), whose first two vertices repeat table
+	// entries 2 and 1 — coded 2 − (2 − 1) = 1 and 1 − (2 − 1) = 0 — and
+	// whose last is new, (0, 1) from (2,1).
+	first := append([]byte{0, 1, 3, 0}, tri(0, 3)[3:]...)
+	second := func(flags byte, verts ...byte) []byte {
+		return append([]byte{0, 1, 3, flags}, verts...)
+	}
+	shared := append([]byte{2, 0, 0}, two...)
+	good := v3Section(2, append(first, second(0b011, shared...)...)...)
+	st, err := Read(good)
+	if err != nil {
+		t.Fatalf("well-formed triangle pair refused: %v", err)
+	}
+	if again, err := st.Encode(nil); err != nil || !bytes.Equal(again, good) {
+		t.Fatalf("triangle pair re-encodes to %x (%v), want %x", again, err, good)
+	}
+	for name, sec := range map[string][]byte{
+		"repeat past the table":   v3Section(2, append(first, second(0b011, append([]byte{4, 0, 0}, two...)...)...)...),
+		"repeat before the table": v3Section(2, append(first, second(0b011, append([]byte{3, 0, 0}, two...)...)...)...),
+		"repeat of nothing":       v3Section(1, append([]byte{0, 1, 3, 0b001, 0}, tri(0, 3)[3+len(one)+len(one):]...)...),
+		"repeat stored anew":      v3Section(2, append(first, second(0b010, append([]byte{0, 0, 0, 0}, two...)...)...)...),
+		"nonzero pad bits":        v3Section(1, append([]byte{0, 1, 3, 0b1000}, tri(0, 3)[3:]...)...),
+		"flag bytes cut short":    v3Section(1, 0, 1, 9, 0),
+		"v2 ring under v3":        v3Section(1, tri(0, 3)...),
+	} {
+		if _, err := Read(sec); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
 }
 
 // TestReadDoesNotTrustCounts: a short section that claims a billion
@@ -312,6 +348,7 @@ func TestReadDoesNotTrustCounts(t *testing.T) {
 	lies := [][]byte{
 		v2Section(maxPolygons, make([]byte, 64)...),
 		v2Section(1, payload...),
+		v3Section(1, payload...),
 	}
 	v1 := binary.LittleEndian.AppendUint32([]byte(storeMagic), 1)
 	v1 = binary.LittleEndian.AppendUint64(v1, 1)

@@ -227,9 +227,10 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		return fmt.Errorf("replica: snapshot response lacks a valid %s header: %w", HeaderBaseSeq, err)
 	}
 
-	// Land the snapshot atomically (temp + rename): a crash or connection
-	// cut mid-download never leaves a torn file where the next start
-	// expects an index.
+	// Land the snapshot atomically and durably (temp + fsync + rename +
+	// directory fsync): neither a connection cut mid-download nor a power
+	// cut after the rename leaves a torn file where the next start expects
+	// an index.
 	if err := os.MkdirAll(f.dir, 0o755); err != nil {
 		return err
 	}
@@ -248,10 +249,23 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		tmp.Close()
 		return fmt.Errorf("replica: snapshot download truncated: got %d of %d bytes", n, resp.ContentLength)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(f.dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	d.Close()
+	if err != nil {
 		return err
 	}
 

@@ -53,7 +53,8 @@ import (
 //	                            the table ((tableEnd+7)&^7)
 //	geomOff:   geometry section geostore.Store.Encode blob (own magic,
 //	                            version, CRC; delta-coded vertices and each
-//	                            polygon's grid face since section version 2)
+//	                            polygon's grid face since section version 2,
+//	                            each shared vertex stored once since 3)
 //	                            filling [geomOff, fileSize) exactly — present
 //	                            only when flag set
 //
@@ -78,10 +79,10 @@ import (
 //
 // The geometry section is versioned and checksummed independently of the
 // header, so the exact-refinement geometry can evolve without breaking the
-// trie format: WriteTo writes section version 2, and the decoder still reads
-// version 1 (raw float64 vertices, no faces), taking each polygon's face
-// from the cells that reference it. Files written with
-// WithGeometryStore(false) load in approximate-only mode.
+// trie format: WriteTo writes section version 3, and the decoder still reads
+// version 2 (every vertex stored anew) and version 1 (raw float64 vertices,
+// no faces), taking each polygon's face from the cells that reference it.
+// Files written with WithGeometryStore(false) load in approximate-only mode.
 //
 // Index versions 1 and 2 (the pre-flat layouts), 3 and 4 (this layout over
 // dense nodes of fanout words each, every denormalized cell stored once per
