@@ -47,6 +47,7 @@ import (
 	"github.com/actindex/act/internal/core"
 	"github.com/actindex/act/internal/cover"
 	"github.com/actindex/act/internal/delta"
+	"github.com/actindex/act/internal/fault"
 	"github.com/actindex/act/internal/geo"
 	"github.com/actindex/act/internal/geom"
 	"github.com/actindex/act/internal/geostore"
@@ -211,8 +212,10 @@ type roleState struct {
 	wal          *wal.Log
 	walRecovered int
 	// snapshotPath is where compactions checkpoint the fresh base (empty:
-	// the log is never truncated).
+	// the log is never truncated); fs is the filesystem the log and the
+	// snapshot go through (nil: the OS).
 	snapshotPath string
+	fs           fault.VFS
 }
 
 // Index is a point-in-polygon-set index. It is safe for concurrent use:

@@ -249,7 +249,7 @@ func main() {
 	if *walFile != "" && *indexFile != "" {
 		// The durability pair doubles as the replication feed: followers
 		// bootstrap from the checkpoint snapshot and tail the log.
-		handler.EnablePrimary(replica.NewPrimary(idx, *walFile, *indexFile))
+		handler.EnablePrimary(replica.NewPrimary(idx))
 		logger.Info("replication primary enabled",
 			slog.String("role", "primary"),
 			slog.String("snapshot", *indexFile),

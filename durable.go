@@ -21,8 +21,6 @@ package act
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/actindex/act/internal/fault"
@@ -30,51 +28,24 @@ import (
 )
 
 // FsyncPolicy selects when the write-ahead log forces appended records to
-// stable storage.
-type FsyncPolicy int
+// stable storage. It is the log's own policy type, so the public constants
+// and the log's are one set.
+type FsyncPolicy = wal.Policy
 
 const (
 	// SyncAlways fsyncs after every mutation (the default): no
 	// acknowledged Insert or Remove is ever lost, at the price of one disk
 	// flush per mutation.
-	SyncAlways FsyncPolicy = iota
+	SyncAlways = wal.SyncAlways
 	// SyncInterval fsyncs on a background cadence (WALConfig.Interval,
 	// default 100ms): a crash loses at most one interval of acknowledged
 	// mutations.
-	SyncInterval
+	SyncInterval = wal.SyncInterval
 	// SyncOff never fsyncs: records are written through to the kernel
 	// (surviving a process crash) but an OS crash or power loss can drop
 	// the tail still in the page cache.
-	SyncOff
+	SyncOff = wal.SyncOff
 )
-
-// String implements fmt.Stringer.
-func (p FsyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncOff:
-		return "off"
-	default:
-		return fmt.Sprintf("FsyncPolicy(%d)", int(p))
-	}
-}
-
-// walPolicy maps the public policy onto the log's.
-func (p FsyncPolicy) walPolicy() (wal.Policy, error) {
-	switch p {
-	case SyncAlways:
-		return wal.SyncAlways, nil
-	case SyncInterval:
-		return wal.SyncInterval, nil
-	case SyncOff:
-		return wal.SyncOff, nil
-	default:
-		return 0, fmt.Errorf("act: unknown fsync policy %d", int(p))
-	}
-}
 
 // WALConfig configures the write-ahead delta log attached by [WithWAL] and
 // [Recover].
@@ -97,8 +68,11 @@ type WALConfig struct {
 	// Interval is the SyncInterval flush cadence (default 100ms); ignored
 	// by the other policies.
 	Interval time.Duration
-	// FS overrides the filesystem the log talks to — the fault-injection
-	// seam (internal/fault.FS) chaos tests drive. Nil uses the real OS.
+	// FS overrides the filesystem the durability pair talks to: the log
+	// and the checkpoint snapshot at SnapshotPath both go through it, each
+	// snapshot by the one replace routine (temp file, fsync, rename,
+	// directory fsync) the log rotation uses too. It is the fault-injection
+	// seam (internal/fault.FS) the crash tests drive. Nil uses the real OS.
 	FS fault.VFS
 }
 
@@ -115,6 +89,10 @@ type WALStats struct {
 	// Epoch is the replication fencing epoch recorded in the log header:
 	// 0 until a promotion ever happened in this index's lineage.
 	Epoch uint64
+	// SnapshotPath is where checkpoints write the snapshot the log pairs
+	// with ("" when compactions never checkpoint); a replication primary
+	// serves it to bootstrapping followers.
+	SnapshotPath string
 	// Bytes is the current log file length.
 	Bytes int64
 	// LastSync is the wall time of the last successful fsync (zero if the
@@ -144,6 +122,7 @@ func (ix *Index) WALStats() WALStats {
 		Seq:              st.Seq,
 		BaseSeq:          st.BaseSeq,
 		Epoch:            st.Epoch,
+		SnapshotPath:     rs.snapshotPath,
 		Bytes:            st.Bytes,
 		LastSync:         st.LastSync,
 		Checkpoints:      st.Checkpoints,
@@ -152,16 +131,15 @@ func (ix *Index) WALStats() WALStats {
 	}
 }
 
-// WALUpdates returns the attached log's update channel: it is closed on
-// the next append, rotation, or close of the log, at which point callers
-// re-check the log state and call WALUpdates again for a fresh channel.
-// Nil when the index has no WAL or the log is already closed — the
-// replication stream treats nil as its shutdown signal.
-func (ix *Index) WALUpdates() <-chan struct{} {
-	if log := ix.rs.Load().wal; log != nil {
-		return log.Updates()
+// WALTail opens a reader of the attached log's records with seq > after:
+// the replication stream's source. It reports wal.ErrBelowFloor when after
+// is below the checkpoint floor and wal.ErrClosed once the log is closed.
+func (ix *Index) WALTail(after uint64) (*wal.Tail, error) {
+	log := ix.rs.Load().wal
+	if log == nil {
+		return nil, errors.New("act: no write-ahead log attached")
 	}
-	return nil
+	return log.Tail(after)
 }
 
 // Recover loads the base snapshot at indexPath, opens the write-ahead log
@@ -206,19 +184,15 @@ func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 // index is opened with (attachWAL, Promote): the fsync policy, interval and
 // filesystem from cfg, and the index's observer as the log's hooks, so
 // appends, fsyncs and rotations are observed from the open onward.
-func (ix *Index) walOptions(cfg WALConfig) (wal.Options, error) {
-	pol, err := cfg.Policy.walPolicy()
-	if err != nil {
-		return wal.Options{}, err
-	}
-	wopts := wal.Options{Policy: pol, Interval: cfg.Interval, FS: cfg.FS}
+func (ix *Index) walOptions(cfg WALConfig) wal.Options {
+	wopts := wal.Options{Policy: cfg.Policy, Interval: cfg.Interval, FS: cfg.FS}
 	if o := ix.obs; o != nil {
 		wopts.OnAppend = o.OnWALAppend
 		wopts.OnFsync = o.OnWALFsync
 		wopts.OnRotate = o.OnWALRotate
 		wopts.Logger = o.Logger
 	}
-	return wopts, nil
+	return wopts
 }
 
 // attachWAL opens (or creates) the configured log, replays any records a
@@ -228,11 +202,7 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 	if cfg.Path == "" {
 		return errors.New("act: WAL config needs a Path")
 	}
-	wopts, err := ix.walOptions(cfg)
-	if err != nil {
-		return err
-	}
-	log, rep, err := wal.Open(cfg.Path, wopts)
+	log, rep, err := wal.Open(cfg.Path, ix.walOptions(cfg))
 	if err != nil {
 		return fmt.Errorf("act: opening WAL %s: %w", cfg.Path, err)
 	}
@@ -255,44 +225,7 @@ func (ix *Index) attachWAL(cfg WALConfig) error {
 	}
 	ix.publish(next)
 	rs := *ix.rs.Load()
-	rs.wal, rs.walRecovered, rs.snapshotPath = log, len(rep.Records), cfg.SnapshotPath
+	rs.wal, rs.walRecovered, rs.snapshotPath, rs.fs = log, len(rep.Records), cfg.SnapshotPath, cfg.FS
 	ix.rs.Store(&rs)
 	return nil
-}
-
-// stageSnapshot writes a checkpoint snapshot of ep to a temp file next to
-// path, fsyncs it, and returns the temp name; commitSnapshot publishes it.
-// Splitting the two lets the expensive write run outside the mutation lock
-// while the cheap rename + log rotation run inside it.
-func (ix *Index) stageSnapshot(path string, ep *epoch) (string, error) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return "", err
-	}
-	if _, err = ix.writeFlat(tmp, ep); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	return tmp.Name(), nil
-}
-
-// commitSnapshot atomically publishes stageSnapshot's file: rename over the
-// target, then fsync the directory so the new link is durable. After this
-// returns, a crash at any point leaves a complete snapshot at path.
-func commitSnapshot(tmp, path string) error {
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -194,3 +194,104 @@ func TestRoundTripFail(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// TestReplacement walks the replace routine through success and each
+// failure: the target is either the old file or the whole new one, and no
+// temp file outlives a failure.
+func TestReplacement(t *testing.T) {
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	check := func(t *testing.T, dir, target, want string) {
+		t.Helper()
+		got, err := os.ReadFile(target)
+		if err != nil || string(got) != want {
+			t.Fatalf("target holds %q (%v), want %q", got, err, want)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("directory holds %d entries (%v), want only the target", len(ents), err)
+		}
+	}
+	setup := func(t *testing.T) (string, string) {
+		dir := t.TempDir()
+		target := filepath.Join(dir, "snap")
+		if err := os.WriteFile(target, []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir, target
+	}
+
+	t.Run("commit", func(t *testing.T) {
+		dir, target := setup(t)
+		r, err := Stage(nil, target, write("new"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Discard()
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		r.Discard()
+		check(t, dir, target, "new")
+	})
+	t.Run("write fails", func(t *testing.T) {
+		dir, target := setup(t)
+		boom := errors.New("boom")
+		if _, err := Stage(OS{}, target, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+			t.Fatalf("Stage: %v, want boom", err)
+		}
+		check(t, dir, target, "old")
+	})
+	t.Run("data fsync fails", func(t *testing.T) {
+		dir, target := setup(t)
+		fs := FS{S: NewSchedule().FailNth(OpSync, 1, syscall.EIO)}
+		if _, err := Stage(fs, target, write("new")); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("Stage: %v, want EIO", err)
+		}
+		check(t, dir, target, "old")
+	})
+	t.Run("rename fails", func(t *testing.T) {
+		dir, target := setup(t)
+		fs := FS{S: NewSchedule().FailNth(OpRename, 1, syscall.EIO)}
+		r, err := Stage(fs, target, write("new"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Commit(); !errors.Is(err, syscall.EIO) || errors.Is(err, ErrUnsynced) {
+			t.Fatalf("Commit: %v, want EIO before the rename", err)
+		}
+		r.Discard()
+		check(t, dir, target, "old")
+	})
+	t.Run("directory fsync fails", func(t *testing.T) {
+		dir, target := setup(t)
+		fs := FS{S: NewSchedule().FailNth(OpSync, 2, syscall.EIO)}
+		r, err := Stage(fs, target, write("new"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Commit(); !errors.Is(err, ErrUnsynced) || !errors.Is(err, syscall.EIO) {
+			t.Fatalf("Commit: %v, want ErrUnsynced wrapping EIO", err)
+		}
+		r.Discard()
+		check(t, dir, target, "new")
+	})
+	t.Run("keep", func(t *testing.T) {
+		dir, target := setup(t)
+		r, err := Stage(nil, target, write("new"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		f := r.Keep()
+		r.Discard()
+		if _, err := f.Write([]byte("er")); err != nil {
+			t.Fatalf("kept handle: %v", err)
+		}
+		f.Close()
+		check(t, dir, target, "newer")
+	})
+}

@@ -82,14 +82,15 @@ func TestFailoverPromotion(t *testing.T) {
 	}
 	defer idx.Close()
 
-	primary := replica.NewPrimary(idx, walPath, snapPath)
+	primary := replica.NewPrimary(idx)
 	primary.Heartbeat = 50 * time.Millisecond
 	mux := http.NewServeMux()
 	primary.Mount(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	fol := replica.NewFollower(srv.URL, t.TempDir())
+	folDir := t.TempDir()
+	fol := replica.NewFollower(srv.URL, folDir)
 	fol.BackoffMin, fol.BackoffMax = time.Millisecond, 20*time.Millisecond
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -143,8 +144,13 @@ func TestFailoverPromotion(t *testing.T) {
 		t.Fatal("removed polygon resurrected by promotion")
 	}
 
-	// The new epoch is durable: it is in the promoted log's header on disk.
-	lf, err := os.Open(promo.WALPath)
+	// The promoted index owns its durability pair in the follower's
+	// directory, and the new epoch is durable: it is in the promoted log's
+	// header on disk.
+	if got, want := nidx.WALStats().SnapshotPath, filepath.Join(folDir, "follower.snapshot"); got != want {
+		t.Fatalf("promoted snapshot path %q, want %q", got, want)
+	}
+	lf, err := os.Open(filepath.Join(folDir, "promoted.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +212,7 @@ func TestFailoverPromotion(t *testing.T) {
 
 	// The new primary serves the next generation of followers, which learn
 	// the bumped epoch from the wire.
-	np := replica.NewPrimary(nidx, promo.WALPath, promo.SnapshotPath)
+	np := replica.NewPrimary(nidx)
 	np.Heartbeat = 50 * time.Millisecond
 	nmux := http.NewServeMux()
 	np.Mount(nmux)
@@ -301,7 +307,7 @@ func TestBootstrapFaultTolerance(t *testing.T) {
 	if err := idx.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	primary := replica.NewPrimary(idx, walPath, snapPath)
+	primary := replica.NewPrimary(idx)
 	mux := http.NewServeMux()
 	primary.Mount(mux)
 	srv := httptest.NewServer(mux)
@@ -372,8 +378,11 @@ func chaosFailover(t *testing.T, seed uint64) {
 	walPath := filepath.Join(dir, "primary.wal")
 	snapPath := filepath.Join(dir, "primary.snapshot")
 
-	// The primary's disk dies at a seed-chosen fsync and stays dead.
-	walSched := fault.NewSchedule().FailFrom(fault.OpSync, 12+int(seed%13), syscall.EIO)
+	// The primary's disk dies at a seed-chosen fsync and stays dead. Syncs
+	// 1–6 are the log header's and the healthy checkpoint's below (the
+	// snapshot's data and directory, then the rotation's three), so the
+	// fault lands on the 8th to 20th mutation.
+	walSched := fault.NewSchedule().FailFrom(fault.OpSync, 14+int(seed%13), syscall.EIO)
 
 	centers := map[uint32]act.LatLng{}
 	liveSet := map[uint32]bool{}
@@ -398,7 +407,7 @@ func chaosFailover(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 
-	primary := replica.NewPrimary(idx, walPath, snapPath)
+	primary := replica.NewPrimary(idx)
 	primary.Heartbeat = 25 * time.Millisecond
 	mux := http.NewServeMux()
 	primary.Mount(mux)
@@ -549,7 +558,7 @@ func chaosFailover(t *testing.T, seed uint64) {
 	bCancel()
 	<-bDone
 
-	np := replica.NewPrimary(promo.Index, promo.WALPath, promo.SnapshotPath)
+	np := replica.NewPrimary(promo.Index)
 	np.Heartbeat = 25 * time.Millisecond
 	nmux := http.NewServeMux()
 	np.Mount(nmux)

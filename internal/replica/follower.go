@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/actindex/act"
+	"github.com/actindex/act/internal/fault"
 	"github.com/actindex/act/internal/wal"
 )
 
@@ -227,45 +228,29 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		return fmt.Errorf("replica: snapshot response lacks a valid %s header: %w", HeaderBaseSeq, err)
 	}
 
-	// Land the snapshot atomically and durably (temp + fsync + rename +
-	// directory fsync): neither a connection cut mid-download nor a power
-	// cut after the rename leaves a torn file where the next start expects
-	// an index.
+	// Land the snapshot atomically and durably through the replace routine
+	// every durable file shares: neither a connection cut mid-download nor
+	// a power cut after the rename leaves a torn file where the next start
+	// expects an index.
 	if err := os.MkdirAll(f.dir, 0o755); err != nil {
 		return err
 	}
 	path := filepath.Join(f.dir, "follower.snapshot")
-	tmp, err := os.CreateTemp(f.dir, "follower.snapshot.tmp-*")
+	var n int64
+	snap, err := fault.Stage(fault.OS{}, path, func(w io.Writer) (err error) {
+		if n, err = io.Copy(w, resp.Body); err != nil {
+			return fmt.Errorf("replica: downloading snapshot: %w", err)
+		}
+		if resp.ContentLength >= 0 && n != resp.ContentLength {
+			return fmt.Errorf("replica: snapshot download truncated: got %d of %d bytes", n, resp.ContentLength)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	n, err := io.Copy(tmp, resp.Body)
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("replica: downloading snapshot: %w", err)
-	}
-	if resp.ContentLength >= 0 && n != resp.ContentLength {
-		tmp.Close()
-		return fmt.Errorf("replica: snapshot download truncated: got %d of %d bytes", n, resp.ContentLength)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	d, err := os.Open(f.dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil {
+	defer snap.Discard()
+	if err := snap.Commit(); err != nil {
 		return err
 	}
 
@@ -482,18 +467,15 @@ func (f *Follower) apply(ctx context.Context, idx *act.Index, batch []wal.Record
 	return nil
 }
 
-// Promotion is the result of a successful Promote: the now-mutable index
-// and the artifacts a server needs to start serving as the new primary
-// (NewPrimary(Index, WALPath, SnapshotPath)).
+// Promotion is the result of a successful Promote: the now-mutable index,
+// which owns its durability pair, so NewPrimary(Index) serves the next
+// generation of followers.
 type Promotion struct {
 	Index *act.Index
 	// Epoch is the fencing epoch the promotion established; Seq the
 	// sequence number the new primary's history starts from.
 	Epoch uint64
 	Seq   uint64
-	// WALPath and SnapshotPath are the new primary's durability pair.
-	WALPath      string
-	SnapshotPath string
 }
 
 // Promote turns the follower into the next primary: the replication loop
@@ -501,8 +483,9 @@ type Promotion struct {
 // deliver (best effort, bounded by ctx), and — provided the follower has
 // caught up to every sequence the primary announced — the index is
 // converted to a mutable primary under a bumped epoch (see
-// act.Index.Promote for the crash-safe ordering). The returned Promotion
-// carries everything needed to serve the next generation of followers.
+// act.Index.Promote for the crash-safe ordering). The returned Promotion's
+// index carries everything needed to serve the next generation of
+// followers.
 //
 // Promote refuses, leaving the follower intact, when the follower has not
 // applied everything the primary acknowledged to it (promoting would lose
@@ -565,13 +548,7 @@ func (f *Follower) Promote(ctx context.Context) (*Promotion, error) {
 	f.logf(slog.LevelInfo, "follower promoted",
 		slog.Uint64("epoch", newEpoch),
 		slog.Uint64("seq", idx.AppliedSeq()))
-	return &Promotion{
-		Index:        idx,
-		Epoch:        newEpoch,
-		Seq:          idx.AppliedSeq(),
-		WALPath:      cfg.Path,
-		SnapshotPath: cfg.SnapshotPath,
-	}, nil
+	return &Promotion{Index: idx, Epoch: newEpoch, Seq: idx.AppliedSeq()}, nil
 }
 
 // drain opens the stream one last time and applies frames until the

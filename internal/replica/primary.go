@@ -2,24 +2,29 @@
 // ACT indexes over HTTP.
 //
 // The primary is an ordinary durable index (a WAL plus a checkpoint
-// snapshot): Primary serves the snapshot for bootstrapping and the log as
-// a resumable record stream, reusing the log's own length-prefixed,
-// per-record-CRC'd frame layout on the wire — a stream cut mid-record is
-// detected exactly like a torn tail on disk, and the follower resumes from
-// the last whole record. The follower (Follower) bootstraps from the
-// snapshot, applies streamed records into its delta overlay in batches
-// (act.Index.ApplyReplicated), and swings epochs as batches land, so
-// readers on the follower never block; background compaction folds the
-// overlay down and keeps a long-lived follower's memory bounded.
+// snapshot), and the index is the only owner of both files: NewPrimary
+// takes the index alone, serves the snapshot at its WALStats().SnapshotPath
+// for bootstrapping, and streams the log through the log's own tail reader
+// (Index.WALTail) as a resumable record stream, reusing the log's
+// length-prefixed, per-record-CRC'd frame layout on the wire — a stream
+// cut mid-record is detected exactly like a torn tail on disk, and the
+// follower resumes from the last whole record. The follower (Follower)
+// bootstraps from the snapshot, applies streamed records into its delta
+// overlay in batches (act.Index.ApplyReplicated), and swings epochs as
+// batches land, so readers on the follower never block; background
+// compaction folds the overlay down and keeps a long-lived follower's
+// memory bounded.
 //
 // The handshake is sequence-based. A follower asks for records after seq N;
 // the primary answers 410 Gone when N has fallen below the log's checkpoint
 // floor (the records were folded into a newer snapshot), which tells the
 // follower to bootstrap from the current snapshot instead of replaying a
 // hole. Log rotation mid-stream ends the stream the same way when the new
-// floor passed the follower; otherwise the stream reopens the rotated file
-// and carries on. Everything the follower applies is idempotent, so any
-// overlap between snapshot and resume point is absorbed.
+// floor passed the follower; otherwise the tail continues in the rotated
+// file. Everything the follower applies is idempotent, so any overlap
+// between snapshot and resume point is absorbed. The follower lands each
+// downloaded snapshot through the same replace routine (fault.Stage) the
+// primary's checkpoints and log rotations use.
 //
 // Failover is fenced by an epoch number. Both sides stamp X-Act-Epoch on
 // every exchange: a follower that gets promoted bumps the epoch, and the
@@ -32,9 +37,7 @@
 package replica
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
@@ -78,18 +81,17 @@ const defaultHeartbeat = 2 * time.Second
 // it at checkpoints exactly as without replication.
 type Primary struct {
 	idx          *act.Index
-	walPath      string
 	snapshotPath string
 	// Heartbeat is the idle-stream heartbeat cadence (default 2s); tests
 	// shrink it. Set before the first request.
 	Heartbeat time.Duration
 }
 
-// NewPrimary wires a primary around a durable index. walPath and
-// snapshotPath name the index's own log and checkpoint snapshot files (the
-// same paths the index was built or recovered with).
-func NewPrimary(idx *act.Index, walPath, snapshotPath string) *Primary {
-	return &Primary{idx: idx, walPath: walPath, snapshotPath: snapshotPath, Heartbeat: defaultHeartbeat}
+// NewPrimary wires a primary around a durable index, serving the
+// checkpoint snapshot the index writes (WALStats().SnapshotPath) and the
+// log it appends to.
+func NewPrimary(idx *act.Index) *Primary {
+	return &Primary{idx: idx, snapshotPath: idx.WALStats().SnapshotPath, Heartbeat: defaultHeartbeat}
 }
 
 // Index returns the index the primary serves.
@@ -178,20 +180,20 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 		}
 		after = v
 	}
-	f, hdr, err := p.openLog()
+	tail, err := p.idx.WALTail(after)
+	if errors.Is(err, wal.ErrBelowFloor) {
+		// The resume point predates the checkpoint floor: those records
+		// were folded into a newer snapshot. Hand the follower the
+		// snapshot, not a hole.
+		w.Header().Set(HeaderBaseSeq, strconv.FormatUint(p.idx.WALStats().BaseSeq, 10))
+		http.Error(w, "resume point is below the checkpoint floor; bootstrap from the snapshot", http.StatusGone)
+		return
+	}
 	if err != nil {
 		http.Error(w, "opening log: "+err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	defer func() { f.Close() }()
-	if after < hdr.BaseSeq {
-		// The resume point predates the checkpoint floor: those records
-		// were folded into a newer snapshot. Hand the follower the
-		// snapshot, not a hole.
-		w.Header().Set(HeaderBaseSeq, strconv.FormatUint(hdr.BaseSeq, 10))
-		http.Error(w, "resume point is below the checkpoint floor; bootstrap from the snapshot", http.StatusGone)
-		return
-	}
+	defer tail.Close()
 
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -207,47 +209,28 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 	tick := time.NewTicker(heartbeat)
 	defer tick.Stop()
 
-	lastSent := after
-	offset := hdr.Len
+	var recs []wal.Record
 	for {
 		// A promotion can fence this primary mid-stream; stop feeding the
 		// follower records the new epoch's history may not contain.
 		if _, fenced := p.idx.Fenced(); fenced {
 			return
 		}
-		// Fetch the wake channel before draining, so an append that lands
-		// during the scan re-arms the loop instead of being missed. A nil
-		// channel means the log closed — the primary is shutting down.
-		updates := p.idx.WALUpdates()
-		if updates == nil {
+		// Fetch the wake channel before reading, so an append that lands
+		// during the read re-arms the loop instead of being missed. The
+		// read ends the stream when the log closed (the primary is
+		// shutting down) or a rotation moved the floor past the follower,
+		// whose re-sync then gets 410 → bootstrap.
+		updates := tail.Updates()
+		if recs, err = tail.Read(recs[:0]); err != nil {
 			return
 		}
-
-		// Drain everything currently on disk past our offset. The tail may
-		// be torn mid-write (we read through an independent handle); that
-		// simply ends the drain and the next wake retries from the same
-		// offset.
-		if _, err := f.Seek(offset, io.SeekStart); err != nil {
-			return
-		}
-		br := bufio.NewReaderSize(f, 1<<20)
-		progress := false
-		for {
-			rec, err := wal.ReadFrame(br)
-			if err != nil {
-				break // clean EOF or a not-yet-complete tail
-			}
-			offset += int64(wal.FrameOverhead + len(rec.Data))
-			if rec.Seq <= lastSent {
-				continue // at or below the resume point (or a stale marker)
-			}
+		for _, rec := range recs {
 			if _, err := w.Write(wal.EncodeFrame(rec)); err != nil {
 				return // client went away
 			}
-			lastSent = rec.Seq
-			progress = true
 		}
-		if progress && flusher != nil {
+		if len(recs) > 0 && flusher != nil {
 			flusher.Flush()
 		}
 
@@ -255,7 +238,6 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-updates:
-			// New data or a rotation; fall through to the rotation check.
 		case <-tick.C:
 			hb := wal.Record{Type: wal.TypeCheckpoint, Seq: p.idx.WALStats().Seq}
 			if _, err := w.Write(wal.EncodeFrame(hb)); err != nil {
@@ -265,47 +247,5 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 			}
 		}
-
-		// Rotation check: Checkpoint swings a fresh file in by rename, so
-		// our handle keeps reading the orphaned old inode. When the path
-		// points elsewhere, reopen — and if the new floor passed what this
-		// follower has, end the stream: the records it needs live only in
-		// the snapshot now, and the re-sync gets 410 → bootstrap.
-		cur, err := os.Stat(p.walPath)
-		if err != nil {
-			return
-		}
-		if fi, err := f.Stat(); err != nil || os.SameFile(fi, cur) {
-			if err != nil {
-				return
-			}
-			continue
-		}
-		f.Close()
-		if f, hdr, err = p.openLog(); err != nil {
-			return
-		}
-		if hdr.BaseSeq > lastSent {
-			return
-		}
-		offset = hdr.Len // rescan; seq ≤ lastSent frames skip
 	}
-}
-
-// openLog opens an independent read handle on the log and validates its
-// header, returning the handle and the decoded header (checkpoint floor,
-// epoch, and the offset where records start).
-func (p *Primary) openLog() (*os.File, wal.Header, error) {
-	f, err := os.Open(p.walPath)
-	if err != nil {
-		return nil, wal.Header{}, err
-	}
-	hdr, err := wal.ReadHeader(f)
-	if err != nil {
-		f.Close()
-		return nil, wal.Header{}, fmt.Errorf("log header: %w", err)
-	}
-	// ReadHeader consumed exactly hdr.Len bytes; the handle sits at the
-	// first record.
-	return f, hdr, nil
 }

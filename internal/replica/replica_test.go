@@ -188,7 +188,7 @@ func TestFollowerStreamCutProperty(t *testing.T) {
 	}
 	defer idx.Close()
 
-	primary := replica.NewPrimary(idx, walPath, snapPath)
+	primary := replica.NewPrimary(idx)
 	primary.Heartbeat = 50 * time.Millisecond
 	mux := http.NewServeMux()
 	primary.Mount(mux)

@@ -103,7 +103,7 @@ func TestPromoteEndpoint(t *testing.T) {
 	}
 	defer idx.Close()
 	ps := NewServer(act.NewSwappable(idx), BuildDefaults{Precision: 10})
-	ps.EnablePrimary(replica.NewPrimary(idx, walPath, snapPath))
+	ps.EnablePrimary(replica.NewPrimary(idx))
 	psrv := httptest.NewServer(ps)
 	defer psrv.Close()
 

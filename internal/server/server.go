@@ -323,7 +323,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "promotion refused: "+err.Error(), http.StatusConflict)
 		return
 	}
-	p := replica.NewPrimary(promo.Index, promo.WALPath, promo.SnapshotPath)
+	p := replica.NewPrimary(promo.Index)
 	s.stateMu.Lock()
 	s.primary, s.follower = p, nil
 	s.stateMu.Unlock()

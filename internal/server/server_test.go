@@ -1010,7 +1010,7 @@ func TestReplicationRoles(t *testing.T) {
 	defer idx.Close()
 
 	ps := NewServer(act.NewSwappable(idx), BuildDefaults{Precision: 10})
-	ps.EnablePrimary(replica.NewPrimary(idx, walPath, snapPath))
+	ps.EnablePrimary(replica.NewPrimary(idx))
 	var st statsResponse
 	if err := json.Unmarshal(get(t, ps, "/stats").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)

@@ -57,7 +57,6 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -202,11 +201,6 @@ const (
 	maxRecordBytes = 64 << 20
 )
 
-// FrameOverhead is the fixed framing cost of one record: the length and
-// CRC prefixes plus the type/seq/id payload head. A full frame occupies
-// FrameOverhead + len(Data) bytes, on disk and on the wire alike.
-const FrameOverhead = recordOverhead
-
 // ErrCorrupt reports a log whose header (not merely its tail) is
 // unreadable; such a file cannot be recovered from and is not truncated.
 var ErrCorrupt = errors.New("wal: corrupt log header")
@@ -223,6 +217,14 @@ var ErrTornFrame = errors.New("wal: torn or corrupt record frame")
 // longer promise that an acknowledged record is durable. Every error the
 // failed log returns wraps ErrFailed together with the original cause.
 var ErrFailed = errors.New("wal: log has failed and is fail-stopped")
+
+// ErrClosed reports an operation on a closed log.
+var ErrClosed = errors.New("wal: log is closed")
+
+// ErrBelowFloor reports a tail position below the log's checkpoint floor:
+// the records after it were folded into a newer snapshot and dropped by a
+// rotation, so the reader must start over from that snapshot.
+var ErrBelowFloor = errors.New("wal: position is below the checkpoint floor")
 
 // Log is an open write-ahead log. Append, Sync, Checkpoint, Stats, and
 // Close are safe for concurrent use with each other; the caller serializes
@@ -258,15 +260,15 @@ type Log struct {
 // contents: records are scanned front to back, the first invalid record
 // truncates the file back to the last valid boundary, and everything after
 // the checkpoint floor is returned for replay. The returned log is
-// positioned for appends.
+// positioned for appends. An fsync policy Open does not know is refused.
 func Open(path string, opts Options) (*Log, *Replay, error) {
+	if opts.Policy > SyncOff {
+		return nil, nil, fmt.Errorf("wal: unknown fsync policy %d", uint8(opts.Policy))
+	}
 	if opts.Interval <= 0 {
 		opts.Interval = 100 * time.Millisecond
 	}
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = fault.OS{}
-	}
+	fsys := fault.OrOS(opts.FS)
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -378,10 +380,9 @@ type Header struct {
 	Len int64
 }
 
-// ReadHeader reads and validates a log file header. Replication serves the
-// log through an independent read handle; this is that reader's entry
-// point. Any version other than the current one is refused before the rest
-// of the header is read; Header.Len tells the caller where records start.
+// ReadHeader reads and validates a log file header. Any version other than
+// the current one is refused before the rest of the header is read;
+// Header.Len tells the caller where records start.
 func ReadHeader(r io.Reader) (Header, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
@@ -465,10 +466,7 @@ func scanRecords(br *bufio.Reader, start int64) ([]Record, int64, error) {
 
 // EncodeFrame lays rec out in its frame — the length/CRC-prefixed layout
 // shared by the log file and the replication wire protocol.
-func EncodeFrame(rec Record) []byte { return encode(rec) }
-
-// encode lays rec out in its on-disk frame.
-func encode(rec Record) []byte {
+func EncodeFrame(rec Record) []byte {
 	length := 13 + len(rec.Data)
 	buf := make([]byte, 8+length)
 	binary.LittleEndian.PutUint32(buf[0:], uint32(length))
@@ -520,12 +518,12 @@ func (l *Log) Append(rec Record) (err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return errors.New("wal: log is closed")
+		return ErrClosed
 	}
 	if l.failed != nil {
 		return l.failed
 	}
-	buf := encode(rec)
+	buf := EncodeFrame(rec)
 	if _, err := l.f.Write(buf); err != nil {
 		return l.failLocked("append", err)
 	}
@@ -564,6 +562,95 @@ func (l *Log) Updates() <-chan struct{} {
 	}
 	return l.notify
 }
+
+// Tail reads a log's records after a sequence number through its own read
+// handle on the log's filesystem, following appends and rotations: Read
+// returns what is on disk now, Updates says when to Read again. It is the
+// replication stream's source, for one goroutine at a time.
+type Tail struct {
+	log  *Log
+	f    fault.File
+	br   *bufio.Reader
+	off  int64  // offset of the next unread frame in f
+	last uint64 // the highest seq delivered, or the starting position
+	rot  uint64 // the log's rotation count when f was opened
+}
+
+// Tail opens a reader of the records with seq > after. It returns
+// ErrBelowFloor when after is below the checkpoint floor (those records
+// live only in the snapshot now) and ErrClosed on a closed log.
+func (l *Log) Tail(after uint64) (*Tail, error) {
+	t := &Tail{log: l, last: after}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := t.openLocked(); err != nil {
+		return nil, err
+	}
+	t.br = bufio.NewReaderSize(t.f, 1<<20)
+	return t, nil
+}
+
+// openLocked points the tail at the file now at the log's path; l.mu keeps
+// a rotation from running between the floor check and the open.
+func (t *Tail) openLocked() error {
+	l := t.log
+	if l.closed {
+		return ErrClosed
+	}
+	if t.last < l.baseSeq {
+		return fmt.Errorf("%w: %d is below %d", ErrBelowFloor, t.last, l.baseSeq)
+	}
+	f, err := l.fs.Open(l.path)
+	if err != nil {
+		return err
+	}
+	if t.f != nil {
+		t.f.Close()
+	}
+	t.f, t.off, t.rot = f, headerSize, l.checkpoints
+	return nil
+}
+
+// Read appends to dst the whole records past the tail's position that are
+// on disk now and moves the position past them; a frame still being
+// written waits for a later Read. After a rotation Read continues in the
+// new file without repeating a record, or returns ErrBelowFloor when the
+// new floor passed the position. A closed log returns ErrClosed. A Read
+// that finds nothing new allocates nothing.
+func (t *Tail) Read(dst []Record) ([]Record, error) {
+	l := t.log
+	l.mu.Lock()
+	var err error
+	if l.closed || l.checkpoints != t.rot {
+		err = t.openLocked()
+	}
+	size := l.bytes
+	l.mu.Unlock()
+	if err != nil || size <= t.off {
+		return dst, err
+	}
+	if _, err := t.f.Seek(t.off, io.SeekStart); err != nil {
+		return dst, err
+	}
+	t.br.Reset(t.f)
+	for {
+		rec, err := ReadFrame(t.br)
+		if err != nil {
+			return dst, nil // clean end, or a frame not yet whole
+		}
+		t.off += int64(recordOverhead + len(rec.Data))
+		if rec.Seq > t.last {
+			dst = append(dst, rec)
+			t.last = rec.Seq
+		}
+	}
+}
+
+// Updates is the log's Updates: closed when there may be more to Read.
+func (t *Tail) Updates() <-chan struct{} { return t.log.Updates() }
+
+// Close releases the tail's read handle.
+func (t *Tail) Close() error { return t.f.Close() }
 
 // Sync forces buffered records to stable storage regardless of policy. An
 // fsync error is fail-stop, like on the append path.
@@ -644,7 +731,7 @@ func (l *Log) Checkpoint(snapSeq uint64) (err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return errors.New("wal: log is closed")
+		return ErrClosed
 	}
 	if l.failed != nil {
 		return l.failed
@@ -669,68 +756,46 @@ func (l *Log) Checkpoint(snapSeq uint64) (err error) {
 		return err
 	}
 
-	dir := filepath.Dir(l.path)
-	tmp, err := l.fs.CreateTemp(dir, filepath.Base(l.path)+".rotate-*")
-	if err != nil {
-		return err
-	}
-	defer l.fs.Remove(tmp.Name()) // no-op after a successful rename
-	hdr := encodeHeader(snapSeq, l.epoch)
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := bw.Write(encode(Record{Type: TypeCheckpoint, Seq: snapSeq})); err != nil {
-		tmp.Close()
-		return err
-	}
 	newSeq := snapSeq
-	for _, r := range records {
-		if r.Type == TypeCheckpoint || r.Seq <= snapSeq {
-			continue
+	next, err := fault.Stage(l.fs, l.path, func(w io.Writer) error {
+		// bufio's first write error sticks and Flush reports it.
+		bw := bufio.NewWriterSize(w, 1<<20)
+		hdr := encodeHeader(snapSeq, l.epoch)
+		bw.Write(hdr[:])
+		bw.Write(EncodeFrame(Record{Type: TypeCheckpoint, Seq: snapSeq}))
+		for _, r := range records {
+			if r.Type == TypeCheckpoint || r.Seq <= snapSeq {
+				continue
+			}
+			bw.Write(EncodeFrame(r))
+			newSeq = max(newSeq, r.Seq)
 		}
-		if _, err := bw.Write(encode(r)); err != nil {
-			tmp.Close()
-			return err
-		}
-		if r.Seq > newSeq {
-			newSeq = r.Seq
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	fi, err := tmp.Stat()
+		return bw.Flush()
+	})
 	if err != nil {
-		tmp.Close()
 		return err
 	}
-	if err := l.fs.Rename(tmp.Name(), l.path); err != nil {
-		tmp.Close()
+	defer next.Discard()
+	if err := next.Commit(); err != nil {
+		if errors.Is(err, fault.ErrUnsynced) {
+			return l.failLocked("checkpoint dir sync", err)
+		}
 		return err
 	}
-	if err := l.syncDir(dir); err != nil {
-		tmp.Close()
-		return l.failLocked("checkpoint dir sync", err)
-	}
-	// The tmp handle now refers to the live log file (rename moved the
-	// inode, not the descriptor); swap it in positioned at the end.
-	if _, err := tmp.Seek(0, io.SeekEnd); err != nil {
-		tmp.Close()
+	// The temp handle now refers to the live log file (rename moved the
+	// inode, not the descriptor); keep it as the log, positioned at the end.
+	f := next.Keep()
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		f.Close()
 		return l.failLocked("checkpoint", err)
 	}
 	old := l.f
-	l.f = tmp
+	l.f = f
 	_ = old.Close()
 	l.baseSeq = snapSeq
 	l.seq = newSeq
-	l.bytes = fi.Size()
+	l.bytes = end
 	l.dirty = false
 	l.lastSync = time.Now()
 	l.checkpoints++
@@ -744,16 +809,6 @@ func (l *Log) Checkpoint(snapSeq uint64) (err error) {
 			slog.Uint64("checkpoints", l.checkpoints))
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file is durably linked.
-func (l *Log) syncDir(dir string) error {
-	d, err := l.fs.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // Stats returns the log's durability counters.
@@ -780,9 +835,6 @@ func (l *Log) Epoch() uint64 {
 	defer l.mu.Unlock()
 	return l.epoch
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Close flushes outstanding records (fsyncing only when something is
 // actually pending — a SyncAlways log pays no extra flush) and closes the

@@ -5,13 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
-	"os"
 	"slices"
 	"time"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/delta"
+	"github.com/actindex/act/internal/fault"
 	"github.com/actindex/act/internal/geojson"
 	"github.com/actindex/act/internal/geom"
 	"github.com/actindex/act/internal/geostore"
@@ -396,14 +397,19 @@ func (ix *Index) compactLocked(ctx context.Context, evenClean bool) (err error) 
 		return err
 	}
 
-	// Epochs are immutable, so the expensive snapshot write needs no lock;
-	// ix.mu covers the cheap part: the swap, the rename and the rotation.
-	var snapTmp string
+	// Epochs are immutable, so the expensive snapshot write and its fsync
+	// need no lock; ix.mu covers the cheap part: the swap, the rename and
+	// the rotation.
+	var snap *fault.Replacement
 	if rs.snapshotPath != "" {
-		if snapTmp, err = ix.stageSnapshot(rs.snapshotPath, fresh); err != nil {
+		snap, err = fault.Stage(rs.fs, rs.snapshotPath, func(w io.Writer) error {
+			_, err := ix.writeFlat(w, fresh)
+			return err
+		})
+		if err != nil {
 			return fmt.Errorf("act: compact: staging checkpoint snapshot: %w", err)
 		}
-		defer os.Remove(snapTmp) // no-op once renamed into place
+		defer snap.Discard()
 	}
 
 	ix.mu.Lock()
@@ -425,8 +431,8 @@ func (ix *Index) compactLocked(ctx context.Context, evenClean bool) (err error) 
 	// leaves snapshot + full log, which replays idempotently. An error here
 	// does not undo the in-memory compaction (the epoch already swung); the
 	// log simply keeps its full history.
-	if snapTmp != "" {
-		if err := commitSnapshot(snapTmp, rs.snapshotPath); err != nil {
+	if snap != nil {
+		if err := snap.Commit(); err != nil {
 			return fmt.Errorf("act: compact: publishing checkpoint snapshot: %w", err)
 		}
 		if rs.wal != nil {

@@ -103,9 +103,9 @@ func (ix *Index) ReplicationEpoch() uint64 {
 // (already-bumped) epoch: the overlay is compacted down, the resulting
 // clean state written as a checkpoint snapshot to cfg.SnapshotPath, and a
 // fresh write-ahead log opened at cfg.Path with the snapshot's sequence as
-// its base and the new epoch in its header. On return the index accepts
-// Insert and Remove, and a Primary wired around cfg.Path/cfg.SnapshotPath
-// can serve the next generation of followers.
+// its base and the new epoch in its header, both through cfg.FS. On return
+// the index accepts Insert and Remove and owns both paths, so a Primary
+// wired around it serves the next generation of followers.
 //
 // The ordering is crash-safe: the snapshot is durably committed before the
 // log is created or the role changes, so a crash mid-promotion leaves a
@@ -135,7 +135,7 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 		ix.mu.Unlock()
 		return errors.New("act: promote: index is not a replication follower")
 	}
-	ix.rs.Store(&roleState{role: promoting, snapshotPath: cfg.SnapshotPath})
+	ix.rs.Store(&roleState{role: promoting, snapshotPath: cfg.SnapshotPath, fs: cfg.FS})
 	ix.mu.Unlock()
 	defer func() { // a failed promotion leaves the follower as it was
 		ix.mu.Lock()
@@ -156,17 +156,10 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 	// previous life as primary) so the fresh log starts at the snapshot.
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = fault.OS{}
-	}
-	if err := fsys.Remove(cfg.Path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := fault.OrOS(cfg.FS).Remove(cfg.Path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("act: promote: clearing stale log: %w", err)
 	}
-	wopts, err := ix.walOptions(cfg)
-	if err != nil {
-		return err
-	}
+	wopts := ix.walOptions(cfg)
 	wopts.BaseSeq, wopts.Epoch = ix.live.Load().seq, epoch
 	log, rep, err := wal.Open(cfg.Path, wopts)
 	if err != nil {
@@ -176,6 +169,6 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 		log.Close()
 		return fmt.Errorf("act: promote: fresh log at %s has %d residual records", cfg.Path, len(rep.Records))
 	}
-	ix.rs.Store(&roleState{role: primary, wal: log, snapshotPath: cfg.SnapshotPath})
+	ix.rs.Store(&roleState{role: primary, wal: log, snapshotPath: cfg.SnapshotPath, fs: cfg.FS})
 	return nil
 }
