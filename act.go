@@ -435,8 +435,7 @@ func (pl *pipeline) trie(sc *supercover.SuperCovering, stats *BuildStats) (*core
 		return nil, err
 	}
 	stats.InsertDuration = time.Since(start)
-	ts := trie.ComputeStats()
-	stats.TrieBytes, stats.TableBytes, stats.TrieNodes = ts.TrieBytes, ts.TableBytes, ts.NumNodes
+	stats.TrieNodes, stats.TrieBytes, stats.TableBytes = trie.Size()
 	return trie, nil
 }
 

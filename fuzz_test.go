@@ -13,9 +13,9 @@ import (
 
 // fuzzSeedIndexes builds tiny deterministic indexes (three hand-made
 // polygons, coarse precision, a few kilobytes serialized) whose byte
-// streams seed the deserialization fuzzer: per grid kind, version 3 with
+// streams seed the deserialization fuzzer: per grid kind, version 9 with
 // geometry and approximate-only, and — one polygon removed and compacted
-// away — version 4 with its id column, with geometry and approximate-only.
+// away — version 10 with its id column, with geometry and approximate-only.
 func fuzzSeedIndexes(t testing.TB) [][]byte {
 	t.Helper()
 	polys := []*Polygon{
@@ -58,7 +58,8 @@ func fuzzSeedIndexes(t testing.TB) [][]byte {
 // length fields — and any stream it does accept must re-serialize into a
 // stream it accepts again, byte-identically (serialize → deserialize →
 // serialize is a fixed point). The image it accepted must decode under the
-// mapped policy too, without the arena checksum, into the same index.
+// mapped policy too, without the arena checksum, into the same index. The
+// seeds' arenas share blocks; the version 8 file's, the last seed, does not.
 func FuzzDeserialize(f *testing.F) {
 	for _, seed := range fuzzSeedIndexes(f) {
 		f.Add(seed)
@@ -67,6 +68,11 @@ func FuzzDeserialize(f *testing.F) {
 	}
 	f.Add([]byte("ACTX"))
 	f.Add([]byte("not an index at all"))
+	legacy, err := os.ReadFile(legacySparseFile)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, input []byte) {
 		ix, err := ReadIndex(bytes.NewReader(input))
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/actindex/act/internal/cellid"
+	"github.com/actindex/act/internal/core"
 	"github.com/actindex/act/internal/data"
 	"github.com/actindex/act/internal/geom"
 	"github.com/actindex/act/internal/geostore"
@@ -21,9 +22,13 @@ import (
 // trie arena, the lookup table and the geometry section of the serialized
 // index, for the two maps the repository benchmark builds, at its ε. The
 // table hashes were recorded on the commit before the merge became a radix
-// sort and a forward pass and the coverer stopped measuring every cell; the
-// arena hashes when nodes became palette-coded (705 712 and 623 256 bytes,
-// from 1 802 872 and 1 620 136 run-compressed), and they equal the hashes of
+// sort and a forward pass and the coverer stopped measuring every cell. The
+// arena hashes were re-recorded when nodes came to share repeated code blocks
+// and leaf palettes (488 024 and 426 368 bytes); unshared pins the hashes the
+// arenas had before (705 712 and 623 256 bytes), which the trie, laid out
+// without sharing again, must still reproduce — sharing moved blocks, it
+// changed no node. Those were recorded when nodes became palette-coded (from
+// 1 802 872 and 1 620 136 run-compressed bytes), and they equal the hashes of
 // the run-compressed arenas palette-coded node by node. The geometry hashes
 // were re-recorded when the section became version 3 (each shared vertex
 // stored once: 133 356 and 117 276 bytes, from 220 347 and 189 742 in
@@ -35,9 +40,9 @@ import (
 func TestBuildGolden(t *testing.T) {
 	const eps = 60
 	cases := []struct {
-		name                        string
-		set                         func() (*data.PolygonSet, error)
-		arena, table, store, v2, v1 string
+		name                                  string
+		set                                   func() (*data.PolygonSet, error)
+		arena, unshared, table, store, v2, v1 string
 		// achieved is the largest boundary-cell diagonal, measured cell by
 		// cell.
 		achieved float64
@@ -45,7 +50,8 @@ func TestBuildGolden(t *testing.T) {
 		{
 			name:     "census-400",
 			set:      func() (*data.PolygonSet, error) { return data.CensusBlocks(1, 400) },
-			arena:    "93cd78fc26f3f3e6b83f72dbc89812a69caa5c8ac91678928f87ad4d077077e9",
+			arena:    "a00c1128569f5bbd547ee4734fd1a3e47bc445a229eb875c00a53e1eb63d0978",
+			unshared: "93cd78fc26f3f3e6b83f72dbc89812a69caa5c8ac91678928f87ad4d077077e9",
 			table:    "8d158e1f09fa3b471b3b04ccaa560cde29b3e1e754c68399bbf62e20e58f7925",
 			store:    "edd314e1b5eee602be5ebfd2a069fa58f5bd075364adf1030b7a0a7e878cd128",
 			v2:       "a9a486a0f9947e7bc96bb413630bc0de61032742863ab9e4a6e5bce199897220",
@@ -55,7 +61,8 @@ func TestBuildGolden(t *testing.T) {
 		{
 			name:     "neighborhoods",
 			set:      func() (*data.PolygonSet, error) { return data.Neighborhoods(1) },
-			arena:    "a6a3ebab174343aa58067b9e063e56ff67449bc5ae3d209c489dad56d2d4d9ea",
+			arena:    "66a4e0759375e4d763daef1b0083a8f4d3d40fdcf04447178a10f0d6f284a15a",
+			unshared: "a6a3ebab174343aa58067b9e063e56ff67449bc5ae3d209c489dad56d2d4d9ea",
 			table:    "08b72f8ac03077d845c8a2d8843d59a3626dc28fa12cdb57bd32eba1b96a78cb",
 			store:    "e3669a1fac9436d0dfebd4b19b862d10157ae1e14f0155c5b0f2743858b9e908",
 			v2:       "f36bc0da48c1db4249bb6a9268ac52503bd2c71d01d04295cf9c57ad72e1ec23",
@@ -96,6 +103,10 @@ func TestBuildGolden(t *testing.T) {
 					t.Errorf("%s (%d bytes): sha256 %s, want %s", sec.name, sec.to-sec.from, got, sec.want)
 				}
 			}
+			unshared := arenaUnshared(ix.live.Load().trie.Flat())
+			if sum := sha256.Sum256(unshared); hex.EncodeToString(sum[:]) != tc.unshared {
+				t.Errorf("trie arena laid out without sharing (%d bytes): sha256 %x, want %s", len(unshared), sum, tc.unshared)
+			}
 			st, err := geostore.Read(file[h.geomOff:h.fileSize])
 			if err != nil {
 				t.Fatal(err)
@@ -115,6 +126,49 @@ func TestBuildGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// arenaUnshared lays a trie's arena out as index versions 7 and 8 stored it
+// — breadth-first, every node storing its own code block right before its
+// own palette — which only the loaders still read, and returns its bytes.
+func arenaUnshared(f core.Flat) []byte {
+	fanout := uint64(f.Fanout)
+	out := make([]uint64, (fanout+63)/64+1) // the sentinel
+	type placed struct{ pal, d uint64 }
+	var queue []placed
+	place := func(e uint64) uint64 {
+		pal, lw := e>>4&(1<<30-1), e>>2&3
+		end := pal + uint64(int64(e)>>34)
+		top := uint64(0) // the largest code
+		for i := range fanout {
+			bit := i << lw
+			top = max(top, f.Nodes[end-1-bit>>6]>>(bit&63)&(1<<(1<<lw)-1))
+		}
+		out = append(out, f.Nodes[end-(fanout<<lw+63)/64:end]...)
+		at := uint64(len(out))
+		queue = append(queue, placed{at, top + 1})
+		out = append(out, f.Nodes[pal:pal+top+1]...)
+		return at<<4 | lw<<2
+	}
+	for _, root := range f.Roots {
+		if root != 0 {
+			place(root)
+		}
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		q := queue[qi]
+		for i := q.pal; i < q.pal+q.d; i++ {
+			if e := out[i]; e != 0 && e&3 == 0 { // a child entry
+				e = place(e)
+				out[i] = e
+			}
+		}
+	}
+	var b []byte
+	for _, w := range out {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
 }
 
 // sectionV2 lays a store out as version 2 of the geometry section — every
@@ -206,10 +260,11 @@ func TestSerializedFormIsFixedPoint(t *testing.T) {
 
 // TestFinePrecisionTrieStaysSmall builds the benchmark's census map at the
 // finest precision the paper measures. A node stores each distinct entry
-// once, however many slots select it, so the trie follows the covering:
-// 31 052 824 bytes here (29.6 MiB; 37.5 MB with one entry per run of equal
-// slots), where one 2 KB array per node made every ε from 31 m down to
-// 15 m cost 747 MB.
+// once, however many slots select it, and the 364 547 nodes use only 11 643
+// distinct code blocks, each stored once, so the trie follows the covering:
+// 7 037 536 bytes here (6.7 MiB; 31 052 824 with a code block per node,
+// 37.5 MB with one entry per run of equal slots), where one 2 KB array per
+// node made every ε from 31 m down to 15 m cost 747 MB.
 func TestFinePrecisionTrieStaysSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 4000-block index at ε = 15 m")
@@ -222,8 +277,8 @@ func TestFinePrecisionTrieStaysSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := ix.Stats(); st.TrieBytes > 32<<20 {
-		t.Errorf("trie of %d nodes takes %d bytes at ε = 15 m, want at most 32 MiB", st.TrieNodes, st.TrieBytes)
+	if st := ix.Stats(); st.TrieBytes > 10<<20 {
+		t.Errorf("trie of %d nodes takes %d bytes at ε = 15 m, want at most 10 MiB", st.TrieNodes, st.TrieBytes)
 	}
 }
 

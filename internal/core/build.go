@@ -39,6 +39,9 @@ func build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
 		}
 	}
 	b.closeFace()
+	if uint64(len(b.t.nodes)) > MaxArenaWords {
+		return nil, ErrArenaLimit
+	}
 	return b.t, nil
 }
 
@@ -134,6 +137,11 @@ func (b *builder) add(cell cellid.ID, refs []supercover.Ref) error {
 			}
 		}
 		return nil
+	}
+	if uint64(len(b.t.nodes)) > MaxArenaWords {
+		// Child entries name offsets below the limit; Relayout only
+		// shrinks the arena, so the built one must fit too.
+		return ErrArenaLimit
 	}
 	if cell.RangeMin() <= b.last {
 		return fmt.Errorf("%w: cell %v reaches back to leaf %v", ErrOverlap, cell, b.last)
@@ -255,7 +263,7 @@ func appendNode(arena, slots []uint64) ([]uint64, uint64) {
 		arena[k] = word
 	}
 	arena = append(arena, palette[:d]...)
-	return arena, childEntry(pal, lw)
+	return arena, childEntry(pal, pal, lw)
 }
 
 // encodeRefs produces the tagged entry value for a reference set: inlined

@@ -65,7 +65,7 @@ func (w *cellWalker) node(node, key uint64, consumed uint) error {
 	var codes [maxFanout]uint8
 	for r := range t.runs(node, &starts, &codes) {
 		slot, end := uint64(starts[r]), uint64(starts[r+1])
-		switch e := t.nodes[node>>4+uint64(codes[r])]; {
+		switch e := t.nodes[paletteAt(node)+uint64(codes[r])]; {
 		case e == 0: // uncovered gap
 		case e&tagMask == tagChild:
 			if err := w.node(e, key|slot<<(64-consumed-t.bits), consumed+t.bits); err != nil {

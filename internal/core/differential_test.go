@@ -130,8 +130,17 @@ func TestBuildMatchesDenseReference(t *testing.T) {
 						!slices.Equal(got.Table, want.Table) || got.Skips != want.Skips || got.Prefixes != want.Prefixes {
 						t.Fatalf("flat form differs from the palette-coded reference (%d vs %d arena words)", len(got.Nodes), len(want.Nodes))
 					}
-					if got, want := trie.ComputeStats().NumNodes, len(ref.nodes)/fanout-1; got != want {
+					st := trie.ComputeStats()
+					if got, want := st.NumNodes, len(ref.nodes)/fanout-1; got != want {
 						t.Errorf("NumNodes = %d, reference has %d", got, want)
+					}
+					if nodes, trieBytes, tableBytes := trie.Size(); nodes != st.NumNodes || trieBytes != st.TrieBytes || tableBytes != st.TableBytes {
+						t.Errorf("Size() = %d nodes, %d + %d bytes; ComputeStats says %d, %d + %d", nodes, trieBytes, tableBytes, st.NumNodes, st.TrieBytes, st.TableBytes)
+					}
+					if loaded, err := TrieFromFlat(trie.Flat()); err != nil {
+						t.Fatal(err)
+					} else if nodes, _, _ := loaded.Size(); nodes != st.NumNodes {
+						t.Errorf("the loaded trie's Size() counts %d nodes, ComputeStats %d", nodes, st.NumNodes)
 					}
 
 					leaves := slotLeaves(ref)
@@ -260,7 +269,7 @@ func TestNodeShapes(t *testing.T) {
 						t.Fatalf("palette entry %d is %#x, want polygon %d's", c, e, c)
 					}
 				}
-				words := trie.sentinel()>>4 + 1 + codeWords(fanout, root>>2&3) + uint64(d)
+				words := paletteAt(trie.sentinel()) + 1 + codeWords(fanout, root>>2&3) + uint64(d)
 				if len(palette) != d || uint64(len(trie.nodes)) != words {
 					t.Errorf("%d palette entries in a %d-word arena, want %d in %d", len(palette), len(trie.nodes), d, words)
 				}

@@ -4,15 +4,19 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"slices"
 
 	"github.com/actindex/act/internal/cellid"
 )
 
-// Plausibility bounds shared by every reader of flat trie data: arenas
-// beyond 128 GiB are corruption, and table offsets beyond the 31-bit entry
-// payload could never be addressed by a lookup anyway.
+// Size bounds shared by the builder and every reader of flat trie data: a
+// child entry's 30-bit palette offset and signed 30-bit code-block distance
+// reach every word of an arena of 2^29 words (4 GiB), and table offsets
+// beyond the 31-bit entry payload could never be addressed by a lookup.
+// Build refuses larger tries (ErrArenaLimit, ErrTableLimit); a file that
+// claims one is corruption.
 const (
-	MaxArenaWords = 1 << 34
+	MaxArenaWords = 1 << 29
 	MaxTableWords = payloadMax
 )
 
@@ -31,6 +35,12 @@ type Flat struct {
 	// each face's root, 0 for an empty face.
 	Nodes []uint64
 	Table []uint32
+	// Unshared marks an arena laid out before nodes shared blocks, as index
+	// versions 7 and 8 store it: every node stores its own code block, right
+	// before its own palette. TrieFromFlat validates it under that rule and
+	// relays it out onto the heap, so the trie it returns shares blocks and
+	// aliases neither slice.
+	Unshared bool
 }
 
 // Flat returns the trie's flat form. The returned slices alias the trie's
@@ -71,14 +81,15 @@ func (f Flat) SectionCRC() uint64 {
 }
 
 // TrieFromFlat reconstructs a servable trie from its flat form without
-// copying the arena or table: the returned trie aliases f.Nodes and f.Table,
-// which may live in read-only memory (a file mapping). Everything a walk
-// depends on is validated up front — fanout, skip alignment, and the full
-// structural scan of validateStructure, which also demands the one arena
-// Build produces for a covering: canonical breadth-first order, every node
-// reachable, every node coded one way. After a successful return, lookups never
-// branch on anything unvalidated, so even a hostile file cannot make them
-// read outside the two slices.
+// copying the arena or table (unless f is Unshared): the returned trie
+// aliases f.Nodes and f.Table, which may live in read-only memory (a file
+// mapping). Everything a walk depends on is validated up front — fanout, skip
+// alignment, and the full structural scan of validateStructure, which also
+// demands the one arena Build produces for a covering: canonical
+// breadth-first order, every block reachable and stored once, every node
+// coded one way. After a successful return, lookups never branch on anything
+// unvalidated, so even a hostile file cannot make them read outside the two
+// slices.
 func TrieFromFlat(f Flat) (*Trie, error) {
 	t, err := newTrie(int(f.Fanout))
 	if err != nil {
@@ -95,8 +106,12 @@ func TrieFromFlat(f Flat) (*Trie, error) {
 	if uint64(len(f.Nodes)) > MaxArenaWords || uint64(len(f.Table)) > MaxTableWords {
 		return nil, fmt.Errorf("core: implausible flat trie size (%d node words, %d table words)", len(f.Nodes), len(f.Table))
 	}
-	if err := t.validateStructure(); err != nil {
+	if err := t.validateStructure(!f.Unshared); err != nil {
 		return nil, err
+	}
+	if f.Unshared {
+		t.Relayout()
+		t.table = slices.Clone(t.table)
 	}
 	return t, nil
 }

@@ -93,7 +93,10 @@ type flatFuzzSeed struct {
 
 // flatFuzzSeeds are the target's seeds: a well-formed trie per fanout, then
 // an arena with the root node's code word cut out, a table cut mid-run, an
-// empty trie and junk.
+// empty trie and junk; then tries that share blocks — the fanout-4 trie of
+// TestTrieSerializationErrors (a leaf named twice, codes named by three
+// nodes), the same with two parents naming one child-holding palette, and
+// the fanout-256 trie of a covering whose leaves repeat.
 func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
 	var seeds []flatFuzzSeed
 	for _, fanout := range []int{4, 16, 64, 256} {
@@ -101,11 +104,47 @@ func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
 		seeds = append(seeds, flatFuzzSeed{sel, head, nodes, table})
 	}
 	s := seeds[0]
-	return append(seeds,
+	seeds = append(seeds,
 		flatFuzzSeed{s.fanoutSel, s.head, append(append([]byte{}, s.nodes[:16]...), s.nodes[24:]...), s.table},
 		flatFuzzSeed{s.fanoutSel, s.head, s.nodes, s.table[:len(s.table)/2]},
 		flatFuzzSeed{3, []byte{}, []byte{}, []byte{}},
 		flatFuzzSeed{1, []byte("junk"), []byte("junkjunkjunkjunk"), []byte("junk")})
+	shared := sharingTrie(tb).Flat()
+	dag := shared
+	dag.Nodes = []uint64{0, 0, 0b11_10_01_00, childEntry(8, 8, 0), childEntry(8, 8, 0), childEntry(10, 8, 0), childEntry(10, 8, 0),
+		0b1110, 0b101, 0, childEntry(12, 8, 0), 0, 0b10101, 0}
+	for _, f := range []Flat{shared, dag, repeatedLeavesFlat(tb)} {
+		sel, head, nodes, table := encodeFlatFuzz(f)
+		seeds = append(seeds, flatFuzzSeed{sel, head, nodes, table})
+	}
+	return seeds
+}
+
+// repeatedLeavesFlat builds a fanout-256 trie over cells whose 4 × 64 leaves
+// come in four kinds: many nodes name one code block, and equal leaves are
+// one node.
+func repeatedLeavesFlat(tb testing.TB) Flat {
+	tb.Helper()
+	var b supercover.Builder
+	for i := range 256 {
+		// Leaf i sits under slot i of the root, 4 grid levels down; its
+		// slot 0 holds polygon i%4 and slot 1 polygon 4 + i%2.
+		cell := cellid.FromFace(1)
+		for k := 3; k >= 0; k-- {
+			cell = cell.Child(i >> (2 * k) & 3)
+		}
+		for slot, id := range []uint32{uint32(i % 4), uint32(4 + i%2)} {
+			c := cell.Child(0).Child(0).Child(0).Child(slot)
+			if err := b.AddCell(c, []supercover.Ref{{PolygonID: id, Interior: true}}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	trie, err := Build(b.Build(), Config{Fanout: 256})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return trie.Flat()
 }
 
 // FuzzTrieFromFlat assembles Flat words straight from fuzz bytes — no

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/supercover"
@@ -238,23 +239,53 @@ func (d *denseTrie) cells() []denseCell {
 // compactArena palette-codes a dense arena — node i at
 // dense[i*fanout:(i+1)*fanout], node 0 the sentinel, child entries holding
 // node indices — into the production layout, node by node in index order,
-// and returns the arena with the child entry naming each node.
-func compactArena(fanout int, dense []uint64) (arena, entries []uint64) {
+// and returns the arena with the child entry naming each node. With share,
+// it lays blocks out the way the package comment says, by its own means: a
+// node's code block is named where an equal block of its width went first,
+// and a palette that holds no child entry and is not a root's (nodes named
+// in roots) where an equal palette went first; everything else is stored
+// in place.
+func compactArena(fanout int, dense []uint64, roots [cellid.NumFaces]uint64, share bool) (arena, entries []uint64) {
 	numNodes := len(dense) / fanout
 	entries = make([]uint64, numNodes)
-	for pass := 0; pass < 2; pass++ { // sizes first, then the real child entries
-		arena = arena[:0]
-		slots := make([]uint64, fanout)
-		for n := 0; n < numNodes; n++ {
-			copy(slots, dense[n*fanout:])
-			for i, e := range slots {
-				// The sizing pass keeps node indices: like child entries they
-				// are distinct per child, so the palettes come out as large.
-				if pass == 1 && isChild(e) && e>>2 < uint64(numNodes) {
-					slots[i] = entries[e>>2]
-				}
+	codesAt, palettesAt := map[string]uint64{}, map[string]uint64{}
+	key := func(words []uint64, lw uint64) string { return fmt.Sprint(lw, words) }
+	var parents []uint64 // palette offsets of the nodes holding child entries
+	for n := range numNodes {
+		// Child entries keep their node indices while the node is coded:
+		// like the builder's child entries they are distinct per child.
+		node, entry := appendNode(nil, dense[n*fanout:(n+1)*fanout])
+		lw := entry >> 2 & 3
+		c := codeWords(fanout, lw)
+		codes, palette := node[:c], node[c:]
+		end, ok := codesAt[key(codes, lw)]
+		if !ok || !share || n == 0 {
+			arena = append(arena, codes...)
+			end = uint64(len(arena))
+			if n > 0 { // the sentinel is not a node to share with
+				codesAt[key(codes, lw)] = end
 			}
-			arena, entries[n] = appendNode(arena, slots)
+		}
+		children := slices.ContainsFunc(palette, isChild)
+		shareable := share && n > 0 && !children && !slices.Contains(roots[:], uint64(n))
+		pal, ok := palettesAt[key(palette, paletteKind)]
+		if !ok || !shareable {
+			pal = uint64(len(arena))
+			arena = append(arena, palette...)
+			if shareable {
+				palettesAt[key(palette, paletteKind)] = pal
+			}
+		}
+		if children {
+			parents = append(parents, pal, uint64(len(palette)))
+		}
+		entries[n] = childEntry(pal, end, lw)
+	}
+	for i := 0; i < len(parents); i += 2 {
+		for k := parents[i]; k < parents[i]+parents[i+1]; k++ {
+			if e := arena[k]; isChild(e) && e>>2 < uint64(numNodes) {
+				arena[k] = entries[e>>2]
+			}
 		}
 	}
 	return arena, entries
@@ -262,7 +293,7 @@ func compactArena(fanout int, dense []uint64) (arena, entries []uint64) {
 
 // flat returns the reference trie in the production flat form.
 func (d *denseTrie) flat() Flat {
-	arena, entries := compactArena(int(d.fanout), d.nodes)
+	arena, entries := compactArena(int(d.fanout), d.nodes, d.roots, true)
 	f := d.enc.t.Flat()
 	f.Nodes = arena
 	for face, root := range d.roots {

@@ -9,10 +9,11 @@ import (
 	"github.com/actindex/act/internal/cellid"
 )
 
-// TestRelayoutPreservesLookupsAndIsIdempotent relays out a build-order trie
-// and demands identical lookups before and after, then proves a second
-// relayout is the identity — the property that keeps relaid tries
-// byte-stable through the serializer.
+// TestRelayoutPreservesLookupsAndIsIdempotent relays out a build-order trie,
+// with and without sharing blocks, and demands identical lookups before and
+// after, then proves a second relayout is the identity — the property that
+// keeps relaid tries byte-stable through the serializer. Without sharing the
+// arena keeps every word; sharing can only drop some.
 func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sc := randomPrefixFreeCovering(t, rng, []int{0, 2, 5}, 150)
@@ -28,14 +29,20 @@ func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 			wantHit[i] = raw.Lookup(leaf, &want[i])
 		}
 		words, numNodes := len(raw.nodes), raw.ComputeStats().NumNodes+1
-		if got := raw.Relayout(); got != numNodes || len(raw.nodes) != words {
+		unshared := layoutUnshared(raw)
+		if len(unshared.nodes) != words {
+			t.Fatalf("fanout %d: the unshared layout of a fully reachable trie kept %d of %d words", fanout, len(unshared.nodes), words)
+		}
+		if got := raw.Relayout(); got != numNodes || len(raw.nodes) > words {
 			t.Fatalf("fanout %d: relayout of a fully reachable trie kept %d of %d nodes, %d of %d words", fanout, got, numNodes, len(raw.nodes), words)
 		}
 		var res Result
-		for i, leaf := range leaves {
-			res.Reset()
-			if hit := raw.Lookup(leaf, &res); hit != wantHit[i] || !resultEqual(&res, &want[i]) {
-				t.Fatalf("fanout %d leaf %v: lookup changed after relayout", fanout, leaf)
+		for _, tr := range []*Trie{unshared, raw} {
+			for i, leaf := range leaves {
+				res.Reset()
+				if hit := tr.Lookup(leaf, &res); hit != wantHit[i] || !resultEqual(&res, &want[i]) {
+					t.Fatalf("fanout %d leaf %v: lookup changed after relayout", fanout, leaf)
+				}
 			}
 		}
 		nodes := append([]uint64(nil), raw.nodes...)
@@ -45,6 +52,39 @@ func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 			t.Fatalf("fanout %d: relayout is not idempotent", fanout)
 		}
 	}
+}
+
+// layoutUnshared lays a trie's arena out as index versions 7 and 8 stored it
+// — breadth-first, every node storing its own code block right before its
+// own palette — and returns the trie over that arena.
+func layoutUnshared(t *Trie) *Trie {
+	u := *t
+	arena := make([]uint64, codeWords(t.fanout, 0)+1) // the sentinel
+	type placed struct{ pal, d uint64 }
+	var queue []placed
+	place := func(old uint64) uint64 {
+		arena = append(arena, t.codes(old)...)
+		pal, palette := uint64(len(arena)), t.palette(old)
+		arena = append(arena, palette...)
+		queue = append(queue, placed{pal, uint64(len(palette))})
+		return childEntry(pal, pal, old>>2&3)
+	}
+	for f, root := range t.roots {
+		if root != 0 {
+			u.roots[f] = place(root)
+		}
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		q := queue[qi]
+		for i := q.pal; i < q.pal+q.d; i++ {
+			if e := arena[i]; isChild(e) {
+				e = place(e) // place appends: index arena afterwards
+				arena[i] = e
+			}
+		}
+	}
+	u.nodes = arena
+	return &u
 }
 
 func slicesEqualU64(a, b []uint64) bool {
@@ -62,7 +102,9 @@ func slicesEqualU64(a, b []uint64) bool {
 // TestRelayoutYieldsCanonicalFlat: the breadth-first form is the canonical
 // flat form of a covering. A build-order (pre-relayout) arena is refused by
 // TrieFromFlat — a mapped arena cannot be renumbered in place — and relaying
-// it out yields word for word the arena Build produces, which loads.
+// it out yields word for word the arena Build produces, which loads. The
+// unshared layout of index versions 7 and 8 loads only as such, and loading
+// it relays it out into Build's arena too.
 func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sc := randomPrefixFreeCovering(t, rng, []int{1, 3, 4}, 130)
@@ -88,6 +130,25 @@ func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 		if _, err := TrieFromFlat(raw.Flat()); err != nil {
 			t.Fatalf("fanout %d: canonical arena rejected: %v", fanout, err)
 		}
+		old := layoutUnshared(built)
+		if len(old.nodes) == len(built.nodes) {
+			t.Fatalf("fanout %d: nothing shared; the covering exercises nothing", fanout)
+		}
+		f := old.Flat()
+		if _, err := TrieFromFlat(f); err == nil {
+			t.Fatalf("fanout %d: unshared arena accepted as a shared one", fanout)
+		}
+		f.Unshared = true
+		loaded, err := TrieFromFlat(f)
+		if err != nil {
+			t.Fatalf("fanout %d: unshared arena rejected: %v", fanout, err)
+		}
+		if loaded.roots != built.roots || !slices.Equal(loaded.nodes, built.nodes) || !slices.Equal(loaded.table, built.table) {
+			t.Fatalf("fanout %d: loading the unshared arena does not yield Build's", fanout)
+		}
+		if &loaded.nodes[0] == &f.Nodes[0] || len(f.Table) > 0 && &loaded.table[0] == &f.Table[0] {
+			t.Fatalf("fanout %d: a relaid-out unshared trie still aliases its input", fanout)
+		}
 	}
 }
 
@@ -104,7 +165,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 	one := func(id uint64) uint64 { return id<<3 | tagOne }
 	child := func(n uint64) uint64 { return n << 2 }
 	denseOf := func(fanout int, roots [cellid.NumFaces]uint64, nodes []uint64, table []uint32) Flat {
-		arena, entries := compactArena(fanout, nodes)
+		arena, entries := compactArena(fanout, nodes, roots, true)
 		f := Flat{Fanout: uint32(fanout), Nodes: arena, Table: table}
 		for face, root := range roots {
 			if root != 0 {
@@ -123,7 +184,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 	// coded in 1<<lw-bit codes.
 	raw := func(lw uint64, words ...uint64) Flat {
 		f := Flat{Fanout: 4, Nodes: append([]uint64{0, 0}, words...)}
-		f.Roots[0] = childEntry(3, lw)
+		f.Roots[0] = childEntry(3, 3, lw)
 		return f
 	}
 	// chain is a path of n nodes, each hanging from slot 0 of the one
@@ -142,7 +203,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 	// childFirst is the root {child, empty, empty, empty} over a child
 	// {id 3, …}: the root's palette {child, empty} at 3, the child's code
 	// word at 5 and its palette at 6.
-	childFirst := func() Flat { return raw(0, 0b1110, childEntry(6, 0), 0, 0, one(3)) }
+	childFirst := func() Flat { return raw(0, 0b1110, childEntry(6, 6, 0), 0, 0, one(3)) }
 	// longPalette is a fanout-64 root of ids 0 … 19 in slots 0 … 19, the
 	// rest empty.
 	longPalette := func() Flat {
@@ -244,7 +305,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// breadth-first numbering puts roots first: by the time the
 			// entry is scanned the root has been named already.
 			name: "child-pointer-to-root",
-			want: "breadth-first order puts it at",
+			want: "not a stored shareable palette",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*4) // sentinel, face-0 root, face-1 root
 				nodes[4] = child(2)
@@ -259,9 +320,10 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			},
 		},
 		{
-			// Nor may two faces name one root: each names the next node.
+			// Nor may two faces name one root: a root's palette is never
+			// shared, so each root stores its own.
 			name: "shared-root",
-			want: "breadth-first order puts it at",
+			want: "not a stored shareable palette",
 			bad: func() Flat {
 				nodes := make([]uint64, 2*4)
 				nodes[4] = one(5)
@@ -276,29 +338,34 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			},
 		},
 		{
-			// Two nodes referencing one child make the arena a DAG.
+			// Two nodes referencing one child that is not a leaf make the
+			// arena a DAG: its palette holds a child entry, and such a
+			// palette is never shared. (Equal leaves are one shared node.)
 			name: "shared-child",
-			want: "breadth-first order puts it at",
+			want: "which holds a child entry",
 			bad: func() Flat {
-				nodes := make([]uint64, 5*4)
+				nodes := make([]uint64, 6*4)
 				nodes[4], nodes[5] = child(2), child(3)
 				nodes[2*4], nodes[3*4] = child(4), child(4)
-				nodes[4*4] = one(3)
+				nodes[4*4] = child(5)
+				nodes[5*4] = one(3)
 				return dense(face0, nodes, nil)
 			},
 			good: func() Flat {
-				nodes := make([]uint64, 5*4)
+				nodes := make([]uint64, 6*4)
 				nodes[4], nodes[5] = child(2), child(3)
 				nodes[2*4], nodes[3*4] = child(4), one(5)
-				nodes[4*4] = one(3)
+				nodes[4*4] = child(5)
+				nodes[5*4] = one(3)
 				return dense(face0, nodes, nil)
 			},
 		},
 		{
 			// Children come after their parents: a reference at or before
-			// its own node would let a walk loop.
+			// its own node would let a walk loop. Code blocks may be named
+			// backwards, but the palette of a node with children may not.
 			name: "backward-pointer",
-			want: "breadth-first order puts it at",
+			want: "which holds a child entry",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*4)
 				nodes[4] = child(2)
@@ -319,20 +386,20 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			want: "starts past the arena",
 			bad: func() Flat {
 				f := raw(0, 0b1110, 0, one(2))
-				f.Nodes[3] = childEntry(uint64(len(f.Nodes))+1, 0)
+				f.Nodes[3] = childEntry(uint64(len(f.Nodes))+1, uint64(len(f.Nodes))+1, 0)
 				return f
 			},
 			good: func() Flat { return raw(0, 0b1110, 0, one(2)) },
 		},
 		{
 			// The palette offset lands inside the child instead of past its
-			// code words.
+			// code words (which it stores: its codes are not the root's).
 			name: "child-not-a-node-boundary",
 			want: "breadth-first order puts it at",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*4)
 				nodes[4] = child(2)
-				nodes[2*4] = one(3)
+				nodes[2*4+1] = one(3)
 				f := dense(face0, nodes, nil)
 				f.Nodes[3] += 1 << 4
 				return f
@@ -340,7 +407,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			good: func() Flat {
 				nodes := make([]uint64, 3*4)
 				nodes[4] = child(2)
-				nodes[2*4] = one(3)
+				nodes[2*4+1] = one(3)
 				return dense(face0, nodes, nil)
 			},
 		},
@@ -366,13 +433,14 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// The width bits are the only record of a node's code width: at
 			// fanout 64 one-bit codes take one word, two-bit codes two, so
 			// an entry claiming two-bit codes for the node right past the
-			// root names its palette one word early.
+			// root (which stores codes of its own) names its palette one
+			// word early.
 			name: "width-bits-disagree",
 			want: "says 2-bit codes, the node at offset 5 has 1 code words",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*64)
 				nodes[64] = child(2)
-				nodes[2*64] = one(3)
+				nodes[2*64+1] = one(3)
 				f := denseOf(64, face0, nodes, nil)
 				f.Nodes[3] |= 1 << 2
 				return f
@@ -380,7 +448,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			good: func() Flat {
 				nodes := make([]uint64, 3*64)
 				nodes[64] = child(2)
-				nodes[2*64] = one(3)
+				nodes[2*64+1] = one(3)
 				return denseOf(64, face0, nodes, nil)
 			},
 		},
@@ -388,7 +456,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// A child entry is one slot: one key chunk, one subtree.
 			name: "child-run-spans-slots",
 			want: "child entry in more than one slot",
-			bad:  func() Flat { return raw(0, 0b1100, childEntry(6, 0), 0, 0, one(3)) },
+			bad:  func() Flat { return raw(0, 0b1100, childEntry(6, 6, 0), 0, 0, one(3)) },
 			good: childFirst,
 		},
 		{
@@ -396,8 +464,8 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// 1 over {empty, child}.
 			name: "child-in-two-slots",
 			want: "child entry in more than one slot",
-			bad:  func() Flat { return raw(0, 0b1010, 0, childEntry(6, 0), 0, one(3)) },
-			good: func() Flat { return raw(0, 0b0010, 0, childEntry(6, 0), 0, one(3)) },
+			bad:  func() Flat { return raw(0, 0b1010, 0, childEntry(6, 6, 0), 0, one(3)) },
+			good: func() Flat { return raw(0, 0b0010, 0, childEntry(6, 6, 0), 0, one(3)) },
 		},
 		{
 			// Slot 0 uses code 1 before any slot uses code 0: the palette

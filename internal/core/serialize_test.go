@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/actindex/act/internal/cellid"
+	"github.com/actindex/act/internal/supercover"
 )
 
 func buildRandomTrie(t *testing.T, cfg Config, seed int64) *Trie {
@@ -91,9 +94,10 @@ func TestTrieSerializationRoundTrip(t *testing.T) {
 }
 
 // TestTrieSerializationErrors: a flipped bit moves the section checksum, and
-// TrieFromFlat refuses header fields no builder produces. (A section cut
-// short is the index file decoder's to refuse; the root package's
-// serialization tests cut files.)
+// TrieFromFlat refuses header fields no builder produces and arenas that
+// share blocks in a way Relayout never does. (A section cut short is the
+// index file decoder's to refuse; the root package's serialization tests cut
+// files.)
 func TestTrieSerializationErrors(t *testing.T) {
 	trie := buildRandomTrie(t, DefaultConfig(), 1)
 	good := trie.Flat()
@@ -121,5 +125,152 @@ func TestTrieSerializationErrors(t *testing.T) {
 	}
 	if _, err := TrieFromFlat(good); err != nil {
 		t.Fatalf("pristine flat form rejected: %v", err)
+	}
+
+	// The sharing rules, on a fanout-4 trie whose arena is spelled out: a
+	// root over A, A again, B and C — A and B leaves with equal codes, A twice
+	// because its slots hang equal leaves, C a node over the leaf D.
+	shared := sharingTrie(t)
+	e := func(pal, end uint64) uint64 { return childEntry(pal, end, 0) }
+	one := func(id uint64) uint64 { return (id<<1|1)<<2 | tagOne }
+	want := []uint64{
+		0, 0, // the sentinel
+		0b11_10_01_00,                        // root codes: slot i selects entry i
+		e(8, 8), e(8, 8), e(10, 8), e(12, 8), // root palette: A, A, B, C
+		0b1110,    // A's codes: slot 0 entry 0, the rest entry 1
+		one(0), 0, // A's palette
+		one(1), 0, // B's palette; B names A's codes
+		e(14, 8), 0, // C's palette; C names A's codes
+		one(2), 0, // D's palette; D names A's codes
+	}
+	if f := shared.Flat(); !slices.Equal(f.Nodes, want) || f.Roots[0] != childEntry(3, 3, 1) {
+		t.Fatalf("the sharing trie's arena is %#x, root %#x; want %#x", f.Nodes, f.Roots[0], want)
+	}
+	unshared := func() Flat {
+		f := layoutUnshared(shared).Flat()
+		f.Unshared = true
+		return f
+	}
+	for _, tc := range []struct {
+		name, want string
+		forge      func() Flat
+	}{
+		// C names a code block past D's palette, where no block is stored
+		// yet.
+		{"block-named-before-stored", "breadth-first order puts it at", func() Flat {
+			f := shared.Flat()
+			f.Nodes = slices.Clone(f.Nodes)
+			f.Nodes[6] = e(12, 15)
+			return f
+		}},
+		// B stores the code block A stored, instead of naming it.
+		{"second-copy-of-code-block", "second copy of the 1-bit code block at 7", func() Flat {
+			f := shared.Flat()
+			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(8, 8), e(8, 8), e(11, 11), e(13, 8),
+				0b1110, one(0), 0, 0b1110, one(1), 0, e(15, 8), 0, one(2), 0}
+			return f
+		}},
+		// The second A stores the palette the first stored.
+		{"second-copy-of-palette", "second copy of the palette at 8", func() Flat {
+			f := shared.Flat()
+			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(8, 8), e(10, 8), e(12, 8), e(14, 8),
+				0b1110, one(0), 0, one(0), 0, one(1), 0, e(16, 8), 0, one(2), 0}
+			return f
+		}},
+		// B is C: two parents of D, which a walk would reach twice over.
+		{"shared-palette-holds-child", "which holds a child entry", func() Flat {
+			f := shared.Flat()
+			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(8, 8), e(8, 8), e(10, 8), e(10, 8),
+				0b1110, one(0), 0, e(12, 8), 0, one(2), 0}
+			return f
+		}},
+		// B names the palette {empty, id 1} that starts inside A's.
+		{"name-inside-stored-block", "not a stored shareable palette", func() Flat {
+			f := shared.Flat()
+			f.Nodes = slices.Clone(f.Nodes)
+			f.Nodes[8], f.Nodes[9], f.Nodes[10], f.Nodes[11] = one(0), 0, one(1), 0
+			f.Nodes[5] = e(9, 8)
+			return f
+		}},
+		// An arena of index version 7 or 8 shares nothing: B names A's
+		// codes there too.
+		{"distance-in-unshared-arena", "in an arena that shares no blocks", func() Flat {
+			f := unshared()
+			f.Nodes = slices.Clone(f.Nodes)
+			f.Nodes[5] = childEntry(paletteAt(f.Nodes[5]), 8, 0)
+			return f
+		}},
+	} {
+		if _, err := TrieFromFlat(tc.forge()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: forged arena refused with %v, want the rule %q", tc.name, err, tc.want)
+		}
+	}
+	for name, f := range map[string]Flat{"shared": shared.Flat(), "unshared": unshared()} {
+		if _, err := TrieFromFlat(f); err != nil {
+			t.Errorf("%s control arena rejected: %v", name, err)
+		}
+	}
+}
+
+// sharingTrie builds the fanout-4 trie TestTrieSerializationErrors spells
+// out: on face 0, polygon 0 in cells 0.0 and 1.0, polygon 1 in 2.0, and
+// polygon 2 in 3.0.0.
+func sharingTrie(t testing.TB) *Trie {
+	t.Helper()
+	f0 := cellid.FromFace(0)
+	var b supercover.Builder
+	for _, c := range []struct {
+		cell cellid.ID
+		id   uint32
+	}{
+		{f0.Child(0).Child(0), 0},
+		{f0.Child(1).Child(0), 0},
+		{f0.Child(2).Child(0), 1},
+		{f0.Child(3).Child(0).Child(0), 2},
+	} {
+		if err := b.AddCell(c.cell, []supercover.Ref{{PolygonID: c.id, Interior: true}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trie, err := Build(b.Build(), Config{Fanout: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trie
+}
+
+// TestDAGBombRefused forges a fanout-4 arena of ten nodes, each of whose four
+// slots names the next node: a walk over every node reached (validation,
+// Cells, ComputeStats) would visit 4^10 of them. The nodes share one code
+// block, which is allowed, and each names the palette of the next, which
+// holds child entries and is never shared — so the validator refuses the
+// arena at the second name, without following one path. The control, where
+// only slot 0 names the next node, loads.
+func TestDAGBombRefused(t *testing.T) {
+	const levels = 10
+	const pal0 = 3 // after the sentinel {0, 0} and the one shared code word
+	one := func(id uint64) uint64 { return (id<<1|1)<<2 | tagOne }
+	forge := func(bomb bool) Flat {
+		arena := []uint64{0, 0, 0b11_10_01_00}
+		for level := uint64(1); level <= levels; level++ {
+			palette := []uint64{0, one(1), one(2), one(3)} // the last node's
+			if next := childEntry(pal0+4*level, pal0, 1); level < levels && bomb {
+				palette = []uint64{next, next, next, next}
+			} else if level < levels {
+				palette[0] = next
+			}
+			arena = append(arena, palette...)
+		}
+		f := Flat{Fanout: 4, Nodes: arena}
+		f.Roots[0] = childEntry(pal0, pal0, 1)
+		return f
+	}
+	if _, err := TrieFromFlat(forge(false)); err != nil {
+		t.Fatalf("control chain rejected: %v", err)
+	}
+	start := time.Now()
+	_, err := TrieFromFlat(forge(true))
+	if elapsed := time.Since(start); err == nil || !strings.Contains(err.Error(), "which holds a child entry") || elapsed > 100*time.Millisecond {
+		t.Fatalf("DAG bomb refused with %v after %v, want the shared-palette rule at once", err, elapsed)
 	}
 }

@@ -25,21 +25,34 @@
 // (6.2 per node on average at 60 m on the census map, where a node holds 37
 // runs of equal slots; p99 15). So a node stores each distinct entry once,
 // the way the lookup table stores each distinct reference set once, and one
-// w-bit code per slot:
+// w-bit code per slot, in two blocks of words:
 //
-//	pal-C … pal-1   code words, C = ⌈fanout·w/64⌉, last word first: slot i's
-//	                code sits in word i·w/64, i.e. at pal-1-(i·w>>6), bits
-//	                i·w&63 and up
+//	end-C … end-1   the code block, C = ⌈fanout·w/64⌉ words, last word
+//	                first: slot i's code sits at end-1-(i·w>>6), bits i·w&63
+//	                and up
 //	pal …           the palette: the node's d distinct entries in first-use
 //	                slot order
 //
 // w is the narrowest of 1, 2, 4, 8 bits with 2^w ≥ d. The node has no header:
-// a child entry (and a face root) carries the palette offset above bit 4 and
-// log2(w) in bits 2–3, so the entry of slot i is
+// a child entry (and a face root) carries log2(w) in bits 2–3, the palette
+// offset pal in bits 4–33 and, in bits 34–63, the signed distance end-pal
+// from the palette to the end of the code block, so the entry of slot i is
 //
-//	arena[pal + (arena[pal-1-(i·w>>6)] >> (i·w&63) & (1<<w - 1))]
+//	arena[pal + (arena[end-1-(i·w>>6)] >> (i·w&63) & (1<<w - 1))]
 //
 // — two dependent loads, no branch, no comparison, no count.
+//
+// The two blocks are stored apart because nodes repeat them: the census map
+// at 60 m has 14 793 nodes but 11 575 distinct code blocks, and at 15 m
+// 364 547 nodes share 11 643. Relayout stores the first use of a code block
+// (per code width) and of a palette, and every later use with equal words
+// names that first copy. A node usually stores both blocks itself, its codes
+// right before its palette (distance 0); one that shares the code block
+// stores just its palette, and one that shares both stores nothing. A palette
+// that holds a child entry, and a face root's palette, is never shared, so
+// nodes still form a tree apart from identical leaves (two slots of one node
+// may name one), and a walk over every node (validation, Cells,
+// ComputeStats) stays linear in the arena.
 //
 // Child references are word offsets into one flat node arena rather than raw
 // pointers — the same 8-byte entries as the paper's implementation, minus
@@ -111,6 +124,10 @@ type Trie struct {
 	// computed by TrieFromFlat's structural validation (see MaxPolygonRef).
 	maxRef  uint32
 	hasRefs bool
+	// reached counts the nodes walks reach, the sentinel excluded, as
+	// Relayout or the validation that laid out or scanned the arena found
+	// them (see Size).
+	reached int
 }
 
 // newTrie returns an empty trie of the given fanout, arena unset.
@@ -128,15 +145,29 @@ func newTrie(fanout int) (*Trie, error) {
 // the hoisted arena rather than a method so the interleaved round loop
 // shares it.)
 func entryAt(nodes []uint64, node, idx uint64) uint64 {
-	pal, bit := node>>4, idx<<(node>>2&3)
+	pal, bit := node>>4&offsetMask, idx<<(node>>2&3)
+	end := pal + uint64(int64(node)>>34)
 	// 0xff0f0301 holds the code masks of widths 1, 2, 4, 8 bytewise; node<<1&24
 	// is 8·log2(w).
-	return nodes[pal+nodes[pal-1-bit>>6]>>(bit&63)&(0xff0f0301>>(node<<1&24)&0xff)]
+	return nodes[pal+nodes[end-1-bit>>6]>>(bit&63)&(0xff0f0301>>(node<<1&24)&0xff)]
 }
 
-// childEntry is the entry naming the node whose palette starts at word pal
-// and whose codes are 1<<lw bits wide.
-func childEntry(pal, lw uint64) uint64 { return pal<<4 | lw<<2 | tagChild }
+// offsetMask selects the palette offset of a child entry, once shifted down
+// by 4. The distance field above it is as wide, so an entry reaches any word
+// of an arena of MaxArenaWords.
+const offsetMask = 1<<30 - 1
+
+// childEntry is the entry naming the node whose palette starts at word pal,
+// whose code block ends right before word end, and whose codes are 1<<lw bits
+// wide.
+func childEntry(pal, end, lw uint64) uint64 { return (end-pal)<<34 | pal<<4 | lw<<2 | tagChild }
+
+// paletteAt returns the palette offset of the node the child entry node names.
+func paletteAt(node uint64) uint64 { return node >> 4 & offsetMask }
+
+// codeEnd returns the word past the code block of the node the child entry
+// node names.
+func codeEnd(node uint64) uint64 { return paletteAt(node) + uint64(int64(node)>>34) }
 
 // codeWidth returns log2 of the narrowest code width — 1, 2, 4 or 8 bits —
 // that numbers a palette of d entries.
@@ -159,18 +190,21 @@ func codeWords(fanout int, lw uint64) uint64 { return (uint64(fanout)<<lw + 63) 
 
 // sentinel returns the child entry naming the sentinel node: fanout one-bit
 // codes, all zero, selecting its one palette entry, 0.
-func (t *Trie) sentinel() uint64 { return childEntry(codeWords(t.fanout, 0), 0) }
+func (t *Trie) sentinel() uint64 {
+	c := codeWords(t.fanout, 0)
+	return childEntry(c, c, 0)
+}
 
 // runs lists the runs of equal codes of the node the child entry node names,
 // in slot order: run r covers slots starts[r] up to starts[r+1] and holds
 // code codes[r]. It closes starts with fanout and returns the number of
 // runs. The node's code words must lie inside the arena.
 func (t *Trie) runs(node uint64, starts *[maxFanout + 1]uint16, codes *[maxFanout]uint8) int {
-	pal, lw := node>>4, node>>2&3
+	lw := node >> 2 & 3
 	w, per := uint64(1)<<lw, min(64>>lw, t.fanout) // code width, codes per word
 	low := t.lowBits(lw)
 	n, prev := 0, uint64(0) // prev: the last code of the word before
-	for i, k := 0, pal-1; i < t.fanout; i, k = i+per, k-1 {
+	for i, k := 0, codeEnd(node)-1; i < t.fanout; i, k = i+per, k-1 {
 		x := t.nodes[k]
 		// A run starts where a code differs from the one before it: fold
 		// each code's bits of x ^ (x shifted one code up) into its lowest.
@@ -192,13 +226,20 @@ func (t *Trie) runs(node uint64, starts *[maxFanout + 1]uint16, codes *[maxFanou
 	return n
 }
 
+// codes returns the code block of the node the child entry node names. The
+// block must lie inside the arena.
+func (t *Trie) codes(node uint64) []uint64 {
+	end := codeEnd(node)
+	return t.nodes[end-codeWords(t.fanout, node>>2&3) : end]
+}
+
 // palette returns the distinct entries of the node the child entry node
 // names — as many as its largest code selects. The node must lie inside the
 // arena.
 func (t *Trie) palette(node uint64) []uint64 {
-	pal, lw := node>>4, node>>2&3
+	lw := node >> 2 & 3
 	w := uint64(1) << lw
-	words := t.nodes[pal-codeWords(t.fanout, lw) : pal]
+	words := t.codes(node)
 	// The largest code, decided one bit plane at a time from the top, all
 	// codes of a word at once: tied holds, per code word, the lowest bit of
 	// every code still tied for the largest.
@@ -221,6 +262,7 @@ func (t *Trie) palette(node uint64) []uint64 {
 			}
 		}
 	}
+	pal := paletteAt(node)
 	return t.nodes[pal : pal+top+1]
 }
 
@@ -290,6 +332,7 @@ var (
 	ErrEmptyRefs  = errors.New("core: cell with no polygon references")
 	ErrPolygonID  = errors.New("core: polygon id exceeds 30 bits")
 	ErrTableLimit = errors.New("core: lookup table exceeds 31-bit offset space")
+	ErrArenaLimit = errors.New("core: node arena exceeds the child entries' offset space")
 )
 
 // walk descends from leaf's face root to the terminal entry covering it.
@@ -536,12 +579,13 @@ func (t *Trie) LookupCounting(leaf cellid.ID, res *Result) (hit bool, nodeAccess
 func (t *Trie) Fanout() int { return t.fanout }
 
 // Stats describes the memory footprint and shape of a trie, the quantities
-// Table I of the paper reports. The three value counts count palette entries
-// — stored entries — not slots: a value is counted once per node that holds
-// it, however many slots select it.
+// Table I of the paper reports. NumNodes and the three value counts count
+// what walks reach: a node once per entry naming it, so a shared leaf counts
+// as often as it is named, and a value once per node whose palette holds it,
+// however many slots select it.
 type Stats struct {
 	Fanout         int
-	NumNodes       int   // allocated nodes, excluding the sentinel
+	NumNodes       int   // nodes a walk reaches, excluding the sentinel
 	TrieBytes      int64 // node arena size: arena words × 8
 	TableBytes     int64 // lookup table size
 	TableEntries   int   // uint32 words in the lookup table
@@ -551,6 +595,13 @@ type Stats struct {
 	MaxDepth       int   // deepest node depth observed (root = 1)
 	RootSkipLevels int   // grid levels compressed at the root (max across faces)
 	TotalBytes     int64 // TrieBytes + TableBytes
+}
+
+// Size returns what ComputeStats reports as NumNodes, TrieBytes and
+// TableBytes, without walking the trie: Relayout and TrieFromFlat's
+// validation count the nodes as they lay out or scan the arena.
+func (t *Trie) Size() (nodes int, trieBytes, tableBytes int64) {
+	return t.reached, int64(len(t.nodes)) * 8, int64(len(t.table)) * 4
 }
 
 // ComputeStats walks the trie one depth at a time and summarizes it.

@@ -153,11 +153,20 @@ func (m *Metrics) requestCounter(route, method string, code int) *obs.Counter {
 }
 
 // registerIndexGauges exposes the live index's own state — WAL position,
-// failed-state, mutation layer — as scrape-time callbacks against the
-// swappable holder, so the values track /reload swaps and promotions
-// without any per-event bookkeeping.
+// failed-state, mutation layer, the serving trie's shape — as scrape-time
+// callbacks against the swappable holder, so the values track /reload
+// swaps, compactions and promotions without any per-event bookkeeping.
 func (m *Metrics) registerIndexGauges(indexes *act.Swappable) {
 	r := m.Registry
+	r.GaugeFunc("act_index_trie_bytes", "Bytes of the serving trie's node arena.", func() float64 {
+		return float64(indexes.Load().Stats().TrieBytes)
+	})
+	r.GaugeFunc("act_index_table_bytes", "Bytes of the serving trie's lookup table.", func() float64 {
+		return float64(indexes.Load().Stats().TableBytes)
+	})
+	r.GaugeFunc("act_index_trie_nodes", "Nodes a walk of the serving trie reaches (a shared leaf once per parent slot).", func() float64 {
+		return float64(indexes.Load().Stats().TrieNodes)
+	})
 	r.GaugeFunc("act_index_live_polygons", "Live polygons in the serving index (base + delta - tombstones).", func() float64 {
 		return float64(indexes.Load().DeltaStats().LivePolygons)
 	})

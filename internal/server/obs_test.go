@@ -6,6 +6,8 @@ package server
 // Retry-After and a rejection counter.
 
 import (
+	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -212,5 +214,39 @@ func TestMetricsUnknownRoute(t *testing.T) {
 	}
 	if got := metricValue(t, s, `act_http_requests_total{route="other",method="GET",code="404"}`); got != 1 {
 		t.Errorf("other-route counter = %v, want 1", got)
+	}
+}
+
+// TestIndexShapeGauges: the trie-shape gauges read the serving index's
+// Stats, so they equal what /stats reports — before a compaction and after
+// one has replaced the trie with a larger one.
+func TestIndexShapeGauges(t *testing.T) {
+	s, idx := mutationServer(t, -1)
+	check := func(when string) statsResponse {
+		t.Helper()
+		var st statsResponse
+		if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range map[string]float64{
+			"act_index_trie_bytes":  float64(st.TrieBytes),
+			"act_index_table_bytes": float64(st.TableBytes),
+			"act_index_trie_nodes":  float64(st.TrieNodes),
+		} {
+			if got := metricValue(t, s, name); got != want || want == 0 && name != "act_index_table_bytes" {
+				t.Errorf("%s: %s = %v, /stats says %v", when, name, got, want)
+			}
+		}
+		return st
+	}
+	before := check("before compaction")
+	if rec := do(t, s, http.MethodPost, "/polygons", churnGeoJSON(0)); rec.Code != http.StatusOK {
+		t.Fatalf("insert status %d: %s", rec.Code, rec.Body)
+	}
+	if err := idx.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if after := check("after compaction"); after.TrieNodes <= before.TrieNodes || after.Compactions != 1 {
+		t.Errorf("compaction left %d trie nodes (from %d) after %d compactions, want more nodes after one", after.TrieNodes, before.TrieNodes, after.Compactions)
 	}
 }

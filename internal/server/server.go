@@ -859,6 +859,7 @@ type statsResponse struct {
 	IndexedCells            int     `json:"indexedCells"`
 	TrieBytes               int64   `json:"trieBytes"`
 	TableBytes              int64   `json:"tableBytes"`
+	TrieNodes               int     `json:"trieNodes"`
 	PrecisionMeters         float64 `json:"precisionMeters"`
 	AchievedPrecisionMeters float64 `json:"achievedPrecisionMeters"`
 	Grid                    string  `json:"grid"`
@@ -970,6 +971,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		IndexedCells:            st.IndexedCells,
 		TrieBytes:               st.TrieBytes,
 		TableBytes:              st.TableBytes,
+		TrieNodes:               st.TrieNodes,
 		PrecisionMeters:         idx.PrecisionMeters(),
 		AchievedPrecisionMeters: st.AchievedPrecisionMeters,
 		Grid:                    idx.GridName(),

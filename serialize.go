@@ -18,20 +18,21 @@ import (
 	"github.com/actindex/act/internal/supercover"
 )
 
-// Index serialization, versions 7 and 8 — the flat, mmap-servable layout
+// Index serialization, versions 9 and 10 — the flat, mmap-servable layout
 // (little endian throughout):
 //
 //	offset 0:    header, 264 bytes
 //	  magic     "ACTX"          4 bytes
-//	  version   uint32          7 (dense ids) or 8 (sparse ids)
+//	  version   uint32          9 (dense ids) or 10 (sparse ids); 7 and 8
+//	                            are read too
 //	  gridKind  uint32
 //	  flags     uint32          bit 0: a geometry section follows the table
 //	  fanout    uint32
-//	  idSpace   uint32          v8: ids ever assigned; v7: zero padding
+//	  idSpace   uint32          sparse: ids ever assigned; dense: zero padding
 //	  precision, achieved       2 × float64
 //	  cells     uint64          indexed covering cells (stats)
 //	  numPolys  uint64          live (stored) polygon count
-//	  numNodes  uint64          trie nodes, sentinel included
+//	  numNodes  uint64          trie nodes walks reach, sentinel included
 //	  tableLen  uint64          lookup-table words (uint32 each)
 //	  arenaOff  uint64          = flatPageSize (4096): arena start
 //	  tableOff  uint64          = arenaOff + arena words·8; the arena's size
@@ -39,16 +40,19 @@ import (
 //	  geomOff   uint64          8-aligned geometry start; 0 without geometry
 //	  fileSize  uint64          total file length in bytes
 //	  roots     6 × uint64      per-face root child entries (palette
-//	                            offset and code width), 0 for an empty face
+//	                            offset, code-block distance and code
+//	                            width), 0 for an empty face
 //	  skips     6 × uint64      root path-compression bit counts
 //	  prefixes  6 × uint64      root path-compression prefixes
 //	  arenaCRC  uint64          CRC-64/ECMA of arena + table (+ id column)
 //	  headerCRC uint64          CRC-64/ECMA of header bytes [0, 256)
 //	zero padding to arenaOff
-//	arenaOff:  node arena       palette-coded nodes back to back (see
-//	                            internal/core), canonical BFS order
+//	arenaOff:  node arena       palette-coded nodes' code blocks and
+//	                            palettes (see internal/core), canonical
+//	                            BFS order, repeated code blocks and leaf
+//	                            palettes stored once
 //	tableOff:  lookup table     tableLen × uint32
-//	idsOff:    id column        v8 only: numPolys × uint32, strictly
+//	idsOff:    id column        sparse only: numPolys × uint32, strictly
 //	                            ascending live polygon ids, 8-aligned after
 //	                            the table ((tableEnd+7)&^7)
 //	geomOff:   geometry section geostore.Store.Encode blob (own magic,
@@ -58,15 +62,23 @@ import (
 //	                            filling [geomOff, fileSize) exactly — present
 //	                            only when flag set
 //
-// Version 7 describes a dense id space: numPolys polygons with implicit
-// ids 0..numPolys-1. Version 8 adds sparse id spaces — the id column names
+// Version 9 describes a dense id space: numPolys polygons with implicit
+// ids 0..numPolys-1. Version 10 adds sparse id spaces — the id column names
 // the live ids explicitly, idSpace records how many ids were ever assigned
 // — so a compacted index whose removals left permanent holes serializes.
-// WriteTo picks the lowest version that can represent the index (v7 when
-// dense, v8 when sparse); the geometry section stays dense either way,
+// WriteTo picks the lowest version that can represent the index (v9 when
+// dense, v10 when sparse); the geometry section stays dense either way,
 // storing the live polygons in id-column order and remapped to their
-// sparse ids at load. The arenaCRC of a v8 file also covers the id column
-// (not the alignment padding around it).
+// sparse ids at load. The arenaCRC of a sparse file also covers the id
+// column (not the alignment padding around it).
+//
+// Versions 7 and 8 are versions 9 and 10 over an arena that shares no
+// blocks: every node stores its own code block, right before its own
+// palette, so each of their child entries is a version 9 entry with a zero
+// code-block distance. The decoder still reads them, validating the arena
+// under that rule and relaying it out onto the heap — a mapped v7/v8 file
+// is served from the heap — so WriteTo then writes the v9/v10 file New
+// would.
 //
 // The arena starts on a page boundary and its words are stored exactly as
 // the trie serves them in memory, so OpenIndex can map the file and alias
@@ -94,9 +106,12 @@ const (
 	indexMagic = "ACTX"
 	// indexVersion is the dense flat format; indexVersionSparse the flat
 	// format with an explicit id column. WriteTo emits the lowest version
-	// that represents the index.
-	indexVersion       = 7
-	indexVersionSparse = 8
+	// that represents the index. The unshared versions are the same two
+	// over an arena that shares no blocks, read but no longer written.
+	indexVersion               = 9
+	indexVersionSparse         = 10
+	unsharedIndexVersion       = 7
+	unsharedIndexVersionSparse = 8
 
 	// flatHeaderSize is the full flat header including headerCRC;
 	// flatHeaderCRCBytes the prefix that checksum covers.
@@ -125,10 +140,10 @@ var ErrPendingMutations = errors.New("act: index has uncompacted mutations; Comp
 
 var flatCRCTable = crc64.MakeTable(crc64.ECMA)
 
-// flatHeader is the parsed 264-byte flat header (versions 7 and 8).
+// flatHeader is the parsed 264-byte flat header (versions 7 to 10).
 type flatHeader struct {
 	version   uint32
-	idSpace   uint64 // ids ever assigned; == numPolys for v7
+	idSpace   uint64 // ids ever assigned; == numPolys when dense
 	gridKind  uint32
 	hasGeom   bool
 	fanout    uint32
@@ -151,11 +166,16 @@ type flatHeader struct {
 // tableEnd returns the byte offset one past the lookup table.
 func (h *flatHeader) tableEnd() uint64 { return h.tableOff + h.tableLen*4 }
 
-// idsOff returns the byte offset of the v8 id column (8-aligned past the
-// table). A v7 header has no column; idsOff and idsEnd collapse to
+// sparse reports whether the file carries an id column (versions 8 and 10).
+func (h *flatHeader) sparse() bool {
+	return h.version == indexVersionSparse || h.version == unsharedIndexVersionSparse
+}
+
+// idsOff returns the byte offset of the sparse id column (8-aligned past the
+// table). A dense header has no column; idsOff and idsEnd collapse to
 // tableEnd so size arithmetic works uniformly across versions.
 func (h *flatHeader) idsOff() uint64 {
-	if h.version < indexVersionSparse {
+	if !h.sparse() {
 		return h.tableEnd()
 	}
 	return (h.tableEnd() + 7) &^ 7
@@ -163,7 +183,7 @@ func (h *flatHeader) idsOff() uint64 {
 
 // idsEnd returns the byte offset one past the id column.
 func (h *flatHeader) idsEnd() uint64 {
-	if h.version < indexVersionSparse {
+	if !h.sparse() {
 		return h.tableEnd()
 	}
 	return h.idsOff() + h.numPolys*4
@@ -182,10 +202,10 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 	}
 	le.PutUint32(buf[12:], flags)
 	le.PutUint32(buf[16:], h.fanout)
-	if h.version >= indexVersionSparse {
+	if h.sparse() {
 		le.PutUint32(buf[20:], uint32(h.idSpace))
 	}
-	// For v7, buf[20:24] is reserved padding, zero.
+	// Dense, buf[20:24] is reserved padding, zero.
 	le.PutUint64(buf[24:], math.Float64bits(h.precision))
 	le.PutUint64(buf[32:], math.Float64bits(h.achieved))
 	le.PutUint64(buf[40:], h.cells)
@@ -207,7 +227,7 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 }
 
 // parseHeader parses the header at the start of a file image. Magic and
-// version come first, so anything but a flat v7/v8 file is refused before
+// version come first, so anything but a flat v7–v10 file is refused before
 // a further byte is interpreted, even one too short to hold a header.
 func parseHeader(b []byte) (*flatHeader, error) {
 	if len(b) < 8 {
@@ -216,7 +236,7 @@ func parseHeader(b []byte) (*flatHeader, error) {
 	if string(b[:4]) != indexMagic {
 		return nil, fmt.Errorf("act: bad index magic %q", b[:4])
 	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != indexVersion && v != indexVersionSparse {
+	if v := binary.LittleEndian.Uint32(b[4:]); v < unsharedIndexVersion || v > indexVersionSparse {
 		return nil, fmt.Errorf("act: unsupported index version %d", v)
 	}
 	if len(b) < flatHeaderSize {
@@ -225,7 +245,7 @@ func parseHeader(b []byte) (*flatHeader, error) {
 	return decodeFlatHeader((*[flatHeaderSize]byte)(b))
 }
 
-// decodeFlatHeader parses and cross-validates a flat header (v7 or v8)
+// decodeFlatHeader parses and cross-validates a flat header (v7 to v10)
 // whose magic and version bytes are already verified. Every offset
 // relationship the layout promises is checked here, so the decoder can
 // trust the header's geometry of the file afterwards — all that remains is
@@ -284,10 +304,10 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 		return nil, fmt.Errorf("act: implausible polygon count %d", h.numPolys)
 	}
 	switch h.version {
-	case indexVersion:
+	case indexVersion, unsharedIndexVersion:
 		// Dense: the id space is the polygon count, ids implicit.
 		h.idSpace = h.numPolys
-	case indexVersionSparse:
+	case indexVersionSparse, unsharedIndexVersionSparse:
 		h.idSpace = uint64(le.Uint32(buf[20:]))
 		if h.idSpace > 1<<30 {
 			return nil, fmt.Errorf("act: implausible id space %d", h.idSpace)
@@ -341,9 +361,9 @@ func writeZeros(w io.Writer, n int64) error {
 //
 // Only compacted indexes serialize: WriteTo reports ErrPendingMutations
 // while uncompacted mutations exist. A dense index (no removals, or none
-// that left holes) writes the v7 format; an index whose removals left
+// that left holes) writes the v9 format; an index whose removals left
 // permanent holes in the id space (ids are stable forever, so holes never
-// close) writes v8, which carries an explicit id column.
+// close) writes v10, which carries an explicit id column.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	ep := ix.live.Load()
 	if ep.ov != nil {
@@ -352,9 +372,9 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return ix.writeFlat(w, ep)
 }
 
-// writeFlat serializes one compacted epoch in the flat layout: v7 while its
-// id space is dense, v8 otherwise — with the strictly ascending column of
-// live polygon ids and the number of ids ever assigned. The v8 geometry
+// writeFlat serializes one compacted epoch in the flat layout: v9 while its
+// id space is dense, v10 otherwise — with the strictly ascending column of
+// live polygon ids and the number of ids ever assigned. The v10 geometry
 // section stays a dense geostore blob holding the live polygons in
 // id-column order; the loader remaps them to their sparse ids.
 func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
@@ -396,8 +416,8 @@ func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
 		for i, id := range ids {
 			binary.LittleEndian.PutUint32(idBytes[4*i:], id)
 		}
-		// The arena checksum of a v8 file also covers the id column (not
-		// the alignment padding around it).
+		// The arena checksum of a sparse file also covers the id column
+		// (not the alignment padding around it).
 		h.arenaCRC = crc64.Update(h.arenaCRC, flatCRCTable, idBytes)
 	}
 	h.fileSize = h.idsEnd()
@@ -521,16 +541,16 @@ func decodeImage(img, geom []byte, checkCRC bool) (*Index, error) {
 	if h.hasGeom && geom == nil {
 		img, geom = img[:h.geomOff], img[h.geomOff:]
 	}
-	idBytes := img[h.idsOff():h.idsEnd()] // empty for v7
+	idBytes := img[h.idsOff():h.idsEnd()] // empty when dense
 	if checkCRC {
-		// A v8 arena checksum also covers the id column.
+		// A sparse file's arena checksum also covers the id column.
 		crc := crc64.Update(crc64.Checksum(img[h.arenaOff:h.tableEnd()], flatCRCTable), flatCRCTable, idBytes)
 		if crc != h.arenaCRC {
 			return nil, fmt.Errorf("act: arena checksum mismatch: file %016x, computed %016x", h.arenaCRC, crc)
 		}
 	}
 	var ids []uint32
-	if h.version >= indexVersionSparse {
+	if h.sparse() {
 		if ids, err = decodeIDColumn(idBytes, h.idSpace); err != nil {
 			return nil, err
 		}
@@ -558,7 +578,7 @@ func words[W uint32 | uint64](b []byte, alias bool) []W {
 
 // readGeometry decodes the geometry section of a flat file and lays it out
 // by polygon id. The section stores the live polygons densely, in id-column
-// order for v8; each is remapped to its id so trie refs index the store
+// order when sparse; each is remapped to its id so trie refs index the store
 // directly. A version 1 section records no faces: a polygon is projected
 // onto one face, so every cell referencing it names that face, and the
 // trie's cells supply them.
@@ -600,7 +620,7 @@ func readGeometry(h *flatHeader, trie *core.Trie, g grid.Grid, ids []uint32, sec
 	return geostore.NewSparse(slots, faces), nil
 }
 
-// decodeIDColumn parses and validates a v8 id column: strictly ascending
+// decodeIDColumn parses and validates a sparse id column: strictly ascending
 // polygon ids below idSpace.
 func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 	ids := words[uint32](b, false)
@@ -617,7 +637,8 @@ func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 
 // assembleFlat builds a servable Index from a validated flat header and the
 // sections decodeImage took from a file image: the trie words, aliasing the
-// image or decoded from it; ids, the decoded v8 id column (nil for v7); and
+// image or decoded from it (a v7/v8 arena is relaid out onto the heap); ids,
+// the decoded sparse id column (nil when dense); and
 // geomSec, the bytes [geomOff, fileSize) when the header declares a
 // geometry section. The cross-section consistency checks (trie structure,
 // polygon-id ranges, geometry count) live here.
@@ -629,6 +650,7 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 		Prefixes: h.prefixes,
 		Nodes:    nodes,
 		Table:    table,
+		Unshared: h.version < indexVersion,
 	})
 	if err != nil {
 		return nil, err
@@ -640,7 +662,7 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	// Lookups return polygon ids straight out of the trie, and Join sizes
 	// its per-polygon count slices from the id space — an id at or beyond
 	// it would make counts[polygon]++ panic later, so reject the mismatch
-	// at load time. (For v7, idSpace == numPolys.)
+	// at load time. (When dense, idSpace == numPolys.)
 	maxRef, hasRefs := trie.MaxPolygonRef()
 	if hasRefs && uint64(maxRef) >= h.idSpace {
 		return nil, fmt.Errorf("act: trie references polygon %d, header id space is %d", maxRef, h.idSpace)
@@ -659,16 +681,16 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 			return nil, fmt.Errorf("act: header claims %d polygons but the trie references at most %d", h.numPolys, maxRef)
 		}
 	}
-	ts := trie.ComputeStats()
-	if uint64(ts.NumNodes)+1 != h.numNodes {
-		return nil, fmt.Errorf("act: arena holds %d nodes, header says %d", ts.NumNodes+1, h.numNodes)
+	reached, trieBytes, tableBytes := trie.Size()
+	if uint64(reached)+1 != h.numNodes {
+		return nil, fmt.Errorf("act: arena holds %d nodes, header says %d", reached+1, h.numNodes)
 	}
 	ep := &epoch{trie: trie, store: store, live: int(h.numPolys), stats: BuildStats{
 		NumPolygons:             int(h.numPolys),
 		IndexedCells:            int(h.cells),
-		TrieBytes:               ts.TrieBytes,
-		TableBytes:              ts.TableBytes,
-		TrieNodes:               ts.NumNodes,
+		TrieBytes:               trieBytes,
+		TableBytes:              tableBytes,
+		TrieNodes:               reached,
 		AchievedPrecisionMeters: h.achieved,
 	}}
 	if ids == nil {
