@@ -127,8 +127,9 @@ type BuildStats struct {
 	AchievedPrecisionMeters float64
 	// CoverDuration is the time to build all individual coverings
 	// (parallel) — the initial build only, a compaction covers nothing;
-	// MergeDuration the serial super-covering merge; InsertDuration the
-	// trie construction.
+	// MergeDuration the serial sort of the super-covering merge's input;
+	// InsertDuration the merge's forward pass, which hands each merged cell
+	// straight to the trie builder, together with the trie construction.
 	CoverDuration  time.Duration
 	MergeDuration  time.Duration
 	InsertDuration time.Duration
@@ -374,8 +375,8 @@ func each(n int, one func(i int) error) error {
 
 // run executes the full build pipeline over the polygons, whose ids are
 // their indices (all live): parallel per-polygon coverings, the serial
-// super-covering merge, trie construction, and (when the pipeline keeps
-// geometry) the geometry store.
+// super-covering merge streamed into trie construction, and (when the
+// pipeline keeps geometry) the geometry store.
 func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	stats := BuildStats{NumPolygons: len(polygons)}
 
@@ -400,7 +401,7 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	}
 	stats.CoverDuration = time.Since(start)
 
-	// Phase 2: serial super-covering merge.
+	// Phase 2: the serial sort of the super-covering merge's input.
 	start = time.Now()
 	var scb supercover.Builder
 	for i, cov := range covs {
@@ -408,12 +409,12 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 			return nil, fmt.Errorf("act: merging polygon %d: %w", i, err)
 		}
 	}
-	sc := scb.Build()
+	sorted := scb.Sort()
 	stats.MergeDuration = time.Since(start)
 
-	// Phase 3: trie construction, and the exact geometry for candidate
-	// refinement unless the caller opted out.
-	trie, err := pl.trie(sc, &stats)
+	// Phase 3: the merge streamed into trie construction, and the exact
+	// geometry for candidate refinement unless the caller opted out.
+	trie, err := pl.trie(sorted, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -424,17 +425,17 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	return &epoch{trie: trie, store: store, stats: stats, alive: denseAlive(len(polygons)), live: len(polygons)}, nil
 }
 
-// trie builds the Adaptive Cell Trie over a merged super covering and
-// records its cost and shape in stats — the last phase of the initial build
-// and of every compaction.
-func (pl *pipeline) trie(sc *supercover.SuperCovering, stats *BuildStats) (*core.Trie, error) {
-	stats.IndexedCells = sc.NumCells()
+// trie runs the merge's forward pass over its sorted input straight into the
+// Adaptive Cell Trie builder and records the cost and the shape in stats —
+// the last phase of the initial build and of every compaction.
+func (pl *pipeline) trie(sorted *supercover.Sorted, stats *BuildStats) (*core.Trie, error) {
 	start := time.Now()
-	trie, err := core.Build(sc, core.Config{Fanout: pl.fanout})
+	trie, err := core.Build(sorted, core.Config{Fanout: pl.fanout})
 	if err != nil {
 		return nil, err
 	}
 	stats.InsertDuration = time.Since(start)
+	stats.IndexedCells = sorted.NumCells()
 	stats.TrieNodes, stats.TrieBytes, stats.TableBytes = trie.Size()
 	return trie, nil
 }

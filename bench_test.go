@@ -170,7 +170,8 @@ func BenchmarkTableIBuild(b *testing.B) {
 // builder palette-coded, so no build may allocate the dense arena — one
 // 2 KB array per node, 16 MB here — let alone allocate it, grow it and copy
 // it breadth-first as builds used to (99 MB a build then; 51.6 MB with
-// run-compressed nodes, 49.8 MB now).
+// run-compressed nodes, 49.8 MB with a materialized super covering, 16.8 MB
+// now that the merge sorts in place and streams into the trie builder).
 func BenchmarkBuild(b *testing.B) {
 	set, err := data.CensusBlocks(1, 600)
 	if err != nil {
@@ -181,14 +182,14 @@ func BenchmarkBuild(b *testing.B) {
 	benchmarkBuild(b, set.Polygons, 60)
 	runtime.ReadMemStats(&after)
 	if perBuild := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perBuild > buildAllocBudget {
-		b.Fatalf("one build allocates %d bytes, budget %d: is a dense node arena back?", perBuild, buildAllocBudget)
+		b.Fatalf("one build allocates %d bytes, budget %d: is a dense node arena or a materialized super covering back?", perBuild, buildAllocBudget)
 	}
 }
 
 // buildAllocBudget bounds the bytes one BenchmarkBuild build may allocate:
-// a third above the 49.8 MB measured, well below the 99 MB of a build that
-// materializes dense nodes.
-const buildAllocBudget = 64 << 20
+// a third above the 16.8 MB measured, well below the 49.8 MB of a build
+// that materializes the super covering.
+const buildAllocBudget = 22_400_000
 
 // --- Figure 3 ------------------------------------------------------------
 

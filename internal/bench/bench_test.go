@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/actindex/act"
+	"github.com/actindex/act/internal/cover"
 	"github.com/actindex/act/internal/data"
 	"github.com/actindex/act/internal/grid"
 	"github.com/actindex/act/internal/join"
@@ -39,6 +41,36 @@ func TestConfigDefaults(t *testing.T) {
 	if c.CensusRegions != 4000 || c.Points != 2_000_000 || c.Seed != 42 {
 		t.Errorf("defaults = %+v", c)
 	}
+}
+
+// TestStripInteriorKeepsBoundarySorted: ablation C turns the interior cells
+// into candidates, and the boundary list stays sorted as Covering requires.
+func TestStripInteriorKeepsBoundarySorted(t *testing.T) {
+	set, err := data.GeneratePolygons(data.PolygonConfig{Name: "s", NumRegions: 4, Lattice: 32, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cover.NewCoverer(grid.NewPlanar(), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range set.Polygons {
+		cov, err := c.Cover(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Concat(cov.Boundary, cov.Interior)
+		if slices.IsSorted(want) {
+			continue // appending would have left the list sorted anyway
+		}
+		slices.Sort(want)
+		stripInterior(cov)
+		if !slices.Equal(cov.Boundary, want) || cov.Interior != nil {
+			t.Fatalf("polygon %d: stripped covering not the sorted union of its cells", i)
+		}
+		return
+	}
+	t.Fatal("no polygon whose interior cells interleave with its boundary cells")
 }
 
 func TestBuildBaselineAndMeasure(t *testing.T) {

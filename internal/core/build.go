@@ -2,10 +2,27 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/supercover"
 )
+
+// Source is a prefix-free super covering handed over cell by cell: a
+// merge's sorted input, merged as it is read (supercover.Sorted), or a
+// materialized supercover.SuperCovering.
+type Source interface {
+	// Faces calls fn once per face the covering reaches, in face order,
+	// with two cells that fix the face's root skip.
+	Faces(fn func(face int, first, last cellid.ID))
+	// Cells calls fn for each cell in ascending id order with its
+	// references, which fn must not modify or keep, and stops at fn's
+	// first error.
+	Cells(fn func(cell cellid.ID, refs []supercover.Ref) error) error
+	// NumRefs counts the covering's (cell, reference) pairs; it sizes
+	// the arena.
+	NumRefs() int
+}
 
 // Build constructs a trie from a prefix-free super covering, whose cells
 // arrive in ascending id order — for disjoint cells, the order of their key
@@ -16,8 +33,13 @@ import (
 // land children-first; Relayout then renumbers the arena breadth-first, so
 // the hot top levels of every walk occupy a compact arena prefix. No dense
 // node outlives its own construction.
-func Build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
-	t, err := build(sc, cfg)
+//
+// The covering is usually a merge's sorted input (supercover.Sorted), whose
+// forward pass hands each cell to the builder as it is produced, so the
+// super covering is never materialized; a materialized SuperCovering builds
+// the same trie.
+func Build(src Source, cfg Config) (*Trie, error) {
+	t, err := build(src, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -27,16 +49,16 @@ func Build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
 
 // build runs the insertion pipeline, leaving nodes in completion order
 // (children before parents).
-func build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
-	b, err := newBuilder(cfg, sc.NumCells())
+func build(src Source, cfg Config) (*Trie, error) {
+	// A quarter word a reference covers the census map's 0.21 at ε = 60 m;
+	// the arena doubles at finer ε, where nodes fill up.
+	b, err := newBuilder(cfg, src.NumRefs()/4)
 	if err != nil {
 		return nil, err
 	}
-	b.t.computeRootSkips(sc)
-	for i := 0; i < sc.NumCells(); i++ {
-		if err := b.add(sc.Cell(i), sc.Refs(i)); err != nil {
-			return nil, err
-		}
+	src.Faces(b.t.setRootSkip)
+	if err := src.Cells(b.add); err != nil {
+		return nil, err
 	}
 	b.closeFace()
 	if uint64(len(b.t.nodes)) > MaxArenaWords {
@@ -45,42 +67,30 @@ func build(sc *supercover.SuperCovering, cfg Config) (*Trie, error) {
 	return b.t, nil
 }
 
-// computeRootSkips derives, per face, the longest node-aligned key prefix
-// shared by every indexed cell. The super covering is sorted by id, so the
-// common prefix of a face equals the common prefix of its first and last
-// cells. Prefix-freeness guarantees every cell's path is strictly longer
-// than the common prefix (an equal-length path would make that cell an
-// ancestor of the rest), so at least one key chunk always remains.
-func (t *Trie) computeRootSkips(sc *supercover.SuperCovering) {
-	n := sc.NumCells()
-	for lo := 0; lo < n; {
-		face := sc.Cell(lo).Face()
-		hi := lo
-		for hi < n && sc.Cell(hi).Face() == face {
-			hi++
-		}
-		first, last := sc.Cell(lo), sc.Cell(hi-1)
-		var commonLevels int
-		if anc, ok := cellid.CommonAncestor(first, last); ok {
-			commonLevels = anc.Level()
-		}
-		skipBits := uint(2*commonLevels) / t.bits * t.bits
-		// Keep at least one chunk of every cell's path below the skip;
-		// the shallowest constraint comes from the shallower of the two
-		// extreme cells (a level-0 cell never occurs in non-degenerate
-		// input, but guard anyway).
-		minLevel := first.Level()
-		if l := last.Level(); l < minLevel {
-			minLevel = l
-		}
-		for skipBits > 0 && int(skipBits) >= 2*minLevel {
-			skipBits -= t.bits
-		}
-		t.rootSkip[face] = skipBits
-		if skipBits > 0 {
-			t.rootPrefix[face] = first.PathBits() << 4 >> (64 - skipBits) << (64 - skipBits)
-		}
-		lo = hi
+// setRootSkip derives the longest node-aligned key prefix shared by every
+// indexed cell of a face from the face's first and last cells (or any pair
+// with their common ancestor, Source.Faces). The cells are
+// sorted by id, so the common prefix of a face equals the common prefix of
+// its first and last cells. Prefix-freeness guarantees every cell's path is
+// strictly longer than the common prefix (an equal-length path would make
+// that cell an ancestor of the rest), so at least one key chunk always
+// remains.
+func (t *Trie) setRootSkip(face int, first, last cellid.ID) {
+	var commonLevels int
+	if anc, ok := cellid.CommonAncestor(first, last); ok {
+		commonLevels = anc.Level()
+	}
+	skipBits := uint(2*commonLevels) / t.bits * t.bits
+	// Keep at least one chunk of every cell's path below the skip; the
+	// shallowest constraint comes from the shallower of the two extreme
+	// cells, and binds only when they are one cell.
+	minLevel := min(first.Level(), last.Level())
+	for skipBits > 0 && int(skipBits) >= 2*minLevel {
+		skipBits -= t.bits
+	}
+	t.rootSkip[face] = skipBits
+	if skipBits > 0 {
+		t.rootPrefix[face] = first.PathBits() << 4 >> (64 - skipBits) << (64 - skipBits)
 	}
 }
 
@@ -105,17 +115,13 @@ type builder struct {
 }
 
 // newBuilder returns a builder over an arena holding just the sentinel,
-// pre-sized for a covering of the given number of cells.
-func newBuilder(cfg Config, cells int) (*builder, error) {
+// pre-sized for the given number of words.
+func newBuilder(cfg Config, words int) (*builder, error) {
 	t, err := newTrie(cfg.Fanout)
 	if err != nil {
 		return nil, err
 	}
-	// A node stores each distinct entry once: on the census map the arena
-	// comes to ~0.3 words a cell at ε = 60 m and ~1 word a cell at 15 m,
-	// where growing it by append from a third as much costs 10 % of the
-	// trie build. Append's geometric growth covers coverings that need more.
-	t.nodes = make([]uint64, 0, cells+maxFanout/64+1)
+	t.nodes = make([]uint64, 0, words+maxFanout/64+1)
 	b := &builder{t: t, tableIndex: make(map[string]uint32), noInline: cfg.DisableInlining, depth: -1}
 	b.emit(make([]uint64, t.fanout)) // the sentinel, first in the arena
 	return b, nil
@@ -228,6 +234,11 @@ func (b *builder) closeFace() {
 // emit appends the palette-coded form of a dense node to the arena and
 // returns the child entry naming it.
 func (b *builder) emit(slots []uint64) uint64 {
+	// A full arena doubles: append's quarter steps would copy an arena that
+	// outgrows its first size (finer ε) many times over.
+	if n := len(b.t.nodes); cap(b.t.nodes)-n < 2*len(slots) {
+		b.t.nodes = slices.Grow(b.t.nodes, n+2*len(slots))
+	}
 	var e uint64
 	b.t.nodes, e = appendNode(b.t.nodes, slots)
 	return e

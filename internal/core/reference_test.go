@@ -31,7 +31,7 @@ func buildDense(sc *supercover.SuperCovering, cfg Config) (*denseTrie, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc.t.computeRootSkips(sc)
+	sc.Faces(enc.t.setRootSkip)
 	d := &denseTrie{enc: enc, fanout: uint64(cfg.Fanout), bits: enc.t.bits, nodes: make([]uint64, cfg.Fanout)}
 	for i := 0; i < sc.NumCells(); i++ {
 		if err := d.insert(sc.Cell(i), sc.Refs(i)); err != nil {

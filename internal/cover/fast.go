@@ -2,6 +2,7 @@ package cover
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/geom"
@@ -21,10 +22,19 @@ import (
 //     cell, the whole cell is uniformly inside or outside. Instead of an
 //     O(vertices) point-in-polygon test, the parity of certified edge
 //     crossings along the segment from the parent's reference point (whose
-//     status is known) to the cell center decides the status using only
-//     the parent's local edges. Whenever a floating-point sign cannot be
-//     certified (geom.OrientSign), the code falls back to the exact
-//     point-in-polygon test, so results are identical to the slow path.
+//     status is known) to the cell center decides the status. Whenever a
+//     floating-point sign cannot be certified (geom.OrientSign), the code
+//     falls back to the exact point-in-polygon test, so results are
+//     identical to the slow path.
+//
+//     The crossings are counted over the cell's own active edges, not its
+//     parent's. The reference point is the parent's center, a corner of the
+//     cell, so the segment to the cell's center lies in the cell's closed
+//     rectangle: an edge whose box meets the segment meets the rectangle,
+//     and the cell's list holds exactly those edges, in the parent's order.
+//     The same edges are tested in the same order, so the count, the
+//     ambiguity fallback and the result are those of the parent's list; a
+//     cell no edge comes near keeps the reference status without a test.
 //
 //  3. Level rules: whether a boundary cell is small enough is decided per
 //     level, not per cell. The cells of one level under a polygon's
@@ -56,14 +66,20 @@ type levelRule struct {
 	peak geom.Rect
 }
 
-// fastCover is the per-Cover state of the fast path.
+// fastCover is the per-Cover state of the fast path. Its buffers outlive
+// a call: coverFast takes one from scratchPool and puts it back, so a
+// goroutine covering polygon after polygon reuses them, and each covering
+// copies its cells out once, at their final size.
 type fastCover struct {
-	c      *Coverer
-	poly   *geom.Polygon
-	edges  []edgeRec
-	stack  []int32 // active edge indices, stack-allocated per depth
-	cov    *Covering
-	parity bool // whether the parity shortcut is sound for this polygon
+	c     *Coverer
+	poly  *geom.Polygon
+	edges []edgeRec
+	stack []int32 // active edge indices, stack-allocated per depth
+	// boundary and interior collect the covering's cells; achieved is its
+	// AchievedPrecisionMeters.
+	boundary, interior []cellid.ID
+	achieved           float64
+	parity             bool // whether the parity shortcut is sound for this polygon
 	// rules is indexed by level, from the start cell's down to the first
 	// that fits — below which nothing is visited — or the level cap.
 	rules [cellid.MaxLevel + 1]levelRule
@@ -83,13 +99,10 @@ func (c *Coverer) levelRules(start cellid.ID, bound geom.Rect) (rules [cellid.Ma
 	return rules
 }
 
-// polygonEdges flattens all rings into edge records.
-func polygonEdges(p *geom.Polygon) []edgeRec {
-	total := len(p.Outer)
-	for _, h := range p.Holes {
-		total += len(h)
-	}
-	edges := make([]edgeRec, 0, total)
+var scratchPool = sync.Pool{New: func() any { return new(fastCover) }}
+
+// appendEdges flattens all rings into edge records appended to edges.
+func appendEdges(edges []edgeRec, p *geom.Polygon) []edgeRec {
 	addRing := func(ring geom.Ring) {
 		n := len(ring)
 		for i := 0; i < n; i++ {
@@ -126,21 +139,20 @@ func canParity(p *geom.Polygon) bool {
 // coverFast is the production covering path; its output is identical to
 // coverExhaustive (asserted by TestFastMatchesExhaustive).
 func (c *Coverer) coverFast(start cellid.ID, poly *geom.Polygon) (*Covering, error) {
-	f := &fastCover{
-		c:      c,
-		poly:   poly,
-		edges:  polygonEdges(poly),
-		cov:    &Covering{},
-		parity: canParity(poly),
-		rules:  c.levelRules(start, poly.Bound()),
-	}
-	// The stack holds the active edges of every cell on the descent's path:
-	// at ε = 60 m it peaks at 4–6 times the edge count on the benchmark's
-	// maps (9 at the 99th percentile), so eight times rarely regrows.
-	f.stack = make([]int32, len(f.edges), 8*len(f.edges))
+	f := scratchPool.Get().(*fastCover)
+	defer func() {
+		f.c, f.poly = nil, nil
+		scratchPool.Put(f)
+	}()
+	f.c, f.poly, f.parity = c, poly, canParity(poly)
+	f.rules = c.levelRules(start, poly.Bound())
+	f.edges = appendEdges(f.edges[:0], poly)
+	// The stack holds the active edges of every cell on the descent's path.
+	f.stack = f.stack[:0]
 	for i := range f.edges {
-		f.stack[i] = int32(i)
+		f.stack = append(f.stack, int32(i))
 	}
+	f.boundary, f.interior, f.achieved = f.boundary[:0], f.interior[:0], 0
 	startRect := grid.CellRect(start)
 	refPt := startRect.Center()
 	// The descent appends cells in id order: children are visited in Morton
@@ -148,7 +160,27 @@ func (c *Coverer) coverFast(start cellid.ID, poly *geom.Polygon) (*Covering, err
 	if err := f.visit(start, startRect, 0, len(f.edges), refPt, poly.ContainsPoint(refPt)); err != nil {
 		return nil, err
 	}
-	return f.cov, nil
+	// One exact-size array for both lists: the index keeps coverings (the
+	// delta overlay's), so they carry no spare capacity.
+	cov := &Covering{AchievedPrecisionMeters: f.achieved}
+	cells := make([]cellid.ID, len(f.boundary)+len(f.interior))
+	nb := copy(cells, f.boundary)
+	copy(cells[nb:], f.interior)
+	if nb > 0 {
+		cov.Boundary = cells[:nb:nb]
+	}
+	if nb < len(cells) {
+		cov.Interior = cells[nb:]
+	}
+	return cov, nil
+}
+
+// meets reports whether two closed rectangles intersect. Unlike
+// geom.Rect.Intersects it does not ask whether either is empty: edge boxes,
+// cell rectangles and segment boxes never are.
+func meets(a, b geom.Rect) bool {
+	return a.Min.X <= b.Max.X && b.Min.X <= a.Max.X &&
+		a.Min.Y <= b.Max.Y && b.Min.Y <= a.Max.Y
 }
 
 // visit classifies cell, which spans rect (grid.CellRect(cell)) and whose
@@ -162,7 +194,7 @@ func (f *fastCover) visit(cell cellid.ID, rect geom.Rect, lo, hi int, refPt geom
 	crossing := false
 	for _, ei := range f.stack[lo:hi] {
 		e := &f.edges[ei]
-		if !e.bbox.Intersects(rect) {
+		if !meets(e.bbox, rect) {
 			continue
 		}
 		f.stack = append(f.stack, ei)
@@ -172,14 +204,15 @@ func (f *fastCover) visit(cell cellid.ID, rect geom.Rect, lo, hi int, refPt geom
 	}
 	subHi := len(f.stack)
 
-	// The center's status follows from the parent reference by crossing
-	// parity over the parent's active edges (any edge crossing the segment
-	// refPt→center lies in the parent cell, hence in f.stack[lo:hi]).
+	// The center's status follows from the reference point by crossing
+	// parity over the cell's own active edges: refPt is a corner of the
+	// cell, so any edge crossing the segment refPt→center meets the cell and
+	// is in f.stack[subLo:subHi].
 	center := rect.Center()
 	if !crossing {
 		// Uniform cell: decide its status once.
-		if f.inside(refPt, refInside, center, lo, hi) {
-			f.cov.Interior = append(f.cov.Interior, cell)
+		if f.inside(refPt, refInside, center, subLo, subHi) {
+			f.interior = append(f.interior, cell)
 		}
 		return nil
 	}
@@ -192,12 +225,12 @@ func (f *fastCover) visit(cell cellid.ID, rect geom.Rect, lo, hi int, refPt geom
 		if rule.exact {
 			fits = diag <= f.c.precision
 		}
-		if fits && diag > f.cov.AchievedPrecisionMeters {
-			f.cov.AchievedPrecisionMeters = diag
+		if fits && diag > f.achieved {
+			f.achieved = diag
 		}
 	}
 	if fits {
-		f.cov.Boundary = append(f.cov.Boundary, cell)
+		f.boundary = append(f.boundary, cell)
 		return nil
 	}
 	if level >= cellid.MaxLevel {
@@ -208,7 +241,7 @@ func (f *fastCover) visit(cell cellid.ID, rect geom.Rect, lo, hi int, refPt geom
 	// bit-exact: cell corners are multiples of 2⁻³⁰ in [0, 1], so the sums
 	// and halvings of Center round nothing and each child's rectangle equals
 	// grid.CellRect(child).
-	centerInside := f.inside(refPt, refInside, center, lo, hi)
+	centerInside := f.inside(refPt, refInside, center, subLo, subHi)
 	for k, child := range cell.Children() {
 		f.stack = f.stack[:subHi] // drop the previous child's edges
 		// Child k's quadrant is (iBit<<1)|jBit: bit 1 picks the upper half
@@ -233,8 +266,18 @@ func (f *fastCover) visit(cell cellid.ID, rect geom.Rect, lo, hi int, refPt geom
 
 // inside decides whether target is inside the polygon: by crossing parity
 // from the reference point where that is sound and certain, exactly
-// otherwise.
+// otherwise. With no active edge there is nothing to cross and the target
+// has the reference point's status — every uniform cell of the census map
+// at ε = 60 m — which this small, inlined test settles.
 func (f *fastCover) inside(refPt geom.Point, refInside bool, target geom.Point, lo, hi int) bool {
+	if f.parity && lo == hi {
+		return refInside
+	}
+	return f.decide(refPt, refInside, target, lo, hi)
+}
+
+// decide is inside's general case.
+func (f *fastCover) decide(refPt geom.Point, refInside bool, target geom.Point, lo, hi int) bool {
 	if f.parity {
 		if inside, ok := f.parityInside(refPt, refInside, target, lo, hi); ok {
 			return inside
@@ -259,7 +302,7 @@ func (f *fastCover) parityInside(refPt geom.Point, refInside bool, target geom.P
 	crossings := 0
 	for _, ei := range f.stack[lo:hi] {
 		e := &f.edges[ei]
-		if !e.bbox.Intersects(seg) {
+		if !meets(e.bbox, seg) {
 			continue
 		}
 		cross, certain := geom.SegmentsCrossCertified(refPt, target, e.a, e.b)

@@ -103,7 +103,7 @@ func New(fanout int, polys []Poly, tombs map[uint32]uint64) (*Overlay, error) {
 			}
 			o.geoms[p.ID] = p.Geom
 		}
-		trie, err := core.Build(scb.Build(), core.Config{Fanout: fanout})
+		trie, err := core.Build(scb.Sort(), core.Config{Fanout: fanout})
 		if err != nil {
 			return nil, fmt.Errorf("delta: building delta trie: %w", err)
 		}

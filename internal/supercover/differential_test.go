@@ -18,7 +18,8 @@ type mergeInput struct {
 }
 
 // assertMatchesReference builds the inputs with Build and with the
-// reference merge and requires the three output columns to be equal.
+// reference merge and requires the three output columns to be equal, and
+// the streamed merge to produce them too (assertStreamMatches).
 func assertMatchesReference(t *testing.T, inputs []mergeInput) *SuperCovering {
 	t.Helper()
 	var b Builder
@@ -46,6 +47,7 @@ func assertMatchesReference(t *testing.T, inputs []mergeInput) *SuperCovering {
 	if !slices.Equal(got.refs, want.refs) {
 		t.Fatalf("refs differ: got %v\nwant %v", head(got.refs), head(want.refs))
 	}
+	assertStreamMatches(t, inputs, got)
 	return got
 }
 
@@ -209,9 +211,62 @@ func FuzzSupercoverMerge(f *testing.F) {
 	})
 }
 
+// faceSpan is one Faces call.
+type faceSpan struct {
+	face        int
+	first, last cellid.ID
+}
+
+// assertStreamMatches merges the inputs again without materializing them —
+// Sort, then the forward pass streamed through Cells, twice — and requires
+// the streamed cells and references to be sc's, and Faces to report each
+// face of sc by its one cell or by the leaves at the ends of its cells.
+func assertStreamMatches(t *testing.T, inputs []mergeInput, sc *SuperCovering) {
+	t.Helper()
+	var b Builder
+	for _, in := range inputs {
+		if in.cov != nil {
+			if err := b.Add(in.id, in.cov); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := b.AddCell(in.cell, in.refs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sorted := b.Sort()
+	for pass := 0; pass < 2; pass++ {
+		got := &SuperCovering{}
+		if err := sorted.Cells(func(cell cellid.ID, refs []Ref) error {
+			got.append(cell, refs)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got.refOff = append(got.refOff, uint32(len(got.refs)))
+		if !slices.Equal(got.cells, sc.cells) || !slices.Equal(got.refOff, sc.refOff) || !slices.Equal(got.refs, sc.refs) {
+			t.Fatalf("pass %d: streamed %d cells %v, Build %d cells %v", pass, len(got.cells), head(got.cells), len(sc.cells), head(sc.cells))
+		}
+		if sorted.NumCells() != sc.NumCells() {
+			t.Fatalf("pass %d: NumCells %d after streaming %d cells", pass, sorted.NumCells(), sc.NumCells())
+		}
+	}
+	var want, got []faceSpan
+	sc.Faces(func(face int, first, last cellid.ID) {
+		if first != last {
+			first, last = first.RangeMin(), last.RangeMax()
+		}
+		want = append(want, faceSpan{face, first, last})
+	})
+	sorted.Faces(func(face int, first, last cellid.ID) { got = append(got, faceSpan{face, first, last}) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("streamed faces %v, materialized %v", got, want)
+	}
+}
+
 // TestBuildAllocations holds the merge to a constant number of allocations:
-// the sort's scratch buffer, the three output columns, the two stacks and
-// the few times those grow — not one per output cell.
+// the pair list, the sort's digit counts, the three output columns, the
+// stacks and the few times those grow — not one per output cell; streamed,
+// without the output columns.
 func TestBuildAllocations(t *testing.T) {
 	// A 260 × 203 block of level-16 cells split among 100 polygons in
 	// stripes, each overlapping the next two, all under one level-6 cell that
@@ -256,10 +311,30 @@ func TestBuildAllocations(t *testing.T) {
 		t.Fatalf("output has %d cells, want at least 50000", out.NumCells())
 	}
 	// The growth of Add's list is part of the count.
-	if allocs > 64 {
-		t.Errorf("Add + Build allocate %v times for %d cells, want at most 64", allocs, out.NumCells())
+	if allocs > 48 {
+		t.Errorf("Add + Build allocate %v times for %d cells, want at most 48", allocs, out.NumCells())
 	}
 	t.Logf("%d input cells, %d output cells, %v allocations", cells, out.NumCells(), allocs)
+
+	// Streamed, as the index builds: no output columns at all.
+	streamed := 0
+	allocs = testing.AllocsPerRun(5, func() {
+		b = Builder{}
+		for p, cov := range covs {
+			if err := b.Add(uint32(p), cov); err != nil {
+				t.Fatal(err)
+			}
+		}
+		streamed = 0
+		_ = b.Sort().Cells(func(cellid.ID, []Ref) error { streamed++; return nil })
+	})
+	if streamed != out.NumCells() {
+		t.Fatalf("streamed %d cells, Build %d", streamed, out.NumCells())
+	}
+	if allocs > 32 {
+		t.Errorf("Add + Sort + Cells allocate %v times for %d cells, want at most 32", allocs, streamed)
+	}
+	t.Logf("streamed: %v allocations", allocs)
 
 	// Compaction's shape: one covering through Add, the merged cells back in
 	// through AddCell. After Grow the pair list is allocated once — neither
@@ -280,5 +355,44 @@ func TestBuildAllocations(t *testing.T) {
 	}
 	if again := b.Build(); again.NumCells() < out.NumCells() {
 		t.Errorf("re-ingested merge has %d cells, fewer than the %d put in", again.NumCells(), out.NumCells())
+	}
+}
+
+// TestSortPairsMatchesWide: the 8-byte-record sort and the two-word sort
+// agree on inputs whose varying bits sit anywhere — only the low position
+// bits, only the face, only the polygon ids, position bits shared below the
+// varying ones — and in any input order.
+func TestSortPairsMatchesWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(3401))
+	leaf := cellid.FromFaceIJ(0, 0x2a5a5a5, 0x15a5a5a)
+	shapes := map[string]func() pair{
+		"low-bits": func() pair {
+			return makePair(leaf.Parent(20).Children()[rng.Intn(4)], Ref{PolygonID: uint32(rng.Intn(3))})
+		},
+		"faces-only": func() pair {
+			return makePair(cellid.FromFaceIJ(rng.Intn(cellid.NumFaces), 0x2a5a5a5, 0x15a5a5a).Parent(17), Ref{PolygonID: 7})
+		},
+		"ids-only": func() pair {
+			return makePair(leaf.Parent(12), Ref{PolygonID: uint32(rng.Intn(MaxPolygonID)), Interior: rng.Intn(2) == 0})
+		},
+		"clustered": func() pair {
+			return makePair(clusteredCell(rng, 1), Ref{PolygonID: uint32(rng.Intn(40)), Interior: rng.Intn(2) == 0})
+		},
+		"too-wide": func() pair {
+			return makePair(clusteredCell(rng, cellid.NumFaces), Ref{PolygonID: uint32(rng.Intn(MaxPolygonID))})
+		},
+	}
+	for name, draw := range shapes {
+		for trial := 0; trial < 20; trial++ {
+			in := make([]pair, 1+rng.Intn(300))
+			for i := range in {
+				in[i] = draw()
+			}
+			want := sortPairsWide(slices.Clone(in))
+			rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+			if got := sortPairs(in); !slices.Equal(got, want) {
+				t.Fatalf("%s trial %d: record sort %v, two-word sort %v", name, trial, head(got), head(want))
+			}
+		}
 	}
 }

@@ -10,6 +10,12 @@
 // cells carrying only the inherited references.
 //
 // Prefix-freeness is what lets a lookup return at most one cell.
+//
+// The merge has two phases: Builder.Sort puts the input (cell, reference)
+// pairs in interval order, and Sorted.Cells makes one forward pass over them
+// that hands out each merged cell as it is produced — to the trie builder,
+// which never needs the whole super covering, or to Builder.Build, which
+// materializes it.
 package supercover
 
 import (
@@ -17,6 +23,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/cover"
@@ -48,6 +55,31 @@ type SuperCovering struct {
 
 // NumCells returns the number of cells in the super covering.
 func (s *SuperCovering) NumCells() int { return len(s.cells) }
+
+// Faces calls fn once per face the super covering reaches, in face order,
+// with the face's first and last cells.
+func (s *SuperCovering) Faces(fn func(face int, first, last cellid.ID)) {
+	for lo := 0; lo < len(s.cells); {
+		face := s.cells[lo].Face()
+		hi := lo
+		for hi < len(s.cells) && s.cells[hi].Face() == face {
+			hi++
+		}
+		fn(face, s.cells[lo], s.cells[hi-1])
+		lo = hi
+	}
+}
+
+// Cells calls fn for each cell in id order with its references (aliasing
+// the covering's storage) and stops at fn's first error.
+func (s *SuperCovering) Cells(fn func(cell cellid.ID, refs []Ref) error) error {
+	for i := range s.cells {
+		if err := fn(s.cells[i], s.Refs(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // NumRefs returns the total number of polygon references across all cells.
 func (s *SuperCovering) NumRefs() int { return len(s.refs) }
@@ -113,6 +145,10 @@ func makePair(cell cellid.ID, ref Ref) pair {
 	return p
 }
 
+// face returns the face of the pair's cell, which pos holds above the 60
+// bits of a leaf's position.
+func (p pair) face() int { return int(p[pos] >> (2 * cellid.MaxLevel)) }
+
 // level returns the level of the pair's cell.
 func (p pair) level() uint { return uint(p[aux] >> 32) }
 
@@ -163,19 +199,121 @@ func (b *Builder) Grow(n int) {
 	b.pairs = slices.Grow(b.pairs, n)
 }
 
-// radixBits is the digit width of sortPairs.
+// radixBits is the digit width of sortPairsWide.
 const radixBits = 8
 
-// sortPairs sorts a by (pos, aux) with a least-significant-digit radix sort
-// whose digits start at bits on which the keys differ, so the bits they all
-// share cost nothing — for a city's polygons that is the face, the upper
-// position bits, the position bits below the deepest level and the upper id
-// bits, more than half the key. It returns the sorted pairs, in a or in a
+// levelBits holds a level, 0 to cellid.MaxLevel.
+const levelBits = 5
+
+// sortPairs sorts a by (pos, aux) and returns the sorted pairs, in a or in a
 // scratch buffer of the same size.
+//
+// The sort moves one 8-byte record a pair, not the 16-byte pair: from the
+// top, the bits of pos on which the pairs differ, the level, and the polygon
+// id with the interior flag, in as few bits as the largest id needs. Only
+// the bits above the id are radix-sorted; an insertion sort then puts each
+// run of equal first leaf and level in id order (runs are 1.36 pairs on the
+// census map), and the records are decoded back into a. The result does not
+// depend on the input's order, so neither does the merge. When the fields
+// do not fit in 64 bits — fine cells spread over several faces, say — the
+// pairs are sorted on both words instead.
 func sortPairs(a []pair) []pair {
 	if len(a) < 2 {
 		return a
 	}
+	and, or, ids := a[0][pos], a[0][pos], uint64(0)
+	for _, p := range a {
+		and &= p[pos]
+		or |= p[pos]
+		ids |= uint64(uint32(p[aux]))
+	}
+	varies := and ^ or
+	lo := uint(bits.TrailingZeros64(varies)) % 64 // 0 when nothing varies
+	width := uint(bits.Len64(varies >> lo))
+	idBits := uint(bits.Len64(ids))
+	if width+levelBits+idBits > 64 {
+		return sortPairsWide(a)
+	}
+	keyAt := levelBits + idBits // where the varying bits of pos start
+	// A pair is two words, so a's array holds the records and the radix
+	// sort's scratch side by side: the sort allocates no buffer of its own.
+	// The records are written over pairs already read, and decoded back
+	// over records already read, from whichever end keeps that true.
+	n := len(a)
+	words := unsafe.Slice((*uint64)(unsafe.Pointer(&a[0])), 2*n)
+	recs := words[:n]
+	for i := range recs {
+		p := a[i]
+		recs[i] = p[pos]>>lo&(1<<width-1)<<keyAt | uint64(p.level())<<idBits | uint64(uint32(p[aux]))
+	}
+	recs = radixSort(recs, words[n:], idBits, keyAt+width)
+	// Every record is in its run; insertion moves none past a run's start.
+	for k := 1; k < n; k++ {
+		for m := k; m > 0 && recs[m] < recs[m-1]; m-- {
+			recs[m], recs[m-1] = recs[m-1], recs[m]
+		}
+	}
+	fixed := and &^ ((1<<width - 1) << lo) // the bits of pos every pair shares
+	decode := func(i int) {
+		r := recs[i]
+		a[i] = pair{
+			aux: r>>idBits&(1<<levelBits-1)<<32 | r&(1<<idBits-1),
+			pos: fixed | r>>keyAt<<lo,
+		}
+	}
+	if &recs[0] == &words[0] { // record i lies at or below pair i
+		for i := n - 1; i >= 0; i-- {
+			decode(i)
+		}
+	} else { // record i lies at or above pair i's second word
+		for i := range n {
+			decode(i)
+		}
+	}
+	return a
+}
+
+// radixSort sorts src stably by bits [from, to) of its values with a
+// least-significant-digit radix sort of 11-bit digits, all of them counted
+// in one pass over src; a digit on which every value agrees costs no pass.
+// dst is scratch of src's length; the sorted values are returned in one of
+// the two.
+func radixSort(src, dst []uint64, from, to uint) []uint64 {
+	const digitBits = 11
+	const digit = 1<<digitBits - 1
+	count := make([][digit + 1]int, (to-from+digitBits-1)/digitBits)
+	for _, v := range src {
+		v >>= from
+		for p := range count {
+			count[p][v&digit]++
+			v >>= digitBits
+		}
+	}
+	for p := range count {
+		next, shift := &count[p], from+uint(p)*digitBits
+		if next[src[0]>>shift&digit] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, n := range next {
+			next[d] = sum
+			sum += n
+		}
+		for _, v := range src {
+			d := v >> shift & digit
+			dst[next[d]] = v
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// sortPairsWide sorts a by (pos, aux) with a least-significant-digit radix
+// sort over both words whose digits start at bits on which the keys differ,
+// so the bits they all share cost nothing. It returns the sorted pairs, in a
+// or in a scratch buffer of the same size.
+func sortPairsWide(a []pair) []pair {
 	and, or := a[0], a[0]
 	for _, p := range a[1:] {
 		and[aux] &= p[aux]
@@ -217,8 +355,18 @@ type ancestor struct {
 	refs      int    // its merged references start here in the pending list
 }
 
-// Build merges everything added so far into a prefix-free super covering.
-func (b *Builder) Build() *SuperCovering {
+// Sorted is a merge's input in interval order: the first of the merge's two
+// phases done. Its Cells runs the second, the forward pass, and hands each
+// cell of the super covering on as it is produced, so a consumer such as
+// the trie builder never needs the super covering materialized.
+type Sorted struct {
+	pairs []pair
+	cells int // cells the last complete Cells call produced
+}
+
+// Sort expands and sorts everything added so far and releases the
+// builder's working memory.
+func (b *Builder) Sort() *Sorted {
 	cells := 0
 	for _, c := range b.coverings {
 		cells += c.cov.NumCells()
@@ -232,26 +380,91 @@ func (b *Builder) Build() *SuperCovering {
 			pairs = append(pairs, makePair(cell, Ref{PolygonID: c.id, Interior: true}))
 		}
 	}
-	// Release the builder's working memory.
 	*b = Builder{}
-	pairs = sortPairs(pairs)
+	return &Sorted{pairs: sortPairs(pairs)}
+}
+
+// Build merges everything added so far into a prefix-free super covering,
+// materialized: Sort, then Cells collected.
+func (b *Builder) Build() *SuperCovering {
+	sorted := b.Sort()
 	// Sized for the common case — cells shared between neighbours merge,
 	// pushdown adds a few; append grows them if pushdown adds many.
+	n := len(sorted.pairs)
 	s := &SuperCovering{
-		cells:  make([]cellid.ID, 0, len(pairs)),
-		refOff: make([]uint32, 0, len(pairs)+1),
-		refs:   make([]Ref, 0, len(pairs)),
+		cells:  make([]cellid.ID, 0, n),
+		refOff: make([]uint32, 0, n+1),
+		refs:   make([]Ref, 0, n),
+	}
+	_ = sorted.Cells(func(cell cellid.ID, refs []Ref) error {
+		s.append(cell, refs)
+		return nil
+	})
+	s.refOff = append(s.refOff, uint32(len(s.refs)))
+	return s
+}
+
+// append adds a cell with its references to the output.
+func (s *SuperCovering) append(cell cellid.ID, refs []Ref) {
+	s.cells = append(s.cells, cell)
+	s.refOff = append(s.refOff, uint32(len(s.refs)))
+	s.refs = append(s.refs, refs...)
+}
+
+// NumRefs returns the number of (cell, reference) pairs the merge takes in.
+func (s *Sorted) NumRefs() int { return len(s.pairs) }
+
+// NumCells returns the number of cells in the super covering, once Cells
+// has produced all of them.
+func (s *Sorted) NumCells() int { return s.cells }
+
+// Faces calls fn once per face the super covering reaches, in face order,
+// from the sorted input alone. When the face holds one cell, first and last
+// are that cell; otherwise they are the leaf cells at either end of the
+// face's covered range. Those have the common ancestor of the face's first
+// and last cells, which lies strictly above the ends of both pairs, so the
+// trie's root skip (core.Build) comes out the same from either pair.
+func (s *Sorted) Faces(fn func(face int, first, last cellid.ID)) {
+	for lo := 0; lo < len(s.pairs); {
+		face := s.pairs[lo].face()
+		hi := lo + sort.Search(len(s.pairs)-lo, func(k int) bool { return s.pairs[lo+k].face() != face })
+		head, tail := s.pairs[lo], s.pairs[hi-1]
+		if head[pos] == tail[pos] && head.level() == tail.level() {
+			cell := cellAt(head[pos], head.leaves())
+			fn(face, cell, cell)
+		} else {
+			end := uint64(0)
+			for _, p := range s.pairs[lo:hi] {
+				end = max(end, p[pos]+p.leaves())
+			}
+			fn(face, cellAt(head[pos], 1), cellAt(end-1, 1))
+		}
+		lo = hi
+	}
+}
+
+// Cells runs the merge's forward pass and calls fn for each cell of the
+// super covering, in ascending id order, with its references (ascending
+// polygon ids, one per polygon), which fn must not modify or keep. It stops
+// at fn's first error and returns it. Cells may run more than once.
+func (s *Sorted) Cells(fn func(cell cellid.ID, refs []Ref) error) error {
+	pairs := s.pairs
+	s.cells = 0
+	emit := func(cell cellid.ID, refs []Ref) error {
+		s.cells++
+		return fn(cell, refs)
 	}
 	// One forward pass in interval order. open holds the ancestors of the
 	// current position, outermost first; pending their merged reference
 	// lists back to back, so the innermost ancestor's list is its tail.
 	var open []ancestor
-	var pending []Ref
-	closeTop := func() {
+	var pending, merged []Ref
+	closeTop := func() error {
 		top := open[len(open)-1]
-		s.fill(top.next, top.end, pending[top.refs:])
+		err := fill(top.next, top.end, pending[top.refs:], emit)
 		pending = pending[:top.refs]
 		open = open[:len(open)-1]
+		return err
 	}
 	for i := 0; i < len(pairs); {
 		first, leaves := pairs[i][pos], pairs[i].leaves()
@@ -260,13 +473,17 @@ func (b *Builder) Build() *SuperCovering {
 			j++
 		}
 		for len(open) > 0 && open[len(open)-1].end <= first {
-			closeTop()
+			if err := closeTop(); err != nil {
+				return err
+			}
 		}
 		var inherited []Ref
 		if len(open) > 0 {
 			top := &open[len(open)-1]
 			inherited = pending[top.refs:]
-			s.fill(top.next, first, inherited)
+			if err := fill(top.next, first, inherited, emit); err != nil {
+				return err
+			}
 			top.next = first + leaves
 		}
 		if j < len(pairs) && pairs[j][pos] < first+leaves {
@@ -274,39 +491,37 @@ func (b *Builder) Build() *SuperCovering {
 			open = append(open, ancestor{next: first, end: first + leaves, refs: len(pending)})
 			pending = appendMerged(pending, inherited, pairs[i:j])
 		} else {
-			s.cells = append(s.cells, cellAt(first, leaves))
-			s.refOff = append(s.refOff, uint32(len(s.refs)))
-			s.refs = appendMerged(s.refs, inherited, pairs[i:j])
+			merged = appendMerged(merged[:0], inherited, pairs[i:j])
+			if err := emit(cellAt(first, leaves), merged); err != nil {
+				return err
+			}
 		}
 		i = j
 	}
 	for len(open) > 0 {
-		closeTop()
+		if err := closeTop(); err != nil {
+			return err
+		}
 	}
-	s.refOff = append(s.refOff, uint32(len(s.refs)))
-	return s
+	return nil
 }
 
 // fill covers the leaves [lo, hi) — an area of an ancestor under which no
 // input cell lies — with the fewest cells, each carrying the ancestor's
 // references: the siblings of the cells on the way down to its descendants.
-func (s *SuperCovering) fill(lo, hi uint64, refs []Ref) {
+func fill(lo, hi uint64, refs []Ref, emit func(cellid.ID, []Ref) error) error {
 	for lo < hi {
 		// The largest cell that starts at lo and ends by hi.
 		shift := min(uint(bits.TrailingZeros64(lo))&^1, 2*cellid.MaxLevel)
 		for 1<<shift > hi-lo {
 			shift -= 2
 		}
-		s.append(cellAt(lo, 1<<shift), refs)
+		if err := emit(cellAt(lo, 1<<shift), refs); err != nil {
+			return err
+		}
 		lo += 1 << shift
 	}
-}
-
-// append adds a cell with its references to the output.
-func (s *SuperCovering) append(cell cellid.ID, refs []Ref) {
-	s.cells = append(s.cells, cell)
-	s.refOff = append(s.refOff, uint32(len(s.refs)))
-	s.refs = append(s.refs, refs...)
+	return nil
 }
 
 // appendMerged appends to dst the references of a cell: those inherited from

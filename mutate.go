@@ -450,7 +450,8 @@ const cancelCheckEvery = 4096
 // compactEpoch rebuilds a clean epoch from ep itself (see Compact): surviving
 // base cells go straight into the super-covering merge
 // (supercover.Builder.AddCell), delta coverings through the normal Add path,
-// and the geometry is reassembled by id; the id set and sequence stay ep's.
+// the merge streams into the trie builder as New's does, and the geometry is
+// reassembled by id; the id set and sequence stay ep's.
 // No covering is recomputed, so each polygon keeps its cells exactly as the
 // process that covered it built them. The context is asked every
 // cancelCheckEvery cells of the enumeration and between the phases.
@@ -499,13 +500,13 @@ func (ix *Index) compactEpoch(ctx context.Context, ep *epoch) (*epoch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("act: compact: enumerating base cells: %w", err)
 	}
-	sc := scb.Build()
+	sorted := scb.Sort()
 	stats.MergeDuration = time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	trie, err := ix.pl.trie(sc, &stats)
+	trie, err := ix.pl.trie(sorted, &stats)
 	if err != nil {
 		return nil, err
 	}
