@@ -2,10 +2,10 @@ package act_test
 
 // Property tests for the exact-join refinement subsystem: on randomly
 // generated polygon sets and query points, the trie-driven exact join must
-// agree pair-for-pair with a brute-force R-tree + point-in-polygon scan
-// over the same geometry, and the approximate lookup must stay a superset
-// of the exact result at every precision (the paper's no-false-negative
-// guarantee) while its true hits stay a subset (true hits are certain).
+// agree pair-for-pair with a brute-force point-in-polygon scan over the
+// same geometry, and the approximate lookup must stay a superset of the
+// exact result at every precision (the paper's no-false-negative guarantee)
+// while its true hits stay a subset (true hits are certain).
 
 import (
 	"context"
@@ -16,7 +16,6 @@ import (
 
 	"github.com/actindex/act"
 	"github.com/actindex/act/internal/geom"
-	"github.com/actindex/act/internal/geostore"
 	"github.com/actindex/act/internal/grid"
 )
 
@@ -113,11 +112,11 @@ func randPoints(rng *rand.Rand, polys []*act.Polygon, n int) []act.LatLng {
 	return pts
 }
 
-// oracle is the trie-free ground truth: an R-tree over the projected
-// polygon bounds, every stab refined with an exact point-in-polygon test.
+// oracle is the trie-free ground truth: an exact point-in-polygon test
+// against every projected polygon.
 type oracle struct {
 	g     grid.Grid
-	store *geostore.Store
+	polys []*geom.Polygon
 }
 
 func buildOracle(t *testing.T, polys []*act.Polygon) *oracle {
@@ -131,18 +130,19 @@ func buildOracle(t *testing.T, polys []*act.Polygon) *oracle {
 		}
 		projected[i] = pp
 	}
-	store, err := geostore.New(projected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &oracle{g: g, store: store}
+	return &oracle{g: g, polys: projected}
 }
 
+// exactIDs appends to buf, in id order, the ids of every polygon exactly
+// containing ll.
 func (o *oracle) exactIDs(ll act.LatLng, buf []uint32) []uint32 {
 	_, pt := o.g.Project(ll)
-	ids := o.store.ScanPoint(pt, buf)
-	slices.Sort(ids)
-	return ids
+	for id, p := range o.polys {
+		if p.ContainsPointExact(pt) {
+			buf = append(buf, uint32(id))
+		}
+	}
+	return buf
 }
 
 // TestJoinExactParityProperty is the subsystem's acceptance property, run

@@ -51,6 +51,25 @@ func randomPrefixFreeCovering(t *testing.T, rng *rand.Rand, faces []int, n int) 
 	return b.Build()
 }
 
+// probeMix returns leaves that exercise every walk outcome: range endpoints
+// of indexed cells (hits at every depth), uniform random leaves (mostly
+// misses and root-prefix mismatches), and leaves on entirely empty faces.
+func probeMix(rng *rand.Rand, sc interface {
+	NumCells() int
+	Cell(int) cellid.ID
+}) []cellid.ID {
+	var leaves []cellid.ID
+	for i := 0; i < sc.NumCells(); i++ {
+		c := sc.Cell(i)
+		leaves = append(leaves, c.RangeMin(), c.RangeMax())
+	}
+	for i := 0; i < 3000; i++ {
+		face := rng.Intn(cellid.NumFaces)
+		leaves = append(leaves, cellid.FromFaceIJ(face, rng.Intn(cellid.MaxSize), rng.Intn(cellid.MaxSize)))
+	}
+	return leaves
+}
+
 func resultEqual(a, b *Result) bool {
 	if len(a.True) != len(b.True) || len(a.Candidates) != len(b.Candidates) {
 		return false
@@ -130,4 +149,43 @@ func TestLookupBatchEmpty(t *testing.T) {
 	}
 	var res Result
 	trie.LookupBatch(nil, &res, func(int, bool) { t.Fatal("emit on empty batch") })
+}
+
+// TestLookupBatchBoundaries runs batch sizes at the walk's edges — empty,
+// one leaf (a walk from the root), two (one resumption), and a full
+// 4096-leaf chunk of cell-sorted probes, the batch the join engine hands
+// it — through one reused Result, at every fanout, so neither the resume
+// state nor the previous batch's references can leak into a result.
+func TestLookupBatchBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	sc := randomPrefixFreeCovering(t, rng, []int{1, 4}, 60)
+	mix := probeMix(rng, sc)
+	pool := make([]cellid.ID, 4096)
+	for i := range pool {
+		pool[i] = mix[rng.Intn(len(mix))]
+	}
+	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
+	for _, fanout := range fanouts {
+		trie, err := Build(sc, Config{Fanout: fanout})
+		if err != nil {
+			t.Fatalf("fanout %d: %v", fanout, err)
+		}
+		var res, want Result
+		for _, leaves := range [][]cellid.ID{nil, pool[:1], pool[len(pool)-2:], pool, pool[:2]} {
+			calls := 0
+			trie.LookupBatch(leaves, &res, func(i int, hit bool) {
+				if i != calls {
+					t.Fatalf("fanout %d n %d: emit order broken at %d", fanout, len(leaves), i)
+				}
+				calls++
+				want.Reset()
+				if wantHit := trie.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
+					t.Fatalf("fanout %d n %d leaf %v: %v %+v, Lookup %v %+v", fanout, len(leaves), leaves[i], hit, res, wantHit, want)
+				}
+			})
+			if calls != len(leaves) {
+				t.Fatalf("fanout %d: %d emits for %d leaves", fanout, calls, len(leaves))
+			}
+		}
+	}
 }

@@ -16,7 +16,7 @@ import (
 // seeded random prefix-free coverings (one face for a deep root skip,
 // several for none; all three entry encodings), a world-spanning covering
 // whose level-0 cell denormalizes into a whole root, a node of 8-bit codes,
-// and the covering FuzzLookupBatchInterleaved probes.
+// and the covering FuzzLookupBatch probes.
 func differentialCoverings(t *testing.T) map[string]*supercover.SuperCovering {
 	out := map[string]*supercover.SuperCovering{}
 	for seed, faces := range [][]int{{3}, {0, 2, 5}, {1, 3, 4}, {0, 1, 2, 3, 4, 5}} {
@@ -69,7 +69,7 @@ func differentialCoverings(t *testing.T) map[string]*supercover.SuperCovering {
 		}
 	}
 	out["wide-palettes"] = wide.Build()
-	out["interleave-fuzz"], _ = interleaveFuzzTrie()
+	out["interleave-fuzz"], _ = batchFuzzTrie() // the key keeps the subtest names stable
 	return out
 }
 
@@ -107,11 +107,10 @@ func slotLeaves(d *denseTrie) []cellid.ID {
 // everything observable: the arena (the reference's, palette-coded, word
 // for word), roots and lookup table; Lookup, AppendRefs and LookupCounting's
 // access count for a leaf in every slot of every node plus misses of every
-// kind; LookupBatch and LookupBatchInterleaved (widths 1, 8, 64) over the
-// same leaves in slot order and shuffled; and the Cells enumeration, in
-// order.
+// kind; LookupBatch over the same leaves in slot order and shuffled; and
+// the Cells enumeration, in order.
 func TestBuildMatchesDenseReference(t *testing.T) {
-	fuzzStream := interleaveFuzzSeedLeaves()
+	fuzzStream := batchFuzzSeedLeaves()
 	for name, sc := range differentialCoverings(t) {
 		for _, fanout := range fanouts {
 			for _, noInline := range []bool{false, true} {
@@ -176,22 +175,18 @@ func TestBuildMatchesDenseReference(t *testing.T) {
 						for i, j := range order {
 							batch[i] = leaves[j]
 						}
-						check := func(engine string) func(i int, hit bool) {
-							calls := 0
-							return func(i int, hit bool) {
-								if i != calls {
-									t.Fatalf("%s: emit %d out of order, want %d", engine, i, calls)
-								}
-								calls++
-								if j := order[i]; hit != wantHit[j] || !res.Equal(&wantRes[j]) {
-									t.Fatalf("%s leaf %v: %v %+v, reference %v %+v", engine, batch[i], hit, res, wantHit[j], wantRes[j])
-								}
+						calls := 0
+						trie.LookupBatch(batch, &res, func(i int, hit bool) {
+							if i != calls {
+								t.Fatalf("LookupBatch: emit %d out of order, want %d", i, calls)
 							}
-						}
-						trie.LookupBatch(batch, &res, check("LookupBatch"))
-						var bs BatchScratch
-						for _, width := range []int{1, 8, 64} {
-							trie.LookupBatchInterleaved(batch, width, &bs, &res, check(fmt.Sprintf("LookupBatchInterleaved(%d)", width)))
+							calls++
+							if j := order[i]; hit != wantHit[j] || !res.Equal(&wantRes[j]) {
+								t.Fatalf("LookupBatch leaf %v: %v %+v, reference %v %+v", batch[i], hit, res, wantHit[j], wantRes[j])
+							}
+						})
+						if calls != len(batch) {
+							t.Fatalf("LookupBatch: %d emits for %d leaves", calls, len(batch))
 						}
 						rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 					}
@@ -214,10 +209,10 @@ func TestBuildMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// interleaveFuzzSeedLeaves are the probes FuzzLookupBatchInterleaved seeds
-// its corpus with: the first leaf of every cell of its covering.
-func interleaveFuzzSeedLeaves() []cellid.ID {
-	sc, _ := interleaveFuzzTrie()
+// batchFuzzSeedLeaves are the probes FuzzLookupBatch seeds its corpus
+// with: the first leaf of every cell of its covering.
+func batchFuzzSeedLeaves() []cellid.ID {
+	sc, _ := batchFuzzTrie()
 	var leaves []cellid.ID
 	for i := 0; i < sc.NumCells(); i++ {
 		leaves = append(leaves, sc.Cell(i).RangeMin())

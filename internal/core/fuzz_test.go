@@ -151,7 +151,7 @@ func repeatedLeavesFlat(tb testing.TB) Flat {
 // checksum stands between the mutator and the validator, unlike a file —
 // and demands that TrieFromFlat either rejects them or returns a trie on
 // which everything a served index runs terminates inside the two slices:
-// lookups on every face, both batch walks, Cells and ComputeStats. No
+// lookups on every face, the batch walk, Cells and ComputeStats. No
 // reference may exceed MaxPolygonRef, which is what the enclosing index
 // sizes its per-polygon outputs from.
 func FuzzTrieFromFlat(f *testing.F) {
@@ -196,15 +196,12 @@ func FuzzTrieFromFlat(f *testing.F) {
 				checkID(id)
 			}
 		}
-		var bs BatchScratch
-		for _, width := range []int{1, 8} { // the resuming scalar walk, the lanes
-			trie.LookupBatchInterleaved(leaves, width, &bs, &res, func(i int, hit bool) {
-				want.Reset()
-				if wantHit := trie.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
-					t.Fatalf("leaf %v: batch walk of width %d diverges from Lookup", leaves[i], width)
-				}
-			})
-		}
+		trie.LookupBatch(leaves, &res, func(i int, hit bool) {
+			want.Reset()
+			if wantHit := trie.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
+				t.Fatalf("leaf %v: batch walk diverges from Lookup", leaves[i])
+			}
+		})
 		// Cells may refuse a path deeper than the cell space; it must not
 		// run away or hand out references lookups could not.
 		cells := 0
@@ -229,18 +226,18 @@ func FuzzTrieFromFlat(f *testing.F) {
 	})
 }
 
-// interleaveFuzz lazily builds the deterministic cross-face trie the
-// interleaved-lookup fuzzer probes: cells at several depths on faces 0, 2,
-// and 3 (faces 1, 4, 5 stay empty so the no-root fast path is reachable),
-// all three entry encodings present.
-var interleaveFuzz = struct {
+// batchFuzz lazily builds the deterministic cross-face trie the batch-walk
+// fuzzer probes: cells at several depths on faces 0, 2, and 3 (faces 1, 4,
+// 5 stay empty so the no-root fast path is reachable), all three entry
+// encodings present.
+var batchFuzz = struct {
 	once sync.Once
 	sc   *supercover.SuperCovering
 	trie *Trie
 }{}
 
-func interleaveFuzzTrie() (*supercover.SuperCovering, *Trie) {
-	interleaveFuzz.once.Do(func() {
+func batchFuzzTrie() (*supercover.SuperCovering, *Trie) {
+	batchFuzz.once.Do(func() {
 		f0, f2, f3 := cellid.FromFace(0), cellid.FromFace(2), cellid.FromFace(3)
 		var scb supercover.Builder
 		for id, cov := range []*cover.Covering{
@@ -252,45 +249,48 @@ func interleaveFuzzTrie() (*supercover.SuperCovering, *Trie) {
 				panic(err)
 			}
 		}
-		interleaveFuzz.sc = scb.Build()
-		trie, err := Build(interleaveFuzz.sc, Config{Fanout: 16})
+		batchFuzz.sc = scb.Build()
+		trie, err := Build(batchFuzz.sc, Config{Fanout: 16})
 		if err != nil {
 			panic(err)
 		}
-		interleaveFuzz.trie = trie
+		batchFuzz.trie = trie
 	})
-	return interleaveFuzz.sc, interleaveFuzz.trie
+	return batchFuzz.sc, batchFuzz.trie
 }
 
 // leafRecordSize is the wire size of one fuzzed probe: face byte plus two
 // 32-bit ij coordinates.
 const leafRecordSize = 9
 
-// FuzzLookupBatchInterleaved decodes (width, probe stream) pairs and demands
-// the interleaved engine match scalar Lookup exactly — same emit order, hit
-// flags, and reference splits — at any width, including degenerate and
-// over-clamped ones. The seed corpus pins batch sizes that are not multiples
-// of the width, so lane refill fires at the stream tail.
-func FuzzLookupBatchInterleaved(f *testing.F) {
-	sc, _ := interleaveFuzzTrie()
-	// Seed: every covering cell's first leaf plus an empty-face probe, at
-	// widths that leave remainder lanes at the batch boundary.
+// FuzzLookupBatch decodes a probe stream and demands that the batch walk
+// match scalar Lookup exactly — same emit order, hit flags, and reference
+// splits — whatever the order of the probes and however often the walk
+// resumes mid-path or restarts on another face.
+func FuzzLookupBatch(f *testing.F) {
+	sc, _ := batchFuzzTrie()
+	// Seeds: every covering cell's first leaf, prefixes of that stream, the
+	// empty stream, and the stream with a probe on an empty face appended.
 	var stream []byte
-	for i := 0; i < sc.NumCells(); i++ {
-		face, ci, cj, _ := sc.Cell(i).RangeMin().ToFaceIJ()
+	addLeaf := func(leaf cellid.ID) {
+		face, ci, cj, _ := leaf.ToFaceIJ()
 		var rec [leafRecordSize]byte
 		rec[0] = byte(face)
 		binary.LittleEndian.PutUint32(rec[1:], uint32(ci))
 		binary.LittleEndian.PutUint32(rec[5:], uint32(cj))
 		stream = append(stream, rec[:]...)
 	}
-	f.Add(uint8(3), stream)
-	f.Add(uint8(7), stream[:leafRecordSize*4])
-	f.Add(uint8(16), stream[:leafRecordSize])
-	f.Add(uint8(0), []byte{})
-	f.Add(uint8(255), stream)
-	f.Fuzz(func(t *testing.T, width uint8, raw []byte) {
-		_, trie := interleaveFuzzTrie()
+	for i := 0; i < sc.NumCells(); i++ {
+		addLeaf(sc.Cell(i).RangeMin())
+	}
+	f.Add(stream)
+	f.Add(stream[:leafRecordSize*4])
+	f.Add(stream[:leafRecordSize])
+	f.Add([]byte{})
+	addLeaf(cellid.FromFaceIJ(1, 12345, 67890))
+	f.Add(stream)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		_, trie := batchFuzzTrie()
 		leaves := make([]cellid.ID, 0, len(raw)/leafRecordSize)
 		for i := 0; i+leafRecordSize <= len(raw); i += leafRecordSize {
 			face := int(raw[i]) % cellid.NumFaces
@@ -298,22 +298,21 @@ func FuzzLookupBatchInterleaved(f *testing.F) {
 			cj := int(binary.LittleEndian.Uint32(raw[i+5:])) % cellid.MaxSize
 			leaves = append(leaves, cellid.FromFaceIJ(face, ci, cj))
 		}
-		var bs BatchScratch
 		var res, want Result
 		calls := 0
-		trie.LookupBatchInterleaved(leaves, int(width), &bs, &res, func(i int, hit bool) {
+		trie.LookupBatch(leaves, &res, func(i int, hit bool) {
 			if i != calls {
-				t.Fatalf("width %d: emit order broken: got %d, want %d", width, i, calls)
+				t.Fatalf("emit order broken: got %d, want %d", i, calls)
 			}
 			calls++
 			want.Reset()
 			wantHit := trie.Lookup(leaves[i], &want)
 			if hit != wantHit || !resultEqual(&res, &want) {
-				t.Fatalf("width %d leaf %v: interleaved result diverges from Lookup", width, leaves[i])
+				t.Fatalf("leaf %v: batch result diverges from Lookup", leaves[i])
 			}
 		})
 		if calls != len(leaves) {
-			t.Fatalf("width %d: %d emits for %d leaves", width, calls, len(leaves))
+			t.Fatalf("%d emits for %d leaves", calls, len(leaves))
 		}
 	})
 }

@@ -220,8 +220,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 		bad, good func() Flat
 	}{
 		{
-			// Misses and parked interleaved lanes read the sentinel as "no
-			// entry".
+			// The format puts the empty sentinel first.
 			name: "missing-sentinel",
 			want: "lacks the sentinel",
 			bad:  func() Flat { return Flat{Fanout: 4} },
@@ -252,8 +251,8 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			good: gapValueGap,
 		},
 		{
-			// A parked lane reads the sentinel's slot 0; every other code
-			// would select past its one-entry palette.
+			// Every code but 0 would select past the sentinel's one-entry
+			// palette.
 			name: "sentinel-codes-not-zero",
 			want: "sentinel node is not empty",
 			bad: func() Flat {

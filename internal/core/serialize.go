@@ -89,8 +89,8 @@ func (t *Trie) validateStructure(shared bool) error {
 		t.hasRefs = true
 	}
 
-	// The sentinel is what every miss and every parked interleaved lane
-	// reads as "no entry".
+	// The format starts with the sentinel. No walk reads it — a 0 entry ends
+	// a walk before any node is loaded — but the layout requires it.
 	next := paletteAt(t.sentinel()) + 1 // where the next stored block must start
 	if arenaLen < next {
 		return fmt.Errorf("core: arena lacks the sentinel node")

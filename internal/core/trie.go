@@ -141,9 +141,7 @@ func newTrie(fanout int) (*Trie, error) {
 }
 
 // entryAt returns the entry of slot idx of the node the child entry node
-// names: the slot's code, then the palette entry it selects. (A function of
-// the hoisted arena rather than a method so the interleaved round loop
-// shares it.)
+// names: the slot's code, then the palette entry it selects.
 func entryAt(nodes []uint64, node, idx uint64) uint64 {
 	pal, bit := node>>4&offsetMask, idx<<(node>>2&3)
 	end := pal + uint64(int64(node)>>34)

@@ -192,21 +192,6 @@ func (o *Overlay) HasPolygon(id uint32) bool {
 	return ok
 }
 
-// MemoryBytes estimates the overlay's resident footprint: the delta trie
-// plus the per-polygon bookkeeping (geometry is accounted by the caller,
-// alongside the base store's).
-func (o *Overlay) MemoryBytes() int64 {
-	if o == nil {
-		return 0
-	}
-	var total int64
-	if o.trie != nil {
-		total += o.trie.MemoryBytes()
-	}
-	total += int64(len(o.polys))*32 + int64(len(o.tombs))*16
-	return total
-}
-
 // Merge folds the delta layer into a base-trie lookup result for leaf:
 // tombstoned ids are filtered out of res, then the delta trie's references
 // for leaf are appended (true hits and candidates routed by the same

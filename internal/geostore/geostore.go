@@ -1,15 +1,13 @@
 // Package geostore holds the exact polygon geometry behind an ACT index: the
 // grid-projected rings of every indexed polygon, addressable by polygon id,
-// with cached bounding boxes pre-filtering every containment test and a
-// lazily built R*-tree backing store-wide point stabs.
+// with cached bounding boxes pre-filtering every containment test.
 //
 // The trie answers a lookup with true hits (certainly inside) and candidates
 // (inside or within the precision bound). The geometry store closes the
 // paper's filter-and-refine loop: Resolve keeps exactly the candidates whose
 // point is really inside, turning an approximate result into an exact one.
-// ScanPoint is the independent brute-force path over the same geometry — an
-// R-tree stab plus exact point-in-polygon per stabbed id — used as ground
-// truth by the parity property tests.
+// Every question comes with a candidate list, because the trie already
+// located the point, so the store keeps no spatial index of its own.
 //
 // All predicates use the closed-polygon convention of
 // geom.Polygon.ContainsPointExact: ring boundaries belong to the polygon.
@@ -18,10 +16,8 @@ package geostore
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/actindex/act/internal/geom"
-	"github.com/actindex/act/internal/rtree"
 )
 
 // Store is an immutable geometry store. Build one with New, NewSparse, or
@@ -36,11 +32,6 @@ type Store struct {
 	// faces holds the grid face each polygon was projected onto, by id; nil
 	// when unknown (a store built by New, or read from a version 1 section).
 	faces []uint8
-	// tree indexes the polygon bounding boxes for store-wide point stabs.
-	// Candidate resolution never needs it (trie candidates are pre-located,
-	// per-id cached-bound checks win on short lists), so it is built lazily
-	// on the first ScanPoint and serving-only processes never pay for it.
-	tree atomic.Pointer[rtree.Tree]
 }
 
 // ErrNilPolygon is returned by New when a polygon slot is nil.
@@ -66,28 +57,6 @@ func New(polys []*geom.Polygon) (*Store, error) {
 // Both slices are retained, not copied.
 func NewSparse(polys []*geom.Polygon, faces []uint8) *Store {
 	return &Store{polys: polys, faces: faces}
-}
-
-// rtreeLazy returns the bbox R-tree, building it on first use. Concurrent
-// first calls may each build one; the CAS keeps a single winner and the
-// losers' work is discarded — acceptable for a cold, test/oracle-dominated
-// path.
-func (s *Store) rtreeLazy() *rtree.Tree {
-	if t := s.tree.Load(); t != nil {
-		return t
-	}
-	t, err := rtree.New(rtree.DefaultMaxEntries)
-	if err != nil {
-		panic(err) // unreachable: DefaultMaxEntries is a valid constant
-	}
-	for i, p := range s.polys {
-		if p == nil {
-			continue // hole: removed id
-		}
-		t.Insert(p.Bound(), uint32(i))
-	}
-	s.tree.CompareAndSwap(nil, t)
-	return s.tree.Load()
 }
 
 // NumPolygons returns the number of stored polygons.
@@ -125,8 +94,8 @@ func (s *Store) Contains(id uint32, pt geom.Point) bool {
 // slice. Each test starts with the polygon's cached bounding box (inside
 // ContainsPointExact), which rejects most losers before any ring walk runs;
 // with a reused dst the call is allocation-free. Candidate lists come from
-// trie lookups, so they are short — per-id box checks beat an R-tree
-// descent here, while ScanPoint uses the tree for store-wide stabs.
+// trie lookups, so they are short — per-id box checks beat any spatial
+// index descent here.
 func (s *Store) Resolve(pt geom.Point, candidates []uint32, dst []uint32) []uint32 {
 	for _, id := range candidates {
 		if int(id) >= len(s.polys) || s.polys[id] == nil {
@@ -139,27 +108,8 @@ func (s *Store) Resolve(pt geom.Point, candidates []uint32, dst []uint32) []uint
 	return dst
 }
 
-// ScanPoint appends to buf the ids of every polygon exactly containing pt —
-// an R-tree bounding-box stab refined with exact point-in-polygon tests, the
-// classical filter-and-refine join without any trie involvement. It is the
-// ground-truth oracle the parity property tests compare the trie-driven
-// exact join against.
-func (s *Store) ScanPoint(pt geom.Point, buf []uint32) []uint32 {
-	n := len(buf)
-	stabbed := s.rtreeLazy().QueryPoint(pt, buf)
-	// Refine the stabbed suffix in place: every kept id was appended by the
-	// stab, so the write cursor never overtakes the read cursor.
-	out := stabbed[:n]
-	for _, id := range stabbed[n:] {
-		if s.polys[id].ContainsPointExact(pt) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// MemoryBytes estimates the store footprint: ring vertices, plus the R-tree
-// when it has been materialized.
+// MemoryBytes estimates the store footprint: ring vertices plus a fixed
+// per-polygon overhead.
 func (s *Store) MemoryBytes() int64 {
 	var total int64
 	for _, p := range s.polys {
@@ -167,9 +117,6 @@ func (s *Store) MemoryBytes() int64 {
 			continue
 		}
 		total += int64(p.NumVertices())*16 + 64
-	}
-	if t := s.tree.Load(); t != nil {
-		total += t.MemoryBytes()
 	}
 	return total
 }

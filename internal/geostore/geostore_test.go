@@ -42,8 +42,19 @@ func randomStore(t testing.TB, seed int64, n int) *Store {
 	return NewSparse(polys, faces)
 }
 
+// scanPoint appends to buf, in id order, the ids of every stored polygon
+// exactly containing pt: a linear brute force over the whole store.
+func scanPoint(s *Store, pt geom.Point, buf []uint32) []uint32 {
+	for id, p := range s.polys {
+		if p != nil && p.ContainsPointExact(pt) {
+			buf = append(buf, uint32(id))
+		}
+	}
+	return buf
+}
+
 // TestResolveMatchesScan: resolving the full id universe must equal the
-// brute-force scan — the two refinement paths share one containment truth.
+// brute-force scan.
 func TestResolveMatchesScan(t *testing.T) {
 	s := randomStore(t, 1, 60)
 	all := make([]uint32, s.NumPolygons())
@@ -55,11 +66,9 @@ func TestResolveMatchesScan(t *testing.T) {
 	for q := 0; q < 2000; q++ {
 		pt := geom.Point{X: rng.Float64()*1.4 - 0.2, Y: rng.Float64()*1.4 - 0.2}
 		got = s.Resolve(pt, all, got[:0])
-		want = s.ScanPoint(pt, want[:0])
-		sortU32(want)
-		sortU32(got)
-		if !equalU32(got, want) {
-			t.Fatalf("point %v: Resolve=%v ScanPoint=%v", pt, got, want)
+		want = scanPoint(s, pt, want[:0])
+		if !slices.Equal(got, want) {
+			t.Fatalf("point %v: Resolve=%v scan=%v", pt, got, want)
 		}
 	}
 }
@@ -75,18 +84,6 @@ func TestResolveSkipsOutOfRange(t *testing.T) {
 	}
 	if s.Polygon(999999) != nil {
 		t.Fatal("out-of-range Polygon not nil")
-	}
-}
-
-// TestScanPointAppends pins the append contract: existing buf content is
-// preserved.
-func TestScanPointAppends(t *testing.T) {
-	s := randomStore(t, 4, 10)
-	c := s.polys[0].Bound().Center()
-	prefix := []uint32{7, 8}
-	out := s.ScanPoint(c, append([]uint32(nil), prefix...))
-	if len(out) < 2 || out[0] != 7 || out[1] != 8 {
-		t.Fatalf("prefix clobbered: %v", out)
 	}
 }
 
@@ -119,11 +116,9 @@ func TestSerializeRoundTrip(t *testing.T) {
 	var a, b []uint32
 	for q := 0; q < 500; q++ {
 		pt := geom.Point{X: rng.Float64(), Y: rng.Float64()}
-		a = s.ScanPoint(pt, a[:0])
-		b = s2.ScanPoint(pt, b[:0])
-		sortU32(a)
-		sortU32(b)
-		if !equalU32(a, b) {
+		a = scanPoint(s, pt, a[:0])
+		b = scanPoint(s2, pt, b[:0])
+		if !slices.Equal(a, b) {
 			t.Fatalf("point %v: original=%v reloaded=%v", pt, a, b)
 		}
 	}
@@ -366,7 +361,3 @@ func TestReadDoesNotTrustCounts(t *testing.T) {
 		}
 	}
 }
-
-func sortU32(s []uint32) { slices.Sort(s) }
-
-func equalU32(a, b []uint32) bool { return slices.Equal(a, b) }

@@ -12,12 +12,10 @@
 // The ACT joiners and LookupBatch share one probe kernel (Scratch.probe):
 // each chunk's points are sorted by leaf cell id (Z-order) so consecutive
 // probes share trie path prefixes and every walk resumes at the deepest
-// node shared with the previous one; on tries too large to stay
-// cache-resident the trie additionally keeps several walks in flight so
-// their cache misses overlap — a width it picks from its own footprint.
-// The live index's delta overlay is merged into every result, and emitted
-// pairs carry original stream positions, so neither the reordering nor the
-// walk that ran is visible to sinks.
+// node shared with the previous one (core.Trie.LookupBatch). The live
+// index's delta overlay is merged into every result, and emitted pairs
+// carry original stream positions, so the reordering is not visible to
+// sinks.
 package join
 
 import (
@@ -43,7 +41,6 @@ import (
 // nothing after the first chunk.
 type Scratch struct {
 	res    core.Result
-	batch  core.BatchScratch // lane state for interleaved batch probes
 	buf    []uint32
 	ref    []uint32 // refinement survivors (exact joiners)
 	leaves []cellid.ID
@@ -106,10 +103,10 @@ func (s *Scratch) sortByCell() {
 }
 
 // probe is the one lookup of the paper run over a batch: map every point to
-// its leaf cell, sort the probes by cell, walk the trie at the width it
-// picks from its own footprint, and merge the live index's delta overlay
-// into each result — tombstoned ids filtered out, delta references
-// appended. fn receives each probe's rank k in cell order and whether
+// its leaf cell, sort the probes by cell, walk the trie in that order (each
+// walk resuming at the deepest node shared with the last), and merge the
+// live index's delta overlay into each result — tombstoned ids filtered
+// out, delta references appended. fn receives each probe's rank k in cell order and whether
 // anything matched, with s.res holding the merged references until it
 // returns; s.point(k) is the probe's index into points. Handing out ranks
 // keeps a static index (ov == nil) at one indirect call per point — fn is
@@ -122,12 +119,11 @@ func (s *Scratch) probe(g grid.Grid, t *core.Trie, ov *delta.Overlay, points []g
 	if ov != nil {
 		emit = func(k int, _ bool) { fn(k, ov.Merge(s.sorted[k], &s.res)) }
 	}
-	width := t.InterleaveWidth(core.InterleaveAuto)
 	for s.lo = 0; s.lo < len(points); s.lo += 1 << idxBits {
 		hi := min(s.lo+1<<idxBits, len(points))
 		s.leaves = grid.LeafCells(g, points[s.lo:hi], s.leaves[:0])
 		s.sortByCell()
-		t.LookupBatchInterleaved(s.sorted, width, &s.batch, &s.res, emit)
+		t.LookupBatch(s.sorted, &s.res, emit)
 	}
 }
 
@@ -375,8 +371,8 @@ func chunkSizeFor(n, threads int) int {
 
 // scratchPool recycles worker Scratch buffers across runs. A serving
 // workload (actserve /join, LookupBatch) runs the engine once per request;
-// without the pool every request re-grows each worker's sort keys, lane
-// state, and result buffers from zero, which dominated request allocations.
+// without the pool every request re-grows each worker's sort keys, leaf
+// cells, and result buffers from zero, which dominated request allocations.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 func getScratch() *Scratch  { return scratchPool.Get().(*Scratch) }

@@ -15,10 +15,8 @@ import (
 // Unlike a loop over Lookup, the batch is probed through the engine's
 // cell-sorted fast path: points are sorted by leaf cell id in chunks, so
 // consecutive probes share trie path prefixes and resume deep in the trie —
-// the same technique that accelerates the joins. On tries too large to stay
-// cache-resident the trie additionally keeps several walks in flight,
-// overlapping their cache misses. Use it for request-scoped serving
-// workloads that score point batches against a live index.
+// the same technique that accelerates the joins. Use it for request-scoped
+// serving workloads that score point batches against a live index.
 //
 // The context is checked before each chunk: when it is cancelled with
 // chunks still pending, LookupBatch returns ctx.Err() and a nil slice. A

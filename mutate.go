@@ -25,9 +25,9 @@ import (
 // The index absorbs polygon churn LSM-style: Insert covers the new polygon
 // with the index's own coverer and adds it to a small delta layer (its own
 // trie plus the projected geometry); Remove tombstones the id. Every
-// lookup — scalar, batch, and interleaved — merges base and delta:
-// tombstoned ids are filtered from the base trie's result, delta references
-// appended after it. When the pending-mutation count crosses the
+// lookup — scalar and batch — merges base and delta: tombstoned ids are
+// filtered from the base trie's result, delta references appended after
+// it. When the pending-mutation count crosses the
 // compaction threshold, a background compactor merges the base trie's
 // surviving cells with the delta coverings into a fresh base (original ids
 // kept, removed ids left as holes; nothing is re-covered) and swings it in

@@ -39,8 +39,8 @@ func (m *mapping) backs(t *core.Trie) bool {
 // validation every decoded trie gets already keeps even a corrupted or
 // hostile file from driving lookups out of bounds. The open cost is that
 // validation pass; the kernel pages the arena in on demand. The geometry
-// section (when present) is decoded onto the heap: exact refinement mutates
-// R-tree state, which cannot live in a read-only map.
+// section (when present) is decoded onto the heap: it stores the vertices
+// delta-coded, and refinement tests the decoded rings.
 //
 // Where the file cannot be mapped (no mmap on the platform, or a filesystem
 // that refuses it) OpenIndex reads it onto the heap and decodes it exactly
