@@ -13,9 +13,9 @@ import (
 
 // fuzzSeedIndexes builds tiny deterministic indexes (three hand-made
 // polygons, coarse precision, a few kilobytes serialized) whose byte
-// streams seed the deserialization fuzzer: per grid kind, version 9 with
+// streams seed the deserialization fuzzer: per grid kind, version 11 with
 // geometry and approximate-only, and — one polygon removed and compacted
-// away — version 10 with its id column, with geometry and approximate-only.
+// away — version 12 with its id column, with geometry and approximate-only.
 func fuzzSeedIndexes(t testing.TB) [][]byte {
 	t.Helper()
 	polys := []*Polygon{
@@ -59,7 +59,8 @@ func fuzzSeedIndexes(t testing.TB) [][]byte {
 // stream it accepts again, byte-identically (serialize → deserialize →
 // serialize is a fixed point). The image it accepted must decode under the
 // mapped policy too, without the arena checksum, into the same index. The
-// seeds' arenas share blocks; the version 8 file's, the last seed, does not.
+// seeds' arenas are packed; the version 8 file's, the last seed, shares
+// nothing.
 func FuzzDeserialize(f *testing.F) {
 	for _, seed := range fuzzSeedIndexes(f) {
 		f.Add(seed)

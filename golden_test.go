@@ -23,13 +23,14 @@ import (
 // index, for the two maps the repository benchmark builds, at its ε. The
 // table hashes were recorded on the commit before the merge became a radix
 // sort and a forward pass and the coverer stopped measuring every cell. The
-// arena hashes were re-recorded when nodes came to share repeated code blocks
-// and leaf palettes (488 024 and 426 368 bytes); unshared pins the hashes the
-// arenas had before (705 712 and 623 256 bytes), which the trie, laid out
-// without sharing again, must still reproduce — sharing moved blocks, it
-// changed no node. Those were recorded when nodes became palette-coded (from
-// 1 802 872 and 1 620 136 run-compressed bytes), and they equal the hashes of
-// the run-compressed arenas palette-coded node by node. The geometry hashes
+// arena hashes were re-recorded when the leaf region came to be packed as a
+// word superstring (405 064 and 351 992 bytes); shared pins the hashes the
+// arenas had before (488 024 and 426 368 bytes), which the trie, laid out in
+// that layout again, must still reproduce, and unshared the hashes of the
+// layout before that (705 712 and 623 256 bytes) — packing and sharing moved
+// blocks, they changed no node. Those were recorded when nodes became
+// palette-coded (from 1 802 872 and 1 620 136 run-compressed bytes), and they
+// equal the hashes of the run-compressed arenas palette-coded node by node. The geometry hashes
 // were re-recorded when the section became version 3 (each shared vertex
 // stored once: 133 356 and 117 276 bytes, from 220 347 and 189 742 in
 // version 2 and 498 072 and 427 536 in version 1); v2 and v1 pin the hashes
@@ -40,9 +41,9 @@ import (
 func TestBuildGolden(t *testing.T) {
 	const eps = 60
 	cases := []struct {
-		name                                  string
-		set                                   func() (*data.PolygonSet, error)
-		arena, unshared, table, store, v2, v1 string
+		name                                          string
+		set                                           func() (*data.PolygonSet, error)
+		arena, shared, unshared, table, store, v2, v1 string
 		// achieved is the largest boundary-cell diagonal, measured cell by
 		// cell.
 		achieved float64
@@ -50,7 +51,8 @@ func TestBuildGolden(t *testing.T) {
 		{
 			name:     "census-400",
 			set:      func() (*data.PolygonSet, error) { return data.CensusBlocks(1, 400) },
-			arena:    "a00c1128569f5bbd547ee4734fd1a3e47bc445a229eb875c00a53e1eb63d0978",
+			arena:    "58cc7591d0c16c1695aa0f31c525906c10d2558792f022089e4f26ce519f03c4",
+			shared:   "a00c1128569f5bbd547ee4734fd1a3e47bc445a229eb875c00a53e1eb63d0978",
 			unshared: "93cd78fc26f3f3e6b83f72dbc89812a69caa5c8ac91678928f87ad4d077077e9",
 			table:    "8d158e1f09fa3b471b3b04ccaa560cde29b3e1e754c68399bbf62e20e58f7925",
 			store:    "edd314e1b5eee602be5ebfd2a069fa58f5bd075364adf1030b7a0a7e878cd128",
@@ -61,7 +63,8 @@ func TestBuildGolden(t *testing.T) {
 		{
 			name:     "neighborhoods",
 			set:      func() (*data.PolygonSet, error) { return data.Neighborhoods(1) },
-			arena:    "66a4e0759375e4d763daef1b0083a8f4d3d40fdcf04447178a10f0d6f284a15a",
+			arena:    "15d06c77f85306427ecbdf81aa30632eb532332542290a73fb5277fe286b2a02",
+			shared:   "66a4e0759375e4d763daef1b0083a8f4d3d40fdcf04447178a10f0d6f284a15a",
 			unshared: "a6a3ebab174343aa58067b9e063e56ff67449bc5ae3d209c489dad56d2d4d9ea",
 			table:    "08b72f8ac03077d845c8a2d8843d59a3626dc28fa12cdb57bd32eba1b96a78cb",
 			store:    "e3669a1fac9436d0dfebd4b19b862d10157ae1e14f0155c5b0f2743858b9e908",
@@ -102,6 +105,11 @@ func TestBuildGolden(t *testing.T) {
 				if got := hex.EncodeToString(sum[:]); got != sec.want {
 					t.Errorf("%s (%d bytes): sha256 %s, want %s", sec.name, sec.to-sec.from, got, sec.want)
 				}
+			}
+			shared := *ix.live.Load().trie
+			shared.Relayout(core.Shared)
+			if sum := sha256.Sum256(wordBytes(shared.Flat().Nodes)); hex.EncodeToString(sum[:]) != tc.shared {
+				t.Errorf("trie arena laid out as index versions 9 and 10 stored it: sha256 %x, want %s", sum, tc.shared)
 			}
 			unshared := arenaUnshared(ix.live.Load().trie.Flat())
 			if sum := sha256.Sum256(unshared); hex.EncodeToString(sum[:]) != tc.unshared {
@@ -164,8 +172,14 @@ func arenaUnshared(f core.Flat) []byte {
 			}
 		}
 	}
+	return wordBytes(out)
+}
+
+// wordBytes returns words as little-endian bytes, as an index file stores
+// them.
+func wordBytes(words []uint64) []byte {
 	var b []byte
-	for _, w := range out {
+	for _, w := range words {
 		b = binary.LittleEndian.AppendUint64(b, w)
 	}
 	return b

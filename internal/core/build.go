@@ -43,7 +43,7 @@ func Build(src Source, cfg Config) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Relayout()
+	t.Relayout(Packed)
 	return t, nil
 }
 

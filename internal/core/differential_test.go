@@ -104,11 +104,12 @@ func slotLeaves(d *denseTrie) []cellid.ID {
 // TestBuildMatchesDenseReference builds every covering with the streaming
 // palette-coding builder and with the dense reference builder, at every
 // fanout with inlining on and off, and demands that the two agree on
-// everything observable: the arena (the reference's, palette-coded, word
-// for word), roots and lookup table; Lookup, AppendRefs and LookupCounting's
-// access count for a leaf in every slot of every node plus misses of every
-// kind; LookupBatch over the same leaves in slot order and shuffled; and
-// the Cells enumeration, in order.
+// everything observable: the arena in the shared layout (the reference's,
+// palette-coded and laid out by its own means, word for word), which loads
+// into Build's packed arena, roots and lookup table; Lookup, AppendRefs and
+// LookupCounting's access count for a leaf in every slot of every node plus
+// misses of every kind; LookupBatch over the same leaves in slot order and
+// shuffled; and the Cells enumeration, in order.
 func TestBuildMatchesDenseReference(t *testing.T) {
 	fuzzStream := batchFuzzSeedLeaves()
 	for name, sc := range differentialCoverings(t) {
@@ -125,9 +126,15 @@ func TestBuildMatchesDenseReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := ref.flat()
-					if got := trie.Flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots ||
+					if got := relaid(trie, Shared).Flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots ||
 						!slices.Equal(got.Table, want.Table) || got.Skips != want.Skips || got.Prefixes != want.Prefixes {
-						t.Fatalf("flat form differs from the palette-coded reference (%d vs %d arena words)", len(got.Nodes), len(want.Nodes))
+						t.Fatalf("shared flat form differs from the palette-coded reference (%d vs %d arena words)", len(got.Nodes), len(want.Nodes))
+					}
+					want.Layout = Shared
+					if loaded, err := TrieFromFlat(want); err != nil {
+						t.Fatalf("the reference's shared flat form rejected: %v", err)
+					} else if loaded.roots != trie.roots || !slices.Equal(loaded.nodes, trie.nodes) {
+						t.Fatalf("loading the reference's shared flat form does not yield Build's packed arena")
 					}
 					st := trie.ComputeStats()
 					if got, want := st.NumNodes, len(ref.nodes)/fanout-1; got != want {
@@ -279,7 +286,7 @@ func TestNodeShapes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := trie.Flat(), ref.flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots {
+				if got, want := relaid(trie, Shared).Flat(), ref.flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots {
 					t.Errorf("flat form differs from the reference's palette coding")
 				}
 				if _, err := TrieFromFlat(trie.Flat()); err != nil {

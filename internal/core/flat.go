@@ -35,12 +35,12 @@ type Flat struct {
 	// each face's root, 0 for an empty face.
 	Nodes []uint64
 	Table []uint32
-	// Unshared marks an arena laid out before nodes shared blocks, as index
-	// versions 7 and 8 store it: every node stores its own code block, right
-	// before its own palette. TrieFromFlat validates it under that rule and
-	// relays it out onto the heap, so the trie it returns shares blocks and
-	// aliases neither slice.
-	Unshared bool
+	// Layout is the generation the arena is laid out in, named by the index
+	// file version: Packed (versions 11 and 12, what Build produces),
+	// Shared (9 and 10) or Unshared (7 and 8). TrieFromFlat accepts only
+	// the arena Relayout produces in that layout, and relays an older one
+	// out onto the heap, so the trie it returns is Packed.
+	Layout Layout
 }
 
 // Flat returns the trie's flat form. The returned slices alias the trie's
@@ -81,15 +81,17 @@ func (f Flat) SectionCRC() uint64 {
 }
 
 // TrieFromFlat reconstructs a servable trie from its flat form without
-// copying the arena or table (unless f is Unshared): the returned trie
-// aliases f.Nodes and f.Table, which may live in read-only memory (a file
-// mapping). Everything a walk depends on is validated up front — fanout, skip
-// alignment, and the full structural scan of validateStructure, which also
-// demands the one arena Build produces for a covering: canonical
-// breadth-first order, every block reachable and stored once, every node
-// coded one way. After a successful return, lookups never branch on anything
-// unvalidated, so even a hostile file cannot make them read outside the two
-// slices.
+// copying the arena or table (unless f's layout is an older one): the
+// returned trie aliases f.Nodes and f.Table, which may live in read-only
+// memory (a file mapping). Everything a walk depends on is validated up
+// front — fanout, skip alignment, and, in one walk (checkLayout), every
+// node (see validateStructure) and that f's arena and roots are word for
+// word those Relayout lays out in f's layout: the one arena Build produces
+// for a covering, every block reachable and where the layout puts it. After
+// a successful return, lookups never branch on anything unvalidated, so
+// even a hostile file cannot make them read outside the two slices. An
+// older layout is then relaid out packed onto the heap, into no more words
+// than the file's arena has.
 func TrieFromFlat(f Flat) (*Trie, error) {
 	t, err := newTrie(int(f.Fanout))
 	if err != nil {
@@ -106,11 +108,14 @@ func TrieFromFlat(f Flat) (*Trie, error) {
 	if uint64(len(f.Nodes)) > MaxArenaWords || uint64(len(f.Table)) > MaxTableWords {
 		return nil, fmt.Errorf("core: implausible flat trie size (%d node words, %d table words)", len(f.Nodes), len(f.Table))
 	}
-	if err := t.validateStructure(!f.Unshared); err != nil {
+	if err := t.validateFrame(); err != nil {
 		return nil, err
 	}
-	if f.Unshared {
-		t.Relayout()
+	if err := t.checkLayout(f.Layout); err != nil {
+		return nil, err
+	}
+	if f.Layout != Packed {
+		t.Relayout(Packed)
 		t.table = slices.Clone(t.table)
 	}
 	return t, nil

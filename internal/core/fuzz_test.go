@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -335,4 +337,92 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		}
 	}
 	t.Logf("wrote corpus entries to %s", dir)
+}
+
+// FuzzRelayoutPacked builds a small covering clustered under one cell —
+// cells a few random quadrant digits deep, over three polygons, so leaf
+// blocks repeat and overlap — and checks the packed layout against the
+// shared one: the same Cells, and LookupBatch ≡ Lookup on the packed trie
+// with the shared trie's results; Relayout is idempotent, TrieFromFlat
+// accepts the packed trie's own flat form, and refuses it once a leaf block
+// is named at a second place its words occur.
+func FuzzRelayoutPacked(f *testing.F) {
+	for seed := range int64(6) {
+		f.Add(seed, uint8(seed), uint8(20+10*seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, fanoutSel, n uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		base := cellid.FromFaceIJ(int(fanoutSel>>2)%cellid.NumFaces, rng.Intn(cellid.MaxSize), rng.Intn(cellid.MaxSize)).Parent(8 + rng.Intn(8))
+		var cells []cellid.ID
+		for range int(n) {
+			c := base
+			for range 1 + rng.Intn(8) {
+				c = c.Child(rng.Intn(4))
+			}
+			if !slices.ContainsFunc(cells, c.Intersects) {
+				cells = append(cells, c)
+			}
+		}
+		slices.Sort(cells)
+		var b supercover.Builder
+		for _, c := range cells {
+			ref := supercover.Ref{PolygonID: uint32(rng.Intn(3)), Interior: rng.Intn(2) == 0}
+			if err := b.AddCell(c, []supercover.Ref{ref}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sc := b.Build()
+		packed, err := Build(sc, Config{Fanout: 4 << (2 * (fanoutSel & 3))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := relaid(packed, Shared)
+
+		type cellRefs struct {
+			cell cellid.ID
+			refs []supercover.Ref
+		}
+		enumerate := func(tr *Trie) (out []cellRefs) {
+			if err := tr.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
+				out = append(out, cellRefs{cell, slices.Clone(refs)})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		if !slices.EqualFunc(enumerate(packed), enumerate(shared), func(a, b cellRefs) bool {
+			return a.cell == b.cell && slices.Equal(a.refs, b.refs)
+		}) {
+			t.Fatal("the packed and the shared trie enumerate different cells")
+		}
+		leaves := probeMix(rng, sc)
+		for range 200 {
+			leaves = append(leaves, base.RangeMin()+cellid.ID(rng.Uint64()%uint64(base.RangeMax()-base.RangeMin()+1))|1)
+		}
+		slices.Sort(leaves)
+		var res, want Result
+		packed.LookupBatch(leaves, &res, func(i int, hit bool) {
+			want.Reset()
+			if wantHit := shared.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
+				t.Fatalf("leaf %v: the packed trie's batch walk diverges from the shared trie's Lookup", leaves[i])
+			}
+			want.Reset()
+			if wantHit := packed.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
+				t.Fatalf("leaf %v: the batch walk diverges from Lookup", leaves[i])
+			}
+		})
+
+		if again := relaid(packed, Packed); again.roots != packed.roots || !slices.Equal(again.nodes, packed.nodes) {
+			t.Fatal("the packed relayout is not idempotent")
+		}
+		if _, err := TrieFromFlat(packed.Flat()); err != nil {
+			t.Fatalf("own flat form rejected: %v", err)
+		}
+		if moved, ok := moveLeafBlock(packed); ok {
+			if _, err := TrieFromFlat(moved); err == nil {
+				t.Fatal("a leaf block named at a second occurrence of its words was accepted")
+			}
+		}
+	})
 }

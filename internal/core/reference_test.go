@@ -238,9 +238,10 @@ func (d *denseTrie) cells() []denseCell {
 
 // compactArena palette-codes a dense arena — node i at
 // dense[i*fanout:(i+1)*fanout], node 0 the sentinel, child entries holding
-// node indices — into the production layout, node by node in index order,
-// and returns the arena with the child entry naming each node. With share,
-// it lays blocks out the way the package comment says, by its own means: a
+// node indices — into the shared layout of index versions 9 and 10, node by
+// node in index order, and returns the arena with the child entry naming
+// each node. With share, it lays blocks out the way Relayout's Shared does,
+// by its own means: a
 // node's code block is named where an equal block of its width went first,
 // and a palette that holds no child entry and is not a root's (nodes named
 // in roots) where an equal palette went first; everything else is stored
@@ -291,7 +292,8 @@ func compactArena(fanout int, dense []uint64, roots [cellid.NumFaces]uint64, sha
 	return arena, entries
 }
 
-// flat returns the reference trie in the production flat form.
+// flat returns the reference trie in the flat form of the shared layout
+// (index versions 9 and 10).
 func (d *denseTrie) flat() Flat {
 	arena, entries := compactArena(int(d.fanout), d.nodes, d.roots, true)
 	f := d.enc.t.Flat()

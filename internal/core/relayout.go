@@ -1,83 +1,265 @@
 package core
 
 import (
-	"math/bits"
+	"errors"
+	"fmt"
+	"math"
 	"slices"
 )
 
-// Relayout lays the node arena out afresh, breadth-first: face roots first,
-// then every depth-2 node, and so on — the hottest (shallowest) levels end up
+// Layout is a generation of the arena layout: the rule by which Relayout
+// places the blocks of a trie's nodes. Each index file version names one
+// (see Flat).
+type Layout uint8
+
+const (
+	// Packed is the layout Build produces and index versions 11 and 12
+	// store: the top region of Shared, then the leaf region packed as a
+	// word superstring (see Relayout).
+	Packed Layout = iota
+	// Shared is the layout of index versions 9 and 10: every node in
+	// breadth-first order, a code block or leaf palette equal to one stored
+	// already named where that one is.
+	Shared
+	// Unshared is the layout of index versions 7 and 8: every node in
+	// breadth-first order, storing its own code block right before its own
+	// palette.
+	Unshared
+)
+
+// String names the layout, for messages.
+func (l Layout) String() string {
+	switch l {
+	case Packed:
+		return "packed"
+	case Shared:
+		return "shared"
+	default:
+		return "unshared"
+	}
+}
+
+// Relayout lays the node arena out afresh under the given layout. It reads
+// nothing but the logical trie — each node's codes and palette, reached from
+// the face roots — so the arena it produces is the canonical one of its
+// layout for that trie, and relaying out an arena it laid out is the
+// identity: what lets TrieFromFlat demand a file's arena equal it word for
+// word (see checkLayout), and relaid tries round-trip through the serializer
+// byte-identically. Codes, payloads, the lookup table, root skips, and all
+// lookup results are untouched.
+//
+// Nodes are placed breadth-first after the sentinel: face roots first, then
+// every depth-2 node, and so on, so the hottest (shallowest) levels end up
 // contiguous at the front of the arena. The builder completes children
 // before their parents, which leaves the heavily shared top levels at the
 // far end of every subtree; after relayout the top of every walk reads from
 // a compact prefix that stays cache-resident under batch probing, so only
 // the deep, sparse levels can miss.
 //
-// On the way it shares blocks (see the package comment): placing a node, it
-// stores the node's code block unless an equal block of the same code width
-// is stored already, and then its palette unless the palette is shareable —
-// child-free and not a face root's — and an equal one is stored already.
-// Whatever is not stored is named where it was stored first. Codes, payloads,
-// the lookup table, root skips, and all lookup results are untouched, and the
-// pass is idempotent: relaying out an arena it laid out is the identity,
-// which is what lets relaid tries round-trip through the serializer
-// byte-identically.
+// Unshared stores each node's code block and then its palette. Shared stores
+// a node's code block unless an equal block of the same code width is stored
+// already, and then its palette unless the palette is shareable — child-free
+// and not a face root's — and an equal one is stored already; whatever is
+// not stored is named where it was stored first. Packed places the face
+// roots and the child-bearing nodes as Shared does, and defers the leaves:
+// their distinct code blocks and palettes follow in one leaf region, a
+// greedy superstring of them (see packer) in which a block may start inside
+// another, or overlap the one before it, where their words agree. A leaf
+// code block equal to one in the top region is named there. No layout is
+// longer than Unshared, and Packed is no longer than Shared.
 //
 // Nodes unreachable from any face root are dropped. It returns the number of
 // nodes walks reach, including the sentinel — a shared leaf counts once per
 // entry naming it.
-func (t *Trie) Relayout() int {
-	arena := make([]uint64, codeWords(t.fanout, 0)+1, len(t.nodes)) // the sentinel: zero
+func (t *Trie) Relayout(l Layout) int {
+	nodes, _ := t.relayout(l, false)
+	return nodes
+}
+
+// checkLayout validates the trie for TrieFromFlat (see validateStructure): it
+// reports the first node whose content is malformed, or the first place
+// where the arena and roots differ from those Relayout(l) would make of
+// them, if any, without making them. The frame must have passed
+// validateFrame.
+//
+// A check stores no word. It walks the nodes in Relayout's order, checking
+// each before it reads it, and where Relayout would store a block at the
+// arena's end it takes the block to lie there already: that holds exactly
+// when the entry naming the node is the one the layout gives, which the
+// check compares next. So the first entry that differs is the first place
+// the arena departs from its layout, and the check stops there, or as soon
+// as the layout would pass the arena's end — a forged arena costs no more
+// than its own words, however many nodes its entries name.
+func (t *Trie) checkLayout(l Layout) error {
+	_, err := t.relayout(l, true)
+	return err
+}
+
+// errPastEnd is a check's finding that the layout is longer than the arena.
+var errPastEnd = errors.New("core: layout past the arena's end")
+
+// relayout is Relayout, or, if check is set, checkLayout.
+func (t *Trie) relayout(l Layout, check bool) (int, error) {
+	src := t.nodes
+	room := len(src)
 	var stored blockSet
-	stored.reserve(len(t.nodes) / 8) // real maps store about one block per 10 words
+	leaves := packer{src: src, budget: math.MaxInt}
+	switch l {
+	case Shared:
+		stored.reserve(len(src) / 8) // real maps store about one block per 10 words
+	case Packed:
+		// One node in ten bears children, and the leaves' blocks go to the
+		// packer: the top region takes well under an eighth of the words.
+		room /= 8
+		stored.reserve(len(src) / 128)
+		leaves.reserve(len(src) / 8)
+	}
+	sentinel := int(codeWords(t.fanout, 0) + 1)
+	var arena []uint64
+	var v validator
+	if check {
+		arena = src[:sentinel:sentinel] // validateFrame checked it is zero
+		leaves.budget = len(src)
+	} else {
+		arena = make([]uint64, sentinel, max(room, sentinel))
+	}
+	// emit stores words at the arena's end, or, checking, takes them to lie
+	// there in the given arena.
+	emit := func(words []uint64) error {
+		if !check {
+			arena = append(arena, words...)
+			return nil
+		}
+		end := len(arena) + len(words)
+		if end > len(src) {
+			return errPastEnd
+		}
+		arena = src[:end:end]
+		return nil
+	}
 	// queue holds the palette offset and size of each placed node whose
-	// palette holds child entries, in breadth-first order; the child
-	// entries are replaced as the queue reaches them.
-	type queued struct{ pal, d uint64 }
+	// palette holds child entries, and its depth, in breadth-first order;
+	// the child entries are replaced (checked) as the queue reaches them.
+	type queued struct {
+		pal, d uint64
+		depth  int
+	}
 	var queue []queued
 	nodes := 1
-	place := func(old uint64, root bool) uint64 {
+	// place lays out the node old names, depth nodes deep, which the entry
+	// at arena[at] (the root's, for at 0) is to name, and returns that
+	// entry: 0 for a Packed leaf, named once the leaf region is packed.
+	place := func(old, at uint64, depth int) (uint64, error) {
 		nodes++
-		lw := old >> 2 & 3
-		codes, palette := t.codes(old), t.palette(old)
-		start := uint64(len(arena))
-		arena = append(arena, codes...)
-		if first, found := stored.intern(arena, start, uint64(len(codes)), lw); found {
-			arena, start = arena[:start], first
+		var palette []uint64
+		var children bool
+		if check {
+			d, ch, err := t.validateStructure(&v, old, depth)
+			if err != nil {
+				return 0, err
+			}
+			palette, children = src[paletteAt(old):paletteAt(old)+d], ch
+		} else {
+			palette = t.palette(old)
+			children = slices.ContainsFunc(palette, isChild)
+		}
+		lw, codes := old>>2&3, t.codes(old)
+		shareable := at != 0 && !children
+		if l == Packed && shareable {
+			if !leaves.add(at, codeEnd(old)-uint64(len(codes)), uint64(len(codes)), paletteAt(old), uint64(len(palette)), lw) {
+				return 0, errPastEnd
+			}
+			return 0, nil
+		}
+		start, found := uint64(len(arena)), false
+		if l != Unshared {
+			start, found = stored.intern(arena, codes, start, lw)
+		}
+		if !found {
+			if err := emit(codes); err != nil {
+				return 0, err
+			}
 		}
 		end, pal := start+uint64(len(codes)), uint64(len(arena))
-		arena = append(arena, palette...)
-		children := slices.ContainsFunc(palette, isChild)
-		if !root && !children {
-			if first, found := stored.intern(arena, pal, uint64(len(palette)), paletteKind); found {
-				arena, pal = arena[:pal], first
+		found = false
+		if l == Shared && shareable {
+			pal, found = stored.intern(arena, palette, pal, paletteKind)
+		}
+		if !found {
+			if err := emit(palette); err != nil {
+				return 0, err
 			}
 		}
 		if children {
-			queue = append(queue, queued{pal, uint64(len(palette))})
+			queue = append(queue, queued{pal, uint64(len(palette)), depth})
 		}
-		return childEntry(pal, end, lw)
+		return childEntry(pal, end, lw), nil
 	}
 	var roots [len(t.roots)]uint64
 	for f, root := range t.roots {
-		if root != 0 {
-			roots[f] = place(root, true)
+		if root == 0 {
+			continue
 		}
+		e, err := place(root, 0, 1)
+		switch {
+		case err == errPastEnd:
+			return 0, fmt.Errorf("core: face %d root %#x, the %s layout names a node past the arena's %d words", f, root, l, len(src))
+		case err != nil:
+			return 0, err
+		case check && e != root:
+			return 0, fmt.Errorf("core: face %d root %#x, the %s layout names %#x", f, root, l, e)
+		}
+		roots[f] = e
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		q := queue[qi]
 		for i := q.pal; i < q.pal+q.d; i++ {
-			if e := arena[i]; isChild(e) {
-				e = place(e, false) // place appends: index arena afterwards
+			old := arena[i]
+			if !isChild(old) {
+				continue
+			}
+			e, err := place(old, i, q.depth+1) // place appends: index arena afterwards
+			switch {
+			case err == errPastEnd:
+				return 0, fmt.Errorf("core: arena word %d is %#x, the %s layout puts the nodes named so far past the arena's %d words", i, old, l, len(src))
+			case err != nil:
+				return 0, err
+			case e == 0: // a Packed leaf
+			case !check:
 				arena[i] = e
+			case e != old:
+				return 0, misplaced(i, old, e, l)
 			}
 		}
 	}
-	if cap(arena)-len(arena) > len(arena)/8 {
+	switch {
+	case l == Packed:
+		var err error
+		if arena, err = leaves.pack(arena, &stored, check); err != nil {
+			return 0, err
+		}
+	case check && len(arena) < len(src):
+		return 0, trailing(len(src) - len(arena))
+	case cap(arena)-len(arena) > len(arena)/8:
 		arena = slices.Clone(arena) // sharing left most of the room unused
 	}
-	t.nodes, t.roots, t.reached = arena, roots, nodes-1
-	return nodes
+	if !check {
+		t.nodes, t.roots = arena, roots
+	}
+	t.reached = nodes - 1
+	return nodes, nil
+}
+
+// misplaced explains a check's finding that arena word at holds an entry
+// other than the one layout l puts there.
+func misplaced(at, got, want uint64, l Layout) error {
+	return fmt.Errorf("core: arena word %d is %#x, the %s layout puts %#x there", at, got, l, want)
+}
+
+// trailing explains a check's finding that the layout ends n words before
+// the arena.
+func trailing(n int) error {
+	return fmt.Errorf("core: %d arena words lie past the last reachable node", n)
 }
 
 // paletteKind is the blockSet kind of palettes; code blocks use their width's
@@ -86,100 +268,53 @@ const paletteKind = 4
 
 // blockSet interns arena blocks by content: runs of words, each named by its
 // start, its length and its kind — a code width or a palette. Relayout stores
-// a block only if the set does not hold an equal one; validateStructure
-// checks that a stored block is the first of its words and that a named one
-// is. It is an open-addressed hash table of packed slots whose words it
-// compares in the arena itself, after a 22-bit fingerprint of the hash has
-// matched, so a probe rarely reads the arena.
+// a top-region block (every block, in the Shared layout) only if the set does
+// not hold an equal one. It keys an idTable by the blocks' hashes, so a probe
+// reads a block's words in the arena only once half the hash has matched.
 type blockSet struct {
-	slots []uint64 // start<<34 | fingerprint<<12 | kind<<9 | length-1; 0 is empty (no block starts at 0)
-	used  int
+	ids    idTable
+	blocks []uint64 // by id: start<<12 | kind<<9 | length-1
 }
 
 // reserve sizes an empty set for n blocks, sparing the rehashes of growing
 // to them.
 func (s *blockSet) reserve(n int) {
-	size := 1024
-	for 3*size < 4*n {
-		size *= 2
-	}
-	s.slots = make([]uint64, size)
+	s.ids.reset(n)
+	s.blocks = make([]uint64, 0, n)
 }
 
-// intern looks up the block of n words of the given kind at arena[start:].
-// It returns the start of an equal block already in the set, with found
-// true, or adds this block and returns start.
-func (s *blockSet) intern(arena []uint64, start, n, kind uint64) (first uint64, found bool) {
-	words := arena[start : start+n]
+// intern returns the start of the block in the set equal to words and of
+// the given kind, with found true; or, with found false, adds words as the
+// block of that kind at arena[start:], where the caller stores them next,
+// and returns start.
+func (s *blockSet) intern(arena, words []uint64, start, kind uint64) (first uint64, found bool) {
 	h := blockHash(words, kind)
-	if first, found = s.find(arena, words, kind, h); found {
-		return first, true
+	i, first, found := s.find(arena, words, kind, h)
+	if !found {
+		s.ids.put(i, h, uint32(len(s.blocks)))
+		s.blocks = append(s.blocks, start<<12|kind<<9|uint64(len(words)-1))
+		first = start
 	}
-	if 4*(s.used+1) > 3*len(s.slots) {
-		s.grow(arena)
-	}
-	s.put(h, start<<34|h>>42<<12|kind<<9|(n-1))
-	s.used++
-	return start, false
+	return first, found
 }
 
 // lookup returns the start of the block in the set whose words and kind
 // equal words and kind.
 func (s *blockSet) lookup(arena, words []uint64, kind uint64) (uint64, bool) {
-	return s.find(arena, words, kind, blockHash(words, kind))
+	_, first, found := s.find(arena, words, kind, blockHash(words, kind))
+	return first, found
 }
 
-// find is lookup given the words' hash.
-func (s *blockSet) find(arena, words []uint64, kind, h uint64) (uint64, bool) {
-	if len(s.slots) == 0 {
-		return 0, false
-	}
-	want := h>>42<<12 | kind<<9 | uint64(len(words)-1)
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; s.slots[i] != 0; i = (i + 1) & mask {
-		if slot := s.slots[i]; slot&(1<<34-1) == want {
-			if start := slot >> 34; slices.Equal(arena[start:start+uint64(len(words))], words) {
-				return start, true
-			}
-		}
-	}
-	return 0, false
+// find is lookup given the words' hash, returning too the idTable slot.
+func (s *blockSet) find(arena, words []uint64, kind, h uint64) (slot, first uint64, found bool) {
+	want := kind<<9 | uint64(len(words)-1)
+	slot, _, found = s.ids.find(h, func(id uint32) bool {
+		b := s.blocks[id]
+		first = b >> 12
+		return b&(1<<12-1) == want && slices.Equal(arena[first:first+uint64(len(words))], words)
+	})
+	return slot, first, found
 }
 
-// put stores a slot in the first free place of its probe sequence.
-func (s *blockSet) put(h, slot uint64) {
-	mask := uint64(len(s.slots) - 1)
-	i := h & mask
-	for s.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	s.slots[i] = slot
-}
-
-// grow doubles the table (to 1 024 slots at first) and rehashes every block
-// from its words in the arena.
-func (s *blockSet) grow(arena []uint64) {
-	old := s.slots
-	s.slots = make([]uint64, max(1024, 2*len(old)))
-	for _, slot := range old {
-		if slot != 0 {
-			start, kind, n := slot>>34, slot>>9&7, slot&(1<<9-1)+1
-			s.put(blockHash(arena[start:start+n], kind), slot)
-		}
-	}
-}
-
-// blockHash mixes a block's words and kind into a hash, two lanes at a
-// time.
-func blockHash(words []uint64, kind uint64) uint64 {
-	a, b := kind, uint64(len(words))
-	for ; len(words) >= 2; words = words[2:] {
-		a = bits.RotateLeft64(a^words[0], 23) * 0xff51afd7ed558ccd
-		b = bits.RotateLeft64(b^words[1], 29) * 0xc4ceb9fe1a85ec53
-	}
-	if len(words) == 1 {
-		a = bits.RotateLeft64(a^words[0], 23) * 0xff51afd7ed558ccd
-	}
-	h := (a ^ bits.RotateLeft64(b, 32)) * 0x9e3779b97f4a7c15
-	return h ^ h>>29
-}
+// blockHash mixes a block's words and kind into a hash.
+func blockHash(words []uint64, kind uint64) uint64 { return wordsHash(words) ^ kind*0x9e3779b97f4a7c15 }

@@ -9,11 +9,12 @@ import (
 	"github.com/actindex/act/internal/cellid"
 )
 
-// TestRelayoutPreservesLookupsAndIsIdempotent relays out a build-order trie,
-// with and without sharing blocks, and demands identical lookups before and
-// after, then proves a second relayout is the identity — the property that
-// keeps relaid tries byte-stable through the serializer. Without sharing the
-// arena keeps every word; sharing can only drop some.
+// TestRelayoutPreservesLookupsAndIsIdempotent relays out a build-order trie
+// in every layout and demands identical lookups before and after, then
+// proves a second relayout is the identity — the property that keeps relaid
+// tries byte-stable through the serializer and lets TrieFromFlat demand its
+// input equal its own relayout. Without sharing the arena keeps every word;
+// sharing can only drop some, and packing the leaves only more.
 func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sc := randomPrefixFreeCovering(t, rng, []int{0, 2, 5}, 150)
@@ -29,82 +30,45 @@ func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 			wantHit[i] = raw.Lookup(leaf, &want[i])
 		}
 		words, numNodes := len(raw.nodes), raw.ComputeStats().NumNodes+1
-		unshared := layoutUnshared(raw)
-		if len(unshared.nodes) != words {
-			t.Fatalf("fanout %d: the unshared layout of a fully reachable trie kept %d of %d words", fanout, len(unshared.nodes), words)
-		}
-		if got := raw.Relayout(); got != numNodes || len(raw.nodes) > words {
-			t.Fatalf("fanout %d: relayout of a fully reachable trie kept %d of %d nodes, %d of %d words", fanout, got, numNodes, len(raw.nodes), words)
-		}
-		var res Result
-		for _, tr := range []*Trie{unshared, raw} {
+		sizes := map[Layout]int{}
+		for _, l := range []Layout{Unshared, Shared, Packed} {
+			tr := *raw
+			if got := tr.Relayout(l); got != numNodes {
+				t.Fatalf("fanout %d, %s: relayout of a fully reachable trie kept %d of %d nodes", fanout, l, got, numNodes)
+			}
+			sizes[l] = len(tr.nodes)
+			var res Result
 			for i, leaf := range leaves {
 				res.Reset()
 				if hit := tr.Lookup(leaf, &res); hit != wantHit[i] || !resultEqual(&res, &want[i]) {
-					t.Fatalf("fanout %d leaf %v: lookup changed after relayout", fanout, leaf)
+					t.Fatalf("fanout %d, %s, leaf %v: lookup changed after relayout", fanout, l, leaf)
 				}
 			}
-		}
-		nodes := append([]uint64(nil), raw.nodes...)
-		roots := raw.roots
-		raw.Relayout()
-		if roots != raw.roots || !slicesEqualU64(nodes, raw.nodes) {
-			t.Fatalf("fanout %d: relayout is not idempotent", fanout)
-		}
-	}
-}
-
-// layoutUnshared lays a trie's arena out as index versions 7 and 8 stored it
-// — breadth-first, every node storing its own code block right before its
-// own palette — and returns the trie over that arena.
-func layoutUnshared(t *Trie) *Trie {
-	u := *t
-	arena := make([]uint64, codeWords(t.fanout, 0)+1) // the sentinel
-	type placed struct{ pal, d uint64 }
-	var queue []placed
-	place := func(old uint64) uint64 {
-		arena = append(arena, t.codes(old)...)
-		pal, palette := uint64(len(arena)), t.palette(old)
-		arena = append(arena, palette...)
-		queue = append(queue, placed{pal, uint64(len(palette))})
-		return childEntry(pal, pal, old>>2&3)
-	}
-	for f, root := range t.roots {
-		if root != 0 {
-			u.roots[f] = place(root)
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		q := queue[qi]
-		for i := q.pal; i < q.pal+q.d; i++ {
-			if e := arena[i]; isChild(e) {
-				e = place(e) // place appends: index arena afterwards
-				arena[i] = e
+			nodes, roots := slices.Clone(tr.nodes), tr.roots
+			tr.Relayout(l)
+			if roots != tr.roots || !slices.Equal(nodes, tr.nodes) {
+				t.Fatalf("fanout %d: the %s relayout is not idempotent", fanout, l)
 			}
 		}
-	}
-	u.nodes = arena
-	return &u
-}
-
-func slicesEqualU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		if sizes[Unshared] != words || sizes[Shared] > words || sizes[Packed] > sizes[Shared] {
+			t.Fatalf("fanout %d: %d build-order words, laid out unshared %d, shared %d, packed %d", fanout, words, sizes[Unshared], sizes[Shared], sizes[Packed])
 		}
 	}
-	return true
+}
+
+// relaid returns a copy of a trie relaid out in layout l.
+func relaid(t *Trie, l Layout) *Trie {
+	u := *t
+	u.Relayout(l)
+	return &u
 }
 
 // TestRelayoutYieldsCanonicalFlat: the breadth-first form is the canonical
 // flat form of a covering. A build-order (pre-relayout) arena is refused by
 // TrieFromFlat — a mapped arena cannot be renumbered in place — and relaying
 // it out yields word for word the arena Build produces, which loads. The
-// unshared layout of index versions 7 and 8 loads only as such, and loading
-// it relays it out into Build's arena too.
+// shared layout of index versions 9 and 10 and the unshared one of 7 and 8
+// load only as such, and loading either relays it out into Build's arena.
 func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sc := randomPrefixFreeCovering(t, rng, []int{1, 3, 4}, 130)
@@ -123,31 +87,41 @@ func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 		if _, err := TrieFromFlat(raw.Flat()); err == nil {
 			t.Fatalf("fanout %d: build-order arena accepted as canonical", fanout)
 		}
-		raw.Relayout()
+		raw.Relayout(Packed)
 		if raw.roots != built.roots || !slices.Equal(raw.nodes, built.nodes) || !slices.Equal(raw.table, built.table) {
 			t.Fatalf("fanout %d: relayout of the build-order arena differs from Build's", fanout)
 		}
 		if _, err := TrieFromFlat(raw.Flat()); err != nil {
 			t.Fatalf("fanout %d: canonical arena rejected: %v", fanout, err)
 		}
-		old := layoutUnshared(built)
-		if len(old.nodes) == len(built.nodes) {
-			t.Fatalf("fanout %d: nothing shared; the covering exercises nothing", fanout)
-		}
-		f := old.Flat()
-		if _, err := TrieFromFlat(f); err == nil {
-			t.Fatalf("fanout %d: unshared arena accepted as a shared one", fanout)
-		}
-		f.Unshared = true
-		loaded, err := TrieFromFlat(f)
-		if err != nil {
-			t.Fatalf("fanout %d: unshared arena rejected: %v", fanout, err)
-		}
-		if loaded.roots != built.roots || !slices.Equal(loaded.nodes, built.nodes) || !slices.Equal(loaded.table, built.table) {
-			t.Fatalf("fanout %d: loading the unshared arena does not yield Build's", fanout)
-		}
-		if &loaded.nodes[0] == &f.Nodes[0] || len(f.Table) > 0 && &loaded.table[0] == &f.Table[0] {
-			t.Fatalf("fanout %d: a relaid-out unshared trie still aliases its input", fanout)
+		for _, l := range []Layout{Shared, Unshared} {
+			old := relaid(built, l)
+			if len(old.nodes) <= len(built.nodes) {
+				t.Fatalf("fanout %d: the %s layout is no larger than the packed one; the covering exercises nothing", fanout, l)
+			}
+			f := old.Flat()
+			if _, err := TrieFromFlat(f); err == nil {
+				t.Fatalf("fanout %d: %s arena accepted as a packed one", fanout, l)
+			}
+			for _, other := range []Layout{Shared, Unshared} {
+				if g := f; other != l {
+					g.Layout = other
+					if _, err := TrieFromFlat(g); err == nil {
+						t.Fatalf("fanout %d: %s arena accepted as a %s one", fanout, l, other)
+					}
+				}
+			}
+			f.Layout = l
+			loaded, err := TrieFromFlat(f)
+			if err != nil {
+				t.Fatalf("fanout %d: %s arena rejected: %v", fanout, l, err)
+			}
+			if loaded.roots != built.roots || !slices.Equal(loaded.nodes, built.nodes) || !slices.Equal(loaded.table, built.table) {
+				t.Fatalf("fanout %d: loading the %s arena does not yield Build's", fanout, l)
+			}
+			if &loaded.nodes[0] == &f.Nodes[0] || len(f.Table) > 0 && &loaded.table[0] == &f.Table[0] {
+				t.Fatalf("fanout %d: a relaid-out %s trie still aliases its input", fanout, l)
+			}
 		}
 	}
 }
@@ -160,13 +134,16 @@ func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 // must load, and names the rule that must refuse it, so each rejection is
 // for its own defect. The dense cases describe nodes slot by slot (node 0 is
 // the sentinel, child entries hold node numbers) and palette-code them with
-// compactArena; the raw cases spell out arena words.
+// compactArena, which lays them out by its own means in the shared layout of
+// index versions 9 and 10 — every rule but where blocks lie is the same in
+// each layout, and that one is the layout's Relayout; the raw cases spell
+// out packed arena words.
 func TestTrieFromFlatRejects(t *testing.T) {
 	one := func(id uint64) uint64 { return id<<3 | tagOne }
 	child := func(n uint64) uint64 { return n << 2 }
 	denseOf := func(fanout int, roots [cellid.NumFaces]uint64, nodes []uint64, table []uint32) Flat {
 		arena, entries := compactArena(fanout, nodes, roots, true)
-		f := Flat{Fanout: uint32(fanout), Nodes: arena, Table: table}
+		f := Flat{Fanout: uint32(fanout), Nodes: arena, Table: table, Layout: Shared}
 		for face, root := range roots {
 			if root != 0 {
 				f.Roots[face] = entries[root]
@@ -301,10 +278,10 @@ func TestTrieFromFlatRejects(t *testing.T) {
 		},
 		{
 			// An entry referencing a face root is forward and unshared, yet
-			// breadth-first numbering puts roots first: by the time the
-			// entry is scanned the root has been named already.
+			// breadth-first numbering puts roots first, and a root's palette
+			// is never shared: the layout stores the child anew.
 			name: "child-pointer-to-root",
-			want: "not a stored shareable palette",
+			want: "the shared layout puts",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*4) // sentinel, face-0 root, face-1 root
 				nodes[4] = child(2)
@@ -322,7 +299,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// Nor may two faces name one root: a root's palette is never
 			// shared, so each root stores its own.
 			name: "shared-root",
-			want: "not a stored shareable palette",
+			want: "the shared layout names",
 			bad: func() Flat {
 				nodes := make([]uint64, 2*4)
 				nodes[4] = one(5)
@@ -338,10 +315,10 @@ func TestTrieFromFlatRejects(t *testing.T) {
 		},
 		{
 			// Two nodes referencing one child that is not a leaf make the
-			// arena a DAG: its palette holds a child entry, and such a
-			// palette is never shared. (Equal leaves are one shared node.)
+			// arena a DAG: its palette holds a child entry, which the second
+			// reaches again. (Equal leaves are one shared node.)
 			name: "shared-child",
-			want: "which holds a child entry",
+			want: "is reached already",
 			bad: func() Flat {
 				nodes := make([]uint64, 6*4)
 				nodes[4], nodes[5] = child(2), child(3)
@@ -361,10 +338,10 @@ func TestTrieFromFlatRejects(t *testing.T) {
 		},
 		{
 			// Children come after their parents: a reference at or before
-			// its own node would let a walk loop. Code blocks may be named
-			// backwards, but the palette of a node with children may not.
+			// its own node would let a walk loop: the walk reaches the
+			// root's child entry again.
 			name: "backward-pointer",
-			want: "which holds a child entry",
+			want: "is reached already",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*4)
 				nodes[4] = child(2)
@@ -382,7 +359,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// The child's code words would sit right past the root, at the
 			// arena's end; its palette lies beyond it.
 			name: "child-out-of-range",
-			want: "starts past the arena",
+			want: "outside the arena",
 			bad: func() Flat {
 				f := raw(0, 0b1110, 0, one(2))
 				f.Nodes[3] = childEntry(uint64(len(f.Nodes))+1, uint64(len(f.Nodes))+1, 0)
@@ -394,7 +371,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// The palette offset lands inside the child instead of past its
 			// code words (which it stores: its codes are not the root's).
 			name: "child-not-a-node-boundary",
-			want: "breadth-first order puts it at",
+			want: "the shared layout puts",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*4)
 				nodes[4] = child(2)
@@ -414,7 +391,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// Forward, unshared, on node boundaries — but the first child in
 			// slot order must be the first child in the arena.
 			name: "children-out-of-order",
-			want: "breadth-first order puts it at",
+			want: "the shared layout puts",
 			bad: func() Flat {
 				nodes := make([]uint64, 4*4)
 				nodes[4], nodes[5] = child(3), child(2)
@@ -432,10 +409,10 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// The width bits are the only record of a node's code width: at
 			// fanout 64 one-bit codes take one word, two-bit codes two, so
 			// an entry claiming two-bit codes for the node right past the
-			// root (which stores codes of its own) names its palette one
-			// word early.
+			// root reads its one-bit codes two at a time, and slot 0's
+			// code 2 past its palette.
 			name: "width-bits-disagree",
-			want: "says 2-bit codes, the node at offset 5 has 1 code words",
+			want: "code 2 is past its 2-entry palette",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*64)
 				nodes[64] = child(2)

@@ -40,32 +40,22 @@ func writeWords[W uint32 | uint64](w io.Writer, words []W) error {
 	return nil
 }
 
-// validateStructure parses the arena as the sequence of blocks it must be and
-// checks everything a walk relies on, so that a deserialized trie can never
-// read out of bounds or loop — the arena may be served unchecksummed from a
-// mapping, and this scan is all that stands between a forged file and the
-// lookups. It accepts exactly the arenas Relayout produces: with shared
-// blocks, or, when shared is false, with every node storing both of its own
-// (index versions 7 and 8):
+// A loader checks everything a walk relies on, so that a deserialized trie
+// can never read out of bounds or loop — the arena may be served
+// unchecksummed from a mapping, and this check is all that stands between
+// a forged file and the lookups. checkLayout walks the nodes breadth-first
+// from the face roots as Relayout lays them out, checks each node with
+// validateStructure before it reads it, and demands that each child entry
+// name its node where the layout puts it:
 //
 //   - the sentinel comes first: fanout one-bit codes and one palette entry,
-//     all zero;
-//   - blocks sit in canonical breadth-first order: the face roots and then,
-//     scanning nodes in that order and palettes in order, every child entry
-//     names a node whose code block is either stored right where the blocks
-//     before it end or named where an equal block of its width was stored
-//     first, and whose palette is then stored right after or, if shareable
-//     (child-free, not a face root's), named where an equal one was stored
-//     first. A stored block must be the first of its words, and a name must
-//     be a stored block's, whole. That one rule makes every child entry a
-//     node boundary, forward (no cycles) and unique apart from shared leaves
-//     (a tree, not a DAG: a named palette holds no child entry), and — with
-//     the final check that the stored blocks use up the arena — leaves no
-//     block unreachable and no trailing words. Without sharing, every code
-//     block is stored, right before its palette;
+//     all zero (validateFrame), and every face root is a child entry;
+//   - every named code block and palette lies inside the arena;
+//   - every child-entry word is reached at most once, so nodes form a tree
+//     apart from shared leaves (a palette holding a child entry is named
+//     once), and the walk ends: no cycle, no DAG;
 //   - every code selects a palette entry (the palette is as long as the node
-//     has distinct codes, and lies inside the arena), so entry fetches stay
-//     inside the node;
+//     has distinct codes), so entry fetches stay inside the node;
 //   - a covering has one encoding, so write∘read∘write is the identity: the
 //     palette is in first-use slot order and its values pairwise distinct
 //     (child entries each have a slot of their own, and two of them name
@@ -76,10 +66,50 @@ func writeWords[W uint32 | uint64](w io.Writer, words []W) error {
 //   - every lookup-table offset selects a well-formed, non-empty
 //     [numTrue, true…, numCand, cand…] run.
 //
-// While scanning it also records the largest polygon id any entry can emit
-// (see MaxPolygonRef), so the enclosing index can cross-check its header's
-// polygon count against what lookups will actually return.
-func (t *Trie) validateStructure(shared bool) error {
+// The layout leaves no block misplaced, unreachable or stored twice, and no
+// trailing words. (It would refuse a DAG or a cycle too, since every layout
+// stores each node with a child anew at the arena's end, but the rule on
+// child-entry words refuses them where they are first reached.)
+//
+// While checking values it also records the largest polygon id any entry can
+// emit (see MaxPolygonRef), so the enclosing index can cross-check its
+// header's polygon count against what lookups will actually return.
+
+// validateFrame checks the sentinel and the face roots' tags.
+func (t *Trie) validateFrame() error {
+	// No walk reads the sentinel — a 0 entry ends a walk before any node is
+	// loaded — but the layout requires it.
+	sentinel := paletteAt(t.sentinel()) + 1
+	if uint64(len(t.nodes)) < sentinel {
+		return fmt.Errorf("core: arena lacks the sentinel node")
+	}
+	for _, w := range t.nodes[:sentinel] {
+		if w != 0 {
+			return fmt.Errorf("core: sentinel node is not empty")
+		}
+	}
+	for f, root := range t.roots {
+		if root != 0 && root&tagMask != tagChild {
+			return fmt.Errorf("core: face %d root %#x is not a child entry", f, root)
+		}
+	}
+	return nil
+}
+
+// validator holds a loader's scratch for validateStructure.
+type validator struct {
+	// seen marks the palette words read already: a child entry may be
+	// followed once, a value checked once however many leaves share it.
+	seen   []uint64
+	starts [maxFanout + 1]uint16
+	codes  [maxFanout]uint8
+	sorted [maxFanout]uint64
+}
+
+// validateStructure checks the node the child entry entry names, depth
+// nodes deep (a face root is 1 deep), and returns its palette's size and
+// whether the palette holds a child entry.
+func (t *Trie) validateStructure(v *validator, entry uint64, depth int) (d uint64, children bool, err error) {
 	arena := t.nodes
 	arenaLen, tableLen := uint64(len(arena)), uint64(len(t.table))
 	trackRef := func(id uint32) {
@@ -88,184 +118,97 @@ func (t *Trie) validateStructure(shared bool) error {
 		}
 		t.hasRefs = true
 	}
-
-	// The format starts with the sentinel. No walk reads it — a 0 entry ends
-	// a walk before any node is loaded — but the layout requires it.
-	next := paletteAt(t.sentinel()) + 1 // where the next stored block must start
-	if arenaLen < next {
-		return fmt.Errorf("core: arena lacks the sentinel node")
+	if v.seen == nil {
+		v.seen = make([]uint64, (arenaLen+63)/64)
 	}
-	for _, w := range arena[:next] {
-		if w != 0 {
-			return fmt.Errorf("core: sentinel node is not empty")
-		}
+	pal, end, lw := paletteAt(entry), codeEnd(entry), entry>>2&3
+	if depth > maxKeyChunks(t.bits) {
+		return 0, false, fmt.Errorf("core: node at offset %d sits %d nodes deep, beyond the %d-bit key", pal, depth, 2*cellid.MaxLevel)
+	}
+	if c := codeWords(t.fanout, lw); end < c || end > arenaLen {
+		return 0, false, fmt.Errorf("core: child entry %#x names a code block [%d, %d) outside the arena's %d words", entry, int64(end-c), end, arenaLen)
+	}
+	if n := uint(t.fanout) << lw; n < 64 && arena[end-1]>>n != 0 {
+		return 0, false, fmt.Errorf("core: node at offset %d: code bits set past slot %d", pal, t.fanout-1)
 	}
 
-	// queue holds the child entries named so far, face roots first; node i
-	// of the scan is the one queue[i] names. Breadth-first order keeps each
-	// depth contiguous: the nodes named while one depth is scanned are the
-	// next depth.
-	var queue []uint64
-	for f, root := range t.roots {
+	// Codes are numbered in order of first use, so d — the codes used so far
+	// — is the palette's size once every run is read.
+	runs := t.runs(entry, &v.starts, &v.codes)
+	for _, c := range v.codes[:runs] {
 		switch {
-		case root == 0: // empty face
-		case root&tagMask != tagChild:
-			return fmt.Errorf("core: face %d root %#x is not a child entry", f, root)
-		default:
-			queue = append(queue, root)
+		case uint64(c) > d:
+			return 0, false, misnumbered(pal, v.starts[:runs], v.codes[:runs])
+		case uint64(c) == d:
+			if d++; pal+d > arenaLen {
+				return 0, false, fmt.Errorf("core: node at offset %d runs past the arena's %d words", pal, arenaLen)
+			}
 		}
 	}
-	var (
-		starts [maxFanout + 1]uint16
-		codes  [maxFanout]uint8
-		sorted [maxFanout]uint64
-		stored blockSet // the shareable blocks stored so far
-	)
-	if shared {
-		stored.reserve(len(arena) / 8) // real maps store about one block per 10 words
+	if want := codeWidth(int(d)); lw != want {
+		return 0, false, fmt.Errorf("core: node at offset %d: %d-entry palette in %d-bit codes, width not minimal (%d bits)", pal, d, 1<<lw, 1<<want)
 	}
-	roots := len(queue)
-	depth, depthEnd := 1, len(queue)
-	for i := 0; i < len(queue); i++ {
-		if i == depthEnd {
-			depth, depthEnd = depth+1, len(queue)
-		}
-		node, entry := next, queue[i]
-		pal, end, lw := paletteAt(entry), codeEnd(entry), entry>>2&3
-		if depth > maxKeyChunks(t.bits) {
-			return fmt.Errorf("core: node %d sits %d nodes deep, beyond the %d-bit key", node, depth, 2*cellid.MaxLevel)
-		}
-		// The code block: stored right here, or named where it was stored
-		// first.
-		c := codeWords(t.fanout, lw)
-		switch {
-		case !shared && end != pal:
-			return fmt.Errorf("core: child entry %#x: code block %d words from its palette, in an arena that shares no blocks", entry, int64(end-pal))
-		case end == next+c:
-			if end > arenaLen {
-				return fmt.Errorf("core: node at offset %d starts past the arena's %d words", node, arenaLen)
-			}
-			if shared {
-				if first, found := stored.intern(arena, next, c, lw); found {
-					return fmt.Errorf("core: node at offset %d stores a second copy of the %d-bit code block at %d", node, 1<<lw, first)
-				}
-			}
-			next = end
-		case end > next || !shared:
-			// A block right where the node's code words would end at another
-			// width: the entry's width bits are what is wrong.
-			for l := range uint64(4) {
-				if other := codeWords(t.fanout, l); other != c && end == next+other {
-					return fmt.Errorf("core: child entry %#x says %d-bit codes, the node at offset %d has %d code words", entry, 1<<lw, node, other)
-				}
-			}
-			return fmt.Errorf("core: child entry %#x names a node at offset %d, breadth-first order puts it at %d", entry, end-min(end, c), node)
-		default:
-			if end < c {
-				return fmt.Errorf("core: child entry %#x names a code block ending at %d", entry, end)
-			}
-			if first, found := stored.lookup(arena, arena[end-c:end], lw); !found || first != end-c {
-				return fmt.Errorf("core: child entry %#x names words [%d, %d), not a stored %d-bit code block", entry, end-c, end, 1<<lw)
-			}
-		}
-		if n := uint(t.fanout) << lw; n < 64 && arena[end-1]>>n != 0 {
-			return fmt.Errorf("core: node %d: code bits set past slot %d", node, t.fanout-1)
-		}
-		// The palette: stored right after, or named.
-		here := pal == next
-		if !here && (pal > next || !shared) {
-			return fmt.Errorf("core: child entry %#x names a palette at offset %d, breadth-first order puts it at %d", entry, pal, next)
-		}
+	palette := arena[pal : pal+d]
+	if e, dup := duplicate(palette, &v.sorted); dup {
+		return 0, false, fmt.Errorf("core: node at offset %d: duplicate palette entries %#x", pal, e)
+	}
 
-		// Codes are numbered in order of first use, so d — the codes used so
-		// far — is the palette's size once every run is read, and a child
-		// entry's code must be new and its run one slot long.
-		runs := t.runs(entry, &starts, &codes)
-		d := 0
-		for r, c := range codes[:runs] {
-			first := int(c) == d
-			switch {
-			case int(c) > d:
-				return misnumbered(node, starts[:runs], codes[:runs])
-			case first:
-				if d++; pal+uint64(d) > arenaLen {
-					return fmt.Errorf("core: node at offset %d runs past the arena's %d words", node, arenaLen)
-				}
-			}
-			if isChild(arena[pal+uint64(c)]) && (!first || starts[r+1]-starts[r] > 1) {
-				return fmt.Errorf("core: node %d code %d: child entry in more than one slot", node, c)
-			}
-		}
-		if want := codeWidth(d); lw != want {
-			return fmt.Errorf("core: node %d: %d-entry palette in %d-bit codes, width not minimal (%d bits)", node, d, 1<<lw, 1<<want)
-		}
-		palette := arena[pal : pal+uint64(d)]
-		if !here {
-			// A named palette was checked where it is stored; it must be
-			// that one, whole, and shareable.
-			if first, found := stored.lookup(arena, palette, paletteKind); !found || first != pal {
-				if slices.ContainsFunc(palette, isChild) {
-					return fmt.Errorf("core: child entry %#x shares the palette at offset %d, which holds a child entry", entry, pal)
-				}
-				return fmt.Errorf("core: child entry %#x names words [%d, %d), not a stored shareable palette", entry, pal, pal+uint64(d))
+	for c, e := range palette {
+		at := pal + uint64(c)
+		if v.seen[at>>6]>>(at&63)&1 != 0 {
+			if isChild(e) {
+				return 0, false, fmt.Errorf("core: child entry %#x names the palette at offset %d, whose child entry at word %d is reached already", entry, pal, at)
 			}
 			continue
 		}
-		if e, dup := duplicate(palette, &sorted); dup {
-			return fmt.Errorf("core: node %d: duplicate palette entries %#x", node, e)
-		}
-
-		children := false
-		for c, e := range palette {
-			switch e & tagMask {
-			case tagChild:
-				if e != 0 { // 0 is empty: false hit
-					children = true
-					queue = append(queue, e)
-				}
-			case tagOne:
-				trackRef(uint32(e>>2) >> 1)
-			case tagTwo:
-				trackRef(uint32(e>>2&payloadMax) >> 1)
-				trackRef(uint32(e>>33) >> 1)
-			case tagOffset:
-				off := e >> 2
-				if off >= tableLen {
-					return fmt.Errorf("core: node %d code %d: table offset %d out of range", node, c, off)
-				}
-				nTrue := uint64(t.table[off])
-				if off+1+nTrue >= tableLen {
-					return fmt.Errorf("core: node %d code %d: true-hit run overflows table", node, c)
-				}
-				nCand := uint64(t.table[off+1+nTrue])
-				if off+2+nTrue+nCand > tableLen {
-					return fmt.Errorf("core: node %d code %d: candidate run overflows table", node, c)
-				}
-				if nTrue+nCand == 0 {
-					// A hit without references: Build refuses such cells, and
-					// Cells would hand compaction one it refuses too.
-					return fmt.Errorf("core: node %d code %d: table run holds no references", node, c)
-				}
-				for _, id := range t.table[off+1 : off+1+nTrue] {
-					trackRef(id)
-				}
-				for _, id := range t.table[off+2+nTrue : off+2+nTrue+nCand] {
-					trackRef(id)
-				}
+		v.seen[at>>6] |= 1 << (at & 63)
+		switch e & tagMask {
+		case tagChild:
+			children = children || e != 0 // 0 is empty: false hit
+		case tagOne:
+			trackRef(uint32(e>>2) >> 1)
+		case tagTwo:
+			trackRef(uint32(e>>2&payloadMax) >> 1)
+			trackRef(uint32(e>>33) >> 1)
+		case tagOffset:
+			off := e >> 2
+			if off >= tableLen {
+				return 0, false, fmt.Errorf("core: node at offset %d code %d: table offset %d out of range", pal, c, off)
+			}
+			nTrue := uint64(t.table[off])
+			if off+1+nTrue >= tableLen {
+				return 0, false, fmt.Errorf("core: node at offset %d code %d: true-hit run overflows table", pal, c)
+			}
+			nCand := uint64(t.table[off+1+nTrue])
+			if off+2+nTrue+nCand > tableLen {
+				return 0, false, fmt.Errorf("core: node at offset %d code %d: candidate run overflows table", pal, c)
+			}
+			if nTrue+nCand == 0 {
+				// A hit without references: Build refuses such cells, and
+				// Cells would hand compaction one it refuses too.
+				return 0, false, fmt.Errorf("core: node at offset %d code %d: table run holds no references", pal, c)
+			}
+			for _, id := range t.table[off+1 : off+1+nTrue] {
+				trackRef(id)
+			}
+			for _, id := range t.table[off+2+nTrue : off+2+nTrue+nCand] {
+				trackRef(id)
 			}
 		}
-		if shared && i >= roots && !children {
-			if first, found := stored.intern(arena, pal, uint64(d), paletteKind); found {
-				return fmt.Errorf("core: node at offset %d stores a second copy of the palette at %d", node, first)
+	}
+	if children {
+		// A child entry's code must be new where its run starts, and the
+		// run one slot long.
+		var used [maxFanout / 64]uint64
+		for r, c := range v.codes[:runs] {
+			first := used[c>>6]>>(c&63)&1 == 0
+			used[c>>6] |= 1 << (c & 63)
+			if isChild(palette[c]) && (!first || v.starts[r+1]-v.starts[r] > 1) {
+				return 0, false, fmt.Errorf("core: node at offset %d code %d: child entry in more than one slot", pal, c)
 			}
 		}
-		next = pal + uint64(d)
 	}
-	if next != arenaLen {
-		return fmt.Errorf("core: %d arena words lie past the last reachable node", arenaLen-next)
-	}
-	t.reached = len(queue)
-	return nil
+	return d, children, nil
 }
 
 // duplicate reports a value entry palette holds twice: pairwise up to 16
@@ -294,7 +237,8 @@ func duplicate(palette []uint64, scratch *[maxFanout]uint64) (uint64, bool) {
 	return 0, false
 }
 
-// misnumbered explains why the node at offset node, with the given runs,
+// misnumbered explains why the node whose palette is at offset node, with
+// the given runs,
 // uses a code before the first use of the one below it: a palette is as long
 // as its node has distinct codes, so either the code lies past the palette,
 // or the palette is not in first-use order.
@@ -309,13 +253,13 @@ func misnumbered(node uint64, starts []uint16, codes []uint8) error {
 		top = max(top, c)
 	}
 	if int(top) >= d {
-		return fmt.Errorf("core: node %d: code %d is past its %d-entry palette", node, top, d)
+		return fmt.Errorf("core: node at offset %d: code %d is past its %d-entry palette", node, top, d)
 	}
 	want := uint8(0)
 	for r, c := range codes {
 		switch {
 		case c > want:
-			return fmt.Errorf("core: node %d slot %d: code %d comes before the first use of code %d, palette not in first-use order", node, starts[r], c, want)
+			return fmt.Errorf("core: node at offset %d slot %d: code %d comes before the first use of code %d, palette not in first-use order", node, starts[r], c, want)
 		case c == want:
 			want++
 		}
@@ -332,6 +276,6 @@ func maxKeyChunks(bits uint) int { return (2*cellid.MaxLevel + int(bits) - 1) / 
 
 // MaxPolygonRef returns the largest polygon id a lookup on this trie can
 // return, and whether the trie holds any references at all. It is computed
-// by TrieFromFlat's structural validation, so it is only meaningful on
-// deserialized tries.
+// by TrieFromFlat's validation, so it is only meaningful on deserialized
+// tries.
 func (t *Trie) MaxPolygonRef() (uint32, bool) { return t.maxRef, t.hasRefs }

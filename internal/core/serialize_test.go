@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -94,8 +95,8 @@ func TestTrieSerializationRoundTrip(t *testing.T) {
 }
 
 // TestTrieSerializationErrors: a flipped bit moves the section checksum, and
-// TrieFromFlat refuses header fields no builder produces and arenas that
-// share blocks in a way Relayout never does. (A section cut short is the
+// TrieFromFlat refuses header fields no builder produces and arenas whose
+// blocks lie where Relayout never puts them, in each layout. (A section cut short is the
 // index file decoder's to refuse; the root package's serialization tests cut
 // files.)
 func TestTrieSerializationErrors(t *testing.T) {
@@ -127,12 +128,30 @@ func TestTrieSerializationErrors(t *testing.T) {
 		t.Fatalf("pristine flat form rejected: %v", err)
 	}
 
-	// The sharing rules, on a fanout-4 trie whose arena is spelled out: a
+	// The layout rules, on a fanout-4 trie whose arena is spelled out: a
 	// root over A, A again, B and C — A and B leaves with equal codes, A twice
-	// because its slots hang equal leaves, C a node over the leaf D.
-	shared := sharingTrie(t)
+	// because its slots hang equal leaves, C a node over the leaf D. Packed,
+	// C's code block comes first, in the top region, and every leaf names it;
+	// the leaf palettes follow.
+	built := sharingTrie(t)
 	e := func(pal, end uint64) uint64 { return childEntry(pal, end, 0) }
 	one := func(id uint64) uint64 { return (id<<1|1)<<2 | tagOne }
+	packed := []uint64{
+		0, 0, // the sentinel
+		0b11_10_01_00,                         // root codes: slot i selects entry i
+		e(10, 8), e(10, 8), e(12, 8), e(8, 8), // root palette: A, A, B, C
+		0b1110,      // C's codes: slot 0 entry 0, the rest entry 1
+		e(14, 8), 0, // C's palette
+		one(0), 0, // A's palette; A names C's codes
+		one(1), 0, // B's
+		one(2), 0, // D's
+	}
+	if f := built.Flat(); !slices.Equal(f.Nodes, packed) || f.Roots[0] != childEntry(3, 3, 1) {
+		t.Fatalf("the sharing trie's arena is %#x, root %#x; want %#x", f.Nodes, f.Roots[0], packed)
+	}
+	// Laid out as index versions 9 and 10 store it, nodes are breadth-first
+	// and A stores the code block the others name.
+	shared := relaid(built, Shared)
 	want := []uint64{
 		0, 0, // the sentinel
 		0b11_10_01_00,                        // root codes: slot i selects entry i
@@ -144,60 +163,89 @@ func TestTrieSerializationErrors(t *testing.T) {
 		one(2), 0, // D's palette; D names A's codes
 	}
 	if f := shared.Flat(); !slices.Equal(f.Nodes, want) || f.Roots[0] != childEntry(3, 3, 1) {
-		t.Fatalf("the sharing trie's arena is %#x, root %#x; want %#x", f.Nodes, f.Roots[0], want)
+		t.Fatalf("the sharing trie's shared arena is %#x, root %#x; want %#x", f.Nodes, f.Roots[0], want)
 	}
-	unshared := func() Flat {
-		f := layoutUnshared(shared).Flat()
-		f.Unshared = true
-		return f
+	in := func(l Layout, tr *Trie) func() Flat {
+		return func() Flat {
+			f := tr.Flat()
+			f.Nodes, f.Layout = slices.Clone(f.Nodes), l
+			return f
+		}
 	}
+	packedFlat, sharedFlat, unsharedFlat := in(Packed, built), in(Shared, shared), in(Unshared, relaid(built, Unshared))
 	for _, tc := range []struct {
 		name, want string
 		forge      func() Flat
 	}{
 		// C names a code block past D's palette, where no block is stored
 		// yet.
-		{"block-named-before-stored", "breadth-first order puts it at", func() Flat {
-			f := shared.Flat()
-			f.Nodes = slices.Clone(f.Nodes)
+		{"block-named-before-stored", "code bits set past slot 3", func() Flat {
+			f := sharedFlat()
 			f.Nodes[6] = e(12, 15)
 			return f
 		}},
 		// B stores the code block A stored, instead of naming it.
-		{"second-copy-of-code-block", "second copy of the 1-bit code block at 7", func() Flat {
-			f := shared.Flat()
+		{"second-copy-of-code-block", "the shared layout puts", func() Flat {
+			f := sharedFlat()
 			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(8, 8), e(8, 8), e(11, 11), e(13, 8),
 				0b1110, one(0), 0, 0b1110, one(1), 0, e(15, 8), 0, one(2), 0}
 			return f
 		}},
 		// The second A stores the palette the first stored.
-		{"second-copy-of-palette", "second copy of the palette at 8", func() Flat {
-			f := shared.Flat()
+		{"second-copy-of-palette", "the shared layout puts", func() Flat {
+			f := sharedFlat()
 			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(8, 8), e(10, 8), e(12, 8), e(14, 8),
 				0b1110, one(0), 0, one(0), 0, one(1), 0, e(16, 8), 0, one(2), 0}
 			return f
 		}},
 		// B is C: two parents of D, which a walk would reach twice over.
-		{"shared-palette-holds-child", "which holds a child entry", func() Flat {
-			f := shared.Flat()
+		{"shared-palette-holds-child", "is reached already", func() Flat {
+			f := sharedFlat()
 			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(8, 8), e(8, 8), e(10, 8), e(10, 8),
 				0b1110, one(0), 0, e(12, 8), 0, one(2), 0}
 			return f
 		}},
 		// B names the palette {empty, id 1} that starts inside A's.
-		{"name-inside-stored-block", "not a stored shareable palette", func() Flat {
-			f := shared.Flat()
-			f.Nodes = slices.Clone(f.Nodes)
+		{"name-inside-stored-block", "the shared layout puts", func() Flat {
+			f := sharedFlat()
 			f.Nodes[8], f.Nodes[9], f.Nodes[10], f.Nodes[11] = one(0), 0, one(1), 0
 			f.Nodes[5] = e(9, 8)
 			return f
 		}},
 		// An arena of index version 7 or 8 shares nothing: B names A's
 		// codes there too.
-		{"distance-in-unshared-arena", "in an arena that shares no blocks", func() Flat {
-			f := unshared()
-			f.Nodes = slices.Clone(f.Nodes)
+		{"distance-in-unshared-arena", "the unshared layout puts", func() Flat {
+			f := unsharedFlat()
 			f.Nodes[5] = childEntry(paletteAt(f.Nodes[5]), 8, 0)
+			return f
+		}},
+		// B names a palette [C's codes, C's child entry] that overlaps C's
+		// code block and palette, in codes stored past the arena's end: D
+		// would hang from B and from C. B, which now holds a child entry,
+		// is refused where it is reached: the layout stores it anew.
+		{"overlapping-palettes-share-a-child", "the packed layout puts", func() Flat {
+			f := packedFlat()
+			f.Nodes = append(f.Nodes, 0b0010)
+			f.Nodes[5] = childEntry(7, 17, 0)
+			return f
+		}},
+		// B's palette is named at the arena's end.
+		{"leaf-palette-past-arena", "runs past the arena", func() Flat {
+			f := packedFlat()
+			f.Nodes[5] = e(16, 8)
+			return f
+		}},
+		// B's code block is named past the arena's end.
+		{"leaf-codes-past-arena", "outside the arena", func() Flat {
+			f := packedFlat()
+			f.Nodes[5] = e(12, 17)
+			return f
+		}},
+		// B names its codes in the shared arena's place.
+		{"leaf-block-misplaced", "the packed layout puts", func() Flat {
+			f := packedFlat()
+			f.Nodes[5] = childEntry(12, 7, 0)
+			f.Nodes[6] = 0b1110 // C's code block, now where B names it too
 			return f
 		}},
 	} {
@@ -205,11 +253,86 @@ func TestTrieSerializationErrors(t *testing.T) {
 			t.Errorf("%s: forged arena refused with %v, want the rule %q", tc.name, err, tc.want)
 		}
 	}
-	for name, f := range map[string]Flat{"shared": shared.Flat(), "unshared": unshared()} {
+	for name, f := range map[string]Flat{"packed": packedFlat(), "shared": sharedFlat(), "unshared": unsharedFlat()} {
 		if _, err := TrieFromFlat(f); err != nil {
 			t.Errorf("%s control arena rejected: %v", name, err)
 		}
 	}
+}
+
+// TestMovedLeafBlockRefused takes Build's arena for coverings whose leaf
+// blocks recur and names one leaf block at another place its words occur:
+// lookups would not notice, but the arena is no longer the one Relayout
+// produces, so TrieFromFlat refuses it.
+func TestMovedLeafBlockRefused(t *testing.T) {
+	moved := 0
+	for seed := range int64(8) {
+		rng := rand.New(rand.NewSource(seed))
+		sc := randomPrefixFreeCovering(t, rng, []int{int(seed % 6)}, 60+20*int(seed))
+		for _, fanout := range fanouts {
+			trie, err := Build(sc, Config{Fanout: fanout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, ok := moveLeafBlock(trie)
+			if !ok {
+				continue
+			}
+			moved++
+			if _, err := TrieFromFlat(f); err == nil || !strings.Contains(err.Error(), "the packed layout puts") {
+				t.Errorf("seed %d fanout %d: moved leaf block refused with %v, want the packed layout's placement", seed, fanout, err)
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no covering has a leaf block whose words recur; the test exercises nothing")
+	}
+}
+
+// moveLeafBlock returns the flat form of t with the first child entry naming
+// a leaf whose code block or palette words occur at a second place in the
+// arena renamed to that place, and whether there was one.
+func moveLeafBlock(t *Trie) (Flat, bool) {
+	f := t.Flat()
+	f.Nodes = slices.Clone(f.Nodes)
+	elsewhere := func(start, n uint64) (uint64, bool) {
+		for s := uint64(0); s+n <= uint64(len(f.Nodes)); s++ {
+			if s != start && slices.Equal(f.Nodes[s:s+n], f.Nodes[start:start+n]) {
+				return s, true
+			}
+		}
+		return 0, false
+	}
+	var queue []uint64 // palettes holding child entries, as [pal, d] pairs
+	for _, root := range t.roots {
+		if root != 0 {
+			queue = append(queue, paletteAt(root), uint64(len(t.palette(root))))
+		}
+	}
+	for qi := 0; qi < len(queue); qi += 2 {
+		for at := queue[qi]; at < queue[qi]+queue[qi+1]; at++ {
+			e := f.Nodes[at]
+			if !isChild(e) {
+				continue
+			}
+			palette := t.palette(e)
+			if slices.ContainsFunc(palette, isChild) {
+				queue = append(queue, paletteAt(e), uint64(len(palette)))
+				continue
+			}
+			pal, end, lw := paletteAt(e), codeEnd(e), e>>2&3
+			c := codeWords(t.fanout, lw)
+			if s, ok := elsewhere(end-c, c); ok {
+				f.Nodes[at] = childEntry(pal, s+c, lw)
+				return f, true
+			}
+			if s, ok := elsewhere(pal, uint64(len(palette))); ok {
+				f.Nodes[at] = childEntry(s, end, lw)
+				return f, true
+			}
+		}
+	}
+	return f, false
 }
 
 // sharingTrie builds the fanout-4 trie TestTrieSerializationErrors spells
@@ -243,8 +366,8 @@ func sharingTrie(t testing.TB) *Trie {
 // slots names the next node: a walk over every node reached (validation,
 // Cells, ComputeStats) would visit 4^10 of them. The nodes share one code
 // block, which is allowed, and each names the palette of the next, which
-// holds child entries and is never shared — so the validator refuses the
-// arena at the second name, without following one path. The control, where
+// holds child entries — so the validator refuses the arena at the second
+// name, which reaches those child entries again, without following one path. The control, where
 // only slot 0 names the next node, loads.
 func TestDAGBombRefused(t *testing.T) {
 	const levels = 10
@@ -270,7 +393,127 @@ func TestDAGBombRefused(t *testing.T) {
 	}
 	start := time.Now()
 	_, err := TrieFromFlat(forge(true))
-	if elapsed := time.Since(start); err == nil || !strings.Contains(err.Error(), "which holds a child entry") || elapsed > 100*time.Millisecond {
-		t.Fatalf("DAG bomb refused with %v after %v, want the shared-palette rule at once", err, elapsed)
+	if elapsed := time.Since(start); err == nil || !strings.Contains(err.Error(), "is reached already") || elapsed > 100*time.Millisecond {
+		t.Fatalf("DAG bomb refused with %v after %v, want the child entry reached twice at once", err, elapsed)
+	}
+}
+
+// TestLeafBombsRefused forges fanout-256 arenas whose entries name far more
+// words than the arenas hold, and demands that loading refuses each at once,
+// allocating no more than twice the arena's size: a root hangs 256 nodes,
+// each of which names 256 leaves of 256 entries, 16.8 M palette words in
+// all.
+//
+//   - packed: the leaves' palettes are 65 536 distinct windows of one run
+//     of values, each leaf costing the arena two words. Packing them would
+//     store each window whole; the leaf blocks' words outrun the arena after
+//     a few hundred leaves.
+//   - unshared: every slot of every node names one leaf, stored once after
+//     them. The unshared layout stores a leaf per entry naming it, so the
+//     second entry names it past the arena's end.
+//
+// The controls, which name the leaf blocks where their layout puts them,
+// load.
+func TestLeafBombsRefused(t *testing.T) {
+	const fanout, nodes = 256, 256
+	one := func(id uint64) uint64 { return (id<<1|1)<<2 | tagOne }
+	// ident is the code block numbering slot i i: 8-bit codes, the last
+	// word first.
+	ident := make([]uint64, codeWords(fanout, 3))
+	for i := range uint64(fanout) {
+		ident[uint64(len(ident))-1-i/8] |= i << (i % 8 * 8)
+	}
+	sentinel := make([]uint64, codeWords(fanout, 0)+1)
+	c := uint64(len(ident))
+	packed := func(bomb bool) Flat {
+		// The sentinel, the root's codes, which every node shares, the
+		// root's palette, the nodes' palettes, then the leaves' blocks.
+		arena := append(slices.Clone(sentinel), ident...)
+		codesEnd := uint64(len(arena))
+		rootPal := codesEnd
+		nodesPal := rootPal + nodes
+		run := nodesPal + nodes*fanout
+		for k := range uint64(nodes) {
+			arena = append(arena, childEntry(nodesPal+k*fanout, codesEnd, 3))
+		}
+		for j := range uint64(nodes * fanout) {
+			leaf := childEntry(run, codesEnd, 3) // the control: one leaf
+			if bomb {
+				leaf = childEntry(run+j, codesEnd, 3)
+			}
+			arena = append(arena, leaf)
+		}
+		for v := range uint64(fanout) + nodes*fanout - 1 {
+			if !bomb && v == fanout {
+				break
+			}
+			arena = append(arena, one(v))
+		}
+		f := Flat{Fanout: fanout, Nodes: arena, Layout: Packed}
+		f.Roots[0] = childEntry(rootPal, codesEnd, 3)
+		return f
+	}
+	unshared := func(bomb bool) Flat {
+		arena := slices.Clone(sentinel)
+		node := func(palette []uint64) uint64 {
+			arena = append(arena, ident...)
+			pal := uint64(len(arena))
+			arena = append(arena, palette...)
+			return childEntry(pal, pal, 3)
+		}
+		// The root, then each node, then one leaf.
+		at := uint64(len(sentinel))
+		rootPalette := make([]uint64, nodes)
+		for k := range rootPalette {
+			rootPalette[k] = childEntry(at+(1+uint64(k))*(c+fanout)+c, at+(1+uint64(k))*(c+fanout)+c, 3)
+		}
+		leaf := childEntry(at+(1+nodes)*(c+fanout)+c, at+(1+nodes)*(c+fanout)+c, 3)
+		root := node(rootPalette)
+		for range nodes {
+			palette := make([]uint64, fanout)
+			for i := range palette {
+				palette[i] = one(uint64(i)) // the control: values
+				if bomb {
+					palette[i] = leaf
+				}
+			}
+			node(palette)
+		}
+		if bomb {
+			values := make([]uint64, fanout)
+			for i := range values {
+				values[i] = one(uint64(i))
+			}
+			node(values)
+		}
+		f := Flat{Fanout: fanout, Nodes: arena, Layout: Unshared}
+		f.Roots[0] = root
+		return f
+	}
+	for _, tc := range []struct {
+		name  string
+		forge func(bomb bool) Flat
+		want  string
+	}{
+		{"packed", packed, "the packed layout puts the nodes named so far past the arena's"},
+		{"unshared", unshared, "the unshared layout puts the nodes named so far past the arena's"},
+	} {
+		if _, err := TrieFromFlat(tc.forge(false)); err != nil {
+			t.Fatalf("%s: control rejected: %v", tc.name, err)
+		}
+		f := tc.forge(true)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err := TrieFromFlat(f)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		allocated := after.TotalAlloc - before.TotalAlloc
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: bomb refused with %v, want %q", tc.name, err, tc.want)
+		}
+		if arena := uint64(8 * len(f.Nodes)); allocated > 2*arena || elapsed > time.Second {
+			t.Errorf("%s: refusing a %d-byte arena took %v and allocated %d bytes", tc.name, arena, elapsed, allocated)
+		}
 	}
 }

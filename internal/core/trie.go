@@ -44,15 +44,24 @@
 //
 // The two blocks are stored apart because nodes repeat them: the census map
 // at 60 m has 14 793 nodes but 11 575 distinct code blocks, and at 15 m
-// 364 547 nodes share 11 643. Relayout stores the first use of a code block
-// (per code width) and of a palette, and every later use with equal words
-// names that first copy. A node usually stores both blocks itself, its codes
-// right before its palette (distance 0); one that shares the code block
-// stores just its palette, and one that shares both stores nothing. A palette
-// that holds a child entry, and a face root's palette, is never shared, so
-// nodes still form a tree apart from identical leaves (two slots of one node
-// may name one), and a walk over every node (validation, Cells,
-// ComputeStats) stays linear in the arena.
+// 364 547 nodes share 11 643. Relayout lays the arena out in two regions.
+// The top region holds, breadth-first, every face root and every node with
+// a child: each stores its palette, and its code block unless an equal block
+// of its code width is stored there already, which it then names (18 865
+// words on the census map). The leaf region holds the leaves' distinct code
+// blocks and palettes — 24 807 of them on the census map — as one greedy
+// superstring of words: a short palette that occurs inside a longer one is
+// named there, and the rest are chained so that each block starts where the
+// words ending the one before it agree with its own (54 % of the code words
+// repeat one code, 24 % are zero). That packs the arena into 212 541 words,
+// where storing each distinct block whole took 237 707. A child
+// entry names any palette offset and any code-block end, so a leaf's two
+// blocks may lie anywhere in that region, overlap each other or other
+// leaves' blocks, and a lookup reads them exactly as it reads a node of the
+// top region. A palette that holds a child entry, and a face root's palette,
+// is never shared, so nodes still form a tree apart from identical leaves
+// (two slots of one node may name one), and a walk over every node
+// (validation, Cells, ComputeStats) stays linear in the arena.
 //
 // Child references are word offsets into one flat node arena rather than raw
 // pointers — the same 8-byte entries as the paper's implementation, minus

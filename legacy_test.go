@@ -1,8 +1,8 @@
 package act
 
-// Index files of versions 7 and 8 — the layout before nodes shared code
-// blocks and palettes — still load through every path, serve what a fresh
-// build serves, and write back the file the build writes (version 9 or 10).
+// Index files of versions 7 to 10 — the layouts before the leaf region was
+// packed — still load through every path, serve what a fresh build serves,
+// and write back the file the build writes (version 11 or 12).
 
 import (
 	"bytes"
@@ -19,13 +19,11 @@ import (
 // written as index version 8 by the last release that wrote it.
 const legacySparseFile = "testdata/census40-sparse-v8.act"
 
-// buildLegacyTwin builds the index legacySparseFile was written from.
+// buildLegacyTwin builds the index legacySparseFile and
+// testdata/census40-sparse-v10.act were written from.
 func buildLegacyTwin(t *testing.T) *Index {
 	t.Helper()
-	ix, err := New(mustCensus40(t).Polygons, WithPrecision(1000), WithGrid(CubeFaceGrid), WithDeltaThreshold(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := buildLegacyDenseTwin(t)
 	ctx := context.Background()
 	for _, id := range []uint32{5, 12, 30} {
 		if err := ix.Remove(ctx, id); err != nil {
@@ -38,48 +36,89 @@ func buildLegacyTwin(t *testing.T) *Index {
 	return ix
 }
 
-// TestLegacyUnsharedArenaLoads loads the version 8 file through ReadIndex,
-// OpenIndex (mapped and through its heap source), OpenFollower and, as the
-// checkpoint of a WAL directory, Recover followed by inserts and a
-// checkpoint: every lookup equals a fresh build's, and every file written
-// back is the build's version 10 file byte for byte.
-func TestLegacyUnsharedArenaLoads(t *testing.T) {
-	raw, err := os.ReadFile(legacySparseFile)
+// buildLegacyDenseTwin builds the index testdata/census40-dense-v9.act was
+// written from: CubeFaceGrid census blocks as for buildLegacyTwin, nothing
+// removed.
+func buildLegacyDenseTwin(t *testing.T) *Index {
+	t.Helper()
+	ix, err := New(mustCensus40(t).Polygons, WithPrecision(1000), WithGrid(CubeFaceGrid), WithDeltaThreshold(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(raw[4:]); v != unsharedIndexVersionSparse {
-		t.Fatalf("%s is index version %d, want %d", legacySparseFile, v, unsharedIndexVersionSparse)
+	return ix
+}
+
+// TestLegacyUnsharedArenaLoads loads the version 8 file, whose arena shares
+// no blocks, as checkLegacyFile does.
+func TestLegacyUnsharedArenaLoads(t *testing.T) {
+	checkLegacyFile(t, legacySparseFile, unsharedIndexVersionSparse, buildLegacyTwin(t))
+}
+
+// TestLegacySharedArenaLoads loads a version 9 and a version 10 file, whose
+// arenas share whole blocks but pack nothing, as checkLegacyFile does; each
+// was written by the last release that wrote it.
+func TestLegacySharedArenaLoads(t *testing.T) {
+	for _, tc := range []struct {
+		file    string
+		version uint32
+		twin    func(*testing.T) *Index
+	}{
+		{"testdata/census40-dense-v9.act", sharedIndexVersion, buildLegacyDenseTwin},
+		{"testdata/census40-sparse-v10.act", sharedIndexVersionSparse, buildLegacyTwin},
+	} {
+		t.Run(filepath.Base(tc.file), func(t *testing.T) {
+			checkLegacyFile(t, tc.file, tc.version, tc.twin(t))
+		})
 	}
-	built := buildLegacyTwin(t)
+}
+
+// checkLegacyFile loads an index file of an older version through
+// ReadIndex, OpenIndex (mapped and through its heap source), OpenFollower
+// and, as the checkpoint of a WAL directory, Recover followed by inserts and
+// a checkpoint: every lookup equals the one of built, the index the file was
+// written from, and every file written back is built's file, of today's
+// version, byte for byte.
+func checkLegacyFile(t *testing.T, file string, version uint32, built *Index) {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[4:]); v != version {
+		t.Fatalf("%s is index version %d, want %d", file, v, version)
+	}
 	var want bytes.Buffer
 	if _, err := built.WriteTo(&want); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(want.Bytes()[4:]); v != indexVersionSparse {
-		t.Fatalf("the build writes index version %d, want %d", v, indexVersionSparse)
+	today := uint32(indexVersion)
+	if version%2 == 0 {
+		today = indexVersionSparse
+	}
+	if v := binary.LittleEndian.Uint32(want.Bytes()[4:]); v != today {
+		t.Fatalf("the build writes index version %d, want %d", v, today)
 	}
 	if want.Len() >= len(raw) {
-		t.Errorf("the build's file (%d bytes) is not smaller than the unshared one (%d)", want.Len(), len(raw))
+		t.Errorf("the build's file (%d bytes) is not smaller than the version %d one (%d)", want.Len(), version, len(raw))
 	}
 
 	read, err := ReadIndex(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("ReadIndex: %v", err)
 	}
-	mapped, err := OpenIndex(legacySparseFile)
+	mapped, err := OpenIndex(file)
 	if err != nil {
 		t.Fatalf("OpenIndex: %v", err)
 	}
 	defer mapped.Close()
 	if mapped.Mapped() {
-		t.Error("an unshared arena is relaid out onto the heap, yet Mapped reports the mapping")
+		t.Errorf("a version %d arena is relaid out onto the heap, yet Mapped reports the mapping", version)
 	}
-	heap, err := openHeap(legacySparseFile)
+	heap, err := openHeap(file)
 	if err != nil {
 		t.Fatalf("OpenIndex's heap source: %v", err)
 	}
-	follower, err := OpenFollower(legacySparseFile)
+	follower, err := OpenFollower(file)
 	if err != nil {
 		t.Fatalf("OpenFollower: %v", err)
 	}

@@ -18,13 +18,13 @@ import (
 	"github.com/actindex/act/internal/supercover"
 )
 
-// Index serialization, versions 9 and 10 — the flat, mmap-servable layout
+// Index serialization, versions 11 and 12 — the flat, mmap-servable layout
 // (little endian throughout):
 //
 //	offset 0:    header, 264 bytes
 //	  magic     "ACTX"          4 bytes
-//	  version   uint32          9 (dense ids) or 10 (sparse ids); 7 and 8
-//	                            are read too
+//	  version   uint32          11 (dense ids) or 12 (sparse ids); 7 to
+//	                            10 are read too
 //	  gridKind  uint32
 //	  flags     uint32          bit 0: a geometry section follows the table
 //	  fanout    uint32
@@ -48,9 +48,10 @@ import (
 //	  headerCRC uint64          CRC-64/ECMA of header bytes [0, 256)
 //	zero padding to arenaOff
 //	arenaOff:  node arena       palette-coded nodes' code blocks and
-//	                            palettes (see internal/core), canonical
-//	                            BFS order, repeated code blocks and leaf
-//	                            palettes stored once
+//	                            palettes (see internal/core) in core's
+//	                            packed layout: roots and nodes with
+//	                            children breadth-first, then the leaves'
+//	                            distinct blocks as one word superstring
 //	tableOff:  lookup table     tableLen × uint32
 //	idsOff:    id column        sparse only: numPolys × uint32, strictly
 //	                            ascending live polygon ids, 8-aligned after
@@ -62,23 +63,25 @@ import (
 //	                            filling [geomOff, fileSize) exactly — present
 //	                            only when flag set
 //
-// Version 9 describes a dense id space: numPolys polygons with implicit
-// ids 0..numPolys-1. Version 10 adds sparse id spaces — the id column names
+// Version 11 describes a dense id space: numPolys polygons with implicit
+// ids 0..numPolys-1. Version 12 adds sparse id spaces — the id column names
 // the live ids explicitly, idSpace records how many ids were ever assigned
 // — so a compacted index whose removals left permanent holes serializes.
-// WriteTo picks the lowest version that can represent the index (v9 when
-// dense, v10 when sparse); the geometry section stays dense either way,
+// WriteTo picks the lowest version that can represent the index (v11 when
+// dense, v12 when sparse); the geometry section stays dense either way,
 // storing the live polygons in id-column order and remapped to their
 // sparse ids at load. The arenaCRC of a sparse file also covers the id
 // column (not the alignment padding around it).
 //
-// Versions 7 and 8 are versions 9 and 10 over an arena that shares no
-// blocks: every node stores its own code block, right before its own
-// palette, so each of their child entries is a version 9 entry with a zero
-// code-block distance. The decoder still reads them, validating the arena
-// under that rule and relaying it out onto the heap — a mapped v7/v8 file
-// is served from the heap — so WriteTo then writes the v9/v10 file New
-// would.
+// Versions 7 to 10 are versions 11 and 12 over the trie layouts before
+// this one (odd versions dense, even ones sparse): 9 and 10 store the
+// shared layout — every node breadth-first, a repeated code block or leaf
+// palette named where it was stored first, nothing packed — and 7 and 8
+// the unshared one, where every node stores its own code block right
+// before its own palette. The decoder still reads them: core.TrieFromFlat
+// validates the arena against that layout's Relayout and relays it out,
+// packed, onto the heap — a mapped v7–v10 file is served from the heap —
+// so WriteTo then writes the v11/v12 file New would.
 //
 // The arena starts on a page boundary and its words are stored exactly as
 // the trie serves them in memory, so OpenIndex can map the file and alias
@@ -106,10 +109,13 @@ const (
 	indexMagic = "ACTX"
 	// indexVersion is the dense flat format; indexVersionSparse the flat
 	// format with an explicit id column. WriteTo emits the lowest version
-	// that represents the index. The unshared versions are the same two
-	// over an arena that shares no blocks, read but no longer written.
-	indexVersion               = 9
-	indexVersionSparse         = 10
+	// that represents the index. The shared and unshared versions are the
+	// same two over the arena layouts before this one (see layoutOf), read
+	// but no longer written.
+	indexVersion               = 11
+	indexVersionSparse         = 12
+	sharedIndexVersion         = 9
+	sharedIndexVersionSparse   = 10
 	unsharedIndexVersion       = 7
 	unsharedIndexVersionSparse = 8
 
@@ -140,7 +146,7 @@ var ErrPendingMutations = errors.New("act: index has uncompacted mutations; Comp
 
 var flatCRCTable = crc64.MakeTable(crc64.ECMA)
 
-// flatHeader is the parsed 264-byte flat header (versions 7 to 10).
+// flatHeader is the parsed 264-byte flat header (versions 7 to 12).
 type flatHeader struct {
 	version   uint32
 	idSpace   uint64 // ids ever assigned; == numPolys when dense
@@ -166,9 +172,20 @@ type flatHeader struct {
 // tableEnd returns the byte offset one past the lookup table.
 func (h *flatHeader) tableEnd() uint64 { return h.tableOff + h.tableLen*4 }
 
-// sparse reports whether the file carries an id column (versions 8 and 10).
-func (h *flatHeader) sparse() bool {
-	return h.version == indexVersionSparse || h.version == unsharedIndexVersionSparse
+// sparse reports whether the file carries an id column (versions 8, 10 and
+// 12: the even ones).
+func (h *flatHeader) sparse() bool { return h.version%2 == 0 }
+
+// layoutOf returns the trie arena layout a file version stores.
+func layoutOf(version uint32) core.Layout {
+	switch version {
+	case unsharedIndexVersion, unsharedIndexVersionSparse:
+		return core.Unshared
+	case sharedIndexVersion, sharedIndexVersionSparse:
+		return core.Shared
+	default:
+		return core.Packed
+	}
 }
 
 // idsOff returns the byte offset of the sparse id column (8-aligned past the
@@ -227,7 +244,7 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 }
 
 // parseHeader parses the header at the start of a file image. Magic and
-// version come first, so anything but a flat v7–v10 file is refused before
+// version come first, so anything but a flat v7–v12 file is refused before
 // a further byte is interpreted, even one too short to hold a header.
 func parseHeader(b []byte) (*flatHeader, error) {
 	if len(b) < 8 {
@@ -245,7 +262,7 @@ func parseHeader(b []byte) (*flatHeader, error) {
 	return decodeFlatHeader((*[flatHeaderSize]byte)(b))
 }
 
-// decodeFlatHeader parses and cross-validates a flat header (v7 to v10)
+// decodeFlatHeader parses and cross-validates a flat header (v7 to v12)
 // whose magic and version bytes are already verified. Every offset
 // relationship the layout promises is checked here, so the decoder can
 // trust the header's geometry of the file afterwards — all that remains is
@@ -303,11 +320,13 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 		// count slices.
 		return nil, fmt.Errorf("act: implausible polygon count %d", h.numPolys)
 	}
-	switch h.version {
-	case indexVersion, unsharedIndexVersion:
+	switch {
+	case h.version < unsharedIndexVersion || h.version > indexVersionSparse:
+		return nil, fmt.Errorf("act: unsupported flat index version %d", h.version)
+	case !h.sparse():
 		// Dense: the id space is the polygon count, ids implicit.
 		h.idSpace = h.numPolys
-	case indexVersionSparse, unsharedIndexVersionSparse:
+	default:
 		h.idSpace = uint64(le.Uint32(buf[20:]))
 		if h.idSpace > 1<<30 {
 			return nil, fmt.Errorf("act: implausible id space %d", h.idSpace)
@@ -315,8 +334,6 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 		if h.numPolys > h.idSpace {
 			return nil, fmt.Errorf("act: %d live polygons exceed id space %d", h.numPolys, h.idSpace)
 		}
-	default:
-		return nil, fmt.Errorf("act: unsupported flat index version %d", h.version)
 	}
 	if h.arenaOff != flatPageSize {
 		return nil, fmt.Errorf("act: arena offset %d is not the page boundary %d", h.arenaOff, flatPageSize)
@@ -361,9 +378,9 @@ func writeZeros(w io.Writer, n int64) error {
 //
 // Only compacted indexes serialize: WriteTo reports ErrPendingMutations
 // while uncompacted mutations exist. A dense index (no removals, or none
-// that left holes) writes the v9 format; an index whose removals left
+// that left holes) writes the v11 format; an index whose removals left
 // permanent holes in the id space (ids are stable forever, so holes never
-// close) writes v10, which carries an explicit id column.
+// close) writes v12, which carries an explicit id column.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	ep := ix.live.Load()
 	if ep.ov != nil {
@@ -372,9 +389,9 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return ix.writeFlat(w, ep)
 }
 
-// writeFlat serializes one compacted epoch in the flat layout: v9 while its
-// id space is dense, v10 otherwise — with the strictly ascending column of
-// live polygon ids and the number of ids ever assigned. The v10 geometry
+// writeFlat serializes one compacted epoch in the flat layout: v11 while its
+// id space is dense, v12 otherwise — with the strictly ascending column of
+// live polygon ids and the number of ids ever assigned. The v12 geometry
 // section stays a dense geostore blob holding the live polygons in
 // id-column order; the loader remaps them to their sparse ids.
 func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
@@ -637,7 +654,7 @@ func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 
 // assembleFlat builds a servable Index from a validated flat header and the
 // sections decodeImage took from a file image: the trie words, aliasing the
-// image or decoded from it (a v7/v8 arena is relaid out onto the heap); ids,
+// image or decoded from it (a v7–v10 arena is relaid out onto the heap); ids,
 // the decoded sparse id column (nil when dense); and
 // geomSec, the bytes [geomOff, fileSize) when the header declares a
 // geometry section. The cross-section consistency checks (trie structure,
@@ -650,7 +667,7 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 		Prefixes: h.prefixes,
 		Nodes:    nodes,
 		Table:    table,
-		Unshared: h.version < indexVersion,
+		Layout:   layoutOf(h.version),
 	})
 	if err != nil {
 		return nil, err
