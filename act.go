@@ -379,18 +379,37 @@ func each(n int, one func(i int) error) error {
 // pipeline keeps geometry) the geometry store.
 func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	stats := BuildStats{NumPolygons: len(polygons)}
-
-	// Phase 1: individual coverings, parallelized over polygons.
-	start := time.Now()
-	covs := make([]*cover.Covering, len(polygons))
 	projected := make([]*geom.Polygon, len(polygons))
 	faces := make([]uint8, len(polygons))
-	err := each(len(polygons), func(i int) error {
+	covs, err := coverAll(len(polygons), &stats, func(i int) (*cover.Covering, error) {
 		cov, face, poly, err := pl.cover(polygons[i])
-		if err != nil {
+		faces[i], projected[i] = uint8(face), poly
+		return cov, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	trie, err := pl.merge(nil, covs, &stats)
+	if err != nil {
+		return nil, err
+	}
+	var store *geostore.Store
+	if pl.hasGeom {
+		store = geostore.NewSparse(projected, faces)
+	}
+	return &epoch{trie: trie, store: store, stats: stats, alive: denseAlive(len(polygons)), live: len(polygons)}, nil
+}
+
+// coverAll is the first phase of a build: the n coverings one computes, on
+// up to GOMAXPROCS goroutines. It records their worst achieved precision and
+// the phase's time in stats.
+func coverAll(n int, stats *BuildStats, one func(i int) (*cover.Covering, error)) ([]*cover.Covering, error) {
+	start := time.Now()
+	covs := make([]*cover.Covering, n)
+	err := each(n, func(i int) (err error) {
+		if covs[i], err = one(i); err != nil {
 			return fmt.Errorf("act: covering polygon %d: %w", i, err)
 		}
-		covs[i], faces[i], projected[i] = cov, uint8(face), poly
 		return nil
 	})
 	if err != nil {
@@ -400,29 +419,28 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 		stats.AchievedPrecisionMeters = max(stats.AchievedPrecisionMeters, cov.AchievedPrecisionMeters)
 	}
 	stats.CoverDuration = time.Since(start)
+	return covs, nil
+}
 
-	// Phase 2: the serial sort of the super-covering merge's input.
-	start = time.Now()
+// merge runs the rest of a build over the coverings of the polygons ids
+// names, ascending (polygon i's at covs[i] when ids is nil): the serial sort
+// of the super-covering merge's input, then the merge streamed into trie
+// construction.
+func (pl *pipeline) merge(ids []uint32, covs []*cover.Covering, stats *BuildStats) (*core.Trie, error) {
+	start := time.Now()
 	var scb supercover.Builder
 	for i, cov := range covs {
-		if err := scb.Add(uint32(i), cov); err != nil {
-			return nil, fmt.Errorf("act: merging polygon %d: %w", i, err)
+		id := uint32(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		if err := scb.Add(id, cov); err != nil {
+			return nil, fmt.Errorf("act: merging polygon %d: %w", id, err)
 		}
 	}
 	sorted := scb.Sort()
 	stats.MergeDuration = time.Since(start)
-
-	// Phase 3: the merge streamed into trie construction, and the exact
-	// geometry for candidate refinement unless the caller opted out.
-	trie, err := pl.trie(sorted, &stats)
-	if err != nil {
-		return nil, err
-	}
-	var store *geostore.Store
-	if pl.hasGeom {
-		store = geostore.NewSparse(projected, faces)
-	}
-	return &epoch{trie: trie, store: store, stats: stats, alive: denseAlive(len(polygons)), live: len(polygons)}, nil
+	return pl.trie(sorted, stats)
 }
 
 // trie runs the merge's forward pass over its sorted input straight into the

@@ -13,9 +13,9 @@ import (
 
 // fuzzSeedIndexes builds tiny deterministic indexes (three hand-made
 // polygons, coarse precision, a few kilobytes serialized) whose byte
-// streams seed the deserialization fuzzer: per grid kind, version 11 with
+// streams seed the deserialization fuzzer: per grid kind, version 13 with
 // geometry and approximate-only, and — one polygon removed and compacted
-// away — version 12 with its id column, with geometry and approximate-only.
+// away — version 14 with its id column, with geometry and approximate-only.
 func fuzzSeedIndexes(t testing.TB) [][]byte {
 	t.Helper()
 	polys := []*Polygon{
@@ -59,8 +59,7 @@ func fuzzSeedIndexes(t testing.TB) [][]byte {
 // stream it accepts again, byte-identically (serialize → deserialize →
 // serialize is a fixed point). The image it accepted must decode under the
 // mapped policy too, without the arena checksum, into the same index. The
-// seeds' arenas are packed; the version 8 file's, the last seed, shares
-// nothing.
+// last seed is a version 8 file, whose trie is rebuilt from its geometry.
 func FuzzDeserialize(f *testing.F) {
 	for _, seed := range fuzzSeedIndexes(f) {
 		f.Add(seed)

@@ -100,8 +100,9 @@ func sameGeometry(t *testing.T, tag string, a, b *geostore.Store) {
 // TestGeometryV1Compat loads each file with an older geometry section
 // through ReadIndex, OpenIndex, OpenFollower and, as the checkpoint of a WAL
 // directory, Recover: each decodes the coordinates a fresh build holds,
-// keeps or (version 1) takes from the trie the faces, and writes the file
-// back as the build does, with the current section version.
+// keeps the faces or (version 1) puts every polygon on the one face with a
+// root, and writes the file back as the build does, with the current
+// section version.
 func TestGeometryV1Compat(t *testing.T) {
 	for _, cf := range compatFiles {
 		t.Run(fmt.Sprintf("v%d", cf.version), func(t *testing.T) {

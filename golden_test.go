@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math"
+	"math/bits"
 	"testing"
 
 	"github.com/actindex/act/internal/cellid"
@@ -23,14 +24,15 @@ import (
 // index, for the two maps the repository benchmark builds, at its ε. The
 // table hashes were recorded on the commit before the merge became a radix
 // sort and a forward pass and the coverer stopped measuring every cell. The
-// arena hashes were re-recorded when the leaf region came to be packed as a
-// word superstring (405 064 and 351 992 bytes); shared pins the hashes the
-// arenas had before (488 024 and 426 368 bytes), which the trie, laid out in
-// that layout again, must still reproduce, and unshared the hashes of the
-// layout before that (705 712 and 623 256 bytes) — packing and sharing moved
-// blocks, they changed no node. Those were recorded when nodes became
-// palette-coded (from 1 802 872 and 1 620 136 run-compressed bytes), and they
-// equal the hashes of the run-compressed arenas palette-coded node by node. The geometry hashes
+// arena hashes were re-recorded when every node came to be coded at the
+// narrowest width its palette needs (377 368 and 330 136 bytes, from 405 064 and
+// 351 992 at widths of 1, 2, 4 or 8 bits). unshared pins the hashes of the
+// arenas of index versions 7 and 8 (705 712 and 623 256 bytes), which the
+// trie, coded at those widths and laid out that way again, must still
+// reproduce — sharing, packing and the exact widths changed no node's
+// palette or codes. They were recorded when nodes became palette-coded (from
+// 1 802 872 and 1 620 136 run-compressed bytes), and they equal the hashes
+// of the run-compressed arenas palette-coded node by node. The geometry hashes
 // were re-recorded when the section became version 3 (each shared vertex
 // stored once: 133 356 and 117 276 bytes, from 220 347 and 189 742 in
 // version 2 and 498 072 and 427 536 in version 1); v2 and v1 pin the hashes
@@ -41,9 +43,9 @@ import (
 func TestBuildGolden(t *testing.T) {
 	const eps = 60
 	cases := []struct {
-		name                                          string
-		set                                           func() (*data.PolygonSet, error)
-		arena, shared, unshared, table, store, v2, v1 string
+		name                                  string
+		set                                   func() (*data.PolygonSet, error)
+		arena, unshared, table, store, v2, v1 string
 		// achieved is the largest boundary-cell diagonal, measured cell by
 		// cell.
 		achieved float64
@@ -51,8 +53,7 @@ func TestBuildGolden(t *testing.T) {
 		{
 			name:     "census-400",
 			set:      func() (*data.PolygonSet, error) { return data.CensusBlocks(1, 400) },
-			arena:    "58cc7591d0c16c1695aa0f31c525906c10d2558792f022089e4f26ce519f03c4",
-			shared:   "a00c1128569f5bbd547ee4734fd1a3e47bc445a229eb875c00a53e1eb63d0978",
+			arena:    "c98df97861c2dad49b8ef6306ebd66f3ac713022005be9a8bef242e8105c2d1f",
 			unshared: "93cd78fc26f3f3e6b83f72dbc89812a69caa5c8ac91678928f87ad4d077077e9",
 			table:    "8d158e1f09fa3b471b3b04ccaa560cde29b3e1e754c68399bbf62e20e58f7925",
 			store:    "edd314e1b5eee602be5ebfd2a069fa58f5bd075364adf1030b7a0a7e878cd128",
@@ -63,8 +64,7 @@ func TestBuildGolden(t *testing.T) {
 		{
 			name:     "neighborhoods",
 			set:      func() (*data.PolygonSet, error) { return data.Neighborhoods(1) },
-			arena:    "15d06c77f85306427ecbdf81aa30632eb532332542290a73fb5277fe286b2a02",
-			shared:   "66a4e0759375e4d763daef1b0083a8f4d3d40fdcf04447178a10f0d6f284a15a",
+			arena:    "8da878350a4a6f2ddc25f499c9e67be5c8b8ce3f440b6705a04308040f61c827",
 			unshared: "a6a3ebab174343aa58067b9e063e56ff67449bc5ae3d209c489dad56d2d4d9ea",
 			table:    "08b72f8ac03077d845c8a2d8843d59a3626dc28fa12cdb57bd32eba1b96a78cb",
 			store:    "e3669a1fac9436d0dfebd4b19b862d10157ae1e14f0155c5b0f2743858b9e908",
@@ -106,11 +106,6 @@ func TestBuildGolden(t *testing.T) {
 					t.Errorf("%s (%d bytes): sha256 %s, want %s", sec.name, sec.to-sec.from, got, sec.want)
 				}
 			}
-			shared := *ix.live.Load().trie
-			shared.Relayout(core.Shared)
-			if sum := sha256.Sum256(wordBytes(shared.Flat().Nodes)); hex.EncodeToString(sum[:]) != tc.shared {
-				t.Errorf("trie arena laid out as index versions 9 and 10 stored it: sha256 %x, want %s", sum, tc.shared)
-			}
 			unshared := arenaUnshared(ix.live.Load().trie.Flat())
 			if sum := sha256.Sum256(unshared); hex.EncodeToString(sum[:]) != tc.unshared {
 				t.Errorf("trie arena laid out without sharing (%d bytes): sha256 %x, want %s", len(unshared), sum, tc.unshared)
@@ -138,21 +133,31 @@ func TestBuildGolden(t *testing.T) {
 
 // arenaUnshared lays a trie's arena out as index versions 7 and 8 stored it
 // — breadth-first, every node storing its own code block right before its
-// own palette — which only the loaders still read, and returns its bytes.
+// own palette, its codes 1, 2, 4 or 8 bits wide, the narrowest of those that
+// numbers its palette, and the entry naming it holding log2 of that width in
+// bits 2–3 and its palette offset from bit 4 — and returns its bytes.
 func arenaUnshared(f core.Flat) []byte {
 	fanout := uint64(f.Fanout)
 	out := make([]uint64, (fanout+63)/64+1) // the sentinel
 	type placed struct{ pal, d uint64 }
 	var queue []placed
 	place := func(e uint64) uint64 {
-		pal, lw := e>>4&(1<<30-1), e>>2&3
+		pal, w := e>>5&(1<<29-1), e>>2&7+1
 		end := pal + uint64(int64(e)>>34)
+		code := func(i uint64) uint64 { // slot i's code
+			bit := i * w
+			k, s := end-1-bit>>6, bit&63
+			return (f.Nodes[k]>>s | f.Nodes[k-1]<<1<<(^s&63)) & (1<<w - 1)
+		}
+		lw := uint64(bits.Len64(w - 1))
+		block := make([]uint64, (fanout<<lw+63)/64)
 		top := uint64(0) // the largest code
 		for i := range fanout {
+			top = max(top, code(i))
 			bit := i << lw
-			top = max(top, f.Nodes[end-1-bit>>6]>>(bit&63)&(1<<(1<<lw)-1))
+			block[uint64(len(block))-1-bit>>6] |= code(i) << (bit & 63)
 		}
-		out = append(out, f.Nodes[end-(fanout<<lw+63)/64:end]...)
+		out = append(out, block...)
 		at := uint64(len(out))
 		queue = append(queue, placed{at, top + 1})
 		out = append(out, f.Nodes[pal:pal+top+1]...)

@@ -43,7 +43,7 @@ func Build(src Source, cfg Config) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Relayout(Packed)
+	t.Relayout()
 	return t, nil
 }
 
@@ -262,19 +262,31 @@ func appendNode(arena, slots []uint64) ([]uint64, uint64) {
 		}
 		codes[i] = uint8(c)
 	}
-	lw := codeWidth(d)
-	w, per := uint64(1)<<lw, min(64>>lw, len(slots)) // code width, codes per word
-	arena = append(arena, make([]uint64, codeWords(len(slots), lw))...)
+	w := codeWidth(d)
+	arena = append(arena, make([]uint64, codeWords(len(slots), w))...)
 	pal := uint64(len(arena))
-	for i, k := 0, pal-1; i < len(slots); i, k = i+per, k-1 {
-		var word uint64
-		for j := i + per - 1; j >= i; j-- {
-			word = word<<(w&63) | uint64(codes[j])
-		}
-		arena[k] = word
-	}
+	putCodes(arena[pal-codeWords(len(slots), w):pal], codes[:len(slots)], w)
 	arena = append(arena, palette[:d]...)
-	return arena, childEntry(pal, pal, lw)
+	return arena, childEntry(pal, pal, w)
+}
+
+// putCodes writes codes, w bits each, into the code block: slot i's code at
+// bit i·w of the code stream, which runs from the block's last word down, a
+// code that does not fit a word straddling into the word below.
+func putCodes(block []uint64, codes []uint8, w uint64) {
+	k := len(block) - 1
+	var word, n uint64 // the word being filled, and its bits filled
+	for _, c := range codes {
+		word |= uint64(c) << n
+		if n += w; n >= 64 {
+			block[k], k = word, k-1
+			n -= 64
+			word = uint64(c) >> (w - n) // the bits past the word, none if n is 0
+		}
+	}
+	if n > 0 {
+		block[k] = word
+	}
 }
 
 // encodeRefs produces the tagged entry value for a reference set: inlined

@@ -104,9 +104,9 @@ func slotLeaves(d *denseTrie) []cellid.ID {
 // TestBuildMatchesDenseReference builds every covering with the streaming
 // palette-coding builder and with the dense reference builder, at every
 // fanout with inlining on and off, and demands that the two agree on
-// everything observable: the arena in the shared layout (the reference's,
-// palette-coded and laid out by its own means, word for word), which loads
-// into Build's packed arena, roots and lookup table; Lookup, AppendRefs and
+// everything observable: the flat form (the reference's, palette-coded and
+// laid out node by node in its breadth-first numbering, word for word),
+// which loads, roots and lookup table; Lookup, AppendRefs and
 // LookupCounting's access count for a leaf in every slot of every node plus
 // misses of every kind; LookupBatch over the same leaves in slot order and
 // shuffled; and the Cells enumeration, in order.
@@ -117,103 +117,110 @@ func TestBuildMatchesDenseReference(t *testing.T) {
 			for _, noInline := range []bool{false, true} {
 				cfg := Config{Fanout: fanout, DisableInlining: noInline}
 				t.Run(fmt.Sprintf("%s/fanout-%d/noinline-%v", name, fanout, noInline), func(t *testing.T) {
-					ref, err := buildDense(sc, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					trie, err := Build(sc, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := ref.flat()
-					if got := relaid(trie, Shared).Flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots ||
-						!slices.Equal(got.Table, want.Table) || got.Skips != want.Skips || got.Prefixes != want.Prefixes {
-						t.Fatalf("shared flat form differs from the palette-coded reference (%d vs %d arena words)", len(got.Nodes), len(want.Nodes))
-					}
-					want.Layout = Shared
-					if loaded, err := TrieFromFlat(want); err != nil {
-						t.Fatalf("the reference's shared flat form rejected: %v", err)
-					} else if loaded.roots != trie.roots || !slices.Equal(loaded.nodes, trie.nodes) {
-						t.Fatalf("loading the reference's shared flat form does not yield Build's packed arena")
-					}
-					st := trie.ComputeStats()
-					if got, want := st.NumNodes, len(ref.nodes)/fanout-1; got != want {
-						t.Errorf("NumNodes = %d, reference has %d", got, want)
-					}
-					if nodes, trieBytes, tableBytes := trie.Size(); nodes != st.NumNodes || trieBytes != st.TrieBytes || tableBytes != st.TableBytes {
-						t.Errorf("Size() = %d nodes, %d + %d bytes; ComputeStats says %d, %d + %d", nodes, trieBytes, tableBytes, st.NumNodes, st.TrieBytes, st.TableBytes)
-					}
-					if loaded, err := TrieFromFlat(trie.Flat()); err != nil {
-						t.Fatal(err)
-					} else if nodes, _, _ := loaded.Size(); nodes != st.NumNodes {
-						t.Errorf("the loaded trie's Size() counts %d nodes, ComputeStats %d", nodes, st.NumNodes)
-					}
-
-					leaves := slotLeaves(ref)
-					rng := rand.New(rand.NewSource(int64(len(leaves))))
-					leaves = append(leaves, probeMix(rng, sc)[2*sc.NumCells():]...) // random leaves: misses, prefix mismatches, empty faces
-					leaves = append(leaves, fuzzStream...)
-
-					wantRes := make([]Result, len(leaves))
-					wantHit := make([]bool, len(leaves))
-					var res Result
-					for i, leaf := range leaves {
-						matches, hit, accesses := ref.lookup(leaf, &wantRes[i])
-						wantHit[i] = hit
-						res.Reset()
-						if got := trie.Lookup(leaf, &res); got != hit || !res.Equal(&wantRes[i]) {
-							t.Fatalf("leaf %v: Lookup = %v %+v, reference %v %+v", leaf, got, res, hit, wantRes[i])
-						}
-						if got := trie.AppendRefs(leaf, nil); !slices.Equal(got, matches) {
-							t.Fatalf("leaf %v: AppendRefs = %v, reference %v", leaf, got, matches)
-						}
-						res.Reset()
-						if got, n := trie.LookupCounting(leaf, &res); got != hit || n != accesses || !res.Equal(&wantRes[i]) {
-							t.Fatalf("leaf %v: LookupCounting = %v after %d accesses, reference %v after %d", leaf, got, n, hit, accesses)
-						}
-					}
-
-					order := make([]int, len(leaves))
-					for i := range order {
-						order[i] = i
-					}
-					for pass := 0; pass < 2; pass++ {
-						batch := make([]cellid.ID, len(order))
-						for i, j := range order {
-							batch[i] = leaves[j]
-						}
-						calls := 0
-						trie.LookupBatch(batch, &res, func(i int, hit bool) {
-							if i != calls {
-								t.Fatalf("LookupBatch: emit %d out of order, want %d", i, calls)
-							}
-							calls++
-							if j := order[i]; hit != wantHit[j] || !res.Equal(&wantRes[j]) {
-								t.Fatalf("LookupBatch leaf %v: %v %+v, reference %v %+v", batch[i], hit, res, wantHit[j], wantRes[j])
-							}
-						})
-						if calls != len(batch) {
-							t.Fatalf("LookupBatch: %d emits for %d leaves", calls, len(batch))
-						}
-						rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-					}
-
-					wantCells := ref.cells()
-					n := 0
-					err = trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
-						if n >= len(wantCells) || cell != wantCells[n].cell || !slices.Equal(refs, wantCells[n].refs) {
-							t.Fatalf("Cells[%d] = %v %v, reference enumerates %d cells and has %+v there", n, cell, refs, len(wantCells), wantCells[min(n, len(wantCells)-1)])
-						}
-						n++
-						return nil
-					})
-					if err != nil || n != len(wantCells) {
-						t.Fatalf("Cells visited %d of the reference's %d cells: %v", n, len(wantCells), err)
-					}
+					checkAgainstReference(t, sc, cfg, fuzzStream)
 				})
 			}
 		}
 	}
+}
+
+// checkAgainstReference builds sc with Build and with the dense reference
+// under cfg and demands that the two agree on everything observable (see
+// TestBuildMatchesDenseReference), probing extra leaves besides. It returns
+// Build's trie.
+func checkAgainstReference(t *testing.T, sc *supercover.SuperCovering, cfg Config, extra []cellid.ID) *Trie {
+	t.Helper()
+	ref, err := buildDense(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trie, err := Build(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.flat()
+	if got := trie.Flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots ||
+		!slices.Equal(got.Table, want.Table) || got.Skips != want.Skips || got.Prefixes != want.Prefixes {
+		t.Fatalf("flat form differs from the palette-coded reference (%d vs %d arena words)", len(got.Nodes), len(want.Nodes))
+	}
+	if _, err := TrieFromFlat(want); err != nil {
+		t.Fatalf("the reference's flat form rejected: %v", err)
+	}
+	st := trie.ComputeStats()
+	if got, want := st.NumNodes, len(ref.nodes)/cfg.Fanout-1; got != want {
+		t.Errorf("NumNodes = %d, reference has %d", got, want)
+	}
+	if nodes, trieBytes, tableBytes := trie.Size(); nodes != st.NumNodes || trieBytes != st.TrieBytes || tableBytes != st.TableBytes {
+		t.Errorf("Size() = %d nodes, %d + %d bytes; ComputeStats says %d, %d + %d", nodes, trieBytes, tableBytes, st.NumNodes, st.TrieBytes, st.TableBytes)
+	}
+	if loaded, err := TrieFromFlat(trie.Flat()); err != nil {
+		t.Fatal(err)
+	} else if nodes, _, _ := loaded.Size(); nodes != st.NumNodes {
+		t.Errorf("the loaded trie's Size() counts %d nodes, ComputeStats %d", nodes, st.NumNodes)
+	}
+
+	leaves := slotLeaves(ref)
+	rng := rand.New(rand.NewSource(int64(len(leaves))))
+	leaves = append(leaves, probeMix(rng, sc)[2*sc.NumCells():]...) // random leaves: misses, prefix mismatches, empty faces
+	leaves = append(leaves, extra...)
+
+	wantRes := make([]Result, len(leaves))
+	wantHit := make([]bool, len(leaves))
+	var res Result
+	for i, leaf := range leaves {
+		matches, hit, accesses := ref.lookup(leaf, &wantRes[i])
+		wantHit[i] = hit
+		res.Reset()
+		if got := trie.Lookup(leaf, &res); got != hit || !res.Equal(&wantRes[i]) {
+			t.Fatalf("leaf %v: Lookup = %v %+v, reference %v %+v", leaf, got, res, hit, wantRes[i])
+		}
+		if got := trie.AppendRefs(leaf, nil); !slices.Equal(got, matches) {
+			t.Fatalf("leaf %v: AppendRefs = %v, reference %v", leaf, got, matches)
+		}
+		res.Reset()
+		if got, n := trie.LookupCounting(leaf, &res); got != hit || n != accesses || !res.Equal(&wantRes[i]) {
+			t.Fatalf("leaf %v: LookupCounting = %v after %d accesses, reference %v after %d", leaf, got, n, hit, accesses)
+		}
+	}
+
+	order := make([]int, len(leaves))
+	for i := range order {
+		order[i] = i
+	}
+	for pass := 0; pass < 2; pass++ {
+		batch := make([]cellid.ID, len(order))
+		for i, j := range order {
+			batch[i] = leaves[j]
+		}
+		calls := 0
+		trie.LookupBatch(batch, &res, func(i int, hit bool) {
+			if i != calls {
+				t.Fatalf("LookupBatch: emit %d out of order, want %d", i, calls)
+			}
+			calls++
+			if j := order[i]; hit != wantHit[j] || !res.Equal(&wantRes[j]) {
+				t.Fatalf("LookupBatch leaf %v: %v %+v, reference %v %+v", batch[i], hit, res, wantHit[j], wantRes[j])
+			}
+		})
+		if calls != len(batch) {
+			t.Fatalf("LookupBatch: %d emits for %d leaves", calls, len(batch))
+		}
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	}
+
+	wantCells := ref.cells()
+	n := 0
+	err = trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
+		if n >= len(wantCells) || cell != wantCells[n].cell || !slices.Equal(refs, wantCells[n].refs) {
+			t.Fatalf("Cells[%d] = %v %v, reference enumerates %d cells and has %+v there", n, cell, refs, len(wantCells), wantCells[min(n, len(wantCells)-1)])
+		}
+		n++
+		return nil
+	})
+	if err != nil || n != len(wantCells) {
+		t.Fatalf("Cells visited %d of the reference's %d cells: %v", n, len(wantCells), err)
+	}
+	return trie
 }
 
 // batchFuzzSeedLeaves are the probes FuzzLookupBatch seeds its corpus
@@ -228,18 +235,18 @@ func batchFuzzSeedLeaves() []cellid.ID {
 }
 
 // TestNodeShapes builds, at every fanout, a root whose slots hold d distinct
-// entries — d = 1, 2, 3, 4, 5, 16, 17 and the fanout itself, where the
+// entries — d = 1, 2, 3, 4, 5, 16, 17, 33, 64, 65, 129 and 256, where the
 // fanout has that many slots — so that every code width a fanout can reach
 // is built: the width the root's entry carries, the node's size, its
 // palette in first-use order, every slot's lookup and the whole flat form
 // (against the dense reference's palette coding) must come out as the table
 // says.
 func TestNodeShapes(t *testing.T) {
-	wantBits := map[int]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 16: 4, 17: 8, 64: 8, 256: 8}
+	wantBits := map[int]uint64{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 16: 4, 17: 5, 33: 6, 64: 6, 65: 7, 129: 8, 256: 8}
 	for _, fanout := range fanouts {
 		level := bits.TrailingZeros(uint(fanout)) / 2 // a cell fills one root slot
-		for _, d := range []int{1, 2, 3, 4, 5, 16, 17, 64, 256} {
-			if d > fanout || d > 17 && d != fanout {
+		for _, d := range []int{1, 2, 3, 4, 5, 16, 17, 33, 64, 65, 129, 256} {
+			if d > fanout {
 				continue
 			}
 			t.Run(fmt.Sprintf("fanout-%d/d-%d", fanout, d), func(t *testing.T) {
@@ -262,7 +269,7 @@ func TestNodeShapes(t *testing.T) {
 					t.Fatal(err)
 				}
 				root := trie.roots[0]
-				if got := 1 << (root >> 2 & 3); got != wantBits[d] {
+				if got := widthOf(root); got != wantBits[d] {
 					t.Errorf("root entry %#x carries %d-bit codes, want %d", root, got, wantBits[d])
 				}
 				palette := trie.palette(root)
@@ -271,7 +278,7 @@ func TestNodeShapes(t *testing.T) {
 						t.Fatalf("palette entry %d is %#x, want polygon %d's", c, e, c)
 					}
 				}
-				words := paletteAt(trie.sentinel()) + 1 + codeWords(fanout, root>>2&3) + uint64(d)
+				words := paletteAt(trie.sentinel()) + 1 + codeWords(fanout, widthOf(root)) + uint64(d)
 				if len(palette) != d || uint64(len(trie.nodes)) != words {
 					t.Errorf("%d palette entries in a %d-word arena, want %d in %d", len(palette), len(trie.nodes), d, words)
 				}
@@ -286,7 +293,7 @@ func TestNodeShapes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := relaid(trie, Shared).Flat(), ref.flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots {
+				if got, want := trie.Flat(), ref.flat(); !slices.Equal(got.Nodes, want.Nodes) || got.Roots != want.Roots {
 					t.Errorf("flat form differs from the reference's palette coding")
 				}
 				if _, err := TrieFromFlat(trie.Flat()); err != nil {

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"slices"
 
 	"github.com/actindex/act/internal/cellid"
 )
 
 // Size bounds shared by the builder and every reader of flat trie data: a
-// child entry's 30-bit palette offset and signed 30-bit code-block distance
+// child entry's 29-bit palette offset and signed 30-bit code-block distance
 // reach every word of an arena of 2^29 words (4 GiB), and table offsets
 // beyond the 31-bit entry payload could never be addressed by a lookup.
 // Build refuses larger tries (ErrArenaLimit, ErrTableLimit); a file that
@@ -35,12 +34,6 @@ type Flat struct {
 	// each face's root, 0 for an empty face.
 	Nodes []uint64
 	Table []uint32
-	// Layout is the generation the arena is laid out in, named by the index
-	// file version: Packed (versions 11 and 12, what Build produces),
-	// Shared (9 and 10) or Unshared (7 and 8). TrieFromFlat accepts only
-	// the arena Relayout produces in that layout, and relays an older one
-	// out onto the heap, so the trie it returns is Packed.
-	Layout Layout
 }
 
 // Flat returns the trie's flat form. The returned slices alias the trie's
@@ -81,17 +74,15 @@ func (f Flat) SectionCRC() uint64 {
 }
 
 // TrieFromFlat reconstructs a servable trie from its flat form without
-// copying the arena or table (unless f's layout is an older one): the
-// returned trie aliases f.Nodes and f.Table, which may live in read-only
-// memory (a file mapping). Everything a walk depends on is validated up
-// front — fanout, skip alignment, and, in one walk (checkLayout), every
-// node (see validateStructure) and that f's arena and roots are word for
-// word those Relayout lays out in f's layout: the one arena Build produces
-// for a covering, every block reachable and where the layout puts it. After
-// a successful return, lookups never branch on anything unvalidated, so
-// even a hostile file cannot make them read outside the two slices. An
-// older layout is then relaid out packed onto the heap, into no more words
-// than the file's arena has.
+// copying the arena or table: the returned trie aliases f.Nodes and f.Table,
+// which may live in read-only memory (a file mapping). Everything a walk
+// depends on is validated up front — fanout, skip alignment, and, in one
+// walk (checkLayout), every node (see validateStructure) and that f's arena
+// and roots are word for word those Relayout lays out: the one arena Build
+// produces for a covering, every block reachable and where the layout puts
+// it. After a successful return, lookups never branch on anything
+// unvalidated, so even a hostile file cannot make them read outside the two
+// slices.
 func TrieFromFlat(f Flat) (*Trie, error) {
 	t, err := newTrie(int(f.Fanout))
 	if err != nil {
@@ -111,12 +102,8 @@ func TrieFromFlat(f Flat) (*Trie, error) {
 	if err := t.validateFrame(); err != nil {
 		return nil, err
 	}
-	if err := t.checkLayout(f.Layout); err != nil {
+	if err := t.checkLayout(); err != nil {
 		return nil, err
-	}
-	if f.Layout != Packed {
-		t.Relayout(Packed)
-		t.table = slices.Clone(t.table)
 	}
 	return t, nil
 }

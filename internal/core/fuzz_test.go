@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,8 +114,8 @@ func flatFuzzSeeds(tb testing.TB) []flatFuzzSeed {
 		flatFuzzSeed{1, []byte("junk"), []byte("junkjunkjunkjunk"), []byte("junk")})
 	shared := sharingTrie(tb).Flat()
 	dag := shared
-	dag.Nodes = []uint64{0, 0, 0b11_10_01_00, childEntry(8, 8, 0), childEntry(8, 8, 0), childEntry(10, 8, 0), childEntry(10, 8, 0),
-		0b1110, 0b101, 0, childEntry(12, 8, 0), 0, 0b10101, 0}
+	dag.Nodes = []uint64{0, 0, 0b11_10_01_00, childEntry(8, 8, 1), childEntry(8, 8, 1), childEntry(10, 8, 1), childEntry(10, 8, 1),
+		0b1110, 0b101, 0, childEntry(12, 8, 1), 0, 0b10101, 0}
 	for _, f := range []Flat{shared, dag, repeatedLeavesFlat(tb)} {
 		sel, head, nodes, table := encodeFlatFuzz(f)
 		seeds = append(seeds, flatFuzzSeed{sel, head, nodes, table})
@@ -341,11 +342,11 @@ func TestWriteFuzzCorpus(t *testing.T) {
 
 // FuzzRelayoutPacked builds a small covering clustered under one cell —
 // cells a few random quadrant digits deep, over three polygons, so leaf
-// blocks repeat and overlap — and checks the packed layout against the
-// shared one: the same Cells, and LookupBatch ≡ Lookup on the packed trie
-// with the shared trie's results; Relayout is idempotent, TrieFromFlat
-// accepts the packed trie's own flat form, and refuses it once a leaf block
-// is named at a second place its words occur.
+// blocks repeat and overlap — and checks the packed trie against the dense
+// reference (checkAgainstReference: the flat form, the same Cells, and
+// LookupBatch ≡ Lookup ≡ the reference's lookup); Relayout is idempotent,
+// and TrieFromFlat refuses the trie's flat form once a leaf block is named
+// at a second place its words occur.
 func FuzzRelayoutPacked(f *testing.F) {
 	for seed := range int64(6) {
 		f.Add(seed, uint8(seed), uint8(20+10*seed))
@@ -372,57 +373,97 @@ func FuzzRelayoutPacked(f *testing.F) {
 			}
 		}
 		sc := b.Build()
-		packed, err := Build(sc, Config{Fanout: 4 << (2 * (fanoutSel & 3))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared := relaid(packed, Shared)
-
-		type cellRefs struct {
-			cell cellid.ID
-			refs []supercover.Ref
-		}
-		enumerate := func(tr *Trie) (out []cellRefs) {
-			if err := tr.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
-				out = append(out, cellRefs{cell, slices.Clone(refs)})
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		if !slices.EqualFunc(enumerate(packed), enumerate(shared), func(a, b cellRefs) bool {
-			return a.cell == b.cell && slices.Equal(a.refs, b.refs)
-		}) {
-			t.Fatal("the packed and the shared trie enumerate different cells")
-		}
-		leaves := probeMix(rng, sc)
+		var leaves []cellid.ID
 		for range 200 {
 			leaves = append(leaves, base.RangeMin()+cellid.ID(rng.Uint64()%uint64(base.RangeMax()-base.RangeMin()+1))|1)
 		}
-		slices.Sort(leaves)
-		var res, want Result
-		packed.LookupBatch(leaves, &res, func(i int, hit bool) {
-			want.Reset()
-			if wantHit := shared.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
-				t.Fatalf("leaf %v: the packed trie's batch walk diverges from the shared trie's Lookup", leaves[i])
-			}
-			want.Reset()
-			if wantHit := packed.Lookup(leaves[i], &want); hit != wantHit || !resultEqual(&res, &want) {
-				t.Fatalf("leaf %v: the batch walk diverges from Lookup", leaves[i])
-			}
-		})
-
-		if again := relaid(packed, Packed); again.roots != packed.roots || !slices.Equal(again.nodes, packed.nodes) {
-			t.Fatal("the packed relayout is not idempotent")
-		}
-		if _, err := TrieFromFlat(packed.Flat()); err != nil {
-			t.Fatalf("own flat form rejected: %v", err)
+		packed := checkAgainstReference(t, sc, Config{Fanout: 4 << (2 * (fanoutSel & 3))}, leaves)
+		again := *packed
+		if again.Relayout(); again.roots != packed.roots || !slices.Equal(again.nodes, packed.nodes) {
+			t.Fatal("the relayout is not idempotent")
 		}
 		if moved, ok := moveLeafBlock(packed); ok {
 			if _, err := TrieFromFlat(moved); err == nil {
 				t.Fatal("a leaf block named at a second occurrence of its words was accepted")
 			}
+		}
+	})
+}
+
+// FuzzCodeWidths builds a trie whose root holds the d distinct values the
+// input asks for, a few of its slots hanging children with as many distinct
+// values as chance gives them, so that nodes reach every code width from 1
+// to 8 bits, and those of 3, 5, 6 and 7 bits have codes that straddle a
+// word boundary. Everything observable must agree with the dense reference
+// (checkAgainstReference: the flat form, Cells, and LookupBatch ≡ Lookup ≡
+// the reference's lookup); the root must carry the narrowest width for its
+// palette; and the flat form is refused once the root names its codes
+// re-coded one bit wider, or a code block that starts at word 0, where the
+// sentinel's lies.
+func FuzzCodeWidths(f *testing.F) {
+	for i, d := range []uint16{1, 2, 3, 5, 9, 17, 33, 65, 129, 256} {
+		f.Add(int64(i), uint8(3), d) // fanout 256: every width
+	}
+	f.Add(int64(10), uint8(2), uint16(40)) // fanout 64, 6-bit codes
+	f.Add(int64(11), uint8(1), uint16(11)) // fanout 16, 4-bit codes
+	f.Fuzz(func(t *testing.T, seed int64, fanoutSel uint8, dSel uint16) {
+		fanout := 4 << (2 * (fanoutSel & 3))
+		d := 1 + int(dSel-1)%fanout
+		rng := rand.New(rand.NewSource(seed))
+		level := bits.TrailingZeros(uint(fanout)) / 2 // a cell fills one slot
+		// Slots 0 to d-1 hold polygons 0 to d-1; the rest hold one of them,
+		// or, one in eight, hang a child whose slots hold one of up to
+		// fanout polygons from d on.
+		var b supercover.Builder
+		add := func(cell cellid.ID, id int) {
+			if err := b.AddCell(cell, []supercover.Ref{{PolygonID: uint32(id), Interior: rng.Intn(4) != 0}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		descend := func(cell cellid.ID, slot int) cellid.ID {
+			for k := level - 1; k >= 0; k-- {
+				cell = cell.Child(slot >> (2 * k) & 3)
+			}
+			return cell
+		}
+		for s := range fanout {
+			cell := descend(cellid.FromFace(0), s)
+			switch {
+			case s < d:
+				add(cell, s)
+			case rng.Intn(8) != 0:
+				add(cell, rng.Intn(d))
+			default:
+				values := 1 + rng.Intn(fanout)
+				for c := range fanout {
+					add(descend(cell, c), d+rng.Intn(values))
+				}
+			}
+		}
+		trie := checkAgainstReference(t, b.Build(), Config{Fanout: fanout}, nil)
+		root := trie.roots[0]
+		w, palette := widthOf(root), trie.palette(root)
+		if len(palette) < d || w != codeWidth(len(palette)) {
+			t.Fatalf("root of %d distinct values: %d-entry palette in %d-bit codes", d, len(palette), w)
+		}
+		if w < 8 {
+			// The root's codes, one bit wider, after the arena.
+			codes := make([]uint8, fanout)
+			for i := range codes {
+				codes[i] = uint8(trie.window(codeEnd(root), uint64(i)*w) & (1<<w - 1))
+			}
+			f := trie.Flat()
+			f.Nodes = append(slices.Clone(f.Nodes), make([]uint64, codeWords(fanout, w+1))...)
+			putCodes(f.Nodes[len(f.Nodes)-int(codeWords(fanout, w+1)):], codes, w+1)
+			f.Roots[0] = childEntry(paletteAt(root), uint64(len(f.Nodes)), w+1)
+			if _, err := TrieFromFlat(f); err == nil || !strings.Contains(err.Error(), "width not minimal") {
+				t.Fatalf("root codes one bit wider refused with %v, want the narrowest width", err)
+			}
+		}
+		f := trie.Flat()
+		f.Roots[0] = childEntry(paletteAt(root), codeWords(fanout, w), w)
+		if _, err := TrieFromFlat(f); err == nil || !strings.Contains(err.Error(), "outside the arena") {
+			t.Fatalf("a code block at word 0 refused with %v, want it outside the arena", err)
 		}
 	})
 }

@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// packer lays out the leaf region of a Packed arena: the distinct code
+// packer lays out the leaf region of the arena: the distinct code
 // blocks and palettes of the leaves, in breadth-first first-use order, as a
 // greedy shortest common superstring of words (Tarhio & Ukkonen, TCS 57,
 // 1988), deterministic in the blocks' words and that order alone:
@@ -30,7 +30,7 @@ import (
 //
 // These steps, their bounds and the end hashes that group the candidates of
 // step 3 (scramble and hashP, see hashEnds) define the packed layout, and
-// with it which index files of versions 11 and 12 load: changing any of
+// with it which index files of versions 13 and 14 load: changing any of
 // them changes the arena of some trie, so it needs a new index version.
 // TestPackerPins pins them on blocks that make each bound bind.
 //
@@ -62,7 +62,7 @@ type packer struct {
 // its packing state.
 type leafBlock struct {
 	start, n uint32
-	// widths has bit lw set for each code width the block is used at.
+	// widths has bit w-1 set for each code width w the block is used at.
 	widths uint8
 	// placed is set once pos is final: named in the top region, or emitted.
 	placed bool
@@ -82,7 +82,7 @@ type leafBlock struct {
 // block and palette, and its code width.
 type leafRef struct {
 	at, code, pal uint32
-	lw            uint8
+	w             uint8
 }
 
 // Packing bounds: the longest block named inside another, the longest
@@ -104,12 +104,12 @@ func (p *packer) reserve(n int) {
 }
 
 // add records a leaf: the entry at arena word at names it, its code block is
-// the n words at src[codes:] in 1<<lw-bit codes, its palette the d at
+// the n words at src[codes:] in w-bit codes, its palette the d at
 // src[pal:]. It reports false once the blocks exceed the budget.
-func (p *packer) add(at, codes, n, pal, d, lw uint64) bool {
+func (p *packer) add(at, codes, n, pal, d, w uint64) bool {
 	c := p.intern(codes, n)
-	p.blocks[c].widths |= 1 << lw
-	p.refs = append(p.refs, leafRef{at: uint32(at), code: c, pal: p.intern(pal, d), lw: uint8(lw)})
+	p.blocks[c].widths |= 1 << (w - 1)
+	p.refs = append(p.refs, leafRef{at: uint32(at), code: c, pal: p.intern(pal, d), w: uint8(w)})
 	return p.budget >= 0
 }
 
@@ -162,7 +162,7 @@ func (p *packer) pack(arena []uint64, top *blockSet, check bool) ([]uint64, erro
 	// blocks the hash of a lookup.
 	var tops [64]uint64
 	for _, b := range top.blocks {
-		f := scramble(arena[b>>12]) >> 52
+		f := scramble(arena[b>>blockStart]) >> 52
 		tops[f>>6] |= 1 << (f & 63)
 	}
 	for id := range bs {
@@ -173,11 +173,11 @@ func (p *packer) pack(arena []uint64, top *blockSet, check bool) ([]uint64, erro
 		if f := scramble(p.src[b.start]) >> 52; tops[f>>6]>>(f&63)&1 == 0 {
 			continue
 		}
-		for lw := range uint64(4) {
-			if b.widths>>lw&1 == 0 {
+		for kind := range uint64(8) { // code blocks of width kind+1
+			if b.widths>>kind&1 == 0 {
 				continue
 			}
-			if first, found := top.lookup(arena, p.words(uint32(id)), lw); found {
+			if first, found := top.lookup(arena, p.words(uint32(id)), kind); found {
 				b.pos, b.placed = uint32(first), true
 				break
 			}
@@ -218,12 +218,12 @@ func (p *packer) pack(arena []uint64, top *blockSet, check bool) ([]uint64, erro
 		}
 	}
 	for _, r := range p.refs {
-		e := childEntry(p.pos(r.pal), p.pos(r.code)+uint64(bs[r.code].n), uint64(r.lw))
+		e := childEntry(p.pos(r.pal), p.pos(r.code)+uint64(bs[r.code].n), uint64(r.w))
 		switch {
 		case !check:
 			arena[r.at] = e
 		case arena[r.at] != e:
-			return nil, misplaced(uint64(r.at), arena[r.at], e, Packed)
+			return nil, misplaced(uint64(r.at), arena[r.at], e)
 		}
 	}
 	switch {

@@ -50,7 +50,7 @@ func colliding(t *testing.T, i uint64) uint64 {
 // TestPackerPins packs blocks that make each of the packer's bounds bind,
 // and pins the arena it lays out and the end hashes that group overlap
 // candidates. The packer's rule defines the packed
-// layout, and so which index files of versions 11 and 12 load: if this
+// layout, and so which index files of versions 13 and 14 load: if this
 // arena changes, so does the layout of some trie, and the change needs a
 // new index version.
 func TestPackerPins(t *testing.T) {

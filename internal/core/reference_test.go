@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -238,64 +239,94 @@ func (d *denseTrie) cells() []denseCell {
 
 // compactArena palette-codes a dense arena — node i at
 // dense[i*fanout:(i+1)*fanout], node 0 the sentinel, child entries holding
-// node indices — into the shared layout of index versions 9 and 10, node by
-// node in index order, and returns the arena with the child entry naming
-// each node. With share, it lays blocks out the way Relayout's Shared does,
-// by its own means: a
-// node's code block is named where an equal block of its width went first,
-// and a palette that holds no child entry and is not a root's (nodes named
-// in roots) where an equal palette went first; everything else is stored
-// in place.
-func compactArena(fanout int, dense []uint64, roots [cellid.NumFaces]uint64, share bool) (arena, entries []uint64) {
+// node indices — and lays it out as Relayout does, node by node in index
+// order (breadth-first for a renumbered dense trie) rather than by a walk,
+// and returns the arena with the child entry naming each node (0 for a node
+// nothing names). The top region holds, after the sentinel, every root
+// (nodes named in roots) and every node holding a child entry: each stores
+// its code block unless an equal block of its width went first into the
+// region, and then its palette. The leaves go to the packer in index order,
+// through every entry naming each; a leaf no entry names is stored whole
+// after them.
+func compactArena(fanout int, dense []uint64, roots [cellid.NumFaces]uint64) (arena, entries []uint64) {
 	numNodes := len(dense) / fanout
-	entries = make([]uint64, numNodes)
-	codesAt, palettesAt := map[string]uint64{}, map[string]uint64{}
-	key := func(words []uint64, lw uint64) string { return fmt.Sprint(lw, words) }
-	var parents []uint64 // palette offsets of the nodes holding child entries
+	// src holds every node palette-coded in place, for the packer to read.
+	var src []uint64
+	at := make([]uint64, numNodes)       // each node's child entry in src
+	bounds := make([]uint64, numNodes+1) // node n at src[bounds[n]:bounds[n+1]]
 	for n := range numNodes {
-		// Child entries keep their node indices while the node is coded:
-		// like the builder's child entries they are distinct per child.
-		node, entry := appendNode(nil, dense[n*fanout:(n+1)*fanout])
-		lw := entry >> 2 & 3
-		c := codeWords(fanout, lw)
-		codes, palette := node[:c], node[c:]
-		end, ok := codesAt[key(codes, lw)]
-		if !ok || !share || n == 0 {
+		src, at[n] = appendNode(src, dense[n*fanout:(n+1)*fanout])
+		bounds[n+1] = uint64(len(src))
+	}
+	codesOf := func(n int) []uint64 { return src[bounds[n]:paletteAt(at[n])] }
+	paletteOf := func(n int) []uint64 { return src[paletteAt(at[n]):bounds[n+1]] } // child entries still node indices
+	entries = make([]uint64, numNodes)
+	arena = slices.Clone(src[:bounds[1]])
+	top := map[string]uint64{}
+	var stored blockSet // the same blocks, for the packer
+	stored.reserve(numNodes)
+	var parents []int
+	leaf := make([]bool, numNodes)
+	for n := 1; n < numNodes; n++ {
+		if !slices.ContainsFunc(paletteOf(n), isChild) && !slices.Contains(roots[:], uint64(n)) {
+			leaf[n] = true
+			continue
+		}
+		w, codes := widthOf(at[n]), codesOf(n)
+		key := fmt.Sprint(w, codes)
+		end, ok := top[key]
+		if !ok {
+			stored.intern(arena, codes, uint64(len(arena)), w-1)
 			arena = append(arena, codes...)
 			end = uint64(len(arena))
-			if n > 0 { // the sentinel is not a node to share with
-				codesAt[key(codes, lw)] = end
-			}
+			top[key] = end
 		}
-		children := slices.ContainsFunc(palette, isChild)
-		shareable := share && n > 0 && !children && !slices.Contains(roots[:], uint64(n))
-		pal, ok := palettesAt[key(palette, paletteKind)]
-		if !ok || !shareable {
-			pal = uint64(len(arena))
-			arena = append(arena, palette...)
-			if shareable {
-				palettesAt[key(palette, paletteKind)] = pal
-			}
-		}
-		if children {
-			parents = append(parents, pal, uint64(len(palette)))
-		}
-		entries[n] = childEntry(pal, end, lw)
+		pal := uint64(len(arena))
+		arena = append(arena, paletteOf(n)...)
+		entries[n] = childEntry(pal, end, w)
+		parents = append(parents, n)
 	}
-	for i := 0; i < len(parents); i += 2 {
-		for k := parents[i]; k < parents[i]+parents[i+1]; k++ {
+	// Name the top region's children; collect the entries naming leaves.
+	var refs [][2]uint64 // arena word, leaf
+	for _, n := range parents {
+		pal := paletteAt(entries[n])
+		for k := pal; k < pal+uint64(len(paletteOf(n))); k++ {
 			if e := arena[k]; isChild(e) && e>>2 < uint64(numNodes) {
-				arena[k] = entries[e>>2]
+				if c := e >> 2; leaf[c] {
+					refs = append(refs, [2]uint64{k, c})
+				} else {
+					arena[k] = entries[c]
+				}
 			}
+		}
+	}
+	slices.SortStableFunc(refs, func(a, b [2]uint64) int { return int(a[1]) - int(b[1]) })
+	leaves := packer{src: src, budget: math.MaxInt}
+	leaves.reserve(numNodes)
+	for _, r := range refs {
+		n := int(r[1])
+		codes := codesOf(n)
+		leaves.add(r[0], bounds[n], uint64(len(codes)), paletteAt(at[n]), uint64(len(paletteOf(n))), widthOf(at[n]))
+	}
+	arena, _ = leaves.pack(arena, &stored, false)
+	for _, r := range refs {
+		if entries[r[1]] == 0 {
+			entries[r[1]] = arena[r[0]]
+		}
+	}
+	for n := 1; n < numNodes; n++ {
+		if leaf[n] && entries[n] == 0 {
+			arena = append(arena, codesOf(n)...)
+			entries[n] = childEntry(uint64(len(arena)), uint64(len(arena)), widthOf(at[n]))
+			arena = append(arena, paletteOf(n)...)
 		}
 	}
 	return arena, entries
 }
 
-// flat returns the reference trie in the flat form of the shared layout
-// (index versions 9 and 10).
+// flat returns the reference trie in its flat form.
 func (d *denseTrie) flat() Flat {
-	arena, entries := compactArena(int(d.fanout), d.nodes, d.roots, true)
+	arena, entries := compactArena(int(d.fanout), d.nodes, d.roots)
 	f := d.enc.t.Flat()
 	f.Nodes = arena
 	for face, root := range d.roots {

@@ -7,46 +7,13 @@ import (
 	"slices"
 )
 
-// Layout is a generation of the arena layout: the rule by which Relayout
-// places the blocks of a trie's nodes. Each index file version names one
-// (see Flat).
-type Layout uint8
-
-const (
-	// Packed is the layout Build produces and index versions 11 and 12
-	// store: the top region of Shared, then the leaf region packed as a
-	// word superstring (see Relayout).
-	Packed Layout = iota
-	// Shared is the layout of index versions 9 and 10: every node in
-	// breadth-first order, a code block or leaf palette equal to one stored
-	// already named where that one is.
-	Shared
-	// Unshared is the layout of index versions 7 and 8: every node in
-	// breadth-first order, storing its own code block right before its own
-	// palette.
-	Unshared
-)
-
-// String names the layout, for messages.
-func (l Layout) String() string {
-	switch l {
-	case Packed:
-		return "packed"
-	case Shared:
-		return "shared"
-	default:
-		return "unshared"
-	}
-}
-
-// Relayout lays the node arena out afresh under the given layout. It reads
-// nothing but the logical trie — each node's codes and palette, reached from
-// the face roots — so the arena it produces is the canonical one of its
-// layout for that trie, and relaying out an arena it laid out is the
-// identity: what lets TrieFromFlat demand a file's arena equal it word for
-// word (see checkLayout), and relaid tries round-trip through the serializer
-// byte-identically. Codes, payloads, the lookup table, root skips, and all
-// lookup results are untouched.
+// Relayout lays the node arena out afresh. It reads nothing but the logical
+// trie — each node's codes and palette, reached from the face roots — so the
+// arena it produces is the canonical one for that trie, and relaying out an
+// arena it laid out is the identity: what lets TrieFromFlat demand a file's
+// arena equal it word for word (see checkLayout), and relaid tries
+// round-trip through the serializer byte-identically. Codes, payloads, the
+// lookup table, root skips, and all lookup results are untouched.
 //
 // Nodes are placed breadth-first after the sentinel: face roots first, then
 // every depth-2 node, and so on, so the hottest (shallowest) levels end up
@@ -56,29 +23,25 @@ func (l Layout) String() string {
 // a compact prefix that stays cache-resident under batch probing, so only
 // the deep, sparse levels can miss.
 //
-// Unshared stores each node's code block and then its palette. Shared stores
-// a node's code block unless an equal block of the same code width is stored
-// already, and then its palette unless the palette is shareable — child-free
-// and not a face root's — and an equal one is stored already; whatever is
-// not stored is named where it was stored first. Packed places the face
-// roots and the child-bearing nodes as Shared does, and defers the leaves:
-// their distinct code blocks and palettes follow in one leaf region, a
-// greedy superstring of them (see packer) in which a block may start inside
-// another, or overlap the one before it, where their words agree. A leaf
-// code block equal to one in the top region is named there. No layout is
-// longer than Unshared, and Packed is no longer than Shared.
+// The face roots and the nodes with children form the top region: each
+// stores its code block unless an equal block of the same code width is
+// stored there already, which it then names, and then its palette. The
+// leaves are deferred: their distinct code blocks and palettes follow in one
+// leaf region, a greedy superstring of them (see packer) in which a block
+// may start inside another, or overlap the one before it, where their words
+// agree. A leaf code block equal to one in the top region is named there.
 //
 // Nodes unreachable from any face root are dropped. It returns the number of
 // nodes walks reach, including the sentinel — a shared leaf counts once per
 // entry naming it.
-func (t *Trie) Relayout(l Layout) int {
-	nodes, _ := t.relayout(l, false)
+func (t *Trie) Relayout() int {
+	nodes, _ := t.relayout(false)
 	return nodes
 }
 
 // checkLayout validates the trie for TrieFromFlat (see validateStructure): it
 // reports the first node whose content is malformed, or the first place
-// where the arena and roots differ from those Relayout(l) would make of
+// where the arena and roots differ from those Relayout would make of
 // them, if any, without making them. The frame must have passed
 // validateFrame.
 //
@@ -90,8 +53,8 @@ func (t *Trie) Relayout(l Layout) int {
 // the arena departs from its layout, and the check stops there, or as soon
 // as the layout would pass the arena's end — a forged arena costs no more
 // than its own words, however many nodes its entries name.
-func (t *Trie) checkLayout(l Layout) error {
-	_, err := t.relayout(l, true)
+func (t *Trie) checkLayout() error {
+	_, err := t.relayout(true)
 	return err
 }
 
@@ -99,29 +62,22 @@ func (t *Trie) checkLayout(l Layout) error {
 var errPastEnd = errors.New("core: layout past the arena's end")
 
 // relayout is Relayout, or, if check is set, checkLayout.
-func (t *Trie) relayout(l Layout, check bool) (int, error) {
+func (t *Trie) relayout(check bool) (int, error) {
 	src := t.nodes
-	room := len(src)
+	// One node in ten bears children, and the leaves' blocks go to the
+	// packer: the top region takes well under an eighth of the words.
 	var stored blockSet
+	stored.reserve(len(src) / 128)
 	leaves := packer{src: src, budget: math.MaxInt}
-	switch l {
-	case Shared:
-		stored.reserve(len(src) / 8) // real maps store about one block per 10 words
-	case Packed:
-		// One node in ten bears children, and the leaves' blocks go to the
-		// packer: the top region takes well under an eighth of the words.
-		room /= 8
-		stored.reserve(len(src) / 128)
-		leaves.reserve(len(src) / 8)
-	}
-	sentinel := int(codeWords(t.fanout, 0) + 1)
+	leaves.reserve(len(src) / 8)
+	sentinel := int(codeWords(t.fanout, 1) + 1)
 	var arena []uint64
 	var v validator
 	if check {
 		arena = src[:sentinel:sentinel] // validateFrame checked it is zero
 		leaves.budget = len(src)
 	} else {
-		arena = make([]uint64, sentinel, max(room, sentinel))
+		arena = make([]uint64, sentinel, max(len(src)/8, sentinel))
 	}
 	// emit stores words at the arena's end, or, checking, takes them to lie
 	// there in the given arena.
@@ -148,7 +104,7 @@ func (t *Trie) relayout(l Layout, check bool) (int, error) {
 	nodes := 1
 	// place lays out the node old names, depth nodes deep, which the entry
 	// at arena[at] (the root's, for at 0) is to name, and returns that
-	// entry: 0 for a Packed leaf, named once the leaf region is packed.
+	// entry: 0 for a leaf, named once the leaf region is packed.
 	place := func(old, at uint64, depth int) (uint64, error) {
 		nodes++
 		var palette []uint64
@@ -163,37 +119,27 @@ func (t *Trie) relayout(l Layout, check bool) (int, error) {
 			palette = t.palette(old)
 			children = slices.ContainsFunc(palette, isChild)
 		}
-		lw, codes := old>>2&3, t.codes(old)
-		shareable := at != 0 && !children
-		if l == Packed && shareable {
-			if !leaves.add(at, codeEnd(old)-uint64(len(codes)), uint64(len(codes)), paletteAt(old), uint64(len(palette)), lw) {
+		w, codes := widthOf(old), t.codes(old)
+		if at != 0 && !children {
+			if !leaves.add(at, codeEnd(old)-uint64(len(codes)), uint64(len(codes)), paletteAt(old), uint64(len(palette)), w) {
 				return 0, errPastEnd
 			}
 			return 0, nil
 		}
-		start, found := uint64(len(arena)), false
-		if l != Unshared {
-			start, found = stored.intern(arena, codes, start, lw)
-		}
+		start, found := stored.intern(arena, codes, uint64(len(arena)), w-1)
 		if !found {
 			if err := emit(codes); err != nil {
 				return 0, err
 			}
 		}
 		end, pal := start+uint64(len(codes)), uint64(len(arena))
-		found = false
-		if l == Shared && shareable {
-			pal, found = stored.intern(arena, palette, pal, paletteKind)
-		}
-		if !found {
-			if err := emit(palette); err != nil {
-				return 0, err
-			}
+		if err := emit(palette); err != nil {
+			return 0, err
 		}
 		if children {
 			queue = append(queue, queued{pal, uint64(len(palette)), depth})
 		}
-		return childEntry(pal, end, lw), nil
+		return childEntry(pal, end, w), nil
 	}
 	var roots [len(t.roots)]uint64
 	for f, root := range t.roots {
@@ -203,11 +149,11 @@ func (t *Trie) relayout(l Layout, check bool) (int, error) {
 		e, err := place(root, 0, 1)
 		switch {
 		case err == errPastEnd:
-			return 0, fmt.Errorf("core: face %d root %#x, the %s layout names a node past the arena's %d words", f, root, l, len(src))
+			return 0, fmt.Errorf("core: face %d root %#x, the layout names a node past the arena's %d words", f, root, len(src))
 		case err != nil:
 			return 0, err
 		case check && e != root:
-			return 0, fmt.Errorf("core: face %d root %#x, the %s layout names %#x", f, root, l, e)
+			return 0, fmt.Errorf("core: face %d root %#x, the layout names %#x", f, root, e)
 		}
 		roots[f] = e
 	}
@@ -221,27 +167,20 @@ func (t *Trie) relayout(l Layout, check bool) (int, error) {
 			e, err := place(old, i, q.depth+1) // place appends: index arena afterwards
 			switch {
 			case err == errPastEnd:
-				return 0, fmt.Errorf("core: arena word %d is %#x, the %s layout puts the nodes named so far past the arena's %d words", i, old, l, len(src))
+				return 0, fmt.Errorf("core: arena word %d is %#x, the layout puts the nodes named so far past the arena's %d words", i, old, len(src))
 			case err != nil:
 				return 0, err
-			case e == 0: // a Packed leaf
+			case e == 0: // a leaf
 			case !check:
 				arena[i] = e
 			case e != old:
-				return 0, misplaced(i, old, e, l)
+				return 0, misplaced(i, old, e)
 			}
 		}
 	}
-	switch {
-	case l == Packed:
-		var err error
-		if arena, err = leaves.pack(arena, &stored, check); err != nil {
-			return 0, err
-		}
-	case check && len(arena) < len(src):
-		return 0, trailing(len(src) - len(arena))
-	case cap(arena)-len(arena) > len(arena)/8:
-		arena = slices.Clone(arena) // sharing left most of the room unused
+	arena, err := leaves.pack(arena, &stored, check)
+	if err != nil {
+		return 0, err
 	}
 	if !check {
 		t.nodes, t.roots = arena, roots
@@ -251,9 +190,9 @@ func (t *Trie) relayout(l Layout, check bool) (int, error) {
 }
 
 // misplaced explains a check's finding that arena word at holds an entry
-// other than the one layout l puts there.
-func misplaced(at, got, want uint64, l Layout) error {
-	return fmt.Errorf("core: arena word %d is %#x, the %s layout puts %#x there", at, got, l, want)
+// other than the one the layout puts there.
+func misplaced(at, got, want uint64) error {
+	return fmt.Errorf("core: arena word %d is %#x, the layout puts %#x there", at, got, want)
 }
 
 // trailing explains a check's finding that the layout ends n words before
@@ -262,18 +201,17 @@ func trailing(n int) error {
 	return fmt.Errorf("core: %d arena words lie past the last reachable node", n)
 }
 
-// paletteKind is the blockSet kind of palettes; code blocks use their width's
-// log2, 0 to 3.
-const paletteKind = 4
+// paletteKind is the blockSet kind of palettes; code blocks of w-bit codes
+// are of kind w-1, 0 to 7.
+const paletteKind = 8
 
 // blockSet interns arena blocks by content: runs of words, each named by its
 // start, its length and its kind — a code width or a palette. Relayout stores
-// a top-region block (every block, in the Shared layout) only if the set does
-// not hold an equal one. It keys an idTable by the blocks' hashes, so a probe
+// a top-region code block only if the set does not hold an equal one. It keys an idTable by the blocks' hashes, so a probe
 // reads a block's words in the arena only once half the hash has matched.
 type blockSet struct {
 	ids    idTable
-	blocks []uint64 // by id: start<<12 | kind<<9 | length-1
+	blocks []uint64 // by id: start<<blockStart | kind<<9 | length-1
 }
 
 // reserve sizes an empty set for n blocks, sparing the rehashes of growing
@@ -292,7 +230,7 @@ func (s *blockSet) intern(arena, words []uint64, start, kind uint64) (first uint
 	i, first, found := s.find(arena, words, kind, h)
 	if !found {
 		s.ids.put(i, h, uint32(len(s.blocks)))
-		s.blocks = append(s.blocks, start<<12|kind<<9|uint64(len(words)-1))
+		s.blocks = append(s.blocks, start<<blockStart|kind<<9|uint64(len(words)-1))
 		first = start
 	}
 	return first, found
@@ -310,11 +248,15 @@ func (s *blockSet) find(arena, words []uint64, kind, h uint64) (slot, first uint
 	want := kind<<9 | uint64(len(words)-1)
 	slot, _, found = s.ids.find(h, func(id uint32) bool {
 		b := s.blocks[id]
-		first = b >> 12
-		return b&(1<<12-1) == want && slices.Equal(arena[first:first+uint64(len(words))], words)
+		first = b >> blockStart
+		return b&(1<<blockStart-1) == want && slices.Equal(arena[first:first+uint64(len(words))], words)
 	})
 	return slot, first, found
 }
+
+// blockStart is the shift of a blockSet block's start, past its 4-bit kind
+// and 9-bit length.
+const blockStart = 13
 
 // blockHash mixes a block's words and kind into a hash.
 func blockHash(words []uint64, kind uint64) uint64 { return wordsHash(words) ^ kind*0x9e3779b97f4a7c15 }

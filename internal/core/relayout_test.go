@@ -10,11 +10,10 @@ import (
 )
 
 // TestRelayoutPreservesLookupsAndIsIdempotent relays out a build-order trie
-// in every layout and demands identical lookups before and after, then
-// proves a second relayout is the identity — the property that keeps relaid
-// tries byte-stable through the serializer and lets TrieFromFlat demand its
-// input equal its own relayout. Without sharing the arena keeps every word;
-// sharing can only drop some, and packing the leaves only more.
+// and demands identical lookups before and after, then proves a second
+// relayout is the identity — the property that keeps relaid tries
+// byte-stable through the serializer and lets TrieFromFlat demand its input
+// equal its own relayout. Sharing and packing can only drop words.
 func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sc := randomPrefixFreeCovering(t, rng, []int{0, 2, 5}, 150)
@@ -30,45 +29,32 @@ func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 			wantHit[i] = raw.Lookup(leaf, &want[i])
 		}
 		words, numNodes := len(raw.nodes), raw.ComputeStats().NumNodes+1
-		sizes := map[Layout]int{}
-		for _, l := range []Layout{Unshared, Shared, Packed} {
-			tr := *raw
-			if got := tr.Relayout(l); got != numNodes {
-				t.Fatalf("fanout %d, %s: relayout of a fully reachable trie kept %d of %d nodes", fanout, l, got, numNodes)
-			}
-			sizes[l] = len(tr.nodes)
-			var res Result
-			for i, leaf := range leaves {
-				res.Reset()
-				if hit := tr.Lookup(leaf, &res); hit != wantHit[i] || !resultEqual(&res, &want[i]) {
-					t.Fatalf("fanout %d, %s, leaf %v: lookup changed after relayout", fanout, l, leaf)
-				}
-			}
-			nodes, roots := slices.Clone(tr.nodes), tr.roots
-			tr.Relayout(l)
-			if roots != tr.roots || !slices.Equal(nodes, tr.nodes) {
-				t.Fatalf("fanout %d: the %s relayout is not idempotent", fanout, l)
+		tr := *raw
+		if got := tr.Relayout(); got != numNodes {
+			t.Fatalf("fanout %d: relayout of a fully reachable trie kept %d of %d nodes", fanout, got, numNodes)
+		}
+		var res Result
+		for i, leaf := range leaves {
+			res.Reset()
+			if hit := tr.Lookup(leaf, &res); hit != wantHit[i] || !resultEqual(&res, &want[i]) {
+				t.Fatalf("fanout %d, leaf %v: lookup changed after relayout", fanout, leaf)
 			}
 		}
-		if sizes[Unshared] != words || sizes[Shared] > words || sizes[Packed] > sizes[Shared] {
-			t.Fatalf("fanout %d: %d build-order words, laid out unshared %d, shared %d, packed %d", fanout, words, sizes[Unshared], sizes[Shared], sizes[Packed])
+		nodes, roots := slices.Clone(tr.nodes), tr.roots
+		tr.Relayout()
+		if roots != tr.roots || !slices.Equal(nodes, tr.nodes) {
+			t.Fatalf("fanout %d: the relayout is not idempotent", fanout)
+		}
+		if len(nodes) >= words {
+			t.Fatalf("fanout %d: %d build-order words laid out in %d", fanout, words, len(nodes))
 		}
 	}
-}
-
-// relaid returns a copy of a trie relaid out in layout l.
-func relaid(t *Trie, l Layout) *Trie {
-	u := *t
-	u.Relayout(l)
-	return &u
 }
 
 // TestRelayoutYieldsCanonicalFlat: the breadth-first form is the canonical
 // flat form of a covering. A build-order (pre-relayout) arena is refused by
 // TrieFromFlat — a mapped arena cannot be renumbered in place — and relaying
-// it out yields word for word the arena Build produces, which loads. The
-// shared layout of index versions 9 and 10 and the unshared one of 7 and 8
-// load only as such, and loading either relays it out into Build's arena.
+// it out yields word for word the arena Build produces, which loads.
 func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sc := randomPrefixFreeCovering(t, rng, []int{1, 3, 4}, 130)
@@ -87,41 +73,12 @@ func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 		if _, err := TrieFromFlat(raw.Flat()); err == nil {
 			t.Fatalf("fanout %d: build-order arena accepted as canonical", fanout)
 		}
-		raw.Relayout(Packed)
+		raw.Relayout()
 		if raw.roots != built.roots || !slices.Equal(raw.nodes, built.nodes) || !slices.Equal(raw.table, built.table) {
 			t.Fatalf("fanout %d: relayout of the build-order arena differs from Build's", fanout)
 		}
 		if _, err := TrieFromFlat(raw.Flat()); err != nil {
 			t.Fatalf("fanout %d: canonical arena rejected: %v", fanout, err)
-		}
-		for _, l := range []Layout{Shared, Unshared} {
-			old := relaid(built, l)
-			if len(old.nodes) <= len(built.nodes) {
-				t.Fatalf("fanout %d: the %s layout is no larger than the packed one; the covering exercises nothing", fanout, l)
-			}
-			f := old.Flat()
-			if _, err := TrieFromFlat(f); err == nil {
-				t.Fatalf("fanout %d: %s arena accepted as a packed one", fanout, l)
-			}
-			for _, other := range []Layout{Shared, Unshared} {
-				if g := f; other != l {
-					g.Layout = other
-					if _, err := TrieFromFlat(g); err == nil {
-						t.Fatalf("fanout %d: %s arena accepted as a %s one", fanout, l, other)
-					}
-				}
-			}
-			f.Layout = l
-			loaded, err := TrieFromFlat(f)
-			if err != nil {
-				t.Fatalf("fanout %d: %s arena rejected: %v", fanout, l, err)
-			}
-			if loaded.roots != built.roots || !slices.Equal(loaded.nodes, built.nodes) || !slices.Equal(loaded.table, built.table) {
-				t.Fatalf("fanout %d: loading the %s arena does not yield Build's", fanout, l)
-			}
-			if &loaded.nodes[0] == &f.Nodes[0] || len(f.Table) > 0 && &loaded.table[0] == &f.Table[0] {
-				t.Fatalf("fanout %d: a relaid-out %s trie still aliases its input", fanout, l)
-			}
 		}
 	}
 }
@@ -134,16 +91,15 @@ func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 // must load, and names the rule that must refuse it, so each rejection is
 // for its own defect. The dense cases describe nodes slot by slot (node 0 is
 // the sentinel, child entries hold node numbers) and palette-code them with
-// compactArena, which lays them out by its own means in the shared layout of
-// index versions 9 and 10 — every rule but where blocks lie is the same in
-// each layout, and that one is the layout's Relayout; the raw cases spell
-// out packed arena words.
+// compactArena, which lays them out node by node in index order, as Relayout
+// lays out nodes numbered breadth-first; the raw cases spell out arena
+// words.
 func TestTrieFromFlatRejects(t *testing.T) {
 	one := func(id uint64) uint64 { return id<<3 | tagOne }
 	child := func(n uint64) uint64 { return n << 2 }
 	denseOf := func(fanout int, roots [cellid.NumFaces]uint64, nodes []uint64, table []uint32) Flat {
-		arena, entries := compactArena(fanout, nodes, roots, true)
-		f := Flat{Fanout: uint32(fanout), Nodes: arena, Table: table, Layout: Shared}
+		arena, entries := compactArena(fanout, nodes, roots)
+		f := Flat{Fanout: uint32(fanout), Nodes: arena, Table: table}
 		for face, root := range roots {
 			if root != 0 {
 				f.Roots[face] = entries[root]
@@ -158,10 +114,10 @@ func TestTrieFromFlatRejects(t *testing.T) {
 	face0[0] = 1
 	face01[0], face01[1] = 1, 2
 	// raw is a face-0 trie of the given words after the sentinel, its root
-	// coded in 1<<lw-bit codes.
-	raw := func(lw uint64, words ...uint64) Flat {
+	// coded in w-bit codes.
+	raw := func(w uint64, words ...uint64) Flat {
 		f := Flat{Fanout: 4, Nodes: append([]uint64{0, 0}, words...)}
-		f.Roots[0] = childEntry(3, 3, lw)
+		f.Roots[0] = childEntry(3, 3, w)
 		return f
 	}
 	// chain is a path of n nodes, each hanging from slot 0 of the one
@@ -176,11 +132,11 @@ func TestTrieFromFlatRejects(t *testing.T) {
 	}
 	// gapValueGap is the root {empty, id 7, empty, empty} and the control of
 	// most raw cases: palette {empty, id 7}, one-bit codes 0, 1, 0, 0.
-	gapValueGap := func() Flat { return raw(0, 0b0010, 0, one(7)) }
+	gapValueGap := func() Flat { return raw(1, 0b0010, 0, one(7)) }
 	// childFirst is the root {child, empty, empty, empty} over a child
 	// {id 3, …}: the root's palette {child, empty} at 3, the child's code
 	// word at 5 and its palette at 6.
-	childFirst := func() Flat { return raw(0, 0b1110, childEntry(6, 6, 0), 0, 0, one(3)) }
+	childFirst := func() Flat { return raw(1, 0b1110, childEntry(6, 6, 1), 0, 0, one(3)) }
 	// longPalette is a fanout-64 root of ids 0 … 19 in slots 0 … 19, the
 	// rest empty.
 	longPalette := func() Flat {
@@ -281,7 +237,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// breadth-first numbering puts roots first, and a root's palette
 			// is never shared: the layout stores the child anew.
 			name: "child-pointer-to-root",
-			want: "the shared layout puts",
+			want: "the layout puts",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*4) // sentinel, face-0 root, face-1 root
 				nodes[4] = child(2)
@@ -299,7 +255,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// Nor may two faces name one root: a root's palette is never
 			// shared, so each root stores its own.
 			name: "shared-root",
-			want: "the shared layout names",
+			want: "the layout names",
 			bad: func() Flat {
 				nodes := make([]uint64, 2*4)
 				nodes[4] = one(5)
@@ -361,23 +317,23 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			name: "child-out-of-range",
 			want: "outside the arena",
 			bad: func() Flat {
-				f := raw(0, 0b1110, 0, one(2))
-				f.Nodes[3] = childEntry(uint64(len(f.Nodes))+1, uint64(len(f.Nodes))+1, 0)
+				f := raw(1, 0b1110, 0, one(2))
+				f.Nodes[3] = childEntry(uint64(len(f.Nodes))+1, uint64(len(f.Nodes))+1, 1)
 				return f
 			},
-			good: func() Flat { return raw(0, 0b1110, 0, one(2)) },
+			good: func() Flat { return raw(1, 0b1110, 0, one(2)) },
 		},
 		{
 			// The palette offset lands inside the child instead of past its
 			// code words (which it stores: its codes are not the root's).
 			name: "child-not-a-node-boundary",
-			want: "the shared layout puts",
+			want: "the layout puts",
 			bad: func() Flat {
 				nodes := make([]uint64, 3*4)
 				nodes[4] = child(2)
 				nodes[2*4+1] = one(3)
 				f := dense(face0, nodes, nil)
-				f.Nodes[3] += 1 << 4
+				f.Nodes[3] += 1 << 5
 				return f
 			},
 			good: func() Flat {
@@ -391,7 +347,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// Forward, unshared, on node boundaries — but the first child in
 			// slot order must be the first child in the arena.
 			name: "children-out-of-order",
-			want: "the shared layout puts",
+			want: "the layout puts",
 			bad: func() Flat {
 				nodes := make([]uint64, 4*4)
 				nodes[4], nodes[5] = child(3), child(2)
@@ -432,7 +388,7 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// A child entry is one slot: one key chunk, one subtree.
 			name: "child-run-spans-slots",
 			want: "child entry in more than one slot",
-			bad:  func() Flat { return raw(0, 0b1100, childEntry(6, 6, 0), 0, 0, one(3)) },
+			bad:  func() Flat { return raw(1, 0b1100, childEntry(6, 6, 1), 0, 0, one(3)) },
 			good: childFirst,
 		},
 		{
@@ -440,30 +396,30 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// 1 over {empty, child}.
 			name: "child-in-two-slots",
 			want: "child entry in more than one slot",
-			bad:  func() Flat { return raw(0, 0b1010, 0, childEntry(6, 6, 0), 0, one(3)) },
-			good: func() Flat { return raw(0, 0b0010, 0, childEntry(6, 6, 0), 0, one(3)) },
+			bad:  func() Flat { return raw(1, 0b1010, 0, childEntry(6, 6, 1), 0, one(3)) },
+			good: func() Flat { return raw(1, 0b0010, 0, childEntry(6, 6, 1), 0, one(3)) },
 		},
 		{
 			// Slot 0 uses code 1 before any slot uses code 0: the palette
 			// {empty, id 7} must be {id 7, empty}.
 			name: "palette-not-first-use-order",
 			want: "palette not in first-use order",
-			bad:  func() Flat { return raw(0, 0b0001, 0, one(7)) },
-			good: func() Flat { return raw(0, 0b1110, one(7), 0) },
+			bad:  func() Flat { return raw(1, 0b0001, 0, one(7)) },
+			good: func() Flat { return raw(1, 0b1110, one(7), 0) },
 		},
 		{
 			// Code 2 in a node of two distinct codes reads past the
 			// palette, here past the arena.
 			name: "code-past-palette",
 			want: "code 2 is past its 2-entry palette",
-			bad:  func() Flat { return raw(1, 0b1000, 0, one(7)) },
+			bad:  func() Flat { return raw(2, 0b1000, 0, one(7)) },
 			good: gapValueGap,
 		},
 		{
 			// Two distinct codes fit one bit.
 			name: "width-not-minimal",
 			want: "width not minimal",
-			bad:  func() Flat { return raw(1, 0b0100, 0, one(7)) },
+			bad:  func() Flat { return raw(2, 0b0100, 0, one(7)) },
 			good: gapValueGap,
 		},
 		{
@@ -499,25 +455,25 @@ func TestTrieFromFlatRejects(t *testing.T) {
 			// 0, 1, 2, 2 over {id 7, id 7, empty}.
 			name: "adjacent-runs-equal",
 			want: "duplicate palette entries",
-			bad:  func() Flat { return raw(1, 0b10_10_01_00, one(7), one(7), 0) },
-			good: func() Flat { return raw(0, 0b1100, one(7), 0) },
+			bad:  func() Flat { return raw(2, 0b10_10_01_00, one(7), one(7), 0) },
+			good: func() Flat { return raw(1, 0b1100, one(7), 0) },
 		},
 		{
 			// Codes 0, 1, 2, 1 over {id 7, empty, id 7}.
 			name: "duplicate-palette-entries",
 			want: "duplicate palette entries",
-			bad:  func() Flat { return raw(1, 0b01_10_01_00, one(7), 0, one(7)) },
-			good: func() Flat { return raw(0, 0b1010, one(7), 0) },
+			bad:  func() Flat { return raw(2, 0b01_10_01_00, one(7), 0, one(7)) },
+			good: func() Flat { return raw(1, 0b1010, one(7), 0) },
 		},
 		{
 			// Past 16 entries the check sorts a copy: 21 entries at fanout
-			// 64 (8-bit codes: eight code words after the two-word
-			// sentinel, the palette from offset 10), entry 5 made entry 4.
+			// 64 (5-bit codes: five code words after the two-word
+			// sentinel, the palette from offset 7), entry 5 made entry 4.
 			name: "duplicate-in-long-palette",
 			want: "duplicate palette entries",
 			bad: func() Flat {
 				f := longPalette()
-				f.Nodes[15] = f.Nodes[14]
+				f.Nodes[12] = f.Nodes[11]
 				return f
 			},
 			good: longPalette,

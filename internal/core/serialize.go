@@ -50,7 +50,9 @@ func writeWords[W uint32 | uint64](w io.Writer, words []W) error {
 //
 //   - the sentinel comes first: fanout one-bit codes and one palette entry,
 //     all zero (validateFrame), and every face root is a child entry;
-//   - every named code block and palette lies inside the arena;
+//   - every named code block and palette lies inside the arena, every code
+//     block past word 0 (a lookup reads the word below the one a code
+//     starts in, to join a code that straddles two words);
 //   - every child-entry word is reached at most once, so nodes form a tree
 //     apart from shared leaves (a palette holding a child entry is named
 //     once), and the walk ends: no cycle, no DAG;
@@ -121,14 +123,15 @@ func (t *Trie) validateStructure(v *validator, entry uint64, depth int) (d uint6
 	if v.seen == nil {
 		v.seen = make([]uint64, (arenaLen+63)/64)
 	}
-	pal, end, lw := paletteAt(entry), codeEnd(entry), entry>>2&3
+	pal, end, w := paletteAt(entry), codeEnd(entry), widthOf(entry)
 	if depth > maxKeyChunks(t.bits) {
 		return 0, false, fmt.Errorf("core: node at offset %d sits %d nodes deep, beyond the %d-bit key", pal, depth, 2*cellid.MaxLevel)
 	}
-	if c := codeWords(t.fanout, lw); end < c || end > arenaLen {
-		return 0, false, fmt.Errorf("core: child entry %#x names a code block [%d, %d) outside the arena's %d words", entry, int64(end-c), end, arenaLen)
+	c := codeWords(t.fanout, w)
+	if end <= c || end > arenaLen {
+		return 0, false, fmt.Errorf("core: child entry %#x names a code block [%d, %d) outside the arena's words 1 to %d", entry, int64(end-c), end, arenaLen-1)
 	}
-	if n := uint(t.fanout) << lw; n < 64 && arena[end-1]>>n != 0 {
+	if n := uint64(t.fanout) * w & 63; n != 0 && arena[end-c]>>n != 0 {
 		return 0, false, fmt.Errorf("core: node at offset %d: code bits set past slot %d", pal, t.fanout-1)
 	}
 
@@ -145,8 +148,8 @@ func (t *Trie) validateStructure(v *validator, entry uint64, depth int) (d uint6
 			}
 		}
 	}
-	if want := codeWidth(int(d)); lw != want {
-		return 0, false, fmt.Errorf("core: node at offset %d: %d-entry palette in %d-bit codes, width not minimal (%d bits)", pal, d, 1<<lw, 1<<want)
+	if want := codeWidth(int(d)); w != want {
+		return 0, false, fmt.Errorf("core: node at offset %d: %d-entry palette in %d-bit codes, width not minimal (%d bits)", pal, d, w, want)
 	}
 	palette := arena[pal : pal+d]
 	if e, dup := duplicate(palette, &v.sorted); dup {

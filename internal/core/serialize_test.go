@@ -96,7 +96,7 @@ func TestTrieSerializationRoundTrip(t *testing.T) {
 
 // TestTrieSerializationErrors: a flipped bit moves the section checksum, and
 // TrieFromFlat refuses header fields no builder produces and arenas whose
-// blocks lie where Relayout never puts them, in each layout. (A section cut short is the
+// blocks lie where Relayout never puts them. (A section cut short is the
 // index file decoder's to refuse; the root package's serialization tests cut
 // files.)
 func TestTrieSerializationErrors(t *testing.T) {
@@ -130,11 +130,11 @@ func TestTrieSerializationErrors(t *testing.T) {
 
 	// The layout rules, on a fanout-4 trie whose arena is spelled out: a
 	// root over A, A again, B and C — A and B leaves with equal codes, A twice
-	// because its slots hang equal leaves, C a node over the leaf D. Packed,
-	// C's code block comes first, in the top region, and every leaf names it;
-	// the leaf palettes follow.
+	// because its slots hang equal leaves, C a node over the leaf D. C's code
+	// block comes first, in the top region, and every leaf names it; the
+	// leaf palettes follow.
 	built := sharingTrie(t)
-	e := func(pal, end uint64) uint64 { return childEntry(pal, end, 0) }
+	e := func(pal, end uint64) uint64 { return childEntry(pal, end, 1) }
 	one := func(id uint64) uint64 { return (id<<1|1)<<2 | tagOne }
 	packed := []uint64{
 		0, 0, // the sentinel
@@ -146,87 +146,47 @@ func TestTrieSerializationErrors(t *testing.T) {
 		one(1), 0, // B's
 		one(2), 0, // D's
 	}
-	if f := built.Flat(); !slices.Equal(f.Nodes, packed) || f.Roots[0] != childEntry(3, 3, 1) {
+	if f := built.Flat(); !slices.Equal(f.Nodes, packed) || f.Roots[0] != childEntry(3, 3, 2) {
 		t.Fatalf("the sharing trie's arena is %#x, root %#x; want %#x", f.Nodes, f.Roots[0], packed)
 	}
-	// Laid out as index versions 9 and 10 store it, nodes are breadth-first
-	// and A stores the code block the others name.
-	shared := relaid(built, Shared)
-	want := []uint64{
-		0, 0, // the sentinel
-		0b11_10_01_00,                        // root codes: slot i selects entry i
-		e(8, 8), e(8, 8), e(10, 8), e(12, 8), // root palette: A, A, B, C
-		0b1110,    // A's codes: slot 0 entry 0, the rest entry 1
-		one(0), 0, // A's palette
-		one(1), 0, // B's palette; B names A's codes
-		e(14, 8), 0, // C's palette; C names A's codes
-		one(2), 0, // D's palette; D names A's codes
+	packedFlat := func() Flat {
+		f := built.Flat()
+		f.Nodes = slices.Clone(f.Nodes)
+		return f
 	}
-	if f := shared.Flat(); !slices.Equal(f.Nodes, want) || f.Roots[0] != childEntry(3, 3, 1) {
-		t.Fatalf("the sharing trie's shared arena is %#x, root %#x; want %#x", f.Nodes, f.Roots[0], want)
-	}
-	in := func(l Layout, tr *Trie) func() Flat {
-		return func() Flat {
-			f := tr.Flat()
-			f.Nodes, f.Layout = slices.Clone(f.Nodes), l
-			return f
-		}
-	}
-	packedFlat, sharedFlat, unsharedFlat := in(Packed, built), in(Shared, shared), in(Unshared, relaid(built, Unshared))
 	for _, tc := range []struct {
 		name, want string
 		forge      func() Flat
 	}{
-		// C names a code block past D's palette, where no block is stored
-		// yet.
-		{"block-named-before-stored", "code bits set past slot 3", func() Flat {
-			f := sharedFlat()
-			f.Nodes[6] = e(12, 15)
-			return f
-		}},
-		// B stores the code block A stored, instead of naming it.
-		{"second-copy-of-code-block", "the shared layout puts", func() Flat {
-			f := sharedFlat()
-			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(8, 8), e(8, 8), e(11, 11), e(13, 8),
-				0b1110, one(0), 0, 0b1110, one(1), 0, e(15, 8), 0, one(2), 0}
+		// B stores the code block C stored, instead of naming it.
+		{"second-copy-of-code-block", "the layout puts", func() Flat {
+			f := packedFlat()
+			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(10, 8), e(10, 8), e(13, 13), e(8, 8),
+				0b1110, e(15, 8), 0, one(0), 0, 0b1110, one(1), 0, one(2), 0}
 			return f
 		}},
 		// The second A stores the palette the first stored.
-		{"second-copy-of-palette", "the shared layout puts", func() Flat {
-			f := sharedFlat()
-			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(8, 8), e(10, 8), e(12, 8), e(14, 8),
-				0b1110, one(0), 0, one(0), 0, one(1), 0, e(16, 8), 0, one(2), 0}
+		{"second-copy-of-palette", "the layout puts", func() Flat {
+			f := packedFlat()
+			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(10, 8), e(12, 8), e(14, 8), e(8, 8),
+				0b1110, e(16, 8), 0, one(0), 0, one(0), 0, one(1), 0, one(2), 0}
 			return f
 		}},
 		// B is C: two parents of D, which a walk would reach twice over.
 		{"shared-palette-holds-child", "is reached already", func() Flat {
-			f := sharedFlat()
-			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(8, 8), e(8, 8), e(10, 8), e(10, 8),
-				0b1110, one(0), 0, e(12, 8), 0, one(2), 0}
-			return f
-		}},
-		// B names the palette {empty, id 1} that starts inside A's.
-		{"name-inside-stored-block", "the shared layout puts", func() Flat {
-			f := sharedFlat()
-			f.Nodes[8], f.Nodes[9], f.Nodes[10], f.Nodes[11] = one(0), 0, one(1), 0
-			f.Nodes[5] = e(9, 8)
-			return f
-		}},
-		// An arena of index version 7 or 8 shares nothing: B names A's
-		// codes there too.
-		{"distance-in-unshared-arena", "the unshared layout puts", func() Flat {
-			f := unsharedFlat()
-			f.Nodes[5] = childEntry(paletteAt(f.Nodes[5]), 8, 0)
+			f := packedFlat()
+			f.Nodes = []uint64{0, 0, 0b11_10_01_00, e(10, 8), e(10, 8), e(8, 8), e(8, 8),
+				0b1110, e(12, 8), 0, one(0), 0, one(2), 0}
 			return f
 		}},
 		// B names a palette [C's codes, C's child entry] that overlaps C's
 		// code block and palette, in codes stored past the arena's end: D
 		// would hang from B and from C. B, which now holds a child entry,
 		// is refused where it is reached: the layout stores it anew.
-		{"overlapping-palettes-share-a-child", "the packed layout puts", func() Flat {
+		{"overlapping-palettes-share-a-child", "the layout puts", func() Flat {
 			f := packedFlat()
 			f.Nodes = append(f.Nodes, 0b0010)
-			f.Nodes[5] = childEntry(7, 17, 0)
+			f.Nodes[5] = childEntry(7, 17, 1)
 			return f
 		}},
 		// B's palette is named at the arena's end.
@@ -241,10 +201,11 @@ func TestTrieSerializationErrors(t *testing.T) {
 			f.Nodes[5] = e(12, 17)
 			return f
 		}},
-		// B names its codes in the shared arena's place.
-		{"leaf-block-misplaced", "the packed layout puts", func() Flat {
+		// B names its codes at a place of their words the layout does not
+		// put them.
+		{"leaf-block-misplaced", "the layout puts", func() Flat {
 			f := packedFlat()
-			f.Nodes[5] = childEntry(12, 7, 0)
+			f.Nodes[5] = childEntry(12, 7, 1)
 			f.Nodes[6] = 0b1110 // C's code block, now where B names it too
 			return f
 		}},
@@ -253,10 +214,8 @@ func TestTrieSerializationErrors(t *testing.T) {
 			t.Errorf("%s: forged arena refused with %v, want the rule %q", tc.name, err, tc.want)
 		}
 	}
-	for name, f := range map[string]Flat{"packed": packedFlat(), "shared": sharedFlat(), "unshared": unsharedFlat()} {
-		if _, err := TrieFromFlat(f); err != nil {
-			t.Errorf("%s control arena rejected: %v", name, err)
-		}
+	if _, err := TrieFromFlat(packedFlat()); err != nil {
+		t.Errorf("control arena rejected: %v", err)
 	}
 }
 
@@ -279,8 +238,8 @@ func TestMovedLeafBlockRefused(t *testing.T) {
 				continue
 			}
 			moved++
-			if _, err := TrieFromFlat(f); err == nil || !strings.Contains(err.Error(), "the packed layout puts") {
-				t.Errorf("seed %d fanout %d: moved leaf block refused with %v, want the packed layout's placement", seed, fanout, err)
+			if _, err := TrieFromFlat(f); err == nil || !strings.Contains(err.Error(), "the layout puts") {
+				t.Errorf("seed %d fanout %d: moved leaf block refused with %v, want the layout's placement", seed, fanout, err)
 			}
 		}
 	}
@@ -320,14 +279,14 @@ func moveLeafBlock(t *Trie) (Flat, bool) {
 				queue = append(queue, paletteAt(e), uint64(len(palette)))
 				continue
 			}
-			pal, end, lw := paletteAt(e), codeEnd(e), e>>2&3
-			c := codeWords(t.fanout, lw)
-			if s, ok := elsewhere(end-c, c); ok {
-				f.Nodes[at] = childEntry(pal, s+c, lw)
+			pal, end, w := paletteAt(e), codeEnd(e), widthOf(e)
+			c := codeWords(t.fanout, w)
+			if s, ok := elsewhere(end-c, c); ok && s > 0 {
+				f.Nodes[at] = childEntry(pal, s+c, w)
 				return f, true
 			}
 			if s, ok := elsewhere(pal, uint64(len(palette))); ok {
-				f.Nodes[at] = childEntry(s, end, lw)
+				f.Nodes[at] = childEntry(s, end, w)
 				return f, true
 			}
 		}
@@ -377,7 +336,7 @@ func TestDAGBombRefused(t *testing.T) {
 		arena := []uint64{0, 0, 0b11_10_01_00}
 		for level := uint64(1); level <= levels; level++ {
 			palette := []uint64{0, one(1), one(2), one(3)} // the last node's
-			if next := childEntry(pal0+4*level, pal0, 1); level < levels && bomb {
+			if next := childEntry(pal0+4*level, pal0, 2); level < levels && bomb {
 				palette = []uint64{next, next, next, next}
 			} else if level < levels {
 				palette[0] = next
@@ -385,7 +344,7 @@ func TestDAGBombRefused(t *testing.T) {
 			arena = append(arena, palette...)
 		}
 		f := Flat{Fanout: 4, Nodes: arena}
-		f.Roots[0] = childEntry(pal0, pal0, 1)
+		f.Roots[0] = childEntry(pal0, pal0, 2)
 		return f
 	}
 	if _, err := TrieFromFlat(forge(false)); err != nil {
@@ -398,33 +357,25 @@ func TestDAGBombRefused(t *testing.T) {
 	}
 }
 
-// TestLeafBombsRefused forges fanout-256 arenas whose entries name far more
-// words than the arenas hold, and demands that loading refuses each at once,
+// TestLeafBombsRefused forges a fanout-256 arena whose entries name far more
+// words than the arena holds, and demands that loading refuses it at once,
 // allocating no more than twice the arena's size: a root hangs 256 nodes,
 // each of which names 256 leaves of 256 entries, 16.8 M palette words in
-// all.
-//
-//   - packed: the leaves' palettes are 65 536 distinct windows of one run
-//     of values, each leaf costing the arena two words. Packing them would
-//     store each window whole; the leaf blocks' words outrun the arena after
-//     a few hundred leaves.
-//   - unshared: every slot of every node names one leaf, stored once after
-//     them. The unshared layout stores a leaf per entry naming it, so the
-//     second entry names it past the arena's end.
-//
-// The controls, which name the leaf blocks where their layout puts them,
-// load.
+// all. The leaves' palettes are 65 536 distinct windows of one run of
+// values, each leaf costing the arena two words. Packing them would store
+// each window whole; the leaf blocks' words outrun the arena after a few
+// hundred leaves. The control, which names one leaf where the layout puts
+// it, loads.
 func TestLeafBombsRefused(t *testing.T) {
 	const fanout, nodes = 256, 256
 	one := func(id uint64) uint64 { return (id<<1|1)<<2 | tagOne }
 	// ident is the code block numbering slot i i: 8-bit codes, the last
 	// word first.
-	ident := make([]uint64, codeWords(fanout, 3))
+	ident := make([]uint64, codeWords(fanout, 8))
 	for i := range uint64(fanout) {
 		ident[uint64(len(ident))-1-i/8] |= i << (i % 8 * 8)
 	}
-	sentinel := make([]uint64, codeWords(fanout, 0)+1)
-	c := uint64(len(ident))
+	sentinel := make([]uint64, codeWords(fanout, 1)+1)
 	packed := func(bomb bool) Flat {
 		// The sentinel, the root's codes, which every node shares, the
 		// root's palette, the nodes' palettes, then the leaves' blocks.
@@ -434,12 +385,12 @@ func TestLeafBombsRefused(t *testing.T) {
 		nodesPal := rootPal + nodes
 		run := nodesPal + nodes*fanout
 		for k := range uint64(nodes) {
-			arena = append(arena, childEntry(nodesPal+k*fanout, codesEnd, 3))
+			arena = append(arena, childEntry(nodesPal+k*fanout, codesEnd, 8))
 		}
 		for j := range uint64(nodes * fanout) {
-			leaf := childEntry(run, codesEnd, 3) // the control: one leaf
+			leaf := childEntry(run, codesEnd, 8) // the control: one leaf
 			if bomb {
-				leaf = childEntry(run+j, codesEnd, 3)
+				leaf = childEntry(run+j, codesEnd, 8)
 			}
 			arena = append(arena, leaf)
 		}
@@ -449,45 +400,8 @@ func TestLeafBombsRefused(t *testing.T) {
 			}
 			arena = append(arena, one(v))
 		}
-		f := Flat{Fanout: fanout, Nodes: arena, Layout: Packed}
-		f.Roots[0] = childEntry(rootPal, codesEnd, 3)
-		return f
-	}
-	unshared := func(bomb bool) Flat {
-		arena := slices.Clone(sentinel)
-		node := func(palette []uint64) uint64 {
-			arena = append(arena, ident...)
-			pal := uint64(len(arena))
-			arena = append(arena, palette...)
-			return childEntry(pal, pal, 3)
-		}
-		// The root, then each node, then one leaf.
-		at := uint64(len(sentinel))
-		rootPalette := make([]uint64, nodes)
-		for k := range rootPalette {
-			rootPalette[k] = childEntry(at+(1+uint64(k))*(c+fanout)+c, at+(1+uint64(k))*(c+fanout)+c, 3)
-		}
-		leaf := childEntry(at+(1+nodes)*(c+fanout)+c, at+(1+nodes)*(c+fanout)+c, 3)
-		root := node(rootPalette)
-		for range nodes {
-			palette := make([]uint64, fanout)
-			for i := range palette {
-				palette[i] = one(uint64(i)) // the control: values
-				if bomb {
-					palette[i] = leaf
-				}
-			}
-			node(palette)
-		}
-		if bomb {
-			values := make([]uint64, fanout)
-			for i := range values {
-				values[i] = one(uint64(i))
-			}
-			node(values)
-		}
-		f := Flat{Fanout: fanout, Nodes: arena, Layout: Unshared}
-		f.Roots[0] = root
+		f := Flat{Fanout: fanout, Nodes: arena}
+		f.Roots[0] = childEntry(rootPal, codesEnd, 8)
 		return f
 	}
 	for _, tc := range []struct {
@@ -495,8 +409,7 @@ func TestLeafBombsRefused(t *testing.T) {
 		forge func(bomb bool) Flat
 		want  string
 	}{
-		{"packed", packed, "the packed layout puts the nodes named so far past the arena's"},
-		{"unshared", unshared, "the unshared layout puts the nodes named so far past the arena's"},
+		{"packed", packed, "the layout puts the nodes named so far past the arena's"},
 	} {
 		if _, err := TrieFromFlat(tc.forge(false)); err != nil {
 			t.Fatalf("%s: control rejected: %v", tc.name, err)

@@ -28,37 +28,42 @@
 // w-bit code per slot, in two blocks of words:
 //
 //	end-C … end-1   the code block, C = ⌈fanout·w/64⌉ words, last word
-//	                first: slot i's code sits at end-1-(i·w>>6), bits i·w&63
-//	                and up
+//	                first: slot i's code is bits i·w to i·w+w-1 of the
+//	                stream that runs from word end-1 down, bit 0 of each
+//	                word first, so a code may straddle two words
 //	pal …           the palette: the node's d distinct entries in first-use
 //	                slot order
 //
-// w is the narrowest of 1, 2, 4, 8 bits with 2^w ≥ d. The node has no header:
-// a child entry (and a face root) carries log2(w) in bits 2–3, the palette
-// offset pal in bits 4–33 and, in bits 34–63, the signed distance end-pal
-// from the palette to the end of the code block, so the entry of slot i is
+// w is the narrowest width, 1 to 8 bits, with 2^w ≥ d: ⌈log2 d⌉, at least 1
+// (rounding it up to 1, 2, 4 or 8 bits, as index versions before 13 did,
+// took 20 012 more arena words on the census map at 60 m). The node has
+// no header: a child entry (and a face root) carries w-1 in bits 2–4, the
+// palette offset pal in bits 5–33 and, in bits 34–63, the signed distance
+// end-pal from the palette to the end of the code block, so the entry of
+// slot i is, with b = i·w, k = end-1-b>>6 and s = b&63,
 //
-//	arena[pal + (arena[end-1-(i·w>>6)] >> (i·w&63) & (1<<w - 1))]
+//	arena[pal + (arena[k]>>s | arena[k-1]<<1<<(63-s)) & (1<<w - 1)]
 //
-// — two dependent loads, no branch, no comparison, no count.
+// — two dependent loads (the second word lies next to the first), no
+// branch, no comparison, no count. arena[k-1] lies in the arena because
+// every code block but the sentinel's starts past word 0.
 //
 // The two blocks are stored apart because nodes repeat them: the census map
 // at 60 m has 14 793 nodes but 11 575 distinct code blocks, and at 15 m
 // 364 547 nodes share 11 643. Relayout lays the arena out in two regions.
 // The top region holds, breadth-first, every face root and every node with
 // a child: each stores its palette, and its code block unless an equal block
-// of its code width is stored there already, which it then names (18 865
+// of its code width is stored there already, which it then names (18 785
 // words on the census map). The leaf region holds the leaves' distinct code
 // blocks and palettes — 24 807 of them on the census map — as one greedy
 // superstring of words: a short palette that occurs inside a longer one is
 // named there, and the rest are chained so that each block starts where the
-// words ending the one before it agree with its own (54 % of the code words
-// repeat one code, 24 % are zero). That packs the arena into 212 541 words,
-// where storing each distinct block whole took 237 707. A child
-// entry names any palette offset and any code-block end, so a leaf's two
-// blocks may lie anywhere in that region, overlap each other or other
-// leaves' blocks, and a lookup reads them exactly as it reads a node of the
-// top region. A palette that holds a child entry, and a face root's palette,
+// words ending the one before it agree with its own. That packs the arena
+// into 192 529 words, where storing each distinct block whole took
+// 216 483. A child entry names any palette offset and any code-block end,
+// so a leaf's two blocks may lie anywhere in that region, overlap each
+// other or other leaves' blocks, and a lookup reads them exactly as it reads
+// a node of the top region. A palette that holds a child entry, and a face root's palette,
 // is never shared, so nodes still form a tree apart from identical leaves
 // (two slots of one node may name one), and a walk over every node
 // (validation, Cells, ComputeStats) stays linear in the arena.
@@ -150,84 +155,114 @@ func newTrie(fanout int) (*Trie, error) {
 }
 
 // entryAt returns the entry of slot idx of the node the child entry node
-// names: the slot's code, then the palette entry it selects.
+// names: the slot's code, then the palette entry it selects. A code may
+// straddle into the word below the one it starts in, which the funnel shift
+// joins in; that word lies in the arena, since every code block but the
+// sentinel's starts past word 0.
 func entryAt(nodes []uint64, node, idx uint64) uint64 {
-	pal, bit := node>>4&offsetMask, idx<<(node>>2&3)
+	pal, w := node>>5&offsetMask, node>>2&7+1
 	end := pal + uint64(int64(node)>>34)
-	// 0xff0f0301 holds the code masks of widths 1, 2, 4, 8 bytewise; node<<1&24
-	// is 8·log2(w).
-	return nodes[pal+nodes[end-1-bit>>6]>>(bit&63)&(0xff0f0301>>(node<<1&24)&0xff)]
+	bit := idx * w
+	k, s := end-1-bit>>6, bit&63
+	return nodes[pal+(nodes[k]>>s|nodes[k-1]<<1<<(^s&63))&(1<<w-1)]
 }
 
 // offsetMask selects the palette offset of a child entry, once shifted down
-// by 4. The distance field above it is as wide, so an entry reaches any word
-// of an arena of MaxArenaWords.
-const offsetMask = 1<<30 - 1
+// by 5: 29 bits, which name any word of an arena of MaxArenaWords. The
+// distance field above it is 30 bits, signed.
+const offsetMask = 1<<29 - 1
 
 // childEntry is the entry naming the node whose palette starts at word pal,
-// whose code block ends right before word end, and whose codes are 1<<lw bits
-// wide.
-func childEntry(pal, end, lw uint64) uint64 { return (end-pal)<<34 | pal<<4 | lw<<2 | tagChild }
+// whose code block ends right before word end, and whose codes are w bits
+// wide, 1 to 8.
+func childEntry(pal, end, w uint64) uint64 {
+	return (end-pal)<<34 | pal<<5 | (w-1)<<2 | tagChild
+}
 
 // paletteAt returns the palette offset of the node the child entry node names.
-func paletteAt(node uint64) uint64 { return node >> 4 & offsetMask }
+func paletteAt(node uint64) uint64 { return node >> 5 & offsetMask }
 
 // codeEnd returns the word past the code block of the node the child entry
 // node names.
 func codeEnd(node uint64) uint64 { return paletteAt(node) + uint64(int64(node)>>34) }
 
-// codeWidth returns log2 of the narrowest code width — 1, 2, 4 or 8 bits —
-// that numbers a palette of d entries.
-func codeWidth(d int) uint64 {
-	switch {
-	case d <= 2:
-		return 0
-	case d <= 4:
-		return 1
-	case d <= 16:
-		return 2
-	default:
-		return 3
-	}
-}
+// widthOf returns the code width, 1 to 8 bits, of the node the child entry
+// node names.
+func widthOf(node uint64) uint64 { return node>>2&7 + 1 }
+
+// codeWidth returns the narrowest code width that numbers a palette of d
+// entries: ⌈log2 d⌉ bits, at least one.
+func codeWidth(d int) uint64 { return uint64(max(bits.Len(uint(d-1)), 1)) }
 
 // codeWords returns the number of code words of a node of fanout slots whose
-// codes are 1<<lw bits wide.
-func codeWords(fanout int, lw uint64) uint64 { return (uint64(fanout)<<lw + 63) >> 6 }
+// codes are w bits wide.
+func codeWords(fanout int, w uint64) uint64 { return (uint64(fanout)*w + 63) >> 6 }
 
 // sentinel returns the child entry naming the sentinel node: fanout one-bit
 // codes, all zero, selecting its one palette entry, 0.
 func (t *Trie) sentinel() uint64 {
-	c := codeWords(t.fanout, 0)
-	return childEntry(c, c, 0)
+	c := codeWords(t.fanout, 1)
+	return childEntry(c, c, 1)
 }
+
+// window returns the 64 bits of the code stream of the code block ending
+// before word end that start at bit: the stream runs from word end-1 down,
+// and a window that starts inside a word takes its top bits from the word
+// below. The block must lie inside the arena and start past word 0.
+func (t *Trie) window(end, bit uint64) uint64 {
+	k, s := end-1-bit>>6, bit&63
+	return t.nodes[k]>>s | t.nodes[k-1]<<1<<(^s&63)
+}
+
+// lowBits returns the lowest bit of each whole w-bit code of the window
+// that starts at slot i's code, leaving out the slots past the fanout. A
+// window holds 64/w codes.
+func (t *Trie) lowBits(w uint64, i int) uint64 {
+	low := codeLows[w]
+	if rest := uint64(t.fanout - i); rest < 64/w {
+		low &= 1<<(rest*w) - 1
+	}
+	return low
+}
+
+// codeLows[w] has the lowest bit of each whole w-bit code of a 64-bit word
+// set.
+var codeLows = func() (lows [9]uint64) {
+	for w := uint64(1); w <= 8; w++ {
+		for b := uint64(0); b+w <= 64; b += w {
+			lows[w] |= 1 << b
+		}
+	}
+	return lows
+}()
 
 // runs lists the runs of equal codes of the node the child entry node names,
 // in slot order: run r covers slots starts[r] up to starts[r+1] and holds
 // code codes[r]. It closes starts with fanout and returns the number of
-// runs. The node's code words must lie inside the arena.
+// runs. The node's code words must lie inside the arena, past word 0.
 func (t *Trie) runs(node uint64, starts *[maxFanout + 1]uint16, codes *[maxFanout]uint8) int {
-	lw := node >> 2 & 3
-	w, per := uint64(1)<<lw, min(64>>lw, t.fanout) // code width, codes per word
-	low := t.lowBits(lw)
-	n, prev := 0, uint64(0) // prev: the last code of the word before
-	for i, k := 0, codeEnd(node)-1; i < t.fanout; i, k = i+per, k-1 {
-		x := t.nodes[k]
-		// A run starts where a code differs from the one before it: fold
-		// each code's bits of x ^ (x shifted one code up) into its lowest.
+	w, end := widthOf(node), codeEnd(node)
+	per, mask := 64/w, uint64(1)<<w-1
+	n, prev := 0, uint64(0) // prev: the last code of the window before
+	for i := 0; i < t.fanout; i += int(per) {
+		x, low := t.window(end, uint64(i)*w), t.lowBits(w, i)
+		// A run starts where a code differs from the one before it: set the
+		// top bit of each code of x ^ (x shifted one code up) that is not
+		// zero — adding each code's lower bits to all ones carries into its
+		// top bit unless they are zero, and never past it — then move it
+		// down to the code's lowest.
 		y := x ^ (x<<w | prev)
-		for s := w >> 1; s > 0; s >>= 1 {
-			y |= y >> s
-		}
-		if y &= low; i == 0 {
+		body, top := low*(mask>>1), low<<(w-1)
+		y = ((y&body + body) | y) & top >> (w - 1)
+		if i == 0 {
 			y |= 1 // slot 0 starts the first run
 		}
 		for ; y != 0; y &= y - 1 {
 			b := uint64(bits.TrailingZeros64(y))
-			starts[n], codes[n] = uint16(i+int(b>>lw)), uint8(x>>b&(1<<w-1))
+			starts[n], codes[n] = uint16(i+int(b/w)), uint8(x>>b&mask)
 			n++
 		}
-		prev = x >> (64 - w)
+		prev = x >> ((per - 1) * w) & mask
 	}
 	starts[n] = uint16(t.fanout)
 	return n
@@ -237,50 +272,40 @@ func (t *Trie) runs(node uint64, starts *[maxFanout + 1]uint16, codes *[maxFanou
 // block must lie inside the arena.
 func (t *Trie) codes(node uint64) []uint64 {
 	end := codeEnd(node)
-	return t.nodes[end-codeWords(t.fanout, node>>2&3) : end]
+	return t.nodes[end-codeWords(t.fanout, widthOf(node)) : end]
 }
 
 // palette returns the distinct entries of the node the child entry node
 // names — as many as its largest code selects. The node must lie inside the
-// arena.
+// arena, its code block past word 0.
 func (t *Trie) palette(node uint64) []uint64 {
-	lw := node >> 2 & 3
-	w := uint64(1) << lw
-	words := t.codes(node)
+	w, end := widthOf(node), codeEnd(node)
+	per := 64 / w
 	// The largest code, decided one bit plane at a time from the top, all
-	// codes of a word at once: tied holds, per code word, the lowest bit of
+	// codes of a window at once: tied holds, per window, the lowest bit of
 	// every code still tied for the largest.
-	var tied [maxFanout / 8]uint64
-	low := t.lowBits(lw)
-	for k := range words {
-		tied[k] = low
+	var xs, tied [maxFanout / 8]uint64
+	n := 0
+	for i := 0; i < t.fanout; i += int(per) {
+		xs[n], tied[n] = t.window(end, uint64(i)*w), t.lowBits(w, i)
+		n++
 	}
 	top := uint64(0)
 	for plane := w; plane > 0; plane-- {
 		b := plane - 1
 		var any uint64
-		for k, x := range words {
+		for k, x := range xs[:n] {
 			any |= x >> b & tied[k]
 		}
 		if any != 0 {
 			top |= 1 << b
-			for k, x := range words {
+			for k, x := range xs[:n] {
 				tied[k] &= x >> b
 			}
 		}
 	}
 	pal := paletteAt(node)
 	return t.nodes[pal : pal+top+1]
-}
-
-// lowBits returns the lowest bit of every code a code word holds, for this
-// trie's fanout and codes 1<<lw bits wide.
-func (t *Trie) lowBits(lw uint64) uint64 {
-	low := ^uint64(0) / (1<<(1<<lw) - 1)
-	if n := uint64(t.fanout) << lw; n < 64 {
-		low &= 1<<n - 1
-	}
-	return low
 }
 
 // isChild reports whether e references a child node (as opposed to being

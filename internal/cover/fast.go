@@ -3,6 +3,7 @@ package cover
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/geom"
@@ -79,7 +80,8 @@ type fastCover struct {
 	// AchievedPrecisionMeters.
 	boundary, interior []cellid.ID
 	achieved           float64
-	parity             bool // whether the parity shortcut is sound for this polygon
+	left               *atomic.Int64 // the budget cells are taken from, or nil
+	parity             bool          // whether the parity shortcut is sound for this polygon
 	// rules is indexed by level, from the start cell's down to the first
 	// that fits — below which nothing is visited — or the level cap.
 	rules [cellid.MaxLevel + 1]levelRule
@@ -138,13 +140,13 @@ func canParity(p *geom.Polygon) bool {
 
 // coverFast is the production covering path; its output is identical to
 // coverExhaustive (asserted by TestFastMatchesExhaustive).
-func (c *Coverer) coverFast(start cellid.ID, poly *geom.Polygon) (*Covering, error) {
+func (c *Coverer) coverFast(start cellid.ID, poly *geom.Polygon, left *atomic.Int64) (*Covering, error) {
 	f := scratchPool.Get().(*fastCover)
 	defer func() {
-		f.c, f.poly = nil, nil
+		f.c, f.poly, f.left = nil, nil, nil
 		scratchPool.Put(f)
 	}()
-	f.c, f.poly, f.parity = c, poly, canParity(poly)
+	f.c, f.poly, f.parity, f.left = c, poly, canParity(poly), left
 	f.rules = c.levelRules(start, poly.Bound())
 	f.edges = appendEdges(f.edges[:0], poly)
 	// The stack holds the active edges of every cell on the descent's path.
@@ -213,6 +215,7 @@ func (f *fastCover) visit(cell cellid.ID, rect geom.Rect, lo, hi int, refPt geom
 		// Uniform cell: decide its status once.
 		if f.inside(refPt, refInside, center, subLo, subHi) {
 			f.interior = append(f.interior, cell)
+			return f.take()
 		}
 		return nil
 	}
@@ -231,7 +234,7 @@ func (f *fastCover) visit(cell cellid.ID, rect geom.Rect, lo, hi int, refPt geom
 	}
 	if fits {
 		f.boundary = append(f.boundary, cell)
-		return nil
+		return f.take()
 	}
 	if level >= cellid.MaxLevel {
 		return fmt.Errorf("%w: cell %v at level cap %d has diagonal %.3f m > %.3f m",
@@ -260,6 +263,14 @@ func (f *fastCover) visit(cell cellid.ID, rect geom.Rect, lo, hi int, refPt geom
 		if err := f.visit(child, sub, subLo, subHi, center, centerInside); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// take takes the cell just kept from the budget, if there is one.
+func (f *fastCover) take() error {
+	if f.left != nil && f.left.Add(-1) < 0 {
+		return ErrTooManyCells
 	}
 	return nil
 }

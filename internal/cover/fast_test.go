@@ -1,10 +1,13 @@
 package cover
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/actindex/act/internal/data"
 	"github.com/actindex/act/internal/geo"
@@ -52,7 +55,7 @@ func TestFastMatchesExhaustive(t *testing.T) {
 					t.Fatal(err)
 				}
 				start := c.startCell(face, poly)
-				fast, err := c.coverFast(start, poly)
+				fast, err := c.coverFast(start, poly, nil)
 				if err != nil {
 					t.Fatalf("trial %d %s/%v: fast: %v", trial, g.Name(), eps, err)
 				}
@@ -88,7 +91,7 @@ func TestFastMatchesExhaustiveOnGenerated(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := c.startCell(face, poly)
-		fast, err := c.coverFast(start, poly)
+		fast, err := c.coverFast(start, poly, nil)
 		if err != nil {
 			t.Fatalf("polygon %d fast: %v", i, err)
 		}
@@ -128,7 +131,7 @@ func TestFastParityDisabledForPathologicalHoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := c.startCell(face, poly)
-	fast, err := c.coverFast(start, poly)
+	fast, err := c.coverFast(start, poly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func FuzzCoverFastMatchesExhaustive(f *testing.F) {
 					t.Fatal(err)
 				}
 				start := c.startCell(face, poly)
-				fast, errFast := c.coverFast(start, poly)
+				fast, errFast := c.coverFast(start, poly, nil)
 				slow, errSlow := c.coverExhaustive(start, poly)
 				if (errFast == nil) != (errSlow == nil) {
 					t.Fatalf("%s/%v: fast error %v, reference error %v", g.Name(), eps, errFast, errSlow)
@@ -256,4 +259,58 @@ func FuzzCoverFastMatchesExhaustive(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCoverWithin: a budget of a covering's size yields the covering
+// CoverProjected does and leaves nothing; one cell less is refused with
+// ErrTooManyCells, at any precision, without covering past it.
+func TestCoverWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var left atomic.Int64
+	for trial := 0; trial < 10; trial++ {
+		p := randomGeoPolygon(rng)
+		for _, g := range testGrids {
+			c, err := NewCoverer(g, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			face, poly, err := grid.ProjectPolygon(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.CoverProjected(face, poly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := int64(want.NumCells())
+			left.Store(n)
+			got, err := c.CoverWithin(face, poly, &left)
+			if err != nil || left.Load() != 0 {
+				t.Fatalf("trial %d %s: a budget of the covering's %d cells: %v, %d left", trial, g.Name(), n, err, left.Load())
+			}
+			assertCoveringsEqual(t, fmt.Sprintf("trial %d %s", trial, g.Name()), want, got)
+			left.Store(n - 1)
+			if _, err := c.CoverWithin(face, poly, &left); !errors.Is(err, ErrTooManyCells) {
+				t.Fatalf("trial %d %s: a budget of %d cells, below the covering's %d: %v", trial, g.Name(), n-1, n, err)
+			}
+		}
+	}
+	// At 5 cm a polygon spanning kilometres has millions of boundary cells;
+	// a budget of 1 000 stops the covering after that many.
+	c, err := NewCoverer(testGrids[0], 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	face, poly, err := grid.ProjectPolygon(testGrids[0], randomGeoPolygon(rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	left.Store(1000)
+	start := time.Now()
+	if _, err := c.CoverWithin(face, poly, &left); !errors.Is(err, ErrTooManyCells) {
+		t.Fatalf("a budget of 1000 cells at 5 cm: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("refusing a covering past 1000 cells took %v", d)
+	}
 }

@@ -348,24 +348,6 @@ func queryRect(n *node, r geom.Rect, buf []uint32) []uint32 {
 	return buf
 }
 
-// MemoryBytes estimates the index footprint: every entry is a rect plus a
-// pointer-sized payload, every node a header.
-func (t *Tree) MemoryBytes() int64 {
-	var total int64
-	var walk func(n *node)
-	walk = func(n *node) {
-		total += 40 * int64(len(n.entries)) // 32-byte rect + pointer/id
-		total += 32                         // node header
-		if !n.leaf {
-			for i := range n.entries {
-				walk(n.entries[i].child)
-			}
-		}
-	}
-	walk(t.root)
-	return total
-}
-
 // CheckInvariants validates structural invariants; it is exported for tests
 // and returns a descriptive error when a violation is found.
 func (t *Tree) CheckInvariants() error {

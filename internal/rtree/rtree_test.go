@@ -161,18 +161,6 @@ func TestHeightGrowth(t *testing.T) {
 	}
 }
 
-func TestMemoryBytesGrows(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tr, _ := New(8)
-	before := tr.MemoryBytes()
-	for i := 0; i < 1000; i++ {
-		tr.Insert(randRect(rng, 10, 1), uint32(i))
-	}
-	if after := tr.MemoryBytes(); after <= before {
-		t.Errorf("MemoryBytes did not grow: %d -> %d", before, after)
-	}
-}
-
 func BenchmarkQueryPoint(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	tr, _ := New(DefaultMaxEntries)

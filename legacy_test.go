@@ -1,8 +1,12 @@
 package act
 
-// Index files of versions 7 to 10 — the layouts before the leaf region was
-// packed — still load through every path, serve what a fresh build serves,
-// and write back the file the build writes (version 11 or 12).
+// Index files of versions 7 to 12 — the trie encodings before every node was
+// coded at the narrowest width — still load through every path, by
+// rebuilding the trie from the file's geometry, serve what a fresh build
+// serves, and write back the file the build writes (version 13 or 14). One
+// the trie cannot be rebuilt from — without geometry, without the faces of
+// a multi-face trie, or asking for more cells than its size accounts for —
+// is refused.
 
 import (
 	"bytes"
@@ -10,8 +14,11 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 // legacySparseFile is an index of CensusBlocks(1, 40) on the cube-face grid
@@ -19,8 +26,9 @@ import (
 // written as index version 8 by the last release that wrote it.
 const legacySparseFile = "testdata/census40-sparse-v8.act"
 
-// buildLegacyTwin builds the index legacySparseFile and
-// testdata/census40-sparse-v10.act were written from.
+// buildLegacyTwin builds the index legacySparseFile,
+// testdata/census40-sparse-v10.act and testdata/census40-sparse-v12.act
+// were written from.
 func buildLegacyTwin(t *testing.T) *Index {
 	t.Helper()
 	ix := buildLegacyDenseTwin(t)
@@ -36,9 +44,9 @@ func buildLegacyTwin(t *testing.T) *Index {
 	return ix
 }
 
-// buildLegacyDenseTwin builds the index testdata/census40-dense-v9.act was
-// written from: CubeFaceGrid census blocks as for buildLegacyTwin, nothing
-// removed.
+// buildLegacyDenseTwin builds the index testdata/census40-dense-v9.act and
+// testdata/census40-dense-v11.act were written from: CubeFaceGrid census
+// blocks as for buildLegacyTwin, nothing removed.
 func buildLegacyDenseTwin(t *testing.T) *Index {
 	t.Helper()
 	ix, err := New(mustCensus40(t).Polygons, WithPrecision(1000), WithGrid(CubeFaceGrid), WithDeltaThreshold(-1))
@@ -51,24 +59,150 @@ func buildLegacyDenseTwin(t *testing.T) *Index {
 // TestLegacyUnsharedArenaLoads loads the version 8 file, whose arena shares
 // no blocks, as checkLegacyFile does.
 func TestLegacyUnsharedArenaLoads(t *testing.T) {
-	checkLegacyFile(t, legacySparseFile, unsharedIndexVersionSparse, buildLegacyTwin(t))
+	checkLegacyFile(t, legacySparseFile, 8, buildLegacyTwin(t))
 }
 
 // TestLegacySharedArenaLoads loads a version 9 and a version 10 file, whose
 // arenas share whole blocks but pack nothing, as checkLegacyFile does; each
 // was written by the last release that wrote it.
 func TestLegacySharedArenaLoads(t *testing.T) {
+	checkLegacyFiles(t, 9, "testdata/census40-dense-v9.act", "testdata/census40-sparse-v10.act")
+}
+
+// TestLegacyPackedArenaLoads loads a version 11 and a version 12 file, whose
+// arenas are packed but code nodes 1, 2, 4 or 8 bits wide, as
+// checkLegacyFile does; each was written by the last release that wrote it.
+func TestLegacyPackedArenaLoads(t *testing.T) {
+	checkLegacyFiles(t, 11, "testdata/census40-dense-v11.act", "testdata/census40-sparse-v12.act")
+}
+
+// checkLegacyFiles runs checkLegacyFile over dense, a dense-id file of the
+// odd version given, and sparse, the sparse-id file of the version after it.
+func checkLegacyFiles(t *testing.T, version uint32, dense, sparse string) {
 	for _, tc := range []struct {
 		file    string
 		version uint32
 		twin    func(*testing.T) *Index
-	}{
-		{"testdata/census40-dense-v9.act", sharedIndexVersion, buildLegacyDenseTwin},
-		{"testdata/census40-sparse-v10.act", sharedIndexVersionSparse, buildLegacyTwin},
-	} {
+	}{{dense, version, buildLegacyDenseTwin}, {sparse, version + 1, buildLegacyTwin}} {
 		t.Run(filepath.Base(tc.file), func(t *testing.T) {
 			checkLegacyFile(t, tc.file, tc.version, tc.twin(t))
 		})
+	}
+}
+
+// TestLegacyWithoutGeometryRefused: a file of versions 7 to 12 written
+// without geometry holds nothing the trie can be rebuilt from, so every
+// loader refuses it, saying to rebuild it from the polygons — here a fresh
+// approximate-only file, stamped version 11.
+func TestLegacyWithoutGeometryRefused(t *testing.T) {
+	ix, err := New(mustCensus40(t).Polygons, WithPrecision(1000), WithGeometryStore(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, h := legacyHeader(t, ix)
+	h.version = 11
+	checkRefusedEverywhere(t, restamp(file, h), "no geometry to rebuild it from: rebuild from polygons")
+}
+
+// TestLegacyV1FacesRefused: a version 7 or 8 file may carry a version 1
+// geometry section, which records no faces. With roots on one face every
+// polygon lies there (TestGeometryV1Compat); on the cube-face grid with
+// roots on several, only the trie knew each polygon's face, and the trie is
+// not read, so every loader refuses the file — here a fresh build over
+// several faces with its section laid out as version 1, stamped version 7.
+func TestLegacyV1FacesRefused(t *testing.T) {
+	tri := func(lat, lng float64) *Polygon {
+		return &Polygon{Outer: []LatLng{{Lat: lat, Lng: lng}, {Lat: lat, Lng: lng + 1}, {Lat: lat + 1, Lng: lng}}}
+	}
+	polys := []*Polygon{tri(10, 10), tri(10, 100), tri(70, 40), tri(-20, -100), tri(40.7, -74)}
+	ix, err := New(polys, WithPrecision(20000), WithGrid(CubeFaceGrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, h := legacyHeader(t, ix)
+	file = append(file[:h.geomOff:h.geomOff], sectionV1(ix.live.Load().store)...)
+	h.version, h.fileSize = 7, uint64(len(file))
+	checkRefusedEverywhere(t, restamp(file, h), "write it back with a release that reads index version 12, or rebuild from polygons")
+}
+
+// TestLegacyRebuildBounded: the precision a v7–v12 file's header names
+// decides how fine rebuildTrie's coverings are, and the header CRC is no
+// defence against a forged one. Stamped with 10 cm instead of 1 000 m, a
+// census-40 file asks for coverings of tens of thousands of cells a
+// polygon; the rebuild stops once they outgrow the cells a trie of the
+// file's size holds, refusing the file in time and memory proportional to
+// its size.
+func TestLegacyRebuildBounded(t *testing.T) {
+	ix, err := New(mustCensus40(t).Polygons, WithPrecision(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, h := legacyHeader(t, ix)
+	h.version, h.precision = 11, 0.1
+	file = restamp(file, h)
+	budget := rebuildCellsPerWord * int(h.fanout) * int((h.tableOff-h.arenaOff)/8+h.tableLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err = ReadIndex(bytes.NewReader(file))
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if want := "a trie of its size holds: rebuild from polygons"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadIndex: error %v, want %q", err, want)
+	}
+	// The budget is shared by every covering worker; a kept cell costs a
+	// few words (the scratch buffer, the covering, the merge's pair).
+	bound := 64 * uint64(budget)
+	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > bound || elapsed > 5*time.Second {
+		t.Errorf("refusing a %d-byte file with a %d-cell budget took %v and allocated %d bytes (bound %d)",
+			len(file), budget, elapsed, allocated, bound)
+	}
+	checkRefusedEverywhere(t, file, "a trie of its size holds: rebuild from polygons")
+}
+
+// legacyHeader returns ix's file and its parsed header, for a test to
+// restamp as an older version.
+func legacyHeader(t *testing.T, ix *Index) ([]byte, *flatHeader) {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseHeader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), h
+}
+
+// restamp writes h, its checksum recomputed, over file's header.
+func restamp(file []byte, h *flatHeader) []byte {
+	buf := h.encode()
+	copy(file, buf[:])
+	return file
+}
+
+// checkRefusedEverywhere checks that ReadIndex, OpenIndex, Recover and
+// OpenFollower each refuse file with an error containing want.
+func checkRefusedEverywhere(t *testing.T, file []byte, want string) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.act")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for loader, load := range map[string]func() (*Index, error){
+		"ReadIndex":    func() (*Index, error) { return ReadIndex(bytes.NewReader(file)) },
+		"OpenIndex":    func() (*Index, error) { return OpenIndex(path) },
+		"Recover":      func() (*Index, error) { return Recover(path, filepath.Join(dir, "delta.wal")) },
+		"OpenFollower": func() (*Index, error) { return OpenFollower(path) },
+	} {
+		if ix, err := load(); err == nil || !strings.Contains(err.Error(), want) {
+			if err == nil {
+				ix.Close()
+			}
+			t.Errorf("%s: error %v, want %q", loader, err, want)
+		}
 	}
 }
 
@@ -112,7 +246,7 @@ func checkLegacyFile(t *testing.T, file string, version uint32, built *Index) {
 	}
 	defer mapped.Close()
 	if mapped.Mapped() {
-		t.Errorf("a version %d arena is relaid out onto the heap, yet Mapped reports the mapping", version)
+		t.Errorf("a version %d trie is rebuilt onto the heap, yet Mapped reports the mapping", version)
 	}
 	heap, err := openHeap(file)
 	if err != nil {

@@ -256,7 +256,7 @@ func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 }
 
 // TestLegacyFormatsRefused: index files of versions 1 to 6 (and a future
-// version 13) and version-1
+// version 15) and version-1
 // write-ahead logs are no longer read. Every loader must say so —
 // an "unsupported version" error, before interpreting another byte — and
 // must leave the file as it found it.
@@ -276,7 +276,7 @@ func TestLegacyFormatsRefused(t *testing.T) {
 	}
 	// A v3/v4 file (dense nodes) and a v5/v6 file (run-compressed nodes)
 	// have today's header layout, checksummed, over another arena: re-stamp
-	// a dense-id and a sparse-id file of today. So does a future v13.
+	// a dense-id and a sparse-id file of today. So does a future v15.
 	seeds := fuzzSeedIndexes(t)
 	flatFile := func(version uint32, current []byte) []byte {
 		b := bytes.Clone(current)
@@ -292,8 +292,8 @@ func TestLegacyFormatsRefused(t *testing.T) {
 		"index-v4":        flatFile(4, seeds[1]),
 		"index-v5":        flatFile(5, seeds[0]),
 		"index-v6":        flatFile(6, seeds[1]),
-		"index-v13":       flatFile(13, seeds[0]),
-		"index-v13-short": indexFile(13),
+		"index-v15":       flatFile(15, seeds[0]),
+		"index-v15-short": indexFile(15),
 	} {
 		if _, err := ReadIndex(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), "unsupported index version") {
 			t.Errorf("%s: ReadIndex error = %v, want unsupported index version", name, err)

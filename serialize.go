@@ -8,23 +8,24 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
+	"sync/atomic"
 	"unsafe"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/core"
+	"github.com/actindex/act/internal/cover"
 	"github.com/actindex/act/internal/geom"
 	"github.com/actindex/act/internal/geostore"
 	"github.com/actindex/act/internal/grid"
-	"github.com/actindex/act/internal/supercover"
 )
 
-// Index serialization, versions 11 and 12 — the flat, mmap-servable layout
+// Index serialization, versions 13 and 14 — the flat, mmap-servable layout
 // (little endian throughout):
 //
 //	offset 0:    header, 264 bytes
 //	  magic     "ACTX"          4 bytes
-//	  version   uint32          11 (dense ids) or 12 (sparse ids); 7 to
-//	                            10 are read too
+//	  version   uint32          13 (dense ids) or 14 (sparse ids); 7 to
+//	                            12 are read too, by rebuilding the trie
 //	  gridKind  uint32
 //	  flags     uint32          bit 0: a geometry section follows the table
 //	  fanout    uint32
@@ -39,19 +40,18 @@ import (
 //	                            is read from here, nodes vary in size
 //	  geomOff   uint64          8-aligned geometry start; 0 without geometry
 //	  fileSize  uint64          total file length in bytes
-//	  roots     6 × uint64      per-face root child entries (palette
-//	                            offset, code-block distance and code
-//	                            width), 0 for an empty face
+//	  roots     6 × uint64      per-face root child entries, 0 for an
+//	                            empty face
 //	  skips     6 × uint64      root path-compression bit counts
 //	  prefixes  6 × uint64      root path-compression prefixes
 //	  arenaCRC  uint64          CRC-64/ECMA of arena + table (+ id column)
 //	  headerCRC uint64          CRC-64/ECMA of header bytes [0, 256)
 //	zero padding to arenaOff
 //	arenaOff:  node arena       palette-coded nodes' code blocks and
-//	                            palettes (see internal/core) in core's
-//	                            packed layout: roots and nodes with
-//	                            children breadth-first, then the leaves'
-//	                            distinct blocks as one word superstring
+//	                            palettes (see internal/core): roots and
+//	                            nodes with children breadth-first, then
+//	                            the leaves' distinct blocks as one word
+//	                            superstring
 //	tableOff:  lookup table     tableLen × uint32
 //	idsOff:    id column        sparse only: numPolys × uint32, strictly
 //	                            ascending live polygon ids, 8-aligned after
@@ -63,25 +63,37 @@ import (
 //	                            filling [geomOff, fileSize) exactly — present
 //	                            only when flag set
 //
-// Version 11 describes a dense id space: numPolys polygons with implicit
-// ids 0..numPolys-1. Version 12 adds sparse id spaces — the id column names
+// A child entry — a face root, or a palette entry naming a child node —
+// holds the entry tag 0 in bits 0–1, the node's code width w−1 (w = 1 to 8
+// bits, the narrowest that numbers its palette) in bits 2–4, its palette
+// offset in bits 5–33, and in bits 34–63 the signed distance from the
+// palette to the word past its code block, where slot i's code sits at bit
+// i·w counted from the block's last word down.
+//
+// Version 13 describes a dense id space: numPolys polygons with implicit
+// ids 0..numPolys-1. Version 14 adds sparse id spaces — the id column names
 // the live ids explicitly, idSpace records how many ids were ever assigned
 // — so a compacted index whose removals left permanent holes serializes.
-// WriteTo picks the lowest version that can represent the index (v11 when
-// dense, v12 when sparse); the geometry section stays dense either way,
+// WriteTo picks the lowest version that can represent the index (v13 when
+// dense, v14 when sparse); the geometry section stays dense either way,
 // storing the live polygons in id-column order and remapped to their
 // sparse ids at load. The arenaCRC of a sparse file also covers the id
 // column (not the alignment padding around it).
 //
-// Versions 7 to 10 are versions 11 and 12 over the trie layouts before
-// this one (odd versions dense, even ones sparse): 9 and 10 store the
-// shared layout — every node breadth-first, a repeated code block or leaf
-// palette named where it was stored first, nothing packed — and 7 and 8
-// the unshared one, where every node stores its own code block right
-// before its own palette. The decoder still reads them: core.TrieFromFlat
-// validates the arena against that layout's Relayout and relays it out,
-// packed, onto the heap — a mapped v7–v10 file is served from the heap —
-// so WriteTo then writes the v11/v12 file New would.
+// Versions 7 to 12 are versions 13 and 14 over earlier trie encodings (odd
+// versions dense, even ones sparse): codes 1, 2, 4 or 8 bits wide, the width
+// in bits 2–3 of a child entry and the palette offset in bits 4–33, laid out
+// with every node whole (7, 8), with repeated blocks stored once (9, 10), or
+// packed as here (11, 12). The trie is a cache derived from the geometry:
+// the decoder skips such an arena and rebuilds the trie New would, from the
+// geometry section — every live polygon re-covered under its id, the
+// coverings merged and streamed into the trie builder — onto the heap, so
+// WriteTo then writes the v13/v14 file New would. The coverings draw on a
+// cell budget in proportion to the skipped arena and table (rebuildTrie),
+// so a forged precision cannot make the rebuild cost more than the file's
+// size allows. A v7–v12 file without a geometry section, or a v7/v8 file
+// whose version 1 section leaves the faces of a multi-face trie unknown,
+// cannot be rebuilt and is refused: rebuild it from the polygons.
 //
 // The arena starts on a page boundary and its words are stored exactly as
 // the trie serves them in memory, so OpenIndex can map the file and alias
@@ -96,7 +108,7 @@ import (
 // header, so the exact-refinement geometry can evolve without breaking the
 // trie format: WriteTo writes section version 3, and the decoder still reads
 // version 2 (every vertex stored anew) and version 1 (raw float64 vertices,
-// no faces), taking each polygon's face from the cells that reference it.
+// no faces), placing every polygon on the one face that has a root.
 // Files written with WithGeometryStore(false) load in approximate-only mode.
 //
 // Index versions 1 and 2 (the pre-flat layouts), 3 and 4 (this layout over
@@ -109,15 +121,12 @@ const (
 	indexMagic = "ACTX"
 	// indexVersion is the dense flat format; indexVersionSparse the flat
 	// format with an explicit id column. WriteTo emits the lowest version
-	// that represents the index. The shared and unshared versions are the
-	// same two over the arena layouts before this one (see layoutOf), read
-	// but no longer written.
-	indexVersion               = 11
-	indexVersionSparse         = 12
-	sharedIndexVersion         = 9
-	sharedIndexVersionSparse   = 10
-	unsharedIndexVersion       = 7
-	unsharedIndexVersionSparse = 8
+	// that represents the index. Versions from oldestIndexVersion up to
+	// indexVersion are the same two over earlier trie encodings, read by
+	// rebuilding the trie (see rebuildTrie) but no longer written.
+	indexVersion       = 13
+	indexVersionSparse = 14
+	oldestIndexVersion = 7
 
 	// flatHeaderSize is the full flat header including headerCRC;
 	// flatHeaderCRCBytes the prefix that checksum covers.
@@ -146,7 +155,7 @@ var ErrPendingMutations = errors.New("act: index has uncompacted mutations; Comp
 
 var flatCRCTable = crc64.MakeTable(crc64.ECMA)
 
-// flatHeader is the parsed 264-byte flat header (versions 7 to 12).
+// flatHeader is the parsed 264-byte flat header (versions 7 to 14).
 type flatHeader struct {
 	version   uint32
 	idSpace   uint64 // ids ever assigned; == numPolys when dense
@@ -172,21 +181,8 @@ type flatHeader struct {
 // tableEnd returns the byte offset one past the lookup table.
 func (h *flatHeader) tableEnd() uint64 { return h.tableOff + h.tableLen*4 }
 
-// sparse reports whether the file carries an id column (versions 8, 10 and
-// 12: the even ones).
+// sparse reports whether the file carries an id column (the even versions).
 func (h *flatHeader) sparse() bool { return h.version%2 == 0 }
-
-// layoutOf returns the trie arena layout a file version stores.
-func layoutOf(version uint32) core.Layout {
-	switch version {
-	case unsharedIndexVersion, unsharedIndexVersionSparse:
-		return core.Unshared
-	case sharedIndexVersion, sharedIndexVersionSparse:
-		return core.Shared
-	default:
-		return core.Packed
-	}
-}
 
 // idsOff returns the byte offset of the sparse id column (8-aligned past the
 // table). A dense header has no column; idsOff and idsEnd collapse to
@@ -244,7 +240,7 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 }
 
 // parseHeader parses the header at the start of a file image. Magic and
-// version come first, so anything but a flat v7–v12 file is refused before
+// version come first, so anything but a flat v7–v14 file is refused before
 // a further byte is interpreted, even one too short to hold a header.
 func parseHeader(b []byte) (*flatHeader, error) {
 	if len(b) < 8 {
@@ -253,7 +249,7 @@ func parseHeader(b []byte) (*flatHeader, error) {
 	if string(b[:4]) != indexMagic {
 		return nil, fmt.Errorf("act: bad index magic %q", b[:4])
 	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v < unsharedIndexVersion || v > indexVersionSparse {
+	if v := binary.LittleEndian.Uint32(b[4:]); v < oldestIndexVersion || v > indexVersionSparse {
 		return nil, fmt.Errorf("act: unsupported index version %d", v)
 	}
 	if len(b) < flatHeaderSize {
@@ -262,7 +258,7 @@ func parseHeader(b []byte) (*flatHeader, error) {
 	return decodeFlatHeader((*[flatHeaderSize]byte)(b))
 }
 
-// decodeFlatHeader parses and cross-validates a flat header (v7 to v12)
+// decodeFlatHeader parses and cross-validates a flat header (v7 to v14)
 // whose magic and version bytes are already verified. Every offset
 // relationship the layout promises is checked here, so the decoder can
 // trust the header's geometry of the file afterwards — all that remains is
@@ -321,7 +317,7 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 		return nil, fmt.Errorf("act: implausible polygon count %d", h.numPolys)
 	}
 	switch {
-	case h.version < unsharedIndexVersion || h.version > indexVersionSparse:
+	case h.version < oldestIndexVersion || h.version > indexVersionSparse:
 		return nil, fmt.Errorf("act: unsupported flat index version %d", h.version)
 	case !h.sparse():
 		// Dense: the id space is the polygon count, ids implicit.
@@ -378,9 +374,9 @@ func writeZeros(w io.Writer, n int64) error {
 //
 // Only compacted indexes serialize: WriteTo reports ErrPendingMutations
 // while uncompacted mutations exist. A dense index (no removals, or none
-// that left holes) writes the v11 format; an index whose removals left
+// that left holes) writes the v13 format; an index whose removals left
 // permanent holes in the id space (ids are stable forever, so holes never
-// close) writes v12, which carries an explicit id column.
+// close) writes v14, which carries an explicit id column.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	ep := ix.live.Load()
 	if ep.ov != nil {
@@ -389,9 +385,9 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return ix.writeFlat(w, ep)
 }
 
-// writeFlat serializes one compacted epoch in the flat layout: v11 while its
-// id space is dense, v12 otherwise — with the strictly ascending column of
-// live polygon ids and the number of ids ever assigned. The v12 geometry
+// writeFlat serializes one compacted epoch in the flat layout: v13 while its
+// id space is dense, v14 otherwise — with the strictly ascending column of
+// live polygon ids and the number of ids ever assigned. The v14 geometry
 // section stays a dense geostore blob holding the live polygons in
 // id-column order; the loader remaps them to their sparse ids.
 func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
@@ -544,7 +540,8 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // is little-endian and img 8-aligned, and are decoded into fresh slices
 // otherwise: no other reader knows the file's byte order. checkCRC, the
 // policy for heap images, verifies the arena checksum; a mapping relies on
-// TrieFromFlat's structural validation instead.
+// TrieFromFlat's structural validation instead. A v7–v12 arena is skipped,
+// and the trie rebuilt from the geometry (see rebuildTrie).
 func decodeImage(img, geom []byte, checkCRC bool) (*Index, error) {
 	h, err := parseHeader(img)
 	if err != nil {
@@ -572,6 +569,9 @@ func decodeImage(img, geom []byte, checkCRC bool) (*Index, error) {
 			return nil, err
 		}
 	}
+	if h.version < indexVersion {
+		return rebuildTrie(h, ids, geom)
+	}
 	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(img)))%8 == 0
 	nodes := words[uint64](img[h.arenaOff:h.tableOff], alias)
 	return assembleFlat(h, nodes, words[uint32](img[h.tableOff:h.tableEnd()], alias), ids, geom)
@@ -597,9 +597,10 @@ func words[W uint32 | uint64](b []byte, alias bool) []W {
 // by polygon id. The section stores the live polygons densely, in id-column
 // order when sparse; each is remapped to its id so trie refs index the store
 // directly. A version 1 section records no faces: a polygon is projected
-// onto one face, so every cell referencing it names that face, and the
-// trie's cells supply them.
-func readGeometry(h *flatHeader, trie *core.Trie, g grid.Grid, ids []uint32, sec []byte) (*geostore.Store, error) {
+// onto one face, where all its cells lie, so when the header names one face
+// root every polygon lies on that face; on a grid of several faces, roots on
+// several of them leave the faces unknown, and the file is refused.
+func readGeometry(h *flatHeader, g grid.Grid, ids []uint32, sec []byte) (*geostore.Store, error) {
 	st, err := geostore.Read(sec)
 	if err != nil {
 		return nil, err
@@ -608,34 +609,83 @@ func readGeometry(h *flatHeader, trie *core.Trie, g grid.Grid, ids []uint32, sec
 		return nil, fmt.Errorf("act: geometry section has %d polygons, header says %d",
 			st.NumPolygons(), h.numPolys)
 	}
+	var only uint8 // the one face with a root, when the section has none
+	if _, ok := st.Face(0); !ok && g.NumFaces() > 1 && st.NumPolygons() > 0 {
+		used := 0
+		for face, root := range h.roots {
+			if root != 0 {
+				only, used = uint8(face), used+1
+			}
+		}
+		if used != 1 {
+			return nil, fmt.Errorf("act: index version %d carries a version 1 geometry section, which records no faces, and its trie has roots on %d grid faces: write it back with a release that reads index version 12, or rebuild from polygons", h.version, used)
+		}
+	}
 	slots := make([]*geom.Polygon, h.idSpace)
 	faces := make([]uint8, h.idSpace)
-	haveFaces := true
 	for i := range st.NumPolygons() {
 		id := uint32(i)
 		if ids != nil {
 			id = ids[i]
 		}
-		slots[id] = st.Polygon(uint32(i))
-		face, ok := st.Face(uint32(i))
-		faces[id], haveFaces = uint8(face), ok
-	}
-	if !haveFaces && g.NumFaces() > 1 {
-		seen := make([]bool, h.idSpace)
-		_ = trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
-			for _, r := range refs {
-				faces[r.PolygonID], seen[r.PolygonID] = uint8(cell.Face()), true
-			}
-			return nil
-		})
-		for id, p := range slots {
-			if p != nil && !seen[id] {
-				return nil, fmt.Errorf("act: no cell references polygon %d to give its grid face", id)
-			}
+		slots[id], faces[id] = st.Polygon(uint32(i)), only
+		if face, ok := st.Face(uint32(i)); ok {
+			faces[id] = uint8(face)
 		}
 	}
 	return geostore.NewSparse(slots, faces), nil
 }
+
+// rebuildTrie assembles an Index from a v7–v12 file, whose trie the decoder
+// skips: it builds the trie New would from the geometry section — each live
+// polygon re-covered under its id, the coverings merged and streamed into
+// the trie builder — onto the heap. The stats keep the header's cell count
+// and achieved precision, as a compaction does, so the file written back is
+// the one the index that wrote this one would write.
+//
+// The header's precision is the file's word, and a small one asks for
+// coverings as fine as the grid goes. So the coverings draw on a budget of
+// rebuildCellsPerWord·fanout cells per word of the skipped arena and table:
+// refusing a forged file costs time and memory in proportion to its size.
+func rebuildTrie(h *flatHeader, ids []uint32, sec []byte) (*Index, error) {
+	if !h.hasGeom {
+		return nil, fmt.Errorf("act: index version %d stores a trie encoding this release does not read, and no geometry to rebuild it from: rebuild from polygons", h.version)
+	}
+	pl, ep, err := flatEpoch(h, ids, sec)
+	if err != nil {
+		return nil, err
+	}
+	budget := rebuildCellsPerWord * int64(h.fanout) * int64((h.tableOff-h.arenaOff)/8+h.tableLen)
+	var left atomic.Int64
+	left.Store(budget)
+	var built BuildStats
+	covs, err := coverAll(int(h.numPolys), &built, func(i int) (*cover.Covering, error) {
+		id := uint32(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		face, _ := ep.store.Face(id)
+		return pl.coverer.CoverWithin(face, ep.store.Polygon(id), &left)
+	})
+	if errors.Is(err, cover.ErrTooManyCells) {
+		return nil, fmt.Errorf("act: index version %d: its polygons re-covered at %g m take more than the %d cells a trie of its size holds: rebuild from polygons", h.version, h.precision, budget)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ep.trie, err = pl.merge(ids, covs, &built); err != nil {
+		return nil, err
+	}
+	ep.stats.TrieNodes, ep.stats.TrieBytes, ep.stats.TableBytes = ep.trie.Size()
+	return newIndex(GridKind(h.gridKind), pl, ep), nil
+}
+
+// rebuildCellsPerWord bounds rebuildTrie's coverings, in cells per slot of
+// fanout per word of the file's arena and table. A build's coverings hold at
+// most 0.65 of them (fanout 4; 0.50 at 16, 0.32 at 64, 0.12 at 256) on the
+// census, neighbourhood and borough maps on both grids at 60, 15 and 4 m,
+// and a file of an older trie encoding holds more words than today's.
+const rebuildCellsPerWord = 2
 
 // decodeIDColumn parses and validates a sparse id column: strictly ascending
 // polygon ids below idSpace.
@@ -654,9 +704,8 @@ func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 
 // assembleFlat builds a servable Index from a validated flat header and the
 // sections decodeImage took from a file image: the trie words, aliasing the
-// image or decoded from it (a v7–v10 arena is relaid out onto the heap); ids,
-// the decoded sparse id column (nil when dense); and
-// geomSec, the bytes [geomOff, fileSize) when the header declares a
+// image or decoded from it; ids, the decoded sparse id column (nil when
+// dense); and geomSec, the bytes [geomOff, fileSize) when the header declares a
 // geometry section. The cross-section consistency checks (trie structure,
 // polygon-id ranges, geometry count) live here.
 func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, geomSec []byte) (*Index, error) {
@@ -667,12 +716,11 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 		Prefixes: h.prefixes,
 		Nodes:    nodes,
 		Table:    table,
-		Layout:   layoutOf(h.version),
 	})
 	if err != nil {
 		return nil, err
 	}
-	pl, err := newPipeline(GridKind(h.gridKind), h.precision, int(h.fanout), h.hasGeom)
+	pl, ep, err := flatEpoch(h, ids, geomSec)
 	if err != nil {
 		return nil, err
 	}
@@ -684,32 +732,43 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	if hasRefs && uint64(maxRef) >= h.idSpace {
 		return nil, fmt.Errorf("act: trie references polygon %d, header id space is %d", maxRef, h.idSpace)
 	}
-	var store *geostore.Store
-	if h.hasGeom {
-		if store, err = readGeometry(h, trie, pl.grid, ids, geomSec); err != nil {
-			return nil, err
-		}
-	} else if h.numPolys > 0 {
-		// Approximate-only files have no geometry section to cross-check
-		// the header count against. Honest builds give every live polygon
-		// at least one covering cell, so a live count beyond the maximum
-		// distinct-reference count (maxRef+1) is corruption, not data.
-		if !hasRefs || h.numPolys > uint64(maxRef)+1 {
-			return nil, fmt.Errorf("act: header claims %d polygons but the trie references at most %d", h.numPolys, maxRef)
-		}
+	// Approximate-only files have no geometry section to cross-check the
+	// header count against. Honest builds give every live polygon at least
+	// one covering cell, so a live count beyond the maximum distinct-reference
+	// count (maxRef+1) is corruption, not data.
+	if !h.hasGeom && h.numPolys > 0 && (!hasRefs || h.numPolys > uint64(maxRef)+1) {
+		return nil, fmt.Errorf("act: header claims %d polygons but the trie references at most %d", h.numPolys, maxRef)
 	}
 	reached, trieBytes, tableBytes := trie.Size()
 	if uint64(reached)+1 != h.numNodes {
 		return nil, fmt.Errorf("act: arena holds %d nodes, header says %d", reached+1, h.numNodes)
 	}
-	ep := &epoch{trie: trie, store: store, live: int(h.numPolys), stats: BuildStats{
+	ep.trie = trie
+	ep.stats.TrieNodes, ep.stats.TrieBytes, ep.stats.TableBytes = reached, trieBytes, tableBytes
+	// A deserialized index is read-only by role (Insert/Remove/Compact
+	// report ErrImmutable); Recover and OpenFollower give it another.
+	return newIndex(GridKind(h.gridKind), pl, ep), nil
+}
+
+// flatEpoch is the epoch a file describes, all but its trie: the pipeline
+// the header configures, the geometry section laid out by polygon id, the
+// live-id set (the id column, or every id when dense) and the header's
+// statistics. assembleFlat and rebuildTrie each supply the trie.
+func flatEpoch(h *flatHeader, ids []uint32, geomSec []byte) (pipeline, *epoch, error) {
+	pl, err := newPipeline(GridKind(h.gridKind), h.precision, int(h.fanout), h.hasGeom)
+	if err != nil {
+		return pipeline{}, nil, err
+	}
+	ep := &epoch{live: int(h.numPolys), stats: BuildStats{
 		NumPolygons:             int(h.numPolys),
 		IndexedCells:            int(h.cells),
-		TrieBytes:               trieBytes,
-		TableBytes:              tableBytes,
-		TrieNodes:               reached,
 		AchievedPrecisionMeters: h.achieved,
 	}}
+	if h.hasGeom {
+		if ep.store, err = readGeometry(h, pl.grid, ids, geomSec); err != nil {
+			return pipeline{}, nil, err
+		}
+	}
 	if ids == nil {
 		ep.alive = denseAlive(int(h.idSpace))
 	} else {
@@ -718,7 +777,5 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 			ep.alive[id] = true
 		}
 	}
-	// A deserialized index is read-only by role (Insert/Remove/Compact
-	// report ErrImmutable); Recover and OpenFollower give it another.
-	return newIndex(GridKind(h.gridKind), pl, ep), nil
+	return pl, ep, nil
 }
