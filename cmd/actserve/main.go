@@ -25,7 +25,9 @@
 // replacement in the background, and swaps it in atomically: lookups and
 // joins keep serving the old index until the swap, with zero downtime. It
 // reads server-local files and replaces the live index, so protect it with
-// -reload-token (Authorization: Bearer) unless the listener is trusted.
+// -reload-token (Authorization: Bearer) unless the listener is trusted. A
+// server with -wal or -replicate-from refuses it (409): the replacement
+// would carry no log, and a follower's polygon set is its primary's.
 //
 // Index files — both -index at startup and {"index":...} reloads — are
 // served zero-copy: current-format files are memory-mapped and the trie is
@@ -56,16 +58,17 @@
 // top) when it does not. /stats reports the log position (walSeq,
 // walBytes, lastFsyncMillis, recoveredRecords).
 //
-// With both -wal and -index set, the server is also a replication primary:
-// GET /replication/snapshot serves the checkpoint snapshot and GET
-// /replication/stream serves the log as a resumable record stream. A second
-// actserve started with -replicate-from http://primary:8080 serves a
-// read-only replica: it bootstraps from the snapshot, applies streamed
-// records as they arrive (lookups and joins never block on replication),
-// reconnects with backoff across stream loss, and re-bootstraps when a
-// primary checkpoint outruns it. On a follower the mutating endpoints
-// answer 409 pointing at the primary, and /stats reports the role plus the
-// replication position and lag.
+// With both -wal and -index set (or once promoted), the served index is a
+// replication primary, and the server with it: GET /replication/snapshot
+// serves the checkpoint snapshot and GET /replication/stream serves the
+// log as a resumable record stream. A second actserve started with
+// -replicate-from http://primary:8080 serves a read-only replica: it
+// bootstraps from the snapshot, applies streamed records as they arrive
+// (lookups and joins never block on replication), reconnects with backoff
+// across stream loss, and re-bootstraps when a primary checkpoint outruns
+// it. On a follower the mutating endpoints answer 409 pointing at the
+// primary, and /stats reports the role plus the replication position and
+// lag.
 //
 // Failover: when the primary dies, POST /promote on a follower turns it
 // into the next primary — the stream is drained as far as the old primary
@@ -228,6 +231,16 @@ func main() {
 			slog.Uint64("epoch", ws.Epoch),
 			slog.Int("replayed_records", ws.RecoveredRecords),
 		)
+		if ws.SnapshotPath != "" {
+			// The durability pair doubles as the replication feed: the
+			// server serves /replication/* from the index it holds, and
+			// followers bootstrap from the snapshot and tail the log.
+			logger.Info("replication primary enabled",
+				slog.String("role", "primary"),
+				slog.String("snapshot", ws.SnapshotPath),
+				slog.String("wal", *walFile),
+			)
+		}
 	}
 
 	// Reload defaults follow what is actually being served: for -index,
@@ -245,16 +258,6 @@ func main() {
 	handler.EnableMutationLimit(*mutationRPS)
 	if *mutationRPS > 0 {
 		logger.Info("mutation rate limit enabled", slog.Float64("rps", *mutationRPS))
-	}
-	if *walFile != "" && *indexFile != "" {
-		// The durability pair doubles as the replication feed: followers
-		// bootstrap from the checkpoint snapshot and tail the log.
-		handler.EnablePrimary(replica.NewPrimary(idx))
-		logger.Info("replication primary enabled",
-			slog.String("role", "primary"),
-			slog.String("snapshot", *indexFile),
-			slog.String("wal", *walFile),
-		)
 	}
 	if *pprofFlag {
 		handler.EnablePprof()

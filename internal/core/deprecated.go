@@ -1,7 +1,7 @@
 package core
 
 // The interleaved engine's names, kept as forwards to LookupBatch only so
-// the repository benchmark's layer table compiles; ROADMAP item 1(c)
+// the repository benchmark's layer table compiles; ROADMAP item 5(c)
 // deletes this file together with that harness row.
 
 import "github.com/actindex/act/internal/cellid"

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -247,6 +248,71 @@ func TestFailoverPromotion(t *testing.T) {
 		pts = append(pts, c, act.LatLng{Lat: c.Lat + 0.25, Lng: c.Lng - 0.25})
 	}
 	assertJoinEqual(t, "second generation", nidx, folB.Index(), pts)
+}
+
+// TestPromoteOneWay: the promotion drain shares the replication loop's
+// stream reader, but a 410 there only ends the drain — the index being
+// promoted is kept, not discarded for a re-bootstrap. Once promoted, the
+// index's role alone refuses a second Promote, and Run returns at once
+// instead of streaming into a primary.
+func TestPromoteOneWay(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	idx, err := act.New([]*act.Polygon{square(10, 10, 0.1)},
+		act.WithPrecision(250),
+		act.WithDeltaThreshold(-1),
+		act.WithWAL(act.WALConfig{Path: filepath.Join(dir, "primary.wal"), SnapshotPath: filepath.Join(dir, "primary.snapshot")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	primary := replica.NewPrimary(idx)
+	primary.Heartbeat = 20 * time.Millisecond
+	mux := http.NewServeMux()
+	primary.Mount(mux)
+	var gone atomic.Bool // set: new stream requests answer 410
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == replica.StreamPath && gone.Load() {
+			http.Error(w, "below the checkpoint floor", http.StatusGone)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	fol := replica.NewFollower(srv.URL, t.TempDir())
+	fol.BackoffMin, fol.BackoffMax = time.Millisecond, 20*time.Millisecond
+	runDone := make(chan struct{})
+	go func() { defer close(runDone); fol.Run(ctx) }()
+	id, err := idx.Insert(ctx, square(11, 11, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := idx.WALStats().Seq
+	waitFor(t, "catch-up", func() bool { return fol.Status().AppliedSeq >= target })
+	fidx := fol.Index()
+	defer fidx.Close()
+
+	gone.Store(true)
+	promo, err := fol.Promote(ctx)
+	if err != nil {
+		t.Fatalf("promote with a 410 on the drain: %v", err)
+	}
+	<-runDone
+	if promo.Index != fidx || !hasID(promo.Index, act.LatLng{Lat: 11, Lng: 11}, id) {
+		t.Fatal("promotion did not keep the caught-up index")
+	}
+	if _, err := fol.Promote(ctx); err == nil || !strings.Contains(err.Error(), "promoted") {
+		t.Fatalf("second Promote: %v, want a refusal", err)
+	}
+	runCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := fol.Run(runCtx); err == nil || runCtx.Err() != nil {
+		t.Fatalf("Run after Promote: %v, want an immediate refusal", err)
+	}
+	if !promo.Index.Mutable() || promo.Index.Follower() {
+		t.Fatal("refused calls changed the promoted index's role")
+	}
 }
 
 // TestFollowerRefusesStalePrimary: a primary announcing a lower epoch than

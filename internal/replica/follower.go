@@ -55,10 +55,10 @@ func (s Status) Lag() uint64 {
 // swings (and compaction triggers) keep pace with the stream.
 const maxBatchRecords = 256
 
-// defaultIdleTimeout is the stream watchdog: with heartbeats every 2s, a
-// stream that delivers nothing for this long is dead (half-open TCP, a
-// wedged primary) and gets cut so Run can reconnect.
-const defaultIdleTimeout = 30 * time.Second
+// idleTimeout is the stream watchdog: with heartbeats every 2s, a stream
+// that delivers no frame for this long is dead (half-open TCP, a wedged
+// primary) and gets cut so Run can reconnect.
+const idleTimeout = 30 * time.Second
 
 // Follower tracks a replication primary: it bootstraps from the primary's
 // checkpoint snapshot, applies the streamed log records, and keeps
@@ -76,7 +76,7 @@ type Follower struct {
 	// Client is the HTTP client used for snapshot and stream requests.
 	// The default carries dial, TLS, and response-header timeouts but no
 	// overall request timeout — the stream is long-lived by design; stream
-	// liveness is enforced by the IdleTimeout watchdog instead. Replace
+	// liveness is enforced by the idleTimeout watchdog instead. Replace
 	// before Run (tests substitute fault-injecting transports).
 	Client *http.Client
 	// OnSwap, when set, is called with each newly bootstrapped index
@@ -93,13 +93,6 @@ type Follower struct {
 	// Token, when set, is presented to the primary as a bearer token on
 	// every replication request. Set before Run.
 	Token string
-	// IdleTimeout cuts a stream that delivers no frame (data or
-	// heartbeat) for this long (default 30s; heartbeats come every 2s, so
-	// only a dead connection trips it). Set before Run.
-	IdleTimeout time.Duration
-	// PromotePolicy is the fsync policy of the write-ahead log a
-	// promotion creates (default act.SyncAlways). Set before Promote.
-	PromotePolicy act.FsyncPolicy
 	// Logger, when set, receives the follower's structured replication
 	// events (bootstraps, stream loss and backoff, re-bootstrap triggers,
 	// promotion). Nil disables logging. Set before Run.
@@ -109,7 +102,6 @@ type Follower struct {
 	idx       *act.Index
 	status    Status
 	connected bool // a stream has been opened at least once
-	promoted  bool
 	runCancel context.CancelFunc
 	runDone   chan struct{}
 }
@@ -132,9 +124,8 @@ func NewFollower(primaryURL, dir string, opts ...act.Option) *Follower {
 				ResponseHeaderTimeout: 10 * time.Second,
 			},
 		},
-		BackoffMin:  100 * time.Millisecond,
-		BackoffMax:  5 * time.Second,
-		IdleTimeout: defaultIdleTimeout,
+		BackoffMin: 100 * time.Millisecond,
+		BackoffMax: 5 * time.Second,
 	}
 }
 
@@ -281,23 +272,28 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// errBootstrap signals that the primary's floor passed our resume point:
-// re-bootstrap from the snapshot instead of backing off.
-var errBootstrap = errors.New("replica: primary checkpointed past the resume point")
+var (
+	// errBootstrap signals that the primary's floor passed our resume
+	// point: re-bootstrap from the snapshot instead of backing off.
+	errBootstrap = errors.New("replica: primary checkpointed past the resume point")
+	// errPromoted refuses Run and Promote once the follower's index is a
+	// primary.
+	errPromoted = errors.New("replica: follower has been promoted")
+)
 
 // Run drives the replication loop until ctx is cancelled: bootstrap when
 // needed, stream, apply, and reconnect with jittered exponential backoff
 // on stream loss. It returns ctx.Err() on cancellation (Promote cancels it
-// the same way).
+// the same way), and refuses at once when the index has been promoted.
 func (f *Follower) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	done := make(chan struct{})
 	defer close(done)
 	f.mu.Lock()
-	if f.promoted {
+	if f.idx != nil && !f.idx.Follower() {
 		f.mu.Unlock()
-		return errors.New("replica: follower has been promoted")
+		return errPromoted
 	}
 	f.runCancel = cancel
 	f.runDone = done
@@ -340,37 +336,53 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// syncOnce runs one connection lifetime: ensure an index exists, open the
-// stream at the current position, and apply records until the stream ends.
-// A clean end (primary closed the stream, e.g. after rotating past us)
-// returns nil; errBootstrap means download the new snapshot first. A
-// stream that goes silent past IdleTimeout is cut and counts as lost.
+// syncOnce runs one connection lifetime: ensure an index exists, then
+// stream into it until the stream ends. A clean end (primary closed the
+// stream, e.g. after rotating past us) returns nil; errBootstrap discards
+// the index, so the next round downloads the new snapshot.
 func (f *Follower) syncOnce(ctx context.Context) error {
-	f.mu.Lock()
-	idx, after := f.idx, f.status.AppliedSeq
-	f.mu.Unlock()
+	idx := f.Index()
 	if idx == nil {
 		if err := f.Bootstrap(ctx); err != nil {
 			return err
 		}
-		f.mu.Lock()
-		idx, after = f.idx, f.status.AppliedSeq
-		f.mu.Unlock()
+		idx = f.Index()
 	}
+	err := f.stream(ctx, idx, false)
+	if errors.Is(err, errBootstrap) {
+		// Our position fell below the checkpoint floor; the records we
+		// need exist only in the newer snapshot now.
+		f.mu.Lock()
+		f.idx = nil
+		applied := f.status.AppliedSeq
+		f.mu.Unlock()
+		f.logf(slog.LevelInfo, "replication re-bootstrap",
+			slog.Uint64("applied_seq", applied),
+			slog.String("reason", "primary checkpointed past resume point"))
+	}
+	return err
+}
 
+// stream opens the record stream at the follower's position and applies
+// what it delivers to idx until the stream ends (nil on a clean end at a
+// frame boundary). A 410 — the primary's checkpoint floor passed our
+// position — returns errBootstrap, and a stream that goes silent past
+// idleTimeout is cut and counts as lost. With untilCaughtUp (the promotion
+// drain) it also returns nil at the first heartbeat that announces nothing
+// beyond what is applied.
+func (f *Follower) stream(ctx context.Context, idx *act.Index, untilCaughtUp bool) error {
 	// The idle watchdog: each received frame pushes the deadline out; a
-	// stream that delivers nothing (not even heartbeats) for IdleTimeout
+	// stream that delivers nothing (not even heartbeats) for idleTimeout
 	// is dead and gets its request context cancelled, which unblocks the
 	// pending read.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	idle := f.IdleTimeout
-	if idle <= 0 {
-		idle = defaultIdleTimeout
-	}
-	watchdog := time.AfterFunc(idle, cancel)
+	watchdog := time.AfterFunc(idleTimeout, cancel)
 	defer watchdog.Stop()
 
+	f.mu.Lock()
+	after := f.status.AppliedSeq
+	f.mu.Unlock()
 	u := f.primaryURL + StreamPath + "?after=" + url.QueryEscape(strconv.FormatUint(after, 10))
 	req, err := f.newRequest(ctx, u)
 	if err != nil {
@@ -381,27 +393,15 @@ func (f *Follower) syncOnce(ctx context.Context) error {
 		return fmt.Errorf("replica: stream request: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusGone {
-		if err := f.noteEpoch(resp); err != nil {
-			return err
-		}
-		// Our position fell below the checkpoint floor; the records we
-		// need exist only in the newer snapshot now.
-		f.mu.Lock()
-		f.idx = nil
-		applied := f.status.AppliedSeq
-		f.mu.Unlock()
-		f.logf(slog.LevelInfo, "replication re-bootstrap",
-			slog.Uint64("applied_seq", applied),
-			slog.String("reason", "primary checkpointed past resume point"))
-		return errBootstrap
-	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGone {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("replica: stream request: %s: %s", resp.Status, body)
 	}
 	if err := f.noteEpoch(resp); err != nil {
 		return err
+	}
+	if resp.StatusCode == http.StatusGone {
+		return errBootstrap
 	}
 	f.mu.Lock()
 	if f.connected {
@@ -430,7 +430,7 @@ func (f *Follower) syncOnce(ctx context.Context) error {
 			}
 			return fmt.Errorf("replica: stream: %w", err)
 		}
-		watchdog.Reset(idle)
+		watchdog.Reset(idleTimeout)
 		batch = append(batch[:0], rec)
 		for len(batch) < maxBatchRecords && br.Buffered() > 0 {
 			rec, err := wal.ReadFrame(br)
@@ -439,32 +439,31 @@ func (f *Follower) syncOnce(ctx context.Context) error {
 			}
 			batch = append(batch, rec)
 		}
-		if err := f.apply(ctx, idx, batch); err != nil {
+		caughtUp, err := f.apply(ctx, idx, batch)
+		if err != nil || untilCaughtUp && caughtUp {
 			return err
 		}
 	}
 }
 
-// apply lands one batch on the index and rolls the status counters.
-func (f *Follower) apply(ctx context.Context, idx *act.Index, batch []wal.Record) error {
+// apply lands one batch on the index and rolls the status counters. It
+// reports caught up when the batch carried a heartbeat (or rotation
+// marker) and everything the primary has announced is applied.
+func (f *Follower) apply(ctx context.Context, idx *act.Index, batch []wal.Record) (caughtUp bool, err error) {
 	if err := idx.ApplyReplicated(ctx, batch); err != nil {
-		return fmt.Errorf("replica: applying batch: %w", err)
+		return false, fmt.Errorf("replica: applying batch: %w", err)
 	}
 	var newest uint64
+	heartbeat := false
 	for _, rec := range batch {
-		if rec.Seq > newest {
-			newest = rec.Seq
-		}
+		newest = max(newest, rec.Seq)
+		heartbeat = heartbeat || rec.Type == wal.TypeCheckpoint
 	}
 	f.mu.Lock()
-	if applied := idx.AppliedSeq(); applied > f.status.AppliedSeq {
-		f.status.AppliedSeq = applied
-	}
-	if newest > f.status.PrimarySeq {
-		f.status.PrimarySeq = newest
-	}
-	f.mu.Unlock()
-	return nil
+	defer f.mu.Unlock()
+	f.status.AppliedSeq = max(f.status.AppliedSeq, idx.AppliedSeq())
+	f.status.PrimarySeq = max(f.status.PrimarySeq, newest)
+	return heartbeat && f.status.AppliedSeq >= f.status.PrimarySeq, nil
 }
 
 // Promotion is the result of a successful Promote: the now-mutable index,
@@ -490,17 +489,14 @@ type Promotion struct {
 // Promote refuses, leaving the follower intact, when the follower has not
 // applied everything the primary acknowledged to it (promoting would lose
 // those writes — "no lost acks"); a caller that wants availability over
-// durability can retry after the drain deadline with a fresh ctx. The old
-// primary, if it resurfaces, is fenced by the bumped epoch the moment any
-// replication request reaches it.
+// durability can retry after the drain deadline with a fresh ctx. Once the
+// index is a primary, a further Promote is refused. The old primary, if it
+// resurfaces, is fenced by the bumped epoch the moment any replication
+// request reaches it.
 func (f *Follower) Promote(ctx context.Context) (*Promotion, error) {
 	// Stop the replication loop and wait it out: its stream application
 	// must not race the promotion.
 	f.mu.Lock()
-	if f.promoted {
-		f.mu.Unlock()
-		return nil, errors.New("replica: follower already promoted")
-	}
 	cancel, done := f.runCancel, f.runDone
 	f.mu.Unlock()
 	if cancel != nil {
@@ -512,18 +508,20 @@ func (f *Follower) Promote(ctx context.Context) (*Promotion, error) {
 		}
 	}
 
-	f.mu.Lock()
-	idx := f.idx
-	f.mu.Unlock()
+	idx := f.Index()
 	if idx == nil {
 		return nil, errors.New("replica: nothing to promote: follower never bootstrapped")
+	}
+	if !idx.Follower() {
+		return nil, errPromoted
 	}
 
 	// Best-effort drain: pick up whatever the old primary can still
 	// deliver, so a reachable-but-degraded primary (e.g. fail-stopped WAL,
 	// still serving reads) hands over its full history. Errors here are
-	// expected — the usual reason for promoting is a dead primary.
-	_ = f.drain(ctx)
+	// expected — the usual reason for promoting is a dead primary — and a
+	// 410 just ends the drain: the index being promoted stays.
+	_ = f.stream(ctx, idx, true)
 
 	f.mu.Lock()
 	applied, announced, epoch := f.status.AppliedSeq, f.status.PrimarySeq, f.status.Epoch
@@ -536,69 +534,15 @@ func (f *Follower) Promote(ctx context.Context) (*Promotion, error) {
 	cfg := act.WALConfig{
 		Path:         filepath.Join(f.dir, "promoted.wal"),
 		SnapshotPath: filepath.Join(f.dir, "follower.snapshot"),
-		Policy:       f.PromotePolicy,
 	}
 	if err := idx.Promote(ctx, cfg, newEpoch); err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
-	f.promoted = true
 	f.status.Epoch = newEpoch
 	f.mu.Unlock()
 	f.logf(slog.LevelInfo, "follower promoted",
 		slog.Uint64("epoch", newEpoch),
 		slog.Uint64("seq", idx.AppliedSeq()))
 	return &Promotion{Index: idx, Epoch: newEpoch, Seq: idx.AppliedSeq()}, nil
-}
-
-// drain opens the stream one last time and applies frames until the
-// primary's announced position is reached (a heartbeat or checkpoint frame
-// at or below what we have applied), the stream ends, or ctx expires. It
-// is best effort: any error just ends the drain.
-func (f *Follower) drain(ctx context.Context) error {
-	f.mu.Lock()
-	idx, after := f.idx, f.status.AppliedSeq
-	f.mu.Unlock()
-
-	u := f.primaryURL + StreamPath + "?after=" + url.QueryEscape(strconv.FormatUint(after, 10))
-	req, err := f.newRequest(ctx, u)
-	if err != nil {
-		return err
-	}
-	resp, err := f.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica: drain: %s", resp.Status)
-	}
-	if err := f.noteEpoch(resp); err != nil {
-		return err
-	}
-	br := bufio.NewReaderSize(resp.Body, 1<<20)
-	for {
-		rec, err := wal.ReadFrame(br)
-		if err != nil {
-			return err // EOF or torn frame: the drain got what it could
-		}
-		if rec.Type == wal.TypeCheckpoint {
-			// Heartbeat (or rotation marker) announcing the primary's
-			// position: once we have applied everything up to it, the
-			// stream is drained.
-			f.mu.Lock()
-			if rec.Seq > f.status.PrimarySeq {
-				f.status.PrimarySeq = rec.Seq
-			}
-			caughtUp := f.status.AppliedSeq >= f.status.PrimarySeq
-			f.mu.Unlock()
-			if caughtUp {
-				return nil
-			}
-			continue
-		}
-		if err := f.apply(ctx, idx, []wal.Record{rec}); err != nil {
-			return err
-		}
-	}
 }

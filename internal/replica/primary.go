@@ -80,22 +80,18 @@ const defaultHeartbeat = 2 * time.Second
 // It holds only read handles: the index keeps writing its WAL and rotating
 // it at checkpoints exactly as without replication.
 type Primary struct {
-	idx          *act.Index
-	snapshotPath string
+	idx *act.Index
 	// Heartbeat is the idle-stream heartbeat cadence (default 2s); tests
 	// shrink it. Set before the first request.
 	Heartbeat time.Duration
 }
 
 // NewPrimary wires a primary around a durable index, serving the
-// checkpoint snapshot the index writes (WALStats().SnapshotPath) and the
-// log it appends to.
+// checkpoint snapshot the index writes (WALStats().SnapshotPath, read per
+// request) and the log it appends to.
 func NewPrimary(idx *act.Index) *Primary {
-	return &Primary{idx: idx, snapshotPath: idx.WALStats().SnapshotPath, Heartbeat: defaultHeartbeat}
+	return &Primary{idx: idx, Heartbeat: defaultHeartbeat}
 }
-
-// Index returns the index the primary serves.
-func (p *Primary) Index() *act.Index { return p.idx }
 
 // Mount registers the replication endpoints on mux.
 func (p *Primary) Mount(mux *http.ServeMux) {
@@ -136,14 +132,15 @@ func (p *Primary) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !p.fenceCheck(w, r) {
 		return
 	}
-	if _, err := os.Stat(p.snapshotPath); errors.Is(err, fs.ErrNotExist) {
+	path := p.idx.WALStats().SnapshotPath
+	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
 		if err := p.idx.Checkpoint(r.Context()); err != nil {
 			http.Error(w, "creating bootstrap snapshot: "+err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 	}
 	baseSeq := p.idx.WALStats().BaseSeq
-	f, err := os.Open(p.snapshotPath)
+	f, err := os.Open(path)
 	if err != nil {
 		http.Error(w, "opening snapshot: "+err.Error(), http.StatusServiceUnavailable)
 		return

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -102,8 +103,8 @@ func TestPromoteEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
+	// No setup call: the WAL+snapshot index makes the server a primary.
 	ps := NewServer(act.NewSwappable(idx), BuildDefaults{Precision: 10})
-	ps.EnablePrimary(replica.NewPrimary(idx))
 	psrv := httptest.NewServer(ps)
 	defer psrv.Close()
 
@@ -171,21 +172,87 @@ func TestPromoteEndpoint(t *testing.T) {
 		t.Fatalf("promoted stats: role=%q walEpoch=%d mutable=%v", st.Role, st.WALEpoch, st.Mutable)
 	}
 	// No follower view survives: /stats drops the replication block, and
-	// /reload answers as on a native primary (a missing file fails the
-	// reload) instead of redirecting to the old primary.
+	// /reload is refused as on a native primary, whose log a swapped-in
+	// index would drop.
 	if st.Replication != nil {
 		t.Fatalf("promoted stats still carry a replication block: %+v", st.Replication)
 	}
 	missing := filepath.Join(dir, "missing.act")
-	if rec := do(t, fs, http.MethodPost, "/reload", `{"index":"`+missing+`"}`); rec.Code != http.StatusUnprocessableEntity ||
-		!strings.Contains(rec.Body.String(), "reload failed") {
-		t.Fatalf("reload on promoted server: status %d, want 422 reload failed: %s", rec.Code, rec.Body)
+	if rec := do(t, fs, http.MethodPost, "/reload", `{"index":"`+missing+`"}`); rec.Code != http.StatusConflict {
+		t.Fatalf("reload on promoted server: status %d, want 409: %s", rec.Code, rec.Body)
 	}
 
 	// A second promotion is refused: the server is a primary now.
 	if rec := do(t, fs, http.MethodPost, "/promote", ""); rec.Code != http.StatusConflict {
 		t.Fatalf("second promote: status %d, want 409: %s", rec.Code, rec.Body)
 	}
+}
+
+// TestReloadRefusedOnLoggedIndex: /reload answers 409 whenever the served
+// index writes a log. Swapping in a fresh index would drop the log — later
+// inserts acknowledged without an entry and lost on restart — and a primary
+// would keep feeding followers the swapped-out index's snapshot and log.
+func TestReloadRefusedOnLoggedIndex(t *testing.T) {
+	dir := t.TempDir()
+	// A valid reload source: a server that accepted the reload would answer
+	// 200, not a build error.
+	src := filepath.Join(dir, "zones.geojson")
+	if err := os.WriteFile(src, []byte(churnGeoJSON(7)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reload := `{"polygons":"` + src + `"}`
+	zone := &act.Polygon{Outer: []act.LatLng{
+		{Lat: 40.70, Lng: -74.02}, {Lat: 40.70, Lng: -73.96},
+		{Lat: 40.76, Lng: -73.96}, {Lat: 40.76, Lng: -74.02},
+	}}
+	logged := func(t *testing.T, cfg act.WALConfig) *Server {
+		idx, err := act.New([]*act.Polygon{zone},
+			act.WithPrecision(10), act.WithDeltaThreshold(-1), act.WithWAL(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { idx.Close() })
+		return NewServer(act.NewSwappable(idx), BuildDefaults{Precision: 10})
+	}
+
+	t.Run("primary", func(t *testing.T) {
+		s := logged(t, act.WALConfig{
+			Path:         filepath.Join(dir, "primary.wal"),
+			SnapshotPath: filepath.Join(dir, "primary.snapshot"),
+		})
+		if rec := do(t, s, http.MethodPost, "/reload", reload); rec.Code != http.StatusConflict {
+			t.Fatalf("reload on a primary: status %d, want 409: %s", rec.Code, rec.Body)
+		}
+		var st statsResponse
+		if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if !st.WALEnabled || st.Role != "primary" {
+			t.Fatalf("stats after refused reload: walEnabled=%v role=%q, want a logged primary", st.WALEnabled, st.Role)
+		}
+		before := s.indexes.Load().WALStats().Seq
+		if rec := do(t, s, http.MethodPost, "/polygons", churnGeoJSON(0)); rec.Code != http.StatusOK {
+			t.Fatalf("insert: status %d: %s", rec.Code, rec.Body)
+		}
+		if after := s.indexes.Load().WALStats().Seq; after <= before {
+			t.Fatalf("insert acknowledged without a log entry: seq %d → %d", before, after)
+		}
+		if rec := get(t, s, replica.SnapshotPath); rec.Code != http.StatusOK {
+			t.Fatalf("snapshot after refused reload: status %d: %s", rec.Code, rec.Body)
+		}
+	})
+
+	t.Run("wal-only", func(t *testing.T) {
+		s := logged(t, act.WALConfig{Path: filepath.Join(dir, "standalone.wal")})
+		if rec := do(t, s, http.MethodPost, "/reload", reload); rec.Code != http.StatusConflict {
+			t.Fatalf("reload on a logged standalone server: status %d, want 409: %s", rec.Code, rec.Body)
+		}
+		for _, path := range []string{replica.SnapshotPath, replica.StreamPath} {
+			if rec := get(t, s, path); rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("%s without a checkpoint snapshot: status %d, want 503: %s", path, rec.Code, rec.Body)
+			}
+		}
+	})
 }
 
 // TestReplicationAuth: the replication and promotion endpoints honor the

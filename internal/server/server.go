@@ -57,18 +57,11 @@ type Server struct {
 	MaxJoinBytes   int64
 	MaxReloadBytes int64
 	mux            *http.ServeMux
-	// stateMu guards the replication role state below: follower and primary
-	// change when EnablePrimary/EnableFollower run and again when POST
-	// /promote flips a live follower into a primary.
-	stateMu sync.Mutex
-	// follower is set by EnableFollower and cleared by a promotion: the
-	// replication client whose stream position /stats reports, and whose
-	// presence turns /reload into a write-to-the-primary redirect.
+	// follower is the replication client EnableFollower set before serving:
+	// POST /promote promotes it, and /stats reports its stream position
+	// while the served index is still its follower. The role itself is the
+	// served index's (see role); nothing here changes after serving starts.
 	follower *replica.Follower
-	// primary is set by EnablePrimary (or by a promotion): the handler
-	// behind the always-registered /replication/* endpoints. Nil on
-	// non-primaries, where those endpoints answer 503.
-	primary *replica.Primary
 	// reloadMu serializes reloads: one in-flight rebuild at a time, while
 	// lookups and joins keep serving the current index.
 	reloadMu sync.Mutex
@@ -122,7 +115,7 @@ func NewServer(indexes *act.Swappable, defaults BuildDefaults, metrics ...*Metri
 	s.route("GET /metrics", "metrics", s.metrics.Registry.ServeHTTP)
 	// The replication endpoints are registered unconditionally so a
 	// follower promoted at runtime can start serving them without mutating
-	// the mux; they answer 503 until a primary is enabled or promoted, and
+	// the mux; they answer 503 unless the served index is a primary, and
 	// are token-gated like the other state-changing endpoints.
 	s.route("GET "+replica.SnapshotPath, "replication_snapshot", s.handleReplicationSnapshot)
 	s.route("GET "+replica.StreamPath, "replication_stream", s.handleReplicationStream)
@@ -226,66 +219,55 @@ func (s *Server) EnablePprof() {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// EnablePrimary activates the primary-side replication endpoints (the
-// checkpoint snapshot and the resumable log record stream, registered by
-// NewServer) and reports the server as a replication primary in /stats.
-func (s *Server) EnablePrimary(p *replica.Primary) {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	s.primary = p
-}
-
-// EnableFollower marks the server as a replication follower: /stats
-// reports the stream position and lag, and the mutating endpoints — which
-// would diverge the replica — answer 409 pointing at the primary. The
-// follower's OnSwap hook keeps s serving each re-bootstrapped index.
-// POST /promote flips the server into a primary at runtime.
+// EnableFollower hands the server the replication client feeding its
+// index: POST /promote promotes it, and /stats reports its stream position
+// and lag while the served index is its follower. The follower's OnSwap
+// hook keeps s serving each re-bootstrapped index. Call before serving.
 func (s *Server) EnableFollower(f *replica.Follower) {
-	s.stateMu.Lock()
 	s.follower = f
-	s.stateMu.Unlock()
 	s.metrics.registerFollowerGauges(f)
 }
 
-// replicationState returns the follower and primary under the state lock,
-// with the role they make: follower, else primary, else standalone.
-func (s *Server) replicationState() (role string, f *replica.Follower, p *replica.Primary) {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	if role = "standalone"; s.follower != nil {
-		role = "follower"
-	} else if s.primary != nil {
-		role = "primary"
+// role is the served index's replication role: "follower" while it
+// replicates a primary, "primary" when its log pairs with a checkpoint
+// snapshot (actserve -wal with -index, a recovered index, a promoted
+// follower), "standalone" otherwise.
+func role(idx *act.Index) string {
+	switch {
+	case idx.Follower():
+		return "follower"
+	case idx.WALStats().SnapshotPath != "":
+		return "primary"
 	}
-	return role, s.follower, s.primary
+	return "standalone"
 }
 
-// handleReplicationSnapshot and handleReplicationStream delegate to the
-// active primary; on a server that is not (yet) a primary they answer 503,
-// telling the follower to back off and retry — the shape a mid-failover
-// fleet sees while the promotion is in flight.
-func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, r *http.Request) {
+// replicationPrimary returns the primary serving the /replication/*
+// endpoints from the served index. When that index is not a primary it
+// answers 503 and returns nil, telling the follower to back off and retry —
+// the shape a mid-failover fleet sees while the promotion is in flight.
+func (s *Server) replicationPrimary(w http.ResponseWriter, r *http.Request) *replica.Primary {
 	if !s.authorize(w, r) {
-		return
+		return nil
 	}
-	_, _, p := s.replicationState()
-	if p == nil {
+	idx := s.indexes.Load()
+	if role(idx) != "primary" {
 		http.Error(w, "server is not a replication primary", http.StatusServiceUnavailable)
-		return
+		return nil
 	}
-	p.ServeSnapshot(w, r)
+	return replica.NewPrimary(idx)
+}
+
+func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, r *http.Request) {
+	if p := s.replicationPrimary(w, r); p != nil {
+		p.ServeSnapshot(w, r)
+	}
 }
 
 func (s *Server) handleReplicationStream(w http.ResponseWriter, r *http.Request) {
-	if !s.authorize(w, r) {
-		return
+	if p := s.replicationPrimary(w, r); p != nil {
+		p.ServeStream(w, r)
 	}
-	_, _, p := s.replicationState()
-	if p == nil {
-		http.Error(w, "server is not a replication primary", http.StatusServiceUnavailable)
-		return
-	}
-	p.ServeStream(w, r)
 }
 
 // promoteResponse reports a successful POST /promote.
@@ -300,22 +282,21 @@ type promoteResponse struct {
 // handlePromote turns a follower server into the next primary: the
 // replication loop is stopped, the stream drained as far as the old
 // primary still delivers, and the index converted to a mutable primary
-// under a bumped, fenced epoch (see replica.Follower.Promote). On success
-// the server starts answering the /replication/* endpoints itself and the
-// mutating endpoints open up. Refused with 409 when the server is not a
-// follower, when the follower has not applied everything the old primary
-// acknowledged (promoting would lose writes), or when it was already
-// promoted.
+// under a bumped, fenced epoch (see replica.Follower.Promote). The served
+// index then reports the primary role itself, so the /replication/*
+// endpoints start serving and the mutating endpoints open up. Refused with
+// 409 when the server is not a follower, when the follower has not applied
+// everything the old primary acknowledged (promoting would lose writes), or
+// when it was already promoted.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return
 	}
-	_, f, _ := s.replicationState()
-	if f == nil {
+	if s.follower == nil {
 		http.Error(w, "server is not a replication follower", http.StatusConflict)
 		return
 	}
-	promo, err := f.Promote(r.Context())
+	promo, err := s.follower.Promote(r.Context())
 	if err != nil {
 		s.Logger.LogAttrs(r.Context(), slog.LevelWarn, "promotion refused",
 			slog.String("request_id", obs.RequestID(r.Context())),
@@ -323,10 +304,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "promotion refused: "+err.Error(), http.StatusConflict)
 		return
 	}
-	p := replica.NewPrimary(promo.Index)
-	s.stateMu.Lock()
-	s.primary, s.follower = p, nil
-	s.stateMu.Unlock()
 	s.Logger.LogAttrs(r.Context(), slog.LevelInfo, "promoted to primary",
 		slog.String("request_id", obs.RequestID(r.Context())),
 		slog.String("role", "primary"),
@@ -783,7 +760,8 @@ const maxReloadBody = 1 << 20
 // atomically. The rebuild happens on this handler's goroutine while every
 // other request keeps serving the current index; in-flight requests that
 // already loaded the old index finish on it. Only one reload runs at a
-// time — a concurrent attempt gets 409.
+// time — a concurrent attempt gets 409 — and none runs over a follower or
+// a logged index (409 too).
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return
@@ -796,10 +774,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if _, f, _ := s.replicationState(); f != nil {
-		// A reload would swap the replicated index out from under the
-		// replication loop; the follower's state is the primary's to change.
-		http.Error(w, "server is a replication follower; reload the primary instead", http.StatusConflict)
+	if idx := s.indexes.Load(); idx.Follower() || idx.WALStats().Enabled {
+		// A follower's polygon set is its primary's to change. A logged
+		// index would be swapped for one without its log: later writes
+		// acknowledged without an entry, and followers left tailing the old
+		// index's snapshot and log.
+		http.Error(w, "reload refused: the served index follows a primary or writes a log; mutate it with POST /polygons and DELETE /polygons/{id} on the primary", http.StatusConflict)
 		return
 	}
 	if (req.Polygons == "") == (req.Index == "") {
@@ -910,9 +890,10 @@ type statsResponse struct {
 	// WALEpoch is the replication fencing epoch in the WAL header: 0
 	// until a promotion ever happened in this lineage.
 	WALEpoch uint64 `json:"walEpoch"`
-	// Role is "standalone", "primary" (replication endpoints active), or
-	// "follower" (tracking a primary via -replicate-from; flips to
-	// "primary" after POST /promote).
+	// Role is derived from the served index on each request: "follower"
+	// while it replicates a primary (-replicate-from, until POST /promote),
+	// "primary" when its log pairs with a checkpoint snapshot (the
+	// /replication/* endpoints serve it), else "standalone".
 	Role string `json:"role"`
 	// Replication is the follower's stream position (follower role only).
 	Replication *replicationStats `json:"replication,omitempty"`
@@ -950,10 +931,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if !ws.LastSync.IsZero() {
 		lastFsync = ws.LastSync.UnixMilli()
 	}
-	role, follower, _ := s.replicationState()
+	r := role(idx)
 	var repl *replicationStats
-	if follower != nil {
-		rs := follower.Status()
+	if r == "follower" && s.follower != nil {
+		rs := s.follower.Status()
 		repl = &replicationStats{
 			Connected:  rs.Connected,
 			AppliedSeq: rs.AppliedSeq,
@@ -992,7 +973,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		WALFailed:               ws.Failed,
 		FencedEpoch:             fencedEpoch,
 		WALEpoch:                ws.Epoch,
-		Role:                    role,
+		Role:                    r,
 		Replication:             repl,
 	})
 }

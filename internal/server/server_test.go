@@ -984,10 +984,11 @@ func TestBodyCaps413(t *testing.T) {
 	}
 }
 
-// TestReplicationRoles: a WAL-backed server with EnablePrimary serves the
-// replication endpoints and reports role "primary"; a server wrapped around
-// a live follower reports its stream position in /stats, serves lookups,
-// and answers every mutating endpoint 409 pointing at the primary.
+// TestReplicationRoles: a server over a WAL+snapshot index serves the
+// replication endpoints and reports role "primary" with no setup call; a
+// server wrapped around a live follower reports its stream position in
+// /stats, serves lookups, and answers every mutating endpoint 409 pointing
+// at the primary.
 func TestReplicationRoles(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "primary.wal")
@@ -1010,7 +1011,6 @@ func TestReplicationRoles(t *testing.T) {
 	defer idx.Close()
 
 	ps := NewServer(act.NewSwappable(idx), BuildDefaults{Precision: 10})
-	ps.EnablePrimary(replica.NewPrimary(idx))
 	var st statsResponse
 	if err := json.Unmarshal(get(t, ps, "/stats").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
