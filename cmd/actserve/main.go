@@ -66,22 +66,23 @@
 // bootstraps from the snapshot, applies streamed records as they arrive
 // (lookups and joins never block on replication), reconnects with backoff
 // across stream loss, and re-bootstraps when a primary checkpoint outruns
-// it. On a follower the mutating endpoints answer 409 pointing at the
-// primary, and /stats reports the role plus the replication position and
-// lag.
+// it, swapping each bootstrapped index into the served act.Swappable. On a
+// follower the mutating endpoints answer 409 pointing at the primary, and
+// /stats reports the role plus the replication position and lag.
 //
-// Failover: when the primary dies, POST /promote on a follower turns it
-// into the next primary — the stream is drained as far as the old primary
-// still delivers, the follower's state becomes the new checkpoint snapshot,
-// and a fresh WAL is opened under a bumped fencing epoch. Promotion is
-// refused (409) if the follower has not applied everything the old primary
+// Failover: when the primary dies, POST /promote on a follower turns it into
+// the next primary — the stream is paused and drained as far as the old
+// primary still delivers, the follower's state becomes the new checkpoint
+// snapshot, and a fresh WAL continuing from the follower's sequence is
+// opened under a bumped fencing epoch. Promotion is refused (409), and the
+// stream resumes, if the follower has not applied everything the old primary
 // acknowledged. A resurrected stale primary is fenced by the new epoch the
 // moment a replication request reaches it: its /replication/* endpoints
 // answer 412 and its mutations 503. Degradation is fail-stop throughout: a
 // WAL write or fsync error makes the index reject further mutations (503,
 // cause in /stats walFailed) rather than acknowledge writes it cannot make
-// durable; reads keep serving. The replication endpoints and /promote
-// honour -reload-token; followers present -replicate-token (default: the
+// durable; reads keep serving. The replication endpoints and /promote honour
+// -reload-token; followers present -replicate-token (default: the
 // -reload-token value) to the primary.
 //
 // The index is held in an act.Swappable; handlers load it once per
@@ -351,14 +352,17 @@ func runFollower(logger *slog.Logger, primaryURL, dir, addr, reloadToken, replic
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Every bootstrap is published into the served holder (the first as
+	// generation 1), the way a /reload swaps an index in.
+	var indexes act.Swappable
 	metrics := server.NewMetrics()
-	fol := replica.NewFollower(primaryURL, dir, act.WithObserver(metrics.ActObserver(logger)))
+	fol := replica.NewFollower(primaryURL, dir, &indexes, act.WithObserver(metrics.ActObserver(logger)))
 	fol.Token = replicateToken
 	fol.Logger = logger
 	if err := fol.Bootstrap(ctx); err != nil {
 		fatal(logger, "bootstrap failed", slog.String("primary", primaryURL), slog.String("error", err.Error()))
 	}
-	idx := fol.Index()
+	idx := indexes.Load()
 	st := idx.Stats()
 	logger.Info("following",
 		slog.String("primary", primaryURL),
@@ -368,25 +372,13 @@ func runFollower(logger *slog.Logger, primaryURL, dir, addr, reloadToken, replic
 		slog.String("addr", addr),
 	)
 
-	indexes := act.NewSwappable(idx)
-	// OnSwap is set after the initial Bootstrap, so it fires only for
-	// re-bootstraps (a primary checkpoint outran this replica): swing the
-	// fresh index in exactly like a /reload would. Swapped-out indexes are
-	// memory-mapped snapshots; their mappings are released by the runtime
-	// once the last in-flight request on them retires.
-	fol.OnSwap = func(ix *act.Index) {
-		indexes.Swap(ix)
-		logger.Info("re-bootstrapped",
-			slog.String("primary", primaryURL),
-			slog.Uint64("generation", indexes.Generation()))
-	}
 	runDone := make(chan struct{})
 	go func() {
 		defer close(runDone)
 		fol.Run(ctx)
 	}()
 
-	handler := server.NewServer(indexes, server.BuildDefaults{Precision: idx.PrecisionMeters(), Grid: idx.GridKind()}, metrics)
+	handler := server.NewServer(&indexes, server.BuildDefaults{Precision: idx.PrecisionMeters(), Grid: idx.GridKind()}, metrics)
 	handler.Logger = logger
 	handler.ReloadToken = reloadToken
 	handler.EnableMutationLimit(mutationRPS)
@@ -399,6 +391,6 @@ func runFollower(logger *slog.Logger, primaryURL, dir, addr, reloadToken, replic
 		// Once the replication loop has quit (its context is done) the
 		// serving index can close without racing an apply.
 		<-runDone
-		return fol.Index().Close()
+		return indexes.Load().Close()
 	})
 }

@@ -21,7 +21,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -91,13 +90,14 @@ func TestFailoverPromotion(t *testing.T) {
 	defer srv.Close()
 
 	folDir := t.TempDir()
-	fol := replica.NewFollower(srv.URL, folDir)
+	var served act.Swappable
+	fol := replica.NewFollower(srv.URL, folDir, &served)
 	fol.BackoffMin, fol.BackoffMax = time.Millisecond, 20*time.Millisecond
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	runDone := make(chan struct{})
 	go func() { defer close(runDone); fol.Run(runCtx) }()
-	waitFor(t, "bootstrap", func() bool { return fol.Index() != nil })
+	waitFor(t, "bootstrap", func() bool { return served.Load() != nil })
 
 	// Grow the primary and catch the follower up to the full history.
 	for i := 4; i < 10; i++ {
@@ -119,7 +119,7 @@ func TestFailoverPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	<-runDone // Promote stops the replication loop
+	<-runDone // Run returns once it sees the promoted index
 
 	if promo.Epoch != 1 {
 		t.Fatalf("promoted epoch %d, want 1", promo.Epoch)
@@ -220,20 +220,16 @@ func TestFailoverPromotion(t *testing.T) {
 	nsrv := httptest.NewServer(nmux)
 	defer nsrv.Close()
 
-	folB := replica.NewFollower(nsrv.URL, t.TempDir())
+	var servedB act.Swappable
+	folB := replica.NewFollower(nsrv.URL, t.TempDir(), &servedB)
 	folB.BackoffMin, folB.BackoffMax = time.Millisecond, 20*time.Millisecond
-	var bMu sync.Mutex
-	var bSwapped []*act.Index
-	folB.OnSwap = func(ix *act.Index) { bMu.Lock(); bSwapped = append(bSwapped, ix); bMu.Unlock() }
 	bCtx, bCancel := context.WithCancel(ctx)
 	bDone := make(chan struct{})
 	go func() { defer close(bDone); folB.Run(bCtx) }()
 	defer func() {
 		bCancel()
 		<-bDone
-		bMu.Lock()
-		defer bMu.Unlock()
-		for _, ix := range bSwapped {
+		if ix := servedB.Load(); ix != nil {
 			ix.Close()
 		}
 	}()
@@ -247,7 +243,7 @@ func TestFailoverPromotion(t *testing.T) {
 	for _, c := range centers {
 		pts = append(pts, c, act.LatLng{Lat: c.Lat + 0.25, Lng: c.Lng - 0.25})
 	}
-	assertJoinEqual(t, "second generation", nidx, folB.Index(), pts)
+	assertJoinEqual(t, "second generation", nidx, servedB.Load(), pts)
 }
 
 // TestPromoteOneWay: the promotion drain shares the replication loop's
@@ -280,7 +276,8 @@ func TestPromoteOneWay(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	fol := replica.NewFollower(srv.URL, t.TempDir())
+	var served act.Swappable
+	fol := replica.NewFollower(srv.URL, t.TempDir(), &served)
 	fol.BackoffMin, fol.BackoffMax = time.Millisecond, 20*time.Millisecond
 	runDone := make(chan struct{})
 	go func() { defer close(runDone); fol.Run(ctx) }()
@@ -290,7 +287,7 @@ func TestPromoteOneWay(t *testing.T) {
 	}
 	target := idx.WALStats().Seq
 	waitFor(t, "catch-up", func() bool { return fol.Status().AppliedSeq >= target })
-	fidx := fol.Index()
+	fidx := served.Load()
 	defer fidx.Close()
 
 	gone.Store(true)
@@ -315,6 +312,287 @@ func TestPromoteOneWay(t *testing.T) {
 	}
 }
 
+// TestPromoteContinuesSequence: a follower bootstrapped at the primary's
+// seq N that saw no further record promotes at N, not at its index's own 0.
+// The promoted log then gives its next insert N+1, and a second follower
+// that was at N when its route was re-pointed at the new primary resumes
+// there and receives that insert.
+func TestPromoteContinuesSequence(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	var base []*act.Polygon
+	for i := 0; i < 4; i++ {
+		c := spotAt(i)
+		base = append(base, square(c.Lat, c.Lng, 0.1))
+	}
+	idx, err := act.New(base,
+		act.WithPrecision(250),
+		act.WithDeltaThreshold(-1),
+		act.WithWAL(act.WALConfig{Path: filepath.Join(dir, "primary.wal"), SnapshotPath: filepath.Join(dir, "primary.snapshot")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	for i := 4; i < 7; i++ {
+		c := spotAt(i)
+		if _, err := idx.Insert(ctx, square(c.Lat, c.Lng, 0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	n := idx.WALStats().Seq
+	mux := http.NewServeMux()
+	replica.NewPrimary(idx).Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	// Follower B reaches its primary through a route a failover re-points.
+	var route atomic.Pointer[http.ServeMux]
+	route.Store(mux)
+	bsrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		route.Load().ServeHTTP(w, r)
+	}))
+	defer bsrv.Close()
+
+	var servedA, servedB act.Swappable
+	folA := replica.NewFollower(srv.URL, t.TempDir(), &servedA)
+	folB := replica.NewFollower(bsrv.URL, t.TempDir(), &servedB)
+	for _, fol := range []*replica.Follower{folA, folB} {
+		if err := fol.Bootstrap(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer servedA.Load().Close()
+	defer servedB.Load().Close()
+	if got := folA.Status().AppliedSeq; got != n {
+		t.Fatalf("bootstrapped at seq %d, want the snapshot's floor %d", got, n)
+	}
+
+	promo, err := folA.Promote(ctx)
+	if err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if promo.Seq != n || promo.Index.AppliedSeq() != n {
+		t.Fatalf("promoted at seq %d (index at %d), want %d", promo.Seq, promo.Index.AppliedSeq(), n)
+	}
+	c := spotAt(7)
+	id, err := promo.Index.Insert(ctx, square(c.Lat, c.Lng, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := promo.Index.WALStats().Seq; got != n+1 {
+		t.Fatalf("first insert after promotion logged seq %d, want %d", got, n+1)
+	}
+
+	nmux := http.NewServeMux()
+	replica.NewPrimary(promo.Index).Mount(nmux)
+	route.Store(nmux)
+	folB.BackoffMin, folB.BackoffMax = time.Millisecond, 20*time.Millisecond
+	runCtx, cancel := context.WithCancel(ctx)
+	runDone := make(chan struct{})
+	go func() { defer close(runDone); folB.Run(runCtx) }()
+	defer func() { cancel(); <-runDone }()
+	waitFor(t, "re-pointed follower catch-up", func() bool { return folB.Status().AppliedSeq >= n+1 })
+	if st := folB.Status(); st.LastError != "" || st.Bootstraps != 1 {
+		t.Fatalf("re-pointed follower: last error %q, %d bootstraps, want a clean resume", st.LastError, st.Bootstraps)
+	}
+	if !hasID(servedB.Load(), c, id) {
+		t.Fatal("re-pointed follower lacks the promoted primary's first insert")
+	}
+}
+
+// TestRefusedPromotionKeepsStreaming: a promotion refused because the
+// primary announced more than the follower holds only pauses the stream;
+// Run resumes on its own and applies what the primary logs next.
+func TestRefusedPromotionKeepsStreaming(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	idx, err := act.New([]*act.Polygon{square(10, 10, 0.1)},
+		act.WithPrecision(250),
+		act.WithDeltaThreshold(-1),
+		act.WithWAL(act.WALConfig{Path: filepath.Join(dir, "primary.wal"), SnapshotPath: filepath.Join(dir, "primary.snapshot")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	primary := replica.NewPrimary(idx)
+	primary.Heartbeat = 20 * time.Millisecond
+	mux := http.NewServeMux()
+	primary.Mount(mux)
+	var lie atomic.Bool // set: the next stream announces seq 100 and hangs up
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == replica.StreamPath && lie.CompareAndSwap(true, false) {
+			w.Write(wal.EncodeFrame(wal.Record{Type: wal.TypeCheckpoint, Seq: 100}))
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	var served act.Swappable
+	fol := replica.NewFollower(srv.URL, t.TempDir(), &served)
+	fol.BackoffMin, fol.BackoffMax = time.Millisecond, 20*time.Millisecond
+	runCtx, cancel := context.WithCancel(ctx)
+	runDone := make(chan struct{})
+	go func() { defer close(runDone); fol.Run(runCtx) }()
+	defer func() {
+		cancel()
+		<-runDone
+		served.Load().Close()
+	}()
+	waitFor(t, "stream", func() bool { return fol.Status().Connected })
+
+	lie.Store(true)
+	if _, err := fol.Promote(ctx); err == nil || !strings.Contains(err.Error(), "behind") {
+		t.Fatalf("promote behind an announced seq 100: %v, want a refusal", err)
+	}
+	if !served.Load().Follower() {
+		t.Fatal("refused promotion changed the index's role")
+	}
+	id, err := idx.Insert(ctx, square(11, 11, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := idx.WALStats().Seq
+	waitFor(t, "streaming after the refusal", func() bool { return fol.Status().AppliedSeq >= target })
+	if !hasID(served.Load(), act.LatLng{Lat: 11, Lng: 11}, id) {
+		t.Fatal("insert after the refusal not served")
+	}
+	waitFor(t, "connected after the refusal", func() bool { return fol.Status().Connected })
+}
+
+// newLoggedPrimary builds a WAL-backed primary index in dir holding
+// polygons at the first n test spots, each past the base one inserted and
+// so logged, and checkpoints it: its floor and head are both n-1.
+func newLoggedPrimary(t *testing.T, dir string, n int) *act.Index {
+	t.Helper()
+	idx, err := act.New([]*act.Polygon{square(spotAt(0).Lat, spotAt(0).Lng, 0.1)},
+		act.WithPrecision(250),
+		act.WithDeltaThreshold(-1),
+		act.WithWAL(act.WALConfig{Path: filepath.Join(dir, "primary.wal"), SnapshotPath: filepath.Join(dir, "primary.snapshot")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		if _, err := idx.Insert(context.Background(), square(spotAt(i).Lat, spotAt(i).Lng, 0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// TestPromoteRefusedBelowFloor: a follower whose resume point fell below
+// the primary's checkpoint floor is told so by a 410, and the primary dies
+// before the re-bootstrap. The floor counts as announced: the follower,
+// still serving its old index, is refused promotion (it lacks records up
+// to the floor, and would reuse their sequence numbers).
+func TestPromoteRefusedBelowFloor(t *testing.T) {
+	ctx := context.Background()
+	idx := newLoggedPrimary(t, t.TempDir(), 3)
+	defer idx.Close()
+	mux := http.NewServeMux()
+	replica.NewPrimary(idx).Mount(mux)
+	var dying, dead atomic.Bool // dying: the next stream request is the last answered
+	var refusedBootstraps atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dead.Load() {
+			if r.URL.Path == replica.SnapshotPath {
+				refusedBootstraps.Add(1)
+			}
+			http.Error(w, "primary down", http.StatusServiceUnavailable)
+			return
+		}
+		if r.URL.Path == replica.StreamPath && dying.Load() {
+			defer dead.Store(true)
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	var served act.Swappable
+	fol := replica.NewFollower(srv.URL, t.TempDir(), &served)
+	fol.BackoffMin, fol.BackoffMax = time.Millisecond, 20*time.Millisecond
+	if err := fol.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer served.Load().Close()
+	for i := 3; i < 5; i++ {
+		if _, err := idx.Insert(ctx, square(spotAt(i).Lat, spotAt(i).Lng, 0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	floor := idx.WALStats().BaseSeq
+
+	dying.Store(true)
+	runCtx, cancel := context.WithCancel(ctx)
+	runDone := make(chan struct{})
+	go func() { defer close(runDone); fol.Run(runCtx) }()
+	defer func() { cancel(); <-runDone }()
+	waitFor(t, "the 410 and a failed re-bootstrap", func() bool { return refusedBootstraps.Load() > 0 })
+	if _, err := fol.Promote(ctx); err == nil || !strings.Contains(err.Error(), "behind") {
+		t.Fatalf("promote below the floor %d with the primary gone: %v, want a refusal", floor, err)
+	}
+	if !served.Load().Follower() {
+		t.Fatal("refused promotion changed the index's role")
+	}
+}
+
+// TestPromoteRefusedBeforeSnapshotHead: a follower bootstrapped from a
+// snapshot older than the primary's head learns the head from the snapshot
+// response. Until the stream brings it there, promotion is refused; once
+// it has, the promotion continues from the head.
+func TestPromoteRefusedBeforeSnapshotHead(t *testing.T) {
+	ctx := context.Background()
+	idx := newLoggedPrimary(t, t.TempDir(), 3)
+	defer idx.Close()
+	for i := 3; i < 5; i++ {
+		if _, err := idx.Insert(ctx, square(spotAt(i).Lat, spotAt(i).Lng, 0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := idx.WALStats().Seq
+	mux := http.NewServeMux()
+	replica.NewPrimary(idx).Mount(mux)
+	var down atomic.Bool // set: the stream endpoint is unreachable
+	down.Store(true)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == replica.StreamPath && down.Load() {
+			http.Error(w, "primary down", http.StatusServiceUnavailable)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	var served act.Swappable
+	fol := replica.NewFollower(srv.URL, t.TempDir(), &served)
+	if err := fol.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer served.Load().Close()
+	if st := fol.Status(); st.AppliedSeq >= head || st.PrimarySeq != head {
+		t.Fatalf("bootstrapped at applied %d, announced %d; want below and at the head %d", st.AppliedSeq, st.PrimarySeq, head)
+	}
+	if _, err := fol.Promote(ctx); err == nil || !strings.Contains(err.Error(), "behind") {
+		t.Fatalf("promote before streaming to the head %d: %v, want a refusal", head, err)
+	}
+	down.Store(false)
+	promo, err := fol.Promote(ctx)
+	if err != nil {
+		t.Fatalf("promote after the drain reached the head: %v", err)
+	}
+	if promo.Seq != head || !hasAny(promo.Index, spotAt(4)) {
+		t.Fatalf("promoted at seq %d, want the head %d with its records", promo.Seq, head)
+	}
+}
+
 // TestFollowerRefusesStalePrimary: a primary announcing a lower epoch than
 // the follower has learned is a resurrected, superseded primary — nothing
 // from it may be applied.
@@ -333,7 +611,8 @@ func TestFollowerRefusesStalePrimary(t *testing.T) {
 	defer stub.Close()
 
 	ctx := context.Background()
-	fol := replica.NewFollower(stub.URL, t.TempDir())
+	var served act.Swappable
+	fol := replica.NewFollower(stub.URL, t.TempDir(), &served)
 	if err := fol.Bootstrap(ctx); err == nil {
 		t.Fatal("bootstrap without a base-seq header succeeded")
 	}
@@ -344,7 +623,7 @@ func TestFollowerRefusesStalePrimary(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "stale primary") {
 		t.Fatalf("bootstrap from a stale primary: %v, want a stale-primary refusal", err)
 	}
-	if fol.Index() != nil {
+	if served.Load() != nil {
 		t.Fatal("stale primary's snapshot was published")
 	}
 }
@@ -401,13 +680,14 @@ func TestBootstrapFaultTolerance(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.sched()
-			fol := replica.NewFollower(srv.URL, t.TempDir())
+			var served act.Swappable
+			fol := replica.NewFollower(srv.URL, t.TempDir(), &served)
 			fol.Client = &http.Client{Transport: &fault.Transport{S: s}}
 			err := fol.Bootstrap(ctx)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("bootstrap under %s fault: %v, want error containing %q", tc.name, err, tc.want)
 			}
-			if fol.Index() != nil {
+			if served.Load() != nil {
 				t.Fatal("fault-injected bootstrap published an index")
 			}
 			if s.Injected() == 0 {
@@ -417,7 +697,7 @@ func TestBootstrapFaultTolerance(t *testing.T) {
 			if err := fol.Bootstrap(ctx); err != nil {
 				t.Fatalf("clean retry: %v", err)
 			}
-			got := fol.Index()
+			got := served.Load()
 			if got == nil || got.NumPolygons() != 8 {
 				t.Fatalf("retry bootstrapped %v, want an 8-polygon index", got)
 			}
@@ -482,34 +762,30 @@ func chaosFailover(t *testing.T, seed uint64) {
 
 	// Followers live on a flaky wire: requests fail outright and stream
 	// bodies are cut at random offsets, all drawn from the seed.
-	startFollower := func(seed uint64, url string) (*replica.Follower, func() []*act.Index, context.CancelFunc, chan struct{}) {
+	startFollower := func(seed uint64, url string) (*replica.Follower, *act.Swappable, context.CancelFunc, chan struct{}) {
 		s := fault.Seeded(seed).
 			Probabilistic(fault.OpRoundTrip, 0.1, fault.Decision{Err: syscall.ECONNREFUSED}).
 			Probabilistic(fault.OpBody, 0.25, fault.Decision{Err: syscall.ECONNRESET, Keep: -1})
-		fol := replica.NewFollower(url, t.TempDir())
+		served := &act.Swappable{}
+		fol := replica.NewFollower(url, t.TempDir(), served)
 		fol.Client = &http.Client{Transport: &fault.Transport{S: s}}
 		fol.BackoffMin, fol.BackoffMax = time.Millisecond, 20*time.Millisecond
-		var mu sync.Mutex
-		var swapped []*act.Index
-		fol.OnSwap = func(ix *act.Index) { mu.Lock(); swapped = append(swapped, ix); mu.Unlock() }
 		runCtx, cancel := context.WithCancel(ctx)
 		done := make(chan struct{})
 		go func() { defer close(done); fol.Run(runCtx) }()
-		collect := func() []*act.Index { mu.Lock(); defer mu.Unlock(); return slices.Clone(swapped) }
-		return fol, collect, cancel, done
+		return fol, served, cancel, done
 	}
-	folA, aSwapped, aCancel, aDone := startFollower(seed+1, srv.URL)
-	folB, bSwapped, bCancel, bDone := startFollower(seed+2, srv.URL)
+	folA, aServed, aCancel, aDone := startFollower(seed+1, srv.URL)
+	folB, bServed, bCancel, bDone := startFollower(seed+2, srv.URL)
 	defer func() {
 		aCancel()
 		<-aDone
 		bCancel()
 		<-bDone
-		for _, ix := range aSwapped() {
-			ix.Close()
-		}
-		for _, ix := range bSwapped() {
-			ix.Close()
+		for _, served := range []*act.Swappable{aServed, bServed} {
+			if ix := served.Load(); ix != nil {
+				ix.Close()
+			}
 		}
 	}()
 
@@ -641,11 +917,11 @@ func chaosFailover(t *testing.T, seed uint64) {
 		liveSet[id] = true
 	}
 
-	folB2, b2Swapped, b2Cancel, b2Done := startFollower(seed+3, nsrv.URL)
+	folB2, b2Served, b2Cancel, b2Done := startFollower(seed+3, nsrv.URL)
 	defer func() {
 		b2Cancel()
 		<-b2Done
-		for _, ix := range b2Swapped() {
+		if ix := b2Served.Load(); ix != nil {
 			ix.Close()
 		}
 	}()
@@ -654,7 +930,7 @@ func chaosFailover(t *testing.T, seed uint64) {
 	if got := folB2.Status().Epoch; got != promo.Epoch {
 		t.Fatalf("re-pointed follower learned epoch %d, want %d", got, promo.Epoch)
 	}
-	assertFailoverState("re-pointed follower", folB2.Index())
+	assertFailoverState("re-pointed follower", b2Served.Load())
 
 	// Convergence: identical join pair counts across the whole new lineage.
 	var pts []act.LatLng
@@ -662,7 +938,7 @@ func chaosFailover(t *testing.T, seed uint64) {
 		pts = append(pts, c, act.LatLng{Lat: c.Lat + 0.25, Lng: c.Lng - 0.25})
 	}
 	pts = append(pts, spotAt(next))
-	assertJoinEqual(t, "chaos convergence", promo.Index, folB2.Index(), pts)
+	assertJoinEqual(t, "chaos convergence", promo.Index, b2Served.Load(), pts)
 
 	if walSched.Injected() == 0 {
 		t.Fatal("disk schedule injected nothing")

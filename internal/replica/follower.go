@@ -22,33 +22,32 @@ import (
 	"github.com/actindex/act/internal/wal"
 )
 
-// Status is a point-in-time snapshot of a follower's replication state.
+// Status is a point-in-time snapshot of a follower's replication state; the
+// JSON names are those of actserve's /stats replication object.
 type Status struct {
 	// Connected reports whether a record stream is currently open.
-	Connected bool
-	// AppliedSeq is the last primary sequence applied to the serving
-	// index; PrimarySeq the newest sequence the stream has announced
-	// (records or heartbeats). PrimarySeq - AppliedSeq is the lag.
-	AppliedSeq uint64
-	PrimarySeq uint64
+	Connected bool `json:"connected"`
+	// AppliedSeq is the follower's replication position, the one the
+	// stream resumes from and Promote continues from: the snapshot's floor
+	// (X-Act-Base-Seq) after a bootstrap, then the newest streamed record
+	// landed in the serving index. PrimarySeq is the newest sequence the
+	// primary has announced (records, heartbeats, a snapshot's head, a
+	// 410's floor). PrimarySeq - AppliedSeq is the lag.
+	AppliedSeq uint64 `json:"appliedSeq"`
+	PrimarySeq uint64 `json:"primarySeq"`
 	// Epoch is the highest replication fencing epoch the follower has
 	// learned from the primary's responses.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Reconnects counts stream (re)connections beyond the first;
 	// Bootstraps counts snapshot downloads (1 after a clean start).
-	Reconnects uint64
-	Bootstraps uint64
+	Reconnects uint64 `json:"reconnects"`
+	Bootstraps uint64 `json:"bootstraps"`
 	// LastError is the most recent sync error ("" while healthy).
-	LastError string
+	LastError string `json:"lastError,omitempty"`
 }
 
 // Lag returns the sequence distance to the primary.
-func (s Status) Lag() uint64 {
-	if s.PrimarySeq > s.AppliedSeq {
-		return s.PrimarySeq - s.AppliedSeq
-	}
-	return 0
-}
+func (s Status) Lag() uint64 { return max(s.PrimarySeq, s.AppliedSeq) - s.AppliedSeq }
 
 // maxBatchRecords caps one ApplyReplicated batch during catch-up: big
 // enough to amortize the overlay rebuild, small enough that the epoch
@@ -64,13 +63,14 @@ const idleTimeout = 30 * time.Second
 // checkpoint snapshot, applies the streamed log records, and keeps
 // retrying with jittered backoff across stream loss, primary restarts, and
 // log rotations (a 410 from the primary re-bootstraps from the fresh
-// snapshot). The serving index is exposed through Index and republished
-// through OnSwap after each bootstrap. When the primary dies for good,
-// Promote turns the follower into the next primary under a bumped,
-// fenced epoch.
+// snapshot). Each bootstrapped index is published into the served
+// act.Swappable, the one place the follower and its readers find it. When
+// the primary dies for good, Promote turns the follower into the next
+// primary under a bumped, fenced epoch.
 type Follower struct {
 	primaryURL string
 	dir        string
+	served     *act.Swappable
 	opts       []act.Option
 
 	// Client is the HTTP client used for snapshot and stream requests.
@@ -79,12 +79,6 @@ type Follower struct {
 	// liveness is enforced by the idleTimeout watchdog instead. Replace
 	// before Run (tests substitute fault-injecting transports).
 	Client *http.Client
-	// OnSwap, when set, is called with each newly bootstrapped index
-	// (including the first) — the hook a server uses to swing the new
-	// index into its act.Swappable. The previous index must not be closed
-	// here: in-flight readers may still hold it, and its mapping is
-	// released by the collector once they retire. Set before Run.
-	OnSwap func(*act.Index)
 	// Backoff bounds the reconnect delay (min grows to max by doubling;
 	// each wait is jittered to half its nominal value or more, so a herd
 	// of followers losing one primary does not reconnect in lockstep).
@@ -98,21 +92,27 @@ type Follower struct {
 	// promotion). Nil disables logging. Set before Run.
 	Logger *slog.Logger
 
+	// session is held by the stream's one reader at a time: Run around
+	// each connection lifetime, Promote around its drain and the promotion.
+	// Under mu, stop cancels Run's current session, and resume is set while
+	// a Promote holds the stream and closed when it lets go.
+	session   sync.Mutex
 	mu        sync.Mutex
-	idx       *act.Index
 	status    Status
 	connected bool // a stream has been opened at least once
-	runCancel context.CancelFunc
-	runDone   chan struct{}
+	stop      context.CancelFunc
+	resume    chan struct{}
 }
 
 // NewFollower wires a follower of the primary at primaryURL (scheme +
-// host, no path). Downloaded snapshots land in dir; opts are passed to
-// act.OpenFollower (WithDeltaThreshold etc.).
-func NewFollower(primaryURL, dir string, opts ...act.Option) *Follower {
+// host, no path) that publishes every bootstrapped index into served;
+// served.Load is the index it replicates into. Downloaded snapshots land
+// in dir; opts are passed to act.OpenFollower (WithDeltaThreshold etc.).
+func NewFollower(primaryURL, dir string, served *act.Swappable, opts ...act.Option) *Follower {
 	return &Follower{
 		primaryURL: primaryURL,
 		dir:        dir,
+		served:     served,
 		opts:       opts,
 		Client: &http.Client{
 			Transport: &http.Transport{
@@ -136,13 +136,6 @@ func (f *Follower) logf(level slog.Level, msg string, attrs ...any) {
 	}
 }
 
-// Index returns the serving index (nil before the first bootstrap).
-func (f *Follower) Index() *act.Index {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.idx
-}
-
 // Status returns the current replication status.
 func (f *Follower) Status() Status {
 	f.mu.Lock()
@@ -161,10 +154,7 @@ func (f *Follower) newRequest(ctx context.Context, url string) (*http.Request, e
 	if f.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+f.Token)
 	}
-	f.mu.Lock()
-	epoch := f.status.Epoch
-	f.mu.Unlock()
-	req.Header.Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
+	req.Header.Set(HeaderEpoch, strconv.FormatUint(f.Status().Epoch, 10))
 	return req, nil
 }
 
@@ -190,13 +180,14 @@ func (f *Follower) noteEpoch(resp *http.Response) error {
 }
 
 // Bootstrap downloads the primary's checkpoint snapshot, opens it as a
-// follower index, and publishes it (OnSwap). The stream resumes from the
-// snapshot's announced floor; anything between the floor and the
-// snapshot's true content is absorbed by idempotent replay. A short or
-// torn download (the body ending before the announced Content-Length) is
-// discarded without publishing anything. Run calls this as needed; calling
-// it once before Run lets a server fail fast (and serve immediately)
-// instead of coming up empty.
+// follower index, and publishes it into served (the previous index is not
+// closed: in-flight readers may hold it). The snapshot's floor becomes the
+// follower's position, and idempotent replay absorbs whatever the file holds
+// beyond it; its head counts as announced, so Promote waits for the stream
+// to reach it. A short or torn download (the body ending before the
+// announced Content-Length) is discarded without publishing anything. Run
+// calls this as needed; calling it once before Run lets a server fail fast
+// (and serve immediately) instead of coming up empty.
 func (f *Follower) Bootstrap(ctx context.Context) error {
 	req, err := f.newRequest(ctx, f.primaryURL+SnapshotPath)
 	if err != nil {
@@ -218,6 +209,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replica: snapshot response lacks a valid %s header: %w", HeaderBaseSeq, err)
 	}
+	head, _ := strconv.ParseUint(resp.Header.Get(headerHeadSeq), 10, 64) // absent: 0
 
 	// Land the snapshot atomically and durably through the replace routine
 	// every durable file shares: neither a connection cut mid-download nor
@@ -252,13 +244,11 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replica: opening snapshot: %w", err)
 	}
+	f.served.Swap(idx)
 	f.mu.Lock()
-	f.idx = idx
 	f.status.Bootstraps++
 	f.status.AppliedSeq = baseSeq
-	if f.status.PrimarySeq < baseSeq {
-		f.status.PrimarySeq = baseSeq
-	}
+	f.status.PrimarySeq = max(f.status.PrimarySeq, baseSeq, head)
 	bootstraps, epoch := f.status.Bootstraps, f.status.Epoch
 	f.mu.Unlock()
 	f.logf(slog.LevelInfo, "replication bootstrap",
@@ -266,9 +256,6 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		slog.Uint64("base_seq", baseSeq),
 		slog.Uint64("bootstraps", bootstraps),
 		slog.Uint64("epoch", epoch))
-	if f.OnSwap != nil {
-		f.OnSwap(idx)
-	}
 	return nil
 }
 
@@ -283,39 +270,29 @@ var (
 
 // Run drives the replication loop until ctx is cancelled: bootstrap when
 // needed, stream, apply, and reconnect with jittered exponential backoff
-// on stream loss. It returns ctx.Err() on cancellation (Promote cancels it
-// the same way), and refuses at once when the index has been promoted.
+// on stream loss. A Promote pauses it; afterwards it streams on from the
+// follower's position, or returns errPromoted, as it does at once on a
+// promoted index. It returns ctx.Err() on cancellation.
 func (f *Follower) Run(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	done := make(chan struct{})
-	defer close(done)
-	f.mu.Lock()
-	if f.idx != nil && !f.idx.Follower() {
-		f.mu.Unlock()
-		return errPromoted
-	}
-	f.runCancel = cancel
-	f.runDone = done
-	f.mu.Unlock()
-
 	backoff := f.BackoffMin
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := f.syncOnce(ctx)
-		if err == nil || errors.Is(err, errBootstrap) {
-			// Made progress (stream ended cleanly) or told to re-bootstrap:
-			// go around immediately.
+		err := f.runSession(ctx)
+		if err == nil {
+			// Made progress (stream ended cleanly, or a re-bootstrap
+			// landed) or a Promote had the stream: go around immediately.
 			backoff = f.BackoffMin
 			continue
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
+		if errors.Is(err, errPromoted) {
+			return err
+		}
 		f.mu.Lock()
-		f.status.Connected = false
 		f.status.LastError = err.Error()
 		f.mu.Unlock()
 		f.logf(slog.LevelWarn, "replication stream lost",
@@ -336,29 +313,56 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
+// runSession runs one syncOnce for Run under the session lock, which
+// Promote cancels through stop; while a Promote holds the stream, it waits
+// for it instead. Both end in nil, and Run goes round at once.
+func (f *Follower) runSession(ctx context.Context) error {
+	f.session.Lock()
+	f.mu.Lock()
+	if resume := f.resume; resume != nil {
+		f.mu.Unlock()
+		f.session.Unlock()
+		select {
+		case <-resume:
+		case <-ctx.Done():
+		}
+		return nil
+	}
+	sctx, cancel := context.WithCancel(ctx)
+	f.stop = cancel
+	f.mu.Unlock()
+	defer f.session.Unlock()
+	defer cancel()
+	if err := f.syncOnce(sctx); sctx.Err() == nil || ctx.Err() != nil {
+		return err
+	}
+	return nil // a Promote cancelled the session
+}
+
 // syncOnce runs one connection lifetime: ensure an index exists, then
 // stream into it until the stream ends. A clean end (primary closed the
-// stream, e.g. after rotating past us) returns nil; errBootstrap discards
-// the index, so the next round downloads the new snapshot.
+// stream, e.g. after rotating past us) returns nil; a 410 re-bootstraps
+// from the newer snapshot, which the served index keeps serving until the
+// new one is published.
 func (f *Follower) syncOnce(ctx context.Context) error {
-	idx := f.Index()
+	idx := f.served.Load()
 	if idx == nil {
 		if err := f.Bootstrap(ctx); err != nil {
 			return err
 		}
-		idx = f.Index()
+		idx = f.served.Load()
+	}
+	if !idx.Follower() {
+		return errPromoted
 	}
 	err := f.stream(ctx, idx, false)
 	if errors.Is(err, errBootstrap) {
 		// Our position fell below the checkpoint floor; the records we
 		// need exist only in the newer snapshot now.
-		f.mu.Lock()
-		f.idx = nil
-		applied := f.status.AppliedSeq
-		f.mu.Unlock()
 		f.logf(slog.LevelInfo, "replication re-bootstrap",
-			slog.Uint64("applied_seq", applied),
+			slog.Uint64("applied_seq", f.Status().AppliedSeq),
 			slog.String("reason", "primary checkpointed past resume point"))
+		return f.Bootstrap(ctx)
 	}
 	return err
 }
@@ -380,10 +384,8 @@ func (f *Follower) stream(ctx context.Context, idx *act.Index, untilCaughtUp boo
 	watchdog := time.AfterFunc(idleTimeout, cancel)
 	defer watchdog.Stop()
 
-	f.mu.Lock()
-	after := f.status.AppliedSeq
-	f.mu.Unlock()
-	u := f.primaryURL + StreamPath + "?after=" + url.QueryEscape(strconv.FormatUint(after, 10))
+	after := strconv.FormatUint(f.Status().AppliedSeq, 10)
+	u := f.primaryURL + StreamPath + "?after=" + url.QueryEscape(after)
 	req, err := f.newRequest(ctx, u)
 	if err != nil {
 		return err
@@ -401,6 +403,12 @@ func (f *Follower) stream(ctx context.Context, idx *act.Index, untilCaughtUp boo
 		return err
 	}
 	if resp.StatusCode == http.StatusGone {
+		// The floor is a sequence the primary has logged: until a bootstrap
+		// reaches it the follower is behind, and Promote refuses.
+		floor, _ := strconv.ParseUint(resp.Header.Get(HeaderBaseSeq), 10, 64)
+		f.mu.Lock()
+		f.status.PrimarySeq = max(f.status.PrimarySeq, floor)
+		f.mu.Unlock()
 		return errBootstrap
 	}
 	f.mu.Lock()
@@ -446,23 +454,26 @@ func (f *Follower) stream(ctx context.Context, idx *act.Index, untilCaughtUp boo
 	}
 }
 
-// apply lands one batch on the index and rolls the status counters. It
-// reports caught up when the batch carried a heartbeat (or rotation
-// marker) and everything the primary has announced is applied.
+// apply lands one batch on the index and moves the follower's position past
+// its mutation records (each is now in the index, applied or already in the
+// snapshot); a heartbeat (or rotation marker) announces the primary's head.
+// It reports caught up when the batch carried a heartbeat and everything
+// the primary has announced is applied.
 func (f *Follower) apply(ctx context.Context, idx *act.Index, batch []wal.Record) (caughtUp bool, err error) {
 	if err := idx.ApplyReplicated(ctx, batch); err != nil {
 		return false, fmt.Errorf("replica: applying batch: %w", err)
 	}
-	var newest uint64
-	heartbeat := false
-	for _, rec := range batch {
-		newest = max(newest, rec.Seq)
-		heartbeat = heartbeat || rec.Type == wal.TypeCheckpoint
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.status.AppliedSeq = max(f.status.AppliedSeq, idx.AppliedSeq())
-	f.status.PrimarySeq = max(f.status.PrimarySeq, newest)
+	heartbeat := false
+	for _, rec := range batch {
+		f.status.PrimarySeq = max(f.status.PrimarySeq, rec.Seq)
+		if rec.Type == wal.TypeCheckpoint {
+			heartbeat = true
+		} else {
+			f.status.AppliedSeq = max(f.status.AppliedSeq, rec.Seq)
+		}
+	}
 	return heartbeat && f.status.AppliedSeq >= f.status.PrimarySeq, nil
 }
 
@@ -477,38 +488,41 @@ type Promotion struct {
 	Seq   uint64
 }
 
-// Promote turns the follower into the next primary: the replication loop
-// is stopped, the stream drained of whatever the old primary can still
-// deliver (best effort, bounded by ctx), and — provided the follower has
-// caught up to every sequence the primary announced — the index is
-// converted to a mutable primary under a bumped epoch (see
-// act.Index.Promote for the crash-safe ordering). The returned Promotion's
-// index carries everything needed to serve the next generation of
-// followers.
+// Promote turns the follower into the next primary: Run is paused (its
+// session cancelled, the stream held until Promote returns), the stream
+// drained of whatever the old primary can still deliver (best effort,
+// bounded by ctx), and — provided the follower has applied every sequence
+// the primary announced — the index becomes a mutable primary under a
+// bumped epoch, continuing from the follower's position (see
+// act.Index.Promote for the crash-safe ordering). A paused Run then returns
+// errPromoted.
 //
-// Promote refuses, leaving the follower intact, when the follower has not
-// applied everything the primary acknowledged to it (promoting would lose
-// those writes — "no lost acks"); a caller that wants availability over
-// durability can retry after the drain deadline with a fresh ctx. Once the
-// index is a primary, a further Promote is refused. The old primary, if it
-// resurfaces, is fenced by the bumped epoch the moment any replication
-// request reaches it.
+// Otherwise Promote refuses, since promoting would lose acknowledged writes
+// ("no lost acks"), and Run streams on. It also refuses on a promoted index
+// and while another Promote runs. The old primary, if it resurfaces, is
+// fenced by the bumped epoch the moment any replication request reaches it.
 func (f *Follower) Promote(ctx context.Context) (*Promotion, error) {
-	// Stop the replication loop and wait it out: its stream application
-	// must not race the promotion.
 	f.mu.Lock()
-	cancel, done := f.runCancel, f.runDone
-	f.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	if f.resume != nil {
+		f.mu.Unlock()
+		return nil, errors.New("replica: a promotion is already in progress")
 	}
+	resume := make(chan struct{})
+	f.resume = resume
+	if f.stop != nil {
+		f.stop()
+	}
+	f.mu.Unlock()
+	f.session.Lock()
+	defer func() {
+		f.session.Unlock()
+		f.mu.Lock()
+		f.resume = nil
+		f.mu.Unlock()
+		close(resume)
+	}()
 
-	idx := f.Index()
+	idx := f.served.Load()
 	if idx == nil {
 		return nil, errors.New("replica: nothing to promote: follower never bootstrapped")
 	}
@@ -523,19 +537,17 @@ func (f *Follower) Promote(ctx context.Context) (*Promotion, error) {
 	// 410 just ends the drain: the index being promoted stays.
 	_ = f.stream(ctx, idx, true)
 
-	f.mu.Lock()
-	applied, announced, epoch := f.status.AppliedSeq, f.status.PrimarySeq, f.status.Epoch
-	f.mu.Unlock()
-	if applied < announced {
-		return nil, fmt.Errorf("replica: refusing to promote: applied seq %d is behind the primary's announced %d (would lose acknowledged writes)", applied, announced)
+	st := f.Status()
+	if st.AppliedSeq < st.PrimarySeq {
+		return nil, fmt.Errorf("replica: refusing to promote: applied seq %d is behind the primary's announced %d (would lose acknowledged writes)", st.AppliedSeq, st.PrimarySeq)
 	}
 
-	newEpoch := epoch + 1
+	newEpoch := st.Epoch + 1
 	cfg := act.WALConfig{
 		Path:         filepath.Join(f.dir, "promoted.wal"),
 		SnapshotPath: filepath.Join(f.dir, "follower.snapshot"),
 	}
-	if err := idx.Promote(ctx, cfg, newEpoch); err != nil {
+	if err := idx.Promote(ctx, cfg, newEpoch, st.AppliedSeq); err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
@@ -543,6 +555,6 @@ func (f *Follower) Promote(ctx context.Context) (*Promotion, error) {
 	f.mu.Unlock()
 	f.logf(slog.LevelInfo, "follower promoted",
 		slog.Uint64("epoch", newEpoch),
-		slog.Uint64("seq", idx.AppliedSeq()))
-	return &Promotion{Index: idx, Epoch: newEpoch, Seq: idx.AppliedSeq()}, nil
+		slog.Uint64("seq", st.AppliedSeq))
+	return &Promotion{Index: idx, Epoch: newEpoch, Seq: st.AppliedSeq}, nil
 }

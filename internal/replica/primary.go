@@ -62,6 +62,9 @@ const (
 	// on a snapshot response, the floor the snapshot covers; on a 410, the
 	// floor the follower's resume point fell below.
 	HeaderBaseSeq = "X-Act-Base-Seq"
+	// headerHeadSeq, on a snapshot response, carries the primary's head
+	// sequence read after the file was opened, so at or above all it holds.
+	headerHeadSeq = "X-Act-Head-Seq"
 	// HeaderEpoch carries the replication fencing epoch, both ways: a
 	// follower announces the highest epoch it has learned on every
 	// request, and the primary stamps its own epoch on every response. A
@@ -127,7 +130,9 @@ func (p *Primary) fenceCheck(w http.ResponseWriter, r *http.Request) bool {
 // read from the log BEFORE the file is opened: a checkpoint racing in
 // between makes the served file newer than the advertised floor, which the
 // follower's idempotent replay absorbs — the reverse order could advertise
-// a floor the file does not reach.
+// a floor the file does not reach. The head is read after the open, so it
+// bounds the file from above: a follower counts it as announced, and is not
+// promoted before it has streamed that far.
 func (p *Primary) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !p.fenceCheck(w, r) {
 		return
@@ -154,16 +159,18 @@ func (p *Primary) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	w.Header().Set(HeaderBaseSeq, strconv.FormatUint(baseSeq, 10))
+	w.Header().Set(headerHeadSeq, strconv.FormatUint(p.idx.WALStats().Seq, 10))
 	_, _ = io.Copy(w, f)
 }
 
 // ServeStream serves the log as a long-lived record stream: every record
 // with seq > after, in log order, in the log's own frame layout, followed
 // by whatever the log appends for as long as the follower stays connected.
-// Idle periods carry heartbeat checkpoint frames with the primary's
-// current sequence. The stream ends when the client goes away, the log
-// closes, the primary is fenced by a newer epoch, or a rotation moves the
-// floor past the follower (who then re-syncs and is told 410 → bootstrap).
+// Heartbeat checkpoint frames carry the primary's head sequence: one right
+// after the backlog, then one per idle Heartbeat period. The stream ends
+// when the client goes away, the log closes, the primary is fenced by a
+// newer epoch, or a rotation moves the floor past the follower (who then
+// re-syncs and is told 410 → bootstrap).
 func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 	if !p.fenceCheck(w, r) {
 		return
@@ -207,7 +214,9 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 	defer tick.Stop()
 
 	var recs []wal.Record
-	for {
+	// The first heartbeat follows the backlog at once: a follower learns at
+	// connect time whether it has caught up (so a promotion drain ends).
+	for beat := true; ; {
 		// A promotion can fence this primary mid-stream; stop feeding the
 		// follower records the new epoch's history may not contain.
 		if _, fenced := p.idx.Fenced(); fenced {
@@ -217,10 +226,18 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 		// during the read re-arms the loop instead of being missed. The
 		// read ends the stream when the log closed (the primary is
 		// shutting down) or a rotation moved the floor past the follower,
-		// whose re-sync then gets 410 → bootstrap.
+		// whose re-sync then gets 410 → bootstrap. A heartbeat's head is
+		// read first, so the records read reach it.
 		updates := tail.Updates()
+		var head uint64
+		if beat {
+			head = p.idx.WALStats().Seq
+		}
 		if recs, err = tail.Read(recs[:0]); err != nil {
 			return
+		}
+		if beat {
+			recs = append(recs, wal.Record{Type: wal.TypeCheckpoint, Seq: head})
 		}
 		for _, rec := range recs {
 			if _, err := w.Write(wal.EncodeFrame(rec)); err != nil {
@@ -235,14 +252,9 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-updates:
+			beat = false
 		case <-tick.C:
-			hb := wal.Record{Type: wal.TypeCheckpoint, Seq: p.idx.WALStats().Seq}
-			if _, err := w.Write(wal.EncodeFrame(hb)); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			beat = true
 		}
 	}
 }

@@ -198,16 +198,10 @@ func TestFollowerStreamCutProperty(t *testing.T) {
 
 	// Follower with a tiny delta threshold, so replication also drives its
 	// background compaction (the epoch rebuild keeping memory bounded).
-	fol := replica.NewFollower(srv.URL, t.TempDir(), act.WithDeltaThreshold(8))
+	var served act.Swappable
+	fol := replica.NewFollower(srv.URL, t.TempDir(), &served, act.WithDeltaThreshold(8))
 	fol.BackoffMin = time.Millisecond
 	fol.BackoffMax = 20 * time.Millisecond
-	var swapMu sync.Mutex
-	var swapped []*act.Index
-	fol.OnSwap = func(ix *act.Index) {
-		swapMu.Lock()
-		swapped = append(swapped, ix)
-		swapMu.Unlock()
-	}
 	runCtx, cancel := context.WithCancel(ctx)
 	runDone := make(chan struct{})
 	go func() {
@@ -217,21 +211,19 @@ func TestFollowerStreamCutProperty(t *testing.T) {
 	defer func() {
 		cancel()
 		<-runDone
-		swapMu.Lock()
-		defer swapMu.Unlock()
-		for _, ix := range swapped {
+		if ix := served.Load(); ix != nil {
 			ix.Close()
 		}
 	}()
-	waitFor(t, "bootstrap", func() bool { return fol.Index() != nil })
-	if got := fol.Index(); got.NumPolygons() != 4 || !got.Follower() || got.Mutable() {
+	waitFor(t, "bootstrap", func() bool { return served.Load() != nil })
+	if got := served.Load(); got.NumPolygons() != 4 || !got.Follower() || got.Mutable() {
 		t.Fatalf("bootstrapped follower: %d polygons, follower=%v, mutable=%v",
 			got.NumPolygons(), got.Follower(), got.Mutable())
 	}
-	if _, err := fol.Index().Insert(ctx, base[0]); err != act.ErrFollower {
+	if _, err := served.Load().Insert(ctx, base[0]); err != act.ErrFollower {
 		t.Fatalf("Insert on follower: %v, want ErrFollower", err)
 	}
-	if err := fol.Index().Remove(ctx, 0); err != act.ErrFollower {
+	if err := served.Load().Remove(ctx, 0); err != act.ErrFollower {
 		t.Fatalf("Remove on follower: %v, want ErrFollower", err)
 	}
 
@@ -240,7 +232,7 @@ func TestFollowerStreamCutProperty(t *testing.T) {
 	// exactly as the primary acknowledged it.
 	assertState := func(phase string) {
 		t.Helper()
-		fidx := fol.Index()
+		fidx := served.Load()
 		want := 0
 		for _, alive := range liveSet {
 			if alive {
@@ -370,7 +362,7 @@ func TestFollowerStreamCutProperty(t *testing.T) {
 	for _, c := range centers {
 		pts = append(pts, c, act.LatLng{Lat: c.Lat + 0.25, Lng: c.Lng - 0.25})
 	}
-	assertJoinEqual(t, "after catch-up", idx, fol.Index(), pts)
+	assertJoinEqual(t, "after catch-up", idx, served.Load(), pts)
 	if lag := fol.Status().Lag(); lag != 0 {
 		t.Fatalf("follower lag %d after catch-up, want 0", lag)
 	}

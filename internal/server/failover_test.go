@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"github.com/actindex/act"
 	"github.com/actindex/act/internal/fault"
 	"github.com/actindex/act/internal/replica"
+	"github.com/actindex/act/internal/wal"
 )
 
 // TestReadOnlyDegradation: when the index's write-ahead log dies (injected
@@ -113,7 +115,8 @@ func TestPromoteEndpoint(t *testing.T) {
 		t.Fatalf("promote on a primary: status %d, want 409: %s", rec.Code, rec.Body)
 	}
 
-	fol := replica.NewFollower(psrv.URL, t.TempDir())
+	var served act.Swappable
+	fol := replica.NewFollower(psrv.URL, t.TempDir(), &served)
 	fol.BackoffMin = time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -122,7 +125,7 @@ func TestPromoteEndpoint(t *testing.T) {
 	defer func() {
 		cancel()
 		<-runDone
-		if fidx := fol.Index(); fidx != nil {
+		if fidx := served.Load(); fidx != nil {
 			fidx.Close()
 		}
 	}()
@@ -137,7 +140,7 @@ func TestPromoteEndpoint(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	fs := NewServer(act.NewSwappable(fol.Index()), BuildDefaults{Precision: 10})
+	fs := NewServer(&served, BuildDefaults{Precision: 10})
 	fs.EnableFollower(fol)
 	// Not a primary yet: the replication endpoints back off the caller.
 	if rec := get(t, fs, replica.SnapshotPath); rec.Code != http.StatusServiceUnavailable {
@@ -185,6 +188,76 @@ func TestPromoteEndpoint(t *testing.T) {
 	// A second promotion is refused: the server is a primary now.
 	if rec := do(t, fs, http.MethodPost, "/promote", ""); rec.Code != http.StatusConflict {
 		t.Fatalf("second promote: status %d, want 409: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestPromoteRefusedKeepsStreaming: a /promote refused with 409 (the
+// primary announced more than the follower holds) leaves the server a
+// follower whose stream reconnects on its own: /stats shows
+// replication.connected again.
+func TestPromoteRefusedKeepsStreaming(t *testing.T) {
+	dir := t.TempDir()
+	zone := &act.Polygon{Outer: []act.LatLng{
+		{Lat: 40.70, Lng: -74.02}, {Lat: 40.70, Lng: -73.96},
+		{Lat: 40.76, Lng: -73.96}, {Lat: 40.76, Lng: -74.02},
+	}}
+	idx, err := act.New([]*act.Polygon{zone},
+		act.WithPrecision(10), act.WithDeltaThreshold(-1),
+		act.WithWAL(act.WALConfig{Path: filepath.Join(dir, "primary.wal"), SnapshotPath: filepath.Join(dir, "primary.snapshot")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	ps := NewServer(act.NewSwappable(idx), BuildDefaults{Precision: 10})
+	var lie atomic.Bool // set: the next stream announces seq 100 and hangs up
+	psrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == replica.StreamPath && lie.CompareAndSwap(true, false) {
+			w.Write(wal.EncodeFrame(wal.Record{Type: wal.TypeCheckpoint, Seq: 100}))
+			return
+		}
+		ps.ServeHTTP(w, r)
+	}))
+	defer psrv.Close()
+
+	var served act.Swappable
+	fol := replica.NewFollower(psrv.URL, t.TempDir(), &served)
+	fol.BackoffMin = time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() { defer close(runDone); fol.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-runDone
+		if fidx := served.Load(); fidx != nil {
+			fidx.Close()
+		}
+	}()
+	deadline := time.Now().Add(20 * time.Second)
+	for served.Load() == nil || !fol.Status().Connected {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never connected")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fs := NewServer(&served, BuildDefaults{Precision: 10})
+	fs.EnableFollower(fol)
+	connected := func() bool {
+		var st statsResponse
+		if err := json.Unmarshal(get(t, fs, "/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Role == "follower" && st.Replication != nil && st.Replication.Connected
+	}
+
+	lie.Store(true)
+	if rec := do(t, fs, http.MethodPost, "/promote", ""); rec.Code != http.StatusConflict {
+		t.Fatalf("promote behind an announced seq 100: status %d, want 409: %s", rec.Code, rec.Body)
+	}
+	for !connected() {
+		if time.Now().After(deadline) {
+			t.Fatal("replication never reconnected after the refused promotion")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

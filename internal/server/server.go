@@ -220,9 +220,9 @@ func (s *Server) EnablePprof() {
 }
 
 // EnableFollower hands the server the replication client feeding its
-// index: POST /promote promotes it, and /stats reports its stream position
-// and lag while the served index is its follower. The follower's OnSwap
-// hook keeps s serving each re-bootstrapped index. Call before serving.
+// index, which publishes into the Swappable s serves (NewFollower's served):
+// POST /promote promotes it, and /stats reports its stream position and lag
+// while the served index is its follower. Call before serving.
 func (s *Server) EnableFollower(f *replica.Follower) {
 	s.follower = f
 	s.metrics.registerFollowerGauges(f)
@@ -279,15 +279,14 @@ type promoteResponse struct {
 	Seq   uint64 `json:"seq"`
 }
 
-// handlePromote turns a follower server into the next primary: the
-// replication loop is stopped, the stream drained as far as the old
-// primary still delivers, and the index converted to a mutable primary
-// under a bumped, fenced epoch (see replica.Follower.Promote). The served
+// handlePromote turns a follower server into the next primary (see
+// replica.Follower.Promote): the stream is paused and drained, and the index
+// converted to a mutable primary under a bumped, fenced epoch. The served
 // index then reports the primary role itself, so the /replication/*
 // endpoints start serving and the mutating endpoints open up. Refused with
 // 409 when the server is not a follower, when the follower has not applied
-// everything the old primary acknowledged (promoting would lose writes), or
-// when it was already promoted.
+// everything the old primary acknowledged (promoting would lose writes; the
+// follower streams on), or when it was already promoted.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return
@@ -899,25 +898,11 @@ type statsResponse struct {
 	Replication *replicationStats `json:"replication,omitempty"`
 }
 
-// replicationStats is the /stats view of a follower's stream position.
+// replicationStats is the /stats view of a follower's stream position: its
+// replica.Status and the lag (0 = caught up).
 type replicationStats struct {
-	// Connected reports whether the record stream is currently open.
-	Connected bool `json:"connected"`
-	// AppliedSeq is the last primary sequence applied to the serving
-	// index; PrimarySeq the newest the primary has announced; Lag their
-	// distance (0 = caught up).
-	AppliedSeq uint64 `json:"appliedSeq"`
-	PrimarySeq uint64 `json:"primarySeq"`
-	Lag        uint64 `json:"lag"`
-	// Epoch is the highest replication fencing epoch the follower has
-	// learned from the primary.
-	Epoch uint64 `json:"epoch"`
-	// Reconnects counts stream reconnections, Bootstraps snapshot
-	// downloads (1 is the initial bootstrap).
-	Reconnects uint64 `json:"reconnects"`
-	Bootstraps uint64 `json:"bootstraps"`
-	// LastError is the most recent sync error, empty while healthy.
-	LastError string `json:"lastError,omitempty"`
+	replica.Status
+	Lag uint64 `json:"lag"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -935,16 +920,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	var repl *replicationStats
 	if r == "follower" && s.follower != nil {
 		rs := s.follower.Status()
-		repl = &replicationStats{
-			Connected:  rs.Connected,
-			AppliedSeq: rs.AppliedSeq,
-			PrimarySeq: rs.PrimarySeq,
-			Lag:        rs.Lag(),
-			Epoch:      rs.Epoch,
-			Reconnects: rs.Reconnects,
-			Bootstraps: rs.Bootstraps,
-			LastError:  rs.LastError,
-		}
+		repl = &replicationStats{Status: rs, Lag: rs.Lag()}
 	}
 	fencedEpoch, _ := idx.Fenced()
 	writeJSON(w, statsResponse{

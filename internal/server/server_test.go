@@ -1025,7 +1025,8 @@ func TestReplicationRoles(t *testing.T) {
 	// A real follower fed over HTTP, caught up to one acknowledged insert.
 	psrv := httptest.NewServer(ps)
 	defer psrv.Close()
-	fol := replica.NewFollower(psrv.URL, t.TempDir())
+	var served act.Swappable
+	fol := replica.NewFollower(psrv.URL, t.TempDir(), &served)
 	fol.BackoffMin = time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
@@ -1036,7 +1037,7 @@ func TestReplicationRoles(t *testing.T) {
 	defer func() {
 		cancel()
 		<-runDone
-		if fidx := fol.Index(); fidx != nil {
+		if fidx := served.Load(); fidx != nil {
 			fidx.Close()
 		}
 	}()
@@ -1051,7 +1052,7 @@ func TestReplicationRoles(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	fs := NewServer(act.NewSwappable(fol.Index()), BuildDefaults{Precision: 10})
+	fs := NewServer(&served, BuildDefaults{Precision: 10})
 	fs.EnableFollower(fol)
 	if err := json.Unmarshal(get(t, fs, "/stats").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)

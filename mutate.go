@@ -104,8 +104,8 @@ func (ix *Index) Mutable() bool { return ix.rs.Load().role == primary }
 func (ix *Index) IsDelta(id uint32) bool { return ix.live.Load().ov.HasPolygon(id) }
 
 // Epoch returns the generation of the serving state: it advances on every
-// Insert, Remove, and compaction, so operators can observe mutation
-// progress the way Swappable generations expose index swaps.
+// Insert, Remove, compaction and promotion, so operators can observe
+// mutation progress the way Swappable generations expose index swaps.
 func (ix *Index) Epoch() uint64 { return ix.live.Generation() }
 
 // Insert adds a polygon to the live index and returns its id — the next id

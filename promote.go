@@ -71,14 +71,8 @@ func (ix *Index) writableLocked() (*wal.Log, error) {
 // so a stale primary that learns of its successor stays read-only for the
 // rest of its life. Epoch 0 never fences (it is the pre-failover epoch).
 func (ix *Index) Fence(epoch uint64) {
-	for {
-		cur := ix.fencedAt.Load()
-		if cur >= epoch {
-			return
-		}
-		if ix.fencedAt.CompareAndSwap(cur, epoch) {
-			return
-		}
+	for cur := ix.fencedAt.Load(); cur < epoch && !ix.fencedAt.CompareAndSwap(cur, epoch); {
+		cur = ix.fencedAt.Load()
 	}
 }
 
@@ -100,12 +94,14 @@ func (ix *Index) ReplicationEpoch() uint64 {
 }
 
 // Promote converts a replication follower into a primary under the given
-// (already-bumped) epoch: the overlay is compacted down, the resulting
-// clean state written as a checkpoint snapshot to cfg.SnapshotPath, and a
-// fresh write-ahead log opened at cfg.Path with the snapshot's sequence as
-// its base and the new epoch in its header, both through cfg.FS. On return
-// the index accepts Insert and Remove and owns both paths, so a Primary
-// wired around it serves the next generation of followers.
+// (already-bumped) epoch, continuing from seq, the follower's replication
+// position (one below AppliedSeq is refused): the overlay is compacted
+// down, the clean state written as a checkpoint snapshot to
+// cfg.SnapshotPath, and a fresh write-ahead log opened at cfg.Path with seq
+// as its base and the new epoch in its header, both through cfg.FS. The
+// index's sequence becomes seq too, so the next mutation logs seq+1. On
+// return the index accepts Insert and Remove and owns both paths, so a
+// Primary wired around it serves the next generation of followers.
 //
 // The ordering is crash-safe: the snapshot is durably committed before the
 // log is created or the role changes, so a crash mid-promotion leaves a
@@ -119,7 +115,7 @@ func (ix *Index) ReplicationEpoch() uint64 {
 // verify the follower has drained the old primary's acknowledged history
 // before promoting (internal/replica.Follower.Promote does), or removals
 // acknowledged by the old primary may resurrect.
-func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error {
+func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch, seq uint64) error {
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
 
@@ -134,6 +130,10 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 	if was.role != follower {
 		ix.mu.Unlock()
 		return errors.New("act: promote: index is not a replication follower")
+	}
+	if own := ix.live.Load().seq; seq < own {
+		ix.mu.Unlock()
+		return fmt.Errorf("act: promote: seq %d is below the index's applied seq %d", seq, own)
 	}
 	ix.rs.Store(&roleState{role: promoting, snapshotPath: cfg.SnapshotPath, fs: cfg.FS})
 	ix.mu.Unlock()
@@ -160,7 +160,7 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 		return fmt.Errorf("act: promote: clearing stale log: %w", err)
 	}
 	wopts := ix.walOptions(cfg)
-	wopts.BaseSeq, wopts.Epoch = ix.live.Load().seq, epoch
+	wopts.BaseSeq, wopts.Epoch = seq, epoch
 	log, rep, err := wal.Open(cfg.Path, wopts)
 	if err != nil {
 		return fmt.Errorf("act: promote: opening log: %w", err)
@@ -169,6 +169,9 @@ func (ix *Index) Promote(ctx context.Context, cfg WALConfig, epoch uint64) error
 		log.Close()
 		return fmt.Errorf("act: promote: fresh log at %s has %d residual records", cfg.Path, len(rep.Records))
 	}
+	next := *ix.live.Load()
+	next.seq = seq
+	ix.live.Swap(&next)
 	ix.rs.Store(&roleState{role: primary, wal: log, snapshotPath: cfg.SnapshotPath, fs: cfg.FS})
 	return nil
 }

@@ -57,8 +57,9 @@ func (ix *Index) Follower() bool {
 }
 
 // AppliedSeq returns the sequence number of the last mutation applied to
-// the index. On a follower this is the replication position; compared with
-// the primary's stream position it yields the replication lag.
+// the index. A loaded file carries none, so a bootstrapped follower reports
+// 0 until a streamed record changes it; its replication position is the
+// follower's own (replica.Status.AppliedSeq), which Promote adopts.
 func (ix *Index) AppliedSeq() uint64 { return ix.live.Load().seq }
 
 // ApplyReplicated applies one batch of primary log records to a follower,

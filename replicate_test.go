@@ -160,6 +160,64 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 	}
 }
 
+// TestPromoteAdoptsSeq: Promote continues the history from the sequence it
+// is given — the follower's position, which a bootstrapped snapshot's floor
+// can put above the index's own — and refuses one below what the index has
+// already applied.
+func TestPromoteAdoptsSeq(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	walPath := filepath.Join(dir, "primary.wal")
+	snapPath := filepath.Join(dir, "primary.snapshot")
+	idx, err := act.New([]*act.Polygon{square(10, 10, 0.1)},
+		act.WithPrecision(250),
+		act.WithDeltaThreshold(-1),
+		act.WithWAL(act.WALConfig{Path: walPath, SnapshotPath: snapPath}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if err := idx.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 3; i++ {
+		lat := 10 + 0.5*float64(i)
+		if _, err := idx.Insert(ctx, square(lat, lat, 0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fol, err := act.OpenFollower(snapPath, act.WithDeltaThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	if err := fol.ApplyReplicated(ctx, readWALRecords(t, walPath)); err != nil {
+		t.Fatal(err)
+	}
+	if got := fol.AppliedSeq(); got != 2 {
+		t.Fatalf("AppliedSeq after two inserts = %d, want 2", got)
+	}
+	cfg := act.WALConfig{Path: filepath.Join(dir, "promoted.wal"), SnapshotPath: filepath.Join(dir, "promoted.snapshot")}
+	if err := fol.Promote(ctx, cfg, 1, 1); err == nil || !strings.Contains(err.Error(), "below") {
+		t.Fatalf("promote at seq 1 over an index at 2: %v, want a refusal", err)
+	}
+	if !fol.Follower() {
+		t.Fatal("refused promotion changed the role")
+	}
+	if err := fol.Promote(ctx, cfg, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if ws := fol.WALStats(); fol.AppliedSeq() != 5 || ws.BaseSeq != 5 || ws.Seq != 5 {
+		t.Fatalf("promoted at 5: AppliedSeq %d, log base %d seq %d, want 5/5/5", fol.AppliedSeq(), ws.BaseSeq, ws.Seq)
+	}
+	if _, err := fol.Insert(ctx, square(12, 12, 0.1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := fol.WALStats().Seq; got != 6 {
+		t.Fatalf("first insert after promotion logged seq %d, want 6", got)
+	}
+}
+
 // TestPromoteKeepsObserver: the log a promotion opens must carry the
 // index's observer like the log attachWAL opens — a promoted primary whose
 // WAL appends, fsyncs and rotations go unobserved reports a silent, healthy
@@ -195,7 +253,7 @@ func TestPromoteKeepsObserver(t *testing.T) {
 	}
 	defer fol.Close()
 	cfg := act.WALConfig{Path: filepath.Join(dir, "promoted.wal"), SnapshotPath: filepath.Join(dir, "promoted.snapshot")}
-	if err := fol.Promote(ctx, cfg, 1); err != nil {
+	if err := fol.Promote(ctx, cfg, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	appends, fsyncs = 0, 0 // opening the fresh log may sync its header
@@ -268,7 +326,7 @@ func TestPromoteConcurrentReaders(t *testing.T) {
 		}()
 	}
 	cfg := act.WALConfig{Path: filepath.Join(dir, "promoted.wal"), SnapshotPath: filepath.Join(dir, "promoted.snapshot")}
-	err = fol.Promote(ctx, cfg, 1)
+	err = fol.Promote(ctx, cfg, 1, 0)
 	close(stop)
 	wg.Wait()
 	if err != nil {
