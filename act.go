@@ -15,9 +15,11 @@
 //   - no false negatives: every point inside a polygon is reported;
 //   - every reported pair is either certainly inside (a true hit) or within
 //     ε meters of the polygon (a candidate hit);
-//   - optionally, candidates can be refined with exact geometry
-//     (LookupExact), turning the index into a classical filter-and-refine
-//     join whose filter is so selective that refinement is rare.
+//   - optionally, candidates can be refined with exact geometry (the
+//     Exact mode of Lookup and the joins), turning the index into a
+//     classical filter-and-refine join whose filter is so selective that
+//     refinement is rare. Every exact read on an index without a geometry
+//     store reports ErrNoGeometry.
 //
 // The polygon set is not frozen at build time: Insert and Remove absorb
 // live mutations into a small delta layer merged into every lookup, and a
@@ -29,7 +31,7 @@
 //	idx, err := act.New(polygons, act.WithPrecision(4))
 //	if err != nil { ... }
 //	var res act.Result
-//	if idx.Lookup(act.LatLng{Lat: 40.7580, Lng: -73.9855}, &res) {
+//	if hit, _ := idx.Lookup(act.LatLng{Lat: 40.7580, Lng: -73.9855}, act.Approximate, &res); hit {
 //		// res.True: polygon ids certainly containing the point.
 //		// res.Candidates: ids within ε of the point.
 //	}
@@ -505,55 +507,37 @@ func New(polygons []*Polygon, opts ...Option) (*Index, error) {
 	return ix, nil
 }
 
-// Lookup performs the approximate join for one point: res.True receives the
-// ids of polygons certainly containing the point, res.Candidates the ids of
-// polygons whose distance to the point is at most the precision bound. It
-// reports whether anything matched. res is reset first. On a mutated index
-// the result merges the base trie with the delta layer: removed polygons
-// are filtered out and inserted polygons' references appended.
-func (ix *Index) Lookup(ll LatLng, res *Result) bool {
+// Lookup answers the join for one point in the given mode and reports
+// whether anything matched; res is reset first. In Approximate mode
+// res.True receives the ids of polygons certainly containing the point,
+// res.Candidates the ids of polygons whose distance to the point is at most
+// the precision bound. In Exact mode every candidate is refined with a
+// robust point-in-polygon test against the geometry store: res.True then
+// holds exactly the polygons containing the point (boundary points count as
+// inside: the closed-polygon convention) and res.Candidates is empty. Exact
+// mode on an index without a geometry store reports ErrNoGeometry without
+// probing. On a mutated index the result merges the base trie with the
+// delta layer: removed polygons are filtered out and inserted polygons'
+// references appended.
+func (ix *Index) Lookup(ll LatLng, mode JoinMode, res *Result) (bool, error) {
 	defer ix.keepMapped()
-	_, hit := ix.lookup(ll, res)
-	return hit
-}
-
-// lookup is the scalar probe under Lookup and LookupExact: it loads the
-// serving epoch, resets res and fills it with the references of the point's
-// leaf cell in the epoch's base trie merged with its delta overlay. The
-// epoch is returned so the caller refines against the state it probed.
-func (ix *Index) lookup(ll LatLng, res *Result) (*epoch, bool) {
 	res.Reset()
 	ep := ix.live.Load()
+	if mode == Exact && ep.store == nil {
+		return false, ErrNoGeometry
+	}
 	leaf := grid.LeafCell(ix.pl.grid, ll)
 	hit := ep.trie.Lookup(leaf, res)
 	if ep.ov != nil {
 		hit = ep.ov.Merge(leaf, res)
 	}
-	return ep, hit
-}
-
-// LookupExact behaves like Lookup but refines every candidate with a robust
-// point-in-polygon test against the geometry store, moving confirmed
-// candidates into res.True and dropping the rest. After LookupExact,
-// res.Candidates is always empty and res.True holds exactly the polygons
-// containing the point (boundary points count as inside: the closed-polygon
-// convention). Like the other exact entry points, it refuses to run on an
-// index without a geometry store: it panics with ErrNoGeometry, because an
-// unrefined result would silently violate the exactness postcondition.
-// Check HasGeometry first when the index's provenance is uncertain.
-func (ix *Index) LookupExact(ll LatLng, res *Result) bool {
-	defer ix.keepMapped()
-	ep, hit := ix.lookup(ll, res)
-	if ep.store == nil {
-		panic(ErrNoGeometry)
-	}
-	if !hit {
-		return false
+	if mode != Exact || !hit {
+		return hit, nil
 	}
 	_, pt := ix.pl.grid.Project(ll)
 	res.True = ep.ov.Resolve(ep.store, pt, res.Candidates, res.True)
 	res.Candidates = res.Candidates[:0]
-	return len(res.True) > 0
+	return len(res.True) > 0, nil
 }
 
 // AppendRefs appends every polygon reference matching the point to dst —
@@ -570,19 +554,6 @@ func (ix *Index) AppendRefs(ll LatLng, dst []Match) []Match {
 		dst = ep.ov.MergeRefs(leaf, dst, n)
 	}
 	return dst
-}
-
-// Contains reports whether the point is (exactly) inside the polygon with
-// the given id, under the closed-polygon convention (boundary points are
-// inside). It requires the geometry store; without one it reports false,
-// as it does for removed or unknown ids.
-func (ix *Index) Contains(ll LatLng, polygonID uint32) bool {
-	ep := ix.live.Load()
-	if ep.store == nil {
-		return false
-	}
-	_, pt := ix.pl.grid.Project(ll)
-	return ep.ov.Contains(ep.store, polygonID, pt)
 }
 
 // HasGeometry reports whether the index carries the exact polygon geometry

@@ -10,7 +10,53 @@ import (
 
 	"github.com/actindex/act/internal/data"
 	"github.com/actindex/act/internal/geo"
+	"github.com/actindex/act/internal/geom"
+	"github.com/actindex/act/internal/grid"
 )
+
+// mustLookup runs Lookup in the given mode, failing the test on an error.
+func mustLookup(t testing.TB, ix *Index, ll LatLng, mode JoinMode, res *Result) bool {
+	t.Helper()
+	hit, err := ix.Lookup(ll, mode, res)
+	if err != nil {
+		t.Fatalf("Lookup(%v, %v): %v", ll, mode, err)
+	}
+	return hit
+}
+
+// containsOracle is the exact ground truth for the lookup tests: the input
+// polygons projected with the index's grid, each tested with an exact
+// point-in-polygon scan. It shares nothing with the read path under test —
+// no trie, overlay or geometry store.
+type containsOracle struct {
+	g     grid.Grid
+	faces []int
+	polys []*geom.Polygon
+}
+
+func newContainsOracle(t testing.TB, ix *Index, polys []*Polygon) *containsOracle {
+	t.Helper()
+	o := &containsOracle{g: ix.pl.grid}
+	for i, p := range polys {
+		face, pp, err := grid.ProjectPolygon(o.g, p)
+		if err != nil {
+			t.Fatalf("project polygon %d: %v", i, err)
+		}
+		o.faces = append(o.faces, face)
+		o.polys = append(o.polys, pp)
+	}
+	return o
+}
+
+// contains reports whether polygon id exactly contains ll (boundary points
+// inside); an unknown id contains nothing.
+func (o *containsOracle) contains(ll LatLng, id uint32) bool {
+	if int(id) >= len(o.polys) {
+		return false
+	}
+	face, pt := o.g.Project(ll)
+	return face == o.faces[id] && o.polys[id].ContainsPointExact(pt)
+}
 
 // distMeters approximates the distance in meters from a point to the
 // nearest boundary of the polygon using a local equirectangular frame —
@@ -88,16 +134,17 @@ func TestPrecisionGuarantee(t *testing.T) {
 			}
 			var res Result
 			falsePositives := 0
+			o := newContainsOracle(t, idx, set.Polygons)
 			for _, ll := range pts {
-				// Ground truth via the index's own exact geometry (the
-				// grid projection defines containment semantics).
+				// Ground truth in the index's grid projection, which
+				// defines containment semantics.
 				truthSet := map[uint32]bool{}
 				for id := range set.Polygons {
-					if idx.Contains(ll, uint32(id)) {
+					if o.contains(ll, uint32(id)) {
 						truthSet[uint32(id)] = true
 					}
 				}
-				idx.Lookup(ll, &res)
+				mustLookup(t, idx, ll, Approximate, &res)
 				got := map[uint32]bool{}
 				for _, id := range res.True {
 					got[id] = true
@@ -149,21 +196,22 @@ func TestLookupExactMatchesGroundTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	b := set.Bound
 	var res Result
+	o := newContainsOracle(t, idx, set.Polygons)
 	for n := 0; n < 8000; n++ {
 		ll := geo.LatLng{
 			Lat: b.MinLat + rng.Float64()*(b.MaxLat-b.MinLat),
 			Lng: b.MinLng + rng.Float64()*(b.MaxLng-b.MinLng),
 		}
-		idx.LookupExact(ll, &res)
+		mustLookup(t, idx, ll, Exact, &res)
 		if len(res.Candidates) != 0 {
-			t.Fatal("LookupExact left candidates")
+			t.Fatal("exact Lookup left candidates")
 		}
 		got := map[uint32]bool{}
 		for _, id := range res.True {
 			got[id] = true
 		}
 		for id := range set.Polygons {
-			want := idx.Contains(ll, uint32(id))
+			want := o.contains(ll, uint32(id))
 			if got[uint32(id)] != want {
 				t.Fatalf("point %v polygon %d: exact=%v truth=%v", ll, id, got[uint32(id)], want)
 			}
@@ -199,8 +247,8 @@ func TestCubeFaceAndPlanarAgree(t *testing.T) {
 			Lat: b.MinLat + rng.Float64()*(b.MaxLat-b.MinLat),
 			Lng: b.MinLng + rng.Float64()*(b.MaxLng-b.MinLng),
 		}
-		p.LookupExact(ll, &rp)
-		c.LookupExact(ll, &rc)
+		mustLookup(t, p, ll, Exact, &rp)
+		mustLookup(t, c, ll, Exact, &rc)
 		if len(rp.True) != len(rc.True) {
 			disagree++
 			continue
@@ -301,13 +349,14 @@ func TestFindAndContains(t *testing.T) {
 	// must be found.
 	found := 0
 	var res Result
+	o := newContainsOracle(t, idx, set.Polygons)
 	for id, p := range set.Polygons {
 		c := p.Bound().Center()
-		if !idx.Contains(c, uint32(id)) {
+		if !o.contains(c, uint32(id)) {
 			continue // center may fall outside an irregular polygon
 		}
 		found++
-		idx.Lookup(c, &res)
+		mustLookup(t, idx, c, Approximate, &res)
 		if !slices.Contains(res.True, uint32(id)) && !slices.Contains(res.Candidates, uint32(id)) {
 			t.Errorf("Lookup(%v) = %v/%v missing polygon %d", c, res.True, res.Candidates, id)
 		}
@@ -315,8 +364,13 @@ func TestFindAndContains(t *testing.T) {
 	if found == 0 {
 		t.Error("no polygon contained its bound center; degenerate dataset")
 	}
-	if idx.Contains(geo.LatLng{Lat: 40.7, Lng: -74}, 9999) {
-		t.Error("out-of-range polygon id should be false")
+	// An unknown id is never contained: no exact lookup reports an id
+	// beyond the polygon set.
+	unknown := func(id uint32) bool { return int(id) >= len(set.Polygons) }
+	for _, p := range set.Polygons {
+		if ll := p.Bound().Center(); mustLookup(t, idx, ll, Exact, &res) && slices.ContainsFunc(res.True, unknown) {
+			t.Errorf("exact Lookup(%v) = %v reports an unknown polygon id", ll, res.True)
+		}
 	}
 	if idx.NumPolygons() != len(set.Polygons) {
 		t.Error("NumPolygons mismatch")
@@ -392,7 +446,7 @@ func TestJoinModes(t *testing.T) {
 	var res Result
 	for n := 0; n < 200; n++ {
 		ll := pts[n*113%len(pts)]
-		idx.LookupExact(ll, &res)
+		mustLookup(t, idx, ll, Exact, &res)
 	}
 }
 
@@ -446,9 +500,9 @@ func TestJoinStreamAndPairs(t *testing.T) {
 		for i, ll := range pts {
 			var hit bool
 			if mode == Exact {
-				hit = idx.LookupExact(ll, &res)
+				hit = mustLookup(t, idx, ll, Exact, &res)
 			} else {
-				hit = idx.Lookup(ll, &res)
+				hit = mustLookup(t, idx, ll, Approximate, &res)
 			}
 			if !hit {
 				continue
@@ -470,7 +524,7 @@ func TestJoinStreamAndPairs(t *testing.T) {
 				}
 			}
 		} else {
-			// LookupExact folds confirmed candidates into True; compare on
+			// An exact Lookup folds confirmed candidates into True; compare on
 			// (point, polygon) only.
 			got := map[[2]uint64]bool{}
 			for _, p := range pairs {

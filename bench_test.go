@@ -347,27 +347,22 @@ func BenchmarkAblationGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkLookup measures the latency of a single point lookup, the
-// paper's core cost model quantity (≤ ⌈60/8⌉ node accesses).
-func BenchmarkLookup(b *testing.B) {
-	idx := state.index(b, "neighborhoods", benchPrecision)
-	_, pts := state.dataset(b, "neighborhoods")
-	var res act.Result
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Lookup(pts[i%len(pts)], &res)
-	}
-}
+// BenchmarkLookup measures the latency of a single approximate point
+// lookup, the paper's core cost model quantity (≤ ⌈60/8⌉ node accesses).
+func BenchmarkLookup(b *testing.B) { benchmarkLookup(b, act.Approximate) }
 
 // BenchmarkLookupExact measures the refining lookup for comparison.
-func BenchmarkLookupExact(b *testing.B) {
+func BenchmarkLookupExact(b *testing.B) { benchmarkLookup(b, act.Exact) }
+
+func benchmarkLookup(b *testing.B, mode act.JoinMode) {
 	idx := state.index(b, "neighborhoods", benchPrecision)
 	_, pts := state.dataset(b, "neighborhoods")
 	var res act.Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.LookupExact(pts[i%len(pts)], &res)
+		if _, err := idx.Lookup(pts[i%len(pts)], mode, &res); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

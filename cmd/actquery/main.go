@@ -117,9 +117,9 @@ func main() {
 		sb.WriteByte(']')
 		return sb.String()
 	}
-	lookup := idx.Lookup
+	mode := act.Approximate
 	if *exact {
-		lookup = idx.LookupExact
+		mode = act.Exact
 	}
 	var res act.Result // reused across lines
 	lineNo := 0
@@ -139,7 +139,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "actquery: line %d: bad coordinates\n", lineNo)
 			continue
 		}
-		if !lookup(act.LatLng{Lat: lat, Lng: lng}, &res) {
+		// act.New keeps the geometry store, so an Exact lookup cannot fail.
+		if hit, _ := idx.Lookup(act.LatLng{Lat: lat, Lng: lng}, mode, &res); !hit {
 			fmt.Fprintf(out, "%.6f %.6f -> no match\n", lat, lng)
 			continue
 		}

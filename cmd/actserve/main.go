@@ -87,8 +87,9 @@
 //
 // The index is held in an act.Swappable; handlers load it once per
 // request, so every request sees one consistent index. On SIGINT/SIGTERM
-// the server stops accepting connections and drains in-flight requests
-// (including streaming NDJSON joins) before exiting.
+// the server stops accepting connections, ends its replication streams and
+// drains in-flight requests (including streaming NDJSON joins) before
+// exiting.
 package main
 
 import (
@@ -273,10 +274,11 @@ func main() {
 
 // serve listens on addr until ctx is done (SIGINT/SIGTERM; stop then
 // restores the default signal behaviour, so a second signal kills), stops
-// accepting connections, drains in-flight requests for at most drain, and
-// closes the index.
-func serve(ctx context.Context, stop context.CancelFunc, logger *slog.Logger, addr string, handler http.Handler, drain time.Duration, closeIndex func() error) {
+// accepting connections, ends the replication streams, drains in-flight
+// requests for at most drain, and closes the index.
+func serve(ctx context.Context, stop context.CancelFunc, logger *slog.Logger, addr string, handler *server.Server, drain time.Duration, closeIndex func() error) {
 	srv := &http.Server{Addr: addr, Handler: handler}
+	srv.RegisterOnShutdown(handler.EndStreams)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {

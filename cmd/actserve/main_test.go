@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"net/http"
 	"os"
@@ -82,6 +83,9 @@ func (s *child) stop(t *testing.T) {
 // through both of its callers: a primary built from -polygons (with the
 // -index/-wal pair that makes it a replication source) and a follower of
 // it. Each must answer /healthz while up and, on SIGTERM, drain and exit 0.
+// The primary is stopped first, with the follower's record stream open: the
+// drain ends the stream instead of waiting out -drain for the follower to
+// hang up.
 func TestServeAndDrain(t *testing.T) {
 	dir := t.TempDir()
 	polygons := filepath.Join(dir, "zone.geojson")
@@ -106,11 +110,42 @@ func TestServeAndDrain(t *testing.T) {
 			t.Fatalf("%s/lookup: status %d, body %s", s.url, resp.StatusCode, body.String())
 		}
 	}
-	// The follower first: a primary keeps its stream connections open for
-	// as long as the drain allows.
-	follower.stop(t)
+	for deadline := time.Now().Add(10 * time.Second); !streaming(t, follower); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never opened its record stream")
+		}
+	}
+	start := time.Now()
 	primary.stop(t)
+	// Half the -drain the children run with; a -race binary adds its one
+	// second exit sleep to the few milliseconds the drain takes.
+	took := time.Since(start)
+	if took > 2500*time.Millisecond {
+		t.Fatalf("the primary took %v to drain with a follower connected, want well inside -drain 5s", took)
+	}
+	t.Logf("the primary drained in %v with its follower connected", took)
+	follower.stop(t)
 	if _, err := os.Stat(filepath.Join(dir, "p.act")); err != nil {
 		t.Fatalf("primary left no checkpoint snapshot: %v", err)
 	}
+}
+
+// streaming reports whether the follower's /stats shows its record stream
+// open.
+func streaming(t *testing.T, follower *child) bool {
+	t.Helper()
+	resp, err := http.Get(follower.url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Replication struct {
+			Connected bool `json:"connected"`
+		} `json:"replication"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats.Replication.Connected
 }

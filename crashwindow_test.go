@@ -74,7 +74,7 @@ func (m crashModel) check(t *testing.T, what string, idx *act.Index, pts []act.L
 	var buf []uint32
 	hits := 0
 	for i, ll := range pts {
-		idx.LookupExact(ll, &res)
+		mustLookup(t, idx, ll, act.Exact, &res)
 		want := translate(o.exactIDs(ll, buf[:0]), ids)
 		if got := sorted(res.True); !slices.Equal(got, want) {
 			t.Fatalf("%s: point %d: exact lookup %v, model %v", what, i, got, want)
@@ -229,8 +229,8 @@ func TestCrashWindowRotation(t *testing.T) {
 	m.check(t, "recovered index", rec, pts)
 	var a, b act.Result
 	for i, ll := range pts {
-		idx.Lookup(ll, &a)
-		rec.Lookup(ll, &b)
+		mustLookup(t, idx, ll, act.Approximate, &a)
+		mustLookup(t, rec, ll, act.Approximate, &b)
 		if !slices.Equal(sorted(a.True), sorted(b.True)) || !slices.Equal(sorted(a.Candidates), sorted(b.Candidates)) {
 			t.Fatalf("point %d: live lookup %v/%v, recovered %v/%v", i, a.True, a.Candidates, b.True, b.Candidates)
 		}

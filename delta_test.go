@@ -77,8 +77,8 @@ func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.
 	var refs []act.Match
 	for i, ll := range pts {
 		// Scalar approximate lookup.
-		idx.Lookup(ll, &res)
-		ref.Lookup(ll, &refRes)
+		mustLookup(t, idx, ll, act.Approximate, &res)
+		mustLookup(t, ref, ll, act.Approximate, &refRes)
 		if !slices.Equal(sorted(res.True), translate(refRes.True, idMap)) ||
 			!slices.Equal(sorted(res.Candidates), translate(refRes.Candidates, idMap)) {
 			t.Fatalf("step %d point %d: merged lookup %v/%v, rebuild %v/%v",
@@ -100,8 +100,8 @@ func checkDeltaEquivalence(t *testing.T, idx *act.Index, ls *liveSet, pts []act.
 				step, i, trues, cands, res.True, res.Candidates)
 		}
 		// Exact refinement across the base store / delta geometry split.
-		idx.LookupExact(ll, &res)
-		ref.LookupExact(ll, &refRes)
+		mustLookup(t, idx, ll, act.Exact, &res)
+		mustLookup(t, ref, ll, act.Exact, &refRes)
 		if !slices.Equal(sorted(res.True), translate(refRes.True, idMap)) {
 			t.Fatalf("step %d point %d: merged exact %v, rebuild %v",
 				step, i, sorted(res.True), translate(refRes.True, idMap))

@@ -33,7 +33,7 @@ func square(lat, lng, d float64) *act.Polygon {
 // candidate).
 func hasID(idx *act.Index, ll act.LatLng, id uint32) bool {
 	var res act.Result
-	idx.Lookup(ll, &res)
+	idx.Lookup(ll, act.Approximate, &res)
 	return slices.Contains(res.True, id) || slices.Contains(res.Candidates, id)
 }
 

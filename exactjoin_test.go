@@ -8,9 +8,12 @@ package act_test
 // while its true hits stay a subset (true hits are certain).
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -203,18 +206,18 @@ func checkBatchParity(t *testing.T, idx *act.Index, o *oracle, pts []act.LatLng,
 			t.Fatalf("set %d eps %v point %d (%v): JoinExact=%v brute-force=%v",
 				set, eps, i, ll, got, want)
 		}
-		// LookupExact must agree with the join engine's refinement.
+		// The exact Lookup must agree with the join engine's refinement.
 		res.Reset()
-		idx.LookupExact(ll, &res)
+		mustLookup(t, idx, ll, act.Exact, &res)
 		le := append([]uint32(nil), res.True...)
 		slices.Sort(le)
 		if !slices.Equal(le, want) {
-			t.Fatalf("set %d eps %v point %d: LookupExact=%v brute-force=%v",
+			t.Fatalf("set %d eps %v point %d: exact Lookup=%v brute-force=%v",
 				set, eps, i, le, want)
 		}
 		// Approximate superset / true-hit subset.
 		res.Reset()
-		idx.Lookup(ll, &res)
+		mustLookup(t, idx, ll, act.Approximate, &res)
 		approx := append(append([]uint32(nil), res.True...), res.Candidates...)
 		slices.Sort(approx)
 		for _, id := range want {
@@ -310,14 +313,14 @@ func TestExactAtPolesAndAntimeridian(t *testing.T) {
 			}
 			want := o.exactIDs(ll, buf[:0])
 			res.Reset()
-			idx.LookupExact(ll, &res)
+			mustLookup(t, idx, ll, act.Exact, &res)
 			got := append([]uint32(nil), res.True...)
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
-				t.Fatalf("eps %v point %v: LookupExact=%v oracle=%v", eps, ll, got, want)
+				t.Fatalf("eps %v point %v: exact Lookup=%v oracle=%v", eps, ll, got, want)
 			}
 			res.Reset()
-			idx.Lookup(ll, &res)
+			mustLookup(t, idx, ll, act.Approximate, &res)
 			approx := append(append([]uint32(nil), res.True...), res.Candidates...)
 			for _, id := range want {
 				if !slices.Contains(approx, id) {
@@ -329,9 +332,23 @@ func TestExactAtPolesAndAntimeridian(t *testing.T) {
 	}
 }
 
-// TestExactWithoutGeometry pins the approximate-only behaviour: exact
-// context-aware joins report ErrNoGeometry, LookupExact and the error-less
-// wrappers panic with it, and the approximate surface keeps working.
+// mustLookup runs Lookup in the given mode, failing the test on an error.
+func mustLookup(t testing.TB, idx *act.Index, ll act.LatLng, mode act.JoinMode, res *act.Result) bool {
+	t.Helper()
+	hit, err := idx.Lookup(ll, mode, res)
+	if err != nil {
+		t.Fatalf("Lookup(%v, %v): %v", ll, mode, err)
+	}
+	return hit
+}
+
+// TestExactWithoutGeometry pins the one read contract on an index without a
+// geometry store, however it came to lack one — built with
+// WithGeometryStore(false), loaded by ReadIndex or OpenIndex from a file
+// without a geometry section, or mutated by an Insert: every exact read
+// (Lookup, JoinContext, PairsContext, JoinStreamContext) reports
+// ErrNoGeometry, and approximate lookups answer what an index with geometry
+// answers, with a nil error.
 func TestExactWithoutGeometry(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
@@ -343,42 +360,71 @@ func TestExactWithoutGeometry(t *testing.T) {
 	if idx.HasGeometry() {
 		t.Fatal("WithGeometryStore(false) index reports HasGeometry")
 	}
+	// The twin carries geometry; approximate answers do not depend on it.
+	twin, err := act.New(polys, act.WithPrecision(120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if _, err := idx.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	read, err := act.ReadIndex(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "nogeo.act")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := act.OpenIndex(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
 	pts := randPoints(rng, polys, 100)
-	if _, err := idx.JoinStreamContext(context.Background(), pts, act.Exact, 1, func(act.Pair) {}); err != act.ErrNoGeometry {
-		t.Fatalf("JoinStreamContext(Exact) error = %v, want ErrNoGeometry", err)
-	}
-	if _, _, err := idx.PairsContext(context.Background(), pts, act.Exact, 1); err != act.ErrNoGeometry {
-		t.Fatalf("PairsContext(Exact) error = %v, want ErrNoGeometry", err)
-	}
-	if _, _, err := idx.JoinContext(context.Background(), pts, act.Exact, 1); err != act.ErrNoGeometry {
-		t.Fatalf("JoinContext(Exact) error = %v, want ErrNoGeometry", err)
-	}
-	if _, stats, err := idx.JoinContext(context.Background(), pts, act.Approximate, 1); err != nil || stats.Points != len(pts) {
-		t.Fatalf("approximate join on geometry-less index: stats=%+v err=%v", stats, err)
-	}
-	if idx.Contains(pts[0], 0) {
-		t.Fatal("Contains reported true without geometry")
-	}
-	// LookupExact cannot report ErrNoGeometry, and an unrefined or empty
-	// result would silently break its exactness postcondition — it must
-	// panic instead.
-	var res act.Result
-	func() {
-		defer func() {
-			if r := recover(); r != act.ErrNoGeometry {
-				t.Fatalf("LookupExact panic = %v, want ErrNoGeometry", r)
+	check := func(name string, idx *act.Index) {
+		t.Helper()
+		ctx := context.Background()
+		var res act.Result
+		if hit, err := idx.Lookup(pts[0], act.Exact, &res); err != act.ErrNoGeometry || hit || res.Total() != 0 {
+			t.Fatalf("%s: Lookup(Exact) = %v %+v, %v, want false, empty, ErrNoGeometry", name, hit, res, err)
+		}
+		if _, err := idx.JoinStreamContext(ctx, pts, act.Exact, 1, func(act.Pair) { t.Errorf("%s: pair streamed", name) }); err != act.ErrNoGeometry {
+			t.Fatalf("%s: JoinStreamContext(Exact) error = %v, want ErrNoGeometry", name, err)
+		}
+		if _, _, err := idx.PairsContext(ctx, pts, act.Exact, 1); err != act.ErrNoGeometry {
+			t.Fatalf("%s: PairsContext(Exact) error = %v, want ErrNoGeometry", name, err)
+		}
+		if _, _, err := idx.JoinContext(ctx, pts, act.Exact, 1); err != act.ErrNoGeometry {
+			t.Fatalf("%s: JoinContext(Exact) error = %v, want ErrNoGeometry", name, err)
+		}
+		if _, stats, err := idx.JoinContext(ctx, pts, act.Approximate, 1); err != nil || stats.Points != len(pts) {
+			t.Fatalf("%s: approximate join: stats=%+v err=%v", name, stats, err)
+		}
+		hits := 0
+		var want act.Result
+		for _, ll := range pts {
+			hit := mustLookup(t, idx, ll, act.Approximate, &res)
+			if wantHit := mustLookup(t, twin, ll, act.Approximate, &want); hit != wantHit || !res.Equal(&want) {
+				t.Fatalf("%s: approximate Lookup(%v) = %v %+v, with geometry %v %+v", name, ll, hit, res, wantHit, want)
 			}
-		}()
-		idx.LookupExact(pts[0], &res)
-	}()
-	// The approximate lookup surface keeps working.
-	hits := 0
-	for _, ll := range pts {
-		if idx.Lookup(ll, &res) {
-			hits++
+			if hit {
+				hits++
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("%s: approximate lookups stopped matching without geometry", name)
 		}
 	}
-	if hits == 0 {
-		t.Fatal("approximate lookups stopped matching without geometry")
+	check("New", idx)
+	check("ReadIndex", read)
+	check("OpenIndex", opened)
+	extra := randStarPolygon(rng, false)
+	for _, ix := range []*act.Index{idx, twin} {
+		if _, err := ix.Insert(context.Background(), extra); err != nil {
+			t.Fatal(err)
+		}
 	}
+	check("Insert", idx)
 }

@@ -26,7 +26,8 @@ func ExampleNew() {
 		log.Fatal(err)
 	}
 	var res act.Result
-	if idx.Lookup(act.LatLng{Lat: 40.7580, Lng: -73.9855}, &res) {
+	// Only Exact mode can fail, on an index without geometry.
+	if hit, _ := idx.Lookup(act.LatLng{Lat: 40.7580, Lng: -73.9855}, act.Approximate, &res); hit {
 		fmt.Println("true hits:", res.True)
 	}
 	// Output: true hits: [0]
@@ -54,10 +55,11 @@ func ExampleSwappable() {
 	indexes := act.NewSwappable(manhattan)
 	ll := act.LatLng{Lat: 40.73, Lng: -73.99} // in the Manhattan zone
 	var res act.Result
-	fmt.Printf("gen %d: matched=%v\n", indexes.Generation(), indexes.Load().Lookup(ll, &res))
+	matched := func() bool { hit, _ := indexes.Load().Lookup(ll, act.Approximate, &res); return hit }
+	fmt.Printf("gen %d: matched=%v\n", indexes.Generation(), matched())
 
 	indexes.Swap(newark) // zero-downtime polygon-set update
-	fmt.Printf("gen %d: matched=%v\n", indexes.Generation(), indexes.Load().Lookup(ll, &res))
+	fmt.Printf("gen %d: matched=%v\n", indexes.Generation(), matched())
 	// Output:
 	// gen 1: matched=true
 	// gen 2: matched=false
@@ -87,17 +89,18 @@ func ExampleIndex_Insert() {
 	}
 	inNewark := act.LatLng{Lat: 40.73, Lng: -74.17}
 	var res act.Result
-	fmt.Printf("id %d: matched=%v delta=%v\n", id, idx.Lookup(inNewark, &res), idx.IsDelta(id))
+	matched := func() bool { hit, _ := idx.Lookup(inNewark, act.Approximate, &res); return hit }
+	fmt.Printf("id %d: matched=%v delta=%v\n", id, matched(), idx.IsDelta(id))
 
 	if err := idx.Compact(ctx); err != nil { // fold the delta into the base
 		log.Fatal(err)
 	}
-	fmt.Printf("compacted: matched=%v delta=%v\n", idx.Lookup(inNewark, &res), idx.IsDelta(id))
+	fmt.Printf("compacted: matched=%v delta=%v\n", matched(), idx.IsDelta(id))
 
 	if err := idx.Remove(ctx, id); err != nil { // tombstone the zone again
 		log.Fatal(err)
 	}
-	fmt.Printf("removed: matched=%v live=%d\n", idx.Lookup(inNewark, &res), idx.NumPolygons())
+	fmt.Printf("removed: matched=%v live=%d\n", matched(), idx.NumPolygons())
 	// Output:
 	// id 1: matched=true delta=true
 	// compacted: matched=true delta=false
@@ -153,8 +156,9 @@ func ExampleRecover() {
 	inManhattan := act.LatLng{Lat: 40.73, Lng: -73.99}
 	inNewark := act.LatLng{Lat: 40.73, Lng: -74.17}
 	var res act.Result
+	matched := func(ll act.LatLng) bool { hit, _ := rec.Lookup(ll, act.Approximate, &res); return hit }
 	fmt.Printf("replayed %d record(s), live=%d\n", rec.WALStats().RecoveredRecords, rec.NumPolygons())
-	fmt.Printf("manhattan=%v newark=%v\n", rec.Lookup(inManhattan, &res), rec.Lookup(inNewark, &res))
+	fmt.Printf("manhattan=%v newark=%v\n", matched(inManhattan), matched(inNewark))
 	// Output:
 	// replayed 1 record(s), live=1
 	// manhattan=false newark=true

@@ -101,7 +101,8 @@ func main() {
 	var res act.Result
 	fmt.Println("sample decisions:")
 	for _, ll := range requests[:5] {
-		if !idx.Lookup(ll, &res) {
+		// Only Exact mode can fail, on an index without geometry.
+		if hit, _ := idx.Lookup(ll, act.Approximate, &res); !hit {
 			fmt.Printf("  %v -> outside service area\n", ll)
 			continue
 		}

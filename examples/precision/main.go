@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 
 	"github.com/actindex/act"
 	"github.com/actindex/act/internal/data"
@@ -42,17 +43,25 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var res act.Result
+		var res, exact act.Result
 		var matches, falsePos int
 		maxDist := 0.0
 		allWithin := true
 		for _, ll := range points {
-			if !idx.Lookup(ll, &res) {
+			// Only Exact mode can fail, on an index without geometry.
+			if hit, _ := idx.Lookup(ll, act.Approximate, &res); !hit {
 				continue
 			}
 			matches += res.Total()
+			if len(res.Candidates) == 0 {
+				continue
+			}
+			// The exact lookup refines the candidates against the geometry.
+			if _, err := idx.Lookup(ll, act.Exact, &exact); err != nil {
+				log.Fatal(err)
+			}
 			for _, id := range res.Candidates {
-				if idx.Contains(ll, id) {
+				if slices.Contains(exact.True, id) {
 					continue // candidate that is actually inside
 				}
 				falsePos++

@@ -129,21 +129,21 @@ func FuzzDeltaMerge(f *testing.F) {
 
 		var res, refRes Result
 		for i, ll := range probes {
-			hit := idx.Lookup(ll, &res)
+			hit := mustLookup(t, idx, ll, Approximate, &res)
 			if ref == nil {
 				if hit {
 					t.Fatalf("probe %d matched %v/%v on an emptied index", i, res.True, res.Candidates)
 				}
 				continue
 			}
-			ref.Lookup(ll, &refRes)
+			mustLookup(t, ref, ll, Approximate, &refRes)
 			if !slices.Equal(srt(res.True), translate(refRes.True)) ||
 				!slices.Equal(srt(res.Candidates), translate(refRes.Candidates)) {
 				t.Fatalf("probe %d: merged %v/%v, rebuild %v/%v",
 					i, res.True, res.Candidates, translate(refRes.True), translate(refRes.Candidates))
 			}
-			idx.LookupExact(ll, &res)
-			ref.LookupExact(ll, &refRes)
+			mustLookup(t, idx, ll, Exact, &res)
+			mustLookup(t, ref, ll, Exact, &refRes)
 			if !slices.Equal(srt(res.True), translate(refRes.True)) {
 				t.Fatalf("probe %d: merged exact %v, rebuild %v", i, srt(res.True), translate(refRes.True))
 			}

@@ -87,7 +87,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		var res Result
 		for _, ll := range probes {
-			idx.Lookup(ll, &res)
+			mustLookup(t, idx, ll, Approximate, &res)
 		}
 		n := idx.NumPolygons()
 		recovered := idx.WALStats().RecoveredRecords

@@ -185,7 +185,7 @@ func testGeometryCompat(t *testing.T, path string, version uint32) {
 			t.Fatal(err)
 		}
 		var res Result
-		if !rec.LookupExact(LatLng{Lat: lat + 0.0005, Lng: lng + 0.0015}, &res) || !slices.Contains(res.True, id) {
+		if !mustLookup(t, rec, LatLng{Lat: lat + 0.0005, Lng: lng + 0.0015}, Exact, &res) || !slices.Contains(res.True, id) {
 			t.Fatalf("inserted polygon %d not found: %+v", id, res)
 		}
 	}

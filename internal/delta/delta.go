@@ -257,19 +257,6 @@ func (o *Overlay) Resolve(base *geostore.Store, pt geom.Point, candidates, dst [
 	return dst
 }
 
-// Contains reports whether pt is exactly inside the live polygon id,
-// consulting delta geometry for delta ids, the base store otherwise, and
-// reporting false for tombstoned ids. Safe on a nil receiver.
-func (o *Overlay) Contains(base *geostore.Store, id uint32, pt geom.Point) bool {
-	if o == nil {
-		return base.Contains(id, pt)
-	}
-	if g, ok := o.geoms[id]; ok {
-		return g != nil && g.ContainsPointExact(pt)
-	}
-	return !o.Tombstoned(id) && base.Contains(id, pt)
-}
-
 // Polys returns the live delta polygons in insertion order. The slice
 // aliases internal storage and must not be modified.
 func (o *Overlay) Polys() []Poly {

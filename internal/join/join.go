@@ -7,15 +7,15 @@
 //
 // Output is pluggable: joiners emit (point, polygon, class) pairs into a
 // Sink, so one executor serves per-polygon aggregation (CountSink),
-// materialized joins (PairSink), and streaming consumers (FuncSink).
+// materialized joins (PairSink), streaming consumers (FuncSink), and
+// per-point lookup batches (ResultSink).
 //
-// The ACT joiners and LookupBatch share one probe kernel (Scratch.probe):
-// each chunk's points are sorted by leaf cell id (Z-order) so consecutive
-// probes share trie path prefixes and every walk resumes at the deepest
-// node shared with the previous one (core.Trie.LookupBatch). The live
-// index's delta overlay is merged into every result, and emitted pairs
-// carry original stream positions, so the reordering is not visible to
-// sinks.
+// The ACT joiners share one probe kernel (Scratch.probe): each chunk's
+// points are sorted by leaf cell id (Z-order) so consecutive probes share
+// trie path prefixes and every walk resumes at the deepest node shared with
+// the previous one (core.Trie.LookupBatch). The live index's delta overlay
+// is merged into every result, and emitted pairs carry original stream
+// positions, so the reordering is not visible to sinks.
 package join
 
 import (
@@ -152,7 +152,8 @@ type Joiner interface {
 	// Name identifies the joiner in reports.
 	Name() string
 	// JoinChunk joins points against the polygon set, emitting pairs whose
-	// Point field is base plus the point's chunk-local index.
+	// Point field is base plus the point's chunk-local index. A point's
+	// pairs are emitted back to back, its true hits first.
 	JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch) ChunkStats
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"github.com/actindex/act/internal/core"
 )
 
 // Class labels a join pair with the certainty the index established for it.
@@ -156,6 +158,63 @@ func comparePairs(a, b Pair) int {
 		return 0
 	}
 }
+
+// ResultSink gathers the pairs point by point, the shape of one lookup per
+// point: Results[i] receives point i's true hits in True and its candidates
+// in Candidates, each in emission order. Distinct points own distinct
+// slots, so the emitters share the slice without synchronization.
+type ResultSink struct {
+	Results []core.Result
+}
+
+// NewResultSink returns a result sink for numPoints points.
+func NewResultSink(numPoints int) *ResultSink {
+	return &ResultSink{Results: make([]core.Result, numPoints)}
+}
+
+// resultBlock is the number of ids a result emitter allocates at a time.
+const resultBlock = 4096
+
+// resultEmitter carves the results' id lists out of shared blocks instead of
+// allocating two per point. The joiners emit a point's pairs back to back,
+// true hits first, so the ids of the latest point are the block's tail:
+// True is its first part and Candidates the rest, both capped so that an
+// append by the caller copies instead of overwriting a neighbour.
+type resultEmitter struct {
+	results []core.Result
+	ids     []uint32
+	last    int // the point whose ids end ids, and where they start
+	start   int
+}
+
+func (e *resultEmitter) Emit(point int, polygon uint32, class Class) {
+	r := &e.results[point]
+	if point != e.last {
+		e.last, e.start = point, len(e.ids)
+	}
+	if len(e.ids) == cap(e.ids) {
+		// The block is full: carry the point's ids so far into a new one.
+		e.ids = append(make([]uint32, 0, resultBlock+len(e.ids)-e.start), e.ids[e.start:]...)
+		e.start = 0
+	}
+	e.ids = append(e.ids, polygon)
+	mid, end := e.start+len(r.True), len(e.ids)
+	if class == TrueHit {
+		mid++
+		r.True = e.ids[e.start:mid:mid]
+	} else {
+		r.Candidates = e.ids[mid:end:end]
+	}
+}
+
+// NewEmitter implements Sink.
+func (s *ResultSink) NewEmitter() Emitter { return &resultEmitter{results: s.Results, last: -1} }
+
+// Merge implements Sink.
+func (s *ResultSink) Merge(Emitter) {}
+
+// Finish implements Sink.
+func (s *ResultSink) Finish() {}
 
 // FuncSink streams every pair to Fn as it is produced, chunk by chunk. The
 // sink serializes delivery: Fn is never invoked concurrently, so it may

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -252,5 +253,53 @@ func TestClassString(t *testing.T) {
 	}
 	if Class(9).String() == "" {
 		t.Error("unknown class should still print")
+	}
+}
+
+// TestResultSinkMatchesLookup: gathered per point, the approximate join
+// must hold, for every point, what one scalar trie lookup reports — on one
+// worker and on several sharing the result slice.
+func TestResultSinkMatchesLookup(t *testing.T) {
+	set, pts := testData(t)
+	p := buildPipeline(t, set, 30)
+	j := &ACT{Grid: p.g, Trie: p.trie}
+	var want core.Result
+	for _, threads := range []int{1, 4} {
+		sink := NewResultSink(len(pts))
+		RunSink(j, pts, sink, threads)
+		for i, ll := range pts {
+			want.Reset()
+			p.trie.Lookup(grid.LeafCell(p.g, ll), &want)
+			if got := &sink.Results[i]; !got.Equal(&want) {
+				t.Fatalf("%dT point %d: %+v, Lookup %+v", threads, i, *got, want)
+			}
+		}
+	}
+}
+
+// TestResultSinkBlockBoundary: a point whose ids straddle the end of an id
+// block keeps all of them, and appending to one point's ids never
+// overwrites another's.
+func TestResultSinkBlockBoundary(t *testing.T) {
+	sink := NewResultSink(3)
+	em := sink.NewEmitter()
+	for i := range resultBlock - 1 {
+		em.Emit(0, uint32(i), Candidate)
+	}
+	em.Emit(1, 7, TrueHit) // fills the block
+	em.Emit(1, 8, TrueHit) // carries 7 into the next one
+	em.Emit(1, 9, Candidate)
+	em.Emit(2, 5, TrueHit)
+	r := sink.Results
+	if len(r[0].True) != 0 || len(r[0].Candidates) != resultBlock-1 || r[0].Candidates[resultBlock-2] != resultBlock-2 {
+		t.Fatalf("point 0: %d true, %d candidates", len(r[0].True), len(r[0].Candidates))
+	}
+	if !slices.Equal(r[1].True, []uint32{7, 8}) || !slices.Equal(r[1].Candidates, []uint32{9}) || !slices.Equal(r[2].True, []uint32{5}) || r[2].Candidates != nil {
+		t.Fatalf("points 1 and 2: %+v %+v", r[1], r[2])
+	}
+	_ = append(r[1].True, 99)
+	_ = append(r[1].Candidates, 99)
+	if r[1].Candidates[0] != 9 || r[2].True[0] != 5 {
+		t.Fatalf("an append overwrote a neighbour: %+v %+v", r[1], r[2])
 	}
 }

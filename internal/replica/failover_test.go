@@ -35,7 +35,7 @@ import (
 // hasAny reports whether a lookup at ll hits any polygon at all.
 func hasAny(idx *act.Index, ll act.LatLng) bool {
 	var res act.Result
-	idx.Lookup(ll, &res)
+	idx.Lookup(ll, act.Approximate, &res)
 	return len(res.True)+len(res.Candidates) > 0
 }
 

@@ -77,6 +77,10 @@ type Server struct {
 	// limiter, when set by EnableMutationLimit, token-buckets the mutation
 	// endpoints (POST /polygons, DELETE /polygons/{id}).
 	limiter *tokenBucket
+	// streams is cancelled by EndStreams; every /replication/stream
+	// response ends with it or with its own request.
+	streams    context.Context
+	endStreams context.CancelFunc
 }
 
 // NewServer wires the routes around the swappable index holder. The
@@ -97,6 +101,7 @@ func NewServer(indexes *act.Swappable, defaults BuildDefaults, metrics ...*Metri
 			New: func() any { return &act.Result{} },
 		},
 	}
+	s.streams, s.endStreams = context.WithCancel(context.Background())
 	if len(metrics) > 0 && metrics[0] != nil {
 		s.metrics = metrics[0]
 	} else {
@@ -266,9 +271,18 @@ func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, r *http.Reques
 
 func (s *Server) handleReplicationStream(w http.ResponseWriter, r *http.Request) {
 	if p := s.replicationPrimary(w, r); p != nil {
-		p.ServeStream(w, r)
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		defer context.AfterFunc(s.streams, cancel)()
+		p.ServeStream(w, r.WithContext(ctx))
 	}
 }
+
+// EndStreams ends every open /replication/stream response, and any opened
+// later, while other requests run to completion. A stream stays open for as
+// long as its follower stays connected, so http.Server.Shutdown, which
+// waits for every open response, needs it as a RegisterOnShutdown hook.
+func (s *Server) EndStreams() { s.endStreams() }
 
 // promoteResponse reports a successful POST /promote.
 type promoteResponse struct {
@@ -381,18 +395,17 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	exact := q.Get("exact") == "1" || q.Get("exact") == "true"
 
-	idx := s.indexes.Load()
-	if exact && !idx.HasGeometry() {
-		http.Error(w, "index has no geometry store, cannot serve exact lookups", http.StatusUnprocessableEntity)
-		return
+	mode := act.Approximate
+	if exact {
+		mode = act.Exact
 	}
+	idx := s.indexes.Load()
 	res := s.pool.Get().(*act.Result)
 	defer s.pool.Put(res)
-	var matched bool
-	if exact {
-		matched = idx.LookupExact(ll, res)
-	} else {
-		matched = idx.Lookup(ll, res)
+	matched, err := idx.Lookup(ll, mode, res)
+	if err != nil {
+		http.Error(w, "index has no geometry store, cannot serve exact lookups", http.StatusUnprocessableEntity)
+		return
 	}
 	resp := lookupResponse{
 		Lat: lat, Lng: lng, Matched: matched,
@@ -492,10 +505,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		mode = act.Exact
 	}
 	idx := s.indexes.Load()
-	if req.Exact && !idx.HasGeometry() {
-		http.Error(w, "index has no geometry store, cannot serve exact joins", http.StatusUnprocessableEntity)
-		return
-	}
 	threads := runtime.GOMAXPROCS(0)
 	if req.Threads != 0 {
 		threads = min(max(req.Threads, 1), threads)
@@ -518,6 +527,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 			cancel()
 		}
 	})
+	if errors.Is(err, act.ErrNoGeometry) {
+		// Refused before probing: no pair has been written.
+		http.Error(w, "index has no geometry store, cannot serve exact joins", http.StatusUnprocessableEntity)
+		return
+	}
 	if err != nil || writeErr != nil {
 		return
 	}

@@ -8,12 +8,13 @@ import (
 	"github.com/actindex/act/internal/join"
 )
 
-// ErrNoGeometry is reported by exact join modes on an index that carries no
-// geometry store (built with WithGeometryStore(false), or loaded from an
-// index file without a geometry section).
+// ErrNoGeometry is reported by every Exact-mode read — Lookup and the joins —
+// on an index that carries no geometry store (built with
+// WithGeometryStore(false), or loaded from an index file without a geometry
+// section), before anything is probed.
 var ErrNoGeometry = errors.New("act: index has no geometry store, cannot refine candidates")
 
-// JoinMode selects the join semantics.
+// JoinMode selects the read semantics of Lookup and the joins.
 type JoinMode int
 
 const (
@@ -58,12 +59,12 @@ const (
 	Candidate = join.Candidate
 )
 
-// runJoin is the one join runner under JoinContext, JoinStreamContext and
-// PairsContext: it captures the index's current epoch once, so the mode
-// check and the whole run — every chunk, every worker — see one consistent
-// base trie + delta overlay pair, no matter how many mutations or
-// compactions land while it streams. newSink receives that epoch's id space
-// size, so an id-indexed sink spans every id the run can emit.
+// runJoin is the one join runner under JoinContext, JoinStreamContext,
+// PairsContext and LookupBatch: it captures the index's current epoch once,
+// so the mode check and the whole run — every chunk, every worker — see one
+// consistent base trie + delta overlay pair, no matter how many mutations
+// or compactions land while it streams. newSink receives that epoch's id
+// space size, so an id-indexed sink spans every id the run can emit.
 func (ix *Index) runJoin(ctx context.Context, points []LatLng, mode JoinMode, threads int, newSink func(idSpace int) join.Sink) (JoinStats, error) {
 	ep := ix.live.Load()
 	var j join.Joiner = &join.ACT{Grid: ix.pl.grid, Trie: ep.trie, Overlay: ep.ov}

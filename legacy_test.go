@@ -293,7 +293,7 @@ func checkLegacyFile(t *testing.T, file string, version uint32, built *Index) {
 			t.Fatalf("the build gave the insert id %d (%v), the recovered index %d", twin, err, id)
 		}
 		var res Result
-		if !rec.LookupExact(LatLng{Lat: lat + 0.0005, Lng: lng + 0.0015}, &res) || !slices.Contains(res.True, id) {
+		if !mustLookup(t, rec, LatLng{Lat: lat + 0.0005, Lng: lng + 0.0015}, Exact, &res) || !slices.Contains(res.True, id) {
 			t.Fatalf("inserted polygon %d not found: %+v", id, res)
 		}
 	}

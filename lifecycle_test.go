@@ -157,7 +157,7 @@ func compareIndexes(t *testing.T, round int, a, b *act.Index, pts []act.LatLng, 
 	var ra, rb act.Result
 	var ma, mb []act.Match
 	for i, p := range pts {
-		if ha, hb := a.Lookup(p, &ra), b.Lookup(p, &rb); ha != hb || !reflect.DeepEqual(ra, rb) {
+		if ha, hb := mustLookup(t, a, p, act.Approximate, &ra), mustLookup(t, b, p, act.Approximate, &rb); ha != hb || !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("round %d: Lookup(point %d) = %v %+v and %v %+v", round, i, ha, ra, hb, rb)
 		}
 		ma, mb = a.AppendRefs(p, ma[:0]), b.AppendRefs(p, mb[:0])

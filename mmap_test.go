@@ -87,15 +87,15 @@ func TestOpenIndexMappedParity(t *testing.T) {
 		// Scalar walks: approximate and exact.
 		var r1, r2 Result
 		for _, p := range pts[:4000] {
-			h1 := built.Lookup(p, &r1)
-			h2 := mapped.Lookup(p, &r2)
+			h1 := mustLookup(t, built, p, Approximate, &r1)
+			h2 := mustLookup(t, mapped, p, Approximate, &r2)
 			if h1 != h2 || !r1.Equal(&r2) {
 				t.Fatalf("%v: Lookup diverges at %v: %+v vs %+v", gk, p, r1, r2)
 			}
-			h1 = built.LookupExact(p, &r1)
-			h2 = mapped.LookupExact(p, &r2)
+			h1 = mustLookup(t, built, p, Exact, &r1)
+			h2 = mustLookup(t, mapped, p, Exact, &r2)
 			if h1 != h2 || !r1.Equal(&r2) {
-				t.Fatalf("%v: LookupExact diverges at %v: %+v vs %+v", gk, p, r1, r2)
+				t.Fatalf("%v: exact Lookup diverges at %v: %+v vs %+v", gk, p, r1, r2)
 			}
 		}
 
@@ -156,7 +156,7 @@ func TestOpenIndexCloseIdle(t *testing.T) {
 	pts := samplePoints(set, 100, 303)
 	hits := 0
 	for _, p := range pts {
-		if ix.Lookup(p, &r) {
+		if mustLookup(t, ix, p, Approximate, &r) {
 			hits++
 		}
 	}

@@ -25,11 +25,10 @@ func WithFanout(n int) Option {
 
 // WithGeometryStore controls whether the index keeps the exact polygon
 // geometry (default true). The geometry store backs candidate refinement —
-// LookupExact, Exact-mode joins, Contains — at the cost of holding every
-// ring in memory alongside the trie. Passing false builds an
-// approximate-only index: lookups still honour the precision bound, but
-// candidates can never be resolved — exact joins report ErrNoGeometry, and
-// LookupExact panics with it.
+// Exact-mode lookups and joins — at the cost of holding every ring in
+// memory alongside the trie. Passing false builds an approximate-only
+// index: lookups still honour the precision bound, but candidates can never
+// be resolved — every Exact-mode read reports ErrNoGeometry.
 func WithGeometryStore(on bool) Option {
 	return func(o *options) { o.SkipGeometryStore = !on }
 }

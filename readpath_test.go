@@ -15,7 +15,7 @@ import (
 // mutated index (delta polygons, tombstones of a base and of a delta id)
 // the scalar lookups, LookupBatch and the three joins must report the same
 // pairs. The batch sizes straddle every boundary the batch paths have: the
-// engine's minimum chunk (1024), LookupBatch's chunk (4096) and the
+// engine's minimum chunk (1024), a run of four of them (4096) and the
 // capacity of the packed sort keys (65 536).
 func TestReadPathParity(t *testing.T) {
 	ctx := context.Background()
@@ -53,7 +53,7 @@ func TestReadPathParity(t *testing.T) {
 		want := map[act.JoinMode][]act.Pair{}
 		var res act.Result
 		for i, ll := range all {
-			idx.Lookup(ll, &res)
+			mustLookup(t, idx, ll, act.Approximate, &res)
 			approx[i] = act.Result{True: slices.Clone(res.True), Candidates: slices.Clone(res.Candidates)}
 			for _, id := range res.True {
 				want[act.Approximate] = append(want[act.Approximate], act.Pair{Point: i, Polygon: id, Class: act.TrueHit})
@@ -61,7 +61,7 @@ func TestReadPathParity(t *testing.T) {
 			for _, id := range res.Candidates {
 				want[act.Approximate] = append(want[act.Approximate], act.Pair{Point: i, Polygon: id, Class: act.Candidate})
 			}
-			idx.LookupExact(ll, &res)
+			mustLookup(t, idx, ll, act.Exact, &res)
 			for _, id := range res.True {
 				class := act.Candidate
 				if slices.Contains(approx[i].True, id) {

@@ -62,8 +62,8 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 				Lat: b.MinLat + rng.Float64()*(b.MaxLat-b.MinLat),
 				Lng: b.MinLng + rng.Float64()*(b.MaxLng-b.MinLng),
 			}
-			h1 := idx.Lookup(ll, &r1)
-			h2 := loaded.Lookup(ll, &r2)
+			h1 := mustLookup(t, idx, ll, Approximate, &r1)
+			h2 := mustLookup(t, loaded, ll, Approximate, &r2)
 			if h1 != h2 || len(r1.True) != len(r2.True) || len(r1.Candidates) != len(r2.Candidates) {
 				t.Fatalf("%v: lookup diverges at %v: %+v vs %+v", gk, ll, r1, r2)
 			}
@@ -72,8 +72,8 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 					t.Fatalf("%v: true ids diverge at %v", gk, ll)
 				}
 			}
-			h1 = idx.LookupExact(ll, &r1)
-			h2 = loaded.LookupExact(ll, &r2)
+			h1 = mustLookup(t, idx, ll, Exact, &r1)
+			h2 = mustLookup(t, loaded, ll, Exact, &r2)
 			if h1 != h2 || len(r1.True) != len(r2.True) {
 				t.Fatalf("%v: exact lookup diverges at %v", gk, ll)
 			}

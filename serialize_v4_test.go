@@ -61,8 +61,8 @@ func checkLookupParity(t *testing.T, tag string, a, b *Index, set *data.PolygonS
 			Lat: bd.MinLat + rng.Float64()*(bd.MaxLat-bd.MinLat),
 			Lng: bd.MinLng + rng.Float64()*(bd.MaxLng-bd.MinLng),
 		}
-		a.Lookup(ll, &r1)
-		b.Lookup(ll, &r2)
+		mustLookup(t, a, ll, Approximate, &r1)
+		mustLookup(t, b, ll, Approximate, &r2)
 		if len(r1.True) != len(r2.True) || len(r1.Candidates) != len(r2.Candidates) {
 			t.Fatalf("%s: lookup diverges at %v: %+v vs %+v", tag, ll, r1, r2)
 		}
@@ -77,8 +77,8 @@ func checkLookupParity(t *testing.T, tag string, a, b *Index, set *data.PolygonS
 			}
 		}
 		if exact {
-			a.LookupExact(ll, &r1)
-			b.LookupExact(ll, &r2)
+			mustLookup(t, a, ll, Exact, &r1)
+			mustLookup(t, b, ll, Exact, &r2)
 			if len(r1.True) != len(r2.True) {
 				t.Fatalf("%s: exact lookup diverges at %v", tag, ll)
 			}
@@ -128,7 +128,7 @@ func TestV4SparseRoundTrip(t *testing.T) {
 		for _, id := range removed {
 			p := set.Polygons[id]
 			c := p.Outer[0]
-			loaded.LookupExact(geo.LatLng{Lat: c.Lat, Lng: c.Lng}, &res)
+			mustLookup(t, loaded, geo.LatLng{Lat: c.Lat, Lng: c.Lng}, Exact, &res)
 			for _, got := range res.True {
 				if got == id {
 					t.Fatalf("%v: removed id %d resurrected by v4 load", gk, id)

@@ -89,7 +89,7 @@ func TestSwappableConcurrent(t *testing.T) {
 					return
 				}
 				for _, ll := range pts {
-					idx.Lookup(ll, &res)
+					idx.Lookup(ll, Approximate, &res)
 				}
 			}
 		}()

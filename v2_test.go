@@ -72,7 +72,7 @@ func TestLookupBatchParity(t *testing.T) {
 	}
 	var res Result
 	for i, ll := range pts {
-		idx.Lookup(ll, &res)
+		mustLookup(t, idx, ll, Approximate, &res)
 		if !slices.Equal(results[i].True, res.True) || !slices.Equal(results[i].Candidates, res.Candidates) {
 			t.Fatalf("point %d: batch %v/%v, lookup %v/%v",
 				i, results[i].True, results[i].Candidates, res.True, res.Candidates)
@@ -176,7 +176,7 @@ func TestAppendRefs(t *testing.T) {
 	sawTrue, sawCand := false, false
 	for _, ll := range pts {
 		refs = idx.AppendRefs(ll, refs[:0])
-		idx.Lookup(ll, &res)
+		mustLookup(t, idx, ll, Approximate, &res)
 		var trues, cands []uint32
 		for _, m := range refs {
 			if m.Exact {
