@@ -115,7 +115,7 @@ type options struct {
 }
 
 // BuildStats reports the cost and shape of a built index — the quantities
-// of the paper's Table I. After a compaction, Stats reflects the most
+// of the paper's Table I. After a compaction, Status().Build reflects the most
 // recent base rebuild.
 type BuildStats struct {
 	NumPolygons  int
@@ -258,7 +258,7 @@ type Index struct {
 
 	// mapped is the file mapping OpenIndex aliased the loaded trie over,
 	// held until Close even once a compaction has replaced that trie (see
-	// Mapped); cleanup releases it at GC time if Close is never called.
+	// Status.Mapped); cleanup releases it at GC time if Close is never called.
 	mapped  *mapping
 	cleanup runtime.Cleanup
 }
@@ -556,25 +556,8 @@ func (ix *Index) AppendRefs(ll LatLng, dst []Match) []Match {
 	return dst
 }
 
-// HasGeometry reports whether the index carries the exact polygon geometry
-// needed to refine candidates. Indexes built with WithGeometryStore(false)
-// and index files saved without a geometry section serve approximate
-// lookups only.
-func (ix *Index) HasGeometry() bool { return ix.live.Load().store != nil }
-
 // PrecisionMeters returns the configured precision bound ε.
 func (ix *Index) PrecisionMeters() float64 { return ix.pl.coverer.PrecisionMeters() }
-
-// NumPolygons returns the number of live polygons: polygons indexed at
-// build time, plus Inserts, minus Removes.
-func (ix *Index) NumPolygons() int { return ix.live.Load().live }
-
-// Stats returns build statistics (Table I quantities) for the current base
-// trie — the initial build's, until a compaction replaces the base.
-func (ix *Index) Stats() BuildStats { return ix.live.Load().stats }
-
-// GridName returns the name of the underlying grid.
-func (ix *Index) GridName() string { return ix.pl.grid.Name() }
 
 // GridKind returns the kind of the underlying grid, as selected at build
 // time (and persisted across WriteTo/ReadIndex).

@@ -120,7 +120,7 @@ func TestPrecisionGuarantee(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%v: %v", gk, eps, err)
 			}
-			if got := idx.Stats().AchievedPrecisionMeters; got > eps {
+			if got := idx.Status().Build.AchievedPrecisionMeters; got > eps {
 				t.Errorf("%v/%v: achieved precision %.3f > ε", gk, eps, got)
 			}
 			// Adversarial points concentrate near boundaries, where the
@@ -284,7 +284,7 @@ func TestBuildStatsShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := idx.Stats()
+		st := idx.Status().Build
 		if st.NumPolygons != len(set.Polygons) {
 			t.Errorf("NumPolygons = %d", st.NumPolygons)
 		}
@@ -372,11 +372,11 @@ func TestFindAndContains(t *testing.T) {
 			t.Errorf("exact Lookup(%v) = %v reports an unknown polygon id", ll, res.True)
 		}
 	}
-	if idx.NumPolygons() != len(set.Polygons) {
+	if idx.Status().Live != len(set.Polygons) {
 		t.Error("NumPolygons mismatch")
 	}
-	if idx.GridName() != "planar" {
-		t.Errorf("GridName = %q", idx.GridName())
+	if idx.GridKind().String() != "planar" {
+		t.Errorf("grid = %q", idx.GridKind().String())
 	}
 	if idx.PrecisionMeters() != 20 {
 		t.Errorf("PrecisionMeters = %v", idx.PrecisionMeters())
@@ -431,7 +431,7 @@ func TestJoinModes(t *testing.T) {
 	}
 	ca, sa := joinCounts(t, idx, pts, Approximate, 1)
 	ce, se := joinCounts(t, idx, pts, Exact, 2)
-	if len(ca) != idx.NumPolygons() || len(ce) != idx.NumPolygons() {
+	if len(ca) != idx.Status().Live || len(ce) != idx.Status().Live {
 		t.Fatal("count vector sized wrong")
 	}
 	for i := range ca {
@@ -550,7 +550,7 @@ func TestJoinStreamAndPairs(t *testing.T) {
 		}
 		// Join equals the aggregation of the pair list.
 		counts, _ := joinCounts(t, idx, pts, mode, 2)
-		agg := make([]uint64, idx.NumPolygons())
+		agg := make([]uint64, idx.Status().Live)
 		for _, p := range pairs {
 			agg[p.Polygon]++
 		}

@@ -141,7 +141,7 @@ func benchmarkBuild(b *testing.B, polygons []*act.Polygon, eps float64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st = idx.Stats()
+		st = idx.Status().Build
 	}
 	b.ReportMetric(float64(st.IndexedCells)/1e6, "Mcells")
 	b.ReportMetric(float64(st.TrieBytes)/1e6, "ACT-MB")
@@ -342,7 +342,7 @@ func BenchmarkAblationGrid(b *testing.B) {
 				b.Fatal(err)
 			}
 			benchmarkIndexJoin(b, idx, pts, 1)
-			b.ReportMetric(float64(idx.Stats().TrieBytes)/1e6, "ACT-MB")
+			b.ReportMetric(float64(idx.Status().Build.TrieBytes)/1e6, "ACT-MB")
 		})
 	}
 }

@@ -87,15 +87,15 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		ds := idx.DeltaStats()
+		st := idx.Status()
 		fmt.Fprintf(os.Stderr, "actquery: inserted %d polygons into the delta layer (pending %d, threshold %d)\n",
-			len(extra), ds.Pending, ds.Threshold)
+			len(extra), st.DeltaPolygons+st.Tombstones, st.Threshold)
 	}
-	st := idx.Stats()
+	st := idx.Status()
 	fmt.Fprintf(os.Stderr,
 		"actquery: %d live polygons (%d in base), %d cells, %.1f MB, ε=%.1fm (achieved %.2fm); reading \"lat lng\" lines\n",
-		idx.NumPolygons(), st.NumPolygons, st.IndexedCells, float64(st.TotalBytes())/1e6,
-		*precision, st.AchievedPrecisionMeters)
+		st.Live, st.Build.NumPolygons, st.Build.IndexedCells, float64(st.Build.TotalBytes())/1e6,
+		*precision, st.Build.AchievedPrecisionMeters)
 
 	in := bufio.NewScanner(os.Stdin)
 	out := bufio.NewWriter(os.Stdout)

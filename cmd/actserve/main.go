@@ -217,15 +217,15 @@ func main() {
 	if err != nil {
 		fatal(logger, "startup failed", slog.String("error", err.Error()))
 	}
-	st := idx.Stats()
+	st := idx.Status()
 	logger.Info("serving",
-		slog.Int("polygons", st.NumPolygons),
-		slog.Int("cells", st.IndexedCells),
-		slog.Float64("mb", float64(st.TotalBytes())/1e6),
+		slog.Int("polygons", st.Build.NumPolygons),
+		slog.Int("cells", st.Build.IndexedCells),
+		slog.Float64("mb", float64(st.Build.TotalBytes())/1e6),
 		slog.Float64("epsilon_meters", idx.PrecisionMeters()),
 		slog.String("addr", *addr),
 	)
-	if ws := idx.WALStats(); ws.Enabled {
+	if ws := st.WAL; ws.Enabled {
 		logger.Info("wal attached",
 			slog.String("path", *walFile),
 			slog.String("fsync", fsync.String()),
@@ -365,7 +365,7 @@ func runFollower(logger *slog.Logger, primaryURL, dir, addr, reloadToken, replic
 		fatal(logger, "bootstrap failed", slog.String("primary", primaryURL), slog.String("error", err.Error()))
 	}
 	idx := indexes.Load()
-	st := idx.Stats()
+	st := idx.Status().Build
 	logger.Info("following",
 		slog.String("primary", primaryURL),
 		slog.Int("polygons", st.NumPolygons),

@@ -66,8 +66,8 @@ func (m crashModel) check(t *testing.T, what string, idx *act.Index, pts []act.L
 	for i, id := range ids {
 		polys[i] = m[id]
 	}
-	if idx.NumPolygons() != len(m) {
-		t.Fatalf("%s: %d polygons, model has %d", what, idx.NumPolygons(), len(m))
+	if idx.Status().Live != len(m) {
+		t.Fatalf("%s: %d polygons, model has %d", what, idx.Status().Live, len(m))
 	}
 	o := buildOracle(t, polys)
 	var res act.Result
@@ -151,7 +151,7 @@ func TestCrashWindowSnapshotSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floor := idx.WALStats().BaseSeq
+	floor := idx.Status().WAL.BaseSeq
 
 	// The next fsync is the snapshot's own: staging runs before anything
 	// else in the checkpoint touches the disk.
@@ -174,7 +174,7 @@ func TestCrashWindowSnapshotSync(t *testing.T) {
 			t.Fatalf("failed checkpoint left %s behind", e.Name())
 		}
 	}
-	if ws := idx.WALStats(); ws.BaseSeq != floor || ws.Failed != "" {
+	if ws := idx.Status().WAL; ws.BaseSeq != floor || ws.Failed != "" {
 		t.Fatalf("WAL after the failed checkpoint: %+v, want floor %d and healthy", ws, floor)
 	}
 	m.check(t, "live index", idx, pts)
@@ -194,7 +194,7 @@ func TestCrashWindowSnapshotSync(t *testing.T) {
 // to the live index's answers, and once both compact, to its bytes.
 func TestCrashWindowRotation(t *testing.T) {
 	idx, sched, m, walPath, snapPath, rng, pool, pts := crashSetup(t, 82)
-	ws := idx.WALStats()
+	ws := idx.Status().WAL
 
 	// The checkpoint renames twice: the snapshot into place, then the
 	// rotated log. Fail the second.
@@ -202,7 +202,7 @@ func TestCrashWindowRotation(t *testing.T) {
 	if err := idx.Compact(context.Background()); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Compact with a failing log rotation: %v, want EIO", err)
 	}
-	after := idx.WALStats()
+	after := idx.Status().WAL
 	if after.BaseSeq != ws.BaseSeq || after.Checkpoints != ws.Checkpoints || after.Failed != "" {
 		t.Fatalf("WAL after the failed rotation: %+v, want floor %d, %d rotations, healthy", after, ws.BaseSeq, ws.Checkpoints)
 	}
@@ -210,8 +210,8 @@ func TestCrashWindowRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.NumPolygons() != len(m) {
-		t.Fatalf("committed snapshot has %d polygons, want %d", snap.NumPolygons(), len(m))
+	if snap.Status().Live != len(m) {
+		t.Fatalf("committed snapshot has %d polygons, want %d", snap.Status().Live, len(m))
 	}
 	snap.Close()
 

@@ -213,8 +213,8 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 					t.Fatalf("step %d: compact: %v", step, err)
 				}
 			}
-			if idx.NumPolygons() != len(ls.polys) {
-				t.Fatalf("step %d: NumPolygons %d, live set %d", step, idx.NumPolygons(), len(ls.polys))
+			if idx.Status().Live != len(ls.polys) {
+				t.Fatalf("step %d: NumPolygons %d, live set %d", step, idx.Status().Live, len(ls.polys))
 			}
 			checkDeltaEquivalence(t, idx, ls, pts, eps, step)
 		}
@@ -223,7 +223,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 		if err := idx.Compact(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if ds := idx.DeltaStats(); ds.Pending != 0 || ds.Compactions == 0 {
+		if ds := idx.Status(); ds.DeltaPolygons+ds.Tombstones != 0 || ds.Compactions == 0 {
 			t.Fatalf("after final compaction: %+v", ds)
 		}
 		checkDeltaEquivalence(t, idx, ls, pts, eps, steps)
@@ -250,9 +250,9 @@ func TestAutoCompaction(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for idx.DeltaStats().Compactions == 0 {
+	for idx.Status().Compactions == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no background compaction after threshold crossing: %+v", idx.DeltaStats())
+			t.Fatalf("no background compaction after threshold crossing: %+v", idx.Status())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -261,7 +261,7 @@ func TestAutoCompaction(t *testing.T) {
 	if err := idx.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if ds := idx.DeltaStats(); ds.Pending != 0 || ds.LivePolygons != 8 {
+	if ds := idx.Status(); ds.DeltaPolygons+ds.Tombstones != 0 || ds.Live != 8 {
 		t.Fatalf("after compaction: %+v", ds)
 	}
 	ls := &liveSet{polys: map[uint32]*act.Polygon{}}
@@ -285,10 +285,10 @@ func TestMutationAPIContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if !idx.Mutable() {
+	if !idx.Status().Mutable {
 		t.Fatal("in-process index should be mutable")
 	}
-	gen := idx.Epoch()
+	gen := idx.Status().Generation
 
 	id, err := idx.Insert(ctx, pool[3])
 	if err != nil {
@@ -300,7 +300,7 @@ func TestMutationAPIContract(t *testing.T) {
 	if !idx.IsDelta(id) || idx.IsDelta(0) {
 		t.Fatalf("IsDelta: delta id %v, base id %v", idx.IsDelta(id), idx.IsDelta(0))
 	}
-	if idx.Epoch() <= gen {
+	if idx.Status().Generation <= gen {
 		t.Fatal("Insert did not advance the epoch generation")
 	}
 
@@ -324,7 +324,7 @@ func TestMutationAPIContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Mutable() {
+	if loaded.Status().Mutable {
 		t.Fatal("deserialized index should be immutable")
 	}
 	if _, err := loaded.Insert(ctx, pool[4]); !errors.Is(err, act.ErrImmutable) {
@@ -358,7 +358,7 @@ func TestMutationAPIContract(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading sparse (v4) index: %v", err)
 	}
-	if got, want := sparseLoaded.Stats().NumPolygons, idx.Stats().NumPolygons; got != want {
+	if got, want := sparseLoaded.Status().Build.NumPolygons, idx.Status().Build.NumPolygons; got != want {
 		t.Fatalf("sparse round trip: %d live polygons, want %d", got, want)
 	}
 

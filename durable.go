@@ -109,28 +109,6 @@ type WALStats struct {
 	Failed string
 }
 
-// WALStats returns the attached write-ahead log's durability counters, or
-// the zero value when the index has none.
-func (ix *Index) WALStats() WALStats {
-	rs := ix.rs.Load()
-	if rs.wal == nil {
-		return WALStats{}
-	}
-	st := rs.wal.Stats()
-	return WALStats{
-		Enabled:          true,
-		Seq:              st.Seq,
-		BaseSeq:          st.BaseSeq,
-		Epoch:            st.Epoch,
-		SnapshotPath:     rs.snapshotPath,
-		Bytes:            st.Bytes,
-		LastSync:         st.LastSync,
-		Checkpoints:      st.Checkpoints,
-		RecoveredRecords: rs.walRecovered,
-		Failed:           st.Failed,
-	}
-}
-
 // WALTail opens a reader of the attached log's records with seq > after:
 // the replication stream's source. It reports wal.ErrBelowFloor when after
 // is below the checkpoint floor and wal.ErrClosed once the log is closed.

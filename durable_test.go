@@ -64,7 +64,7 @@ func TestWALReplayOnNew(t *testing.T) {
 	}
 
 	idx := build()
-	if ws := idx.WALStats(); !ws.Enabled || ws.RecoveredRecords != 0 {
+	if ws := idx.Status().WAL; !ws.Enabled || ws.RecoveredRecords != 0 {
 		t.Fatalf("fresh WAL stats: %+v", ws)
 	}
 	ls := &liveSet{polys: map[uint32]*act.Polygon{}}
@@ -82,7 +82,7 @@ func TestWALReplayOnNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(ls.polys, 1)
-	preCrash := idx.WALStats()
+	preCrash := idx.Status().WAL
 	if preCrash.Seq != 4 || preCrash.Bytes <= 16 {
 		t.Fatalf("WAL stats before crash: %+v", preCrash)
 	}
@@ -93,15 +93,15 @@ func TestWALReplayOnNew(t *testing.T) {
 	// "Restart": same polygons, same log.
 	idx2 := build()
 	defer idx2.Close()
-	ws := idx2.WALStats()
+	ws := idx2.Status().WAL
 	if ws.RecoveredRecords != 4 {
 		t.Fatalf("recovered %d records, want 4", ws.RecoveredRecords)
 	}
 	if ws.Seq != preCrash.Seq {
 		t.Fatalf("recovered seq %d, want %d", ws.Seq, preCrash.Seq)
 	}
-	if idx2.NumPolygons() != len(ls.polys) {
-		t.Fatalf("recovered %d polygons, want %d", idx2.NumPolygons(), len(ls.polys))
+	if idx2.Status().Live != len(ls.polys) {
+		t.Fatalf("recovered %d polygons, want %d", idx2.Status().Live, len(ls.polys))
 	}
 	checkDeltaEquivalence(t, idx2, ls, pts, 250, 0)
 
@@ -119,8 +119,8 @@ func TestWALReplayOnNew(t *testing.T) {
 
 	idx3 := build()
 	defer idx3.Close()
-	if idx3.WALStats().RecoveredRecords != 5 {
-		t.Fatalf("second cycle recovered %d records, want 5", idx3.WALStats().RecoveredRecords)
+	if idx3.Status().WAL.RecoveredRecords != 5 {
+		t.Fatalf("second cycle recovered %d records, want 5", idx3.Status().WAL.RecoveredRecords)
 	}
 	checkDeltaEquivalence(t, idx3, ls, pts, 250, 1)
 }
@@ -166,13 +166,13 @@ func TestRecoverCheckpointCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(ls.polys, 2)
-	grown := idx.WALStats().Bytes
+	grown := idx.Status().WAL.Bytes
 
 	// Checkpoint: snapshot written, log truncated to the residual.
 	if err := idx.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ws := idx.WALStats()
+	ws := idx.Status().WAL
 	if ws.Checkpoints != 1 || ws.BaseSeq != ws.Seq || ws.Bytes >= grown {
 		t.Fatalf("WAL stats after checkpoint: %+v (pre-checkpoint bytes %d)", ws, grown)
 	}
@@ -184,8 +184,8 @@ func TestRecoverCheckpointCycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenIndex on checkpoint snapshot: %v", err)
 	}
-	if snap.NumPolygons() != len(ls.polys) {
-		t.Fatalf("snapshot has %d polygons, want %d", snap.NumPolygons(), len(ls.polys))
+	if snap.Status().Live != len(ls.polys) {
+		t.Fatalf("snapshot has %d polygons, want %d", snap.Status().Live, len(ls.polys))
 	}
 	snap.Close()
 
@@ -208,14 +208,14 @@ func TestRecoverCheckpointCycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if !rec.Mutable() {
+	if !rec.Status().Mutable {
 		t.Fatal("recovered index is not mutable")
 	}
-	if got := rec.WALStats().RecoveredRecords; got != 2 {
+	if got := rec.Status().WAL.RecoveredRecords; got != 2 {
 		t.Fatalf("Recover replayed %d records, want 2", got)
 	}
-	if rec.NumPolygons() != len(ls.polys) {
-		t.Fatalf("recovered %d polygons, want %d", rec.NumPolygons(), len(ls.polys))
+	if rec.Status().Live != len(ls.polys) {
+		t.Fatalf("recovered %d polygons, want %d", rec.Status().Live, len(ls.polys))
 	}
 	checkDeltaEquivalence(t, rec, ls, pts, 250, 0)
 
@@ -223,19 +223,19 @@ func TestRecoverCheckpointCycle(t *testing.T) {
 	// epoch path rebuilds from base cells + delta coverings, writes a fresh
 	// checkpoint snapshot, and rotates the log — the recovered process is a
 	// first-class durable primary, not a read-mostly stopgap.
-	preCompact := rec.WALStats()
+	preCompact := rec.Status().WAL
 	if err := rec.Compact(ctx); err != nil {
 		t.Fatalf("Compact on recovered index: %v", err)
 	}
-	if ds := rec.DeltaStats(); ds.Pending != 0 || ds.Compactions != 1 {
+	if ds := rec.Status(); ds.DeltaPolygons+ds.Tombstones != 0 || ds.Compactions != 1 {
 		t.Fatalf("delta stats after recovered compaction: %+v", ds)
 	}
-	recWS := rec.WALStats()
+	recWS := rec.Status().WAL
 	if recWS.Checkpoints != preCompact.Checkpoints+1 || recWS.BaseSeq != recWS.Seq {
 		t.Fatalf("WAL stats after recovered compaction: %+v (before: %+v)", recWS, preCompact)
 	}
-	if rec.NumPolygons() != len(ls.polys) {
-		t.Fatalf("compacted recovered index has %d polygons, want %d", rec.NumPolygons(), len(ls.polys))
+	if rec.Status().Live != len(ls.polys) {
+		t.Fatalf("compacted recovered index has %d polygons, want %d", rec.Status().Live, len(ls.polys))
 	}
 	checkDeltaEquivalence(t, rec, ls, pts, 250, 2)
 	id2, err := rec.Insert(ctx, pool[8])
@@ -254,8 +254,8 @@ func TestRecoverCheckpointCycle(t *testing.T) {
 		t.Fatalf("second Recover: %v", err)
 	}
 	defer rec2.Close()
-	if rec2.NumPolygons() != len(ls.polys) {
-		t.Fatalf("second recovery: %d polygons, want %d", rec2.NumPolygons(), len(ls.polys))
+	if rec2.Status().Live != len(ls.polys) {
+		t.Fatalf("second recovery: %d polygons, want %d", rec2.Status().Live, len(ls.polys))
 	}
 	checkDeltaEquivalence(t, rec2, ls, pts, 250, 1)
 }
@@ -293,7 +293,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 	}
 	c := square(10.4, 10.4, 0.05)
 	cCenter := act.LatLng{Lat: 10.4, Lng: 10.4}
-	preBytes := idx.WALStats().Bytes
+	preBytes := idx.Status().WAL.Bytes
 	cid, err := idx.Insert(ctx, c) // the final record
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 	if cid != 5 {
 		t.Fatalf("final insert got id %d, want 5", cid)
 	}
-	fullBytes := idx.WALStats().Bytes
+	fullBytes := idx.Status().WAL.Bytes
 	// Crash here: idx abandoned without Close.
 
 	blob, err := os.ReadFile(walPath)
@@ -334,7 +334,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 		if complete {
 			wantPolys = 5
 		}
-		if got := rec.NumPolygons(); got != wantPolys {
+		if got := rec.Status().Live; got != wantPolys {
 			t.Fatalf("cut %d: recovered %d polygons, want %d", cut, got, wantPolys)
 		}
 		if hasID(rec, cCenter, cid) != complete {
@@ -413,7 +413,7 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 				if err := idx.Compact(ctx); err != nil {
 					t.Fatalf("trial %d step %d: compact: %v", trial, step, err)
 				}
-				if ds := idx.DeltaStats(); ds.Compactions > 0 {
+				if ds := idx.Status(); ds.Compactions > 0 {
 					compacted = true
 				}
 			}
@@ -435,8 +435,8 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Recover: %v", trial, err)
 		}
-		if rec.NumPolygons() != len(ls.polys) {
-			t.Fatalf("trial %d: recovered %d polygons, want %d", trial, rec.NumPolygons(), len(ls.polys))
+		if rec.Status().Live != len(ls.polys) {
+			t.Fatalf("trial %d: recovered %d polygons, want %d", trial, rec.Status().Live, len(ls.polys))
 		}
 		checkDeltaEquivalence(t, rec, ls, pts, 250, trial)
 		rec.Close()
@@ -454,7 +454,7 @@ func TestRecoverErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws := idx.WALStats(); ws.Enabled || ws.Seq != 0 {
+	if ws := idx.Status().WAL; ws.Enabled || ws.Seq != 0 {
 		t.Fatalf("WAL stats without a WAL: %+v", ws)
 	}
 	// WithWAL requires a path.

@@ -357,7 +357,7 @@ func TestExactWithoutGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.HasGeometry() {
+	if idx.Status().HasGeometry {
 		t.Fatal("WithGeometryStore(false) index reports HasGeometry")
 	}
 	// The twin carries geometry; approximate answers do not depend on it.

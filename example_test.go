@@ -100,7 +100,7 @@ func ExampleIndex_Insert() {
 	if err := idx.Remove(ctx, id); err != nil { // tombstone the zone again
 		log.Fatal(err)
 	}
-	fmt.Printf("removed: matched=%v live=%d\n", matched(), idx.NumPolygons())
+	fmt.Printf("removed: matched=%v live=%d\n", matched(), idx.Status().Live)
 	// Output:
 	// id 1: matched=true delta=true
 	// compacted: matched=true delta=false
@@ -157,7 +157,8 @@ func ExampleRecover() {
 	inNewark := act.LatLng{Lat: 40.73, Lng: -74.17}
 	var res act.Result
 	matched := func(ll act.LatLng) bool { hit, _ := rec.Lookup(ll, act.Approximate, &res); return hit }
-	fmt.Printf("replayed %d record(s), live=%d\n", rec.WALStats().RecoveredRecords, rec.NumPolygons())
+	st := rec.Status()
+	fmt.Printf("replayed %d record(s), live=%d\n", st.WAL.RecoveredRecords, st.Live)
 	fmt.Printf("manhattan=%v newark=%v\n", matched(inManhattan), matched(inNewark))
 	// Output:
 	// replayed 1 record(s), live=1

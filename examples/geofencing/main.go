@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := idx.Stats()
+	st := idx.Status().Build
 	fmt.Printf("zone index: %d zones, %.1f MB, ε=%.0fm\n\n",
 		st.NumPolygons, float64(st.TotalBytes())/1e6, idx.PrecisionMeters())
 

@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := idx.Stats()
+	st := idx.Status().Build
 	fmt.Printf("index: %d polygons, %d cells, %.2f MB, achieved precision %.2f m\n",
 		st.NumPolygons, st.IndexedCells, float64(st.TotalBytes())/1e6,
 		st.AchievedPrecisionMeters)

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := idx.Stats()
+	st := idx.Status().Build
 	fmt.Printf("neighborhoods: %d polygons, index %.1f MB (built in %v)\n",
 		st.NumPolygons, float64(st.TotalBytes())/1e6,
 		(st.CoverDuration + st.MergeDuration + st.InsertDuration).Round(time.Millisecond))

@@ -91,8 +91,8 @@ func FuzzDeltaMerge(f *testing.F) {
 				}
 			}
 		}
-		if idx.NumPolygons() != len(live) {
-			t.Fatalf("NumPolygons %d, live %d", idx.NumPolygons(), len(live))
+		if idx.Status().Live != len(live) {
+			t.Fatalf("NumPolygons %d, live %d", idx.Status().Live, len(live))
 		}
 
 		// Reference: rebuild from the surviving set (dense ids), mapping

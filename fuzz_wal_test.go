@@ -89,8 +89,8 @@ func FuzzWALReplay(f *testing.F) {
 		for _, ll := range probes {
 			mustLookup(t, idx, ll, Approximate, &res)
 		}
-		n := idx.NumPolygons()
-		recovered := idx.WALStats().RecoveredRecords
+		n := idx.Status().Live
+		recovered := idx.Status().WAL.RecoveredRecords
 		if err := idx.Close(); err != nil {
 			t.Fatalf("Close after replay: %v", err)
 		}
@@ -99,9 +99,9 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("log replayed once but failed on reopen: %v", err)
 		}
-		if idx2.NumPolygons() != n || idx2.WALStats().RecoveredRecords != recovered {
+		if idx2.Status().Live != n || idx2.Status().WAL.RecoveredRecords != recovered {
 			t.Fatalf("replay not deterministic: %d polygons / %d records, then %d / %d",
-				n, recovered, idx2.NumPolygons(), idx2.WALStats().RecoveredRecords)
+				n, recovered, idx2.Status().Live, idx2.Status().WAL.RecoveredRecords)
 		}
 		idx2.Close()
 	})

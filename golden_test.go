@@ -123,7 +123,7 @@ func TestBuildGolden(t *testing.T) {
 					t.Errorf("geometry laid out as version %d (%d bytes): sha256 %x, want %s", old.version, len(old.section), sum, old.want)
 				}
 			}
-			got := ix.Stats().AchievedPrecisionMeters
+			got := ix.Status().Build.AchievedPrecisionMeters
 			if got > eps || math.Abs(got-tc.achieved) > 1e-9*tc.achieved {
 				t.Errorf("achieved precision %.17g m, want %.17g m within 1e-9 and at most ε = %d m", got, tc.achieved, eps)
 			}
@@ -296,7 +296,7 @@ func TestFinePrecisionTrieStaysSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := ix.Stats(); st.TrieBytes > 10<<20 {
+	if st := ix.Status().Build; st.TrieBytes > 10<<20 {
 		t.Errorf("trie of %d nodes takes %d bytes at ε = 15 m, want at most 10 MiB", st.TrieNodes, st.TrieBytes)
 	}
 }
@@ -331,8 +331,8 @@ func TestCellsAscendingDisjoint(t *testing.T) {
 					n, end = n+1, cell.RangeMax()
 					return nil
 				})
-				if err != nil || n == 0 || n > ix.Stats().IndexedCells {
-					t.Errorf("%s/%v/fanout-%d: %d of %d cells in order: %v", m.name, gk, fanout, n, ix.Stats().IndexedCells, err)
+				if err != nil || n == 0 || n > ix.Status().Build.IndexedCells {
+					t.Errorf("%s/%v/fanout-%d: %d of %d cells in order: %v", m.name, gk, fanout, n, ix.Status().Build.IndexedCells, err)
 				}
 			}
 		}

@@ -37,7 +37,7 @@ func RunTableI(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			st := idx.Stats()
+			st := idx.Status().Build
 			fmt.Fprintf(w, "%-14s %10.0f %14.2f %10.1f %12.2f %14.2f %14.2f\n",
 				ds.Set.Name, eps,
 				float64(st.IndexedCells)/1e6,

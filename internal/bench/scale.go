@@ -93,7 +93,7 @@ func RunScale(w io.Writer, cfg Config, threads []int) ([]Record, error) {
 			}
 			loadMillis := float64(time.Since(start).Microseconds()) / 1e3
 			label := m.name
-			if m.name == "mmap" && !idx.Mapped() {
+			if m.name == "mmap" && !idx.Status().Mapped {
 				// Platform without mmap: the fallback copy path served the
 				// open. Keep the row, but label it honestly.
 				label = "mmap-fallback"

@@ -112,7 +112,7 @@ func TestFailoverPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(centers, 5)
-	target := idx.WALStats().Seq
+	target := idx.Status().WAL.Seq
 	waitFor(t, "catch-up", func() bool { return fol.Status().AppliedSeq >= target })
 
 	promo, err := fol.Promote(ctx)
@@ -126,14 +126,14 @@ func TestFailoverPromotion(t *testing.T) {
 	}
 	nidx := promo.Index
 	defer nidx.Close()
-	if nidx.Follower() || !nidx.Mutable() {
+	if nidx.Status().Follower || !nidx.Status().Mutable {
 		t.Fatalf("promoted index: follower=%v mutable=%v, want a mutable primary",
-			nidx.Follower(), nidx.Mutable())
+			nidx.Status().Follower, nidx.Status().Mutable)
 	}
-	if got := nidx.ReplicationEpoch(); got != 1 {
-		t.Fatalf("ReplicationEpoch %d, want 1", got)
+	if got := nidx.Status().WAL.Epoch; got != 1 {
+		t.Fatalf("WAL epoch %d, want 1", got)
 	}
-	if got := nidx.NumPolygons(); got != len(centers) {
+	if got := nidx.Status().Live; got != len(centers) {
 		t.Fatalf("promoted index has %d polygons, want %d", got, len(centers))
 	}
 	for id, c := range centers {
@@ -148,7 +148,7 @@ func TestFailoverPromotion(t *testing.T) {
 	// The promoted index owns its durability pair in the follower's
 	// directory, and the new epoch is durable: it is in the promoted log's
 	// header on disk.
-	if got, want := nidx.WALStats().SnapshotPath, filepath.Join(folDir, "follower.snapshot"); got != want {
+	if got, want := nidx.Status().WAL.SnapshotPath, filepath.Join(folDir, "follower.snapshot"); got != want {
 		t.Fatalf("promoted snapshot path %q, want %q", got, want)
 	}
 	lf, err := os.Open(filepath.Join(folDir, "promoted.wal"))
@@ -201,8 +201,8 @@ func TestFailoverPromotion(t *testing.T) {
 			t.Fatalf("stale primary %s announces epoch %q, want 1", path, got)
 		}
 	}
-	if e, fenced := idx.Fenced(); !fenced || e != 1 {
-		t.Fatalf("old primary Fenced() = (%d, %v), want (1, true)", e, fenced)
+	if e := idx.Status().FencedAt; e != 1 {
+		t.Fatalf("old primary fenced at %d, want 1", e)
 	}
 	if _, err := idx.Insert(ctx, base[0]); !errors.Is(err, act.ErrFenced) {
 		t.Fatalf("insert on fenced primary: %v, want ErrFenced", err)
@@ -233,7 +233,7 @@ func TestFailoverPromotion(t *testing.T) {
 			ix.Close()
 		}
 	}()
-	target2 := nidx.WALStats().Seq
+	target2 := nidx.Status().WAL.Seq
 	waitFor(t, "second-generation catch-up", func() bool { return folB.Status().AppliedSeq >= target2 })
 	if got := folB.Status().Epoch; got != promo.Epoch {
 		t.Fatalf("second-generation follower learned epoch %d, want %d", got, promo.Epoch)
@@ -285,7 +285,7 @@ func TestPromoteOneWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := idx.WALStats().Seq
+	target := idx.Status().WAL.Seq
 	waitFor(t, "catch-up", func() bool { return fol.Status().AppliedSeq >= target })
 	fidx := served.Load()
 	defer fidx.Close()
@@ -307,7 +307,7 @@ func TestPromoteOneWay(t *testing.T) {
 	if err := fol.Run(runCtx); err == nil || runCtx.Err() != nil {
 		t.Fatalf("Run after Promote: %v, want an immediate refusal", err)
 	}
-	if !promo.Index.Mutable() || promo.Index.Follower() {
+	if !promo.Index.Status().Mutable || promo.Index.Status().Follower {
 		t.Fatal("refused calls changed the promoted index's role")
 	}
 }
@@ -342,7 +342,7 @@ func TestPromoteContinuesSequence(t *testing.T) {
 	if err := idx.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	n := idx.WALStats().Seq
+	n := idx.Status().WAL.Seq
 	mux := http.NewServeMux()
 	replica.NewPrimary(idx).Mount(mux)
 	srv := httptest.NewServer(mux)
@@ -373,15 +373,15 @@ func TestPromoteContinuesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	if promo.Seq != n || promo.Index.AppliedSeq() != n {
-		t.Fatalf("promoted at seq %d (index at %d), want %d", promo.Seq, promo.Index.AppliedSeq(), n)
+	if promo.Seq != n || promo.Index.Status().Seq != n {
+		t.Fatalf("promoted at seq %d (index at %d), want %d", promo.Seq, promo.Index.Status().Seq, n)
 	}
 	c := spotAt(7)
 	id, err := promo.Index.Insert(ctx, square(c.Lat, c.Lng, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := promo.Index.WALStats().Seq; got != n+1 {
+	if got := promo.Index.Status().WAL.Seq; got != n+1 {
 		t.Fatalf("first insert after promotion logged seq %d, want %d", got, n+1)
 	}
 
@@ -447,14 +447,14 @@ func TestRefusedPromotionKeepsStreaming(t *testing.T) {
 	if _, err := fol.Promote(ctx); err == nil || !strings.Contains(err.Error(), "behind") {
 		t.Fatalf("promote behind an announced seq 100: %v, want a refusal", err)
 	}
-	if !served.Load().Follower() {
+	if !served.Load().Status().Follower {
 		t.Fatal("refused promotion changed the index's role")
 	}
 	id, err := idx.Insert(ctx, square(11, 11, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := idx.WALStats().Seq
+	target := idx.Status().WAL.Seq
 	waitFor(t, "streaming after the refusal", func() bool { return fol.Status().AppliedSeq >= target })
 	if !hasID(served.Load(), act.LatLng{Lat: 11, Lng: 11}, id) {
 		t.Fatal("insert after the refusal not served")
@@ -528,7 +528,7 @@ func TestPromoteRefusedBelowFloor(t *testing.T) {
 	if err := idx.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	floor := idx.WALStats().BaseSeq
+	floor := idx.Status().WAL.BaseSeq
 
 	dying.Store(true)
 	runCtx, cancel := context.WithCancel(ctx)
@@ -539,7 +539,7 @@ func TestPromoteRefusedBelowFloor(t *testing.T) {
 	if _, err := fol.Promote(ctx); err == nil || !strings.Contains(err.Error(), "behind") {
 		t.Fatalf("promote below the floor %d with the primary gone: %v, want a refusal", floor, err)
 	}
-	if !served.Load().Follower() {
+	if !served.Load().Status().Follower {
 		t.Fatal("refused promotion changed the index's role")
 	}
 }
@@ -557,7 +557,7 @@ func TestPromoteRefusedBeforeSnapshotHead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	head := idx.WALStats().Seq
+	head := idx.Status().WAL.Seq
 	mux := http.NewServeMux()
 	replica.NewPrimary(idx).Mount(mux)
 	var down atomic.Bool // set: the stream endpoint is unreachable
@@ -698,7 +698,7 @@ func TestBootstrapFaultTolerance(t *testing.T) {
 				t.Fatalf("clean retry: %v", err)
 			}
 			got := served.Load()
-			if got == nil || got.NumPolygons() != 8 {
+			if got == nil || got.Status().Live != 8 {
 				t.Fatalf("retry bootstrapped %v, want an 8-polygon index", got)
 			}
 			t.Cleanup(func() { got.Close() })
@@ -823,7 +823,7 @@ func chaosFailover(t *testing.T, seed uint64) {
 	if !errors.Is(tripErr, act.ErrWALFailed) || !errors.Is(tripErr, syscall.EIO) {
 		t.Fatalf("tripping insert: %v, want ErrWALFailed wrapping EIO", tripErr)
 	}
-	if idx.WALStats().Failed == "" {
+	if idx.Status().WAL.Failed == "" {
 		t.Fatal("WALStats.Failed empty after the disk died")
 	}
 	// Degraded, not down: mutations are refused but reads and the stream
@@ -833,7 +833,7 @@ func chaosFailover(t *testing.T, seed uint64) {
 	}
 	// Seq includes the tripping insert's frame — written, streamed, never
 	// acknowledged. Followers must still drain everything on disk.
-	ackedSeq := idx.WALStats().Seq
+	ackedSeq := idx.Status().WAL.Seq
 	waitFor(t, "follower A draining the failed primary", func() bool { return folA.Status().AppliedSeq >= ackedSeq })
 	waitFor(t, "follower B draining the failed primary", func() bool { return folB.Status().AppliedSeq >= ackedSeq })
 
@@ -861,7 +861,7 @@ func chaosFailover(t *testing.T, seed uint64) {
 				want++
 			}
 		}
-		if got := fidx.NumPolygons(); got != want {
+		if got := fidx.Status().Live; got != want {
 			t.Fatalf("%s: %d polygons, want %d (acked live set + torn-ack frame)", phase, got, want)
 		}
 		for id, c := range centers {
@@ -925,7 +925,7 @@ func chaosFailover(t *testing.T, seed uint64) {
 			ix.Close()
 		}
 	}()
-	target := promo.Index.WALStats().Seq
+	target := promo.Index.Status().WAL.Seq
 	waitFor(t, "re-pointed follower catch-up", func() bool { return folB2.Status().AppliedSeq >= target })
 	if got := folB2.Status().Epoch; got != promo.Epoch {
 		t.Fatalf("re-pointed follower learned epoch %d, want %d", got, promo.Epoch)

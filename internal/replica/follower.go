@@ -352,7 +352,7 @@ func (f *Follower) syncOnce(ctx context.Context) error {
 		}
 		idx = f.served.Load()
 	}
-	if !idx.Follower() {
+	if !idx.Status().Follower {
 		return errPromoted
 	}
 	err := f.stream(ctx, idx, false)
@@ -526,7 +526,7 @@ func (f *Follower) Promote(ctx context.Context) (*Promotion, error) {
 	if idx == nil {
 		return nil, errors.New("replica: nothing to promote: follower never bootstrapped")
 	}
-	if !idx.Follower() {
+	if !idx.Status().Follower {
 		return nil, errPromoted
 	}
 

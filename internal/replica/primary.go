@@ -3,7 +3,7 @@
 //
 // The primary is an ordinary durable index (a WAL plus a checkpoint
 // snapshot), and the index is the only owner of both files: NewPrimary
-// takes the index alone, serves the snapshot at its WALStats().SnapshotPath
+// takes the index alone, serves the snapshot at its Status().WAL.SnapshotPath
 // for bootstrapping, and streams the log through the log's own tail reader
 // (Index.WALTail) as a resumable record stream, reusing the log's
 // length-prefixed, per-record-CRC'd frame layout on the wire — a stream
@@ -90,7 +90,7 @@ type Primary struct {
 }
 
 // NewPrimary wires a primary around a durable index, serving the
-// checkpoint snapshot the index writes (WALStats().SnapshotPath, read per
+// checkpoint snapshot the index writes (Status().WAL.SnapshotPath, read per
 // request) and the log it appends to.
 func NewPrimary(idx *act.Index) *Primary {
 	return &Primary{idx: idx, Heartbeat: defaultHeartbeat}
@@ -109,19 +109,19 @@ func (p *Primary) Mount(mux *http.ServeMux) {
 // reports true. The check is first in every handler so a stale primary
 // stops serving the moment the new epoch reaches it.
 func (p *Primary) fenceCheck(w http.ResponseWriter, r *http.Request) bool {
+	st := p.idx.Status()
 	if s := r.Header.Get(HeaderEpoch); s != "" {
-		if theirs, err := strconv.ParseUint(s, 10, 64); err == nil {
-			if theirs > p.idx.ReplicationEpoch() {
-				p.idx.Fence(theirs)
-			}
+		if theirs, err := strconv.ParseUint(s, 10, 64); err == nil && theirs > st.WAL.Epoch {
+			p.idx.Fence(theirs)
+			st = p.idx.Status()
 		}
 	}
-	if epoch, fenced := p.idx.Fenced(); fenced {
-		w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
+	if st.FencedAt != 0 {
+		w.Header().Set(HeaderEpoch, strconv.FormatUint(st.FencedAt, 10))
 		http.Error(w, "primary is fenced: a newer epoch has been promoted", http.StatusPreconditionFailed)
 		return false
 	}
-	w.Header().Set(HeaderEpoch, strconv.FormatUint(p.idx.ReplicationEpoch(), 10))
+	w.Header().Set(HeaderEpoch, strconv.FormatUint(st.WAL.Epoch, 10))
 	return true
 }
 
@@ -137,14 +137,14 @@ func (p *Primary) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !p.fenceCheck(w, r) {
 		return
 	}
-	path := p.idx.WALStats().SnapshotPath
+	path := p.idx.Status().WAL.SnapshotPath
 	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
 		if err := p.idx.Checkpoint(r.Context()); err != nil {
 			http.Error(w, "creating bootstrap snapshot: "+err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 	}
-	baseSeq := p.idx.WALStats().BaseSeq
+	baseSeq := p.idx.Status().WAL.BaseSeq
 	f, err := os.Open(path)
 	if err != nil {
 		http.Error(w, "opening snapshot: "+err.Error(), http.StatusServiceUnavailable)
@@ -159,7 +159,7 @@ func (p *Primary) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
 	w.Header().Set(HeaderBaseSeq, strconv.FormatUint(baseSeq, 10))
-	w.Header().Set(headerHeadSeq, strconv.FormatUint(p.idx.WALStats().Seq, 10))
+	w.Header().Set(headerHeadSeq, strconv.FormatUint(p.idx.Status().WAL.Seq, 10))
 	_, _ = io.Copy(w, f)
 }
 
@@ -189,7 +189,7 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 		// The resume point predates the checkpoint floor: those records
 		// were folded into a newer snapshot. Hand the follower the
 		// snapshot, not a hole.
-		w.Header().Set(HeaderBaseSeq, strconv.FormatUint(p.idx.WALStats().BaseSeq, 10))
+		w.Header().Set(HeaderBaseSeq, strconv.FormatUint(p.idx.Status().WAL.BaseSeq, 10))
 		http.Error(w, "resume point is below the checkpoint floor; bootstrap from the snapshot", http.StatusGone)
 		return
 	}
@@ -219,7 +219,7 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 	for beat := true; ; {
 		// A promotion can fence this primary mid-stream; stop feeding the
 		// follower records the new epoch's history may not contain.
-		if _, fenced := p.idx.Fenced(); fenced {
+		if p.idx.Status().FencedAt != 0 {
 			return
 		}
 		// Fetch the wake channel before reading, so an append that lands
@@ -231,7 +231,7 @@ func (p *Primary) ServeStream(w http.ResponseWriter, r *http.Request) {
 		updates := tail.Updates()
 		var head uint64
 		if beat {
-			head = p.idx.WALStats().Seq
+			head = p.idx.Status().WAL.Seq
 		}
 		if recs, err = tail.Read(recs[:0]); err != nil {
 			return

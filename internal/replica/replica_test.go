@@ -216,9 +216,9 @@ func TestFollowerStreamCutProperty(t *testing.T) {
 		}
 	}()
 	waitFor(t, "bootstrap", func() bool { return served.Load() != nil })
-	if got := served.Load(); got.NumPolygons() != 4 || !got.Follower() || got.Mutable() {
+	if got := served.Load(); got.Status().Live != 4 || !got.Status().Follower || got.Status().Mutable {
 		t.Fatalf("bootstrapped follower: %d polygons, follower=%v, mutable=%v",
-			got.NumPolygons(), got.Follower(), got.Mutable())
+			got.Status().Live, got.Status().Follower, got.Status().Mutable)
 	}
 	if _, err := served.Load().Insert(ctx, base[0]); err != act.ErrFollower {
 		t.Fatalf("Insert on follower: %v, want ErrFollower", err)
@@ -239,7 +239,7 @@ func TestFollowerStreamCutProperty(t *testing.T) {
 				want++
 			}
 		}
-		if got := fidx.NumPolygons(); got != want {
+		if got := fidx.Status().Live; got != want {
 			t.Fatalf("%s: follower has %d polygons, want %d", phase, got, want)
 		}
 		for id, c := range centers {
@@ -269,7 +269,7 @@ func TestFollowerStreamCutProperty(t *testing.T) {
 	}
 	catchUp := func(what string) {
 		t.Helper()
-		target := idx.WALStats().Seq
+		target := idx.Status().WAL.Seq
 		waitFor(t, what, func() bool { return fol.Status().AppliedSeq >= target })
 	}
 

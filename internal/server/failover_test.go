@@ -303,11 +303,11 @@ func TestReloadRefusedOnLoggedIndex(t *testing.T) {
 		if !st.WALEnabled || st.Role != "primary" {
 			t.Fatalf("stats after refused reload: walEnabled=%v role=%q, want a logged primary", st.WALEnabled, st.Role)
 		}
-		before := s.indexes.Load().WALStats().Seq
+		before := s.indexes.Load().Status().WAL.Seq
 		if rec := do(t, s, http.MethodPost, "/polygons", churnGeoJSON(0)); rec.Code != http.StatusOK {
 			t.Fatalf("insert: status %d: %s", rec.Code, rec.Body)
 		}
-		if after := s.indexes.Load().WALStats().Seq; after <= before {
+		if after := s.indexes.Load().Status().WAL.Seq; after <= before {
 			t.Fatalf("insert acknowledged without a log entry: seq %d → %d", before, after)
 		}
 		if rec := get(t, s, replica.SnapshotPath); rec.Code != http.StatusOK {

@@ -152,49 +152,58 @@ func (m *Metrics) requestCounter(route, method string, code int) *obs.Counter {
 	return c
 }
 
-// registerIndexGauges exposes the live index's own state — WAL position,
-// failed-state, mutation layer, the serving trie's shape — as scrape-time
-// callbacks against the swappable holder, so the values track /reload
-// swaps, compactions and promotions without any per-event bookkeeping.
+// registerIndexGauges exposes the live index's own state — the serving
+// trie's shape, mutation layer, WAL position and failed-state — as
+// scrape-time callbacks against the swappable holder, so the values track
+// /reload swaps, compactions and promotions without any per-event
+// bookkeeping. Each gauge renders one field of the index's Status, the
+// value /stats renders too.
 func (m *Metrics) registerIndexGauges(indexes *act.Swappable) {
-	r := m.Registry
-	r.GaugeFunc("act_index_trie_bytes", "Bytes of the serving trie's node arena.", func() float64 {
-		return float64(indexes.Load().Stats().TrieBytes)
-	})
-	r.GaugeFunc("act_index_table_bytes", "Bytes of the serving trie's lookup table.", func() float64 {
-		return float64(indexes.Load().Stats().TableBytes)
-	})
-	r.GaugeFunc("act_index_trie_nodes", "Nodes a walk of the serving trie reaches (a shared leaf once per parent slot).", func() float64 {
-		return float64(indexes.Load().Stats().TrieNodes)
-	})
-	r.GaugeFunc("act_index_live_polygons", "Live polygons in the serving index (base + delta - tombstones).", func() float64 {
-		return float64(indexes.Load().DeltaStats().LivePolygons)
-	})
-	r.GaugeFunc("act_index_delta_polygons", "Polygons pending in the delta overlay.", func() float64 {
-		return float64(indexes.Load().DeltaStats().DeltaPolygons)
-	})
-	r.GaugeFunc("act_index_tombstones", "Tombstoned polygon ids pending compaction.", func() float64 {
-		return float64(indexes.Load().DeltaStats().Tombstones)
-	})
-	r.GaugeFunc("act_index_generation", "Index swap generation (1 = startup index; each /reload increments).", func() float64 {
+	for _, g := range []struct {
+		name, help string
+		field      func(act.Status) float64
+	}{
+		{"act_index_cells", "Cells in the serving trie's merged super covering.",
+			func(st act.Status) float64 { return float64(st.Build.IndexedCells) }},
+		{"act_index_achieved_precision_meters", "Worst-case false-positive distance the serving trie delivers (an upper bound after a compaction).",
+			func(st act.Status) float64 { return st.Build.AchievedPrecisionMeters }},
+		{"act_index_trie_bytes", "Bytes of the serving trie's node arena.",
+			func(st act.Status) float64 { return float64(st.Build.TrieBytes) }},
+		{"act_index_table_bytes", "Bytes of the serving trie's lookup table.",
+			func(st act.Status) float64 { return float64(st.Build.TableBytes) }},
+		{"act_index_trie_nodes", "Nodes a walk of the serving trie reaches (a shared leaf once per parent slot).",
+			func(st act.Status) float64 { return float64(st.Build.TrieNodes) }},
+		{"act_index_mapped", "1 while the serving trie is read from a memory-mapped file, else 0.",
+			func(st act.Status) float64 { return oneIf(st.Mapped) }},
+		{"act_index_live_polygons", "Live polygons in the serving index (base + delta - tombstones).",
+			func(st act.Status) float64 { return float64(st.Live) }},
+		{"act_index_delta_polygons", "Polygons pending in the delta overlay.",
+			func(st act.Status) float64 { return float64(st.DeltaPolygons) }},
+		{"act_index_tombstones", "Tombstoned polygon ids pending compaction.",
+			func(st act.Status) float64 { return float64(st.Tombstones) }},
+		{"act_wal_seq", "Sequence number of the last logged mutation (0 with no WAL).",
+			func(st act.Status) float64 { return float64(st.WAL.Seq) }},
+		{"act_wal_bytes", "Current WAL file length in bytes.",
+			func(st act.Status) float64 { return float64(st.WAL.Bytes) }},
+		{"act_wal_failed", "1 when the WAL has tripped fail-stop (index is read-only), else 0.",
+			func(st act.Status) float64 { return oneIf(st.WAL.Failed != "") }},
+		{"act_wal_epoch", "Replication fencing epoch in the WAL header.",
+			func(st act.Status) float64 { return float64(st.WAL.Epoch) }},
+	} {
+		m.Registry.GaugeFunc(g.name, g.help, func() float64 { return g.field(indexes.Load().Status()) })
+	}
+	m.Registry.GaugeFunc("act_index_generation", "Index swap generation (1 = startup index; each /reload increments).", func() float64 {
 		_, gen := indexes.LoadGeneration()
 		return float64(gen)
 	})
-	r.GaugeFunc("act_wal_seq", "Sequence number of the last logged mutation (0 with no WAL).", func() float64 {
-		return float64(indexes.Load().WALStats().Seq)
-	})
-	r.GaugeFunc("act_wal_bytes", "Current WAL file length in bytes.", func() float64 {
-		return float64(indexes.Load().WALStats().Bytes)
-	})
-	r.GaugeFunc("act_wal_failed", "1 when the WAL has tripped fail-stop (index is read-only), else 0.", func() float64 {
-		if indexes.Load().WALStats().Failed != "" {
-			return 1
-		}
-		return 0
-	})
-	r.GaugeFunc("act_wal_epoch", "Replication fencing epoch in the WAL header.", func() float64 {
-		return float64(indexes.Load().WALStats().Epoch)
-	})
+}
+
+// oneIf renders a boolean gauge.
+func oneIf(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // registerFollowerGauges exposes the replication client's stream position.
@@ -203,10 +212,7 @@ func (m *Metrics) registerIndexGauges(indexes *act.Swappable) {
 func (m *Metrics) registerFollowerGauges(f *replica.Follower) {
 	r := m.Registry
 	r.GaugeFunc("act_replication_connected", "1 while the follower's record stream is open, else 0.", func() float64 {
-		if f.Status().Connected {
-			return 1
-		}
-		return 0
+		return oneIf(f.Status().Connected)
 	})
 	r.GaugeFunc("act_replication_applied_seq", "Last primary sequence applied to the serving index.", func() float64 {
 		return float64(f.Status().AppliedSeq)

@@ -217,11 +217,24 @@ func TestMetricsUnknownRoute(t *testing.T) {
 	}
 }
 
-// TestIndexShapeGauges: the trie-shape gauges read the serving index's
-// Stats, so they equal what /stats reports — before a compaction and after
-// one has replaced the trie with a larger one.
+// TestIndexShapeGauges: every index gauge renders the same Status field
+// /stats renders, so on a quiescent index each gauge equals its /stats
+// field — on a recovered primary serving its snapshot's mapped trie, with
+// mutations pending, and after a compaction has replaced the trie.
 func TestIndexShapeGauges(t *testing.T) {
-	s, idx := mutationServer(t, -1)
+	_, built := mutationServer(t, -1)
+	idx, err := act.Recover(writeIndexFile(t, built), filepath.Join(t.TempDir(), "delta.wal"), act.WithDeltaThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	s := NewServer(act.NewSwappable(idx), BuildDefaults{Precision: 10})
+	oneIf := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
 	check := func(when string) statsResponse {
 		t.Helper()
 		var st statsResponse
@@ -229,24 +242,46 @@ func TestIndexShapeGauges(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, want := range map[string]float64{
-			"act_index_trie_bytes":  float64(st.TrieBytes),
-			"act_index_table_bytes": float64(st.TableBytes),
-			"act_index_trie_nodes":  float64(st.TrieNodes),
+			"act_index_cells":                     float64(st.IndexedCells),
+			"act_index_achieved_precision_meters": st.AchievedPrecisionMeters,
+			"act_index_trie_bytes":                float64(st.TrieBytes),
+			"act_index_table_bytes":               float64(st.TableBytes),
+			"act_index_trie_nodes":                float64(st.TrieNodes),
+			"act_index_mapped":                    oneIf(st.Mapped),
+			"act_index_live_polygons":             float64(st.LivePolygons),
+			"act_index_delta_polygons":            float64(st.DeltaPolygons),
+			"act_index_tombstones":                float64(st.Tombstones),
+			"act_index_generation":                float64(st.Generation),
+			"act_wal_seq":                         float64(st.WALSeq),
+			"act_wal_bytes":                       float64(st.WALBytes),
+			"act_wal_failed":                      oneIf(st.WALFailed != ""),
+			"act_wal_epoch":                       float64(st.WALEpoch),
 		} {
-			if got := metricValue(t, s, name); got != want || want == 0 && name != "act_index_table_bytes" {
+			if got := metricValue(t, s, name); got != want {
 				t.Errorf("%s: %s = %v, /stats says %v", when, name, got, want)
 			}
 		}
+		if st.IndexedCells == 0 || st.TrieBytes == 0 || st.TrieNodes == 0 || st.AchievedPrecisionMeters == 0 {
+			t.Errorf("%s: /stats reports an empty trie: %+v", when, st)
+		}
 		return st
 	}
-	before := check("before compaction")
+	before := check("recovered")
 	if rec := do(t, s, http.MethodPost, "/polygons", churnGeoJSON(0)); rec.Code != http.StatusOK {
 		t.Fatalf("insert status %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, s, http.MethodDelete, "/polygons/1", ""); rec.Code != http.StatusOK {
+		t.Fatalf("remove status %d: %s", rec.Code, rec.Body)
+	}
+	if st := check("with mutations pending"); st.DeltaPolygons != 1 || st.Tombstones != 1 || st.WALSeq != 2 {
+		t.Errorf("pending mutations not reported: %+v", st)
 	}
 	if err := idx.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if after := check("after compaction"); after.TrieNodes <= before.TrieNodes || after.Compactions != 1 {
-		t.Errorf("compaction left %d trie nodes (from %d) after %d compactions, want more nodes after one", after.TrieNodes, before.TrieNodes, after.Compactions)
+	after := check("after compaction")
+	if after.TrieNodes == before.TrieNodes || after.Compactions != 1 || after.Mapped || after.LivePolygons != 2 {
+		t.Errorf("compaction left %d trie nodes (from %d), %d compactions, mapped %v, %d live polygons; want a new heap trie of 2 polygons after one",
+			after.TrieNodes, before.TrieNodes, after.Compactions, after.Mapped, after.LivePolygons)
 	}
 }

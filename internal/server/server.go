@@ -233,15 +233,15 @@ func (s *Server) EnableFollower(f *replica.Follower) {
 	s.metrics.registerFollowerGauges(f)
 }
 
-// role is the served index's replication role: "follower" while it
-// replicates a primary, "primary" when its log pairs with a checkpoint
-// snapshot (actserve -wal with -index, a recovered index, a promoted
-// follower), "standalone" otherwise.
-func role(idx *act.Index) string {
+// role is an index's replication role: "follower" while it replicates a
+// primary, "primary" when its log pairs with a checkpoint snapshot (actserve
+// -wal with -index, a recovered index, a promoted follower), "standalone"
+// otherwise.
+func role(st act.Status) string {
 	switch {
-	case idx.Follower():
+	case st.Follower:
 		return "follower"
-	case idx.WALStats().SnapshotPath != "":
+	case st.WAL.SnapshotPath != "":
 		return "primary"
 	}
 	return "standalone"
@@ -256,7 +256,7 @@ func (s *Server) replicationPrimary(w http.ResponseWriter, r *http.Request) *rep
 		return nil
 	}
 	idx := s.indexes.Load()
-	if role(idx) != "primary" {
+	if role(idx.Status()) != "primary" {
 		http.Error(w, "server is not a replication primary", http.StatusServiceUnavailable)
 		return nil
 	}
@@ -609,8 +609,8 @@ type insertResponse struct {
 // currently served: a concurrent /reload that swaps in a fresh index
 // discards mutations exactly like it discards the rest of the old index.
 //
-// On an immutable index (loaded with ReadIndex or OpenIndex: no alive set,
-// no coverer) the endpoint responds 409.
+// An index that refuses writes by role — file-loaded or a follower —
+// answers 409 (see mutationError).
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return
@@ -631,28 +631,24 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	idx := s.indexes.Load()
-	if !idx.Mutable() {
-		http.Error(w, immutableMsg(idx), http.StatusConflict)
-		return
-	}
 	ids := make([]uint32, 0, len(polys))
 	for i, p := range polys {
 		id, err := idx.Insert(r.Context(), p)
 		if err != nil {
 			// Earlier polygons of the batch are already live; report how
-			// far we got so the client can reconcile.
-			msg := fmt.Sprintf("polygon %d: %v (inserted ids %v)", i, err, ids)
-			http.Error(w, msg, mutationStatus(err))
+			// far we got so the client can reconcile. A refusal by role
+			// can only come at the first polygon, and its body says why.
+			mutationError(w, err, fmt.Sprintf("polygon %d: %v (inserted ids %v)", i, err, ids))
 			return
 		}
 		ids = append(ids, id)
 	}
-	ds := idx.DeltaStats()
+	st := idx.Status()
 	writeJSON(w, insertResponse{
 		IDs:           ids,
-		DeltaPolygons: ds.DeltaPolygons,
-		Tombstones:    ds.Tombstones,
-		Epoch:         idx.Epoch(),
+		DeltaPolygons: st.DeltaPolygons,
+		Tombstones:    st.Tombstones,
+		Epoch:         st.Generation,
 	})
 }
 
@@ -675,24 +671,25 @@ func (s *Server) allowMutation(w http.ResponseWriter, route string) bool {
 	return false
 }
 
-// mutationStatus maps a mutation error to its HTTP status: a tripped
-// (fail-stopped) WAL or a fenced primary means the server has degraded to
-// read-only — 503, retry against the new primary — while anything else is
-// a problem with the request itself (422).
-func mutationStatus(err error) int {
-	if errors.Is(err, act.ErrWALFailed) || errors.Is(err, act.ErrFenced) {
-		return http.StatusServiceUnavailable
+// mutationError answers a mutation the index refused. A role that takes no
+// client writes gets 409 and a pointer elsewhere: a replication follower to
+// the primary, a file-loaded index to /reload. An unknown id gets 404; a
+// tripped (fail-stopped) WAL or a fenced primary means the server has
+// degraded to read-only — 503, retry against the new primary; anything else
+// is a problem with the request itself (422). The last three carry msg.
+func mutationError(w http.ResponseWriter, err error, msg string) {
+	switch {
+	case errors.Is(err, act.ErrFollower):
+		http.Error(w, "index is a replication follower; send writes to the primary", http.StatusConflict)
+	case errors.Is(err, act.ErrImmutable):
+		http.Error(w, "index was loaded from a file and cannot be mutated; use /reload", http.StatusConflict)
+	case errors.Is(err, act.ErrUnknownPolygon):
+		http.Error(w, msg, http.StatusNotFound)
+	case errors.Is(err, act.ErrWALFailed), errors.Is(err, act.ErrFenced):
+		http.Error(w, msg, http.StatusServiceUnavailable)
+	default:
+		http.Error(w, msg, http.StatusUnprocessableEntity)
 	}
-	return http.StatusUnprocessableEntity
-}
-
-// immutableMsg explains a mutation 409: a replication follower redirects
-// writes to the primary; a file-loaded index points at /reload.
-func immutableMsg(idx *act.Index) string {
-	if idx.Follower() {
-		return "index is a replication follower; send writes to the primary"
-	}
-	return "index was loaded from a file and cannot be mutated; use /reload"
 }
 
 // removeResponse reports a DELETE /polygons/{id}.
@@ -705,7 +702,7 @@ type removeResponse struct {
 // handleRemove tombstones one polygon id on the live index: lookups and
 // joins that start after the response stop reporting it, and the next
 // compaction rebuilds the base without it. Unknown or already-removed ids
-// get 404; a file-loaded (immutable) index gets 409.
+// get 404; an index that refuses writes by role gets 409.
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return
@@ -719,22 +716,15 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	idx := s.indexes.Load()
-	if !idx.Mutable() {
-		http.Error(w, immutableMsg(idx), http.StatusConflict)
-		return
-	}
 	if err := idx.Remove(r.Context(), uint32(id64)); err != nil {
-		if errors.Is(err, act.ErrUnknownPolygon) {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		http.Error(w, err.Error(), mutationStatus(err))
+		mutationError(w, err, err.Error())
 		return
 	}
+	st := idx.Status()
 	writeJSON(w, removeResponse{
 		Removed:    uint32(id64),
-		Tombstones: idx.DeltaStats().Tombstones,
-		Epoch:      idx.Epoch(),
+		Tombstones: st.Tombstones,
+		Epoch:      st.Generation,
 	})
 }
 
@@ -787,7 +777,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if idx := s.indexes.Load(); idx.Follower() || idx.WALStats().Enabled {
+	if st := s.indexes.Load().Status(); st.Follower || st.WAL.Enabled {
 		// A follower's polygon set is its primary's to change. A logged
 		// index would be swapped for one without its log: later writes
 		// acknowledged without an entry, and followers left tailing the old
@@ -836,13 +826,13 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.indexes.Swap(idx)
-	st := idx.Stats()
+	st := idx.Status().Build
 	writeJSON(w, reloadResponse{
 		Generation:  s.indexes.Generation(),
 		NumPolygons: st.NumPolygons,
 		Cells:       st.IndexedCells,
 		Epsilon:     idx.PrecisionMeters(),
-		Grid:        idx.GridName(),
+		Grid:        idx.GridKind().String(),
 	})
 }
 
@@ -923,46 +913,43 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	// Load the index and its generation as one atomic pair, so a racing
 	// /reload cannot make /stats report generation g+1 with g's numbers.
 	idx, gen := s.indexes.LoadGeneration()
-	st := idx.Stats()
-	ds := idx.DeltaStats()
-	ws := idx.WALStats()
+	st := idx.Status()
 	lastFsync := int64(-1)
-	if !ws.LastSync.IsZero() {
-		lastFsync = ws.LastSync.UnixMilli()
+	if !st.WAL.LastSync.IsZero() {
+		lastFsync = st.WAL.LastSync.UnixMilli()
 	}
-	r := role(idx)
+	r := role(st)
 	var repl *replicationStats
 	if r == "follower" && s.follower != nil {
 		rs := s.follower.Status()
 		repl = &replicationStats{Status: rs, Lag: rs.Lag()}
 	}
-	fencedEpoch, _ := idx.Fenced()
 	writeJSON(w, statsResponse{
-		NumPolygons:             st.NumPolygons,
-		IndexedCells:            st.IndexedCells,
-		TrieBytes:               st.TrieBytes,
-		TableBytes:              st.TableBytes,
-		TrieNodes:               st.TrieNodes,
+		NumPolygons:             st.Build.NumPolygons,
+		IndexedCells:            st.Build.IndexedCells,
+		TrieBytes:               st.Build.TrieBytes,
+		TableBytes:              st.Build.TableBytes,
+		TrieNodes:               st.Build.TrieNodes,
 		PrecisionMeters:         idx.PrecisionMeters(),
-		AchievedPrecisionMeters: st.AchievedPrecisionMeters,
-		Grid:                    idx.GridName(),
-		HasGeometry:             idx.HasGeometry(),
+		AchievedPrecisionMeters: st.Build.AchievedPrecisionMeters,
+		Grid:                    idx.GridKind().String(),
+		HasGeometry:             st.HasGeometry,
 		Generation:              gen,
-		Mutable:                 idx.Mutable(),
-		Mapped:                  idx.Mapped(),
-		LivePolygons:            ds.LivePolygons,
-		DeltaPolygons:           ds.DeltaPolygons,
-		Tombstones:              ds.Tombstones,
-		Compactions:             ds.Compactions,
-		WALEnabled:              ws.Enabled,
-		WALSeq:                  ws.Seq,
-		WALBytes:                ws.Bytes,
+		Mutable:                 st.Mutable,
+		Mapped:                  st.Mapped,
+		LivePolygons:            st.Live,
+		DeltaPolygons:           st.DeltaPolygons,
+		Tombstones:              st.Tombstones,
+		Compactions:             st.Compactions,
+		WALEnabled:              st.WAL.Enabled,
+		WALSeq:                  st.WAL.Seq,
+		WALBytes:                st.WAL.Bytes,
 		LastFsyncMillis:         lastFsync,
-		RecoveredRecords:        ws.RecoveredRecords,
-		ReadOnly:                ws.Failed != "" || fencedEpoch != 0,
-		WALFailed:               ws.Failed,
-		FencedEpoch:             fencedEpoch,
-		WALEpoch:                ws.Epoch,
+		RecoveredRecords:        st.WAL.RecoveredRecords,
+		ReadOnly:                st.WAL.Failed != "" || st.FencedAt != 0,
+		WALFailed:               st.WAL.Failed,
+		FencedEpoch:             st.FencedAt,
+		WALEpoch:                st.WAL.Epoch,
 		Role:                    r,
 		Replication:             repl,
 	})

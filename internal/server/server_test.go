@@ -109,7 +109,7 @@ func TestStatsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.NumPolygons != 1 || resp.Grid != "planar" ||
-		resp.IndexedCells != idx.Stats().IndexedCells {
+		resp.IndexedCells != idx.Status().Build.IndexedCells {
 		t.Errorf("stats = %+v", resp)
 	}
 	if rec := get(t, s, "/healthz"); rec.Code != http.StatusOK {
@@ -717,13 +717,13 @@ func TestMutationUnderTraffic(t *testing.T) {
 	// mid-stream (bounded by a deadline so a regression fails instead of
 	// hanging), then stop the mutators and let everyone drain.
 	deadline := time.Now().Add(30 * time.Second)
-	for idx.DeltaStats().Compactions == 0 && time.Now().Before(deadline) {
+	for idx.Status().Compactions == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 
-	if idx.DeltaStats().Compactions == 0 {
+	if idx.Status().Compactions == 0 {
 		t.Fatal("no compaction fired under mutation traffic")
 	}
 	// The anchors survived all the churn.
@@ -926,6 +926,79 @@ func TestStatsDurabilityFields(t *testing.T) {
 	// SyncAlways: the insert was fsynced before it was acknowledged.
 	if st.LastFsyncMillis <= 0 {
 		t.Fatalf("lastFsyncMillis = %d under SyncAlways", st.LastFsyncMillis)
+	}
+}
+
+// TestStatsOneEpoch: /stats renders one Status, so under concurrent inserts,
+// removals of base ids and background compactions every response's base
+// count plus delta minus tombstones is its live count.
+func TestStatsOneEpoch(t *testing.T) {
+	const initial, inserts = 16, 40
+	var polys []*act.Polygon
+	for i := range initial {
+		lat, lng := 40.0+0.05*float64(i%4), -74.0+0.05*float64(i/4)
+		polys = append(polys, &act.Polygon{Outer: []act.LatLng{
+			{Lat: lat, Lng: lng}, {Lat: lat, Lng: lng + 0.02},
+			{Lat: lat + 0.02, Lng: lng + 0.02}, {Lat: lat + 0.02, Lng: lng},
+		}})
+	}
+	idx, err := act.New(polys, act.WithPrecision(10), act.WithDeltaThreshold(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	s := NewServer(act.NewSwappable(idx), BuildDefaults{Precision: 10})
+
+	var writers, readers sync.WaitGroup
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for i := range inserts {
+			if rec := do(t, s, http.MethodPost, "/polygons", churnGeoJSON(i)); rec.Code != http.StatusOK {
+				t.Errorf("insert: status %d: %s", rec.Code, rec.Body)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for id := 0; id < initial; id += 2 {
+			if rec := do(t, s, http.MethodDelete, fmt.Sprintf("/polygons/%d", id), ""); rec.Code != http.StatusOK {
+				t.Errorf("remove %d: status %d: %s", id, rec.Code, rec.Body)
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var st statsResponse
+				if err := json.Unmarshal(get(t, s, "/stats").Body.Bytes(), &st); err != nil {
+					t.Error(err)
+					return
+				}
+				if got := st.NumPolygons + st.DeltaPolygons - st.Tombstones; got != st.LivePolygons {
+					t.Errorf("torn /stats: %d base + %d delta - %d tombstones = %d, but %d live",
+						st.NumPolygons, st.DeltaPolygons, st.Tombstones, got, st.LivePolygons)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if st := idx.Status(); st.Live != initial/2+inserts || st.Compactions == 0 {
+		t.Fatalf("after churn: %d live, %d compactions; want %d live after at least one compaction",
+			st.Live, st.Compactions, initial/2+inserts)
 	}
 }
 

@@ -829,13 +829,6 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Epoch returns the log's replication fencing epoch (fixed at open).
-func (l *Log) Epoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epoch
-}
-
 // Close flushes outstanding records (fsyncing only when something is
 // actually pending — a SyncAlways log pays no extra flush) and closes the
 // file. Waiters on Updates are woken and observe the closed log. It is

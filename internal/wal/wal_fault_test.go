@@ -181,8 +181,8 @@ func TestCreateTempFailureKeepsAppending(t *testing.T) {
 func TestEpochRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openT(t, path, Options{BaseSeq: 10, Epoch: 3})
-	if l.Epoch() != 3 {
-		t.Fatalf("fresh epoch %d, want 3", l.Epoch())
+	if l.Stats().Epoch != 3 {
+		t.Fatalf("fresh epoch %d, want 3", l.Stats().Epoch)
 	}
 	if st := l.Stats(); st.Epoch != 3 || st.BaseSeq != 10 || st.Seq != 10 {
 		t.Fatalf("fresh stats: %+v", st)
@@ -191,8 +191,8 @@ func TestEpochRoundTrip(t *testing.T) {
 	if err := l.Checkpoint(11); err != nil {
 		t.Fatal(err)
 	}
-	if l.Epoch() != 3 {
-		t.Fatalf("epoch after rotation %d, want 3", l.Epoch())
+	if l.Stats().Epoch != 3 {
+		t.Fatalf("epoch after rotation %d, want 3", l.Stats().Epoch)
 	}
 	l.Close()
 
@@ -200,8 +200,8 @@ func TestEpochRoundTrip(t *testing.T) {
 	// existing files.
 	l2, _ := openT(t, path, Options{Epoch: 99})
 	defer l2.Close()
-	if l2.Epoch() != 3 {
-		t.Fatalf("reopened epoch %d, want 3", l2.Epoch())
+	if l2.Stats().Epoch != 3 {
+		t.Fatalf("reopened epoch %d, want 3", l2.Stats().Epoch)
 	}
 
 	f, err := os.Open(path)

@@ -245,7 +245,7 @@ func checkLegacyFile(t *testing.T, file string, version uint32, built *Index) {
 		t.Fatalf("OpenIndex: %v", err)
 	}
 	defer mapped.Close()
-	if mapped.Mapped() {
+	if mapped.Status().Mapped {
 		t.Errorf("a version %d trie is rebuilt onto the heap, yet Mapped reports the mapping", version)
 	}
 	heap, err := openHeap(file)

@@ -24,7 +24,7 @@ import (
 // of base and of delta ids, and compactions through an index built by New
 // and through the Recover of its WriteTo, and compares the two after every
 // Compact: Lookup, AppendRefs, LookupBatch, PairsContext in both modes,
-// NumPolygons, DeltaStats, and the WriteTo bytes.
+// the live count and mutation layer of Status, and the WriteTo bytes.
 //
 // When New-built indexes still compacted by re-covering their retained
 // source polygons, the two differed on neighbourhoods by a few hundred
@@ -117,14 +117,14 @@ func TestLifecycleDifferential(t *testing.T) {
 						}
 					}
 				}
-				if a, b := built.DeltaStats(), recovered.DeltaStats(); a != b || a.Pending == 0 {
+				if a, b := layerOf(built), layerOf(recovered); a != b || a.delta+a.tombstones == 0 {
 					t.Fatalf("round %d: before compaction: built %+v, recovered %+v", round, a, b)
 				}
 				for _, ix := range []*act.Index{built, recovered} {
 					if err := ix.Compact(ctx); err != nil {
 						t.Fatalf("round %d: compact: %v", round, err)
 					}
-					if got := ix.Stats().AchievedPrecisionMeters; got > tc.eps {
+					if got := ix.Status().Build.AchievedPrecisionMeters; got > tc.eps {
 						t.Fatalf("round %d: achieved precision %.3f m > ε = %v m", round, got, tc.eps)
 					}
 				}
@@ -132,6 +132,18 @@ func TestLifecycleDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mutationLayer is the part of an index's Status that two replicas of one
+// mutation history agree on.
+type mutationLayer struct {
+	live, delta, tombstones, threshold int
+	compactions                        uint64
+}
+
+func layerOf(ix *act.Index) mutationLayer {
+	st := ix.Status()
+	return mutationLayer{st.Live, st.DeltaPolygons, st.Tombstones, st.Threshold, st.Compactions}
 }
 
 func serialize(t *testing.T, ix *act.Index) []byte {
@@ -147,11 +159,11 @@ func serialize(t *testing.T, ix *act.Index) []byte {
 // read path alike and serialize to the same bytes.
 func compareIndexes(t *testing.T, round int, a, b *act.Index, pts []act.LatLng, live int) {
 	t.Helper()
-	if a.NumPolygons() != live || b.NumPolygons() != live {
-		t.Fatalf("round %d: NumPolygons %d and %d, want %d", round, a.NumPolygons(), b.NumPolygons(), live)
+	if a.Status().Live != live || b.Status().Live != live {
+		t.Fatalf("round %d: NumPolygons %d and %d, want %d", round, a.Status().Live, b.Status().Live, live)
 	}
-	if da, db := a.DeltaStats(), b.DeltaStats(); da != db || da.Pending != 0 || da.Compactions != uint64(round+1) {
-		t.Fatalf("round %d: DeltaStats %+v and %+v", round, da, db)
+	if da, db := layerOf(a), layerOf(b); da != db || da.delta+da.tombstones != 0 || da.compactions != uint64(round+1) {
+		t.Fatalf("round %d: mutation layers %+v and %+v", round, da, db)
 	}
 	ctx := context.Background()
 	var ra, rb act.Result
@@ -178,7 +190,7 @@ func compareIndexes(t *testing.T, round int, a, b *act.Index, pts []act.LatLng, 
 	}
 	hits := 0
 	modes := []act.JoinMode{act.Approximate}
-	if a.HasGeometry() {
+	if a.Status().HasGeometry {
 		modes = append(modes, act.Exact)
 	}
 	for _, mode := range modes {

@@ -42,7 +42,7 @@ func openMapped(t *testing.T, path string) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ix.Mapped() {
+	if !ix.Status().Mapped {
 		ix.Close()
 		t.Skip("mmap unavailable on this platform")
 	}
@@ -263,8 +263,8 @@ func TestOpenIndexRejectsCorruptV3(t *testing.T) {
 		t.Fatalf("pristine file rejected by the heap source: %v", err)
 	}
 	var again bytes.Buffer
-	if _, err := heap.WriteTo(&again); err != nil || heap.Mapped() || !bytes.Equal(again.Bytes(), good) {
-		t.Fatalf("heap source: Mapped %v, WriteTo error %v, same bytes %v", heap.Mapped(), err, bytes.Equal(again.Bytes(), good))
+	if _, err := heap.WriteTo(&again); err != nil || heap.Status().Mapped || !bytes.Equal(again.Bytes(), good) {
+		t.Fatalf("heap source: Mapped %v, WriteTo error %v, same bytes %v", heap.Status().Mapped, err, bytes.Equal(again.Bytes(), good))
 	}
 }
 
@@ -320,20 +320,20 @@ func TestMappedAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if !rec.Mapped() {
+	if !rec.Status().Mapped {
 		t.Skip("mmap unavailable on this platform")
 	}
 	ctx := context.Background()
 	if _, err := rec.Insert(ctx, set.Polygons[0]); err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Mapped() {
+	if !rec.Status().Mapped {
 		t.Fatal("an insert unmapped the base trie")
 	}
 	if err := rec.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Mapped() {
+	if rec.Status().Mapped {
 		t.Fatal("Mapped reports true after a compaction replaced the mapped trie")
 	}
 }

@@ -57,56 +57,12 @@ var (
 	ErrNoCheckpoint = errors.New("act: checkpoint needs a WAL with a snapshot path")
 )
 
-// DeltaStats describes the state of the index's mutation layer.
-type DeltaStats struct {
-	// DeltaPolygons is the number of polygons currently served from the
-	// delta layer (inserted since the last compaction).
-	DeltaPolygons int
-	// Tombstones is the number of removals pending compaction.
-	Tombstones int
-	// Pending is DeltaPolygons + Tombstones — the quantity measured
-	// against Threshold.
-	Pending int
-	// Threshold is the pending-mutation count that triggers background
-	// compaction; negative means auto-compaction is disabled.
-	Threshold int
-	// Compactions counts completed compactions over the index lifetime.
-	Compactions uint64
-	// LivePolygons is the current live polygon count (NumPolygons).
-	LivePolygons int
-}
-
-// DeltaStats returns the current state of the mutation layer. The overlay
-// counters are read from one epoch, so they are mutually consistent.
-func (ix *Index) DeltaStats() DeltaStats {
-	ep := ix.live.Load()
-	return DeltaStats{
-		DeltaPolygons: ep.ov.NumPolygons(),
-		Tombstones:    ep.ov.NumTombstones(),
-		Pending:       ep.ov.Pending(),
-		Threshold:     ix.deltaThreshold,
-		Compactions:   ep.compactions,
-		LivePolygons:  ep.live,
-	}
-}
-
-// Mutable reports whether the index can absorb Insert and Remove: true for
-// indexes built in-process or resurrected by Recover, false for indexes
-// loaded with ReadIndex/OpenIndex and for replication followers (whose
-// mutations arrive from the primary's log stream, not from clients).
-func (ix *Index) Mutable() bool { return ix.rs.Load().role == primary }
-
 // IsDelta reports whether the polygon id is currently served from the
 // delta layer rather than the base trie. After a compaction folds the
 // delta into the base, IsDelta reports false for the absorbed ids — the
 // distinction is an observability aid (actquery -verbose tags matches with
 // it), not a semantic one.
 func (ix *Index) IsDelta(id uint32) bool { return ix.live.Load().ov.HasPolygon(id) }
-
-// Epoch returns the generation of the serving state: it advances on every
-// Insert, Remove, compaction and promotion, so operators can observe
-// mutation progress the way Swappable generations expose index swaps.
-func (ix *Index) Epoch() uint64 { return ix.live.Generation() }
 
 // Insert adds a polygon to the live index and returns its id — the next id
 // in the sequence started by the build (ids are never reused, so removed

@@ -67,14 +67,14 @@ func (ix *Index) observeCompaction(d time.Duration, rebuilt BuildStats, err erro
 				slog.String("error", err.Error()))
 			return
 		}
-		ds := ix.DeltaStats()
+		st := ix.Status()
 		ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 		l.Info("compaction",
 			slog.Duration("duration", d),
 			slog.Float64("merge_ms", ms(rebuilt.MergeDuration)),
 			slog.Float64("trie_ms", ms(rebuilt.InsertDuration)),
-			slog.Int("live_polygons", ds.LivePolygons),
-			slog.Int("residual_pending", ds.Pending),
-			slog.Uint64("compactions", ds.Compactions))
+			slog.Int("live_polygons", st.Live),
+			slog.Int("residual_pending", st.DeltaPolygons+st.Tombstones),
+			slog.Uint64("compactions", st.Compactions))
 	}
 }

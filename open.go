@@ -45,7 +45,7 @@ func (m *mapping) backs(t *core.Trie) bool {
 // Where the file cannot be mapped (no mmap on the platform, or a filesystem
 // that refuses it) OpenIndex reads it onto the heap and decodes it exactly
 // as ReadIndex does; a big-endian host decodes the mapped words onto the
-// heap. [Index.Mapped] tells which happened.
+// heap. [Index.Status] reports which happened (Status.Mapped).
 //
 // The index is read-only; Recover and OpenFollower open their snapshot
 // through OpenIndex and then take writes. It holds the mapping until
@@ -93,13 +93,6 @@ func openIndex(path string, mmap func(*os.File, int64) ([]byte, error)) (*Index,
 	// reachable until the last instruction that touches mapped memory.
 	ix.cleanup = runtime.AddCleanup(ix, func(mp *mapping) { mp.close() }, m)
 	return ix, nil
-}
-
-// Mapped reports whether the index serves its trie from a file mapping
-// (OpenIndex's zero-copy path) rather than heap memory. It turns false when
-// a compaction of a recovered or follower index replaces that trie.
-func (ix *Index) Mapped() bool {
-	return ix.mapped != nil && ix.mapped.backs(ix.live.Load().trie)
 }
 
 // Close releases the resources an index holds beyond heap memory: the

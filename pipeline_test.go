@@ -42,7 +42,7 @@ func TestCompactCancelledMidEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := built.Stats().IndexedCells
+	cells := built.Status().Build.IndexedCells
 	if cells < 4*cancelCheckEvery {
 		t.Fatalf("the base has %d cells: too few to cancel in the middle of, at one ask per %d", cells, cancelCheckEvery)
 	}
@@ -60,7 +60,7 @@ func TestCompactCancelledMidEnumeration(t *testing.T) {
 		if err := ix.Remove(context.Background(), 3); err != nil {
 			t.Fatal(err)
 		}
-		epoch := ix.Epoch()
+		epoch := ix.Status().Generation
 
 		const asksBeforeCancel = 2
 		ctx := &countdownCtx{Context: context.Background()}
@@ -72,8 +72,8 @@ func TestCompactCancelledMidEnumeration(t *testing.T) {
 			t.Errorf("%s: the context was asked %d times over %d cells, want %d: the walk ran on after cancellation",
 				name, asked, cells, asksBeforeCancel+1)
 		}
-		if ds := ix.DeltaStats(); ix.Epoch() != epoch || ds.Compactions != 0 || ds.Pending != 2 {
-			t.Errorf("%s: cancelled compaction published: epoch %d → %d, %+v", name, epoch, ix.Epoch(), ds)
+		if ds := ix.Status(); ds.Generation != epoch || ds.Compactions != 0 || ds.DeltaPolygons+ds.Tombstones != 2 {
+			t.Errorf("%s: cancelled compaction published: epoch %d → %d, %+v", name, epoch, ix.Status().Generation, ds)
 		}
 
 		// A context that lasts through the walk (one ask per
@@ -84,15 +84,15 @@ func TestCompactCancelledMidEnumeration(t *testing.T) {
 		if err := ix.Compact(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: Compact cancelled past the walk = %v, want context.Canceled", name, err)
 		}
-		if ds := ix.DeltaStats(); ix.Epoch() != epoch || ds.Compactions != 0 || ds.Pending != 2 {
-			t.Errorf("%s: compaction cancelled past the walk published: epoch %d → %d, %+v", name, epoch, ix.Epoch(), ds)
+		if ds := ix.Status(); ds.Generation != epoch || ds.Compactions != 0 || ds.DeltaPolygons+ds.Tombstones != 2 {
+			t.Errorf("%s: compaction cancelled past the walk published: epoch %d → %d, %+v", name, epoch, ix.Status().Generation, ds)
 		}
 
 		// The index is none the worse for it.
 		if err := ix.Compact(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if ds := ix.DeltaStats(); ds.Compactions != 1 || ds.Pending != 0 {
+		if ds := ix.Status(); ds.Compactions != 1 || ds.DeltaPolygons+ds.Tombstones != 0 {
 			t.Errorf("%s: after a full compaction: %+v", name, ds)
 		}
 	}

@@ -34,7 +34,7 @@ var (
 	// ErrWALFailed is reported by Insert and Remove once the attached
 	// write-ahead log has tripped into its fail-stop state: the mutation
 	// was NOT acknowledged and the index now serves read-only. The cause
-	// is in WALStats().Failed.
+	// is in Status().WAL.Failed.
 	ErrWALFailed = errors.New("act: write-ahead log has failed; index is read-only")
 	// ErrFenced is reported by Insert and Remove on a primary that has
 	// been fenced by a newer replication epoch: a follower was promoted,
@@ -76,26 +76,9 @@ func (ix *Index) Fence(epoch uint64) {
 	}
 }
 
-// Fenced returns the epoch the index was fenced at and whether it is
-// fenced at all.
-func (ix *Index) Fenced() (uint64, bool) {
-	e := ix.fencedAt.Load()
-	return e, e != 0
-}
-
-// ReplicationEpoch returns the index's replication fencing epoch: the
-// epoch recorded in its write-ahead log's header, or 0 when no log is
-// attached (followers learn the epoch from the wire, not from here).
-func (ix *Index) ReplicationEpoch() uint64 {
-	if log := ix.rs.Load().wal; log != nil {
-		return log.Epoch()
-	}
-	return 0
-}
-
 // Promote converts a replication follower into a primary under the given
 // (already-bumped) epoch, continuing from seq, the follower's replication
-// position (one below AppliedSeq is refused): the overlay is compacted
+// position (one below Status().Seq is refused): the overlay is compacted
 // down, the clean state written as a checkpoint snapshot to
 // cfg.SnapshotPath, and a fresh write-ahead log opened at cfg.Path with seq
 // as its base and the new epoch in its header, both through cfg.FS. The

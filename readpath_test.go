@@ -42,7 +42,7 @@ func TestReadPathParity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if ds := idx.DeltaStats(); ds.Pending == 0 {
+		if ds := idx.Status(); ds.DeltaPolygons+ds.Tombstones == 0 {
 			t.Fatalf("%v: no overlay to merge: %+v", gk, ds)
 		}
 

@@ -233,12 +233,12 @@ func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 			{"ApplyReplicated", follower, func(r []wal.Record) error { return follower.ApplyReplicated(context.Background(), r) }},
 			{"replay", built, func(r []wal.Record) error { return replay(built, r) }},
 		} {
-			before, epoch := snapshotState(t, ep.ix, pts), ep.ix.Epoch()
+			before, epoch := snapshotState(t, ep.ix, pts), ep.ix.Status().Generation
 			err := ep.apply(bad)
 			if err == nil || !strings.Contains(err.Error(), "record 2") {
 				t.Fatalf("%s/%s: error %v does not name record 2", name, ep.entry, err)
 			}
-			if after := snapshotState(t, ep.ix, pts); !after.equal(before) || ep.ix.Epoch() != epoch || ep.ix.rs.Load().wal != nil {
+			if after := snapshotState(t, ep.ix, pts); !after.equal(before) || ep.ix.Status().Generation != epoch || ep.ix.rs.Load().wal != nil {
 				t.Fatalf("%s/%s: failed batch left a trace:\nbefore: %+v\nafter:  %+v", name, ep.entry, before, after)
 			}
 			if err := ep.apply(good); err != nil {

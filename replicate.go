@@ -34,7 +34,7 @@ var ErrFollower = errors.New("act: index is a replication follower and serves re
 // ApplyReplicated lands the primary's log records in the delta overlay and
 // background compaction folds them into fresh bases, exactly as mutations
 // do on the primary — but refuses client mutations (Insert and Remove
-// report ErrFollower, Mutable reports false) and carries no log of its
+// report ErrFollower, Status().Mutable is false) and carries no log of its
 // own: durability lives with the primary, and a restarted follower simply
 // bootstraps from the primary's current snapshot again.
 //
@@ -49,18 +49,6 @@ func OpenFollower(indexPath string, opts ...Option) (*Index, error) {
 	ix.setRole(follower, applyOptions(opts))
 	return ix, nil
 }
-
-// Follower reports whether the index is a replication follower.
-func (ix *Index) Follower() bool {
-	r := ix.rs.Load().role
-	return r == follower || r == promoting
-}
-
-// AppliedSeq returns the sequence number of the last mutation applied to
-// the index. A loaded file carries none, so a bootstrapped follower reports
-// 0 until a streamed record changes it; its replication position is the
-// follower's own (replica.Status.AppliedSeq), which Promote adopts.
-func (ix *Index) AppliedSeq() uint64 { return ix.live.Load().seq }
 
 // ApplyReplicated applies one batch of primary log records to a follower,
 // by the rules WAL replay decodes them with (see stage): the whole batch

@@ -94,8 +94,8 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fol.Close()
-	if !fol.Follower() || fol.Mutable() {
-		t.Fatalf("follower=%v mutable=%v, want true/false", fol.Follower(), fol.Mutable())
+	if !fol.Status().Follower || fol.Status().Mutable {
+		t.Fatalf("follower=%v mutable=%v, want true/false", fol.Status().Follower, fol.Status().Mutable)
 	}
 	if _, err := fol.Insert(ctx, base[0]); !errors.Is(err, act.ErrFollower) {
 		t.Fatalf("Insert on follower: %v, want ErrFollower", err)
@@ -103,7 +103,7 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 	if err := fol.Remove(ctx, 0); !errors.Is(err, act.ErrFollower) {
 		t.Fatalf("Remove on follower: %v, want ErrFollower", err)
 	}
-	if seq := fol.AppliedSeq(); seq != 0 {
+	if seq := fol.Status().Seq; seq != 0 {
 		t.Fatalf("fresh follower AppliedSeq = %d, want 0", seq)
 	}
 
@@ -115,10 +115,10 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		if got, want := fol.AppliedSeq(), idx.WALStats().Seq; got != want {
+		if got, want := fol.Status().Seq, idx.Status().WAL.Seq; got != want {
 			t.Fatalf("%s: AppliedSeq = %d, want %d", when, got, want)
 		}
-		if got, want := fol.NumPolygons(), idx.NumPolygons(); got != want {
+		if got, want := fol.Status().Live, idx.Status().Live; got != want {
 			t.Fatalf("%s: follower has %d polygons, want %d", when, got, want)
 		}
 		for id, c := range centers {
@@ -134,20 +134,20 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 
 	// Idempotency: re-applying the whole batch, or any prefix of it, is a
 	// pure overlap — state identical, not even an epoch swing.
-	epoch := fol.Epoch()
+	epoch := fol.Status().Generation
 	for _, overlap := range [][]wal.Record{records, records[:3], nil} {
 		if err := fol.ApplyReplicated(ctx, overlap); err != nil {
 			t.Fatalf("overlap apply: %v", err)
 		}
 	}
 	check("after overlaps")
-	if fol.Epoch() != epoch {
-		t.Fatalf("pure overlap swung the epoch: %d -> %d", epoch, fol.Epoch())
+	if fol.Status().Generation != epoch {
+		t.Fatalf("pure overlap swung the epoch: %d -> %d", epoch, fol.Status().Generation)
 	}
 
 	// A hole in the stream (an insert whose id skips ahead) is corruption
 	// and must fail without publishing anything.
-	bad := wal.Record{Type: wal.TypeInsert, Seq: 99, ID: uint32(fol.NumPolygons()) + 7, Data: records[1].Data}
+	bad := wal.Record{Type: wal.TypeInsert, Seq: 99, ID: uint32(fol.Status().Live) + 7, Data: records[1].Data}
 	err = fol.ApplyReplicated(ctx, []wal.Record{bad})
 	if err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("gap insert: %v, want an id-gap error", err)
@@ -194,26 +194,26 @@ func TestPromoteAdoptsSeq(t *testing.T) {
 	if err := fol.ApplyReplicated(ctx, readWALRecords(t, walPath)); err != nil {
 		t.Fatal(err)
 	}
-	if got := fol.AppliedSeq(); got != 2 {
+	if got := fol.Status().Seq; got != 2 {
 		t.Fatalf("AppliedSeq after two inserts = %d, want 2", got)
 	}
 	cfg := act.WALConfig{Path: filepath.Join(dir, "promoted.wal"), SnapshotPath: filepath.Join(dir, "promoted.snapshot")}
 	if err := fol.Promote(ctx, cfg, 1, 1); err == nil || !strings.Contains(err.Error(), "below") {
 		t.Fatalf("promote at seq 1 over an index at 2: %v, want a refusal", err)
 	}
-	if !fol.Follower() {
+	if !fol.Status().Follower {
 		t.Fatal("refused promotion changed the role")
 	}
 	if err := fol.Promote(ctx, cfg, 1, 5); err != nil {
 		t.Fatal(err)
 	}
-	if ws := fol.WALStats(); fol.AppliedSeq() != 5 || ws.BaseSeq != 5 || ws.Seq != 5 {
-		t.Fatalf("promoted at 5: AppliedSeq %d, log base %d seq %d, want 5/5/5", fol.AppliedSeq(), ws.BaseSeq, ws.Seq)
+	if ws := fol.Status().WAL; fol.Status().Seq != 5 || ws.BaseSeq != 5 || ws.Seq != 5 {
+		t.Fatalf("promoted at 5: AppliedSeq %d, log base %d seq %d, want 5/5/5", fol.Status().Seq, ws.BaseSeq, ws.Seq)
 	}
 	if _, err := fol.Insert(ctx, square(12, 12, 0.1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := fol.WALStats().Seq; got != 6 {
+	if got := fol.Status().WAL.Seq; got != 6 {
 		t.Fatalf("first insert after promotion logged seq %d, want 6", got)
 	}
 }
@@ -260,7 +260,7 @@ func TestPromoteKeepsObserver(t *testing.T) {
 	if _, err := fol.Insert(ctx, square(11, 11, 0.1)); err != nil {
 		t.Fatal(err)
 	}
-	if seq := fol.WALStats().Seq; seq != 1 {
+	if seq := fol.Status().WAL.Seq; seq != 1 {
 		t.Fatalf("WAL seq after one insert = %d, want 1", seq)
 	}
 	if appends != 1 || fsyncs == 0 {
@@ -319,9 +319,7 @@ func TestPromoteConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				_, _ = fol.Follower(), fol.Mutable()
-				_, _ = fol.WALStats(), fol.ReplicationEpoch()
-				_, _ = fol.DeltaStats(), fol.AppliedSeq()
+				_ = fol.Status()
 			}
 		}()
 	}
@@ -332,8 +330,8 @@ func TestPromoteConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fol.Mutable() || fol.Follower() || !fol.WALStats().Enabled {
+	if !fol.Status().Mutable || fol.Status().Follower || !fol.Status().WAL.Enabled {
 		t.Fatalf("after Promote: mutable=%v follower=%v wal=%v, want true/false/true",
-			fol.Mutable(), fol.Follower(), fol.WALStats().Enabled)
+			fol.Status().Mutable, fol.Status().Follower, fol.Status().WAL.Enabled)
 	}
 }

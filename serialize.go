@@ -479,8 +479,8 @@ func (ix *Index) writeFlat(w io.Writer, ep *epoch) (int64, error) {
 // ReadIndex loads an index serialized with WriteTo from any stream onto the
 // heap: it reads exactly the bytes the header declares and decodes them as
 // OpenIndex decodes a mapping, verifying the arena checksum besides. Files
-// without a geometry section load in approximate-only mode (HasGeometry
-// reports false and exact joins report ErrNoGeometry).
+// without a geometry section load in approximate-only mode (Status().HasGeometry
+// is false and exact joins report ErrNoGeometry).
 func ReadIndex(r io.Reader) (*Index, error) {
 	img, geom, err := readImage(r)
 	if err != nil {

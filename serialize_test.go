@@ -44,13 +44,13 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 			t.Fatalf("%v: %v", gk, err)
 		}
 		if loaded.PrecisionMeters() != idx.PrecisionMeters() ||
-			loaded.NumPolygons() != idx.NumPolygons() ||
-			loaded.GridName() != idx.GridName() {
+			loaded.Status().Live != idx.Status().Live ||
+			loaded.GridKind().String() != idx.GridKind().String() {
 			t.Fatalf("%v: metadata mismatch", gk)
 		}
-		if loaded.Stats().IndexedCells != idx.Stats().IndexedCells ||
-			loaded.Stats().TrieBytes != idx.Stats().TrieBytes {
-			t.Errorf("%v: stats mismatch: %+v vs %+v", gk, loaded.Stats(), idx.Stats())
+		if loaded.Status().Build.IndexedCells != idx.Status().Build.IndexedCells ||
+			loaded.Status().Build.TrieBytes != idx.Status().Build.TrieBytes {
+			t.Errorf("%v: stats mismatch: %+v vs %+v", gk, loaded.Status().Build, idx.Status().Build)
 		}
 
 		// Lookups (approximate and exact) identical across the round trip.

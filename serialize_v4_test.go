@@ -114,10 +114,10 @@ func TestV4SparseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: reading v4: %v", gk, err)
 		}
-		if loaded.NumPolygons() != idx.NumPolygons() {
-			t.Fatalf("%v: loaded %d polygons, want %d", gk, loaded.NumPolygons(), idx.NumPolygons())
+		if loaded.Status().Live != idx.Status().Live {
+			t.Fatalf("%v: loaded %d polygons, want %d", gk, loaded.Status().Live, idx.Status().Live)
 		}
-		if loaded.Mutable() {
+		if loaded.Status().Mutable {
 			t.Fatalf("%v: deserialized index is mutable", gk)
 		}
 		checkLookupParity(t, gk.String()+"/read", idx, loaded, set, true)
@@ -173,7 +173,7 @@ func TestV4ApproximateOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading sparse no-geom: %v", err)
 	}
-	if loaded.HasGeometry() {
+	if loaded.Status().HasGeometry {
 		t.Fatal("approximate-only file loaded with geometry")
 	}
 	checkLookupParity(t, "nogeom", idx, loaded, set, false)
