@@ -127,11 +127,17 @@ type BuildStats struct {
 	// actually delivered, always ≤ PrecisionMeters. After a compaction it
 	// is an upper bound: the worst polygon may have been removed since.
 	AchievedPrecisionMeters float64
-	// CoverDuration is the time to build all individual coverings
-	// (parallel) — the initial build only, a compaction covers nothing;
-	// MergeDuration the serial sort of the super-covering merge's input;
-	// InsertDuration the merge's forward pass, which hands each merged cell
-	// straight to the trie builder, together with the trie construction.
+	// CoverDuration is the time New takes to project the polygons onto the
+	// grid (parallel); a compaction covers nothing.
+	//
+	// MergeDuration is a compaction's serial sort of the merge's input, the
+	// base cells and delta coverings; New merges nothing apart from the
+	// covering, so it is zero there.
+	//
+	// InsertDuration is the trie's construction together with what feeds
+	// it: in New the one descent that covers every polygon and hands each
+	// merged cell straight to the trie builder, in a compaction the merge's
+	// forward pass over its sorted input.
 	CoverDuration  time.Duration
 	MergeDuration  time.Duration
 	InsertDuration time.Duration
@@ -376,78 +382,62 @@ func each(n int, one func(i int) error) error {
 }
 
 // run executes the full build pipeline over the polygons, whose ids are
-// their indices (all live): parallel per-polygon coverings, the serial
-// super-covering merge streamed into trie construction, and (when the
-// pipeline keeps geometry) the geometry store.
+// their indices (all live): the polygons' projections onto the grid, one
+// descent that covers them all and streams the merged cells into trie
+// construction, and (when the pipeline keeps geometry) the geometry store.
 func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	stats := BuildStats{NumPolygons: len(polygons)}
-	projected := make([]*geom.Polygon, len(polygons))
-	faces := make([]uint8, len(polygons))
-	covs, err := coverAll(len(polygons), &stats, func(i int) (*cover.Covering, error) {
-		cov, face, poly, err := pl.cover(polygons[i])
-		faces[i], projected[i] = uint8(face), poly
-		return cov, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	trie, err := pl.merge(nil, covs, &stats)
-	if err != nil {
-		return nil, err
-	}
-	var store *geostore.Store
-	if pl.hasGeom {
-		store = geostore.NewSparse(projected, faces)
-	}
-	return &epoch{trie: trie, store: store, stats: stats, alive: denseAlive(len(polygons)), live: len(polygons)}, nil
-}
-
-// coverAll is the first phase of a build: the n coverings one computes, on
-// up to GOMAXPROCS goroutines. It records their worst achieved precision and
-// the phase's time in stats.
-func coverAll(n int, stats *BuildStats, one func(i int) (*cover.Covering, error)) ([]*cover.Covering, error) {
 	start := time.Now()
-	covs := make([]*cover.Covering, n)
-	err := each(n, func(i int) (err error) {
-		if covs[i], err = one(i); err != nil {
+	shapes := make([]cover.Shape, len(polygons))
+	err := each(len(polygons), func(i int) error {
+		face, poly, err := grid.ProjectPolygon(pl.grid, polygons[i])
+		if err != nil {
 			return fmt.Errorf("act: covering polygon %d: %w", i, err)
 		}
+		shapes[i] = cover.Shape{Face: face, Poly: poly, ID: uint32(i)}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, cov := range covs {
-		stats.AchievedPrecisionMeters = max(stats.AchievedPrecisionMeters, cov.AchievedPrecisionMeters)
-	}
 	stats.CoverDuration = time.Since(start)
-	return covs, nil
+	trie, err := pl.build(shapes, nil, &stats)
+	if err != nil {
+		return nil, err
+	}
+	var store *geostore.Store
+	if pl.hasGeom {
+		projected := make([]*geom.Polygon, len(shapes))
+		faces := make([]uint8, len(shapes))
+		for i, s := range shapes {
+			projected[i], faces[i] = s.Poly, uint8(s.Face)
+		}
+		store = geostore.NewSparse(projected, faces)
+	}
+	return &epoch{trie: trie, store: store, stats: stats, alive: denseAlive(len(polygons)), live: len(polygons)}, nil
 }
 
-// merge runs the rest of a build over the coverings of the polygons ids
-// names, ascending (polygon i's at covs[i] when ids is nil): the serial sort
-// of the super-covering merge's input, then the merge streamed into trie
-// construction.
-func (pl *pipeline) merge(ids []uint32, covs []*cover.Covering, stats *BuildStats) (*core.Trie, error) {
+// build covers the shapes in one descent of the grid that streams each
+// merged cell straight into the Adaptive Cell Trie builder
+// (cover.Coverer.Descend into core.BuildStream), drawing on the cell budget
+// left when it is not nil, and records the cost and the shape in stats.
+func (pl *pipeline) build(shapes []cover.Shape, left *atomic.Int64, stats *BuildStats) (*core.Trie, error) {
 	start := time.Now()
-	var scb supercover.Builder
-	for i, cov := range covs {
-		id := uint32(i)
-		if ids != nil {
-			id = ids[i]
-		}
-		if err := scb.Add(id, cov); err != nil {
-			return nil, fmt.Errorf("act: merging polygon %d: %w", id, err)
-		}
+	trie, err := core.BuildStream(func(face func(int, cellid.ID, cellid.ID), cell func(cellid.ID, []supercover.Ref) error) (err error) {
+		stats.IndexedCells, stats.AchievedPrecisionMeters, err = pl.coverer.Descend(shapes, left, face, cell)
+		return err
+	}, core.Config{Fanout: pl.fanout})
+	if err != nil {
+		return nil, fmt.Errorf("act: %w", err)
 	}
-	sorted := scb.Sort()
-	stats.MergeDuration = time.Since(start)
-	return pl.trie(sorted, stats)
+	stats.InsertDuration = time.Since(start)
+	stats.TrieNodes, stats.TrieBytes, stats.TableBytes = trie.Size()
+	return trie, nil
 }
 
 // trie runs the merge's forward pass over its sorted input straight into the
 // Adaptive Cell Trie builder and records the cost and the shape in stats —
-// the last phase of the initial build and of every compaction.
+// the last phase of every compaction.
 func (pl *pipeline) trie(sorted *supercover.Sorted, stats *BuildStats) (*core.Trie, error) {
 	start := time.Now()
 	trie, err := core.Build(sorted, core.Config{Fanout: pl.fanout})
@@ -465,8 +455,8 @@ func (pl *pipeline) trie(sorted *supercover.Sorted, stats *BuildStats) (*core.Tr
 const defaultDeltaThreshold = 128
 
 // New builds an index over the polygon set, configured by functional
-// options: it computes polygon coverings with the requested precision,
-// merges them, and loads them into an Adaptive Cell Trie.
+// options: it covers the polygons with the requested precision, merging
+// their coverings as it goes, and loads them into an Adaptive Cell Trie.
 //
 //	idx, err := act.New(polygons,
 //		act.WithPrecision(4),

@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (one per table/figure):
 //
-//	BenchmarkTableIBuild*   – Table I build pipeline (coverings, merge, trie)
+//	BenchmarkTableIBuild*   – Table I build pipeline (projection, covering
+//	                          and merge in one descent, trie)
 //	BenchmarkFig3*          – Fig. 3 single-threaded join throughput,
 //	                          ACT at 60/15/4 m vs the R-tree baseline
 //	BenchmarkFig4Threads*   – Fig. 4 multi-threaded scalability (ACT-4m)
@@ -130,8 +131,11 @@ var benchDatasets = []string{"boroughs", "neighborhoods", "census"}
 
 // --- Table I -------------------------------------------------------------
 
-// benchmarkBuild measures one full index build (coverings + merge + trie)
-// and reports the Table I metrics of the result and the time of each phase.
+// benchmarkBuild measures one full index build (projection, then the descent
+// that covers and merges the polygons streamed into the trie builder) and
+// reports the Table I metrics of the result and the time of each phase:
+// cover-s is the projection, insert-s the descent with the trie, merge-s is
+// zero (only a compaction sorts).
 func benchmarkBuild(b *testing.B, polygons []*act.Polygon, eps float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -163,33 +167,54 @@ func BenchmarkTableIBuild(b *testing.B) {
 }
 
 // BenchmarkBuild is the build pipeline at the repository benchmark's
-// configuration (census blocks, ε = 60 m) and a size that builds in a
-// fraction of a second, for CI's bench-smoke and for profiling a phase.
+// configuration (ε = 60 m): census-600, which builds in a fraction of a
+// second, for CI's bench-smoke and for profiling a phase, and the two maps
+// the repository benchmark builds, census-4000 (join_uniform's setup_s) and
+// neighborhoods. Run it with -cpu 1 to match the benchmark's pinned CPU.
 //
-// It is also the allocation guard of the trie builder: nodes leave the
+// census-600 is also the allocation guard of the build: nodes leave the
 // builder palette-coded, so no build may allocate the dense arena — one
 // 2 KB array per node, 16 MB here — let alone allocate it, grow it and copy
 // it breadth-first as builds used to (99 MB a build then; 51.6 MB with
 // run-compressed nodes, 49.8 MB with a materialized super covering, 16.8 MB
-// now that the merge sorts in place and streams into the trie builder).
+// once the merge sorted in place and streamed into the trie builder, and
+// 5.9 MB now that one descent covers and merges the polygons, with no
+// covering slices and no pair array to sort).
 func BenchmarkBuild(b *testing.B) {
-	set, err := data.CensusBlocks(1, 600)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	benchmarkBuild(b, set.Polygons, 60)
-	runtime.ReadMemStats(&after)
-	if perBuild := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perBuild > buildAllocBudget {
-		b.Fatalf("one build allocates %d bytes, budget %d: is a dense node arena or a materialized super covering back?", perBuild, buildAllocBudget)
+	for _, m := range []struct {
+		name string
+		set  func() (*data.PolygonSet, error)
+	}{
+		{"census-600", func() (*data.PolygonSet, error) { return data.CensusBlocks(1, 600) }},
+		{"census-4000", func() (*data.PolygonSet, error) { return data.CensusBlocks(1, 4000) }},
+		{"neighborhoods", func() (*data.PolygonSet, error) { return data.Neighborhoods(1) }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			set, err := m.set()
+			if err != nil {
+				b.Fatal(err)
+			}
+			// A first build grows the coverer's pooled buffers; the guard
+			// counts what every build after it allocates.
+			if _, err := act.New(set.Polygons, act.WithPrecision(60)); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			benchmarkBuild(b, set.Polygons, 60)
+			runtime.ReadMemStats(&after)
+			perBuild := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
+			if m.name == "census-600" && perBuild > buildAllocBudget {
+				b.Fatalf("one build allocates %d bytes, budget %d: is a dense node arena, a materialized super covering or a pair array back?", perBuild, buildAllocBudget)
+			}
+		})
 	}
 }
 
-// buildAllocBudget bounds the bytes one BenchmarkBuild build may allocate:
-// a third above the 16.8 MB measured, well below the 49.8 MB of a build
-// that materializes the super covering.
-const buildAllocBudget = 22_400_000
+// buildAllocBudget bounds the bytes one census-600 build may allocate: a
+// third above the 5.9 MB measured, well below the 16.8 MB of a build that
+// sorts a pair array.
+const buildAllocBudget = 7_900_000
 
 // --- Figure 3 ------------------------------------------------------------
 

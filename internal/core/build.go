@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/actindex/act/internal/cellid"
@@ -24,6 +25,16 @@ type Source interface {
 	NumRefs() int
 }
 
+// Stream is a prefix-free super covering produced as the trie builder takes
+// it: a Stream calls face once per face it reaches, in face order, before
+// that face's first cell, with two cells that fix the face's root skip (as
+// Source.Faces does), and cell for each cell in ascending id order with its
+// references, which cell must not modify or keep. It stops at cell's first
+// error and returns it. cover.Coverer.Descend is one: it covers a polygon
+// set in one descent of the grid and hands each merged cell over as soon as
+// no polygon needs it split.
+type Stream func(face func(face int, first, last cellid.ID), cell func(cell cellid.ID, refs []supercover.Ref) error) error
+
 // Build constructs a trie from a prefix-free super covering, whose cells
 // arrive in ascending id order — for disjoint cells, the order of their key
 // paths. A node is therefore complete the moment a cell's path leaves its
@@ -34,12 +45,24 @@ type Source interface {
 // the hot top levels of every walk occupy a compact arena prefix. No dense
 // node outlives its own construction.
 //
-// The covering is usually a merge's sorted input (supercover.Sorted), whose
-// forward pass hands each cell to the builder as it is produced, so the
-// super covering is never materialized; a materialized SuperCovering builds
-// the same trie.
+// The covering is a set of cells merged into one: the base cells and delta
+// coverings of a compaction, or a delta overlay's coverings, sorted
+// (supercover.Sorted, whose forward pass hands each cell to the builder as
+// it is produced), or a materialized SuperCovering, which builds the same
+// trie. A polygon set's covering needs no merge: BuildStream takes it from
+// the descent that covers it.
 func Build(src Source, cfg Config) (*Trie, error) {
-	t, err := build(src, cfg)
+	return laidOut(build(src, cfg))
+}
+
+// BuildStream is Build over a covering produced as it is taken. No count of
+// its references is known in advance, so the arena grows by doubling.
+func BuildStream(s Stream, cfg Config) (*Trie, error) {
+	return laidOut(buildFrom(s, 0, cfg))
+}
+
+// laidOut lays out a trie a build left in completion order.
+func laidOut(t *Trie, err error) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -47,17 +70,24 @@ func Build(src Source, cfg Config) (*Trie, error) {
 	return t, nil
 }
 
-// build runs the insertion pipeline, leaving nodes in completion order
-// (children before parents).
+// build runs the insertion pipeline over src, leaving nodes in completion
+// order (children before parents).
 func build(src Source, cfg Config) (*Trie, error) {
+	return buildFrom(func(face func(int, cellid.ID, cellid.ID), cell func(cellid.ID, []supercover.Ref) error) error {
+		src.Faces(face)
+		return src.Cells(cell)
+	}, src.NumRefs(), cfg)
+}
+
+// buildFrom is build over a stream whose references number about refs.
+func buildFrom(s Stream, refs int, cfg Config) (*Trie, error) {
 	// A quarter word a reference covers the census map's 0.21 at ε = 60 m;
 	// the arena doubles at finer ε, where nodes fill up.
-	b, err := newBuilder(cfg, src.NumRefs()/4)
+	b, err := newBuilder(cfg, refs/4)
 	if err != nil {
 		return nil, err
 	}
-	src.Faces(b.t.setRootSkip)
-	if err := src.Cells(b.add); err != nil {
+	if err := s(b.t.setRootSkip, b.add); err != nil {
 		return nil, err
 	}
 	b.closeFace()
@@ -104,11 +134,13 @@ type builder struct {
 
 	// open[d] is the scratch of the node under construction at depth d and
 	// via[d] the slot of open[d] that open[d+1] hangs from; depth is the
-	// deepest open node, -1 while no face is open.
+	// deepest open node, -1 while no face is open. key is the last cell's
+	// key, below the face's root skip: via[d] is its chunk d.
 	open  [][]uint64
 	via   []uint64
 	depth int
 	face  int
+	key   uint64
 	// last is the largest leaf id any added cell covers; an arriving cell
 	// reaching back to it overlaps an earlier one or is out of order.
 	last cellid.ID
@@ -181,11 +213,12 @@ func (b *builder) add(cell cellid.ID, refs []supercover.Ref) error {
 		b.face = face
 		b.openNode(0)
 	} else {
-		for d < b.depth && d < depth && key<<(uint(d)*t.bits)>>(64-t.bits) == b.via[d] {
-			d++
-		}
+		// The open nodes the path shares are the whole chunks its key
+		// shares with the last cell's.
+		d = min(bits.LeadingZeros64(key^b.key)/int(t.bits), b.depth, depth)
 		b.closeTo(d)
 	}
+	b.key = key
 	for ; d < depth; d++ {
 		b.via[d] = key << (uint(d) * t.bits) >> (64 - t.bits)
 		b.openNode(d + 1)

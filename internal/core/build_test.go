@@ -7,6 +7,8 @@ import (
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/cover"
+	"github.com/actindex/act/internal/geom"
+	"github.com/actindex/act/internal/grid"
 	"github.com/actindex/act/internal/supercover"
 )
 
@@ -88,6 +90,64 @@ func TestBuildFromStreamMatchesMaterialized(t *testing.T) {
 			}
 			if !bytes.Equal(flatSection(t, gf), flatSection(t, wf)) {
 				t.Fatalf("%s fanout %d: streamed and materialized sections differ", name, fanout)
+			}
+		}
+	}
+}
+
+// TestBuildStreamSingleCellFace: a face whose merged covering is one cell
+// gets its root skip from that cell's level (setRootSkip keeps a chunk of
+// its path below the skip), where a face of two or more cells gets it from
+// their common ancestor — the two differ once the cell's level is a multiple
+// of 4. So a descent cannot take the skip from start cells alone: it must
+// know whether the face's polygons stop at the face's first cell. One tiny
+// polygon around the center of a cell at levels 4, 8 and 12, at an ε its
+// start cell fits, is such a face; the trie the descent streams must be the
+// one the merge of its covering builds, at every fanout.
+func TestBuildStreamSingleCellFace(t *testing.T) {
+	g := grid.NewPlanar()
+	for _, level := range []int{4, 8, 12} {
+		start := cellid.FromFaceIJ(0, 0x2a5a5a5a, 0x15a5a5a5).Parent(level)
+		c := grid.CellRect(start).Center()
+		const d = 1e-9
+		poly := &geom.Polygon{Outer: geom.Ring{{X: c.X - d, Y: c.Y - d}, {X: c.X + d, Y: c.Y - d}, {X: c.X, Y: c.Y + d}}}
+		// Every cell of the level fits an ε a fifth above the start
+		// cell's diagonal; its children's diagonals are half of it.
+		coverer, err := cover.NewCoverer(g, 1.2*grid.CellDiagonalMeters(g, start))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cov, err := coverer.CoverProjected(0, poly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cov.Boundary) != 1 || cov.Boundary[0] != start || len(cov.Interior) != 0 {
+			t.Fatalf("level %d: covering %v %v, want the start cell %v alone", level, cov.Boundary, cov.Interior, start)
+		}
+		for _, fanout := range fanouts {
+			cfg := Config{Fanout: fanout}
+			var b supercover.Builder
+			if err := b.Add(7, cov); err != nil {
+				t.Fatal(err)
+			}
+			want, err := Build(b.Build(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BuildStream(func(face func(int, cellid.ID, cellid.ID), cell func(cellid.ID, []supercover.Ref) error) error {
+				_, _, err := coverer.Descend([]cover.Shape{{Face: 0, Poly: poly, ID: 7}}, nil, face, cell)
+				return err
+			}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gf, wf := got.Flat(), want.Flat()
+			if gf.Roots != wf.Roots || gf.Skips != wf.Skips || gf.Prefixes != wf.Prefixes {
+				t.Fatalf("level %d fanout %d: descent's roots/skips/prefixes %v %v %v, merge's %v %v %v",
+					level, fanout, gf.Roots, gf.Skips, gf.Prefixes, wf.Roots, wf.Skips, wf.Prefixes)
+			}
+			if !bytes.Equal(flatSection(t, gf), flatSection(t, wf)) {
+				t.Fatalf("level %d fanout %d: descent's and merge's sections differ", level, fanout)
 			}
 		}
 	}

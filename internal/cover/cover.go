@@ -14,6 +14,10 @@
 //
 // Together the two sets cover the polygon completely, so the approximate
 // join has no false negatives.
+//
+// Coverer.Descend covers a whole polygon set in one descent of the grid and
+// merges the coverings into the set's super covering as it goes; Cover is
+// the same descent over one polygon (see descent.go).
 package cover
 
 import (
@@ -63,8 +67,8 @@ type Coverer struct {
 // within the level cap.
 var ErrPrecision = errors.New("cover: requested precision not achievable")
 
-// ErrTooManyCells is returned by CoverWithin when the coverings drawing on
-// one count of cells would hold more than it allows.
+// ErrTooManyCells is returned by CoverWithin and Descend when the coverings
+// drawing on one count of cells would hold more than it allows.
 var ErrTooManyCells = errors.New("cover: coverings exceed their cell budget")
 
 // NewCoverer returns a coverer for the given grid and precision bound in
@@ -105,9 +109,9 @@ func (c *Coverer) CoverProjected(face int, poly *geom.Polygon) (*Covering, error
 // cost no more than the budget, however many goroutines cover at once. A
 // nil left is no budget.
 func (c *Coverer) CoverWithin(face int, poly *geom.Polygon, left *atomic.Int64) (*Covering, error) {
-	// The fast path (hierarchical edge filtering) produces output
-	// identical to coverExhaustive at a fraction of the cost on complex
-	// polygons; coverExhaustive remains as the reference implementation.
+	// The descent (hierarchical edge filtering) produces output identical
+	// to coverExhaustive at a fraction of the cost on complex polygons;
+	// coverExhaustive remains as the reference implementation.
 	return c.coverFast(c.startCell(face, poly), poly, left)
 }
 

@@ -11,11 +11,17 @@
 //
 // Prefix-freeness is what lets a lookup return at most one cell.
 //
-// The merge has two phases: Builder.Sort puts the input (cell, reference)
-// pairs in interval order, and Sorted.Cells makes one forward pass over them
-// that hands out each merged cell as it is produced — to the trie builder,
-// which never needs the whole super covering, or to Builder.Build, which
-// materializes it.
+// A polygon set needs no merge of its own: the coverer's descent
+// (cover.Coverer.Descend) covers all its polygons at once and hands out the
+// super covering already merged, which is how an index is built. This
+// package merges what comes as cells rather than polygons — a compaction's
+// base cells with the delta coverings, a delta overlay's coverings — and
+// its Builder.Add/Build, over per-polygon coverings, is the descent's test
+// oracle. The merge has two phases: Builder.Sort puts the input (cell,
+// reference) pairs in interval order, and Sorted.Cells makes one forward
+// pass over them that hands out each merged cell as it is produced — to the
+// trie builder, which never needs the whole super covering, or to
+// Builder.Build, which materializes it.
 package supercover
 
 import (
@@ -35,13 +41,9 @@ import (
 const MaxPolygonID = 1<<30 - 1
 
 // Ref is a polygon reference attached to a cell: the polygon id plus the
-// interior flag distinguishing true hits from candidate hits.
-type Ref struct {
-	PolygonID uint32
-	// Interior is true when the cell lies entirely inside the polygon, so
-	// a point matching the cell is a true hit for this polygon.
-	Interior bool
-}
+// interior flag distinguishing true hits from candidate hits. It is the
+// coverer's own, whose descent (cover.Coverer.Descend) merges as it covers.
+type Ref = cover.Ref
 
 // SuperCovering is the merged covering of a polygon set: a sorted,
 // prefix-free sequence of cells, each carrying one or more polygon

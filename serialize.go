@@ -637,9 +637,9 @@ func readGeometry(h *flatHeader, g grid.Grid, ids []uint32, sec []byte) (*geosto
 }
 
 // rebuildTrie assembles an Index from a v7–v12 file, whose trie the decoder
-// skips: it builds the trie New would from the geometry section — each live
-// polygon re-covered under its id, the coverings merged and streamed into
-// the trie builder — onto the heap. The stats keep the header's cell count
+// skips: it builds the trie New would from the geometry section — the live
+// polygons re-covered under their ids in the one descent that merges their
+// coverings and streams them into the trie builder — onto the heap. The stats keep the header's cell count
 // and achieved precision, as a compaction does, so the file written back is
 // the one the index that wrote this one would write.
 //
@@ -658,22 +658,21 @@ func rebuildTrie(h *flatHeader, ids []uint32, sec []byte) (*Index, error) {
 	budget := rebuildCellsPerWord * int64(h.fanout) * int64((h.tableOff-h.arenaOff)/8+h.tableLen)
 	var left atomic.Int64
 	left.Store(budget)
-	var built BuildStats
-	covs, err := coverAll(int(h.numPolys), &built, func(i int) (*cover.Covering, error) {
+	shapes := make([]cover.Shape, h.numPolys)
+	for i := range shapes {
 		id := uint32(i)
 		if ids != nil {
 			id = ids[i]
 		}
 		face, _ := ep.store.Face(id)
-		return pl.coverer.CoverWithin(face, ep.store.Polygon(id), &left)
-	})
+		shapes[i] = cover.Shape{Face: face, Poly: ep.store.Polygon(id), ID: id}
+	}
+	var built BuildStats
+	ep.trie, err = pl.build(shapes, &left, &built)
 	if errors.Is(err, cover.ErrTooManyCells) {
 		return nil, fmt.Errorf("act: index version %d: its polygons re-covered at %g m take more than the %d cells a trie of its size holds: rebuild from polygons", h.version, h.precision, budget)
 	}
 	if err != nil {
-		return nil, err
-	}
-	if ep.trie, err = pl.merge(ids, covs, &built); err != nil {
 		return nil, err
 	}
 	ep.stats.TrieNodes, ep.stats.TrieBytes, ep.stats.TableBytes = ep.trie.Size()
