@@ -158,13 +158,25 @@ type epoch struct {
 	ov    *delta.Overlay  // nil when no mutations are pending
 	stats BuildStats
 	// alive marks the live polygon ids; len(alive) is the id space (ids are
-	// never reused, so removed ids stay as false slots). live counts the
-	// true slots, seq is the last mutation applied, compactions counts the
-	// compactions over the index's lifetime.
+	// never reused, so removed ids stay as false slots, and alive is the one
+	// record of every removal). live counts the true slots, removed the
+	// removals since the base trie was built, seq is the last mutation
+	// applied, compactions counts the compactions over the index's lifetime.
 	alive       []bool
 	live        int
+	removed     int
 	seq         uint64
 	compactions uint64
+}
+
+// liveFilter returns the live-id set the overlay filters references
+// through: nil while nothing was removed since the base, when neither the
+// base trie nor the overlay references a removed id.
+func (ep *epoch) liveFilter() []bool {
+	if ep.removed == 0 {
+		return nil
+	}
+	return ep.alive
 }
 
 // idColumn returns the id column a file of ep carries: none while the id
@@ -327,17 +339,14 @@ func newPipeline(kind GridKind, precision float64, fanout int, hasGeom bool) (pi
 
 // cover projects one polygon onto the grid, once, and computes its covering
 // with the pipeline's configuration. It also returns the face the polygon
-// was projected onto and, when the pipeline keeps geometry, the projection,
-// which is the polygon's exact geometry; otherwise the geometry is nil.
+// was projected onto and the projection, which is the polygon's exact
+// geometry.
 func (pl *pipeline) cover(p *geo.Polygon) (*cover.Covering, int, *geom.Polygon, error) {
 	face, poly, err := grid.ProjectPolygon(pl.grid, p)
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	cov, err := pl.coverer.CoverProjected(face, poly)
-	if !pl.hasGeom {
-		poly = nil
-	}
 	return cov, face, poly, err
 }
 
@@ -525,7 +534,7 @@ func (ix *Index) Lookup(ll LatLng, mode JoinMode, res *Result) (bool, error) {
 		return hit, nil
 	}
 	_, pt := ix.pl.grid.Project(ll)
-	res.True = ep.ov.Resolve(ep.store, pt, res.Candidates, res.True)
+	res.True = ep.store.Resolve(pt, res.Candidates, res.True)
 	res.Candidates = res.Candidates[:0]
 	return len(res.True) > 0, nil
 }

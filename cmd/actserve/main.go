@@ -39,11 +39,11 @@
 //
 // POST /polygons (a GeoJSON FeatureCollection, Feature, or geometry body)
 // and DELETE /polygons/{id} mutate the live index in place: inserts are
-// covered and served from a delta layer immediately, removes tombstone the
-// id, and a background compaction folds the delta into a fresh base trie
-// without blocking a single lookup — polygon churn without the full
-// rebuild of /reload. Both endpoints honour -reload-token. /stats reports
-// the mutation layer (livePolygons, deltaPolygons, tombstones,
+// covered and served from a delta layer immediately, removes drop the id
+// from the live set, and a background compaction folds the delta into a
+// fresh base trie without blocking a single lookup — polygon churn without
+// the full rebuild of /reload. Both endpoints honour -reload-token. /stats
+// reports the mutation layer (livePolygons, deltaPolygons, tombstones,
 // compactions). Indexes started from -index files are immutable (409);
 // start from -polygons (or -wal) to serve mutations.
 //

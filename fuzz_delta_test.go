@@ -42,6 +42,8 @@ func fuzzProbes() []LatLng {
 // and 8) and exact refinements equal a from-scratch rebuild over the
 // surviving polygon set. Invalid operations (removing an unknown id,
 // inserting with an exhausted pool) must fail cleanly, never corrupt state.
+// After every operation Status must add up: base count plus delta polygons
+// minus tombstones is the live count.
 func FuzzDeltaMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01})                         // two inserts
@@ -49,6 +51,7 @@ func FuzzDeltaMerge(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x80, 0x01, 0x42, 0x80}) // mixed with compactions
 	f.Add([]byte{0x41, 0x41, 0x7F})                   // double remove, bogus remove
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x80, 0x40, 0x43, 0x80, 0x00})
+	f.Add([]byte{0x00, 0x42}) // insert, then remove it before any compaction
 
 	pool := fuzzPool()
 	probes := fuzzProbes()
@@ -89,6 +92,10 @@ func FuzzDeltaMerge(f *testing.F) {
 				if err := idx.Compact(ctx); err != nil {
 					t.Fatalf("compact: %v", err)
 				}
+			}
+			if st := idx.Status(); st.Build.NumPolygons+st.DeltaPolygons-st.Tombstones != st.Live {
+				t.Fatalf("after op %#x: %d base + %d delta - %d tombstones != %d live",
+					op, st.Build.NumPolygons, st.DeltaPolygons, st.Tombstones, st.Live)
 			}
 		}
 		if idx.Status().Live != len(live) {

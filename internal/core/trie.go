@@ -339,8 +339,7 @@ func (r *Result) Equal(o *Result) bool {
 
 // Filter removes, in place and preserving order, every reference (in both
 // hit classes) for which drop returns true. It allocates nothing; the delta
-// overlay uses it to strip tombstoned polygon ids from base-trie results
-// before delta hits are appended.
+// overlay uses it to strip removed polygon ids from merged results.
 func (r *Result) Filter(drop func(id uint32) bool) {
 	r.True = filterIDs(r.True, drop)
 	r.Candidates = filterIDs(r.Candidates, drop)

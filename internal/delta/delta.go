@@ -1,17 +1,22 @@
 // Package delta implements the mutable layer of a live ACT index: an
-// LSM-style overlay holding the cell coverings of recently inserted
-// polygons and a tombstone set of removed polygon ids, merged into every
-// lookup on top of an immutable base trie.
+// overlay trie over the cell coverings of the polygons inserted since the
+// base trie was built, merged into every lookup on top of that immutable
+// base.
 //
-// The design mirrors a log-structured merge tree collapsed to two levels.
+// The design follows a log-structured merge tree collapsed to two levels
+// (O'Neil et al., "The Log-Structured Merge-Tree", Acta Informatica 1996).
 // The base trie is the big immutable run: rebuilt only by compaction, it
 // serves the overwhelming majority of references. The overlay is the
-// memtable: a handful of polygons whose coverings live in their own small
-// trie (built with the same supercover merge and core.Build pipeline as the
+// memtable: the coverings of every insert since the base in their own small
+// trie, built with the same supercover merge and core.Build pipeline as the
 // base, so the true-hit/candidate split is decided by exactly the same
-// rules), plus tombstones filtering removed ids out of base results.
+// rules. Unlike an LSM tree it keeps no tombstones: ids are never reused, so
+// the index's live-id set records every removal, and the overlay filters
+// base and delta references through it. A removed delta polygon stays in
+// the trie until compaction; a removal never rebuilds the trie. Geometry
+// lives in the index's store, not here.
 //
-// An Overlay is an immutable snapshot: mutations return a new Overlay and
+// An Overlay is an immutable snapshot: derivations return a new Overlay and
 // never modify the receiver, so a reader that picked up an overlay pointer
 // can keep using it without synchronization while writers publish
 // successors. All lookup-side methods are nil-receiver-safe — a nil
@@ -24,8 +29,8 @@
 // only within a polygon), so the reference set a leaf cell matches in a
 // full rebuild is exactly the union of the per-polygon matches. Splitting
 // the polygons between a base trie and a delta trie therefore preserves
-// results as long as removed ids are filtered from the base — which is what
-// Merge does. Delta references are appended after base references; since
+// results as long as removed ids are filtered out — which is what Merge
+// does. Delta references are appended after base references; since
 // inserted ids are strictly larger than every base id, per-class id order
 // stays ascending, matching what a rebuild would emit.
 package delta
@@ -37,11 +42,10 @@ import (
 	"github.com/actindex/act/internal/core"
 	"github.com/actindex/act/internal/cover"
 	"github.com/actindex/act/internal/geom"
-	"github.com/actindex/act/internal/geostore"
 	"github.com/actindex/act/internal/supercover"
 )
 
-// Poly is one polygon living in the delta layer.
+// Poly is one polygon inserted into the delta layer.
 type Poly struct {
 	// ID is the polygon's index-wide id (assigned at insert, never reused).
 	ID uint32
@@ -49,59 +53,52 @@ type Poly struct {
 	// coverer so true hits and candidates follow the same precision bound
 	// as the base.
 	Cov *cover.Covering
-	// Face is the grid face the polygon was projected onto.
-	Face int
-	// Geom is the grid-projected geometry for exact refinement; nil on
-	// indexes built without a geometry store.
+	// Geom is ignored: the index's geometry store holds every polygon's
+	// geometry.
+	//
+	// Deprecated: the overlay keeps no geometry; only callers outside the
+	// index still set it.
 	Geom *geom.Polygon
 	// Seq is the mutation sequence number of the insert. Compaction uses
-	// it to split the overlay into the part baked into the new base and
-	// the residual applied on top.
+	// it to split the inserts into those baked into the new base and the
+	// residual applied on top.
 	Seq uint64
 }
 
-// Overlay is an immutable snapshot of the delta layer. New builds one;
-// WithInsert and Rebase derive a successor without touching the receiver;
-// lookup methods never write to it and are safe for concurrent use. The nil
-// *Overlay is the empty overlay.
+// Overlay is an immutable snapshot of the delta layer, safe for concurrent
+// use. New builds one; WithInsert and WithAlive derive a successor without
+// touching the receiver. The nil *Overlay is the empty overlay.
 type Overlay struct {
-	fanout int
-	// polys holds the live delta polygons in insertion (= ascending id)
-	// order; trie indexes their coverings (nil when polys is empty).
+	// polys holds every insert since the base, removed ones included, in
+	// insertion (= ascending id) order; trie indexes their coverings (nil
+	// when polys is empty).
 	polys []Poly
 	trie  *core.Trie
-	// tombs maps every removed id — base or delta — to the sequence number
-	// of its removal. A removed delta polygon is also absent from polys; the
-	// tombstone still matters after a compaction that baked the polygon
-	// into the new base before observing the removal.
-	tombs map[uint32]uint64
-	// geoms indexes the live delta polygons' geometry by id for exact
-	// refinement; nil entries mean the index carries no geometry.
-	geoms map[uint32]*geom.Polygon
+	// alive is the index's live-id set that every merged reference is
+	// filtered through; nil when nothing the base or polys references has
+	// been removed.
+	alive []bool
 }
 
-// New assembles an overlay snapshot from delta polygons and tombstones,
-// constructing the delta trie over the polygons' coverings once — the index
-// stages every batch of mutations (one Insert, one Remove, a replayed or
-// replicated run of records) on copies and builds its overlay here; a
-// rebuild per record of a batch would be quadratic. polys must be in
-// insertion (ascending id) order and must not contain polygons whose id is
-// tombstoned: a removed delta polygon leaves only its tombstone. Both
-// arguments are retained, not copied. Returns nil for the empty overlay, so
-// callers' nil fast paths stay accurate.
-func New(fanout int, polys []Poly, tombs map[uint32]uint64) (*Overlay, error) {
-	if len(polys) == 0 && len(tombs) == 0 {
+// New assembles an overlay snapshot over polys, constructing the delta trie
+// over their coverings once — the index stages every batch of mutations
+// (one Insert, a replayed or replicated run of records) and builds its
+// overlay here; a rebuild per record of a batch would be quadratic. polys
+// must be in insertion (ascending id) order; alive must cover every id the
+// base or polys references, or be nil when none of them has been removed.
+// Both slices are retained, not copied. Returns nil for the empty overlay,
+// so callers' nil fast paths stay accurate.
+func New(fanout int, polys []Poly, alive []bool) (*Overlay, error) {
+	if len(polys) == 0 && alive == nil {
 		return nil, nil
 	}
-	o := &Overlay{fanout: fanout, polys: polys, tombs: tombs}
+	o := &Overlay{polys: polys, alive: alive}
 	if len(polys) > 0 {
 		var scb supercover.Builder
-		o.geoms = make(map[uint32]*geom.Polygon, len(polys))
 		for _, p := range polys {
 			if err := scb.Add(p.ID, p.Cov); err != nil {
 				return nil, fmt.Errorf("delta: polygon %d: %w", p.ID, err)
 			}
-			o.geoms[p.ID] = p.Geom
 		}
 		trie, err := core.Build(scb.Sort(), core.Config{Fanout: fanout})
 		if err != nil {
@@ -112,49 +109,33 @@ func New(fanout int, polys []Poly, tombs map[uint32]uint64) (*Overlay, error) {
 	return o, nil
 }
 
-// WithInsert returns a new overlay with p added to the delta layer. The
-// receiver may be nil (inserting into a clean index); fanout then sizes
-// the new delta trie's nodes and must match the base trie's fanout.
+// WithInsert returns a new overlay with p added to the delta layer, keeping
+// the receiver's live-id set. The receiver may be nil (inserting into a
+// clean index); fanout sizes the new delta trie's nodes and must match the
+// base trie's fanout.
 func (o *Overlay) WithInsert(fanout int, p Poly) (*Overlay, error) {
-	var polys []Poly
-	tombs := map[uint32]uint64(nil)
-	if o != nil {
-		fanout = o.fanout
-		polys = append(polys, o.polys...)
-		tombs = o.tombs
-	}
-	polys = append(polys, p)
-	return New(fanout, polys, tombs)
-}
-
-// Rebase returns the residual overlay after a compaction that snapshotted
-// the index at sequence snapSeq: every insert and tombstone with Seq ≤
-// snapSeq is baked into (respectively, excluded from) the new base and is
-// dropped; mutations that landed while the compactor ran survive. Returns
-// nil when nothing remains — the common case of a quiescent compaction.
-func (o *Overlay) Rebase(snapSeq uint64) (*Overlay, error) {
 	if o == nil {
-		return nil, nil
+		return New(fanout, []Poly{p}, nil)
 	}
-	var polys []Poly
-	for _, p := range o.polys {
-		if p.Seq > snapSeq {
-			polys = append(polys, p)
-		}
-	}
-	var tombs map[uint32]uint64
-	for id, seq := range o.tombs {
-		if seq > snapSeq {
-			if tombs == nil {
-				tombs = make(map[uint32]uint64)
-			}
-			tombs[id] = seq
-		}
-	}
-	return New(o.fanout, polys, tombs)
+	return New(fanout, append(o.polys[:len(o.polys):len(o.polys)], p), o.alive)
 }
 
-// NumPolygons returns the number of polygons served from the delta layer.
+// WithAlive returns an overlay over the receiver's polygons that filters
+// through alive instead, sharing the receiver's trie: a batch of removals
+// publishes a new live-id set without rebuilding anything. Safe on a nil
+// receiver.
+func (o *Overlay) WithAlive(alive []bool) *Overlay {
+	if o == nil {
+		if alive == nil {
+			return nil
+		}
+		return &Overlay{alive: alive}
+	}
+	return &Overlay{polys: o.polys, trie: o.trie, alive: alive}
+}
+
+// NumPolygons returns the number of polygons inserted since the base,
+// removed ones included.
 func (o *Overlay) NumPolygons() int {
 	if o == nil {
 		return 0
@@ -162,103 +143,9 @@ func (o *Overlay) NumPolygons() int {
 	return len(o.polys)
 }
 
-// NumTombstones returns the number of removals pending compaction.
-func (o *Overlay) NumTombstones() int {
-	if o == nil {
-		return 0
-	}
-	return len(o.tombs)
-}
-
-// Pending returns the total pending-mutation count — the quantity measured
-// against the compaction threshold.
-func (o *Overlay) Pending() int { return o.NumPolygons() + o.NumTombstones() }
-
-// Tombstoned reports whether id has been removed.
-func (o *Overlay) Tombstoned(id uint32) bool {
-	if o == nil {
-		return false
-	}
-	_, ok := o.tombs[id]
-	return ok
-}
-
-// HasPolygon reports whether id is currently served from the delta layer.
-func (o *Overlay) HasPolygon(id uint32) bool {
-	if o == nil {
-		return false
-	}
-	_, ok := o.geoms[id]
-	return ok
-}
-
-// Merge folds the delta layer into a base-trie lookup result for leaf:
-// tombstoned ids are filtered out of res, then the delta trie's references
-// for leaf are appended (true hits and candidates routed by the same
-// payload class bit as the base). It reports whether res holds any
-// reference afterwards — the merged hit/miss verdict, which can differ from
-// the base's in both directions. Safe on a nil receiver.
-func (o *Overlay) Merge(leaf cellid.ID, res *core.Result) bool {
-	if o == nil {
-		return res.Total() > 0
-	}
-	if len(o.tombs) > 0 {
-		res.Filter(o.Tombstoned)
-	}
-	if o.trie != nil {
-		o.trie.Lookup(leaf, res)
-	}
-	return res.Total() > 0
-}
-
-// MergeRefs is Merge for the class-carrying AppendRefs path: the base's
-// freshly appended dst[from:] suffix is tombstone-filtered and the delta
-// references for leaf are appended with their own class bits.
-func (o *Overlay) MergeRefs(leaf cellid.ID, dst []core.Match, from int) []core.Match {
-	if o == nil {
-		return dst
-	}
-	if len(o.tombs) > 0 {
-		kept := dst[:from]
-		for _, m := range dst[from:] {
-			if !o.Tombstoned(m.ID) {
-				kept = append(kept, m)
-			}
-		}
-		dst = kept
-	}
-	if o.trie != nil {
-		dst = o.trie.AppendRefs(leaf, dst)
-	}
-	return dst
-}
-
-// Resolve refines a merged candidate list the way geostore.Store.Resolve
-// does, but routing each id to the geometry that owns it: delta ids test
-// against the overlay's geometry, everything else against the base store.
-// Candidates are expected to be tombstone-filtered already (Merge ran);
-// a tombstoned id that slips through resolves against nothing and drops.
-// Safe on a nil receiver, where it degenerates to the base store.
-func (o *Overlay) Resolve(base *geostore.Store, pt geom.Point, candidates, dst []uint32) []uint32 {
-	if o == nil {
-		return base.Resolve(pt, candidates, dst)
-	}
-	for _, id := range candidates {
-		if g, ok := o.geoms[id]; ok {
-			if g != nil && g.ContainsPointExact(pt) {
-				dst = append(dst, id)
-			}
-			continue
-		}
-		if !o.Tombstoned(id) && base.Contains(id, pt) {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
-// Polys returns the live delta polygons in insertion order. The slice
-// aliases internal storage and must not be modified.
+// Polys returns the polygons inserted since the base, removed ones
+// included, in insertion order. The slice aliases internal storage and must
+// not be modified.
 func (o *Overlay) Polys() []Poly {
 	if o == nil {
 		return nil
@@ -266,13 +153,47 @@ func (o *Overlay) Polys() []Poly {
 	return o.polys
 }
 
-// Tombstones returns the overlay's removed-id map, keyed to each removal's
-// sequence number. The map is internal storage shared with the overlay —
-// callers must not modify it; copy before merging (the replication batch
-// path does).
-func (o *Overlay) Tombstones() map[uint32]uint64 {
+// removed reports whether id is not in the live-id set.
+func (o *Overlay) removed(id uint32) bool { return !o.alive[id] }
+
+// Merge folds the delta layer into a base-trie lookup result for leaf: the
+// delta trie's references for leaf are appended (true hits and candidates
+// routed by the same payload class bit as the base), then removed ids are
+// filtered out of the whole result. It reports whether res holds any
+// reference afterwards — the merged hit/miss verdict, which can differ from
+// the base's in both directions. Safe on a nil receiver.
+func (o *Overlay) Merge(leaf cellid.ID, res *core.Result) bool {
 	if o == nil {
-		return nil
+		return res.Total() > 0
 	}
-	return o.tombs
+	if o.trie != nil {
+		o.trie.Lookup(leaf, res)
+	}
+	if o.alive != nil {
+		res.Filter(o.removed)
+	}
+	return res.Total() > 0
+}
+
+// MergeRefs is Merge for the class-carrying AppendRefs path: the delta
+// references for leaf are appended to dst with their own class bits, and
+// removed ids are filtered out of everything from dst[from:] on, the base's
+// freshly appended suffix included.
+func (o *Overlay) MergeRefs(leaf cellid.ID, dst []core.Match, from int) []core.Match {
+	if o == nil {
+		return dst
+	}
+	if o.trie != nil {
+		dst = o.trie.AppendRefs(leaf, dst)
+	}
+	if o.alive != nil {
+		kept := dst[:from]
+		for _, m := range dst[from:] {
+			if o.alive[m.ID] {
+				kept = append(kept, m)
+			}
+		}
+		dst = kept
+	}
+	return dst
 }

@@ -1,8 +1,8 @@
 package delta
 
 // Overlay-level unit tests on real coverings: snapshot immutability, the
-// tombstone/trie split of a removed delta polygon, Rebase residuals, and the merge
-// helpers' suffix discipline.
+// live-id filtering of a removed delta polygon over a shared trie, and the
+// merge helpers' suffix discipline.
 
 import (
 	"testing"
@@ -11,8 +11,6 @@ import (
 	"github.com/actindex/act/internal/core"
 	"github.com/actindex/act/internal/cover"
 	"github.com/actindex/act/internal/geo"
-	"github.com/actindex/act/internal/geom"
-	"github.com/actindex/act/internal/geostore"
 	"github.com/actindex/act/internal/grid"
 )
 
@@ -69,11 +67,11 @@ func lookupIDs(t *testing.T, o *Overlay, leaf cellid.ID) []uint32 {
 	return append(append([]uint32(nil), res.True...), res.Candidates...)
 }
 
-func TestOverlayInsertRemoveRebase(t *testing.T) {
+func TestOverlayInsertRemove(t *testing.T) {
 	f := newFixture(t, 10)
 
 	var o *Overlay // nil = empty
-	if o.Pending() != 0 || o.Tombstoned(10) || o.HasPolygon(10) {
+	if o.NumPolygons() != 0 || o.Polys() != nil || o.WithAlive(nil) != nil {
 		t.Fatal("nil overlay should be empty")
 	}
 	o1, err := o.WithInsert(16, f.polys[0])
@@ -91,95 +89,59 @@ func TestOverlayInsertRemoveRebase(t *testing.T) {
 		t.Fatalf("older snapshot sees newer insert: %v", got)
 	}
 
-	// Removing a delta polygon drops it from the trie AND tombstones it.
-	o3, err := New(16, []Poly{f.polys[1]}, map[uint32]uint64{10: 3})
-	if err != nil {
-		t.Fatal(err)
+	// Removing a delta polygon (10) and a base id (2) publishes a new live-id
+	// set over the same trie: the removed polygon keeps its covering and
+	// still counts as an insert, but no merged result reports it.
+	alive := make([]bool, 13)
+	for id := range alive {
+		alive[id] = id != 10 && id != 2
+	}
+	o3 := o2.WithAlive(alive)
+	if o3.trie != o2.trie || o3.NumPolygons() != 2 {
+		t.Fatalf("a removal rebuilt the overlay: %d polygons", o3.NumPolygons())
 	}
 	if got := lookupIDs(t, o3, f.leaves[0]); len(got) != 0 {
 		t.Fatalf("removed delta polygon still matches: %v", got)
 	}
-	if !o3.Tombstoned(10) || o3.HasPolygon(10) {
-		t.Fatal("removed delta polygon should be tombstoned and gone")
-	}
-	if o3.NumPolygons() != 1 || o3.NumTombstones() != 1 || o3.Pending() != 2 {
-		t.Fatalf("counts: %d polys, %d tombs", o3.NumPolygons(), o3.NumTombstones())
-	}
-	// Removing a base id only tombstones.
-	o4, err := New(16, o3.Polys(), map[uint32]uint64{10: 3, 2: 4})
-	if err != nil {
-		t.Fatal(err)
+	if got := lookupIDs(t, o2, f.leaves[0]); len(got) != 1 {
+		t.Fatalf("the older snapshot lost a polygon removed after it: %v", got)
 	}
 	var res core.Result
 	res.True = append(res.True, 2, 3)
 	res.Candidates = append(res.Candidates, 10, 4)
-	o4.Merge(f.leaves[2], &res)
+	o3.Merge(f.leaves[2], &res)
 	if len(res.True) != 1 || res.True[0] != 3 || len(res.Candidates) != 1 || res.Candidates[0] != 4 {
-		t.Fatalf("tombstone filter left %v/%v", res.True, res.Candidates)
+		t.Fatalf("live-id filter left %v/%v", res.True, res.Candidates)
 	}
-
-	// Rebase at seq 3: the polygon inserted at seq 2 and tombstones ≤ 3
-	// are baked in; only the seq-4 tombstone survives.
-	resid, err := o4.Rebase(3)
+	// An insert keeps the live-id set it is given.
+	o4, err := o3.WithInsert(16, f.polys[2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resid.NumPolygons() != 0 || resid.NumTombstones() != 1 || !resid.Tombstoned(2) {
-		t.Fatalf("residual: %d polys, %d tombs", resid.NumPolygons(), resid.NumTombstones())
+	if got := lookupIDs(t, o4, f.leaves[2]); len(got) != 1 || got[0] != 12 {
+		t.Fatalf("leaf 2 matched %v, want [12]", got)
 	}
-	// Rebase past everything collapses to nil.
-	if r, err := o4.Rebase(99); err != nil || r != nil {
-		t.Fatalf("full rebase: %v, %v", r, err)
+	if got := lookupIDs(t, o4, f.leaves[0]); len(got) != 0 {
+		t.Fatalf("an insert resurrected a removed polygon: %v", got)
+	}
+	// A removal on a clean index is an overlay of a live-id set alone.
+	if o5 := (*Overlay)(nil).WithAlive(alive); o5 == nil || o5.NumPolygons() != 0 || lookupIDs(t, o5, f.leaves[0]) != nil {
+		t.Fatal("a filter-only overlay should hold no polygons and match nothing")
 	}
 }
 
 func TestOverlayMergeSuffixDiscipline(t *testing.T) {
 	f := newFixture(t, 5)
-	o, err := New(16, []Poly{f.polys[0]}, map[uint32]uint64{1: 2})
+	alive := []bool{true, false, true, true, true, true}
+	o, err := New(16, []Poly{f.polys[0]}, alive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Entries before `from` belong to the caller — even when they carry a
-	// tombstoned id, they must survive.
+	// removed id, they must survive.
 	refs := []core.Match{{ID: 1}, {ID: 9}}
 	refs = o.MergeRefs(f.leaves[0], append(refs, core.Match{ID: 1, Exact: true}, core.Match{ID: 2}), 2)
 	if len(refs) != 4 || refs[0].ID != 1 || refs[1].ID != 9 || refs[2].ID != 2 || refs[3].ID != 5 {
 		t.Fatalf("MergeRefs = %v, want ids [1 9 2 5]", refs)
-	}
-}
-
-func TestOverlayResolveRouting(t *testing.T) {
-	f := newFixture(t, 1)
-	// Base store holds polygon 0 = the first square; overlay holds id 1 =
-	// the second square as a delta polygon.
-	base := geostore.NewSparse([]*geom.Polygon{f.polys[0].Geom}, nil)
-	p := f.polys[1]
-	p.ID = 1
-	o, err := (*Overlay)(nil).WithInsert(16, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inside0 := geo.LatLng{Lat: 40.71, Lng: -73.99}
-	inside1 := geo.LatLng{Lat: 40.81, Lng: -73.89}
-	g := grid.NewPlanar()
-	_, pt0 := g.Project(inside0)
-	_, pt1 := g.Project(inside1)
-
-	if got := o.Resolve(base, pt0, []uint32{0, 1}, nil); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("pt0 resolved %v, want [0]", got)
-	}
-	if got := o.Resolve(base, pt1, []uint32{0, 1}, nil); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("pt1 resolved %v, want [1]", got)
-	}
-	if got := o.Resolve(base, pt0, []uint32{1}, nil); len(got) != 0 {
-		t.Fatalf("delta id resolved against the base store: %v", got)
-	}
-	// Tombstoned base ids resolve to nothing even if handed in.
-	o2, err := New(16, o.Polys(), map[uint32]uint64{0: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := o2.Resolve(base, pt0, []uint32{0}, nil); len(got) != 0 {
-		t.Fatalf("tombstoned id resolved: %v", got)
 	}
 }

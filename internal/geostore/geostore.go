@@ -25,7 +25,7 @@ import (
 //
 // A store built with NewSparse may contain holes: nil slots for polygon ids
 // that were removed by the live-mutation layer before the last compaction.
-// Every predicate treats a hole as "contains nothing", so a tombstoned id
+// Every predicate treats a hole as "contains nothing", so a removed id
 // that escaped filtering can never produce a match.
 type Store struct {
 	polys []*geom.Polygon
@@ -40,7 +40,7 @@ var ErrNilPolygon = errors.New("geostore: nil polygon")
 // New builds a store over the polygon slice; ids in every query are indices
 // into it. The slice is retained, not copied. Nil slots are rejected — the
 // static build pipeline has a geometry for every id; stores with holes come
-// only from compaction, through NewSparse.
+// only from the live-mutation layer, through NewSparse.
 func New(polys []*geom.Polygon) (*Store, error) {
 	for i, p := range polys {
 		if p == nil {
@@ -57,6 +57,14 @@ func New(polys []*geom.Polygon) (*Store, error) {
 // Both slices are retained, not copied.
 func NewSparse(polys []*geom.Polygon, faces []uint8) *Store {
 	return &Store{polys: polys, faces: faces}
+}
+
+// Slots returns copies of the store's id-indexed geometry and face slices,
+// with room for grow more ids: the makings of a successor store, to be
+// edited and handed to NewSparse, that leave the receiver untouched.
+func (s *Store) Slots(grow int) ([]*geom.Polygon, []uint8) {
+	return append(make([]*geom.Polygon, 0, len(s.polys)+grow), s.polys...),
+		append(make([]uint8, 0, len(s.faces)+grow), s.faces...)
 }
 
 // NumPolygons returns the number of stored polygons.

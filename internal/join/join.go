@@ -105,8 +105,8 @@ func (s *Scratch) sortByCell() {
 // probe is the one lookup of the paper run over a batch: map every point to
 // its leaf cell, sort the probes by cell, walk the trie in that order (each
 // walk resuming at the deepest node shared with the last), and merge the
-// live index's delta overlay into each result — tombstoned ids filtered
-// out, delta references appended. fn receives each probe's rank k in cell order and whether
+// live index's delta overlay into each result — delta references appended,
+// removed ids filtered out. fn receives each probe's rank k in cell order and whether
 // anything matched, with s.res holding the merged references until it
 // returns; s.point(k) is the probe's index into points. Handing out ranks
 // keeps a static index (ov == nil) at one indirect call per point — fn is
@@ -204,12 +204,11 @@ func (j *ACT) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch) C
 type ACTExact struct {
 	Grid grid.Grid
 	Trie *core.Trie
-	// Store resolves candidate matches; ids in trie results index into it.
+	// Store resolves candidate matches; ids in trie and overlay results
+	// index into it.
 	Store *geostore.Store
-	// Overlay is the live index's delta layer: merged into every probe
-	// before refinement, and consulted during refinement so delta
-	// candidates resolve against the overlay's geometry instead of the
-	// base store. Nil for static indexes.
+	// Overlay is the live index's delta layer, merged into every probe
+	// before refinement. Nil for static indexes.
 	Overlay *delta.Overlay
 }
 
@@ -221,9 +220,8 @@ func (j *ACTExact) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scrat
 	var st ChunkStats
 	s.pts = grid.ProjectAll(j.Grid, points, s.pts[:0])
 	// Point i's true hits are emitted as-is, then only the candidates that
-	// survive the geometry — the base store, or the overlay's delta geometry
-	// for delta ids. The probe has already merged the overlay, so tombstoned
-	// ids never reach refinement.
+	// survive the geometry. The probe has already merged the overlay, so
+	// removed ids never reach refinement.
 	s.probe(j.Grid, j.Trie, j.Overlay, points, func(k int, hit bool) {
 		if !hit {
 			st.Misses++
@@ -236,7 +234,7 @@ func (j *ACTExact) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scrat
 		st.TrueHits += int64(len(s.res.True))
 		matched := len(s.res.True) > 0
 		if len(s.res.Candidates) > 0 {
-			s.ref = j.Overlay.Resolve(j.Store, s.pts[i], s.res.Candidates, s.ref[:0])
+			s.ref = j.Store.Resolve(s.pts[i], s.res.Candidates, s.ref[:0])
 			for _, id := range s.ref {
 				em.Emit(base+i, id, Candidate)
 			}

@@ -177,9 +177,9 @@ func (m *Metrics) registerIndexGauges(indexes *act.Swappable) {
 			func(st act.Status) float64 { return oneIf(st.Mapped) }},
 		{"act_index_live_polygons", "Live polygons in the serving index (base + delta - tombstones).",
 			func(st act.Status) float64 { return float64(st.Live) }},
-		{"act_index_delta_polygons", "Polygons pending in the delta overlay.",
+		{"act_index_delta_polygons", "Polygons inserted since the base trie was built, removed ones included.",
 			func(st act.Status) float64 { return float64(st.DeltaPolygons) }},
-		{"act_index_tombstones", "Tombstoned polygon ids pending compaction.",
+		{"act_index_tombstones", "Polygon removals since the base trie was built, pending compaction.",
 			func(st act.Status) float64 { return float64(st.Tombstones) }},
 		{"act_wal_seq", "Sequence number of the last logged mutation (0 with no WAL).",
 			func(st act.Status) float64 { return float64(st.WAL.Seq) }},

@@ -699,7 +699,7 @@ type removeResponse struct {
 	Epoch      uint64 `json:"epoch"`
 }
 
-// handleRemove tombstones one polygon id on the live index: lookups and
+// handleRemove removes one polygon id from the live index: lookups and
 // joins that start after the response stop reporting it, and the next
 // compaction rebuilds the base without it. Unknown or already-removed ids
 // get 404; an index that refuses writes by role gets 409.
@@ -862,7 +862,8 @@ type statsResponse struct {
 	// LivePolygons is the current live polygon count (base + delta -
 	// tombstones); NumPolygons reports the base build's count.
 	LivePolygons int `json:"livePolygons"`
-	// DeltaPolygons and Tombstones describe the pending mutation layer;
+	// DeltaPolygons and Tombstones describe the pending mutation layer
+	// (inserts and removals since the base trie was built);
 	// Compactions counts background delta-into-base folds completed on
 	// the live index.
 	DeltaPolygons int    `json:"deltaPolygons"`

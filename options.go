@@ -33,8 +33,10 @@ func WithGeometryStore(on bool) Option {
 	return func(o *options) { o.SkipGeometryStore = !on }
 }
 
-// WithDeltaThreshold sets the pending-mutation count (delta polygons plus
-// tombstones) at which Insert and Remove trigger a background compaction:
+// WithDeltaThreshold sets the pending-mutation count (inserts plus removals
+// since the base trie was built, so an insert removed before compaction
+// counts twice; Status's DeltaPolygons plus Tombstones) at which Insert and
+// Remove trigger a background compaction:
 // the delta layer is folded into a freshly rebuilt base trie and the result
 // swung in atomically, without blocking readers. Regardless of the
 // threshold, a delta exceeding a quarter of the live polygon count also

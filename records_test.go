@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -65,7 +64,7 @@ type mutationState struct {
 	live    int
 	idSpace int
 	deltas  []delta.Poly // ID and Seq only
-	tombs   map[uint32]uint64
+	removed int
 	approx  []Pair
 	exact   []Pair
 }
@@ -73,11 +72,10 @@ type mutationState struct {
 func snapshotState(t *testing.T, ix *Index, pts []LatLng) mutationState {
 	t.Helper()
 	ep := ix.live.Load()
-	st := mutationState{alive: slices.Clone(ep.alive), seq: ep.seq, live: ep.live, idSpace: len(ep.alive)}
+	st := mutationState{alive: slices.Clone(ep.alive), seq: ep.seq, live: ep.live, idSpace: len(ep.alive), removed: ep.removed}
 	for _, p := range ep.ov.Polys() {
 		st.deltas = append(st.deltas, delta.Poly{ID: p.ID, Seq: p.Seq})
 	}
-	st.tombs = maps.Clone(ep.ov.Tombstones())
 	st.approx, _ = joinPairs(t, ix, pts, Approximate, 2)
 	st.exact, _ = joinPairs(t, ix, pts, Exact, 2)
 	return st
@@ -85,7 +83,7 @@ func snapshotState(t *testing.T, ix *Index, pts []LatLng) mutationState {
 
 func (a mutationState) equal(b mutationState) bool {
 	return slices.Equal(a.alive, b.alive) && a.seq == b.seq && a.live == b.live && a.idSpace == b.idSpace &&
-		slices.Equal(a.deltas, b.deltas) && maps.Equal(a.tombs, b.tombs) &&
+		slices.Equal(a.deltas, b.deltas) && a.removed == b.removed &&
 		slices.Equal(a.approx, b.approx) && slices.Equal(a.exact, b.exact)
 }
 
@@ -156,8 +154,8 @@ func TestReplayMatchesApplyReplicated(t *testing.T) {
 	}
 	// And the state is the one the records describe, not merely a shared one.
 	if want.seq != 8 || want.live != base+1 || want.idSpace != base+3 ||
-		!slices.Equal(want.deltas, []delta.Poly{{ID: base + 1, Seq: 4}, {ID: base + 2, Seq: 8}}) ||
-		!maps.Equal(want.tombs, map[uint32]uint64{1: 5, base: 6}) || len(want.exact) == 0 {
+		!slices.Equal(want.deltas, []delta.Poly{{ID: base, Seq: 3}, {ID: base + 1, Seq: 4}, {ID: base + 2, Seq: 8}}) ||
+		want.alive[1] || want.alive[base] || want.removed != 2 || len(want.exact) == 0 {
 		t.Fatalf("unexpected replayed state: %+v", want)
 	}
 }
@@ -166,7 +164,7 @@ func TestReplayMatchesApplyReplicated(t *testing.T) {
 // malformed must change nothing — through ApplyReplicated on a follower and
 // through log replay onto a built index alike — so the same records, once
 // repaired, still apply in full (a remove that had been half-applied would
-// be skipped as already-dead and its tombstone lost).
+// be skipped as already-dead and lost).
 func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 	const base = 4
 	var polys []*Polygon
@@ -245,7 +243,7 @@ func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 				t.Fatalf("%s/%s: repaired batch: %v", name, ep.entry, err)
 			}
 			after := snapshotState(t, ep.ix, pts)
-			if after.seq != 3 || after.live != base+1 || !maps.Equal(after.tombs, map[uint32]uint64{0: 2}) || len(after.deltas) != 2 {
+			if after.seq != 3 || after.live != base+1 || after.alive[0] || after.removed != 1 || len(after.deltas) != 2 {
 				t.Fatalf("%s/%s: repaired batch applied as %+v", name, ep.entry, after)
 			}
 		}

@@ -13,10 +13,14 @@ type Status struct {
 	WAL WALStats
 	// Live counts the live polygons: build, plus Inserts, minus Removes.
 	Live int
-	// DeltaPolygons counts the polygons served from the delta layer
-	// (inserted since the last compaction) and Tombstones the removals
-	// pending compaction; their sum is measured against Threshold, the
-	// pending count that triggers background compaction (negative: never).
+	// DeltaPolygons counts the inserts since the base trie was built, the
+	// ones removed since included, and Tombstones the removals since then,
+	// of base and delta polygons alike; an insert removed before a
+	// compaction counts in both. Their sum, the pending mutations, is
+	// measured against Threshold, the pending count that triggers
+	// background compaction (negative: never). A compaction folds what its
+	// snapshot of the index held and leaves the mutations that landed while
+	// it ran pending.
 	DeltaPolygons int
 	Tombstones    int
 	Threshold     int
@@ -58,7 +62,7 @@ func (ix *Index) Status() Status {
 		Build:         ep.stats,
 		Live:          ep.live,
 		DeltaPolygons: ep.ov.NumPolygons(),
-		Tombstones:    ep.ov.NumTombstones(),
+		Tombstones:    ep.removed,
 		Threshold:     ix.deltaThreshold,
 		Compactions:   ep.compactions,
 		Seq:           ep.seq,
