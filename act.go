@@ -130,14 +130,15 @@ type BuildStats struct {
 	// CoverDuration is the time New takes to project the polygons onto the
 	// grid (parallel); a compaction covers nothing.
 	//
-	// MergeDuration is a compaction's serial sort of the merge's input, the
-	// base cells and delta coverings; New merges nothing apart from the
-	// covering, so it is zero there.
+	// MergeDuration is a compaction's serial sort of the live delta
+	// coverings; New merges nothing apart from the covering, so it is zero
+	// there.
 	//
 	// InsertDuration is the trie's construction together with what feeds
 	// it: in New the one descent that covers every polygon and hands each
-	// merged cell straight to the trie builder, in a compaction the merge's
-	// forward pass over its sorted input.
+	// merged cell straight to the trie builder, in a compaction the base
+	// trie's cells streamed through the merge with the sorted delta into
+	// the trie builder.
 	CoverDuration  time.Duration
 	MergeDuration  time.Duration
 	InsertDuration time.Duration
@@ -410,7 +411,7 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 		return nil, err
 	}
 	stats.CoverDuration = time.Since(start)
-	trie, err := pl.build(shapes, nil, &stats)
+	trie, err := pl.build(pl.descent(shapes, nil, &stats), &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -426,16 +427,13 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 	return &epoch{trie: trie, store: store, stats: stats, alive: denseAlive(len(polygons)), live: len(polygons)}, nil
 }
 
-// build covers the shapes in one descent of the grid that streams each
-// merged cell straight into the Adaptive Cell Trie builder
-// (cover.Coverer.Descend into core.BuildStream), drawing on the cell budget
-// left when it is not nil, and records the cost and the shape in stats.
-func (pl *pipeline) build(shapes []cover.Shape, left *atomic.Int64, stats *BuildStats) (*core.Trie, error) {
+// build streams a prefix-free covering straight into the Adaptive Cell Trie
+// builder (core.BuildStream) and records the cost and the shape in stats:
+// New's and a loader's covering from the descent, a compaction's from the
+// merge of its base and delta.
+func (pl *pipeline) build(s core.Stream, stats *BuildStats) (*core.Trie, error) {
 	start := time.Now()
-	trie, err := core.BuildStream(func(face func(int, cellid.ID, cellid.ID), cell func(cellid.ID, []supercover.Ref) error) (err error) {
-		stats.IndexedCells, stats.AchievedPrecisionMeters, err = pl.coverer.Descend(shapes, left, face, cell)
-		return err
-	}, core.Config{Fanout: pl.fanout})
+	trie, err := core.BuildStream(s, core.Config{Fanout: pl.fanout})
 	if err != nil {
 		return nil, fmt.Errorf("act: %w", err)
 	}
@@ -444,19 +442,15 @@ func (pl *pipeline) build(shapes []cover.Shape, left *atomic.Int64, stats *Build
 	return trie, nil
 }
 
-// trie runs the merge's forward pass over its sorted input straight into the
-// Adaptive Cell Trie builder and records the cost and the shape in stats —
-// the last phase of every compaction.
-func (pl *pipeline) trie(sorted *supercover.Sorted, stats *BuildStats) (*core.Trie, error) {
-	start := time.Now()
-	trie, err := core.Build(sorted, core.Config{Fanout: pl.fanout})
-	if err != nil {
-		return nil, err
+// descent is the covering of the shapes as one descent of the grid covers
+// and merges them (cover.Coverer.Descend), drawing on the cell budget left
+// when it is not nil; it records the cells and the achieved precision in
+// stats.
+func (pl *pipeline) descent(shapes []cover.Shape, left *atomic.Int64, stats *BuildStats) core.Stream {
+	return func(cell func(cellid.ID, []supercover.Ref) error) (err error) {
+		stats.IndexedCells, stats.AchievedPrecisionMeters, err = pl.coverer.Descend(shapes, left, cell)
+		return err
 	}
-	stats.InsertDuration = time.Since(start)
-	stats.IndexedCells = sorted.NumCells()
-	stats.TrieNodes, stats.TrieBytes, stats.TableBytes = trie.Size()
-	return trie, nil
 }
 
 // defaultDeltaThreshold is the pending-mutation count that triggers

@@ -216,6 +216,70 @@ func BenchmarkBuild(b *testing.B) {
 // sorts a pair array.
 const buildAllocBudget = 7_900_000
 
+// BenchmarkCompact is one compaction of census-3920 at ε = 60 m with 64
+// inserts pending, polygons of a second census draw: the base trie's cells
+// streamed through the merge with the sorted delta coverings into the trie
+// builder. Run it with -cpu 1. Only the compaction is timed; each iteration
+// builds its index and inserts the polygons with the timer stopped.
+//
+// It is also the allocation guard of compaction: the base's cells must pass
+// through the merge as they are read, not be copied into the merge's pair
+// array and sorted with the delta — 32.9 MB a compaction when they were,
+// 15.7 MB streamed.
+func BenchmarkCompact(b *testing.B) {
+	base, err := data.CensusBlocks(1, 4000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	more, err := data.CensusBlocks(7, 400)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	pending := func() *act.Index {
+		ix, err := act.New(base.Polygons, act.WithPrecision(60), act.WithDeltaThreshold(-1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			if _, err := ix.Insert(ctx, more.Polygons[5*i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return ix
+	}
+	// A first compaction grows what the runtime and the pools keep; the
+	// guard counts what every compaction after it allocates.
+	if err := pending().Compact(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	var total uint64
+	var before, after runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		ix := pending()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		err := ix.Compact(ctx)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	if perCompaction := total / uint64(b.N); perCompaction > compactAllocBudget {
+		b.Fatalf("one compaction allocates %d bytes, budget %d: are the base's cells copied into the merge's pair array and sorted again?", perCompaction, compactAllocBudget)
+	}
+}
+
+// compactAllocBudget bounds the bytes one BenchmarkCompact compaction may
+// allocate: a third above the 15.7 MB measured, well below the 32.9 MB of a
+// compaction that sorts the base's cells in a pair array.
+const compactAllocBudget = 21_000_000
+
 // --- Figure 3 ------------------------------------------------------------
 
 // benchmarkJoin measures single-threaded join throughput by cycling chunks

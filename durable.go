@@ -135,27 +135,45 @@ func (ix *Index) WALTail(after uint64) (*wal.Tail, error) {
 // fanout.
 //
 // Options are honored where they apply (WithDeltaThreshold, WithObserver,
-// and a WithWAL carrying the fsync policy for the reattached log — its Path
-// and SnapshotPath fields are ignored here); build options like
-// WithPrecision are ignored, since the snapshot fixes them.
+// and a WithWAL carrying the fsync policy and filesystem for the reattached
+// log — its Path and SnapshotPath fields are ignored here); build options
+// like WithPrecision are ignored, since the snapshot fixes them. Without a
+// WALConfig.FS the snapshot is memory-mapped, as OpenIndex maps it; with
+// one it is read through that filesystem onto the heap, as ReadIndex reads
+// it, checksums verified.
 func Recover(indexPath, walPath string, opts ...Option) (*Index, error) {
 	o := applyOptions(opts)
-	ix, err := OpenIndex(indexPath)
-	if err != nil {
-		return nil, fmt.Errorf("act: recover: loading snapshot: %w", err)
-	}
-	ix.setRole(primary, o)
 	cfg := WALConfig{Path: walPath, SnapshotPath: indexPath}
 	if o.WAL != nil {
 		cfg.Policy = o.WAL.Policy
 		cfg.Interval = o.WAL.Interval
 		cfg.FS = o.WAL.FS
 	}
+	ix, err := loadSnapshot(cfg.FS, indexPath)
+	if err != nil {
+		return nil, fmt.Errorf("act: recover: loading snapshot: %w", err)
+	}
+	ix.setRole(primary, o)
 	if err := ix.attachWAL(cfg); err != nil {
 		ix.Close()
 		return nil, err
 	}
 	return ix, nil
+}
+
+// loadSnapshot loads the index file at path: mapped (OpenIndex) from the
+// OS when fsys is nil, read onto the heap (ReadIndex) through fsys
+// otherwise.
+func loadSnapshot(fsys fault.VFS, path string) (*Index, error) {
+	if fsys == nil {
+		return OpenIndex(path)
+	}
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadIndex(f)
 }
 
 // walOptions translates a WALConfig into the options every log of this

@@ -10,13 +10,16 @@ package act_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/actindex/act"
+	"github.com/actindex/act/internal/fault"
 )
 
 // square builds a small axis-aligned square polygon centered at (lat, lng).
@@ -440,6 +443,59 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 		}
 		checkDeltaEquivalence(t, rec, ls, pts, 250, trial)
 		rec.Close()
+	}
+}
+
+// TestRecoverThroughFS: with a WALConfig.FS, Recover loads its snapshot
+// through that filesystem, onto the heap: a fault injected into the first
+// open — the snapshot's — fails the recovery, and an empty schedule
+// recovers the index the mapped load recovers, unmapped.
+func TestRecoverThroughFS(t *testing.T) {
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "index.act")
+	rng := rand.New(rand.NewSource(73))
+	pool := randPolygonSet(rng)
+	built, err := act.New(pool, act.WithPrecision(250))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := built.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	through := func(s *fault.Schedule) act.Option {
+		return act.WithWAL(act.WALConfig{FS: fault.FS{S: s}})
+	}
+
+	injected := errors.New("snapshot open refused")
+	_, err = act.Recover(snapPath, filepath.Join(dir, "refused.wal"), through(fault.NewSchedule().FailNth(fault.OpOpen, 1, injected)))
+	if !errors.Is(err, injected) || !strings.Contains(err.Error(), "loading snapshot") {
+		t.Fatalf("Recover with the first open failing = %v, want the snapshot's load to fail with %v", err, injected)
+	}
+
+	mapped, err := act.Recover(snapPath, filepath.Join(dir, "mapped.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	heap, err := act.Recover(snapPath, filepath.Join(dir, "heap.wal"), through(fault.NewSchedule()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heap.Close()
+	if !mapped.Status().Mapped || heap.Status().Mapped {
+		t.Fatalf("Mapped: %v without an FS, %v with one; want true, false", mapped.Status().Mapped, heap.Status().Mapped)
+	}
+	for _, ll := range randPoints(rng, pool, 300) {
+		if got, want := heap.AppendRefs(ll, nil), mapped.AppendRefs(ll, nil); !slices.Equal(got, want) {
+			t.Fatalf("%v: recovered through the FS %v, mapped %v", ll, got, want)
+		}
 	}
 }
 

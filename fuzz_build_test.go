@@ -103,7 +103,7 @@ func FuzzBuildDescent(f *testing.F) {
 		// The descent's cells and references, in order.
 		var cells []cellid.ID
 		var refs [][]supercover.Ref
-		n, got, err := pl.coverer.Descend(shapes, nil, func(int, cellid.ID, cellid.ID) {}, func(c cellid.ID, r []supercover.Ref) error {
+		n, got, err := pl.coverer.Descend(shapes, nil, func(c cellid.ID, r []supercover.Ref) error {
 			cells, refs = append(cells, c), append(refs, slices.Clone(r))
 			return nil
 		})

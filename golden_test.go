@@ -2,6 +2,7 @@ package act
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -347,6 +348,109 @@ func TestCellsAscendingDisjoint(t *testing.T) {
 				if err != nil || n == 0 || n > ix.Status().Build.IndexedCells {
 					t.Errorf("%s/%v/fanout-%d: %d of %d cells in order: %v", m.name, gk, fanout, n, ix.Status().Build.IndexedCells, err)
 				}
+			}
+		}
+	}
+}
+
+// TestCompactGolden pins what a compaction produces, byte for byte: the
+// serialized index after Compact, for census-3920 at ε = 60 m with 64
+// polygons of a second census draw inserted (every fifth, from its first), on both grids at every fanout.
+// Three schedules fold different deltas into the base: the inserts alone;
+// the inserts with every 37th base id removed; and those with every third
+// insert removed again before the compaction, so removed base references,
+// a delta whose own polygons are gone and base cells the delta splits all
+// pass through the merge. The hashes were recorded on the commit before
+// compaction streamed the base trie's cells into the merge instead of
+// sorting them with the delta's: a change of how a compaction merges leaves
+// them alone.
+func TestCompactGolden(t *testing.T) {
+	base, err := data.CensusBlocks(1, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := data.CensusBlocks(7, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inserts []*Polygon
+	for i := 0; i < len(more.Polygons) && len(inserts) < 64; i += 5 {
+		inserts = append(inserts, more.Polygons[i])
+	}
+	if len(base.Polygons) != 3920 || len(inserts) != 64 {
+		t.Fatalf("%d base polygons and %d inserts, want 3920 and 64", len(base.Polygons), len(inserts))
+	}
+	want := map[string]string{
+		"planar/fanout-4/inserts":     "1b704edc8644e61f280697ee9c767a98665bd5ce267411cbbd0ca069460008fc",
+		"planar/fanout-4/removes":     "875a8349d5b164953c6fe8a10e873839bf99b927dfedc46ec2b92f286093b894",
+		"planar/fanout-4/churn":       "6b56871862a269c685491d940b3ef03d1839910c5b50ad933ddc09b62702b9f1",
+		"planar/fanout-16/inserts":    "c23ea2b6c36b6f7aa3971ec0f82555ec75d587e27ce967ecdf2b794a3000520a",
+		"planar/fanout-16/removes":    "99709f2ea0c957ebd8fd1f6f9c2c457d50b251f39fcfda676c22f56d2592e2aa",
+		"planar/fanout-16/churn":      "27925ce8d9db5f146b73196da55022a8b76ca648285bb17c811d42bba36ec661",
+		"planar/fanout-64/inserts":    "172739f3c57f90877bb41f71f53c9e5273a610e89525b26b1bb914112da0cbc1",
+		"planar/fanout-64/removes":    "e57da2bb3320364d973a230a5179739360cb2a43838c2f1400cc2a0b9f0ef6f6",
+		"planar/fanout-64/churn":      "e27afbde484c1746311409f8a1419a7d5ec952f05ded1adedf1196fe6d93e890",
+		"planar/fanout-256/inserts":   "8b58bc528eb81d07bbefd1fe8b2b7f0df3ae1bc8f6fb554b3f30e9570fc7414e",
+		"planar/fanout-256/removes":   "0188ffd211eda5d660b8b0ae76b03d4422ee0d6b26cfef6674a00594693bb678",
+		"planar/fanout-256/churn":     "08abad48d146a2d27796a9995493f36a08c0486e6250176ca612d6e9bfdb1c3a",
+		"cubeface/fanout-4/inserts":   "9820d755e516b96d308bc2370b42bc4a6663ffce18bf3c92966a90887db10fcc",
+		"cubeface/fanout-4/removes":   "a840a08604add6ee9f6aa8402af49d1e42f9f1409c372176b15cca72c11dcb27",
+		"cubeface/fanout-4/churn":     "d2e18d6d1db6ab3bb78968a956f5a1cb27391406cf79cad61f2cf8fcfa47c377",
+		"cubeface/fanout-16/inserts":  "f27ec4b262f599ebd8a5378a6a4391e98637fa7fad6eab07bcf4220570837403",
+		"cubeface/fanout-16/removes":  "42925611821f1d4f6d90c48fe7177ea53897843740cd5bbf8f82d367bbf294d7",
+		"cubeface/fanout-16/churn":    "ed4b3773da43a36fd34c71dc020a437c63344efafd01b722417528aa73bd90e9",
+		"cubeface/fanout-64/inserts":  "11a8e07caf913d2eebb9415993131b62b4e096f2f9987d5e29a4a619da1abdea",
+		"cubeface/fanout-64/removes":  "7ce5d855a64445101d26a7c83b7fe51fbdd0019b0221429baaf0d9b35c996f16",
+		"cubeface/fanout-64/churn":    "006754d7724b5c74f5ae51657b1374c1a92daf983c2308910786620cd198777f",
+		"cubeface/fanout-256/inserts": "8aed73079346e9bee64be27edd6de0d0abb496c84bc1455c63b27a30ec4e44a2",
+		"cubeface/fanout-256/removes": "7e15d99e36026827533977910693cf8a5d4e5be78b31224e5e23d5a6f01f296d",
+		"cubeface/fanout-256/churn":   "7e0f0521a0c72a541c404bc0973d4f9b6f4cbe5323e4eb5b7098bd80c419e8c8",
+	}
+	ctx := context.Background()
+	for _, gk := range []GridKind{PlanarGrid, CubeFaceGrid} {
+		for _, fanout := range []int{4, 16, 64, 256} {
+			for _, schedule := range []string{"inserts", "removes", "churn"} {
+				name := fmt.Sprintf("%v/fanout-%d/%s", gk, fanout, schedule)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					ix, err := New(base.Polygons, WithPrecision(60), WithGrid(gk), WithFanout(fanout), WithDeltaThreshold(-1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var ids []uint32
+					for _, p := range inserts {
+						id, err := ix.Insert(ctx, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ids = append(ids, id)
+					}
+					if schedule != "inserts" {
+						for id := 0; id < len(base.Polygons); id += 37 {
+							if err := ix.Remove(ctx, uint32(id)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if schedule == "churn" {
+						for i := 0; i < len(ids); i += 3 {
+							if err := ix.Remove(ctx, ids[i]); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if err := ix.Compact(ctx); err != nil {
+						t.Fatal(err)
+					}
+					var buf bytes.Buffer
+					if _, err := ix.WriteTo(&buf); err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(buf.Bytes())
+					if got := hex.EncodeToString(sum[:]); got != want[name] {
+						t.Errorf("%d bytes after Compact, sha256 %s, want %s", buf.Len(), got, want[name])
+					}
+				})
 			}
 		}
 	}

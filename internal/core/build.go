@@ -13,9 +13,6 @@ import (
 // merge's sorted input, merged as it is read (supercover.Sorted), or a
 // materialized supercover.SuperCovering.
 type Source interface {
-	// Faces calls fn once per face the covering reaches, in face order,
-	// with two cells that fix the face's root skip.
-	Faces(fn func(face int, first, last cellid.ID))
 	// Cells calls fn for each cell in ascending id order with its
 	// references, which fn must not modify or keep, and stops at fn's
 	// first error.
@@ -26,33 +23,35 @@ type Source interface {
 }
 
 // Stream is a prefix-free super covering produced as the trie builder takes
-// it: a Stream calls face once per face it reaches, in face order, before
-// that face's first cell, with two cells that fix the face's root skip (as
-// Source.Faces does), and cell for each cell in ascending id order with its
-// references, which cell must not modify or keep. It stops at cell's first
+// it: a Stream calls cell for each cell in ascending id order with its
+// references, which cell must not modify or keep, stops at cell's first
 // error and returns it. cover.Coverer.Descend is one: it covers a polygon
 // set in one descent of the grid and hands each merged cell over as soon as
-// no polygon needs it split.
-type Stream func(face func(face int, first, last cellid.ID), cell func(cell cellid.ID, refs []supercover.Ref) error) error
+// no polygon needs it split. supercover.Sorted.Merge is another: it merges
+// an ascending run of cells, a compaction's base, into a sorted input.
+type Stream func(cell func(cell cellid.ID, refs []supercover.Ref) error) error
 
 // Build constructs a trie from a prefix-free super covering, whose cells
 // arrive in ascending id order — for disjoint cells, the order of their key
 // paths. A node is therefore complete the moment a cell's path leaves its
 // key prefix: the builder keeps one open node per depth as a dense scratch
 // of `fanout` slots, palette-codes it into the arena when the path moves on,
-// and writes the child entry naming it into its parent's slot. Nodes
+// and writes the child entry naming it into its parent's slot. Each face is
+// built from the face cell down; when it closes, the open nodes above the
+// first that holds anything but the path on — nodes every cell of the face
+// lies under — become the face's root skip instead of nodes. Nodes
 // land children-first; Relayout then renumbers the arena breadth-first, so
 // the hot top levels of every walk occupy a compact arena prefix. No dense
 // node outlives its own construction.
 //
-// The covering is a set of cells merged into one: the base cells and delta
-// coverings of a compaction, or a delta overlay's coverings, sorted
-// (supercover.Sorted, whose forward pass hands each cell to the builder as
-// it is produced), or a materialized SuperCovering, which builds the same
-// trie. A polygon set's covering needs no merge: BuildStream takes it from
-// the descent that covers it.
+// The covering is a set of cells merged into one: a delta overlay's
+// coverings, sorted (supercover.Sorted, whose forward pass hands each cell
+// to the builder as it is produced), or a materialized SuperCovering, which
+// builds the same trie. A polygon set's covering needs no merge, and a
+// compaction's base needs no sort: BuildStream takes the one from the
+// descent that covers it, the other merged into the delta as it is read.
 func Build(src Source, cfg Config) (*Trie, error) {
-	return laidOut(build(src, cfg))
+	return laidOut(buildFrom(src.Cells, src.NumRefs(), cfg))
 }
 
 // BuildStream is Build over a covering produced as it is taken. No count of
@@ -70,16 +69,9 @@ func laidOut(t *Trie, err error) (*Trie, error) {
 	return t, nil
 }
 
-// build runs the insertion pipeline over src, leaving nodes in completion
-// order (children before parents).
-func build(src Source, cfg Config) (*Trie, error) {
-	return buildFrom(func(face func(int, cellid.ID, cellid.ID), cell func(cellid.ID, []supercover.Ref) error) error {
-		src.Faces(face)
-		return src.Cells(cell)
-	}, src.NumRefs(), cfg)
-}
-
-// buildFrom is build over a stream whose references number about refs.
+// buildFrom runs the insertion pipeline over a stream whose references
+// number about refs, leaving nodes in completion order (children before
+// parents).
 func buildFrom(s Stream, refs int, cfg Config) (*Trie, error) {
 	// A quarter word a reference covers the census map's 0.21 at ε = 60 m;
 	// the arena doubles at finer ε, where nodes fill up.
@@ -87,7 +79,7 @@ func buildFrom(s Stream, refs int, cfg Config) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s(b.t.setRootSkip, b.add); err != nil {
+	if err := s(b.add); err != nil {
 		return nil, err
 	}
 	b.closeFace()
@@ -95,33 +87,6 @@ func buildFrom(s Stream, refs int, cfg Config) (*Trie, error) {
 		return nil, ErrArenaLimit
 	}
 	return b.t, nil
-}
-
-// setRootSkip derives the longest node-aligned key prefix shared by every
-// indexed cell of a face from the face's first and last cells (or any pair
-// with their common ancestor, Source.Faces). The cells are
-// sorted by id, so the common prefix of a face equals the common prefix of
-// its first and last cells. Prefix-freeness guarantees every cell's path is
-// strictly longer than the common prefix (an equal-length path would make
-// that cell an ancestor of the rest), so at least one key chunk always
-// remains.
-func (t *Trie) setRootSkip(face int, first, last cellid.ID) {
-	var commonLevels int
-	if anc, ok := cellid.CommonAncestor(first, last); ok {
-		commonLevels = anc.Level()
-	}
-	skipBits := uint(2*commonLevels) / t.bits * t.bits
-	// Keep at least one chunk of every cell's path below the skip; the
-	// shallowest constraint comes from the shallower of the two extreme
-	// cells, and binds only when they are one cell.
-	minLevel := min(first.Level(), last.Level())
-	for skipBits > 0 && int(skipBits) >= 2*minLevel {
-		skipBits -= t.bits
-	}
-	t.rootSkip[face] = skipBits
-	if skipBits > 0 {
-		t.rootPrefix[face] = first.PathBits() << 4 >> (64 - skipBits) << (64 - skipBits)
-	}
 }
 
 // builder holds build-only state: the lookup-table dedup map and the open
@@ -135,7 +100,7 @@ type builder struct {
 	// open[d] is the scratch of the node under construction at depth d and
 	// via[d] the slot of open[d] that open[d+1] hangs from; depth is the
 	// deepest open node, -1 while no face is open. key is the last cell's
-	// key, below the face's root skip: via[d] is its chunk d.
+	// key: via[d] is its chunk d.
 	open  [][]uint64
 	via   []uint64
 	depth int
@@ -193,14 +158,6 @@ func (b *builder) add(cell cellid.ID, refs []supercover.Ref) error {
 	face := cell.Face()
 	key := cell.PathBits() << 4 // top-align the 60-bit path in 64 bits
 	totalBits := 2 * level
-	// Strip the face's compressed root prefix.
-	if skip := t.rootSkip[face]; skip > 0 {
-		if key>>(64-skip)<<(64-skip) != t.rootPrefix[face] {
-			return fmt.Errorf("core: cell %v outside the face's common prefix", cell)
-		}
-		key <<= skip
-		totalBits -= int(skip)
-	}
 	depth := (totalBits - 1) / int(t.bits)
 
 	// Keep the open nodes the cell's path shares, close the rest, then open
@@ -254,13 +211,30 @@ func (b *builder) closeTo(d int) {
 	}
 }
 
-// closeFace completes the open face, if any, and records its root.
+// closeFace completes the open face, if any, and records its root and its
+// root skip. An open node above the deepest whose slots are all empty holds
+// nothing but the path on to the next — its slot via is filled only when the
+// child closes — so every cell of the face lies under it. The chain of such
+// nodes from the face's top is the longest node-aligned key prefix the
+// face's cells share that leaves a chunk of every cell's path below it: the
+// root skip, whose prefix is the last key's. The node below the chain
+// becomes the root, and the chain is never emitted.
 func (b *builder) closeFace() {
 	if b.depth < 0 {
 		return
 	}
-	b.closeTo(0)
-	b.t.roots[b.face] = b.emit(b.open[0])
+	c := 0
+	for c < b.depth && !slices.ContainsFunc(b.open[c], func(e uint64) bool { return e != 0 }) {
+		c++
+	}
+	b.closeTo(c)
+	t := b.t
+	skip := uint(c) * t.bits
+	t.rootSkip[b.face] = skip
+	if skip > 0 {
+		t.rootPrefix[b.face] = b.key >> (64 - skip) << (64 - skip)
+	}
+	t.roots[b.face] = b.emit(b.open[c])
 	b.depth = -1
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,9 +15,10 @@ import (
 
 // TestBuildFromStreamMatchesMaterialized: a trie built straight from a
 // merge's sorted input (supercover.Sorted), whose forward pass feeds the
-// builder and whose root skips come from the sorted pairs alone, has the
-// flat form — roots, skips, prefixes and section bytes — of the trie built
-// from the materialized super covering, at every fanout.
+// builder, has the flat form — roots, skips, prefixes and section bytes —
+// of the trie built from the materialized super covering, at every fanout,
+// and the root skips and prefixes of the rule that used to decide them
+// ahead of the build (referenceRootSkips).
 func TestBuildFromStreamMatchesMaterialized(t *testing.T) {
 	leaf := func(face, i, j int) cellid.ID { return cellid.FromFaceIJ(face, i, j) }
 	deep := leaf(2, 0x2a5a5a5, 0x15a5a5a)
@@ -32,6 +34,16 @@ func TestBuildFromStreamMatchesMaterialized(t *testing.T) {
 		"face-cell": {
 			{Interior: []cellid.ID{cellid.FromFace(1)}},
 			{Boundary: []cellid.ID{deep.Parent(18)}},
+		},
+		// A face holding only its face cell, and nothing else.
+		"face-cell-only": {
+			{Boundary: []cellid.ID{cellid.FromFace(3)}},
+		},
+		// Single cells whose levels are whole numbers of node levels at
+		// every fanout: the skip leaves the last node level of each path.
+		"whole-node-levels": {
+			{Interior: []cellid.ID{deep.Parent(12)}},
+			{Boundary: []cellid.ID{leaf(4, 3<<20, 5<<20).Parent(24)}},
 		},
 		// A face cell with a cell inside it: pushdown fills the face.
 		"face-cell-over-cell": {
@@ -74,10 +86,12 @@ func TestBuildFromStreamMatchesMaterialized(t *testing.T) {
 		}
 		for _, fanout := range fanouts {
 			cfg := Config{Fanout: fanout}
-			want, err := Build(merge().Build(), cfg)
+			sc := merge().Build()
+			want, err := Build(sc, cfg)
 			if err != nil {
 				t.Fatalf("%s fanout %d: materialized: %v", name, fanout, err)
 			}
+			assertReferenceRootSkips(t, fmt.Sprintf("%s fanout %d", name, fanout), want, sc)
 			sorted := merge().Sort()
 			got, err := Build(sorted, cfg)
 			if err != nil {
@@ -95,18 +109,28 @@ func TestBuildFromStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// assertReferenceRootSkips requires the trie built from sc to have the root
+// skips and prefixes referenceRootSkips gives sc.
+func assertReferenceRootSkips(t *testing.T, name string, tr *Trie, sc *supercover.SuperCovering) {
+	t.Helper()
+	skips, prefixes := referenceRootSkips(sc, tr.bits)
+	if f := tr.Flat(); f.Skips != skips || f.Prefixes != prefixes {
+		t.Fatalf("%s: root skips %v prefixes %#x, the rule's %v %#x", name, f.Skips, f.Prefixes, skips, prefixes)
+	}
+}
+
 // TestBuildStreamSingleCellFace: a face whose merged covering is one cell
-// gets its root skip from that cell's level (setRootSkip keeps a chunk of
-// its path below the skip), where a face of two or more cells gets it from
-// their common ancestor — the two differ once the cell's level is a multiple
-// of 4. So a descent cannot take the skip from start cells alone: it must
-// know whether the face's polygons stop at the face's first cell. One tiny
-// polygon around the center of a cell at levels 4, 8 and 12, at an ε its
-// start cell fits, is such a face; the trie the descent streams must be the
-// one the merge of its covering builds, at every fanout.
+// gets its root skip from that cell's level (a chunk of its path stays below
+// the skip), where a face of two or more cells gets it from their common
+// ancestor — the two differ once the cell's level is a whole number of node
+// levels. One tiny polygon around the center of a cell at levels 0, 4, 8,
+// 12 and 24, at an ε its start cell fits, is such a face — at level 0 one
+// holding only its face cell; the trie the descent streams must be the one
+// the merge of its covering builds, at every fanout, with the root skip and
+// prefix of the rule that used to decide them (referenceRootSkips).
 func TestBuildStreamSingleCellFace(t *testing.T) {
 	g := grid.NewPlanar()
-	for _, level := range []int{4, 8, 12} {
+	for _, level := range []int{0, 4, 8, 12, 24} {
 		start := cellid.FromFaceIJ(0, 0x2a5a5a5a, 0x15a5a5a5).Parent(level)
 		c := grid.CellRect(start).Center()
 		const d = 1e-9
@@ -130,17 +154,19 @@ func TestBuildStreamSingleCellFace(t *testing.T) {
 			if err := b.Add(7, cov); err != nil {
 				t.Fatal(err)
 			}
-			want, err := Build(b.Build(), cfg)
+			sc := b.Build()
+			want, err := Build(sc, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := BuildStream(func(face func(int, cellid.ID, cellid.ID), cell func(cellid.ID, []supercover.Ref) error) error {
-				_, _, err := coverer.Descend([]cover.Shape{{Face: 0, Poly: poly, ID: 7}}, nil, face, cell)
+			got, err := BuildStream(func(cell func(cellid.ID, []supercover.Ref) error) error {
+				_, _, err := coverer.Descend([]cover.Shape{{Face: 0, Poly: poly, ID: 7}}, nil, cell)
 				return err
 			}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertReferenceRootSkips(t, fmt.Sprintf("level %d fanout %d", level, fanout), got, sc)
 			gf, wf := got.Flat(), want.Flat()
 			if gf.Roots != wf.Roots || gf.Skips != wf.Skips || gf.Prefixes != wf.Prefixes {
 				t.Fatalf("level %d fanout %d: descent's roots/skips/prefixes %v %v %v, merge's %v %v %v",

@@ -32,7 +32,11 @@ func buildDense(sc *supercover.SuperCovering, cfg Config) (*denseTrie, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc.Faces(enc.t.setRootSkip)
+	skips, prefixes := referenceRootSkips(sc, enc.t.bits)
+	for f := range skips {
+		enc.t.rootSkip[f] = uint(skips[f])
+	}
+	enc.t.rootPrefix = prefixes
 	d := &denseTrie{enc: enc, fanout: uint64(cfg.Fanout), bits: enc.t.bits, nodes: make([]uint64, cfg.Fanout)}
 	for i := 0; i < sc.NumCells(); i++ {
 		if err := d.insert(sc.Cell(i), sc.Refs(i)); err != nil {
@@ -41,6 +45,39 @@ func buildDense(sc *supercover.SuperCovering, cfg Config) (*denseTrie, error) {
 	}
 	d.relayout()
 	return d, nil
+}
+
+// referenceRootSkips is the root-skip rule the builder applied before it
+// found each face's skip from the nodes it built, kept as the oracle those
+// skips are held against. A face's cells are sorted by id, so the key prefix
+// they all share is that of the common ancestor of its first and last
+// cells; the skip is the whole node chunks of it, less one chunk where that
+// would leave no chunk of the shallower of the two cells' paths below it —
+// which happens only when they are one cell. It returns the skips and
+// prefixes in their Flat form, for node chunks of the given bits.
+func referenceRootSkips(sc *supercover.SuperCovering, bits uint) (skips, prefixes [cellid.NumFaces]uint64) {
+	for lo := 0; lo < sc.NumCells(); {
+		face := sc.Cell(lo).Face()
+		hi := lo
+		for hi < sc.NumCells() && sc.Cell(hi).Face() == face {
+			hi++
+		}
+		first, last := sc.Cell(lo), sc.Cell(hi-1)
+		lo = hi
+		var commonLevels int
+		if anc, ok := cellid.CommonAncestor(first, last); ok {
+			commonLevels = anc.Level()
+		}
+		skip := uint(2*commonLevels) / bits * bits
+		for skip > 0 && int(skip) >= 2*min(first.Level(), last.Level()) {
+			skip -= bits
+		}
+		skips[face] = uint64(skip)
+		if skip > 0 {
+			prefixes[face] = first.PathBits() << 4 >> (64 - skip) << (64 - skip)
+		}
+	}
+	return skips, prefixes
 }
 
 func (d *denseTrie) allocNode() uint64 {

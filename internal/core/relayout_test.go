@@ -18,7 +18,7 @@ func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sc := randomPrefixFreeCovering(t, rng, []int{0, 2, 5}, 150)
 	for _, fanout := range fanouts {
-		raw, err := build(sc, Config{Fanout: fanout}) // allocation order, not relaid
+		raw, err := buildFrom(sc.Cells, sc.NumRefs(), Config{Fanout: fanout}) // allocation order, not relaid
 		if err != nil {
 			t.Fatalf("fanout %d: %v", fanout, err)
 		}
@@ -59,7 +59,7 @@ func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sc := randomPrefixFreeCovering(t, rng, []int{1, 3, 4}, 130)
 	for _, fanout := range fanouts {
-		raw, err := build(sc, Config{Fanout: fanout})
+		raw, err := buildFrom(sc.Cells, sc.NumRefs(), Config{Fanout: fanout})
 		if err != nil {
 			t.Fatalf("fanout %d: %v", fanout, err)
 		}

@@ -68,6 +68,13 @@
 // (two slots of one node may name one), and a walk over every node
 // (validation, Cells, ComputeStats) stays linear in the arena.
 //
+// Build and BuildStream take one thing: the cells of a prefix-free super
+// covering in ascending id order, with their references. Every layout
+// decision is the trie's own: the builder builds each face from the face
+// cell down and, as the face closes, turns the chain of single-child nodes
+// at its top into the face's root skip; Relayout then lays out the nodes
+// walks reach.
+//
 // Child references are word offsets into one flat node arena rather than raw
 // pointers — the same 8-byte entries as the paper's implementation, minus
 // unsafe pointer arithmetic. The arena starts with the sentinel, a one-entry
@@ -129,6 +136,10 @@ type Trie struct {
 	// are not materialized as single-child nodes. A lookup instead
 	// compares its top bits against rootPrefix once and jumps straight to
 	// the first distinguishing node, trimming the dependent-load chain.
+	// The builder sets both when a face closes, from the chain of open
+	// nodes that hold nothing but the path on (builder.closeFace): whole
+	// chunks every cell of the face shares, a chunk of every cell's path
+	// left below them.
 	rootSkip   [cellid.NumFaces]uint
 	rootPrefix [cellid.NumFaces]uint64
 	// table is the lookup table for reference sets with three or more

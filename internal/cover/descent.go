@@ -165,11 +165,8 @@ type descent struct {
 	achieved float64
 	cells    int
 	failed   uint32 // the polygon whose covering ran into the level cap
-	// top is the first cell of the face being covered: the smallest cell
-	// holding its polygons' start cells. face and cell are Descend's
-	// callbacks; Cover has none and collects boundary and interior.
-	top                cellid.ID
-	face               func(face int, first, last cellid.ID)
+	// cell is Descend's callback; Cover has none and collects boundary and
+	// interior.
 	cell               func(cell cellid.ID, refs []Ref) error
 	boundary, interior []cellid.ID
 }
@@ -190,26 +187,24 @@ func newDescent(c *Coverer, left *atomic.Int64) *descent {
 // polygons or callbacks alive.
 func (d *descent) release() {
 	clear(d.joined[:cap(d.joined)])
-	d.c, d.shapes, d.one[0], d.left, d.face, d.cell = nil, nil, Shape{}, nil, nil, nil
+	d.c, d.shapes, d.one[0], d.left, d.cell = nil, nil, Shape{}, nil, nil
 	scratchPool.Put(d)
 }
 
 // Descend covers the shapes in one descent of the grid and hands the merged
 // covering — the prefix-free super covering of paper §II — over as it goes:
-// face once per face the shapes reach, in face order, before that face's
-// first cell, with two cells whose common ancestor, and whose levels when
-// they are one cell, fix the trie's root skip (core.Source.Faces); cell for
-// each merged cell in ascending id order with its references, ascending ids,
-// which cell must not modify or keep. It stops at the first error, cell's
-// included, and returns it. The shapes' ids must be distinct.
+// it calls cell for each merged cell in ascending id order with its
+// references, ascending ids, which cell must not modify or keep, as
+// core.Stream asks. It stops at the first error, cell's included, and
+// returns it. The shapes' ids must be distinct.
 //
 // It returns the number of cells handed over and the largest boundary-cell
 // diagonal. Every cell a polygon's own covering would keep takes one from
 // left, as CoverWithin's do; a nil left is no budget.
-func (c *Coverer) Descend(shapes []Shape, left *atomic.Int64, face func(face int, first, last cellid.ID), cell func(cell cellid.ID, refs []Ref) error) (cells int, achieved float64, err error) {
+func (c *Coverer) Descend(shapes []Shape, left *atomic.Int64, cell func(cell cellid.ID, refs []Ref) error) (cells int, achieved float64, err error) {
 	d := newDescent(c, left)
 	defer d.release()
-	d.shapes, d.face, d.cell = shapes, face, cell
+	d.shapes, d.cell = shapes, cell
 	for i, s := range shapes {
 		d.members = append(d.members, member{start: c.startCell(s.Face, s.Poly), shape: int32(i)})
 	}
@@ -226,9 +221,11 @@ func (c *Coverer) Descend(shapes []Shape, left *atomic.Int64, face func(face int
 		for ; hi < len(d.members) && d.members[hi].start.Face() == f; hi++ {
 			end = max(end, d.members[hi].start.RangeMax())
 		}
-		d.top, _ = cellid.CommonAncestor(d.members[lo].start.RangeMin(), end)
+		// The face's first cell: the smallest holding its polygons' start
+		// cells.
+		top, _ := cellid.CommonAncestor(d.members[lo].start.RangeMin(), end)
 		d.entries, d.stack, d.refs = d.entries[:0], d.stack[:0], d.refs[:0]
-		if err := d.step(d.top, grid.CellRect(d.top), true, geom.Point{}, 0, 0, lo, hi, 0, 0); err != nil {
+		if err := d.step(top, grid.CellRect(top), true, geom.Point{}, 0, 0, lo, hi, 0, 0); err != nil {
 			if errors.Is(err, ErrPrecision) {
 				err = fmt.Errorf("covering polygon %d: %w", d.failed, err)
 			}
@@ -246,7 +243,7 @@ func (c *Coverer) coverFast(start cellid.ID, poly *geom.Polygon, left *atomic.In
 	d := newDescent(c, left)
 	defer d.release()
 	d.one[0] = Shape{Poly: poly}
-	d.shapes, d.top = d.one[:], start
+	d.shapes = d.one[:]
 	d.members = append(d.members, member{start: start})
 	if err := d.step(start, grid.CellRect(start), true, geom.Point{}, 0, 0, 0, 1, 0, 0); err != nil {
 		return nil, err
@@ -463,22 +460,6 @@ func (d *descent) step(cell cellid.ID, rect geom.Rect, whole bool, refPt geom.Po
 		stopped := d.refs[rBase+k*r : rBase+k*r+stops[k]]
 		sortRefs(stopped)
 		split := goes[k] > 0 || below[k] < end[k]
-		if cells[k] == d.top && d.face != nil {
-			// The face's root skip. Its covering is this one cell when
-			// nothing splits it; otherwise the covering has cells in two
-			// or more of its children, whose common ancestor it is. A
-			// polygon stopping here passes its reference to all four;
-			// polygons starting below start in two children or more, this
-			// being the smallest cell holding their start cells; and one
-			// that splits its start cell here has covering cells in two,
-			// since the cell splits its bounding box and its extreme
-			// vertices lie on either side.
-			if split {
-				d.face(cells[k].Face(), cells[k].RangeMin(), cells[k].RangeMax())
-			} else {
-				d.face(cells[k].Face(), cells[k], cells[k])
-			}
-		}
 		d.entries, d.stack, d.refs = d.entries[:eBase+n*r], d.stack[:sTop], d.refs[:rBase+n*r]
 		cLo, cHi := rLo, rHi
 		switch {

@@ -1,6 +1,7 @@
 package supercover
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -211,19 +212,52 @@ func FuzzSupercoverMerge(f *testing.F) {
 	})
 }
 
-// faceSpan is one Faces call.
-type faceSpan struct {
-	face        int
-	first, last cellid.ID
-}
-
 // assertStreamMatches merges the inputs again without materializing them —
 // Sort, then the forward pass streamed through Cells, twice — and requires
-// the streamed cells and references to be sc's, and Faces to report each
-// face of sc by its one cell or by the leaves at the ends of its cells.
+// the streamed cells and references to be sc's. Then it merges them as a
+// compaction does: the first half of the inputs sorted, the second merged
+// on its own (Build) and streamed as Merge's run, which must again hand out
+// sc, the reference merge of all of them.
 func assertStreamMatches(t *testing.T, inputs []mergeInput, sc *SuperCovering) {
 	t.Helper()
+	collect := func(merge func(fn func(cellid.ID, []Ref) error) error) *SuperCovering {
+		got := &SuperCovering{}
+		if err := merge(func(cell cellid.ID, refs []Ref) error {
+			got.append(cell, refs)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got.refOff = append(got.refOff, uint32(len(got.refs)))
+		return got
+	}
+	same := func(what string, got *SuperCovering, sorted *Sorted) {
+		t.Helper()
+		if !slices.Equal(got.cells, sc.cells) || !slices.Equal(got.refOff, sc.refOff) || !slices.Equal(got.refs, sc.refs) {
+			t.Fatalf("%s: %d cells %v %v, Build %d cells %v %v", what, len(got.cells), head(got.cells), head(got.refs), len(sc.cells), head(sc.cells), head(sc.refs))
+		}
+		if sorted.NumCells() != sc.NumCells() {
+			t.Fatalf("%s: NumCells %d after streaming %d cells", what, sorted.NumCells(), sc.NumCells())
+		}
+	}
 	var b Builder
+	addAll(t, &b, inputs)
+	sorted := b.Sort()
+	for pass := 0; pass < 2; pass++ {
+		same(fmt.Sprintf("pass %d", pass), collect(sorted.Cells), sorted)
+	}
+
+	var first, second Builder
+	half := len(inputs) / 2
+	addAll(t, &first, inputs[:half])
+	addAll(t, &second, inputs[half:])
+	sorted, run := first.Sort(), second.Build()
+	same("merged with a run", collect(func(fn func(cellid.ID, []Ref) error) error { return sorted.Merge(run.Cells, fn) }), sorted)
+}
+
+// addAll replays the inputs onto b.
+func addAll(t *testing.T, b *Builder, inputs []mergeInput) {
+	t.Helper()
 	for _, in := range inputs {
 		if in.cov != nil {
 			if err := b.Add(in.id, in.cov); err != nil {
@@ -232,34 +266,6 @@ func assertStreamMatches(t *testing.T, inputs []mergeInput, sc *SuperCovering) {
 		} else if err := b.AddCell(in.cell, in.refs); err != nil {
 			t.Fatal(err)
 		}
-	}
-	sorted := b.Sort()
-	for pass := 0; pass < 2; pass++ {
-		got := &SuperCovering{}
-		if err := sorted.Cells(func(cell cellid.ID, refs []Ref) error {
-			got.append(cell, refs)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		got.refOff = append(got.refOff, uint32(len(got.refs)))
-		if !slices.Equal(got.cells, sc.cells) || !slices.Equal(got.refOff, sc.refOff) || !slices.Equal(got.refs, sc.refs) {
-			t.Fatalf("pass %d: streamed %d cells %v, Build %d cells %v", pass, len(got.cells), head(got.cells), len(sc.cells), head(sc.cells))
-		}
-		if sorted.NumCells() != sc.NumCells() {
-			t.Fatalf("pass %d: NumCells %d after streaming %d cells", pass, sorted.NumCells(), sc.NumCells())
-		}
-	}
-	var want, got []faceSpan
-	sc.Faces(func(face int, first, last cellid.ID) {
-		if first != last {
-			first, last = first.RangeMin(), last.RangeMax()
-		}
-		want = append(want, faceSpan{face, first, last})
-	})
-	sorted.Faces(func(face int, first, last cellid.ID) { got = append(got, faceSpan{face, first, last}) })
-	if !slices.Equal(got, want) {
-		t.Fatalf("streamed faces %v, materialized %v", got, want)
 	}
 }
 
@@ -336,26 +342,6 @@ func TestBuildAllocations(t *testing.T) {
 	}
 	t.Logf("streamed: %v allocations", allocs)
 
-	// Compaction's shape: one covering through Add, the merged cells back in
-	// through AddCell. After Grow the pair list is allocated once — neither
-	// AddCell nor Build's expansion of the covering regrows it.
-	b = Builder{}
-	if err := b.Add(100, covs[0]); err != nil {
-		t.Fatal(err)
-	}
-	b.Grow(out.NumRefs())
-	list := &b.pairs[:1][0]
-	for i := 0; i < out.NumCells(); i++ {
-		if err := b.AddCell(out.Cell(i), out.Refs(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if &b.pairs[0] != list || cap(b.pairs) < len(b.pairs)+covs[0].NumCells() {
-		t.Errorf("pair list regrown after Grow(%d): %d of %d used, %d more to come", out.NumRefs(), len(b.pairs), cap(b.pairs), covs[0].NumCells())
-	}
-	if again := b.Build(); again.NumCells() < out.NumCells() {
-		t.Errorf("re-ingested merge has %d cells, fewer than the %d put in", again.NumCells(), out.NumCells())
-	}
 }
 
 // TestSortPairsMatchesWide: the 8-byte-record sort and the two-word sort

@@ -18,14 +18,18 @@
 // base cells with the delta coverings, a delta overlay's coverings — and
 // its Builder.Add/Build, over per-polygon coverings, is the descent's test
 // oracle. The merge has two phases: Builder.Sort puts the input (cell,
-// reference) pairs in interval order, and Sorted.Cells makes one forward
+// reference) pairs in interval order, and Sorted.Merge makes one forward
 // pass over them that hands out each merged cell as it is produced — to the
 // trie builder, which never needs the whole super covering, or to
-// Builder.Build, which materializes it.
+// Builder.Build, which materializes it. Input that is sorted already, a
+// compaction's base cells as its trie hands them out, joins the pass as a
+// run read in step with the pairs (LSM-style: sorted runs are merged, never
+// sorted again, after O'Neil et al., "The Log-Structured Merge-Tree").
 package supercover
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -57,20 +61,6 @@ type SuperCovering struct {
 
 // NumCells returns the number of cells in the super covering.
 func (s *SuperCovering) NumCells() int { return len(s.cells) }
-
-// Faces calls fn once per face the super covering reaches, in face order,
-// with the face's first and last cells.
-func (s *SuperCovering) Faces(fn func(face int, first, last cellid.ID)) {
-	for lo := 0; lo < len(s.cells); {
-		face := s.cells[lo].Face()
-		hi := lo
-		for hi < len(s.cells) && s.cells[hi].Face() == face {
-			hi++
-		}
-		fn(face, s.cells[lo], s.cells[hi-1])
-		lo = hi
-	}
-}
 
 // Cells calls fn for each cell in id order with its references (aliasing
 // the covering's storage) and stops at fn's first error.
@@ -147,10 +137,6 @@ func makePair(cell cellid.ID, ref Ref) pair {
 	return p
 }
 
-// face returns the face of the pair's cell, which pos holds above the 60
-// bits of a leaf's position.
-func (p pair) face() int { return int(p[pos] >> (2 * cellid.MaxLevel)) }
-
 // level returns the level of the pair's cell.
 func (p pair) level() uint { return uint(p[aux] >> 32) }
 
@@ -174,12 +160,11 @@ func (b *Builder) Add(polygonID uint32, cov *cover.Covering) error {
 	return nil
 }
 
-// AddCell registers one already-merged covering cell with explicit
-// references — the re-ingestion path used when the original per-polygon
-// coverings are gone and the cells come straight out of an existing trie
-// (core.Trie.Cells): epoch compaction feeds a base's cells through here and
-// the delta polygons' coverings through Add, and Build's pushdown resolves
-// any overlap between the two exactly as it does between polygons.
+// AddCell registers one covering cell with explicit references, which
+// Build's pushdown merges with everything else added exactly as it merges
+// polygons. It is how tests feed the merge arbitrary cells; a compaction
+// does not take this path, as its base cells arrive in order and are merged
+// as they are read (Sorted.Merge).
 func (b *Builder) AddCell(cell cellid.ID, refs []Ref) error {
 	for _, r := range refs {
 		if r.PolygonID > MaxPolygonID {
@@ -188,17 +173,6 @@ func (b *Builder) AddCell(cell cellid.ID, refs []Ref) error {
 		b.pairs = append(b.pairs, makePair(cell, r))
 	}
 	return nil
-}
-
-// Grow makes room for n more AddCell references beside the cells of the
-// coverings added so far, so that Build expands everything in the one
-// allocation. Worth calling when n is large: append grows a big slice by a
-// quarter at a time and allocates the list four times over on the way.
-func (b *Builder) Grow(n int) {
-	for _, c := range b.coverings {
-		n += c.cov.NumCells()
-	}
-	b.pairs = slices.Grow(b.pairs, n)
 }
 
 // radixBits is the digit width of sortPairsWide.
@@ -349,21 +323,22 @@ func sortPairsWide(a []pair) []pair {
 	return src
 }
 
-// ancestor is an input cell that contains further input cells and therefore
-// cannot be emitted itself: its references are pushed down onto the input
-// cells under it and onto "gap" cells filling the rest of its area.
+// ancestor is an input cell the forward pass has reached and not yet
+// passed: its references are pushed down onto the input cells under it and
+// onto "gap" cells filling the rest of its area, which is the whole cell
+// when no input cell lies under it.
 type ancestor struct {
 	next, end uint64 // leaves [next, end) of the cell are not yet covered by output
 	refs      int    // its merged references start here in the pending list
 }
 
 // Sorted is a merge's input in interval order: the first of the merge's two
-// phases done. Its Cells runs the second, the forward pass, and hands each
+// phases done. Its Merge runs the second, the forward pass, and hands each
 // cell of the super covering on as it is produced, so a consumer such as
 // the trie builder never needs the super covering materialized.
 type Sorted struct {
 	pairs []pair
-	cells int // cells the last complete Cells call produced
+	cells int // cells the last Merge produced
 }
 
 // Sort expands and sorts everything added so far and releases the
@@ -416,94 +391,123 @@ func (s *SuperCovering) append(cell cellid.ID, refs []Ref) {
 // NumRefs returns the number of (cell, reference) pairs the merge takes in.
 func (s *Sorted) NumRefs() int { return len(s.pairs) }
 
-// NumCells returns the number of cells in the super covering, once Cells
-// has produced all of them.
+// NumCells returns the number of cells in the super covering, once Merge
+// (or Cells) has produced all of them.
 func (s *Sorted) NumCells() int { return s.cells }
-
-// Faces calls fn once per face the super covering reaches, in face order,
-// from the sorted input alone. When the face holds one cell, first and last
-// are that cell; otherwise they are the leaf cells at either end of the
-// face's covered range. Those have the common ancestor of the face's first
-// and last cells, which lies strictly above the ends of both pairs, so the
-// trie's root skip (core.Build) comes out the same from either pair.
-func (s *Sorted) Faces(fn func(face int, first, last cellid.ID)) {
-	for lo := 0; lo < len(s.pairs); {
-		face := s.pairs[lo].face()
-		hi := lo + sort.Search(len(s.pairs)-lo, func(k int) bool { return s.pairs[lo+k].face() != face })
-		head, tail := s.pairs[lo], s.pairs[hi-1]
-		if head[pos] == tail[pos] && head.level() == tail.level() {
-			cell := cellAt(head[pos], head.leaves())
-			fn(face, cell, cell)
-		} else {
-			end := uint64(0)
-			for _, p := range s.pairs[lo:hi] {
-				end = max(end, p[pos]+p.leaves())
-			}
-			fn(face, cellAt(head[pos], 1), cellAt(end-1, 1))
-		}
-		lo = hi
-	}
-}
 
 // Cells runs the merge's forward pass and calls fn for each cell of the
 // super covering, in ascending id order, with its references (ascending
 // polygon ids, one per polygon), which fn must not modify or keep. It stops
-// at fn's first error and returns it. Cells may run more than once.
+// at fn's first error and returns it. Cells may run more than once. It is
+// Merge with no run.
 func (s *Sorted) Cells(fn func(cell cellid.ID, refs []Ref) error) error {
-	pairs := s.pairs
+	return s.Merge(nil, fn)
+}
+
+// Merge runs the forward pass over the sorted pairs and the cells run hands
+// over, interleaved in interval order, and calls fn as Cells does for each
+// cell of the super covering of both. run calls its argument for each of
+// its cells in ascending id order with its references (ascending polygon
+// ids, one per polygon, none above MaxPolygonID, as in a trie), which Merge
+// does not modify or keep; its cells must be pairwise disjoint, as a trie's
+// (core.Trie.Cells) are, and a cell without references adds nothing. A
+// cell run hands over meets the pairs as the cells of Add's coverings meet
+// one another: so an already-sorted covering, a compaction's base, is
+// merged as it is read instead of being sorted with the pairs. Merge stops
+// at the first error, run's or fn's, and returns it; a nil run merges the
+// pairs alone.
+//
+// Every input cell opens as an ancestor. The next input cell closes the
+// ancestors it lies past, each filling what is left of its leaves with its
+// references, and fills the part of its own ancestor before it; so an
+// ancestor that nothing splits closes as itself.
+func (s *Sorted) Merge(run func(yield func(cell cellid.ID, refs []Ref) error) error, fn func(cell cellid.ID, refs []Ref) error) error {
 	s.cells = 0
-	emit := func(cell cellid.ID, refs []Ref) error {
+	m := merge{emit: func(cell cellid.ID, refs []Ref) error {
 		s.cells++
 		return fn(cell, refs)
-	}
-	// One forward pass in interval order. open holds the ancestors of the
-	// current position, outermost first; pending their merged reference
-	// lists back to back, so the innermost ancestor's list is its tail.
-	var open []ancestor
-	var pending, merged []Ref
-	closeTop := func() error {
-		top := open[len(open)-1]
-		err := fill(top.next, top.end, pending[top.refs:], emit)
-		pending = pending[:top.refs]
-		open = open[:len(open)-1]
-		return err
-	}
-	for i := 0; i < len(pairs); {
-		first, leaves := pairs[i][pos], pairs[i].leaves()
-		j := i + 1
-		for j < len(pairs) && pairs[j][pos] == first && pairs[j].level() == pairs[i].level() {
-			j++
-		}
-		for len(open) > 0 && open[len(open)-1].end <= first {
-			if err := closeTop(); err != nil {
+	}}
+	pairs := s.pairs
+	// feed pushes the pairs ahead of p in interval order, a cell at a time.
+	feed := func(p pair) error {
+		for len(pairs) > 0 && (pairs[0][pos] < p[pos] || pairs[0][pos] == p[pos] && pairs[0].level() <= p.level()) {
+			j := 1
+			for j < len(pairs) && pairs[j][pos] == pairs[0][pos] && pairs[j].level() == pairs[0].level() {
+				j++
+			}
+			if err := m.push(pairs[:j]); err != nil {
 				return err
 			}
+			pairs = pairs[j:]
 		}
-		var inherited []Ref
-		if len(open) > 0 {
-			top := &open[len(open)-1]
-			inherited = pending[top.refs:]
-			if err := fill(top.next, first, inherited, emit); err != nil {
-				return err
-			}
-			top.next = first + leaves
-		}
-		if j < len(pairs) && pairs[j][pos] < first+leaves {
-			// The next cell lies inside this one, which must split.
-			open = append(open, ancestor{next: first, end: first + leaves, refs: len(pending)})
-			pending = appendMerged(pending, inherited, pairs[i:j])
-		} else {
-			merged = appendMerged(merged[:0], inherited, pairs[i:j])
-			if err := emit(cellAt(first, leaves), merged); err != nil {
-				return err
-			}
-		}
-		i = j
+		return nil
 	}
-	for len(open) > 0 {
-		if err := closeTop(); err != nil {
+	if run != nil {
+		var own []pair
+		err := run(func(cell cellid.ID, refs []Ref) error {
+			own = own[:0]
+			for _, r := range refs {
+				own = append(own, makePair(cell, r))
+			}
+			if len(own) == 0 {
+				return nil
+			}
+			if err := feed(own[0]); err != nil {
+				return err
+			}
+			return m.push(own)
+		})
+		if err != nil {
 			return err
 		}
+	}
+	// The pairs past run's last cell, then every ancestor still open.
+	if err := feed(pair{pos: math.MaxUint64}); err != nil {
+		return err
+	}
+	return m.closeBy(math.MaxUint64)
+}
+
+// merge is the state of one forward pass, which hands each cell of the
+// super covering to emit. open holds the ancestors of the current position,
+// outermost first; pending their merged reference lists back to back, so
+// the innermost ancestor's list is its tail.
+type merge struct {
+	emit    func(cell cellid.ID, refs []Ref) error
+	open    []ancestor
+	pending []Ref
+}
+
+// push takes the next input cell in interval order: own, its pairs, one
+// cell's, in ascending polygon order.
+func (m *merge) push(own []pair) error {
+	first, leaves := own[0][pos], own[0].leaves()
+	if err := m.closeBy(first); err != nil {
+		return err
+	}
+	var inherited []Ref
+	if len(m.open) > 0 {
+		top := &m.open[len(m.open)-1]
+		inherited = m.pending[top.refs:]
+		if err := fill(top.next, first, inherited, m.emit); err != nil {
+			return err
+		}
+		top.next = first + leaves
+	}
+	m.open = append(m.open, ancestor{next: first, end: first + leaves, refs: len(m.pending)})
+	m.pending = appendMerged(m.pending, inherited, own)
+	return nil
+}
+
+// closeBy closes the open ancestors that end by leaf position at,
+// innermost first, each filling what is left of it.
+func (m *merge) closeBy(at uint64) error {
+	for len(m.open) > 0 && m.open[len(m.open)-1].end <= at {
+		top := m.open[len(m.open)-1]
+		if err := fill(top.next, top.end, m.pending[top.refs:], m.emit); err != nil {
+			return err
+		}
+		m.pending, m.open = m.pending[:top.refs], m.open[:len(m.open)-1]
 	}
 	return nil
 }
@@ -513,11 +517,9 @@ func (s *Sorted) Cells(fn func(cell cellid.ID, refs []Ref) error) error {
 // references: the siblings of the cells on the way down to its descendants.
 func fill(lo, hi uint64, refs []Ref, emit func(cellid.ID, []Ref) error) error {
 	for lo < hi {
-		// The largest cell that starts at lo and ends by hi.
-		shift := min(uint(bits.TrailingZeros64(lo))&^1, 2*cellid.MaxLevel)
-		for 1<<shift > hi-lo {
-			shift -= 2
-		}
+		// The largest cell that starts at lo and ends by hi: as large as
+		// lo's alignment and the leaves left allow, a power of four.
+		shift := min(uint(bits.TrailingZeros64(lo)), uint(bits.Len64(hi-lo)-1)) &^ 1
 		if err := emit(cellAt(lo, 1<<shift), refs); err != nil {
 			return err
 		}

@@ -35,9 +35,11 @@ import (
 // count crosses the compaction threshold, a background compactor merges the
 // base trie's surviving cells with the live delta coverings into a fresh
 // base (original ids kept, removed ids left as holes; nothing is
-// re-covered) and swings it in atomically through the index's epoch Holder
-// — readers never block, and an in-flight join keeps the epoch it loaded
-// for its whole run. Mutations that land while the compactor runs survive
+// re-covered): the delta coverings are sorted, and the base cells stream out
+// of the base trie in order and are merged as they are read, the way an LSM
+// tree merges sorted runs. It swings the fresh base in atomically through
+// the index's epoch Holder — readers never block, and an in-flight join
+// keeps the epoch it loaded for its whole run. Mutations that land while the compactor runs survive
 // as a residual overlay on the new base.
 //
 // The index's state — trie, geometry, overlay, id set and sequence — is one
@@ -441,14 +443,15 @@ func (ix *Index) compactLocked(ctx context.Context, evenClean bool) (err error) 
 // compactEpoch asks its context once per cancelCheckEvery base cells.
 const cancelCheckEvery = 4096
 
-// compactEpoch rebuilds a clean epoch from ep itself (see Compact): surviving
-// base cells go straight into the super-covering merge
-// (supercover.Builder.AddCell), live delta coverings through the normal Add
-// path, and the merge streams into the trie builder as New's does; the
-// geometry store, id set and sequence stay ep's.
-// No covering is recomputed, so each polygon keeps its cells exactly as the
-// process that covered it built them. The context is asked every
-// cancelCheckEvery cells of the enumeration and between the phases.
+// compactEpoch rebuilds a clean epoch from ep itself (see Compact): the live
+// delta coverings are sorted (supercover.Builder), and the base trie's
+// cells, which it hands out in ascending id order, pass with removed
+// polygons' references dropped through the merge's forward pass with them
+// (supercover.Sorted.Merge) straight into the trie builder — merged as they
+// are read, never copied or sorted. The geometry store, id set and sequence
+// stay ep's. No covering is recomputed, so each polygon keeps its cells
+// exactly as the process that covered it built them. The context is asked
+// every cancelCheckEvery cells of the base.
 func (ix *Index) compactEpoch(ctx context.Context, ep *epoch) (*epoch, error) {
 	defer ix.keepMapped() // the walk may read a file-mapped arena
 	// The epoch's recorded precision covers the base polygons; delta
@@ -468,42 +471,32 @@ func (ix *Index) compactEpoch(ctx context.Context, ep *epoch) (*epoch, error) {
 		}
 		stats.AchievedPrecisionMeters = max(stats.AchievedPrecisionMeters, p.Cov.AchievedPrecisionMeters)
 	}
-	// A first walk only counts the base's references (removed ones too:
-	// an upper bound), so the builder holds everything in one allocation.
-	// The walk costs a twentieth of the merge; a list regrown by append
-	// costs four times its size in allocations, all of it fresh memory.
-	refs := 0
-	_ = ep.trie.Cells(func(_ cellid.ID, r []supercover.Ref) error { refs += len(r); return nil })
-	scb.Grow(refs)
-	var keep []supercover.Ref
-	visited := 0
-	err := ep.trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
-		if visited++; visited%cancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		keep = keep[:0]
-		for _, r := range refs {
-			if ep.alive[r.PolygonID] {
-				keep = append(keep, r)
-			}
-		}
-		if len(keep) == 0 {
-			return nil // every referencing polygon was removed
-		}
-		return scb.AddCell(cell, keep)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("act: compact: enumerating base cells: %w", err)
-	}
 	sorted := scb.Sort()
 	stats.MergeDuration = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 
-	trie, err := ix.pl.trie(sorted, &stats)
+	base := func(yield func(cellid.ID, []supercover.Ref) error) error {
+		var keep []supercover.Ref
+		visited := 0
+		return ep.trie.Cells(func(cell cellid.ID, refs []supercover.Ref) error {
+			if visited++; visited%cancelCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			keep = keep[:0]
+			for _, r := range refs {
+				if ep.alive[r.PolygonID] {
+					keep = append(keep, r)
+				}
+			}
+			return yield(cell, keep) // the merge drops a cell left without references
+		})
+	}
+	trie, err := ix.pl.build(func(cell func(cellid.ID, []supercover.Ref) error) error {
+		err := sorted.Merge(base, cell)
+		stats.IndexedCells = sorted.NumCells()
+		return err
+	}, &stats)
 	if err != nil {
 		return nil, err
 	}

@@ -49,11 +49,11 @@ func (o *Observer) logger() *slog.Logger {
 
 // observeCompaction reports one real compaction run to the observer's hook
 // and logger; the log line splits the rebuild into its phases, the hook gets
-// the total: merge_ms is the sort of the merge's input, the base cells and
-// the delta coverings (MergeDuration), and trie_ms the merge's forward pass
-// streamed into the trie builder (InsertDuration). A compaction merges
-// cells, not polygons, so it still sorts; only New covers and merges in one
-// descent. Safe on a nil receiver index observer.
+// the total: merge_ms is the sort of the live delta coverings
+// (MergeDuration), and trie_ms the base trie's cells streamed through the
+// merge's forward pass with them into the trie builder (InsertDuration). A
+// compaction sorts only the delta: the base's cells arrive in order. Safe
+// on a nil receiver index observer.
 func (ix *Index) observeCompaction(d time.Duration, rebuilt BuildStats, err error) {
 	o := ix.obs
 	if o == nil {
