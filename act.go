@@ -75,7 +75,10 @@ type Result = core.Result
 // reports a true hit (the point is certainly inside), unset Exact a
 // candidate within the precision bound that exact joins refine against real
 // geometry.
-type Match = core.Match
+type Match struct {
+	ID    uint32
+	Exact bool
+}
 
 // GridKind selects the hierarchical grid underlying the index.
 type GridKind int
@@ -180,6 +183,12 @@ func (ep *epoch) liveFilter() []bool {
 	return ep.alive
 }
 
+// firstDelta returns the first id the overlay serves: the inserts since the
+// base carry the consecutive ids at the end of the id space.
+func (ep *epoch) firstDelta() int {
+	return len(ep.alive) - ep.ov.NumPolygons()
+}
+
 // idColumn returns the id column a file of ep carries: none while the id
 // space is dense, the live ids, ascending, once removals have left holes.
 func (ep *epoch) idColumn() []uint32 {
@@ -274,6 +283,12 @@ type Index struct {
 	// construction, never mutated.
 	deltaThreshold int
 	obs            *Observer
+
+	// spare keeps the Result AppendRefs looks up into between calls: a
+	// call takes it, or makes its own while another call holds it. (A
+	// sync.Pool drops items at random under the race detector, where
+	// AppendRefs would then allocate.)
+	spare atomic.Pointer[Result]
 
 	// mapped is the file mapping OpenIndex aliased the loaded trie over,
 	// held until Close even once a compaction has replaced that trie (see
@@ -411,7 +426,7 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 		return nil, err
 	}
 	stats.CoverDuration = time.Since(start)
-	trie, err := pl.build(pl.descent(shapes, nil, &stats), &stats)
+	trie, err := pl.build(pl.descent(shapes, nil, &stats), nil, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -430,10 +445,11 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 // build streams a prefix-free covering straight into the Adaptive Cell Trie
 // builder (core.BuildStream) and records the cost and the shape in stats:
 // New's and a loader's covering from the descent, a compaction's from the
-// merge of its base and delta.
-func (pl *pipeline) build(s core.Stream, stats *BuildStats) (*core.Trie, error) {
+// merge of its base and delta, which sizes the builder's arena like that
+// base.
+func (pl *pipeline) build(s core.Stream, like *core.Trie, stats *BuildStats) (*core.Trie, error) {
 	start := time.Now()
-	trie, err := core.BuildStream(s, core.Config{Fanout: pl.fanout})
+	trie, err := core.BuildStream(s, like, core.Config{Fanout: pl.fanout})
 	if err != nil {
 		return nil, fmt.Errorf("act: %w", err)
 	}
@@ -534,17 +550,24 @@ func (ix *Index) Lookup(ll LatLng, mode JoinMode, res *Result) (bool, error) {
 }
 
 // AppendRefs appends every polygon reference matching the point to dst —
-// true hits with Match.Exact set, candidates without — and returns the
-// extended slice. It allocates nothing with a reused dst, so hot paths can
-// keep the true-hit/candidate distinction without paying for a Result.
+// the true hits with Match.Exact set, then the candidates without — and
+// returns the extended slice. It is Lookup in Approximate mode into a kept
+// Result, so it allocates nothing with a reused dst.
+//
+// Deprecated: use Lookup with a reused Result, whose True and Candidates
+// carry the same split.
 func (ix *Index) AppendRefs(ll LatLng, dst []Match) []Match {
-	defer ix.keepMapped()
-	ep := ix.live.Load()
-	leaf := grid.LeafCell(ix.pl.grid, ll)
-	n := len(dst)
-	dst = ep.trie.AppendRefs(leaf, dst)
-	if ep.ov != nil {
-		dst = ep.ov.MergeRefs(leaf, dst, n)
+	res := ix.spare.Swap(nil)
+	if res == nil {
+		res = new(Result)
+	}
+	defer ix.spare.Store(res)
+	ix.Lookup(ll, Approximate, res) // an approximate lookup reports no error
+	for _, id := range res.True {
+		dst = append(dst, Match{ID: id, Exact: true})
+	}
+	for _, id := range res.Candidates {
+		dst = append(dst, Match{ID: id})
 	}
 	return dst
 }

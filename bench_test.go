@@ -225,7 +225,8 @@ const buildAllocBudget = 7_900_000
 // It is also the allocation guard of compaction: the base's cells must pass
 // through the merge as they are read, not be copied into the merge's pair
 // array and sorted with the delta — 32.9 MB a compaction when they were,
-// 15.7 MB streamed.
+// 15.7 MB streamed into an arena that doubled from empty, 12.3 MB into one
+// sized from the base trie.
 func BenchmarkCompact(b *testing.B) {
 	base, err := data.CensusBlocks(1, 4000)
 	if err != nil {
@@ -276,9 +277,9 @@ func BenchmarkCompact(b *testing.B) {
 }
 
 // compactAllocBudget bounds the bytes one BenchmarkCompact compaction may
-// allocate: a third above the 15.7 MB measured, well below the 32.9 MB of a
+// allocate: a third above the 12.3 MB measured, well below the 32.9 MB of a
 // compaction that sorts the base's cells in a pair array.
-const compactAllocBudget = 21_000_000
+const compactAllocBudget = 16_400_000
 
 // --- Figure 3 ------------------------------------------------------------
 

@@ -12,11 +12,15 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/actindex/act"
+	"github.com/actindex/act/internal/data"
 )
 
 // liveSet tracks, alongside the mutated index, which polygon every live id
@@ -368,4 +372,218 @@ func TestMutationAPIContract(t *testing.T) {
 	if _, err := idx.Insert(cancelled, pool[4]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Insert with cancelled context: %v", err)
 	}
+}
+
+// split is a lookup's answer by hit class, each class sorted.
+type split struct{ trues, cands []uint32 }
+
+func (s split) equal(o split) bool {
+	return slices.Equal(s.trues, o.trues) && slices.Equal(s.cands, o.cands)
+}
+
+// refsSplit sorts AppendRefs' matches into their classes.
+func refsSplit(refs []act.Match) split {
+	var s split
+	for _, m := range refs {
+		if m.Exact {
+			s.trues = append(s.trues, m.ID)
+		} else {
+			s.cands = append(s.cands, m.ID)
+		}
+	}
+	slices.Sort(s.trues)
+	slices.Sort(s.cands)
+	return s
+}
+
+// TestAppendRefsAfterMutation holds the AppendRefs forward to Lookup's split
+// on a mutated index — after inserts and removals, and after a compaction
+// that leaves a residual — with true hits appended before candidates, and
+// both reads allocation-free with a reused Result or dst. The index is
+// census-600 at 60 m, without background compaction and with a snapshot
+// path on a gated filesystem (see gateFS); the inserts are blocks of a
+// second census draw.
+func TestAppendRefsAfterMutation(t *testing.T) {
+	ctx := context.Background()
+	base, err := data.CensusBlocks(1, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := data.CensusBlocks(7, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := data.GeneratePoints(data.PointConfig{N: 4096, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snapDir := filepath.Join(dir, "snap")
+	if err := os.Mkdir(snapDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	gate := &gateFS{dir: snapDir, reached: make(chan struct{}), release: make(chan struct{})}
+	ix, err := act.New(base.Polygons, act.WithPrecision(60), act.WithDeltaThreshold(-1),
+		act.WithWAL(act.WALConfig{Path: filepath.Join(dir, "ix.wal"), SnapshotPath: filepath.Join(snapDir, "ix.act"), Policy: act.SyncOff, FS: gate}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	check := func(when string) {
+		t.Helper()
+		var res act.Result
+		var refs []act.Match
+		sawTrue, sawCand := false, false
+		for _, ll := range pts {
+			mustLookup(t, ix, ll, act.Approximate, &res)
+			refs = ix.AppendRefs(ll, refs[:0])
+			want := make([]act.Match, 0, res.Total())
+			for _, id := range res.True {
+				want = append(want, act.Match{ID: id, Exact: true})
+			}
+			for _, id := range res.Candidates {
+				want = append(want, act.Match{ID: id})
+			}
+			if !slices.Equal(refs, want) {
+				t.Fatalf("%s: AppendRefs(%v) = %v, Lookup splits %v/%v", when, ll, refs, res.True, res.Candidates)
+			}
+			sawTrue = sawTrue || len(res.True) > 0
+			sawCand = sawCand || len(res.Candidates) > 0
+		}
+		if !sawTrue || !sawCand {
+			t.Fatalf("%s: the points never met both classes (true %v, candidate %v)", when, sawTrue, sawCand)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			for _, ll := range pts[:256] {
+				ix.Lookup(ll, act.Approximate, &res)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Lookup allocates %.1f per 256-point run", when, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			for _, ll := range pts[:256] {
+				refs = ix.AppendRefs(ll, refs[:0])
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: AppendRefs allocates %.1f per 256-point run", when, allocs)
+		}
+	}
+
+	var inserted []uint32
+	for _, p := range more.Polygons[:10] {
+		id, err := ix.Insert(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserted = append(inserted, id)
+	}
+	for _, id := range []uint32{3, inserted[4]} {
+		if err := ix.Remove(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("10 inserts and 2 removals")
+
+	gate.armed.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- ix.Compact(ctx) }()
+	<-gate.reached
+	var errs []error
+	for _, p := range more.Polygons[10:13] {
+		_, err := ix.Insert(ctx, p)
+		errs = append(errs, err)
+	}
+	errs = append(errs, ix.Remove(ctx, inserted[0]), ix.Remove(ctx, 5))
+	close(gate.release)
+	if err := errors.Join(append(errs, <-done)...); err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.Status(); st.DeltaPolygons != 3 || st.Tombstones != 2 || st.Compactions != 1 {
+		t.Fatalf("the held compaction left no residual of 3 inserts and 2 removals: %+v", st)
+	}
+	check("a compaction with a residual")
+}
+
+// TestAppendRefsConcurrent reads through AppendRefs, with its pooled Result,
+// and through Lookup beside a writer that inserts, removes and compacts far
+// from the readers' points: every answer is the one read before the writer
+// started. The base is a lattice of squares at 250 m, the points are drawn
+// over it.
+func TestAppendRefsConcurrent(t *testing.T) {
+	ctx := context.Background()
+	var polys []*act.Polygon
+	for i := range 64 {
+		polys = append(polys, square(40+0.02*float64(i/8), -74+0.02*float64(i%8), 0.008))
+	}
+	ix, err := act.New(polys, act.WithPrecision(250), act.WithDeltaThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]act.LatLng, 512)
+	for i := range pts {
+		pts[i] = act.LatLng{Lat: 39.99 + 0.16*rng.Float64(), Lng: -74.01 + 0.16*rng.Float64()}
+	}
+	want := make([]split, len(pts))
+	var res act.Result
+	for i, ll := range pts {
+		mustLookup(t, ix, ll, act.Approximate, &res)
+		want[i] = split{sorted(res.True), sorted(res.Candidates)}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var res act.Result
+			var refs []act.Match
+			for pass := 0; ; pass++ {
+				for i, ll := range pts {
+					var got split
+					if (i+r)%2 == 0 {
+						refs = ix.AppendRefs(ll, refs[:0])
+						got = refsSplit(refs)
+					} else {
+						if _, err := ix.Lookup(ll, act.Approximate, &res); err != nil {
+							t.Error(err)
+							return
+						}
+						got = split{sorted(res.True), sorted(res.Candidates)}
+					}
+					if !got.equal(want[i]) {
+						t.Errorf("reader %d, pass %d, point %d: %v/%v, want %v/%v", r, pass, i, got.trues, got.cands, want[i].trues, want[i].cands)
+						return
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
+	// The writer's squares lie on the equator, far from the census area.
+	for i := range 24 {
+		id, err := ix.Insert(ctx, square(0.5*float64(i%8), 10, 0.1))
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		if i%3 == 0 {
+			err = ix.Remove(ctx, id)
+		}
+		if err == nil && i%8 == 7 {
+			err = ix.Compact(ctx)
+		}
+		if err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

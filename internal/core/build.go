@@ -51,13 +51,22 @@ type Stream func(cell func(cell cellid.ID, refs []supercover.Ref) error) error
 // compaction's base needs no sort: BuildStream takes the one from the
 // descent that covers it, the other merged into the delta as it is read.
 func Build(src Source, cfg Config) (*Trie, error) {
-	return laidOut(buildFrom(src.Cells, src.NumRefs(), cfg))
+	// A quarter word a reference covers the census map's 0.21 at ε = 60 m;
+	// the arena doubles at finer ε, where nodes fill up.
+	return laidOut(buildFrom(src.Cells, src.NumRefs()/4, cfg))
 }
 
-// BuildStream is Build over a covering produced as it is taken. No count of
-// its references is known in advance, so the arena grows by doubling.
-func BuildStream(s Stream, cfg Config) (*Trie, error) {
-	return laidOut(buildFrom(s, 0, cfg))
+// BuildStream is Build over a covering produced as it is taken. Its arena
+// doubles whenever it fills, starting empty, or, when like is not nil — a
+// compaction's base, which its covering merges a delta into —, at the words
+// like's builder arena held (see Trie.unshared) and an eighth more for the
+// delta's cells, so that it grows at most once.
+func BuildStream(s Stream, like *Trie, cfg Config) (*Trie, error) {
+	words := 0
+	if like != nil {
+		words = like.unshared + like.unshared/8
+	}
+	return laidOut(buildFrom(s, words, cfg))
 }
 
 // laidOut lays out a trie a build left in completion order.
@@ -69,13 +78,10 @@ func laidOut(t *Trie, err error) (*Trie, error) {
 	return t, nil
 }
 
-// buildFrom runs the insertion pipeline over a stream whose references
-// number about refs, leaving nodes in completion order (children before
-// parents).
-func buildFrom(s Stream, refs int, cfg Config) (*Trie, error) {
-	// A quarter word a reference covers the census map's 0.21 at ε = 60 m;
-	// the arena doubles at finer ε, where nodes fill up.
-	b, err := newBuilder(cfg, refs/4)
+// buildFrom runs the insertion pipeline over a stream into an arena sized
+// for words, leaving nodes in completion order (children before parents).
+func buildFrom(s Stream, words int, cfg Config) (*Trie, error) {
+	b, err := newBuilder(cfg, words)
 	if err != nil {
 		return nil, err
 	}

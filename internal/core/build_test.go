@@ -162,7 +162,7 @@ func TestBuildStreamSingleCellFace(t *testing.T) {
 			got, err := BuildStream(func(cell func(cellid.ID, []supercover.Ref) error) error {
 				_, _, err := coverer.Descend([]cover.Shape{{Face: 0, Poly: poly, ID: 7}}, nil, cell)
 				return err
-			}, cfg)
+			}, nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

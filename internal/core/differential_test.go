@@ -106,8 +106,8 @@ func slotLeaves(d *denseTrie) []cellid.ID {
 // fanout with inlining on and off, and demands that the two agree on
 // everything observable: the flat form (the reference's, palette-coded and
 // laid out node by node in its breadth-first numbering, word for word),
-// which loads, roots and lookup table; Lookup, AppendRefs and
-// LookupCounting's access count for a leaf in every slot of every node plus
+// which loads, roots and lookup table; Lookup and LookupCounting's access
+// count for a leaf in every slot of every node plus
 // misses of every kind; LookupBatch over the same leaves in slot order and
 // shuffled; and the Cells enumeration, in order.
 func TestBuildMatchesDenseReference(t *testing.T) {
@@ -168,14 +168,11 @@ func checkAgainstReference(t *testing.T, sc *supercover.SuperCovering, cfg Confi
 	wantHit := make([]bool, len(leaves))
 	var res Result
 	for i, leaf := range leaves {
-		matches, hit, accesses := ref.lookup(leaf, &wantRes[i])
+		hit, accesses := ref.lookup(leaf, &wantRes[i])
 		wantHit[i] = hit
 		res.Reset()
 		if got := trie.Lookup(leaf, &res); got != hit || !res.Equal(&wantRes[i]) {
 			t.Fatalf("leaf %v: Lookup = %v %+v, reference %v %+v", leaf, got, res, hit, wantRes[i])
-		}
-		if got := trie.AppendRefs(leaf, nil); !slices.Equal(got, matches) {
-			t.Fatalf("leaf %v: AppendRefs = %v, reference %v", leaf, got, matches)
 		}
 		res.Reset()
 		if got, n := trie.LookupCounting(leaf, &res); got != hit || n != accesses || !res.Equal(&wantRes[i]) {

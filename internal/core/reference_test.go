@@ -215,22 +215,21 @@ func (d *denseTrie) walk(leaf cellid.ID) (entry uint64, accesses int) {
 	}
 }
 
-// lookup decodes the terminal entry covering leaf into res and its flat
-// Match form, and reports hit and node accesses.
-func (d *denseTrie) lookup(leaf cellid.ID, res *Result) (matches []Match, hit bool, accesses int) {
+// lookup decodes the terminal entry covering leaf into res, and reports hit
+// and node accesses.
+func (d *denseTrie) lookup(leaf cellid.ID, res *Result) (hit bool, accesses int) {
 	entry, accesses := d.walk(leaf)
 	if entry == 0 {
-		return nil, false, accesses
+		return false, accesses
 	}
 	for _, r := range d.enc.t.appendEntryRefs(entry, nil) {
-		matches = append(matches, Match{ID: r.PolygonID, Exact: r.Interior})
 		if r.Interior {
 			res.True = append(res.True, r.PolygonID)
 		} else {
 			res.Candidates = append(res.Candidates, r.PolygonID)
 		}
 	}
-	return matches, true, accesses
+	return true, accesses
 }
 
 // denseCell is one cell of the reference enumeration.

@@ -33,7 +33,8 @@ import (
 //
 // Nodes unreachable from any face root are dropped. It returns the number of
 // nodes walks reach, including the sentinel — a shared leaf counts once per
-// entry naming it.
+// entry naming it — and records them and the words they take unshared (see
+// Trie.unshared).
 func (t *Trie) Relayout() int {
 	nodes, _ := t.relayout(false)
 	return nodes
@@ -101,7 +102,7 @@ func (t *Trie) relayout(check bool) (int, error) {
 		depth  int
 	}
 	var queue []queued
-	nodes := 1
+	nodes, unshared := 1, sentinel
 	// place lays out the node old names, depth nodes deep, which the entry
 	// at arena[at] (the root's, for at 0) is to name, and returns that
 	// entry: 0 for a leaf, named once the leaf region is packed.
@@ -120,6 +121,7 @@ func (t *Trie) relayout(check bool) (int, error) {
 			children = slices.ContainsFunc(palette, isChild)
 		}
 		w, codes := widthOf(old), t.codes(old)
+		unshared += len(codes) + len(palette)
 		if at != 0 && !children {
 			if !leaves.add(at, codeEnd(old)-uint64(len(codes)), uint64(len(codes)), paletteAt(old), uint64(len(palette)), w) {
 				return 0, errPastEnd
@@ -185,7 +187,7 @@ func (t *Trie) relayout(check bool) (int, error) {
 	if !check {
 		t.nodes, t.roots = arena, roots
 	}
-	t.reached = nodes - 1
+	t.reached, t.unshared = nodes-1, unshared
 	return nodes, nil
 }
 

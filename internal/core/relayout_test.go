@@ -18,7 +18,7 @@ func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sc := randomPrefixFreeCovering(t, rng, []int{0, 2, 5}, 150)
 	for _, fanout := range fanouts {
-		raw, err := buildFrom(sc.Cells, sc.NumRefs(), Config{Fanout: fanout}) // allocation order, not relaid
+		raw, err := buildFrom(sc.Cells, 0, Config{Fanout: fanout}) // allocation order, not relaid
 		if err != nil {
 			t.Fatalf("fanout %d: %v", fanout, err)
 		}
@@ -54,12 +54,14 @@ func TestRelayoutPreservesLookupsAndIsIdempotent(t *testing.T) {
 // TestRelayoutYieldsCanonicalFlat: the breadth-first form is the canonical
 // flat form of a covering. A build-order (pre-relayout) arena is refused by
 // TrieFromFlat — a mapped arena cannot be renumbered in place — and relaying
-// it out yields word for word the arena Build produces, which loads.
+// it out yields word for word the arena Build produces, which loads. Both
+// the relaid and the loaded trie know the words the build-order arena took,
+// which size a compaction's arena (BuildStream).
 func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sc := randomPrefixFreeCovering(t, rng, []int{1, 3, 4}, 130)
 	for _, fanout := range fanouts {
-		raw, err := buildFrom(sc.Cells, sc.NumRefs(), Config{Fanout: fanout})
+		raw, err := buildFrom(sc.Cells, 0, Config{Fanout: fanout})
 		if err != nil {
 			t.Fatalf("fanout %d: %v", fanout, err)
 		}
@@ -73,12 +75,17 @@ func TestRelayoutYieldsCanonicalFlat(t *testing.T) {
 		if _, err := TrieFromFlat(raw.Flat()); err == nil {
 			t.Fatalf("fanout %d: build-order arena accepted as canonical", fanout)
 		}
+		words := len(raw.nodes)
 		raw.Relayout()
 		if raw.roots != built.roots || !slices.Equal(raw.nodes, built.nodes) || !slices.Equal(raw.table, built.table) {
 			t.Fatalf("fanout %d: relayout of the build-order arena differs from Build's", fanout)
 		}
-		if _, err := TrieFromFlat(raw.Flat()); err != nil {
+		loaded, err := TrieFromFlat(raw.Flat())
+		if err != nil {
 			t.Fatalf("fanout %d: canonical arena rejected: %v", fanout, err)
+		}
+		if raw.unshared != words || loaded.unshared != words {
+			t.Fatalf("fanout %d: the build-order arena took %d words; relaid, the trie counts %d, loaded %d", fanout, words, raw.unshared, loaded.unshared)
 		}
 	}
 }

@@ -149,10 +149,12 @@ type Trie struct {
 	// computed by TrieFromFlat's structural validation (see MaxPolygonRef).
 	maxRef  uint32
 	hasRefs bool
-	// reached counts the nodes walks reach, the sentinel excluded, as
-	// Relayout or the validation that laid out or scanned the arena found
-	// them (see Size).
-	reached int
+	// reached counts the nodes walks reach, the sentinel excluded, and
+	// unshared the words they and the sentinel took in the builder's arena,
+	// before Relayout shared and packed them, as Relayout or the validation
+	// that laid out or scanned the arena found them (see Size and
+	// BuildStream).
+	reached, unshared int
 }
 
 // newTrie returns an empty trie of the given fanout, arena unset.
@@ -429,51 +431,6 @@ func (t *Trie) Lookup(leaf cellid.ID, res *Result) bool {
 		t.readTable(uint32(entry>>2), res)
 	}
 	return true
-}
-
-// Match is one polygon reference of a lookup with its hit class: Exact
-// reports whether the reference came from an interior cell (a true hit —
-// the point is certainly inside) as opposed to a boundary cell (a candidate
-// that exact joins must refine against real geometry).
-type Match struct {
-	ID    uint32
-	Exact bool
-}
-
-// AppendRefs appends every polygon reference of the covering cell containing
-// leaf to dst — true hits with Exact set, candidates without — and returns
-// the extended slice. It is the allocation-free variant of Lookup: with a
-// reused dst the walk touches only the node arena and the lookup table, and
-// the true-hit/candidate distinction is carried per reference.
-func (t *Trie) AppendRefs(leaf cellid.ID, dst []Match) []Match {
-	entry := t.walk(leaf)
-	switch entry & tagMask {
-	case tagChild: // only the sentinel carries this tag here
-		return dst
-	case tagOne:
-		return appendPayload(dst, uint32(entry>>2))
-	case tagTwo:
-		return appendPayload(appendPayload(dst, uint32(entry>>2&payloadMax)), uint32(entry>>33))
-	default: // tagOffset
-		off := uint32(entry >> 2)
-		nTrue := t.table[off]
-		off++
-		for _, id := range t.table[off : off+nTrue] {
-			dst = append(dst, Match{ID: id, Exact: true})
-		}
-		off += nTrue
-		nCand := t.table[off]
-		off++
-		for _, id := range t.table[off : off+nCand] {
-			dst = append(dst, Match{ID: id})
-		}
-		return dst
-	}
-}
-
-// appendPayload decodes one 31-bit payload into a Match.
-func appendPayload(dst []Match, p uint32) []Match {
-	return append(dst, Match{ID: p >> 1, Exact: p&1 != 0})
 }
 
 // addPayload decodes one 31-bit payload into the result.

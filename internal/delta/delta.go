@@ -59,9 +59,9 @@ type Poly struct {
 	// Deprecated: the overlay keeps no geometry; only callers outside the
 	// index still set it.
 	Geom *geom.Polygon
-	// Seq is the mutation sequence number of the insert. Compaction uses
-	// it to split the inserts into those baked into the new base and the
-	// residual applied on top.
+	// Seq is the mutation sequence number of the insert, as the log
+	// recorded it: a replayed and a replicated index hold equal overlays.
+	// (Compaction splits its residual off by id, not by Seq.)
 	Seq uint64
 }
 
@@ -173,27 +173,4 @@ func (o *Overlay) Merge(leaf cellid.ID, res *core.Result) bool {
 		res.Filter(o.removed)
 	}
 	return res.Total() > 0
-}
-
-// MergeRefs is Merge for the class-carrying AppendRefs path: the delta
-// references for leaf are appended to dst with their own class bits, and
-// removed ids are filtered out of everything from dst[from:] on, the base's
-// freshly appended suffix included.
-func (o *Overlay) MergeRefs(leaf cellid.ID, dst []core.Match, from int) []core.Match {
-	if o == nil {
-		return dst
-	}
-	if o.trie != nil {
-		dst = o.trie.AppendRefs(leaf, dst)
-	}
-	if o.alive != nil {
-		kept := dst[:from]
-		for _, m := range dst[from:] {
-			if o.alive[m.ID] {
-				kept = append(kept, m)
-			}
-		}
-		dst = kept
-	}
-	return dst
 }

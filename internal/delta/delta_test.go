@@ -129,19 +129,3 @@ func TestOverlayInsertRemove(t *testing.T) {
 		t.Fatal("a filter-only overlay should hold no polygons and match nothing")
 	}
 }
-
-func TestOverlayMergeSuffixDiscipline(t *testing.T) {
-	f := newFixture(t, 5)
-	alive := []bool{true, false, true, true, true, true}
-	o, err := New(16, []Poly{f.polys[0]}, alive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Entries before `from` belong to the caller — even when they carry a
-	// removed id, they must survive.
-	refs := []core.Match{{ID: 1}, {ID: 9}}
-	refs = o.MergeRefs(f.leaves[0], append(refs, core.Match{ID: 1, Exact: true}, core.Match{ID: 2}), 2)
-	if len(refs) != 4 || refs[0].ID != 1 || refs[1].ID != 9 || refs[2].ID != 2 || refs[3].ID != 5 {
-		t.Fatalf("MergeRefs = %v, want ids [1 9 2 5]", refs)
-	}
-}

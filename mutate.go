@@ -2,12 +2,10 @@ package act
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"github.com/actindex/act/internal/cellid"
@@ -70,8 +68,7 @@ var (
 // it), not a semantic one. A removed id is never a delta id.
 func (ix *Index) IsDelta(id uint32) bool {
 	ep := ix.live.Load()
-	_, found := slices.BinarySearchFunc(ep.ov.Polys(), id, func(p delta.Poly, id uint32) int { return cmp.Compare(p.ID, id) })
-	return found && ep.alive[id]
+	return int(id) >= ep.firstDelta() && int(id) < len(ep.alive) && ep.alive[id]
 }
 
 // Insert adds a polygon to the live index and returns its id — the next id
@@ -84,10 +81,11 @@ func (ix *Index) IsDelta(id uint32) bool {
 // returns. Inserts are serialized with other mutations, and each one
 // rebuilds the delta trie over every insert since the last compaction under
 // that lock: that rebuild, not the covering, is the dominant cost once
-// inserts are pending (on 4 000 census zones at 60 m the covering takes
-// ~16 µs, an insert 0.09 ms with nothing pending and ~0.9 ms with 32–64
-// inserts pending). Sustained bulk loads should prefer a rebuild via
-// [Swappable].
+// inserts are pending (on 3 920 census zones at 60 m the repository
+// benchmark's traced act.insert_ms_at_overlay_0 and _64 rows read
+// 0.055–0.078 ms and 0.39–0.44 ms, on a host whose bench.host_alu_ms reads
+// 49 and bench.host_memchase_ns 119–140). Sustained bulk loads should prefer
+// a rebuild via [Swappable].
 //
 // Reports ErrImmutable on a deserialized index.
 func (ix *Index) Insert(ctx context.Context, p *Polygon) (uint32, error) {
@@ -406,14 +404,13 @@ func (ix *Index) compactLocked(ctx context.Context, evenClean bool) (err error) 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if fresh != ep {
-		// The residual is the inserts since the snapshot; it filters through
-		// the live-id set only if removals landed since the snapshot too.
+		// The residual is the inserts since the snapshot, the ids from
+		// len(ep.alive) on; it filters through the live-id set only if
+		// removals landed since the snapshot too.
 		cur := ix.live.Load()
 		next := *cur
 		next.removed = cur.removed - ep.removed
-		polys := cur.ov.Polys()
-		first, _ := slices.BinarySearchFunc(polys, ep.seq+1, func(p delta.Poly, seq uint64) int { return cmp.Compare(p.Seq, seq) })
-		residual, err := delta.New(ix.pl.fanout, polys[first:], next.liveFilter())
+		residual, err := delta.New(ix.pl.fanout, cur.ov.Polys()[len(ep.alive)-cur.firstDelta():], next.liveFilter())
 		if err != nil {
 			return err
 		}
@@ -496,7 +493,7 @@ func (ix *Index) compactEpoch(ctx context.Context, ep *epoch) (*epoch, error) {
 		err := sorted.Merge(base, cell)
 		stats.IndexedCells = sorted.NumCells()
 		return err
-	}, &stats)
+	}, ep.trie, &stats)
 	if err != nil {
 		return nil, err
 	}

@@ -668,7 +668,7 @@ func rebuildTrie(h *flatHeader, ids []uint32, sec []byte) (*Index, error) {
 		shapes[i] = cover.Shape{Face: face, Poly: ep.store.Polygon(id), ID: id}
 	}
 	var built BuildStats
-	ep.trie, err = pl.build(pl.descent(shapes, &left, &built), &built)
+	ep.trie, err = pl.build(pl.descent(shapes, &left, &built), nil, &built)
 	if errors.Is(err, cover.ErrTooManyCells) {
 		return nil, fmt.Errorf("act: index version %d: its polygons re-covered at %g m take more than the %d cells a trie of its size holds: rebuild from polygons", h.version, h.precision, budget)
 	}

@@ -97,7 +97,9 @@ func (g *gateFS) CreateTemp(dir, pattern string) (fault.File, error) {
 // removal meets an insert the base does not hold yet: a polygon inserted
 // and removed before any compaction, and a polygon folded by a compaction
 // that is removed while that compaction runs. Lookups agree with the
-// counts in both.
+// counts in both. A third compaction is held while two inserts and a
+// removal of the second land: its residual is those inserts, and IsDelta
+// holds exactly for the first, the residual's one live id.
 func TestStatusSumBeforeCompaction(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -177,6 +179,41 @@ func TestStatusSumBeforeCompaction(t *testing.T) {
 	}
 	if matches(b) || !matches(act.LatLng{Lat: 10, Lng: 10}) {
 		t.Fatal("the compacted index lost a live polygon or kept a removed one")
+	}
+
+	// The held compaction folds c; d and e land in its residual, and e is
+	// removed there.
+	c, d, e := act.LatLng{Lat: 20, Lng: 22}, act.LatLng{Lat: 20, Lng: 23}, act.LatLng{Lat: 20, Lng: 24}
+	if _, err := ix.Insert(ctx, square(c.Lat, c.Lng, 0.1)); err != nil {
+		t.Fatal(err)
+	}
+	gate.reached, gate.release = make(chan struct{}), make(chan struct{})
+	gate.armed.Store(true)
+	go func() { done <- ix.Compact(ctx) }()
+	<-gate.reached
+	idD, errD := ix.Insert(ctx, square(d.Lat, d.Lng, 0.1))
+	idE, errE := ix.Insert(ctx, square(e.Lat, e.Lng, 0.1))
+	if errE == nil {
+		errE = ix.Remove(ctx, idE)
+	}
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if errD != nil || errE != nil {
+		t.Fatal(errD, errE)
+	}
+	st = checkSum(t, "after the held compaction", ix.Status())
+	if st.Build.NumPolygons != 5 || st.DeltaPolygons != 2 || st.Tombstones != 1 || st.Live != 6 || st.Compactions != 3 {
+		t.Fatalf("after the held compaction: %+v", st)
+	}
+	for id := range idE + 2 {
+		if got := ix.IsDelta(id); got != (id == idD) {
+			t.Errorf("IsDelta(%d) = %v; the residual's only live id is %d", id, got, idD)
+		}
+	}
+	if !matches(c) || !matches(d) || matches(e) {
+		t.Fatal("after the held compaction, the folded or the residual inserts match wrongly")
 	}
 }
 
