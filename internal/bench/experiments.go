@@ -253,7 +253,7 @@ func RunAblations(w io.Writer, cfg Config) error {
 			return err
 		}
 		approx := MeasureJoin(&join.ACT{Grid: p.Grid, Trie: p.Trie}, pts, n, 1, 1)
-		exact := MeasureJoin(&join.ACTExact{Grid: p.Grid, Trie: p.Trie, Store: p.Store}, pts, n, 1, 3)
+		exact := MeasureJoin(&join.ACT{Grid: p.Grid, Trie: p.Trie, Store: p.Store}, pts, n, 1, 3)
 		share := 0.0
 		if tot := approx.Pairs(); tot > 0 {
 			share = float64(approx.TrueHits) / float64(tot)

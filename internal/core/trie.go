@@ -379,16 +379,17 @@ var (
 	ErrArenaLimit = errors.New("core: node arena exceeds the child entries' offset space")
 )
 
-// walk descends from leaf's face root to the terminal entry covering it.
-// It returns 0 — the sentinel, never a terminal entry's value since all
-// terminal tags are nonzero — when no covering cell matches (false hit).
-// The walk is comparison-free: each step extracts the next key bits and
-// jumps, exactly as in the paper.
-func (t *Trie) walk(leaf cellid.ID) uint64 {
+// walk descends from leaf's face root to the terminal entry covering it,
+// and returns that entry with the number of nodes it read (the cost model's
+// node accesses, paper §II). The entry is 0 — the sentinel, never a terminal
+// entry's value since all terminal tags are nonzero — when no covering cell
+// matches (false hit). The walk is comparison-free: each step extracts the
+// next key bits and jumps, exactly as in the paper.
+func (t *Trie) walk(leaf cellid.ID) (entry uint64, nodes int) {
 	face := leaf.Face()
 	cur := t.roots[face]
 	if cur == 0 {
-		return 0
+		return 0, 0
 	}
 	key := leaf.PathBits() << 4
 	// Path-compressed root: one comparison replaces the walk through the
@@ -396,19 +397,17 @@ func (t *Trie) walk(leaf cellid.ID) uint64 {
 	// so skip=0 degenerates to comparing 0 with 0.)
 	skip := t.rootSkip[face]
 	if (key^t.rootPrefix[face])>>(64-skip) != 0 {
-		return 0
+		return 0, 0
 	}
 	key <<= skip
-	nodes, kbits := t.nodes, t.bits
+	arena, kbits := t.nodes, t.bits
 	for {
+		nodes++
 		idx := key >> (64 - kbits)
 		key <<= kbits
-		entry := entryAt(nodes, cur, idx)
-		if entry&tagMask != tagChild {
-			return entry
-		}
-		if entry == 0 {
-			return 0 // sentinel: false hit
+		entry = entryAt(arena, cur, idx)
+		if entry&tagMask != tagChild || entry == 0 {
+			return entry, nodes
 		}
 		cur = entry
 	}
@@ -418,17 +417,31 @@ func (t *Trie) walk(leaf cellid.ID) uint64 {
 // appends its polygon references to res. It reports whether any cell
 // matched.
 func (t *Trie) Lookup(leaf cellid.ID, res *Result) bool {
-	entry := t.walk(leaf)
+	entry, _ := t.walk(leaf)
+	return t.appendTerminal(entry, res)
+}
+
+// appendTerminal decodes the entry a walk ended on into res and reports
+// whether it is a terminal entry; the sentinel (0, the only entry a walk
+// ends on with the child tag) appends nothing and reports false.
+func (t *Trie) appendTerminal(entry uint64, res *Result) bool {
 	switch entry & tagMask {
-	case tagChild: // only the sentinel carries this tag here
+	case tagChild:
 		return false
 	case tagOne:
 		res.addPayload(uint32(entry >> 2))
 	case tagTwo:
 		res.addPayload(uint32(entry >> 2 & payloadMax))
 		res.addPayload(uint32(entry >> 33))
-	default: // tagOffset
-		t.readTable(uint32(entry>>2), res)
+	default: // tagOffset: a lookup-table run
+		off := uint32(entry >> 2)
+		nTrue := t.table[off]
+		off++
+		res.True = append(res.True, t.table[off:off+nTrue]...)
+		off += nTrue
+		nCand := t.table[off]
+		off++
+		res.Candidates = append(res.Candidates, t.table[off:off+nCand]...)
 	}
 	return true
 }
@@ -440,17 +453,6 @@ func (r *Result) addPayload(p uint32) {
 	} else {
 		r.Candidates = append(r.Candidates, p>>1)
 	}
-}
-
-// readTable decodes a lookup-table run into the result.
-func (t *Trie) readTable(off uint32, res *Result) {
-	nTrue := t.table[off]
-	off++
-	res.True = append(res.True, t.table[off:off+nTrue]...)
-	off += nTrue
-	nCand := t.table[off]
-	off++
-	res.Candidates = append(res.Candidates, t.table[off:off+nCand]...)
 }
 
 // LookupBatch performs one Lookup per leaf cell, invoking emit(i, hit) for
@@ -500,78 +502,29 @@ func (t *Trie) LookupBatch(leaves []cellid.ID, res *Result, emit func(i int, hit
 		}
 		cur := stack[d]
 		k := key << (uint(d) * t.bits)
-		hit := false
-	walk:
+		var entry uint64
 		for {
 			idx := k >> (64 - kbits)
 			k <<= kbits
-			entry := entryAt(nodes, cur, idx)
-			switch entry & tagMask {
-			case tagChild:
-				if entry == 0 {
-					break walk // sentinel: false hit
-				}
-				cur = entry
-				d++
-				stack[d] = cur
-			case tagOne:
-				res.addPayload(uint32(entry >> 2))
-				hit = true
-				break walk
-			case tagTwo:
-				res.addPayload(uint32(entry >> 2 & payloadMax))
-				res.addPayload(uint32(entry >> 33))
-				hit = true
-				break walk
-			default: // tagOffset
-				t.readTable(uint32(entry>>2), res)
-				hit = true
-				break walk
+			entry = entryAt(nodes, cur, idx)
+			if entry&tagMask != tagChild || entry == 0 {
+				break
 			}
+			cur = entry
+			d++
+			stack[d] = cur
 		}
 		prevFace, prevKey, prevDepth = face, key, d
-		emit(i, hit)
+		emit(i, t.appendTerminal(entry, res))
 	}
 }
 
-// LookupCounting behaves like Lookup but also returns the number of node
-// accesses performed, for the cost model c_avg = ⌈k_avg/log2(f)⌉ × node
-// access cost (paper §II).
+// LookupCounting is Lookup that also returns the number of node accesses
+// walk performed, for the cost model c_avg = ⌈k_avg/log2(f)⌉ × node access
+// cost (paper §II).
 func (t *Trie) LookupCounting(leaf cellid.ID, res *Result) (hit bool, nodeAccesses int) {
-	face := leaf.Face()
-	cur := t.roots[face]
-	if cur == 0 {
-		return false, 0
-	}
-	key := leaf.PathBits() << 4
-	skip := t.rootSkip[face]
-	if (key^t.rootPrefix[face])>>(64-skip) != 0 {
-		return false, 0
-	}
-	key <<= skip
-	for {
-		nodeAccesses++
-		idx := key >> (64 - t.bits)
-		key <<= t.bits
-		entry := entryAt(t.nodes, cur, idx)
-		switch entry & tagMask {
-		case tagChild:
-			if entry == 0 {
-				return false, nodeAccesses
-			}
-			cur = entry
-		case tagOne:
-			res.addPayload(uint32(entry >> 2))
-			return true, nodeAccesses
-		case tagTwo:
-			res.addPayload(uint32(entry >> 2 & payloadMax))
-			res.addPayload(uint32(entry >> 33))
-			return true, nodeAccesses
-		default:
-			t.readTable(uint32(entry>>2), res)
-			return true, nodeAccesses
-		}
-	}
+	entry, n := t.walk(leaf)
+	return t.appendTerminal(entry, res), n
 }
 
 // Fanout returns the configured fanout.

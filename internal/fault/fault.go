@@ -1,8 +1,8 @@
 // Package fault provides deterministic fault injection for the durability
-// and replication stack: a virtual filesystem (FS) that fails, shortens,
-// or delays the write-ahead log's file operations, and an http.RoundTripper
-// (Transport) plus net.Conn wrapper that cut, corrupt, or delay the
-// replication wire.
+// and replication stack: a virtual filesystem (FS) that fails, shortens or
+// corrupts the write-ahead log's file operations, and an http.RoundTripper
+// (Transport) that fails requests or cuts and corrupts the replication
+// wire.
 //
 // Faults are driven by a Schedule: a set of rules keyed on operation kind
 // and occurrence count ("fail the 3rd fsync", "short-write the 5th append
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"time"
 )
 
 // Op identifies a fault-injection site.
@@ -43,16 +42,13 @@ const (
 	// per-response body decision (cut or corrupt the stream mid-flight).
 	OpRoundTrip
 	OpBody
-	// OpConnRead and OpConnWrite are raw net.Conn operations.
-	OpConnRead
-	OpConnWrite
 	numOps
 )
 
 // String implements fmt.Stringer.
 func (o Op) String() string {
 	names := [...]string{"write", "sync", "read", "truncate", "open", "create",
-		"rename", "remove", "roundtrip", "body", "conn-read", "conn-write"}
+		"rename", "remove", "roundtrip", "body"}
 	if int(o) < len(names) {
 		return names[o]
 	}
@@ -77,19 +73,11 @@ type Decision struct {
 	// the byte at stream offset Keep is XOR'd. The operation succeeds, so
 	// the corruption is only detectable by the receiver's checksums.
 	Flip bool
-	// Delay injects latency before the operation proceeds.
-	Delay time.Duration
 }
 
 // fires reports whether the decision does anything.
 func (d Decision) fires() bool {
-	return d.Err != nil || d.Flip || d.Delay > 0
-}
-
-func (d Decision) sleep() {
-	if d.Delay > 0 {
-		time.Sleep(d.Delay)
-	}
+	return d.Err != nil || d.Flip
 }
 
 // rule is one deterministic trigger: fire at occurrence n of op (and every
@@ -159,11 +147,6 @@ func (s *Schedule) ShortWriteNth(op Op, n, keep int, err error) *Schedule {
 // of op without failing it.
 func (s *Schedule) FlipNth(op Op, n, off int) *Schedule {
 	return s.Rule(op, n, Decision{Flip: true, Keep: off})
-}
-
-// DelayNth delays the nth occurrence of op by d.
-func (s *Schedule) DelayNth(op Op, n int, d time.Duration) *Schedule {
-	return s.Rule(op, n, Decision{Delay: d})
 }
 
 // Probabilistic fires d on each occurrence of op with probability p.

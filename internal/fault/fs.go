@@ -181,7 +181,6 @@ func (f FS) Remove(name string) error {
 // do runs one operation unless the schedule fails it.
 func (f FS) do(op Op, run func() error) error {
 	d := f.S.Next(op)
-	d.sleep()
 	if d.Err != nil {
 		return d.Err
 	}
@@ -210,7 +209,6 @@ type injectFile struct {
 
 func (f *injectFile) Write(p []byte) (int, error) {
 	d := f.s.Next(OpWrite)
-	d.sleep()
 	if d.Err != nil {
 		// Short write: the first Keep bytes land (a torn frame on disk),
 		// the rest are lost with the error.
@@ -226,7 +224,6 @@ func (f *injectFile) Write(p []byte) (int, error) {
 
 func (f *injectFile) Read(p []byte) (int, error) {
 	d := f.s.Next(OpRead)
-	d.sleep()
 	n, err := f.File.Read(p)
 	if d.Flip && n > 0 {
 		i := d.Keep
@@ -243,7 +240,6 @@ func (f *injectFile) Read(p []byte) (int, error) {
 
 func (f *injectFile) Sync() error {
 	d := f.s.Next(OpSync)
-	d.sleep()
 	if d.Err != nil {
 		return d.Err
 	}
@@ -252,7 +248,6 @@ func (f *injectFile) Sync() error {
 
 func (f *injectFile) Truncate(size int64) error {
 	d := f.s.Next(OpTruncate)
-	d.sleep()
 	if d.Err != nil {
 		return d.Err
 	}

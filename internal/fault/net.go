@@ -2,16 +2,14 @@ package fault
 
 import (
 	"io"
-	"net"
 	"net/http"
-	"time"
 )
 
 // Transport is a fault-injecting http.RoundTripper for the replication
-// wire: OpRoundTrip decisions fail or delay whole requests (a primary that
-// is down or slow), OpBody decisions cut the response body after Keep
-// bytes (a connection severed mid-record) or flip a byte in flight (a
-// corrupted stream the frame CRCs must catch).
+// wire: OpRoundTrip decisions fail whole requests (a primary that is
+// down), OpBody decisions cut the response body after Keep bytes (a
+// connection severed mid-record) or flip a byte in flight (a corrupted
+// stream the frame CRCs must catch).
 type Transport struct {
 	Base http.RoundTripper // nil: http.DefaultTransport
 	S    *Schedule
@@ -19,15 +17,7 @@ type Transport struct {
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	d := t.S.Next(OpRoundTrip)
-	if d.Delay > 0 {
-		select {
-		case <-time.After(d.Delay):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-	}
-	if d.Err != nil {
+	if d := t.S.Next(OpRoundTrip); d.Err != nil {
 		return nil, d.Err
 	}
 	base := t.Base
@@ -77,46 +67,3 @@ func (b *faultBody) Read(p []byte) (int, error) {
 }
 
 func (b *faultBody) Close() error { return b.rc.Close() }
-
-// WrapConn injects faults on a raw connection: OpConnRead/OpConnWrite
-// decisions delay, corrupt, or fail individual Read/Write calls. A failed
-// call also closes the connection, modelling a peer that went away.
-func WrapConn(c net.Conn, s *Schedule) net.Conn { return &conn{Conn: c, s: s} }
-
-type conn struct {
-	net.Conn
-	s *Schedule
-}
-
-func (c *conn) Read(p []byte) (int, error) {
-	d := c.s.Next(OpConnRead)
-	d.sleep()
-	if d.Err != nil {
-		c.Conn.Close()
-		return 0, d.Err
-	}
-	n, err := c.Conn.Read(p)
-	if d.Flip && n > 0 {
-		i := d.Keep
-		if i >= n {
-			i = 0
-		}
-		p[i] ^= 0x40
-	}
-	return n, err
-}
-
-func (c *conn) Write(p []byte) (int, error) {
-	d := c.s.Next(OpConnWrite)
-	d.sleep()
-	if d.Err != nil {
-		keep := min(d.Keep, len(p))
-		n := 0
-		if keep > 0 {
-			n, _ = c.Conn.Write(p[:keep])
-		}
-		c.Conn.Close()
-		return n, d.Err
-	}
-	return c.Conn.Write(p)
-}

@@ -101,9 +101,12 @@ func (s *Store) Contains(id uint32, pt geom.Point) bool {
 // candidates whose polygon exactly contains pt, and returns the extended
 // slice. Each test starts with the polygon's cached bounding box (inside
 // ContainsPointExact), which rejects most losers before any ring walk runs;
-// with a reused dst the call is allocation-free. Candidate lists come from
-// trie lookups, so they are short — per-id box checks beat any spatial
-// index descent here.
+// with a reused dst the call is allocation-free. dst may be candidates[:0]:
+// the survivors are then filtered in place, in order, because each is
+// written at or before the position it was read from (the exact join
+// refines its lookup result this way). Candidate lists come from trie
+// lookups, so they are short — per-id box checks beat any spatial index
+// descent here.
 func (s *Store) Resolve(pt geom.Point, candidates []uint32, dst []uint32) []uint32 {
 	for _, id := range candidates {
 		if int(id) >= len(s.polys) || s.polys[id] == nil {

@@ -54,7 +54,9 @@ func scanPoint(s *Store, pt geom.Point, buf []uint32) []uint32 {
 }
 
 // TestResolveMatchesScan: resolving the full id universe must equal the
-// brute-force scan.
+// brute-force scan, and resolving a random candidate list in place (dst =
+// candidates[:0], as the exact join does) must equal resolving it into a
+// fresh dst.
 func TestResolveMatchesScan(t *testing.T) {
 	s := randomStore(t, 1, 60)
 	all := make([]uint32, s.NumPolygons())
@@ -62,13 +64,22 @@ func TestResolveMatchesScan(t *testing.T) {
 		all[i] = uint32(i)
 	}
 	rng := rand.New(rand.NewSource(2))
-	var got, want []uint32
+	var got, want, cands []uint32
 	for q := 0; q < 2000; q++ {
 		pt := geom.Point{X: rng.Float64()*1.4 - 0.2, Y: rng.Float64()*1.4 - 0.2}
 		got = s.Resolve(pt, all, got[:0])
 		want = scanPoint(s, pt, want[:0])
 		if !slices.Equal(got, want) {
 			t.Fatalf("point %v: Resolve=%v scan=%v", pt, got, want)
+		}
+		// Random ids, repeats and out-of-range ones included.
+		cands = cands[:0]
+		for range rng.Intn(12) {
+			cands = append(cands, uint32(rng.Intn(s.NumPolygons()+4)))
+		}
+		fresh := s.Resolve(pt, cands, nil)
+		if inPlace := s.Resolve(pt, cands, cands[:0]); !slices.Equal(inPlace, fresh) {
+			t.Fatalf("point %v: in-place Resolve=%v, fresh dst %v", pt, inPlace, fresh)
 		}
 	}
 }

@@ -1,16 +1,17 @@
 // Package join implements the streaming point-in-polygon-set join engine.
-// Four executors reproduce the paper's evaluation: the ACT approximate join
-// (no refinement phase at all), the ACT exact join (candidates refined with
-// point-in-polygon tests), the R-tree baseline (MBR stabbing without
-// refinement, §III), and the R-tree exact join. A parallel driver shards a
-// point stream over worker goroutines (Figure 4).
+// Two joiners reproduce the paper's evaluation: ACT, the trie lookup per
+// point, and RTree, the paper's baseline of MBR stabbing (§III). Each is an
+// approximate join with an optional refinement phase: given geometry (ACT's
+// Store, RTree's Polygons) it tests the points' candidates, and only those,
+// with exact point-in-polygon tests, which makes it the exact join. A
+// parallel driver shards a point stream over worker goroutines (Figure 4).
 //
 // Output is pluggable: joiners emit (point, polygon, class) pairs into a
 // Sink, so one executor serves per-polygon aggregation (CountSink),
 // materialized joins (PairSink), streaming consumers (FuncSink), and
 // per-point lookup batches (ResultSink).
 //
-// The ACT joiners share one probe kernel (Scratch.probe): each chunk's
+// ACT's two modes share one probe kernel (Scratch.probe): each chunk's
 // points are sorted by leaf cell id (Z-order) so consecutive probes share
 // trie path prefixes and every walk resumes at the deepest node shared with
 // the previous one (core.Trie.LookupBatch). The live index's delta overlay
@@ -42,7 +43,6 @@ import (
 type Scratch struct {
 	res    core.Result
 	buf    []uint32
-	ref    []uint32 // refinement survivors (exact joiners)
 	leaves []cellid.ID
 	pts    []geom.Point
 	keys   []uint64    // packed (cell, index) sort keys, cell-sorted
@@ -169,23 +169,50 @@ func emitResult(em Emitter, point int, res *core.Result, st *ChunkStats) {
 	st.CandidateHits += int64(len(res.Candidates))
 }
 
-// ACT is the approximate joiner of the paper: a trie lookup per point, all
-// references (true hits and candidates) counted as results, no refinement.
+// ACT is the joiner of the paper: a trie lookup per point. Without a Store
+// it is the approximate join, all references (true hits and candidates)
+// counted as results with no refinement phase at all. With a Store it is
+// the exact join: true hits are emitted straight off the fast path, and
+// only candidates are resolved against the geometry store with robust
+// point-in-polygon tests (bbox pre-filtered, closed-polygon boundary
+// convention). The refinement runs in place on the worker's scratch
+// result, so a chunk whose matches are all true hits allocates nothing
+// and never touches geometry.
 type ACT struct {
 	Grid grid.Grid
 	Trie *core.Trie
-	// Overlay is the live index's delta layer, merged into every probe.
-	// Nil for static indexes.
+	// Overlay is the live index's delta layer, merged into every probe
+	// before refinement. Nil for static indexes.
 	Overlay *delta.Overlay
+	// Store, when set, refines candidate matches; ids in trie and overlay
+	// results index into it. Nil for the approximate join.
+	Store *geostore.Store
 }
 
+// ACTExact is ACT with its Store set.
+//
+// Deprecated: use ACT, which refines candidates whenever Store is set.
+type ACTExact = ACT
+
 // Name implements Joiner.
-func (j *ACT) Name() string { return "act" }
+func (j *ACT) Name() string {
+	if j.Store != nil {
+		return "act-exact"
+	}
+	return "act"
+}
 
 // JoinChunk implements Joiner.
 func (j *ACT) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch) ChunkStats {
 	var st ChunkStats
+	// The probe has already merged the overlay, so removed ids never reach
+	// refinement.
 	s.probe(j.Grid, j.Trie, j.Overlay, points, func(k int, hit bool) {
+		if hit && j.Store != nil && len(s.res.Candidates) > 0 {
+			_, pt := j.Grid.Project(points[s.point(k)])
+			s.res.Candidates = j.Store.Resolve(pt, s.res.Candidates, s.res.Candidates[:0])
+			hit = s.res.Total() > 0
+		}
 		if !hit {
 			st.Misses++
 			return
@@ -195,69 +222,28 @@ func (j *ACT) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch) C
 	return st
 }
 
-// ACTExact is the exact-join executor: trie lookup first, true hits
-// emitted straight off the fast path, then candidates — and only candidates
-// — are resolved against the geometry store with robust point-in-polygon
-// tests (bbox pre-filtered, closed-polygon boundary convention). The
-// refinement runs on the worker's scratch buffers, so a chunk whose matches
-// are all true hits allocates nothing and never touches geometry.
-type ACTExact struct {
-	Grid grid.Grid
-	Trie *core.Trie
-	// Store resolves candidate matches; ids in trie and overlay results
-	// index into it.
-	Store *geostore.Store
-	// Overlay is the live index's delta layer, merged into every probe
-	// before refinement. Nil for static indexes.
-	Overlay *delta.Overlay
-}
-
-// Name implements Joiner.
-func (j *ACTExact) Name() string { return "act-exact" }
-
-// JoinChunk implements Joiner.
-func (j *ACTExact) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch) ChunkStats {
-	var st ChunkStats
-	s.pts = grid.ProjectAll(j.Grid, points, s.pts[:0])
-	// Point i's true hits are emitted as-is, then only the candidates that
-	// survive the geometry. The probe has already merged the overlay, so
-	// removed ids never reach refinement.
-	s.probe(j.Grid, j.Trie, j.Overlay, points, func(k int, hit bool) {
-		if !hit {
-			st.Misses++
-			return
-		}
-		i := s.point(k)
-		for _, id := range s.res.True {
-			em.Emit(base+i, id, TrueHit)
-		}
-		st.TrueHits += int64(len(s.res.True))
-		matched := len(s.res.True) > 0
-		if len(s.res.Candidates) > 0 {
-			s.ref = j.Store.Resolve(s.pts[i], s.res.Candidates, s.ref[:0])
-			for _, id := range s.ref {
-				em.Emit(base+i, id, Candidate)
-			}
-			st.CandidateHits += int64(len(s.ref))
-			matched = matched || len(s.ref) > 0
-		}
-		if !matched {
-			st.Misses++
-		}
-	})
-	return st
-}
-
 // RTree is the paper's baseline: probe the polygon-MBR R-tree and count
 // every candidate without refinement ("this approach does not guarantee any
-// precision and only serves as a baseline for lookup performance").
+// precision and only serves as a baseline for lookup performance"). With
+// Polygons set it refines every candidate with an exact point-in-polygon
+// test: the classical filter-and-refine join, used as the ground truth. It
+// applies the same closed-polygon boundary convention as ACT with a Store,
+// so the two exact joins agree on every input, including boundary points.
 type RTree struct {
 	Grid grid.Grid
 	Tree *rtree.Tree
+	// Polygons, when set, holds the grid-projected polygons indexed by
+	// polygon id, and refines the candidates. Nil for the baseline.
+	Polygons []*geom.Polygon
 }
 
 // Name implements Joiner.
-func (j *RTree) Name() string { return "rtree" }
+func (j *RTree) Name() string {
+	if j.Polygons != nil {
+		return "rtree-exact"
+	}
+	return "rtree"
+}
 
 // JoinChunk implements Joiner.
 func (j *RTree) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch) ChunkStats {
@@ -265,6 +251,15 @@ func (j *RTree) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch)
 	s.pts = grid.ProjectAll(j.Grid, points, s.pts[:0])
 	for i, pt := range s.pts {
 		s.buf = j.Tree.QueryPoint(pt, s.buf[:0])
+		if j.Polygons != nil {
+			kept := s.buf[:0]
+			for _, id := range s.buf {
+				if j.Polygons[id].ContainsPointExact(pt) {
+					kept = append(kept, id)
+				}
+			}
+			s.buf = kept
+		}
 		if len(s.buf) == 0 {
 			st.Misses++
 			continue
@@ -273,41 +268,6 @@ func (j *RTree) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch)
 			em.Emit(base+i, id, Candidate)
 		}
 		st.CandidateHits += int64(len(s.buf))
-	}
-	return st
-}
-
-// RTreeExact refines every R-tree candidate with an exact point-in-polygon
-// test: the classical filter-and-refine join, used as the ground truth. It
-// applies the same closed-polygon boundary convention as ACTExact, so the
-// two joiners agree on every input, including boundary points.
-type RTreeExact struct {
-	Grid grid.Grid
-	Tree *rtree.Tree
-	// Polygons holds the grid-projected polygons indexed by polygon id.
-	Polygons []*geom.Polygon
-}
-
-// Name implements Joiner.
-func (j *RTreeExact) Name() string { return "rtree-exact" }
-
-// JoinChunk implements Joiner.
-func (j *RTreeExact) JoinChunk(points []geo.LatLng, base int, em Emitter, s *Scratch) ChunkStats {
-	var st ChunkStats
-	s.pts = grid.ProjectAll(j.Grid, points, s.pts[:0])
-	for i, pt := range s.pts {
-		s.buf = j.Tree.QueryPoint(pt, s.buf[:0])
-		matched := false
-		for _, id := range s.buf {
-			if j.Polygons[id].ContainsPointExact(pt) {
-				em.Emit(base+i, id, Candidate)
-				st.CandidateHits++
-				matched = true
-			}
-		}
-		if !matched {
-			st.Misses++
-		}
 	}
 	return st
 }

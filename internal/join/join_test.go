@@ -83,7 +83,7 @@ func TestExactJoinersAgree(t *testing.T) {
 	set, pts := testData(t)
 	p := buildPipeline(t, set, 15)
 	actExact := &ACTExact{Grid: p.g, Trie: p.trie, Store: p.store}
-	rtExact := &RTreeExact{Grid: p.g, Tree: p.tree, Polygons: p.projected}
+	rtExact := &RTree{Grid: p.g, Tree: p.tree, Polygons: p.projected}
 	c1, s1 := Run(actExact, pts, p.n, 1)
 	c2, s2 := Run(rtExact, pts, p.n, 1)
 	for i := range c1 {
@@ -125,7 +125,7 @@ func TestRTreeBaselineSuperset(t *testing.T) {
 	set, pts := testData(t)
 	p := buildPipeline(t, set, 60)
 	base := &RTree{Grid: p.g, Tree: p.tree}
-	exact := &RTreeExact{Grid: p.g, Tree: p.tree, Polygons: p.projected}
+	exact := &RTree{Grid: p.g, Tree: p.tree, Polygons: p.projected}
 	cb, _ := Run(base, pts, p.n, 1)
 	ce, _ := Run(exact, pts, p.n, 1)
 	for i := range cb {
@@ -142,7 +142,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		&ACT{Grid: p.g, Trie: p.trie},
 		&ACTExact{Grid: p.g, Trie: p.trie, Store: p.store},
 		&RTree{Grid: p.g, Tree: p.tree},
-		&RTreeExact{Grid: p.g, Tree: p.tree, Polygons: p.projected},
+		&RTree{Grid: p.g, Tree: p.tree, Polygons: p.projected},
 	} {
 		serial, ss := Run(j, pts, p.n, 1)
 		parallel, sp := Run(j, pts, p.n, 4)

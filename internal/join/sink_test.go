@@ -65,7 +65,7 @@ func TestPairSinkMatchesCounts(t *testing.T) {
 		&ACTExact{Grid: p.g, Trie: p.trie, Store: p.store},
 		&arrivalOrder{g: p.g, trie: p.trie, store: p.store},
 		&RTree{Grid: p.g, Tree: p.tree},
-		&RTreeExact{Grid: p.g, Tree: p.tree, Polygons: p.projected},
+		&RTree{Grid: p.g, Tree: p.tree, Polygons: p.projected},
 	}
 	for _, j := range joiners {
 		counts, cst := Run(j, pts, p.n, 1)
@@ -233,7 +233,7 @@ func TestExactPairsMatchGroundTruth(t *testing.T) {
 	p := buildPipeline(t, set, 15)
 	actSink, rtSink := &PairSink{}, &PairSink{}
 	RunSink(&ACTExact{Grid: p.g, Trie: p.trie, Store: p.store}, pts, actSink, 4)
-	RunSink(&RTreeExact{Grid: p.g, Tree: p.tree, Polygons: p.projected}, pts, rtSink, 4)
+	RunSink(&RTree{Grid: p.g, Tree: p.tree, Polygons: p.projected}, pts, rtSink, 4)
 	if len(actSink.Pairs) != len(rtSink.Pairs) {
 		t.Fatalf("pair counts differ: act-exact %d, rtree-exact %d", len(actSink.Pairs), len(rtSink.Pairs))
 	}

@@ -67,12 +67,12 @@ const (
 // space size, so an id-indexed sink spans every id the run can emit.
 func (ix *Index) runJoin(ctx context.Context, points []LatLng, mode JoinMode, threads int, newSink func(idSpace int) join.Sink) (JoinStats, error) {
 	ep := ix.live.Load()
-	var j join.Joiner = &join.ACT{Grid: ix.pl.grid, Trie: ep.trie, Overlay: ep.ov}
+	j := &join.ACT{Grid: ix.pl.grid, Trie: ep.trie, Overlay: ep.ov}
 	if mode == Exact {
 		if ep.store == nil {
 			return JoinStats{}, ErrNoGeometry
 		}
-		j = &join.ACTExact{Grid: ix.pl.grid, Trie: ep.trie, Store: ep.store, Overlay: ep.ov}
+		j.Store = ep.store
 	}
 	stats, err := join.RunSinkContext(ctx, j, points, newSink(len(ep.alive)), threads)
 	ix.keepMapped()

@@ -131,14 +131,27 @@ func TestLegacyV1FacesRefused(t *testing.T) {
 // census-40 file asks for coverings of tens of thousands of cells a
 // polygon; the rebuild stops once they outgrow the cells a trie of the
 // file's size holds, refusing the file in time and memory proportional to
-// its size.
+// its size. The time is bounded against the honest rebuild of the same
+// file on the same host, so the bound holds on a slow or -race runner.
 func TestLegacyRebuildBounded(t *testing.T) {
 	ix, err := New(mustCensus40(t).Polygons, WithPrecision(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	file, h := legacyHeader(t, ix)
-	h.version, h.precision = 11, 0.1
+	h.version = 11
+	honestFile := restamp(slices.Clone(file), h)
+	honest := time.Duration(1<<63 - 1)
+	for range 3 {
+		start := time.Now()
+		rebuilt, err := ReadIndex(bytes.NewReader(honestFile))
+		honest = min(honest, time.Since(start))
+		if err != nil {
+			t.Fatalf("honest v11 file: %v", err)
+		}
+		rebuilt.Close()
+	}
+	h.precision = 0.1
 	file = restamp(file, h)
 	budget := rebuildCellsPerWord * int(h.fanout) * int((h.tableOff-h.arenaOff)/8+h.tableLen)
 	var before, after runtime.MemStats
@@ -153,9 +166,13 @@ func TestLegacyRebuildBounded(t *testing.T) {
 	// The budget is shared by every covering worker; a kept cell costs a
 	// few words (the scratch buffer, the covering, the merge's pair).
 	bound := 64 * uint64(budget)
-	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > bound || elapsed > 5*time.Second {
-		t.Errorf("refusing a %d-byte file with a %d-cell budget took %v and allocated %d bytes (bound %d)",
-			len(file), budget, elapsed, allocated, bound)
+	// The refusal took 70–125 times the honest rebuild, with and without
+	// -race, on a 2-vCPU host; the bound leaves about four times that.
+	const maxRatio = 400
+	t.Logf("refusal %v, %.0f× the honest rebuild's %v", elapsed, float64(elapsed)/float64(honest), honest)
+	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > bound || elapsed > maxRatio*honest {
+		t.Errorf("refusing a %d-byte file with a %d-cell budget took %v (%.0f× the honest rebuild's %v, bound %d×) and allocated %d bytes (bound %d)",
+			len(file), budget, elapsed, float64(elapsed)/float64(honest), honest, maxRatio, allocated, bound)
 	}
 	checkRefusedEverywhere(t, file, "a trie of its size holds: rebuild from polygons")
 }
