@@ -4,21 +4,25 @@
 //	                          and merge in one descent, trie)
 //	BenchmarkFig3*          – Fig. 3 single-threaded join throughput,
 //	                          ACT at 60/15/4 m vs the R-tree baseline
-//	BenchmarkFig4Threads*   – Fig. 4 multi-threaded scalability (ACT-4m)
+//	BenchmarkFig4Threads*   – Fig. 4 multi-threaded scalability (ACT-4m),
+//	                          over a heap-read and a mapped index file
 //	BenchmarkAblation*      – fanout / inlining / interior-cell / grid
 //	                          design-choice ablations
 //
-// The CLI harness (cmd/actbench) runs the same experiments at full scale
-// and prints paper-style tables; these testing.B variants integrate with
-// standard Go tooling (-bench, -benchmem, benchstat). Dataset sizes here
-// are trimmed so `go test -bench=.` finishes in minutes on a laptop.
+// These are the paper's own figures; performance claims about this
+// repository come from benchmark/. Dataset sizes are the constants below,
+// trimmed so `go test -bench=.` finishes in minutes on a laptop; -cpu,
+// -cpuprofile, -memprofile and -json are the standard go test flags.
 package act_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/actindex/act"
 	"github.com/actindex/act/internal/bench"
@@ -350,20 +354,66 @@ func BenchmarkFig3RTreeBaseline(b *testing.B) {
 
 // --- Figure 4 ------------------------------------------------------------
 
+// BenchmarkFig4Threads joins each map's ACT-4m index at 1 to 8 threads,
+// loaded from one written file two ways: read onto the heap (ReadIndex) and
+// mapped (OpenIndex). Each sub-benchmark reports its load path's open-ms.
 func BenchmarkFig4Threads(b *testing.B) {
+	dir := b.TempDir()
 	for _, ds := range benchDatasets {
-		for _, threads := range []int{1, 2, 4, 8} {
-			b.Run(ds+"/"+threadsLabel(threads), func(b *testing.B) {
-				idx := state.index(b, ds, benchPrecision)
-				_, pts := state.dataset(b, ds)
-				benchmarkIndexJoin(b, idx, pts, threads)
-			})
+		path := filepath.Join(dir, ds+".act")
+		writeIndexFile(b, state.index(b, ds, benchPrecision), path)
+		_, pts := state.dataset(b, ds)
+		for _, load := range []struct {
+			name string
+			open func(string) (*act.Index, error)
+		}{{"heap", readIndexFile}, {"mapped", act.OpenIndex}} {
+			start := time.Now()
+			idx, err := load.open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			openMs := float64(time.Since(start).Microseconds()) / 1e3
+			if load.name == "mapped" && !idx.Status().Mapped {
+				b.Logf("%s: no mapping on this platform, OpenIndex read the file onto the heap", ds)
+			}
+			for _, threads := range []int{1, 2, 4, 8} {
+				b.Run(ds+"/"+load.name+"/"+threadsLabel(threads), func(b *testing.B) {
+					benchmarkIndexJoin(b, idx, pts, threads)
+					b.ReportMetric(openMs, "open-ms")
+				})
+			}
+			if err := idx.Close(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
 func threadsLabel(n int) string {
 	return map[int]string{1: "1T", 2: "2T", 4: "4T", 8: "8T"}[n]
+}
+
+func writeIndexFile(tb testing.TB, idx *act.Index, path string) {
+	tb.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := idx.WriteTo(f); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func readIndexFile(path string) (*act.Index, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return act.ReadIndex(f)
 }
 
 // --- Ablations -----------------------------------------------------------
@@ -378,6 +428,7 @@ func BenchmarkAblationFanout(b *testing.B) {
 			}
 			st := p.Trie.ComputeStats()
 			benchmarkJoin(b, &join.ACT{Grid: p.Grid, Trie: p.Trie}, pts, len(set.Polygons))
+			b.ReportMetric(float64(st.NumNodes), "nodes")
 			b.ReportMetric(float64(st.TrieBytes)/1e6, "ACT-MB")
 			b.ReportMetric(float64(st.MaxDepth), "depth")
 		})
@@ -403,9 +454,11 @@ func BenchmarkAblationInlining(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationInterior times the exact (refining) join, where true-hit
+// filtering matters: interior cells let most points skip the
+// point-in-polygon test. It reports the share of the approximate join's
+// pairs that are true hits, the points that skip it.
 func BenchmarkAblationInterior(b *testing.B) {
-	// True-hit filtering matters for the exact (refining) join: interior
-	// cells let most points skip the point-in-polygon test.
 	set, pts := state.dataset(b, "neighborhoods")
 	for _, strip := range []bool{false, true} {
 		name := "interior-on"
@@ -417,8 +470,9 @@ func BenchmarkAblationInterior(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchmarkJoin(b, &join.ACTExact{Grid: p.Grid, Trie: p.Trie, Store: p.Store},
-				pts, len(set.Polygons))
+			approx := join.RunSink(&join.ACT{Grid: p.Grid, Trie: p.Trie}, pts, join.NewCountSink(len(set.Polygons)), 1)
+			benchmarkJoin(b, &join.ACT{Grid: p.Grid, Trie: p.Trie, Store: p.Store}, pts, len(set.Polygons))
+			b.ReportMetric(float64(approx.TrueHits)/float64(approx.Pairs()), "true-hit-share")
 		})
 	}
 }
@@ -432,7 +486,9 @@ func BenchmarkAblationGrid(b *testing.B) {
 				b.Fatal(err)
 			}
 			benchmarkIndexJoin(b, idx, pts, 1)
-			b.ReportMetric(float64(idx.Status().Build.TrieBytes)/1e6, "ACT-MB")
+			st := idx.Status().Build
+			b.ReportMetric(float64(st.IndexedCells)/1e6, "Mcells")
+			b.ReportMetric(float64(st.TrieBytes)/1e6, "ACT-MB")
 		})
 	}
 }

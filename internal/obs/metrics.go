@@ -236,17 +236,6 @@ func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVe
 // use. Callers on hot paths resolve once and keep the handle.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.get(values).c }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
-	return &GaugeVec{r.register(&family{name: name, help: help, kind: "gauge", keys: labelKeys})}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.get(values).g }
-
 // HistogramVec is a histogram family with labels; every series shares the
 // family's bucket bounds.
 type HistogramVec struct{ f *family }

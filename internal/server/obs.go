@@ -136,8 +136,16 @@ func (m *Metrics) ActObserver(logger *slog.Logger) *act.Observer {
 }
 
 // requestCounter resolves act_http_requests_total{route,method,code} through
-// a read-mostly cache.
+// a read-mostly cache. A method outside the standard set the server answers
+// is labeled "other", so a client cannot mint series, or cache entries, by
+// sending made-up methods.
 func (m *Metrics) requestCounter(route, method string, code int) *obs.Counter {
+	switch method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut,
+		http.MethodPatch, http.MethodDelete, http.MethodOptions:
+	default:
+		method = "other"
+	}
 	k := reqKey{route, method, code}
 	m.reqMu.RLock()
 	c := m.reqCache[k]

@@ -215,6 +215,20 @@ func TestMetricsUnknownRoute(t *testing.T) {
 	if got := metricValue(t, s, `act_http_requests_total{route="other",method="GET",code="404"}`); got != 1 {
 		t.Errorf("other-route counter = %v, want 1", got)
 	}
+	// Methods are client-chosen too: made-up ones share one "other" label.
+	series := func() int {
+		return strings.Count(get(t, s, "/metrics").Body.String(), "\nact_http_requests_total{")
+	}
+	before := series()
+	for i := 0; i < 500; i++ {
+		do(t, s, "M"+strconv.Itoa(i), "/no-such-endpoint", "")
+	}
+	if added := series() - before; added > 1 {
+		t.Errorf("500 distinct unknown methods added %d act_http_requests_total series, want at most 1", added)
+	}
+	if got := metricValue(t, s, `act_http_requests_total{route="other",method="other",code="404"}`); got != 500 {
+		t.Errorf("other-method counter = %v, want 500", got)
+	}
 }
 
 // TestIndexShapeGauges: every index gauge renders the same Status field
