@@ -426,7 +426,13 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 		return nil, err
 	}
 	stats.CoverDuration = time.Since(start)
-	trie, err := pl.build(pl.descent(shapes, nil, &stats), nil, &stats)
+	// One descent of the grid covers the shapes and merges their coverings
+	// (cover.Coverer.Descend), streamed into the trie builder.
+	descent := func(cell func(cellid.ID, []supercover.Ref) error) (err error) {
+		stats.IndexedCells, stats.AchievedPrecisionMeters, err = pl.coverer.Descend(shapes, cell)
+		return err
+	}
+	trie, err := pl.build(descent, nil, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -444,9 +450,8 @@ func (pl *pipeline) run(polygons []*geo.Polygon) (*epoch, error) {
 
 // build streams a prefix-free covering straight into the Adaptive Cell Trie
 // builder (core.BuildStream) and records the cost and the shape in stats:
-// New's and a loader's covering from the descent, a compaction's from the
-// merge of its base and delta, which sizes the builder's arena like that
-// base.
+// New's covering from the descent, a compaction's from the merge of its base
+// and delta, which sizes the builder's arena like that base.
 func (pl *pipeline) build(s core.Stream, like *core.Trie, stats *BuildStats) (*core.Trie, error) {
 	start := time.Now()
 	trie, err := core.BuildStream(s, like, core.Config{Fanout: pl.fanout})
@@ -456,17 +461,6 @@ func (pl *pipeline) build(s core.Stream, like *core.Trie, stats *BuildStats) (*c
 	stats.InsertDuration = time.Since(start)
 	stats.TrieNodes, stats.TrieBytes, stats.TableBytes = trie.Size()
 	return trie, nil
-}
-
-// descent is the covering of the shapes as one descent of the grid covers
-// and merges them (cover.Coverer.Descend), drawing on the cell budget left
-// when it is not nil; it records the cells and the achieved precision in
-// stats.
-func (pl *pipeline) descent(shapes []cover.Shape, left *atomic.Int64, stats *BuildStats) core.Stream {
-	return func(cell func(cellid.ID, []supercover.Ref) error) (err error) {
-		stats.IndexedCells, stats.AchievedPrecisionMeters, err = pl.coverer.Descend(shapes, left, cell)
-		return err
-	}
 }
 
 // defaultDeltaThreshold is the pending-mutation count that triggers

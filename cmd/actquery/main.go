@@ -99,7 +99,6 @@ func main() {
 
 	in := bufio.NewScanner(os.Stdin)
 	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
 	// fmtIDs renders a matched id list; with -verbose, ids currently
 	// served from the delta layer are tagged @delta.
 	fmtIDs := func(ids []uint32) string {
@@ -146,11 +145,18 @@ func main() {
 		}
 		fmt.Fprintf(out, "%.6f %.6f -> true=%s candidates=%s\n", lat, lng, fmtIDs(res.True), fmtIDs(res.Candidates))
 	}
+	// The answers for the lines before a failing one go out first; a
+	// failed write is sticky, so this flush reports any of them.
+	failed := false
+	if err := out.Flush(); err != nil {
+		fmt.Fprintf(os.Stderr, "actquery: stdout: %v\n", err)
+		failed = true
+	}
 	if err := in.Err(); err != nil {
-		// os.Exit skips the deferred flush: write out the answers for the
-		// lines before the failing one first.
-		out.Flush()
 		fmt.Fprintf(os.Stderr, "actquery: stdin: line %d: %v\n", lineNo+1, err)
+		failed = true
+	}
+	if failed {
 		os.Exit(1)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -58,25 +59,30 @@ func fuzzSeedIndexes(t testing.TB) [][]byte {
 // length fields — and any stream it does accept must re-serialize into a
 // stream it accepts again, byte-identically (serialize → deserialize →
 // serialize is a fixed point). The image it accepted must decode under the
-// mapped policy too, without the arena checksum, into the same index. The
-// last seed is a version 8 file, whose trie is rebuilt from its geometry.
+// mapped policy too, without the arena checksum, into the same index. Only
+// versions 13 and 14 are accepted: the last seed is a sparse-id file
+// restamped as version 12, and the checked-in corpus holds version 7 and 8
+// files, retired versions that must be refused.
 func FuzzDeserialize(f *testing.F) {
-	for _, seed := range fuzzSeedIndexes(f) {
+	seeds := fuzzSeedIndexes(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		f.Add(seed[:len(seed)-3])
 	}
 	f.Add([]byte("ACTX"))
 	f.Add([]byte("not an index at all"))
-	legacy, err := os.ReadFile(legacySparseFile)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacy)
+	retired := bytes.Clone(seeds[1])
+	binary.LittleEndian.PutUint32(retired[4:], 12)
+	binary.LittleEndian.PutUint64(retired[flatHeaderCRCBytes:], crc64.Checksum(retired[:flatHeaderCRCBytes], flatCRCTable))
+	f.Add(retired)
 	f.Fuzz(func(t *testing.T, input []byte) {
 		ix, err := ReadIndex(bytes.NewReader(input))
 		if err != nil {
 			return
+		}
+		if v := binary.LittleEndian.Uint32(input[4:]); v != indexVersion && v != indexVersionSparse {
+			t.Fatalf("index version %d accepted", v)
 		}
 		var b1 bytes.Buffer
 		if _, err := ix.WriteTo(&b1); err != nil {

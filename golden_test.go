@@ -205,8 +205,8 @@ func wordBytes(words []uint64) []byte {
 }
 
 // sectionV2 lays a store out as version 2 of the geometry section — every
-// vertex delta-coded against the one before it, no repeats — which only the
-// loaders still read.
+// vertex delta-coded against the one before it, no repeats — which no loader
+// reads any more.
 func sectionV2(st *geostore.Store) []byte {
 	le := binary.LittleEndian
 	b := le.AppendUint32([]byte("ACTG"), 2)
@@ -233,7 +233,7 @@ func sectionV2(st *geostore.Store) []byte {
 }
 
 // sectionV1 lays a store out as version 1 of the geometry section — uint32
-// counts and raw float64 vertices — which only the loaders still read.
+// counts and raw float64 vertices — which no loader reads any more.
 func sectionV1(st *geostore.Store) []byte {
 	le := binary.LittleEndian
 	b := le.AppendUint32([]byte("ACTG"), 1)

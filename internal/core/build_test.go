@@ -160,7 +160,7 @@ func TestBuildStreamSingleCellFace(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, err := BuildStream(func(cell func(cellid.ID, []supercover.Ref) error) error {
-				_, _, err := coverer.Descend([]cover.Shape{{Face: 0, Poly: poly, ID: 7}}, nil, cell)
+				_, _, err := coverer.Descend([]cover.Shape{{Face: 0, Poly: poly, ID: 7}}, cell)
 				return err
 			}, nil, cfg)
 			if err != nil {

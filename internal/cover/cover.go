@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/geo"
@@ -67,10 +66,6 @@ type Coverer struct {
 // within the level cap.
 var ErrPrecision = errors.New("cover: requested precision not achievable")
 
-// ErrTooManyCells is returned by CoverWithin and Descend when the coverings
-// drawing on one count of cells would hold more than it allows.
-var ErrTooManyCells = errors.New("cover: coverings exceed their cell budget")
-
 // NewCoverer returns a coverer for the given grid and precision bound in
 // meters. precision must be positive and finite.
 func NewCoverer(g grid.Grid, precisionMeters float64) (*Coverer, error) {
@@ -99,20 +94,10 @@ func (c *Coverer) Cover(p *geo.Polygon) (*Covering, error) {
 // a face of the coverer's grid (grid.ProjectPolygon), for callers that keep
 // the projection.
 func (c *Coverer) CoverProjected(face int, poly *geom.Polygon) (*Covering, error) {
-	return c.CoverWithin(face, poly, nil)
-}
-
-// CoverWithin is CoverProjected drawing on a budget: left counts the cells
-// the coverings that share it may still hold, and each cell a covering
-// keeps takes one. Once none is left the covering stops and reports
-// ErrTooManyCells, so a polygon and a precision from an untrusted source
-// cost no more than the budget, however many goroutines cover at once. A
-// nil left is no budget.
-func (c *Coverer) CoverWithin(face int, poly *geom.Polygon, left *atomic.Int64) (*Covering, error) {
 	// The descent (hierarchical edge filtering) produces output identical
 	// to coverExhaustive at a fraction of the cost on complex polygons;
 	// coverExhaustive remains as the reference implementation.
-	return c.coverFast(c.startCell(face, poly), poly, left)
+	return c.coverFast(c.startCell(face, poly), poly)
 }
 
 // startCell returns the smallest single cell containing the polygon's

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/geom"
@@ -159,7 +158,6 @@ type descent struct {
 	// refs holds the references stopping at the cells of each step on the
 	// path, and those each cell passes to its children.
 	refs []Ref
-	left *atomic.Int64 // the budget the polygons' cells are taken from, or nil
 	// achieved is the largest boundary-cell diagonal, cells the number of
 	// cells handed over.
 	achieved float64
@@ -174,9 +172,9 @@ type descent struct {
 var scratchPool = sync.Pool{New: func() any { return new(descent) }}
 
 // newDescent takes a descent from the pool, ready for a run of c.
-func newDescent(c *Coverer, left *atomic.Int64) *descent {
+func newDescent(c *Coverer) *descent {
 	d := scratchPool.Get().(*descent)
-	d.c, d.left, d.achieved, d.cells = c, left, 0, 0
+	d.c, d.achieved, d.cells = c, 0, 0
 	d.members, d.joined, d.edges, d.stack = d.members[:0], d.joined[:0], d.edges[:0], d.stack[:0]
 	d.entries, d.refs = d.entries[:0], d.refs[:0]
 	d.boundary, d.interior = d.boundary[:0], d.interior[:0]
@@ -187,7 +185,7 @@ func newDescent(c *Coverer, left *atomic.Int64) *descent {
 // polygons or callbacks alive.
 func (d *descent) release() {
 	clear(d.joined[:cap(d.joined)])
-	d.c, d.shapes, d.one[0], d.left, d.cell = nil, nil, Shape{}, nil, nil
+	d.c, d.shapes, d.one[0], d.cell = nil, nil, Shape{}, nil
 	scratchPool.Put(d)
 }
 
@@ -199,10 +197,9 @@ func (d *descent) release() {
 // returns it. The shapes' ids must be distinct.
 //
 // It returns the number of cells handed over and the largest boundary-cell
-// diagonal. Every cell a polygon's own covering would keep takes one from
-// left, as CoverWithin's do; a nil left is no budget.
-func (c *Coverer) Descend(shapes []Shape, left *atomic.Int64, cell func(cell cellid.ID, refs []Ref) error) (cells int, achieved float64, err error) {
-	d := newDescent(c, left)
+// diagonal.
+func (c *Coverer) Descend(shapes []Shape, cell func(cell cellid.ID, refs []Ref) error) (cells int, achieved float64, err error) {
+	d := newDescent(c)
 	defer d.release()
 	d.shapes, d.cell = shapes, cell
 	for i, s := range shapes {
@@ -239,8 +236,8 @@ func (c *Coverer) Descend(shapes []Shape, left *atomic.Int64, cell func(cell cel
 // coverFast is the production covering of one polygon, the descent of a set
 // of one from start; its output is identical to coverExhaustive (asserted by
 // TestFastMatchesExhaustive).
-func (c *Coverer) coverFast(start cellid.ID, poly *geom.Polygon, left *atomic.Int64) (*Covering, error) {
-	d := newDescent(c, left)
+func (c *Coverer) coverFast(start cellid.ID, poly *geom.Polygon) (*Covering, error) {
+	d := newDescent(c)
 	defer d.release()
 	d.one[0] = Shape{Poly: poly}
 	d.shapes = d.one[:]
@@ -446,9 +443,6 @@ func (d *descent) step(cell cellid.ID, rect geom.Rect, whole bool, refPt geom.Po
 				if keep {
 					d.refs[rBase+k*r+stops[k]] = Ref{PolygonID: j.id, Interior: !crossing}
 					stops[k]++
-					if d.left != nil && d.left.Add(-1) < 0 {
-						return ErrTooManyCells
-					}
 				}
 			}
 		}

@@ -33,7 +33,7 @@ func TestFastMatchesExhaustiveAtAmbiguousPrecision(t *testing.T) {
 		if rules := c.levelRules(start, poly.Bound()); !rules[level].exact {
 			t.Fatalf("trial %d: level %d is not measured cell by cell at ε = its own diagonal", trial, level)
 		}
-		fast, err := c.coverFast(start, poly, nil)
+		fast, err := c.coverFast(start, poly)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ import (
 type Store struct {
 	polys []*geom.Polygon
 	// faces holds the grid face each polygon was projected onto, by id; nil
-	// when unknown (a store built by New, or read from a version 1 section).
+	// when unknown (a store built by New).
 	faces []uint8
 }
 

@@ -3,6 +3,7 @@ package geostore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
 	"math"
 	"math/rand"
@@ -204,31 +205,27 @@ func sameBits(a, b []geom.Ring) bool {
 	return true
 }
 
-// TestReadV1: a version 1 section decodes to the same coordinates as the
-// current section of the same polygons, with its faces unknown.
-func TestReadV1(t *testing.T) {
-	s := randomStore(t, 9, 12)
-	v1, err := Read(encodeV1(s.polys))
+// TestReadRefusesRetiredVersions: a section of version 1 or 2, restamped
+// from a current one and resealed, is refused as unsupported, as is a
+// future version 4.
+func TestReadRefusesRetiredVersions(t *testing.T) {
+	good, err := randomStore(t, 9, 12).Encode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Encode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := Read(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range uint32(s.NumPolygons()) {
-		p1, p2 := v1.Polygon(id), cur.Polygon(id)
-		if !sameBits(append([]geom.Ring{p1.Outer}, p1.Holes...), append([]geom.Ring{p2.Outer}, p2.Holes...)) {
-			t.Fatalf("polygon %d: v1 and v%d decode to different coordinates", id, storeVersion)
-		}
-		if _, ok := v1.Face(id); ok {
-			t.Fatalf("polygon %d: v1 section reports a face", id)
+	for _, version := range []uint32{1, 2, 4} {
+		want := fmt.Sprintf("geostore: unsupported version %d", version)
+		if _, err := Read(restampSection(good, version)); err == nil || err.Error() != want {
+			t.Errorf("version %d: error %v, want %q", version, err, want)
 		}
 	}
+}
+
+// restampSection returns a copy of sec stamped as version, resealed.
+func restampSection(sec []byte, version uint32) []byte {
+	b := bytes.Clone(sec[:len(sec)-8])
+	binary.LittleEndian.PutUint32(b[4:], version)
+	return reseal(b)
 }
 
 func TestReadRejectsCorruption(t *testing.T) {
@@ -237,24 +234,22 @@ func TestReadRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range [][]byte{good, encodeV2(s), encodeV1(s.polys)} {
-		// Flip one byte in the middle: the checksum must catch it.
-		corrupted := append([]byte(nil), b...)
-		corrupted[len(corrupted)/2] ^= 0xFF
-		if _, err := Read(corrupted); err == nil {
-			t.Fatal("corrupted store accepted")
+	// Flip one byte in the middle: the checksum must catch it.
+	corrupted := append([]byte(nil), good...)
+	corrupted[len(corrupted)/2] ^= 0xFF
+	if _, err := Read(corrupted); err == nil {
+		t.Fatal("corrupted store accepted")
+	}
+	// Every truncation must error, never panic.
+	for cut := 0; cut < len(good); cut++ {
+		if _, err := Read(good[:cut]); err == nil {
+			t.Fatalf("truncated store (%d bytes) accepted", cut)
 		}
-		// Every truncation must error, never panic.
-		for cut := 0; cut < len(b); cut++ {
-			if _, err := Read(b[:cut]); err == nil {
-				t.Fatalf("truncated store (%d bytes) accepted", cut)
-			}
-		}
-		// So must bytes past the section, checksum recomputed or not.
-		long := append(append([]byte(nil), b[:len(b)-8]...), 0, 0, 0, 0)
-		if _, err := Read(reseal(long)); err == nil {
-			t.Fatal("trailing bytes accepted")
-		}
+	}
+	// So must bytes past the section, checksum recomputed or not.
+	long := append(append([]byte(nil), good[:len(good)-8]...), 0, 0, 0, 0)
+	if _, err := Read(reseal(long)); err == nil {
+		t.Fatal("trailing bytes accepted")
 	}
 	if _, err := Read([]byte("NOPE")); err == nil {
 		t.Fatal("bad magic accepted")
@@ -266,59 +261,53 @@ func reseal(b []byte) []byte {
 	return binary.LittleEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
 }
 
-// section builds a section of the given version (2 or later) around a
-// hand-written payload.
-func section(version uint32, numPolys int, payload ...byte) []byte {
-	b := binary.LittleEndian.AppendUint32([]byte(storeMagic), version)
+// v3Section builds a version 3 section around a hand-written payload.
+func v3Section(numPolys int, payload ...byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(storeMagic), storeVersion)
 	b = binary.LittleEndian.AppendUint64(b, uint64(numPolys))
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
 	return reseal(append(b, payload...))
 }
 
-func v2Section(numPolys int, payload ...byte) []byte { return section(2, numPolys, payload...) }
-
-func v3Section(numPolys int, payload ...byte) []byte { return section(3, numPolys, payload...) }
-
 // TestReadRejectsMalformedPayload: sections whose checksum holds but whose
 // content breaks a rule of the format are refused.
 func TestReadRejectsMalformedPayload(t *testing.T) {
-	// A triangle at (1,1), (2,1), (1,2) as raw deltas from zero.
+	// A triangle at (1,1), (2,1), (1,2) as raw deltas from zero, and as a
+	// polygon: a face, one ring of nv vertices, a zero flag byte (no
+	// repeats), then the vertices.
 	one := binary.AppendVarint(nil, int64(math.Float64bits(1)))
 	two := binary.AppendVarint(nil, int64(math.Float64bits(2)-math.Float64bits(1)))
 	back := binary.AppendVarint(nil, int64(math.Float64bits(1)-math.Float64bits(2)))
 	zero := []byte{0}
+	verts := slices.Concat(one, one, two, zero, back, two)
 	tri := func(face byte, nv byte) []byte {
-		b := []byte{face, 1, nv}
-		b = append(append(b, one...), one...)
-		b = append(append(b, two...), zero...)
-		return append(append(b, back...), two...)
+		return append([]byte{face, 1, nv, 0}, verts...)
 	}
-	if _, err := Read(v2Section(1, tri(2, 3)...)); err != nil {
+	if _, err := Read(v3Section(1, tri(2, 3)...)); err != nil {
 		t.Fatalf("well-formed triangle refused: %v", err)
 	}
 	inf := binary.AppendVarint(nil, int64(math.Float64bits(math.Inf(1))-math.Float64bits(1)))
 	for name, sec := range map[string][]byte{
-		"face 6":              v2Section(1, tri(6, 3)...),
-		"two-vertex ring":     v2Section(1, append([]byte{0, 1, 2}, append(append(one, one...), append(two, zero...)...)...)...),
-		"vertex count lies":   v2Section(1, tri(0, 4)...),
-		"non-finite vertex":   v2Section(1, append(tri(0, 3)[:len(tri(0, 3))-len(two)], inf...)...),
-		"overlong varint":     v2Section(1, append([]byte{0, 0x81, 0x00, 3}, tri(0, 3)[3:]...)...),
-		"polygon count lies":  v2Section(2, tri(0, 3)...),
-		"trailing payload":    v2Section(1, append(tri(0, 3), 0)...),
-		"payload length lies": reseal(append(binary.LittleEndian.AppendUint64(v2Section(1, tri(0, 3)...)[:16], 1), tri(0, 3)...)),
-		"huge polygon count":  v2Section(1<<30, tri(0, 3)...),
-		"huge ring count":     v2Section(1, append([]byte{0, 0xff, 0xff, 0xff, 0x7f}, tri(0, 3)[2:]...)...),
+		"face 6":              v3Section(1, tri(6, 3)...),
+		"two-vertex ring":     v3Section(1, slices.Concat([]byte{0, 1, 2, 0}, one, one, two, zero)...),
+		"vertex count lies":   v3Section(1, tri(0, 4)...),
+		"non-finite vertex":   v3Section(1, append(tri(0, 3)[:len(tri(0, 3))-len(two)], inf...)...),
+		"overlong varint":     v3Section(1, append([]byte{0, 0x81, 0x00, 3, 0}, verts...)...),
+		"polygon count lies":  v3Section(2, tri(0, 3)...),
+		"trailing payload":    v3Section(1, append(tri(0, 3), 0)...),
+		"payload length lies": reseal(append(binary.LittleEndian.AppendUint64(v3Section(1, tri(0, 3)...)[:16], 1), tri(0, 3)...)),
+		"huge polygon count":  v3Section(1<<30, tri(0, 3)...),
+		"huge ring count":     v3Section(1, append([]byte{0, 0xff, 0xff, 0xff, 0x7f}, tri(0, 3)[2:]...)...),
 	} {
 		if _, err := Read(sec); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 
-	// Version 3: the triangle with a zero flag byte after its vertex count,
-	// then (1,2), (2,1), (2,2), whose first two vertices repeat table
-	// entries 2 and 1 — coded 2 − (2 − 1) = 1 and 1 − (2 − 1) = 0 — and
-	// whose last is new, (0, 1) from (2,1).
-	first := append([]byte{0, 1, 3, 0}, tri(0, 3)[3:]...)
+	// Repeats: the triangle, then (1,2), (2,1), (2,2), whose first two
+	// vertices repeat table entries 2 and 1 — coded 2 − (2 − 1) = 1 and
+	// 1 − (2 − 1) = 0 — and whose last is new, (0, 1) from (2,1).
+	first := tri(0, 3)
 	second := func(flags byte, verts ...byte) []byte {
 		return append([]byte{0, 1, 3, flags}, verts...)
 	}
@@ -334,11 +323,11 @@ func TestReadRejectsMalformedPayload(t *testing.T) {
 	for name, sec := range map[string][]byte{
 		"repeat past the table":   v3Section(2, append(first, second(0b011, append([]byte{4, 0, 0}, two...)...)...)...),
 		"repeat before the table": v3Section(2, append(first, second(0b011, append([]byte{3, 0, 0}, two...)...)...)...),
-		"repeat of nothing":       v3Section(1, append([]byte{0, 1, 3, 0b001, 0}, tri(0, 3)[3+len(one)+len(one):]...)...),
+		"repeat of nothing":       v3Section(1, append([]byte{0, 1, 3, 0b001, 0}, verts[len(one)+len(one):]...)...),
 		"repeat stored anew":      v3Section(2, append(first, second(0b010, append([]byte{0, 0, 0, 0}, two...)...)...)...),
-		"nonzero pad bits":        v3Section(1, append([]byte{0, 1, 3, 0b1000}, tri(0, 3)[3:]...)...),
+		"nonzero pad bits":        v3Section(1, append([]byte{0, 1, 3, 0b1000}, verts...)...),
 		"flag bytes cut short":    v3Section(1, 0, 1, 9, 0),
-		"v2 ring under v3":        v3Section(1, tri(0, 3)...),
+		"ring without flag bytes": v3Section(1, append([]byte{0, 1, 3}, verts...)...),
 	} {
 		if _, err := Read(sec); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -352,14 +341,9 @@ func TestReadRejectsMalformedPayload(t *testing.T) {
 func TestReadDoesNotTrustCounts(t *testing.T) {
 	payload := append([]byte{0, 1}, binary.AppendUvarint(nil, maxVerts)...)
 	lies := [][]byte{
-		v2Section(maxPolygons, make([]byte, 64)...),
-		v2Section(1, payload...),
+		v3Section(maxPolygons, make([]byte, 64)...),
 		v3Section(1, payload...),
 	}
-	v1 := binary.LittleEndian.AppendUint32([]byte(storeMagic), 1)
-	v1 = binary.LittleEndian.AppendUint64(v1, 1)
-	v1 = binary.LittleEndian.AppendUint32(v1, 1)
-	lies = append(lies, reseal(append(binary.LittleEndian.AppendUint32(v1, maxVerts), make([]byte, 48)...)))
 	for i, b := range lies {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

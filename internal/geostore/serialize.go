@@ -51,10 +51,10 @@ import (
 // section is a pure function of the polygons and their faces: Read refuses
 // any other coding of them.
 //
-// Version 2 is version 3 without repeat flags, every vertex stored anew;
-// version 1 stored numRings and numVerts as uint32 and each vertex as two raw
-// float64s, and no face. Read still decodes both, a version 1 section with
-// faces unknown.
+// Read decodes version 3 alone. Version 2 (version 3 without repeat flags,
+// every vertex stored anew) and version 1 (uint32 counts, raw float64
+// vertices, no faces) are refused as unsupported; only index versions 7 to
+// 12, themselves no longer read, carried them.
 //
 // The section carries its own magic, version, and checksum so the enclosing
 // index file can treat it as an opaque, independently evolvable blob.
@@ -62,8 +62,8 @@ import (
 const (
 	storeMagic   = "ACTG"
 	storeVersion = 3
-	// headerLen is the fixed prefix before the payload since version 2:
-	// magic, version, numPolys, payloadLen.
+	// headerLen is the fixed prefix before the payload: magic, version,
+	// numPolys, payloadLen.
 	headerLen = 24
 
 	// numFaces bounds a recorded face: the cube-face grid has six.
@@ -193,11 +193,9 @@ func (t *vertexTable) index(x, y uint64) (j int, seen bool) {
 	}
 }
 
-// Read deserializes a section written by Encode (version 3) or by an
-// earlier release (versions 1 and 2), which must span all of b: it verifies
-// the checksum and refuses trailing bytes. Nothing is allocated from a count
-// the bytes cannot back. A version 1 section records no faces, so Face
-// reports them unknown.
+// Read deserializes a version 3 section written by Encode, which must span
+// all of b: it verifies the checksum and refuses trailing bytes. Nothing is
+// allocated from a count the bytes cannot back.
 func Read(b []byte) (*Store, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("geostore: section of %d bytes is truncated", len(b))
@@ -205,16 +203,10 @@ func Read(b []byte) (*Store, error) {
 	if string(b[:4]) != storeMagic {
 		return nil, fmt.Errorf("geostore: bad magic %q", b[:4])
 	}
-	version := binary.LittleEndian.Uint32(b[4:])
-	if version < 1 || version > storeVersion {
+	if version := binary.LittleEndian.Uint32(b[4:]); version != storeVersion {
 		return nil, fmt.Errorf("geostore: unsupported version %d", version)
 	}
-	// Every version puts numPolys at 8; v2 added payloadLen at 16.
-	fixed := 16
-	if version >= 2 {
-		fixed = headerLen
-	}
-	if len(b) < fixed+8 {
+	if len(b) < headerLen+8 {
 		return nil, fmt.Errorf("geostore: section of %d bytes is truncated", len(b))
 	}
 	body := b[:len(b)-8]
@@ -225,19 +217,10 @@ func Read(b []byte) (*Store, error) {
 	if numPolys > maxPolygons {
 		return nil, fmt.Errorf("geostore: implausible polygon count %d", numPolys)
 	}
-	var (
-		polys []*geom.Polygon
-		faces []uint8
-		err   error
-	)
-	if version == 1 {
-		polys, err = readV1(body[fixed:], numPolys)
-	} else {
-		if n := binary.LittleEndian.Uint64(body[16:]); n != uint64(len(body)-fixed) {
-			return nil, fmt.Errorf("geostore: payload is %d bytes, header says %d", len(body)-fixed, n)
-		}
-		polys, faces, err = readStream(body[fixed:], numPolys, version >= 3)
+	if n := binary.LittleEndian.Uint64(body[16:]); n != uint64(len(body)-headerLen) {
+		return nil, fmt.Errorf("geostore: payload is %d bytes, header says %d", len(body)-headerLen, n)
 	}
+	polys, faces, err := readStream(body[headerLen:], numPolys)
 	if err != nil {
 		return nil, err
 	}
@@ -278,12 +261,8 @@ func (c *cursor) varint() uint64 {
 	return uint64(int64(u>>1) ^ -int64(u&1))
 }
 
-// flags reads the repeat flags of a ring of nv vertices: ⌈nv/8⌉ bytes, or
-// none when the section has no repeats.
-func (c *cursor) flags(nv uint64, repeats bool) []byte {
-	if !repeats {
-		return nil
-	}
+// flags reads the repeat flags of a ring of nv vertices: ⌈nv/8⌉ bytes.
+func (c *cursor) flags(nv uint64) []byte {
 	n := (nv + 7) / 8
 	if uint64(len(c.b)-c.off) < n {
 		c.bad, c.off = true, len(c.b)
@@ -293,20 +272,11 @@ func (c *cursor) flags(nv uint64, repeats bool) []byte {
 	return c.b[c.off-int(n) : c.off]
 }
 
-func (c *cursor) uint32() uint32 {
-	if len(c.b)-c.off < 4 {
-		c.bad, c.off = true, len(c.b)
-		return 0
-	}
-	c.off += 4
-	return binary.LittleEndian.Uint32(c.b[c.off-4:])
-}
-
-// readStream decodes a version 3 payload, or with repeats false a version 2
-// one, in two passes: the first checks its shape and counts rings and
-// vertices without allocating, the second decodes into one backing array of
-// each, sized by what the first found, and resolves repeats.
-func readStream(payload []byte, numPolys uint64, repeats bool) ([]*geom.Polygon, []uint8, error) {
+// readStream decodes a payload in two passes: the first checks its shape and
+// counts rings and vertices without allocating, the second decodes into one
+// backing array of each, sized by what the first found, and resolves
+// repeats.
+func readStream(payload []byte, numPolys uint64) ([]*geom.Polygon, []uint8, error) {
 	// A polygon takes at least a face, two counts, a flag byte and three
 	// 1-byte repeats.
 	if numPolys > uint64(len(payload))/7 {
@@ -327,7 +297,7 @@ func readStream(payload []byte, numPolys uint64, repeats bool) ([]*geom.Polygon,
 			if nv < 3 || nv > maxVerts {
 				return nil, nil, fmt.Errorf("geostore: polygon %d ring %d: implausible size %d", i, r, nv)
 			}
-			flags := c.flags(nv, repeats)
+			flags := c.flags(nv)
 			if pad := nv % 8; len(flags) > 0 && pad != 0 && flags[len(flags)-1]>>pad != 0 {
 				return nil, nil, fmt.Errorf("geostore: polygon %d ring %d: repeat flags set past the last vertex", i, r)
 			}
@@ -356,10 +326,7 @@ func readStream(payload []byte, numPolys uint64, repeats bool) ([]*geom.Polygon,
 	ringSlab := make([]geom.Ring, rings)
 	polys := make([]*geom.Polygon, numPolys)
 	faces := make([]uint8, numPolys)
-	var tab *vertexTable
-	if repeats {
-		tab = newVertexTable(fresh)
-	}
+	tab := newVertexTable(fresh)
 	c = cursor{b: payload}
 	var px, py uint64
 	prev := 0 // table index of the stream's previous vertex
@@ -370,12 +337,11 @@ func readStream(payload []byte, numPolys uint64, repeats bool) ([]*geom.Polygon,
 		ringSlab = ringSlab[nr:]
 		for r := range rs {
 			nv := c.uvarint()
-			flags := c.flags(nv, repeats)
+			flags := c.flags(nv)
 			ring := pts[:nv:nv]
 			pts = pts[nv:]
 			for v := range ring {
-				switch {
-				case isRepeat(flags, uint64(v)):
+				if isRepeat(flags, uint64(v)) {
 					// j = prev − 1 + d must name a vertex already in the
 					// table; compared on d, nothing overflows.
 					d := int64(c.varint())
@@ -385,7 +351,7 @@ func readStream(payload []byte, numPolys uint64, repeats bool) ([]*geom.Polygon,
 					}
 					prev += int(d) - 1
 					px, py = tab.keys[prev][0], tab.keys[prev][1]
-				case repeats:
+				} else {
 					px += c.varint()
 					py += c.varint()
 					j, seen := tab.index(px, py)
@@ -393,9 +359,6 @@ func readStream(payload []byte, numPolys uint64, repeats bool) ([]*geom.Polygon,
 						return nil, nil, fmt.Errorf("geostore: polygon %d ring %d vertex %d: repeats vertex %d but is stored anew", i, r, v, j)
 					}
 					prev = j
-				default:
-					px += c.varint()
-					py += c.varint()
 				}
 				ring[v] = geom.Point{X: math.Float64frombits(px), Y: math.Float64frombits(py)}
 			}
@@ -410,49 +373,7 @@ func readStream(payload []byte, numPolys uint64, repeats bool) ([]*geom.Polygon,
 	return polys, faces, nil
 }
 
-// isRepeat reports whether flags mark vertex k a repeat; nil flags (a
-// version 2 ring) mark none.
+// isRepeat reports whether flags mark vertex k a repeat.
 func isRepeat(flags []byte, k uint64) bool {
-	return flags != nil && flags[k/8]>>(k%8)&1 != 0
-}
-
-// readV1 decodes a version 1 payload: uint32 counts and raw float64 pairs.
-func readV1(payload []byte, numPolys uint64) ([]*geom.Polygon, error) {
-	// A polygon takes at least two counts and three 16-byte vertices.
-	if numPolys > uint64(len(payload))/56 {
-		return nil, fmt.Errorf("geostore: %d polygons cannot fit in %d payload bytes", numPolys, len(payload))
-	}
-	c := cursor{b: payload}
-	polys := make([]*geom.Polygon, numPolys)
-	for i := range polys {
-		nr := c.uint32()
-		if nr == 0 || nr > maxRings {
-			return nil, fmt.Errorf("geostore: polygon %d: implausible ring count %d", i, nr)
-		}
-		var rings []geom.Ring
-		for r := range nr {
-			nv := c.uint32()
-			if nv < 3 || nv > maxVerts || uint64(nv)*16 > uint64(len(payload)-c.off) {
-				return nil, fmt.Errorf("geostore: polygon %d ring %d: implausible size %d", i, r, nv)
-			}
-			ring := make(geom.Ring, nv)
-			for v := range ring {
-				ring[v] = geom.Point{
-					X: math.Float64frombits(binary.LittleEndian.Uint64(payload[c.off:])),
-					Y: math.Float64frombits(binary.LittleEndian.Uint64(payload[c.off+8:])),
-				}
-				c.off += 16
-			}
-			rings = append(rings, ring)
-		}
-		p, err := geom.NewPolygon(rings[0], rings[1:]...)
-		if err != nil {
-			return nil, fmt.Errorf("geostore: polygon %d: %w", i, err)
-		}
-		polys[i] = p
-	}
-	if c.off != len(payload) {
-		return nil, fmt.Errorf("geostore: %d trailing payload bytes", len(payload)-c.off)
-	}
-	return polys, nil
+	return flags[k/8]>>(k%8)&1 != 0
 }

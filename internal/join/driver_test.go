@@ -24,11 +24,13 @@ func TestManyThreadsFewPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := &ACT{Grid: p.g, Trie: p.trie}
-	serial, ss := Run(j, pts, p.n, 1)
-	parallel, sp := Run(j, pts, p.n, 16)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("polygon %d: %d vs %d", i, serial[i], parallel[i])
+	serial := NewCountSink(p.n)
+	ss := RunSink(j, pts, serial, 1)
+	parallel := NewCountSink(p.n)
+	sp := RunSink(j, pts, parallel, 16)
+	for i := range serial.Counts {
+		if serial.Counts[i] != parallel.Counts[i] {
+			t.Fatalf("polygon %d: %d vs %d", i, serial.Counts[i], parallel.Counts[i])
 		}
 	}
 	if ss.Pairs() != sp.Pairs() {
@@ -102,7 +104,7 @@ func TestThreadsZeroUsesGOMAXPROCS(t *testing.T) {
 	}
 	p := buildPipeline(t, set, 60)
 	pts := []geo.LatLng{{Lat: 40.7, Lng: -74}}
-	_, st := Run(&ACT{Grid: p.g, Trie: p.trie}, pts, p.n, 0)
+	st := RunSink(&ACT{Grid: p.g, Trie: p.trie}, pts, NewCountSink(p.n), 0)
 	if st.Threads < 1 {
 		t.Errorf("Threads = %d", st.Threads)
 	}
@@ -122,11 +124,12 @@ func TestPointsOutsideWorldBounds(t *testing.T) {
 		{Lat: -90, Lng: -180},
 		{Lat: 0, Lng: 0},
 	}
-	counts, st := Run(&ACT{Grid: p.g, Trie: p.trie}, pts, p.n, 1)
+	count := NewCountSink(p.n)
+	st := RunSink(&ACT{Grid: p.g, Trie: p.trie}, pts, count, 1)
 	if st.Misses != int64(len(pts)) {
 		t.Errorf("expected all misses, got %+v", st)
 	}
-	for _, c := range counts {
+	for _, c := range count.Counts {
 		if c != 0 {
 			t.Error("unexpected count")
 		}

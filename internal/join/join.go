@@ -444,13 +444,3 @@ func RunSinkContext(ctx context.Context, j Joiner, points []geo.LatLng, sink Sin
 	}
 	return stats, ctx.Err()
 }
-
-// Run executes the join and returns per-polygon counts ("count the number
-// of points per polygon", §III) — a thin wrapper over RunSink with a
-// CountSink. numPolygons sizes the counter array; threads ≤ 0 selects
-// GOMAXPROCS.
-func Run(j Joiner, points []geo.LatLng, numPolygons, threads int) ([]uint64, Stats) {
-	sink := NewCountSink(numPolygons)
-	stats := RunSink(j, points, sink, threads)
-	return sink.Counts, stats
-}

@@ -84,11 +84,13 @@ func TestExactJoinersAgree(t *testing.T) {
 	p := buildPipeline(t, set, 15)
 	actExact := &ACTExact{Grid: p.g, Trie: p.trie, Store: p.store}
 	rtExact := &RTree{Grid: p.g, Tree: p.tree, Polygons: p.projected}
-	c1, s1 := Run(actExact, pts, p.n, 1)
-	c2, s2 := Run(rtExact, pts, p.n, 1)
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Fatalf("polygon %d: act-exact count %d != rtree-exact count %d", i, c1[i], c2[i])
+	c1 := NewCountSink(p.n)
+	s1 := RunSink(actExact, pts, c1, 1)
+	c2 := NewCountSink(p.n)
+	s2 := RunSink(rtExact, pts, c2, 1)
+	for i := range c1.Counts {
+		if c1.Counts[i] != c2.Counts[i] {
+			t.Fatalf("polygon %d: act-exact count %d != rtree-exact count %d", i, c1.Counts[i], c2.Counts[i])
 		}
 	}
 	if got, want := s1.TrueHits+s1.CandidateHits, s2.CandidateHits; got != want {
@@ -104,11 +106,13 @@ func TestApproximateSupersetOfExact(t *testing.T) {
 	p := buildPipeline(t, set, 15)
 	approx := &ACT{Grid: p.g, Trie: p.trie}
 	exact := &ACTExact{Grid: p.g, Trie: p.trie, Store: p.store}
-	ca, sa := Run(approx, pts, p.n, 1)
-	ce, se := Run(exact, pts, p.n, 1)
-	for i := range ca {
-		if ca[i] < ce[i] {
-			t.Fatalf("polygon %d: approximate count %d < exact count %d", i, ca[i], ce[i])
+	ca := NewCountSink(p.n)
+	sa := RunSink(approx, pts, ca, 1)
+	ce := NewCountSink(p.n)
+	se := RunSink(exact, pts, ce, 1)
+	for i := range ca.Counts {
+		if ca.Counts[i] < ce.Counts[i] {
+			t.Fatalf("polygon %d: approximate count %d < exact count %d", i, ca.Counts[i], ce.Counts[i])
 		}
 	}
 	if sa.Pairs() < se.Pairs() {
@@ -126,11 +130,12 @@ func TestRTreeBaselineSuperset(t *testing.T) {
 	p := buildPipeline(t, set, 60)
 	base := &RTree{Grid: p.g, Tree: p.tree}
 	exact := &RTree{Grid: p.g, Tree: p.tree, Polygons: p.projected}
-	cb, _ := Run(base, pts, p.n, 1)
-	ce, _ := Run(exact, pts, p.n, 1)
-	for i := range cb {
-		if cb[i] < ce[i] {
-			t.Fatalf("polygon %d: baseline count %d < exact count %d", i, cb[i], ce[i])
+	cb, ce := NewCountSink(p.n), NewCountSink(p.n)
+	RunSink(base, pts, cb, 1)
+	RunSink(exact, pts, ce, 1)
+	for i := range cb.Counts {
+		if cb.Counts[i] < ce.Counts[i] {
+			t.Fatalf("polygon %d: baseline count %d < exact count %d", i, cb.Counts[i], ce.Counts[i])
 		}
 	}
 }
@@ -144,11 +149,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 		&RTree{Grid: p.g, Tree: p.tree},
 		&RTree{Grid: p.g, Tree: p.tree, Polygons: p.projected},
 	} {
-		serial, ss := Run(j, pts, p.n, 1)
-		parallel, sp := Run(j, pts, p.n, 4)
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("%s polygon %d: serial %d != parallel %d", j.Name(), i, serial[i], parallel[i])
+		serial := NewCountSink(p.n)
+		ss := RunSink(j, pts, serial, 1)
+		parallel := NewCountSink(p.n)
+		sp := RunSink(j, pts, parallel, 4)
+		for i := range serial.Counts {
+			if serial.Counts[i] != parallel.Counts[i] {
+				t.Fatalf("%s polygon %d: serial %d != parallel %d", j.Name(), i, serial.Counts[i], parallel.Counts[i])
 			}
 		}
 		if ss.Pairs() != sp.Pairs() || ss.Misses != sp.Misses {
@@ -164,9 +171,10 @@ func TestStatsConsistency(t *testing.T) {
 	set, pts := testData(t)
 	p := buildPipeline(t, set, 30)
 	j := &ACT{Grid: p.g, Trie: p.trie}
-	counts, st := Run(j, pts, p.n, 2)
+	count := NewCountSink(p.n)
+	st := RunSink(j, pts, count, 2)
 	var sum int64
-	for _, c := range counts {
+	for _, c := range count.Counts {
 		sum += int64(c)
 	}
 	if sum != st.Pairs() {
@@ -189,11 +197,12 @@ func TestStatsConsistency(t *testing.T) {
 func TestEmptyPoints(t *testing.T) {
 	set, _ := testData(t)
 	p := buildPipeline(t, set, 60)
-	counts, st := Run(&ACT{Grid: p.g, Trie: p.trie}, nil, p.n, 2)
+	count := NewCountSink(p.n)
+	st := RunSink(&ACT{Grid: p.g, Trie: p.trie}, nil, count, 2)
 	if st.Pairs() != 0 || st.Misses != 0 {
 		t.Error("empty input should produce empty stats")
 	}
-	for _, c := range counts {
+	for _, c := range count.Counts {
 		if c != 0 {
 			t.Error("empty input should produce zero counts")
 		}
@@ -206,7 +215,7 @@ func TestTrueHitsDominateUniform(t *testing.T) {
 	// majority of the interior area of polygons using interior cells").
 	set, pts := testData(t)
 	p := buildPipeline(t, set, 15)
-	_, st := Run(&ACT{Grid: p.g, Trie: p.trie}, pts, p.n, 1)
+	st := RunSink(&ACT{Grid: p.g, Trie: p.trie}, pts, NewCountSink(p.n), 1)
 	if st.TrueHits < 9*st.CandidateHits {
 		t.Errorf("true hits %d should dominate candidates %d", st.TrueHits, st.CandidateHits)
 	}

@@ -77,7 +77,7 @@ type Sink interface {
 
 // CountSink aggregates pairs into per-polygon counts — "count the number of
 // points per polygon" (§III), the aggregation the paper's evaluation
-// performs and the shape join.Run exposes.
+// performs.
 type CountSink struct {
 	// Counts is indexed by polygon id.
 	Counts []uint64

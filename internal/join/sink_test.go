@@ -68,7 +68,8 @@ func TestPairSinkMatchesCounts(t *testing.T) {
 		&RTree{Grid: p.g, Tree: p.tree, Polygons: p.projected},
 	}
 	for _, j := range joiners {
-		counts, cst := Run(j, pts, p.n, 1)
+		count := NewCountSink(p.n)
+		cst := RunSink(j, pts, count, 1)
 		for _, threads := range []int{1, 4} {
 			sink := &PairSink{}
 			pst := RunSink(j, pts, sink, threads)
@@ -76,9 +77,9 @@ func TestPairSinkMatchesCounts(t *testing.T) {
 				t.Fatalf("%s/%dT: pair stats %+v, count stats %+v", j.Name(), threads, pst, cst)
 			}
 			got := countsFromPairs(sink.Pairs, p.n)
-			for i := range counts {
-				if counts[i] != got[i] {
-					t.Fatalf("%s/%dT polygon %d: count %d, pairs %d", j.Name(), threads, i, counts[i], got[i])
+			for i := range count.Counts {
+				if count.Counts[i] != got[i] {
+					t.Fatalf("%s/%dT polygon %d: count %d, pairs %d", j.Name(), threads, i, count.Counts[i], got[i])
 				}
 			}
 			if int64(len(sink.Pairs)) != pst.Pairs() {

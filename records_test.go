@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -253,9 +254,9 @@ func TestApplyRecordsFailureLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatsRefused: index files of versions 1 to 6 (and a future
-// version 15) and version-1
-// write-ahead logs are no longer read. Every loader must say so —
+// TestLegacyFormatsRefused: index files of versions 1 to 12 (and a future
+// version 15) and version-1 write-ahead logs are no longer read (geometry
+// sections of versions 1 and 2: TestGeometryV1Compat). Every loader must say so —
 // an "unsupported version" error, before interpreting another byte — and
 // must leave the file as it found it.
 func TestLegacyFormatsRefused(t *testing.T) {
@@ -308,6 +309,15 @@ func TestLegacyFormatsRefused(t *testing.T) {
 		}
 	}
 
+	// Versions 7 to 12 are today's layout over earlier trie encodings,
+	// restamped from a dense-id and a sparse-id file as versions 3 to 6 are.
+	// Each loader names the version and the way to upgrade it.
+	for v := uint32(7); v <= 12; v++ {
+		t.Run(fmt.Sprintf("index-v%d", v), func(t *testing.T) {
+			checkRefusedEverywhere(t, flatFile(v, seeds[1-v%2]), retiredIndexError(v))
+		})
+	}
+
 	// The v1 log header is 16 bytes (no epoch); one whole record follows.
 	v1log := append([]byte("ACTW"), make([]byte, 12)...)
 	le.PutUint32(v1log[4:], 1)
@@ -332,6 +342,140 @@ func TestLegacyFormatsRefused(t *testing.T) {
 		}
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, file) {
 			t.Errorf("%s: refused log was modified (%v)", name, err)
+		}
+	}
+}
+
+// retiredIndexError is what every loader says of an index file of version
+// v, one of the retired versions 7 to 12.
+func retiredIndexError(v uint32) string {
+	return fmt.Sprintf("unsupported index version %d: load it with a release that reads index version 12 and write it back (WriteTo, or a checkpoint)", v)
+}
+
+// writtenIndex returns the file ix writes.
+func writtenIndex(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restampHeader parses file's header, lets stamp change it, and writes it
+// back over file's header with its checksum recomputed.
+func restampHeader(t *testing.T, file []byte, stamp func(*flatHeader)) []byte {
+	t.Helper()
+	h, err := parseHeader(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp(h)
+	enc := h.encode()
+	copy(file, enc[:])
+	return file
+}
+
+// TestLegacyWithoutGeometryRefused: a file of versions 7 to 12 written
+// without geometry once failed its trie rebuild for want of polygons; it is
+// now refused by its version like any other, with the same upgrade hint —
+// here a fresh approximate-only file, stamped version 11.
+func TestLegacyWithoutGeometryRefused(t *testing.T) {
+	ix, err := New(mustCensus40(t).Polygons, WithPrecision(1000), WithGeometryStore(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := restampHeader(t, writtenIndex(t, ix), func(h *flatHeader) { h.version = 11 })
+	checkRefusedEverywhere(t, file, retiredIndexError(11))
+}
+
+// TestLegacyV1FacesRefused: a version 7 or 8 file may carry a version 1
+// geometry section, which records no faces. Such a file is refused by its
+// index version before its section is read, so a multi-face one fails as a
+// one-face one does — here a fresh build over several cube faces with its
+// section laid out as version 1, stamped version 7.
+func TestLegacyV1FacesRefused(t *testing.T) {
+	tri := func(lat, lng float64) *Polygon {
+		return &Polygon{Outer: []LatLng{{Lat: lat, Lng: lng}, {Lat: lat, Lng: lng + 1}, {Lat: lat + 1, Lng: lng}}}
+	}
+	polys := []*Polygon{tri(10, 10), tri(10, 100), tri(70, 40), tri(-20, -100), tri(40.7, -74)}
+	ix, err := New(polys, WithPrecision(20000), WithGrid(CubeFaceGrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := writtenIndex(t, ix)
+	h, err := parseHeader(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file = append(file[:h.geomOff:h.geomOff], sectionV1(ix.live.Load().store)...)
+	file = restampHeader(t, file, func(h *flatHeader) { h.version, h.fileSize = 7, uint64(len(file)) })
+	checkRefusedEverywhere(t, file, retiredIndexError(7))
+}
+
+// TestLegacyRebuildBounded: the precision a v7–v12 file's header names once
+// decided how fine the trie rebuild's coverings were, so a forged one could
+// ask a load for unbounded work. No such file is rebuilt any more: a
+// census-40 file stamped version 11 with 10 cm instead of 1 000 m is refused
+// by every loader, and ReadIndex reads no byte past its header to do so.
+func TestLegacyRebuildBounded(t *testing.T) {
+	ix, err := New(mustCensus40(t).Polygons, WithPrecision(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := restampHeader(t, writtenIndex(t, ix), func(h *flatHeader) { h.version, h.precision = 11, 0.1 })
+	checkRefusedEverywhere(t, file, retiredIndexError(11))
+	r := bytes.NewReader(file)
+	if _, err := ReadIndex(r); err == nil {
+		t.Fatal("ReadIndex accepted the forged file")
+	}
+	if read := len(file) - r.Len(); read > flatHeaderSize {
+		t.Errorf("ReadIndex read %d bytes of the %d-byte forged file before refusing it, want at most the %d-byte header", read, len(file), flatHeaderSize)
+	}
+}
+
+// geometryFile returns a copy of the v13 file current with its geometry
+// section restamped as version and its section checksum recomputed.
+func geometryFile(t *testing.T, version uint32, current []byte) []byte {
+	t.Helper()
+	h, err := parseHeader(current)
+	if err != nil || !h.hasGeom {
+		t.Fatalf("seed file: %v, geometry %v", err, err == nil && h.hasGeom)
+	}
+	b := bytes.Clone(current)
+	sec := b[h.geomOff:]
+	binary.LittleEndian.PutUint32(sec[4:], version)
+	binary.LittleEndian.PutUint64(sec[len(sec)-8:], crc64.Checksum(sec[:len(sec)-8], flatCRCTable))
+	return b
+}
+
+// checkRefusedEverywhere checks that ReadIndex, OpenIndex, Recover and
+// OpenFollower each refuse file with an error containing want, and leave it
+// byte for byte as they found it.
+func checkRefusedEverywhere(t *testing.T, file []byte, want string) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.act")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, loader := range []struct {
+		name string
+		load func() (*Index, error)
+	}{
+		{"ReadIndex", func() (*Index, error) { return ReadIndex(bytes.NewReader(file)) }},
+		{"OpenIndex", func() (*Index, error) { return OpenIndex(path) }},
+		{"Recover", func() (*Index, error) { return Recover(path, filepath.Join(dir, "delta.wal")) }},
+		{"OpenFollower", func() (*Index, error) { return OpenFollower(path) }},
+	} {
+		if ix, err := loader.load(); err == nil || !strings.Contains(err.Error(), want) {
+			if err == nil {
+				ix.Close()
+			}
+			t.Errorf("%s: error %v, want %q", loader.name, err, want)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, file) {
+			t.Errorf("%s: the refused file was modified (%v)", loader.name, err)
 		}
 	}
 }

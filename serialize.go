@@ -8,15 +8,12 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
-	"sync/atomic"
 	"unsafe"
 
 	"github.com/actindex/act/internal/cellid"
 	"github.com/actindex/act/internal/core"
-	"github.com/actindex/act/internal/cover"
 	"github.com/actindex/act/internal/geom"
 	"github.com/actindex/act/internal/geostore"
-	"github.com/actindex/act/internal/grid"
 )
 
 // Index serialization, versions 13 and 14 — the flat, mmap-servable layout
@@ -24,8 +21,7 @@ import (
 //
 //	offset 0:    header, 264 bytes
 //	  magic     "ACTX"          4 bytes
-//	  version   uint32          13 (dense ids) or 14 (sparse ids); 7 to
-//	                            12 are read too, by rebuilding the trie
+//	  version   uint32          13 (dense ids) or 14 (sparse ids)
 //	  gridKind  uint32
 //	  flags     uint32          bit 0: a geometry section follows the table
 //	  fanout    uint32
@@ -57,9 +53,7 @@ import (
 //	                            ascending live polygon ids, 8-aligned after
 //	                            the table ((tableEnd+7)&^7)
 //	geomOff:   geometry section geostore.Store.Encode blob (own magic,
-//	                            version, CRC; delta-coded vertices and each
-//	                            polygon's grid face since section version 2,
-//	                            each shared vertex stored once since 3)
+//	                            version 3, CRC; see internal/geostore)
 //	                            filling [geomOff, fileSize) exactly — present
 //	                            only when flag set
 //
@@ -80,21 +74,6 @@ import (
 // sparse ids at load. The arenaCRC of a sparse file also covers the id
 // column (not the alignment padding around it).
 //
-// Versions 7 to 12 are versions 13 and 14 over earlier trie encodings (odd
-// versions dense, even ones sparse): codes 1, 2, 4 or 8 bits wide, the width
-// in bits 2–3 of a child entry and the palette offset in bits 4–33, laid out
-// with every node whole (7, 8), with repeated blocks stored once (9, 10), or
-// packed as here (11, 12). The trie is a cache derived from the geometry:
-// the decoder skips such an arena and rebuilds the trie New would, from the
-// geometry section — every live polygon re-covered under its id, the
-// coverings merged and streamed into the trie builder — onto the heap, so
-// WriteTo then writes the v13/v14 file New would. The coverings draw on a
-// cell budget in proportion to the skipped arena and table (rebuildTrie),
-// so a forged precision cannot make the rebuild cost more than the file's
-// size allows. A v7–v12 file without a geometry section, or a v7/v8 file
-// whose version 1 section leaves the faces of a multi-face trie unknown,
-// cannot be rebuilt and is refused: rebuild it from the polygons.
-//
 // The arena starts on a page boundary and its words are stored exactly as
 // the trie serves them in memory, so OpenIndex can map the file and alias
 // the arena and table in place — no deserialize copy, the page cache is the
@@ -105,28 +84,23 @@ import (
 // makes even a forged file unable to drive lookups out of bounds.
 //
 // The geometry section is versioned and checksummed independently of the
-// header, so the exact-refinement geometry can evolve without breaking the
-// trie format: WriteTo writes section version 3, and the decoder still reads
-// version 2 (every vertex stored anew) and version 1 (raw float64 vertices,
-// no faces), placing every polygon on the one face that has a root.
+// header; WriteTo writes, and the decoder reads, section version 3 alone.
 // Files written with WithGeometryStore(false) load in approximate-only mode.
 //
-// Index versions 1 and 2 (the pre-flat layouts), 3 and 4 (this layout over
-// dense nodes of fanout words each, every denormalized cell stored once per
-// slot) and 5 and 6 (run-compressed nodes: a run-start bitmap, a rank word
-// and one entry per run, roots as plain offsets) are no longer read: the
-// decoder refuses them as unsupported.
+// Only versions 13 and 14 are read. Every other version is refused before
+// a further byte is interpreted: 1 to 6 (earlier layouts), 7 to 12 (this
+// layout over earlier trie encodings, with geometry sections of versions 1
+// to 3) and anything newer. A version 7 to 12 file is upgraded by loading it
+// with a release that still reads it and writing it back (WriteTo, or a
+// checkpoint), which rebuilds its trie.
 
 const (
 	indexMagic = "ACTX"
 	// indexVersion is the dense flat format; indexVersionSparse the flat
 	// format with an explicit id column. WriteTo emits the lowest version
-	// that represents the index. Versions from oldestIndexVersion up to
-	// indexVersion are the same two over earlier trie encodings, read by
-	// rebuilding the trie (see rebuildTrie) but no longer written.
+	// that represents the index; no other version is read.
 	indexVersion       = 13
 	indexVersionSparse = 14
-	oldestIndexVersion = 7
 
 	// flatHeaderSize is the full flat header including headerCRC;
 	// flatHeaderCRCBytes the prefix that checksum covers.
@@ -155,7 +129,7 @@ var ErrPendingMutations = errors.New("act: index has uncompacted mutations; Comp
 
 var flatCRCTable = crc64.MakeTable(crc64.ECMA)
 
-// flatHeader is the parsed 264-byte flat header (versions 7 to 14).
+// flatHeader is the parsed 264-byte flat header (versions 13 and 14).
 type flatHeader struct {
 	version   uint32
 	idSpace   uint64 // ids ever assigned; == numPolys when dense
@@ -181,8 +155,8 @@ type flatHeader struct {
 // tableEnd returns the byte offset one past the lookup table.
 func (h *flatHeader) tableEnd() uint64 { return h.tableOff + h.tableLen*4 }
 
-// sparse reports whether the file carries an id column (the even versions).
-func (h *flatHeader) sparse() bool { return h.version%2 == 0 }
+// sparse reports whether the file carries an id column (version 14).
+func (h *flatHeader) sparse() bool { return h.version == indexVersionSparse }
 
 // idsOff returns the byte offset of the sparse id column (8-aligned past the
 // table). A dense header has no column; idsOff and idsEnd collapse to
@@ -240,7 +214,7 @@ func (h *flatHeader) encode() [flatHeaderSize]byte {
 }
 
 // parseHeader parses the header at the start of a file image. Magic and
-// version come first, so anything but a flat v7–v14 file is refused before
+// version come first, so anything but a v13 or v14 file is refused before
 // a further byte is interpreted, even one too short to hold a header.
 func parseHeader(b []byte) (*flatHeader, error) {
 	if len(b) < 8 {
@@ -249,7 +223,12 @@ func parseHeader(b []byte) (*flatHeader, error) {
 	if string(b[:4]) != indexMagic {
 		return nil, fmt.Errorf("act: bad index magic %q", b[:4])
 	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v < oldestIndexVersion || v > indexVersionSparse {
+	switch v := binary.LittleEndian.Uint32(b[4:]); {
+	case v >= 7 && v < indexVersion:
+		// Versions 7 to 12 differ from 13 and 14 only in the trie's
+		// encoding, which the last release to read them rebuilt.
+		return nil, fmt.Errorf("act: unsupported index version %d: load it with a release that reads index version 12 and write it back (WriteTo, or a checkpoint)", v)
+	case v != indexVersion && v != indexVersionSparse:
 		return nil, fmt.Errorf("act: unsupported index version %d", v)
 	}
 	if len(b) < flatHeaderSize {
@@ -258,7 +237,7 @@ func parseHeader(b []byte) (*flatHeader, error) {
 	return decodeFlatHeader((*[flatHeaderSize]byte)(b))
 }
 
-// decodeFlatHeader parses and cross-validates a flat header (v7 to v14)
+// decodeFlatHeader parses and cross-validates a flat header (v13 or v14)
 // whose magic and version bytes are already verified. Every offset
 // relationship the layout promises is checked here, so the decoder can
 // trust the header's geometry of the file afterwards — all that remains is
@@ -317,7 +296,7 @@ func decodeFlatHeader(buf *[flatHeaderSize]byte) (*flatHeader, error) {
 		return nil, fmt.Errorf("act: implausible polygon count %d", h.numPolys)
 	}
 	switch {
-	case h.version < oldestIndexVersion || h.version > indexVersionSparse:
+	case h.version != indexVersion && h.version != indexVersionSparse:
 		return nil, fmt.Errorf("act: unsupported flat index version %d", h.version)
 	case !h.sparse():
 		// Dense: the id space is the polygon count, ids implicit.
@@ -540,8 +519,7 @@ var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // is little-endian and img 8-aligned, and are decoded into fresh slices
 // otherwise: no other reader knows the file's byte order. checkCRC, the
 // policy for heap images, verifies the arena checksum; a mapping relies on
-// TrieFromFlat's structural validation instead. A v7–v12 arena is skipped,
-// and the trie rebuilt from the geometry (see rebuildTrie).
+// TrieFromFlat's structural validation instead.
 func decodeImage(img, geom []byte, checkCRC bool) (*Index, error) {
 	h, err := parseHeader(img)
 	if err != nil {
@@ -569,9 +547,6 @@ func decodeImage(img, geom []byte, checkCRC bool) (*Index, error) {
 			return nil, err
 		}
 	}
-	if h.version < indexVersion {
-		return rebuildTrie(h, ids, geom)
-	}
 	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(img)))%8 == 0
 	nodes := words[uint64](img[h.arenaOff:h.tableOff], alias)
 	return assembleFlat(h, nodes, words[uint32](img[h.tableOff:h.tableEnd()], alias), ids, geom)
@@ -596,11 +571,8 @@ func words[W uint32 | uint64](b []byte, alias bool) []W {
 // readGeometry decodes the geometry section of a flat file and lays it out
 // by polygon id. The section stores the live polygons densely, in id-column
 // order when sparse; each is remapped to its id so trie refs index the store
-// directly. A version 1 section records no faces: a polygon is projected
-// onto one face, where all its cells lie, so when the header names one face
-// root every polygon lies on that face; on a grid of several faces, roots on
-// several of them leave the faces unknown, and the file is refused.
-func readGeometry(h *flatHeader, g grid.Grid, ids []uint32, sec []byte) (*geostore.Store, error) {
+// directly.
+func readGeometry(h *flatHeader, ids []uint32, sec []byte) (*geostore.Store, error) {
 	st, err := geostore.Read(sec)
 	if err != nil {
 		return nil, err
@@ -609,18 +581,6 @@ func readGeometry(h *flatHeader, g grid.Grid, ids []uint32, sec []byte) (*geosto
 		return nil, fmt.Errorf("act: geometry section has %d polygons, header says %d",
 			st.NumPolygons(), h.numPolys)
 	}
-	var only uint8 // the one face with a root, when the section has none
-	if _, ok := st.Face(0); !ok && g.NumFaces() > 1 && st.NumPolygons() > 0 {
-		used := 0
-		for face, root := range h.roots {
-			if root != 0 {
-				only, used = uint8(face), used+1
-			}
-		}
-		if used != 1 {
-			return nil, fmt.Errorf("act: index version %d carries a version 1 geometry section, which records no faces, and its trie has roots on %d grid faces: write it back with a release that reads index version 12, or rebuild from polygons", h.version, used)
-		}
-	}
 	slots := make([]*geom.Polygon, h.idSpace)
 	faces := make([]uint8, h.idSpace)
 	for i := range st.NumPolygons() {
@@ -628,63 +588,11 @@ func readGeometry(h *flatHeader, g grid.Grid, ids []uint32, sec []byte) (*geosto
 		if ids != nil {
 			id = ids[i]
 		}
-		slots[id], faces[id] = st.Polygon(uint32(i)), only
-		if face, ok := st.Face(uint32(i)); ok {
-			faces[id] = uint8(face)
-		}
+		face, _ := st.Face(uint32(i))
+		slots[id], faces[id] = st.Polygon(uint32(i)), uint8(face)
 	}
 	return geostore.NewSparse(slots, faces), nil
 }
-
-// rebuildTrie assembles an Index from a v7–v12 file, whose trie the decoder
-// skips: it builds the trie New would from the geometry section — the live
-// polygons re-covered under their ids in the one descent that merges their
-// coverings and streams them into the trie builder — onto the heap. The stats keep the header's cell count
-// and achieved precision, as a compaction does, so the file written back is
-// the one the index that wrote this one would write.
-//
-// The header's precision is the file's word, and a small one asks for
-// coverings as fine as the grid goes. So the coverings draw on a budget of
-// rebuildCellsPerWord·fanout cells per word of the skipped arena and table:
-// refusing a forged file costs time and memory in proportion to its size.
-func rebuildTrie(h *flatHeader, ids []uint32, sec []byte) (*Index, error) {
-	if !h.hasGeom {
-		return nil, fmt.Errorf("act: index version %d stores a trie encoding this release does not read, and no geometry to rebuild it from: rebuild from polygons", h.version)
-	}
-	pl, ep, err := flatEpoch(h, ids, sec)
-	if err != nil {
-		return nil, err
-	}
-	budget := rebuildCellsPerWord * int64(h.fanout) * int64((h.tableOff-h.arenaOff)/8+h.tableLen)
-	var left atomic.Int64
-	left.Store(budget)
-	shapes := make([]cover.Shape, h.numPolys)
-	for i := range shapes {
-		id := uint32(i)
-		if ids != nil {
-			id = ids[i]
-		}
-		face, _ := ep.store.Face(id)
-		shapes[i] = cover.Shape{Face: face, Poly: ep.store.Polygon(id), ID: id}
-	}
-	var built BuildStats
-	ep.trie, err = pl.build(pl.descent(shapes, &left, &built), nil, &built)
-	if errors.Is(err, cover.ErrTooManyCells) {
-		return nil, fmt.Errorf("act: index version %d: its polygons re-covered at %g m take more than the %d cells a trie of its size holds: rebuild from polygons", h.version, h.precision, budget)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ep.stats.TrieNodes, ep.stats.TrieBytes, ep.stats.TableBytes = ep.trie.Size()
-	return newIndex(GridKind(h.gridKind), pl, ep), nil
-}
-
-// rebuildCellsPerWord bounds rebuildTrie's coverings, in cells per slot of
-// fanout per word of the file's arena and table. A build's coverings hold at
-// most 0.65 of them (fanout 4; 0.50 at 16, 0.32 at 64, 0.12 at 256) on the
-// census, neighbourhood and borough maps on both grids at 60, 15 and 4 m,
-// and a file of an older trie encoding holds more words than today's.
-const rebuildCellsPerWord = 2
 
 // decodeIDColumn parses and validates a sparse id column: strictly ascending
 // polygon ids below idSpace.
@@ -706,7 +614,9 @@ func decodeIDColumn(b []byte, idSpace uint64) ([]uint32, error) {
 // image or decoded from it; ids, the decoded sparse id column (nil when
 // dense); and geomSec, the bytes [geomOff, fileSize) when the header declares a
 // geometry section. The cross-section consistency checks (trie structure,
-// polygon-id ranges, geometry count) live here.
+// polygon-id ranges, geometry count) live here. The epoch keeps the header's
+// statistics, the geometry laid out by polygon id, and the live-id set: the
+// id column, or every id when dense.
 func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, geomSec []byte) (*Index, error) {
 	trie, err := core.TrieFromFlat(core.Flat{
 		Fanout:   h.fanout,
@@ -719,9 +629,27 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	if err != nil {
 		return nil, err
 	}
-	pl, ep, err := flatEpoch(h, ids, geomSec)
+	pl, err := newPipeline(GridKind(h.gridKind), h.precision, int(h.fanout), h.hasGeom)
 	if err != nil {
 		return nil, err
+	}
+	ep := &epoch{trie: trie, live: int(h.numPolys), stats: BuildStats{
+		NumPolygons:             int(h.numPolys),
+		IndexedCells:            int(h.cells),
+		AchievedPrecisionMeters: h.achieved,
+	}}
+	if h.hasGeom {
+		if ep.store, err = readGeometry(h, ids, geomSec); err != nil {
+			return nil, err
+		}
+	}
+	if ids == nil {
+		ep.alive = denseAlive(int(h.idSpace))
+	} else {
+		ep.alive = make([]bool, h.idSpace)
+		for _, id := range ids {
+			ep.alive[id] = true
+		}
 	}
 	// Lookups return polygon ids straight out of the trie, and Join sizes
 	// its per-polygon count slices from the id space — an id at or beyond
@@ -742,39 +670,8 @@ func assembleFlat(h *flatHeader, nodes []uint64, table []uint32, ids []uint32, g
 	if uint64(reached)+1 != h.numNodes {
 		return nil, fmt.Errorf("act: arena holds %d nodes, header says %d", reached+1, h.numNodes)
 	}
-	ep.trie = trie
 	ep.stats.TrieNodes, ep.stats.TrieBytes, ep.stats.TableBytes = reached, trieBytes, tableBytes
 	// A deserialized index is read-only by role (Insert/Remove/Compact
 	// report ErrImmutable); Recover and OpenFollower give it another.
 	return newIndex(GridKind(h.gridKind), pl, ep), nil
-}
-
-// flatEpoch is the epoch a file describes, all but its trie: the pipeline
-// the header configures, the geometry section laid out by polygon id, the
-// live-id set (the id column, or every id when dense) and the header's
-// statistics. assembleFlat and rebuildTrie each supply the trie.
-func flatEpoch(h *flatHeader, ids []uint32, geomSec []byte) (pipeline, *epoch, error) {
-	pl, err := newPipeline(GridKind(h.gridKind), h.precision, int(h.fanout), h.hasGeom)
-	if err != nil {
-		return pipeline{}, nil, err
-	}
-	ep := &epoch{live: int(h.numPolys), stats: BuildStats{
-		NumPolygons:             int(h.numPolys),
-		IndexedCells:            int(h.cells),
-		AchievedPrecisionMeters: h.achieved,
-	}}
-	if h.hasGeom {
-		if ep.store, err = readGeometry(h, pl.grid, ids, geomSec); err != nil {
-			return pipeline{}, nil, err
-		}
-	}
-	if ids == nil {
-		ep.alive = denseAlive(int(h.idSpace))
-	} else {
-		ep.alive = make([]bool, h.idSpace)
-		for _, id := range ids {
-			ep.alive[id] = true
-		}
-	}
-	return pl, ep, nil
 }
